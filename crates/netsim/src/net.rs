@@ -305,6 +305,19 @@ pub trait TcpHandler: Send {
     /// Consume newly arrived bytes, produce output bytes and the simulated
     /// processing time.
     fn on_bytes(&mut self, bytes: &[u8]) -> (Vec<u8>, SimTime);
+
+    /// [`TcpHandler::on_bytes`] writing its output into `out` — an
+    /// **empty** buffer recycled from the connection's earlier traffic —
+    /// which is what the simulator calls: a handler that overrides this
+    /// and fills `out` in place sends its replies without allocating. The
+    /// default adopts whatever `on_bytes` returned.
+    fn on_bytes_into(&mut self, bytes: &[u8], out: &mut Vec<u8>) -> SimTime {
+        let (produced, proc_time) = self.on_bytes(bytes);
+        if !produced.is_empty() {
+            *out = produced;
+        }
+        proc_time
+    }
 }
 
 /// Factory producing one [`TcpHandler`] per accepted connection.
@@ -331,8 +344,22 @@ struct EventQueue {
     processor: Option<EventProcessor>,
 }
 
+/// Spent chunk buffers a connection keeps for its next writes; anything
+/// beyond this is freed (the list bounds memory, not correctness).
+const CONN_SPARE_CHUNKS: usize = 8;
+
 struct ConnState {
-    client_rx: VecDeque<u8>,
+    /// Bytes delivered to the client and not yet read: whole chunks in
+    /// arrival order (delivery moves the sender's buffer in), the front
+    /// one already consumed up to `rx_head`.
+    client_rx: VecDeque<Vec<u8>>,
+    rx_head: usize,
+    /// Unread bytes across `client_rx`.
+    rx_len: usize,
+    /// Chunk buffers whose bytes have been handled (server side) or read
+    /// (client side), kept for the connection's next writes so a steady
+    /// exchange allocates nothing here.
+    spare: Vec<Vec<u8>>,
     server_handler: Slot<Box<dyn TcpHandler>>,
     /// Transmit-complete times per direction (to_server, to_client):
     /// TCP is FIFO with cumulative serialization, so each send starts
@@ -850,6 +877,9 @@ impl Network {
             let mut inner = self.lock();
             inner.conns.push(ConnState {
                 client_rx: VecDeque::new(),
+                rx_head: 0,
+                rx_len: 0,
+                spare: Vec::new(),
                 server_handler: Arc::new(Mutex::new(handler)),
                 busy_until: [SimTime::ZERO; 2],
             });
@@ -870,30 +900,39 @@ impl Network {
     /// stream is consulted for UDP datagrams only — TCP traffic must not
     /// perturb it (tests pin this).
     pub(crate) fn send_tcp(&self, conn: ConnId, to_server: bool, bytes: Vec<u8>) {
-        let mut inner = self.lock();
-        inner.bytes_sent += bytes.len() as u64;
-        let dir = usize::from(to_server);
-        let start = inner.now.max(inner.conns[conn].busy_until[dir]);
-        let tx_done = start + SimTime::from_nanos(bytes.len() as u64 * inner.cfg.ns_per_byte);
-        inner.conns[conn].busy_until[dir] = tx_done;
-        let at = tx_done + inner.cfg.latency;
-        inner.schedule(
-            at,
-            Event::TcpDeliver {
-                conn,
-                to_server,
-                bytes,
-            },
-        );
+        self.lock().send_tcp_locked(conn, to_server, bytes);
     }
 
-    pub(crate) fn conn_client_rx_take(&self, conn: ConnId, want: usize) -> Option<Vec<u8>> {
+    /// An empty buffer for the next write on `conn`: a spent chunk when
+    /// the connection has one, a fresh `Vec` otherwise.
+    pub(crate) fn conn_spare(&self, conn: ConnId) -> Vec<u8> {
+        self.lock().conns[conn].spare.pop().unwrap_or_default()
+    }
+
+    /// Copy the next `buf.len()` received bytes of `conn` into `buf` if
+    /// that many have arrived; otherwise consume nothing and return
+    /// `false`. Chunks read to their end go to the spare list.
+    pub(crate) fn conn_read(&self, conn: ConnId, buf: &mut [u8]) -> bool {
         let mut inner = self.lock();
-        let rx = &mut inner.conns[conn].client_rx;
-        if rx.len() < want {
-            return None;
+        let c = &mut inner.conns[conn];
+        if c.rx_len < buf.len() {
+            return false;
         }
-        Some(rx.drain(..want).collect())
+        let mut filled = 0;
+        while filled < buf.len() {
+            let chunk = c.client_rx.front().expect("rx_len counts queued bytes");
+            let take = (chunk.len() - c.rx_head).min(buf.len() - filled);
+            buf[filled..filled + take].copy_from_slice(&chunk[c.rx_head..c.rx_head + take]);
+            filled += take;
+            c.rx_head += take;
+            if c.rx_head == chunk.len() {
+                let spent = c.client_rx.pop_front().expect("front checked");
+                c.rx_head = 0;
+                c.recycle(spent);
+            }
+        }
+        c.rx_len -= buf.len();
+        true
     }
 
     /// Process events until `pred` holds or virtual time passes `deadline`.
@@ -1113,18 +1152,28 @@ impl Network {
                 bytes,
             } => {
                 if to_server {
-                    let slot = self.lock().conns[conn].server_handler.clone();
-                    let (out, proc_time) = {
-                        let mut h = slot.lock().expect("tcp handler lock");
-                        h.on_bytes(&bytes)
+                    let (slot, mut out) = {
+                        let mut inner = self.lock();
+                        let c = &mut inner.conns[conn];
+                        (c.server_handler.clone(), c.spare.pop().unwrap_or_default())
                     };
-                    if !out.is_empty() {
-                        self.advance_inner(proc_time);
-                        self.send_tcp(conn, false, out);
+                    let proc_time = {
+                        let mut h = slot.lock().expect("tcp handler lock");
+                        h.on_bytes_into(&bytes, &mut out)
+                    };
+                    let mut inner = self.lock();
+                    inner.conns[conn].recycle(bytes);
+                    if out.is_empty() {
+                        inner.conns[conn].recycle(out);
+                    } else {
+                        inner.now += proc_time;
+                        inner.send_tcp_locked(conn, false, out);
                     }
                 } else {
                     let mut inner = self.lock();
-                    inner.conns[conn].client_rx.extend(bytes);
+                    let c = &mut inner.conns[conn];
+                    c.rx_len += bytes.len();
+                    c.client_rx.push_back(bytes);
                 }
             }
             Event::Chaos(ev) => self.apply_chaos_event(ev),
@@ -1164,7 +1213,36 @@ impl Network {
     }
 }
 
+impl ConnState {
+    /// Keep a spent chunk buffer for a later write (bounded; see
+    /// [`CONN_SPARE_CHUNKS`]).
+    fn recycle(&mut self, mut buf: Vec<u8>) {
+        if buf.capacity() > 0 && self.spare.len() < CONN_SPARE_CHUNKS {
+            buf.clear();
+            self.spare.push(buf);
+        }
+    }
+}
+
 impl NetInner {
+    /// [`Network::send_tcp`] body, callable with the simulator lock held.
+    fn send_tcp_locked(&mut self, conn: ConnId, to_server: bool, bytes: Vec<u8>) {
+        self.bytes_sent += bytes.len() as u64;
+        let dir = usize::from(to_server);
+        let start = self.now.max(self.conns[conn].busy_until[dir]);
+        let tx_done = start + SimTime::from_nanos(bytes.len() as u64 * self.cfg.ns_per_byte);
+        self.conns[conn].busy_until[dir] = tx_done;
+        let at = tx_done + self.cfg.latency;
+        self.schedule(
+            at,
+            Event::TcpDeliver {
+                conn,
+                to_server,
+                bytes,
+            },
+        );
+    }
+
     fn schedule(&mut self, at: SimTime, ev: Event) {
         let seq = self.seq;
         self.seq += 1;

@@ -57,6 +57,7 @@ pub struct SvcRegistry {
     generic_dispatches: AtomicU64,
     raw_dispatches: AtomicU64,
     raw_fallbacks: AtomicU64,
+    record_drops: AtomicU64,
 }
 
 impl SvcRegistry {
@@ -148,6 +149,17 @@ impl SvcRegistry {
     /// Number of raw-handler fallbacks to the generic path.
     pub fn raw_fallbacks(&self) -> u64 {
         self.raw_fallbacks.load(Ordering::Relaxed)
+    }
+
+    /// Stream records a transport adapter refused before dispatch: their
+    /// record mark claimed more than `specrpc_xdr::rec::MAX_RECORD_BYTES`
+    /// (the connection is reset; see [`crate::svc_tcp`]).
+    pub fn record_drops(&self) -> u64 {
+        self.record_drops.load(Ordering::Relaxed)
+    }
+
+    pub(crate) fn note_record_drop(&self) {
+        self.record_drops.fetch_add(1, Ordering::Relaxed);
     }
 
     /// Micro-layer counts accumulated by generic dispatches.

@@ -205,6 +205,7 @@ pub fn attach_tcp(
             Box::new(SvcTcpConn::with_dispatcher(
                 Arc::new(move |req: &[u8]| p.dispatch_on(worker, req)),
                 model.clone(),
+                pool.registry().clone(),
             )) as Box<dyn TcpHandler>
         }),
     );

@@ -21,6 +21,27 @@ pub trait RecordIo {
     fn write_all(&mut self, buf: &[u8]) -> XdrResult;
     /// Read exactly `buf.len()` bytes from the transport.
     fn read_exact(&mut self, buf: &mut [u8]) -> XdrResult;
+    /// Write `head` then `body` — a fragment header and its payload.
+    /// Equivalent to two [`RecordIo::write_all`] calls (the default); a
+    /// transport that pays per write overrides it to send both as one.
+    fn write_parts(&mut self, head: &[u8], body: &[u8]) -> XdrResult {
+        self.write_all(head)?;
+        self.write_all(body)
+    }
+}
+
+impl<T: RecordIo + ?Sized> RecordIo for &mut T {
+    fn write_all(&mut self, buf: &[u8]) -> XdrResult {
+        (**self).write_all(buf)
+    }
+
+    fn read_exact(&mut self, buf: &mut [u8]) -> XdrResult {
+        (**self).read_exact(buf)
+    }
+
+    fn write_parts(&mut self, head: &[u8], body: &[u8]) -> XdrResult {
+        (**self).write_parts(head, body)
+    }
 }
 
 /// An in-memory loopback transport, useful for tests: everything written is
@@ -72,13 +93,32 @@ pub const LAST_FRAG_FLAG: u32 = 0x8000_0000;
 /// Mask selecting the fragment-length bits of a record-marking header.
 pub const FRAG_LEN_MASK: u32 = 0x7fff_ffff;
 
+/// Largest record (sum of its fragments' payloads) a receiver will
+/// buffer. A fragment header is attacker-controlled — its 31 length bits
+/// can claim 2 GiB before a single payload byte has arrived — so every
+/// reassembler checks a claimed length against this bound *before*
+/// allocating for it: [`read_record_into`] and [`XdrRec`] fail with
+/// [`XdrError::BadRecordMark`], and the server's per-connection
+/// reassembler drops the connection. Far above any message this stack
+/// produces (the UDP reply buffer is 66 000 bytes).
+pub const MAX_RECORD_BYTES: usize = 1 << 20;
+
+/// Split a fragment header, as read off the wire, into (payload length,
+/// last-fragment flag).
+pub fn parse_mark(raw: [u8; 4]) -> (usize, bool) {
+    let header = ntohl(u32::from_ne_bytes(raw));
+    (
+        (header & FRAG_LEN_MASK) as usize,
+        header & LAST_FRAG_FLAG != 0,
+    )
+}
+
 /// Write `payload` to `io` as one complete record (a single final
 /// fragment) — the raw-exchange counterpart of [`XdrRec`]'s buffered
 /// encoding, used by pre-marshaled (specialized) messages.
 pub fn write_record<T: RecordIo>(io: &mut T, payload: &[u8]) -> XdrResult {
     let header = htonl(payload.len() as u32 | LAST_FRAG_FLAG);
-    io.write_all(&header.to_ne_bytes())?;
-    io.write_all(payload)
+    io.write_parts(&header.to_ne_bytes(), payload)
 }
 
 /// Read one complete record from `io`, reassembling fragment chains into
@@ -91,18 +131,22 @@ pub fn read_record<T: RecordIo>(io: &mut T) -> XdrResult<Vec<u8>> {
 
 /// Read one complete record from `io` into `record` (cleared first),
 /// reusing its existing capacity — the zero-allocation receive path for
-/// callers cycling buffers through a pool.
+/// callers cycling buffers through a pool. A fragment chain claiming
+/// more than [`MAX_RECORD_BYTES`] in total is [`XdrError::BadRecordMark`],
+/// raised before anything is allocated for the offending fragment.
 pub fn read_record_into<T: RecordIo>(io: &mut T, record: &mut Vec<u8>) -> XdrResult {
     record.clear();
     loop {
         let mut raw = [0u8; 4];
         io.read_exact(&mut raw)?;
-        let header = ntohl(u32::from_ne_bytes(raw));
-        let len = (header & FRAG_LEN_MASK) as usize;
+        let (len, last) = parse_mark(raw);
         let start = record.len();
+        if len > MAX_RECORD_BYTES - start {
+            return Err(XdrError::BadRecordMark);
+        }
         record.resize(start + len, 0);
         io.read_exact(&mut record[start..])?;
-        if header & LAST_FRAG_FLAG != 0 {
+        if last {
             return Ok(());
         }
     }
@@ -117,8 +161,12 @@ pub struct XdrRec<T: RecordIo> {
     out: Vec<u8>,
     /// Total bytes of payload written (across flushed fragments).
     out_total: usize,
-    /// Bytes remaining in the current input fragment.
-    in_frag_remaining: usize,
+    /// Payload of the current input fragment, read from the transport in
+    /// one piece when its header is (as `fill_input_buf` does in the C
+    /// code); `getlong`/`getbytes` are served from it.
+    in_buf: Vec<u8>,
+    /// Read position in `in_buf`.
+    in_pos: usize,
     /// Whether the current input fragment is the record's last.
     in_last_frag: bool,
     /// Whether we are positioned inside a record (a fragment header has
@@ -146,9 +194,14 @@ impl<T: RecordIo> XdrRec<T> {
             op,
             io,
             max_frag,
-            out: Vec::new(),
+            // An encoder fills whole fragments: size the buffer once.
+            out: Vec::with_capacity(match op {
+                XdrOp::Encode => max_frag.min(DEFAULT_FRAGMENT_SIZE),
+                _ => 0,
+            }),
             out_total: 0,
-            in_frag_remaining: 0,
+            in_buf: Vec::new(),
+            in_pos: 0,
             in_last_frag: false,
             in_record: false,
             in_total: 0,
@@ -174,8 +227,7 @@ impl<T: RecordIo> XdrRec<T> {
     fn emit_fragment(&mut self, last: bool) -> XdrResult {
         let len = self.out.len() as u32;
         let header = htonl(len | if last { LAST_FRAG_FLAG } else { 0 });
-        self.io.write_all(&header.to_ne_bytes())?;
-        self.io.write_all(&self.out)?;
+        self.io.write_parts(&header.to_ne_bytes(), &self.out)?;
         self.counts.mem_moves += self.out.len() as u64 + 4;
         self.out.clear();
         Ok(())
@@ -203,21 +255,32 @@ impl<T: RecordIo> XdrRec<T> {
         Ok(())
     }
 
-    fn read_fragment_header(&mut self) -> XdrResult {
+    /// Bytes of the current input fragment not yet consumed.
+    fn in_frag_remaining(&self) -> usize {
+        self.in_buf.len() - self.in_pos
+    }
+
+    /// Read the next fragment — header and whole payload — from the
+    /// transport.
+    fn read_fragment(&mut self) -> XdrResult {
         let mut raw = [0u8; 4];
         self.io.read_exact(&mut raw)?;
-        let header = ntohl(u32::from_ne_bytes(raw));
-        let len = (header & FRAG_LEN_MASK) as usize;
-        self.in_last_frag = header & LAST_FRAG_FLAG != 0;
-        self.in_frag_remaining = len;
+        let (len, last) = parse_mark(raw);
+        if len > MAX_RECORD_BYTES {
+            return Err(XdrError::BadRecordMark);
+        }
+        self.in_last_frag = last;
         self.in_record = true;
-        Ok(())
+        self.in_pos = 0;
+        self.in_buf.clear();
+        self.in_buf.resize(len, 0);
+        self.io.read_exact(&mut self.in_buf)
     }
 
     fn fill_in(&mut self, out: &mut [u8]) -> XdrResult {
         let mut filled = 0;
         while filled < out.len() {
-            if self.in_frag_remaining == 0 {
+            if self.in_frag_remaining() == 0 {
                 if self.in_record && self.in_last_frag {
                     // Record exhausted mid-item.
                     return Err(XdrError::Underflow {
@@ -225,10 +288,10 @@ impl<T: RecordIo> XdrRec<T> {
                         remaining: 0,
                     });
                 }
-                self.read_fragment_header()?;
+                self.read_fragment()?;
                 // A zero-length non-final fragment is legal but suspicious;
                 // a zero-length final fragment ends the record.
-                if self.in_frag_remaining == 0 && self.in_last_frag {
+                if self.in_frag_remaining() == 0 && self.in_last_frag {
                     return Err(XdrError::Underflow {
                         needed: out.len() - filled,
                         remaining: 0,
@@ -236,9 +299,10 @@ impl<T: RecordIo> XdrRec<T> {
                 }
                 continue;
             }
-            let take = self.in_frag_remaining.min(out.len() - filled);
-            self.io.read_exact(&mut out[filled..filled + take])?;
-            self.in_frag_remaining -= take;
+            let take = self.in_frag_remaining().min(out.len() - filled);
+            out[filled..filled + take]
+                .copy_from_slice(&self.in_buf[self.in_pos..self.in_pos + take]);
+            self.in_pos += take;
             filled += take;
             self.in_total += take;
             self.counts.mem_moves += take as u64;
@@ -250,19 +314,12 @@ impl<T: RecordIo> XdrRec<T> {
     /// position at the start of the next one.
     pub fn skip_record(&mut self) -> XdrResult {
         loop {
-            if self.in_frag_remaining > 0 {
-                let mut sink = [0u8; 256];
-                while self.in_frag_remaining > 0 {
-                    let take = self.in_frag_remaining.min(sink.len());
-                    self.io.read_exact(&mut sink[..take])?;
-                    self.in_frag_remaining -= take;
-                }
-            }
+            self.in_pos = self.in_buf.len();
             if self.in_record && self.in_last_frag {
                 self.in_record = false;
                 return Ok(());
             }
-            self.read_fragment_header()?;
+            self.read_fragment()?;
         }
     }
 }
@@ -276,15 +333,29 @@ impl<T: RecordIo> XdrStream for XdrRec<T> {
     fn putlong(&mut self, v: i32) -> XdrResult {
         self.counts.overflow_checks += 1;
         self.counts.byteorder_ops += 1;
-        let net = htonl(v as u32);
-        self.buffer_out(&net.to_ne_bytes())
+        let net = htonl(v as u32).to_ne_bytes();
+        // The inline case of `xdrrec_putlong`: room in the fragment.
+        if self.max_frag - self.out.len() >= net.len() {
+            self.out.extend_from_slice(&net);
+            self.out_total += net.len();
+            return Ok(());
+        }
+        self.buffer_out(&net)
     }
 
     #[inline(never)]
     fn getlong(&mut self) -> XdrResult<i32> {
         self.counts.overflow_checks += 1;
         let mut raw = [0u8; 4];
-        self.fill_in(&mut raw)?;
+        // The inline case of `xdrrec_getlong`: the word is in the buffer.
+        if let Some(word) = self.in_buf.get(self.in_pos..self.in_pos + raw.len()) {
+            raw.copy_from_slice(word);
+            self.in_pos += raw.len();
+            self.in_total += raw.len();
+            self.counts.mem_moves += raw.len() as u64;
+        } else {
+            self.fill_in(&mut raw)?;
+        }
         self.counts.byteorder_ops += 1;
         Ok(ntohl(u32::from_ne_bytes(raw)) as i32)
     }
@@ -454,5 +525,105 @@ mod tests {
         let mut dec = XdrRec::decoder(enc.into_io());
         dec.getlong().unwrap();
         assert_eq!(dec.getpos(), 4);
+    }
+
+    /// A transport that counts calls, to pin how often the stream layer
+    /// goes to it.
+    #[derive(Default)]
+    struct CountingPipe {
+        pipe: MemPipe,
+        reads: usize,
+        writes: usize,
+    }
+
+    impl RecordIo for CountingPipe {
+        fn write_all(&mut self, buf: &[u8]) -> XdrResult {
+            self.writes += 1;
+            self.pipe.write_all(buf)
+        }
+
+        fn read_exact(&mut self, buf: &mut [u8]) -> XdrResult {
+            self.reads += 1;
+            self.pipe.read_exact(buf)
+        }
+    }
+
+    fn mark(len: usize, last: bool) -> [u8; 4] {
+        (len as u32 | if last { LAST_FRAG_FLAG } else { 0 }).to_be_bytes()
+    }
+
+    #[test]
+    fn write_parts_defaults_to_two_writes_with_identical_bytes() {
+        let mut two = CountingPipe::default();
+        write_record(&mut two, b"payload").unwrap();
+        assert_eq!(two.writes, 2);
+        let mut flat = MemPipe::new();
+        flat.write_all(&mark(7, true)).unwrap();
+        flat.write_all(b"payload").unwrap();
+        assert_eq!(two.pipe.data, flat.data);
+        // Through a `&mut` borrow the same method is reached.
+        let mut borrowed = CountingPipe::default();
+        write_record(&mut &mut borrowed, b"payload").unwrap();
+        assert_eq!(borrowed.pipe.data, flat.data);
+    }
+
+    #[test]
+    fn decoder_reads_each_fragment_from_the_transport_once() {
+        let mut enc = XdrRec::with_fragment_size(CountingPipe::default(), XdrOp::Encode, 400);
+        for i in 0..250 {
+            enc.putlong(i).unwrap();
+        }
+        enc.end_of_record().unwrap();
+        let mut pipe = enc.into_io();
+        pipe.reads = 0;
+        let mut dec = XdrRec::decoder(pipe);
+        for i in 0..250 {
+            assert_eq!(dec.getlong().unwrap(), i);
+        }
+        // 1000 payload bytes in 400-byte fragments: 3 fragments, each one
+        // header read plus one payload read — not one read per long.
+        assert_eq!(dec.io().reads, 6);
+        assert_eq!(dec.counts().mem_moves, 1000, "accounting is per item");
+        assert_eq!(dec.getpos(), 1000);
+    }
+
+    #[test]
+    fn lying_record_mark_is_refused_before_allocating() {
+        // 2 GiB claimed, nothing behind it.
+        let mut pipe = MemPipe::new();
+        pipe.write_all(&mark(FRAG_LEN_MASK as usize, true)).unwrap();
+        let mut record = Vec::new();
+        assert_eq!(
+            read_record_into(&mut pipe, &mut record),
+            Err(XdrError::BadRecordMark)
+        );
+        assert_eq!(record.capacity(), 0, "nothing was allocated for the claim");
+
+        let mut pipe = MemPipe::new();
+        pipe.write_all(&mark(MAX_RECORD_BYTES + 1, true)).unwrap();
+        let mut dec = XdrRec::decoder(pipe);
+        assert_eq!(dec.getlong(), Err(XdrError::BadRecordMark));
+        assert_eq!(dec.in_buf.capacity(), 0);
+    }
+
+    #[test]
+    fn fragment_chain_crossing_the_limit_is_refused() {
+        // Each fragment is legal alone; their sum is not.
+        let half = MAX_RECORD_BYTES / 2 + 1;
+        let mut pipe = MemPipe::new();
+        pipe.write_all(&mark(half, false)).unwrap();
+        pipe.write_all(&vec![7u8; half]).unwrap();
+        pipe.write_all(&mark(half, true)).unwrap();
+        let mut record = Vec::new();
+        assert_eq!(
+            read_record_into(&mut pipe, &mut record),
+            Err(XdrError::BadRecordMark)
+        );
+        assert!(record.capacity() <= MAX_RECORD_BYTES);
+        // Exactly at the limit is fine.
+        let mut pipe = MemPipe::new();
+        write_record(&mut pipe, &vec![1u8; MAX_RECORD_BYTES]).unwrap();
+        read_record_into(&mut pipe, &mut record).unwrap();
+        assert_eq!(record.len(), MAX_RECORD_BYTES);
     }
 }

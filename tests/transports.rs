@@ -6,7 +6,9 @@
 use specrpc::echo::{workload, ECHO_IDL};
 use specrpc::{PathUsed, ProcPipeline, SpecClient, SpecService};
 use specrpc_netsim::net::{Network, NetworkConfig};
+use specrpc_netsim::SimTime;
 use specrpc_rpc::svc::SvcRegistry;
+use specrpc_rpc::svc_udp::default_proc_time;
 use specrpc_rpc::{ClntTcp, ClntUdp, Transport};
 use specrpc_tempo::compile::StubArgs;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -167,4 +169,105 @@ fn same_stubs_same_bytes_on_both_transports() {
     // Both went down the raw fast path on the shared registry.
     assert_eq!(reg.raw_dispatches(), 2);
     assert_eq!(reg.raw_fallbacks(), 0);
+}
+
+/// A complete generic-encoded echo call message (xid first) and its length
+/// pair is all the link model needs.
+fn raw_echo_call(xid: u32, data: &[i32]) -> Vec<u8> {
+    use specrpc_rpc::msg::CallHeader;
+    use specrpc_xdr::composite::xdr_array;
+    use specrpc_xdr::mem::XdrMem;
+    use specrpc_xdr::primitives::xdr_int;
+    let mut enc = XdrMem::encoder(64 + 4 * data.len());
+    let mut msg = CallHeader::new(xid, PROG, 1, 1);
+    CallHeader::xdr(&mut enc, &mut msg).unwrap();
+    let mut v = data.to_vec();
+    xdr_array(&mut enc, &mut v, 100_000, xdr_int).unwrap();
+    enc.into_bytes()
+}
+
+/// One raw call on a fresh connection; returns (request bytes, reply
+/// bytes, virtual time it took).
+fn solitary_tcp_call(n: usize) -> (usize, usize, SimTime) {
+    let net = Network::new(NetworkConfig::lan(), 46);
+    deploy(&net, n, None);
+    let mut clnt = ClntTcp::create(&net, PORT + 1, PROG, 1).expect("connect");
+    let xid = Transport::next_xid(&mut clnt);
+    let request = raw_echo_call(xid, &workload(n));
+    let t0 = net.now();
+    let reply = Transport::call(&mut clnt, &request, xid).expect("raw call");
+    (request.len(), reply.len(), net.now() - t0)
+}
+
+#[test]
+fn solitary_tcp_call_takes_exactly_what_the_link_model_says() {
+    // Two flights, both records (payload + 4-byte mark each) serialized
+    // at the link rate, plus the modeled server time — to the nanosecond,
+    // not rounded up to a polling grid.
+    let cfg = NetworkConfig::lan();
+    for n in [20, 250, 2000] {
+        let (req, rep, took) = solitary_tcp_call(n);
+        let wire = SimTime::from_nanos((req + rep + 8) as u64 * cfg.ns_per_byte);
+        let want = cfg.latency + cfg.latency + wire + default_proc_time()(req, rep);
+        assert_eq!(took, want, "n={n}");
+    }
+}
+
+#[test]
+fn timed_out_tcp_read_leaves_the_clock_exactly_at_its_deadline() {
+    use specrpc_netsim::net::TcpHandler;
+    // A peer that swallows everything: the call waits out the read
+    // timeout, reconnects once, waits it out again — two deadlines, no
+    // overshoot.
+    struct DeadConn;
+    impl TcpHandler for DeadConn {
+        fn on_bytes(&mut self, _bytes: &[u8]) -> (Vec<u8>, SimTime) {
+            (Vec::new(), SimTime::ZERO)
+        }
+    }
+    let net = Network::new(NetworkConfig::lan(), 47);
+    net.serve_tcp(PORT + 1, Box::new(|| Box::new(DeadConn)));
+    let mut clnt = ClntTcp::create(&net, PORT + 1, PROG, 1).expect("connect");
+    clnt.stream_mut()
+        .set_read_timeout(SimTime::from_micros(4_321));
+    let xid = Transport::next_xid(&mut clnt);
+    let request = raw_echo_call(xid, &workload(20));
+    let t0 = net.now();
+    assert!(Transport::call(&mut clnt, &request, xid).is_err());
+    // The reconnected stream starts from the default timeout again.
+    assert_eq!(clnt.reconnects, 1);
+    assert_eq!(
+        net.now() - t0,
+        SimTime::from_micros(4_321) + SimTime::from_millis(5_000)
+    );
+}
+
+#[test]
+fn pipelined_tcp_batch_still_overlaps_its_round_trips() {
+    let n = 250;
+    let (_, _, solitary) = solitary_tcp_call(n);
+    let net = Network::new(NetworkConfig::lan(), 46);
+    deploy(&net, n, None);
+    let mut clnt = ClntTcp::create(&net, PORT + 1, PROG, 1).expect("connect");
+    let xids: Vec<u32> = (0..8).map(|_| Transport::next_xid(&mut clnt)).collect();
+    let requests: Vec<Vec<u8>> = xids
+        .iter()
+        .map(|&x| raw_echo_call(x, &workload(n)))
+        .collect();
+    let refs: Vec<&[u8]> = requests.iter().map(Vec::as_slice).collect();
+    let t0 = net.now();
+    let replies = clnt.call_batch(&refs, &xids).expect("batch");
+    let took = net.now() - t0;
+    assert_eq!(replies.len(), 8);
+    for (reply, xid) in replies.iter().zip(&xids) {
+        assert_eq!(&reply[..4], &xid.to_be_bytes());
+    }
+    assert!(
+        took.as_nanos() < 8 * solitary.as_nanos(),
+        "batch {took} vs 8 x {solitary}"
+    );
+    // Latency is paid once, not eight times: at least seven flights' worth
+    // is saved.
+    let cfg = NetworkConfig::lan();
+    assert!(took.as_nanos() + 7 * 2 * cfg.latency.as_nanos() <= 8 * solitary.as_nanos());
 }

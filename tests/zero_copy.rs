@@ -154,6 +154,62 @@ fn event_reactor_keeps_the_wire_path_allocation_free() {
 }
 
 #[test]
+fn pooled_specialized_tcp_round_trip_allocates_zero_after_warmup() {
+    // The stream lane held to the datagram lane's bar: the server answers
+    // a whole record in place and returns the dispatched reply to the
+    // shared pool, the client reads into a pooled buffer the facade
+    // recycles, and the simulator reuses spent chunks — so a warm call
+    // takes nothing from the allocator on the wire path and never misses
+    // the pool.
+    use specrpc_rpc::svc_tcp::serve_tcp;
+    use specrpc_rpc::{ClntTcp, Transport};
+    let n = 200;
+    let proc_ = Arc::new(
+        ProcPipeline::new(n)
+            .build_from_idl(ECHO_IDL, None, ECHO_PROC)
+            .unwrap(),
+    );
+    let net = Network::new(NetworkConfig::lan(), 29);
+    let reg = SpecService::new()
+        .proc(proc_.clone(), |args: &StubArgs| {
+            StubArgs::new(vec![], vec![args.arrays[0].clone()])
+        })
+        .into_registry();
+    serve_tcp(&net, 913, reg.clone(), None);
+    let clnt = ClntTcp::create_pooled(&net, 913, ECHO_PROG, ECHO_VERS, reg.pool().clone())
+        .expect("connect");
+    let mut client = SpecClient::from_parts(clnt, proc_);
+
+    let data = workload(n);
+    let args = client.args(vec![], vec![data.clone()]);
+    let mut out = StubArgs::default();
+    for _ in 0..10 {
+        let path = client.call_into(&args, &mut out).unwrap();
+        assert_eq!(path, PathUsed::Fast);
+        assert_eq!(out.arrays[0], data);
+    }
+    assert!(client.counts.heap_allocs > 0, "warm-up allocates once");
+
+    let allocs_before = client.counts.heap_allocs;
+    let wire_before = client.transport_mut().wire_allocs();
+    let pool_before = reg.pool().stats();
+    for round in 0..25 {
+        let path = client.call_into(&args, &mut out).unwrap();
+        assert_eq!(path, PathUsed::Fast, "round {round}");
+        assert_eq!(out.arrays[0], data, "round {round}");
+    }
+    assert_eq!(client.counts.heap_allocs - allocs_before, 0);
+    assert_eq!(client.transport_mut().wire_allocs() - wire_before, 0);
+    let pool = reg.pool().stats();
+    assert_eq!(pool.misses, pool_before.misses, "no take missed the pool");
+    // Per call: the server's reply image and the client's receive buffer.
+    assert_eq!(pool.hits - pool_before.hits, 2 * 25);
+    assert_eq!(pool.recycled - pool_before.recycled, 2 * 25);
+    assert_eq!(pool.overflow_drops, 0);
+    assert_eq!(reg.raw_dispatches(), 35);
+}
+
+#[test]
 fn retransmission_reuses_the_request_image_without_rebuilding() {
     // A server slower than the per-try timeout forces a retransmission on
     // every call (the dup cache replays, so semantics stay exactly-once).
