@@ -809,6 +809,12 @@ impl NfsReport {
             self.coalesce.flushes_sync,
             self.coalesce.flushes_explicit,
         ));
+        if self.coalesce.window_evictions > 0 {
+            out.push_str(&format!(
+                "\n\u{20} replay window:                  {} unacknowledged envelope(s) evicted (their one-ways can no longer be replayed)",
+                self.coalesce.window_evictions
+            ));
+        }
         out.push_str(&format!(
             "\n\u{20} wire economy:                   {:.2} datagram(s)/op, {} amortized/op",
             self.datagrams_per_op(),
@@ -989,6 +995,7 @@ pub fn run_nfs(cfg: &NfsConfig) -> Result<NfsReport, PipelineError> {
             coalesce.flushes_explicit += s.flushes_explicit;
             coalesce.pending_submessages += s.pending_submessages;
             coalesce.unacked_envelopes += s.unacked_envelopes;
+            coalesce.window_evictions += s.window_evictions;
         }
     }
 
@@ -1139,6 +1146,7 @@ mod tests {
         assert_eq!(report.coalesce.oneways_queued, report.oneway_writes);
         assert_eq!(report.coalesce.pending_submessages, 0, "all bursts sealed");
         assert_eq!(report.coalesce.unacked_envelopes, 0, "all bursts acked");
+        assert_eq!(report.coalesce.window_evictions, 0, "nothing fell off");
         assert_eq!(report.link.queue_drops, 0);
     }
 
@@ -1153,6 +1161,18 @@ mod tests {
         assert!(text.contains("coalescing:"), "{text}");
         assert!(text.contains("datagram(s)/op"), "{text}");
         assert!(text.contains("link packets:"), "{text}");
+        // The eviction row appears only when something was evicted, so
+        // the report of a run that lost nothing reads as it always did.
+        assert!(!text.contains("replay window:"), "{text}");
+        let mut lossy = a;
+        lossy.coalesce.window_evictions = 3;
+        assert!(
+            lossy
+                .render()
+                .contains("replay window:                  3 unacknowledged envelope(s) evicted"),
+            "{}",
+            lossy.render()
+        );
     }
 
     #[test]

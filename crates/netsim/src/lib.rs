@@ -26,6 +26,7 @@
 
 pub mod chaos;
 pub mod fault;
+pub mod inthash;
 pub mod net;
 pub mod platform;
 pub mod tcp;

@@ -65,11 +65,40 @@
 //! [`Network`] is `Send + Sync`: every piece of simulator state lives
 //! behind one `Arc<Mutex<NetInner>>`, so the virtual clock, the event
 //! queue, and the traffic counters advance under a single lock and can be
-//! shared freely across threads (handlers must be `Send`). Handlers are
-//! *not* invoked under the simulator lock — each handler sits in its own
-//! `Mutex` slot, so a handler may itself send traffic (re-entering the
-//! simulator) and two threads delivering to the same address serialize on
-//! the handler, never dropping a datagram.
+//! shared freely across threads (handlers must be `Send`). The lock
+//! discipline of the datagram path:
+//!
+//! * **The clock is read without the lock.** It is *written* only under
+//!   the lock, through one setter that also publishes it to an atomic
+//!   (Release); [`Network::now`] is an Acquire load. A handler in the
+//!   middle of its invocation, or a thread that drives nothing, reads it
+//!   freely and always sees an instant the simulation really was at.
+//! * **One acquisition per routed delivery.** The acquisition that pops
+//!   a datagram off the event queue also routes it — lifecycle-fault
+//!   verdict, readiness queue or mailbox push, drop-tail accounting — so
+//!   no other thread ever sees a popped-but-unrouted datagram. A blocked
+//!   receive ([`Endpoint::recv_timeout`]) computes its deadline, looks at
+//!   its mailbox and steps the simulation under one acquisition, which it
+//!   gives up only to run user code.
+//! * **Handlers run outside the lock**, each in its own `Mutex` slot, so
+//!   a handler may itself send traffic (re-entering the simulator) and
+//!   two threads delivering to the same address serialize on the
+//!   handler, never dropping a datagram. The popped event counts as
+//!   `in_flight` meanwhile — the one thing that counter still covers,
+//!   together with TCP deliveries and lifecycle faults, which also leave
+//!   the lock — and idle fast-forward on other threads waits for it.
+//! * **A handler's completion is one acquisition**: charging its
+//!   processing time to the clock, putting its reply on the uplink from
+//!   that instant and retiring `in_flight` all mutate simulator state
+//!   and none runs user code, so nothing is gained by releasing the lock
+//!   between them — exactly what the reactor's event completion always
+//!   did. The driving thread keeps that acquisition for its next step.
+//!   An unwinding handler retires `in_flight` through a guard instead.
+//!
+//! One mailbox ↔ handler round trip therefore takes three acquisitions:
+//! the send, the pop that hands the request to the handler, and the
+//! completion under which the reply is sent, delivered and received (a
+//! unit test below pins the count).
 //!
 //! Determinism guarantees under threads: with a **single** driving thread
 //! the trace is byte- and time-identical run to run (the seeded fault
@@ -107,9 +136,11 @@
 
 use crate::chaos::{ChaosEvent, ChaosSchedule, ChaosState, ChaosStats};
 use crate::fault::{FaultConfig, FaultState, Verdict};
+use crate::inthash::IntMap;
 use crate::time::SimTime;
 use std::cmp::Reverse;
 use std::collections::{BTreeMap, BinaryHeap, HashMap, VecDeque};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, Mutex, MutexGuard};
 use std::time::{Duration, Instant};
 
@@ -368,13 +399,19 @@ struct ConnState {
 }
 
 struct NetInner {
+    /// The virtual clock. Written only through [`NetShared::set_now`],
+    /// which also publishes it for lock-free readers.
     now: SimTime,
     seq: u64,
-    /// Events popped from the queue whose dispatch has not finished yet.
-    /// A dispatching thread may be about to schedule follow-up events
-    /// (e.g. a server reply), so idle fast-forward must wait for it —
-    /// otherwise a concurrent waiter would see a transiently empty queue
-    /// and jump the clock past its own deadline.
+    /// Events popped from the queue whose dispatch left the simulator
+    /// lock and has not finished yet: a UDP handler invocation, a TCP
+    /// delivery, a lifecycle fault. The dispatching thread may be about
+    /// to schedule follow-up events (e.g. a server reply), so idle
+    /// fast-forward must wait for it — otherwise a concurrent waiter
+    /// would see a transiently empty queue and jump the clock past its
+    /// own deadline. A datagram routed into a mailbox or a readiness
+    /// queue never counts: its routing completes under the acquisition
+    /// that popped it.
     in_flight: usize,
     /// Readiness events queued for (or checked out by) event-mode
     /// reactors. Counted exactly like `in_flight`: the idle fast-forward
@@ -394,9 +431,13 @@ struct NetInner {
     cfg: NetworkConfig,
     faults: FaultState,
     queue: BinaryHeap<Reverse<Scheduled>>,
-    /// Client mailboxes keyed by bound address.
-    mailboxes: HashMap<Addr, VecDeque<Datagram>>,
-    udp_handlers: HashMap<Addr, Slot<UdpHandler>>,
+    /// Client mailboxes keyed by bound address. This table,
+    /// `udp_handlers` and `udp_busy` are looked up on every datagram and
+    /// keyed by addresses the program bound itself, so they hash with
+    /// [`IntMap`]'s multiply-shift instead of SipHash. None of the three
+    /// is ever iterated, so no trace depends on their internal order.
+    mailboxes: IntMap<Addr, VecDeque<Datagram>>,
+    udp_handlers: IntMap<Addr, Slot<UdpHandler>>,
     /// Handler factories for restartable services: [`Network::restart`]
     /// re-installs a freshly built handler from here (crash/restart
     /// amnesia — see [`crate::chaos`]).
@@ -419,7 +460,7 @@ struct NetInner {
     /// link becomes free. The UDP counterpart of
     /// `ConnState::busy_until` — back-to-back sends from one endpoint
     /// serialize cumulatively (see the module-level "Link model" docs).
-    udp_busy: HashMap<Addr, SimTime>,
+    udp_busy: IntMap<Addr, SimTime>,
     /// Drop-tail accounting (see [`LinkStats`]).
     queue_drops: u64,
     queue_high_water: u64,
@@ -430,6 +471,13 @@ struct NetInner {
 
 struct NetShared {
     state: Mutex<NetInner>,
+    /// The virtual clock in nanoseconds, published by
+    /// [`NetShared::set_now`] under the simulator lock (Release) and read
+    /// by [`Network::now`] without it (Acquire).
+    clock: AtomicU64,
+    /// Simulator-lock acquisitions so far (the lane's regression meter).
+    #[cfg(test)]
+    lock_acquisitions: AtomicU64,
     /// Signaled when a readiness event is queued (eager mode) — what
     /// [`Network::wait_ready`] reactors sleep on.
     ready_cv: Condvar,
@@ -445,6 +493,15 @@ struct NetShared {
     /// driving thread steals the work anyway), so reactors rely on their
     /// bounded [`Network::wait_ready`] timeout instead.
     eager_wakes: bool,
+}
+
+impl NetShared {
+    /// The one place the virtual clock is written: under the simulator
+    /// lock (`inner` proves it), and published for [`Network::now`].
+    fn set_now(&self, inner: &mut NetInner, t: SimTime) {
+        inner.now = t;
+        self.clock.store(t.as_nanos(), Ordering::Release);
+    }
 }
 
 /// Cloneable, thread-shareable handle to a simulated network.
@@ -467,8 +524,8 @@ impl Network {
                     faults: FaultState::new(cfg.faults, seed),
                     cfg,
                     queue: BinaryHeap::new(),
-                    mailboxes: HashMap::new(),
-                    udp_handlers: HashMap::new(),
+                    mailboxes: IntMap::default(),
+                    udp_handlers: IntMap::default(),
                     udp_factories: HashMap::new(),
                     event_queues: BTreeMap::new(),
                     tcp_listeners: HashMap::new(),
@@ -476,11 +533,14 @@ impl Network {
                     bytes_sent: 0,
                     datagrams_sent: 0,
                     fragments_sent: 0,
-                    udp_busy: HashMap::new(),
+                    udp_busy: IntMap::default(),
                     queue_drops: 0,
                     queue_high_water: 0,
                     chaos: ChaosState::new(),
                 }),
+                clock: AtomicU64::new(0),
+                #[cfg(test)]
+                lock_acquisitions: AtomicU64::new(0),
                 ready_cv: Condvar::new(),
                 retired_cv: Condvar::new(),
                 eager_wakes: std::thread::available_parallelism().is_ok_and(|n| n.get() > 1),
@@ -489,12 +549,19 @@ impl Network {
     }
 
     fn lock(&self) -> MutexGuard<'_, NetInner> {
+        #[cfg(test)]
+        self.shared
+            .lock_acquisitions
+            .fetch_add(1, Ordering::Relaxed);
         self.shared.state.lock().expect("network lock poisoned")
     }
 
-    /// Current virtual time.
+    /// Current virtual time. Lock-free: the clock is written only under
+    /// the simulator lock but published through an atomic, so any thread
+    /// — a handler mid-invocation included — may read it at any moment
+    /// and sees an instant the simulation really was at.
     pub fn now(&self) -> SimTime {
-        self.lock().now
+        SimTime::from_nanos(self.shared.clock.load(Ordering::Acquire))
     }
 
     /// Total payload bytes sent so far.
@@ -741,22 +808,23 @@ impl Network {
         }) else {
             return false;
         };
-        self.complete_event(addr, dg, strict, process);
+        drop(self.complete_event(addr, dg, strict, process));
         true
     }
 
     /// Run one checked-out readiness event to completion: `process`
     /// outside every simulator lock, then clock charge + reply send +
     /// pending retire under a single lock acquisition, then a wake for
-    /// any fast-forward waiter. The unwinding guard keeps `pending`
-    /// honest if `process` panics.
+    /// any fast-forward waiter. Returns that acquisition still held, so a
+    /// driving thread carries on under it. The unwinding guard keeps
+    /// `pending` honest if `process` panics.
     fn complete_event(
         &self,
         addr: Addr,
         mut dg: Datagram,
         strict: bool,
         process: impl FnOnce(&mut Vec<u8>, Addr) -> Option<(Vec<u8>, SimTime)>,
-    ) {
+    ) -> MutexGuard<'_, NetInner> {
         struct PendingGuard<'a>(&'a Network, bool, bool);
         impl Drop for PendingGuard<'_> {
             fn drop(&mut self) {
@@ -773,23 +841,36 @@ impl Network {
         }
         let mut guard = PendingGuard(self, true, strict);
         let reply = process(&mut dg.payload, dg.from);
-        {
-            let mut inner = self.lock();
-            if let Some((bytes, proc_time)) = reply {
-                inner.now += proc_time;
-                // Empty reply: charge the time, send nothing (one-way
-                // calls — same convention as the blocking dispatch path).
-                if !bytes.is_empty() {
-                    inner.send_udp_locked(addr, dg.from, bytes);
-                }
-            }
-            inner.pending_events -= 1;
-            if strict {
-                inner.pending_strict -= 1;
-            }
+        let mut inner = self.lock();
+        // Empty reply: charge the time, send nothing (one-way calls —
+        // same convention as the blocking handler path).
+        self.finish_reply(&mut inner, addr, dg.from, reply);
+        inner.pending_events -= 1;
+        if strict {
+            inner.pending_strict -= 1;
         }
         guard.1 = false;
         self.shared.retired_cv.notify_all();
+        inner
+    }
+
+    /// What a server's answer does to the simulation, under the lock:
+    /// charge its processing time to the clock and put the reply (unless
+    /// empty) on the server's uplink from that instant.
+    fn finish_reply(
+        &self,
+        inner: &mut NetInner,
+        server: Addr,
+        client: Addr,
+        reply: Option<(Vec<u8>, SimTime)>,
+    ) {
+        if let Some((bytes, proc_time)) = reply {
+            let done = inner.now + proc_time;
+            self.shared.set_now(inner, done);
+            if !bytes.is_empty() {
+                inner.send_udp_locked(server, client, bytes);
+            }
+        }
     }
 
     /// Number of deliveries currently queued on an event-mode address
@@ -950,16 +1031,19 @@ impl Network {
             if pred() {
                 return true;
             }
-            if !self.step(deadline) {
-                // Nothing left before the deadline: advance the clock.
-                {
-                    let mut inner = self.lock();
-                    if inner.now < deadline {
-                        inner.now = deadline;
-                    }
-                }
+            let (mut inner, progressed) = self.step_locked(self.lock(), deadline);
+            if !progressed {
+                self.expire(&mut inner, deadline);
+                drop(inner);
                 return pred();
             }
+        }
+    }
+
+    /// Nothing is left before `deadline`: advance the clock to it.
+    fn expire(&self, inner: &mut NetInner, deadline: SimTime) {
+        if inner.now < deadline {
+            self.shared.set_now(inner, deadline);
         }
     }
 
@@ -973,87 +1057,84 @@ impl Network {
     /// observe the same virtual-time trace as a blocking
     /// [`Network::run_until`] drive.
     pub fn step(&self, deadline: SimTime) -> bool {
+        self.step_locked(self.lock(), deadline).1
+    }
+
+    /// [`Network::step`] entered with the simulator lock held and
+    /// returning with it held, so a caller's own check (is my mailbox
+    /// non-empty? is the deadline past?) shares an acquisition with the
+    /// step before it. A datagram bound for a mailbox or a readiness
+    /// queue is routed under the acquisition that popped it; only work
+    /// that runs user code (a handler, an event processor, a lifecycle
+    /// fault) leaves the lock, and comes back holding the acquisition its
+    /// completion needed anyway.
+    fn step_locked<'a>(
+        &'a self,
+        mut inner: MutexGuard<'a, NetInner>,
+        deadline: SimTime,
+    ) -> (MutexGuard<'a, NetInner>, bool) {
         loop {
-            let next = {
-                let mut inner = self.lock();
-                let stolen = if inner.pending_events > 0 {
-                    inner.event_queues.iter_mut().find_map(|(&addr, q)| {
-                        let processor = q.processor.clone()?;
-                        let dg = q.ready.pop_front()?;
-                        Some((addr, dg, processor))
-                    })
-                } else {
-                    None
-                };
-                if let Some((addr, dg, processor)) = stolen {
-                    drop(inner);
-                    self.complete_event(addr, dg, true, |payload, from| processor(payload, from));
-                    return true;
-                }
-                if inner.pending_strict > 0 {
-                    // A strict (processor-registered) event is checked
-                    // out by a peer — a reactor worker or another
-                    // driver. Popping a scheduled event now would
-                    // advance (or rewind) the clock the peer's
-                    // completion is about to charge from, diverging from
-                    // the blocking-handler trace; hold the clock until
-                    // the work retires (completion notifies
-                    // `retired_cv`).
-                    let _ = self
-                        .shared
-                        .retired_cv
-                        .wait_timeout(inner, Duration::from_micros(100))
-                        .expect("network lock poisoned");
-                    continue;
-                }
-                match inner.queue.peek() {
-                    Some(Reverse(s)) if s.at <= deadline => {
-                        let Reverse(s) = inner.queue.pop().expect("peeked");
-                        inner.now = s.at;
-                        inner.in_flight += 1;
-                        Some(s.ev)
-                    }
-                    _ if inner.pending_events > 0 => {
-                        // Loose (pure-poll) deliveries are checked out or
-                        // queued; the driver keeps delivering so several
-                        // workers can hold events at once, but it must
-                        // not fast-forward past work that may still
-                        // schedule replies.
-                        let _ = self
-                            .shared
-                            .retired_cv
-                            .wait_timeout(inner, Duration::from_micros(100))
-                            .expect("network lock poisoned");
-                        continue;
-                    }
-                    _ if inner.in_flight > 0 => {
-                        // Another thread is mid-dispatch and may still
-                        // schedule events; don't fast-forward past them.
-                        drop(inner);
-                        std::thread::yield_now();
-                        continue;
-                    }
-                    _ => None,
-                }
+            let stolen = if inner.pending_events > 0 {
+                inner.event_queues.iter_mut().find_map(|(&addr, q)| {
+                    let processor = q.processor.clone()?;
+                    let dg = q.ready.pop_front()?;
+                    Some((addr, dg, processor))
+                })
+            } else {
+                None
             };
-            match next {
-                Some(ev) => {
-                    // Decrement on unwind too: a panicking handler must
-                    // not leave in_flight stuck and livelock every other
-                    // driving thread.
-                    struct InFlightGuard<'a>(&'a Network);
-                    impl Drop for InFlightGuard<'_> {
-                        fn drop(&mut self) {
-                            self.0.lock().in_flight -= 1;
-                        }
-                    }
-                    let _guard = InFlightGuard(self);
-                    self.dispatch(ev);
-                    return true;
+            if let Some((addr, dg, processor)) = stolen {
+                drop(inner);
+                let inner =
+                    self.complete_event(addr, dg, true, |payload, from| processor(payload, from));
+                return (inner, true);
+            }
+            if inner.pending_strict > 0 {
+                // A strict (processor-registered) event is checked
+                // out by a peer — a reactor worker or another
+                // driver. Popping a scheduled event now would
+                // advance (or rewind) the clock the peer's
+                // completion is about to charge from, diverging from
+                // the blocking-handler trace; hold the clock until
+                // the work retires (completion notifies
+                // `retired_cv`).
+                inner = self.wait_retired(inner);
+                continue;
+            }
+            match inner.queue.peek() {
+                Some(Reverse(s)) if s.at <= deadline => {
+                    let Reverse(s) = inner.queue.pop().expect("peeked");
+                    self.shared.set_now(&mut inner, s.at);
+                    return (self.deliver(inner, s.ev), true);
                 }
-                None => return false,
+                _ if inner.pending_events > 0 => {
+                    // Loose (pure-poll) deliveries are checked out or
+                    // queued; the driver keeps delivering so several
+                    // workers can hold events at once, but it must
+                    // not fast-forward past work that may still
+                    // schedule replies.
+                    inner = self.wait_retired(inner);
+                }
+                _ if inner.in_flight > 0 => {
+                    // Another thread is mid-dispatch and may still
+                    // schedule events; don't fast-forward past them.
+                    drop(inner);
+                    std::thread::yield_now();
+                    inner = self.lock();
+                }
+                _ => return (inner, false),
             }
         }
+    }
+
+    /// Sleep (releasing the lock) until pending work retires or a short
+    /// real-time slice passes.
+    fn wait_retired<'a>(&'a self, inner: MutexGuard<'a, NetInner>) -> MutexGuard<'a, NetInner> {
+        self.shared
+            .retired_cv
+            .wait_timeout(inner, Duration::from_micros(100))
+            .expect("network lock poisoned")
+            .0
     }
 
     /// Advance the clock unconditionally (models client-side work between
@@ -1063,141 +1144,131 @@ impl Network {
         self.run_until(deadline, || false);
     }
 
-    fn dispatch(&self, ev: Event) {
+    /// Deliver one event just popped at the current instant. A datagram
+    /// is routed where it is bound (see [`NetInner::route_udp`]) without
+    /// leaving the lock unless a handler must run; TCP deliveries and
+    /// lifecycle faults always run outside it.
+    fn deliver<'a>(
+        &'a self,
+        mut inner: MutexGuard<'a, NetInner>,
+        ev: Event,
+    ) -> MutexGuard<'a, NetInner> {
         match ev {
-            Event::UdpDeliver { to, mut dg } => {
-                // An event-mode address queues the delivery as a
-                // readiness event (counted as pending so the clock cannot
-                // run past it) and wakes the reactors; a handler, if
-                // present, consumes the datagram; otherwise a bound
-                // mailbox receives it; otherwise it is dropped
-                // (ICMP-unreachable behaviour is not modeled). The handler
-                // slot is locked *outside* the simulator lock so the
-                // handler may send traffic; a second thread delivering to
-                // the same address waits here instead of losing data.
-                {
-                    let mut inner = self.lock();
-                    if inner.chaos.armed() {
-                        if inner.chaos.is_down(to) {
-                            // The destination process is dead: the
-                            // delivery vanishes (there is no ICMP).
-                            inner.chaos.stats.drops_down += 1;
-                            return;
-                        }
-                        if inner.chaos.is_paused(to) {
-                            // A stalled process: the kernel keeps
-                            // buffering — defer until resume.
-                            inner.chaos.defer(to, dg);
-                            return;
-                        }
-                    }
-                    let cap = inner.cfg.rx_queue_cap;
-                    if inner.event_queues.contains_key(&to) {
-                        let q = inner.event_queues.get_mut(&to).expect("checked");
-                        if q.ready.len() >= cap {
-                            // Drop-tail: the readiness queue is full, the
-                            // delivery is discarded (never counted as
-                            // pending — nobody will drain it).
-                            inner.queue_drops += 1;
-                            return;
-                        }
-                        let strict = q.processor.is_some();
-                        q.ready.push_back(dg);
-                        let depth = q.ready.len() as u64;
-                        inner.pending_events += 1;
-                        if strict {
-                            inner.pending_strict += 1;
-                        }
-                        inner.queue_high_water = inner.queue_high_water.max(depth);
+            Event::UdpDeliver { to, dg } => match inner.route_udp(to, dg) {
+                Routed::Done => inner,
+                Routed::Queued => {
+                    if self.shared.eager_wakes {
+                        // Wake sleeping reactors only once they can
+                        // take the lock.
                         drop(inner);
-                        if self.shared.eager_wakes {
-                            self.shared.ready_cv.notify_all();
-                        }
-                        return;
+                        self.shared.ready_cv.notify_all();
+                        inner = self.lock();
                     }
+                    inner
                 }
-                let slot = self.lock().udp_handlers.get(&to).cloned();
-                if let Some(slot) = slot {
-                    let reply = {
+                Routed::Invoke(slot, mut dg) => {
+                    // The handler runs under its own slot lock — a second
+                    // thread delivering to the same address waits there
+                    // instead of losing data. Its completion — in-flight
+                    // retire, clock charge, reply send — is the one
+                    // acquisition `outside` comes back with.
+                    let (mut inner, (reply, from)) = self.outside(inner, move || {
                         let mut h = slot.lock().expect("udp handler lock");
-                        h(&mut dg.payload, dg.from)
-                    };
-                    if let Some((bytes, proc_time)) = reply {
-                        self.advance_inner(proc_time);
-                        // An empty reply means "processed, nothing to
-                        // send" (one-way calls): charge the processing
-                        // time but emit no datagram — mirrors the TCP
-                        // mid-record `!out.is_empty()` guard.
-                        if !bytes.is_empty() {
-                            self.send_udp(to, dg.from, bytes);
-                        }
-                    }
-                    return;
+                        (h(&mut dg.payload, dg.from), dg.from)
+                    });
+                    self.finish_reply(&mut inner, to, from, reply);
+                    inner
                 }
-                let mut inner = self.lock();
-                let cap = inner.cfg.rx_queue_cap;
-                if let Some(mb) = inner.mailboxes.get_mut(&to) {
-                    if mb.len() >= cap {
-                        inner.queue_drops += 1;
-                        return;
-                    }
-                    mb.push_back(dg);
-                    let depth = mb.len() as u64;
-                    inner.queue_high_water = inner.queue_high_water.max(depth);
-                }
-            }
+            },
             Event::TcpDeliver {
                 conn,
                 to_server,
                 bytes,
             } => {
-                if to_server {
-                    let (slot, mut out) = {
-                        let mut inner = self.lock();
-                        let c = &mut inner.conns[conn];
-                        (c.server_handler.clone(), c.spare.pop().unwrap_or_default())
-                    };
-                    let proc_time = {
-                        let mut h = slot.lock().expect("tcp handler lock");
-                        h.on_bytes_into(&bytes, &mut out)
-                    };
-                    let mut inner = self.lock();
-                    inner.conns[conn].recycle(bytes);
-                    if out.is_empty() {
-                        inner.conns[conn].recycle(out);
-                    } else {
-                        inner.now += proc_time;
-                        inner.send_tcp_locked(conn, false, out);
-                    }
-                } else {
-                    let mut inner = self.lock();
-                    let c = &mut inner.conns[conn];
-                    c.rx_len += bytes.len();
-                    c.client_rx.push_back(bytes);
-                }
+                self.outside(inner, || self.deliver_tcp(conn, to_server, bytes))
+                    .0
             }
-            Event::Chaos(ev) => self.apply_chaos_event(ev),
+            Event::Chaos(ev) => self.outside(inner, || self.apply_chaos_event(ev)).0,
         }
     }
 
-    fn advance_inner(&self, dt: SimTime) {
+    /// Run `work` — user code, or simulator code that takes the lock
+    /// itself — outside the simulator lock and come back holding it.
+    /// The popped event counts as `in_flight` meanwhile; if `work`
+    /// unwinds the count is still retired, so a panicking handler cannot
+    /// livelock every other driving thread.
+    fn outside<'a, R>(
+        &'a self,
+        mut inner: MutexGuard<'a, NetInner>,
+        work: impl FnOnce() -> R,
+    ) -> (MutexGuard<'a, NetInner>, R) {
+        struct Unwinding<'a>(&'a Network);
+        impl Drop for Unwinding<'_> {
+            fn drop(&mut self) {
+                self.0.lock().in_flight -= 1;
+            }
+        }
+        inner.in_flight += 1;
+        drop(inner);
+        let unwinding = Unwinding(self);
+        let result = work();
+        std::mem::forget(unwinding);
         let mut inner = self.lock();
-        inner.now += dt;
+        inner.in_flight -= 1;
+        (inner, result)
     }
 
-    pub(crate) fn mailbox_nonempty(&self, addr: Addr) -> bool {
-        self.lock()
-            .mailboxes
-            .get(&addr)
-            .map(|mb| !mb.is_empty())
-            .unwrap_or(false)
+    /// A chunk arriving on a TCP connection: the server's handler consumes
+    /// it (and its answer, if any, goes back after the processing time);
+    /// the client's side queues it for `conn_read`.
+    fn deliver_tcp(&self, conn: ConnId, to_server: bool, bytes: Vec<u8>) {
+        if to_server {
+            let (slot, mut out) = {
+                let mut inner = self.lock();
+                let c = &mut inner.conns[conn];
+                (c.server_handler.clone(), c.spare.pop().unwrap_or_default())
+            };
+            let proc_time = {
+                let mut h = slot.lock().expect("tcp handler lock");
+                h.on_bytes_into(&bytes, &mut out)
+            };
+            let mut inner = self.lock();
+            inner.conns[conn].recycle(bytes);
+            if out.is_empty() {
+                inner.conns[conn].recycle(out);
+            } else {
+                let done = inner.now + proc_time;
+                self.shared.set_now(&mut inner, done);
+                inner.send_tcp_locked(conn, false, out);
+            }
+        } else {
+            let mut inner = self.lock();
+            let c = &mut inner.conns[conn];
+            c.rx_len += bytes.len();
+            c.client_rx.push_back(bytes);
+        }
     }
 
-    pub(crate) fn mailbox_pop(&self, addr: Addr) -> Option<Datagram> {
-        self.lock()
-            .mailboxes
-            .get_mut(&addr)
-            .and_then(VecDeque::pop_front)
+    /// Receive the next datagram in `addr`'s mailbox, running the
+    /// simulation for up to `timeout` of virtual time from now. The
+    /// deadline, every look at the mailbox and every step share
+    /// acquisitions: one per stretch the simulation runs without calling
+    /// user code. When the timeout expires the clock ends exactly at the
+    /// deadline.
+    pub(crate) fn recv_mailbox(&self, addr: Addr, timeout: SimTime) -> Option<Datagram> {
+        let mut inner = self.lock();
+        let deadline = inner.now + timeout;
+        loop {
+            if let Some(dg) = inner.mailbox_pop(addr) {
+                return Some(dg);
+            }
+            let progressed;
+            (inner, progressed) = self.step_locked(inner, deadline);
+            if !progressed {
+                self.expire(&mut inner, deadline);
+                return inner.mailbox_pop(addr);
+            }
+        }
     }
 
     /// Swap the whole mailbox of `addr` with `buf` (which must be
@@ -1224,7 +1295,77 @@ impl ConnState {
     }
 }
 
+/// Where [`NetInner::route_udp`] left an arriving datagram.
+enum Routed {
+    /// Nothing more to do: it sits in a mailbox, was deferred by a
+    /// pause, or was dropped (dead or unbound destination, full queue).
+    Done,
+    /// It sits in an event-mode readiness queue, counted as pending.
+    Queued,
+    /// It is bound for this handler, which must run outside the lock.
+    Invoke(Slot<UdpHandler>, Datagram),
+}
+
 impl NetInner {
+    /// Route a datagram arriving at `to` at the current instant, under
+    /// the simulator lock: an event-mode address queues it as a
+    /// readiness event (counted as pending so the clock cannot run past
+    /// it); else a handler, if present, is handed back to run it; else a
+    /// bound mailbox receives it; else it is dropped (ICMP-unreachable
+    /// behaviour is not modeled). Full queues drop the tail, counted.
+    fn route_udp(&mut self, to: Addr, dg: Datagram) -> Routed {
+        if self.chaos.armed() {
+            if self.chaos.is_down(to) {
+                // The destination process is dead: the delivery vanishes
+                // (there is no ICMP).
+                self.chaos.stats.drops_down += 1;
+                return Routed::Done;
+            }
+            if self.chaos.is_paused(to) {
+                // A stalled process: the kernel keeps buffering — defer
+                // until resume.
+                self.chaos.defer(to, dg);
+                return Routed::Done;
+            }
+        }
+        let cap = self.cfg.rx_queue_cap;
+        // Most deployments have no event-mode address at all; the
+        // ordered map is only searched when one exists.
+        if !self.event_queues.is_empty() {
+            if let Some(q) = self.event_queues.get_mut(&to) {
+                if q.ready.len() >= cap {
+                    // Drop-tail: never counted as pending — nobody will
+                    // drain it.
+                    self.queue_drops += 1;
+                    return Routed::Done;
+                }
+                q.ready.push_back(dg);
+                self.queue_high_water = self.queue_high_water.max(q.ready.len() as u64);
+                self.pending_events += 1;
+                if q.processor.is_some() {
+                    self.pending_strict += 1;
+                }
+                return Routed::Queued;
+            }
+        }
+        if let Some(slot) = self.udp_handlers.get(&to) {
+            return Routed::Invoke(slot.clone(), dg);
+        }
+        if let Some(mb) = self.mailboxes.get_mut(&to) {
+            if mb.len() >= cap {
+                self.queue_drops += 1;
+            } else {
+                mb.push_back(dg);
+                self.queue_high_water = self.queue_high_water.max(mb.len() as u64);
+            }
+        }
+        Routed::Done
+    }
+
+    fn mailbox_pop(&mut self, addr: Addr) -> Option<Datagram> {
+        self.mailboxes.get_mut(&addr).and_then(VecDeque::pop_front)
+    }
+
     /// [`Network::send_tcp`] body, callable with the simulator lock held.
     fn send_tcp_locked(&mut self, conn: ConnId, to_server: bool, bytes: Vec<u8>) {
         self.bytes_sent += bytes.len() as u64;
@@ -1405,14 +1546,7 @@ impl Endpoint {
     /// Receive the next datagram, running the network up to `timeout` of
     /// virtual time from now.
     pub fn recv_timeout(&self, timeout: SimTime) -> Option<Datagram> {
-        let deadline = self.net.now() + timeout;
-        let addr = self.addr;
-        let net = self.net.clone();
-        let got = self.net.run_until(deadline, || net.mailbox_nonempty(addr));
-        if !got {
-            return None;
-        }
-        self.net.mailbox_pop(self.addr)
+        self.net.recv_mailbox(self.addr, timeout)
     }
 
     /// Nonblocking receive: process whatever is already due at the
@@ -1422,11 +1556,7 @@ impl Endpoint {
     /// surface — pair with [`Endpoint::recv_timeout`] when the caller is
     /// the thread that drives virtual time forward.
     pub fn try_recv(&self) -> Option<Datagram> {
-        let addr = self.addr;
-        let net = self.net.clone();
-        self.net
-            .run_until(self.net.now(), || net.mailbox_nonempty(addr));
-        self.net.mailbox_pop(self.addr)
+        self.net.recv_mailbox(self.addr, SimTime::ZERO)
     }
 
     /// Bulk receive of everything **already delivered**: swap the
@@ -1815,6 +1945,7 @@ mod tests {
         // instead of spinning forever on a stuck in_flight.
         let net = Network::new(NetworkConfig::lan(), 1);
         net.serve_udp(2000, Box::new(|_, _| panic!("handler bug")));
+        net.serve_udp(2001, Box::new(|r, _| Some((r.to_vec(), SimTime::ZERO))));
         let n2 = net.clone();
         let h = std::thread::spawn(move || {
             let ep = n2.bind_udp(5001);
@@ -1822,9 +1953,75 @@ mod tests {
             let _ = ep.recv_timeout(SimTime::from_millis(5));
         });
         assert!(h.join().is_err(), "handler panic must propagate");
-        // The simulator stays usable from other threads/addresses.
+        // The simulator stays usable from other threads/addresses: an
+        // idle wait still fast-forwards the clock to its deadline …
         let ep = net.bind_udp(5002);
+        let before = net.now();
         assert!(ep.recv_timeout(SimTime::from_millis(2)).is_none());
+        assert_eq!(net.now(), before + SimTime::from_millis(2));
+        // … and a healthy address still gets service.
+        ep.send_to(2001, vec![7]);
+        let dg = ep.recv_timeout(SimTime::from_millis(2)).expect("reply");
+        assert_eq!((dg.from, dg.payload), (2001, vec![7]));
+    }
+
+    #[test]
+    fn echo_round_trip_takes_three_simulator_lock_acquisitions() {
+        // The datagram lane's regression meter. One mailbox ↔ handler
+        // round trip is: the send; the receive's acquisition, which pops
+        // the request and hands it to the handler; and the handler's
+        // completion, under which the reply is sent, popped, routed into
+        // the mailbox and received. (It was 18 before deliveries were
+        // routed under the acquisition that popped them.)
+        let net = Network::new(NetworkConfig::lan(), 1);
+        net.serve_udp(
+            2000,
+            Box::new(|req, _| Some((req.to_vec(), SimTime::from_micros(50)))),
+        );
+        let ep = net.bind_udp(5001);
+        let round_trip = || {
+            ep.send_to(2000, vec![1, 2, 3]);
+            ep.recv_timeout(SimTime::from_millis(10)).expect("reply");
+        };
+        round_trip();
+        let before = net.shared.lock_acquisitions.load(Ordering::Relaxed);
+        round_trip();
+        let took = net.shared.lock_acquisitions.load(Ordering::Relaxed) - before;
+        assert_eq!(took, 3, "simulator-lock acquisitions per round trip");
+    }
+
+    #[test]
+    fn handler_may_read_the_clock_and_send_from_inside_its_invocation() {
+        // Handlers run outside the simulator lock: one that reads the
+        // clock and sends a datagram of its own neither deadlocks nor
+        // sees a stale instant — `now()` inside the invocation is the
+        // delivery instant, and the extra send leaves from it.
+        let net = Network::new(NetworkConfig::lan(), 1);
+        let seen = Arc::new(Mutex::new(Vec::new()));
+        let (n2, s2) = (net.clone(), seen.clone());
+        net.serve_udp(
+            2000,
+            Box::new(move |req, _| {
+                s2.lock().expect("seen").push(n2.now());
+                n2.send_udp(2000, 5002, vec![9]);
+                Some((req.to_vec(), SimTime::from_micros(50)))
+            }),
+        );
+        let a = net.bind_udp(5001);
+        let b = net.bind_udp(5002);
+        a.send_to(2000, vec![1, 2, 3]);
+        let reply = a.recv_timeout(SimTime::from_millis(10)).expect("reply");
+        let delivered = SimTime::from_nanos(3 * 80 + 150_000);
+        assert_eq!(*seen.lock().expect("seen"), vec![delivered]);
+        // The reply leaves after the 50 µs of processing; the handler's
+        // own datagram left at the delivery instant, ahead of it.
+        assert_eq!(
+            reply.at,
+            delivered + SimTime::from_nanos(50_000 + 3 * 80 + 150_000)
+        );
+        let side = b.recv_timeout(SimTime::from_millis(10)).expect("side");
+        assert_eq!(side.payload, vec![9]);
+        assert_eq!(side.at, delivered + SimTime::from_nanos(80 + 150_000));
     }
 
     /// Spawn a reactor thread echoing on `addr` in event mode; returns

@@ -4,7 +4,7 @@
 
 use crate::breaker::CircuitBreaker;
 use crate::bufpool::BufPool;
-use crate::coalesce::{CallCoalescer, CoalescePolicy, CoalesceStats, FlushReason, WINDOW_CAP};
+use crate::coalesce::{CallCoalescer, CoalescePolicy, CoalesceStats, FlushReason};
 use crate::error::RpcError;
 use crate::msg::{CallHeader, ReplyHeader};
 use crate::transport::Transport;
@@ -352,11 +352,9 @@ impl ClntUdp {
         let mut dg = self.pool.take(img.len());
         dg.extend_from_slice(&img);
         self.sock.send(dg);
-        c.window.push(img);
-        if c.window.len() > WINDOW_CAP {
-            // Oldest unacknowledged one-ways fall off: at-most-once, the
-            // classic Sun batch-mode trade.
-            let old = c.window.remove(0);
+        // Past the cap the oldest unacknowledged one-ways fall off:
+        // at-most-once, the classic Sun batch-mode trade — counted.
+        if let Some(old) = c.park(img) {
             self.pool.put(old);
         }
     }
@@ -1521,6 +1519,37 @@ mod tests {
             0,
             "sync reply acknowledged the flushed envelopes"
         );
+    }
+
+    #[test]
+    fn envelopes_falling_off_the_replay_window_are_counted() {
+        use crate::coalesce::{CoalescePolicy, WINDOW_CAP};
+        let net = Network::new(NetworkConfig::lan(), 3);
+        let runs = Arc::new(AtomicU64::new(0));
+        serve_udp(&net, 1011, Arc::new(counting_service(runs.clone())), None);
+        // A 64-byte MTU: every one-way fills its envelope and flushes.
+        let mut clnt = ClntUdp::create(&net, 5000, 1011, PROG, 1)
+            .with_coalescing(CoalescePolicy::new(64, SimTime::from_millis(1_000)));
+        const FLUSHED: u64 = 40;
+        for i in 0..FLUSHED as i32 {
+            let (req, xid) = encode_sum(&mut clnt, &[i, i, i]);
+            clnt.call_oneway(&req, xid).unwrap();
+        }
+        let stats = clnt.coalesce_stats().expect("coalescing on");
+        assert_eq!(stats.flushes_mtu, FLUSHED, "one full envelope per call");
+        assert_eq!(stats.unacked_envelopes, WINDOW_CAP);
+        assert_eq!(
+            stats.window_evictions,
+            FLUSHED - WINDOW_CAP as u64,
+            "no sync call acknowledged anything: the oldest eight fell off"
+        );
+        // They were transmitted once all the same (a clean link here).
+        let (req, xid) = encode_sum(&mut clnt, &[1]);
+        clnt.exchange(&req, xid).unwrap();
+        assert_eq!(runs.load(Ordering::Relaxed), FLUSHED + 1);
+        let stats = clnt.coalesce_stats().expect("coalescing on");
+        assert_eq!(stats.unacked_envelopes, 0);
+        assert_eq!(stats.window_evictions, 8, "an ack does not un-count them");
     }
 
     #[test]

@@ -39,7 +39,8 @@ pub(crate) enum FlushReason {
 
 /// Flushed-but-unacknowledged envelopes kept for replay alongside a
 /// retransmitting synchronous call. Older envelopes beyond the cap are
-/// dropped (classic batch-mode at-most-once for one-way calls).
+/// dropped (classic batch-mode at-most-once for one-way calls) and counted
+/// in [`CoalesceStats::window_evictions`], whose docs quote this cap.
 pub(crate) const WINDOW_CAP: usize = 32;
 
 /// Tuning for [`crate::ClntUdp`] call coalescing
@@ -94,6 +95,11 @@ pub struct CoalesceStats {
     pub pending_submessages: u32,
     /// Envelopes on the wire still awaiting a pipeline acknowledgment.
     pub unacked_envelopes: usize,
+    /// Unacknowledged envelopes pushed out of the replay window because
+    /// it already held its cap of 32: their one-ways were sent once and
+    /// can no longer be replayed alongside a retransmitting sync call —
+    /// if that one transmission was lost, so are they.
+    pub window_evictions: u64,
 }
 
 /// The per-client coalescing state: the envelope under construction plus
@@ -114,6 +120,7 @@ pub(crate) struct CallCoalescer {
     flushes_linger: u64,
     flushes_sync: u64,
     flushes_explicit: u64,
+    window_evictions: u64,
 }
 
 impl CallCoalescer {
@@ -128,6 +135,7 @@ impl CallCoalescer {
             flushes_linger: 0,
             flushes_sync: 0,
             flushes_explicit: 0,
+            window_evictions: 0,
         }
     }
 
@@ -144,6 +152,17 @@ impl CallCoalescer {
         }
     }
 
+    /// Park a flushed envelope for replay, handing back the oldest one
+    /// (counted in [`CoalesceStats::window_evictions`]) when the window
+    /// is over [`WINDOW_CAP`].
+    pub(crate) fn park(&mut self, envelope: Vec<u8>) -> Option<Vec<u8>> {
+        self.window.push(envelope);
+        (self.window.len() > WINDOW_CAP).then(|| {
+            self.window_evictions += 1;
+            self.window.remove(0)
+        })
+    }
+
     pub(crate) fn stats(&self) -> CoalesceStats {
         CoalesceStats {
             oneways_queued: self.oneways_queued,
@@ -153,6 +172,7 @@ impl CallCoalescer {
             flushes_explicit: self.flushes_explicit,
             pending_submessages: specrpc_xdr::coalesce::count(&self.pending),
             unacked_envelopes: self.window.len(),
+            window_evictions: self.window_evictions,
         }
     }
 }

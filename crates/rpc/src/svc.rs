@@ -15,6 +15,7 @@
 use crate::bufpool::BufPool;
 use crate::error::RpcError;
 use crate::msg::{AcceptStat, CallHeader, RejectStat, ReplyHeader, RPC_VERS};
+use specrpc_netsim::inthash::IntMap;
 use specrpc_xdr::mem::XdrMem;
 use specrpc_xdr::{OpCounts, XdrError, XdrStream};
 use std::collections::HashMap;
@@ -47,7 +48,10 @@ pub const REPLY_BUF_SIZE: usize = 66_000;
 #[derive(Default)]
 pub struct SvcRegistry {
     procs: RwLock<HashMap<(u32, u32), HashMap<u32, ProcHandler>>>,
-    raw: RwLock<HashMap<(u32, u32, u32), RawHandler>>,
+    /// Looked up once per request by the (prog, vers, proc) words of the
+    /// call; the keys *in* the table are the ones the program registered,
+    /// so the integer hasher has no crafted collisions to fear.
+    raw: RwLock<IntMap<(u32, u32, u32), RawHandler>>,
     /// Micro-layer counts accumulated by generic dispatches (for the cost
     /// model and reports).
     counts: Mutex<OpCounts>,

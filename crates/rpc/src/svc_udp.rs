@@ -4,10 +4,11 @@
 
 use crate::bufpool::BufPool;
 use crate::svc::{Dispatcher, SvcRegistry};
+use specrpc_netsim::inthash::{IntMap, IntSet};
 use specrpc_netsim::net::{Addr, Network};
 use specrpc_netsim::SimTime;
 use specrpc_xdr::coalesce;
-use std::collections::{HashMap, HashSet, VecDeque};
+use std::collections::VecDeque;
 use std::sync::{Arc, Mutex};
 
 /// Server processing-time model: given (request bytes, reply bytes),
@@ -103,8 +104,14 @@ struct CacheEntry {
 /// fault-duplicated request instead of re-dispatching it — giving
 /// *exactly-once handler execution* per transaction even when the network
 /// delivers the request datagram twice.
+///
+/// The key is two integers off the wire, hashed with [`IntMap`]'s
+/// multiply-shift rather than SipHash. A sender can pick xids that share a
+/// bucket, but never more than `cap` of them ([`DUP_CACHE_ENTRIES`] in
+/// every deployment) are in the table at once — FIFO eviction bounds the
+/// longest chain a lookup can walk.
 pub(crate) struct DupCache {
-    replies: HashMap<(u32, Addr), CacheEntry>,
+    replies: IntMap<(u32, Addr), CacheEntry>,
     order: VecDeque<(u32, Addr)>,
     cap: usize,
     verify: Verify,
@@ -119,7 +126,7 @@ impl DupCache {
 
     pub(crate) fn with_verify(cap: usize, verify: Verify) -> Self {
         DupCache {
-            replies: HashMap::new(),
+            replies: IntMap::default(),
             order: VecDeque::new(),
             cap,
             verify,
@@ -130,7 +137,7 @@ impl DupCache {
     #[cfg(test)]
     pub(crate) fn with_hasher(cap: usize, verify: Verify, hasher: fn(&[u8]) -> u64) -> Self {
         DupCache {
-            replies: HashMap::new(),
+            replies: IntMap::default(),
             order: VecDeque::new(),
             cap,
             verify,
@@ -151,37 +158,58 @@ impl DupCache {
         Some(&entry.reply)
     }
 
-    /// Record `reply` for `(xid, from, request)`. Returns the reply buffer
-    /// of the entry this insertion evicted (if any) so the caller can
-    /// recycle it into the wire-buffer pool.
-    pub(crate) fn put(
+    /// Record a copy of `reply` for `(xid, from, request)`. The copy goes
+    /// into the reply buffer this insertion frees — the displaced entry's
+    /// when the key is already recorded, the oldest entry's when the cache
+    /// is full — so a full cache in steady state records without touching
+    /// the pool; a freed buffer that is too small goes back to `bufs` and
+    /// a fitting one is taken from there, as it is while the cache fills.
+    pub(crate) fn record(
         &mut self,
         xid: u32,
         from: Addr,
         request: &[u8],
-        reply: Vec<u8>,
-    ) -> Option<Vec<u8>> {
+        reply: &[u8],
+        bufs: &BufPool,
+    ) {
         if self.cap == 0 {
-            return Some(reply);
+            return;
         }
+        let key = (xid, from);
+        let freed = match self.replies.get_mut(&key) {
+            Some(displaced) => Some(std::mem::take(&mut displaced.reply)),
+            None => {
+                self.order.push_back(key);
+                if self.order.len() > self.cap {
+                    let oldest = self.order.pop_front().expect("just pushed");
+                    self.replies.remove(&oldest).map(|e| e.reply)
+                } else {
+                    None
+                }
+            }
+        };
+        let mut stored = match freed {
+            Some(mut buf) if buf.capacity() >= reply.len() => {
+                buf.clear();
+                buf
+            }
+            undersized => {
+                if let Some(buf) = undersized {
+                    bufs.put(buf);
+                }
+                bufs.take(reply.len())
+            }
+        };
+        stored.extend_from_slice(reply);
         let entry = CacheEntry {
             req_hash: (self.hasher)(request),
             req_bytes: match self.verify {
                 Verify::Hash => None,
                 Verify::FullBytes => Some(request.to_vec()),
             },
-            reply,
+            reply: stored,
         };
-        let displaced = self.replies.insert((xid, from), entry);
-        if displaced.is_none() {
-            self.order.push_back((xid, from));
-            if self.order.len() > self.cap {
-                if let Some(old) = self.order.pop_front() {
-                    return self.replies.remove(&old).map(|e| e.reply);
-                }
-            }
-        }
-        displaced.map(|e| e.reply)
+        self.replies.insert(key, entry);
     }
 }
 
@@ -264,8 +292,10 @@ struct DupState {
     /// serializes); under the event reactor multiple workers process one
     /// address in parallel, and a duplicate arriving while its original
     /// is still in flight must be *dropped*, not re-dispatched — the
-    /// original's reply is already on the way.
-    in_progress: HashSet<(u32, Addr)>,
+    /// original's reply is already on the way. Never larger than the
+    /// number of workers dispatching at once, which is what bounds a
+    /// collision chain under the integer hasher.
+    in_progress: IntSet<(u32, Addr)>,
 }
 
 /// The cache-fronted dispatch body shared by every UDP serving mode —
@@ -277,9 +307,14 @@ struct DupState {
 /// requests in parallel; exactly-once execution is preserved by the
 /// in-progress set.
 ///
-/// The wire-buffer pool cycles the cache's stored replies: entries are
-/// recorded into pooled buffers and recycled on eviction, so a full
-/// cache sustains duplicate absorption without per-request allocation.
+/// The cache's stored replies live in wire-pool buffers: a filling cache
+/// takes them from the pool, a full one records each reply into the
+/// buffer its eviction just freed, so it sustains duplicate absorption
+/// without per-request allocation — or pool traffic.
+///
+/// One fresh request takes the state lock twice: to look up the cache
+/// and mark the transaction in progress, and to record the reply and
+/// retire the mark together.
 pub(crate) struct CachedDispatch {
     dispatch: Dispatcher,
     model: ProcTimeModel,
@@ -300,7 +335,7 @@ impl CachedDispatch {
             bufs,
             state: Mutex::new(DupState {
                 cache: DupCache::new(cache_entries),
-                in_progress: HashSet::new(),
+                in_progress: IntSet::default(),
             }),
         }
     }
@@ -394,7 +429,8 @@ impl CachedDispatch {
         }
         // Remove the in-progress mark even if the dispatched handler
         // panics — a leaked mark would blackhole every retransmission of
-        // this transaction.
+        // this transaction. A dispatch that returns retires its mark
+        // below, in the acquisition that records the reply.
         struct InProgressGuard<'a>(&'a CachedDispatch, Option<(u32, Addr)>);
         impl Drop for InProgressGuard<'_> {
             fn drop(&mut self) {
@@ -408,19 +444,14 @@ impl CachedDispatch {
                 }
             }
         }
-        let _guard = InProgressGuard(self, xid.map(|x| (x, from)));
+        let mut guard = InProgressGuard(self, xid.map(|x| (x, from)));
         let reply = (self.dispatch)(request);
         let t = (self.model)(request.len(), reply.len());
         if let Some(xid) = xid {
-            let mut stored = self.bufs.take(reply.len());
-            stored.extend_from_slice(&reply);
-            let evicted = {
-                let mut state = self.state.lock().expect("dup cache lock");
-                state.cache.put(xid, from, request, stored)
-            };
-            if let Some(evicted) = evicted {
-                self.bufs.put(evicted);
-            }
+            let mut state = self.state.lock().expect("dup cache lock");
+            state.in_progress.remove(&(xid, from));
+            state.cache.record(xid, from, request, &reply, &self.bufs);
+            guard.1 = None;
         }
         // The delivered request datagram is consumed into the pool — in
         // steady state it comes back out as the next reply image.
@@ -567,7 +598,7 @@ mod tests {
         // so the cache must NOT replay the stale reply.
         let mut cache = DupCache::new(4);
         let (req_a, req_b) = (b"request-alpha".as_slice(), b"request-beta!".as_slice());
-        assert!(cache.put(7, 4000, req_a, vec![1, 2, 3]).is_none());
+        cache.record(7, 4000, req_a, &[1, 2, 3], &BufPool::new());
         assert_eq!(cache.get(7, 4000, req_a), Some(&vec![1, 2, 3]));
         assert_eq!(cache.get(7, 4000, req_b), None, "hash mismatch");
         assert_eq!(cache.get(7, 4001, req_a), None, "different sender");
@@ -575,15 +606,31 @@ mod tests {
 
     #[test]
     fn eviction_returns_the_reply_buffer_for_recycling() {
+        let pool = BufPool::new();
+        let takes = || pool.stats().hits + pool.stats().misses;
         let mut cache = DupCache::new(2);
-        assert!(cache.put(1, 1, b"a", vec![0xa]).is_none());
-        assert!(cache.put(2, 1, b"b", vec![0xb]).is_none());
-        let evicted = cache.put(3, 1, b"c", vec![0xc]).expect("fifo eviction");
-        assert_eq!(evicted, vec![0xa], "oldest entry's reply comes back");
+        cache.record(1, 1, b"a", &[0xa], &pool);
+        cache.record(2, 1, b"b", &[0xb], &pool);
+        assert_eq!(takes(), 2, "a filling cache records into pooled buffers");
+        let oldest = cache.get(1, 1, b"a").expect("recorded").as_ptr();
+        // Full: the third record evicts the oldest entry (FIFO) and lives
+        // in the buffer that entry gave up.
+        cache.record(3, 1, b"c", &[0xc], &pool);
         assert_eq!(cache.get(1, 1, b"a"), None, "evicted");
-        // Re-recording an existing key hands back the displaced reply.
-        let displaced = cache.put(2, 1, b"b", vec![0xbb]).expect("displaced");
-        assert_eq!(displaced, vec![0xb]);
+        assert_eq!(cache.get(3, 1, b"c"), Some(&vec![0xc]));
+        assert_eq!(cache.get(3, 1, b"c").expect("recorded").as_ptr(), oldest);
+        // Re-recording an existing key reuses the displaced reply's.
+        let displaced = cache.get(2, 1, b"b").expect("recorded").as_ptr();
+        cache.record(2, 1, b"b", &[0xbb], &pool);
+        assert_eq!(cache.get(2, 1, b"b"), Some(&vec![0xbb]));
+        assert_eq!(cache.get(2, 1, b"b").expect("recorded").as_ptr(), displaced);
+        assert_eq!(takes(), 2, "neither touched the pool");
+        // A freed buffer too small for the new reply goes back to the
+        // pool, and the record takes one that fits.
+        let big = [7u8; 4096];
+        cache.record(4, 1, b"d", &big, &pool);
+        assert_eq!(cache.get(4, 1, b"d").map(Vec::as_slice), Some(&big[..]));
+        assert_eq!((takes(), pool.stats().recycled), (3, 1));
     }
 
     #[test]
@@ -593,7 +640,7 @@ mod tests {
         // 2⁻⁶⁴ event with the real FNV-1a), hash mode WILL replay the
         // stale reply — the fingerprint is load-bearing, not decorative.
         let mut cache = DupCache::with_hasher(4, Verify::Hash, |_| 42);
-        assert!(cache.put(7, 4000, b"original", vec![9]).is_none());
+        cache.record(7, 4000, b"original", &[9], &BufPool::new());
         assert_eq!(
             cache.get(7, 4000, b"differs!"),
             Some(&vec![9]),
@@ -607,7 +654,7 @@ mod tests {
         // different bytes still re-dispatch, at the cost of storing and
         // comparing the whole request per entry.
         let mut cache = DupCache::with_hasher(4, Verify::FullBytes, |_| 42);
-        assert!(cache.put(7, 4000, b"original", vec![9]).is_none());
+        cache.record(7, 4000, b"original", &[9], &BufPool::new());
         assert_eq!(
             cache.get(7, 4000, b"differs!"),
             None,
@@ -684,6 +731,50 @@ mod tests {
             first.payload, replayed.payload,
             "re-execution is byte-identical for a deterministic handler"
         );
+    }
+
+    #[test]
+    fn panicking_dispatch_leaves_no_in_progress_mark_behind() {
+        // A raw handler that panics on its first run: the unwind must
+        // retire the transaction's in-progress mark, or the client's
+        // retransmission of the same xid would be suppressed forever as a
+        // "duplicate whose original is still in flight".
+        use std::panic::{catch_unwind, AssertUnwindSafe};
+        use std::sync::atomic::AtomicBool;
+        let reg = Arc::new(SvcRegistry::new());
+        let first = AtomicBool::new(true);
+        reg.register_raw(300, 1, 0, move |request, pool| {
+            assert!(!first.swap(false, Ordering::Relaxed), "handler bug");
+            let mut reply = pool.take(8);
+            reply.extend_from_slice(&request[..4]);
+            reply.extend_from_slice(b"done");
+            Some(reply)
+        });
+        let dispatcher = reg.clone();
+        let cd = CachedDispatch::new(
+            Arc::new(move |request: &[u8]| dispatcher.dispatch(request)),
+            None,
+            DUP_CACHE_ENTRIES,
+            reg.pool().clone(),
+        );
+        let mut enc = XdrMem::encoder(128);
+        let mut msg = CallHeader::new(0x77, 300, 1, 0);
+        CallHeader::xdr(&mut enc, &mut msg).unwrap();
+        let call = enc.into_bytes();
+
+        let mut first_try = call.clone();
+        let unwound = catch_unwind(AssertUnwindSafe(|| cd.handle(&mut first_try, 4000)));
+        assert!(unwound.is_err(), "the handler's panic propagates");
+        let marks = cd.state.lock().expect("not poisoned").in_progress.len();
+        assert_eq!(marks, 0, "the unwind retired the mark");
+
+        let mut retransmission = call.clone();
+        let (reply, _) = cd
+            .handle(&mut retransmission, 4000)
+            .expect("dispatched and answered, not suppressed");
+        assert_eq!(&reply[..4], &call[..4]);
+        assert_eq!(&reply[4..], b"done");
+        assert_eq!(reg.raw_dispatches(), 1, "the retry ran the handler");
     }
 
     #[test]

@@ -253,3 +253,112 @@ fn threaded_tcp_pins_connections_to_workers() {
         "both workers saw connections: {per_thread:?}"
     );
 }
+
+#[test]
+fn lock_free_clock_readers_see_only_instants_of_the_drivers_trace() {
+    // `Network::now()` takes no lock. While ONE thread drives 10 000
+    // calls, four others spin on it: whatever they read must be an
+    // instant the clock really was at — a request's arrival, the end of
+    // its processing, its reply's arrival — never a torn or invented
+    // value, and never one that runs backwards. And being watched must
+    // not change the run: the driver's trace equals the reader-free one.
+    use std::collections::HashSet;
+    use std::sync::atomic::{AtomicBool, Ordering};
+    use std::sync::{Barrier, Mutex};
+    const DRIVEN: usize = 10_000;
+    const READERS: usize = 4;
+
+    /// Returns the clock's every value in order, and what each reader saw
+    /// (consecutive repeats folded).
+    fn run(readers: usize) -> (Vec<SimTime>, Vec<Vec<SimTime>>) {
+        let net = Network::new(NetworkConfig::lan(), 5);
+        let proc_ = Arc::new(
+            ProcPipeline::new(N)
+                .build_from_idl(ECHO_IDL, None, 1)
+                .expect("pipeline"),
+        );
+        let registry = SpecService::new()
+            .proc(proc_.clone(), |args: &StubArgs| {
+                StubArgs::new(vec![], vec![args.arrays[0].clone()])
+            })
+            .into_registry();
+        // The processing-time model runs inside the handler invocation:
+        // it sees the arrival instant and decides the completion instant.
+        let trace = Arc::new(Mutex::new(vec![SimTime::ZERO]));
+        let (n2, t2) = (net.clone(), trace.clone());
+        specrpc_rpc::svc_udp::serve_udp(
+            &net,
+            PORT + 30,
+            registry,
+            Some(Arc::new(move |req, rep| {
+                let arrived = n2.now();
+                let proc_time = SimTime::from_nanos(50_000 + 20 * (req + rep) as u64);
+                t2.lock()
+                    .expect("trace")
+                    .extend([arrived, arrived + proc_time]);
+                proc_time
+            })),
+        );
+        let clnt = ClntUdp::create(&net, 6200, PORT + 30, ECHO_PROG, ECHO_VERS);
+        let mut client = SpecClient::from_parts(clnt, proc_);
+
+        let stop = AtomicBool::new(false);
+        let start = Barrier::new(readers + 1);
+        let seen = std::thread::scope(|s| {
+            let handles: Vec<_> = (0..readers)
+                .map(|_| {
+                    s.spawn(|| {
+                        let mut seen = vec![net.now()];
+                        start.wait();
+                        while !stop.load(Ordering::Acquire) {
+                            let now = net.now();
+                            if seen.last() != Some(&now) {
+                                seen.push(now);
+                            }
+                        }
+                        seen
+                    })
+                })
+                .collect();
+            // Readers are spinning before the first call goes out.
+            start.wait();
+            let data = thread_data(0, 0);
+            let args = client.args(vec![], vec![data.clone()]);
+            let mut out = StubArgs::default();
+            for i in 0..DRIVEN {
+                client
+                    .call_into(&args, &mut out)
+                    .unwrap_or_else(|e| panic!("call {i}: {e}"));
+                assert_eq!(out.arrays[0], data, "call {i}");
+                trace.lock().expect("trace").push(net.now());
+            }
+            stop.store(true, Ordering::Release);
+            handles
+                .into_iter()
+                .map(|h| h.join().expect("reader thread"))
+                .collect::<Vec<_>>()
+        });
+        let trace = trace.lock().expect("trace").clone();
+        (trace, seen)
+    }
+
+    let (alone, _) = run(0);
+    assert_eq!(alone.len(), 1 + 3 * DRIVEN);
+    assert!(alone.windows(2).all(|w| w[0] < w[1]), "the trace ascends");
+    let (watched, seen) = run(READERS);
+    assert_eq!(watched, alone, "readers must not perturb the driver");
+    let instants: HashSet<SimTime> = alone.iter().copied().collect();
+    assert!(
+        seen.iter().any(|s| s.len() > 1),
+        "no reader ever saw the clock move: the check would be vacuous"
+    );
+    for (r, seen) in seen.iter().enumerate() {
+        assert!(
+            seen.windows(2).all(|w| w[0] < w[1]),
+            "reader {r} saw the clock run backwards"
+        );
+        if let Some(alien) = seen.iter().find(|t| !instants.contains(t)) {
+            panic!("reader {r} read {alien}, an instant the run never had");
+        }
+    }
+}
