@@ -31,6 +31,8 @@
 //! assert_eq!(out.arrays[0], vec![1, 2, 3, 4]);
 //! ```
 
+#![deny(unsafe_code)]
+
 use std::future::Future;
 use std::pin::{pin, Pin};
 use std::sync::atomic::{AtomicBool, Ordering};

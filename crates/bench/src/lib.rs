@@ -9,6 +9,8 @@
 //! from the executed code. `cargo bench` additionally measures real
 //! wall-clock time on the host for the same code paths.
 
+#![deny(unsafe_code)]
+
 use specrpc::echo::{
     build_echo_proc, generic_decode_reply, generic_encode_request, workload, PAPER_SIZES,
 };

@@ -342,7 +342,9 @@ impl<T: Transport> SpecClient<T> {
 
     /// Single-copy encode: the compiled stub emits header + arguments in
     /// one pass straight into the rewound exact-size wire buffer (xid
-    /// stamped via the slot-0 override, not an args clone). An associated
+    /// stamped via the slot-0 override, not an args clone). The buffer is
+    /// not cleared in between: the stub stores or zeroes every byte of
+    /// its image (`StubProgram::holes`). An associated
     /// function so batched encoding can borrow per-slot buffers while
     /// `self`'s other fields stay accessible.
     fn encode_into(
@@ -353,7 +355,7 @@ impl<T: Transport> SpecClient<T> {
         counts: &mut OpCounts,
     ) -> Result<(), RpcError> {
         let enc = &proc_.client_encode;
-        req.reset(enc.wire_len);
+        req.rewind(enc.wire_len);
         let encoded = run_encode_with_xid(&enc.program, req.bytes_mut(), args, xid as i32, counts);
         // Fold the wire buffer's (re)allocation accounting before any
         // early return so no growth event is lost.

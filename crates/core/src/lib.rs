@@ -421,6 +421,8 @@
 //! paper's §3 categories (plus the log-bucket latency histogram);
 //! [`scenario`] the open-loop scale scenarios.
 
+#![deny(unsafe_code)]
+
 pub mod adaptive;
 pub mod cache;
 pub mod chaos;

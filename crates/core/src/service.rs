@@ -34,7 +34,7 @@ use specrpc_rpc::svc_threaded::{attach_tcp, attach_udp, DispatchPool};
 use specrpc_rpc::svc_udp::serve_udp;
 use specrpc_rpc::svc_udp::DUP_CACHE_ENTRIES;
 use specrpc_rpcgen::sunlib::call_fields;
-use specrpc_tempo::compile::{run_decode, run_encode, Outcome, StubArgs};
+use specrpc_tempo::compile::{run_decode, run_encode_after_xid, Outcome, StubArgs};
 use specrpc_xdr::mem::XdrMem;
 use specrpc_xdr::OpCounts;
 use std::sync::{Arc, Mutex};
@@ -329,14 +329,13 @@ fn raw_dispatch(
         _ => return None, // guard failed → generic path
     }
     let xid = args.scalars[call_fields::XID];
-    let results = h(args);
+    let mut results = h(args);
     let enc = &p.server_encode;
-    let mut full = results;
-    // Reply stub scalar slot 0 is the xid.
-    full.scalars.insert(0, xid);
     let mut reply = pool.take(enc.wire_len);
     reply.resize(enc.wire_len, 0);
-    match run_encode(&enc.program, &mut reply, &full, &mut counts) {
+    // Reply stub scalar slot 0 is the xid; the handler's result scalars
+    // are read one slot down, where it left them.
+    match run_encode_after_xid(&enc.program, &mut reply, &results, xid, &mut counts) {
         Ok(Outcome::Done { ret: 1, .. }) => Some(reply),
         _ => {
             // Reply-shape guard failed: the handler produced
@@ -347,9 +346,7 @@ fn raw_dispatch(
             pool.put(reply);
             let mut gx = XdrMem::encoder_over(pool.take(REPLY_BUF_SIZE), REPLY_BUF_SIZE);
             ReplyHeader::encode_success(&mut gx, xid as u32).ok()?;
-            // `full` carries the xid at scalar slot 0; user
-            // result scalars start at 1.
-            encode_shape_generic(&mut gx, &p.res_shape, 1, &mut full).ok()?;
+            encode_shape_generic(&mut gx, &p.res_shape, 0, &mut results).ok()?;
             Some(gx.into_bytes())
         }
     }
@@ -522,6 +519,54 @@ mod tests {
         assert_eq!(path, PathUsed::Fast);
         assert_eq!(*out.scalars.last().unwrap(), 21);
         assert_eq!(reg.raw_dispatches(), 2);
+    }
+
+    #[test]
+    fn reply_outside_the_pinned_context_is_encoded_generically_once() {
+        // The handler answers with 7 elements where the reply stub is
+        // pinned to 10: the compiled encode fails, the generic encoder
+        // takes the results as the handler left them (scalars from slot
+        // 0 — the xid is stamped, never inserted), and the handler is
+        // not run a second time.
+        const TAGGED: &str = r#"
+            const MAXARR = 2000;
+            struct int_arr { int arr<MAXARR>; };
+            struct tagged { int tag; int arr<MAXARR>; };
+            program TAGPROG {
+                version TAGVERS { tagged TAG(int_arr) = 1; } = 1;
+            } = 0x20000102;
+        "#;
+        let cp = Arc::new(
+            ProcPipeline::new(10)
+                .build_from_idl(TAGGED, None, 1)
+                .unwrap(),
+        );
+        use std::sync::atomic::{AtomicU64, Ordering};
+        let runs = Arc::new(AtomicU64::new(0));
+        let seen = runs.clone();
+        let net = Network::new(NetworkConfig::lan(), 7);
+        let reg = SpecService::new()
+            .proc(cp.clone(), move |args: &StubArgs| {
+                seen.fetch_add(1, Ordering::SeqCst);
+                let n = args.arrays[0][0] as usize;
+                StubArgs::new(vec![77], vec![args.arrays[0][..n].to_vec()])
+            })
+            .serve_udp(&net, 810);
+        let clnt = ClntUdp::create(&net, 5110, 810, 0x2000_0102, 1);
+        let mut client = SpecClient::from_parts(clnt, cp);
+
+        let mut data: Vec<i32> = (0..10).collect();
+        for (n, path) in [(10, PathUsed::Fast), (7, PathUsed::GenericFallback)] {
+            data[0] = n;
+            let args = client.args(vec![], vec![data.clone()]);
+            let (out, used) = client.call(&args).unwrap();
+            assert_eq!(used, path);
+            assert_eq!(*out.scalars.last().unwrap(), 77);
+            assert_eq!(out.arrays[0], data[..n as usize]);
+        }
+        assert_eq!(runs.load(Ordering::SeqCst), 2);
+        assert_eq!(reg.raw_dispatches(), 2);
+        assert_eq!(reg.generic_dispatches(), 0);
     }
 
     #[test]

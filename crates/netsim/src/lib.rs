@@ -24,6 +24,8 @@
 //!    substitution preserves the paper's *shape* (who wins, by what factor,
 //!    where the curves bend).
 
+#![deny(unsafe_code)]
+
 pub mod chaos;
 pub mod fault;
 pub mod inthash;

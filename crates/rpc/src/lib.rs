@@ -12,6 +12,8 @@
 //! header + argument marshaling with compiled residual stubs and falls
 //! back to these generic routines when a dynamic guard fails (§6.2).
 
+#![deny(unsafe_code)]
+
 pub mod auth;
 pub mod breaker;
 pub mod bufpool;

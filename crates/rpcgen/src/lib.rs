@@ -18,6 +18,8 @@
 //! * [`codegen_rust`] — textual Rust stub emission, the analog of
 //!   rpcgen's generated C source (golden-tested fidelity artifact).
 
+#![deny(unsafe_code)]
+
 pub mod ast;
 pub mod codegen_rust;
 pub mod desc;

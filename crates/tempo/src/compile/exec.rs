@@ -11,8 +11,30 @@
 //! interpretation survives only for hand-assembled programs without a
 //! prebuilt plan (planned on the fly) — wire bytes and [`OpCounts`] are
 //! identical either way, which the equivalence tests pin.
+//!
+//! The block copy itself lives in the `kernel` module. On the baseline
+//! x86-64 target the workspace is built for, the swap of each 32-bit word
+//! compiles to SSE2 unpack / `pshuflw` / `pshufhw` / pack (≈13 B/ns); the
+//! kernel holds a second instantiation of the same safe loop compiled with
+//! AVX2 enabled (one `vpshufb` per 32 bytes, 4–6× faster) and picks it at
+//! run time when the CPU has it. Everything a stub can get wrong is checked
+//! here, before the kernel is called: slot and element ranges, the wire
+//! slice, the dynamic guards; the kernel module — the workspace's only
+//! `unsafe`, three calls of a safe `#[target_feature]` function — receives
+//! slices of the right length and cannot fail. Offsets are displaced in
+//! `u64` under a ceiling, so a stride no buffer could hold ends in
+//! [`StubError::BufTooSmall`] / [`StubError::BadElem`] in every profile.
+//!
+//! Two zero-fills the data never needed are gone: a decode's `SetArrLen`
+//! followed by the bulk get of the whole array is one
+//! [`PlanOp::BulkFill`] (clear + extend, each element written once), and an
+//! encode zeroes exactly the program's [`StubProgram::holes`] — none for
+//! generated stubs — so callers need not clear the image between messages.
+//! The decoded message header, a run of `GetScalar`s over consecutive
+//! words and slots, is one [`PlanOp::GetScalars`] through the same kernel:
+//! at 20 elements the header is half of a decode stub's dispatches.
 
-use super::{build_plan, count_op, PlanOp, StubOp, StubProgram};
+use super::{build_plan, count_op, kernel, PlanOp, StubOp, StubProgram};
 use specrpc_xdr::OpCounts;
 use std::borrow::Cow;
 use std::fmt;
@@ -120,10 +142,29 @@ impl std::error::Error for StubError {}
 struct LoopFrame {
     start_pc: usize,
     remaining: u32,
-    off_acc: u32,
-    idx_acc: u32,
+    off_acc: u64,
+    idx_acc: u64,
     off_stride: u32,
     idx_stride: u32,
+}
+
+/// Ceiling of the loop accumulators: any 32-bit static offset can be added
+/// to an accumulator this large without overflowing `u64`.
+const ACC_MAX: u64 = u64::MAX - u32::MAX as u64;
+
+/// The accumulator one iteration further on, held at [`ACC_MAX`].
+#[inline(always)]
+fn advanced(acc: u64, stride: u32) -> u64 {
+    acc.saturating_add(stride as u64).min(ACC_MAX)
+}
+
+/// An op's static offset (or element index) displaced by the enclosing
+/// loop's accumulator. A displacement that `usize` cannot hold becomes
+/// `usize::MAX`, which fails the bounds check that follows instead of
+/// wrapping back into range.
+#[inline(always)]
+fn displaced(base: u32, acc: u64) -> usize {
+    usize::try_from(base as u64 + acc).unwrap_or(usize::MAX)
 }
 
 /// The program's fused plan, borrowing the prebuilt one when present and
@@ -143,7 +184,7 @@ pub fn run_encode(
     args: &StubArgs,
     counts: &mut OpCounts,
 ) -> Result<Outcome, StubError> {
-    encode_inner(prog, buf, args, None, counts)
+    encode_inner(prog, buf, args, None, 0, counts)
 }
 
 /// Run an encode stub with scalar slot 0 (the xid slot of the RPC calling
@@ -156,22 +197,47 @@ pub fn run_encode_with_xid(
     xid: i32,
     counts: &mut OpCounts,
 ) -> Result<Outcome, StubError> {
-    encode_inner(prog, buf, args, Some(xid), counts)
+    encode_inner(prog, buf, args, Some(xid), 0, counts)
 }
 
+/// Run an encode stub whose scalar slot 0 is `xid` and whose scalar slots
+/// `1..` are `results.scalars[0..]` — the server's way of stamping the
+/// transaction id in front of a handler's result slots without shifting
+/// them (an `insert(0, xid)` into the handler's fresh `Vec` allocates).
+pub fn run_encode_after_xid(
+    prog: &StubProgram,
+    buf: &mut [u8],
+    results: &StubArgs,
+    xid: i32,
+    counts: &mut OpCounts,
+) -> Result<Outcome, StubError> {
+    encode_inner(prog, buf, results, Some(xid), 1, counts)
+}
+
+/// `xid`, when given, is what scalar slot 0 encodes; every other scalar
+/// slot `s` reads `args.scalars[s - first_slot]`.
 fn encode_inner(
     prog: &StubProgram,
     buf: &mut [u8],
     args: &StubArgs,
-    xid_override: Option<i32>,
+    xid: Option<i32>,
+    first_slot: usize,
     counts: &mut OpCounts,
 ) -> Result<Outcome, StubError> {
     let plan = plan_of(prog);
     let plan = plan.as_ref();
+    // The bytes no op stores are the stub's to clear. A buffer too short
+    // for a hole is reported by the op that falls outside it, as before.
+    for hole in &prog.holes {
+        let end = hole.end.min(buf.len());
+        if let Some(gap) = buf.get_mut(hole.start..end) {
+            gap.fill(0);
+        }
+    }
     let mut pc = 0usize;
     let mut lp: Option<LoopFrame> = None;
-    let mut off_acc = 0u32;
-    let mut idx_acc = 0u32;
+    let mut off_acc = 0u64;
+    let mut idx_acc = 0u64;
     while pc < plan.len() {
         match plan[pc] {
             PlanOp::BulkPut {
@@ -185,35 +251,33 @@ fn encode_inner(
                     .arrays
                     .get(arr as usize)
                     .ok_or(StubError::BadArraySlot(arr))?;
-                let i0 = (idx + idx_acc) as usize;
-                let nn = n as usize;
-                let src = a.get(i0..i0 + nn).ok_or(StubError::BadElem {
-                    arr,
-                    idx: a.len().max(i0),
-                    len: a.len(),
-                })?;
-                bulk_put(buf, (off + off_acc) as usize, src)?;
+                let i0 = displaced(idx, idx_acc);
+                let missing = run_outside(arr, i0, a.len());
+                let src = span(i0, n as usize).and_then(|r| a.get(r)).ok_or(missing)?;
+                kernel::put(wire_mut(buf, displaced(off, off_acc), 4 * src.len())?, src);
                 counts.stub_ops += ops as u64;
                 counts.mem_moves += 4 * n as u64;
             }
-            PlanOp::BulkGet { .. } => {
+            PlanOp::BulkGet { .. } | PlanOp::GetScalars { .. } => {
                 return Err(StubError::WrongDirection("get in encode"));
+            }
+            PlanOp::BulkFill { .. } => {
+                return Err(StubError::WrongDirection("decode-only op in encode"));
             }
             PlanOp::Op(op) => match op {
                 StubOp::PutImm { off, word } => {
-                    let o = (off + off_acc) as usize;
-                    put4(buf, o, word.to_le_bytes())?;
+                    put4(buf, displaced(off, off_acc), word.to_le_bytes())?;
                     count_op(counts, 4);
                 }
                 StubOp::PutScalar { off, slot } => {
-                    let v = match xid_override {
+                    let v = match xid {
                         Some(x) if slot == 0 => x,
-                        _ => *args
-                            .scalars
-                            .get(slot as usize)
+                        _ => *(slot as usize)
+                            .checked_sub(first_slot)
+                            .and_then(|s| args.scalars.get(s))
                             .ok_or(StubError::BadScalarSlot(slot))?,
                     };
-                    put4(buf, (off + off_acc) as usize, v.to_be_bytes())?;
+                    put4(buf, displaced(off, off_acc), v.to_be_bytes())?;
                     count_op(counts, 4);
                 }
                 StubOp::PutElem { off, arr, idx } => {
@@ -221,13 +285,13 @@ fn encode_inner(
                         .arrays
                         .get(arr as usize)
                         .ok_or(StubError::BadArraySlot(arr))?;
-                    let i = (idx + idx_acc) as usize;
+                    let i = displaced(idx, idx_acc);
                     let v = *a.get(i).ok_or(StubError::BadElem {
                         arr,
                         idx: i,
                         len: a.len(),
                     })?;
-                    put4(buf, (off + off_acc) as usize, v.to_be_bytes())?;
+                    put4(buf, displaced(off, off_acc), v.to_be_bytes())?;
                     count_op(counts, 4);
                 }
                 StubOp::Loop {
@@ -237,8 +301,9 @@ fn encode_inner(
                     ..
                 } => {
                     count_op(counts, 0);
+                    let past = skip_loop(plan, pc)?;
                     if times == 0 {
-                        pc = skip_loop(plan, pc)?;
+                        pc = past;
                         continue;
                     }
                     lp = Some(LoopFrame {
@@ -254,8 +319,8 @@ fn encode_inner(
                     let frame = lp.as_mut().ok_or(StubError::BadLoop)?;
                     frame.remaining -= 1;
                     if frame.remaining > 0 {
-                        off_acc += frame.off_stride;
-                        idx_acc += frame.idx_stride;
+                        off_acc = advanced(off_acc, frame.off_stride);
+                        idx_acc = advanced(idx_acc, frame.idx_stride);
                         pc = frame.start_pc;
                         continue;
                     }
@@ -301,8 +366,8 @@ pub fn run_decode(
     let plan = plan.as_ref();
     let mut pc = 0usize;
     let mut lp: Option<LoopFrame> = None;
-    let mut off_acc = 0u32;
-    let mut idx_acc = 0u32;
+    let mut off_acc = 0u64;
+    let mut idx_acc = 0u64;
     while pc < plan.len() {
         match plan[pc] {
             PlanOp::BulkGet {
@@ -316,15 +381,40 @@ pub fn run_decode(
                     .arrays
                     .get_mut(arr as usize)
                     .ok_or(StubError::BadArraySlot(arr))?;
-                let i0 = (idx + idx_acc) as usize;
-                let nn = n as usize;
-                let len = a.len();
-                let dst = a.get_mut(i0..i0 + nn).ok_or(StubError::BadElem {
-                    arr,
-                    idx: len.max(i0),
-                    len,
-                })?;
-                bulk_get(buf, (off + off_acc) as usize, dst)?;
+                let i0 = displaced(idx, idx_acc);
+                let missing = run_outside(arr, i0, a.len());
+                let dst = span(i0, n as usize)
+                    .and_then(|r| a.get_mut(r))
+                    .ok_or(missing)?;
+                kernel::get(dst, wire(buf, displaced(off, off_acc), 4 * n as usize)?);
+                counts.stub_ops += ops as u64;
+                counts.mem_moves += 4 * n as u64;
+            }
+            PlanOp::GetScalars { off, slot, n } => {
+                let first = slot as usize;
+                let slots = args.scalars.len();
+                // The first slot that is missing lies inside the run, and
+                // the run's slots are `u16`s.
+                let dst = span(first, n as usize)
+                    .and_then(|r| args.scalars.get_mut(r))
+                    .ok_or(StubError::BadScalarSlot(slots.max(first) as u16))?;
+                kernel::get(dst, wire(buf, displaced(off, off_acc), 4 * n as usize)?);
+                counts.stub_ops += n as u64;
+                counts.mem_moves += 4 * n as u64;
+            }
+            PlanOp::BulkFill { off, arr, n, ops } => {
+                let a = args
+                    .arrays
+                    .get_mut(arr as usize)
+                    .ok_or(StubError::BadArraySlot(arr))?;
+                let src = wire(buf, displaced(off, off_acc), 4 * n as usize)?;
+                // The §3 statically-known size: refilling within an
+                // already-warm capacity moves only the data; growth is a
+                // real heap event the wire-path counter reports.
+                if a.capacity() < n as usize {
+                    counts.heap_allocs += 1;
+                }
+                kernel::fill(a, src);
                 counts.stub_ops += ops as u64;
                 counts.mem_moves += 4 * n as u64;
             }
@@ -339,7 +429,7 @@ pub fn run_decode(
                     }
                 }
                 StubOp::CheckWord { off, want } => {
-                    let v = get4(buf, (off + off_acc) as usize)?;
+                    let v = get4(buf, displaced(off, off_acc))?;
                     count_op(counts, 4);
                     if i32::from_be_bytes(v) != want {
                         return Ok(Outcome::Fallback);
@@ -356,7 +446,7 @@ pub fn run_decode(
                     }
                 }
                 StubOp::GetScalar { off, slot } => {
-                    let v = i32::from_be_bytes(get4(buf, (off + off_acc) as usize)?);
+                    let v = i32::from_be_bytes(get4(buf, displaced(off, off_acc))?);
                     let s = args
                         .scalars
                         .get_mut(slot as usize)
@@ -365,12 +455,12 @@ pub fn run_decode(
                     count_op(counts, 4);
                 }
                 StubOp::GetElem { off, arr, idx } => {
-                    let v = i32::from_be_bytes(get4(buf, (off + off_acc) as usize)?);
+                    let v = i32::from_be_bytes(get4(buf, displaced(off, off_acc))?);
                     let a = args
                         .arrays
                         .get_mut(arr as usize)
                         .ok_or(StubError::BadArraySlot(arr))?;
-                    let i = (idx + idx_acc) as usize;
+                    let i = displaced(idx, idx_acc);
                     let len = a.len();
                     *a.get_mut(i)
                         .ok_or(StubError::BadElem { arr, idx: i, len })? = v;
@@ -405,8 +495,9 @@ pub fn run_decode(
                     ..
                 } => {
                     count_op(counts, 0);
+                    let past = skip_loop(plan, pc)?;
                     if times == 0 {
-                        pc = skip_loop(plan, pc)?;
+                        pc = past;
                         continue;
                     }
                     lp = Some(LoopFrame {
@@ -422,8 +513,8 @@ pub fn run_decode(
                     let frame = lp.as_mut().ok_or(StubError::BadLoop)?;
                     frame.remaining -= 1;
                     if frame.remaining > 0 {
-                        off_acc += frame.off_stride;
-                        idx_acc += frame.idx_stride;
+                        off_acc = advanced(off_acc, frame.off_stride);
+                        idx_acc = advanced(idx_acc, frame.idx_stride);
                         pc = frame.start_pc;
                         continue;
                     }
@@ -451,72 +542,62 @@ pub fn run_decode(
     })
 }
 
+/// What a bulk step reports when its element run, starting at `i0`, does
+/// not lie inside an array of `len` elements: the first missing element.
 #[inline(always)]
-fn put4(buf: &mut [u8], off: usize, bytes: [u8; 4]) -> Result<(), StubError> {
-    match buf.get_mut(off..off + 4) {
-        Some(dst) => {
-            dst.copy_from_slice(&bytes);
-            Ok(())
-        }
-        None => Err(StubError::BufTooSmall {
+fn run_outside(arr: u16, i0: usize, len: usize) -> StubError {
+    StubError::BadElem {
+        arr,
+        idx: len.max(i0),
+        len,
+    }
+}
+
+/// `start..start + len`, unless that overflows.
+#[inline(always)]
+fn span(start: usize, len: usize) -> Option<std::ops::Range<usize>> {
+    Some(start..start.checked_add(len)?)
+}
+
+/// The one bounds check of a wire read: `nbytes` of `buf` at `off`.
+#[inline(always)]
+fn wire(buf: &[u8], off: usize, nbytes: usize) -> Result<&[u8], StubError> {
+    buf.get(off..)
+        .and_then(|tail| tail.get(..nbytes))
+        .ok_or(StubError::BufTooSmall {
             off,
             len: buf.len(),
-        }),
-    }
+        })
+}
+
+/// The one bounds check of a wire write: `nbytes` of `buf` at `off`.
+#[inline(always)]
+fn wire_mut(buf: &mut [u8], off: usize, nbytes: usize) -> Result<&mut [u8], StubError> {
+    let len = buf.len();
+    buf.get_mut(off..)
+        .and_then(|tail| tail.get_mut(..nbytes))
+        .ok_or(StubError::BufTooSmall { off, len })
+}
+
+#[inline(always)]
+fn put4(buf: &mut [u8], off: usize, bytes: [u8; 4]) -> Result<(), StubError> {
+    wire_mut(buf, off, 4)?.copy_from_slice(&bytes);
+    Ok(())
 }
 
 #[inline(always)]
 fn get4(buf: &[u8], off: usize) -> Result<[u8; 4], StubError> {
-    match buf.get(off..off + 4) {
-        Some(src) => {
-            let mut b = [0u8; 4];
-            b.copy_from_slice(src);
-            Ok(b)
-        }
-        None => Err(StubError::BufTooSmall {
-            off,
-            len: buf.len(),
-        }),
-    }
+    let mut b = [0u8; 4];
+    b.copy_from_slice(wire(buf, off, 4)?);
+    Ok(b)
 }
 
-/// Fused element encode: one bounds check, then a byte-swapping block copy
-/// the optimizer vectorizes — no per-element dispatch survives.
-#[inline(always)]
-fn bulk_put(buf: &mut [u8], off: usize, src: &[i32]) -> Result<(), StubError> {
-    let nbytes = src.len() * 4;
-    let Some(dst) = buf.get_mut(off..off + nbytes) else {
-        return Err(StubError::BufTooSmall {
-            off,
-            len: buf.len(),
-        });
-    };
-    for (chunk, v) in dst.chunks_exact_mut(4).zip(src) {
-        chunk.copy_from_slice(&v.to_be_bytes());
-    }
-    Ok(())
-}
-
-/// Fused element decode, mirror of [`bulk_put`].
-#[inline(always)]
-fn bulk_get(buf: &[u8], off: usize, dst: &mut [i32]) -> Result<(), StubError> {
-    let nbytes = dst.len() * 4;
-    let Some(src) = buf.get(off..off + nbytes) else {
-        return Err(StubError::BufTooSmall {
-            off,
-            len: buf.len(),
-        });
-    };
-    for (v, chunk) in dst.iter_mut().zip(src.chunks_exact(4)) {
-        *v = i32::from_be_bytes([chunk[0], chunk[1], chunk[2], chunk[3]]);
-    }
-    Ok(())
-}
-
+/// The step after the loop at `plan[pc]`; `BadLoop` unless its body ends,
+/// inside the plan, in an `EndLoop`.
 fn skip_loop(plan: &[PlanOp], pc: usize) -> Result<usize, StubError> {
     match plan.get(pc) {
         Some(PlanOp::Op(StubOp::Loop { body, .. })) => {
-            let end = pc + 1 + *body as usize;
+            let end = span(pc + 1, *body as usize).ok_or(StubError::BadLoop)?.end;
             match plan.get(end) {
                 Some(PlanOp::Op(StubOp::EndLoop)) => Ok(end + 1),
                 _ => Err(StubError::BadLoop),

@@ -17,12 +17,17 @@
 use crate::ir::{BinOp, Expr, Function, LValue, Program, Stmt, Type, UnOp, VarId};
 use specrpc_xdr::OpCounts;
 use std::fmt;
+use std::ops::Range;
 
 mod exec;
+#[allow(unsafe_code)]
+mod kernel;
 #[cfg(test)]
 mod tests;
 
-pub use exec::{run_decode, run_encode, run_encode_with_xid, Outcome, StubArgs, StubError};
+pub use exec::{
+    run_decode, run_encode, run_encode_after_xid, run_encode_with_xid, Outcome, StubArgs, StubError,
+};
 
 /// Where a struct field lands in the [`StubArgs`] calling convention.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -199,9 +204,17 @@ pub enum StubOp {
 /// analog of that final compilation step: contiguous element runs (and
 /// bounded loops whose body is one contiguous run) are *fused* into single
 /// bulk micro-ops, so the hot path is one bounds check and one
-/// byte-swapping block copy per array instead of per element. Fusion is
-/// purely a representation change — wire bytes and [`OpCounts`] accounting
-/// are identical to executing the underlying ops one by one.
+/// byte-swapping block copy per array instead of per element. Pieces that
+/// adjoin in wire offset and element index (a chunked program's fused loop
+/// and its straight-line remainder) merge into one step, a decode's
+/// `SetArrLen` followed by a bulk get of the whole array becomes a
+/// [`PlanOp::BulkFill`] that writes each element once instead of
+/// zero-filling it first, and a run of `GetScalar`s over consecutive
+/// words and slots (the decoded message header) is one
+/// [`PlanOp::GetScalars`]. Fusion is purely a representation change — wire
+/// bytes and [`OpCounts`] accounting are identical to executing the
+/// underlying ops one by one; only a failing step reports the offset of
+/// the fused run's start, not of the element that fell outside.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum PlanOp {
     /// A single micro-op, executed exactly as the interpreter would.
@@ -235,6 +248,32 @@ pub enum PlanOp {
         /// Stub ops accounted (for [`OpCounts`] parity).
         ops: u32,
     },
+    /// Fused decode of `n` consecutive wire words starting at `off` into
+    /// scalar slots `slot..slot + n` — the message header, which is a
+    /// third to a half of a small stub's ops.
+    GetScalars {
+        /// Buffer byte offset of the first word.
+        off: u32,
+        /// First scalar slot.
+        slot: u16,
+        /// Word count (= stub ops accounted).
+        n: u32,
+    },
+    /// `SetArrLen { arr, len: n }` and the [`PlanOp::BulkGet`] of that
+    /// array's elements `0..n` in one step: the array is cleared and
+    /// extended from the checked wire slice, so no element is zero-filled
+    /// only to be overwritten. Top-level only (the planner never emits it
+    /// inside a loop).
+    BulkFill {
+        /// Buffer byte offset of the first element.
+        off: u32,
+        /// Array slot.
+        arr: u16,
+        /// Element count — the array's whole new length.
+        n: u32,
+        /// Stub ops accounted: the bulk get's plus one for the `SetArrLen`.
+        ops: u32,
+    },
 }
 
 /// A compiled stub: the runtime form of the residual function.
@@ -249,20 +288,31 @@ pub struct StubProgram {
     pub plan: Vec<PlanOp>,
     /// Total wire bytes the stub reads/writes.
     pub wire_len: usize,
+    /// For an encode stub, the byte ranges of `0..wire_len` that no `Put*`
+    /// op is known to write, ascending. [`run_encode`] zeroes exactly
+    /// these, so a caller may hand it a buffer still holding the previous
+    /// message. Empty for every stub `rpcgen` + Tempo produce (stub-visible
+    /// data are longs, so header and arguments tile the image) and for
+    /// decode stubs.
+    pub holes: Vec<Range<usize>>,
     /// Name (inherited from the residual function).
     pub name: String,
 }
 
 impl StubProgram {
-    /// Build a program from raw ops, deriving the wire length and the
-    /// fused execution plan.
+    /// Build a program from raw ops, deriving the wire length, the fused
+    /// execution plan and the image's unwritten ranges. Never panics: a
+    /// malformed loop is planned verbatim and reported by the executor as
+    /// [`StubError::BadLoop`].
     pub fn from_ops(ops: Vec<StubOp>, name: String) -> Self {
         let wire_len = wire_len(&ops);
         let plan = build_plan(&ops);
+        let holes = holes(&plan, wire_len);
         StubProgram {
             ops,
             plan,
             wire_len,
+            holes,
             name,
         }
     }
@@ -715,7 +765,10 @@ fn elem_run_len(ops: &[StubOp]) -> usize {
     while n < ops.len() {
         match key(&ops[n]) {
             Some((k, a, o, ix))
-                if k == kind && a == arr && o == off0 + 4 * n as u32 && ix == idx0 + n as u32 =>
+                if k == kind
+                    && a == arr
+                    && o as u64 == off0 as u64 + 4 * n as u64
+                    && ix as u64 == idx0 as u64 + n as u64 =>
             {
                 n += 1
             }
@@ -725,10 +778,121 @@ fn elem_run_len(ops: &[StubOp]) -> usize {
     n
 }
 
+/// A contiguous element run as the planner sees it: direction, first wire
+/// offset, array, first element, element count, stub ops accounted.
+#[derive(Clone, Copy)]
+struct Run {
+    put: bool,
+    off: u32,
+    arr: u16,
+    idx: u32,
+    n: u32,
+    ops: u32,
+}
+
+impl Run {
+    /// The run starting at element op `op`, `n` elements long.
+    fn starting_at(op: &StubOp, n: u32, ops: u32) -> Option<Run> {
+        let (put, off, arr, idx) = match *op {
+            StubOp::PutElem { off, arr, idx } => (true, off, arr, idx),
+            StubOp::GetElem { off, arr, idx } => (false, off, arr, idx),
+            _ => return None,
+        };
+        Some(Run {
+            put,
+            off,
+            arr,
+            idx,
+            n,
+            ops,
+        })
+    }
+
+    fn into_step(self) -> PlanOp {
+        let Run {
+            put,
+            off,
+            arr,
+            idx,
+            n,
+            ops,
+        } = self;
+        if put {
+            PlanOp::BulkPut {
+                off,
+                arr,
+                idx,
+                n,
+                ops,
+            }
+        } else {
+            PlanOp::BulkGet {
+                off,
+                arr,
+                idx,
+                n,
+                ops,
+            }
+        }
+    }
+
+    /// Grow the plan's last step by this run when that step is a bulk op
+    /// of the same direction and array that ends, in wire offset and in
+    /// element index, exactly where this run starts.
+    fn extends_last(self, plan: &mut [PlanOp]) -> bool {
+        let (off, arr, idx, n, ops) = match plan.last_mut() {
+            Some(PlanOp::BulkPut {
+                off,
+                arr,
+                idx,
+                n,
+                ops,
+            }) if self.put => (off, arr, idx, n, ops),
+            Some(PlanOp::BulkGet {
+                off,
+                arr,
+                idx,
+                n,
+                ops,
+            }) if !self.put => (off, arr, idx, n, ops),
+            _ => return false,
+        };
+        let adjoins = *arr == self.arr
+            && *off as u64 + 4 * *n as u64 == self.off as u64
+            && *idx as u64 + *n as u64 == self.idx as u64;
+        match (adjoins, n.checked_add(self.n), ops.checked_add(self.ops)) {
+            (true, Some(merged_n), Some(merged_ops)) => {
+                *n = merged_n;
+                *ops = merged_ops;
+                true
+            }
+            _ => false,
+        }
+    }
+}
+
+/// Length of the maximal run of `GetScalar` ops starting at `ops[0]` with
+/// stride-4 offsets and stride-1 slots.
+fn scalar_run_len(ops: &[StubOp]) -> usize {
+    let Some(&StubOp::GetScalar { off, slot }) = ops.first() else {
+        return 0;
+    };
+    let follows = |n: usize| {
+        matches!(ops.get(n), Some(&StubOp::GetScalar { off: o, slot: s })
+            if o as u64 == off as u64 + 4 * n as u64 && s as usize == slot as usize + n)
+    };
+    (1..)
+        .find(|&n| !follows(n))
+        .expect("a run ends where the ops do")
+}
+
 /// Fuse a flat op sequence into the monomorphic execution plan:
-/// contiguous element runs become bulk ops, and a bounded loop whose body
-/// is exactly one contiguous element run (what [`rechunk`] emits) is
-/// collapsed into a single bulk op covering all iterations.
+/// contiguous element runs become bulk ops, a bounded loop whose body is
+/// exactly one contiguous element run (what [`rechunk`] emits) is
+/// collapsed into a single bulk op covering all iterations, adjoining
+/// bulk ops merge, `SetArrLen` + whole-array bulk get becomes a
+/// [`PlanOp::BulkFill`], and contiguous `GetScalar` runs become
+/// [`PlanOp::GetScalars`].
 pub(crate) fn build_plan(ops: &[StubOp]) -> Vec<PlanOp> {
     let mut plan = Vec::new();
     let mut i = 0;
@@ -740,88 +904,110 @@ pub(crate) fn build_plan(ops: &[StubOp]) -> Vec<PlanOp> {
             idx_stride,
         } = ops[i]
         {
-            let b = body as usize;
-            let well_formed =
-                i + b + 1 < ops.len() && matches!(ops.get(i + b + 1), Some(StubOp::EndLoop));
-            if !well_formed {
+            let Some(end) = loop_end(ops, i) else {
                 // Malformed loop structure: keep everything verbatim so the
                 // executor reports the same BadLoop the interpreter would.
                 plan.extend(ops[i..].iter().copied().map(PlanOp::Op));
                 return plan;
-            }
-            let fusible = times > 0
-                && elem_run_len(&ops[i + 1..i + 1 + b]) == b
-                && off_stride == 4 * body
-                && idx_stride == body;
-            if fusible {
-                let (put, arr, off0, idx0) = match ops[i + 1] {
-                    StubOp::PutElem { off, arr, idx } => (true, arr, off, idx),
-                    StubOp::GetElem { off, arr, idx } => (false, arr, off, idx),
-                    _ => unreachable!("element run starts with an element op"),
-                };
-                let n = times * body;
-                // Interpretive cost of the loop: one op for the header plus
-                // one per executed element (EndLoop is not counted).
-                let fused_ops = n + 1;
-                plan.push(if put {
-                    PlanOp::BulkPut {
-                        off: off0,
-                        arr,
-                        idx: idx0,
-                        n,
-                        ops: fused_ops,
+            };
+            let fused = fused_loop(&ops[i + 1..end], times, body, off_stride, idx_stride);
+            match fused {
+                Some(run) => {
+                    if !run.extends_last(&mut plan) {
+                        plan.push(run.into_step());
                     }
-                } else {
-                    PlanOp::BulkGet {
-                        off: off0,
-                        arr,
-                        idx: idx0,
-                        n,
-                        ops: fused_ops,
-                    }
-                });
-            } else {
+                }
                 // Copy loop + body + EndLoop verbatim: `body` keeps meaning
                 // "plan steps" because nothing inside is fused.
-                plan.extend(ops[i..=i + b + 1].iter().copied().map(PlanOp::Op));
+                None => plan.extend(ops[i..=end].iter().copied().map(PlanOp::Op)),
             }
-            i += b + 2;
+            i = end + 1;
             continue;
         }
-        let run = elem_run_len(&ops[i..]);
-        if run >= 2 {
-            let (put, arr, off0, idx0) = match ops[i] {
-                StubOp::PutElem { off, arr, idx } => (true, arr, off, idx),
-                StubOp::GetElem { off, arr, idx } => (false, arr, off, idx),
-                _ => unreachable!("element run starts with an element op"),
-            };
-            plan.push(if put {
-                PlanOp::BulkPut {
-                    off: off0,
-                    arr,
-                    idx: idx0,
-                    n: run as u32,
-                    ops: run as u32,
-                }
-            } else {
-                PlanOp::BulkGet {
-                    off: off0,
-                    arr,
-                    idx: idx0,
-                    n: run as u32,
-                    ops: run as u32,
-                }
+        if let (StubOp::GetScalar { off, slot }, n @ 2..) = (ops[i], scalar_run_len(&ops[i..])) {
+            plan.push(PlanOp::GetScalars {
+                off,
+                slot,
+                n: n as u32,
             });
-            i += run;
+            i += n;
             continue;
         }
-        plan.push(PlanOp::Op(ops[i]));
-        i += 1;
+        let len = elem_run_len(&ops[i..]);
+        match Run::starting_at(&ops[i], len as u32, len as u32) {
+            Some(run) if run.extends_last(&mut plan) => {}
+            Some(run) if len >= 2 => plan.push(run.into_step()),
+            _ => plan.push(PlanOp::Op(ops[i])),
+        }
+        i += len.max(1);
     }
-    plan
+    fuse_fills(plan)
 }
 
-/// Static wire length: the highest byte any op touches.
+/// The single run a loop over `body_ops` amounts to, when its body is one
+/// contiguous element run and each iteration starts where the last ended.
+fn fused_loop(
+    body_ops: &[StubOp],
+    times: u32,
+    body: u32,
+    off_stride: u32,
+    idx_stride: u32,
+) -> Option<Run> {
+    let tiles = times > 0
+        && elem_run_len(body_ops) == body_ops.len()
+        && off_stride as u64 == 4 * body as u64
+        && idx_stride == body;
+    if !tiles {
+        return None;
+    }
+    let n = times.checked_mul(body)?;
+    // Interpretive cost of the loop: one op for the header plus one per
+    // executed element (EndLoop is not counted).
+    Run::starting_at(body_ops.first()?, n, n.checked_add(1)?)
+}
+
+/// Replace each `SetArrLen { arr, len }` directly followed by the bulk get
+/// of `arr`'s elements `0..len` by one [`PlanOp::BulkFill`]. Both steps are
+/// top-level (bulk ops never sit inside a verbatim loop), so no loop's
+/// `body` count is disturbed.
+fn fuse_fills(plan: Vec<PlanOp>) -> Vec<PlanOp> {
+    let mut out: Vec<PlanOp> = Vec::with_capacity(plan.len());
+    for step in plan {
+        if let (
+            Some(&PlanOp::Op(StubOp::SetArrLen { arr: sized, len })),
+            PlanOp::BulkGet {
+                off,
+                arr,
+                idx: 0,
+                n,
+                ops,
+            },
+        ) = (out.last(), step)
+        {
+            if let (true, Some(ops)) = ((sized, len) == (arr, n), ops.checked_add(1)) {
+                out.pop();
+                out.push(PlanOp::BulkFill { off, arr, n, ops });
+                continue;
+            }
+        }
+        out.push(step);
+    }
+    out
+}
+
+/// Index of the `EndLoop` closing the `Loop` at `ops[i]`, or `None` when
+/// the body runs past the end of the program or does not end in one.
+fn loop_end(ops: &[StubOp], i: usize) -> Option<usize> {
+    let StubOp::Loop { body, .. } = *ops.get(i)? else {
+        return None;
+    };
+    let end = i.checked_add(1)?.checked_add(body as usize)?;
+    matches!(ops.get(end), Some(StubOp::EndLoop)).then_some(end)
+}
+
+/// Static wire length: the highest byte any op touches. A loop whose body
+/// reaches past the end of the program is walked as far as the program
+/// goes (the executor reports it as `BadLoop`).
 fn wire_len(ops: &[StubOp]) -> usize {
     let mut max = 0usize;
     let mut i = 0;
@@ -833,23 +1019,73 @@ fn wire_len(ops: &[StubOp]) -> usize {
                 off_stride,
                 ..
             } => {
-                let grow = off_stride as usize * (times as usize).saturating_sub(1);
-                for op in &ops[i + 1..i + 1 + body as usize] {
+                let grow = (off_stride as usize).saturating_mul((times as usize).saturating_sub(1));
+                let end = i.saturating_add(1).saturating_add(body as usize);
+                for op in &ops[i + 1..end.min(ops.len())] {
                     if let Some(off) = op_offset(op) {
-                        max = max.max(off as usize + grow + 4);
+                        max = max.max((off as usize).saturating_add(grow).saturating_add(4));
                     }
                 }
-                i += body as usize + 2;
+                i = end.saturating_add(1);
             }
             ref op => {
                 if let Some(off) = op_offset(op) {
-                    max = max.max(off as usize + 4);
+                    max = max.max((off as usize).saturating_add(4));
                 }
                 i += 1;
             }
         }
     }
     max
+}
+
+/// The byte ranges of `0..wire_len` that no top-level `Put*` step of
+/// `plan` writes, ascending — what [`run_encode`] must zero for the image
+/// to be the stub's alone. Stores inside a verbatim loop are not counted
+/// (their range is zeroed, then written: correct, merely not free); a plan
+/// without any put at all (a decode stub) has no holes.
+fn holes(plan: &[PlanOp], wire_len: usize) -> Vec<Range<usize>> {
+    /// First byte and word count a step stores.
+    fn stored(step: &PlanOp) -> Option<(u32, u32)> {
+        match *step {
+            PlanOp::BulkPut { off, n, .. } => Some((off, n)),
+            PlanOp::Op(
+                StubOp::PutImm { off, .. }
+                | StubOp::PutScalar { off, .. }
+                | StubOp::PutElem { off, .. },
+            ) => Some((off, 1)),
+            _ => None,
+        }
+    }
+    if !plan.iter().any(|step| stored(step).is_some()) {
+        return Vec::new();
+    }
+    let mut written: Vec<Range<usize>> = Vec::new();
+    let mut pc = 0;
+    while pc < plan.len() {
+        if let PlanOp::Op(StubOp::Loop { body, .. }) = plan[pc] {
+            pc = pc.saturating_add(body as usize).saturating_add(2);
+            continue;
+        }
+        if let Some((off, words)) = stored(&plan[pc]) {
+            let start = off as usize;
+            written.push(start..start.saturating_add(4 * words as usize));
+        }
+        pc += 1;
+    }
+    written.sort_by_key(|r| r.start);
+    let mut holes = Vec::new();
+    let mut covered = 0usize;
+    for r in written {
+        if r.start > covered {
+            holes.push(covered..r.start.min(wire_len));
+        }
+        covered = covered.max(r.end);
+    }
+    if covered < wire_len {
+        holes.push(covered..wire_len);
+    }
+    holes
 }
 
 fn op_offset(op: &StubOp) -> Option<u32> {

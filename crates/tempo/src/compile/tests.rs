@@ -394,3 +394,570 @@ fn code_size_grows_linearly_with_ops() {
     let d = s200.code_size_bytes() - s100.code_size_bytes();
     assert_eq!(d, 100 * 40, "40 modeled bytes per additional element");
 }
+
+// ---------------------------------------------------------------------
+// The fused plan against an op-by-op walk of the same ops.
+// ---------------------------------------------------------------------
+
+/// `MSG { a; b; c; len; arr[n]; }`: two dynamic scalars, a third that the
+/// encoder writes as a constant, and a counted array.
+fn msg_prog(n: usize) -> (Program, usize) {
+    let long = |name: &str| FieldDef {
+        name: name.into(),
+        ty: Type::Long,
+    };
+    let mut p = Program::new();
+    let sid = p.add_struct(StructDef {
+        name: "MSG".into(),
+        fields: vec![
+            long("a"),
+            long("b"),
+            long("c"),
+            long("len"),
+            FieldDef {
+                name: "arr".into(),
+                ty: Type::Array(Box::new(Type::Long), n),
+            },
+        ],
+    });
+    (p, sid)
+}
+
+fn msg_conv(n: usize) -> StubConventions {
+    let scalar = |slot: u16| FieldBinding {
+        slot_start: slot as usize,
+        slot_len: 1,
+        target: FieldTarget::Scalar(slot),
+    };
+    StubConventions {
+        params: vec![
+            ParamBinding::Buffer,
+            ParamBinding::Struct(vec![
+                scalar(0),
+                scalar(1),
+                scalar(2),
+                FieldBinding {
+                    slot_start: 3,
+                    slot_len: 1,
+                    target: FieldTarget::ArrayLen(0),
+                },
+                FieldBinding {
+                    slot_start: 4,
+                    slot_len: n,
+                    target: FieldTarget::Array(0),
+                },
+            ]),
+            ParamBinding::InLen,
+        ],
+    }
+}
+
+const MSG_HEADER: usize = 16;
+
+/// `a`, `b`, the constant 7, the length word, then the elements.
+fn msg_encode(sid: usize, n: usize) -> Function {
+    let mut fb = FunctionBuilder::new("msg_enc");
+    let buf = fb.param("buf", Type::BufPtr);
+    let m = fb.param("m", ptr(Type::Struct(sid)));
+    let _inlen = fb.param("inlen", Type::Long);
+    let at = |off: usize| buf32(add(lv(var(buf)), c(off as i64)));
+    let mut body = vec![
+        assign(at(0), htonl(lv(field(deref_var(m), 0)))),
+        assign(at(4), htonl(lv(field(deref_var(m), 1)))),
+        assign(at(8), c(7u32.swap_bytes() as i64)),
+        assign(at(12), c((n as u32).swap_bytes() as i64)),
+    ];
+    for i in 0..n {
+        body.push(assign(
+            at(MSG_HEADER + 4 * i),
+            htonl(lv(index(field(deref_var(m), 4), c(i as i64)))),
+        ));
+    }
+    fb.body(body)
+}
+
+/// The guarded mirror of [`msg_encode`].
+fn msg_decode(sid: usize, n: usize) -> Function {
+    let mut fb = FunctionBuilder::new("msg_dec");
+    let buf = fb.param("buf", Type::BufPtr);
+    let m = fb.param("m", ptr(Type::Struct(sid)));
+    let inlen = fb.param("inlen", Type::Long);
+    fb.returns(Type::Long);
+    let word = |off: usize| ntohl(lv(buf32(add(lv(var(buf)), c(off as i64)))));
+    let mut fast = vec![
+        assign(field(deref_var(m), 0), word(0)),
+        assign(field(deref_var(m), 1), word(4)),
+        assign(field(deref_var(m), 2), word(8)),
+        if_then(ne(word(12), c(n as i64)), vec![ret(Some(c(0)))]),
+        assign(field(deref_var(m), 3), c(n as i64)),
+    ];
+    for i in 0..n {
+        fast.push(assign(
+            index(field(deref_var(m), 4), c(i as i64)),
+            word(MSG_HEADER + 4 * i),
+        ));
+    }
+    fast.push(ret(Some(c(1))));
+    fb.body(vec![if_else(
+        eq(lv(var(inlen)), c((MSG_HEADER + 4 * n) as i64)),
+        fast,
+        vec![ret(Some(c(0)))],
+    )])
+}
+
+/// The same program with nothing fused: every op its own plan step.
+fn op_by_op(stub: &StubProgram) -> StubProgram {
+    let mut walk = stub.clone();
+    walk.plan = stub.ops.iter().copied().map(PlanOp::Op).collect();
+    walk
+}
+
+fn tally(c: &OpCounts) -> (u64, u64, u64) {
+    (c.stub_ops, c.mem_moves, c.heap_allocs)
+}
+
+#[test]
+fn fused_plan_equals_op_by_op_walk() {
+    for n in [1usize, 7, 20, 250, 2000] {
+        let (p, sid) = msg_prog(n);
+        let (enc_f, dec_f) = (msg_encode(sid, n), msg_decode(sid, n));
+        let conv = msg_conv(n);
+        let data: Vec<i32> = (0..n as i32)
+            .map(|i| i.wrapping_mul(0x0101_0307) - 5)
+            .collect();
+        let args = StubArgs::new(vec![-3, 0x0102_0304, 0], vec![data.clone()]);
+        for chunk in [None, Some(8), Some(64)] {
+            let opts = CompileOptions { chunk };
+            let enc = compile(&p, &enc_f, &conv, opts).unwrap();
+            let dec = compile(&p, &dec_f, &conv, opts).unwrap();
+            let what = format!("n={n} chunk={chunk:?}");
+            assert!(enc.holes.is_empty(), "{what}: {:?}", enc.holes);
+            assert!(dec.holes.is_empty(), "{what}");
+
+            // The image is the stub's alone: no byte of the 0xEE survives.
+            let (mut fused, mut walked) = (vec![0xEEu8; enc.wire_len], vec![0xEEu8; enc.wire_len]);
+            let (mut cf, mut cw) = (OpCounts::new(), OpCounts::new());
+            let done = run_encode(&enc, &mut fused, &args, &mut cf).unwrap();
+            assert_eq!(
+                run_encode(&op_by_op(&enc), &mut walked, &args, &mut cw).unwrap(),
+                done
+            );
+            assert_eq!(fused, walked, "{what}");
+            assert_eq!(tally(&cf), tally(&cw), "{what}");
+            assert_eq!(&fused[8..12], &[0, 0, 0, 7]);
+
+            // Cold slots first (one counted growth per array), then warm.
+            let (mut of, mut ow) = (StubArgs::default(), StubArgs::default());
+            for round in 0..2 {
+                let (mut cf, mut cw) = (OpCounts::new(), OpCounts::new());
+                of.prepare(3, 1);
+                ow.prepare(3, 1);
+                let done = run_decode(&dec, &fused, &mut of, fused.len(), &mut cf).unwrap();
+                assert_eq!(
+                    run_decode(&op_by_op(&dec), &fused, &mut ow, fused.len(), &mut cw).unwrap(),
+                    done
+                );
+                assert_eq!(of, ow, "{what}");
+                assert_eq!(tally(&cf), tally(&cw), "{what} round {round}");
+                assert_eq!(cf.heap_allocs, u64::from(round == 0), "{what}");
+                assert_eq!(of.scalars, vec![-3, 0x0102_0304, 7]);
+                assert_eq!(of.arrays[0], data);
+            }
+        }
+    }
+}
+
+#[test]
+fn chunked_plan_merges_loop_and_remainder_into_one_step() {
+    let n = 20;
+    let (p, sid) = msg_prog(n);
+    let conv = msg_conv(n);
+    let opts = CompileOptions { chunk: Some(8) };
+    let enc = compile(&p, &msg_encode(sid, n), &conv, opts).unwrap();
+    // Loop(2×8) + 4 remainder elements: header + 16 + 4 stub ops.
+    assert!(enc.plan.contains(&PlanOp::BulkPut {
+        off: 16,
+        arr: 0,
+        idx: 0,
+        n: 20,
+        ops: 21
+    }));
+    let dec = compile(&p, &msg_decode(sid, n), &conv, opts).unwrap();
+    assert_eq!(
+        dec.plan,
+        vec![
+            PlanOp::Op(StubOp::LenGuard { expected: 96 }),
+            PlanOp::GetScalars {
+                off: 0,
+                slot: 0,
+                n: 3
+            },
+            PlanOp::Op(StubOp::CheckWord { off: 12, want: 20 }),
+            // SetArrLen + loop header + 20 elements.
+            PlanOp::BulkFill {
+                off: 16,
+                arr: 0,
+                n: 20,
+                ops: 22
+            },
+            PlanOp::Op(StubOp::Ret { val: 1 }),
+        ]
+    );
+}
+
+#[test]
+fn decode_into_longer_slots_leaves_exactly_the_new_length() {
+    let decode = |n: usize, out: &mut StubArgs| {
+        let (p, sid) = msg_prog(n);
+        let conv = msg_conv(n);
+        let enc = compile(&p, &msg_encode(sid, n), &conv, CompileOptions::default()).unwrap();
+        let dec = compile(&p, &msg_decode(sid, n), &conv, CompileOptions::default()).unwrap();
+        let data: Vec<i32> = (1..=n as i32).collect();
+        let mut wire = vec![0u8; enc.wire_len];
+        let mut counts = OpCounts::new();
+        let args = StubArgs::new(vec![1, 2, 3], vec![data.clone()]);
+        run_encode(&enc, &mut wire, &args, &mut counts).unwrap();
+        out.prepare(3, 1);
+        run_decode(&dec, &wire, out, wire.len(), &mut counts).unwrap();
+        assert_eq!(out.arrays[0], data);
+    };
+    let mut out = StubArgs::default();
+    decode(2000, &mut out);
+    decode(8, &mut out);
+    assert_eq!(out.arrays[0].len(), 8);
+    assert!(out.arrays[0].capacity() >= 2000, "the allocation is reused");
+}
+
+#[test]
+fn partly_covered_set_arr_len_still_zero_fills_the_rest() {
+    let get = |off, idx| StubOp::GetElem { off, arr: 0, idx };
+    let wire: Vec<u8> = (1..=4u32).flat_map(|w| w.to_be_bytes()).collect();
+    // Six elements sized, four decoded; then four sized, the last three
+    // decoded. Neither bulk get covers the array, so neither is a fill.
+    for (len, first, want) in [(6, 0, vec![1, 2, 3, 4, 0, 0]), (4, 1, vec![0, 1, 2, 3])] {
+        let mut ops = vec![StubOp::SetArrLen { arr: 0, len }];
+        ops.extend((0..len.min(4) - first).map(|k| get(4 * k, first + k)));
+        let stub = StubProgram::from_ops(ops, "partial".into());
+        assert!(matches!(stub.plan[0], PlanOp::Op(StubOp::SetArrLen { .. })));
+        assert!(matches!(stub.plan[1], PlanOp::BulkGet { .. }));
+        let mut out = StubArgs::new(vec![], vec![vec![9; 10]]);
+        out.prepare(0, 1);
+        run_decode(&stub, &wire, &mut out, wire.len(), &mut OpCounts::new()).unwrap();
+        assert_eq!(out.arrays[0], want);
+    }
+}
+
+#[test]
+fn encode_zeroes_the_bytes_no_op_writes() {
+    use specrpc_xdr::mem::XdrMem;
+    use specrpc_xdr::primitives::xdr_int;
+    use specrpc_xdr::WireBuf;
+
+    // Words 0, 1 and 3 are stored; word 2 is nobody's.
+    let stub = StubProgram::from_ops(
+        vec![
+            StubOp::PutImm {
+                off: 0,
+                word: 5u32.swap_bytes(),
+            },
+            StubOp::PutElem {
+                off: 4,
+                arr: 0,
+                idx: 0,
+            },
+            StubOp::PutScalar { off: 12, slot: 0 },
+        ],
+        "holed".into(),
+    );
+    assert_eq!(stub.wire_len, 16);
+    assert_eq!(stub.holes, vec![8..12]);
+
+    // The buffer just carried a different message of the same length and
+    // is rewound, not refilled.
+    let mut wb = WireBuf::new();
+    wb.reset(16);
+    wb.put_bytes(0, &[0xFF; 16]).unwrap();
+    wb.rewind(16);
+    let args = StubArgs::new(vec![-2], vec![vec![6]]);
+    run_encode(&stub, wb.bytes_mut(), &args, &mut OpCounts::new()).unwrap();
+
+    let mut generic = XdrMem::encoder(16);
+    for mut v in [5, 6, 0, -2] {
+        xdr_int(&mut generic, &mut v).unwrap();
+    }
+    assert_eq!(wb.bytes(), generic.bytes());
+
+    // A buffer that ends inside the hole is still the failing op's error.
+    let err = run_encode(&stub, &mut [0xFF; 10], &args, &mut OpCounts::new()).unwrap_err();
+    assert_eq!(err, StubError::BufTooSmall { off: 12, len: 10 });
+
+    // Stores inside a loop that is not fused are not counted as written:
+    // their range is cleared first, the strided gaps stay zero.
+    let strided = StubProgram::from_ops(
+        vec![
+            StubOp::PutImm { off: 0, word: 1 },
+            StubOp::Loop {
+                times: 2,
+                body: 1,
+                off_stride: 8,
+                idx_stride: 1,
+            },
+            StubOp::PutElem {
+                off: 4,
+                arr: 0,
+                idx: 0,
+            },
+            StubOp::EndLoop,
+        ],
+        "strided".into(),
+    );
+    assert_eq!(strided.holes, vec![4..16]);
+    let mut image = [0xFFu8; 16];
+    let args = StubArgs::new(vec![], vec![vec![1, 2]]);
+    run_encode(&strided, &mut image, &args, &mut OpCounts::new()).unwrap();
+    assert_eq!(image, [1, 0, 0, 0, 0, 0, 0, 1, 0, 0, 0, 0, 0, 0, 0, 2]);
+}
+
+#[test]
+fn short_buffers_fail_with_the_same_error_and_offset() {
+    let (p, sid) = args_prog();
+    let enc = compile(
+        &p,
+        &encode_residual(&p, sid),
+        &conventions(),
+        CompileOptions::default(),
+    )
+    .unwrap();
+    let dec = compile(
+        &p,
+        &decode_residual(sid),
+        &conventions(),
+        CompileOptions::default(),
+    )
+    .unwrap();
+    let args = StubArgs::new(vec![], vec![vec![1, 2, 3, 4]]);
+    let mut counts = OpCounts::new();
+    let mut wire = vec![0u8; 20];
+    run_encode(&enc, &mut wire, &args, &mut counts).unwrap();
+
+    // The element run starts at byte 4 and needs 16 bytes.
+    let err = run_encode(&enc, &mut [0u8; 8], &args, &mut counts).unwrap_err();
+    assert_eq!(err, StubError::BufTooSmall { off: 4, len: 8 });
+    let mut out = StubArgs::new(vec![], vec![vec![]]);
+    let err = run_decode(&dec, &wire[..12], &mut out, 20, &mut counts).unwrap_err();
+    assert_eq!(err, StubError::BufTooSmall { off: 4, len: 12 });
+    // Too few argument elements is the caller's error, as before.
+    let short = StubArgs::new(vec![], vec![vec![1, 2, 3]]);
+    let err = run_encode(&enc, &mut wire, &short, &mut counts).unwrap_err();
+    assert_eq!(
+        err,
+        StubError::BadElem {
+            arr: 0,
+            idx: 3,
+            len: 3
+        }
+    );
+}
+
+#[test]
+fn scalar_run_reports_the_first_missing_slot() {
+    let ops: Vec<StubOp> = (0..4)
+        .map(|k| StubOp::GetScalar {
+            off: 4 * k,
+            slot: k as u16,
+        })
+        .collect();
+    let stub = StubProgram::from_ops(ops, "header".into());
+    assert_eq!(
+        stub.plan,
+        vec![PlanOp::GetScalars {
+            off: 0,
+            slot: 0,
+            n: 4
+        }]
+    );
+    let wire = [0u8; 16];
+    for walk in [stub.clone(), op_by_op(&stub)] {
+        let mut out = StubArgs::new(vec![0; 2], vec![]);
+        let err = run_decode(&walk, &wire, &mut out, 16, &mut OpCounts::new()).unwrap_err();
+        assert_eq!(err, StubError::BadScalarSlot(2));
+        let mut out = StubArgs::new(vec![0; 4], vec![]);
+        let err = run_decode(&walk, &wire[..8], &mut out, 16, &mut OpCounts::new()).unwrap_err();
+        assert!(matches!(err, StubError::BufTooSmall { len: 8, .. }));
+    }
+}
+
+#[test]
+fn encode_after_xid_reads_result_scalars_one_slot_down() {
+    let stub = StubProgram::from_ops(
+        (0..3)
+            .map(|k| StubOp::PutScalar {
+                off: 4 * k,
+                slot: k as u16,
+            })
+            .collect(),
+        "reply".into(),
+    );
+    let results = StubArgs::new(vec![10, 20], vec![]);
+    let mut wire = [0u8; 12];
+    run_encode_after_xid(
+        &stub,
+        &mut wire,
+        &results,
+        0x0A0B_0C0D,
+        &mut OpCounts::new(),
+    )
+    .unwrap();
+    assert_eq!(wire, [0x0A, 0x0B, 0x0C, 0x0D, 0, 0, 0, 10, 0, 0, 0, 20]);
+    // Same image as the shifted slots the server used to build.
+    let shifted = StubArgs::new(vec![0x0A0B_0C0D, 10, 20], vec![]);
+    let mut plain = [0u8; 12];
+    run_encode(&stub, &mut plain, &shifted, &mut OpCounts::new()).unwrap();
+    assert_eq!(wire, plain);
+    let too_few = StubArgs::new(vec![10], vec![]);
+    let err =
+        run_encode_after_xid(&stub, &mut wire, &too_few, 1, &mut OpCounts::new()).unwrap_err();
+    assert_eq!(err, StubError::BadScalarSlot(2));
+}
+
+// ---------------------------------------------------------------------
+// Malformed programs: an error in every profile, never a panic, never a
+// write at a wrapped offset.
+// ---------------------------------------------------------------------
+
+#[test]
+fn loop_reaching_past_the_end_constructs_and_reports_bad_loop() {
+    for body in [2, 7, u32::MAX] {
+        for times in [0, 3] {
+            let looped = |inner: StubOp| {
+                StubProgram::from_ops(
+                    vec![
+                        StubOp::Loop {
+                            times,
+                            body,
+                            off_stride: 4,
+                            idx_stride: 1,
+                        },
+                        inner,
+                    ],
+                    "runaway".into(),
+                )
+            };
+            let enc = looped(StubOp::PutImm { off: 0, word: 1 });
+            let err = run_encode(
+                &enc,
+                &mut [0u8; 64],
+                &StubArgs::default(),
+                &mut OpCounts::new(),
+            );
+            assert_eq!(err, Err(StubError::BadLoop), "body={body} times={times}");
+            let dec = looped(StubOp::GetScalar { off: 0, slot: 0 });
+            let mut out = StubArgs::new(vec![0], vec![]);
+            let err = run_decode(&dec, &[0u8; 64], &mut out, 64, &mut OpCounts::new());
+            assert_eq!(err, Err(StubError::BadLoop), "body={body} times={times}");
+        }
+    }
+    // An empty body is a loop of nothing, not a planner panic.
+    let empty = StubProgram::from_ops(
+        vec![
+            StubOp::Loop {
+                times: 3,
+                body: 0,
+                off_stride: 0,
+                idx_stride: 0,
+            },
+            StubOp::EndLoop,
+        ],
+        "empty".into(),
+    );
+    let done = run_encode(&empty, &mut [], &StubArgs::default(), &mut OpCounts::new());
+    assert!(matches!(done, Ok(Outcome::Done { ret: 1, .. })));
+}
+
+#[test]
+fn strides_no_buffer_could_hold_are_errors_not_wrapped_writes() {
+    let looped = |off_stride, idx_stride, inner: StubOp| {
+        StubProgram::from_ops(
+            vec![
+                StubOp::Loop {
+                    times: 3,
+                    body: 1,
+                    off_stride,
+                    idx_stride,
+                },
+                inner,
+                StubOp::EndLoop,
+            ],
+            "wide".into(),
+        )
+    };
+    // 4 + u32::MAX wraps to 3 in 32-bit arithmetic.
+    let enc = looped(u32::MAX, 0, StubOp::PutImm { off: 4, word: !0 });
+    let mut image = [0u8; 16];
+    let err = run_encode(&enc, &mut image, &StubArgs::default(), &mut OpCounts::new()).unwrap_err();
+    assert_eq!(
+        err,
+        StubError::BufTooSmall {
+            off: 4 + u32::MAX as usize,
+            len: 16
+        }
+    );
+    assert_eq!(image[..4], [0; 4], "nothing stored at the wrapped offset");
+    assert_eq!(image[4..8], [0xFF; 4], "the first iteration's store stands");
+
+    let elem = StubOp::PutElem {
+        off: 0,
+        arr: 0,
+        idx: 2,
+    };
+    let args = StubArgs::new(vec![], vec![vec![1, 2, 3]]);
+    let err = run_encode(
+        &looped(0, u32::MAX, elem),
+        &mut image,
+        &args,
+        &mut OpCounts::new(),
+    )
+    .unwrap_err();
+    assert_eq!(
+        err,
+        StubError::BadElem {
+            arr: 0,
+            idx: 2 + u32::MAX as usize,
+            len: 3
+        }
+    );
+
+    let wire = [0u8; 16];
+    let mut out = StubArgs::new(vec![0], vec![vec![0; 3]]);
+    let dec = looped(u32::MAX, 0, StubOp::GetScalar { off: 4, slot: 0 });
+    let err = run_decode(&dec, &wire, &mut out, 16, &mut OpCounts::new()).unwrap_err();
+    assert!(matches!(err, StubError::BufTooSmall { len: 16, .. }));
+    let elem = StubOp::GetElem {
+        off: 0,
+        arr: 0,
+        idx: 2,
+    };
+    let dec = looped(0, u32::MAX, elem);
+    let err = run_decode(&dec, &wire, &mut out, 16, &mut OpCounts::new()).unwrap_err();
+    assert!(matches!(err, StubError::BadElem { arr: 0, len: 3, .. }));
+
+    // Offsets at the top of the 32-bit range neither overflow the planner
+    // nor get fused with what does not follow them.
+    let top = StubProgram::from_ops(
+        vec![
+            StubOp::GetElem {
+                off: u32::MAX - 3,
+                arr: 0,
+                idx: u32::MAX,
+            },
+            StubOp::GetElem {
+                off: 0,
+                arr: 0,
+                idx: 0,
+            },
+        ],
+        "top".into(),
+    );
+    assert_eq!(top.plan.len(), 2);
+    assert!(run_decode(&top, &wire, &mut out, 16, &mut OpCounts::new()).is_err());
+}

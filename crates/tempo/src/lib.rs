@@ -21,6 +21,8 @@
 //! 6. [`eval`] — a concrete interpreter used as correctness oracle and as
 //!    the table-driven baseline of the ablation benchmarks.
 
+#![deny(unsafe_code)]
+
 pub mod bta;
 pub mod compile;
 pub mod eval;

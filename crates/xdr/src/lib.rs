@@ -51,6 +51,8 @@
 //! assert_eq!((x, y), (7, 42));
 //! ```
 
+#![deny(unsafe_code)]
+
 pub mod coalesce;
 pub mod composite;
 pub mod cost;

@@ -57,10 +57,20 @@ impl WireBuf {
     /// counts a heap allocation) only when `wire_len` exceeds the current
     /// capacity — in steady state this is a pure rewind.
     pub fn reset(&mut self, wire_len: usize) {
+        self.buf.clear();
+        self.rewind(wire_len);
+    }
+
+    /// Rewind for a fresh message of exactly `wire_len` bytes **without**
+    /// refilling it: for a writer that stores every byte of the image
+    /// itself (a compiled stub does — it zeroes the ranges none of its ops
+    /// write). The previous message's bytes stay until overwritten; only
+    /// bytes beyond the previous length are zeroed. Allocation accounting
+    /// as in [`WireBuf::reset`].
+    pub fn rewind(&mut self, wire_len: usize) {
         if self.buf.capacity() < wire_len {
             self.counts.heap_allocs += 1;
         }
-        self.buf.clear();
         self.buf.resize(wire_len, 0);
     }
 
@@ -279,6 +289,23 @@ mod tests {
         }
         assert_eq!(w.counts().heap_allocs, 1, "rewinds are free");
         w.reset(128);
+        assert_eq!(w.counts().heap_allocs, 2, "growth counts");
+    }
+
+    #[test]
+    fn rewind_keeps_bytes_and_counts_like_reset() {
+        let mut w = WireBuf::new();
+        w.rewind(8);
+        assert_eq!(w.counts().heap_allocs, 1, "one exact allocation");
+        assert_eq!(w.bytes(), &[0u8; 8]);
+        w.put_u32(4, 0x0102_0304).unwrap();
+        w.rewind(8);
+        assert_eq!(w.bytes(), &[0, 0, 0, 0, 1, 2, 3, 4], "no refill");
+        w.rewind(4);
+        w.rewind(8);
+        assert_eq!(w.bytes(), &[0u8; 8], "regrown bytes are zeroed");
+        assert_eq!(w.counts().heap_allocs, 1, "rewinds are free");
+        w.rewind(64);
         assert_eq!(w.counts().heap_allocs, 2, "growth counts");
     }
 
