@@ -10,11 +10,18 @@
 //! report the *same* p99 (shard count is a parallelism knob, not a
 //! semantic one); a divergence between rows is a determinism bug, not
 //! a perf delta.
+//!
+//! Beside them, one row that *can* move: `scale/run_ns_per_call/50k` is
+//! host wall-clock — a whole `run_scale` pass of the million-client
+//! config at 50 000 endpoints (single driver, service deployment
+//! included), divided by the endpoint count. It is what a simulated
+//! endpoint costs the machine, where the p99 rows are what the model
+//! says a reply costs the client.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use specrpc::{run_scale, ScaleConfig};
 use std::hint::black_box;
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 fn bench_scale(c: &mut Criterion) {
     let mut group = c.benchmark_group("scale");
@@ -44,6 +51,24 @@ fn bench_scale(c: &mut Criterion) {
             })
         });
     }
+
+    let cfg = ScaleConfig::million().scaled_to(50_000);
+    group.bench_function("run_ns_per_call/50k", |b| {
+        b.iter_custom(|iters| {
+            let mut total = Duration::ZERO;
+            for _ in 0..iters {
+                let begun = Instant::now();
+                let report = black_box(run_scale(&cfg).unwrap());
+                let wall = begun.elapsed();
+                assert_eq!(
+                    report.replies, cfg.clients as u64,
+                    "every endpoint answered"
+                );
+                total += wall / cfg.clients as u32;
+            }
+            total
+        })
+    });
     group.finish();
 }
 

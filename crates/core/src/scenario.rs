@@ -175,6 +175,10 @@ pub struct ScaleReport {
     /// discards plus the deepest queue observed
     /// ([`Network::link_stats`]).
     pub link: LinkStats,
+    /// Datagrams that reached an address nobody was bound to any more
+    /// ([`Network::unbound_drops`]): a reply to an endpoint already
+    /// reaped. 0 unless a request outlived its reap timeout.
+    pub unbound_drops: u64,
 }
 
 impl ScaleReport {
@@ -216,6 +220,12 @@ impl ScaleReport {
             "\n\u{20} link queues:                    {} drop(s), depth high-water {}",
             self.link.queue_drops, self.link.queue_depth_high_water
         ));
+        if self.unbound_drops > 0 {
+            out.push_str(&format!(
+                ", {} datagram(s) for endpoints already gone",
+                self.unbound_drops
+            ));
+        }
         out
     }
 }
@@ -365,6 +375,7 @@ pub fn run_scale(cfg: &ScaleConfig) -> Result<ScaleReport, PipelineError> {
         per_shard: sharded.per_shard_events(),
         steals: sharded.cross_shard_steals(),
         link: net.link_stats(),
+        unbound_drops: net.unbound_drops(),
     })
 }
 
@@ -1051,6 +1062,21 @@ mod tests {
         let text = report.render();
         assert!(text.contains("link queues:"), "{text}");
         assert!(text.contains("0 drop(s)"), "{text}");
+        // Every endpoint was reaped after its reply: nothing arrived for
+        // an address already unbound, and the line reads as it always
+        // did. A late reply would show up on it.
+        assert_eq!(report.unbound_drops, 0);
+        assert!(text.ends_with("depth high-water 1"), "{text}");
+        let late = ScaleReport {
+            unbound_drops: 2,
+            ..report
+        };
+        assert!(
+            late.render()
+                .ends_with("depth high-water 1, 2 datagram(s) for endpoints already gone"),
+            "{}",
+            late.render()
+        );
     }
 
     #[test]

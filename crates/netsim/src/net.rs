@@ -111,6 +111,33 @@
 //! reproducible only in their per-address payload contents, not in their
 //! global timing.
 //!
+//! # Endpoint lifetime
+//!
+//! A mailbox exists while an [`Endpoint`] on its address does. Dropping
+//! the last one unbinds the address: the mailbox goes, with whatever was
+//! still in it, and so does the address's transmit-occupancy record
+//! unless its uplink is still busy at that instant (then the record
+//! stays, and a later bind of the address queues behind it). The tables
+//! a delivery looks up therefore hold the endpoints that are alive, not
+//! every endpoint there has ever been — a run that binds a million
+//! one-call endpoints a few thousand at a time costs what a few thousand
+//! cost. A datagram for an address with no registration, handler or
+//! live endpoint is discarded and counted ([`Network::unbound_drops`]).
+//!
+//! "Busy" is judged against the clock at the drop. A server's
+//! processing charge can run that clock ahead of events still queued,
+//! so an address bound again inside such a stretch sends as a fresh
+//! endpoint would, not behind its previous owner's last transmission.
+//!
+//! **Dropping user code.** That drop takes the simulator lock, and a
+//! handler, factory or processor closure may own an `Endpoint`. So the
+//! simulator never drops such a closure while it holds the lock:
+//! whatever replaces or removes a registration ([`Network::serve_udp`]
+//! over an existing handler, [`Network::crash`],
+//! [`Network::unserve_udp_events`], …) takes the old value out under the
+//! lock and lets go of it after. New code in this module must keep to
+//! that.
+//!
 //! # Readiness (event) mode
 //!
 //! Besides the blocking handler slots, an address can be registered in
@@ -133,15 +160,23 @@
 //! reactor charges its processing time and schedules the reply from that
 //! same instant, and the resulting trace is byte- and time-identical to
 //! the blocking-handler execution of the same workload.
+//!
+//! Waking costs a system call whether or not anyone is asleep, so the
+//! lane asks first: threads parked in [`Network::wait_ready`] or in the
+//! fast-forward guard count themselves under the lock, and an enqueue or
+//! a completion notifies only when the matching count is non-zero. A
+//! single driver with no reactor threads never enters the kernel; a
+//! reactor that is asleep is woken, on any host.
 
 use crate::chaos::{ChaosEvent, ChaosSchedule, ChaosState, ChaosStats};
 use crate::fault::{FaultConfig, FaultState, Verdict};
 use crate::inthash::IntMap;
 use crate::time::SimTime;
 use std::cmp::Reverse;
+use std::collections::hash_map::Entry;
 use std::collections::{BTreeMap, BinaryHeap, HashMap, VecDeque};
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Condvar, Mutex, MutexGuard};
+use std::sync::{Arc, Condvar, LockResult, Mutex, MutexGuard};
 use std::time::{Duration, Instant};
 
 /// A network address (think UDP/TCP port; hosts are implicit — the paper's
@@ -375,6 +410,17 @@ struct EventQueue {
     processor: Option<EventProcessor>,
 }
 
+/// The receive queue of one bound address, alive as long as an
+/// [`Endpoint`] on that address is.
+#[derive(Default)]
+struct Mailbox {
+    queue: VecDeque<Datagram>,
+    /// Live [`Endpoint`]s on this address. Binding an address twice
+    /// shares one queue (as two handles to one socket would); the entry
+    /// leaves the table when the last of them is dropped.
+    binds: usize,
+}
+
 /// Spent chunk buffers a connection keeps for its next writes; anything
 /// beyond this is freed (the list bounds memory, not correctness).
 const CONN_SPARE_CHUNKS: usize = 8;
@@ -431,12 +477,13 @@ struct NetInner {
     cfg: NetworkConfig,
     faults: FaultState,
     queue: BinaryHeap<Reverse<Scheduled>>,
-    /// Client mailboxes keyed by bound address. This table,
-    /// `udp_handlers` and `udp_busy` are looked up on every datagram and
-    /// keyed by addresses the program bound itself, so they hash with
-    /// [`IntMap`]'s multiply-shift instead of SipHash. None of the three
-    /// is ever iterated, so no trace depends on their internal order.
-    mailboxes: IntMap<Addr, VecDeque<Datagram>>,
+    /// Mailboxes of the endpoints that are bound *now* (an [`Endpoint`]
+    /// unbinds when dropped). This table, `udp_handlers` and `udp_busy`
+    /// are looked up on every datagram and keyed by addresses the
+    /// program bound itself, so they hash with [`IntMap`]'s
+    /// multiply-shift instead of SipHash. None of the three is ever
+    /// iterated, so no trace depends on their internal order.
+    mailboxes: IntMap<Addr, Mailbox>,
     udp_handlers: IntMap<Addr, Slot<UdpHandler>>,
     /// Handler factories for restartable services: [`Network::restart`]
     /// re-installs a freshly built handler from here (crash/restart
@@ -460,10 +507,21 @@ struct NetInner {
     /// link becomes free. The UDP counterpart of
     /// `ConnState::busy_until` — back-to-back sends from one endpoint
     /// serialize cumulatively (see the module-level "Link model" docs).
+    /// A dropped [`Endpoint`] takes its record along unless the link is
+    /// still busy at that instant.
     udp_busy: IntMap<Addr, SimTime>,
     /// Drop-tail accounting (see [`LinkStats`]).
     queue_drops: u64,
     queue_high_water: u64,
+    /// Deliveries to an address with no event queue, handler or mailbox
+    /// (see [`Network::unbound_drops`]).
+    unbound_drops: u64,
+    /// Threads parked on `ready_cv` / `retired_cv` right now. A waiter
+    /// counts itself in under the lock before it sleeps and out after it
+    /// wakes, so whoever changes what it waits for — under the lock —
+    /// knows whether a notify can reach anyone.
+    ready_sleepers: usize,
+    retired_sleepers: usize,
     /// Endpoint lifecycle faults: who is crashed / paused / partitioned,
     /// plus downtime accounting (see [`crate::chaos`]).
     chaos: ChaosState,
@@ -478,21 +536,19 @@ struct NetShared {
     /// Simulator-lock acquisitions so far (the lane's regression meter).
     #[cfg(test)]
     lock_acquisitions: AtomicU64,
-    /// Signaled when a readiness event is queued (eager mode) — what
+    /// Condvar notifies issued so far: each one is a system call whether
+    /// or not anybody is waiting, which is why the event lane issues one
+    /// only when its sleeper count says somebody is.
+    #[cfg(test)]
+    notifies: AtomicU64,
+    /// Signaled when a readiness event is queued — what
     /// [`Network::wait_ready`] reactors sleep on.
     ready_cv: Condvar,
     /// Signaled when pending work retires — what *driving* threads
     /// blocked in [`Network::run_until`]'s fast-forward guard sleep on.
     /// Separate from `ready_cv` so an event completion does not wake
-    /// idle reactors (on one core such a wake is a pure context-switch
-    /// tax on every single event).
+    /// idle reactors.
     retired_cv: Condvar,
-    /// Whether enqueuing a readiness event eagerly wakes sleeping
-    /// reactors. On a multi-core host that buys parallel processing; on
-    /// a single core every wake is a pure context-switch tax (the
-    /// driving thread steals the work anyway), so reactors rely on their
-    /// bounded [`Network::wait_ready`] timeout instead.
-    eager_wakes: bool,
 }
 
 impl NetShared {
@@ -501,6 +557,18 @@ impl NetShared {
     fn set_now(&self, inner: &mut NetInner, t: SimTime) {
         inner.now = t;
         self.clock.store(t.as_nanos(), Ordering::Release);
+    }
+
+    fn wake_ready(&self) {
+        #[cfg(test)]
+        self.notifies.fetch_add(1, Ordering::Relaxed);
+        self.ready_cv.notify_all();
+    }
+
+    fn wake_retired(&self) {
+        #[cfg(test)]
+        self.notifies.fetch_add(1, Ordering::Relaxed);
+        self.retired_cv.notify_all();
     }
 }
 
@@ -536,24 +604,33 @@ impl Network {
                     udp_busy: IntMap::default(),
                     queue_drops: 0,
                     queue_high_water: 0,
+                    unbound_drops: 0,
+                    ready_sleepers: 0,
+                    retired_sleepers: 0,
                     chaos: ChaosState::new(),
                 }),
                 clock: AtomicU64::new(0),
                 #[cfg(test)]
                 lock_acquisitions: AtomicU64::new(0),
+                #[cfg(test)]
+                notifies: AtomicU64::new(0),
                 ready_cv: Condvar::new(),
                 retired_cv: Condvar::new(),
-                eager_wakes: std::thread::available_parallelism().is_ok_and(|n| n.get() > 1),
             }),
         }
     }
 
     fn lock(&self) -> MutexGuard<'_, NetInner> {
+        self.lock_or_poisoned().expect("network lock poisoned")
+    }
+
+    /// [`Network::lock`] for a caller that must not panic (a `Drop`).
+    fn lock_or_poisoned(&self) -> LockResult<MutexGuard<'_, NetInner>> {
         #[cfg(test)]
         self.shared
             .lock_acquisitions
             .fetch_add(1, Ordering::Relaxed);
-        self.shared.state.lock().expect("network lock poisoned")
+        self.shared.state.lock()
     }
 
     /// Current virtual time. Lock-free: the clock is written only under
@@ -592,20 +669,35 @@ impl Network {
         }
     }
 
-    /// Bind a client UDP endpoint at `addr` (mailbox semantics).
+    /// Datagrams that arrived at an address nobody was bound to — no
+    /// event-mode registration, no handler, no live [`Endpoint`] — and
+    /// were discarded: typically a late or duplicated reply to an
+    /// endpoint that has been dropped.
+    pub fn unbound_drops(&self) -> u64 {
+        self.lock().unbound_drops
+    }
+
+    /// Bind a client UDP endpoint at `addr` (mailbox semantics). The
+    /// address stays bound until the returned [`Endpoint`] is dropped;
+    /// binding an address that is already bound yields a second handle
+    /// to the same mailbox.
     pub fn bind_udp(&self, addr: Addr) -> Endpoint {
-        self.lock().mailboxes.entry(addr).or_default();
+        self.lock().mailboxes.entry(addr).or_default().binds += 1;
         Endpoint {
             net: self.clone(),
             addr,
         }
     }
 
-    /// Install a UDP service at `addr`.
+    /// Install a UDP service at `addr`, replacing any handler already
+    /// there.
     pub fn serve_udp(&self, addr: Addr, handler: UdpHandler) {
-        self.lock()
+        let replaced = self
+            .lock()
             .udp_handlers
             .insert(addr, Arc::new(Mutex::new(handler)));
+        // Outside the lock: see "Dropping user code" in the module docs.
+        drop(replaced);
     }
 
     /// Install a **restartable** UDP service at `addr`: the factory is
@@ -616,12 +708,16 @@ impl Network {
     pub fn serve_udp_restartable(&self, addr: Addr, mut factory: UdpHandlerFactory) {
         let handler = factory();
         let mut inner = self.lock();
-        inner
-            .udp_handlers
-            .insert(addr, Arc::new(Mutex::new(handler)));
-        inner
-            .udp_factories
-            .insert(addr, Arc::new(Mutex::new(factory)));
+        let replaced = (
+            inner
+                .udp_handlers
+                .insert(addr, Arc::new(Mutex::new(handler))),
+            inner
+                .udp_factories
+                .insert(addr, Arc::new(Mutex::new(factory))),
+        );
+        drop(inner);
+        drop(replaced);
     }
 
     /// Crash `addr` now (see [`ChaosEvent::Crash`]): its mailbox and
@@ -699,10 +795,9 @@ impl Network {
     /// of the direct `crash`/`restart`/… methods and of scheduled
     /// [`Event::Chaos`] dispatches.
     fn apply_chaos_event(&self, ev: ChaosEvent) {
-        let reinstall = {
-            let mut inner = self.lock();
-            inner.apply_chaos_locked(ev)
-        };
+        let (reinstall, crashed) = self.lock().apply_chaos_locked(ev);
+        // What a crash removed is user code: dropped outside the lock.
+        drop(crashed);
         // A restart re-builds the handler from its factory OUTSIDE the
         // simulator lock (the factory is user code and may touch the
         // network itself).
@@ -710,15 +805,12 @@ impl Network {
             let factory = self.lock().udp_factories.get(&addr).cloned();
             if let Some(factory) = factory {
                 let handler = (factory.lock().expect("udp factory lock"))();
-                self.lock()
-                    .udp_handlers
-                    .insert(addr, Arc::new(Mutex::new(handler)));
+                self.serve_udp(addr, handler);
             }
         }
         // Crash may have dropped pending events; wake both sleeper kinds
         // so reactors and fast-forward waiters re-check.
-        self.shared.ready_cv.notify_all();
-        self.shared.retired_cv.notify_all();
+        self.notify_ready();
     }
 
     /// Register `addr` in **event mode**: deliveries are queued as
@@ -749,37 +841,30 @@ impl Network {
     /// parallelism.
     pub fn serve_udp_events_with(&self, addr: Addr, processor: EventProcessor) {
         let mut inner = self.lock();
-        // Re-registration drops a prior queue's undrained deliveries —
-        // un-count them, or the pending accounting would pin the clock
-        // forever on events nobody can reach anymore.
-        if let Some(old) = inner.event_queues.insert(
+        let replaced = inner.event_queues.insert(
             addr,
             EventQueue {
                 ready: VecDeque::new(),
                 processor: Some(processor),
             },
-        ) {
-            inner.pending_events -= old.ready.len();
-            if old.processor.is_some() {
-                inner.pending_strict -= old.ready.len();
-            }
-        }
+        );
+        // Re-registration drops a prior queue's undrained deliveries —
+        // un-count them, or the pending accounting would pin the clock
+        // forever on events nobody can reach anymore.
+        inner.forget_queued(replaced.as_ref());
+        drop(inner);
+        drop(replaced);
     }
 
     /// Remove an event-mode registration, dropping (and un-counting) any
     /// queued deliveries, and wake every [`Network::wait_ready`] sleeper.
     pub fn unserve_udp_events(&self, addr: Addr) {
-        {
-            let mut inner = self.lock();
-            if let Some(q) = inner.event_queues.remove(&addr) {
-                inner.pending_events -= q.ready.len();
-                if q.processor.is_some() {
-                    inner.pending_strict -= q.ready.len();
-                }
-            }
-        }
-        self.shared.ready_cv.notify_all();
-        self.shared.retired_cv.notify_all();
+        let mut inner = self.lock();
+        let removed = inner.event_queues.remove(&addr);
+        inner.forget_queued(removed.as_ref());
+        drop(inner);
+        drop(removed);
+        self.notify_ready();
     }
 
     /// Nonblocking poll of one event-mode address: if a delivery is
@@ -815,9 +900,9 @@ impl Network {
     /// Run one checked-out readiness event to completion: `process`
     /// outside every simulator lock, then clock charge + reply send +
     /// pending retire under a single lock acquisition, then a wake for
-    /// any fast-forward waiter. Returns that acquisition still held, so a
-    /// driving thread carries on under it. The unwinding guard keeps
-    /// `pending` honest if `process` panics.
+    /// the fast-forward waiters, if there are any. Returns that
+    /// acquisition still held, so a driving thread carries on under it.
+    /// The unwinding guard keeps `pending` honest if `process` panics.
     fn complete_event(
         &self,
         addr: Addr,
@@ -834,8 +919,11 @@ impl Network {
                     if self.2 {
                         inner.pending_strict -= 1;
                     }
+                    let waiting = inner.retired_sleepers > 0;
                     drop(inner);
-                    self.0.shared.retired_cv.notify_all();
+                    if waiting {
+                        self.0.shared.wake_retired();
+                    }
                 }
             }
         }
@@ -850,7 +938,9 @@ impl Network {
             inner.pending_strict -= 1;
         }
         guard.1 = false;
-        self.shared.retired_cv.notify_all();
+        if inner.retired_sleepers > 0 {
+            self.shared.wake_retired();
+        }
         inner
     }
 
@@ -924,28 +1014,33 @@ impl Network {
             if now >= deadline {
                 return false;
             }
+            inner.ready_sleepers += 1;
             let (guard, _res) = self
                 .shared
                 .ready_cv
                 .wait_timeout(inner, deadline - now)
                 .expect("network lock poisoned");
             inner = guard;
+            inner.ready_sleepers -= 1;
         }
     }
 
     /// Wake every [`Network::wait_ready`] sleeper and every blocked
     /// driving thread (e.g. so reactor workers re-check a shutdown
-    /// flag).
+    /// flag). Unconditional: the caller changed something the simulator
+    /// cannot see.
     pub fn notify_ready(&self) {
-        self.shared.ready_cv.notify_all();
-        self.shared.retired_cv.notify_all();
+        self.shared.wake_ready();
+        self.shared.wake_retired();
     }
 
     /// Install a TCP service (one handler per accepted connection).
     pub fn serve_tcp(&self, addr: Addr, factory: TcpHandlerFactory) {
-        self.lock()
+        let replaced = self
+            .lock()
             .tcp_listeners
             .insert(addr, Arc::new(Mutex::new(factory)));
+        drop(replaced);
     }
 
     /// Open a TCP connection to a listening address.
@@ -1075,18 +1170,23 @@ impl Network {
     ) -> (MutexGuard<'a, NetInner>, bool) {
         loop {
             let stolen = if inner.pending_events > 0 {
+                // Only the queue that has work pays for a handle on its
+                // processor; the idle ones are looked at and left alone.
                 inner.event_queues.iter_mut().find_map(|(&addr, q)| {
-                    let processor = q.processor.clone()?;
+                    let processor = q.processor.as_ref()?;
                     let dg = q.ready.pop_front()?;
-                    Some((addr, dg, processor))
+                    Some((addr, dg, Arc::clone(processor)))
                 })
             } else {
                 None
             };
             if let Some((addr, dg, processor)) = stolen {
                 drop(inner);
-                let inner =
-                    self.complete_event(addr, dg, true, |payload, from| processor(payload, from));
+                // `move`: the handle is released when the call returns,
+                // before the completion takes the lock.
+                let inner = self.complete_event(addr, dg, true, move |payload, from| {
+                    processor(payload, from)
+                });
                 return (inner, true);
             }
             if inner.pending_strict > 0 {
@@ -1129,12 +1229,16 @@ impl Network {
 
     /// Sleep (releasing the lock) until pending work retires or a short
     /// real-time slice passes.
-    fn wait_retired<'a>(&'a self, inner: MutexGuard<'a, NetInner>) -> MutexGuard<'a, NetInner> {
-        self.shared
+    fn wait_retired<'a>(&'a self, mut inner: MutexGuard<'a, NetInner>) -> MutexGuard<'a, NetInner> {
+        inner.retired_sleepers += 1;
+        let mut inner = self
+            .shared
             .retired_cv
             .wait_timeout(inner, Duration::from_micros(100))
             .expect("network lock poisoned")
-            .0
+            .0;
+        inner.retired_sleepers -= 1;
+        inner
     }
 
     /// Advance the clock unconditionally (models client-side work between
@@ -1157,11 +1261,13 @@ impl Network {
             Event::UdpDeliver { to, dg } => match inner.route_udp(to, dg) {
                 Routed::Done => inner,
                 Routed::Queued => {
-                    if self.shared.eager_wakes {
-                        // Wake sleeping reactors only once they can
-                        // take the lock.
+                    // A reactor that parks after this read finds the
+                    // event first: it looks at the queue under the lock
+                    // before it sleeps.
+                    if inner.ready_sleepers > 0 {
+                        // Wake them only once they can take the lock.
                         drop(inner);
-                        self.shared.ready_cv.notify_all();
+                        self.shared.wake_ready();
                         inner = self.lock();
                     }
                     inner
@@ -1279,7 +1385,7 @@ impl Network {
     pub(crate) fn mailbox_swap(&self, addr: Addr, buf: &mut VecDeque<Datagram>) {
         debug_assert!(buf.is_empty(), "swap buffer must be empty");
         if let Some(mb) = self.lock().mailboxes.get_mut(&addr) {
-            std::mem::swap(mb, buf);
+            std::mem::swap(&mut mb.queue, buf);
         }
     }
 }
@@ -1295,10 +1401,15 @@ impl ConnState {
     }
 }
 
+/// The event-mode registration and the handler a crash took out of the
+/// tables.
+type Crashed = (Option<EventQueue>, Option<Slot<UdpHandler>>);
+
 /// Where [`NetInner::route_udp`] left an arriving datagram.
 enum Routed {
     /// Nothing more to do: it sits in a mailbox, was deferred by a
-    /// pause, or was dropped (dead or unbound destination, full queue).
+    /// pause, or was dropped and counted (dead or unbound destination,
+    /// full queue).
     Done,
     /// It sits in an event-mode readiness queue, counted as pending.
     Queued,
@@ -1311,8 +1422,9 @@ impl NetInner {
     /// the simulator lock: an event-mode address queues it as a
     /// readiness event (counted as pending so the clock cannot run past
     /// it); else a handler, if present, is handed back to run it; else a
-    /// bound mailbox receives it; else it is dropped (ICMP-unreachable
-    /// behaviour is not modeled). Full queues drop the tail, counted.
+    /// bound mailbox receives it; else it is dropped and counted as
+    /// unbound (ICMP-unreachable behaviour is not modeled). Full queues
+    /// drop the tail, counted.
     fn route_udp(&mut self, to: Addr, dg: Datagram) -> Routed {
         if self.chaos.armed() {
             if self.chaos.is_down(to) {
@@ -1351,19 +1463,30 @@ impl NetInner {
         if let Some(slot) = self.udp_handlers.get(&to) {
             return Routed::Invoke(slot.clone(), dg);
         }
-        if let Some(mb) = self.mailboxes.get_mut(&to) {
-            if mb.len() >= cap {
-                self.queue_drops += 1;
-            } else {
-                mb.push_back(dg);
-                self.queue_high_water = self.queue_high_water.max(mb.len() as u64);
+        match self.mailboxes.get_mut(&to) {
+            Some(mb) if mb.queue.len() >= cap => self.queue_drops += 1,
+            Some(mb) => {
+                mb.queue.push_back(dg);
+                self.queue_high_water = self.queue_high_water.max(mb.queue.len() as u64);
             }
+            None => self.unbound_drops += 1,
         }
         Routed::Done
     }
 
     fn mailbox_pop(&mut self, addr: Addr) -> Option<Datagram> {
-        self.mailboxes.get_mut(&addr).and_then(VecDeque::pop_front)
+        self.mailboxes.get_mut(&addr)?.queue.pop_front()
+    }
+
+    /// Un-count the queued deliveries of an event queue that has just
+    /// left the table: nobody can drain them anymore.
+    fn forget_queued(&mut self, q: Option<&EventQueue>) {
+        if let Some(q) = q {
+            self.pending_events -= q.ready.len();
+            if q.processor.is_some() {
+                self.pending_strict -= q.ready.len();
+            }
+        }
     }
 
     /// [`Network::send_tcp`] body, callable with the simulator lock held.
@@ -1390,13 +1513,15 @@ impl NetInner {
         self.queue.push(Reverse(Scheduled { at, seq, ev }));
     }
 
-    /// Apply one lifecycle fault under the simulator lock. Returns
-    /// `Some(addr)` when the caller must re-install a handler from the
-    /// address's factory (restart of a restartable service) — that runs
-    /// user code and must happen outside this lock.
-    fn apply_chaos_locked(&mut self, ev: ChaosEvent) -> Option<Addr> {
+    /// Apply one lifecycle fault under the simulator lock. Two things
+    /// are left to the caller, because both are user code and belong
+    /// outside this lock: `Some(addr)` when a handler must be
+    /// re-installed from the address's factory (restart of a restartable
+    /// service), and the registration a crash removed, to be dropped.
+    fn apply_chaos_locked(&mut self, ev: ChaosEvent) -> (Option<Addr>, Crashed) {
         let now = self.now;
-        match ev {
+        let mut crashed = Crashed::default();
+        let reinstall = match ev {
             ChaosEvent::Crash(addr) => {
                 if self.chaos.crash(addr, now) {
                     // Everything the process held in memory dies with it:
@@ -1407,15 +1532,13 @@ impl NetInner {
                     // handler itself. The factory survives — that is what
                     // restart rebuilds from.
                     if let Some(mb) = self.mailboxes.get_mut(&addr) {
-                        mb.clear();
+                        mb.queue.clear();
                     }
-                    if let Some(q) = self.event_queues.remove(&addr) {
-                        self.pending_events -= q.ready.len();
-                        if q.processor.is_some() {
-                            self.pending_strict -= q.ready.len();
-                        }
-                    }
-                    self.udp_handlers.remove(&addr);
+                    crashed = (
+                        self.event_queues.remove(&addr),
+                        self.udp_handlers.remove(&addr),
+                    );
+                    self.forget_queued(crashed.0.as_ref());
                 }
                 None
             }
@@ -1441,7 +1564,8 @@ impl NetInner {
                 }
                 None
             }
-        }
+        };
+        (reinstall, crashed)
     }
 
     /// [`Network::send_udp`] body, callable while the simulator lock is
@@ -1522,9 +1646,47 @@ impl NetInner {
 }
 
 /// A bound client UDP endpoint.
+///
+/// The binding lasts as long as the value: dropping the last `Endpoint`
+/// on an address removes its mailbox (undelivered datagrams included)
+/// and, once its uplink is idle, its transmit-occupancy record, so the
+/// simulator holds state for the endpoints that are alive and nothing
+/// for those that are gone. A datagram that arrives afterwards is
+/// counted in [`Network::unbound_drops`]; binding the address again
+/// starts from an empty mailbox. The drop takes the simulator lock —
+/// see "Dropping user code" in the [module docs](self) for what that
+/// asks of a closure that owns an `Endpoint`.
 pub struct Endpoint {
     net: Network,
     addr: Addr,
+}
+
+impl Drop for Endpoint {
+    fn drop(&mut self) {
+        // A poisoned simulator is beyond unbinding from, and a panic
+        // here could abort a thread that is already unwinding.
+        let Ok(mut inner) = self.net.lock_or_poisoned() else {
+            return;
+        };
+        let Entry::Occupied(mut mb) = inner.mailboxes.entry(self.addr) else {
+            return;
+        };
+        mb.get_mut().binds -= 1;
+        if mb.get().binds > 0 {
+            return;
+        }
+        let mailbox = mb.remove();
+        // A link still transmitting keeps its record, so whoever binds
+        // this address next queues behind what was already on the wire.
+        let now = inner.now;
+        if let Entry::Occupied(busy) = inner.udp_busy.entry(self.addr) {
+            if *busy.get() <= now {
+                busy.remove();
+            }
+        }
+        drop(inner);
+        drop(mailbox);
+    }
 }
 
 impl Endpoint {
@@ -1779,6 +1941,7 @@ mod tests {
         let ep = net.bind_udp(5001);
         ep.send_to(999, vec![1]);
         assert!(ep.recv_timeout(SimTime::from_millis(2)).is_none());
+        assert_eq!(net.unbound_drops(), 1, "dropped, and counted");
     }
 
     #[test]
@@ -1988,6 +2151,245 @@ mod tests {
         round_trip();
         let took = net.shared.lock_acquisitions.load(Ordering::Relaxed) - before;
         assert_eq!(took, 3, "simulator-lock acquisitions per round trip");
+    }
+
+    #[test]
+    fn one_call_endpoint_on_the_event_lane_takes_five_lock_acquisitions() {
+        // The open-loop shape of the scale scenario: an endpoint is
+        // bound, sends one request to an event-mode address with an
+        // inline processor, receives its reply and is dropped. The
+        // bind; the send; the receive's acquisition, which pops the
+        // request, queues it and steals it; the processor's completion,
+        // under which the reply is sent, delivered and received; the
+        // unbind.
+        let net = Network::new(NetworkConfig::lan(), 1);
+        net.serve_udp_events_with(
+            2000,
+            Arc::new(|req: &mut Vec<u8>, _| Some((req.to_vec(), SimTime::from_micros(50)))),
+        );
+        let call = |addr: Addr| {
+            let ep = net.bind_udp(addr);
+            ep.send_to(2000, vec![1, 2, 3]);
+            ep.recv_timeout(SimTime::from_millis(10)).expect("reply");
+        };
+        call(5001);
+        let before = net.shared.lock_acquisitions.load(Ordering::Relaxed);
+        call(5002);
+        let took = net.shared.lock_acquisitions.load(Ordering::Relaxed) - before;
+        assert_eq!(took, 5, "simulator-lock acquisitions per one-call endpoint");
+        net.unserve_udp_events(2000);
+    }
+
+    #[test]
+    fn event_round_trips_wake_nobody_when_nobody_sleeps() {
+        // A condvar notify is a system call even with no waiter. With an
+        // inline processor and no parked thread the driver does all the
+        // work itself, so N round trips must issue none (it was two per
+        // round trip on a multi-core host, one on a single core).
+        let net = Network::new(NetworkConfig::lan(), 1);
+        net.serve_udp_events_with(
+            2000,
+            Arc::new(|req: &mut Vec<u8>, _| Some((req.to_vec(), SimTime::from_micros(50)))),
+        );
+        let ep = net.bind_udp(5001);
+        for i in 0..100u8 {
+            ep.send_to(2000, vec![i]);
+            let dg = ep.recv_timeout(SimTime::from_millis(10)).expect("reply");
+            assert_eq!(dg.payload, vec![i]);
+        }
+        assert_eq!(net.shared.notifies.load(Ordering::Relaxed), 0);
+        net.unserve_udp_events(2000);
+    }
+
+    #[test]
+    fn parked_reactor_gets_one_wake_per_enqueue_and_none_is_lost() {
+        // One reactor asleep in `wait_ready` with a timeout far beyond
+        // the test's patience: each delivery, made by this thread, must
+        // issue exactly one notify, and that notify — not the timeout —
+        // must bring the reactor back.
+        use std::sync::mpsc;
+        let net = Network::new(NetworkConfig::lan(), 1);
+        net.serve_udp_events(2000);
+        let (woke_tx, woke_rx) = mpsc::channel::<Instant>();
+        let (go_tx, go_rx) = mpsc::channel::<()>();
+        let reactor = {
+            let net = net.clone();
+            std::thread::spawn(move || {
+                while go_rx.recv().is_ok() {
+                    assert!(net.wait_ready(&[2000], Duration::from_secs(120)));
+                    woke_tx.send(Instant::now()).expect("test thread");
+                    assert!(net.poll_udp(2000, |_, _| None));
+                }
+            })
+        };
+        let ep = net.bind_udp(5001);
+        for round in 0..5u8 {
+            go_tx.send(()).expect("reactor thread");
+            // Counted in under the lock, and the wait gives the lock up
+            // atomically: once this reads 1 the reactor is parked.
+            while net.lock().ready_sleepers == 0 {
+                std::thread::yield_now();
+            }
+            ep.send_to(2000, vec![round]);
+            let before = net.shared.notifies.load(Ordering::Relaxed);
+            assert!(net.step(SimTime::from_millis(1_000)), "the delivery");
+            let delivered = Instant::now();
+            assert_eq!(net.shared.notifies.load(Ordering::Relaxed) - before, 1);
+            let woke = woke_rx
+                .recv_timeout(Duration::from_secs(60))
+                .expect("a parked reactor must be woken by the enqueue");
+            let lag = woke.saturating_duration_since(delivered);
+            assert!(lag < Duration::from_millis(100), "woken {lag:?} late");
+            // Its completion found no driver asleep: no second notify.
+            while net.pending_events() > 0 {
+                std::thread::yield_now();
+            }
+            assert_eq!(net.shared.notifies.load(Ordering::Relaxed) - before, 1);
+        }
+        drop(go_tx);
+        reactor.join().expect("reactor thread");
+        net.unserve_udp_events(2000);
+    }
+
+    #[test]
+    fn second_bind_shares_the_mailbox_until_the_last_endpoint_goes() {
+        let net = Network::new(NetworkConfig::lan(), 1);
+        let sender = net.bind_udp(5001);
+        let first = net.bind_udp(6000);
+        let second = net.bind_udp(6000);
+        sender.send_to(6000, vec![1]);
+        sender.send_to(6000, vec![2]);
+        net.advance(SimTime::from_millis(1));
+        // One socket, two handles: either may read what arrived.
+        assert_eq!(second.try_recv().expect("shared").payload, vec![1]);
+        // The first to go does not unbind the survivor …
+        drop(first);
+        assert_eq!(second.try_recv().expect("still bound").payload, vec![2]);
+        sender.send_to(6000, vec![3]);
+        net.advance(SimTime::from_millis(1));
+        assert_eq!(net.unbound_drops(), 0);
+        // … the last one does, taking the undelivered datagram along.
+        drop(second);
+        assert!(!net.lock().mailboxes.contains_key(&6000));
+        let again = net.bind_udp(6000);
+        assert!(again.try_recv().is_none(), "a rebind starts empty");
+    }
+
+    #[test]
+    fn dropped_endpoints_leave_no_state_behind() {
+        let net = Network::new(NetworkConfig::lan(), 1);
+        net.serve_udp(2000, Box::new(|req, _| Some((req.to_vec(), SimTime::ZERO))));
+        for i in 0..10_000u32 {
+            let ep = net.bind_udp(100_000 + i);
+            ep.send_to(2000, i.to_be_bytes().to_vec());
+            let dg = ep.recv_timeout(SimTime::from_millis(10)).expect("reply");
+            assert_eq!(dg.payload, i.to_be_bytes());
+        }
+        let inner = net.lock();
+        assert!(inner.mailboxes.is_empty(), "{}", inner.mailboxes.len());
+        assert_eq!(
+            inner.udp_busy.keys().copied().collect::<Vec<_>>(),
+            vec![2000],
+            "only the server's uplink is still on record"
+        );
+        assert_eq!(inner.unbound_drops, 0);
+    }
+
+    #[test]
+    fn busy_uplink_outlives_its_endpoint() {
+        let net = Network::new(NetworkConfig::lan(), 1);
+        let rx = net.bind_udp(5002);
+        let a = net.bind_udp(5001);
+        a.send_to(5002, vec![1u8; 10_000]); // on the wire for 0.8 ms
+        drop(a);
+        assert!(net.lock().udp_busy.contains_key(&5001));
+        // Whoever binds the address next queues behind that transmission.
+        let again = net.bind_udp(5001);
+        again.send_to(5002, vec![2u8; 100]);
+        let big = rx.recv_timeout(SimTime::from_millis(10)).expect("first");
+        let small = rx.recv_timeout(SimTime::from_millis(10)).expect("second");
+        assert_eq!((big.payload[0], small.payload[0]), (1, 2));
+        assert_eq!(
+            small.at,
+            SimTime::from_nanos((10_000 + 100) * 80 + 150_000),
+            "the rebound endpoint transmitted before the wire was free"
+        );
+        // Idle by now: this time the record goes with the endpoint.
+        drop(again);
+        assert!(!net.lock().udp_busy.contains_key(&5001));
+    }
+
+    #[test]
+    fn reply_to_a_dropped_endpoint_is_counted_and_a_rebind_starts_empty() {
+        let net = Network::new(NetworkConfig::lan(), 1);
+        net.serve_udp(
+            2000,
+            Box::new(|req, _| Some((req.to_vec(), SimTime::from_micros(50)))),
+        );
+        let ep = net.bind_udp(5001);
+        ep.send_to(2000, vec![7]);
+        drop(ep); // gone before its reply comes back
+        net.advance(SimTime::from_millis(5));
+        assert_eq!(net.unbound_drops(), 1);
+        let again = net.bind_udp(5001);
+        assert!(
+            again.try_recv().is_none(),
+            "the previous owner's reply must not be waiting here"
+        );
+        again.send_to(2000, vec![8]);
+        let dg = again.recv_timeout(SimTime::from_millis(5)).expect("reply");
+        assert_eq!(dg.payload, vec![8]);
+        assert_eq!(net.unbound_drops(), 1);
+    }
+
+    #[test]
+    fn closures_owning_an_endpoint_are_dropped_outside_the_lock() {
+        // An `Endpoint`'s drop takes the simulator lock, so every place
+        // that removes a registration must let go of it after releasing
+        // that lock. Run on a side thread: the failure mode is deadlock.
+        let (done_tx, done_rx) = std::sync::mpsc::channel();
+        let side = std::thread::spawn(move || {
+            let net = Network::new(NetworkConfig::lan(), 1);
+            let owning_handler = |addr: Addr| -> UdpHandler {
+                let ep = net.bind_udp(addr);
+                Box::new(move |req, _| Some((req.to_vec(), ep.now())))
+            };
+            let owning_processor = |addr: Addr| -> EventProcessor {
+                let ep = net.bind_udp(addr);
+                Arc::new(move |req: &mut Vec<u8>, _| Some((req.to_vec(), ep.now())))
+            };
+            // Handler replaced, then crashed.
+            net.serve_udp(2000, owning_handler(7000));
+            net.serve_udp(2000, owning_handler(7001));
+            net.crash(2000);
+            // Restartable: the crash drops the handler, the re-registration
+            // the factory.
+            for addr in [7002, 7003] {
+                let (n, ep) = (net.clone(), net.bind_udp(addr));
+                net.serve_udp_restartable(
+                    2001,
+                    Box::new(move || {
+                        let ep = n.bind_udp(ep.addr() + 100);
+                        Box::new(move |req, _| Some((req.to_vec(), ep.now())))
+                    }),
+                );
+            }
+            net.crash(2001);
+            // Event mode: re-registered, unregistered, crashed.
+            net.serve_udp_events_with(2002, owning_processor(7004));
+            net.serve_udp_events_with(2002, owning_processor(7005));
+            net.unserve_udp_events(2002);
+            net.serve_udp_events_with(2003, owning_processor(7006));
+            net.crash(2003);
+            // The factory of 2001 is still registered and owns 7003.
+            let bound: Vec<Addr> = net.lock().mailboxes.keys().copied().collect();
+            done_tx.send(bound).expect("test thread");
+        });
+        let bound = done_rx
+            .recv_timeout(Duration::from_secs(60))
+            .expect("a registration was dropped under the simulator lock");
+        side.join().expect("side thread");
+        assert_eq!(bound, vec![7003], "every other owner was dropped");
     }
 
     #[test]
