@@ -1037,6 +1037,55 @@ pub fn run_scale_single_shard(cfg: &ScaleConfig) -> Result<ScaleReport, Pipeline
 mod tests {
     use super::*;
 
+    /// Every specialization context `BENCHMARK.json`'s workloads compile —
+    /// echo at 20 / 250 / 2000, the scale shapes (and the smoke config's)
+    /// at their chunk, the five NFS procedures — yields the stub programs
+    /// the fully unrolling reference specializer yields.
+    #[test]
+    fn benchmark_contexts_compile_to_the_reference_programs() {
+        use specrpc_rpcgen::stubgen::{self, StubKind};
+        use specrpc_tempo::compile::{compile, CompileOptions};
+        let same_as_reference = |cp: &crate::pipeline::CompiledProc| {
+            for (kind, stub) in [
+                (StubKind::ClientEncode, &cp.client_encode),
+                (StubKind::ClientDecode, &cp.client_decode),
+                (StubKind::ServerDecode, &cp.server_decode),
+                (StubKind::ServerEncode, &cp.server_encode),
+            ] {
+                let (unrolled, plan, _) =
+                    stubgen::specialize_unrolled(&cp.generated, kind).unwrap();
+                let opts = CompileOptions {
+                    chunk: cp.unroll_bound,
+                };
+                let want =
+                    compile(&cp.generated.program, &unrolled, &plan.conventions, opts).unwrap();
+                let got = &stub.program;
+                assert_eq!(got.ops, want.ops, "{kind:?} of {:?}", cp.arg_shape);
+                assert_eq!(got.plan, want.plan, "{kind:?} of {:?}", cp.arg_shape);
+                assert_eq!(got.holes, want.holes);
+                assert_eq!((got.wire_len, &got.name), (want.wire_len, &want.name));
+            }
+        };
+        for n in [20, 250, 2000] {
+            same_as_reference(&crate::echo::build_echo_proc(n, None).unwrap());
+        }
+        for cfg in [ScaleConfig::smoke(), ScaleConfig::million()] {
+            let idl = scale_idl(cfg.shapes.len());
+            for (i, &shape) in cfg.shapes.iter().enumerate() {
+                let mut pipeline = ProcPipeline::new(shape);
+                pipeline.chunk = cfg.chunk;
+                same_as_reference(&pipeline.build_from_idl(&idl, None, i as u32 + 1).unwrap());
+            }
+        }
+        for p in NFS_GETATTR..=NFS_COMMIT {
+            same_as_reference(
+                &ProcPipeline::new(0)
+                    .build_from_idl(NFS_IDL, None, p)
+                    .unwrap(),
+            );
+        }
+    }
+
     #[test]
     fn smoke_run_answers_every_client() {
         let cfg = ScaleConfig::smoke();

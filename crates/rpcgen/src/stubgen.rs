@@ -780,7 +780,7 @@ pub fn specialize_stub(
     )?;
     Ok(CompiledStub {
         program: stub,
-        residual: residual.clone(),
+        residual,
         report,
         conventions: plan.conventions.clone(),
         wire_len: plan.wire_len,
@@ -802,8 +802,38 @@ pub fn specialize_with_report(
     gs: &GeneratedStubs,
     kind: StubKind,
 ) -> Result<(Function, &StubPlan, SpecReport), StubGenError> {
+    let (residual, plan, report, _) = run_specializer(gs, kind, Specializer::new(&gs.program))?;
+    Ok((residual, plan, report))
+}
+
+/// [`specialize_with_report`] with every marshaling loop fully unrolled
+/// ([`Specializer::unrolling`]): the paper's Figure 5 residual, and the
+/// reference the loop-summarizing specializer is tested against. Compiles
+/// to the same [`StubProgram`]; costs O(array length) to produce.
+pub fn specialize_unrolled(
+    gs: &GeneratedStubs,
+    kind: StubKind,
+) -> Result<(Function, &StubPlan, SpecReport), StubGenError> {
+    let spec = Specializer::unrolling(&gs.program);
+    let (residual, plan, report, _) = run_specializer(gs, kind, spec)?;
+    Ok((residual, plan, report))
+}
+
+/// Specializer steps one stub burns ([`Specializer::steps_used`]) — the
+/// deterministic measure of specialization effort: it depends on the
+/// shape of the messages, not on their array lengths.
+pub fn specialization_steps(gs: &GeneratedStubs, kind: StubKind) -> Result<u64, StubGenError> {
+    Ok(run_specializer(gs, kind, Specializer::new(&gs.program))?.3)
+}
+
+/// Set up the partially-static heap of `kind` in `spec`, specialize and
+/// clean up: residual, plan, report and specializer steps burned.
+fn run_specializer<'g>(
+    gs: &'g GeneratedStubs,
+    kind: StubKind,
+    mut spec: Specializer<'g>,
+) -> Result<(Function, &'g StubPlan, SpecReport, u64), StubGenError> {
     use sunlib::{XDR_DECODE, XDR_ENCODE};
-    let mut spec = Specializer::new(&gs.program);
     let buf = spec.alloc_buffer("buf");
     let (prog_num, vers_num, proc_num) = gs.target;
 
@@ -911,7 +941,7 @@ pub fn specialize_with_report(
     let mut residual = spec.specialize(&plan.entry, entry_args, &format!("{}_spec", plan.entry))?;
     post::optimize(&mut residual);
     let report = spec.report().clone();
-    Ok((residual, plan, report))
+    Ok((residual, plan, report, spec.steps_used()))
 }
 
 fn alloc_xdr(

@@ -196,6 +196,38 @@ fn client_encode_residual_is_straight_line() {
     assert!(!text.contains("for"), "no loops survive:\n{text}");
     assert!(text.contains("htonl(msg->xid)"), "{text}");
     assert!(text.contains("htonl(argsp->int1)"), "{text}");
+
+    // Figure 5 for an array: the reference specializer unrolls every
+    // element into its own store.
+    let gs = generate_from_shapes(PROG, VERS, PROC, arr_shape(6), int_shape());
+    let (residual, _, _) = specialize_unrolled(&gs, StubKind::ClientEncode).unwrap();
+    let text = pretty::function_str(&gs.program, &residual);
+    assert!(!text.contains("if"), "no dispatch/checks survive:\n{text}");
+    assert!(!text.contains("for"), "no loops survive:\n{text}");
+    assert!(
+        text.contains("*(long*)((buf + 64)) = htonl(argsp->arr[5]);"),
+        "{text}"
+    );
+}
+
+#[test]
+fn client_encode_residual_of_an_array_is_one_loop() {
+    // The twin of the Figure 5 shape: the same marshaling loop, proved
+    // affine and specialized once — still no dispatch, no overflow check,
+    // no status test, at any array length.
+    let stmts = |n: usize| {
+        let gs = generate_from_shapes(PROG, VERS, PROC, arr_shape(n), int_shape());
+        let (residual, _) = specialize_residual(&gs, StubKind::ClientEncode).unwrap();
+        let text = pretty::function_str(&gs.program, &residual);
+        assert!(!text.contains("if"), "no dispatch/checks survive:\n{text}");
+        assert_eq!(text.matches("for (").count(), 1, "{text}");
+        assert!(
+            text.contains("*(long*)((buf + (44 + (4 * i_0)))) = htonl(argsp->arr[i_0]);"),
+            "{text}"
+        );
+        residual.stmt_count()
+    };
+    assert_eq!(stmts(6), stmts(4096));
 }
 
 #[test]
@@ -376,12 +408,7 @@ fn generate_from_idl_file() {
     assert_eq!(gs.target, (0x2000_0101, 1, 1));
     assert_eq!(gs.arg_shape.wire_size(), 4 + 4 * 250);
     // All four stubs specialize and compile.
-    for kind in [
-        StubKind::ClientEncode,
-        StubKind::ClientDecode,
-        StubKind::ServerDecode,
-        StubKind::ServerEncode,
-    ] {
+    for kind in KINDS {
         specialize_stub(&gs, kind, None).unwrap();
     }
 }
@@ -404,9 +431,10 @@ fn unsupported_shapes_are_rejected() {
 fn specialization_report_shows_eliminations() {
     let n = 50usize;
     let gs = generate_from_shapes(PROG, VERS, PROC, arr_shape(n), int_shape());
-    // Use the lower-level API to keep the report.
+    // Use the lower-level API to keep the report; the Figure 5 shape is the
+    // reference specializer's.
     let mut spec_count_probe = 0u64;
-    let (residual, _) = specialize_residual(&gs, StubKind::ClientEncode).unwrap();
+    let (residual, _, _) = specialize_unrolled(&gs, StubKind::ClientEncode).unwrap();
     // The residual has roughly one statement per wire word.
     let words = (gs.client_encode.wire_len / 4) as i64;
     let stmts = residual.stmt_count() as i64;
@@ -416,4 +444,113 @@ fn specialization_report_shows_eliminations() {
     );
     spec_count_probe += stmts as u64;
     assert!(spec_count_probe > 0);
+}
+
+#[test]
+fn summarized_report_shows_the_same_eliminations() {
+    // The twin: one residual loop, accounted as the n iterations it stands
+    // for — every elimination the unrolled run reports, and a residual
+    // whose size no longer depends on n.
+    let n = 50usize;
+    let gs = generate_from_shapes(PROG, VERS, PROC, arr_shape(n), int_shape());
+    let (residual, _, report) = specialize_with_report(&gs, StubKind::ClientEncode).unwrap();
+    let (_, _, mut reference) = specialize_unrolled(&gs, StubKind::ClientEncode).unwrap();
+    assert_eq!(report.loop_iters_unrolled, n as u64);
+    assert_eq!(report.folds_in("xdrmem_putlong"), 11 + n as u64);
+    // Header words and the length word, one loop, its store, the return.
+    assert_eq!(residual.stmt_count(), 11 + 2 + 1);
+    assert_eq!(report.residual_stmts, residual.stmt_count());
+    reference.residual_stmts = report.residual_stmts;
+    assert_eq!(report, reference);
+}
+
+const KINDS: [StubKind; 4] = [
+    StubKind::ClientEncode,
+    StubKind::ClientDecode,
+    StubKind::ServerDecode,
+    StubKind::ServerEncode,
+];
+
+#[test]
+fn specialization_cost_is_the_shapes_not_the_lengths() {
+    // The four echo stubs burn the same specializer steps at any array
+    // length (200 000 elements took about a second per stub when every
+    // iteration was specialized), and leave residuals of the same size.
+    let cost = |n: usize| {
+        let gs = generate_from_shapes(PROG, VERS, PROC, arr_shape(n), arr_shape(n));
+        KINDS.map(|kind| {
+            let steps = specialization_steps(&gs, kind).unwrap();
+            let (residual, _) = specialize_residual(&gs, kind).unwrap();
+            (steps, residual.stmt_count())
+        })
+    };
+    let small = cost(64);
+    assert_eq!(small, cost(4096));
+    assert_eq!(small, cost(200_000));
+    // Fixed arrays, and a loop per array in one message.
+    let fixed = |n: usize| MsgShape {
+        fields: vec![
+            FieldShape::FixedIntArray {
+                name: "a".into(),
+                len: n,
+            },
+            FieldShape::Scalar { name: "s".into() },
+            FieldShape::VarIntArray {
+                name: "b".into(),
+                pinned_len: 2 * n,
+                max: 100_000,
+            },
+        ],
+    };
+    let cost = |n: usize| {
+        let gs = generate_from_shapes(PROG, VERS, PROC, fixed(n), fixed(n));
+        KINDS.map(|kind| specialization_steps(&gs, kind).unwrap())
+    };
+    assert_eq!(cost(8), cost(3000));
+}
+
+#[test]
+fn decode_loop_inside_the_length_guard_is_summarized() {
+    // §6.2: the loop sits in the `len == N` branch that re-statizes the
+    // decoded length; it is summarized there like anywhere else.
+    let gs = generate_from_shapes(PROG, VERS, PROC, arr_shape(300), arr_shape(300));
+    for kind in [StubKind::ClientDecode, StubKind::ServerDecode] {
+        let (residual, _) = specialize_residual(&gs, kind).unwrap();
+        let text = pretty::function_str(&gs.program, &residual);
+        let guard = text.find("arr_len == 300").expect("length guard");
+        let the_loop = text
+            .find("for (i_0 = 0; i_0 < 300; i_0++)")
+            .expect("one loop");
+        assert!(guard < the_loop, "{text}");
+        // Header words, the length word, and one element load for all 300.
+        let header = match kind {
+            StubKind::ClientDecode => reply_fields::COUNT,
+            _ => call_fields::COUNT,
+        };
+        assert_eq!(text.matches("ntohl").count(), header + 2, "{text}");
+    }
+}
+
+#[test]
+fn handle_running_out_of_space_unrolls_as_before() {
+    // Reachable from the IDL: the handle's 1 MiB `x_handy` runs out inside
+    // a 262 145-element array, so `x_handy < 0` is not decided the same
+    // way in every iteration and the loop must take the unrolled path —
+    // stores up to the last word that fits, then the static `return FALSE`.
+    let n = 262_145usize;
+    let gs = generate_from_shapes(PROG, VERS, PROC, arr_shape(n), int_shape());
+    let (got, _, report) = specialize_with_report(&gs, StubKind::ClientEncode).unwrap();
+    let (want, _, reference) = specialize_unrolled(&gs, StubKind::ClientEncode).unwrap();
+    assert_eq!(got.body, want.body);
+    assert_eq!(report, reference);
+    let fits = (1 << 20) / 4;
+    assert_eq!(got.body.len(), fits + 1);
+    assert_eq!(
+        got.body.last(),
+        Some(&specrpc_tempo::ir::Stmt::Return(Some(c(0))))
+    );
+    // One element fewer and the handle never overflows: one loop.
+    let gs = generate_from_shapes(PROG, VERS, PROC, arr_shape(fits - 11), int_shape());
+    let (residual, _) = specialize_residual(&gs, StubKind::ClientEncode).unwrap();
+    assert_eq!(residual.stmt_count(), 14);
 }

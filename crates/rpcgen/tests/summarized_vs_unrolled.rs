@@ -1,0 +1,237 @@
+//! Loop summarization against its reference: for random message shapes the
+//! summarizing specializer and the fully unrolling one must compile to the
+//! same stub programs, report the same eliminations, and leave residual
+//! functions that compute the same thing.
+
+use proptest::prelude::*;
+use specrpc_rpcgen::stubgen::{
+    self, FieldShape, GeneratedStubs, MsgShape, StubKind, CALL_HEADER_BYTES,
+};
+use specrpc_tempo::compile::{self, CompileOptions};
+use specrpc_tempo::eval::{Evaluator, ObjectData, Place, Value};
+use specrpc_tempo::ir::{Function, Type};
+
+/// The array lengths the issue pins, then anything up to 5000.
+const PINNED: [usize; 11] = [0, 1, 2, 3, 4, 31, 32, 33, 250, 2000, 4096];
+
+const KINDS: [StubKind; 4] = [
+    StubKind::ClientEncode,
+    StubKind::ServerDecode,
+    StubKind::ServerEncode,
+    StubKind::ClientDecode,
+];
+
+/// SplitMix64 over a drawn seed: the proptest shim draws the seed, this
+/// turns it into a message shape and argument memory.
+struct Rng(u64);
+
+impl Rng {
+    fn next(&mut self) -> u64 {
+        self.0 = self.0.wrapping_add(0x9E37_79B9_7F4A_7C15);
+        let mut z = self.0;
+        z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+        z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+        z ^ (z >> 31)
+    }
+
+    fn below(&mut self, n: u64) -> u64 {
+        self.next() % n
+    }
+
+    fn len(&mut self) -> usize {
+        match self.below(4) {
+            0 => self.below(5001) as usize,
+            _ => PINNED[self.below(PINNED.len() as u64) as usize],
+        }
+    }
+
+    /// 1–4 fields: scalars, counted arrays, fixed arrays, several arrays
+    /// per message.
+    fn shape(&mut self) -> MsgShape {
+        let fields = (0..1 + self.below(4))
+            .map(|i| {
+                let name = format!("f{i}");
+                match self.below(3) {
+                    0 => FieldShape::Scalar { name },
+                    1 => FieldShape::VarIntArray {
+                        name,
+                        pinned_len: self.len(),
+                        max: 100_000,
+                    },
+                    _ => FieldShape::FixedIntArray {
+                        name,
+                        len: self.len(),
+                    },
+                }
+            })
+            .collect();
+        MsgShape { fields }
+    }
+}
+
+fn longest_array(shape: &MsgShape) -> usize {
+    let len = |f: &FieldShape| match f {
+        FieldShape::Scalar { .. } => 0,
+        FieldShape::VarIntArray { pinned_len, .. } => *pinned_len,
+        FieldShape::FixedIntArray { len, .. } => *len,
+    };
+    shape.fields.iter().map(len).max().unwrap_or(0).max(1)
+}
+
+/// Run `residual` in the interpreter: `wire` is the buffer's initial
+/// content, struct parameters are filled from `seed`. Returns the return
+/// value and every object's final contents.
+fn interpret(
+    gs: &GeneratedStubs,
+    residual: &Function,
+    wire: &[u8],
+    seed: u64,
+) -> (Value, Vec<ObjectData>) {
+    let mut prog = gs.program.clone();
+    prog.add_func(residual.clone());
+    prog.validate().expect("residual is well-formed IR");
+    let mut ev = Evaluator::new(&prog);
+    let mut rng = Rng(seed);
+    let mut args = Vec::new();
+    for (_, ty) in &residual.params {
+        args.push(match ty {
+            Type::BufPtr => Value::BufPtr(ev.heap.alloc_bytes_from(wire.to_vec()), 0),
+            Type::Long => Value::Long(wire.len() as i64), // inlen
+            Type::Ptr(inner) => {
+                let Type::Struct(sid) = **inner else {
+                    panic!("residual parameter {ty:?}");
+                };
+                let obj = ev.heap.alloc_struct(&prog, sid);
+                let ObjectData::Slots(slots) = &ev.heap.object(obj).data else {
+                    unreachable!("structs are slot objects");
+                };
+                for slot in 0..slots.len() {
+                    let v = Value::Long(rng.next() as i32 as i64);
+                    ev.heap.write_slot(Place { obj, slot }, v).unwrap();
+                }
+                Value::Ref(Place { obj, slot: 0 })
+            }
+            other => panic!("residual parameter {other:?}"),
+        });
+    }
+    let ret = ev.call(&residual.name, args).expect("residual runs");
+    let objects = (0..ev.heap.len())
+        .map(|o| ev.heap.object(o).data.clone())
+        .collect();
+    (ret, objects)
+}
+
+fn wire_of(objects: &[ObjectData]) -> Vec<u8> {
+    objects
+        .iter()
+        .find_map(|o| match o {
+            ObjectData::Bytes(b) => Some(b.clone()),
+            ObjectData::Slots(_) => None,
+        })
+        .expect("a stub has a buffer")
+}
+
+fn check_context(seed: u64) {
+    let mut rng = Rng(seed);
+    let (arg, res) = (rng.shape(), rng.shape());
+    let gs = stubgen::generate_from_shapes(0x2000_0101, 1, 1, arg, res);
+    // Encoders run on a zeroed buffer; each decoder on what its encoder
+    // wrote (so its guards pass and its loops run), and on garbage.
+    let mut wire = Vec::new();
+    for kind in KINDS {
+        let (summarized, plan, report) = stubgen::specialize_with_report(&gs, kind).unwrap();
+        let (unrolled, _, mut reference) = stubgen::specialize_unrolled(&gs, kind).unwrap();
+        reference.residual_stmts = report.residual_stmts;
+        assert_eq!(report, reference, "{kind:?} of {gs:?}");
+
+        let shape = match kind {
+            StubKind::ClientEncode | StubKind::ServerDecode => &gs.arg_shape,
+            StubKind::ServerEncode | StubKind::ClientDecode => &gs.res_shape,
+        };
+        let n = longest_array(shape);
+        for chunk in [None, Some(1), Some(32), Some(250), Some(n), Some(2 * n)] {
+            let opts = CompileOptions { chunk };
+            let want = compile::compile(&gs.program, &unrolled, &plan.conventions, opts).unwrap();
+            let stub = stubgen::specialize_stub(&gs, kind, chunk).unwrap();
+            let got = &stub.program;
+            assert_eq!(got.ops, want.ops, "{kind:?} chunk {chunk:?}");
+            assert_eq!(got.plan, want.plan, "{kind:?} chunk {chunk:?}");
+            assert_eq!(got.holes, want.holes, "{kind:?} chunk {chunk:?}");
+            assert_eq!(got.wire_len, want.wire_len);
+            assert_eq!(got.name, want.name);
+            assert_eq!(stub.wire_len, plan.wire_len);
+            assert_eq!(stub.layout.scalars, plan.layout.scalars);
+            assert_eq!(stub.layout.arrays, plan.layout.arrays);
+            assert_eq!(stub.layout.scalar_count, plan.layout.scalar_count);
+            assert_eq!(stub.layout.array_count, plan.layout.array_count);
+            assert_eq!(stub.report, report);
+        }
+
+        let encode = matches!(kind, StubKind::ClientEncode | StubKind::ServerEncode);
+        if encode {
+            wire = vec![0u8; plan.wire_len];
+        }
+        let memory = rng.next();
+        let got = interpret(&gs, &summarized, &wire, memory);
+        assert_eq!(got, interpret(&gs, &unrolled, &wire, memory), "{kind:?}");
+        assert_eq!(got.0, Value::Long(1), "{kind:?} takes its fast path");
+        if encode {
+            wire = wire_of(&got.1);
+            assert!(wire.len() >= CALL_HEADER_BYTES.min(plan.wire_len));
+        } else {
+            let garbage: Vec<u8> = (0..plan.wire_len).map(|_| rng.next() as u8).collect();
+            assert_eq!(
+                interpret(&gs, &summarized, &garbage, memory),
+                interpret(&gs, &unrolled, &garbage, memory),
+                "{kind:?} on garbage"
+            );
+        }
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(24))]
+
+    #[test]
+    fn summarized_equals_unrolled_on_random_shapes(seed in any::<u64>()) {
+        check_context(seed);
+    }
+}
+
+/// Every array length the issue names, as the echo procedure (one counted
+/// array each way) and as a fixed array.
+#[test]
+fn summarized_equals_unrolled_at_the_pinned_lengths() {
+    for n in PINNED {
+        for fixed in [false, true] {
+            let name = "arr".to_string();
+            let field = if fixed {
+                FieldShape::FixedIntArray { name, len: n }
+            } else {
+                FieldShape::VarIntArray {
+                    name,
+                    pinned_len: n,
+                    max: 100_000,
+                }
+            };
+            let shape = MsgShape {
+                fields: vec![field],
+            };
+            let gs = stubgen::generate_from_shapes(0x2000_0101, 1, 1, shape.clone(), shape);
+            for kind in KINDS {
+                let (_, plan, report) = stubgen::specialize_with_report(&gs, kind).unwrap();
+                let (unrolled, _, mut reference) = stubgen::specialize_unrolled(&gs, kind).unwrap();
+                reference.residual_stmts = report.residual_stmts;
+                assert_eq!(report, reference, "{kind:?} n={n}");
+                for chunk in [None, Some(32)] {
+                    let opts = CompileOptions { chunk };
+                    let want =
+                        compile::compile(&gs.program, &unrolled, &plan.conventions, opts).unwrap();
+                    let got = stubgen::specialize_stub(&gs, kind, chunk).unwrap().program;
+                    assert_eq!(got.ops, want.ops, "{kind:?} n={n} chunk {chunk:?}");
+                    assert_eq!(got.plan, want.plan, "{kind:?} n={n} chunk {chunk:?}");
+                }
+            }
+        }
+    }
+}

@@ -11,8 +11,16 @@
 //! paper's Table 4: full unrolling produces one op per array element; with
 //! [`CompileOptions::chunk`] set, runs of element ops are re-rolled into a
 //! [`StubOp::Loop`] whose body is `chunk` ops, keeping the working set of
-//! stub code within instruction-cache-like capacity. (In the paper this
-//! transformation was performed manually; §5, Table 4.)
+//! stub code within instruction-cache-like capacity. In the paper that
+//! re-roll was performed by hand (§5, Table 4); here it is *derived*: the
+//! specializer proves a marshaling loop affine and hands over one residual
+//! `for` with constant bounds, and the compiler folds each offset and
+//! element index in its body to `constant + coefficient · i` and writes
+//! out the ops of every iteration by arithmetic, not by walking n residual
+//! statements. [`StubProgram::ops`] is therefore exactly what compiling
+//! the fully unrolled residual gives — it still stands for the *code* of
+//! Tables 3 and 4 (one op per unrolled store, the input of the code-size
+//! model and of re-chunking), while the plan built from it is what runs.
 
 use crate::ir::{BinOp, Expr, Function, LValue, Program, Stmt, Type, UnOp, VarId};
 use specrpc_xdr::OpCounts;
@@ -196,6 +204,28 @@ pub enum StubOp {
     },
 }
 
+impl StubOp {
+    /// This op `by_off` bytes further into the buffer and `by_idx` elements
+    /// further into its array (whichever of the two it has); the caller
+    /// has checked that both stay in range.
+    fn advanced(mut self, by_off: i64, by_idx: i64) -> StubOp {
+        use StubOp::*;
+        if let PutElem { idx, .. } | GetElem { idx, .. } = &mut self {
+            *idx = (*idx as i64 + by_idx) as u32;
+        }
+        if let PutImm { off, .. }
+        | PutScalar { off, .. }
+        | PutElem { off, .. }
+        | GetScalar { off, .. }
+        | GetElem { off, .. }
+        | CheckWord { off, .. } = &mut self
+        {
+            *off = (*off as i64 + by_off) as u32;
+        }
+        self
+    }
+}
+
 /// One step of the precompiled monomorphic execution plan.
 ///
 /// The interpretive executor pays one `match` plus slot/bounds lookups per
@@ -376,6 +406,7 @@ pub fn compile(
         buf_param: conv.buffer_param(),
         inlen_param: conv.inlen_param(),
         pending_len: std::collections::HashMap::new(),
+        in_loop: None,
     };
     let mut ops = Vec::new();
     c.compile_block(&f.body, &mut ops)?;
@@ -398,6 +429,50 @@ struct Compiler<'a> {
     /// guard (`argsp->len = ntohl(*(buf+off))` followed by
     /// `if (argsp->len == N)`), keyed by array slot.
     pending_len: std::collections::HashMap<u16, u32>,
+    /// The residual `for` whose body is being compiled, if any.
+    in_loop: Option<LoopCtx>,
+}
+
+/// A residual counted loop with constant bounds, while its body is being
+/// compiled into one template op per statement.
+struct LoopCtx {
+    /// Induction variable.
+    var: VarId,
+    /// Its first and last value (the loop runs at least once).
+    first: i64,
+    last: i64,
+    /// Per template op: what one iteration adds to its buffer offset and
+    /// to its element index.
+    steps: Vec<(i64, i64)>,
+}
+
+/// `c + s·i` over the induction variable of the enclosing residual loop.
+#[derive(Clone, Copy)]
+struct Affine {
+    c: i64,
+    s: i64,
+}
+
+impl Affine {
+    const ZERO: Affine = Affine { c: 0, s: 0 };
+
+    fn at(self, i: i64) -> Option<i64> {
+        self.c.checked_add(self.s.checked_mul(i)?)
+    }
+
+    fn plus(self, o: Affine) -> Option<Affine> {
+        Some(Affine {
+            c: self.c.checked_add(o.c)?,
+            s: self.s.checked_add(o.s)?,
+        })
+    }
+
+    fn times(self, k: i64) -> Option<Affine> {
+        Some(Affine {
+            c: self.c.checked_mul(k)?,
+            s: self.s.checked_mul(k)?,
+        })
+    }
 }
 
 impl<'a> Compiler<'a> {
@@ -411,16 +486,16 @@ impl<'a> Compiler<'a> {
     fn compile_stmt(&mut self, s: &Stmt, ops: &mut Vec<StubOp>) -> Result<(), CompileError> {
         match s {
             Stmt::Assign(LValue::Buf32(ptr), rhs) => {
-                let off = self.buf_offset(ptr)?;
+                let (off, off_step) = self.buf_offset(ptr)?;
                 match rhs {
-                    Expr::Const(c) => ops.push(StubOp::PutImm {
-                        off,
-                        word: *c as u32,
-                    }),
+                    Expr::Const(c) => {
+                        let word = *c as u32;
+                        self.emit(ops, StubOp::PutImm { off, word }, (off_step, 0));
+                    }
                     Expr::Un(UnOp::Htonl, inner) => match inner.as_ref() {
                         Expr::Lv(lv) => {
-                            let target = self.resolve_path(lv)?;
-                            ops.push(match target {
+                            let (target, idx_step) = self.resolve_path(lv)?;
+                            let op = match target {
                                 PathRef::Scalar(slot) => StubOp::PutScalar { off, slot },
                                 PathRef::Elem(arr, idx) => StubOp::PutElem { off, arr, idx },
                                 PathRef::ArrayLen(_) => {
@@ -428,7 +503,8 @@ impl<'a> Compiler<'a> {
                                         "encoding a length target directly".into(),
                                     ))
                                 }
-                            });
+                            };
+                            self.emit(ops, op, (off_step, idx_step));
                         }
                         other => {
                             return Err(CompileError::Unsupported(format!(
@@ -445,29 +521,31 @@ impl<'a> Compiler<'a> {
                 Ok(())
             }
             Stmt::Assign(lv, rhs) => {
-                let target = self.resolve_path(lv)?;
+                let (target, idx_step) = self.resolve_path(lv)?;
                 match (target, rhs) {
                     (PathRef::Scalar(slot), Expr::Const(c)) => {
-                        ops.push(StubOp::SetScalarImm {
-                            slot,
-                            val: *c as i32,
-                        });
+                        let val = *c as i32;
+                        self.emit(ops, StubOp::SetScalarImm { slot, val }, (0, 0));
                         Ok(())
                     }
                     (PathRef::ArrayLen(arr), Expr::Const(c)) => {
-                        ops.push(StubOp::SetArrLen {
-                            arr,
-                            len: *c as u32,
-                        });
+                        let len = u32::try_from(*c)
+                            .map_err(|_| CompileError::Unsupported(format!("array length {c}")))?;
+                        self.emit(ops, StubOp::SetArrLen { arr, len }, (0, 0));
                         Ok(())
                     }
                     (target, Expr::Un(UnOp::Ntohl, inner)) => match inner.as_ref() {
                         Expr::Lv(boxed) => match boxed.as_ref() {
                             LValue::Buf32(ptr) => {
-                                let off = self.buf_offset(ptr)?;
-                                ops.push(match target {
+                                let (off, off_step) = self.buf_offset(ptr)?;
+                                let op = match target {
                                     PathRef::Scalar(slot) => StubOp::GetScalar { off, slot },
                                     PathRef::Elem(arr, idx) => StubOp::GetElem { off, arr, idx },
+                                    PathRef::ArrayLen(_) if self.in_loop.is_some() => {
+                                        return Err(CompileError::Unsupported(
+                                            "array length decoded inside a loop".into(),
+                                        ))
+                                    }
                                     PathRef::ArrayLen(arr) => {
                                         // Defer: the stub shape guarantees an
                                         // equality guard follows; it becomes a
@@ -475,7 +553,8 @@ impl<'a> Compiler<'a> {
                                         self.pending_len.insert(arr, off);
                                         return Ok(());
                                     }
-                                });
+                                };
+                                self.emit(ops, op, (off_step, idx_step));
                                 Ok(())
                             }
                             other => Err(CompileError::Unsupported(format!(
@@ -491,6 +570,17 @@ impl<'a> Compiler<'a> {
                     ))),
                 }
             }
+            // Inside a residual loop only stores are compiled: each is one
+            // template op with a per-iteration step.
+            other if self.in_loop.is_some() => Err(CompileError::Unsupported(format!(
+                "in a loop body: {other:?}"
+            ))),
+            Stmt::For { var, lo, hi, body } => match (lo, hi) {
+                (Expr::Const(lo), Expr::Const(hi)) => self.compile_loop(*var, *lo, *hi, body, ops),
+                _ => Err(CompileError::Unsupported(format!(
+                    "loop with bounds {lo:?}..{hi:?}"
+                ))),
+            },
             Stmt::If(cond, then, els) => self.compile_if(cond, then, els, ops),
             Stmt::Return(None) => {
                 ops.push(StubOp::Ret { val: 0 });
@@ -517,9 +607,10 @@ impl<'a> Compiler<'a> {
             if let (Expr::Lv(lv), Expr::Const(expected)) = (a.as_ref(), b.as_ref()) {
                 if let LValue::Var(v) = lv.as_ref() {
                     if Some(*v) == self.inlen_param && is_fail_block(els) {
-                        ops.push(StubOp::LenGuard {
-                            expected: *expected as u32,
-                        });
+                        let expected = u32::try_from(*expected).map_err(|_| {
+                            CompileError::Unsupported(format!("message length {expected}"))
+                        })?;
+                        ops.push(StubOp::LenGuard { expected });
                         return self.compile_block(then, ops);
                     }
                 }
@@ -532,7 +623,7 @@ impl<'a> Compiler<'a> {
                 if let Expr::Lv(boxed) = inner.as_ref() {
                     if let LValue::Buf32(ptr) = boxed.as_ref() {
                         if is_fail_block(then) && els.is_empty() {
-                            let off = self.buf_offset(ptr)?;
+                            let (off, _) = self.buf_offset(ptr)?;
                             ops.push(StubOp::CheckWord {
                                 off,
                                 want: *want as i32,
@@ -563,7 +654,7 @@ impl<'a> Compiler<'a> {
             _ => (None, 0, false),
         };
         if let Some(lv) = path_lv {
-            match self.resolve_path(lv)? {
+            match self.resolve_path(lv)?.0 {
                 PathRef::Scalar(slot) => ops.push(StubOp::CheckScalar {
                     slot,
                     want: want as i32,
@@ -591,34 +682,127 @@ impl<'a> Compiler<'a> {
         )))
     }
 
-    /// Fold a buffer-pointer expression to `buf + constant`.
-    fn buf_offset(&self, e: &Expr) -> Result<u32, CompileError> {
-        fn fold(e: &Expr, buf: VarId) -> Option<i64> {
-            match e {
-                Expr::Lv(lv) => match lv.as_ref() {
-                    LValue::Var(v) if *v == buf => Some(0),
-                    _ => None,
-                },
-                Expr::Bin(BinOp::Add, a, b) => match (a.as_ref(), b.as_ref()) {
-                    (x, Expr::Const(c)) => Some(fold(x, buf)? + c),
-                    (Expr::Const(c), x) => Some(fold(x, buf)? + c),
-                    _ => None,
-                },
-                _ => None,
+    /// Push `op`; inside a residual loop it is a template, and `steps` is
+    /// what each iteration adds to its (buffer offset, element index).
+    fn emit(&mut self, ops: &mut Vec<StubOp>, op: StubOp, steps: (i64, i64)) {
+        if let Some(l) = &mut self.in_loop {
+            l.steps.push(steps);
+        }
+        ops.push(op);
+    }
+
+    /// Compile `for (var = lo; var < hi; var++) body` by arithmetic: the
+    /// body becomes one template op per store, each with a per-iteration
+    /// step, and the ops of every iteration — exactly those the unrolled
+    /// residual compiles to — are written out from the templates. Every
+    /// offset and index is checked at both ends of the range (they are
+    /// linear in between) before anything is emitted.
+    fn compile_loop(
+        &mut self,
+        var: VarId,
+        lo: i64,
+        hi: i64,
+        body: &[Stmt],
+        ops: &mut Vec<StubOp>,
+    ) -> Result<(), CompileError> {
+        if lo >= hi {
+            return Ok(());
+        }
+        let trips = hi.checked_sub(lo).and_then(|t| usize::try_from(t).ok());
+        let trips = trips.ok_or_else(|| CompileError::Unsupported(format!("loop {lo}..{hi}")))?;
+        self.in_loop = Some(LoopCtx {
+            var,
+            first: lo,
+            last: hi - 1,
+            steps: Vec::new(),
+        });
+        let mut templates = Vec::new();
+        let compiled = self.compile_block(body, &mut templates);
+        let ctx = self.in_loop.take().expect("set above");
+        compiled?;
+        // A trip count no program holds is an error here, not an abort.
+        let total = trips.checked_mul(templates.len());
+        if total.is_none_or(|n| ops.try_reserve(n).is_err()) {
+            return Err(CompileError::Unsupported(format!("loop {lo}..{hi}")));
+        }
+        if templates.is_empty() {
+            return Ok(());
+        }
+        for k in 0..trips as i64 {
+            for (op, (off_step, idx_step)) in templates.iter().zip(&ctx.steps) {
+                ops.push(op.advanced(k * off_step, k * idx_step));
             }
         }
+        Ok(())
+    }
+
+    /// Fold an integer expression to `c + s·i` over the enclosing loop's
+    /// induction variable (`s` = 0 outside a loop). `None`: not affine, or
+    /// the folding itself overflowed.
+    fn fold_affine(&self, e: &Expr) -> Option<Affine> {
+        match e {
+            Expr::Const(c) => Some(Affine { c: *c, s: 0 }),
+            Expr::Lv(lv) => match (lv.as_ref(), &self.in_loop) {
+                (LValue::Var(v), Some(l)) if *v == l.var => Some(Affine { c: 0, s: 1 }),
+                _ => None,
+            },
+            Expr::Bin(op, a, b) => {
+                let (a, b) = (self.fold_affine(a)?, self.fold_affine(b)?);
+                match op {
+                    BinOp::Add => a.plus(b),
+                    BinOp::Sub => a.plus(b.times(-1)?),
+                    BinOp::Mul if b.s == 0 => a.times(b.c),
+                    BinOp::Mul if a.s == 0 => b.times(a.c),
+                    _ => None,
+                }
+            }
+            _ => None,
+        }
+    }
+
+    /// The value of `a` in the first iteration of the enclosing loop (or
+    /// simply its value outside one) converted with `conv`, and its
+    /// per-iteration step; `None` if either end of the range overflows or
+    /// fails to convert.
+    fn over_range<T>(&self, a: Affine, conv: impl Fn(i64) -> Option<T>) -> Option<(T, i64)> {
+        let (first, last) = self.in_loop.as_ref().map_or((0, 0), |l| (l.first, l.last));
+        conv(a.at(last)?)?;
+        Some((conv(a.at(first)?)?, a.s))
+    }
+
+    /// Fold a buffer-pointer expression to `buf + constant` — inside a
+    /// residual loop, to the offset in its first iteration plus a
+    /// per-iteration step — refusing anything that leaves `u32` anywhere
+    /// in the range.
+    fn buf_offset(&self, e: &Expr) -> Result<(u32, i64), CompileError> {
         let buf = self.buf_param.ok_or(CompileError::MissingParam("buffer"))?;
-        fold(e, buf)
-            .map(|o| o as u32)
+        self.fold_ptr(e, buf)
+            .and_then(|a| self.over_range(a, |o| u32::try_from(o).ok()))
             .ok_or_else(|| CompileError::NonAffineOffset(format!("{e:?}")))
     }
 
-    /// Resolve an argument lvalue path to its [`StubArgs`] target.
-    fn resolve_path(&self, lv: &LValue) -> Result<PathRef, CompileError> {
+    /// Byte offset of a pointer expression from `buf`: `buf` itself, or a
+    /// sum with `buf` (or such a sum) on exactly one side.
+    fn fold_ptr(&self, e: &Expr, buf: VarId) -> Option<Affine> {
+        match e {
+            Expr::Lv(lv) => {
+                matches!(lv.as_ref(), LValue::Var(v) if *v == buf).then_some(Affine::ZERO)
+            }
+            Expr::Bin(BinOp::Add, a, b) => match self.fold_ptr(a, buf) {
+                Some(ptr) => ptr.plus(self.fold_affine(b)?),
+                None => self.fold_ptr(b, buf)?.plus(self.fold_affine(a)?),
+            },
+            _ => None,
+        }
+    }
+
+    /// Resolve an argument lvalue path to its [`StubArgs`] target, plus
+    /// the per-iteration step of an element index inside a residual loop.
+    fn resolve_path(&self, lv: &LValue) -> Result<(PathRef, i64), CompileError> {
         // Scalar residual params (e.g. xid): Lv(Var p).
         if let LValue::Var(v) = lv {
             return match self.conv.params.get(*v) {
-                Some(ParamBinding::Scalar(slot)) => Ok(PathRef::Scalar(*slot)),
+                Some(ParamBinding::Scalar(slot)) => Ok((PathRef::Scalar(*slot), 0)),
                 _ => Err(CompileError::UnboundPath(format!("var {v}"))),
             };
         }
@@ -627,27 +811,38 @@ impl<'a> Compiler<'a> {
             Some(ParamBinding::Struct(b)) => b,
             _ => return Err(CompileError::UnboundPath(format!("param {param}"))),
         };
+        let unbound = || CompileError::UnboundPath(format!("param {param} slot {lv:?}"));
         for fb in bindings {
-            if slot >= fb.slot_start && slot < fb.slot_start + fb.slot_len {
-                return Ok(match fb.target {
-                    FieldTarget::Scalar(s) => PathRef::Scalar(s),
-                    FieldTarget::Array(a) => PathRef::Elem(a, (slot - fb.slot_start) as u32),
-                    FieldTarget::ArrayLen(a) => PathRef::ArrayLen(a),
-                });
-            }
+            // The whole range the path sweeps must sit in one binding.
+            let inside = |slot: i64| {
+                let rel = usize::try_from(slot).ok()?.checked_sub(fb.slot_start)?;
+                (rel < fb.slot_len).then_some(rel)
+            };
+            let Some((rel, step)) = self.over_range(slot, inside) else {
+                continue;
+            };
+            return Ok(match fb.target {
+                FieldTarget::Array(a) => (
+                    PathRef::Elem(a, u32::try_from(rel).map_err(|_| unbound())?),
+                    step,
+                ),
+                _ if step != 0 => return Err(unbound()),
+                FieldTarget::Scalar(s) => (PathRef::Scalar(s), 0),
+                FieldTarget::ArrayLen(a) => (PathRef::ArrayLen(a), 0),
+            });
         }
-        Err(CompileError::UnboundPath(format!(
-            "param {param} slot {slot}"
-        )))
+        Err(unbound())
     }
 
     /// Compute `(root param, flat slot)` for a path like
-    /// `argsp->field[Const i]`.
-    fn flat_slot(&self, lv: &LValue) -> Result<(VarId, usize), CompileError> {
+    /// `argsp->field[i]`, the index affine in the enclosing loop's
+    /// induction variable (a constant outside one).
+    fn flat_slot(&self, lv: &LValue) -> Result<(VarId, Affine), CompileError> {
+        let overflow = || CompileError::UnboundPath(format!("slot overflow in {lv:?}"));
         match lv {
             LValue::Deref(e) => match e.as_ref() {
                 Expr::Lv(boxed) => match boxed.as_ref() {
-                    LValue::Var(v) => Ok((*v, 0)),
+                    LValue::Var(v) => Ok((*v, Affine::ZERO)),
                     other => Err(CompileError::UnboundPath(format!("{other:?}"))),
                 },
                 other => Err(CompileError::UnboundPath(format!("{other:?}"))),
@@ -656,20 +851,28 @@ impl<'a> Compiler<'a> {
                 let (param, base) = self.flat_slot(inner)?;
                 let sid = self.pointee_struct(inner)?;
                 let off = self.prog.structs[sid].field_offset(self.prog, *fid);
-                Ok((param, base + off))
+                let off = i64::try_from(off).ok().map(|c| Affine { c, s: 0 });
+                Ok((
+                    param,
+                    off.and_then(|off| base.plus(off)).ok_or_else(overflow)?,
+                ))
             }
             LValue::Index(inner, idx) => {
                 let (param, base) = self.flat_slot(inner)?;
-                let i = match idx.as_ref() {
-                    Expr::Const(c) => *c as usize,
-                    other => {
-                        return Err(CompileError::UnboundPath(format!(
-                            "dynamic index {other:?}"
-                        )))
-                    }
+                let i = self
+                    .fold_affine(idx)
+                    .ok_or_else(|| CompileError::UnboundPath(format!("dynamic index {idx:?}")))?;
+                // The index stays inside its array over the whole range.
+                let len = match lvalue_type(self.prog, self.f, inner) {
+                    Some(Type::Array(_, n)) => n,
+                    _ => return Err(CompileError::UnboundPath("cannot type path".into())),
                 };
+                let inside = |i: i64| usize::try_from(i).ok().filter(|i| *i < len);
+                self.over_range(i, inside).ok_or_else(|| {
+                    CompileError::UnboundPath(format!("index {idx:?} outside [0, {len})"))
+                })?;
                 // Stub-visible arrays are arrays of longs (flat size 1).
-                Ok((param, base + i))
+                Ok((param, base.plus(i).ok_or_else(overflow)?))
             }
             other => Err(CompileError::UnboundPath(format!("{other:?}"))),
         }
@@ -677,31 +880,33 @@ impl<'a> Compiler<'a> {
 
     /// Struct id of the aggregate an lvalue denotes.
     fn pointee_struct(&self, inner: &LValue) -> Result<usize, CompileError> {
-        fn lvalue_type(prog: &Program, f: &Function, lv: &LValue) -> Option<Type> {
-            match lv {
-                LValue::Var(v) => Some(f.var_type(*v).clone()),
-                LValue::Deref(e) => match e.as_ref() {
-                    Expr::Lv(boxed) => match lvalue_type(prog, f, boxed)? {
-                        Type::Ptr(inner) => Some(*inner),
-                        _ => None,
-                    },
-                    _ => None,
-                },
-                LValue::Field(base, fid) => match lvalue_type(prog, f, base)? {
-                    Type::Struct(sid) => Some(prog.structs[sid].fields.get(*fid)?.ty.clone()),
-                    _ => None,
-                },
-                LValue::Index(base, _) => match lvalue_type(prog, f, base)? {
-                    Type::Array(t, _) => Some(*t),
-                    _ => None,
-                },
-                LValue::Buf32(_) => Some(Type::Long),
-            }
-        }
         match lvalue_type(self.prog, self.f, inner) {
             Some(Type::Struct(sid)) => Ok(sid),
             _ => Err(CompileError::UnboundPath("cannot type path".into())),
         }
+    }
+}
+
+/// Type of the aggregate or scalar an argument lvalue path denotes.
+fn lvalue_type(prog: &Program, f: &Function, lv: &LValue) -> Option<Type> {
+    match lv {
+        LValue::Var(v) => Some(f.var_type(*v).clone()),
+        LValue::Deref(e) => match e.as_ref() {
+            Expr::Lv(boxed) => match lvalue_type(prog, f, boxed)? {
+                Type::Ptr(inner) => Some(*inner),
+                _ => None,
+            },
+            _ => None,
+        },
+        LValue::Field(base, fid) => match lvalue_type(prog, f, base)? {
+            Type::Struct(sid) => Some(prog.structs[sid].fields.get(*fid)?.ty.clone()),
+            _ => None,
+        },
+        LValue::Index(base, _) => match lvalue_type(prog, f, base)? {
+            Type::Array(t, _) => Some(*t),
+            _ => None,
+        },
+        LValue::Buf32(_) => Some(Type::Long),
     }
 }
 

@@ -961,3 +961,172 @@ fn strides_no_buffer_could_hold_are_errors_not_wrapped_writes() {
     assert_eq!(top.plan.len(), 2);
     assert!(run_decode(&top, &wire, &mut out, 16, &mut OpCounts::new()).is_err());
 }
+
+// ---- residual loops and checked conversions -------------------------------
+
+/// `for (i = lo; i < hi; i++) *(buf + off(i)) = htonl(argsp->arr[idx(i)])`
+/// over [`big_prog`]'s struct.
+fn loop_residual(
+    sid: usize,
+    (lo, hi): (i64, i64),
+    off: impl Fn(Expr) -> Expr,
+    idx: impl Fn(Expr) -> Expr,
+) -> Function {
+    let mut fb = FunctionBuilder::new("enc_big");
+    let buf = fb.param("buf", Type::BufPtr);
+    let argsp = fb.param("argsp", ptr(Type::Struct(sid)));
+    let i = fb.local("i", Type::Long);
+    fb.body(vec![for_loop(
+        i,
+        c(lo),
+        c(hi),
+        vec![assign(
+            buf32(add(lv(var(buf)), off(lv(var(i))))),
+            htonl(lv(index(field(deref_var(argsp), 1), idx(lv(var(i)))))),
+        )],
+    )])
+}
+
+#[test]
+fn residual_loop_compiles_to_the_unrolled_ops() {
+    let n = 1000usize;
+    let (p, sid) = big_prog(n);
+    let unrolled = big_encode_residual(sid, n);
+    let rolled = loop_residual(sid, (0, n as i64), |i| mul(c(4), i), |i| i);
+    for chunk in [None, Some(1), Some(32), Some(250), Some(n), Some(2 * n)] {
+        let opts = CompileOptions { chunk };
+        let want = compile(&p, &unrolled, &big_conv(n), opts).unwrap();
+        let got = compile(&p, &rolled, &big_conv(n), opts).unwrap();
+        assert_eq!(got.ops, want.ops, "chunk {chunk:?}");
+        assert_eq!(got.plan, want.plan, "chunk {chunk:?}");
+        assert_eq!(got.holes, want.holes);
+        assert_eq!(got.wire_len, want.wire_len);
+    }
+}
+
+#[test]
+fn residual_loop_offsets_are_affine_in_any_spelling() {
+    let (p, sid) = big_prog(16);
+    // buf + (44 + 4·(i − 2)), element i − 2 + 1, from i = 2: and descending.
+    let f = loop_residual(
+        sid,
+        (2, 6),
+        |i| add(c(44), mul(sub(i, c(2)), c(4))),
+        |i| add(sub(i, c(2)), c(1)),
+    );
+    let stub = compile(&p, &f, &big_conv(16), CompileOptions::default()).unwrap();
+    let want: Vec<StubOp> = (0..4)
+        .map(|k| StubOp::PutElem {
+            off: 44 + 4 * k,
+            arr: 0,
+            idx: 1 + k,
+        })
+        .chain([StubOp::Ret { val: 1 }])
+        .collect();
+    assert_eq!(stub.ops, want);
+    let f = loop_residual(sid, (0, 3), |i| sub(c(8), mul(i, c(4))), |i| sub(c(5), i));
+    let stub = compile(&p, &f, &big_conv(16), CompileOptions::default()).unwrap();
+    assert_eq!(
+        stub.ops[2],
+        StubOp::PutElem {
+            off: 0,
+            arr: 0,
+            idx: 3
+        }
+    );
+    // A zero-trip loop compiles to nothing.
+    let f = loop_residual(sid, (5, 5), |i| mul(i, c(4)), |i| i);
+    let stub = compile(&p, &f, &big_conv(16), CompileOptions::default()).unwrap();
+    assert_eq!(stub.ops, vec![StubOp::Ret { val: 1 }]);
+}
+
+#[test]
+fn residual_loop_rejects_what_is_not_affine_or_not_a_store() {
+    let (p, sid) = big_prog(16);
+    let compile_err =
+        |f: &Function| compile(&p, f, &big_conv(16), CompileOptions::default()).unwrap_err();
+    let f = loop_residual(sid, (0, 4), |i| mul(i.clone(), i), |i| i);
+    assert!(matches!(compile_err(&f), CompileError::NonAffineOffset(_)));
+    let f = loop_residual(sid, (0, 4), |i| mul(i, c(4)), |i| mul(i.clone(), i));
+    assert!(matches!(compile_err(&f), CompileError::UnboundPath(_)));
+    // The index runs off the array's binding in the last iteration only.
+    let f = loop_residual(sid, (10, 17), |i| mul(i, c(4)), |i| i);
+    assert!(matches!(compile_err(&f), CompileError::UnboundPath(_)));
+    // …or below it in the first.
+    let f = loop_residual(sid, (0, 4), |i| mul(i, c(4)), |i| sub(i, c(1)));
+    assert!(matches!(compile_err(&f), CompileError::UnboundPath(_)));
+    // The last iteration's offset leaves u32; the first one's is negative.
+    let f = loop_residual(sid, (0, 3), |i| mul(i, c(1 << 31)), |i| i);
+    assert!(matches!(compile_err(&f), CompileError::NonAffineOffset(_)));
+    let f = loop_residual(sid, (0, 3), |i| sub(mul(i, c(4)), c(4)), |i| i);
+    assert!(matches!(compile_err(&f), CompileError::NonAffineOffset(_)));
+    // Arithmetic that overflows while folding.
+    let f = loop_residual(sid, (0, 3), |i| mul(mul(i, c(1 << 62)), c(4)), |i| i);
+    assert!(matches!(compile_err(&f), CompileError::NonAffineOffset(_)));
+    // Dynamic bounds, and anything but a store in the body.
+    let mut fb = FunctionBuilder::new("bad");
+    let buf = fb.param("buf", Type::BufPtr);
+    let argsp = fb.param("argsp", ptr(Type::Struct(sid)));
+    let i = fb.local("i", Type::Long);
+    let store = assign(buf32(lv(var(buf))), c(0));
+    let f = fb.body(vec![for_loop(
+        i,
+        c(0),
+        lv(field(deref_var(argsp), 0)),
+        vec![store.clone()],
+    )]);
+    assert!(matches!(compile_err(&f), CompileError::Unsupported(_)));
+    // More trips than any program has ops: an error, not an allocation.
+    let mut fb = FunctionBuilder::new("bad");
+    let buf = fb.param("buf", Type::BufPtr);
+    let i = fb.local("i", Type::Long);
+    let store = assign(buf32(lv(var(buf))), c(0));
+    let f = fb.body(vec![for_loop(i, c(0), c(i64::MAX), vec![store; 2])]);
+    assert!(matches!(compile_err(&f), CompileError::Unsupported(_)));
+    let mut fb = FunctionBuilder::new("bad");
+    let _buf = fb.param("buf", Type::BufPtr);
+    let i = fb.local("i", Type::Long);
+    let f = fb.body(vec![for_loop(i, c(0), c(4), vec![ret(Some(c(0)))])]);
+    assert!(matches!(compile_err(&f), CompileError::Unsupported(_)));
+}
+
+#[test]
+fn conversions_are_checked_not_wrapped() {
+    let (p, sid) = args_prog();
+    let build = |body: fn(VarId, VarId) -> Vec<Stmt>| {
+        let mut fb = FunctionBuilder::new("bad");
+        let buf = fb.param("buf", Type::BufPtr);
+        let argsp = fb.param("argsp", ptr(Type::Struct(sid)));
+        let _inlen = fb.param("inlen", Type::Long);
+        let f = fb.body(body(buf, argsp));
+        compile(&p, &f, &conventions(), CompileOptions::default())
+    };
+    // A negative offset, and one past u32, used to wrap to a plausible one.
+    let err = build(|buf, _| vec![assign(buf32(add(lv(var(buf)), c(-4))), c(0))]).unwrap_err();
+    assert!(matches!(err, CompileError::NonAffineOffset(_)), "{err:?}");
+    let err = build(|buf, _| vec![assign(buf32(add(lv(var(buf)), c(1 << 32))), c(0))]).unwrap_err();
+    assert!(matches!(err, CompileError::NonAffineOffset(_)), "{err:?}");
+    let ok = build(|buf, _| vec![assign(buf32(add(c(8), add(lv(var(buf)), c(4)))), c(0))]);
+    assert_eq!(ok.unwrap().ops[0], StubOp::PutImm { off: 12, word: 0 });
+    // A negative constant index used to panic (debug) or wrap (release).
+    let err = build(|buf, argsp| {
+        vec![assign(
+            buf32(lv(var(buf))),
+            htonl(lv(index(field(deref_var(argsp), 1), c(-1)))),
+        )]
+    })
+    .unwrap_err();
+    assert!(matches!(err, CompileError::UnboundPath(_)), "{err:?}");
+    // Lengths that do not fit u32 used to truncate.
+    let err = build(|_, argsp| vec![assign(field(deref_var(argsp), 0), c(-1))]).unwrap_err();
+    assert!(matches!(err, CompileError::Unsupported(_)), "{err:?}");
+    let err = build(|_, _| {
+        vec![if_else(
+            eq(lv(var(2)), c(1 << 32)),
+            vec![ret(Some(c(1)))],
+            vec![ret(Some(c(0)))],
+        )]
+    })
+    .unwrap_err();
+    assert!(matches!(err, CompileError::Unsupported(_)), "{err:?}");
+}

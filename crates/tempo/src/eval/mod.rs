@@ -81,7 +81,7 @@ pub enum ObjectData {
 }
 
 /// A heap object with its IR type (needed to navigate field offsets).
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Object {
     /// The object's aggregate type (`Struct`, `Array`, or `Void` for
     /// byte buffers).
@@ -91,7 +91,7 @@ pub struct Object {
 }
 
 /// The interpreter heap.
-#[derive(Debug, Clone, Default)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct Heap {
     objects: Vec<Object>,
 }

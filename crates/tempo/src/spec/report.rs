@@ -40,6 +40,24 @@ impl SpecReport {
             .sum()
     }
 
+    /// Account for a loop proved from one pass over its body: `self` is
+    /// the report after that pass, `before` the report before it, and
+    /// every counter the pass bumped is what `trips` unrolled iterations
+    /// would have bumped it to.
+    pub(crate) fn repeat_since(&mut self, before: &SpecReport, trips: u64) {
+        let scale = |now: &mut u64, was: u64| *now = was + (*now - was) * trips;
+        scale(&mut self.static_ifs_folded, before.static_ifs_folded);
+        scale(&mut self.calls_unfolded, before.calls_unfolded);
+        scale(&mut self.loop_iters_unrolled, before.loop_iters_unrolled);
+        scale(&mut self.static_assigns, before.static_assigns);
+        for (func, folds) in &mut self.folded_ifs_by_func {
+            scale(
+                folds,
+                before.folded_ifs_by_func.get(func).copied().unwrap_or(0),
+            );
+        }
+    }
+
     /// Human-readable summary block.
     pub fn summary(&self) -> String {
         format!(

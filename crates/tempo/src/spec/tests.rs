@@ -518,7 +518,8 @@ fn loop_with_static_bounds_unrolls_fully() {
     )]);
     p.add_func(f);
 
-    let mut spec = Specializer::new(&p);
+    // The reference specializer: Figure 5's straight-line shape.
+    let mut spec = Specializer::unrolling(&p);
     let buf = spec.alloc_buffer("buf");
     let v_arg = spec.dynamic_scalar_param("v", Type::Long);
     let residual = spec
@@ -532,6 +533,26 @@ fn loop_with_static_bounds_unrolls_fully() {
     assert_eq!(spec.report().loop_iters_unrolled, 3);
     let printed = pretty::function_str(&p, &residual);
     assert!(printed.contains("*(long*)((buf + 8))"), "{printed}");
+
+    // The same loop as derived: proved affine, specialized once, and
+    // accounted as the three iterations it stands for.
+    let mut spec = Specializer::new(&p);
+    let buf = spec.alloc_buffer("buf");
+    let v_arg = spec.dynamic_scalar_param("v", Type::Long);
+    let residual = spec
+        .specialize(
+            "fill",
+            vec![SVal::S(Value::BufPtr(buf, 0)), v_arg],
+            "fill_spec",
+        )
+        .unwrap();
+    assert_eq!(residual.stmt_count(), 2, "one loop, one store");
+    assert_eq!(spec.report().loop_iters_unrolled, 3);
+    let printed = pretty::function_str(&p, &residual);
+    assert!(
+        printed.contains("for (i_0 = 0; i_0 < 3; i_0++)"),
+        "{printed}"
+    );
 }
 
 #[test]
@@ -668,8 +689,13 @@ fn partially_static_struct_mixes_binding_times() {
             "f_spec",
         )
         .unwrap();
-    // Static length ⇒ fully unrolled to 4 stores of the dynamic field.
-    assert_eq!(residual.stmt_count(), 4);
+    // Static length ⇒ the loop runs at specialization time: 4 stores of
+    // the dynamic field, as one proved loop.
+    assert_eq!(spec.report().loop_iters_unrolled, 4);
+    assert!(
+        matches!(&residual.body[..], [Stmt::For { hi: Expr::Const(4), body, .. }] if body.len() == 1),
+        "{residual:?}"
+    );
     let printed = pretty::function_str(&p, &residual);
     assert!(printed.contains("htonl(sp->val)"), "{printed}");
 }
@@ -726,4 +752,502 @@ fn context_sensitivity_static_and_dynamic_call_sites() {
         "{printed}"
     );
     assert!(printed.contains("htonl(cp->arg)"), "{printed}");
+}
+
+// ---- loop summarization: when in doubt, unroll ---------------------------
+
+/// Variables of the hand-built loop function
+/// `f(char* bp, struct S* sp, struct T* tp, long v)`.
+struct LoopVars {
+    bp: VarId,
+    sp: VarId,
+    tp: VarId,
+    v: VarId,
+    i: VarId,
+}
+
+// Field ids in struct S (dynamic, named `sp`) and struct T (static).
+const S_FLAG: usize = 0;
+const S_ARR: usize = 1;
+const T_TAB: usize = 0;
+
+/// A program whose one function `f` has the body `body_of` builds, over a
+/// dynamic struct `S { flag; arr[16] }` and a static table `T { t[8] }`.
+fn loop_program(body_of: impl FnOnce(&LoopVars) -> Vec<Stmt>) -> Program {
+    let mut p = Program::new();
+    let s_sid = p.add_struct(test_struct(
+        "S",
+        &[
+            ("flag", Type::Long),
+            ("arr", Type::Array(Box::new(Type::Long), 16)),
+        ],
+    ));
+    let t_sid = p.add_struct(test_struct(
+        "T",
+        &[("t", Type::Array(Box::new(Type::Long), 8))],
+    ));
+    let mut fb = FunctionBuilder::new("f");
+    let vars = LoopVars {
+        bp: fb.param("bp", Type::BufPtr),
+        sp: fb.param("sp", ptr(Type::Struct(s_sid))),
+        tp: fb.param("tp", ptr(Type::Struct(t_sid))),
+        v: fb.param("v", Type::Long),
+        i: fb.local("i", Type::Long),
+    };
+    fb.returns(Type::Long);
+    p.add_func(fb.body(body_of(&vars)));
+    p.validate().unwrap();
+    p
+}
+
+/// Specialize `f` with the summarizing or the reference specializer.
+fn specialize_loop(p: &Program, reference: bool) -> (Function, SpecReport) {
+    let mut spec = if reference {
+        Specializer::unrolling(p)
+    } else {
+        Specializer::new(p)
+    };
+    let buf = spec.alloc_buffer("buf");
+    let sp = spec.alloc_dynamic_struct(p.struct_named("S").unwrap(), "sp");
+    let tp = spec.alloc_static_struct(p.struct_named("T").unwrap());
+    let v = spec.dynamic_scalar_param("v", Type::Long);
+    let args = vec![
+        SVal::S(Value::BufPtr(buf, 0)),
+        SVal::S(Value::Ref(Place { obj: sp, slot: 0 })),
+        SVal::S(Value::Ref(Place { obj: tp, slot: 0 })),
+        v,
+    ];
+    let f = spec.specialize("f", args, "f_spec").unwrap();
+    (f, spec.report().clone())
+}
+
+fn contains_loop(stmts: &[Stmt]) -> bool {
+    stmts.iter().any(|s| match s {
+        Stmt::For { .. } => true,
+        Stmt::If(_, t, e) => contains_loop(t) || contains_loop(e),
+        _ => false,
+    })
+}
+
+/// The loop must be refused: residual, residual locals and report are
+/// exactly the unrolling specializer's.
+fn assert_falls_back(p: &Program) {
+    let (got, got_report) = specialize_loop(p, false);
+    let (want, want_report) = specialize_loop(p, true);
+    assert_eq!(got.body, want.body, "{}", pretty::function_str(p, &got));
+    assert_eq!(got.locals, want.locals);
+    assert_eq!(got_report, want_report);
+}
+
+/// Run a residual `f_spec(buf, sp, v)` and return what it left behind.
+fn run_loop_residual(p: &Program, residual: &Function) -> (Value, Vec<u8>, Vec<Value>) {
+    let mut p2 = p.clone();
+    p2.add_func(residual.clone());
+    p2.validate().unwrap();
+    let mut ev = Evaluator::new(&p2);
+    let buf = ev.heap.alloc_bytes(256);
+    let sp = ev.heap.alloc_struct(&p2, p2.struct_named("S").unwrap());
+    for slot in 0..17 {
+        ev.heap
+            .write_slot(Place { obj: sp, slot }, Value::Long(1000 + 7 * slot as i64))
+            .unwrap();
+    }
+    let args = vec![
+        Value::BufPtr(buf, 0),
+        Value::Ref(Place { obj: sp, slot: 0 }),
+        Value::Long(0x0102_0304),
+    ];
+    let ret = ev.call("f_spec", args).unwrap();
+    let slots = (0..17)
+        .map(|slot| ev.heap.read_slot(Place { obj: sp, slot }).unwrap())
+        .collect();
+    (ret, ev.heap.bytes(buf).unwrap().to_vec(), slots)
+}
+
+/// The loop must be summarized, stand for the same iterations, and compute
+/// what the unrolled residual computes.
+fn assert_summarizes(p: &Program) {
+    let (got, got_report) = specialize_loop(p, false);
+    let (want, mut want_report) = specialize_loop(p, true);
+    assert!(
+        contains_loop(&got.body),
+        "{}",
+        pretty::function_str(p, &got)
+    );
+    assert!(!contains_loop(&want.body));
+    want_report.residual_stmts = got_report.residual_stmts;
+    assert_eq!(got_report, want_report);
+    assert_eq!(run_loop_residual(p, &got), run_loop_residual(p, &want));
+}
+
+/// `*(bp + off) = htonl(sp->arr[idx])`.
+fn store_elem(x: &LoopVars, off: Expr, idx: Expr) -> Stmt {
+    assign(
+        buf32(add(lv(var(x.bp)), off)),
+        htonl(lv(index(field(deref_var(x.sp), S_ARR), idx))),
+    )
+}
+
+#[test]
+fn affine_loops_are_summarized() {
+    // The plain marshaling loop, from 0 and from a non-zero lower bound.
+    for (lo, hi) in [(0, 16), (2, 10), (13, 16)] {
+        assert_summarizes(&loop_program(|x| {
+            let i = || lv(var(x.i));
+            vec![
+                for_loop(x.i, c(lo), c(hi), vec![store_elem(x, mul(i(), c(4)), i())]),
+                ret(Some(lv(var(x.i)))),
+            ]
+        }));
+    }
+    // Descending offsets, a constant store, a decode, and comparisons that
+    // hold over the whole range.
+    assert_summarizes(&loop_program(|x| {
+        let i = || lv(var(x.i));
+        vec![for_loop(
+            x.i,
+            c(0),
+            c(8),
+            vec![
+                store_elem(x, sub(c(100), mul(i(), c(4))), add(i(), c(3))),
+                assign(buf32(add(lv(var(x.bp)), add(c(128), mul(c(8), i())))), c(9)),
+                assign(
+                    index(field(deref_var(x.sp), S_ARR), i()),
+                    ntohl(lv(buf32(add(lv(var(x.bp)), mul(i(), c(4)))))),
+                ),
+                if_then(lt(i(), c(0)), vec![ret(Some(c(0)))]),
+                if_then(eq(mul(i(), c(2)), c(17)), vec![ret(Some(c(0)))]),
+                if_then(eq(i(), c(8)), vec![ret(Some(c(0)))]),
+            ],
+        )]
+    }));
+    // Two consecutive loops sharing a static cursor held in the table.
+    assert_summarizes(&loop_program(|x| {
+        let cursor = || index(field(deref_var(x.tp), T_TAB), c(0));
+        let walk = |lo, hi| {
+            for_loop(
+                x.i,
+                c(lo),
+                c(hi),
+                vec![
+                    store_elem(x, lv(cursor()), lv(var(x.i))),
+                    assign(cursor(), add(lv(cursor()), c(4))),
+                ],
+            )
+        };
+        vec![
+            assign(cursor(), c(8)),
+            walk(0, 5),
+            walk(5, 11),
+            assign(buf32(add(lv(var(x.bp)), lv(cursor()))), c(1)),
+        ]
+    }));
+}
+
+#[test]
+fn short_loops_are_not_summarized() {
+    for trips in 0..3 {
+        let p = loop_program(|x| {
+            let i = || lv(var(x.i));
+            vec![for_loop(
+                x.i,
+                c(4),
+                c(4 + trips),
+                vec![store_elem(x, mul(i(), c(4)), i())],
+            )]
+        });
+        assert_falls_back(&p);
+        assert!(!contains_loop(&specialize_loop(&p, false).0.body));
+    }
+}
+
+#[test]
+fn one_iteration_that_differs_unrolls() {
+    // Probes at lo, lo + 1 and hi − 1 would all agree; the proof must not.
+    assert_falls_back(&loop_program(|x| {
+        let i = || lv(var(x.i));
+        vec![for_loop(
+            x.i,
+            c(0),
+            c(8),
+            vec![
+                store_elem(x, mul(i(), c(4)), i()),
+                if_then(
+                    eq(i(), c(5)),
+                    vec![assign(buf32(add(lv(var(x.bp)), c(100))), c(1))],
+                ),
+            ],
+        )]
+    }));
+    // The last iteration only.
+    assert_falls_back(&loop_program(|x| {
+        let i = || lv(var(x.i));
+        vec![for_loop(
+            x.i,
+            c(0),
+            c(8),
+            vec![
+                store_elem(x, mul(i(), c(4)), i()),
+                if_then(ge(i(), c(7)), vec![ret(Some(c(0)))]),
+            ],
+        )]
+    }));
+}
+
+#[test]
+fn non_affine_offsets_unroll() {
+    let rem = |a, b| Expr::Bin(BinOp::Mod, Box::new(a), Box::new(b));
+    let div = |a, b| Expr::Bin(BinOp::Div, Box::new(a), Box::new(b));
+    for which in 0..4 {
+        assert_falls_back(&loop_program(|x| {
+            let i = || lv(var(x.i));
+            let off = match which {
+                0 => mul(i(), i()),
+                1 => mul(rem(i(), c(3)), c(4)),
+                2 => mul(div(i(), c(2)), c(4)),
+                // Stride 2⁶²: the third iteration leaves i64.
+                _ => mul(i(), c(1 << 62)),
+            };
+            vec![for_loop(x.i, c(0), c(6), vec![store_elem(x, off, i())])]
+        }));
+    }
+    // A varying scalar stored into the residual, and one byte-swapped.
+    assert_falls_back(&loop_program(|x| {
+        let i = || lv(var(x.i));
+        vec![for_loop(
+            x.i,
+            c(0),
+            c(4),
+            vec![
+                assign(buf32(add(lv(var(x.bp)), mul(i(), c(4)))), i()),
+                assign(buf32(add(lv(var(x.bp)), mul(i(), c(4)))), htonl(i())),
+            ],
+        )]
+    }));
+    // An index that leaves the array in the last iteration is the unrolled
+    // path's error to report, after the stores that precede it.
+    let p = loop_program(|x| {
+        let i = || lv(var(x.i));
+        vec![for_loop(
+            x.i,
+            c(10),
+            c(17),
+            vec![store_elem(x, mul(i(), c(4)), i())],
+        )]
+    });
+    let mut spec = Specializer::new(&p);
+    let buf = spec.alloc_buffer("buf");
+    let sp = spec.alloc_dynamic_struct(p.struct_named("S").unwrap(), "sp");
+    let v = spec.dynamic_scalar_param("v", Type::Long);
+    let args = vec![
+        SVal::S(Value::BufPtr(buf, 0)),
+        SVal::S(Value::Ref(Place { obj: sp, slot: 0 })),
+        SVal::S(Value::Long(0)),
+        v,
+    ];
+    assert_eq!(
+        spec.specialize("f", args, "f_spec").unwrap_err(),
+        SpecError::Eval(EvalError::OutOfBounds { index: 16, len: 16 })
+    );
+}
+
+#[test]
+fn binding_time_changes_unroll() {
+    // A static slot made dynamic by the first iteration only.
+    let p = loop_program(|x| {
+        vec![
+            assign(field(deref_var(x.sp), S_FLAG), c(3)),
+            for_loop(
+                x.i,
+                c(0),
+                c(4),
+                vec![assign(field(deref_var(x.sp), S_FLAG), lv(var(x.v)))],
+            ),
+        ]
+    });
+    assert_falls_back(&p);
+    assert!(!contains_loop(&specialize_loop(&p, false).0.body));
+    // A dynamic slot made static by every iteration.
+    assert_falls_back(&loop_program(|x| {
+        vec![for_loop(
+            x.i,
+            c(0),
+            c(4),
+            vec![assign(
+                index(field(deref_var(x.sp), S_ARR), lv(var(x.i))),
+                c(5),
+            )],
+        )]
+    }));
+    // A dynamic `if` in the body; a variable dynamized in the body.
+    assert_falls_back(&loop_program(|x| {
+        let i = || lv(var(x.i));
+        vec![for_loop(
+            x.i,
+            c(0),
+            c(4),
+            vec![if_then(
+                ne(lv(var(x.v)), c(0)),
+                vec![store_elem(x, mul(i(), c(4)), i())],
+            )],
+        )]
+    }));
+    assert_falls_back(&loop_program(|x| {
+        vec![
+            for_loop(
+                x.i,
+                c(0),
+                c(4),
+                vec![assign(
+                    var(x.v),
+                    lv(index(field(deref_var(x.sp), S_ARR), lv(var(x.i)))),
+                )],
+            ),
+            ret(Some(lv(var(x.v)))),
+        ]
+    }));
+}
+
+#[test]
+fn static_table_written_in_the_loop_unrolls() {
+    // t[i] = 2i + 1 per iteration; a later statement reads t[7]: the table
+    // has no affine summary, so the loop runs statement by statement and
+    // the read sees 15.
+    let p = loop_program(|x| {
+        let i = || lv(var(x.i));
+        let t = |idx| index(field(deref_var(x.tp), T_TAB), idx);
+        vec![
+            for_loop(
+                x.i,
+                c(0),
+                c(8),
+                vec![assign(t(i()), add(mul(i(), c(2)), c(1)))],
+            ),
+            assign(buf32(lv(var(x.bp))), lv(t(c(7)))),
+            // …and a loop that reads the table it cannot summarize either.
+            for_loop(
+                x.i,
+                c(0),
+                c(8),
+                vec![assign(
+                    buf32(add(lv(var(x.bp)), mul(i(), c(4)))),
+                    lv(t(i())),
+                )],
+            ),
+        ]
+    });
+    assert_falls_back(&p);
+    let (f, _) = specialize_loop(&p, false);
+    assert_eq!(
+        f.body[0],
+        Stmt::Assign(LValue::Buf32(Box::new(lv(var(0)))), Expr::Const(15))
+    );
+}
+
+/// `xdr_arr(xdrs, objp)`: the marshaling loop over the Figure 2–3 chain.
+fn array_rpc_program(n: usize) -> Program {
+    let mut p = mini_rpc_program();
+    let xdr_sid = p.struct_named("XDR").unwrap();
+    let arr_sid = p.add_struct(test_struct(
+        "ARR",
+        &[("arr", Type::Array(Box::new(Type::Long), n))],
+    ));
+    let mut fb = FunctionBuilder::new("xdr_arr");
+    let xdrs = fb.param("xdrs", ptr(Type::Struct(xdr_sid)));
+    let objp = fb.param("objp", ptr(Type::Struct(arr_sid)));
+    let i = fb.local("i", Type::Long);
+    fb.returns(Type::Long);
+    let f = fb.body(vec![
+        for_loop(
+            i,
+            c(0),
+            c(n as i64),
+            vec![if_then(
+                not(call(
+                    "xdr_long",
+                    vec![
+                        lv(var(xdrs)),
+                        addr_of(index(field(deref_var(objp), 0), lv(var(i)))),
+                    ],
+                )),
+                vec![ret(Some(c(0)))],
+            )],
+        ),
+        ret(Some(c(1))),
+    ]);
+    p.add_func(f);
+    p.validate().unwrap();
+    p
+}
+
+/// Residual, report and specializer steps of `xdr_arr` over a handle with
+/// `handy` bytes left.
+fn specialize_array(
+    p: &Program,
+    op: i64,
+    handy: i64,
+    reference: bool,
+) -> (Function, SpecReport, u64) {
+    let mut spec = if reference {
+        Specializer::unrolling(p)
+    } else {
+        Specializer::new(p)
+    };
+    let buf = spec.alloc_buffer("buf");
+    let arr = spec.alloc_dynamic_struct(p.struct_named("ARR").unwrap(), "objp");
+    let xdr = spec.alloc_static_struct(p.struct_named("XDR").unwrap());
+    for (slot, v) in [
+        (X_OP, Value::Long(op)),
+        (X_HANDY, Value::Long(handy)),
+        (X_PRIVATE, Value::BufPtr(buf, 0)),
+    ] {
+        spec.set_slot_static(Place { obj: xdr, slot }, v);
+    }
+    let args = vec![
+        SVal::S(Value::Ref(Place { obj: xdr, slot: 0 })),
+        SVal::S(Value::Ref(Place { obj: arr, slot: 0 })),
+    ];
+    let f = spec.specialize("xdr_arr", args, "xdr_arr_spec").unwrap();
+    (f, spec.report().clone(), spec.steps_used())
+}
+
+#[test]
+fn marshaling_loop_is_specialized_once() {
+    let p = array_rpc_program(8);
+    for op in [OP_ENCODE, OP_DECODE] {
+        let (got, report, _) = specialize_array(&p, op, 64, false);
+        let (_, mut reference, _) = specialize_array(&p, op, 64, true);
+        assert!(
+            matches!(&got.body[..], [Stmt::For { body, .. }, Stmt::Return(Some(Expr::Const(1)))] if body.len() == 1),
+            "{}",
+            pretty::function_str(&p, &got)
+        );
+        assert_eq!(report.loop_iters_unrolled, 8);
+        assert_eq!(report.calls_unfolded, 16);
+        reference.residual_stmts = report.residual_stmts;
+        assert_eq!(report, reference);
+    }
+    // Specializer effort is the body's, not the trip count's.
+    let steps = |n: usize| specialize_array(&array_rpc_program(n), OP_ENCODE, 1 << 40, false).2;
+    assert_eq!(steps(8), steps(5000));
+}
+
+#[test]
+fn buffer_running_out_mid_loop_unrolls() {
+    // Space for five of eight longs: x_handy crosses zero in iteration 5.
+    // Today's residual — five stores, then the static `return FALSE` — and
+    // nothing else.
+    let p = array_rpc_program(8);
+    for op in [OP_ENCODE, OP_DECODE] {
+        let (got, report, _) = specialize_array(&p, op, 20, false);
+        let (want, reference, _) = specialize_array(&p, op, 20, true);
+        assert_eq!(got.body, want.body);
+        assert_eq!(report, reference);
+        assert_eq!(got.body.len(), 6);
+        assert_eq!(got.body[5], Stmt::Return(Some(Expr::Const(0))));
+        assert_eq!(report.loop_iters_unrolled, 6);
+    }
+    // Exactly enough space: x_handy reaches zero and never goes below.
+    let (got, ..) = specialize_array(&p, OP_ENCODE, 32, false);
+    assert!(contains_loop(&got.body));
 }

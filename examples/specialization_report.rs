@@ -3,8 +3,9 @@
 //!
 //! 1. the BTA-annotated micro-layers (static plain, dynamic marked —
 //!    the paper prints dynamic code in bold),
-//! 2. the residual client encoder for a 4-element array (the Figure 5
-//!    analog),
+//! 2. the residual client encoder for a 4-element array, twice: fully
+//!    unrolled (the Figure 5 analog — the reference specializer) and as
+//!    the one loop the specializer derives by proving the body affine,
 //! 3. the compiled micro-op program,
 //! 4. the specialization report mapped to the paper's §3 categories —
 //!    including stub-cache effectiveness when the same context is
@@ -16,7 +17,11 @@
 //! 7. the tuner feedback loop: `ProcPipeline::with_icache_budget` fed
 //!    each platform's instruction-cache capacity picks the unroll bound
 //!    by itself (compiling trial stubs and measuring real residual code
-//!    sizes) — the sweep's conclusion turned into an automatic knob.
+//!    sizes) — the sweep's conclusion turned into an automatic knob,
+//! 8. what a specialization context costs to produce, 8…4096 elements:
+//!    specializer steps (deterministic) and wall time. Exits non-zero if
+//!    the 4096-element context burns more steps than the 8-element one —
+//!    specialization cost belongs to the shape, not to the array length.
 //!
 //! ```text
 //! cargo run --example specialization_report
@@ -98,9 +103,13 @@ fn main() {
         }],
     };
     let gs = stubgen::generate_from_shapes(0x2000_0101, 1, 1, shape.clone(), MsgShape::default());
+    let (unrolled, _, _) =
+        stubgen::specialize_unrolled(&gs, StubKind::ClientEncode).expect("specialize (reference)");
+    println!("\n-- residual client encoder (the Figure 5 analog, 4-element array) --\n");
+    print!("{}", pretty::function_str(&gs.program, &unrolled));
     let (residual, _, report) =
         stubgen::specialize_with_report(&gs, StubKind::ClientEncode).expect("specialize");
-    println!("\n-- residual client encoder (the Figure 5 analog, 4-element array) --\n");
+    println!("\n-- the same encoder as derived: the loop proved affine, specialized once --\n");
     print!("{}", pretty::function_str(&gs.program, &residual));
 
     // ---- 3. Compiled stub ----
@@ -212,5 +221,47 @@ fn main() {
             );
         }
         println!();
+    }
+
+    // ---- 8. What a context costs: the shape's, not the array length's ----
+    println!("-- specialization cost per context (four stubs; steps are deterministic) --\n");
+    let kinds = [
+        StubKind::ClientEncode,
+        StubKind::ClientDecode,
+        StubKind::ServerDecode,
+        StubKind::ServerEncode,
+    ];
+    let mut steps_at = Vec::new();
+    for n in unroll_bounds(2 * 4096) {
+        let arr = MsgShape {
+            fields: vec![FieldShape::VarIntArray {
+                name: "arr".into(),
+                pinned_len: n,
+                max: 4096,
+            }],
+        };
+        let gs = stubgen::generate_from_shapes(0x2000_0101, 1, 1, arr.clone(), arr);
+        let steps: u64 = kinds
+            .iter()
+            .map(|&k| stubgen::specialization_steps(&gs, k).expect("specialize"))
+            .sum();
+        let start = std::time::Instant::now();
+        let cp = specrpc::echo::echo_pipeline(n, None)
+            .build_from_idl(specrpc::echo::ECHO_IDL, None, specrpc::echo::ECHO_PROC)
+            .expect("pipeline");
+        let wall = start.elapsed();
+        println!(
+            "    n={n:<5} steps {steps:>6}   parse + specialize + compile {:>6} µs   ({} ops)",
+            wall.as_micros(),
+            cp.client_encode.program.len()
+        );
+        steps_at.push((n, steps));
+    }
+    let (&(small, few), &(large, many)) = (steps_at.first().unwrap(), steps_at.last().unwrap());
+    if many > few {
+        eprintln!(
+            "per-element specialization is back: n={large} burns {many} steps, n={small} {few}"
+        );
+        std::process::exit(1);
     }
 }
