@@ -3,7 +3,7 @@
 //!
 //! The serving and client layers below this crate are callback- and
 //! poll-shaped: `SpecClient::call_begin`/`call_poll` transmit and check
-//! for a reply without blocking, and `ShardedEventLoop::poll_once`
+//! for a reply without blocking, and `Served::poll_once`
 //! sweeps server sockets one pass at a time. This crate wraps that
 //! surface in ordinary `std::future::Future`s plus a tiny single-thread
 //! executor, [`block_on`], that interleaves polling the future with
@@ -44,7 +44,7 @@ use specrpc_netsim::net::Addr;
 use specrpc_netsim::{Network, SimTime};
 use specrpc_rpc::error::RpcError;
 use specrpc_rpc::transport::Transport;
-use specrpc_rpc::ShardedEventLoop;
+use specrpc_rpc::Served;
 use specrpc_tempo::compile::StubArgs;
 
 /// Default per-try retransmission timeout (virtual time), matching the
@@ -101,7 +101,7 @@ pub fn block_on<F: Future>(net: &Network, fut: F) -> F::Output {
 
 /// Future resolving once any of `addrs` has a readiness event queued —
 /// the async face of [`Network::ready_any`]. Like `ready_any`, this
-/// observes **event-mode** addresses (registered via
+/// observes **served** addresses (registered via
 /// `Network::serve_udp_events[_with]`); plain mailbox endpoints never
 /// report ready here.
 pub fn ready(net: &Network, addrs: Vec<Addr>) -> ReadyFuture {
@@ -397,16 +397,16 @@ impl<T: Transport> Future for BatchFuture<'_, T> {
 }
 
 /// Never-resolving future that sweeps a sharded reactor's sockets once
-/// per poll (see [`ShardedEventLoop::poll_once`]) — the serving side's
+/// per poll (see [`Served::poll_once`]) — the serving side's
 /// async-capable entry point, meant to ride behind a foreground future
 /// via [`with_background`].
-pub fn serve(reactor: &ShardedEventLoop) -> Serve<'_> {
+pub fn serve(reactor: &Served) -> Serve<'_> {
     Serve { reactor }
 }
 
 /// See [`serve`].
 pub struct Serve<'a> {
-    reactor: &'a ShardedEventLoop,
+    reactor: &'a Served,
 }
 
 impl Future for Serve<'_> {

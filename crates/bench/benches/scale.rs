@@ -1,17 +1,17 @@
 //! The open-loop scale scenario as a bench: p99 **virtual-time**
-//! latency of the zipf-skewed client population through the sharded
-//! serving core, at shard widths 1/2/8 over the same socket set.
+//! latency of the zipf-skewed client population through the serving
+//! core, eight sockets over eight shards.
 //!
 //! Like `batched/*`, the recorded quantity is virtual time — wire
-//! latency + serialization + modeled server time — so the medians are
+//! latency + serialization + modeled server time — so the median is
 //! deterministic and machine-independent: the baseline flags ANY real
 //! behavior change in the reactor, the dup cache, or the open-loop
-//! driver, regardless of runner noise. The three shard widths must
-//! report the *same* p99 (shard count is a parallelism knob, not a
-//! semantic one); a divergence between rows is a determinism bug, not
-//! a perf delta.
+//! driver, regardless of runner noise. One shard width is the number;
+//! that every other width reports the same one (shard count moves
+//! ownership, never delivery order) is an identity, and
+//! `tests/sharding.rs` and `tests/trace_identity.rs` hold it.
 //!
-//! Beside them, one row that *can* move: `scale/run_ns_per_call/50k` is
+//! Beside it, one row that *can* move: `scale/run_ns_per_call/50k` is
 //! host wall-clock — a whole `run_scale` pass of the million-client
 //! config at 50 000 endpoints (single driver, service deployment
 //! included), divided by the endpoint count. It is what a simulated
@@ -30,27 +30,21 @@ fn bench_scale(c: &mut Criterion) {
         .warm_up_time(Duration::from_millis(300))
         .measurement_time(Duration::from_secs(1));
 
-    // Hold the socket set fixed (8 sockets) while the shard width
-    // varies: the arrival stream depends only on the total port count,
-    // so every row measures the same workload through a differently
-    // partitioned reactor map.
-    let (clients, sockets) = (200usize, 8usize);
-    for shards in [1usize, 2, 8] {
-        let mut cfg = ScaleConfig::smoke().scaled_to(clients);
-        cfg.shards = shards;
-        cfg.ports_per_shard = sockets / shards;
-        group.bench_with_input(BenchmarkId::new("p99", shards), &shards, |b, _| {
-            b.iter_custom(|iters| {
-                let mut total = Duration::ZERO;
-                for _ in 0..iters {
-                    let report = black_box(run_scale(&cfg).unwrap());
-                    assert_eq!(report.replies, clients as u64, "every endpoint answered");
-                    total += Duration::from_nanos(report.latency.p99().as_nanos());
-                }
-                total
-            })
-        });
-    }
+    let (clients, shards) = (200usize, 8usize);
+    let mut cfg = ScaleConfig::smoke().scaled_to(clients);
+    cfg.shards = shards;
+    cfg.ports_per_shard = 1;
+    group.bench_with_input(BenchmarkId::new("p99", shards), &shards, |b, _| {
+        b.iter_custom(|iters| {
+            let mut total = Duration::ZERO;
+            for _ in 0..iters {
+                let report = black_box(run_scale(&cfg).unwrap());
+                assert_eq!(report.replies, clients as u64, "every endpoint answered");
+                total += Duration::from_nanos(report.latency.p99().as_nanos());
+            }
+            total
+        })
+    });
 
     let cfg = ScaleConfig::million().scaled_to(50_000);
     group.bench_function("run_ns_per_call/50k", |b| {

@@ -14,7 +14,7 @@
 //!   first *subsequently issued* call that completed;
 //! - **exactly-once erosion** — handler executions beyond one per
 //!   completed call: a restarted server's duplicate-request cache comes
-//!   back empty ([`serve_udp_restartable`]), so a retransmission of an
+//!   back empty ([`ServeConfig::restartable`]), so a retransmission of an
 //!   already-executed request re-executes it, and a failover re-send
 //!   executes on a second replica.
 //!
@@ -33,7 +33,7 @@
 //! assert!(without.availability_bp() < with.availability_bp());
 //! ```
 //!
-//! [`serve_udp_restartable`]: specrpc_rpc::svc_udp::serve_udp_restartable
+//! [`ServeConfig::restartable`]: specrpc_rpc::ServeConfig::restartable
 
 use crate::echo::{build_echo_proc, ECHO_PROG, ECHO_VERS, MAX_ARR};
 use crate::pipeline::PipelineError;
@@ -41,8 +41,7 @@ use crate::service::SpecService;
 use crate::summary::{ChaosSummary, LatencyHistogram, Summary};
 use specrpc_netsim::net::{Addr, Network, NetworkConfig};
 use specrpc_netsim::{ChaosSchedule, ChaosStats, FaultConfig, SimTime};
-use specrpc_rpc::svc_udp::{serve_udp, serve_udp_restartable};
-use specrpc_rpc::{CircuitBreaker, ClntUdp};
+use specrpc_rpc::{serve, CircuitBreaker, ClntUdp, ServeConfig};
 use specrpc_tempo::compile::StubArgs;
 use specrpc_xdr::composite::xdr_array;
 use specrpc_xdr::primitives::xdr_int;
@@ -254,12 +253,16 @@ pub fn run_chaos(cfg: &ChaosConfig) -> Result<ChaosReport, PipelineError> {
         })
         .into_registry();
 
-    serve_udp_restartable(&net, CHAOS_PRIMARY, registry.clone(), None);
+    let primary = ServeConfig {
+        restartable: true,
+        ..ServeConfig::new(&[CHAOS_PRIMARY])
+    };
+    serve(&net, registry.clone(), primary).detach();
     let backups: Vec<Addr> = (0..cfg.backups)
         .map(|b| CHAOS_BACKUP_BASE + b as u32)
         .collect();
-    for &b in &backups {
-        serve_udp(&net, b, registry.clone(), None);
+    if !backups.is_empty() {
+        serve(&net, registry.clone(), ServeConfig::new(&backups)).detach();
     }
     net.apply_chaos(&cfg.schedule());
 

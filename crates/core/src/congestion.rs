@@ -245,8 +245,9 @@ pub fn run_congestion(cfg: &CongestionConfig) -> Result<CongestionReport, Pipeli
         cfg.seed,
     );
     let registry = deploy_congestion_service(cfg)?;
-    // The server is a plain bounded mailbox — not a handler slot — so
-    // deliveries queue (and drop-tail) while its CPU is busy.
+    // The server is a plain bounded mailbox — not a served address,
+    // whose deliveries a driver executes at once — so deliveries queue
+    // (and drop-tail) while its CPU is busy.
     let server = net.bind_udp(CONGESTION_PORT);
 
     let template = encode_echo_template(cfg.payload);

@@ -343,7 +343,7 @@ pub struct BatchEchoBench {
     pub net: Network,
     /// Specialized client (pool shared with the serving side).
     pub spec: SpecClient<ClntUdp>,
-    /// The event-driven service (registry + reactor counters).
+    /// The served registry and its reactor's counters.
     pub service: crate::service::EventService,
     /// Array size this deployment is specialized for.
     pub n: usize,
@@ -373,13 +373,11 @@ impl BatchEchoBench {
         let pool = Arc::new(specrpc_rpc::BufPool::with_max_slots(3 * batch + 16));
         let registry = Arc::new(specrpc_rpc::SvcRegistry::with_pool(pool));
         echo_service(proc_.clone()).install(&registry);
-        let reactor = specrpc_rpc::svc_event::serve_udp_event(
-            &net,
-            ECHO_PORT,
-            registry.clone(),
-            workers,
-            None,
-        );
+        let cfg = specrpc_rpc::ServeConfig {
+            workers_per_shard: workers,
+            ..specrpc_rpc::ServeConfig::new(&[ECHO_PORT])
+        };
+        let reactor = specrpc_rpc::serve(&net, registry.clone(), cfg);
         let service = crate::service::EventService { registry, reactor };
         let clnt = ClntUdp::create_pooled(
             &net,

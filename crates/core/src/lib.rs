@@ -90,57 +90,10 @@
 //!   independent requests dispatch concurrently.
 //! - [`StubCache`] is `Arc`/`Mutex`-based: equal contexts compile exactly
 //!   once no matter how many threads race on the lookup.
-//! - [`SpecService::serve_threaded`] puts a worker pool in front of one
-//!   shared registry — per-datagram round-robin for UDP, per-connection
-//!   pinning for TCP — and surfaces per-worker dispatch counts through
-//!   [`Summary::with_threads`].
-//!
-//! A threaded deployment end to end:
-//!
-//! ```
-//! use specrpc::{ProcSpec, SpecClient, SpecService, StubCache, Summary};
-//! use specrpc_netsim::net::{Network, NetworkConfig};
-//! use specrpc_rpc::ClntUdp;
-//! use specrpc_tempo::compile::StubArgs;
-//! use std::sync::Arc;
-//!
-//! const IDL: &str = r#"
-//!     program NEGPROG {
-//!         version NEGVERS { int NEG(int) = 1; } = 1;
-//!     } = 0x20000778;
-//! "#;
-//!
-//! let cache = Arc::new(StubCache::new());
-//! let proc_ = ProcSpec::new(IDL, 1).compile(None, Some(&cache)).unwrap();
-//!
-//! let net = Network::new(NetworkConfig::lan(), 1);
-//! // Four dispatch workers share one registry (and the one cache-held
-//! // stub set); each datagram is processed on a worker thread.
-//! let served = SpecService::new()
-//!     .proc(proc_.clone(), |args: &StubArgs| {
-//!         StubArgs::new(vec![-args.scalars.last().unwrap()], vec![])
-//!     })
-//!     .serve_threaded(&net, 901, 4);
-//!
-//! let transport = ClntUdp::create(&net, 5002, 901, 0x2000_0778, 1);
-//! let mut client = SpecClient::builder(transport)
-//!     .compiled(proc_)
-//!     .build()
-//!     .unwrap();
-//! for i in 0..8 {
-//!     let (out, _) = client.call(&client.args(vec![i], vec![])).unwrap();
-//!     assert_eq!(*out.scalars.last().unwrap(), -i);
-//! }
-//!
-//! // Per-worker dispatch counts flow into the Summary report.
-//! let per_thread = served.per_thread_dispatches();
-//! assert_eq!(per_thread.iter().sum::<u64>(), 8);
-//! let report = Summary::default()
-//!     .with_cache(cache.stats())
-//!     .with_threads(per_thread)
-//!     .render();
-//! assert!(report.contains("threaded dispatch"));
-//! ```
+//! - Every UDP deployment is one reactor ([`specrpc_rpc::serve`]); its
+//!   workers, when it has any, dispatch requests that are in flight
+//!   together on their own threads through the one shared registry (see
+//!   "Scaling the server" below).
 //!
 //! # The wire path
 //!
@@ -192,7 +145,11 @@
 //!     .into_registry();
 //! // A small duplicate-request cache keeps the warm-up window short
 //! // (entries recycle into the pool only once the cache is full).
-//! specrpc_rpc::svc_udp::serve_udp_with_cache(&net, 902, reg.clone(), None, 4);
+//! let cfg = specrpc_rpc::ServeConfig {
+//!     cache_entries: 4,
+//!     ..specrpc_rpc::ServeConfig::new(&[902])
+//! };
+//! specrpc_rpc::serve(&net, reg.clone(), cfg).detach();
 //!
 //! // The client shares the registry's wire-buffer pool: reply buffers it
 //! // recycles come back as the server's next reply images.
@@ -218,125 +175,84 @@
 //!
 //! # Scaling the server
 //!
-//! Three serving front ends share one dispatch stack (registry, dup
-//! cache, buffer pool, zero-copy encode):
+//! There is one serving core: [`specrpc_rpc::serve`] registers each
+//! served address on the simulator's delivery lane with a cache-fronted
+//! dispatch body (registry, dup cache, buffer pool, zero-copy encode),
+//! and two numbers of its [`specrpc_rpc::ServeConfig`] shape the
+//! deployment. The `SpecService::serve_*` methods are spellings of it:
 //!
-//! - [`SpecService::serve_udp`] — a blocking per-address handler slot;
-//!   the measured baseline. In-flight deliveries to one address
-//!   serialize on the slot lock.
-//! - [`SpecService::serve_threaded`] — a worker pool behind the slot;
-//!   dispatch runs on worker OS threads but the delivering thread still
-//!   blocks per datagram on the reply hand-off.
-//! - [`SpecService::serve_event`] — the **event-driven core**:
-//!   deliveries become readiness events and reactor workers drain them
-//!   round-robin, so any number of requests are in flight at once and
-//!   nothing blocks the thread driving the network. This is what makes
-//!   batching pay: [`SpecClient::call_batch`] keeps N pipelined
+//! - **A shard** owns a slice of the served addresses (`addr % shards`)
+//!   together with that slice's duplicate-request caches and buffer
+//!   pool; [`SpecService::serve_sharded`] sets how many there are. A
+//!   one-shard deployment draws on the registry's own pool, so a pooled
+//!   client and its server allocate nothing per call.
+//! - **A worker** is a reactor thread of one shard
+//!   ([`SpecService::serve_event`] runs one shard with N of them): it
+//!   drains its shard's sockets round-robin, steals one datagram at a
+//!   time from peer shards when its own are dry, and sleeps when the map
+//!   is. Requests in flight together dispatch in parallel, which is what
+//!   makes batching pay: [`SpecClient::call_batch`] keeps N pipelined
 //!   requests outstanding (one reused `WireBuf` scratch per slot,
 //!   xid-matched completion, results in submission order), so the fixed
-//!   per-call round-trip overhead is paid once per batch — the same way
-//!   the compiled stubs amortize per-element marshaling overhead.
+//!   per-call round-trip overhead is paid once per batch.
+//! - **Zero workers** ([`SpecService::serve_udp`], or
+//!   `workers_per_shard = 0`) spawns nothing: whichever thread drives
+//!   the network executes each delivery in place. That is the
+//!   deterministic mode — byte- and virtual-time-identical for any shard
+//!   count, since shard assignment moves ownership, never delivery order
+//!   — and, with no hand-off between threads, the fast one on a host
+//!   with few cores.
 //!
-//! With one reactor worker and one driving thread, traces are byte- and
-//! virtual-time-identical to `serve_udp`; per-worker throughput flows
-//! into the report via [`Summary::with_events`].
+//! With one driving thread the virtual-time trace is the same whatever
+//! the shard and worker counts. Event counts flow into the report via
+//! [`Summary::with_served`]; reply-latency quantiles via
+//! [`Summary::with_latency`].
 //!
-//! A batched deployment end to end:
-//!
-//! ```
-//! use specrpc::{ProcSpec, SpecClient, SpecService, Summary};
-//! use specrpc_netsim::net::{Network, NetworkConfig};
-//! use specrpc_rpc::ClntUdp;
-//! use specrpc_tempo::compile::StubArgs;
-//!
-//! const IDL: &str = r#"
-//!     program SQPROG {
-//!         version SQVERS { int SQUARE(int) = 1; } = 1;
-//! } = 0x20000779;
-//! "#;
-//!
-//! let proc_ = ProcSpec::new(IDL, 1).compile(None, None).unwrap();
-//!
-//! let net = Network::new(NetworkConfig::lan(), 1);
-//! // Two reactor workers drain the readiness queue; requests to this
-//! // one address process in parallel instead of serializing.
-//! let served = SpecService::new()
-//!     .proc(proc_.clone(), |args: &StubArgs| {
-//!         let v = *args.scalars.last().unwrap();
-//!         StubArgs::new(vec![v * v], vec![])
-//!     })
-//!     .serve_event(&net, 903, 2);
-//!
-//! let transport = ClntUdp::create(&net, 5004, 903, 0x2000_0779, 1);
-//! let mut client = SpecClient::builder(transport)
-//!     .compiled(proc_)
-//!     .build()
-//!     .unwrap();
-//!
-//! // Eight calls in flight at once; replies return in submission order.
-//! let batch: Vec<StubArgs> =
-//!     (1..=8).map(|i| client.args(vec![i], vec![])).collect();
-//! let results = client.call_batch(&batch).unwrap();
-//! for (i, (out, _path)) in results.iter().enumerate() {
-//!     let x = (i + 1) as i32;
-//!     assert_eq!(*out.scalars.last().unwrap(), x * x);
-//! }
-//!
-//! // Reactor throughput flows into the report.
-//! assert_eq!(served.total_events(), 8);
-//! let report = Summary::default()
-//!     .with_events(served.per_worker_events())
-//!     .render();
-//! assert!(report.contains("event loop"));
-//! ```
-//!
-//! ## Sharding the reactor
-//!
-//! Past one reactor, [`SpecService::serve_sharded`] partitions the
-//! *(prog, vers, addr)* space across N reactors: each shard owns a
-//! slice of the serving sockets together with that slice's
-//! duplicate-request caches and buffer pool, and a shard whose own
-//! sockets run dry steals one datagram at a time from its peers. With
-//! `workers_per_shard = 0` the map runs in **deterministic
-//! single-driver mode** — no threads, every delivery executed inline by
-//! whichever thread drives the network — and replies are byte- and
-//! virtual-time-identical to a 1-shard (or `serve_udp`) deployment:
-//! shard assignment moves ownership, never delivery order. Per-shard
-//! throughput flows into the report via [`Summary::with_shards`];
-//! reply-latency quantiles via [`Summary::with_latency`].
+//! Two shards with a worker each, a batch against one of them:
 //!
 //! ```
 //! use specrpc::echo::{build_echo_proc, echo_service, ECHO_PROG, ECHO_VERS};
 //! use specrpc::{SpecClient, Summary};
 //! use specrpc_netsim::net::{Network, NetworkConfig};
 //! use specrpc_rpc::ClntUdp;
+//! use specrpc_tempo::compile::StubArgs;
 //! use std::sync::Arc;
 //!
 //! let net = Network::new(NetworkConfig::lan(), 5);
 //! let proc_ = Arc::new(build_echo_proc(8, None).unwrap());
-//! // Four sockets partitioned across two shards, single-driver mode.
-//! let ports = [910, 911, 912, 913];
-//! let served = echo_service(proc_.clone()).serve_sharded(&net, &ports, 2, 0);
+//! let ports = [910, 911];
+//! let served = echo_service(proc_.clone()).serve_sharded(&net, &ports, 2, 1);
 //!
-//! for (i, &port) in ports.iter().enumerate() {
-//!     let transport = ClntUdp::create(&net, 5200 + i as u32, port, ECHO_PROG, ECHO_VERS);
-//!     let mut client = SpecClient::from_parts(transport, proc_.clone());
-//!     let args = client.args(vec![], vec![vec![1, 2, 3, 4, 5, 6, 7, 8]]);
-//!     let (out, _path) = client.call(&args).unwrap();
-//!     assert_eq!(out.arrays[0], vec![1, 2, 3, 4, 5, 6, 7, 8]);
+//! // Eight calls in flight at once; replies return in submission order.
+//! let transport = ClntUdp::create(&net, 5200, 910, ECHO_PROG, ECHO_VERS);
+//! let mut client = SpecClient::from_parts(transport, proc_.clone());
+//! let batch: Vec<StubArgs> = (0..8)
+//!     .map(|i| client.args(vec![], vec![vec![i; 8]]))
+//!     .collect();
+//! let results = client.call_batch(&batch).unwrap();
+//! for (i, (out, _path)) in results.iter().enumerate() {
+//!     assert_eq!(out.arrays[0], vec![i as i32; 8]);
 //! }
+//! // One plain call to the other shard's port.
+//! let transport = ClntUdp::create(&net, 5201, 911, ECHO_PROG, ECHO_VERS);
+//! let mut other = SpecClient::from_parts(transport, proc_);
+//! let args = other.args(vec![], vec![vec![7; 8]]);
+//! assert_eq!(other.call(&args).unwrap().0.arrays[0], vec![7; 8]);
 //!
-//! assert_eq!(served.total_events(), 4);
+//! // Events are credited to the shard that owns the address, whoever
+//! // executed them — a worker, a stealing peer, or the driving thread.
+//! assert_eq!(served.per_shard_events(), vec![8, 1]);
 //! let report = Summary::default()
-//!     .with_shards(served.per_shard_events())
+//!     .with_served(served.per_shard_events(), served.per_worker_events())
 //!     .render();
-//! assert!(report.contains("shard map"));
+//! assert!(report.contains("9 event(s) across 2 shard(s) [8, 1]"));
+//! assert!(report.contains("event loop"));
 //! ```
 //!
 //! On top of the same readiness surface, the `specrpc-async` crate
 //! wraps the nonblocking client lane ([`SpecClient::call_begin`] /
 //! `call_poll` / `call_finish`) and the shard map's
-//! [`specrpc_rpc::ShardedEventLoop::poll_once`] sweep in ordinary
+//! [`specrpc_rpc::Served::poll_once`] sweep in ordinary
 //! `Future`s, with a tiny `block_on` executor that interleaves polling
 //! with simulator steps — async-capable entry points without touching
 //! the core wire path. The open-loop **million-client scenario** (one
@@ -452,6 +368,6 @@ pub use scenario::{
     deploy_nfs_service, run_adaptive, run_nfs, run_scale, run_scale_single_shard,
     AdaptiveScenarioConfig, AdaptiveScenarioReport, NfsConfig, NfsReport, ScaleConfig, ScaleReport,
 };
-pub use service::{EventService, ShardedService, SpecHandler, SpecService, ThreadedService};
+pub use service::{EventService, SpecHandler, SpecService};
 pub use specializer::{CompileJob, Specializer, SpecializerStats};
 pub use summary::{ChaosSummary, LatencyHistogram, Summary, WireStats};

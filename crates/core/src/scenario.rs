@@ -31,7 +31,6 @@ use rand::{Rng, SeedableRng};
 use specrpc_netsim::net::{Addr, Endpoint, LinkStats, Network, NetworkConfig};
 use specrpc_netsim::{Platform, SimTime};
 use specrpc_rpc::msg::CallHeader;
-use specrpc_rpc::svc_udp::serve_udp;
 use specrpc_rpc::{ClntUdp, CoalescePolicy, CoalesceStats, Transport};
 use specrpc_tempo::compile::StubArgs;
 use specrpc_xdr::composite::xdr_array;
@@ -194,7 +193,7 @@ impl ScaleReport {
     /// The run as a [`Summary`] (shard map + latency lines).
     pub fn summary(&self) -> Summary {
         Summary::default()
-            .with_shards(self.per_shard.clone())
+            .with_served(self.per_shard.clone(), Vec::new())
             .with_latency(self.latency.clone())
     }
 
@@ -566,7 +565,7 @@ pub fn run_adaptive(cfg: &AdaptiveScenarioConfig) -> Result<AdaptiveScenarioRepo
             StubArgs::new(vec![], vec![args.arrays[0].clone()])
         });
     }
-    serve_udp(&net, SCALE_PORT_BASE, service.into_registry(), None);
+    service.serve_udp(&net, SCALE_PORT_BASE);
     let mut clients: Vec<AdaptiveClient<ClntUdp>> = procs
         .into_iter()
         .enumerate()
@@ -941,7 +940,7 @@ pub fn run_nfs(cfg: &NfsConfig) -> Result<NfsReport, PipelineError> {
         cfg.seed,
     );
     let service = deploy_nfs_service(cfg.files)?;
-    serve_udp(&net, NFS_PORT, service.into_registry(), None);
+    service.serve_udp(&net, NFS_PORT);
 
     let cdf = zipf_cdf(cfg.files, cfg.zipf_s);
     let mut rng = StdRng::seed_from_u64(cfg.seed);

@@ -12,12 +12,14 @@
 //! The whole serving stack is `Send + Sync`: handlers are
 //! `Arc<dyn Fn … + Send + Sync>`, the registry is interior-locked, and
 //! the network is shareable across threads, so one installed service can
-//! be driven (and dispatched) from any number of threads. On top of that,
-//! [`SpecService::serve_threaded`] processes independent requests on a
-//! dedicated worker pool — per-datagram for UDP, per-connection for TCP —
-//! while every worker shares the one registry (and therefore one
-//! `StubCache`-compiled stub set); per-worker dispatch counts surface
-//! through [`crate::Summary`].
+//! be driven (and dispatched) from any number of threads. Every UDP
+//! deployment is one reactor ([`specrpc_rpc::serve`]): with no workers
+//! the driving threads dispatch in place; with workers
+//! ([`SpecService::serve_event`], [`SpecService::serve_sharded`])
+//! independent requests dispatch on reactor threads that share the one
+//! registry (and therefore one `StubCache`-compiled stub set); the
+//! per-shard and per-worker event counts surface through
+//! [`crate::Summary::with_served`].
 
 use crate::adaptive::{AdaptiveProc, AdaptiveRuntime, Tier};
 use crate::generic::{decode_shape_generic, encode_shape_generic, shape_counts};
@@ -27,12 +29,7 @@ use specrpc_rpc::bufpool::BufPool;
 use specrpc_rpc::error::RpcError;
 use specrpc_rpc::msg::ReplyHeader;
 use specrpc_rpc::svc::{SvcRegistry, REPLY_BUF_SIZE};
-use specrpc_rpc::svc_event::{serve_udp_event, EventLoop};
-use specrpc_rpc::svc_shard::{serve_udp_sharded, ShardPlan, ShardedEventLoop};
-use specrpc_rpc::svc_tcp::serve_tcp;
-use specrpc_rpc::svc_threaded::{attach_tcp, attach_udp, DispatchPool};
-use specrpc_rpc::svc_udp::serve_udp;
-use specrpc_rpc::svc_udp::DUP_CACHE_ENTRIES;
+use specrpc_rpc::{serve, serve_tcp, ServeConfig, Served};
 use specrpc_rpcgen::sunlib::call_fields;
 use specrpc_tempo::compile::{run_decode, run_encode_after_xid, Outcome, StubArgs};
 use specrpc_xdr::mem::XdrMem;
@@ -60,77 +57,35 @@ pub struct SpecService {
     procs: Vec<ProcEntry>,
 }
 
-/// A service deployed through [`SpecService::serve_threaded`]: the shared
-/// registry plus the worker pool that dispatches its requests.
-pub struct ThreadedService {
-    /// The shared dispatch registry (path counters, unregister).
-    pub registry: Arc<SvcRegistry>,
-    /// The worker pool (per-thread dispatch counts).
-    pub pool: Arc<DispatchPool>,
-}
-
-impl ThreadedService {
-    /// Requests dispatched per worker thread — feed this to
-    /// [`crate::Summary::with_threads`].
-    pub fn per_thread_dispatches(&self) -> Vec<u64> {
-        self.pool.per_thread_dispatches()
-    }
-
-    /// Additionally serve the same registry and pool over TCP at `addr`
-    /// (per-connection worker pinning).
-    pub fn also_tcp(&self, net: &Network, addr: Addr) -> &Self {
-        attach_tcp(net, addr, self.pool.clone(), None);
-        self
-    }
-}
-
-/// A service deployed through [`SpecService::serve_event`]: the shared
-/// registry plus the event reactor draining its readiness queue.
+/// A service deployed through [`SpecService::serve_event`] or
+/// [`SpecService::serve_sharded`]: the shared registry plus the reactor
+/// serving it.
 ///
 /// Dropping the service shuts the reactor down (workers joined, the
-/// event-mode address released).
+/// addresses released).
 pub struct EventService {
     /// The shared dispatch registry (path counters, unregister).
     pub registry: Arc<SvcRegistry>,
-    /// The reactor (per-worker event throughput counts).
-    pub reactor: EventLoop,
+    /// The reactor (event counts, the async adapter's `poll_once`).
+    pub reactor: Served,
 }
 
 impl EventService {
-    /// Events processed per reactor worker — feed this to
-    /// [`crate::Summary::with_events`].
+    /// Events processed per shard, credited to the shard owning the
+    /// address — with [`EventService::per_worker_events`], what
+    /// [`crate::Summary::with_served`] renders.
+    pub fn per_shard_events(&self) -> Vec<u64> {
+        self.reactor.per_shard_events()
+    }
+
+    /// Events executed per reactor worker (shard-major; empty with zero
+    /// workers). Deliveries a driving thread executed in place are in
+    /// the total but in no worker's count.
     pub fn per_worker_events(&self) -> Vec<u64> {
         self.reactor.per_worker_events()
     }
 
     /// Total events processed by the reactor.
-    pub fn total_events(&self) -> u64 {
-        self.reactor.total_events()
-    }
-}
-
-/// A service deployed through [`SpecService::serve_sharded`]: the shared
-/// registry plus the shard map serving it — N reactors, each owning its
-/// slice of the address space with that slice's dup caches and buffer
-/// pool, stealing cross-shard when dry.
-///
-/// Dropping the service shuts every shard down (workers joined, the
-/// event-mode addresses released).
-pub struct ShardedService {
-    /// The shared dispatch registry (path counters, unregister).
-    pub registry: Arc<SvcRegistry>,
-    /// The shard map (per-shard throughput, steal counts).
-    pub reactor: ShardedEventLoop,
-}
-
-impl ShardedService {
-    /// Events processed per shard — feed this to
-    /// [`crate::Summary::with_shards`].
-    pub fn per_shard_events(&self) -> Vec<u64> {
-        self.reactor.per_shard_events()
-    }
-
-    /// Total events processed across the map.
     pub fn total_events(&self) -> u64 {
         self.reactor.total_events()
     }
@@ -216,11 +171,11 @@ impl SpecService {
         Arc::new(reg)
     }
 
-    /// Install into a fresh registry and serve it over UDP at `addr`.
+    /// Install into a fresh registry and serve it over UDP at `addr`,
+    /// every delivery dispatched in place by the thread driving the
+    /// network. The deployment stays with the network.
     pub fn serve_udp(self, net: &Network, addr: Addr) -> Arc<SvcRegistry> {
-        let reg = self.into_registry();
-        serve_udp(net, addr, reg.clone(), None);
-        reg
+        serve(net, self.into_registry(), ServeConfig::new(&[addr])).detach()
     }
 
     /// Install into a fresh registry and serve it over TCP at `addr`.
@@ -230,47 +185,33 @@ impl SpecService {
         reg
     }
 
-    /// Install into a fresh registry and serve it over UDP at `addr`,
-    /// dispatching each datagram on a pool of `pool_size` worker threads
-    /// that share the registry (and any `StubCache`-compiled stubs).
-    /// Chain [`ThreadedService::also_tcp`] to serve TCP from the same
-    /// pool with per-connection worker pinning.
-    pub fn serve_threaded(self, net: &Network, addr: Addr, pool_size: usize) -> ThreadedService {
-        let registry = self.into_registry();
-        let pool = Arc::new(DispatchPool::new(registry.clone(), pool_size));
-        attach_udp(net, addr, pool.clone(), None);
-        ThreadedService { registry, pool }
-    }
-
     /// Install into a fresh registry and serve it over UDP at `addr`
-    /// through the **event-driven core**: deliveries become readiness
-    /// events and `workers` reactor threads drain them round-robin
-    /// through the pooled dispatch path (dup cache, `BufPool`, zero-copy
-    /// reply encode all preserved). Unlike [`SpecService::serve_udp`],
-    /// in-flight requests to this one address process in parallel
-    /// instead of serializing on a handler slot; unlike
-    /// [`SpecService::serve_threaded`], the delivering thread never
-    /// blocks on a reply hand-off, which is what lets
-    /// [`crate::SpecClient::call_batch`] keep a whole batch in flight.
+    /// with `workers` reactor threads racing the driving thread for each
+    /// delivery (dup cache, `BufPool`, zero-copy reply encode all as in
+    /// [`SpecService::serve_udp`]): requests to the one address that are
+    /// in flight together dispatch in parallel, which is what lets
+    /// [`crate::SpecClient::call_batch`] overlap a batch's server work
+    /// with its own marshaling.
     ///
-    /// With one worker and one driving thread the deployment is byte-
-    /// and virtual-time-identical to `serve_udp`; per-worker throughput
-    /// surfaces through [`crate::Summary::with_events`].
+    /// With one driving thread the deployment is byte- and
+    /// virtual-time-identical to `serve_udp` whichever thread wins each
+    /// race.
     pub fn serve_event(self, net: &Network, addr: Addr, workers: usize) -> EventService {
-        let registry = self.into_registry();
-        let reactor = serve_udp_event(net, addr, registry.clone(), workers, None);
-        EventService { registry, reactor }
+        let cfg = ServeConfig {
+            workers_per_shard: workers,
+            ..ServeConfig::new(&[addr])
+        };
+        self.serve_with(net, cfg)
     }
 
-    /// Install into a fresh registry and serve it at `addrs` through a
-    /// **shard map** of `shards` reactors: each address is assigned to a
-    /// shard (modulo spread), and each shard owns its slice's
-    /// duplicate-request caches and wire-buffer pool plus
-    /// `workers_per_shard` reactor threads; a shard whose queues run dry
-    /// steals one datagram at a time from its peers.
+    /// Install into a fresh registry and serve it at `addrs` through
+    /// `shards` shards: each address belongs to one shard (modulo
+    /// spread), and each shard owns its addresses' duplicate-request
+    /// caches and wire-buffer pool plus `workers_per_shard` reactor
+    /// threads; a shard whose queues run dry steals one datagram at a
+    /// time from its peers.
     ///
-    /// `workers_per_shard == 0` is the **deterministic single-driver
-    /// mode**: no threads are spawned and every delivery executes inline
+    /// `workers_per_shard == 0` spawns no thread: every delivery executes
     /// on the driving thread, producing byte- and virtual-time-identical
     /// traces for any shard count (the shard map then only partitions
     /// cache/pool ownership). This is the mode the million-client
@@ -281,18 +222,19 @@ impl SpecService {
         addrs: &[Addr],
         shards: usize,
         workers_per_shard: usize,
-    ) -> ShardedService {
-        let registry = self.into_registry();
-        let reactor = serve_udp_sharded(
-            net,
-            addrs,
-            registry.clone(),
-            ShardPlan::modulo(shards),
+    ) -> EventService {
+        let cfg = ServeConfig {
+            shards,
             workers_per_shard,
-            None,
-            DUP_CACHE_ENTRIES,
-        );
-        ShardedService { registry, reactor }
+            ..ServeConfig::new(addrs)
+        };
+        self.serve_with(net, cfg)
+    }
+
+    fn serve_with(self, net: &Network, cfg: ServeConfig) -> EventService {
+        let registry = self.into_registry();
+        let reactor = serve(net, registry.clone(), cfg);
+        EventService { registry, reactor }
     }
 }
 
@@ -453,9 +395,7 @@ mod tests {
         assert_send_sync::<SpecService>();
         assert_send_sync::<SvcRegistry>();
         assert_send_sync::<Network>();
-        assert_send_sync::<ThreadedService>();
         assert_send_sync::<EventService>();
-        assert_send_sync::<ShardedService>();
     }
 
     fn setup(n: usize) -> (Network, SpecClient<ClntUdp>, Arc<SvcRegistry>) {
@@ -615,7 +555,7 @@ mod tests {
         let reg = SvcRegistry::new();
         // Program registered with no procedures beyond NULL.
         reg.register(0x2000_0101, 1, 0, |_, _| Ok(()));
-        serve_udp(&net, 802, Arc::new(reg), None);
+        serve(&net, Arc::new(reg), ServeConfig::new(&[802])).detach();
         let clnt = ClntUdp::create(&net, 5300, 802, 0x2000_0101, 1);
         let mut client = SpecClient::from_parts(clnt, cp10);
         let args = client.args(vec![], vec![vec![42]]);
@@ -660,7 +600,10 @@ mod tests {
         // Worker counts plus driver steals cover every request: on a
         // single-core host the driving thread steals most of them.
         assert_eq!(served.total_events(), 6);
-        assert_eq!(per.iter().sum::<u64>() + served.reactor.stolen_events(), 6);
+        assert_eq!(
+            per.iter().sum::<u64>() + served.reactor.driver_inline_events(),
+            6
+        );
         assert_eq!(served.registry.raw_dispatches(), 6);
     }
 
@@ -721,34 +664,51 @@ mod tests {
         assert_eq!(served.total_events(), 4);
         assert_eq!(per, vec![2, 2], "modulo spread over even/odd ports");
         assert_eq!(served.registry.raw_dispatches(), 4);
-        let report = crate::Summary::default().with_shards(per).render();
+        let report = crate::Summary::default()
+            .with_served(per, served.per_worker_events())
+            .render();
         assert!(report.contains("shard map"));
+        assert!(!report.contains("event loop"), "no workers, no worker row");
     }
 
     #[test]
     fn threaded_service_round_trips_and_counts_per_worker() {
+        // Shards *and* workers through the one handle: two ports on two
+        // shards, one reactor thread each.
         let n = 8;
         let cp = Arc::new(ProcPipeline::new(n).build_from_idl(IDL, None, 1).unwrap());
         let net = Network::new(NetworkConfig::lan(), 13);
+        let ports = [802u32, 803];
         let served = SpecService::new()
             .proc(cp.clone(), |args: &StubArgs| {
                 StubArgs::new(vec![], vec![args.arrays[0].clone()])
             })
-            .serve_threaded(&net, 803, 3);
+            .serve_sharded(&net, &ports, 2, 1);
 
-        let clnt = ClntUdp::create(&net, 5400, 803, 0x2000_0101, 1);
-        let mut client = SpecClient::from_parts(clnt, cp);
         let data: Vec<i32> = (0..n as i32).collect();
-        for _ in 0..6 {
-            let args = client.args(vec![], vec![data.clone()]);
-            let (out, path) = client.call(&args).unwrap();
-            assert_eq!(path, PathUsed::Fast);
-            assert_eq!(out.arrays[0], data);
+        for (i, &port) in ports.iter().enumerate() {
+            let clnt = ClntUdp::create(&net, 5400 + i as u32, port, 0x2000_0101, 1);
+            let mut client = SpecClient::from_parts(clnt, cp.clone());
+            for _ in 0..3 {
+                let args = client.args(vec![], vec![data.clone()]);
+                let (out, path) = client.call(&args).unwrap();
+                assert_eq!(path, PathUsed::Fast);
+                assert_eq!(out.arrays[0], data);
+            }
         }
-        let per = served.per_thread_dispatches();
-        assert_eq!(per.len(), 3);
-        assert_eq!(per.iter().sum::<u64>(), 6);
-        assert!(per.iter().all(|&c| c == 2), "round-robin: {per:?}");
+        let per = served.per_worker_events();
+        assert_eq!(per.len(), 2);
+        assert_eq!(served.per_shard_events(), vec![3, 3]);
+        assert_eq!(
+            per.iter().sum::<u64>() + served.reactor.driver_inline_events(),
+            6
+        );
+        assert!(served.cross_shard_steals() <= per.iter().sum());
         assert_eq!(served.registry.raw_dispatches(), 6);
+        let report = crate::Summary::default()
+            .with_served(served.per_shard_events(), per)
+            .render();
+        assert!(report.contains("6 event(s) across 2 shard(s) [3, 3]"));
+        assert!(report.contains("across 2 worker(s)"));
     }
 }

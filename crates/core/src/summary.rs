@@ -206,14 +206,11 @@ pub struct Summary {
     /// Stub-cache effectiveness, when the stubs came through a
     /// [`crate::cache::StubCache`].
     pub cache: Option<CacheStats>,
-    /// Requests dispatched per worker thread, when the service ran under
-    /// [`crate::SpecService::serve_threaded`].
-    pub threads: Option<Vec<u64>>,
-    /// Events processed per reactor worker, when the service ran under
-    /// [`crate::SpecService::serve_event`].
+    /// Events executed per reactor worker, when the deployment had
+    /// workers ([`Summary::with_served`]).
     pub events: Option<Vec<u64>>,
-    /// Events processed per shard, when the service ran under
-    /// [`crate::SpecService::serve_sharded`] (per-shard throughput).
+    /// Events processed per shard of the reactor
+    /// ([`Summary::with_served`]).
     pub shards: Option<Vec<u64>>,
     /// Virtual-time latency distribution, when the deployment recorded
     /// one (the open-loop scaling scenarios).
@@ -244,7 +241,6 @@ impl Summary {
             dynamic_guards: r.dynamic_ifs_residualized,
             residual_stmts: r.residual_stmts,
             cache: None,
-            threads: None,
             events: None,
             shards: None,
             latency: None,
@@ -260,26 +256,13 @@ impl Summary {
         self
     }
 
-    /// Attach per-worker dispatch counts from a threaded deployment
-    /// ([`crate::service::ThreadedService::per_thread_dispatches`]).
-    pub fn with_threads(mut self, per_thread: Vec<u64>) -> Summary {
-        self.threads = Some(per_thread);
-        self
-    }
-
-    /// Attach per-worker event-loop throughput counts from an
-    /// event-driven deployment
-    /// ([`crate::service::EventService::per_worker_events`]).
-    pub fn with_events(mut self, per_worker: Vec<u64>) -> Summary {
-        self.events = Some(per_worker);
-        self
-    }
-
-    /// Attach per-shard event throughput counts from a sharded
-    /// deployment
-    /// ([`crate::service::ShardedService::per_shard_events`]).
-    pub fn with_shards(mut self, per_shard: Vec<u64>) -> Summary {
+    /// Attach a reactor deployment's event counts
+    /// ([`crate::service::EventService::per_shard_events`] /
+    /// [`crate::service::EventService::per_worker_events`]): the shard
+    /// map line, and the event loop line when there were workers.
+    pub fn with_served(mut self, per_shard: Vec<u64>, per_worker: Vec<u64>) -> Summary {
         self.shards = Some(per_shard);
+        self.events = (!per_worker.is_empty()).then_some(per_worker);
         self
     }
 
@@ -386,35 +369,19 @@ impl Summary {
                 ));
             }
         }
-        if let Some(t) = &self.threads {
-            let total: u64 = t.iter().sum();
-            let per: Vec<String> = t.iter().map(u64::to_string).collect();
-            text.push_str(&format!(
-                "\n\u{20} threaded dispatch:              {} across {} worker(s) [{}]",
-                total,
-                t.len(),
-                per.join(", "),
-            ));
-        }
-        if let Some(e) = &self.events {
-            let total: u64 = e.iter().sum();
-            let per: Vec<String> = e.iter().map(u64::to_string).collect();
-            text.push_str(&format!(
-                "\n\u{20} event loop:                     {} event(s) across {} worker(s) [{}]",
-                total,
-                e.len(),
-                per.join(", "),
-            ));
-        }
-        if let Some(s) = &self.shards {
-            let total: u64 = s.iter().sum();
-            let per: Vec<String> = s.iter().map(u64::to_string).collect();
-            text.push_str(&format!(
-                "\n\u{20} shard map:                      {} event(s) across {} shard(s) [{}]",
-                total,
-                s.len(),
-                per.join(", "),
-            ));
+        for (label, unit, counts) in [
+            ("event loop:", "worker", &self.events),
+            ("shard map:", "shard", &self.shards),
+        ] {
+            if let Some(c) = counts {
+                let per: Vec<String> = c.iter().map(u64::to_string).collect();
+                text.push_str(&format!(
+                    "\n\u{20} {label:<32}{} event(s) across {} {unit}(s) [{}]",
+                    c.iter().sum::<u64>(),
+                    c.len(),
+                    per.join(", "),
+                ));
+            }
         }
         if let Some(l) = &self.latency {
             text.push_str(&format!(
@@ -528,28 +495,28 @@ mod tests {
         let text = s.render();
         assert!(text.contains("stub cache"));
         assert!(text.contains("3 hit(s), 1 miss(es), 1 entry"));
-        assert!(
-            !text.contains("threaded dispatch"),
-            "no thread line without stats"
-        );
-    }
-
-    #[test]
-    fn render_includes_per_thread_dispatches_when_attached() {
-        let s = Summary::default().with_threads(vec![4, 3, 5]);
-        let text = s.render();
-        assert!(text.contains("threaded dispatch"));
-        assert!(text.contains("12 across 3 worker(s) [4, 3, 5]"));
-        assert!(!text.contains("wire path"), "no wire line without stats");
         assert!(!text.contains("event loop"), "no event line without stats");
     }
 
     #[test]
-    fn render_includes_event_loop_throughput_when_attached() {
-        let s = Summary::default().with_events(vec![7, 9]);
+    fn render_includes_per_thread_dispatches_when_attached() {
+        // Workers on several shards: both breakdowns of one deployment.
+        let s = Summary::default().with_served(vec![9, 6], vec![4, 3, 5, 0]);
         let text = s.render();
-        assert!(text.contains("event loop"));
-        assert!(text.contains("16 event(s) across 2 worker(s) [7, 9]"));
+        assert!(text.contains("12 event(s) across 4 worker(s) [4, 3, 5, 0]"));
+        assert!(text.contains("15 event(s) across 2 shard(s) [9, 6]"));
+        assert!(!text.contains("wire path"), "no wire line without stats");
+    }
+
+    #[test]
+    fn render_includes_event_loop_throughput_when_attached() {
+        let s = Summary::default().with_served(vec![20], vec![7, 9]);
+        let text = s.render();
+        assert!(text
+            .contains("\n  event loop:                     16 event(s) across 2 worker(s) [7, 9]"));
+        assert!(
+            text.contains("\n  shard map:                      20 event(s) across 1 shard(s) [20]")
+        );
     }
 
     #[test]
@@ -638,10 +605,11 @@ mod tests {
         let mut hist = LatencyHistogram::new();
         hist.record(SimTime::from_micros(120));
         let text = Summary::default()
-            .with_shards(vec![5, 6, 7, 8])
+            .with_served(vec![5, 6, 7, 8], Vec::new())
             .with_latency(hist)
             .render();
         assert!(text.contains("shard map"));
+        assert!(!text.contains("event loop"), "no workers, no worker line");
         assert!(text.contains("26 event(s) across 4 shard(s) [5, 6, 7, 8]"));
         assert!(text.contains("latency (virtual time)"));
         assert!(text.contains("p999"));

@@ -6,12 +6,13 @@
 //! duplicate-request cache were actually designed around:
 //!
 //! * **crash** — the process dies: its mailbox and every queued readiness
-//!   event are discarded, its UDP handler is unregistered, and deliveries
+//!   event are discarded, its address is unregistered, and deliveries
 //!   arriving while it is down vanish (counted in
 //!   [`ChaosStats::drops_down`]).
-//! * **restart** — the process comes back with **fresh handler state**
-//!   (re-installed from the factory registered via
-//!   [`crate::net::Network::serve_udp_restartable`]): in particular a
+//! * **restart** — the process comes back with **fresh state**
+//!   (re-registered from the factory given to
+//!   [`crate::net::Network::serve_udp_restartable`] or
+//!   [`crate::net::Network::serve_udp_events_restartable`]): in particular a
 //!   restarted RPC server's duplicate-request cache is empty, so a
 //!   retransmission of an already-executed call re-executes — the
 //!   exactly-once → at-least-once degradation the availability study
@@ -40,11 +41,11 @@ use std::collections::{BTreeMap, HashMap, HashSet};
 /// One endpoint lifecycle fault (see the module docs for semantics).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum ChaosEvent {
-    /// Kill the endpoint: mailbox and readiness queue dropped, handler
+    /// Kill the endpoint: mailbox and readiness queue dropped, address
     /// unregistered, subsequent deliveries discarded.
     Crash(Addr),
-    /// Bring a crashed endpoint back with fresh handler state (installed
-    /// from its registered factory, if any) — dup-cache amnesia included.
+    /// Bring a crashed endpoint back with fresh state (registered from
+    /// its factory, if any) — dup-cache amnesia included.
     Restart(Addr),
     /// Cut the link between two addresses (both directions).
     Partition(Addr, Addr),

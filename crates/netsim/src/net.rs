@@ -4,9 +4,10 @@
 //! sender's link* (serialization at `ns_per_byte`, queued behind the
 //! sender's previous transmissions), then schedules the delivery event at
 //! `tx_done + latency`; the run loop pops events in time order, advancing
-//! the virtual clock. Servers are *handlers* — callbacks invoked when
-//! traffic reaches their address — while the test driver plays the client,
-//! blocking in [`Network::run_until`]-style waits that advance the clock.
+//! the virtual clock. Servers are *processors* — callbacks run on the
+//! datagrams queued at their address — while the test driver plays the
+//! client, blocking in [`Network::run_until`]-style waits that advance the
+//! clock.
 //!
 //! Determinism: all randomness (fault injection) is seeded, event ties are
 //! broken by sequence number, and no wall-clock time is consulted; two runs
@@ -52,7 +53,7 @@
 //! a busy link allows.
 //!
 //! Receive side: a delivery lands in a bounded drop-tail queue (the
-//! mailbox of a bound endpoint or the readiness queue of an event-mode
+//! mailbox of a bound endpoint or the readiness queue of a served
 //! address). When the queue already holds
 //! [`NetworkConfig::rx_queue_cap`] datagrams the delivery is silently
 //! dropped — like a kernel socket buffer overflowing — and counted in
@@ -80,25 +81,23 @@
 //!   receive ([`Endpoint::recv_timeout`]) computes its deadline, looks at
 //!   its mailbox and steps the simulation under one acquisition, which it
 //!   gives up only to run user code.
-//! * **Handlers run outside the lock**, each in its own `Mutex` slot, so
-//!   a handler may itself send traffic (re-entering the simulator) and
-//!   two threads delivering to the same address serialize on the
-//!   handler, never dropping a datagram. The popped event counts as
-//!   `in_flight` meanwhile — the one thing that counter still covers,
-//!   together with TCP deliveries and lifecycle faults, which also leave
-//!   the lock — and idle fast-forward on other threads waits for it.
-//! * **A handler's completion is one acquisition**: charging its
-//!   processing time to the clock, putting its reply on the uplink from
-//!   that instant and retiring `in_flight` all mutate simulator state
-//!   and none runs user code, so nothing is gained by releasing the lock
-//!   between them — exactly what the reactor's event completion always
-//!   did. The driving thread keeps that acquisition for its next step.
-//!   An unwinding handler retires `in_flight` through a guard instead.
+//! * **Server code runs outside the lock**, so it may itself send traffic
+//!   (re-entering the simulator). The datagram it works on counts as
+//!   *pending* meanwhile (see "The delivery lane" below) and idle
+//!   fast-forward on other threads waits for it. TCP deliveries and
+//!   lifecycle faults also leave the lock, counted as `in_flight`.
+//! * **A completion is one acquisition**: charging the processing time to
+//!   the clock, putting the reply on the uplink from that instant and
+//!   retiring the pending count all mutate simulator state and none runs
+//!   user code, so nothing is gained by releasing the lock between them.
+//!   The driving thread keeps that acquisition for its next step. An
+//!   unwinding processor retires its count through a guard instead.
 //!
-//! One mailbox ↔ handler round trip therefore takes three acquisitions:
-//! the send, the pop that hands the request to the handler, and the
-//! completion under which the reply is sent, delivered and received (a
-//! unit test below pins the count).
+//! One mailbox ↔ server round trip therefore takes three acquisitions:
+//! the send, the receive's acquisition (which pops the request, queues it
+//! and takes it straight back out for the processor), and the completion
+//! under which the reply is sent, delivered and received (a unit test
+//! below pins the count).
 //!
 //! Determinism guarantees under threads: with a **single** driving thread
 //! the trace is byte- and time-identical run to run (the seeded fault
@@ -121,8 +120,8 @@
 //! a delivery looks up therefore hold the endpoints that are alive, not
 //! every endpoint there has ever been — a run that binds a million
 //! one-call endpoints a few thousand at a time costs what a few thousand
-//! cost. A datagram for an address with no registration, handler or
-//! live endpoint is discarded and counted ([`Network::unbound_drops`]).
+//! cost. A datagram for an address with no registration and no live
+//! endpoint is discarded and counted ([`Network::unbound_drops`]).
 //!
 //! "Busy" is judged against the clock at the drop. A server's
 //! processing charge can run that clock ahead of events still queued,
@@ -133,33 +132,34 @@
 //! handler, factory or processor closure may own an `Endpoint`. So the
 //! simulator never drops such a closure while it holds the lock:
 //! whatever replaces or removes a registration ([`Network::serve_udp`]
-//! over an existing handler, [`Network::crash`],
+//! over an existing one, [`Network::crash`],
 //! [`Network::unserve_udp_events`], …) takes the old value out under the
 //! lock and lets go of it after. New code in this module must keep to
 //! that.
 //!
-//! # Readiness (event) mode
+//! # The delivery lane
 //!
-//! Besides the blocking handler slots, an address can be registered in
-//! **event mode** ([`Network::serve_udp_events`]): a delivery becomes a
-//! *readiness event* — the datagram is queued under the simulator lock
-//! and reactor threads drain it with the nonblocking
-//! [`Network::poll_udp`] (sleeping in [`Network::wait_ready`] between
-//! bursts). Because the queue push replaces the handler invocation,
-//! deliveries never serialize on a per-address handler `Mutex`: any
-//! number of datagrams — to the same address or different ones — can be
-//! in flight at once, processed in parallel by as many reactor workers
-//! as are polling.
+//! There is one way a datagram reaches server code. A served address owns
+//! a *readiness queue*: a delivery is queued there under the simulator
+//! lock as a *readiness event*, and taken out again by whoever processes
+//! it — a driving thread running the address's inline processor in place
+//! ([`Network::serve_udp_events_with`]; [`Network::serve_udp`] registers
+//! a stateful handler this way), or a reactor thread draining the queue
+//! with the nonblocking [`Network::poll_udp`] (sleeping in
+//! [`Network::wait_ready`] between bursts). Nothing serializes deliveries
+//! on an address: any number of datagrams — to the same address or
+//! different ones — can be in flight at once, processed in parallel by
+//! as many reactor workers as are polling.
 //!
-//! Virtual-time determinism is preserved for the single-driver case by
-//! the same mechanism that protects mid-dispatch handlers: a queued or
-//! checked-out readiness event counts as *pending*, and the idle
-//! fast-forward in [`Network::run_until`] refuses to jump the clock while
-//! anything is pending. The driving thread therefore always yields to the
-//! reactor at the exact virtual instant the delivery happened, the
-//! reactor charges its processing time and schedules the reply from that
-//! same instant, and the resulting trace is byte- and time-identical to
-//! the blocking-handler execution of the same workload.
+//! Virtual-time determinism for the single-driver case rests on one
+//! count: a queued or checked-out readiness event is *pending*, and the
+//! idle fast-forward in [`Network::run_until`] refuses to jump the clock
+//! while anything is pending. The processing time is therefore charged,
+//! and the reply scheduled, from the exact virtual instant the delivery
+//! happened, whichever thread does the work — with an inline processor
+//! and no reactor the driver does it itself, and a reactor that wins the
+//! race for the datagram produces the same trace to the byte and the
+//! nanosecond.
 //!
 //! Waking costs a system call whether or not anyone is asleep, so the
 //! lane asks first: threads parked in [`Network::wait_ready`] or in the
@@ -176,7 +176,7 @@ use std::cmp::Reverse;
 use std::collections::hash_map::Entry;
 use std::collections::{BTreeMap, BinaryHeap, HashMap, VecDeque};
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Condvar, LockResult, Mutex, MutexGuard};
+use std::sync::{Arc, Condvar, LockResult, Mutex, MutexGuard, PoisonError};
 use std::time::{Duration, Instant};
 
 /// A network address (think UDP/TCP port; hosts are implicit — the paper's
@@ -202,8 +202,8 @@ pub struct NetworkConfig {
     /// model is a reliable byte pipe and never consults the fault
     /// stream).
     pub faults: FaultConfig,
-    /// Bounded receive-queue depth (datagrams) per mailbox / event-mode
-    /// readiness queue. A delivery to a full queue is dropped (drop-tail)
+    /// Bounded receive-queue depth (datagrams) per mailbox / served
+    /// address's readiness queue. A delivery to a full queue is dropped (drop-tail)
     /// and counted in [`Network::link_stats`]. `usize::MAX` (the
     /// default) is effectively unbounded.
     pub rx_queue_cap: usize,
@@ -346,8 +346,10 @@ impl Ord for Scheduled {
     }
 }
 
-/// A UDP service handler: gets a request datagram, optionally returns a
-/// reply plus the simulated processing time spent producing it.
+/// A stateful UDP service handler: gets a request datagram, optionally
+/// returns a reply plus the simulated processing time spent producing it.
+/// [`Network::serve_udp`] registers it as its address's inline
+/// [`EventProcessor`], behind a mutex of its own.
 ///
 /// The payload is passed by mutable reference so a handler may *consume*
 /// it (`std::mem::take`) — e.g. to recycle the buffer into a wire-buffer
@@ -389,22 +391,42 @@ pub trait TcpHandler: Send {
 /// Factory producing one [`TcpHandler`] per accepted connection.
 pub type TcpHandlerFactory = Box<dyn FnMut() -> Box<dyn TcpHandler> + Send>;
 
-/// A handler checked out of the simulator for invocation: its own lock,
-/// never held together with the simulator lock, so handlers can re-enter
-/// the network and concurrent deliveries to one address serialize instead
-/// of dropping.
+/// User code checked out of the simulator for invocation: its own lock,
+/// never held together with the simulator lock, so it can re-enter the
+/// network.
 type Slot<T> = Arc<Mutex<T>>;
 
-/// A shareable event-mode processor (the [`UdpHandler`] contract through
-/// `&self`): reactors invoke it via [`Network::poll_udp`], and — when
-/// registered with [`Network::serve_udp_events_with`] — a *driving*
-/// thread blocked on pending events invokes it inline (work stealing),
-/// so single-core deployments pay no cross-thread hand-off per event.
+/// The server code of an address (the [`UdpHandler`] contract through
+/// `&self`): registered with [`Network::serve_udp_events_with`], it is
+/// run in place by a *driving* thread that finds a delivery queued, so a
+/// deployment without reactor threads pays no cross-thread hand-off per
+/// event; reactors racing the driver for the queue go through
+/// [`Network::poll_udp`].
 pub type EventProcessor =
     Arc<dyn Fn(&mut Vec<u8>, Addr) -> Option<(Vec<u8>, SimTime)> + Send + Sync>;
 
-/// One event-mode address: its readiness queue plus the optional inline
-/// processor driving threads may steal work through.
+/// Factory producing the [`EventProcessor`] of a restartable address:
+/// invoked at registration and again on every [`Network::restart`], so
+/// whatever state the processor keeps can start over (see
+/// [`Network::serve_udp_events_restartable`]).
+pub type EventProcessorFactory = Box<dyn FnMut() -> EventProcessor + Send>;
+
+/// Wrap a stateful handler as an inline processor: the `FnMut` sits
+/// behind a mutex of its own, so two threads delivering to its address
+/// take turns. A handler that panicked poisoned that mutex and nothing
+/// else; the next delivery takes the guard back — what state the handler
+/// left behind is the handler's business, and wedging its address (and
+/// the thread driving the next retransmission) would help nobody.
+fn handler_processor(handler: UdpHandler) -> EventProcessor {
+    let slot = Mutex::new(handler);
+    Arc::new(move |payload: &mut Vec<u8>, from: Addr| {
+        let mut handler = slot.lock().unwrap_or_else(PoisonError::into_inner);
+        handler(payload, from)
+    })
+}
+
+/// One served address: its readiness queue plus the optional inline
+/// processor driving threads run queued work through.
 struct EventQueue {
     ready: VecDeque<Datagram>,
     processor: Option<EventProcessor>,
@@ -450,8 +472,8 @@ struct NetInner {
     now: SimTime,
     seq: u64,
     /// Events popped from the queue whose dispatch left the simulator
-    /// lock and has not finished yet: a UDP handler invocation, a TCP
-    /// delivery, a lifecycle fault. The dispatching thread may be about
+    /// lock and has not finished yet: a TCP delivery, a lifecycle fault.
+    /// The dispatching thread may be about
     /// to schedule follow-up events (e.g. a server reply), so idle
     /// fast-forward must wait for it — otherwise a concurrent waiter
     /// would see a transiently empty queue and jump the clock past its
@@ -459,8 +481,8 @@ struct NetInner {
     /// queue never counts: its routing completes under the acquisition
     /// that popped it.
     in_flight: usize,
-    /// Readiness events queued for (or checked out by) event-mode
-    /// reactors. Counted exactly like `in_flight`: the idle fast-forward
+    /// Readiness events queued for (or checked out by) whoever processes
+    /// them. Counted exactly like `in_flight`: the idle fast-forward
     /// must not jump the clock while a reactor still owes a reply for a
     /// delivery that happened at the current virtual instant.
     pending_events: usize,
@@ -470,7 +492,7 @@ struct NetInner {
     /// thread must not pop scheduled events at all — otherwise a reactor
     /// worker that won the race for the datagram would charge its
     /// processing time from a clock the driver has meanwhile advanced,
-    /// and the trace would diverge from the blocking-handler execution.
+    /// and the trace would diverge from the driver-only execution.
     /// Pure-poll registrations stay *loose* (the driver keeps delivering
     /// so multiple workers can hold events concurrently).
     pending_strict: usize,
@@ -478,19 +500,18 @@ struct NetInner {
     faults: FaultState,
     queue: BinaryHeap<Reverse<Scheduled>>,
     /// Mailboxes of the endpoints that are bound *now* (an [`Endpoint`]
-    /// unbinds when dropped). This table, `udp_handlers` and `udp_busy`
-    /// are looked up on every datagram and keyed by addresses the
-    /// program bound itself, so they hash with [`IntMap`]'s
-    /// multiply-shift instead of SipHash. None of the three is ever
-    /// iterated, so no trace depends on their internal order.
+    /// unbinds when dropped). This table and `udp_busy` are looked up on
+    /// every datagram and keyed by addresses the program bound itself,
+    /// so they hash with [`IntMap`]'s multiply-shift instead of SipHash.
+    /// Neither is ever iterated, so no trace depends on their internal
+    /// order.
     mailboxes: IntMap<Addr, Mailbox>,
-    udp_handlers: IntMap<Addr, Slot<UdpHandler>>,
-    /// Handler factories for restartable services: [`Network::restart`]
-    /// re-installs a freshly built handler from here (crash/restart
-    /// amnesia — see [`crate::chaos`]).
-    udp_factories: HashMap<Addr, Slot<UdpHandlerFactory>>,
-    /// Event-mode service addresses: deliveries become readiness events
-    /// drained by [`Network::poll_udp`] instead of handler invocations.
+    /// Processor factories of restartable services: [`Network::restart`]
+    /// re-registers what the factory builds (crash/restart amnesia — see
+    /// [`crate::chaos`]).
+    udp_factories: HashMap<Addr, Slot<EventProcessorFactory>>,
+    /// Served addresses: deliveries become readiness events, processed
+    /// inline by a driver or drained by [`Network::poll_udp`].
     /// A `BTreeMap` so the driver's work-steal scan visits addresses in
     /// a deterministic (sorted) order — a hash map's randomized
     /// iteration would make multi-address steal order, and therefore the
@@ -513,8 +534,8 @@ struct NetInner {
     /// Drop-tail accounting (see [`LinkStats`]).
     queue_drops: u64,
     queue_high_water: u64,
-    /// Deliveries to an address with no event queue, handler or mailbox
-    /// (see [`Network::unbound_drops`]).
+    /// Deliveries to an address with no event queue and no mailbox (see
+    /// [`Network::unbound_drops`]).
     unbound_drops: u64,
     /// Threads parked on `ready_cv` / `retired_cv` right now. A waiter
     /// counts itself in under the lock before it sleeps and out after it
@@ -593,7 +614,6 @@ impl Network {
                     cfg,
                     queue: BinaryHeap::new(),
                     mailboxes: IntMap::default(),
-                    udp_handlers: IntMap::default(),
                     udp_factories: HashMap::new(),
                     event_queues: BTreeMap::new(),
                     tcp_listeners: HashMap::new(),
@@ -670,8 +690,7 @@ impl Network {
     }
 
     /// Datagrams that arrived at an address nobody was bound to — no
-    /// event-mode registration, no handler, no live [`Endpoint`] — and
-    /// were discarded: typically a late or duplicated reply to an
+    /// registration, no live [`Endpoint`] — and were discarded: typically a late or duplicated reply to an
     /// endpoint that has been dropped.
     pub fn unbound_drops(&self) -> u64 {
         self.lock().unbound_drops
@@ -689,15 +708,12 @@ impl Network {
         }
     }
 
-    /// Install a UDP service at `addr`, replacing any handler already
-    /// there.
+    /// Install a UDP service at `addr`, replacing any registration
+    /// already there: `handler` becomes the address's inline processor
+    /// ([`Network::serve_udp_events_with`]), run by whichever thread
+    /// drives the delivery.
     pub fn serve_udp(&self, addr: Addr, handler: UdpHandler) {
-        let replaced = self
-            .lock()
-            .udp_handlers
-            .insert(addr, Arc::new(Mutex::new(handler)));
-        // Outside the lock: see "Dropping user code" in the module docs.
-        drop(replaced);
+        self.serve_udp_events_with(addr, handler_processor(handler));
     }
 
     /// Install a **restartable** UDP service at `addr`: the factory is
@@ -706,32 +722,35 @@ impl Network {
     /// state — the dup-cache amnesia the chaos scenarios exercise (see
     /// [`crate::chaos`]).
     pub fn serve_udp_restartable(&self, addr: Addr, mut factory: UdpHandlerFactory) {
-        let handler = factory();
-        let mut inner = self.lock();
-        let replaced = (
-            inner
-                .udp_handlers
-                .insert(addr, Arc::new(Mutex::new(handler))),
-            inner
-                .udp_factories
-                .insert(addr, Arc::new(Mutex::new(factory))),
-        );
-        drop(inner);
+        self.serve_udp_events_restartable(addr, Box::new(move || handler_processor(factory())));
+    }
+
+    /// [`Network::serve_udp_events_with`] for an address that survives a
+    /// crash: the factory builds the processor registered now, and
+    /// [`Network::restart`] registers what it builds then — the hook a
+    /// reactor uses to come back with an empty duplicate-request cache.
+    pub fn serve_udp_events_restartable(&self, addr: Addr, mut factory: EventProcessorFactory) {
+        self.serve_udp_events_with(addr, factory());
+        let replaced = self
+            .lock()
+            .udp_factories
+            .insert(addr, Arc::new(Mutex::new(factory)));
+        // Outside the lock: see "Dropping user code" in the module docs.
         drop(replaced);
     }
 
     /// Crash `addr` now (see [`ChaosEvent::Crash`]): its mailbox and
     /// queued readiness events are dropped (and un-counted from the
-    /// pending guards), its handler and event-mode registration are
-    /// removed, and deliveries arriving while it is down vanish.
+    /// pending guards), its registration is removed, and deliveries
+    /// arriving while it is down vanish.
     pub fn crash(&self, addr: Addr) {
         self.apply_chaos_event(ChaosEvent::Crash(addr));
     }
 
     /// Restart a crashed `addr` now (see [`ChaosEvent::Restart`]): closes
-    /// its downtime span and — if the address was registered through
-    /// [`Network::serve_udp_restartable`] — installs a freshly built
-    /// handler (empty dup cache and all).
+    /// its downtime span and — if the address was registered as
+    /// restartable — registers a freshly built processor (empty dup
+    /// cache and all).
     pub fn restart(&self, addr: Addr) {
         self.apply_chaos_event(ChaosEvent::Restart(addr));
     }
@@ -798,14 +817,14 @@ impl Network {
         let (reinstall, crashed) = self.lock().apply_chaos_locked(ev);
         // What a crash removed is user code: dropped outside the lock.
         drop(crashed);
-        // A restart re-builds the handler from its factory OUTSIDE the
+        // A restart re-builds the processor from its factory OUTSIDE the
         // simulator lock (the factory is user code and may touch the
         // network itself).
         if let Some(addr) = reinstall {
             let factory = self.lock().udp_factories.get(&addr).cloned();
             if let Some(factory) = factory {
-                let handler = (factory.lock().expect("udp factory lock"))();
-                self.serve_udp(addr, handler);
+                let processor = (factory.lock().expect("udp factory lock"))();
+                self.serve_udp_events_with(addr, processor);
             }
         }
         // Crash may have dropped pending events; wake both sleeper kinds
@@ -813,11 +832,10 @@ impl Network {
         self.notify_ready();
     }
 
-    /// Register `addr` in **event mode**: deliveries are queued as
-    /// readiness events instead of invoking a blocking handler. Drain
-    /// them with [`Network::poll_udp`]; block between bursts with
-    /// [`Network::wait_ready`]. An address is either event-mode or
-    /// handler-mode, never both (event registration wins on conflict).
+    /// Register `addr` with no inline processor: deliveries are queued
+    /// as readiness events and wait for a reactor. Drain them with
+    /// [`Network::poll_udp`]; block between bursts with
+    /// [`Network::wait_ready`].
     ///
     /// Every queued-but-undrained event counts as *pending*: the idle
     /// fast-forward of [`Network::run_until`] will not advance the clock
@@ -832,12 +850,12 @@ impl Network {
     }
 
     /// [`Network::serve_udp_events`] with an inline processor: reactors
-    /// still drain the address via [`Network::poll_udp`], but a
+    /// may still drain the address via [`Network::poll_udp`], but a
     /// *driving* thread that would otherwise sleep on pending events
-    /// **steals** queued work and runs `processor` itself. On a
-    /// single-core host this collapses the per-event cross-thread
-    /// hand-off to zero (the driver does the work in place, like the
-    /// blocking handler path) while multi-core hosts keep full reactor
+    /// takes queued work and runs `processor` itself. With no reactor at
+    /// all the driver does every delivery in place; with reactors, on a
+    /// single-core host, this still collapses the per-event cross-thread
+    /// hand-off to zero while multi-core hosts keep full reactor
     /// parallelism.
     pub fn serve_udp_events_with(&self, addr: Addr, processor: EventProcessor) {
         let mut inner = self.lock();
@@ -856,28 +874,31 @@ impl Network {
         drop(replaced);
     }
 
-    /// Remove an event-mode registration, dropping (and un-counting) any
-    /// queued deliveries, and wake every [`Network::wait_ready`] sleeper.
+    /// Remove a registration (and the factory of a restartable one),
+    /// dropping (and un-counting) any queued deliveries, and wake every
+    /// [`Network::wait_ready`] sleeper.
     pub fn unserve_udp_events(&self, addr: Addr) {
         let mut inner = self.lock();
-        let removed = inner.event_queues.remove(&addr);
-        inner.forget_queued(removed.as_ref());
+        let removed = (
+            inner.event_queues.remove(&addr),
+            inner.udp_factories.remove(&addr),
+        );
+        inner.forget_queued(removed.0.as_ref());
         drop(inner);
         drop(removed);
         self.notify_ready();
     }
 
-    /// Nonblocking poll of one event-mode address: if a delivery is
+    /// Nonblocking poll of one served address: if a delivery is
     /// queued, pop it, run `process` on the payload **outside every
     /// simulator lock**, charge the returned processing time to the
     /// virtual clock, send the reply (if any), and return `true`. Returns
-    /// `false` immediately when nothing is ready (or `addr` is not in
-    /// event mode).
+    /// `false` immediately when nothing is ready (or `addr` is not
+    /// served).
     ///
     /// Multiple reactor threads may poll the same address concurrently:
-    /// each pops a distinct datagram, so — unlike the blocking handler
-    /// slot — in-flight deliveries to one address process in parallel.
-    /// The contract of `process` matches [`UdpHandler`]: it may consume
+    /// each pops a distinct datagram, so in-flight deliveries to one
+    /// address process in parallel. The contract of `process` matches [`UdpHandler`]: it may consume
     /// the payload (`std::mem::take`) and may itself send traffic.
     pub fn poll_udp(
         &self,
@@ -930,8 +951,7 @@ impl Network {
         let mut guard = PendingGuard(self, true, strict);
         let reply = process(&mut dg.payload, dg.from);
         let mut inner = self.lock();
-        // Empty reply: charge the time, send nothing (one-way calls —
-        // same convention as the blocking handler path).
+        // Empty reply: charge the time, send nothing (one-way calls).
         self.finish_reply(&mut inner, addr, dg.from, reply);
         inner.pending_events -= 1;
         if strict {
@@ -963,7 +983,7 @@ impl Network {
         }
     }
 
-    /// Number of deliveries currently queued on an event-mode address
+    /// Number of deliveries currently queued on a served address
     /// (a nonblocking readiness probe).
     pub fn ready_udp(&self, addr: Addr) -> usize {
         self.lock()
@@ -987,7 +1007,7 @@ impl Network {
     }
 
     /// Readiness events currently queued or checked out across **all**
-    /// event-mode addresses — the simulator-wide backlog the idle
+    /// served addresses — the simulator-wide backlog the idle
     /// fast-forward refuses to jump (observability for reactor sizing).
     pub fn pending_events(&self) -> usize {
         self.lock().pending_events
@@ -1160,7 +1180,7 @@ impl Network {
     /// non-empty? is the deadline past?) shares an acquisition with the
     /// step before it. A datagram bound for a mailbox or a readiness
     /// queue is routed under the acquisition that popped it; only work
-    /// that runs user code (a handler, an event processor, a lifecycle
+    /// that runs user code (an event processor, a TCP handler, a lifecycle
     /// fault) leaves the lock, and comes back holding the acquisition its
     /// completion needed anyway.
     fn step_locked<'a>(
@@ -1195,7 +1215,7 @@ impl Network {
                 // driver. Popping a scheduled event now would
                 // advance (or rewind) the clock the peer's
                 // completion is about to charge from, diverging from
-                // the blocking-handler trace; hold the clock until
+                // the driver-only trace; hold the clock until
                 // the work retires (completion notifies
                 // `retired_cv`).
                 inner = self.wait_retired(inner);
@@ -1250,42 +1270,26 @@ impl Network {
 
     /// Deliver one event just popped at the current instant. A datagram
     /// is routed where it is bound (see [`NetInner::route_udp`]) without
-    /// leaving the lock unless a handler must run; TCP deliveries and
-    /// lifecycle faults always run outside it.
+    /// leaving the lock; TCP deliveries and lifecycle faults always run
+    /// outside it.
     fn deliver<'a>(
         &'a self,
         mut inner: MutexGuard<'a, NetInner>,
         ev: Event,
     ) -> MutexGuard<'a, NetInner> {
         match ev {
-            Event::UdpDeliver { to, dg } => match inner.route_udp(to, dg) {
-                Routed::Done => inner,
-                Routed::Queued => {
-                    // A reactor that parks after this read finds the
-                    // event first: it looks at the queue under the lock
-                    // before it sleeps.
-                    if inner.ready_sleepers > 0 {
-                        // Wake them only once they can take the lock.
-                        drop(inner);
-                        self.shared.wake_ready();
-                        inner = self.lock();
-                    }
-                    inner
+            Event::UdpDeliver { to, dg } => {
+                // A reactor that parks after this read finds the event
+                // first: it looks at the queue under the lock before it
+                // sleeps.
+                if inner.route_udp(to, dg) && inner.ready_sleepers > 0 {
+                    // Wake them only once they can take the lock.
+                    drop(inner);
+                    self.shared.wake_ready();
+                    inner = self.lock();
                 }
-                Routed::Invoke(slot, mut dg) => {
-                    // The handler runs under its own slot lock — a second
-                    // thread delivering to the same address waits there
-                    // instead of losing data. Its completion — in-flight
-                    // retire, clock charge, reply send — is the one
-                    // acquisition `outside` comes back with.
-                    let (mut inner, (reply, from)) = self.outside(inner, move || {
-                        let mut h = slot.lock().expect("udp handler lock");
-                        (h(&mut dg.payload, dg.from), dg.from)
-                    });
-                    self.finish_reply(&mut inner, to, from, reply);
-                    inner
-                }
-            },
+                inner
+            }
             Event::TcpDeliver {
                 conn,
                 to_server,
@@ -1301,8 +1305,8 @@ impl Network {
     /// Run `work` — user code, or simulator code that takes the lock
     /// itself — outside the simulator lock and come back holding it.
     /// The popped event counts as `in_flight` meanwhile; if `work`
-    /// unwinds the count is still retired, so a panicking handler cannot
-    /// livelock every other driving thread.
+    /// unwinds the count is still retired, so a panicking TCP handler
+    /// cannot livelock every other driving thread.
     fn outside<'a, R>(
         &'a self,
         mut inner: MutexGuard<'a, NetInner>,
@@ -1401,55 +1405,38 @@ impl ConnState {
     }
 }
 
-/// The event-mode registration and the handler a crash took out of the
-/// tables.
-type Crashed = (Option<EventQueue>, Option<Slot<UdpHandler>>);
-
-/// Where [`NetInner::route_udp`] left an arriving datagram.
-enum Routed {
-    /// Nothing more to do: it sits in a mailbox, was deferred by a
-    /// pause, or was dropped and counted (dead or unbound destination,
-    /// full queue).
-    Done,
-    /// It sits in an event-mode readiness queue, counted as pending.
-    Queued,
-    /// It is bound for this handler, which must run outside the lock.
-    Invoke(Slot<UdpHandler>, Datagram),
-}
-
 impl NetInner {
     /// Route a datagram arriving at `to` at the current instant, under
-    /// the simulator lock: an event-mode address queues it as a
-    /// readiness event (counted as pending so the clock cannot run past
-    /// it); else a handler, if present, is handed back to run it; else a
-    /// bound mailbox receives it; else it is dropped and counted as
-    /// unbound (ICMP-unreachable behaviour is not modeled). Full queues
-    /// drop the tail, counted.
-    fn route_udp(&mut self, to: Addr, dg: Datagram) -> Routed {
+    /// the simulator lock: a served address queues it as a readiness
+    /// event (counted as pending so the clock cannot run past it) and
+    /// `true` is returned; else a bound mailbox receives it; else it is
+    /// dropped and counted as unbound (ICMP-unreachable behaviour is not
+    /// modeled). Full queues drop the tail, counted.
+    fn route_udp(&mut self, to: Addr, dg: Datagram) -> bool {
         if self.chaos.armed() {
             if self.chaos.is_down(to) {
                 // The destination process is dead: the delivery vanishes
                 // (there is no ICMP).
                 self.chaos.stats.drops_down += 1;
-                return Routed::Done;
+                return false;
             }
             if self.chaos.is_paused(to) {
                 // A stalled process: the kernel keeps buffering — defer
                 // until resume.
                 self.chaos.defer(to, dg);
-                return Routed::Done;
+                return false;
             }
         }
         let cap = self.cfg.rx_queue_cap;
-        // Most deployments have no event-mode address at all; the
-        // ordered map is only searched when one exists.
+        // A client-only network serves nothing; the ordered map is only
+        // searched when it holds something.
         if !self.event_queues.is_empty() {
             if let Some(q) = self.event_queues.get_mut(&to) {
                 if q.ready.len() >= cap {
                     // Drop-tail: never counted as pending — nobody will
                     // drain it.
                     self.queue_drops += 1;
-                    return Routed::Done;
+                    return false;
                 }
                 q.ready.push_back(dg);
                 self.queue_high_water = self.queue_high_water.max(q.ready.len() as u64);
@@ -1457,11 +1444,8 @@ impl NetInner {
                 if q.processor.is_some() {
                     self.pending_strict += 1;
                 }
-                return Routed::Queued;
+                return true;
             }
-        }
-        if let Some(slot) = self.udp_handlers.get(&to) {
-            return Routed::Invoke(slot.clone(), dg);
         }
         match self.mailboxes.get_mut(&to) {
             Some(mb) if mb.queue.len() >= cap => self.queue_drops += 1,
@@ -1471,7 +1455,7 @@ impl NetInner {
             }
             None => self.unbound_drops += 1,
         }
-        Routed::Done
+        false
     }
 
     fn mailbox_pop(&mut self, addr: Addr) -> Option<Datagram> {
@@ -1515,12 +1499,13 @@ impl NetInner {
 
     /// Apply one lifecycle fault under the simulator lock. Two things
     /// are left to the caller, because both are user code and belong
-    /// outside this lock: `Some(addr)` when a handler must be
-    /// re-installed from the address's factory (restart of a restartable
-    /// service), and the registration a crash removed, to be dropped.
-    fn apply_chaos_locked(&mut self, ev: ChaosEvent) -> (Option<Addr>, Crashed) {
+    /// outside this lock: `Some(addr)` when a processor must be
+    /// re-registered from the address's factory (restart of a
+    /// restartable service), and the registration a crash removed, to be
+    /// dropped.
+    fn apply_chaos_locked(&mut self, ev: ChaosEvent) -> (Option<Addr>, Option<EventQueue>) {
         let now = self.now;
-        let mut crashed = Crashed::default();
+        let mut crashed = None;
         let reinstall = match ev {
             ChaosEvent::Crash(addr) => {
                 if self.chaos.crash(addr, now) {
@@ -1529,16 +1514,13 @@ impl NetInner {
                     // must be un-counted from the pending guards exactly
                     // like `unserve_udp_events`, or the clock would pin
                     // forever on events nobody can drain), and the
-                    // handler itself. The factory survives — that is what
-                    // restart rebuilds from.
+                    // processor itself. The factory survives — that is
+                    // what restart rebuilds from.
                     if let Some(mb) = self.mailboxes.get_mut(&addr) {
                         mb.queue.clear();
                     }
-                    crashed = (
-                        self.event_queues.remove(&addr),
-                        self.udp_handlers.remove(&addr),
-                    );
-                    self.forget_queued(crashed.0.as_ref());
+                    crashed = self.event_queues.remove(&addr);
+                    self.forget_queued(crashed.as_ref());
                 }
                 None
             }
@@ -2103,9 +2085,9 @@ mod tests {
 
     #[test]
     fn panicking_handler_does_not_livelock_other_threads() {
-        // The in-flight counter must be released on unwind: after a
+        // The pending count must be released on unwind: after a
         // handler panic, other threads' idle fast-forward still works
-        // instead of spinning forever on a stuck in_flight.
+        // instead of waiting forever on a stuck pending event.
         let net = Network::new(NetworkConfig::lan(), 1);
         net.serve_udp(2000, Box::new(|_, _| panic!("handler bug")));
         net.serve_udp(2001, Box::new(|r, _| Some((r.to_vec(), SimTime::ZERO))));
@@ -2129,13 +2111,45 @@ mod tests {
     }
 
     #[test]
+    fn panicking_handler_answers_the_next_datagram() {
+        // A handler that panics poisons the mutex it sits behind and
+        // nothing else: the driving thread sees the panic, the pending
+        // count is retired, and the next delivery to the address — a
+        // retransmission, typically — reaches the handler again.
+        use std::panic::{catch_unwind, AssertUnwindSafe};
+        let net = Network::new(NetworkConfig::lan(), 1);
+        let mut seen = 0u8;
+        net.serve_udp(
+            2000,
+            Box::new(move |req, _| {
+                seen += 1;
+                assert!(seen > 1, "handler bug on the first datagram");
+                Some((vec![seen, req[0]], SimTime::ZERO))
+            }),
+        );
+        let ep = net.bind_udp(5001);
+        ep.send_to(2000, vec![7]);
+        let first = catch_unwind(AssertUnwindSafe(|| {
+            ep.recv_timeout(SimTime::from_millis(5))
+        }));
+        assert!(first.is_err(), "the handler's panic reaches the driver");
+        assert_eq!((net.pending_events(), net.lock().in_flight), (0, 0));
+        ep.send_to(2000, vec![8]);
+        let dg = ep.recv_timeout(SimTime::from_millis(5)).expect("reply");
+        assert_eq!(dg.payload, vec![2, 8], "same handler, state kept");
+        assert_eq!((net.pending_events(), net.lock().in_flight), (0, 0));
+    }
+
+    #[test]
     fn echo_round_trip_takes_three_simulator_lock_acquisitions() {
-        // The datagram lane's regression meter. One mailbox ↔ handler
-        // round trip is: the send; the receive's acquisition, which pops
-        // the request and hands it to the handler; and the handler's
-        // completion, under which the reply is sent, popped, routed into
-        // the mailbox and received. (It was 18 before deliveries were
-        // routed under the acquisition that popped them.)
+        // The datagram lane's regression meter, read through the
+        // `FnMut` adapter. One mailbox ↔ handler round trip is: the
+        // send; the receive's acquisition, which pops the request,
+        // queues it and takes it back out for the handler; and the
+        // handler's completion, under which the reply is sent, popped,
+        // routed into the mailbox and received. (It was 18 before
+        // deliveries were routed under the acquisition that popped
+        // them.)
         let net = Network::new(NetworkConfig::lan(), 1);
         net.serve_udp(
             2000,
@@ -2451,9 +2465,11 @@ mod tests {
 
     #[test]
     fn event_mode_round_trip_matches_blocking_handler_timing() {
-        // The tentpole determinism property: the same workload served
-        // through the readiness queue + reactor thread produces the SAME
-        // bytes at the SAME virtual times as the blocking handler slot.
+        // The lane's determinism property, through its two kinds of
+        // registration: the same workload produces the SAME bytes at the
+        // SAME virtual times whether a stateful handler is run in place
+        // by the driver (`serve_udp`) or a reactor thread drains a
+        // processor-less queue (`serve_udp_events` + `poll_udp`).
         let proc_time = SimTime::from_micros(50);
         let run_blocking = || {
             let net = Network::new(NetworkConfig::lan(), 3);
@@ -2490,10 +2506,11 @@ mod tests {
 
     #[test]
     fn driver_steals_inline_processor_work_with_no_reactor_at_all() {
-        // An event-mode address registered WITH a processor needs no
-        // reactor thread: the driving thread steals queued deliveries
-        // when it would otherwise sleep on them, and the trace is byte-
-        // and time-identical to the blocking handler path.
+        // An address registered WITH a processor needs no reactor
+        // thread: the driving thread takes queued deliveries when it
+        // would otherwise sleep on them, and a `Fn` processor traces
+        // byte- and time-identically to an `FnMut` handler behind the
+        // adapter's mutex.
         let proc_time = SimTime::from_micros(50);
         let run_blocking = || {
             let net = Network::new(NetworkConfig::lan(), 3);
@@ -2541,8 +2558,8 @@ mod tests {
     fn same_address_deliveries_process_in_parallel() {
         // Two deliveries to ONE address, two reactor workers, and a
         // barrier that only opens when both are inside `process` at the
-        // same time: impossible under the per-address handler slot lock,
-        // the point of the readiness model.
+        // same time: nothing on the lane serializes an address — the
+        // point of the readiness model.
         use std::sync::Barrier;
         let net = Network::new(NetworkConfig::lan(), 1);
         net.serve_udp_events(2000);

@@ -10,8 +10,9 @@
 //!   transmission (including retransmissions — the pooled request image is
 //!   rewound and re-sent, never rebuilt) and recycles consumed replies
 //!   back into it;
-//! * [`crate::svc_udp::serve_udp`]'s duplicate-request cache stores its
-//!   replies in pooled buffers and recycles them on eviction;
+//! * each served address's duplicate-request cache stores its replies in
+//!   pooled buffers, records into the buffer its eviction just freed,
+//!   and consumes delivered request datagrams into the pool;
 //! * [`crate::SvcRegistry`] hands the pool to specialized raw handlers so
 //!   reply images are emitted straight into pooled buffers.
 //!
@@ -19,9 +20,15 @@
 //! and the wire path performs **zero heap allocations per call** — the
 //! `misses` counter is the proof, and the integration tests pin it.
 //!
-//! The pool is `Send + Sync` (one `Mutex` around the free list) so
-//! `serve_threaded` workers and any number of clients can share one
-//! instance.
+//! Who owns which pool: a [`crate::SvcRegistry`] owns one (reply images
+//! always come from it), a client built with `create_pooled` is handed
+//! one to share, and the reactor ([`crate::serve`]) gives each *shard*
+//! the pool its addresses' caches draw on — the registry's own for a
+//! one-shard deployment, so server and pooled client cycle the same
+//! buffers and a call allocates nothing; a private one per shard
+//! otherwise, so shards never contend on a free list. The pool is
+//! `Send + Sync` (one `Mutex` around the free list), so reactor workers
+//! and any number of clients can share one instance.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Mutex;

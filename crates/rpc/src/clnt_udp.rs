@@ -897,7 +897,6 @@ impl Transport for ClntUdp {
 mod tests {
     use super::*;
     use crate::svc::SvcRegistry;
-    use crate::svc_udp::serve_udp;
     use specrpc_netsim::net::NetworkConfig;
     use specrpc_netsim::FaultConfig;
     use specrpc_xdr::composite::xdr_array;
@@ -905,6 +904,10 @@ mod tests {
     use std::sync::Arc;
 
     const PROG: u32 = 200_001;
+
+    fn serve_udp(net: &Network, addr: Addr, registry: SvcRegistry) {
+        crate::serve(net, Arc::new(registry), crate::ServeConfig::new(&[addr])).detach();
+    }
 
     fn sum_service() -> SvcRegistry {
         let reg = SvcRegistry::new();
@@ -920,7 +923,7 @@ mod tests {
 
     fn start(net: &Network, faults: bool) -> ClntUdp {
         let _ = faults;
-        serve_udp(net, 111 + 900, Arc::new(sum_service()), None);
+        serve_udp(net, 111 + 900, sum_service());
         ClntUdp::create(net, 5000, 111 + 900, PROG, 1)
     }
 
@@ -1285,7 +1288,7 @@ mod tests {
         // (one failover), later calls start on the survivor directly.
         let net = Network::new(NetworkConfig::lan(), 3);
         let backup = 111 + 900;
-        serve_udp(&net, backup, Arc::new(sum_service()), None);
+        serve_udp(&net, backup, sum_service());
         let mut clnt = ClntUdp::create(&net, 5000, 999, PROG, 1).with_replicas(&[backup]);
         clnt.retry_timeout = SimTime::from_millis(10);
         clnt.total_timeout = SimTime::from_millis(30);
@@ -1349,7 +1352,7 @@ mod tests {
             RpcError::HostDown(_)
         ));
         // The server appears; once the cooldown elapses the probe lands.
-        serve_udp(&net, addr, Arc::new(sum_service()), None);
+        serve_udp(&net, addr, sum_service());
         net.advance(SimTime::from_millis(60));
         let mut out = 0i32;
         clnt.call(
@@ -1395,7 +1398,7 @@ mod tests {
         use crate::coalesce::CoalescePolicy;
         let net = Network::new(NetworkConfig::lan(), 3);
         let runs = Arc::new(AtomicU64::new(0));
-        serve_udp(&net, 1011, Arc::new(counting_service(runs.clone())), None);
+        serve_udp(&net, 1011, counting_service(runs.clone()));
         let mut clnt = ClntUdp::create(&net, 5000, 1011, PROG, 1)
             .with_coalescing(CoalescePolicy::new(1400, SimTime::from_millis(10)));
         let before = net.link_stats().datagrams;
@@ -1430,7 +1433,7 @@ mod tests {
         use crate::coalesce::CoalescePolicy;
         let net = Network::new(NetworkConfig::lan(), 3);
         let runs = Arc::new(AtomicU64::new(0));
-        serve_udp(&net, 1011, Arc::new(counting_service(runs.clone())), None);
+        serve_udp(&net, 1011, counting_service(runs.clone()));
         let mut clnt =
             ClntUdp::create(&net, 5000, 1011, PROG, 1).with_coalescing(CoalescePolicy::per_call());
         let before = net.link_stats().datagrams;
@@ -1466,7 +1469,7 @@ mod tests {
             97,
         );
         let runs = Arc::new(AtomicU64::new(0));
-        serve_udp(&net, 1011, Arc::new(counting_service(runs.clone())), None);
+        serve_udp(&net, 1011, counting_service(runs.clone()));
         let mut clnt = ClntUdp::create(&net, 5000, 1011, PROG, 1)
             .with_coalescing(CoalescePolicy::new(1400, SimTime::from_millis(50)));
         clnt.retry_timeout = SimTime::from_millis(20);
@@ -1494,7 +1497,7 @@ mod tests {
         use crate::coalesce::CoalescePolicy;
         let net = Network::new(NetworkConfig::lan(), 3);
         let runs = Arc::new(AtomicU64::new(0));
-        serve_udp(&net, 1011, Arc::new(counting_service(runs.clone())), None);
+        serve_udp(&net, 1011, counting_service(runs.clone()));
         let mut clnt = ClntUdp::create(&net, 5000, 1011, PROG, 1)
             .with_coalescing(CoalescePolicy::new(1400, SimTime::from_micros(100)));
         let (req, xid) = encode_sum(&mut clnt, &[1]);
@@ -1526,7 +1529,7 @@ mod tests {
         use crate::coalesce::{CoalescePolicy, WINDOW_CAP};
         let net = Network::new(NetworkConfig::lan(), 3);
         let runs = Arc::new(AtomicU64::new(0));
-        serve_udp(&net, 1011, Arc::new(counting_service(runs.clone())), None);
+        serve_udp(&net, 1011, counting_service(runs.clone()));
         // A 64-byte MTU: every one-way fills its envelope and flushes.
         let mut clnt = ClntUdp::create(&net, 5000, 1011, PROG, 1)
             .with_coalescing(CoalescePolicy::new(64, SimTime::from_millis(1_000)));
@@ -1556,7 +1559,7 @@ mod tests {
     fn oneway_without_coalescing_degrades_to_a_blocking_call() {
         let net = Network::new(NetworkConfig::lan(), 3);
         let runs = Arc::new(AtomicU64::new(0));
-        serve_udp(&net, 1011, Arc::new(counting_service(runs.clone())), None);
+        serve_udp(&net, 1011, counting_service(runs.clone()));
         let mut clnt = ClntUdp::create(&net, 5000, 1011, PROG, 1);
         assert!(clnt.coalesce_stats().is_none());
         assert!(!Transport::oneway_batching(&clnt));
@@ -1570,7 +1573,7 @@ mod tests {
         use crate::coalesce::CoalescePolicy;
         let net = Network::new(NetworkConfig::lan(), 3);
         let runs = Arc::new(AtomicU64::new(0));
-        serve_udp(&net, 1011, Arc::new(counting_service(runs.clone())), None);
+        serve_udp(&net, 1011, counting_service(runs.clone()));
         let mut clnt = ClntUdp::create(&net, 5000, 1011, PROG, 1)
             .with_coalescing(CoalescePolicy::new(1400, SimTime::from_millis(10)));
         let before = net.link_stats().datagrams;

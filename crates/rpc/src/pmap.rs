@@ -138,7 +138,7 @@ pub fn start_portmapper(net: &Network) -> PmapTable {
         },
     );
 
-    crate::svc_udp::serve_udp(net, PMAP_PORT, Arc::new(reg), None);
+    crate::serve(net, Arc::new(reg), crate::ServeConfig::new(&[PMAP_PORT])).detach();
     table
 }
 

@@ -10,7 +10,7 @@
 //! atomics, and the op-count accumulator sits behind its own `Mutex`.
 //! A handler `Arc` is cloned out under a read lock and invoked with **no**
 //! registry lock held, so independent requests dispatch concurrently from
-//! any number of threads — the property `serve_threaded` builds on.
+//! any number of threads — the property the reactor's workers build on.
 
 use crate::bufpool::BufPool;
 use crate::error::RpcError;
@@ -35,11 +35,6 @@ pub type ProcHandler =
 /// datagram, or `None` to fall back to the generic path (dynamic-guard
 /// failure, §6.2).
 pub type RawHandler = Arc<dyn Fn(&[u8], &BufPool) -> Option<Vec<u8>> + Send + Sync>;
-
-/// How a complete request message becomes a reply: directly through a
-/// registry, or handed to a dispatch-pool worker. The transport adapters
-/// (`svc_udp`, `svc_tcp`, `svc_threaded`) are generic over this.
-pub type Dispatcher = Arc<dyn Fn(&[u8]) -> Vec<u8> + Send + Sync>;
 
 /// Default reply buffer size (UDP max payload in the original: 8800).
 pub const REPLY_BUF_SIZE: usize = 66_000;

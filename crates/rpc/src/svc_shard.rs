@@ -1,36 +1,36 @@
-//! The sharded serving core: N reactor shards, each owning a slice of
-//! the served address space together with that slice's duplicate-request
-//! caches and wire-buffer pool, with cross-shard work stealing when a
-//! shard's ready queues run dry.
+//! The serving core: one reactor, however a datagram service is deployed.
 //!
-//! [`EventLoop`](crate::svc_event::EventLoop) is one reactor draining
-//! all of its addresses round-robin; every socket shares the registry's
-//! buffer pool and every worker contends on the same sweep. The
-//! [`ShardedEventLoop`] partitions the (prog, vers, addr) space instead:
-//! a [`ShardPlan`] maps each served address to one of N shards, and each
-//! shard keeps its **own** [`BufPool`] and its own per-address
-//! `CachedDispatch` bodies, so in steady state a shard's request
-//! buffers, reply images, and dup-cache entries cycle entirely within
-//! the shard — no cross-shard lock traffic on the hot path.
+//! [`serve`] registers every address of a [`ServeConfig`] on the
+//! simulator's delivery lane ([`Network::serve_udp_events_with`]) with a
+//! cache-fronted dispatch body as its inline processor, and returns the
+//! [`Served`] handle that owns the deployment. Two numbers shape it:
 //!
-//! Scheduling is two-tier:
-//! - each shard's workers sweep the shard's own sockets round-robin
-//!   (one datagram per socket per visit, as in the single reactor);
-//! - a worker whose shard is dry **steals**: it sweeps the peer shards'
-//!   sockets in deterministic order, taking one datagram per socket,
-//!   before falling back to [`Network::wait_ready`] over the whole map.
+//! - **`shards`** partitions the served addresses (`addr % shards`). A
+//!   shard *owns* its addresses' duplicate-request caches and the
+//!   wire-buffer pool they draw on, so in steady state a shard's request
+//!   buffers, reply images and cache entries cycle within the shard. A
+//!   one-shard deployment draws on the registry's own pool — the one a
+//!   pooled client recycles into — so a call allocates nothing.
+//! - **`workers_per_shard`** is how many reactor threads each shard runs.
+//!   A worker sweeps its own shard's sockets round-robin, one datagram
+//!   per socket per visit; when those are dry it walks the peer shards in
+//!   `(shard + d) % shards` order and *steals*, and when the whole map is
+//!   dry it sleeps in [`Network::wait_ready`].
 //!
-//! Determinism: with `workers_per_shard == 0` no threads are spawned at
-//! all — every delivery is executed inline by the *driving* thread via
-//! the simulator's event-steal path, in the same (BTreeMap-ordered)
-//! order a single reactor would drain it. That single-driver mode is
-//! byte- and virtual-time-identical to the 1-shard deployment for any
-//! shard count (pinned by the shard-determinism fault-matrix tests),
-//! because the shard assignment only changes *ownership* of caches and
-//! pools, never the per-address dispatch bodies or the delivery order.
+//! With **zero workers** no thread is spawned at all: every delivery is
+//! executed in place by the thread driving the simulation, in the order a
+//! single reactor would drain it. That mode is deterministic — byte- and
+//! virtual-time-identical for any shard count, because the shard map only
+//! changes who *owns* caches and pools, never the dispatch bodies or the
+//! delivery order — and, with no hand-off between threads, it is also the
+//! fast one on a host with few cores. Workers keep every delivery
+//! exactly-once and every virtual-time trace identical for a single
+//! driver (a worker that wins the race for a datagram charges the same
+//! clock the driver would have); what they add is real cross-thread
+//! dispatch of requests that are in flight together.
 
 use crate::bufpool::BufPool;
-use crate::svc::{Dispatcher, SvcRegistry};
+use crate::svc::SvcRegistry;
 use crate::svc_udp::{CachedDispatch, ProcTimeModel, DUP_CACHE_ENTRIES};
 use specrpc_netsim::net::{Addr, EventProcessor, Network};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
@@ -38,231 +38,275 @@ use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::Duration;
 
-/// How long an idle shard worker sleeps in [`Network::wait_ready`]
-/// before re-checking the shutdown flag (woken early on any delivery).
+/// How long an idle worker sleeps in [`Network::wait_ready`] before
+/// re-checking the shutdown flag (woken early on any delivery).
 const IDLE_WAIT: Duration = Duration::from_millis(1);
 
-/// The shard map: how many shards exist and which shard owns a given
-/// served address. The default [`ShardPlan::modulo`] spreads addresses
-/// round-robin; [`ShardPlan::with`] accepts any assignment (e.g. by
-/// program number when each program owns a port range).
+/// Everything that distinguishes one datagram deployment from another.
 #[derive(Clone)]
-pub struct ShardPlan {
-    shards: usize,
-    assign: Arc<dyn Fn(Addr) -> usize + Send + Sync>,
+pub struct ServeConfig {
+    /// The addresses to serve (at least one).
+    pub addrs: Vec<Addr>,
+    /// Shards the addresses are spread over, `addr % shards`.
+    pub shards: usize,
+    /// Reactor threads per shard; `0` runs every delivery on the thread
+    /// driving the simulation.
+    pub workers_per_shard: usize,
+    /// Server processing-time model; `None` is
+    /// [`crate::svc_udp::default_proc_time`].
+    pub proc_time: Option<ProcTimeModel>,
+    /// Entries in each address's duplicate-request cache (`0` disables
+    /// caching: every delivery re-dispatches, at-least-once).
+    pub cache_entries: usize,
+    /// Whether a [`Network::crash`] / [`Network::restart`] cycle on a
+    /// served address brings it back — with an **empty**
+    /// duplicate-request cache, the amnesiac-server failure mode Sun
+    /// RPC's cache cannot protect against: a retransmission of a
+    /// pre-crash call re-executes its handler. The registry (and its
+    /// handlers' state) is shared across incarnations, like an NFS
+    /// server whose disk survives the reboot that wipes its memory.
+    pub restartable: bool,
 }
 
-impl ShardPlan {
-    /// `addr % shards` — the default spread for uniformly hot addresses.
-    pub fn modulo(shards: usize) -> ShardPlan {
-        assert!(shards > 0, "shard plan needs at least one shard");
-        ShardPlan {
-            shards,
-            assign: Arc::new(move |addr| addr as usize % shards),
+impl ServeConfig {
+    /// `addrs` on one shard with no workers, the default processing-time
+    /// model, [`DUP_CACHE_ENTRIES`]-entry caches, not restartable.
+    pub fn new(addrs: &[Addr]) -> ServeConfig {
+        ServeConfig {
+            addrs: addrs.to_vec(),
+            shards: 1,
+            workers_per_shard: 0,
+            proc_time: None,
+            cache_entries: DUP_CACHE_ENTRIES,
+            restartable: false,
         }
-    }
-
-    /// A custom assignment; the returned index is reduced mod `shards`,
-    /// so any hash of (prog, vers, addr) the deployment encodes into its
-    /// address layout is acceptable.
-    pub fn with(
-        shards: usize,
-        assign: impl Fn(Addr) -> usize + Send + Sync + 'static,
-    ) -> ShardPlan {
-        assert!(shards > 0, "shard plan needs at least one shard");
-        ShardPlan {
-            shards,
-            assign: Arc::new(assign),
-        }
-    }
-
-    /// Number of shards in the map.
-    pub fn shards(&self) -> usize {
-        self.shards
-    }
-
-    /// The shard owning `addr`.
-    pub fn shard_of(&self, addr: Addr) -> usize {
-        (self.assign)(addr) % self.shards
     }
 }
 
-impl std::fmt::Debug for ShardPlan {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("ShardPlan")
-            .field("shards", &self.shards)
-            .finish_non_exhaustive()
-    }
+/// The shard owning `addr` in a map of `shards`.
+fn shard_of(addr: Addr, shards: usize) -> usize {
+    addr as usize % shards
 }
 
 /// One served socket: its address, owning shard, and cache-fronted
 /// dispatch body (drawing on the owning shard's buffer pool).
-struct ShardSocket {
+struct Socket {
     addr: Addr,
     shard: usize,
     dispatch: Arc<CachedDispatch>,
 }
 
-/// Per-shard throughput counters.
-struct ShardStats {
-    /// Events processed on this shard's sockets, by *any* executor
-    /// (own workers, stealing peers, or the inline driver path).
-    processed: AtomicU64,
-    /// Events this shard's workers took from *peer* shards' sockets.
-    steals: AtomicU64,
+/// Event counters of one deployment.
+struct Counts {
+    /// Per shard: events processed on the shard's sockets, by *any*
+    /// executor (own workers, stealing peers, or a driving thread).
+    processed: Vec<AtomicU64>,
+    /// Per shard: events its workers took from *peer* shards' sockets.
+    steals: Vec<AtomicU64>,
+    /// Per worker (shard-major): events the worker executed.
+    by_worker: Vec<AtomicU64>,
 }
 
-/// A sharded event-driven UDP serving front end: N shards, each with
-/// `workers_per_shard` reactor threads, its own buffer pool, and its own
-/// per-address duplicate-request caches; idle workers steal from peer
-/// shards. `workers_per_shard == 0` is the deterministic single-driver
-/// mode (no threads; the driving thread executes every delivery inline).
+fn counters(n: usize) -> Vec<AtomicU64> {
+    (0..n).map(|_| AtomicU64::new(0)).collect()
+}
+
+fn loads(counters: &[AtomicU64]) -> Vec<u64> {
+    counters.iter().map(|c| c.load(Ordering::Relaxed)).collect()
+}
+
+/// A running datagram deployment (see the [module docs](self)).
 ///
-/// Dropping the loop shuts it down: workers are woken and joined, and
-/// the event-mode registrations are removed.
-pub struct ShardedEventLoop {
+/// Dropping it shuts it down: workers are woken and joined, and the
+/// addresses are unregistered (releasing any still-queued deliveries so
+/// driving threads cannot stall on them).
+#[must_use = "dropping the handle stops the service; `detach` leaves it with the network"]
+pub struct Served {
     net: Network,
-    sockets: Arc<Vec<ShardSocket>>,
+    sockets: Arc<Vec<Socket>>,
     registry: Arc<SvcRegistry>,
-    plan: ShardPlan,
-    pools: Vec<Arc<BufPool>>,
     shutdown: Arc<AtomicBool>,
-    stats: Arc<Vec<ShardStats>>,
-    /// Deliveries executed inline by driving threads (the simulator's
-    /// event-steal path) rather than by a shard worker.
-    driver_inline: Arc<AtomicU64>,
-    workers_per_shard: usize,
+    counts: Arc<Counts>,
     handles: Vec<JoinHandle<()>>,
 }
 
-impl ShardedEventLoop {
-    fn spawn(
-        net: &Network,
-        sockets: Vec<ShardSocket>,
-        registry: Arc<SvcRegistry>,
-        plan: ShardPlan,
-        pools: Vec<Arc<BufPool>>,
-        workers_per_shard: usize,
-    ) -> ShardedEventLoop {
-        assert!(
-            !sockets.is_empty(),
-            "sharded loop needs at least one socket"
-        );
-        let stats: Arc<Vec<ShardStats>> = Arc::new(
-            (0..plan.shards())
-                .map(|_| ShardStats {
-                    processed: AtomicU64::new(0),
-                    steals: AtomicU64::new(0),
-                })
-                .collect(),
-        );
-        let driver_inline = Arc::new(AtomicU64::new(0));
-        for s in &sockets {
-            // Register WITH an inline processor: a driving thread blocked
-            // on this socket's pending events executes the work in place.
-            // The increment order (counter before reply send) means a
-            // client holding the reply always observes the count.
+/// Serve `registry` over UDP as `cfg` describes — the one way server
+/// code is reached by a datagram.
+///
+/// # Panics
+/// Panics if `cfg` names no address or no shard.
+pub fn serve(net: &Network, registry: Arc<SvcRegistry>, cfg: ServeConfig) -> Served {
+    let ServeConfig {
+        addrs,
+        shards,
+        workers_per_shard,
+        proc_time,
+        cache_entries,
+        restartable,
+    } = cfg;
+    assert!(
+        !addrs.is_empty(),
+        "a deployment serves at least one address"
+    );
+    assert!(shards > 0, "a deployment has at least one shard");
+    let pools: Vec<Arc<BufPool>> = if shards == 1 {
+        vec![registry.pool().clone()]
+    } else {
+        (0..shards).map(|_| Arc::new(BufPool::new())).collect()
+    };
+    let sockets: Arc<Vec<Socket>> = Arc::new(
+        addrs
+            .iter()
+            .map(|&addr| {
+                let shard = shard_of(addr, shards);
+                Socket {
+                    addr,
+                    shard,
+                    dispatch: Arc::new(CachedDispatch::new(
+                        registry.clone(),
+                        proc_time.clone(),
+                        cache_entries,
+                        pools[shard].clone(),
+                    )),
+                }
+            })
+            .collect(),
+    );
+    let counts = Arc::new(Counts {
+        processed: counters(shards),
+        steals: counters(shards),
+        by_worker: counters(shards * workers_per_shard),
+    });
+    for s in sockets.iter() {
+        // The inline processor: a driving thread that finds this
+        // socket's delivery queued executes it in place. The count comes
+        // before the reply is sent, so a client holding the reply always
+        // observes it.
+        let (cd, ct, shard) = (s.dispatch.clone(), counts.clone(), s.shard);
+        let processor: EventProcessor = Arc::new(move |req: &mut Vec<u8>, from: Addr| {
+            ct.processed[shard].fetch_add(1, Ordering::Relaxed);
+            cd.handle(req, from)
+        });
+        if restartable {
             let cd = s.dispatch.clone();
-            let st = stats.clone();
-            let di = driver_inline.clone();
-            let shard = s.shard;
-            let processor: EventProcessor = Arc::new(move |req: &mut Vec<u8>, from: Addr| {
-                st[shard].processed.fetch_add(1, Ordering::Relaxed);
-                di.fetch_add(1, Ordering::Relaxed);
-                cd.handle(req, from)
-            });
+            net.serve_udp_events_restartable(
+                s.addr,
+                Box::new(move || {
+                    cd.forget();
+                    processor.clone()
+                }),
+            );
+        } else {
             net.serve_udp_events_with(s.addr, processor);
         }
-        let sockets = Arc::new(sockets);
-        let shutdown = Arc::new(AtomicBool::new(false));
-        let all_addrs: Vec<Addr> = sockets.iter().map(|s| s.addr).collect();
-        // Socket indices grouped by owning shard, so each worker sweeps
-        // its own shard first and peers after, without re-filtering.
-        let by_shard: Arc<Vec<Vec<usize>>> = Arc::new({
-            let mut groups = vec![Vec::new(); plan.shards()];
-            for (i, s) in sockets.iter().enumerate() {
-                groups[s.shard].push(i);
-            }
-            groups
-        });
-        let mut handles = Vec::new();
-        for shard in 0..plan.shards() {
-            for w in 0..workers_per_shard {
-                let net = net.clone();
-                let sockets = sockets.clone();
-                let shutdown = shutdown.clone();
-                let stats = stats.clone();
-                let by_shard = by_shard.clone();
-                let all_addrs = all_addrs.clone();
-                handles.push(
-                    std::thread::Builder::new()
-                        .name(format!("specrpc-shard-{shard}-{w}"))
-                        .spawn(move || {
-                            let shards = by_shard.len();
-                            let mut offset = w;
-                            loop {
-                                if shutdown.load(Ordering::Acquire) {
-                                    return;
-                                }
-                                // Tier 1: sweep the own shard's sockets
-                                // round-robin, one datagram per visit.
-                                let own = &by_shard[shard];
-                                let mut drained_any = false;
-                                for k in 0..own.len() {
-                                    let s = &sockets[own[(offset + k) % own.len()]];
-                                    let served = net.poll_udp(s.addr, |req, from| {
-                                        stats[shard].processed.fetch_add(1, Ordering::Relaxed);
-                                        s.dispatch.handle(req, from)
-                                    });
-                                    if served {
-                                        drained_any = true;
-                                    }
-                                }
-                                offset = offset.wrapping_add(1);
-                                if drained_any {
-                                    continue;
-                                }
-                                // Tier 2: own queues are dry — steal one
-                                // datagram per peer socket, walking the
-                                // peer shards in deterministic order.
-                                let mut stole_any = false;
-                                for d in 1..shards {
-                                    let victim = (shard + d) % shards;
-                                    for &i in &by_shard[victim] {
-                                        let s = &sockets[i];
-                                        let served = net.poll_udp(s.addr, |req, from| {
-                                            stats[victim].processed.fetch_add(1, Ordering::Relaxed);
-                                            stats[shard].steals.fetch_add(1, Ordering::Relaxed);
-                                            s.dispatch.handle(req, from)
-                                        });
-                                        if served {
-                                            stole_any = true;
-                                        }
-                                    }
-                                }
-                                if !stole_any {
-                                    // Wake on traffic anywhere in the map:
-                                    // the next delivery may be stealable.
-                                    net.wait_ready(&all_addrs, IDLE_WAIT);
-                                }
-                            }
-                        })
-                        .expect("spawn shard worker"),
-                );
+    }
+    let shutdown = Arc::new(AtomicBool::new(false));
+    // Socket indices grouped by owning shard, so a worker walks shard by
+    // shard without re-filtering.
+    let by_shard: Arc<Vec<Vec<usize>>> = Arc::new({
+        let mut groups = vec![Vec::new(); shards];
+        for (i, s) in sockets.iter().enumerate() {
+            groups[s.shard].push(i);
+        }
+        groups
+    });
+    let mut handles = Vec::with_capacity(shards * workers_per_shard);
+    for shard in 0..shards {
+        for w in 0..workers_per_shard {
+            let worker = Worker {
+                net: net.clone(),
+                sockets: sockets.clone(),
+                by_shard: by_shard.clone(),
+                counts: counts.clone(),
+                shutdown: shutdown.clone(),
+                shard,
+                id: shard * workers_per_shard + w,
+            };
+            handles.push(
+                std::thread::Builder::new()
+                    .name(format!("specrpc-shard-{shard}-{w}"))
+                    .spawn(move || worker.run(w))
+                    .expect("spawn reactor worker"),
+            );
+        }
+    }
+    Served {
+        net: net.clone(),
+        sockets,
+        registry,
+        shutdown,
+        counts,
+        handles,
+    }
+}
+
+/// One reactor thread of shard `shard`.
+struct Worker {
+    net: Network,
+    sockets: Arc<Vec<Socket>>,
+    by_shard: Arc<Vec<Vec<usize>>>,
+    counts: Arc<Counts>,
+    shutdown: Arc<AtomicBool>,
+    shard: usize,
+    id: usize,
+}
+
+impl Worker {
+    /// Sweep until shut down. `offset` staggers the starting socket per
+    /// worker and rotates every sweep: round-robin draining, one datagram
+    /// per socket per visit.
+    fn run(&self, mut offset: usize) {
+        let shards = self.by_shard.len();
+        let all: Vec<Addr> = self.sockets.iter().map(|s| s.addr).collect();
+        while !self.shutdown.load(Ordering::Acquire) {
+            // The own shard first (`d == 0`), then the peers in a fixed
+            // order; the walk stops at the first shard that had work, so
+            // a thief goes back to its own sockets before stealing more.
+            let served = (0..shards).any(|d| self.sweep((self.shard + d) % shards, offset));
+            offset = offset.wrapping_add(1);
+            if !served {
+                // Wake on traffic anywhere in the map: the next delivery
+                // may be stealable.
+                self.net.wait_ready(&all, IDLE_WAIT);
             }
         }
-        ShardedEventLoop {
-            net: net.clone(),
-            sockets,
-            registry,
-            plan,
-            pools,
-            shutdown,
-            stats,
-            driver_inline,
-            workers_per_shard,
-            handles,
+    }
+
+    /// One visit to each socket of shard `owner`; whether any had a
+    /// datagram. The counts come before the reply is sent (see [`serve`]).
+    fn sweep(&self, owner: usize, offset: usize) -> bool {
+        let group = &self.by_shard[owner];
+        let mut served = false;
+        for k in 0..group.len() {
+            let s = &self.sockets[group[(offset + k) % group.len()]];
+            served |= self.net.poll_udp(s.addr, |req, from| {
+                self.counts.processed[owner].fetch_add(1, Ordering::Relaxed);
+                self.counts.by_worker[self.id].fetch_add(1, Ordering::Relaxed);
+                if owner != self.shard {
+                    self.counts.steals[self.shard].fetch_add(1, Ordering::Relaxed);
+                }
+                s.dispatch.handle(req, from)
+            });
         }
+        served
+    }
+}
+
+impl Served {
+    /// Leave the deployment with the network for as long as the network
+    /// lives, and hand back its registry — what a fire-and-forget
+    /// `serve_udp` spelling wants.
+    ///
+    /// # Panics
+    /// Panics if the deployment has workers: dropping the handle is what
+    /// stops them.
+    pub fn detach(mut self) -> Arc<SvcRegistry> {
+        assert!(
+            self.handles.is_empty(),
+            "a deployment with workers cannot be detached"
+        );
+        self.sockets = Arc::default();
+        self.registry.clone()
     }
 
     /// One nonblocking sweep over every socket in the map (one datagram
@@ -273,95 +317,55 @@ impl ShardedEventLoop {
         let mut served = 0;
         for s in self.sockets.iter() {
             let hit = self.net.poll_udp(s.addr, |req, from| {
-                self.stats[s.shard]
-                    .processed
-                    .fetch_add(1, Ordering::Relaxed);
+                self.counts.processed[s.shard].fetch_add(1, Ordering::Relaxed);
                 s.dispatch.handle(req, from)
             });
-            if hit {
-                served += 1;
-            }
+            served += usize::from(hit);
         }
         served
     }
 
-    /// The shared registry every shard dispatches through.
+    /// The shared registry every socket dispatches through.
     pub fn registry(&self) -> &Arc<SvcRegistry> {
         &self.registry
     }
 
-    /// The shard map in force.
-    pub fn plan(&self) -> &ShardPlan {
-        &self.plan
-    }
-
-    /// Number of shards.
-    pub fn shards(&self) -> usize {
-        self.plan.shards()
-    }
-
-    /// Reactor workers per shard (0 = deterministic single-driver mode).
-    pub fn workers_per_shard(&self) -> usize {
-        self.workers_per_shard
-    }
-
-    /// Every served address, in registration order.
-    pub fn addrs(&self) -> Vec<Addr> {
-        self.sockets.iter().map(|s| s.addr).collect()
-    }
-
-    /// The addresses owned by shard `shard`.
-    pub fn shard_addrs(&self, shard: usize) -> Vec<Addr> {
-        self.sockets
-            .iter()
-            .filter(|s| s.shard == shard)
-            .map(|s| s.addr)
-            .collect()
-    }
-
-    /// Per-shard wire-buffer pools (index = shard).
-    pub fn pools(&self) -> &[Arc<BufPool>] {
-        &self.pools
-    }
-
     /// Events processed per shard (credited to the shard *owning* the
-    /// socket, regardless of which worker or driver executed it) — the
-    /// per-shard throughput [`Summary`](crate::svc::SvcRegistry) tables
-    /// surface.
+    /// socket, regardless of which worker or driver executed it).
     pub fn per_shard_events(&self) -> Vec<u64> {
-        self.stats
-            .iter()
-            .map(|s| s.processed.load(Ordering::Relaxed))
-            .collect()
+        loads(&self.counts.processed)
     }
 
-    /// Events a shard's workers took from peer shards' sockets, per
-    /// *stealing* shard.
-    pub fn per_shard_steals(&self) -> Vec<u64> {
-        self.stats
-            .iter()
-            .map(|s| s.steals.load(Ordering::Relaxed))
-            .collect()
+    /// Events executed per reactor worker, shard-major (worker `w` of
+    /// shard `s` is entry `s * workers_per_shard + w`); empty with zero
+    /// workers.
+    pub fn per_worker_events(&self) -> Vec<u64> {
+        loads(&self.counts.by_worker)
     }
 
-    /// Total cross-shard steals.
+    /// Events a shard's workers took from peer shards' sockets, summed
+    /// over the stealing shards.
     pub fn cross_shard_steals(&self) -> u64 {
-        self.per_shard_steals().iter().sum()
-    }
-
-    /// Deliveries executed inline by driving threads (all of the
-    /// traffic in single-driver mode; rescue work otherwise).
-    pub fn driver_inline_events(&self) -> u64 {
-        self.driver_inline.load(Ordering::Relaxed)
+        loads(&self.counts.steals).iter().sum()
     }
 
     /// Total events processed across the map.
     pub fn total_events(&self) -> u64 {
         self.per_shard_events().iter().sum()
     }
+
+    /// Deliveries executed in place by a driving thread (or its
+    /// [`Served::poll_once`] sweep) rather than by a worker: all of the
+    /// traffic with zero workers; otherwise whatever the drivers got to
+    /// first (most of it on a single core). Every event is counted
+    /// before its reply is sent, so at quiescence this is exact.
+    pub fn driver_inline_events(&self) -> u64 {
+        self.total_events()
+            .saturating_sub(self.per_worker_events().iter().sum())
+    }
 }
 
-impl Drop for ShardedEventLoop {
+impl Drop for Served {
     fn drop(&mut self) {
         self.shutdown.store(true, Ordering::Release);
         self.net.notify_ready();
@@ -374,70 +378,8 @@ impl Drop for ShardedEventLoop {
     }
 }
 
-/// Serve `registry` at `addrs` through a sharded reactor map: `plan`
-/// assigns each address to a shard; each shard owns its own wire-buffer
-/// pool and per-address duplicate-request caches and runs
-/// `workers_per_shard` reactor threads (`0` = deterministic
-/// single-driver mode: every delivery executes inline on the driving
-/// thread, byte- and virtual-time-identical for any shard count). The
-/// optional processing-time model defaults to
-/// [`crate::svc_udp::default_proc_time`].
-pub fn serve_udp_sharded(
-    net: &Network,
-    addrs: &[Addr],
-    registry: Arc<SvcRegistry>,
-    plan: ShardPlan,
-    workers_per_shard: usize,
-    proc_time: Option<ProcTimeModel>,
-    cache_entries: usize,
-) -> ShardedEventLoop {
-    let pools: Vec<Arc<BufPool>> = (0..plan.shards())
-        .map(|_| Arc::new(BufPool::new()))
-        .collect();
-    let sockets: Vec<ShardSocket> = addrs
-        .iter()
-        .map(|&addr| {
-            let shard = plan.shard_of(addr);
-            let reg = registry.clone();
-            let dispatch: Dispatcher = Arc::new(move |request: &[u8]| reg.dispatch(request));
-            ShardSocket {
-                addr,
-                shard,
-                dispatch: Arc::new(CachedDispatch::new(
-                    dispatch,
-                    proc_time.clone(),
-                    cache_entries,
-                    pools[shard].clone(),
-                )),
-            }
-        })
-        .collect();
-    ShardedEventLoop::spawn(net, sockets, registry, plan, pools, workers_per_shard)
-}
-
-/// [`serve_udp_sharded`] with the default modulo plan and
-/// [`DUP_CACHE_ENTRIES`]-entry caches.
-pub fn serve_udp_sharded_default(
-    net: &Network,
-    addrs: &[Addr],
-    registry: Arc<SvcRegistry>,
-    shards: usize,
-    workers_per_shard: usize,
-    proc_time: Option<ProcTimeModel>,
-) -> ShardedEventLoop {
-    serve_udp_sharded(
-        net,
-        addrs,
-        registry,
-        ShardPlan::modulo(shards),
-        workers_per_shard,
-        proc_time,
-        DUP_CACHE_ENTRIES,
-    )
-}
-
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
     use crate::msg::{CallHeader, ReplyHeader};
     use specrpc_netsim::net::NetworkConfig;
@@ -445,7 +387,7 @@ mod tests {
     use specrpc_xdr::mem::XdrMem;
     use specrpc_xdr::primitives::xdr_int;
 
-    fn echo_registry() -> Arc<SvcRegistry> {
+    pub(crate) fn echo_registry() -> Arc<SvcRegistry> {
         let reg = SvcRegistry::new();
         reg.register(300, 1, 1, |args, results| {
             let mut v = 0i32;
@@ -457,7 +399,7 @@ mod tests {
         Arc::new(reg)
     }
 
-    fn call(xid: u32, arg: i32) -> Vec<u8> {
+    pub(crate) fn call(xid: u32, arg: i32) -> Vec<u8> {
         let mut enc = XdrMem::encoder(128);
         let mut msg = CallHeader::new(xid, 300, 1, 1);
         CallHeader::xdr(&mut enc, &mut msg).unwrap();
@@ -466,48 +408,68 @@ mod tests {
         enc.into_bytes()
     }
 
+    /// The echo registry at `addrs` over `shards` × `workers` reactors.
+    pub(crate) fn deploy(
+        net: &Network,
+        addrs: &[Addr],
+        registry: Arc<SvcRegistry>,
+        shards: usize,
+        workers: usize,
+    ) -> Served {
+        let cfg = ServeConfig {
+            shards,
+            workers_per_shard: workers,
+            ..ServeConfig::new(addrs)
+        };
+        serve(net, registry, cfg)
+    }
+
+    /// Check one reply: who sent it, whose it is, and that `arg` came
+    /// back incremented.
+    pub(crate) fn assert_reply(dg: &specrpc_netsim::net::Datagram, from: Addr, xid: u32, arg: i32) {
+        assert_eq!(dg.from, from);
+        let mut dec = XdrMem::decoder(&dg.payload);
+        let hdr = ReplyHeader::decode(&mut dec).unwrap();
+        assert_eq!(hdr.xid, xid);
+        let mut out = 0i32;
+        xdr_int(&mut dec, &mut out).unwrap();
+        assert_eq!(out, arg + 1);
+    }
+
     #[test]
     fn modulo_plan_spreads_addresses() {
-        let plan = ShardPlan::modulo(4);
-        assert_eq!(plan.shards(), 4);
-        assert_eq!(plan.shard_of(650), 650 % 4);
-        assert_eq!(plan.shard_of(651), 651 % 4);
-        let custom = ShardPlan::with(3, |a| (a as usize) / 100);
-        assert_eq!(custom.shard_of(650), 6 % 3);
+        assert_eq!(shard_of(650, 4), 650 % 4);
+        assert_eq!(shard_of(651, 4), 651 % 4);
+        assert_eq!(shard_of(651, 1), 0);
     }
 
     #[test]
     fn sharded_map_answers_over_the_network() {
         let net = Network::new(NetworkConfig::lan(), 8);
         let ports: Vec<Addr> = (650..658).collect();
-        let sl = serve_udp_sharded_default(&net, &ports, echo_registry(), 4, 1, None);
-        assert_eq!(sl.shards(), 4);
+        let sl = deploy(&net, &ports, echo_registry(), 4, 1);
         let ep = net.bind_udp(4000);
         for (i, &port) in ports.iter().enumerate() {
             ep.send_to(port, call(i as u32, i as i32));
             let dg = ep.recv_timeout(SimTime::from_millis(50)).expect("reply");
-            assert_eq!(dg.from, port);
-            let mut dec = XdrMem::decoder(&dg.payload);
-            let hdr = ReplyHeader::decode(&mut dec).unwrap();
-            assert_eq!(hdr.xid, i as u32);
-            let mut out = 0i32;
-            xdr_int(&mut dec, &mut out).unwrap();
-            assert_eq!(out, i as i32 + 1);
+            assert_reply(&dg, port, i as u32, i as i32);
         }
+        // Counted before the reply was sent: nothing is still in flight.
         assert_eq!(sl.total_events(), 8);
-        assert_eq!(sl.per_shard_events().iter().sum::<u64>(), 8);
-        // Every shard owns two of the eight modulo-spread ports.
-        for s in 0..4 {
-            assert_eq!(sl.shard_addrs(s).len(), 2);
-        }
+        assert_eq!(sl.per_shard_events(), vec![2, 2, 2, 2]);
+        assert_eq!(
+            sl.per_worker_events().iter().sum::<u64>() + sl.driver_inline_events(),
+            8,
+            "every event ran on a worker or on the driver"
+        );
     }
 
     #[test]
     fn single_driver_mode_spawns_no_threads_and_counts_inline() {
         let net = Network::new(NetworkConfig::lan(), 8);
         let ports: Vec<Addr> = vec![650, 651, 652];
-        let sl = serve_udp_sharded_default(&net, &ports, echo_registry(), 3, 0, None);
-        assert_eq!(sl.workers_per_shard(), 0);
+        let sl = deploy(&net, &ports, echo_registry(), 3, 0);
+        assert!(sl.per_worker_events().is_empty());
         let ep = net.bind_udp(4000);
         for i in 0..6u32 {
             ep.send_to(ports[i as usize % 3], call(i, i as i32));
@@ -526,7 +488,7 @@ mod tests {
         let run = |shards: usize| {
             let net = Network::new(NetworkConfig::lan(), 5);
             let ports: Vec<Addr> = (650..654).collect();
-            let sl = serve_udp_sharded_default(&net, &ports, echo_registry(), shards, 0, None);
+            let sl = deploy(&net, &ports, echo_registry(), shards, 0);
             let ep = net.bind_udp(4000);
             let mut replies = Vec::new();
             for i in 0..12u32 {
@@ -547,7 +509,7 @@ mod tests {
     fn poll_once_drains_ready_sockets() {
         let net = Network::new(NetworkConfig::lan(), 8);
         let ports: Vec<Addr> = vec![650, 651];
-        let sl = serve_udp_sharded_default(&net, &ports, echo_registry(), 2, 0, None);
+        let sl = deploy(&net, &ports, echo_registry(), 2, 0);
         let ep = net.bind_udp(4000);
         assert_eq!(sl.poll_once(), 0, "idle map has nothing to serve");
         // Land the delivery as a readiness event with single `step`s —
@@ -560,7 +522,6 @@ mod tests {
         }
         assert_eq!(sl.poll_once(), 1, "the sweep serves the queued event");
         assert_eq!(sl.total_events(), 1);
-        assert_eq!(sl.driver_inline_events(), 0, "served by the sweep");
         let dg = ep.recv_timeout(SimTime::from_millis(50)).expect("reply");
         assert_eq!(dg.from, 650);
     }
@@ -569,7 +530,7 @@ mod tests {
     fn drop_joins_workers_and_releases_addresses() {
         let net = Network::new(NetworkConfig::lan(), 8);
         let ports: Vec<Addr> = vec![650, 651];
-        let sl = serve_udp_sharded_default(&net, &ports, echo_registry(), 2, 2, None);
+        let sl = deploy(&net, &ports, echo_registry(), 2, 2);
         let ep = net.bind_udp(4000);
         ep.send_to(650, call(1, 1));
         ep.recv_timeout(SimTime::from_millis(50)).expect("reply");
@@ -584,7 +545,7 @@ mod tests {
         let net = Network::new(NetworkConfig::lan(), 8);
         let reg = echo_registry();
         let ports: Vec<Addr> = vec![650, 651];
-        let sl = serve_udp_sharded_default(&net, &ports, reg.clone(), 2, 0, None);
+        let sl = deploy(&net, &ports, reg.clone(), 2, 0);
         let ep = net.bind_udp(4000);
         let c = call(7, 1);
         ep.send_to(650, c.clone());
@@ -594,5 +555,42 @@ mod tests {
         assert_eq!(first.payload, second.payload, "replayed reply identical");
         assert_eq!(reg.generic_dispatches(), 1, "handler ran exactly once");
         assert_eq!(sl.total_events(), 2);
+    }
+
+    #[test]
+    fn handler_panic_does_not_wedge_its_address() {
+        // A registry handler that panics once. The panic reaches the
+        // thread driving the delivery and nothing else: the address
+        // keeps its registration, the transaction keeps no in-progress
+        // mark, so the client's retransmission is executed, and a third
+        // copy of the request is answered from the dup cache.
+        use std::panic::{catch_unwind, AssertUnwindSafe};
+        let reg = SvcRegistry::new();
+        let first = AtomicBool::new(true);
+        reg.register(300, 1, 1, move |_args, results| {
+            assert!(!first.swap(false, Ordering::Relaxed), "handler bug");
+            let mut out = 9i32;
+            xdr_int(results, &mut out)?;
+            Ok(())
+        });
+        let reg = Arc::new(reg);
+        let net = Network::new(NetworkConfig::lan(), 8);
+        let sl = deploy(&net, &[650], reg.clone(), 1, 0);
+        let ep = net.bind_udp(4000);
+        let c = call(0x77, 0);
+        ep.send_to(650, c.clone());
+        let crashed = catch_unwind(AssertUnwindSafe(|| {
+            ep.recv_timeout(SimTime::from_millis(5))
+        }));
+        assert!(crashed.is_err(), "the handler's panic reaches the driver");
+        assert_eq!(net.pending_events(), 0);
+        ep.send_to(650, c.clone());
+        let retried = ep.recv_timeout(SimTime::from_millis(50)).expect("retry");
+        assert_reply(&retried, 650, 0x77, 8);
+        ep.send_to(650, c);
+        let replayed = ep.recv_timeout(SimTime::from_millis(50)).expect("replay");
+        assert_eq!(replayed.payload, retried.payload);
+        assert_eq!(reg.generic_dispatches(), 2, "the panic and the retry");
+        assert_eq!(sl.total_events(), 3);
     }
 }

@@ -22,13 +22,10 @@ use specrpc_netsim::SimTime;
 use specrpc_xdr::rec::{parse_mark, LAST_FRAG_FLAG as LAST_FRAG, MAX_RECORD_BYTES};
 use std::sync::Arc;
 
-pub use crate::svc::Dispatcher;
-
 /// Record-marking reassembler + dispatcher for one connection.
 pub struct SvcTcpConn {
-    dispatch: Dispatcher,
     model: ProcTimeModel,
-    /// The registry behind `dispatch`: its pool takes dispatched replies
+    /// Complete records dispatch through it; its pool takes the replies
     /// back, its counter records dropped records.
     registry: Arc<SvcRegistry>,
     /// Payload of the record being reassembled (complete earlier
@@ -50,24 +47,7 @@ pub struct SvcTcpConn {
 impl SvcTcpConn {
     /// A fresh per-connection reassembler over the shared registry.
     pub fn new(registry: Arc<SvcRegistry>, model: ProcTimeModel) -> Self {
-        let reg = registry.clone();
-        Self::with_dispatcher(
-            Arc::new(move |req: &[u8]| reg.dispatch(req)),
-            model,
-            registry,
-        )
-    }
-
-    /// A reassembler whose complete records go through an arbitrary
-    /// dispatcher over `registry` (e.g. a
-    /// [`crate::svc_threaded::DispatchPool`] worker).
-    pub fn with_dispatcher(
-        dispatch: Dispatcher,
-        model: ProcTimeModel,
-        registry: Arc<SvcRegistry>,
-    ) -> Self {
         SvcTcpConn {
-            dispatch,
             model,
             registry,
             record: Vec::new(),
@@ -82,7 +62,7 @@ impl SvcTcpConn {
     /// Dispatch one complete request and append its reply to `out` as a
     /// single-fragment record; returns the modeled processing time.
     fn answer(&self, request: &[u8], out: &mut Vec<u8>) -> SimTime {
-        let reply = (self.dispatch)(request);
+        let reply = self.registry.dispatch(request);
         out.reserve(4 + reply.len());
         out.extend_from_slice(&(reply.len() as u32 | LAST_FRAG).to_be_bytes());
         out.extend_from_slice(&reply);

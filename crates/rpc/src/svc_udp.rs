@@ -1,11 +1,13 @@
-//! UDP transport adapter for the server: plugs a [`SvcRegistry`] into the
-//! simulated network as a datagram handler (`svcudp_create`), with the
-//! classic Sun duplicate-request cache (`svcudp_enablecache`) built in.
+//! The datagram side of the server (`svcudp_create`): what one delivered
+//! request becomes — a dispatch through the [`SvcRegistry`], fronted by
+//! the classic Sun duplicate-request cache (`svcudp_enablecache`). The
+//! reactor ([`crate::svc_shard::serve`]) registers one such body per
+//! served address.
 
 use crate::bufpool::BufPool;
-use crate::svc::{Dispatcher, SvcRegistry};
+use crate::svc::SvcRegistry;
 use specrpc_netsim::inthash::{IntMap, IntSet};
-use specrpc_netsim::net::{Addr, Network};
+use specrpc_netsim::net::Addr;
 use specrpc_netsim::SimTime;
 use specrpc_xdr::coalesce;
 use std::collections::VecDeque;
@@ -219,93 +221,33 @@ pub(crate) fn xid_of(request: &[u8]) -> Option<u32> {
         .map(|b| u32::from_be_bytes([b[0], b[1], b[2], b[3]]))
 }
 
-/// Install the registry as a UDP service at `addr`, with a
-/// [`DUP_CACHE_ENTRIES`]-entry duplicate-request cache. The optional
-/// processing-time model defaults to [`default_proc_time`].
-pub fn serve_udp(
-    net: &Network,
-    addr: Addr,
-    registry: Arc<SvcRegistry>,
-    proc_time: Option<ProcTimeModel>,
-) {
-    serve_udp_with_cache(net, addr, registry, proc_time, DUP_CACHE_ENTRIES)
-}
-
-/// [`serve_udp`] with an explicit duplicate-request cache size
-/// (`0` disables caching: every delivery re-dispatches, the pre-cache
-/// at-least-once behavior).
-pub fn serve_udp_with_cache(
-    net: &Network,
-    addr: Addr,
-    registry: Arc<SvcRegistry>,
-    proc_time: Option<ProcTimeModel>,
-    cache_entries: usize,
-) {
-    let bufs = registry.pool().clone();
-    serve_dispatcher_udp(
-        net,
-        addr,
-        Arc::new(move |request: &[u8]| registry.dispatch(request)),
-        proc_time,
-        cache_entries,
-        bufs,
-    );
-}
-
-/// [`serve_udp`] registered through the chaos layer's restartable slot:
-/// a `crash`/`restart` cycle on `addr` rebuilds the service from scratch,
-/// and in particular hands it a **fresh, empty duplicate-request cache**
-/// — the amnesiac-server failure mode Sun RPC's cache cannot protect
-/// against. A retransmission of a pre-crash call re-executes its handler
-/// (exactly-once degrades to at-least-once), which the chaos scenario
-/// measures as `extra_executions`. The registry itself (and its handler
-/// state) is shared across incarnations, like an NFS server whose disk
-/// survives the reboot that wipes its in-memory cache.
-pub fn serve_udp_restartable(
-    net: &Network,
-    addr: Addr,
-    registry: Arc<SvcRegistry>,
-    proc_time: Option<ProcTimeModel>,
-) {
-    let bufs = registry.pool().clone();
-    net.serve_udp_restartable(
-        addr,
-        Box::new(move || {
-            let reg = registry.clone();
-            let cd = CachedDispatch::new(
-                Arc::new(move |request: &[u8]| reg.dispatch(request)),
-                proc_time.clone(),
-                DUP_CACHE_ENTRIES,
-                bufs.clone(),
-            );
-            Box::new(move |request: &mut Vec<u8>, from| cd.handle(request, from))
-        }),
-    );
-}
-
 /// Mutable duplicate-suppression state of one [`CachedDispatch`], held
 /// behind a single short-lived lock (never across a dispatch).
 struct DupState {
     cache: DupCache,
-    /// Transactions currently being dispatched. In the blocking-slot
-    /// path this is always a singleton at most (the handler slot
-    /// serializes); under the event reactor multiple workers process one
-    /// address in parallel, and a duplicate arriving while its original
-    /// is still in flight must be *dropped*, not re-dispatched — the
-    /// original's reply is already on the way. Never larger than the
-    /// number of workers dispatching at once, which is what bounds a
-    /// collision chain under the integer hasher.
+    /// Transactions currently being dispatched. With one driving thread
+    /// and no workers this is a singleton at most; reactor workers
+    /// process one address in parallel, and a duplicate arriving while
+    /// its original is still in flight must be *dropped*, not
+    /// re-dispatched — the original's reply is already on the way. Never
+    /// larger than the number of threads dispatching at once, which is
+    /// what bounds a collision chain under the integer hasher.
     in_progress: IntSet<(u32, Addr)>,
 }
 
-/// The cache-fronted dispatch body shared by every UDP serving mode —
-/// the blocking handler slot ([`serve_udp`]), the thread-pool adapter
-/// (`svc_threaded::attach_udp`), and the event reactor
-/// (`svc_event::serve_udp_event`) — so duplicate-request policy and
-/// replay cost stay identical across them. Dispatch runs with **no**
-/// cache lock held, so the reactor's workers process one address's
-/// requests in parallel; exactly-once execution is preserved by the
-/// in-progress set.
+impl DupState {
+    fn empty(cache_entries: usize) -> Self {
+        DupState {
+            cache: DupCache::new(cache_entries),
+            in_progress: IntSet::default(),
+        }
+    }
+}
+
+/// The cache-fronted dispatch body of one served address. Dispatch runs
+/// with **no** cache lock held, so the reactor's workers process one
+/// address's requests in parallel; exactly-once execution is preserved
+/// by the in-progress set.
 ///
 /// The cache's stored replies live in wire-pool buffers: a filling cache
 /// takes them from the pool, a full one records each reply into the
@@ -316,7 +258,7 @@ struct DupState {
 /// and mark the transaction in progress, and to record the reply and
 /// retire the mark together.
 pub(crate) struct CachedDispatch {
-    dispatch: Dispatcher,
+    registry: Arc<SvcRegistry>,
     model: ProcTimeModel,
     bufs: Arc<BufPool>,
     state: Mutex<DupState>,
@@ -324,26 +266,30 @@ pub(crate) struct CachedDispatch {
 
 impl CachedDispatch {
     pub(crate) fn new(
-        dispatch: Dispatcher,
+        registry: Arc<SvcRegistry>,
         proc_time: Option<ProcTimeModel>,
         cache_entries: usize,
         bufs: Arc<BufPool>,
     ) -> Self {
         CachedDispatch {
-            dispatch,
+            registry,
             model: proc_time.unwrap_or_else(default_proc_time),
             bufs,
-            state: Mutex::new(DupState {
-                cache: DupCache::new(cache_entries),
-                in_progress: IntSet::default(),
-            }),
+            state: Mutex::new(DupState::empty(cache_entries)),
         }
+    }
+
+    /// Start over with an empty cache of the same size, as a restarted
+    /// server process does.
+    pub(crate) fn forget(&self) {
+        let mut state = self.state.lock().expect("dup cache lock");
+        *state = DupState::empty(state.cache.cap);
     }
 
     /// Handle one delivered request datagram: replay a cached duplicate,
     /// drop a duplicate whose original is still in flight, or dispatch
     /// and record the reply. The contract matches
-    /// [`specrpc_netsim::net::UdpHandler`].
+    /// [`specrpc_netsim::net::EventProcessor`].
     ///
     /// A **coalesced** datagram ([`specrpc_xdr::coalesce`]) is unpacked
     /// here, so every sub-message's xid passes through the duplicate
@@ -353,7 +299,8 @@ impl CachedDispatch {
     /// more than one sub-message expects a reply; one-way sub-messages
     /// execute (and cache) but send nothing, and an all-one-way envelope
     /// returns an empty reply image (processing time charged, no
-    /// datagram emitted — see [`specrpc_netsim::net::UdpHandler`]).
+    /// datagram emitted — see [`specrpc_netsim::net::UdpHandler`], whose
+    /// contract processors share).
     pub(crate) fn handle(&self, request: &mut Vec<u8>, from: Addr) -> Option<(Vec<u8>, SimTime)> {
         let parts: Option<Vec<(Vec<u8>, bool)>> = coalesce::split(request).map(|parts| {
             parts
@@ -445,7 +392,7 @@ impl CachedDispatch {
             }
         }
         let mut guard = InProgressGuard(self, xid.map(|x| (x, from)));
-        let reply = (self.dispatch)(request);
+        let reply = self.registry.dispatch(request);
         let t = (self.model)(request.len(), reply.len());
         if let Some(xid) = xid {
             let mut state = self.state.lock().expect("dup cache lock");
@@ -460,29 +407,12 @@ impl CachedDispatch {
     }
 }
 
-/// Install an arbitrary [`Dispatcher`] as the UDP service at `addr`,
-/// fronted by the duplicate-request cache (see [`CachedDispatch`] for
-/// the shared body).
-pub(crate) fn serve_dispatcher_udp(
-    net: &Network,
-    addr: Addr,
-    dispatch: Dispatcher,
-    proc_time: Option<ProcTimeModel>,
-    cache_entries: usize,
-    bufs: Arc<BufPool>,
-) {
-    let cd = CachedDispatch::new(dispatch, proc_time, cache_entries, bufs);
-    net.serve_udp(
-        addr,
-        Box::new(move |request, from| cd.handle(request, from)),
-    );
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::msg::{CallHeader, ReplyHeader};
-    use specrpc_netsim::net::NetworkConfig;
+    use crate::svc_shard::{serve, ServeConfig};
+    use specrpc_netsim::net::{Network, NetworkConfig};
     use specrpc_xdr::mem::XdrMem;
     use specrpc_xdr::primitives::xdr_int;
     use std::sync::atomic::{AtomicU64, Ordering};
@@ -496,7 +426,7 @@ mod tests {
             xdr_int(results, &mut v)?;
             Ok(())
         });
-        serve_udp(&net, 650, Arc::new(reg), None);
+        serve(&net, Arc::new(reg), ServeConfig::new(&[650])).detach();
 
         let ep = net.bind_udp(4000);
         let mut enc = XdrMem::encoder(128);
@@ -517,12 +447,11 @@ mod tests {
         let net = Network::new(NetworkConfig::lan(), 5);
         let reg = SvcRegistry::new();
         reg.register(300, 1, 0, |_, _| Ok(()));
-        serve_udp(
-            &net,
-            650,
-            Arc::new(reg),
-            Some(Arc::new(|_, _| SimTime::from_millis(7))),
-        );
+        let cfg = ServeConfig {
+            proc_time: Some(Arc::new(|_, _| SimTime::from_millis(7))),
+            ..ServeConfig::new(&[650])
+        };
+        serve(&net, Arc::new(reg), cfg).detach();
         let ep = net.bind_udp(4000);
         let mut enc = XdrMem::encoder(128);
         let mut msg = CallHeader::new(1, 300, 1, 0);
@@ -548,7 +477,7 @@ mod tests {
             xdr_int(results, &mut v)?;
             Ok(())
         });
-        serve_udp(&net, 650, reg.clone(), None);
+        serve(&net, reg.clone(), ServeConfig::new(&[650])).detach();
 
         let ep = net.bind_udp(4000);
         let mut enc = XdrMem::encoder(128);
@@ -575,7 +504,7 @@ mod tests {
             xdr_int(results, &mut v)?;
             Ok(())
         });
-        serve_udp(&net, 650, reg.clone(), None);
+        serve(&net, reg.clone(), ServeConfig::new(&[650])).detach();
         let make = || {
             let mut enc = XdrMem::encoder(128);
             let mut msg = CallHeader::new(7, 300, 1, 0);
@@ -704,7 +633,11 @@ mod tests {
             xdr_int(results, &mut v)?;
             Ok(())
         });
-        serve_udp_restartable(&net, 650, reg, None);
+        let cfg = ServeConfig {
+            restartable: true,
+            ..ServeConfig::new(&[650])
+        };
+        serve(&net, reg, cfg).detach();
 
         let ep = net.bind_udp(4000);
         let mut enc = XdrMem::encoder(128);
@@ -750,13 +683,7 @@ mod tests {
             reply.extend_from_slice(b"done");
             Some(reply)
         });
-        let dispatcher = reg.clone();
-        let cd = CachedDispatch::new(
-            Arc::new(move |request: &[u8]| dispatcher.dispatch(request)),
-            None,
-            DUP_CACHE_ENTRIES,
-            reg.pool().clone(),
-        );
+        let cd = CachedDispatch::new(reg.clone(), None, DUP_CACHE_ENTRIES, reg.pool().clone());
         let mut enc = XdrMem::encoder(128);
         let mut msg = CallHeader::new(0x77, 300, 1, 0);
         CallHeader::xdr(&mut enc, &mut msg).unwrap();
@@ -782,7 +709,11 @@ mod tests {
         let net = Network::new(NetworkConfig::lan(), 5);
         let reg = Arc::new(SvcRegistry::new());
         reg.register(300, 1, 0, |_, _| Ok(()));
-        serve_udp_with_cache(&net, 650, reg.clone(), None, 0);
+        let cfg = ServeConfig {
+            cache_entries: 0,
+            ..ServeConfig::new(&[650])
+        };
+        serve(&net, reg.clone(), cfg).detach();
         let ep = net.bind_udp(4000);
         let mut enc = XdrMem::encoder(128);
         let mut msg = CallHeader::new(9, 300, 1, 0);

@@ -108,7 +108,7 @@ fn run_deployment(mode: Mode, faults: FaultConfig, seed: u64) -> RunResult {
             r.fetch_add(1, Ordering::Relaxed);
             StubArgs::new(vec![], vec![args.arrays[0].clone()])
         });
-    specrpc_rpc::svc_udp::serve_udp(&net, 700, service.into_registry(), None);
+    service.serve_udp(&net, 700);
 
     let mut clnt = ClntUdp::create(&net, 5000, 700, ECHO_PROG, ECHO_VERS);
     clnt.retry_timeout = SimTime::from_millis(20);
@@ -192,7 +192,7 @@ fn mid_stream_hot_swap_is_seamless_for_a_live_client() {
         SpecService::new().proc_adaptive(runtime.clone(), echo_proc(), |args: &StubArgs| {
             StubArgs::new(vec![], vec![args.arrays[0].clone()])
         });
-    specrpc_rpc::svc_udp::serve_udp(&net, 700, service.into_registry(), None);
+    service.serve_udp(&net, 700);
     let clnt = ClntUdp::create(&net, 5000, 700, ECHO_PROG, ECHO_VERS);
     let mut ac = AdaptiveClient::new(clnt, runtime.clone(), echo_proc());
 

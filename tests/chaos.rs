@@ -18,7 +18,7 @@ use specrpc::echo::{generic_encode_request, ECHO_IDL, ECHO_PROG, ECHO_VERS};
 use specrpc::{run_chaos, run_chaos_matrix, ChaosConfig, ProcPipeline, SpecService};
 use specrpc_netsim::net::{Network, NetworkConfig};
 use specrpc_netsim::{ChaosSchedule, FaultConfig, SimTime};
-use specrpc_rpc::ClntUdp;
+use specrpc_rpc::{ClntUdp, ServeConfig};
 use specrpc_tempo::compile::StubArgs;
 use specrpc_xdr::mem::XdrMem;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -107,7 +107,11 @@ fn seeded_schedule_sweep_survives_random_outage_patterns() {
                 StubArgs::new(vec![], vec![args.arrays[0].clone()])
             })
             .into_registry();
-        specrpc_rpc::svc_udp::serve_udp_restartable(&net, 700, reg, None);
+        let cfg = ServeConfig {
+            restartable: true,
+            ..ServeConfig::new(&[700])
+        };
+        specrpc_rpc::serve(&net, reg, cfg).detach();
         if let Some(s) = &schedule {
             net.apply_chaos(s);
         }

@@ -1,20 +1,17 @@
-//! Concurrency stress: the tentpole property of this refactor. The whole
-//! serving stack is `Send + Sync` (compile-time asserted below), one
-//! `SpecService` served in `serve_threaded` mode handles N client threads
-//! hammering it over one shared network, every thread resolves its stubs
-//! through one shared `StubCache`, and afterwards every counter adds up:
-//! no lost or duplicated replies, `hits + misses == cache lookups`, and
-//! the pool's per-thread dispatch counts sum to the number of unique
-//! transactions.
+//! Concurrency stress. The whole serving stack is `Send + Sync`
+//! (compile-time asserted below), one `SpecService` served by a reactor
+//! with four workers handles N client threads hammering it over one
+//! shared network, every thread resolves its stubs through one shared
+//! `StubCache`, and afterwards every counter adds up: no lost or
+//! duplicated replies, `hits + misses == cache lookups`, and the events
+//! the workers and the stealing drivers executed sum to the number of
+//! unique transactions.
 
 use specrpc::echo::{echo_spec, ECHO_IDL, ECHO_PROG, ECHO_VERS};
-use specrpc::{
-    EventService, PathUsed, ProcPipeline, SpecClient, SpecService, StubCache, Summary,
-    ThreadedService,
-};
+use specrpc::{EventService, ProcPipeline, SpecClient, SpecService, StubCache, Summary};
 use specrpc_netsim::net::{Network, NetworkConfig};
 use specrpc_netsim::SimTime;
-use specrpc_rpc::{ClntUdp, DispatchPool, SvcRegistry};
+use specrpc_rpc::{ClntUdp, SvcRegistry};
 use specrpc_tempo::compile::StubArgs;
 use std::sync::Arc;
 
@@ -33,10 +30,8 @@ fn serving_stack_is_send_and_sync() {
     assert_send_sync::<SvcRegistry>();
     assert_send_sync::<SpecService>();
     assert_send_sync::<StubCache>();
-    assert_send_sync::<DispatchPool>();
-    assert_send_sync::<ThreadedService>();
     assert_send_sync::<EventService>();
-    assert_send_sync::<specrpc_rpc::EventLoop>();
+    assert_send_sync::<specrpc_rpc::Served>();
 }
 
 fn thread_data(t: usize, i: usize) -> Vec<i32> {
@@ -58,7 +53,7 @@ fn n_threads_hammer_one_threaded_service_through_one_cache() {
         .proc(proc_, |args: &StubArgs| {
             StubArgs::new(vec![], vec![args.arrays[0].clone()])
         })
-        .serve_threaded(&net, PORT, 4);
+        .serve_event(&net, PORT, 4);
 
     let mut handles = Vec::new();
     for t in 0..THREADS {
@@ -109,13 +104,14 @@ fn n_threads_hammer_one_threaded_service_through_one_cache() {
     assert_eq!(stats.misses, 1, "one compile for everyone: {stats:?}");
     assert_eq!(stats.entries, 1);
 
-    // Pool accounting: each unique transaction dispatched exactly once
-    // (retransmissions replay from the duplicate-request cache and are
-    // not re-dispatched), spread across the workers.
-    let per_thread = served.per_thread_dispatches();
+    // Reactor accounting: each unique transaction dispatched exactly
+    // once (under a clean network with huge timeouts nothing is
+    // retransmitted), by a worker or by a client thread that got to its
+    // own delivery first.
+    let per_thread = served.per_worker_events();
     assert_eq!(per_thread.len(), 4);
     assert_eq!(
-        per_thread.iter().sum::<u64>(),
+        per_thread.iter().sum::<u64>() + served.reactor.driver_inline_events(),
         (THREADS * CALLS) as u64,
         "unique dispatches: {per_thread:?}"
     );
@@ -129,10 +125,10 @@ fn n_threads_hammer_one_threaded_service_through_one_cache() {
     // The whole story surfaces through one Summary.
     let report = Summary::default()
         .with_cache(stats)
-        .with_threads(per_thread)
+        .with_served(served.per_shard_events(), per_thread)
         .render();
     assert!(report.contains("stub cache"), "{report}");
-    assert!(report.contains("threaded dispatch"), "{report}");
+    assert!(report.contains("event loop"), "{report}");
 }
 
 #[test]
@@ -197,61 +193,9 @@ fn n_threads_hammer_one_event_served_service_with_batches() {
     // with huge timeouts there are none).
     assert_eq!(served.total_events(), (THREADS * BATCH * BATCHES) as u64);
     let report = Summary::default()
-        .with_events(served.per_worker_events())
+        .with_served(served.per_shard_events(), served.per_worker_events())
         .render();
     assert!(report.contains("event loop"), "{report}");
-}
-
-#[test]
-fn threaded_tcp_pins_connections_to_workers() {
-    // serve_threaded + also_tcp: connections from different client
-    // threads dispatch on (round-robin) pinned workers; records within a
-    // connection stay ordered.
-    let net = Network::new(NetworkConfig::lan(), 777);
-    let proc_ = Arc::new(
-        ProcPipeline::new(N)
-            .build_from_idl(ECHO_IDL, None, 1)
-            .expect("pipeline"),
-    );
-    let served = SpecService::new()
-        .proc(proc_.clone(), |args: &StubArgs| {
-            StubArgs::new(vec![], vec![args.arrays[0].clone()])
-        })
-        .serve_threaded(&net, PORT + 10, 2);
-    served.also_tcp(&net, PORT + 11);
-
-    let mut handles = Vec::new();
-    for t in 0..4usize {
-        let net = net.clone();
-        let proc_ = proc_.clone();
-        handles.push(std::thread::spawn(move || {
-            let clnt = specrpc_rpc::ClntTcp::create(&net, PORT + 11, ECHO_PROG, ECHO_VERS)
-                .expect("connect");
-            let mut client = SpecClient::from_parts(clnt, proc_);
-            client
-                .transport_mut()
-                .stream_mut()
-                .set_read_timeout(SimTime::from_millis(600_000));
-            for i in 0..5 {
-                let data = thread_data(t, i);
-                let args = client.args(vec![], vec![data.clone()]);
-                let (out, path) = client
-                    .call(&args)
-                    .unwrap_or_else(|e| panic!("tcp thread {t} call {i}: {e}"));
-                assert_eq!(out.arrays[0], data);
-                assert_eq!(path, PathUsed::Fast);
-            }
-        }));
-    }
-    for h in handles {
-        h.join().expect("tcp client thread");
-    }
-    let per_thread = served.per_thread_dispatches();
-    assert_eq!(per_thread.iter().sum::<u64>(), 20, "{per_thread:?}");
-    assert!(
-        per_thread.iter().all(|&c| c > 0),
-        "both workers saw connections: {per_thread:?}"
-    );
 }
 
 #[test]
@@ -286,11 +230,8 @@ fn lock_free_clock_readers_see_only_instants_of_the_drivers_trace() {
         // it sees the arrival instant and decides the completion instant.
         let trace = Arc::new(Mutex::new(vec![SimTime::ZERO]));
         let (n2, t2) = (net.clone(), trace.clone());
-        specrpc_rpc::svc_udp::serve_udp(
-            &net,
-            PORT + 30,
-            registry,
-            Some(Arc::new(move |req, rep| {
+        let cfg = specrpc_rpc::ServeConfig {
+            proc_time: Some(Arc::new(move |req, rep| {
                 let arrived = n2.now();
                 let proc_time = SimTime::from_nanos(50_000 + 20 * (req + rep) as u64);
                 t2.lock()
@@ -298,7 +239,9 @@ fn lock_free_clock_readers_see_only_instants_of_the_drivers_trace() {
                     .extend([arrived, arrived + proc_time]);
                 proc_time
             })),
-        );
+            ..specrpc_rpc::ServeConfig::new(&[PORT + 30])
+        };
+        specrpc_rpc::serve(&net, registry, cfg).detach();
         let clnt = ClntUdp::create(&net, 6200, PORT + 30, ECHO_PROG, ECHO_VERS);
         let mut client = SpecClient::from_parts(clnt, proc_);
 

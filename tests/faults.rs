@@ -22,7 +22,7 @@ use specrpc::echo::{generic_encode_request, ECHO_IDL, ECHO_PROG, ECHO_VERS};
 use specrpc::{ProcPipeline, SpecService};
 use specrpc_netsim::net::{Network, NetworkConfig};
 use specrpc_netsim::{ChaosSchedule, FaultConfig, SimTime};
-use specrpc_rpc::{ClntTcp, ClntUdp, Transport};
+use specrpc_rpc::{ClntTcp, ClntUdp, ServeConfig, Transport};
 use specrpc_tempo::compile::StubArgs;
 use specrpc_xdr::mem::XdrMem;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -83,7 +83,7 @@ fn deploy(net: &Network, udp_port: u32, tcp_port: u32) -> Arc<AtomicU64> {
         StubArgs::new(vec![], vec![args.arrays[0].clone()])
     });
     let reg = service.into_registry();
-    specrpc_rpc::svc_udp::serve_udp(net, udp_port, reg.clone(), None);
+    specrpc_rpc::serve(net, reg.clone(), ServeConfig::new(&[udp_port])).detach();
     specrpc_rpc::svc_tcp::serve_tcp(net, tcp_port, reg, None);
     runs
 }
@@ -98,8 +98,8 @@ fn run_udp(cfg: FaultConfig, seed: u64) -> RunResult {
     drive_udp(&net, runs)
 }
 
-/// Like [`run_udp`] but serving through the event-driven reactor
-/// (`serve_event`, one worker) instead of the blocking handler slot.
+/// Like [`run_udp`] but with a reactor worker (`serve_event`, one of
+/// them) racing the driving thread for every delivery.
 fn run_udp_event(cfg: FaultConfig, seed: u64) -> RunResult {
     let net = Network::new(NetworkConfig::lan().with_faults(cfg), seed);
     let runs = Arc::new(AtomicU64::new(0));
@@ -118,6 +118,14 @@ fn run_udp_event(cfg: FaultConfig, seed: u64) -> RunResult {
     let result = drive_udp(&net, runs);
     drop(service);
     result
+}
+
+/// `addr` served by one restartable, worker-less shard.
+fn restartable(addr: u32) -> ServeConfig {
+    ServeConfig {
+        restartable: true,
+        ..ServeConfig::new(&[addr])
+    }
 }
 
 /// The shared client driver: CALLS sequential exchanges against the UDP
@@ -164,7 +172,7 @@ fn run_udp_chaos(cfg: FaultConfig, seed: u64, crash_at: SimTime, downtime: SimTi
             StubArgs::new(vec![], vec![args.arrays[0].clone()])
         })
         .into_registry();
-    specrpc_rpc::svc_udp::serve_udp_restartable(&net, 700, reg, None);
+    specrpc_rpc::serve(&net, reg, restartable(700)).detach();
     net.apply_chaos(&ChaosSchedule::new().crash_window(700, crash_at, downtime));
     drive_udp(&net, runs)
 }
@@ -355,7 +363,7 @@ fn restart_amnesia_duplicate_execution_count_is_exact() {
             StubArgs::new(vec![], vec![args.arrays[0].clone()])
         })
         .into_registry();
-    specrpc_rpc::svc_udp::serve_udp_restartable(&net, 700, reg, None);
+    specrpc_rpc::serve(&net, reg, restartable(700)).detach();
 
     let mut clnt = ClntUdp::create(&net, 5000, 700, ECHO_PROG, ECHO_VERS);
     clnt.retry_timeout = SimTime::from_millis(20);

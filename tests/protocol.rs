@@ -6,8 +6,8 @@ use specrpc_rpc::clnt_tcp::ClntTcp;
 use specrpc_rpc::pmap::{self, Mapping, IPPROTO_TCP, IPPROTO_UDP};
 use specrpc_rpc::svc::SvcRegistry;
 use specrpc_rpc::svc_tcp::serve_tcp;
-use specrpc_rpc::svc_udp::serve_udp;
 use specrpc_rpc::ClntUdp;
+use specrpc_rpc::{serve, ServeConfig};
 use specrpc_xdr::composite::xdr_array;
 use specrpc_xdr::primitives::xdr_int;
 use std::sync::Arc;
@@ -31,7 +31,7 @@ fn service_discovery_then_call_over_udp_and_tcp() {
     let net = Network::new(NetworkConfig::lan(), 31);
     pmap::start_portmapper(&net);
     let reg = sum_registry();
-    serve_udp(&net, 901, reg.clone(), None);
+    serve(&net, reg.clone(), ServeConfig::new(&[901])).detach();
     serve_tcp(&net, 902, reg, None);
     pmap::pmap_set(
         &net,

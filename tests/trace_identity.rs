@@ -5,14 +5,14 @@
 //! `specrpc-netsim` / `specrpc-rpc` that moves a modeled nanosecond, a
 //! fault-stream draw or a counter fails here — in tier-1, not only in the
 //! outside-in benchmark. The workload is the benchmark's `echo250_lossy`
-//! (3% loss, 5% duplication, 5% reordering) through every UDP serving
-//! front-end, plus the NFS mix.
+//! (3% loss, 5% duplication, 5% reordering) through every spelling of
+//! the one serving core, plus the NFS mix.
 
 use specrpc::echo::{build_echo_proc, ECHO_PROG, ECHO_VERS};
 use specrpc::{run_nfs, CompiledProc, NfsConfig, SpecClient, SpecService};
 use specrpc_netsim::net::{Addr, LinkStats, Network, NetworkConfig};
-use specrpc_netsim::FaultConfig;
-use specrpc_rpc::ClntUdp;
+use specrpc_netsim::{ChaosSchedule, FaultConfig, SimTime};
+use specrpc_rpc::{serve, ClntUdp, ServeConfig};
 use specrpc_tempo::compile::StubArgs;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
@@ -89,10 +89,9 @@ fn drive(net: &Network, ports: &[Addr], proc_: &Arc<CompiledProc>, runs: &Atomic
 
 /// What 20 000 sequential calls leave behind on seed 42. Calls never
 /// overlap and every request has the same size, so the fault stream, the
-/// clock and the counters are the same whichever front-end serves and
-/// however many ports the calls rotate over; only the deepest receive
-/// queue differs (a blocking slot never queues a request, an event-mode
-/// address holds it for one step).
+/// clock and the counters are the same whatever shards and workers
+/// serve and however many ports the calls rotate over; only the deepest
+/// receive queue differs.
 const fn pinned(queue_depth_high_water: u64) -> Trace {
     Trace {
         now_ns: 247_070_437_362,
@@ -115,6 +114,62 @@ fn blocking_slot_trace_is_pinned() {
     let runs = Arc::new(AtomicU64::new(0));
     counting_service(&proc_, &runs).serve_udp(&net, PORTS[0]);
     assert_eq!(drive(&net, &PORTS[..1], &proc_, &runs), pinned(1));
+}
+
+#[test]
+fn zero_worker_reactor_is_the_blocking_slot() {
+    // `SpecService::serve_udp` above, the rpc entry at one shard and no
+    // workers held by its handle, and the one-port case of the sharded
+    // pin below are one deployment: the trace `serve_udp` has always
+    // left, every delivery on the driving thread.
+    let (net, proc_) = (lossy_net(), echo_proc());
+    let runs = Arc::new(AtomicU64::new(0));
+    let registry = counting_service(&proc_, &runs).into_registry();
+    let served = serve(&net, registry, ServeConfig::new(&PORTS[..1]));
+    assert_eq!(drive(&net, &PORTS[..1], &proc_, &runs), pinned(1));
+    assert_eq!(served.driver_inline_events(), served.total_events());
+}
+
+#[test]
+fn restartable_reactor_trace_is_pinned() {
+    // A crash window early in the run, riding the same fault stream.
+    // The constants are what the commit before the serving front-ends
+    // were folded into one produced through its `serve_udp_restartable`
+    // handler slot: two datagrams die at the dead address, the calls
+    // ride it out on retransmission, and one of them is executed twice
+    // because the restarted server has forgotten it.
+    let (net, proc_) = (lossy_net(), echo_proc());
+    let runs = Arc::new(AtomicU64::new(0));
+    let registry = counting_service(&proc_, &runs).into_registry();
+    let cfg = ServeConfig {
+        restartable: true,
+        ..ServeConfig::new(&PORTS[..1])
+    };
+    let _served = serve(&net, registry, cfg);
+    net.apply_chaos(&ChaosSchedule::new().crash_window(
+        PORTS[0],
+        SimTime::from_millis(2_234),
+        SimTime::from_millis(250),
+    ));
+    let trace = drive(&net, &PORTS[..1], &proc_, &runs);
+    let stats = net.chaos_stats();
+    assert_eq!((stats.crashes, stats.restarts, stats.drops_down), (1, 1, 2));
+    assert_eq!(
+        trace,
+        Trace {
+            now_ns: 247_470_523_802,
+            bytes_sent: 44_340_220,
+            datagrams_sent: 42_803,
+            link: LinkStats {
+                queue_drops: 0,
+                queue_depth_high_water: 1,
+                datagrams: 42_803,
+                fragments: 42_803,
+            },
+            retransmits: 1_171,
+            handler_runs: 20_001,
+        }
+    );
 }
 
 #[test]

@@ -46,7 +46,7 @@ fn deploy(
         StubArgs::new(vec![], vec![data])
     });
     let reg = service.into_registry();
-    specrpc_rpc::svc_udp::serve_udp(net, PORT, reg.clone(), None);
+    specrpc_rpc::serve(net, reg.clone(), specrpc_rpc::ServeConfig::new(&[PORT])).detach();
     specrpc_rpc::svc_tcp::serve_tcp(net, PORT + 1, reg.clone(), None);
     (reg, calls)
 }

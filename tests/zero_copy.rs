@@ -11,8 +11,7 @@ use specrpc::generic::decode_shape_generic;
 use specrpc::{PathUsed, ProcPipeline, SpecClient, SpecService, Summary};
 use specrpc_netsim::net::{Network, NetworkConfig};
 use specrpc_rpc::msg::ReplyHeader;
-use specrpc_rpc::svc_udp::serve_udp_with_cache;
-use specrpc_rpc::ClntUdp;
+use specrpc_rpc::{serve, ClntUdp, ServeConfig};
 use specrpc_rpcgen::sunlib::reply_fields;
 use specrpc_tempo::compile::{run_decode, run_encode, Outcome, StubArgs};
 use specrpc_xdr::mem::XdrMem;
@@ -33,7 +32,11 @@ fn pooled_echo(n: usize, seed: u64) -> (Network, SpecClient<ClntUdp>) {
             StubArgs::new(vec![], vec![args.arrays[0].clone()])
         })
         .into_registry();
-    serve_udp_with_cache(&net, 910, reg.clone(), None, 4);
+    let cfg = ServeConfig {
+        cache_entries: 4,
+        ..ServeConfig::new(&[910])
+    };
+    serve(&net, reg.clone(), cfg).detach();
     let clnt = ClntUdp::create_pooled(&net, 5600, 910, ECHO_PROG, ECHO_VERS, reg.pool().clone());
     (net, SpecClient::from_parts(clnt, proc_))
 }
@@ -89,11 +92,23 @@ fn pooled_specialized_round_trip_allocates_zero_after_warmup() {
 
 #[test]
 fn event_reactor_keeps_the_wire_path_allocation_free() {
-    // The same steady-state bar under `serve_event`: the reactor (and
-    // the driver's work stealing) dispatch through the same pooled path,
-    // so once warm a specialized round trip still performs zero
-    // wire-path heap allocations — batched or one at a time.
-    use specrpc_rpc::svc_event::serve_udp_event_with_cache;
+    // The same steady-state bar with a reactor worker racing the driver
+    // (what `serve_event(…, 1)` spells).
+    reactor_is_allocation_free(1);
+}
+
+#[test]
+fn zero_worker_reactor_keeps_the_wire_path_allocation_free() {
+    // … and held by its handle with no worker at all (what
+    // `serve_sharded(&[port], 1, 0)` spells).
+    reactor_is_allocation_free(0);
+}
+
+/// A one-shard deployment dispatches from the registry's pool — the one
+/// the client recycles into — so once warm a specialized round trip
+/// performs zero wire-path heap allocations and the pool never misses,
+/// batched or one at a time.
+fn reactor_is_allocation_free(workers: usize) {
     let n = 200;
     let proc_ = Arc::new(
         ProcPipeline::new(n)
@@ -106,7 +121,12 @@ fn event_reactor_keeps_the_wire_path_allocation_free() {
             StubArgs::new(vec![], vec![args.arrays[0].clone()])
         })
         .into_registry();
-    let reactor = serve_udp_event_with_cache(&net, 912, reg.clone(), 1, None, 4);
+    let cfg = ServeConfig {
+        workers_per_shard: workers,
+        cache_entries: 4,
+        ..ServeConfig::new(&[912])
+    };
+    let reactor = serve(&net, reg.clone(), cfg);
     let clnt = ClntUdp::create_pooled(&net, 5602, 912, ECHO_PROG, ECHO_VERS, reg.pool().clone());
     let mut client = SpecClient::from_parts(clnt, proc_);
 
@@ -120,6 +140,7 @@ fn event_reactor_keeps_the_wire_path_allocation_free() {
         assert_eq!(out.arrays[0], data);
     }
     let allocs_before = client.counts.heap_allocs;
+    let misses_before = reg.pool().stats().misses;
     for round in 0..25 {
         let path = client.call_into(&args, &mut out).unwrap();
         assert_eq!(path, PathUsed::Fast, "round {round}");
@@ -129,6 +150,11 @@ fn event_reactor_keeps_the_wire_path_allocation_free() {
         client.counts.heap_allocs - allocs_before,
         0,
         "the reactor must preserve the allocation-free steady state"
+    );
+    assert_eq!(
+        reg.pool().stats().misses,
+        misses_before,
+        "{workers} workers"
     );
 
     // Batched steady state too: warm batch slots, then pin zero allocs.
@@ -140,6 +166,7 @@ fn event_reactor_keeps_the_wire_path_allocation_free() {
         client.call_batch_into(&batch, &mut outs).unwrap();
     }
     let allocs_before = client.counts.heap_allocs;
+    let misses_before = reg.pool().stats().misses;
     for _ in 0..10 {
         let paths = client.call_batch_into(&batch, &mut outs).unwrap();
         assert!(paths.iter().all(|p| *p == PathUsed::Fast));
@@ -149,6 +176,11 @@ fn event_reactor_keeps_the_wire_path_allocation_free() {
         client.counts.heap_allocs - allocs_before,
         0,
         "a warm pipelined batch must allocate nothing on the wire path"
+    );
+    assert_eq!(
+        reg.pool().stats().misses,
+        misses_before,
+        "{workers} workers"
     );
     assert!(reactor.total_events() >= 35);
 }
@@ -231,13 +263,12 @@ fn retransmission_reuses_the_request_image_without_rebuilding() {
             StubArgs::new(vec![], vec![args.arrays[0].clone()])
         })
         .into_registry();
-    serve_udp_with_cache(
-        &net,
-        911,
-        reg.clone(),
-        Some(Arc::new(|_, _| SimTime::from_millis(30))),
-        8,
-    );
+    let cfg = ServeConfig {
+        proc_time: Some(Arc::new(|_, _| SimTime::from_millis(30))),
+        cache_entries: 8,
+        ..ServeConfig::new(&[911])
+    };
+    serve(&net, reg.clone(), cfg).detach();
     let mut clnt =
         ClntUdp::create_pooled(&net, 5601, 911, ECHO_PROG, ECHO_VERS, reg.pool().clone());
     clnt.retry_timeout = SimTime::from_millis(20);
