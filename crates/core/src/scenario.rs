@@ -308,7 +308,7 @@ pub fn run_scale(cfg: &ScaleConfig) -> Result<ScaleReport, PipelineError> {
     let cdf = zipf_cdf(cfg.shapes.len(), cfg.zipf_s);
     let mut rng = StdRng::seed_from_u64(cfg.seed);
     let span_ns = cfg.span.as_nanos() as f64;
-    let mut arrivals: Vec<(SimTime, usize, Addr)> = (0..cfg.clients)
+    let mut arrivals: Vec<(SimTime, u32, Addr)> = (0..cfg.clients)
         .map(|i| {
             let at = SimTime::from_nanos((rng.random::<f64>() * span_ns) as u64);
             let u = rng.random::<f64>();
@@ -317,7 +317,9 @@ pub fn run_scale(cfg: &ScaleConfig) -> Result<ScaleReport, PipelineError> {
             // `churn_every` draws, so popularity keeps migrating
             // (`churn_every == 0` disables the rotation).
             let offset = i.checked_div(cfg.churn_every).unwrap_or(0);
-            let shape = (rank + offset) % cfg.shapes.len();
+            // A `u32`, so an arrival is 16 bytes: every endpoint's is
+            // held for the whole run.
+            let shape = ((rank + offset) % cfg.shapes.len()) as u32;
             let port = ports[rng.random_range(0..ports.len())];
             (at, shape, port)
         })
@@ -352,7 +354,7 @@ pub fn run_scale(cfg: &ScaleConfig) -> Result<ScaleReport, PipelineError> {
         net.run_until(at, || false);
         let ep = net.bind_udp(SCALE_CLIENT_BASE + i as u32);
         let xid = i as u32 + 1;
-        let mut req = templates[shape].clone();
+        let mut req = templates[shape as usize].clone();
         req[0..4].copy_from_slice(&xid.to_be_bytes());
         let sent = net.now();
         ep.send_to(port, req);

@@ -10,9 +10,10 @@
 //!   transmission (including retransmissions — the pooled request image is
 //!   rewound and re-sent, never rebuilt) and recycles consumed replies
 //!   back into it;
-//! * each served address's duplicate-request cache stores its replies in
-//!   pooled buffers, records into the buffer its eviction just freed,
-//!   and consumes delivered request datagrams into the pool;
+//! * each served address's dispatch body consumes delivered request
+//!   datagrams into the pool and takes replay and reply-envelope buffers
+//!   from it (the duplicate-request cache itself copies replies into a
+//!   log it owns and never touches the pool);
 //! * [`crate::SvcRegistry`] hands the pool to specialized raw handlers so
 //!   reply images are emitted straight into pooled buffers.
 //!
@@ -23,9 +24,9 @@
 //! Who owns which pool: a [`crate::SvcRegistry`] owns one (reply images
 //! always come from it), a client built with `create_pooled` is handed
 //! one to share, and the reactor ([`crate::serve`]) gives each *shard*
-//! the pool its addresses' caches draw on — the registry's own for a
-//! one-shard deployment, so server and pooled client cycle the same
-//! buffers and a call allocates nothing; a private one per shard
+//! the pool its addresses' dispatch bodies draw on — the registry's own
+//! for a one-shard deployment, so server and pooled client cycle the
+//! same buffers and a call allocates nothing; a private one per shard
 //! otherwise, so shards never contend on a free list. The pool is
 //! `Send + Sync` (one `Mutex` around the free list), so reactor workers
 //! and any number of clients can share one instance.

@@ -6,11 +6,12 @@
 //! [`Served`] handle that owns the deployment. Two numbers shape it:
 //!
 //! - **`shards`** partitions the served addresses (`addr % shards`). A
-//!   shard *owns* its addresses' duplicate-request caches and the
-//!   wire-buffer pool they draw on, so in steady state a shard's request
-//!   buffers, reply images and cache entries cycle within the shard. A
-//!   one-shard deployment draws on the registry's own pool — the one a
-//!   pooled client recycles into — so a call allocates nothing.
+//!   shard *owns* its addresses' duplicate-request caches — each with
+//!   the log its replies are copied into — and one wire-buffer pool,
+//!   which consumes the shard's request datagrams and feeds its replay
+//!   and reply-envelope buffers. A one-shard deployment draws on the
+//!   registry's own pool — the one reply images come from and a pooled
+//!   client recycles into — so a call allocates nothing.
 //! - **`workers_per_shard`** is how many reactor threads each shard runs.
 //!   A worker sweeps its own shard's sockets round-robin, one datagram
 //!   per socket per visit; when those are dry it walks the peer shards in

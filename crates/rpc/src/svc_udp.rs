@@ -93,11 +93,99 @@ pub(crate) enum Verify {
     FullBytes,
 }
 
+/// Capacity of one [`ReplyLog`] segment, which a cache of small replies
+/// holds at least one of. A reply that does not fit behind the tail's
+/// bytes seals it, so replies of 32–64 KiB take a segment each and the
+/// log holds up to twice its live bytes; a larger reply gets storage of
+/// its own, allocated when it is recorded and freed when it is evicted.
+const SEGMENT_BYTES: usize = 64 * 1024;
+
+/// One stretch of the reply log and the number of cache entries whose
+/// bytes live in it.
+#[derive(Default)]
+struct Segment {
+    bytes: Vec<u8>,
+    live: usize,
+}
+
+/// Where the cache keeps reply bytes: appended back to back, at their
+/// exact length, to the tail segment. A segment whose last entry is
+/// released gives its storage to the next tail, so a full cache in steady
+/// state allocates nothing and memory follows the live bytes. Segments
+/// sit in a slab rather than a queue because a re-recorded key keeps its
+/// place in the eviction order while its bytes move to the tail: behind
+/// one old entry, a client that reuses an xid would grow a queue forever.
+#[derive(Default)]
+struct ReplyLog {
+    segs: Vec<Segment>,
+    /// Slot of the segment being appended to.
+    tail: Option<usize>,
+    /// Slots whose storage is gone, reused before `segs` grows.
+    free: Vec<usize>,
+    /// Storage of one emptied segment, kept for the next tail.
+    spare: Option<Vec<u8>>,
+}
+
+impl ReplyLog {
+    /// Append `reply`; returns its `(slot, offset)`. A reply larger than
+    /// a segment gets one of its own size, which never becomes the tail.
+    fn append(&mut self, reply: &[u8]) -> (usize, usize) {
+        let slot = if reply.len() > SEGMENT_BYTES {
+            self.open(Vec::with_capacity(reply.len()))
+        } else {
+            let fits = |slot: &usize| self.segs[*slot].bytes.len() + reply.len() <= SEGMENT_BYTES;
+            self.tail.filter(fits).unwrap_or_else(|| {
+                let storage = self.spare.take();
+                let slot = self.open(storage.unwrap_or_else(|| Vec::with_capacity(SEGMENT_BYTES)));
+                self.tail = Some(slot);
+                slot
+            })
+        };
+        let seg = &mut self.segs[slot];
+        seg.live += 1;
+        seg.bytes.extend_from_slice(reply);
+        (slot, seg.bytes.len() - reply.len())
+    }
+
+    /// Put `bytes` into the slab as an empty segment; returns its slot.
+    fn open(&mut self, bytes: Vec<u8>) -> usize {
+        let slot = self.free.pop().unwrap_or_else(|| {
+            self.segs.push(Segment::default());
+            self.segs.len() - 1
+        });
+        self.segs[slot].bytes = bytes;
+        slot
+    }
+
+    /// Give up one entry of segment `slot`. An emptied segment leaves the
+    /// log, the tail included; the first one's storage, unless it was a
+    /// large reply's own, waits in `spare`.
+    fn release(&mut self, slot: usize) {
+        let seg = &mut self.segs[slot];
+        seg.live -= 1;
+        if seg.live > 0 {
+            return;
+        }
+        let mut storage = std::mem::take(&mut seg.bytes);
+        if self.spare.is_none() && storage.len() <= SEGMENT_BYTES {
+            storage.clear();
+            self.spare = Some(storage);
+        }
+        if self.tail == Some(slot) {
+            self.tail = None;
+        }
+        self.free.push(slot);
+    }
+}
+
 struct CacheEntry {
     req_hash: u64,
     /// Stored request image, [`Verify::FullBytes`] mode only.
     req_bytes: Option<Vec<u8>>,
-    reply: Vec<u8>,
+    /// The reply: `len` bytes at `offset` of the log's segment `slot`.
+    slot: usize,
+    offset: usize,
+    len: usize,
 }
 
 /// The duplicate-request (reply) cache of `svcudp_cache`: keyed by
@@ -119,6 +207,7 @@ pub(crate) struct DupCache {
     verify: Verify,
     /// Fingerprint function (swappable in tests to force collisions).
     hasher: fn(&[u8]) -> u64,
+    log: ReplyLog,
 }
 
 impl DupCache {
@@ -133,21 +222,19 @@ impl DupCache {
             cap,
             verify,
             hasher: fingerprint64,
+            log: ReplyLog::default(),
         }
     }
 
     #[cfg(test)]
     pub(crate) fn with_hasher(cap: usize, verify: Verify, hasher: fn(&[u8]) -> u64) -> Self {
         DupCache {
-            replies: IntMap::default(),
-            order: VecDeque::new(),
-            cap,
-            verify,
             hasher,
+            ..Self::with_verify(cap, verify)
         }
     }
 
-    pub(crate) fn get(&self, xid: u32, from: Addr, request: &[u8]) -> Option<&Vec<u8>> {
+    pub(crate) fn get(&self, xid: u32, from: Addr, request: &[u8]) -> Option<&[u8]> {
         let entry = self.replies.get(&(xid, from))?;
         if entry.req_hash != (self.hasher)(request) {
             return None;
@@ -157,59 +244,43 @@ impl DupCache {
                 return None;
             }
         }
-        Some(&entry.reply)
+        Some(&self.log.segs[entry.slot].bytes[entry.offset..][..entry.len])
     }
 
-    /// Record a copy of `reply` for `(xid, from, request)`. The copy goes
-    /// into the reply buffer this insertion frees — the displaced entry's
-    /// when the key is already recorded, the oldest entry's when the cache
-    /// is full — so a full cache in steady state records without touching
-    /// the pool; a freed buffer that is too small goes back to `bufs` and
-    /// a fitting one is taken from there, as it is while the cache fills.
-    pub(crate) fn record(
-        &mut self,
-        xid: u32,
-        from: Addr,
-        request: &[u8],
-        reply: &[u8],
-        bufs: &BufPool,
-    ) {
+    /// Record a copy of `reply` for `(xid, from, request)`. The entry this
+    /// insertion frees — the displaced one when the key is already
+    /// recorded, the oldest when the cache is full — is released first, so
+    /// the copy can land in the segment that entry was the last to hold.
+    pub(crate) fn record(&mut self, xid: u32, from: Addr, request: &[u8], reply: &[u8]) {
         if self.cap == 0 {
             return;
         }
         let key = (xid, from);
-        let freed = match self.replies.get_mut(&key) {
-            Some(displaced) => Some(std::mem::take(&mut displaced.reply)),
+        let freed = match self.replies.get(&key) {
+            Some(displaced) => Some(displaced.slot),
             None => {
                 self.order.push_back(key);
                 if self.order.len() > self.cap {
                     let oldest = self.order.pop_front().expect("just pushed");
-                    self.replies.remove(&oldest).map(|e| e.reply)
+                    self.replies.remove(&oldest).map(|e| e.slot)
                 } else {
                     None
                 }
             }
         };
-        let mut stored = match freed {
-            Some(mut buf) if buf.capacity() >= reply.len() => {
-                buf.clear();
-                buf
-            }
-            undersized => {
-                if let Some(buf) = undersized {
-                    bufs.put(buf);
-                }
-                bufs.take(reply.len())
-            }
-        };
-        stored.extend_from_slice(reply);
+        if let Some(slot) = freed {
+            self.log.release(slot);
+        }
+        let (slot, offset) = self.log.append(reply);
         let entry = CacheEntry {
             req_hash: (self.hasher)(request),
             req_bytes: match self.verify {
                 Verify::Hash => None,
                 Verify::FullBytes => Some(request.to_vec()),
             },
-            reply: stored,
+            slot,
+            offset,
+            len: reply.len(),
         };
         self.replies.insert(key, entry);
     }
@@ -249,10 +320,10 @@ impl DupState {
 /// address's requests in parallel; exactly-once execution is preserved
 /// by the in-progress set.
 ///
-/// The cache's stored replies live in wire-pool buffers: a filling cache
-/// takes them from the pool, a full one records each reply into the
-/// buffer its eviction just freed, so it sustains duplicate absorption
-/// without per-request allocation — or pool traffic.
+/// The cache owns the log its recorded replies are copied into and never
+/// touches the pool; `bufs` takes the request datagrams this body
+/// consumes and gives the buffers of replays, unpacked sub-messages and
+/// reply envelopes.
 ///
 /// One fresh request takes the state lock twice: to look up the cache
 /// and mark the transaction in progress, and to record the reply and
@@ -397,7 +468,7 @@ impl CachedDispatch {
         if let Some(xid) = xid {
             let mut state = self.state.lock().expect("dup cache lock");
             state.in_progress.remove(&(xid, from));
-            state.cache.record(xid, from, request, &reply, &self.bufs);
+            state.cache.record(xid, from, request, &reply);
             guard.1 = None;
         }
         // The delivered request datagram is consumed into the pool — in
@@ -416,6 +487,14 @@ mod tests {
     use specrpc_xdr::mem::XdrMem;
     use specrpc_xdr::primitives::xdr_int;
     use std::sync::atomic::{AtomicU64, Ordering};
+
+    impl DupCache {
+        /// Bytes of reply storage the cache holds, live or not.
+        fn held_bytes(&self) -> usize {
+            let segs = self.log.segs.iter().map(|s| s.bytes.capacity());
+            segs.chain(self.log.spare.iter().map(Vec::capacity)).sum()
+        }
+    }
 
     #[test]
     fn registry_answers_over_the_network() {
@@ -527,39 +606,201 @@ mod tests {
         // so the cache must NOT replay the stale reply.
         let mut cache = DupCache::new(4);
         let (req_a, req_b) = (b"request-alpha".as_slice(), b"request-beta!".as_slice());
-        cache.record(7, 4000, req_a, &[1, 2, 3], &BufPool::new());
-        assert_eq!(cache.get(7, 4000, req_a), Some(&vec![1, 2, 3]));
+        cache.record(7, 4000, req_a, &[1, 2, 3]);
+        assert_eq!(cache.get(7, 4000, req_a), Some(&[1, 2, 3][..]));
         assert_eq!(cache.get(7, 4000, req_b), None, "hash mismatch");
         assert_eq!(cache.get(7, 4001, req_a), None, "different sender");
     }
 
     #[test]
     fn eviction_returns_the_reply_buffer_for_recycling() {
-        let pool = BufPool::new();
-        let takes = || pool.stats().hits + pool.stats().misses;
+        // Eviction recycles the segment: replies that fill one each, so
+        // every eviction empties the oldest segment and the record that
+        // caused it lands in that very storage.
+        let fill = |b: u8| vec![b; SEGMENT_BYTES];
         let mut cache = DupCache::new(2);
-        cache.record(1, 1, b"a", &[0xa], &pool);
-        cache.record(2, 1, b"b", &[0xb], &pool);
-        assert_eq!(takes(), 2, "a filling cache records into pooled buffers");
+        cache.record(1, 1, b"a", &fill(0xa));
+        cache.record(2, 1, b"b", &fill(0xb));
+        assert_eq!(cache.held_bytes(), 2 * SEGMENT_BYTES, "one segment each");
         let oldest = cache.get(1, 1, b"a").expect("recorded").as_ptr();
         // Full: the third record evicts the oldest entry (FIFO) and lives
-        // in the buffer that entry gave up.
-        cache.record(3, 1, b"c", &[0xc], &pool);
+        // in the segment that entry gave up.
+        cache.record(3, 1, b"c", &fill(0xc));
         assert_eq!(cache.get(1, 1, b"a"), None, "evicted");
-        assert_eq!(cache.get(3, 1, b"c"), Some(&vec![0xc]));
+        assert_eq!(cache.get(3, 1, b"c"), Some(&fill(0xc)[..]));
         assert_eq!(cache.get(3, 1, b"c").expect("recorded").as_ptr(), oldest);
         // Re-recording an existing key reuses the displaced reply's.
         let displaced = cache.get(2, 1, b"b").expect("recorded").as_ptr();
-        cache.record(2, 1, b"b", &[0xbb], &pool);
-        assert_eq!(cache.get(2, 1, b"b"), Some(&vec![0xbb]));
+        cache.record(2, 1, b"b", &fill(0xbb));
+        assert_eq!(cache.get(2, 1, b"b"), Some(&fill(0xbb)[..]));
         assert_eq!(cache.get(2, 1, b"b").expect("recorded").as_ptr(), displaced);
-        assert_eq!(takes(), 2, "neither touched the pool");
-        // A freed buffer too small for the new reply goes back to the
-        // pool, and the record takes one that fits.
-        let big = [7u8; 4096];
-        cache.record(4, 1, b"d", &big, &pool);
-        assert_eq!(cache.get(4, 1, b"d").map(Vec::as_slice), Some(&big[..]));
-        assert_eq!((takes(), pool.stats().recycled), (3, 1));
+        assert_eq!(cache.held_bytes(), 2 * SEGMENT_BYTES, "neither allocated");
+        // A reply larger than a segment gets storage of its own size,
+        // and the segment its eviction emptied waits for the next tail.
+        let big = vec![7u8; SEGMENT_BYTES + 4096];
+        cache.record(4, 1, b"d", &big);
+        assert_eq!(cache.get(4, 1, b"d"), Some(&big[..]));
+        assert_eq!(cache.held_bytes(), 2 * SEGMENT_BYTES + big.len());
+        // One emptied segment is enough for the next tail.
+        cache.record(5, 1, b"e", &[0xe]);
+        assert_eq!(cache.held_bytes(), SEGMENT_BYTES + big.len());
+        // Evicting the large reply frees its storage.
+        cache.record(6, 1, b"f", &[0xf]);
+        assert_eq!(cache.get(4, 1, b"d"), None, "evicted");
+        assert_eq!(cache.held_bytes(), SEGMENT_BYTES);
+    }
+
+    #[test]
+    fn held_memory_follows_live_bytes_not_the_largest_reply_per_entry() {
+        // Every third reply is large, the rest 64 B. 3 does not divide
+        // the entry count, so a cache whose entries each own a buffer (an
+        // insertion inheriting its eviction's) sees a large reply in
+        // every buffer within three generations and holds 256 of them,
+        // three times the live bytes. (Strict alternation would not show
+        // it: an entry is then always evicted by one of its own size.)
+        // The log holds the live bytes, a tail, a spare and the slack of
+        // each sealed segment: less than the large reply that did not
+        // fit, so a quarter of the live bytes at 16 KiB, and — the worst
+        // case, a segment per large reply — as much again at 40 KB.
+        for (large, slack_per_live) in [(16 * 1024, 0.34), (40_000, 1.0)] {
+            let (small, large) = ([1u8; 64], vec![2u8; large]);
+            let mut cache = DupCache::new(DUP_CACHE_ENTRIES);
+            for xid in 0..10_000u32 {
+                let reply = if xid % 3 == 0 { &large[..] } else { &small[..] };
+                cache.record(xid, 1, b"request", reply);
+                let live: usize = cache.replies.values().map(|e| e.len).sum();
+                let held = cache.held_bytes();
+                assert!(
+                    held <= live + (live as f64 * slack_per_live) as usize + 2 * SEGMENT_BYTES,
+                    "{} B replies, after {xid}: {held} bytes held for {live} live",
+                    large.len()
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn a_reused_xid_behind_an_old_entry_does_not_grow_the_log() {
+        // The old entry pins the first segment; the re-recorded key's
+        // bytes move from tail to tail, emptying segments in between.
+        let mut cache = DupCache::new(DUP_CACHE_ENTRIES);
+        cache.record(1, 1, b"old", &[0; 64]);
+        for call in 0..10_000u32 {
+            cache.record(2, 1, &call.to_be_bytes(), &[call as u8; 1024]);
+            assert!(cache.held_bytes() <= 3 * SEGMENT_BYTES, "call {call}");
+            assert!(cache.log.segs.len() <= 3, "call {call}");
+        }
+        assert_eq!(cache.get(1, 1, b"old"), Some(&[0; 64][..]));
+    }
+
+    #[test]
+    fn equal_sized_replies_cycle_through_a_fixed_set_of_segments() {
+        let cap = 16;
+        for len in [0, 1, 1000, 1024, 8192, 40_000, SEGMENT_BYTES] {
+            let mut cache = DupCache::new(cap);
+            let storage = |cache: &DupCache| -> std::collections::BTreeSet<usize> {
+                let segs = cache.log.segs.iter().map(|s| &s.bytes);
+                segs.chain(cache.log.spare.iter())
+                    .filter(|b| b.capacity() > 0)
+                    .map(|b| b.as_ptr() as usize)
+                    .collect()
+            };
+            let reply = vec![0x5a; len];
+            let warm_up = 2 * cap as u32 + 2 * (SEGMENT_BYTES / len.max(1)) as u32;
+            for xid in 0..warm_up {
+                cache.record(xid, 1, b"request", &reply);
+            }
+            let warm = storage(&cache);
+            for xid in warm_up..3 * warm_up {
+                cache.record(xid, 1, b"request", &reply);
+                assert_eq!(storage(&cache), warm, "len {len}, record {xid}");
+            }
+        }
+    }
+
+    /// What the cache must be indistinguishable from: a map of whole
+    /// replies and a FIFO of keys.
+    struct NaiveCache {
+        cap: usize,
+        map: std::collections::HashMap<(u32, Addr), (Vec<u8>, Vec<u8>)>,
+        order: VecDeque<(u32, Addr)>,
+    }
+
+    impl NaiveCache {
+        fn get(&self, xid: u32, from: Addr, request: &[u8]) -> Option<&[u8]> {
+            let (recorded, reply) = self.map.get(&(xid, from))?;
+            (recorded == request).then_some(reply)
+        }
+
+        fn record(&mut self, xid: u32, from: Addr, request: &[u8], reply: &[u8]) {
+            if self.cap == 0 {
+                return;
+            }
+            if !self.map.contains_key(&(xid, from)) {
+                self.order.push_back((xid, from));
+                if self.order.len() > self.cap {
+                    let oldest = self.order.pop_front().expect("just pushed");
+                    self.map.remove(&oldest);
+                }
+            }
+            self.map
+                .insert((xid, from), (request.to_vec(), reply.to_vec()));
+        }
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(12))]
+
+        /// Random `record` / `get` sequences — empty, segment-filling and
+        /// larger-than-segment replies, keys re-recorded under different
+        /// request bytes — against [`NaiveCache`]: same hits, same bytes,
+        /// same evictions, and a log that holds no segment without a
+        /// live entry beyond one spare.
+        #[test]
+        fn the_log_backed_cache_is_a_fifo_map_of_replies(
+            ops in proptest::collection::vec(proptest::prelude::any::<u64>(), 1..300),
+        ) {
+            for cap in [0, 1, 4, DUP_CACHE_ENTRIES] {
+                let mut cache = DupCache::new(cap);
+                let mut model = NaiveCache { cap, map: Default::default(), order: VecDeque::new() };
+                // More keys than a small cache holds, few enough to recur.
+                let keys = 3 * cap.clamp(2, 8) as u64;
+                let request = |key: u64, variant: u64| format!("request {key}/{variant}").into_bytes();
+                for (i, &op) in ops.iter().enumerate() {
+                    let (key, variant) = (op % keys, (op >> 8) % 2);
+                    let (xid, from) = ((key / 2) as u32, 4000 + (key % 2) as Addr);
+                    let len = match (op >> 16) % 8 {
+                        0 => 0,
+                        1 => SEGMENT_BYTES,
+                        2 => SEGMENT_BYTES + 1 + (op >> 32) as usize % 6000,
+                        3 => (op >> 32) as usize % SEGMENT_BYTES,
+                        _ => (op >> 32) as usize % 2048,
+                    };
+                    let mut reply = vec![i as u8; len];
+                    reply.iter_mut().zip(i.to_le_bytes()).for_each(|(b, tag)| *b = tag);
+                    let req = request(key, variant);
+                    cache.record(xid, from, &req, &reply);
+                    model.record(xid, from, &req, &reply);
+
+                    for key in 0..keys {
+                        let (xid, from) = ((key / 2) as u32, 4000 + (key % 2) as Addr);
+                        for variant in 0..2 {
+                            let req = request(key, variant);
+                            proptest::prop_assert_eq!(cache.get(xid, from, &req), model.get(xid, from, &req));
+                        }
+                    }
+                    proptest::prop_assert_eq!(cache.order.iter().collect::<Vec<_>>(), model.order.iter().collect::<Vec<_>>());
+                    let log = &cache.log;
+                    for (slot, seg) in log.segs.iter().enumerate() {
+                        let live = cache.replies.values().filter(|e| e.slot == slot).count();
+                        proptest::prop_assert_eq!(seg.live, live);
+                        proptest::prop_assert!(live > 0 || seg.bytes.capacity() == 0, "an emptied segment leaves the log");
+                    }
+                    let held = log.segs.iter().filter(|s| s.bytes.capacity() > 0).count();
+                    proptest::prop_assert!(held + usize::from(log.spare.is_some()) <= cache.replies.len() + 1);
+                }
+            }
+        }
     }
 
     #[test]
@@ -569,10 +810,10 @@ mod tests {
         // 2⁻⁶⁴ event with the real FNV-1a), hash mode WILL replay the
         // stale reply — the fingerprint is load-bearing, not decorative.
         let mut cache = DupCache::with_hasher(4, Verify::Hash, |_| 42);
-        cache.record(7, 4000, b"original", &[9], &BufPool::new());
+        cache.record(7, 4000, b"original", &[9]);
         assert_eq!(
             cache.get(7, 4000, b"differs!"),
-            Some(&vec![9]),
+            Some(&[9][..]),
             "colliding fingerprints are indistinguishable in hash mode"
         );
     }
@@ -583,13 +824,13 @@ mod tests {
         // different bytes still re-dispatch, at the cost of storing and
         // comparing the whole request per entry.
         let mut cache = DupCache::with_hasher(4, Verify::FullBytes, |_| 42);
-        cache.record(7, 4000, b"original", &[9], &BufPool::new());
+        cache.record(7, 4000, b"original", &[9]);
         assert_eq!(
             cache.get(7, 4000, b"differs!"),
             None,
             "byte comparison catches what the forced collision hides"
         );
-        assert_eq!(cache.get(7, 4000, b"original"), Some(&vec![9]));
+        assert_eq!(cache.get(7, 4000, b"original"), Some(&[9][..]));
     }
 
     #[test]
