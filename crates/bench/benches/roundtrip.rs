@@ -1,14 +1,12 @@
 //! Table 2 / Figure 6-3/4/6 — full RPC round trips over the simulated
-//! network, generic vs specialized (wall-clock of the deterministic
-//! simulation; virtual-time tables come from `paper_tables`), over both
-//! transports: UDP datagrams and record-marked TCP (the ROADMAP's TCP
-//! scenario, riding the `Transport` trait) — plus the `batched`
-//! scenario: pipelined `call_batch` round trips through the
-//! event-driven serving core at batch sizes 1/4/16/64, measured per
-//! batch so the amortized per-call cost is `time / batch`.
+//! network, generic vs specialized, over both transports: UDP datagrams
+//! and record-marked TCP. Prints host wall-clock per round trip of the
+//! deterministic simulation; nothing gates on it: `tests/paper_ratio.rs`
+//! checks the paper's ratio, `benchmark/`'s paired runs absolute time,
+//! the workspace's `tests/trace_identity.rs` virtual time (`batched/*`).
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
-use specrpc::echo::{BatchEchoBench, EchoBench, Mode, TcpEchoBench};
+use specrpc::echo::{EchoBench, Mode, TcpEchoBench};
 use std::hint::black_box;
 use std::time::Duration;
 
@@ -54,42 +52,5 @@ fn bench_roundtrip_tcp(c: &mut Criterion) {
     group.finish();
 }
 
-/// The `batched` scenario records **amortized per-call round-trip
-/// latency in virtual time** (wire latency + serialization + modeled
-/// server time — the quantity the simulator exists to model; the
-/// wall-clock medians of the `roundtrip` group measure marshaling CPU
-/// cost instead, where there is no wire to amortize). `batched/1` is
-/// the single-call round-trip reference in this metric; `batched/16`
-/// shows pipelining amortizing the fixed round-trip overhead across the
-/// batch exactly as the paper's specialized stubs amortize per-element
-/// marshaling overhead. Virtual time is deterministic, so these medians
-/// are exact and machine-independent.
-fn bench_batched(c: &mut Criterion) {
-    let mut group = c.benchmark_group("batched");
-    group
-        .sample_size(10)
-        .warm_up_time(Duration::from_millis(300))
-        .measurement_time(Duration::from_secs(1));
-
-    let n = 2000;
-    for batch in [1usize, 4, 16, 64] {
-        let mut bench = BatchEchoBench::new(n, batch, 1, 42).expect("deploy");
-        group.bench_with_input(BenchmarkId::new(batch.to_string(), n), &n, |b, _| {
-            b.iter_custom(|iters| {
-                let start = bench.net.now();
-                let mut calls = 0u64;
-                for _ in 0..iters {
-                    calls += black_box(bench.round_trips().unwrap()) as u64;
-                }
-                let elapsed = bench.net.now() - start;
-                // Report amortized per-call latency: total virtual time
-                // of the pipelined batches divided by calls completed.
-                Duration::from_nanos(elapsed.as_nanos() / calls.max(1)) * iters as u32
-            })
-        });
-    }
-    group.finish();
-}
-
-criterion_group!(benches, bench_roundtrip, bench_roundtrip_tcp, bench_batched);
+criterion_group!(benches, bench_roundtrip, bench_roundtrip_tcp);
 criterion_main!(benches);

@@ -1,11 +1,13 @@
 //! Table 4 — full unrolling vs bounded unrolling of the specialized
-//! marshaling stubs, swept over power-of-two bounds (real wall clock; the
-//! modeled instruction-cache numbers and the auto-detected knee come from
-//! `paper_tables` / `examples/specialization_report`).
-//!
-//! The paper probes only {25, 250, full}; the sweep covers 8..4096 so the
-//! knee of the curve (where a bigger unroll bound stops paying) is
-//! measured rather than guessed.
+//! marshaling stubs, swept over power-of-two bounds 8..4096 where the
+//! paper probes only {25, 250, full}. Prints host wall-clock per encode;
+//! nothing gates on it. The compiled stubs move each run of elements in
+//! one swap-kernel call, so the rows of one array size do not order by
+//! bound: they sit within run-to-run noise of each other (about 80, 120
+//! and 185 ns at 500 / 1000 / 2000 elements on the development host).
+//! Expect a flat line, not a knee; the instruction-cache knee of the
+//! paper's Table 4 is in the modeled numbers of `paper_tables` and
+//! `examples/specialization_report`.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use specrpc::echo::{build_echo_proc, unroll_bounds, workload};

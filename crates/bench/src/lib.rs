@@ -15,7 +15,12 @@ use specrpc::echo::{
     build_echo_proc, generic_decode_reply, generic_encode_request, workload, PAPER_SIZES,
 };
 use specrpc::pipeline::CompiledProc;
+use specrpc::{
+    run_chaos_matrix, run_congestion_matrix, run_nfs, ChaosConfig, ChaosReport, CongestionConfig,
+    CongestionReport, NfsConfig, NfsReport,
+};
 use specrpc_netsim::platform::{Platform, PlatformCosts, RoundTripSample};
+use specrpc_netsim::FaultConfig;
 use specrpc_rpc::msg::{CallHeader, ReplyHeader};
 use specrpc_tempo::compile::{run_decode, run_encode, StubArgs};
 use specrpc_xdr::composite::xdr_array;
@@ -203,15 +208,37 @@ pub fn measure_specialized(proc_: &CompiledProc, n: usize) -> MeasuredCounts {
     }
 }
 
+/// Both paths' counts for size `n` with full unrolling.
+fn measure_both(n: usize) -> (MeasuredCounts, MeasuredCounts) {
+    let proc_ = build_echo_proc(n, None).expect("pipeline");
+    (measure_generic(n), measure_specialized(&proc_, n))
+}
+
+impl MeasuredCounts {
+    /// The four marshaling steps and the wire bytes of one round trip,
+    /// as the platform cost model takes them.
+    fn round_trip_sample(&self, specialized: bool) -> RoundTripSample {
+        let steps = [
+            self.client_enc,
+            self.server_dec,
+            self.server_enc,
+            self.client_dec,
+        ];
+        RoundTripSample {
+            marshals: steps.map(|counts| (counts, self.code_bytes)).to_vec(),
+            wire_bytes: self.request_len + self.reply_len,
+            specialized,
+        }
+    }
+}
+
 /// Table 1: client marshaling time per platform.
 pub fn table1(platform: Platform) -> Vec<Row> {
     let costs = platform.costs();
     PAPER_SIZES
         .iter()
         .map(|&n| {
-            let g = measure_generic(n);
-            let proc_ = build_echo_proc(n, None).expect("pipeline");
-            let s = measure_specialized(&proc_, n);
+            let (g, s) = measure_both(n);
             Row {
                 n,
                 orig_ms: costs.marshal_ns(&g.args_enc, g.code_bytes) / 1e6,
@@ -227,23 +254,11 @@ pub fn table2(platform: Platform) -> Vec<Row> {
     PAPER_SIZES
         .iter()
         .map(|&n| {
-            let g = measure_generic(n);
-            let proc_ = build_echo_proc(n, None).expect("pipeline");
-            let s = measure_specialized(&proc_, n);
-            let sample = |m: &MeasuredCounts, specialized: bool| RoundTripSample {
-                marshals: vec![
-                    (m.client_enc, m.code_bytes),
-                    (m.server_dec, m.code_bytes),
-                    (m.server_enc, m.code_bytes),
-                    (m.client_dec, m.code_bytes),
-                ],
-                wire_bytes: m.request_len + m.reply_len,
-                specialized,
-            };
+            let (g, s) = measure_both(n);
             Row {
                 n,
-                orig_ms: costs.round_trip_ns(&sample(&g, false)) / 1e6,
-                spec_ms: costs.round_trip_ns(&sample(&s, true)) / 1e6,
+                orig_ms: costs.round_trip_ns(&g.round_trip_sample(false)) / 1e6,
+                spec_ms: costs.round_trip_ns(&s.round_trip_sample(true)) / 1e6,
             }
         })
         .collect()
@@ -358,21 +373,9 @@ pub fn transport_table(platform: Platform) -> Vec<TransportRow> {
     PAPER_SIZES
         .iter()
         .map(|&n| {
-            let g = measure_generic(n);
-            let proc_ = build_echo_proc(n, None).expect("pipeline");
-            let s = measure_specialized(&proc_, n);
-            let sample = |m: &MeasuredCounts, specialized: bool| RoundTripSample {
-                marshals: vec![
-                    (m.client_enc, m.code_bytes),
-                    (m.server_dec, m.code_bytes),
-                    (m.server_enc, m.code_bytes),
-                    (m.client_dec, m.code_bytes),
-                ],
-                wire_bytes: m.request_len + m.reply_len,
-                specialized,
-            };
+            let (g, s) = measure_both(n);
             let per_mode = |m: &MeasuredCounts, specialized: bool| {
-                let sm = sample(m, specialized);
+                let sm = m.round_trip_sample(specialized);
                 let udp = costs.round_trip_ns(&sm);
                 let tcp = modeled_tcp_round_trip_ns(&costs, &sm, m.request_len, m.reply_len);
                 let lossy = modeled_lossy_udp_round_trip_ns(
@@ -411,306 +414,6 @@ pub fn render_transport_rows(title: &str, rows: &[TransportRow]) -> String {
             out,
             "{:>6} | {:>9.3} {:>9.3} | {:>9.3} {:>9.3} | {:>9.3} {:>9.3}",
             r.n, r.udp.0, r.udp.1, r.tcp.0, r.tcp.1, r.lossy.0, r.lossy.1
-        );
-    }
-    out
-}
-
-/// One row of the retransmission-strategy study: one policy from
-/// [`specrpc::CongestionConfig::strategies`] driven through the
-/// overloaded burst of [`specrpc::run_congestion`] under one fault
-/// configuration. All
-/// quantities are deterministic virtual-time results, not models — the
-/// burst really runs through the honest link.
-#[derive(Debug, Clone)]
-pub struct CongestionRow {
-    /// Fault-matrix column ("clean" or "lossy").
-    pub faults: &'static str,
-    /// Strategy label ("fixed", "expbackoff", "paced").
-    pub strategy: &'static str,
-    /// Calls that completed / were abandoned at the retry cap.
-    pub completed: u64,
-    /// Abandoned calls.
-    pub failed: u64,
-    /// Spurious + recovery retransmissions per settled call.
-    pub retransmits_per_call: f64,
-    /// Datagrams dropped tail-first at the bounded receive queues.
-    pub queue_drops: u64,
-    /// Deepest bounded queue observed.
-    pub depth_high_water: u64,
-    /// 99th-percentile call latency (ms, virtual).
-    pub p99_ms: f64,
-    /// Virtual time until the whole burst settled (ms).
-    pub settle_ms: f64,
-}
-
-/// Run the retransmission-strategy study: the smoke-sized overloaded
-/// burst, three strategies × {clean, lossy}. Deterministic — the same
-/// rows every run.
-pub fn congestion_study() -> Vec<CongestionRow> {
-    use specrpc::{run_congestion_matrix, CongestionConfig};
-    use specrpc_netsim::FaultConfig;
-
-    let mut rows = Vec::new();
-    for (faults_label, faults) in [("clean", FaultConfig::NONE), ("lossy", FaultConfig::LOSSY)] {
-        let cfg = CongestionConfig::smoke().with_faults(faults);
-        for report in run_congestion_matrix(&cfg).expect("congestion matrix") {
-            rows.push(CongestionRow {
-                faults: faults_label,
-                strategy: report.policy_label(),
-                completed: report.completed,
-                failed: report.failed,
-                retransmits_per_call: report.retransmits_per_call(),
-                queue_drops: report.link.queue_drops,
-                depth_high_water: report.link.queue_depth_high_water,
-                p99_ms: report.latency.p99().as_nanos() as f64 / 1e6,
-                settle_ms: report.elapsed.as_nanos() as f64 / 1e6,
-            });
-        }
-    }
-    rows
-}
-
-/// Render the retransmission-strategy study table.
-pub fn render_congestion_rows(title: &str, rows: &[CongestionRow]) -> String {
-    use std::fmt::Write;
-    let mut out = String::new();
-    let _ = writeln!(out, "{title}");
-    let _ = writeln!(
-        out,
-        "{:>6} {:>11} | {:>5} {:>6} {:>8} | {:>6} {:>6} | {:>8} {:>9}",
-        "faults",
-        "strategy",
-        "done",
-        "failed",
-        "rtx/call",
-        "drops",
-        "depth",
-        "p99(ms)",
-        "settle(ms)"
-    );
-    let _ = writeln!(out, "{}", "-".repeat(78));
-    for r in rows {
-        let _ = writeln!(
-            out,
-            "{:>6} {:>11} | {:>5} {:>6} {:>8.2} | {:>6} {:>6} | {:>8.3} {:>9.3}",
-            r.faults,
-            r.strategy,
-            r.completed,
-            r.failed,
-            r.retransmits_per_call,
-            r.queue_drops,
-            r.depth_high_water,
-            r.p99_ms,
-            r.settle_ms,
-        );
-    }
-    out
-}
-
-/// One row of the availability study: one client mode (resilience
-/// layer on/off) driven through the mid-run primary crash of
-/// [`specrpc::run_chaos`] under one fault configuration. All
-/// quantities are deterministic virtual-time results — the crash,
-/// restart, and failovers really happen on the simulated wire.
-#[derive(Debug, Clone)]
-pub struct ChaosRow {
-    /// Fault-matrix column ("clean" or "lossy").
-    pub faults: &'static str,
-    /// Client mode ("failover" or "no-failover").
-    pub mode: &'static str,
-    /// Availability in basis points (9_967 = 99.67%).
-    pub availability_bp: u32,
-    /// Calls that completed within the scenario deadline / issued.
-    pub within_deadline: u64,
-    /// Calls issued.
-    pub calls: u64,
-    /// Calls that errored outright.
-    pub failed: u64,
-    /// Crash → first completed post-crash call (ms, virtual).
-    pub recovery_ms: f64,
-    /// Client retargetings to a backup replica.
-    pub failovers: u64,
-    /// Circuit-breaker open transitions.
-    pub breaker_trips: u64,
-    /// Handler executions beyond one per completed call.
-    pub extra_executions: u64,
-    /// 99th-percentile call latency (ms, virtual).
-    pub p99_ms: f64,
-}
-
-/// Run the availability study: the smoke-sized crash schedule, two
-/// client modes × {clean, lossy}. Deterministic — the same rows every
-/// run.
-pub fn chaos_study() -> Vec<ChaosRow> {
-    use specrpc::{run_chaos_matrix, ChaosConfig};
-    use specrpc_netsim::FaultConfig;
-
-    let mut rows = Vec::new();
-    for (faults_label, faults) in [("clean", FaultConfig::NONE), ("lossy", FaultConfig::LOSSY)] {
-        let cfg = ChaosConfig::smoke().with_faults(faults);
-        for report in run_chaos_matrix(&cfg).expect("chaos matrix") {
-            rows.push(ChaosRow {
-                faults: faults_label,
-                mode: report.mode_label(),
-                availability_bp: report.availability_bp(),
-                within_deadline: report.within_deadline,
-                calls: report.calls,
-                failed: report.failed,
-                recovery_ms: report
-                    .recovery
-                    .map_or(f64::NAN, |r| r.as_nanos() as f64 / 1e6),
-                failovers: report.failovers,
-                breaker_trips: report.breaker_trips,
-                extra_executions: report.extra_executions,
-                p99_ms: report.latency.p99().as_nanos() as f64 / 1e6,
-            });
-        }
-    }
-    rows
-}
-
-/// Render the availability study table.
-pub fn render_chaos_rows(title: &str, rows: &[ChaosRow]) -> String {
-    use std::fmt::Write;
-    let mut out = String::new();
-    let _ = writeln!(out, "{title}");
-    let _ = writeln!(
-        out,
-        "{:>6} {:>12} | {:>8} {:>9} {:>6} | {:>8} | {:>5} {:>5} {:>5} | {:>8}",
-        "faults",
-        "mode",
-        "avail",
-        "in-ddl",
-        "failed",
-        "rcvr(ms)",
-        "f/o",
-        "trips",
-        "dups",
-        "p99(ms)"
-    );
-    let _ = writeln!(out, "{}", "-".repeat(86));
-    for r in rows {
-        let _ = writeln!(
-            out,
-            "{:>6} {:>12} | {:>5}.{:02}% {:>5}/{:<3} {:>6} | {:>8.3} | {:>5} {:>5} {:>5} | {:>8.3}",
-            r.faults,
-            r.mode,
-            r.availability_bp / 100,
-            r.availability_bp % 100,
-            r.within_deadline,
-            r.calls,
-            r.failed,
-            r.recovery_ms,
-            r.failovers,
-            r.breaker_trips,
-            r.extra_executions,
-            r.p99_ms,
-        );
-    }
-    out
-}
-
-/// One row of the coalescing study: the NFS-like mixed workload of
-/// [`specrpc::run_nfs`] driven under one packing policy over the
-/// honest per-packet link. All quantities are deterministic
-/// virtual-time results — the envelopes, flushes, and acks really
-/// cross the simulated wire.
-#[derive(Debug, Clone)]
-pub struct NfsRow {
-    /// Packing policy ("coalesced" or "per-call").
-    pub mode: &'static str,
-    /// Total operations issued (sync calls + one-way writes).
-    pub ops: u64,
-    /// Synchronous round trips.
-    pub sync_calls: u64,
-    /// One-way WRITEs batched behind them.
-    pub oneway_writes: u64,
-    /// Datagrams that hit the wire.
-    pub datagrams: u64,
-    /// MTU fragments those datagrams paid for.
-    pub fragments: u64,
-    /// Datagrams per operation.
-    pub datagrams_per_op: f64,
-    /// Envelope flushes forced by MTU pressure.
-    pub flushes_mtu: u64,
-    /// Envelope flushes sealed by a sync call.
-    pub flushes_sync: u64,
-    /// 99th-percentile sync-call latency (ms, virtual).
-    pub p99_ms: f64,
-    /// Amortized virtual time per operation (µs).
-    pub amortized_us: f64,
-    /// Virtual time until the whole workload settled (ms).
-    pub settle_ms: f64,
-}
-
-/// Run the coalescing study: the smoke-sized NFS-like mix, coalesced
-/// vs one-datagram-per-call. Deterministic — the same rows every run.
-pub fn nfs_study() -> Vec<NfsRow> {
-    use specrpc::{run_nfs, NfsConfig};
-
-    let mut rows = Vec::new();
-    for (mode, cfg) in [
-        ("coalesced", NfsConfig::smoke()),
-        ("per-call", NfsConfig::smoke().per_call()),
-    ] {
-        let report = run_nfs(&cfg).expect("nfs run");
-        rows.push(NfsRow {
-            mode,
-            ops: report.ops,
-            sync_calls: report.sync_calls,
-            oneway_writes: report.oneway_writes,
-            datagrams: report.link.datagrams,
-            fragments: report.link.fragments,
-            datagrams_per_op: report.datagrams_per_op(),
-            flushes_mtu: report.coalesce.flushes_mtu,
-            flushes_sync: report.coalesce.flushes_sync,
-            p99_ms: report.latency.p99().as_nanos() as f64 / 1e6,
-            amortized_us: report.amortized_per_op().as_nanos() as f64 / 1e3,
-            settle_ms: report.elapsed.as_nanos() as f64 / 1e6,
-        });
-    }
-    rows
-}
-
-/// Render the coalescing study table.
-pub fn render_nfs_rows(title: &str, rows: &[NfsRow]) -> String {
-    use std::fmt::Write;
-    let mut out = String::new();
-    let _ = writeln!(out, "{title}");
-    let _ = writeln!(
-        out,
-        "{:>10} | {:>5} {:>5} {:>7} | {:>6} {:>6} {:>7} | {:>5} {:>5} | {:>8} {:>8} {:>9}",
-        "mode",
-        "ops",
-        "sync",
-        "one-way",
-        "dgrams",
-        "frags",
-        "dg/op",
-        "f-mtu",
-        "f-syn",
-        "p99(ms)",
-        "amrt(us)",
-        "settle(ms)"
-    );
-    let _ = writeln!(out, "{}", "-".repeat(96));
-    for r in rows {
-        let _ = writeln!(
-            out,
-            "{:>10} | {:>5} {:>5} {:>7} | {:>6} {:>6} {:>7.2} | {:>5} {:>5} | {:>8.3} {:>8.1} {:>9.3}",
-            r.mode,
-            r.ops,
-            r.sync_calls,
-            r.oneway_writes,
-            r.datagrams,
-            r.fragments,
-            r.datagrams_per_op,
-            r.flushes_mtu,
-            r.flushes_sync,
-            r.p99_ms,
-            r.amortized_us,
-            r.settle_ms,
         );
     }
     out
@@ -789,6 +492,160 @@ pub fn paper_table2(platform: Platform) -> [(f64, f64); 6] {
 
 /// The paper's Table 3 specialized sizes (bytes).
 pub const PAPER_TABLE3_SPEC: [usize; 6] = [24_340, 27_540, 33_540, 43_540, 63_540, 111_348];
+
+/// Everything `paper_tables` prints: Tables 1–4 beside the paper's
+/// values, the modeled transports, the three smoke-sized virtual-time
+/// studies (they really run, on the simulated wire) and the Figure 6
+/// series. All of it is modeled or virtual time, so the text is the
+/// same on every host and `tests/paper_tables.rs` compares it byte for
+/// byte with `tests/paper_tables.golden`.
+pub fn render_all() -> String {
+    use std::fmt::Write;
+    let mut out = String::new();
+    let _ = writeln!(
+        out,
+        "== Reproduction of Muller et al., \"Fast, Optimized Sun RPC Using\n   \
+         Automatic Program Specialization\" — Tables 1-4 and Figure 6 ==\n\n\
+         Op counts are measured from real executions of the generic and\n\
+         specialized marshaling code; platform cost models supply the 1997\n\
+         per-event weights (see DESIGN.md, substitution table).\n"
+    );
+
+    let mut fig6: Vec<(String, Vec<(usize, f64)>)> = Vec::new();
+    type PaperRows = fn(Platform) -> [(f64, f64); 6];
+    let mut section =
+        |title: &str, table: fn(Platform) -> Vec<Row>, paper: PaperRows, fig: [&str; 2]| {
+            for platform in Platform::all() {
+                let rows = table(platform);
+                let title = format!("{title}, {}", platform.costs().name);
+                let _ = writeln!(out, "{}\n", render_rows(&title, &rows, &paper(platform)));
+                let absolute = rows.iter().map(|r| (r.n, r.orig_ms)).collect();
+                let speedup = rows.iter().map(|r| (r.n, r.speedup())).collect();
+                fig6.push((format!("{} {}", fig[0], platform.label()), absolute));
+                fig6.push((format!("{} {}", fig[1], platform.label()), speedup));
+            }
+        };
+    section(
+        "Table 1 — Client marshaling",
+        table1,
+        paper_table1,
+        ["Fig 6-1/2 marshal", "Fig 6-5 marshal speedup"],
+    );
+    section(
+        "Table 2 — RPC round trip",
+        table2,
+        paper_table2,
+        ["Fig 6-3/4 round trip", "Fig 6-6 round-trip speedup"],
+    );
+
+    let _ = writeln!(out, "Table 3 — Size of the client binaries (bytes)");
+    let _ = writeln!(
+        out,
+        "{:>6} | {:>10} {:>12} | {:>12}",
+        "n", "generic", "specialized", "paper-spec"
+    );
+    let _ = writeln!(out, "{}", "-".repeat(50));
+    for ((n, g, s), paper) in table3().iter().zip(PAPER_TABLE3_SPEC.iter()) {
+        let _ = writeln!(out, "{n:>6} | {g:>10} {s:>12} | {paper:>12}");
+    }
+    let _ = writeln!(out, "(paper generic client code: 20004 bytes)\n");
+
+    let _ = writeln!(
+        out,
+        "Table 4 — Bounded (250) vs full unrolling, PC/Linux marshaling (ms)"
+    );
+    let _ = writeln!(
+        out,
+        "{:>6} | {:>10} {:>10} {:>12} | {:>9} {:>9}",
+        "n", "orig", "full", "250-chunked", "x(full)", "x(chunk)"
+    );
+    let _ = writeln!(out, "{}", "-".repeat(66));
+    for (n, orig, full, chunked) in table4() {
+        let _ = writeln!(
+            out,
+            "{n:>6} | {orig:>10.3} {full:>10.3} {chunked:>12.3} | {:>9.2} {:>9.2}",
+            orig / full,
+            orig / chunked
+        );
+    }
+    let _ = writeln!(
+        out,
+        "(paper: 500: 0.29/0.11/0.108; 1000: 0.51/0.17/0.15; 2000: 0.97/0.29/0.25)\n"
+    );
+
+    for platform in Platform::all() {
+        let title = format!(
+            "Modeled transports — round trip (ms), {}\n\
+             (UDP vs record-marked TCP vs lossy UDP: {:.0}% loss/direction,\n\
+             \u{20}RTO = {:.0}x clean RTT)",
+            platform.costs().name,
+            MODELED_LOSS * 100.0,
+            MODELED_RTO_RTT_MULTIPLE,
+        );
+        let _ = writeln!(
+            out,
+            "{}",
+            render_transport_rows(&title, &transport_table(platform))
+        );
+    }
+
+    let mut congestion = Vec::new();
+    let mut chaos = Vec::new();
+    for (label, faults) in [("clean", FaultConfig::NONE), ("lossy", FaultConfig::LOSSY)] {
+        let cfg = CongestionConfig::smoke().with_faults(faults);
+        let reports = run_congestion_matrix(&cfg).expect("congestion matrix");
+        congestion.extend(reports.into_iter().map(|r| (label, r)));
+        let cfg = ChaosConfig::smoke().with_faults(faults);
+        let reports = run_chaos_matrix(&cfg).expect("chaos matrix");
+        chaos.extend(reports.into_iter().map(|r| (label, r)));
+    }
+    let nfs = [
+        ("coalesced", NfsConfig::smoke()),
+        ("per-call", NfsConfig::smoke().per_call()),
+    ]
+    .map(|(mode, cfg)| (mode, run_nfs(&cfg).expect("nfs run")));
+    let _ = writeln!(
+        out,
+        "{}",
+        CongestionReport::render_table(
+            "Retransmission-strategy study — overloaded burst on the honest\n\
+             link (48 clients, drop-tail queue cap 12, rate-limited server;\n\
+             deterministic virtual time, see `run_congestion`)",
+            &congestion,
+        )
+    );
+    let _ = writeln!(
+        out,
+        "{}",
+        NfsReport::render_table(
+            "Coalescing study — NFS-like mixed workload over the honest\n\
+             per-packet link (8 clients, zipf handles, one-way WRITE bursts\n\
+             \u{20}sealed by sync COMMITs; deterministic virtual time, see\n\
+             \u{20}`run_nfs`)",
+            &nfs,
+        )
+    );
+    let _ = writeln!(
+        out,
+        "{}",
+        ChaosReport::render_table(
+            "Availability study — mid-run primary crash with one backup\n\
+             (8 clients, 24 calls each; deadline 8 ms, 30 ms downtime;\n\
+             \u{20}deterministic virtual time, see `run_chaos`)",
+            &chaos,
+        )
+    );
+
+    let _ = writeln!(out, "Figure 6 — series (x = array size)");
+    for (name, series) in fig6 {
+        let points: Vec<String> = series
+            .iter()
+            .map(|(n, v)| format!("({n}, {v:.3})"))
+            .collect();
+        let _ = writeln!(out, "  {name}: {}", points.join(" "));
+    }
+    out
+}
 
 #[cfg(test)]
 mod tests {
@@ -947,102 +804,6 @@ mod tests {
         }];
         let text = render_transport_rows("T", &rows);
         for col in ["udp-orig", "tcp-spec", "loss-orig"] {
-            assert!(text.contains(col), "{text}");
-        }
-    }
-
-    #[test]
-    fn congestion_study_covers_the_matrix_and_backoff_wins() {
-        let rows = congestion_study();
-        assert_eq!(rows.len(), 6, "3 strategies x 2 fault columns");
-        let find = |f: &str, s: &str| {
-            rows.iter()
-                .find(|r| r.faults == f && r.strategy == s)
-                .unwrap()
-        };
-        for f in ["clean", "lossy"] {
-            let fixed = find(f, "fixed");
-            let backoff = find(f, "expbackoff");
-            assert!(
-                backoff.retransmits_per_call < fixed.retransmits_per_call,
-                "{f}: backoff {} vs fixed {}",
-                backoff.retransmits_per_call,
-                fixed.retransmits_per_call
-            );
-            for s in ["fixed", "expbackoff", "paced"] {
-                let r = find(f, s);
-                assert_eq!(r.completed + r.failed, 48, "{f}/{s}: every call settles");
-                assert!(r.queue_drops > 0, "{f}/{s}: the burst must overflow");
-            }
-        }
-        let text = render_congestion_rows("T", &rows);
-        for col in ["rtx/call", "drops", "settle(ms)", "expbackoff"] {
-            assert!(text.contains(col), "{text}");
-        }
-    }
-
-    #[test]
-    fn chaos_study_shows_failover_holding_availability() {
-        let rows = chaos_study();
-        assert_eq!(rows.len(), 4, "2 modes x 2 fault columns");
-        let find = |f: &str, m: &str| rows.iter().find(|r| r.faults == f && r.mode == m).unwrap();
-        for f in ["clean", "lossy"] {
-            let with = find(f, "failover");
-            let without = find(f, "no-failover");
-            // The ≥99% availability bound is the crash-only claim; the
-            // lossy column stacks random datagram loss on top, where a
-            // deadline miss or two is the loss model's doing.
-            let floor = if f == "clean" { 9_900 } else { 9_700 };
-            assert!(
-                with.availability_bp >= floor,
-                "{f}: failover availability {} bp under floor {floor}",
-                with.availability_bp
-            );
-            assert!(
-                without.availability_bp < with.availability_bp,
-                "{f}: classic client must degrade: {} vs {}",
-                without.availability_bp,
-                with.availability_bp
-            );
-            assert!(
-                with.recovery_ms < without.recovery_ms,
-                "{f}: failover recovery {} must beat {}",
-                with.recovery_ms,
-                without.recovery_ms
-            );
-            assert_eq!(without.failovers, 0, "{f}: classic clients cannot move");
-        }
-        let text = render_chaos_rows("T", &rows);
-        for col in ["avail", "rcvr(ms)", "trips", "no-failover"] {
-            assert!(text.contains(col), "{text}");
-        }
-    }
-
-    #[test]
-    fn nfs_study_shows_coalescing_saving_datagrams_and_time() {
-        let rows = nfs_study();
-        assert_eq!(rows.len(), 2, "coalesced + per-call");
-        let find = |m: &str| rows.iter().find(|r| r.mode == m).unwrap();
-        let coalesced = find("coalesced");
-        let per_call = find("per-call");
-        assert_eq!(
-            coalesced.ops, per_call.ops,
-            "both policies drive the identical workload"
-        );
-        assert!(
-            coalesced.datagrams + coalesced.oneway_writes / 2 < per_call.datagrams,
-            "packing must save most one-way datagrams: {} vs {}",
-            coalesced.datagrams,
-            per_call.datagrams
-        );
-        assert!(
-            coalesced.settle_ms < per_call.settle_ms,
-            "coalescing must win elapsed virtual time: {} vs {} ms",
-            coalesced.settle_ms,
-            per_call.settle_ms
-        );
-        let text = render_nfs_rows("T", &rows);
-        for col in ["dg/op", "f-mtu", "amrt(us)", "per-call"] {
             assert!(text.contains(col), "{text}");
         }
     }

@@ -227,6 +227,49 @@ impl ChaosReport {
         ));
         out
     }
+
+    /// The compact study table: `title`, a header, then one line per
+    /// `(fault column, report)`. Virtual-time results only, so the
+    /// text is byte-identical across runs of the same configs.
+    pub fn render_table(title: &str, rows: &[(&str, ChaosReport)]) -> String {
+        use std::fmt::Write;
+        let mut out = String::new();
+        let _ = writeln!(out, "{title}");
+        let _ = writeln!(
+            out,
+            "{:>6} {:>12} | {:>8} {:>9} {:>6} | {:>8} | {:>5} {:>5} {:>5} | {:>8}",
+            "faults",
+            "mode",
+            "avail",
+            "in-ddl",
+            "failed",
+            "rcvr(ms)",
+            "f/o",
+            "trips",
+            "dups",
+            "p99(ms)"
+        );
+        let _ = writeln!(out, "{}", "-".repeat(86));
+        for (faults, r) in rows {
+            let _ = writeln!(
+                out,
+                "{:>6} {:>12} | {:>5}.{:02}% {:>5}/{:<3} {:>6} | {:>8.3} | {:>5} {:>5} {:>5} | {:>8.3}",
+                faults,
+                r.mode_label(),
+                r.availability_bp() / 100,
+                r.availability_bp() % 100,
+                r.within_deadline,
+                r.calls,
+                r.failed,
+                r.recovery.map_or(f64::NAN, SimTime::as_millis_f64),
+                r.failovers,
+                r.breaker_trips,
+                r.extra_executions,
+                r.latency.p99().as_millis_f64(),
+            );
+        }
+        out
+    }
 }
 
 /// Execute one chaos run: deploy the primary restartably plus its

@@ -202,6 +202,45 @@ impl CongestionReport {
         ));
         out
     }
+
+    /// The compact study table: `title`, a header, then one line per
+    /// `(fault column, report)`. Virtual-time results only, so the
+    /// text is byte-identical across runs of the same configs.
+    pub fn render_table(title: &str, rows: &[(&str, CongestionReport)]) -> String {
+        use std::fmt::Write;
+        let mut out = String::new();
+        let _ = writeln!(out, "{title}");
+        let _ = writeln!(
+            out,
+            "{:>6} {:>11} | {:>5} {:>6} {:>8} | {:>6} {:>6} | {:>8} {:>9}",
+            "faults",
+            "strategy",
+            "done",
+            "failed",
+            "rtx/call",
+            "drops",
+            "depth",
+            "p99(ms)",
+            "settle(ms)"
+        );
+        let _ = writeln!(out, "{}", "-".repeat(78));
+        for (faults, r) in rows {
+            let _ = writeln!(
+                out,
+                "{:>6} {:>11} | {:>5} {:>6} {:>8.2} | {:>6} {:>6} | {:>8.3} {:>9.3}",
+                faults,
+                r.policy_label(),
+                r.completed,
+                r.failed,
+                r.retransmits_per_call(),
+                r.link.queue_drops,
+                r.link.queue_depth_high_water,
+                r.latency.p99().as_millis_f64(),
+                r.elapsed.as_millis_f64(),
+            );
+        }
+        out
+    }
 }
 
 /// Short label of a strategy (table/bench row key).

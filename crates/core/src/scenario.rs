@@ -834,6 +834,51 @@ impl NfsReport {
         ));
         out
     }
+
+    /// The compact study table: `title`, a header, then one line per
+    /// `(packing policy, report)`. Virtual-time results only, so the
+    /// text is byte-identical across runs of the same configs.
+    pub fn render_table(title: &str, rows: &[(&str, NfsReport)]) -> String {
+        use std::fmt::Write;
+        let mut out = String::new();
+        let _ = writeln!(out, "{title}");
+        let _ = writeln!(
+            out,
+            "{:>10} | {:>5} {:>5} {:>7} | {:>6} {:>6} {:>7} | {:>5} {:>5} | {:>8} {:>8} {:>9}",
+            "mode",
+            "ops",
+            "sync",
+            "one-way",
+            "dgrams",
+            "frags",
+            "dg/op",
+            "f-mtu",
+            "f-syn",
+            "p99(ms)",
+            "amrt(us)",
+            "settle(ms)"
+        );
+        let _ = writeln!(out, "{}", "-".repeat(96));
+        for (mode, r) in rows {
+            let _ = writeln!(
+                out,
+                "{:>10} | {:>5} {:>5} {:>7} | {:>6} {:>6} {:>7.2} | {:>5} {:>5} | {:>8.3} {:>8.1} {:>9.3}",
+                mode,
+                r.ops,
+                r.sync_calls,
+                r.oneway_writes,
+                r.link.datagrams,
+                r.link.fragments,
+                r.datagrams_per_op(),
+                r.coalesce.flushes_mtu,
+                r.coalesce.flushes_sync,
+                r.latency.p99().as_millis_f64(),
+                r.amortized_per_op().as_nanos() as f64 / 1e3,
+                r.elapsed.as_millis_f64(),
+            );
+        }
+        out
+    }
 }
 
 /// Encode one NFS-like call message: header for `proc_num` under `xid`,

@@ -7,18 +7,21 @@
 
 use std::process::Command;
 
-const EXAMPLES: &[&str] = &[
-    "quickstart",
-    "array_exchange",
-    "nfs_like",
-    "specialization_report",
-    "million_clients",
-];
-
 #[test]
 fn all_examples_run_cleanly() {
     let cargo = std::env::var("CARGO").unwrap_or_else(|_| "cargo".into());
-    for name in EXAMPLES {
+    // Every `examples/*.rs`, not a hand-kept list: a new example is
+    // covered the day it lands.
+    let mut names: Vec<String> =
+        std::fs::read_dir(concat!(env!("CARGO_MANIFEST_DIR"), "/examples"))
+            .expect("examples directory")
+            .map(|entry| entry.expect("directory entry").path())
+            .filter(|path| path.extension().is_some_and(|ext| ext == "rs"))
+            .map(|path| path.file_stem().unwrap().to_string_lossy().into_owned())
+            .collect();
+    names.sort();
+    assert!(!names.is_empty(), "no examples found");
+    for name in &names {
         let out = Command::new(&cargo)
             .args(["run", "--quiet", "--example", name])
             .current_dir(env!("CARGO_MANIFEST_DIR"))

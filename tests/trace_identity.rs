@@ -6,10 +6,16 @@
 //! fault-stream draw or a counter fails here — in tier-1, not only in the
 //! outside-in benchmark. The workload is the benchmark's `echo250_lossy`
 //! (3% loss, 5% duplication, 5% reordering) through every spelling of
-//! the one serving core, plus the NFS mix.
+//! the one serving core; below it, one exact row per scenario config —
+//! the virtual-time numbers the retry, failover, batching and
+//! coalescing code must keep producing.
 
-use specrpc::echo::{build_echo_proc, ECHO_PROG, ECHO_VERS};
-use specrpc::{run_nfs, CompiledProc, NfsConfig, SpecClient, SpecService};
+use specrpc::echo::{build_echo_proc, BatchEchoBench, ECHO_PROG, ECHO_VERS};
+use specrpc::{
+    run_adaptive, run_chaos_matrix, run_congestion_matrix, run_nfs, run_scale,
+    AdaptiveScenarioConfig, ChaosConfig, CompiledProc, CongestionConfig, NfsConfig, ScaleConfig,
+    SpecClient, SpecService,
+};
 use specrpc_netsim::net::{Addr, LinkStats, Network, NetworkConfig};
 use specrpc_netsim::{ChaosSchedule, FaultConfig, SimTime};
 use specrpc_rpc::{serve, ClntUdp, ServeConfig};
@@ -198,26 +204,219 @@ fn sharded_loop_trace_is_pinned() {
     }
 }
 
+// ---------------------------------------------------------------------
+// The scenario rows (`batched/*`, `scale/p99/8`, `adaptive/*`,
+// `congestion/*`, `chaos/*`, `nfs/*`, the names CHANGES.md and the
+// README use): virtual time cannot vary, so each is an equality. The
+// first field of every tuple is the row's number, the rest are exact
+// fields of the same report — a `LatencyHistogram` p99 is a ≈6%-wide
+// bucket and never stands alone. A PR that moves modeled behaviour on
+// purpose edits the constant and says why in the same diff.
+// ---------------------------------------------------------------------
+
+const FAULT_COLUMNS: [(&str, FaultConfig); 2] =
+    [("clean", FaultConfig::NONE), ("lossy", FaultConfig::LOSSY)];
+
+/// `nfs/{coalesced,per-call}/smoke`.
 #[test]
 fn nfs_smoke_trace_is_pinned() {
-    let report = run_nfs(&NfsConfig::smoke()).expect("nfs deployment");
+    let link = |datagrams| LinkStats {
+        queue_drops: 0,
+        queue_depth_high_water: 1,
+        datagrams,
+        fragments: datagrams,
+    };
+    for (mode, cfg, elapsed_ns, datagrams, p99_ns) in [
+        ("coalesced", NfsConfig::smoke(), 217_238_400, 640, 999_424),
+        (
+            "per-call",
+            NfsConfig::smoke().per_call(),
+            251_208_640,
+            1_304,
+            1_409_024,
+        ),
+    ] {
+        let report = run_nfs(&cfg).expect("nfs deployment");
+        assert_eq!(
+            (
+                report.elapsed.as_nanos(),
+                report.link,
+                (report.ops, report.sync_calls, report.oneway_writes),
+                (report.latency.p99().as_nanos(), report.latency.count()),
+            ),
+            (elapsed_ns, link(datagrams), (984, 320, 664), (p99_ns, 320)),
+            "nfs/{mode}/smoke"
+        );
+    }
+}
+
+/// `batched/{1,4,16,64}/2000`: amortized virtual time per call of one
+/// pipelined batch, the same on every batch and — the single-driver
+/// identity — whether a reactor worker or the calling thread delivers.
+#[test]
+fn batched_rows_are_pinned() {
+    for (batch, per_call_ns) in [(1, 1_957_200), (4, 971_940), (16, 725_625), (64, 664_046)] {
+        for workers in [1, 0] {
+            let mut bench = BatchEchoBench::new(2000, batch, workers, SEED).expect("deploy");
+            for round in 0..3 {
+                let start = bench.net.now();
+                let calls = bench.round_trips().expect("batch") as u64;
+                let elapsed = bench.net.now() - start;
+                assert_eq!(
+                    (calls, elapsed.as_nanos() / calls),
+                    (batch as u64, per_call_ns),
+                    "batched/{batch}/2000, {workers} worker(s), batch {round}"
+                );
+            }
+            assert_eq!(
+                (bench.spec.fast_calls, bench.service.total_events()),
+                (3 * batch as u64, 3 * batch as u64),
+                "batched/{batch}/2000, {workers} worker(s)"
+            );
+        }
+    }
+}
+
+/// `scale/p99/8`: the open loop at 200 endpoints over eight shards.
+#[test]
+fn scale_p99_row_is_pinned() {
+    let mut cfg = ScaleConfig::smoke().scaled_to(200);
+    cfg.shards = 8;
+    cfg.ports_per_shard = 1;
+    let report = run_scale(&cfg).expect("scale run");
     assert_eq!(
         (
+            report.latency.p99().as_nanos(),
             report.elapsed.as_nanos(),
+            (report.replies, report.timeouts, report.unbound_drops),
             report.link,
-            (report.ops, report.sync_calls, report.oneway_writes),
-            (report.latency.p99().as_nanos(), report.latency.count()),
         ),
         (
-            217_238_400,
+            562_000,
+            40_086_522,
+            (200, 0, 0),
             LinkStats {
                 queue_drops: 0,
                 queue_depth_high_water: 1,
-                datagrams: 640,
-                fragments: 640,
+                datagrams: 400,
+                fragments: 400,
             },
-            (984, 320, 664),
-            (999_424, 320),
         )
     );
+}
+
+/// `adaptive/{p99/generic, p99/adaptive, p99/inline_compile,
+/// cold_p99/adaptive}`: the shape-churn run at six rotations of 40
+/// calls. Every round trip is two tier lookups (client and server).
+#[test]
+fn adaptive_rows_are_pinned() {
+    let mut cfg = AdaptiveScenarioConfig::smoke();
+    cfg.rotations = 6;
+    cfg.calls_per_rotation = 40;
+    // (p99, cold p99, elapsed, tier-0 / tier-1 lookups, hot swaps,
+    // tier-0 / tier-1 calls after the first rotation)
+    for (row, cfg, want) in [
+        (
+            "generic",
+            cfg.clone().generic_baseline(),
+            (802_816, 802_816, 140_261_440, (480, 0), 0, (200, 0)),
+        ),
+        (
+            "adaptive",
+            cfg.clone(),
+            (737_280, 802_816, 109_242_140, (30, 450), 11, (6, 194)),
+        ),
+        (
+            "inline_compile",
+            cfg.inline_compile(),
+            (5_636_096, 0, 153_777_600, (0, 480), 0, (0, 200)),
+        ),
+    ] {
+        let report = run_adaptive(&cfg).expect("adaptive run");
+        assert_eq!(
+            (
+                report.latency.p99().as_nanos(),
+                report.cold_latency.p99().as_nanos(),
+                report.elapsed.as_nanos(),
+                (report.stats.tier0_calls, report.stats.tier1_calls),
+                report.stats.hot_swaps,
+                (report.steady_tier0, report.steady_tier1),
+            ),
+            want,
+            "adaptive/*/{row}"
+        );
+    }
+}
+
+/// `congestion/{fixed,expbackoff,paced}/{clean,lossy}`: virtual time
+/// until the overloaded burst settles.
+#[test]
+fn congestion_rows_are_pinned() {
+    // (settle, completed, failed, retransmits, queue drops, p99)
+    let want = [
+        (7_504_581, 48, 0, 119, 86, 6_422_528),
+        (7_764_581, 48, 0, 67, 57, 6_684_672),
+        (5_904_845, 48, 0, 24, 23, 4_849_664),
+        (9_388_816, 46, 2, 136, 81, 8_406_715),
+        (39_164_581, 48, 0, 76, 49, 38_182_480),
+        (9_736_587, 48, 0, 35, 14, 8_650_752),
+    ];
+    let mut want = want.into_iter();
+    for (faults, fault_cfg) in FAULT_COLUMNS {
+        let cfg = CongestionConfig::smoke().with_faults(fault_cfg);
+        for report in run_congestion_matrix(&cfg).expect("congestion matrix") {
+            assert_eq!(
+                Some((
+                    report.elapsed.as_nanos(),
+                    report.completed,
+                    report.failed,
+                    report.retransmits,
+                    report.link.queue_drops,
+                    report.latency.p99().as_nanos(),
+                )),
+                want.next(),
+                "congestion/{}/{faults}",
+                report.policy_label()
+            );
+        }
+    }
+    assert_eq!(want.next(), None, "three strategies x two fault columns");
+}
+
+/// `chaos/{failover,no-failover}/{clean,lossy}`: virtual time until the
+/// run and its crash schedule have played out.
+#[test]
+fn chaos_rows_are_pinned() {
+    // (elapsed, availability bp, completed, failed, crash → recovery,
+    // failovers, breaker trips, extra executions, p99)
+    let want = [
+        (101_040_000, 10_000, 192, 0, 6_440_000, 5, 5, 0, 6_370_000),
+        (99_930_000, 9_843, 189, 3, 30_440_000, 0, 0, 0, 368_640),
+        (377_261_763, 9_895, 192, 0, 11_903_906, 8, 8, 4, 8_650_752),
+        (379_819_070, 9_791, 188, 4, 32_163_676, 0, 0, 1, 6_422_528),
+    ];
+    let mut want = want.into_iter();
+    for (faults, fault_cfg) in FAULT_COLUMNS {
+        let cfg = ChaosConfig::smoke().with_faults(fault_cfg);
+        for report in run_chaos_matrix(&cfg).expect("chaos matrix") {
+            let recovery = report.recovery.expect("a call completes after the crash");
+            assert_eq!(
+                Some((
+                    report.elapsed.as_nanos(),
+                    report.availability_bp(),
+                    report.completed,
+                    report.failed,
+                    recovery.as_nanos(),
+                    report.failovers,
+                    report.breaker_trips,
+                    report.extra_executions,
+                    report.latency.p99().as_nanos(),
+                )),
+                want.next(),
+                "chaos/{}/{faults}",
+                report.mode_label()
+            );
+        }
+    }
+    assert_eq!(want.next(), None, "two client modes x two fault columns");
 }
