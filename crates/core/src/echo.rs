@@ -189,9 +189,9 @@ impl EchoBench {
         let net = Network::new(NetworkConfig::lan(), seed);
         let registry = serve_echo(&net, proc_.clone());
         let generic = ClntUdp::create(&net, 5001, ECHO_PORT, ECHO_PROG, ECHO_VERS);
-        // The specialized client shares the registry's wire-buffer pool:
-        // reply buffers it recycles come back as the server's next reply
-        // images, closing the allocation loop within one deployment.
+        // The specialized client shares the registry's wire-buffer pool,
+        // so what an irregular call takes from it on one side the other
+        // side puts back (the cycle is described in `specrpc_rpc::bufpool`).
         let clnt = ClntUdp::create_pooled(
             &net,
             5002,

@@ -143,16 +143,15 @@
 //!         StubArgs::new(vec![], vec![args.arrays[0].clone()])
 //!     })
 //!     .into_registry();
-//! // A small duplicate-request cache keeps the warm-up window short
-//! // (entries recycle into the pool only once the cache is full).
+//! // A small duplicate-request cache keeps the warm-up window short.
 //! let cfg = specrpc_rpc::ServeConfig {
 //!     cache_entries: 4,
 //!     ..specrpc_rpc::ServeConfig::new(&[902])
 //! };
 //! specrpc_rpc::serve(&net, reg.clone(), cfg).detach();
 //!
-//! // The client shares the registry's wire-buffer pool: reply buffers it
-//! // recycles come back as the server's next reply images.
+//! // The client shares the registry's wire-buffer pool, so what either
+//! // side takes from it on an irregular call the other puts back.
 //! let transport =
 //!     ClntUdp::create_pooled(&net, 5003, 902, ECHO_PROG, ECHO_VERS, reg.pool().clone());
 //! let mut client = SpecClient::from_parts(transport, proc_);
@@ -185,7 +184,8 @@
 //!   together with that slice's duplicate-request caches and buffer
 //!   pool; [`SpecService::serve_sharded`] sets how many there are. A
 //!   one-shard deployment draws on the registry's own pool, so a pooled
-//!   client and its server allocate nothing per call.
+//!   client and its server allocate nothing per call; a steady call does
+//!   not visit the pool at all (see `specrpc_rpc::bufpool`).
 //! - **A worker** is a reactor thread of one shard
 //!   ([`SpecService::serve_event`] runs one shard with N of them): it
 //!   drains its shard's sockets round-robin, steals one datagram at a

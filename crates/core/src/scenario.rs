@@ -1132,6 +1132,69 @@ mod tests {
         }
     }
 
+    /// A reply image encoded into an offered buffer is rewound, not
+    /// cleared (`service::raw_dispatch`), which holds only while the reply
+    /// stub stores or zeroes every byte of its image: echo at 20 and 2000
+    /// and the five NFS procedures, each into offers full of `0xAA` as
+    /// long as, longer than and shorter than the reply.
+    #[test]
+    fn a_reply_in_an_offered_buffer_is_the_reply_in_a_fresh_one() {
+        use specrpc_rpc::svc::SvcRegistry;
+        let mut cases: Vec<(Arc<SvcRegistry>, Vec<u8>)> = Vec::new();
+        for n in [20, 2000] {
+            let proc_ = Arc::new(crate::echo::build_echo_proc(n, None).unwrap());
+            let echo = |args: &StubArgs| StubArgs::new(vec![], vec![args.arrays[0].clone()]);
+            let reg = SpecService::new().proc(proc_, echo).into_registry();
+            let mut enc = XdrMem::encoder(64 + 4 * n);
+            let mut data = crate::echo::workload(n);
+            let len = crate::echo::generic_encode_request(&mut enc, 0x5151, &mut data).unwrap();
+            cases.push((reg, enc.bytes()[..len].to_vec()));
+        }
+        let nfs = deploy_nfs_service(4).unwrap().into_registry();
+        for (proc_num, scalars) in [
+            (NFS_GETATTR, vec![2]),
+            (NFS_LOOKUP, vec![2, 9]),
+            (NFS_READ, vec![2, 64, 64]),
+            (NFS_WRITE, vec![2, 64, 64]),
+            (NFS_COMMIT, vec![2]),
+        ] {
+            cases.push((nfs.clone(), encode_nfs_call(0x5151, proc_num, &scalars)));
+        }
+        for (reg, request) in &cases {
+            // Once for the handler's state (COMMIT reports what it
+            // commits), once for the reference, in a zero-filled buffer.
+            reg.dispatch(request);
+            let fresh = reg.dispatch(request);
+            let len = fresh.len();
+            let dirty = |capacity: usize, len: usize| {
+                let mut buf = vec![0xAA; capacity];
+                buf.truncate(len);
+                buf
+            };
+            for offered_len in [len, len + len / 2, len / 2] {
+                let buf = dirty(len + len / 2, offered_len);
+                let at = buf.as_ptr();
+                let mut offer = Some(buf);
+                let reply = reg.dispatch_offered(request, &mut offer);
+                assert!(offer.is_none(), "a fitting offer is taken");
+                assert_eq!(reply.as_ptr(), at);
+                assert_eq!(
+                    reply, fresh,
+                    "{len}-byte reply over {offered_len} stale bytes"
+                );
+            }
+            // Too small and too large (`svc::take_offer` pins the bounds).
+            for capacity in [len - 1, 3 * len] {
+                let mut offer = Some(dirty(capacity, capacity));
+                assert_eq!(reg.dispatch_offered(request, &mut offer), fresh);
+                assert_eq!(offer, Some(dirty(capacity, capacity)), "left as it was");
+            }
+        }
+        let echoes: u64 = cases[..2].iter().map(|(reg, _)| reg.raw_dispatches()).sum();
+        assert_eq!((echoes, nfs.raw_dispatches()), (2 * 7, 5 * 7));
+        assert_eq!(nfs.generic_dispatches(), 0);
+    }
+
     #[test]
     fn smoke_run_answers_every_client() {
         let cfg = ScaleConfig::smoke();

@@ -28,7 +28,7 @@ use specrpc_netsim::net::{Addr, Network};
 use specrpc_rpc::bufpool::BufPool;
 use specrpc_rpc::error::RpcError;
 use specrpc_rpc::msg::ReplyHeader;
-use specrpc_rpc::svc::{SvcRegistry, REPLY_BUF_SIZE};
+use specrpc_rpc::svc::{take_offer, SvcRegistry, REPLY_BUF_SIZE};
 use specrpc_rpc::{serve, serve_tcp, ServeConfig, Served};
 use specrpc_rpcgen::sunlib::call_fields;
 use specrpc_tempo::compile::{run_decode, run_encode_after_xid, Outcome, StubArgs};
@@ -240,15 +240,16 @@ impl SpecService {
 
 /// The compiled fast-path dispatch body shared by static and adaptive
 /// registrations: compiled decode into reused scratch slots → user
-/// handler → compiled encode in one pass straight into a pooled reply
-/// buffer (single-copy encode; the buffer returns through the transport
-/// adapter's cache-eviction recycling). `None` sends the request to the
-/// generic dispatch (§6.2 guard fallback).
+/// handler → compiled encode in one pass straight into the offered
+/// buffer, or a pooled one when the offer does not fit the reply
+/// (single-copy encode). `None` sends the request to the generic dispatch
+/// (§6.2 guard fallback).
 fn raw_dispatch(
     p: &CompiledProc,
     scratch: &Mutex<StubArgs>,
     h: &SpecHandler,
     request: &[u8],
+    offer: &mut Option<Vec<u8>>,
     pool: &BufPool,
 ) -> Option<Vec<u8>> {
     let dec = &p.server_decode;
@@ -273,7 +274,10 @@ fn raw_dispatch(
     let xid = args.scalars[call_fields::XID];
     let mut results = h(args);
     let enc = &p.server_encode;
-    let mut reply = pool.take(enc.wire_len);
+    // An offered buffer is rewound, not cleared: the stub stores or zeroes
+    // every byte of its image (`StubProgram::holes`), so only bytes the
+    // buffer did not hold before are zero-filled.
+    let mut reply = take_offer(offer, enc.wire_len).unwrap_or_else(|| pool.take(enc.wire_len));
     reply.resize(enc.wire_len, 0);
     // Reply stub scalar slot 0 is the xid; the handler's result scalars
     // are read one slot down, where it left them.
@@ -301,8 +305,8 @@ fn install_one(registry: &SvcRegistry, proc_: Arc<CompiledProc>, handler: SpecHa
     let p = proc_.clone();
     let h = handler.clone();
     let scratch: Mutex<StubArgs> = Mutex::new(StubArgs::default());
-    registry.register_raw(prog, vers, pnum, move |request: &[u8], pool: &BufPool| {
-        raw_dispatch(&p, &scratch, &h, request, pool)
+    registry.register_raw(prog, vers, pnum, move |request, offer, pool| {
+        raw_dispatch(&p, &scratch, &h, request, offer, pool)
     });
 
     // Generic path (also serves guard fallbacks).
@@ -345,9 +349,9 @@ fn install_one_adaptive(
     let ap = proc_.clone();
     let h = handler.clone();
     let scratch: Mutex<StubArgs> = Mutex::new(StubArgs::default());
-    registry.register_raw(prog, vers, pnum, move |request: &[u8], pool: &BufPool| {
+    registry.register_raw(prog, vers, pnum, move |request, offer, pool| {
         match rt.lookup(&ap) {
-            Tier::Specialized(cp) => raw_dispatch(&cp, &scratch, &h, request, pool),
+            Tier::Specialized(cp) => raw_dispatch(&cp, &scratch, &h, request, offer, pool),
             // Tier-0: hand the request to the generic dispatch below.
             Tier::Generic => None,
         }

@@ -3,33 +3,41 @@
 //! Every layer of the original Sun stack allocates per message: the client
 //! builds a fresh request buffer per call, the server a fresh reply, and
 //! the transport copies between them. The paper's specialized stubs remove
-//! the *copies*; this pool removes the *allocations* that remain, by
-//! cycling buffers between the send and receive sides of the wire path:
+//! the *copies*; what removes the *allocations* that remain is that a
+//! buffer follows its datagram and each side sends in the buffer it last
+//! consumed:
 //!
-//! * [`crate::ClntUdp`] takes datagram buffers from the pool for every
-//!   transmission (including retransmissions — the pooled request image is
-//!   rewound and re-sent, never rebuilt) and recycles consumed replies
-//!   back into it;
-//! * each served address's dispatch body consumes delivered request
-//!   datagrams into the pool and takes replay and reply-envelope buffers
-//!   from it (the duplicate-request cache itself copies replies into a
-//!   log it owns and never touches the pool);
-//! * [`crate::SvcRegistry`] hands the pool to specialized raw handlers so
-//!   reply images are emitted straight into pooled buffers.
+//! * [`crate::ClntUdp`] builds a call's datagram in the reply buffer the
+//!   previous call handed to [`crate::Transport::recycle`];
+//! * each served address parks the request datagram it has just
+//!   dispatched and offers it to the next dispatch, and a specialized raw
+//!   handler encodes the reply image straight into it
+//!   ([`crate::svc::take_offer`]).
 //!
-//! In steady state every `take` is served by a previously recycled buffer
-//! and the wire path performs **zero heap allocations per call** — the
-//! `misses` counter is the proof, and the integration tests pin it.
+//! Two buffers alternate between request and reply, and a steady call
+//! touches no lock and no counter for them. This pool is the reservoir
+//! for everything less regular: the first calls of a deployment,
+//! retransmissions (the request image is re-sent from the caller's buffer,
+//! never rebuilt), replays from the duplicate-request cache (which copies
+//! replies into a log it owns and never touches the pool), stale and
+//! duplicated replies, coalescing envelopes and their sub-messages, the
+//! generic fallback's reply, an offer of the wrong size, a second worker
+//! on one address, and the stream lane. There too every `take` is served
+//! by a previously recycled buffer once warm, so the wire path performs
+//! **zero heap allocations per call** — the `misses` counter is the proof
+//! (a kept buffer that had to grow is counted there as well,
+//! [`BufPool::note_alloc`]), and the integration tests pin it.
 //!
 //! Who owns which pool: a [`crate::SvcRegistry`] owns one (reply images
-//! always come from it), a client built with `create_pooled` is handed
-//! one to share, and the reactor ([`crate::serve`]) gives each *shard*
-//! the pool its addresses' dispatch bodies draw on — the registry's own
-//! for a one-shard deployment, so server and pooled client cycle the
-//! same buffers and a call allocates nothing; a private one per shard
-//! otherwise, so shards never contend on a free list. The pool is
-//! `Send + Sync` (one `Mutex` around the free list), so reactor workers
-//! and any number of clients can share one instance.
+//! that are not offered a buffer come from it), a client built with
+//! `create_pooled` is handed one to share, and the reactor
+//! ([`crate::serve`]) gives each *shard* the pool its addresses' dispatch
+//! bodies draw on — the registry's own for a one-shard deployment, so
+//! what the server consumes into the pool is what its replies come out
+//! of; a private one per shard otherwise, so shards never contend on a
+//! free list. The pool is `Send + Sync` (one `Mutex` around the free
+//! list), so reactor workers and any number of clients can share one
+//! instance.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Mutex;

@@ -118,6 +118,28 @@ fn accept_datagram(
     accept_reply(pool, xids, replies, outstanding, dg);
 }
 
+/// `image` as a datagram to send: in `kept` (see [`ClntUdp::kept`]) when
+/// there is one, else in a pooled buffer. A kept buffer too small for the
+/// image grows to exactly its length and the growth is counted as the
+/// allocation it is: the buffer will come back carrying a reply, so
+/// `Vec`'s doubling would ratchet both circulating buffers past what
+/// either image needs.
+fn datagram_in(kept: Option<Vec<u8>>, pool: &BufPool, image: &[u8]) -> Vec<u8> {
+    let mut dg = match kept {
+        Some(mut buf) => {
+            buf.clear();
+            if buf.capacity() < image.len() {
+                buf.reserve_exact(image.len());
+                pool.note_alloc();
+            }
+            buf
+        }
+        None => pool.take(image.len()),
+    };
+    dg.extend_from_slice(image);
+    dg
+}
+
 /// A UDP RPC client handle (the `CLIENT` of the original API).
 pub struct ClntUdp {
     sock: SimUdpSocket,
@@ -156,10 +178,15 @@ pub struct ClntUdp {
     pub counts: OpCounts,
     /// Retransmissions performed (observability for fault tests).
     pub retransmits: u64,
-    /// Wire-buffer pool: every outbound datagram is built in a pooled
-    /// buffer, and consumed replies are recycled back. Shareable across
-    /// clients and with the serving side.
+    /// Wire-buffer pool: where datagram buffers come from and consumed
+    /// replies go when `kept` cannot serve. Shareable across clients and
+    /// with the serving side.
     pool: Arc<BufPool>,
+    /// The reply buffer last handed to [`Transport::recycle`]: the next
+    /// datagram is built in it, so a call that follows a call makes no
+    /// pool round trip. One deep, because a call consumes one reply
+    /// before it sends again; a batch's other replies go to the pool.
+    kept: Option<Vec<u8>>,
     /// Reusable swap buffer for bulk reply draining in
     /// [`ClntUdp::exchange_batch`].
     drain_buf: std::collections::VecDeque<specrpc_netsim::net::Datagram>,
@@ -204,6 +231,7 @@ impl ClntUdp {
             counts: OpCounts::new(),
             retransmits: 0,
             pool,
+            kept: None,
             drain_buf: std::collections::VecDeque::new(),
             coalescer: None,
             rx_pending: std::collections::VecDeque::new(),
@@ -349,9 +377,8 @@ impl ClntUdp {
         let img = std::mem::take(&mut c.pending);
         c.first_queued_at = None;
         c.note_flush(reason);
-        let mut dg = self.pool.take(img.len());
-        dg.extend_from_slice(&img);
-        self.sock.send(dg);
+        self.sock
+            .send(datagram_in(self.kept.take(), &self.pool, &img));
         // Past the cap the oldest unacknowledged one-ways fall off:
         // at-most-once, the classic Sun batch-mode trade — counted.
         if let Some(old) = c.park(img) {
@@ -429,8 +456,9 @@ impl ClntUdp {
     /// transaction management.
     ///
     /// The request stays in the caller's (rewindable) buffer: each
-    /// transmission — first try and retransmissions alike — copies it into
-    /// a pooled datagram buffer rather than cloning a fresh `Vec`, and
+    /// transmission copies it into a buffer that is already there rather
+    /// than cloning a fresh `Vec` — the first try into the reply buffer
+    /// the previous call recycled, retransmissions into pooled ones — and
     /// stale replies are recycled straight back into the pool, so a
     /// retransmitting call performs no steady-state allocation.
     pub fn exchange(&mut self, request: &[u8], xid: u32) -> Result<Vec<u8>, RpcError> {
@@ -507,19 +535,15 @@ impl ClntUdp {
                 // by sub-message in the duplicate-request cache.
                 if let Some(c) = &self.coalescer {
                     for env in &c.window {
-                        let mut dg = self.pool.take(env.len());
-                        dg.extend_from_slice(env);
-                        self.sock.send(dg);
+                        self.sock
+                            .send(datagram_in(self.kept.take(), &self.pool, env));
                     }
                     self.retransmits += c.window.len() as u64;
                 }
             }
-            {
-                let image: &[u8] = sealed.as_deref().unwrap_or(request);
-                let mut dg = self.pool.take(image.len());
-                dg.extend_from_slice(image);
-                self.sock.send(dg);
-            }
+            let image: &[u8] = sealed.as_deref().unwrap_or(request);
+            self.sock
+                .send(datagram_in(self.kept.take(), &self.pool, image));
             // Drain replies until the per-try deadline passes (recv
             // returning None), then retransmit. Both deadlines are held in
             // virtual time, so stale-xid replies are charged for the time
@@ -636,9 +660,7 @@ impl ClntUdp {
                 if !fits_alone {
                     // Too big for any envelope (or MTU 0, the per-call
                     // baseline): this request goes plain.
-                    let mut dg = self.pool.take(r.len());
-                    dg.extend_from_slice(r);
-                    self.sock.send(dg);
+                    self.sock.send(datagram_in(self.kept.take(), &self.pool, r));
                     continue;
                 }
                 if coalesce::count(&env) > 0 && env.len() + coalesce::pushed_len(r.len()) > mtu {
@@ -696,10 +718,8 @@ impl ClntUdp {
                             continue;
                         }
                     }
-                    let r = requests[i];
-                    let mut dg = self.pool.take(r.len());
-                    dg.extend_from_slice(r);
-                    self.sock.send(dg);
+                    self.sock
+                        .send(datagram_in(self.kept.take(), &self.pool, requests[i]));
                     if !first_try {
                         self.retransmits += 1;
                     }
@@ -843,9 +863,8 @@ impl Transport for ClntUdp {
             xid,
             "request must start with its xid"
         );
-        let mut dg = self.pool.take(request.len());
-        dg.extend_from_slice(request);
-        self.sock.send(dg);
+        self.sock
+            .send(datagram_in(self.kept.take(), &self.pool, request));
         Ok(())
     }
 
@@ -870,7 +889,7 @@ impl Transport for ClntUdp {
             // No batching surface configured: degrade to a blocking call
             // (keeps at-least-once) and discard the reply.
             let reply = self.exchange(request, xid)?;
-            self.pool.put(reply);
+            self.recycle(reply);
             Ok(())
         }
     }
@@ -885,7 +904,9 @@ impl Transport for ClntUdp {
     }
 
     fn recycle(&mut self, reply: Vec<u8>) {
-        self.pool.put(reply);
+        if let Some(second) = self.kept.replace(reply) {
+            self.pool.put(second);
+        }
     }
 
     fn wire_allocs(&self) -> u64 {
@@ -1622,5 +1643,52 @@ mod tests {
         clnt.total_timeout = SimTime::from_millis(20);
         let err = clnt.call(1, &mut |_| Ok(()), &mut |_| Ok(())).unwrap_err();
         assert_eq!(err, RpcError::TimedOut);
+    }
+
+    #[test]
+    fn the_next_datagram_is_built_in_the_recycled_reply() {
+        use crate::bufpool::PoolStats;
+        let net = Network::new(NetworkConfig::lan(), 3);
+        let server = net.bind_udp(700);
+        let pool = Arc::new(BufPool::new());
+        let mut clnt = ClntUdp::create_pooled(&net, 5000, 700, PROG, 1, pool.clone());
+        let send = |clnt: &mut ClntUdp, request: &[u8]| {
+            clnt.send_request(request, 7).unwrap();
+            let dg = server.recv_timeout(SimTime::from_millis(5)).expect("sent");
+            assert_eq!(dg.payload, request);
+            dg.payload
+        };
+        let (small, large) = (
+            [0, 0, 0, 7, 1, 2, 3, 4],
+            [&[0, 0, 0, 7][..], &[9; 96]].concat(),
+        );
+
+        // A consumed reply too small for the next request grows to exactly
+        // that request, and the growth is counted like a pool miss.
+        clnt.recycle(Vec::with_capacity(small.len()));
+        let sent = send(&mut clnt, &large);
+        assert_eq!(sent.capacity(), large.len(), "grown exactly, not doubled");
+        let grown = PoolStats {
+            misses: 1,
+            ..PoolStats::default()
+        };
+        assert_eq!((pool.stats(), clnt.wire_allocs()), (grown, 1));
+
+        // One that fits is used as it is, whichever image is larger.
+        let sent_at = sent.as_ptr();
+        clnt.recycle(sent);
+        let sent = send(&mut clnt, &small);
+        assert_eq!((sent.as_ptr(), sent.capacity()), (sent_at, large.len()));
+        assert_eq!(pool.stats(), grown, "no pool round trip");
+
+        // The slot is one deep: of two recycled replies one goes to the
+        // pool, and with the slot empty a datagram comes from there.
+        clnt.recycle(sent);
+        clnt.recycle(Vec::with_capacity(16));
+        assert_eq!(pool.parked(), 1);
+        send(&mut clnt, &small);
+        assert_eq!(pool.stats().hits, 0, "the kept buffer first");
+        send(&mut clnt, &small);
+        assert_eq!((pool.stats().hits, pool.parked()), (1, 0));
     }
 }

@@ -29,12 +29,39 @@ use std::sync::{Arc, Mutex, RwLock};
 pub type ProcHandler =
     Arc<dyn Fn(&mut dyn XdrStream, &mut dyn XdrStream) -> Result<(), RpcError> + Send + Sync>;
 
-/// A specialized (raw) handler: takes the whole request datagram plus the
-/// registry's wire-buffer pool (so the reply image can be emitted straight
-/// into a pooled buffer — single-copy encode); returns the whole reply
-/// datagram, or `None` to fall back to the generic path (dynamic-guard
-/// failure, §6.2).
-pub type RawHandler = Arc<dyn Fn(&[u8], &BufPool) -> Option<Vec<u8>> + Send + Sync>;
+/// A specialized (raw) handler: takes the whole request datagram, the
+/// buffer the caller offers for the reply image and the registry's
+/// wire-buffer pool for when the offer does not do — [`take_offer`] chooses
+/// between them and states the contract; returns the whole reply datagram,
+/// or `None` to fall back to the generic path (dynamic-guard failure, §6.2).
+pub type RawHandler =
+    Arc<dyn Fn(&[u8], &mut Option<Vec<u8>>, &BufPool) -> Option<Vec<u8>> + Send + Sync>;
+
+/// The most capacity, in reply lengths, an offered buffer may have and
+/// still carry that reply. The reply's buffer travels on — to the client
+/// and back as its next request, or into a mailbox until someone reads it
+/// — so without a bound a 60-byte reply keeps a 16 KB buffer alive for as
+/// long as a fitting one would have lived; twice the length admits every
+/// request/reply pair whose sizes differ by headers only.
+const OFFER_MAX_REPLY_LENS: usize = 2;
+
+/// Whether a buffer of `capacity` bytes may carry a reply image of
+/// `wire_len`: no smaller than the image, and at most
+/// [`OFFER_MAX_REPLY_LENS`] times it.
+pub(crate) fn offer_fits(capacity: usize, wire_len: usize) -> bool {
+    (wire_len..=OFFER_MAX_REPLY_LENS * wire_len).contains(&capacity)
+}
+
+/// Take `offer` for a reply image of `wire_len` bytes if its capacity is
+/// at least `wire_len` and at most twice that; a [`RawHandler`] draws from
+/// the pool it was given otherwise, so the reply is emitted straight into a
+/// buffer that is already there (single-copy encode). The buffer comes as
+/// it was offered, old bytes and length included: the taker sets the length
+/// and must write every byte of the image. An offer left in place stays
+/// the caller's.
+pub fn take_offer(offer: &mut Option<Vec<u8>>, wire_len: usize) -> Option<Vec<u8>> {
+    offer.take_if(|b| offer_fits(b.capacity(), wire_len))
+}
 
 /// Default reply buffer size (UDP max payload in the original: 8800).
 pub const REPLY_BUF_SIZE: usize = 66_000;
@@ -107,7 +134,10 @@ impl SvcRegistry {
         prog: u32,
         vers: u32,
         proc_: u32,
-        handler: impl Fn(&[u8], &BufPool) -> Option<Vec<u8>> + Send + Sync + 'static,
+        handler: impl Fn(&[u8], &mut Option<Vec<u8>>, &BufPool) -> Option<Vec<u8>>
+            + Send
+            + Sync
+            + 'static,
     ) {
         self.raw
             .write()
@@ -174,10 +204,16 @@ impl SvcRegistry {
     /// without any registry lock held, so concurrent dispatches from
     /// different threads proceed in parallel.
     pub fn dispatch(&self, request: &[u8]) -> Vec<u8> {
+        self.dispatch_offered(request, &mut None)
+    }
+
+    /// [`SvcRegistry::dispatch`] with a buffer offered for the reply image
+    /// (see [`RawHandler`]); only a raw handler can take it.
+    pub fn dispatch_offered(&self, request: &[u8], offer: &mut Option<Vec<u8>>) -> Vec<u8> {
         if let Some(key) = peek_call_target(request) {
             let raw = self.raw.read().expect("raw lock").get(&key).cloned();
             if let Some(h) = raw {
-                match h(request, &self.pool) {
+                match h(request, offer, &self.pool) {
                     Some(reply) => {
                         self.raw_dispatches.fetch_add(1, Ordering::Relaxed);
                         return reply;
@@ -416,7 +452,7 @@ mod tests {
     #[test]
     fn raw_handler_takes_precedence_and_falls_back() {
         let reg = echo_registry();
-        reg.register_raw(100_007, 1, 3, |req: &[u8], _pool: &BufPool| {
+        reg.register_raw(100_007, 1, 3, |req: &[u8], _offer, _pool: &BufPool| {
             // "Specialized" echo: only handles arg == 1 (guard), else
             // falls back.
             let arg = i32::from_be_bytes(req[40..44].try_into().unwrap());
@@ -447,6 +483,17 @@ mod tests {
     }
 
     #[test]
+    fn an_offer_is_taken_between_one_and_two_reply_lengths() {
+        for (capacity, taken) in [(59, false), (60, true), (120, true), (121, false)] {
+            let mut offer = Some(Vec::with_capacity(capacity));
+            let capacity = offer.as_ref().map(Vec::capacity).unwrap();
+            assert_eq!(take_offer(&mut offer, 60).is_some(), taken, "{capacity}");
+            assert_eq!(offer.is_none(), taken, "a refused offer stays");
+        }
+        assert_eq!(take_offer(&mut None, 60), None);
+    }
+
+    #[test]
     fn unregister_removes_program() {
         let reg = echo_registry();
         assert!(reg.is_registered(100_007, 1));
@@ -463,7 +510,7 @@ mod tests {
         // handler left behind would keep answering on the specialized
         // path after the program is gone.
         let reg = echo_registry();
-        reg.register_raw(100_007, 1, 3, |_req, _pool| Some(vec![0; 4]));
+        reg.register_raw(100_007, 1, 3, |_req, _offer, _pool| Some(vec![0; 4]));
         reg.unregister(100_007, 1);
         let reply = reg.dispatch(&make_call(100_007, 1, 3, 1));
         let (hdr, _) = parse_reply(&reply);

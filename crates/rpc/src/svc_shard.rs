@@ -7,11 +7,16 @@
 //!
 //! - **`shards`** partitions the served addresses (`addr % shards`). A
 //!   shard *owns* its addresses' duplicate-request caches — each with
-//!   the log its replies are copied into — and one wire-buffer pool,
-//!   which consumes the shard's request datagrams and feeds its replay
-//!   and reply-envelope buffers. A one-shard deployment draws on the
-//!   registry's own pool — the one reply images come from and a pooled
-//!   client recycles into — so a call allocates nothing.
+//!   the log its replies are copied into and the one request buffer it
+//!   parks for the next reply — and one wire-buffer pool, which consumes
+//!   the shard's other request datagrams and feeds its replay,
+//!   sub-message and reply-envelope buffers. A one-shard deployment draws
+//!   on the registry's own pool — the one reply images that were offered
+//!   no fitting buffer come from and a pooled client recycles into — so a
+//!   call allocates nothing. (`tests/zero_copy.rs` holds with a private
+//!   pool there too; the envelope path is what needs the shared one: a
+//!   sub-message buffer rarely fits its reply, and on `nfs_mix` a
+//!   registry pool that nothing refills cost 8% of `calls_per_s`.)
 //! - **`workers_per_shard`** is how many reactor threads each shard runs.
 //!   A worker sweeps its own shard's sockets round-robin, one datagram
 //!   per socket per visit; when those are dry it walks the peer shards in

@@ -306,7 +306,7 @@ mod tests {
                 Ok(())
             });
         }
-        r.register_raw(1, 1, 2, |request, pool| {
+        r.register_raw(1, 1, 2, |request, _offer, pool| {
             (request.len() % 8 == 0).then(|| {
                 let mut reply = pool.take(request.len());
                 reply.extend_from_slice(&request[..4]);

@@ -5,7 +5,7 @@
 //! served address.
 
 use crate::bufpool::BufPool;
-use crate::svc::SvcRegistry;
+use crate::svc::{offer_fits, SvcRegistry};
 use specrpc_netsim::inthash::{IntMap, IntSet};
 use specrpc_netsim::net::Addr;
 use specrpc_netsim::SimTime;
@@ -304,6 +304,18 @@ struct DupState {
     /// larger than the number of threads dispatching at once, which is
     /// what bounds a collision chain under the integer hasher.
     in_progress: IntSet<(u32, Addr)>,
+    /// A request datagram's buffer this address has consumed, offered to
+    /// the next dispatch for its reply image: the buffers follow the
+    /// datagrams, and a steady call never reaches the pool. A dispatch
+    /// that takes the offer parks its own request in its place. One that
+    /// leaves it (the reply does not fit it, or no raw handler ran) parks
+    /// its request instead only if that buffer would have carried the
+    /// reply just sent, so one odd-sized buffer does not sit here refusing
+    /// a stream of like-sized calls; otherwise the offer stays and the
+    /// request is pooled. One deep, because one is what a dispatch
+    /// consumes and one is what the next needs; when workers overlap on
+    /// the address the second buffer comes from and goes to the pool.
+    parked: Option<Vec<u8>>,
 }
 
 impl DupState {
@@ -311,6 +323,7 @@ impl DupState {
         DupState {
             cache: DupCache::new(cache_entries),
             in_progress: IntSet::default(),
+            parked: None,
         }
     }
 }
@@ -321,13 +334,14 @@ impl DupState {
 /// by the in-progress set.
 ///
 /// The cache owns the log its recorded replies are copied into and never
-/// touches the pool; `bufs` takes the request datagrams this body
-/// consumes and gives the buffers of replays, unpacked sub-messages and
-/// reply envelopes.
+/// touches the pool. A dispatched request's buffer is parked for the next
+/// dispatch's reply image ([`DupState::parked`]); `bufs` takes the request
+/// datagrams that are not, and gives the buffers of replays, unpacked
+/// sub-messages and reply envelopes.
 ///
-/// One fresh request takes the state lock twice: to look up the cache
-/// and mark the transaction in progress, and to record the reply and
-/// retire the mark together.
+/// One fresh request takes the state lock twice: to look up the cache,
+/// mark the transaction in progress and pick up the parked buffer; and to
+/// record the reply, retire the mark and park a buffer in its place.
 pub(crate) struct CachedDispatch {
     registry: Arc<SvcRegistry>,
     model: ProcTimeModel,
@@ -425,6 +439,7 @@ impl CachedDispatch {
     /// [`CachedDispatch::handle`] for one plain (non-coalesced) message.
     fn handle_single(&self, request: &mut Vec<u8>, from: Addr) -> Option<(Vec<u8>, SimTime)> {
         let xid = xid_of(request);
+        let mut offer = None;
         if let Some(xid) = xid {
             let mut state = self.state.lock().expect("dup cache lock");
             if let Some(hit) = state.cache.get(xid, from, request) {
@@ -444,6 +459,7 @@ impl CachedDispatch {
                 self.bufs.put(std::mem::take(request));
                 return None;
             }
+            offer = state.parked.take();
         }
         // Remove the in-progress mark even if the dispatched handler
         // panics — a leaked mark would blackhole every retransmission of
@@ -463,16 +479,32 @@ impl CachedDispatch {
             }
         }
         let mut guard = InProgressGuard(self, xid.map(|x| (x, from)));
-        let reply = self.registry.dispatch(request);
+        let reply = self.registry.dispatch_offered(request, &mut offer);
         let t = (self.model)(request.len(), reply.len());
+        let mut displaced = None;
         if let Some(xid) = xid {
             let mut state = self.state.lock().expect("dup cache lock");
             state.in_progress.remove(&(xid, from));
             state.cache.record(xid, from, request, &reply);
             guard.1 = None;
+            // The request datagram just consumed is the next reply image,
+            // unless the dispatch left its offer and this buffer would not
+            // have carried the reply either: then the offer goes back where
+            // it was. `offer` ends up with the one that is not parked; what
+            // a peer worker parked in the meantime gives way.
+            let mut next = std::mem::take(request);
+            if let Some(left) = offer.as_mut() {
+                if !offer_fits(next.capacity(), reply.len()) {
+                    std::mem::swap(left, &mut next);
+                }
+            }
+            displaced = state.parked.replace(next);
         }
-        // The delivered request datagram is consumed into the pool — in
-        // steady state it comes back out as the next reply image.
+        for spare in [displaced, offer].into_iter().flatten() {
+            self.bufs.put(spare);
+        }
+        // Still here only if it was too short to carry an xid; an empty
+        // buffer is dropped.
         self.bufs.put(std::mem::take(request));
         Some((reply, t))
     }
@@ -482,6 +514,7 @@ impl CachedDispatch {
 mod tests {
     use super::*;
     use crate::msg::{CallHeader, ReplyHeader};
+    use crate::svc::take_offer;
     use crate::svc_shard::{serve, ServeConfig};
     use specrpc_netsim::net::{Network, NetworkConfig};
     use specrpc_xdr::mem::XdrMem;
@@ -917,7 +950,7 @@ mod tests {
         use std::sync::atomic::AtomicBool;
         let reg = Arc::new(SvcRegistry::new());
         let first = AtomicBool::new(true);
-        reg.register_raw(300, 1, 0, move |request, pool| {
+        reg.register_raw(300, 1, 0, move |request, _offer, pool| {
             assert!(!first.swap(false, Ordering::Relaxed), "handler bug");
             let mut reply = pool.take(8);
             reply.extend_from_slice(&request[..4]);
@@ -943,6 +976,223 @@ mod tests {
         assert_eq!(&reply[..4], &call[..4]);
         assert_eq!(&reply[4..], b"done");
         assert_eq!(reg.raw_dispatches(), 1, "the retry ran the handler");
+    }
+
+    /// Procedure 2 answers on the raw path with the request's payload
+    /// behind its xid, in the offered buffer when [`take_offer`] allows —
+    /// `None`, the guard fallback, when the payload starts with `0xFF`;
+    /// procedure 1 has a generic handler only.
+    fn offer_registry() -> Arc<SvcRegistry> {
+        let reg = SvcRegistry::new();
+        for proc_ in [1, 2] {
+            reg.register(300, 1, proc_, |_, results| {
+                let mut v = 7i32;
+                xdr_int(results, &mut v)?;
+                Ok(())
+            });
+        }
+        reg.register_raw(300, 1, 2, |request, offer, pool| {
+            let payload = &request[40..];
+            if payload.first() == Some(&0xFF) {
+                return None;
+            }
+            let wire_len = 4 + payload.len();
+            let mut reply = take_offer(offer, wire_len).unwrap_or_else(|| pool.take(wire_len));
+            reply.clear();
+            reply.extend_from_slice(&request[..4]);
+            reply.extend_from_slice(payload);
+            Some(reply)
+        });
+        Arc::new(reg)
+    }
+
+    /// A call to `proc_` carrying `payload`, in a buffer of exactly its
+    /// length.
+    fn shaped_call(xid: u32, proc_: u32, payload: &[u8]) -> Vec<u8> {
+        let mut enc = XdrMem::encoder(64);
+        let mut msg = CallHeader::new(xid, 300, 1, proc_);
+        CallHeader::xdr(&mut enc, &mut msg).unwrap();
+        [&enc.into_bytes()[..], payload].concat()
+    }
+
+    /// The dispatch body of one address with a buffer pool of its own, as
+    /// a shard of a multi-shard deployment has.
+    fn offer_dispatch(reg: &Arc<SvcRegistry>) -> CachedDispatch {
+        CachedDispatch::new(reg.clone(), None, DUP_CACHE_ENTRIES, Arc::default())
+    }
+
+    impl CachedDispatch {
+        /// Where the parked buffer lives, if one is parked.
+        fn parked_at(&self) -> Option<*const u8> {
+            let state = self.state.lock().expect("dup cache lock");
+            state.parked.as_ref().map(|b| b.as_ptr())
+        }
+    }
+
+    #[test]
+    fn the_request_buffer_is_the_next_reply_and_the_pools_stand_still() {
+        let reg = offer_registry();
+        let cd = offer_dispatch(&reg);
+        let mut first = shaped_call(1, 2, &[1; 32]);
+        let first_at = first.as_ptr();
+        cd.handle(&mut first, 4000).expect("dispatched");
+        assert_eq!(cd.parked_at(), Some(first_at), "consumed, so parked");
+        let pools_before = (reg.pool().stats(), cd.bufs.stats());
+        assert_eq!(
+            pools_before.0.misses, 1,
+            "nothing was parked for the cold reply"
+        );
+
+        let mut second = shaped_call(2, 2, &[2; 32]);
+        let second_at = second.as_ptr();
+        let (warm, _) = cd.handle(&mut second, 4000).expect("dispatched");
+        assert_eq!(
+            warm.as_ptr(),
+            first_at,
+            "the parked request carries the reply"
+        );
+        assert_eq!(warm, [&2u32.to_be_bytes()[..], &[2; 32]].concat());
+        assert_eq!(cd.parked_at(), Some(second_at));
+        assert_eq!((reg.pool().stats(), cd.bufs.stats()), pools_before);
+    }
+
+    #[test]
+    fn an_unused_offer_returns_to_the_slot() {
+        let reg = offer_registry();
+        let cd = offer_dispatch(&reg);
+        let mut first = shaped_call(1, 2, &[1; 32]);
+        let parked_at = first.as_ptr();
+        cd.handle(&mut first, 4000).expect("dispatched");
+        // A procedure with no raw handler, then a raw handler whose guard
+        // fails: the generic path answers from the pool either way, with
+        // 28 bytes the 72-byte request would not have carried either.
+        for (xid, proc_, payload) in [(2, 1, [0u8; 32]), (3, 2, [0xFF; 32])] {
+            let parked_before = cd.bufs.parked();
+            let mut request = shaped_call(xid, proc_, &payload);
+            let (reply, _) = cd.handle(&mut request, 4000).expect("dispatched");
+            assert_ne!(reply.as_ptr(), parked_at);
+            assert_eq!(cd.parked_at(), Some(parked_at), "xid {xid}");
+            assert_eq!(cd.bufs.parked(), parked_before + 1, "the request is pooled");
+        }
+        assert_eq!((reg.generic_dispatches(), reg.raw_fallbacks()), (2, 1));
+    }
+
+    #[test]
+    fn a_replay_neither_takes_nor_loses_the_parked_buffer_and_forget_drops_it() {
+        let reg = offer_registry();
+        let cd = offer_dispatch(&reg);
+        let call = shaped_call(1, 2, &[1; 32]);
+        let mut first = call.clone();
+        let parked_at = first.as_ptr();
+        let (reply, _) = cd.handle(&mut first, 4000).expect("dispatched");
+        let mut again = call.clone();
+        let (replay, _) = cd.handle(&mut again, 4000).expect("replayed");
+        assert_eq!(replay, reply);
+        assert_ne!(replay.as_ptr(), parked_at, "a replay is a pooled copy");
+        assert_eq!(cd.parked_at(), Some(parked_at));
+        assert_eq!(reg.raw_dispatches(), 1);
+        // A restarted server process remembers no buffer either.
+        cd.forget();
+        assert_eq!(cd.parked_at(), None);
+    }
+
+    #[test]
+    fn overlapping_workers_on_one_address_conserve_buffers() {
+        // Worker A is held inside procedure 3's handler, having taken the
+        // parked buffer; meanwhile this thread dispatches another request
+        // (nothing parked: the pool serves it) and delivers a duplicate of
+        // A's (suppressed). Every buffer that went in or was allocated is
+        // then a reply, parked, or in a pool.
+        use std::sync::mpsc::channel;
+        let reg = offer_registry();
+        let (entered_tx, entered) = channel();
+        let (release, released) = channel::<()>();
+        let (entered_tx, released) = (Mutex::new(entered_tx), Mutex::new(released));
+        reg.register_raw(300, 1, 3, move |request, offer, _pool| {
+            entered_tx.lock().unwrap().send(()).unwrap();
+            released.lock().unwrap().recv().unwrap();
+            let mut reply = offer.take().expect("the parked buffer is offered");
+            reply.clear();
+            reply.extend_from_slice(&request[..4]);
+            Some(reply)
+        });
+        let cd = offer_dispatch(&reg);
+        let mut replies = Vec::new();
+        let mut warm_up = shaped_call(1, 2, &[1; 32]);
+        replies.push(cd.handle(&mut warm_up, 4000).expect("dispatched").0);
+
+        let held = shaped_call(2, 3, &[2; 32]);
+        std::thread::scope(|s| {
+            let worker = s.spawn(|| cd.handle(&mut held.clone(), 4000).expect("dispatched").0);
+            entered.recv().unwrap();
+            assert_eq!(cd.parked_at(), None, "the held dispatch has it");
+
+            let mut other = shaped_call(3, 2, &[3; 32]);
+            let other_at = other.as_ptr();
+            replies.push(cd.handle(&mut other, 4000).expect("dispatched").0);
+            assert_eq!(cd.parked_at(), Some(other_at));
+
+            let mut duplicate = held.clone();
+            assert!(cd.handle(&mut duplicate, 4000).is_none(), "suppressed");
+            assert!(duplicate.is_empty(), "and consumed");
+            assert_eq!(cd.parked_at(), Some(other_at), "neither taken nor lost");
+
+            release.send(()).unwrap();
+            replies.push(worker.join().unwrap());
+        });
+        assert!(cd.parked_at().is_some());
+        let (shard, registry) = (cd.bufs.stats(), reg.pool().stats());
+        assert_eq!((shard.overflow_drops, registry.overflow_drops), (0, 0));
+        let came_in = 4 + shard.misses + registry.misses;
+        let are_somewhere = replies.len() + 1 + cd.bufs.parked() + reg.pool().parked();
+        assert_eq!(came_in as usize, are_somewhere);
+    }
+
+    #[test]
+    fn no_small_reply_leaves_in_a_large_requests_buffer() {
+        // One address, shapes alternating 8 ↔ 4096 elements, each request
+        // in a buffer of its own length and every reply dropped by its
+        // reader — what a `scale_open` endpoint does. A reply of either
+        // shape fits the other's parked request only one way round, and
+        // that way is refused: a mailbox full of 60-byte replies would
+        // otherwise hold 16 KB each. The first call of each run of three
+        // is refused and parks its own request; the other two share.
+        let reg = offer_registry();
+        let cd = offer_dispatch(&reg);
+        let mut accepted = 0;
+        for xid in 0..64u32 {
+            let elements = if (xid / 3) % 2 == 0 { 8 } else { 4096 };
+            let mut request = shaped_call(xid, 2, &vec![xid as u8; 4 * elements]);
+            let parked_at = cd.parked_at();
+            let (reply, _) = cd.handle(&mut request, 4000).expect("dispatched");
+            assert!(
+                reply.capacity() <= 2 * reply.len(),
+                "xid {xid}: {} bytes in a buffer of {}",
+                reply.len(),
+                reply.capacity()
+            );
+            accepted += usize::from(Some(reply.as_ptr()) == parked_at);
+        }
+        assert_eq!(accepted, 2 * 21, "same-shape neighbours share");
+    }
+
+    #[test]
+    fn an_odd_first_buffer_does_not_stop_like_sized_calls_sharing() {
+        // One large call parks 4 KB, then small calls only: the first is
+        // refused the offer and, as its own buffer would have carried its
+        // reply, takes the slot; the large buffer goes to the pool.
+        let reg = offer_registry();
+        let cd = offer_dispatch(&reg);
+        let mut large = shaped_call(0, 2, &[0; 4096]);
+        cd.handle(&mut large, 4000).expect("dispatched");
+        for xid in 1..=8u32 {
+            let mut request = shaped_call(xid, 2, &[xid as u8; 32]);
+            let (request_at, parked_at) = (request.as_ptr(), cd.parked_at());
+            let (reply, _) = cd.handle(&mut request, 4000).expect("dispatched");
+            assert_eq!(Some(reply.as_ptr()) == parked_at, xid > 1, "xid {xid}");
+            assert_eq!(cd.parked_at(), Some(request_at));
+        }
+        assert_eq!(cd.bufs.parked(), 1, "the large one is pooled, not lost");
     }
 
     #[test]
