@@ -1306,8 +1306,16 @@ mod tests {
         let mut cfg = AdaptiveScenarioConfig::smoke();
         cfg.rotations = 4;
         cfg.calls_per_rotation = 24;
-        let a = run_adaptive(&cfg).unwrap();
-        let b = run_adaptive(&cfg).unwrap();
+        let mut a = run_adaptive(&cfg).unwrap();
+        let mut b = run_adaptive(&cfg).unwrap();
+        // How deep the compile queue got is how the background worker was
+        // scheduled against the caller: 1 or 2, nothing else, and the one
+        // field of the report the drain points do not pin.
+        for run in [&mut a, &mut b] {
+            let depth = &mut run.stats.compile_queue_high_water;
+            assert!((1..=2).contains(depth), "queue high-water {depth}");
+            *depth = 1;
+        }
         assert_eq!(a.render(), b.render(), "drain points pin the swaps");
         assert!(a.stats.hot_swaps > 0, "{:?}", a.stats);
         assert!(a.stats.tier1_calls > a.stats.tier0_calls, "{:?}", a.stats);
