@@ -6,7 +6,7 @@
 //! 2. generate the generic marshaling stubs in the Sun micro-layer style,
 //! 3. run the Tempo pipeline (`specrpc-tempo`): binding-time division,
 //!    specialization against the statically known call context, residual
-//!    clean-up, compilation to flat stub programs,
+//!    clean-up, compilation to loop-form stub programs,
 //! 4. wire the result into the RPC runtime (`specrpc-rpc`) over the
 //!    simulated network (`specrpc-netsim`), with automatic fallback to the
 //!    generic path when a dynamic guard fails (§6.2 of the paper).

@@ -6,6 +6,7 @@ use specrpc_rpcgen::parser::{parse, ParseError};
 use specrpc_rpcgen::stubgen::{
     self, CompiledStub, GeneratedStubs, MsgShape, StubGenError, StubKind,
 };
+use specrpc_tempo::compile::StubProgram;
 use std::fmt;
 
 /// Pipeline failures.
@@ -136,7 +137,7 @@ impl ProcPipeline {
     /// instruction-cache budget (bytes), e.g. a platform's
     /// `icache_capacity_bytes`: full unrolling when the whole residual
     /// encoder fits, otherwise the **largest** [`UNROLL_CANDIDATES`]
-    /// bound whose compiled client-encode stub still fits (largest =
+    /// bound under which the client-encode stub still fits (largest =
     /// fewest residual loop iterations for the allowed footprint; past
     /// the budget, every extra op pays the icache-miss penalty the
     /// Table 4 sweep measures). An explicit [`ProcPipeline::with_chunk`]
@@ -215,8 +216,11 @@ impl ProcPipeline {
     }
 
     fn compile_all(&self, gs: GeneratedStubs) -> Result<CompiledProc, PipelineError> {
-        let chunk = self.effective_chunk(&gs)?;
-        let client_encode = stubgen::specialize_stub(&gs, StubKind::ClientEncode, chunk)?;
+        let mut client_encode = stubgen::specialize_stub(&gs, StubKind::ClientEncode, self.chunk)?;
+        let chunk = self.effective_chunk(&client_encode.program);
+        if chunk != self.chunk {
+            client_encode.program = client_encode.program.with_chunk(chunk);
+        }
         let client_decode = stubgen::specialize_stub(&gs, StubKind::ClientDecode, chunk)?;
         let server_decode = stubgen::specialize_stub(&gs, StubKind::ServerDecode, chunk)?;
         let server_encode = stubgen::specialize_stub(&gs, StubKind::ServerEncode, chunk)?;
@@ -235,37 +239,34 @@ impl ProcPipeline {
 
     /// Resolve the unroll bound this pipeline will compile with: the
     /// explicit chunk if set, otherwise the bound the icache budget
-    /// picks (compiling trial client-encode stubs to measure real
-    /// residual code sizes), otherwise full unrolling.
-    fn effective_chunk(&self, gs: &GeneratedStubs) -> Result<Option<usize>, PipelineError> {
+    /// picks, otherwise full unrolling. `encode` is the client-encode stub
+    /// compiled under `self.chunk`; a stub's size under any bound is
+    /// arithmetic over its loops, so no candidate is compiled to be
+    /// weighed.
+    fn effective_chunk(&self, encode: &StubProgram) -> Option<usize> {
         if self.chunk.is_some() {
-            return Ok(self.chunk);
+            return self.chunk;
         }
-        let Some(budget) = self.icache_budget else {
-            return Ok(None);
-        };
-        let code_bytes = |chunk: Option<usize>| -> Result<usize, PipelineError> {
-            let stub = stubgen::specialize_stub(gs, StubKind::ClientEncode, chunk)?;
-            Ok(stub.program.code_size_bytes())
-        };
-        if code_bytes(None)? <= budget {
-            return Ok(None); // the full unroll already fits
+        let budget = self.icache_budget?;
+        let code_bytes = |chunk| encode.with_chunk(chunk).code_size_bytes();
+        if code_bytes(None) <= budget {
+            return None; // the full unroll already fits
         }
         let mut smallest_applicable = None;
         for &c in UNROLL_CANDIDATES.iter().rev() {
             // A bound only re-rolls element runs of at least 2×bound ops;
-            // larger bounds compile to the full unroll we just rejected.
+            // larger bounds are the full unroll we just rejected.
             if 2 * c > self.pinned_len {
                 continue;
             }
-            if code_bytes(Some(c))? <= budget {
-                return Ok(Some(c));
+            if code_bytes(Some(c)) <= budget {
+                return Some(c);
             }
             smallest_applicable = Some(c);
         }
         // Nothing fits (or no candidate applies): the smallest applicable
         // bound is the best effort — the tightest residual we can emit.
-        Ok(smallest_applicable)
+        smallest_applicable
     }
 
     /// The unroll bound [`ProcPipeline::build_from_idl`] would compile
@@ -280,7 +281,8 @@ impl ProcPipeline {
         let ((prog_num, vers_num, proc_num), arg, res) =
             self.resolve_shapes(idl, program, proc_num)?;
         let gs = stubgen::generate_from_shapes(prog_num, vers_num, proc_num, arg, res);
-        self.effective_chunk(&gs)
+        let encode = stubgen::specialize_stub(&gs, StubKind::ClientEncode, self.chunk)?;
+        Ok(self.effective_chunk(&encode.program))
     }
 }
 
@@ -363,6 +365,37 @@ mod tests {
                 .auto_chunk_from_idl(IDL, None, 1)
                 .unwrap(),
             Some(bound)
+        );
+    }
+
+    #[test]
+    fn icache_budget_costs_no_specializer_run() {
+        // One run per stub, whatever the budget makes of the candidates;
+        // the report alone needs the one stub it weighs.
+        let runs = |build: &dyn Fn()| {
+            let before = stubgen::specializer_runs();
+            build();
+            stubgen::specializer_runs() - before
+        };
+        let unbounded = ProcPipeline::new(2000);
+        for budget in [1, 20_000, 1 << 20] {
+            let tuned = unbounded.clone().with_icache_budget(budget);
+            assert_eq!(
+                runs(&|| drop(tuned.build_from_idl(IDL, None, 1).unwrap())),
+                4
+            );
+            assert_eq!(runs(&|| drop(tuned.auto_chunk_from_idl(IDL, None, 1))), 1);
+            // …and what it builds is what compiling under its pick builds.
+            let cp = tuned.build_from_idl(IDL, None, 1).unwrap();
+            let mut explicit = unbounded.clone();
+            explicit.chunk = cp.unroll_bound;
+            let want = explicit.build_from_idl(IDL, None, 1).unwrap();
+            let (got, want) = (&cp.client_encode.program, &want.client_encode.program);
+            assert_eq!((&got.ops, &got.plan), (&want.ops, &want.plan), "{budget}");
+        }
+        assert_eq!(
+            runs(&|| drop(unbounded.build_from_idl(IDL, None, 1).unwrap())),
+            4
         );
     }
 

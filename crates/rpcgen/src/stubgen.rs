@@ -809,7 +809,8 @@ pub fn specialize_with_report(
 /// [`specialize_with_report`] with every marshaling loop fully unrolled
 /// ([`Specializer::unrolling`]): the paper's Figure 5 residual, and the
 /// reference the loop-summarizing specializer is tested against. Compiles
-/// to the same [`StubProgram`]; costs O(array length) to produce.
+/// to the same [`StubProgram`] — the compiler folds the stores back into
+/// the loop they unroll — but costs O(array length) to produce.
 pub fn specialize_unrolled(
     gs: &GeneratedStubs,
     kind: StubKind,
@@ -826,6 +827,16 @@ pub fn specialization_steps(gs: &GeneratedStubs, kind: StubKind) -> Result<u64, 
     Ok(run_specializer(gs, kind, Specializer::new(&gs.program))?.3)
 }
 
+thread_local! {
+    static RUNS: std::cell::Cell<u64> = const { std::cell::Cell::new(0) };
+}
+
+/// Specializer runs this thread has made so far — what a test reads
+/// before and after a pipeline to pin how many the pipeline costs.
+pub fn specializer_runs() -> u64 {
+    RUNS.get()
+}
+
 /// Set up the partially-static heap of `kind` in `spec`, specialize and
 /// clean up: residual, plan, report and specializer steps burned.
 fn run_specializer<'g>(
@@ -834,6 +845,7 @@ fn run_specializer<'g>(
     mut spec: Specializer<'g>,
 ) -> Result<(Function, &'g StubPlan, SpecReport, u64), StubGenError> {
     use sunlib::{XDR_DECODE, XDR_ENCODE};
+    RUNS.set(RUNS.get() + 1);
     let buf = spec.alloc_buffer("buf");
     let (prog_num, vers_num, proc_num) = gs.target;
 

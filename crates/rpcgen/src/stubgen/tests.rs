@@ -256,7 +256,7 @@ fn array_encode_matches_generic_and_unrolls() {
     let gs = generate_from_shapes(PROG, VERS, PROC, arr_shape(n), arr_shape(n));
     let stub = specialize_stub(&gs, StubKind::ClientEncode, None).unwrap();
     assert_eq!(stub.wire_len, 40 + 4 + 4 * n);
-    // One op per element plus header ops: full unrolling.
+    // One modeled op per element plus header ops: full unrolling.
     assert!(stub.program.len() >= n, "ops: {}", stub.program.len());
 
     let data: Vec<i32> = (0..n as i32).map(|i| i * 3 - 50).collect();

@@ -3,11 +3,14 @@
 //! same stub programs, report the same eliminations, and leave residual
 //! functions that compute the same thing.
 
+#[path = "../../tempo/tests/flat/mod.rs"]
+mod flat;
+
 use proptest::prelude::*;
 use specrpc_rpcgen::stubgen::{
     self, FieldShape, GeneratedStubs, MsgShape, StubKind, CALL_HEADER_BYTES,
 };
-use specrpc_tempo::compile::{self, CompileOptions};
+use specrpc_tempo::compile::{self, CompileOptions, StubProgram};
 use specrpc_tempo::eval::{Evaluator, ObjectData, Place, Value};
 use specrpc_tempo::ir::{Function, Type};
 
@@ -131,6 +134,18 @@ fn wire_of(objects: &[ObjectData]) -> Vec<u8> {
         .expect("a stub has a buffer")
 }
 
+/// `got`, compiled under `chunk`, stands for exactly the code the flat
+/// pipeline gave: `reference` — the unrolled residual compiled without a
+/// bound — written out op by op and re-chunked by the scan. Its size is
+/// that list's length, and it expands to that list.
+fn assert_models_the_flat_code(got: &StubProgram, reference: &StubProgram, chunk: Option<usize>) {
+    let want = flat::rechunk(&flat::unrolled(reference), chunk);
+    let what = format!("{} chunk {chunk:?}", got.name);
+    assert_eq!(got.len(), want.len(), "{what}");
+    assert_eq!(got.code_size_bytes(), 340 + 40 * want.len(), "{what}");
+    assert!(flat::modeled(got) == want, "{what}: expansion differs");
+}
+
 fn check_context(seed: u64) {
     let mut rng = Rng(seed);
     let (arg, res) = (rng.shape(), rng.shape());
@@ -149,11 +164,15 @@ fn check_context(seed: u64) {
             StubKind::ServerEncode | StubKind::ClientDecode => &gs.res_shape,
         };
         let n = longest_array(shape);
+        let unbounded = CompileOptions::default();
+        let reference =
+            compile::compile(&gs.program, &unrolled, &plan.conventions, unbounded).unwrap();
         for chunk in [None, Some(1), Some(32), Some(250), Some(n), Some(2 * n)] {
             let opts = CompileOptions { chunk };
             let want = compile::compile(&gs.program, &unrolled, &plan.conventions, opts).unwrap();
             let stub = stubgen::specialize_stub(&gs, kind, chunk).unwrap();
             let got = &stub.program;
+            assert_models_the_flat_code(got, &reference, chunk);
             assert_eq!(got.ops, want.ops, "{kind:?} chunk {chunk:?}");
             assert_eq!(got.plan, want.plan, "{kind:?} chunk {chunk:?}");
             assert_eq!(got.holes, want.holes, "{kind:?} chunk {chunk:?}");
@@ -223,15 +242,65 @@ fn summarized_equals_unrolled_at_the_pinned_lengths() {
                 let (unrolled, _, mut reference) = stubgen::specialize_unrolled(&gs, kind).unwrap();
                 reference.residual_stmts = report.residual_stmts;
                 assert_eq!(report, reference, "{kind:?} n={n}");
+                let unbounded = CompileOptions::default();
+                let reference =
+                    compile::compile(&gs.program, &unrolled, &plan.conventions, unbounded).unwrap();
                 for chunk in [None, Some(32)] {
                     let opts = CompileOptions { chunk };
                     let want =
                         compile::compile(&gs.program, &unrolled, &plan.conventions, opts).unwrap();
                     let got = stubgen::specialize_stub(&gs, kind, chunk).unwrap().program;
+                    assert_models_the_flat_code(&got, &reference, chunk);
                     assert_eq!(got.ops, want.ops, "{kind:?} n={n} chunk {chunk:?}");
                     assert_eq!(got.plan, want.plan, "{kind:?} n={n} chunk {chunk:?}");
                 }
             }
+        }
+    }
+}
+
+/// The size model's referee: for every echo length up to 300 and the
+/// paper's large ones, under every unroll bound, the four stubs' `len()` /
+/// `code_size_bytes()` — arithmetic over (templates, trips, bound) — are
+/// those of the flat op list put through the re-chunking scan, and the
+/// loop form expands to that list op for op. The program itself stays the
+/// shape's: no longer at 4096 elements than at 8.
+#[test]
+fn loop_form_sizes_are_the_flat_pipelines() {
+    let echo = |n: usize| {
+        let shape = MsgShape {
+            fields: vec![FieldShape::VarIntArray {
+                name: "arr".to_string(),
+                pinned_len: n,
+                max: 100_000,
+            }],
+        };
+        stubgen::generate_from_shapes(0x2000_0101, 1, 1, shape.clone(), shape)
+    };
+    let mut op_counts = std::collections::BTreeMap::new();
+    for n in (0..=300).chain([1000, 2000, 4096]) {
+        let gs = echo(n);
+        for kind in KINDS {
+            let (summarized, plan, _) = stubgen::specialize_with_report(&gs, kind).unwrap();
+            let (unrolled, _, _) = stubgen::specialize_unrolled(&gs, kind).unwrap();
+            let compile = |residual: &Function, chunk| {
+                let opts = CompileOptions { chunk };
+                compile::compile(&gs.program, residual, &plan.conventions, opts).unwrap()
+            };
+            let reference = compile(&unrolled, None);
+            for chunk in [None, Some(1), Some(8), Some(32), Some(250), Some(4096)] {
+                let got = compile(&summarized, chunk);
+                assert_models_the_flat_code(&got, &reference, chunk);
+                if matches!(chunk, None | Some(250)) {
+                    op_counts.insert((n, kind as usize, chunk), got.ops.len());
+                }
+            }
+        }
+    }
+    for kind in KINDS {
+        for chunk in [None, Some(250)] {
+            let ops = |n| op_counts[&(n, kind as usize, chunk)];
+            assert_eq!(ops(8), ops(4096), "{kind:?} {chunk:?}");
         }
     }
 }

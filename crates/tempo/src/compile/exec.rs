@@ -7,10 +7,10 @@
 //! array instead of one dispatch, one slot lookup, and one bounds check
 //! per element. This is the runtime analog of the paper compiling the
 //! residual with `gcc -O2`: the interpretation is gone, only the work the
-//! data requires (byte order + memory movement) remains. The op-by-op
-//! interpretation survives only for hand-assembled programs without a
-//! prebuilt plan (planned on the fly) — wire bytes and [`OpCounts`] are
-//! identical either way, which the equivalence tests pin.
+//! data requires (byte order + memory movement) remains. Trip-by-trip
+//! interpretation survives only for a loop that is not one contiguous
+//! element run (no generated stub has one) — wire bytes and [`OpCounts`]
+//! are identical either way, which the equivalence tests pin.
 //!
 //! The block copy itself lives in the `kernel` module. On the baseline
 //! x86-64 target the workspace is built for, the swap of each 32-bit word
@@ -22,7 +22,7 @@
 //! slice, the dynamic guards; the kernel module — the workspace's only
 //! `unsafe`, three calls of a safe `#[target_feature]` function — receives
 //! slices of the right length and cannot fail. Offsets are displaced in
-//! `u64` under a ceiling, so a stride no buffer could hold ends in
+//! saturating `i64`, so a step no buffer could hold ends in
 //! [`StubError::BufTooSmall`] / [`StubError::BadElem`] in every profile.
 //!
 //! Two zero-fills the data never needed are gone: a decode's `SetArrLen`
@@ -34,7 +34,7 @@
 //! words and slots, is one [`PlanOp::GetScalars`] through the same kernel:
 //! at 20 elements the header is half of a decode stub's dispatches.
 
-use super::{build_plan, count_op, kernel, PlanOp, StubOp, StubProgram};
+use super::{build_plan, count_op, kernel, rolled, PlanOp, StubOp, StubProgram};
 use specrpc_xdr::OpCounts;
 use std::borrow::Cow;
 use std::fmt;
@@ -138,33 +138,39 @@ impl fmt::Display for StubError {
 
 impl std::error::Error for StubError {}
 
-#[derive(Clone, Copy)]
-struct LoopFrame {
-    start_pc: usize,
-    remaining: u32,
-    off_acc: u64,
-    idx_acc: u64,
-    off_stride: u32,
-    idx_stride: u32,
+/// An op's static offset (or element index) displaced by `by`, what the
+/// enclosing loop's trips so far have moved it. A sum below zero or past
+/// `i64` comes out above `i64::MAX`, which fails the bounds check that
+/// follows instead of wrapping back into range.
+#[inline(always)]
+fn displaced(base: u32, by: i64) -> usize {
+    usize::try_from((base as i64).wrapping_add(by) as u64).unwrap_or(usize::MAX)
 }
 
-/// Ceiling of the loop accumulators: any 32-bit static offset can be added
-/// to an accumulator this large without overflowing `u64`.
-const ACC_MAX: u64 = u64::MAX - u32::MAX as u64;
-
-/// The accumulator one iteration further on, held at [`ACC_MAX`].
-#[inline(always)]
-fn advanced(acc: u64, stride: u32) -> u64 {
-    acc.saturating_add(stride as u64).min(ACC_MAX)
-}
-
-/// An op's static offset (or element index) displaced by the enclosing
-/// loop's accumulator. A displacement that `usize` cannot hold becomes
-/// `usize::MAX`, which fails the bounds check that follows instead of
-/// wrapping back into range.
-#[inline(always)]
-fn displaced(base: u32, acc: u64) -> usize {
-    usize::try_from(base as u64 + acc).unwrap_or(usize::MAX)
+/// Run the loop at `plan[pc]` trip by trip: every body op through `run`
+/// as a plan of its own, displaced by the [`StubOp::Step`] before it times
+/// the trips made so far. Returns the step after the loop, and the outcome
+/// if an op finished the run. A generated stub's loops are all bulk steps,
+/// so this is off the hot path — which therefore keeps no loop state.
+fn iterate(
+    plan: &[PlanOp],
+    pc: usize,
+    times: u32,
+    mut run: impl FnMut(&[PlanOp], (i64, i64)) -> Result<Option<Outcome>, StubError>,
+) -> Result<(usize, Option<Outcome>), StubError> {
+    let past = skip_loop(plan, pc)?;
+    let body = &plan[pc + 1..past - 1];
+    for trip in 0..times as i64 {
+        let mut by = (0, 0);
+        for (i, step) in body.iter().enumerate() {
+            if let PlanOp::Op(StubOp::Step { off, idx }) = *step {
+                by = (off as i64 * trip, idx as i64 * trip);
+            } else if let done @ Some(_) = run(&body[i..=i], std::mem::take(&mut by))? {
+                return Ok((past, done));
+            }
+        }
+    }
+    Ok((past, None))
 }
 
 /// The program's fused plan, borrowing the prebuilt one when present and
@@ -224,8 +230,6 @@ fn encode_inner(
     first_slot: usize,
     counts: &mut OpCounts,
 ) -> Result<Outcome, StubError> {
-    let plan = plan_of(prog);
-    let plan = plan.as_ref();
     // The bytes no op stores are the stub's to clear. A buffer too short
     // for a hole is reported by the op that falls outside it, as before.
     for hole in &prog.holes {
@@ -234,10 +238,45 @@ fn encode_inner(
             gap.fill(0);
         }
     }
+    let (plan, wire_len) = (plan_of(prog), prog.wire_len);
+    let slots = (xid, first_slot);
+    let done = encode_steps(&plan, (0, 0), buf, args, slots, wire_len, counts)?;
+    Ok(done.unwrap_or(Outcome::Done { ret: 1, wire_len }))
+}
+
+/// [`iterate`] for an encode: kept out of line, so that the run of a plan
+/// without a loop — every generated stub's — pays nothing for it.
+#[cold]
+#[inline(never)]
+#[allow(clippy::too_many_arguments)]
+fn encode_loop(
+    plan: &[PlanOp],
+    pc: usize,
+    times: u32,
+    buf: &mut [u8],
+    args: &StubArgs,
+    slots: (Option<i32>, usize),
+    wire_len: usize,
+    counts: &mut OpCounts,
+) -> Result<(usize, Option<Outcome>), StubError> {
+    iterate(plan, pc, times, |op, by| {
+        encode_steps(op, by, buf, args, slots, wire_len, counts)
+    })
+}
+
+/// Run `plan`, every op displaced by `by` (nothing, unless `plan` is one
+/// op of a loop body in a later trip): the outcome of the op that finished
+/// the run, `None` if it ran off the end.
+fn encode_steps(
+    plan: &[PlanOp],
+    (off_by, idx_by): (i64, i64),
+    buf: &mut [u8],
+    args: &StubArgs,
+    (xid, first_slot): (Option<i32>, usize),
+    wire_len: usize,
+    counts: &mut OpCounts,
+) -> Result<Option<Outcome>, StubError> {
     let mut pc = 0usize;
-    let mut lp: Option<LoopFrame> = None;
-    let mut off_acc = 0u64;
-    let mut idx_acc = 0u64;
     while pc < plan.len() {
         match plan[pc] {
             PlanOp::BulkPut {
@@ -251,10 +290,10 @@ fn encode_inner(
                     .arrays
                     .get(arr as usize)
                     .ok_or(StubError::BadArraySlot(arr))?;
-                let i0 = displaced(idx, idx_acc);
+                let i0 = displaced(idx, idx_by);
                 let missing = run_outside(arr, i0, a.len());
                 let src = span(i0, n as usize).and_then(|r| a.get(r)).ok_or(missing)?;
-                kernel::put(wire_mut(buf, displaced(off, off_acc), 4 * src.len())?, src);
+                kernel::put(wire_mut(buf, displaced(off, off_by), 4 * src.len())?, src);
                 counts.stub_ops += ops as u64;
                 counts.mem_moves += 4 * n as u64;
             }
@@ -266,7 +305,7 @@ fn encode_inner(
             }
             PlanOp::Op(op) => match op {
                 StubOp::PutImm { off, word } => {
-                    put4(buf, displaced(off, off_acc), word.to_le_bytes())?;
+                    put4(buf, displaced(off, off_by), word.to_le_bytes())?;
                     count_op(counts, 4);
                 }
                 StubOp::PutScalar { off, slot } => {
@@ -277,7 +316,7 @@ fn encode_inner(
                             .and_then(|s| args.scalars.get(s))
                             .ok_or(StubError::BadScalarSlot(slot))?,
                     };
-                    put4(buf, displaced(off, off_acc), v.to_be_bytes())?;
+                    put4(buf, displaced(off, off_by), v.to_be_bytes())?;
                     count_op(counts, 4);
                 }
                 StubOp::PutElem { off, arr, idx } => {
@@ -285,55 +324,34 @@ fn encode_inner(
                         .arrays
                         .get(arr as usize)
                         .ok_or(StubError::BadArraySlot(arr))?;
-                    let i = displaced(idx, idx_acc);
+                    let i = displaced(idx, idx_by);
                     let v = *a.get(i).ok_or(StubError::BadElem {
                         arr,
                         idx: i,
                         len: a.len(),
                     })?;
-                    put4(buf, displaced(off, off_acc), v.to_be_bytes())?;
+                    put4(buf, displaced(off, off_by), v.to_be_bytes())?;
                     count_op(counts, 4);
                 }
-                StubOp::Loop {
-                    times,
-                    off_stride,
-                    idx_stride,
-                    ..
-                } => {
-                    count_op(counts, 0);
-                    let past = skip_loop(plan, pc)?;
-                    if times == 0 {
-                        pc = past;
-                        continue;
+                StubOp::Loop { times, unroll, .. } => {
+                    // The header is an op of the modeled code only where
+                    // that code keeps a loop; unrolled, nothing to count.
+                    counts.stub_ops += rolled(times, unroll) as u64;
+                    let slots = (xid, first_slot);
+                    let (past, done) =
+                        encode_loop(plan, pc, times, buf, args, slots, wire_len, counts)?;
+                    if done.is_some() {
+                        return Ok(done);
                     }
-                    lp = Some(LoopFrame {
-                        start_pc: pc + 1,
-                        remaining: times,
-                        off_acc,
-                        idx_acc,
-                        off_stride,
-                        idx_stride,
-                    });
+                    pc = past;
+                    continue;
                 }
-                StubOp::EndLoop => {
-                    let frame = lp.as_mut().ok_or(StubError::BadLoop)?;
-                    frame.remaining -= 1;
-                    if frame.remaining > 0 {
-                        off_acc = advanced(off_acc, frame.off_stride);
-                        idx_acc = advanced(idx_acc, frame.idx_stride);
-                        pc = frame.start_pc;
-                        continue;
-                    }
-                    off_acc = frame.off_acc;
-                    idx_acc = frame.idx_acc;
-                    lp = None;
-                }
+                // Moves the op after it inside a loop; nothing on its own.
+                StubOp::Step { .. } => {}
+                StubOp::EndLoop => return Err(StubError::BadLoop),
                 StubOp::Ret { val } => {
                     count_op(counts, 0);
-                    return Ok(Outcome::Done {
-                        ret: val,
-                        wire_len: prog.wire_len,
-                    });
+                    return Ok(Some(Outcome::Done { ret: val, wire_len }));
                 }
                 StubOp::SetScalarImm { .. } | StubOp::SetArrLen { .. } => {
                     return Err(StubError::WrongDirection("decode-only op in encode"))
@@ -348,10 +366,7 @@ fn encode_inner(
         }
         pc += 1;
     }
-    Ok(Outcome::Done {
-        ret: 1,
-        wire_len: prog.wire_len,
-    })
+    Ok(None)
 }
 
 /// Run a decode stub: reads `buf` (of `inlen` valid bytes), writes `args`.
@@ -362,12 +377,41 @@ pub fn run_decode(
     inlen: usize,
     counts: &mut OpCounts,
 ) -> Result<Outcome, StubError> {
-    let plan = plan_of(prog);
-    let plan = plan.as_ref();
+    let (plan, wire_len) = (plan_of(prog), prog.wire_len);
+    let done = decode_steps(&plan, (0, 0), buf, args, inlen, wire_len, counts)?;
+    Ok(done.unwrap_or(Outcome::Done { ret: 1, wire_len }))
+}
+
+/// The decode-side mirror of [`encode_loop`].
+#[cold]
+#[inline(never)]
+#[allow(clippy::too_many_arguments)]
+fn decode_loop(
+    plan: &[PlanOp],
+    pc: usize,
+    times: u32,
+    buf: &[u8],
+    args: &mut StubArgs,
+    inlen: usize,
+    wire_len: usize,
+    counts: &mut OpCounts,
+) -> Result<(usize, Option<Outcome>), StubError> {
+    iterate(plan, pc, times, |op, by| {
+        decode_steps(op, by, buf, args, inlen, wire_len, counts)
+    })
+}
+
+/// The decode-side mirror of [`encode_steps`].
+fn decode_steps(
+    plan: &[PlanOp],
+    (off_by, idx_by): (i64, i64),
+    buf: &[u8],
+    args: &mut StubArgs,
+    inlen: usize,
+    wire_len: usize,
+    counts: &mut OpCounts,
+) -> Result<Option<Outcome>, StubError> {
     let mut pc = 0usize;
-    let mut lp: Option<LoopFrame> = None;
-    let mut off_acc = 0u64;
-    let mut idx_acc = 0u64;
     while pc < plan.len() {
         match plan[pc] {
             PlanOp::BulkGet {
@@ -381,12 +425,12 @@ pub fn run_decode(
                     .arrays
                     .get_mut(arr as usize)
                     .ok_or(StubError::BadArraySlot(arr))?;
-                let i0 = displaced(idx, idx_acc);
+                let i0 = displaced(idx, idx_by);
                 let missing = run_outside(arr, i0, a.len());
                 let dst = span(i0, n as usize)
                     .and_then(|r| a.get_mut(r))
                     .ok_or(missing)?;
-                kernel::get(dst, wire(buf, displaced(off, off_acc), 4 * n as usize)?);
+                kernel::get(dst, wire(buf, displaced(off, off_by), 4 * n as usize)?);
                 counts.stub_ops += ops as u64;
                 counts.mem_moves += 4 * n as u64;
             }
@@ -398,7 +442,7 @@ pub fn run_decode(
                 let dst = span(first, n as usize)
                     .and_then(|r| args.scalars.get_mut(r))
                     .ok_or(StubError::BadScalarSlot(slots.max(first) as u16))?;
-                kernel::get(dst, wire(buf, displaced(off, off_acc), 4 * n as usize)?);
+                kernel::get(dst, wire(buf, displaced(off, off_by), 4 * n as usize)?);
                 counts.stub_ops += n as u64;
                 counts.mem_moves += 4 * n as u64;
             }
@@ -407,7 +451,7 @@ pub fn run_decode(
                     .arrays
                     .get_mut(arr as usize)
                     .ok_or(StubError::BadArraySlot(arr))?;
-                let src = wire(buf, displaced(off, off_acc), 4 * n as usize)?;
+                let src = wire(buf, displaced(off, off_by), 4 * n as usize)?;
                 // The §3 statically-known size: refilling within an
                 // already-warm capacity moves only the data; growth is a
                 // real heap event the wire-path counter reports.
@@ -425,14 +469,14 @@ pub fn run_decode(
                 StubOp::LenGuard { expected } => {
                     count_op(counts, 0);
                     if inlen != expected as usize {
-                        return Ok(Outcome::Fallback);
+                        return Ok(Some(Outcome::Fallback));
                     }
                 }
                 StubOp::CheckWord { off, want } => {
-                    let v = get4(buf, displaced(off, off_acc))?;
+                    let v = get4(buf, displaced(off, off_by))?;
                     count_op(counts, 4);
                     if i32::from_be_bytes(v) != want {
-                        return Ok(Outcome::Fallback);
+                        return Ok(Some(Outcome::Fallback));
                     }
                 }
                 StubOp::CheckScalar { slot, want } => {
@@ -442,11 +486,11 @@ pub fn run_decode(
                         .ok_or(StubError::BadScalarSlot(slot))?;
                     count_op(counts, 0);
                     if v != want {
-                        return Ok(Outcome::Fallback);
+                        return Ok(Some(Outcome::Fallback));
                     }
                 }
                 StubOp::GetScalar { off, slot } => {
-                    let v = i32::from_be_bytes(get4(buf, displaced(off, off_acc))?);
+                    let v = i32::from_be_bytes(get4(buf, displaced(off, off_by))?);
                     let s = args
                         .scalars
                         .get_mut(slot as usize)
@@ -455,12 +499,12 @@ pub fn run_decode(
                     count_op(counts, 4);
                 }
                 StubOp::GetElem { off, arr, idx } => {
-                    let v = i32::from_be_bytes(get4(buf, displaced(off, off_acc))?);
+                    let v = i32::from_be_bytes(get4(buf, displaced(off, off_by))?);
                     let a = args
                         .arrays
                         .get_mut(arr as usize)
                         .ok_or(StubError::BadArraySlot(arr))?;
-                    let i = displaced(idx, idx_acc);
+                    let i = displaced(idx, idx_by);
                     let len = a.len();
                     *a.get_mut(i)
                         .ok_or(StubError::BadElem { arr, idx: i, len })? = v;
@@ -488,46 +532,22 @@ pub fn run_decode(
                     a.resize(len as usize, 0);
                     count_op(counts, 0);
                 }
-                StubOp::Loop {
-                    times,
-                    off_stride,
-                    idx_stride,
-                    ..
-                } => {
-                    count_op(counts, 0);
-                    let past = skip_loop(plan, pc)?;
-                    if times == 0 {
-                        pc = past;
-                        continue;
+                StubOp::Loop { times, unroll, .. } => {
+                    counts.stub_ops += rolled(times, unroll) as u64;
+                    let (past, done) =
+                        decode_loop(plan, pc, times, buf, args, inlen, wire_len, counts)?;
+                    if done.is_some() {
+                        return Ok(done);
                     }
-                    lp = Some(LoopFrame {
-                        start_pc: pc + 1,
-                        remaining: times,
-                        off_acc,
-                        idx_acc,
-                        off_stride,
-                        idx_stride,
-                    });
+                    pc = past;
+                    continue;
                 }
-                StubOp::EndLoop => {
-                    let frame = lp.as_mut().ok_or(StubError::BadLoop)?;
-                    frame.remaining -= 1;
-                    if frame.remaining > 0 {
-                        off_acc = advanced(off_acc, frame.off_stride);
-                        idx_acc = advanced(idx_acc, frame.idx_stride);
-                        pc = frame.start_pc;
-                        continue;
-                    }
-                    off_acc = frame.off_acc;
-                    idx_acc = frame.idx_acc;
-                    lp = None;
-                }
+                // Moves the op after it inside a loop; nothing on its own.
+                StubOp::Step { .. } => {}
+                StubOp::EndLoop => return Err(StubError::BadLoop),
                 StubOp::Ret { val } => {
                     count_op(counts, 0);
-                    return Ok(Outcome::Done {
-                        ret: val,
-                        wire_len: prog.wire_len,
-                    });
+                    return Ok(Some(Outcome::Done { ret: val, wire_len }));
                 }
                 StubOp::PutImm { .. } | StubOp::PutScalar { .. } | StubOp::PutElem { .. } => {
                     return Err(StubError::WrongDirection("put in decode"))
@@ -536,10 +556,7 @@ pub fn run_decode(
         }
         pc += 1;
     }
-    Ok(Outcome::Done {
-        ret: 1,
-        wire_len: prog.wire_len,
-    })
+    Ok(None)
 }
 
 /// What a bulk step reports when its element run, starting at `i0`, does

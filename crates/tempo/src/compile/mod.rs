@@ -1,26 +1,32 @@
-//! Compilation of residual IR into flat stub programs.
+//! Compilation of residual IR into stub programs.
 //!
 //! The paper compiles Tempo's residual C with `gcc -O2` and links it in
 //! place of the generic routines. Our analog compiles the residual IR into
-//! a [`StubProgram`] — a flat sequence of micro-ops executed by a tight
-//! loop against real buffers and argument memory. This is the code that the
-//! benchmarks race against the generic micro-layer implementation in
-//! `specrpc-xdr`.
+//! a [`StubProgram`] — a short sequence of micro-ops executed against real
+//! buffers and argument memory. This is the code that the benchmarks race
+//! against the generic micro-layer implementation in `specrpc-xdr`.
 //!
-//! The compiler also implements the **bounded loop re-chunking** of the
-//! paper's Table 4: full unrolling produces one op per array element; with
-//! [`CompileOptions::chunk`] set, runs of element ops are re-rolled into a
-//! [`StubOp::Loop`] whose body is `chunk` ops, keeping the working set of
-//! stub code within instruction-cache-like capacity. In the paper that
-//! re-roll was performed by hand (§5, Table 4); here it is *derived*: the
-//! specializer proves a marshaling loop affine and hands over one residual
-//! `for` with constant bounds, and the compiler folds each offset and
-//! element index in its body to `constant + coefficient · i` and writes
-//! out the ops of every iteration by arithmetic, not by walking n residual
-//! statements. [`StubProgram::ops`] is therefore exactly what compiling
-//! the fully unrolled residual gives — it still stands for the *code* of
-//! Tables 3 and 4 (one op per unrolled store, the input of the code-size
-//! model and of re-chunking), while the plan built from it is what runs.
+//! A stub's size belongs to the shape of its message, not to the length of
+//! its arrays. The specializer proves a marshaling loop affine and hands
+//! over one residual `for` with constant bounds; the compiler folds each
+//! offset and element index in its body to `constant + step · i` and emits
+//! **one** [`StubOp::Loop`] over those template ops — the trip count, and a
+//! [`StubOp::Step`] per template. Nothing is written out per element: a
+//! residual that arrives already unrolled (short arrays, the reference
+//! specializer, a loop the specializer could not prove) is folded back as
+//! it is compiled, each store that continues the element run the program
+//! ends in extending that run's loop by one trip, so both spellings of a
+//! message compile to the same program.
+//!
+//! What the loop *stands for* is the code of the paper's Tables 3 and 4:
+//! full unrolling writes one op per trip, and the **bounded unrolling** of
+//! Table 4 ([`CompileOptions::chunk`], 250 in the paper, re-rolled there by
+//! hand) keeps `chunk` copies of an element store inside a loop and the
+//! left-over trips after it. That bound is a parameter of the op
+//! (`unroll`), and [`StubProgram::len`] / [`StubProgram::code_size_bytes`]
+//! are arithmetic over (templates, trips, bound). What *runs* is the plan:
+//! a loop over one contiguous element store becomes a single bulk kernel
+//! call, any other loop is iterated by the executor.
 
 use crate::ir::{BinOp, Expr, Function, LValue, Program, Stmt, Type, UnOp, VarId};
 use specrpc_xdr::OpCounts;
@@ -96,13 +102,22 @@ impl StubConventions {
 /// Compilation options.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct CompileOptions {
-    /// If set, re-roll runs of more than `2 × chunk` element ops into a
-    /// loop with a `chunk`-op body (Table 4's bounded unrolling).
+    /// Table 4's bounded unrolling: an element run of at least `2 × chunk`
+    /// trips is modeled as a loop with a `chunk`-op body; `None` unrolls
+    /// every loop in full.
     pub chunk: Option<usize>,
 }
 
-/// One stub micro-op. Offsets are absolute at rest; inside a
-/// [`StubOp::Loop`] the executor adds the loop's accumulators.
+impl CompileOptions {
+    /// The bound as [`StubOp::Loop`] carries it (0 = none).
+    fn unroll(self) -> u32 {
+        self.chunk
+            .map_or(0, |c| u32::try_from(c.max(1)).unwrap_or(u32::MAX))
+    }
+}
+
+/// One stub micro-op. Offsets and indices are those of a loop's first trip;
+/// a [`StubOp::Step`] in front of an op moves them in later ones.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum StubOp {
     /// Store a pre-byteswapped constant word (the procedure id, static
@@ -183,17 +198,26 @@ pub enum StubOp {
         /// Expected message length in bytes.
         expected: u32,
     },
-    /// Repeat the next `body` ops `times` times, advancing the offset and
-    /// index accumulators each iteration.
+    /// Run the `body` ops up to the matching [`StubOp::EndLoop`] `times`
+    /// times — the stub *is* this loop, however the code it models is
+    /// laid out (see [`StubProgram::len`]).
     Loop {
-        /// Iteration count.
+        /// Trip count.
         times: u32,
-        /// Number of body ops following this op.
+        /// Number of body ops following this op ([`StubOp::Step`]s
+        /// included).
         body: u32,
-        /// Bytes added to the offset accumulator per iteration.
-        off_stride: u32,
-        /// Elements added to the index accumulator per iteration.
-        idx_stride: u32,
+        /// Table 4's bound on the modeled unrolling (0 = unrolled in
+        /// full): the compiler sets it on element runs only.
+        unroll: u32,
+    },
+    /// The next op's buffer offset and element index advance by this much
+    /// per trip of the enclosing loop.
+    Step {
+        /// Bytes per trip.
+        off: i32,
+        /// Elements per trip.
+        idx: i32,
     },
     /// Loop body terminator.
     EndLoop,
@@ -204,55 +228,39 @@ pub enum StubOp {
     },
 }
 
-impl StubOp {
-    /// This op `by_off` bytes further into the buffer and `by_idx` elements
-    /// further into its array (whichever of the two it has); the caller
-    /// has checked that both stay in range.
-    fn advanced(mut self, by_off: i64, by_idx: i64) -> StubOp {
-        use StubOp::*;
-        if let PutElem { idx, .. } | GetElem { idx, .. } = &mut self {
-            *idx = (*idx as i64 + by_idx) as u32;
-        }
-        if let PutImm { off, .. }
-        | PutScalar { off, .. }
-        | PutElem { off, .. }
-        | GetScalar { off, .. }
-        | GetElem { off, .. }
-        | CheckWord { off, .. } = &mut self
-        {
-            *off = (*off as i64 + by_off) as u32;
-        }
-        self
-    }
+/// Whether Table 4's bound re-rolls a loop of `times` trips: `unroll`
+/// copies of the body between a loop header and its terminator, the
+/// `times % unroll` left-over trips straight-line after them. Fewer than
+/// two chunks, or no bound, and the loop is written out in full.
+fn rolled(times: u32, unroll: u32) -> bool {
+    unroll != 0 && times as u64 >= 2 * unroll as u64
 }
 
 /// One step of the precompiled monomorphic execution plan.
 ///
-/// The interpretive executor pays one `match` plus slot/bounds lookups per
-/// [`StubOp`] — a small residue of dispatch the paper's compiled residual
-/// C does not have (`gcc -O2` emits straight-line stores). The plan is the
-/// analog of that final compilation step: contiguous element runs (and
-/// bounded loops whose body is one contiguous run) are *fused* into single
-/// bulk micro-ops, so the hot path is one bounds check and one
-/// byte-swapping block copy per array instead of per element. Pieces that
-/// adjoin in wire offset and element index (a chunked program's fused loop
-/// and its straight-line remainder) merge into one step, a decode's
-/// `SetArrLen` followed by a bulk get of the whole array becomes a
-/// [`PlanOp::BulkFill`] that writes each element once instead of
-/// zero-filling it first, and a run of `GetScalar`s over consecutive
-/// words and slots (the decoded message header) is one
-/// [`PlanOp::GetScalars`]. Fusion is purely a representation change — wire
-/// bytes and [`OpCounts`] accounting are identical to executing the
-/// underlying ops one by one; only a failing step reports the offset of
-/// the fused run's start, not of the element that fell outside.
+/// Iterating a loop op by op pays one `match` plus slot/bounds lookups per
+/// element — a residue of dispatch the paper's compiled residual C does
+/// not have (`gcc -O2` emits straight-line stores). The plan is the analog
+/// of that final compilation step: a loop whose one template is a
+/// contiguous element store maps to a single bulk micro-op, so the hot
+/// path is one bounds check and one byte-swapping block copy per array
+/// instead of per element. A decode's `SetArrLen` followed by the bulk get
+/// of the whole array becomes a [`PlanOp::BulkFill`] that writes each
+/// element once instead of zero-filling it first, and a run of
+/// `GetScalar`s over consecutive words and slots (the decoded message
+/// header) is one [`PlanOp::GetScalars`]. Fusion is purely a
+/// representation change — wire bytes and [`OpCounts`] accounting are
+/// identical to executing the underlying ops one by one; only a failing
+/// step reports the offset of the fused run's start, not of the element
+/// that fell outside.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum PlanOp {
     /// A single micro-op, executed exactly as the interpreter would.
     Op(StubOp),
     /// Fused encode of `n` consecutive elements of array `arr` starting at
     /// element `idx`, wire offset `off`. `ops` is the number of stub ops
-    /// this step accounts for (`n`, plus one when a loop header was
-    /// absorbed).
+    /// this step accounts for (`n`, plus one for the header of a re-rolled
+    /// loop).
     BulkPut {
         /// Buffer byte offset of the first element.
         off: u32,
@@ -309,8 +317,9 @@ pub enum PlanOp {
 /// A compiled stub: the runtime form of the residual function.
 #[derive(Debug, Clone)]
 pub struct StubProgram {
-    /// The micro-op sequence (the Table 3/4 "code" — kept for inspection,
-    /// code-size modeling, and the interpretive fallback).
+    /// The micro-op sequence: one op per scalar, guard and loop, so its
+    /// length follows the message's shape. The code of Tables 3 and 4 is
+    /// what it models ([`StubProgram::len`]), not how long it is.
     pub ops: Vec<StubOp>,
     /// The fused monomorphic plan the executor actually runs (built once
     /// at compile time from `ops`; empty only for hand-assembled
@@ -346,9 +355,39 @@ impl StubProgram {
             name,
         }
     }
-    /// Number of ops (the Table 3/4 "code size" proxy).
+
+    /// The same stub under another unroll bound: only what the element
+    /// runs are modeled as, and accounted for in [`OpCounts`], moves.
+    pub fn with_chunk(&self, chunk: Option<usize>) -> Self {
+        let mut ops = self.ops.clone();
+        for (i, op) in ops.iter_mut().enumerate() {
+            if let (StubOp::Loop { unroll, .. }, Some(_)) = (op, Run::of_loop(&self.ops[i..])) {
+                *unroll = CompileOptions { chunk }.unroll();
+            }
+        }
+        StubProgram::from_ops(ops, self.name.clone())
+    }
+
+    /// Number of ops in the residual code the stub models (the Table 3/4
+    /// "code size" proxy): one per op outside a loop; a loop counts every
+    /// template once per trip, or — re-rolled under its `unroll` bound —
+    /// header, `unroll` copies of the body, terminator and the left-over
+    /// trips.
     pub fn len(&self) -> usize {
-        self.ops.len()
+        let (mut len, mut copies) = (0usize, 1usize);
+        for op in &self.ops {
+            match *op {
+                StubOp::Loop { times, unroll, .. } if rolled(times, unroll) => {
+                    len += 2;
+                    copies = (unroll + times % unroll) as usize;
+                }
+                StubOp::Loop { times, .. } => copies = times as usize,
+                StubOp::EndLoop => copies = 1,
+                StubOp::Step { .. } => {}
+                _ => len = len.saturating_add(copies),
+            }
+        }
+        len
     }
 
     /// Whether the program is empty.
@@ -362,7 +401,7 @@ impl StubProgram {
     pub fn code_size_bytes(&self) -> usize {
         const PROLOGUE: usize = 340;
         const PER_OP: usize = 40;
-        PROLOGUE + PER_OP * self.ops.len()
+        PROLOGUE + PER_OP * self.len()
     }
 }
 
@@ -407,16 +446,15 @@ pub fn compile(
         inlen_param: conv.inlen_param(),
         pending_len: std::collections::HashMap::new(),
         in_loop: None,
+        ops: Vec::new(),
+        run: None,
+        unroll: opts.unroll(),
     };
-    let mut ops = Vec::new();
-    c.compile_block(&f.body, &mut ops)?;
-    if !matches!(ops.last(), Some(StubOp::Ret { .. })) {
-        ops.push(StubOp::Ret { val: 1 });
+    c.compile_block(&f.body)?;
+    if !matches!(c.ops.last(), Some(StubOp::Ret { .. })) {
+        c.push(StubOp::Ret { val: 1 });
     }
-    if let Some(chunk) = opts.chunk {
-        ops = rechunk(ops, chunk.max(1));
-    }
-    Ok(StubProgram::from_ops(ops, f.name.clone()))
+    Ok(StubProgram::from_ops(c.ops, f.name.clone()))
 }
 
 struct Compiler<'a> {
@@ -431,19 +469,24 @@ struct Compiler<'a> {
     pending_len: std::collections::HashMap<u16, u32>,
     /// The residual `for` whose body is being compiled, if any.
     in_loop: Option<LoopCtx>,
+    /// The program so far.
+    ops: Vec<StubOp>,
+    /// The element run `ops` ends in, if it ends in one, and where in
+    /// `ops` it starts.
+    run: Option<(usize, Run)>,
+    /// The `unroll` bound element runs are given.
+    unroll: u32,
 }
 
 /// A residual counted loop with constant bounds, while its body is being
-/// compiled into one template op per statement.
+/// compiled into one [`StubOp::Step`] and one template op per statement.
 struct LoopCtx {
     /// Induction variable.
     var: VarId,
     /// Its first and last value (the loop runs at least once).
     first: i64,
     last: i64,
-    /// Per template op: what one iteration adds to its buffer offset and
-    /// to its element index.
-    steps: Vec<(i64, i64)>,
+    body: Vec<StubOp>,
 }
 
 /// `c + s·i` over the induction variable of the enclosing residual loop.
@@ -476,21 +519,21 @@ impl Affine {
 }
 
 impl<'a> Compiler<'a> {
-    fn compile_block(&mut self, stmts: &[Stmt], ops: &mut Vec<StubOp>) -> Result<(), CompileError> {
+    fn compile_block(&mut self, stmts: &[Stmt]) -> Result<(), CompileError> {
         for s in stmts {
-            self.compile_stmt(s, ops)?;
+            self.compile_stmt(s)?;
         }
         Ok(())
     }
 
-    fn compile_stmt(&mut self, s: &Stmt, ops: &mut Vec<StubOp>) -> Result<(), CompileError> {
+    fn compile_stmt(&mut self, s: &Stmt) -> Result<(), CompileError> {
         match s {
             Stmt::Assign(LValue::Buf32(ptr), rhs) => {
                 let (off, off_step) = self.buf_offset(ptr)?;
                 match rhs {
                     Expr::Const(c) => {
                         let word = *c as u32;
-                        self.emit(ops, StubOp::PutImm { off, word }, (off_step, 0));
+                        self.emit(StubOp::PutImm { off, word }, (off_step, 0));
                     }
                     Expr::Un(UnOp::Htonl, inner) => match inner.as_ref() {
                         Expr::Lv(lv) => {
@@ -504,7 +547,7 @@ impl<'a> Compiler<'a> {
                                     ))
                                 }
                             };
-                            self.emit(ops, op, (off_step, idx_step));
+                            self.emit(op, (off_step, idx_step));
                         }
                         other => {
                             return Err(CompileError::Unsupported(format!(
@@ -525,13 +568,13 @@ impl<'a> Compiler<'a> {
                 match (target, rhs) {
                     (PathRef::Scalar(slot), Expr::Const(c)) => {
                         let val = *c as i32;
-                        self.emit(ops, StubOp::SetScalarImm { slot, val }, (0, 0));
+                        self.emit(StubOp::SetScalarImm { slot, val }, (0, 0));
                         Ok(())
                     }
                     (PathRef::ArrayLen(arr), Expr::Const(c)) => {
                         let len = u32::try_from(*c)
                             .map_err(|_| CompileError::Unsupported(format!("array length {c}")))?;
-                        self.emit(ops, StubOp::SetArrLen { arr, len }, (0, 0));
+                        self.emit(StubOp::SetArrLen { arr, len }, (0, 0));
                         Ok(())
                     }
                     (target, Expr::Un(UnOp::Ntohl, inner)) => match inner.as_ref() {
@@ -554,7 +597,7 @@ impl<'a> Compiler<'a> {
                                         return Ok(());
                                     }
                                 };
-                                self.emit(ops, op, (off_step, idx_step));
+                                self.emit(op, (off_step, idx_step));
                                 Ok(())
                             }
                             other => Err(CompileError::Unsupported(format!(
@@ -576,31 +619,25 @@ impl<'a> Compiler<'a> {
                 "in a loop body: {other:?}"
             ))),
             Stmt::For { var, lo, hi, body } => match (lo, hi) {
-                (Expr::Const(lo), Expr::Const(hi)) => self.compile_loop(*var, *lo, *hi, body, ops),
+                (Expr::Const(lo), Expr::Const(hi)) => self.compile_loop(*var, *lo, *hi, body),
                 _ => Err(CompileError::Unsupported(format!(
                     "loop with bounds {lo:?}..{hi:?}"
                 ))),
             },
-            Stmt::If(cond, then, els) => self.compile_if(cond, then, els, ops),
+            Stmt::If(cond, then, els) => self.compile_if(cond, then, els),
             Stmt::Return(None) => {
-                ops.push(StubOp::Ret { val: 0 });
+                self.push(StubOp::Ret { val: 0 });
                 Ok(())
             }
             Stmt::Return(Some(Expr::Const(c))) => {
-                ops.push(StubOp::Ret { val: *c as i32 });
+                self.push(StubOp::Ret { val: *c as i32 });
                 Ok(())
             }
             other => Err(CompileError::Unsupported(format!("{other:?}"))),
         }
     }
 
-    fn compile_if(
-        &mut self,
-        cond: &Expr,
-        then: &[Stmt],
-        els: &[Stmt],
-        ops: &mut Vec<StubOp>,
-    ) -> Result<(), CompileError> {
+    fn compile_if(&mut self, cond: &Expr, then: &[Stmt], els: &[Stmt]) -> Result<(), CompileError> {
         // Pattern 1: the §6.2 inlen guard —
         //   if (inlen == EXPECTED) { fast path } else { return 0 }
         if let Expr::Bin(BinOp::Eq, a, b) = cond {
@@ -610,8 +647,8 @@ impl<'a> Compiler<'a> {
                         let expected = u32::try_from(*expected).map_err(|_| {
                             CompileError::Unsupported(format!("message length {expected}"))
                         })?;
-                        ops.push(StubOp::LenGuard { expected });
-                        return self.compile_block(then, ops);
+                        self.push(StubOp::LenGuard { expected });
+                        return self.compile_block(then);
                     }
                 }
             }
@@ -624,7 +661,7 @@ impl<'a> Compiler<'a> {
                     if let LValue::Buf32(ptr) = boxed.as_ref() {
                         if is_fail_block(then) && els.is_empty() {
                             let (off, _) = self.buf_offset(ptr)?;
-                            ops.push(StubOp::CheckWord {
+                            self.push(StubOp::CheckWord {
                                 off,
                                 want: *want as i32,
                             });
@@ -655,7 +692,7 @@ impl<'a> Compiler<'a> {
         };
         if let Some(lv) = path_lv {
             match self.resolve_path(lv)?.0 {
-                PathRef::Scalar(slot) => ops.push(StubOp::CheckScalar {
+                PathRef::Scalar(slot) => self.push(StubOp::CheckScalar {
                     slot,
                     want: want as i32,
                 }),
@@ -663,7 +700,7 @@ impl<'a> Compiler<'a> {
                     let off = self.pending_len.remove(&arr).ok_or_else(|| {
                         CompileError::Unsupported("length guard without decoded length".into())
                     })?;
-                    ops.push(StubOp::CheckWord {
+                    self.push(StubOp::CheckWord {
                         off,
                         want: want as i32,
                     });
@@ -673,7 +710,7 @@ impl<'a> Compiler<'a> {
                 }
             }
             if then_is_fast {
-                return self.compile_block(then, ops);
+                return self.compile_block(then);
             }
             return Ok(());
         }
@@ -682,56 +719,99 @@ impl<'a> Compiler<'a> {
         )))
     }
 
-    /// Push `op`; inside a residual loop it is a template, and `steps` is
-    /// what each iteration adds to its (buffer offset, element index).
-    fn emit(&mut self, ops: &mut Vec<StubOp>, op: StubOp, steps: (i64, i64)) {
-        if let Some(l) = &mut self.in_loop {
-            l.steps.push(steps);
+    /// Append `op`: to the body of the residual loop being compiled, as a
+    /// template that each trip moves by `steps` (buffer offset, element
+    /// index), or to the program.
+    fn emit(&mut self, op: StubOp, (off, idx): (i32, i32)) {
+        match &mut self.in_loop {
+            Some(l) => l.body.extend([StubOp::Step { off, idx }, op]),
+            None => self.push(op),
         }
-        ops.push(op);
     }
 
-    /// Compile `for (var = lo; var < hi; var++) body` by arithmetic: the
-    /// body becomes one template op per store, each with a per-iteration
-    /// step, and the ops of every iteration — exactly those the unrolled
-    /// residual compiles to — are written out from the templates. Every
-    /// offset and index is checked at both ends of the range (they are
-    /// linear in between) before anything is emitted.
+    /// Append `op` to the program; an element store is a run of one.
+    fn push(&mut self, op: StubOp) {
+        match Run::of_elem(&op) {
+            Some(run) => self.push_run(run),
+            None => {
+                self.run = None;
+                self.ops.push(op);
+            }
+        }
+    }
+
+    /// Append an element run. One that starts where the run the program
+    /// ends in stops is that run going on, however the residual spelled
+    /// the two — so the program has one loop per array whether the
+    /// specializer handed over a `for`, its unrolling, or some of each.
+    fn push_run(&mut self, run: Run) {
+        let joined = self
+            .run
+            .and_then(|(at, open)| Some((at, open.joined(run)?)));
+        let (at, run) = joined.unwrap_or((self.ops.len(), run));
+        self.ops.truncate(at);
+        if run.n == 1 {
+            self.ops.push(run.first());
+        } else {
+            let (times, unroll) = (run.n, self.unroll);
+            let header = StubOp::Loop {
+                times,
+                body: 2,
+                unroll,
+            };
+            self.ops
+                .extend([header, Run::STEP, run.first(), StubOp::EndLoop]);
+        }
+        self.run = Some((at, run));
+    }
+
+    /// Compile `for (var = lo; var < hi; var++) body` into one loop op:
+    /// the body becomes one template op per store, each behind the step a
+    /// trip moves it by, whatever the trip count. Every offset and index
+    /// is checked at both ends of the range (they are linear in between)
+    /// as its template is compiled.
     fn compile_loop(
         &mut self,
         var: VarId,
         lo: i64,
         hi: i64,
         body: &[Stmt],
-        ops: &mut Vec<StubOp>,
     ) -> Result<(), CompileError> {
         if lo >= hi {
             return Ok(());
         }
-        let trips = hi.checked_sub(lo).and_then(|t| usize::try_from(t).ok());
-        let trips = trips.ok_or_else(|| CompileError::Unsupported(format!("loop {lo}..{hi}")))?;
+        let unsupported = || CompileError::Unsupported(format!("loop {lo}..{hi}"));
+        let trips = hi.checked_sub(lo).and_then(|t| u32::try_from(t).ok());
+        let times = trips.ok_or_else(unsupported)?;
         self.in_loop = Some(LoopCtx {
             var,
             first: lo,
             last: hi - 1,
-            steps: Vec::new(),
+            body: Vec::new(),
         });
-        let mut templates = Vec::new();
-        let compiled = self.compile_block(body, &mut templates);
-        let ctx = self.in_loop.take().expect("set above");
+        let compiled = self.compile_block(body);
+        let LoopCtx { body, .. } = self.in_loop.take().expect("set above");
         compiled?;
-        // A trip count no program holds is an error here, not an abort.
-        let total = trips.checked_mul(templates.len());
-        if total.is_none_or(|n| ops.try_reserve(n).is_err()) {
-            return Err(CompileError::Unsupported(format!("loop {lo}..{hi}")));
-        }
-        if templates.is_empty() {
-            return Ok(());
-        }
-        for k in 0..trips as i64 {
-            for (op, (off_step, idx_step)) in templates.iter().zip(&ctx.steps) {
-                ops.push(op.advanced(k * off_step, k * idx_step));
-            }
+        let run = match body[..] {
+            [Run::STEP, elem] => Run::of_elem(&elem),
+            _ => None,
+        };
+        if times == 1 {
+            // One trip is the body itself.
+            let stores = body.iter().filter(|op| !matches!(op, StubOp::Step { .. }));
+            stores.for_each(|op| self.push(*op));
+        } else if let Some(run) = run {
+            self.push_run(Run { n: times, ..run });
+        } else if !body.is_empty() {
+            self.run = None;
+            let header = StubOp::Loop {
+                times,
+                body: u32::try_from(body.len()).map_err(|_| unsupported())?,
+                unroll: 0,
+            };
+            self.ops.push(header);
+            self.ops.extend(body);
+            self.ops.push(StubOp::EndLoop);
         }
         Ok(())
     }
@@ -763,18 +843,19 @@ impl<'a> Compiler<'a> {
     /// The value of `a` in the first iteration of the enclosing loop (or
     /// simply its value outside one) converted with `conv`, and its
     /// per-iteration step; `None` if either end of the range overflows or
-    /// fails to convert.
-    fn over_range<T>(&self, a: Affine, conv: impl Fn(i64) -> Option<T>) -> Option<(T, i64)> {
+    /// fails to convert, or the step between them is no [`StubOp::Step`].
+    fn over_range<T>(&self, a: Affine, conv: impl Fn(i64) -> Option<T>) -> Option<(T, i32)> {
         let (first, last) = self.in_loop.as_ref().map_or((0, 0), |l| (l.first, l.last));
         conv(a.at(last)?)?;
-        Some((conv(a.at(first)?)?, a.s))
+        let step = if first == last { 0 } else { a.s };
+        Some((conv(a.at(first)?)?, i32::try_from(step).ok()?))
     }
 
     /// Fold a buffer-pointer expression to `buf + constant` — inside a
     /// residual loop, to the offset in its first iteration plus a
     /// per-iteration step — refusing anything that leaves `u32` anywhere
     /// in the range.
-    fn buf_offset(&self, e: &Expr) -> Result<(u32, i64), CompileError> {
+    fn buf_offset(&self, e: &Expr) -> Result<(u32, i32), CompileError> {
         let buf = self.buf_param.ok_or(CompileError::MissingParam("buffer"))?;
         self.fold_ptr(e, buf)
             .and_then(|a| self.over_range(a, |o| u32::try_from(o).ok()))
@@ -798,7 +879,7 @@ impl<'a> Compiler<'a> {
 
     /// Resolve an argument lvalue path to its [`StubArgs`] target, plus
     /// the per-iteration step of an element index inside a residual loop.
-    fn resolve_path(&self, lv: &LValue) -> Result<(PathRef, i64), CompileError> {
+    fn resolve_path(&self, lv: &LValue) -> Result<(PathRef, i32), CompileError> {
         // Scalar residual params (e.g. xid): Lv(Var p).
         if let LValue::Var(v) = lv {
             return match self.conv.params.get(*v) {
@@ -923,68 +1004,8 @@ fn is_fail_block(stmts: &[Stmt]) -> bool {
     )
 }
 
-/// Re-roll long runs of consecutive element ops into bounded loops
-/// (Table 4).
-fn rechunk(ops: Vec<StubOp>, chunk: usize) -> Vec<StubOp> {
-    let mut out = Vec::with_capacity(ops.len());
-    let mut i = 0;
-    while i < ops.len() {
-        let run = elem_run_len(&ops[i..]);
-        if run >= 2 * chunk {
-            let times = run / chunk;
-            out.push(StubOp::Loop {
-                times: times as u32,
-                body: chunk as u32,
-                off_stride: 4 * chunk as u32,
-                idx_stride: chunk as u32,
-            });
-            out.extend_from_slice(&ops[i..i + chunk]);
-            out.push(StubOp::EndLoop);
-            // Remainder elements stay straight-line; their offsets in `ops`
-            // are already absolute.
-            let consumed = times * chunk;
-            out.extend_from_slice(&ops[i + consumed..i + run]);
-            i += run;
-        } else {
-            out.push(ops[i]);
-            i += 1;
-        }
-    }
-    out
-}
-
-/// Length of the maximal run of `PutElem`/`GetElem` ops starting at
-/// `ops[0]` with stride-4 offsets, stride-1 indices, same array and kind.
-fn elem_run_len(ops: &[StubOp]) -> usize {
-    fn key(op: &StubOp) -> Option<(bool, u16, u32, u32)> {
-        match op {
-            StubOp::PutElem { off, arr, idx } => Some((true, *arr, *off, *idx)),
-            StubOp::GetElem { off, arr, idx } => Some((false, *arr, *off, *idx)),
-            _ => None,
-        }
-    }
-    let Some((kind, arr, off0, idx0)) = ops.first().and_then(key) else {
-        return 0;
-    };
-    let mut n = 1;
-    while n < ops.len() {
-        match key(&ops[n]) {
-            Some((k, a, o, ix))
-                if k == kind
-                    && a == arr
-                    && o as u64 == off0 as u64 + 4 * n as u64
-                    && ix as u64 == idx0 as u64 + n as u64 =>
-            {
-                n += 1
-            }
-            _ => break,
-        }
-    }
-    n
-}
-
-/// A contiguous element run as the planner sees it: direction, first wire
-/// offset, array, first element, element count, stub ops accounted.
+/// A contiguous element run: direction, first wire offset, array, first
+/// element, element count — stride-4 offsets, stride-1 indices.
 #[derive(Clone, Copy)]
 struct Run {
     put: bool,
@@ -992,12 +1013,14 @@ struct Run {
     arr: u16,
     idx: u32,
     n: u32,
-    ops: u32,
 }
 
 impl Run {
-    /// The run starting at element op `op`, `n` elements long.
-    fn starting_at(op: &StubOp, n: u32, ops: u32) -> Option<Run> {
+    /// What moves an element store from one element to the next.
+    const STEP: StubOp = StubOp::Step { off: 4, idx: 1 };
+
+    /// The run of one that element op `op` is.
+    fn of_elem(op: &StubOp) -> Option<Run> {
         let (put, off, arr, idx) = match *op {
             StubOp::PutElem { off, arr, idx } => (true, off, arr, idx),
             StubOp::GetElem { off, arr, idx } => (false, off, arr, idx),
@@ -1008,71 +1031,82 @@ impl Run {
             off,
             arr,
             idx,
-            n,
-            ops,
+            n: 1,
         })
     }
 
-    fn into_step(self) -> PlanOp {
+    /// The run the loop `ops` starts with amounts to, when its one
+    /// template is an element store that each trip moves to the next
+    /// element.
+    fn of_loop(ops: &[StubOp]) -> Option<Run> {
+        match *ops {
+            [StubOp::Loop { times, body: 2, .. }, Run::STEP, elem, StubOp::EndLoop, ..]
+                if times > 0 =>
+            {
+                Some(Run {
+                    n: times,
+                    ..Run::of_elem(&elem)?
+                })
+            }
+            _ => None,
+        }
+    }
+
+    /// The store of the run's first element.
+    fn first(self) -> StubOp {
+        let Run { off, arr, idx, .. } = self;
+        if self.put {
+            StubOp::PutElem { off, arr, idx }
+        } else {
+            StubOp::GetElem { off, arr, idx }
+        }
+    }
+
+    /// This run and `next` as one, when `next` — same direction, same
+    /// array — starts, in wire offset and in element index, exactly where
+    /// this one ends.
+    fn joined(self, next: Run) -> Option<Run> {
+        let adjoins = (self.put, self.arr) == (next.put, next.arr)
+            && self.off as u64 + 4 * self.n as u64 == next.off as u64
+            && self.idx as u64 + self.n as u64 == next.idx as u64;
+        let n = self.n.checked_add(next.n).filter(|_| adjoins)?;
+        Some(Run { n, ..self })
+    }
+
+    /// The bulk step that runs `self`, accounting for `ops` stub ops —
+    /// together with a `SetArrLen` to its exact length just before it, if
+    /// it decodes a whole array, one fill.
+    fn plan(self, ops: u32, plan: &mut Vec<PlanOp>) {
         let Run {
             put,
             off,
             arr,
             idx,
             n,
-            ops,
         } = self;
-        if put {
-            PlanOp::BulkPut {
-                off,
-                arr,
-                idx,
-                n,
-                ops,
+        let sized = PlanOp::Op(StubOp::SetArrLen { arr, len: n });
+        let whole = !put && idx == 0 && plan.last() == Some(&sized);
+        let step = match ops.checked_add(1).filter(|_| whole) {
+            Some(ops) => {
+                plan.pop();
+                PlanOp::BulkFill { off, arr, n, ops }
             }
-        } else {
-            PlanOp::BulkGet {
+            None if put => PlanOp::BulkPut {
                 off,
                 arr,
                 idx,
                 n,
                 ops,
-            }
-        }
-    }
-
-    /// Grow the plan's last step by this run when that step is a bulk op
-    /// of the same direction and array that ends, in wire offset and in
-    /// element index, exactly where this run starts.
-    fn extends_last(self, plan: &mut [PlanOp]) -> bool {
-        let (off, arr, idx, n, ops) = match plan.last_mut() {
-            Some(PlanOp::BulkPut {
+            },
+            None => PlanOp::BulkGet {
                 off,
                 arr,
                 idx,
                 n,
                 ops,
-            }) if self.put => (off, arr, idx, n, ops),
-            Some(PlanOp::BulkGet {
-                off,
-                arr,
-                idx,
-                n,
-                ops,
-            }) if !self.put => (off, arr, idx, n, ops),
-            _ => return false,
+            },
         };
-        let adjoins = *arr == self.arr
-            && *off as u64 + 4 * *n as u64 == self.off as u64
-            && *idx as u64 + *n as u64 == self.idx as u64;
-        match (adjoins, n.checked_add(self.n), ops.checked_add(self.ops)) {
-            (true, Some(merged_n), Some(merged_ops)) => {
-                *n = merged_n;
-                *ops = merged_ops;
-                true
-            }
-            _ => false,
-        }
+        plan.push(step);
     }
 }
 
@@ -1091,113 +1125,50 @@ fn scalar_run_len(ops: &[StubOp]) -> usize {
         .expect("a run ends where the ops do")
 }
 
-/// Fuse a flat op sequence into the monomorphic execution plan:
-/// contiguous element runs become bulk ops, a bounded loop whose body is
-/// exactly one contiguous element run (what [`rechunk`] emits) is
-/// collapsed into a single bulk op covering all iterations, adjoining
-/// bulk ops merge, `SetArrLen` + whole-array bulk get becomes a
-/// [`PlanOp::BulkFill`], and contiguous `GetScalar` runs become
-/// [`PlanOp::GetScalars`].
+/// Map a program to the monomorphic execution plan, op for op: a loop
+/// that is one contiguous element run becomes a bulk op covering all its
+/// trips (with the `SetArrLen` before it, a [`PlanOp::BulkFill`]), any
+/// other loop is kept verbatim for the executor to iterate, and contiguous
+/// `GetScalar` runs become [`PlanOp::GetScalars`]. Set-up work: inlined
+/// into the executors (which plan a hand-assembled program on the fly) it
+/// costs every run of every stub a larger frame, hence never.
+#[inline(never)]
 pub(crate) fn build_plan(ops: &[StubOp]) -> Vec<PlanOp> {
     let mut plan = Vec::new();
     let mut i = 0;
     while i < ops.len() {
-        if let StubOp::Loop {
-            times,
-            body,
-            off_stride,
-            idx_stride,
-        } = ops[i]
-        {
+        if let StubOp::Loop { times, unroll, .. } = ops[i] {
             let Some(end) = loop_end(ops, i) else {
                 // Malformed loop structure: keep everything verbatim so the
                 // executor reports the same BadLoop the interpreter would.
                 plan.extend(ops[i..].iter().copied().map(PlanOp::Op));
                 return plan;
             };
-            let fused = fused_loop(&ops[i + 1..end], times, body, off_stride, idx_stride);
-            match fused {
-                Some(run) => {
-                    if !run.extends_last(&mut plan) {
-                        plan.push(run.into_step());
-                    }
-                }
+            // What iterating it costs: one op per trip, plus the header
+            // when the modeled code has one.
+            let cost = times.checked_add(rolled(times, unroll) as u32);
+            match (Run::of_loop(&ops[i..]), cost) {
+                (Some(run), Some(cost)) => run.plan(cost, &mut plan),
                 // Copy loop + body + EndLoop verbatim: `body` keeps meaning
                 // "plan steps" because nothing inside is fused.
-                None => plan.extend(ops[i..=end].iter().copied().map(PlanOp::Op)),
+                _ => plan.extend(ops[i..=end].iter().copied().map(PlanOp::Op)),
             }
             i = end + 1;
-            continue;
-        }
-        if let (StubOp::GetScalar { off, slot }, n @ 2..) = (ops[i], scalar_run_len(&ops[i..])) {
+        } else if let (StubOp::GetScalar { off, slot }, n @ 2..) =
+            (ops[i], scalar_run_len(&ops[i..]))
+        {
             plan.push(PlanOp::GetScalars {
                 off,
                 slot,
                 n: n as u32,
             });
             i += n;
-            continue;
+        } else {
+            plan.push(PlanOp::Op(ops[i]));
+            i += 1;
         }
-        let len = elem_run_len(&ops[i..]);
-        match Run::starting_at(&ops[i], len as u32, len as u32) {
-            Some(run) if run.extends_last(&mut plan) => {}
-            Some(run) if len >= 2 => plan.push(run.into_step()),
-            _ => plan.push(PlanOp::Op(ops[i])),
-        }
-        i += len.max(1);
     }
-    fuse_fills(plan)
-}
-
-/// The single run a loop over `body_ops` amounts to, when its body is one
-/// contiguous element run and each iteration starts where the last ended.
-fn fused_loop(
-    body_ops: &[StubOp],
-    times: u32,
-    body: u32,
-    off_stride: u32,
-    idx_stride: u32,
-) -> Option<Run> {
-    let tiles = times > 0
-        && elem_run_len(body_ops) == body_ops.len()
-        && off_stride as u64 == 4 * body as u64
-        && idx_stride == body;
-    if !tiles {
-        return None;
-    }
-    let n = times.checked_mul(body)?;
-    // Interpretive cost of the loop: one op for the header plus one per
-    // executed element (EndLoop is not counted).
-    Run::starting_at(body_ops.first()?, n, n.checked_add(1)?)
-}
-
-/// Replace each `SetArrLen { arr, len }` directly followed by the bulk get
-/// of `arr`'s elements `0..len` by one [`PlanOp::BulkFill`]. Both steps are
-/// top-level (bulk ops never sit inside a verbatim loop), so no loop's
-/// `body` count is disturbed.
-fn fuse_fills(plan: Vec<PlanOp>) -> Vec<PlanOp> {
-    let mut out: Vec<PlanOp> = Vec::with_capacity(plan.len());
-    for step in plan {
-        if let (
-            Some(&PlanOp::Op(StubOp::SetArrLen { arr: sized, len })),
-            PlanOp::BulkGet {
-                off,
-                arr,
-                idx: 0,
-                n,
-                ops,
-            },
-        ) = (out.last(), step)
-        {
-            if let (true, Some(ops)) = ((sized, len) == (arr, n), ops.checked_add(1)) {
-                out.pop();
-                out.push(PlanOp::BulkFill { off, arr, n, ops });
-                continue;
-            }
-        }
-        out.push(step);
-    }
-    out
+    plan
 }
 
 /// Index of the `EndLoop` closing the `Loop` at `ops[i]`, or `None` when
@@ -1210,36 +1181,26 @@ fn loop_end(ops: &[StubOp], i: usize) -> Option<usize> {
     matches!(ops.get(end), Some(StubOp::EndLoop)).then_some(end)
 }
 
-/// Static wire length: the highest byte any op touches. A loop whose body
-/// reaches past the end of the program is walked as far as the program
-/// goes (the executor reports it as `BadLoop`).
+/// Static wire length: the highest byte any op touches in any trip of its
+/// loop. A loop whose body reaches past the end of the program is walked
+/// as far as the program goes (the executor reports it as `BadLoop`).
 fn wire_len(ops: &[StubOp]) -> usize {
-    let mut max = 0usize;
-    let mut i = 0;
-    while i < ops.len() {
-        match ops[i] {
-            StubOp::Loop {
-                times,
-                body,
-                off_stride,
-                ..
-            } => {
-                let grow = (off_stride as usize).saturating_mul((times as usize).saturating_sub(1));
-                let end = i.saturating_add(1).saturating_add(body as usize);
-                for op in &ops[i + 1..end.min(ops.len())] {
-                    if let Some(off) = op_offset(op) {
-                        max = max.max((off as usize).saturating_add(grow).saturating_add(4));
-                    }
-                }
-                i = end.saturating_add(1);
+    let (mut max, mut last_trip, mut grow) = (0usize, 0i64, 0usize);
+    for op in ops {
+        match *op {
+            StubOp::Loop { times, .. } => last_trip = times.saturating_sub(1) as i64,
+            StubOp::EndLoop => last_trip = 0,
+            StubOp::Step { off, .. } => {
+                // A store moving down the buffer reaches furthest first.
+                grow = usize::try_from(off as i64 * last_trip).unwrap_or(0);
+                continue;
             }
-            ref op => {
-                if let Some(off) = op_offset(op) {
-                    max = max.max((off as usize).saturating_add(4));
-                }
-                i += 1;
-            }
+            _ => {}
         }
+        if let Some(off) = op_offset(op) {
+            max = max.max((off as usize).saturating_add(grow).saturating_add(4));
+        }
+        grow = 0;
     }
     max
 }

@@ -77,31 +77,30 @@ fn compile_encode_shapes() {
     let (p, sid) = args_prog();
     let f = encode_residual(&p, sid);
     let stub = compile(&p, &f, &conventions(), CompileOptions::default()).unwrap();
-    assert_eq!(stub.ops.len(), 6, "{:?}", stub.ops);
+    // The four unrolled stores are one loop of four trips.
     assert_eq!(
-        stub.ops[0],
-        StubOp::PutImm {
-            off: 0,
-            word: (4u32).swap_bytes()
-        }
+        stub.ops,
+        vec![
+            StubOp::PutImm {
+                off: 0,
+                word: (4u32).swap_bytes()
+            },
+            StubOp::Loop {
+                times: 4,
+                body: 2,
+                unroll: 0
+            },
+            StubOp::Step { off: 4, idx: 1 },
+            StubOp::PutElem {
+                off: 4,
+                arr: 0,
+                idx: 0
+            },
+            StubOp::EndLoop,
+            StubOp::Ret { val: 1 },
+        ]
     );
-    assert_eq!(
-        stub.ops[1],
-        StubOp::PutElem {
-            off: 4,
-            arr: 0,
-            idx: 0
-        }
-    );
-    assert_eq!(
-        stub.ops[4],
-        StubOp::PutElem {
-            off: 16,
-            arr: 0,
-            idx: 3
-        }
-    );
-    assert_eq!(stub.ops[5], StubOp::Ret { val: 1 });
+    assert_eq!(stub.len(), 6, "one modeled op per store");
     assert_eq!(stub.wire_len, 20);
 }
 
@@ -174,8 +173,9 @@ fn compile_decode_with_guards() {
     assert_eq!(stub.ops[0], StubOp::LenGuard { expected: 20 });
     assert_eq!(stub.ops[1], StubOp::CheckWord { off: 0, want: 4 });
     assert_eq!(stub.ops[2], StubOp::SetArrLen { arr: 0, len: 4 });
+    assert!(matches!(stub.ops[3], StubOp::Loop { times: 4, .. }));
     assert!(matches!(
-        stub.ops[3],
+        stub.ops[5],
         StubOp::GetElem {
             off: 4,
             arr: 0,
@@ -288,26 +288,38 @@ fn big_conv(n: usize) -> StubConventions {
 }
 
 #[test]
-fn rechunk_rolls_runs_into_loops() {
+fn chunk_bounds_the_modeled_unrolling_not_the_program() {
     let n = 1000usize;
     let (p, sid) = big_prog(n);
     let f = big_encode_residual(sid, n);
     let full = compile(&p, &f, &big_conv(n), CompileOptions::default()).unwrap();
-    assert_eq!(full.ops.len(), n + 1);
+    assert_eq!(full.len(), n + 1);
 
     let chunked = compile(&p, &f, &big_conv(n), CompileOptions { chunk: Some(250) }).unwrap();
-    // Loop(4×250) + 250 body + EndLoop + Ret.
-    assert_eq!(chunked.ops.len(), 250 + 3, "{}", chunked.ops.len());
-    assert!(matches!(
+    // Models Loop(4×250) + 250 body + EndLoop + Ret.
+    assert_eq!(chunked.len(), 250 + 3);
+    assert_eq!(chunked.code_size_bytes(), 340 + 40 * 253);
+    // Either way the program is the loop, its header and one template.
+    assert_eq!(full.ops.len(), 5);
+    assert_eq!(
         chunked.ops[0],
         StubOp::Loop {
-            times: 4,
-            body: 250,
-            off_stride: 1000,
-            idx_stride: 250
+            times: 1000,
+            body: 2,
+            unroll: 250
         }
-    ));
+    );
+    assert_eq!(chunked.ops[1..], full.ops[1..]);
     assert_eq!(chunked.wire_len, full.wire_len);
+    // Re-bounding a compiled stub is compiling it with that bound.
+    for chunk in [None, Some(1), Some(250), Some(499), Some(500), Some(501)] {
+        let want = compile(&p, &f, &big_conv(n), CompileOptions { chunk }).unwrap();
+        for from in [&full, &chunked] {
+            let got = from.with_chunk(chunk);
+            assert_eq!((&got.ops, &got.plan), (&want.ops, &want.plan), "{chunk:?}");
+            assert_eq!(got.len(), want.len());
+        }
+    }
 }
 
 #[test]
@@ -335,7 +347,7 @@ fn chunk_one_keeps_a_plain_loop() {
     let f = big_encode_residual(sid, n);
     let s = compile(&p, &f, &big_conv(n), CompileOptions { chunk: Some(1) }).unwrap();
     // Loop(64×1) + 1 body op + EndLoop + Ret.
-    assert_eq!(s.ops.len(), 4);
+    assert_eq!(s.len(), 4);
 }
 
 #[test]
@@ -574,7 +586,7 @@ fn chunked_plan_merges_loop_and_remainder_into_one_step() {
     let conv = msg_conv(n);
     let opts = CompileOptions { chunk: Some(8) };
     let enc = compile(&p, &msg_encode(sid, n), &conv, opts).unwrap();
-    // Loop(2×8) + 4 remainder elements: header + 16 + 4 stub ops.
+    // Models Loop(2×8) + 4 left-over elements: header + 16 + 4 stub ops.
     assert!(enc.plan.contains(&PlanOp::BulkPut {
         off: 16,
         arr: 0,
@@ -630,13 +642,25 @@ fn decode_into_longer_slots_leaves_exactly_the_new_length() {
 
 #[test]
 fn partly_covered_set_arr_len_still_zero_fills_the_rest() {
-    let get = |off, idx| StubOp::GetElem { off, arr: 0, idx };
     let wire: Vec<u8> = (1..=4u32).flat_map(|w| w.to_be_bytes()).collect();
     // Six elements sized, four decoded; then four sized, the last three
     // decoded. Neither bulk get covers the array, so neither is a fill.
     for (len, first, want) in [(6, 0, vec![1, 2, 3, 4, 0, 0]), (4, 1, vec![0, 1, 2, 3])] {
-        let mut ops = vec![StubOp::SetArrLen { arr: 0, len }];
-        ops.extend((0..len.min(4) - first).map(|k| get(4 * k, first + k)));
+        let ops = vec![
+            StubOp::SetArrLen { arr: 0, len },
+            StubOp::Loop {
+                times: len.min(4) - first,
+                body: 2,
+                unroll: 0,
+            },
+            StubOp::Step { off: 4, idx: 1 },
+            StubOp::GetElem {
+                off: 0,
+                arr: 0,
+                idx: first,
+            },
+            StubOp::EndLoop,
+        ];
         let stub = StubProgram::from_ops(ops, "partial".into());
         assert!(matches!(stub.plan[0], PlanOp::Op(StubOp::SetArrLen { .. })));
         assert!(matches!(stub.plan[1], PlanOp::BulkGet { .. }));
@@ -698,10 +722,10 @@ fn encode_zeroes_the_bytes_no_op_writes() {
             StubOp::PutImm { off: 0, word: 1 },
             StubOp::Loop {
                 times: 2,
-                body: 1,
-                off_stride: 8,
-                idx_stride: 1,
+                body: 2,
+                unroll: 0,
             },
+            StubOp::Step { off: 8, idx: 1 },
             StubOp::PutElem {
                 off: 4,
                 arr: 0,
@@ -835,8 +859,7 @@ fn loop_reaching_past_the_end_constructs_and_reports_bad_loop() {
                         StubOp::Loop {
                             times,
                             body,
-                            off_stride: 4,
-                            idx_stride: 1,
+                            unroll: 0,
                         },
                         inner,
                     ],
@@ -863,8 +886,7 @@ fn loop_reaching_past_the_end_constructs_and_reports_bad_loop() {
             StubOp::Loop {
                 times: 3,
                 body: 0,
-                off_stride: 0,
-                idx_stride: 0,
+                unroll: 0,
             },
             StubOp::EndLoop,
         ],
@@ -876,34 +898,41 @@ fn loop_reaching_past_the_end_constructs_and_reports_bad_loop() {
 
 #[test]
 fn strides_no_buffer_could_hold_are_errors_not_wrapped_writes() {
-    let looped = |off_stride, idx_stride, inner: StubOp| {
+    let looped = |off: i32, idx: i32, inner: StubOp| {
         StubProgram::from_ops(
             vec![
                 StubOp::Loop {
                     times: 3,
-                    body: 1,
-                    off_stride,
-                    idx_stride,
+                    body: 2,
+                    unroll: 0,
                 },
+                StubOp::Step { off, idx },
                 inner,
                 StubOp::EndLoop,
             ],
             "wide".into(),
         )
     };
-    // 4 + u32::MAX wraps to 3 in 32-bit arithmetic.
-    let enc = looped(u32::MAX, 0, StubOp::PutImm { off: 4, word: !0 });
+    // The widest step there is: the second trip lands 2 GiB on.
+    let enc = looped(i32::MAX, 0, StubOp::PutImm { off: 4, word: !0 });
     let mut image = [0u8; 16];
     let err = run_encode(&enc, &mut image, &StubArgs::default(), &mut OpCounts::new()).unwrap_err();
     assert_eq!(
         err,
         StubError::BufTooSmall {
-            off: 4 + u32::MAX as usize,
+            off: 4 + i32::MAX as usize,
             len: 16
         }
     );
-    assert_eq!(image[..4], [0; 4], "nothing stored at the wrapped offset");
     assert_eq!(image[4..8], [0xFF; 4], "the first iteration's store stands");
+    // A store walking down past the start of the buffer stops there: 4 − 8
+    // is no offset, not 2³² − 4 and not 12.
+    image = [0u8; 16];
+    let enc = looped(-8, 0, StubOp::PutImm { off: 4, word: !0 });
+    let err = run_encode(&enc, &mut image, &StubArgs::default(), &mut OpCounts::new()).unwrap_err();
+    assert!(matches!(err, StubError::BufTooSmall { off, len: 16 } if off > 16));
+    assert_eq!(image[4..8], [0xFF; 4]);
+    assert_eq!((&image[..4], &image[8..]), (&[0u8; 4][..], &[0u8; 8][..]));
 
     let elem = StubOp::PutElem {
         off: 0,
@@ -912,7 +941,7 @@ fn strides_no_buffer_could_hold_are_errors_not_wrapped_writes() {
     };
     let args = StubArgs::new(vec![], vec![vec![1, 2, 3]]);
     let err = run_encode(
-        &looped(0, u32::MAX, elem),
+        &looped(0, i32::MAX, elem),
         &mut image,
         &args,
         &mut OpCounts::new(),
@@ -922,14 +951,14 @@ fn strides_no_buffer_could_hold_are_errors_not_wrapped_writes() {
         err,
         StubError::BadElem {
             arr: 0,
-            idx: 2 + u32::MAX as usize,
+            idx: 2 + i32::MAX as usize,
             len: 3
         }
     );
 
     let wire = [0u8; 16];
     let mut out = StubArgs::new(vec![0], vec![vec![0; 3]]);
-    let dec = looped(u32::MAX, 0, StubOp::GetScalar { off: 4, slot: 0 });
+    let dec = looped(i32::MAX, 0, StubOp::GetScalar { off: 4, slot: 0 });
     let err = run_decode(&dec, &wire, &mut out, 16, &mut OpCounts::new()).unwrap_err();
     assert!(matches!(err, StubError::BufTooSmall { len: 16, .. }));
     let elem = StubOp::GetElem {
@@ -937,7 +966,7 @@ fn strides_no_buffer_could_hold_are_errors_not_wrapped_writes() {
         arr: 0,
         idx: 2,
     };
-    let dec = looped(0, u32::MAX, elem);
+    let dec = looped(0, i32::MIN, elem);
     let err = run_decode(&dec, &wire, &mut out, 16, &mut OpCounts::new()).unwrap_err();
     assert!(matches!(err, StubError::BadElem { arr: 0, len: 3, .. }));
 
@@ -1015,25 +1044,36 @@ fn residual_loop_offsets_are_affine_in_any_spelling() {
         |i| add(sub(i, c(2)), c(1)),
     );
     let stub = compile(&p, &f, &big_conv(16), CompileOptions::default()).unwrap();
-    let want: Vec<StubOp> = (0..4)
-        .map(|k| StubOp::PutElem {
-            off: 44 + 4 * k,
-            arr: 0,
-            idx: 1 + k,
-        })
-        .chain([StubOp::Ret { val: 1 }])
-        .collect();
-    assert_eq!(stub.ops, want);
+    let looped = |times, step, first| {
+        let header = StubOp::Loop {
+            times,
+            body: 2,
+            unroll: 0,
+        };
+        vec![header, step, first, StubOp::EndLoop, StubOp::Ret { val: 1 }]
+    };
+    let first = StubOp::PutElem {
+        off: 44,
+        arr: 0,
+        idx: 1,
+    };
+    assert_eq!(stub.ops, looped(4, StubOp::Step { off: 4, idx: 1 }, first));
     let f = loop_residual(sid, (0, 3), |i| sub(c(8), mul(i, c(4))), |i| sub(c(5), i));
     let stub = compile(&p, &f, &big_conv(16), CompileOptions::default()).unwrap();
+    let first = StubOp::PutElem {
+        off: 8,
+        arr: 0,
+        idx: 5,
+    };
     assert_eq!(
-        stub.ops[2],
-        StubOp::PutElem {
-            off: 0,
-            arr: 0,
-            idx: 3
-        }
+        stub.ops,
+        looped(3, StubOp::Step { off: -4, idx: -1 }, first)
     );
+    assert_eq!((stub.len(), stub.wire_len), (4, 12));
+    let args = StubArgs::new(vec![], vec![(0..16).collect()]);
+    let mut wire = [0xEEu8; 12];
+    run_encode(&stub, &mut wire, &args, &mut OpCounts::new()).unwrap();
+    assert_eq!(wire, [0, 0, 0, 3, 0, 0, 0, 4, 0, 0, 0, 5]);
     // A zero-trip loop compiles to nothing.
     let f = loop_residual(sid, (5, 5), |i| mul(i, c(4)), |i| i);
     let stub = compile(&p, &f, &big_conv(16), CompileOptions::default()).unwrap();

@@ -6,7 +6,8 @@
 //! 2. the residual client encoder for a 4-element array, twice: fully
 //!    unrolled (the Figure 5 analog — the reference specializer) and as
 //!    the one loop the specializer derives by proving the body affine,
-//! 3. the compiled micro-op program,
+//! 3. the compiled micro-op program — the loop is one op, whatever its
+//!    trip count,
 //! 4. the specialization report mapped to the paper's §3 categories —
 //!    including stub-cache effectiveness when the same context is
 //!    requested repeatedly,
@@ -16,12 +17,13 @@
 //!    paper's Table 4 samples at only {25, 250, full},
 //! 7. the tuner feedback loop: `ProcPipeline::with_icache_budget` fed
 //!    each platform's instruction-cache capacity picks the unroll bound
-//!    by itself (compiling trial stubs and measuring real residual code
-//!    sizes) — the sweep's conclusion turned into an automatic knob,
+//!    by itself (a stub's code size under any bound is arithmetic over
+//!    its loops) — the sweep's conclusion turned into an automatic knob,
 //! 8. what a specialization context costs to produce, 8…4096 elements:
-//!    specializer steps (deterministic) and wall time. Exits non-zero if
-//!    the 4096-element context burns more steps than the 8-element one —
-//!    specialization cost belongs to the shape, not to the array length.
+//!    specializer steps (deterministic), wall time and stub ops. Exits
+//!    non-zero if the 4096-element context burns more steps, or compiles
+//!    to more ops, than the 8-element one — specialization cost and stub
+//!    size belong to the shape, not to the array length.
 //!
 //! ```text
 //! cargo run --example specialization_report
@@ -34,7 +36,7 @@ use specrpc_netsim::platform::Platform;
 use specrpc_rpcgen::stubgen::{self, FieldShape, MsgShape, StubKind};
 use specrpc_rpcgen::sunlib::{self, xdr_fields};
 use specrpc_tempo::bta::{AVal, Bta};
-use specrpc_tempo::compile::{run_encode, StubArgs};
+use specrpc_tempo::compile::{run_encode, StubArgs, StubOp};
 use specrpc_tempo::ir::pretty;
 use specrpc_xdr::OpCounts;
 
@@ -115,12 +117,21 @@ fn main() {
     // ---- 3. Compiled stub ----
     let compiled = stubgen::specialize_stub(&gs, StubKind::ClientEncode, None).expect("compile");
     println!(
-        "\n-- compiled stub ({} ops, wire {} bytes) --\n",
+        "\n-- compiled stub ({} ops standing for {} of residual code, wire {} bytes) --\n",
+        compiled.program.ops.len(),
         compiled.program.len(),
         compiled.wire_len
     );
-    for (i, op) in compiled.program.ops.iter().enumerate() {
-        println!("  {i:>3}: {op:?}");
+    // A loop on one line: header, then its body up to the terminator.
+    let mut ops = compiled.program.ops.iter().enumerate();
+    while let Some((i, op)) = ops.next() {
+        print!("  {i:>3}: {op:?}");
+        if let StubOp::Loop { body, .. } = op {
+            let body = ops.by_ref().take(*body as usize + 1);
+            let body: Vec<_> = body.map(|(_, op)| format!("{op:?}")).collect();
+            print!(" [ {} ]", body.join("; "));
+        }
+        println!();
     }
 
     // ---- 4. Report in the paper's vocabulary, with cache counters ----
@@ -195,9 +206,9 @@ fn main() {
     // ---- 7. Feed the knee back: the pipeline picks its own bound ----
     println!("-- unroll auto-tuner: ProcPipeline::with_icache_budget picks the bound --");
     println!(
-        "   (budget = each platform's icache capacity; the pipeline compiles\n\
-         \u{20}   trial encode stubs and keeps the largest bound whose residual\n\
-         \u{20}   still fits — an explicit .with_chunk() always overrides it)\n"
+        "   (budget = each platform's icache capacity; the pipeline weighs\n\
+         \u{20}   its one encode stub under each bound and keeps the largest whose\n\
+         \u{20}   residual still fits — an explicit .with_chunk() always overrides it)\n"
     );
     for platform in Platform::all() {
         let budget = platform.costs().icache_capacity_bytes;
@@ -250,17 +261,31 @@ fn main() {
             .build_from_idl(specrpc::echo::ECHO_IDL, None, specrpc::echo::ECHO_PROC)
             .expect("pipeline");
         let wall = start.elapsed();
+        let stubs = [
+            &cp.client_encode,
+            &cp.client_decode,
+            &cp.server_decode,
+            &cp.server_encode,
+        ];
+        let ops: usize = stubs.iter().map(|s| s.program.ops.len()).sum();
         println!(
-            "    n={n:<5} steps {steps:>6}   parse + specialize + compile {:>6} µs   ({} ops)",
+            "    n={n:<5} steps {steps:>6}   parse + specialize + compile {:>6} µs   {ops} ops for {} of residual code",
             wall.as_micros(),
-            cp.client_encode.program.len()
+            stubs.iter().map(|s| s.program.len()).sum::<usize>()
         );
-        steps_at.push((n, steps));
+        steps_at.push((n, steps, ops));
     }
-    let (&(small, few), &(large, many)) = (steps_at.first().unwrap(), steps_at.last().unwrap());
+    let (&(small, few, short), &(large, many, long)) =
+        (steps_at.first().unwrap(), steps_at.last().unwrap());
     if many > few {
         eprintln!(
             "per-element specialization is back: n={large} burns {many} steps, n={small} {few}"
+        );
+        std::process::exit(1);
+    }
+    if long > short {
+        eprintln!(
+            "per-element stubs are back: n={large} compiles to {long} ops, n={small} {short}"
         );
         std::process::exit(1);
     }
