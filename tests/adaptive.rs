@@ -291,20 +291,31 @@ fn churn_scenario_meets_the_acceptance_bars() {
     let again = run_adaptive(&cfg).expect("re-run");
     assert_eq!(report.render(), again.render());
 
-    // The inline-compile baseline pays the stall the background pool
-    // removes: its worst cold call costs milliseconds of virtual time
-    // (the modeled Tempo run), far beyond any adaptive cold call.
+    // The inline-compile baseline put through the same two bars: every
+    // call rides the specialized stubs, and the worst of them — a first
+    // call that waits for its own Tempo run (`modeled_compile_ns`, fitted
+    // to the measured compile) — costs no more than the Tier-0 generic
+    // call the background pool would have served instead.
     let inline = run_adaptive(&cfg.clone().inline_compile()).expect("inline run");
+    assert!(inline.steady_hit_rate() >= 0.9);
     assert!(
-        inline.latency.max().as_nanos() >= 2_000_000,
-        "inline compile must stall a caller: max {}",
+        inline.latency.max().as_nanos() >= 270_000,
+        "an inline compile is charged to its caller: max {}",
         inline.latency.max()
     );
     assert!(
-        inline.latency.max() > report.cold_latency.max(),
-        "background compiles must beat the inline stall ({} vs {})",
-        inline.latency.max(),
-        report.cold_latency.max()
+        inline.latency.max().as_nanos() <= 2 * generic.as_nanos(),
+        "inline worst call {} exceeds 2x the generic p99 {generic}",
+        inline.latency.max()
+    );
+    // ROADMAP item 6's decision rule: end to end, compiling on first use
+    // is within 1% of the background tier.
+    let (inline_ns, tiered_ns) = (inline.elapsed.as_nanos(), report.elapsed.as_nanos());
+    assert!(
+        inline_ns.abs_diff(tiered_ns) * 100 <= tiered_ns,
+        "inline {} vs tiered {}",
+        inline.elapsed,
+        report.elapsed
     );
 }
 
