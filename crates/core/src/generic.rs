@@ -7,22 +7,6 @@ use specrpc_rpcgen::stubgen::{FieldShape, MsgShape};
 use specrpc_tempo::compile::StubArgs;
 use specrpc_xdr::{XdrResult, XdrStream};
 
-/// The `(scalar, array)` slot counts a shape's fields occupy in
-/// [`StubArgs`] — the same accounting the compiled stubs' layout uses
-/// (a var-array's length slot is a binding, not a scalar slot), so the
-/// pure-generic tier can size its slots without compiling anything.
-pub fn shape_counts(shape: &MsgShape) -> (usize, usize) {
-    let mut scalars = 0;
-    let mut arrays = 0;
-    for f in &shape.fields {
-        match f {
-            FieldShape::Scalar { .. } => scalars += 1,
-            FieldShape::VarIntArray { .. } | FieldShape::FixedIntArray { .. } => arrays += 1,
-        }
-    }
-    (scalars, arrays)
-}
-
 /// Decode a message shape through the generic micro-layers into StubArgs
 /// slots (shared by client fallback and server fallback).
 pub fn decode_shape_generic(

@@ -261,85 +261,17 @@
 //! [`scenario`]; run it via `cargo run --release --example
 //! million_clients`.
 //!
-//! # Adaptive specialization
-//!
-//! The paper specializes ahead of time; at an open-ended shape
-//! population a cold context would pay its Tempo run **inline on the
-//! calling path**. The [`adaptive`] subsystem turns the static model
-//! into tiered execution: [`AdaptiveClient`] /
-//! [`SpecService::proc_adaptive`] serve cold calls through the generic
-//! lane (**Tier-0** — byte-identical wire output, no stall), a
-//! configurable promotion policy ([`AdaptiveConfig::promote_after`])
-//! queues the context to the background [`Specializer`] compile pool,
-//! and the finished stub set is **atomically published** into the shared
-//! [`StubCache`] so in-flight callers hot-swap to **Tier-1** mid-stream
-//! without a reply byte changing. Eviction is cost-aware — weight =
-//! measured compile cost × recency-decayed hit rate
-//! ([`EvictionPolicy::CostAware`]) — and
-//! [`StubCache::compile_ahead_idl`] pre-seeds a cache from IDL at
-//! registration. Counters flow into the report via
-//! [`Summary::with_adaptive`].
-//!
-//! A cold Tier-0 call, then a hot-swapped specialized call:
-//!
-//! ```
-//! use specrpc::{
-//!     AdaptiveClient, AdaptiveConfig, AdaptiveProc, AdaptiveRuntime, ProcPipeline,
-//!     PublishMode, SpecService, TierUsed,
-//! };
-//! use specrpc_netsim::net::{Network, NetworkConfig};
-//! use specrpc_rpc::ClntUdp;
-//! use specrpc_tempo::compile::StubArgs;
-//!
-//! const IDL: &str = r#"
-//!     program INCPROG {
-//!         version INCVERS { int INC(int) = 1; } = 1;
-//!     } = 0x2000077a;
-//! "#;
-//!
-//! // Deterministic publication: compiles go live at drain() points.
-//! let runtime = AdaptiveRuntime::new(AdaptiveConfig::default().publish(PublishMode::OnDrain));
-//! let proc_ = AdaptiveProc::resolve(ProcPipeline::new(0), IDL, None, 1).unwrap();
-//!
-//! let net = Network::new(NetworkConfig::lan(), 1);
-//! SpecService::new()
-//!     .proc_adaptive(runtime.clone(), proc_.clone(), |args: &StubArgs| {
-//!         StubArgs::new(vec![args.scalars.last().unwrap() + 1], vec![])
-//!     })
-//!     .serve_udp(&net, 904);
-//!
-//! let transport = ClntUdp::create(&net, 5005, 904, 0x2000_077a, 1);
-//! let mut client = AdaptiveClient::new(transport, runtime.clone(), proc_);
-//!
-//! // Cold call: Tier-0 generic marshaling — no compile on the calling
-//! // path, the answer comes back immediately.
-//! let (out, tier) = client.call(&client.args(vec![41], vec![])).unwrap();
-//! assert_eq!(*out.scalars.last().unwrap(), 42);
-//! assert_eq!(tier, TierUsed::Generic);
-//!
-//! // The background compile finished; flip it live.
-//! runtime.drain();
-//!
-//! // Hot-swapped: the same client now marshals with compiled stubs —
-//! // same answer, same reply bytes, counted as exactly one hot swap.
-//! let (out, tier) = client.call(&client.args(vec![41], vec![])).unwrap();
-//! assert_eq!(*out.scalars.last().unwrap(), 42);
-//! assert_eq!(tier, TierUsed::Specialized);
-//! assert_eq!(runtime.stats().hot_swaps, 1);
-//! ```
-//!
 //! The [`echo`] module packages the paper's benchmark workload (a remote
 //! procedure exchanging integer arrays, §5 "The test program"); [`client`]
 //! and [`service`] hold the transport-agnostic facade; [`cache`] the
-//! shape-keyed specialization cache; [`adaptive`] + [`specializer`] the
-//! tiered runtime and its background compile pool; [`pipeline`] the
-//! IDL-to-stub driver; [`summary`] maps specializer statistics onto the
-//! paper's §3 categories (plus the log-bucket latency histogram);
-//! [`scenario`] the open-loop scale scenarios.
+//! shape-keyed specialization cache (a cold shape is compiled by its
+//! first caller); [`pipeline`] the IDL-to-stub driver; [`summary`] maps
+//! specializer statistics onto the paper's §3 categories (plus the
+//! log-bucket latency histogram); [`scenario`] the open-loop scale
+//! scenarios.
 
 #![deny(unsafe_code)]
 
-pub mod adaptive;
 pub mod cache;
 pub mod chaos;
 pub mod client;
@@ -349,25 +281,16 @@ pub mod generic;
 pub mod pipeline;
 pub mod scenario;
 pub mod service;
-pub mod specializer;
 pub mod summary;
 
-pub use adaptive::{
-    AdaptiveClient, AdaptiveConfig, AdaptiveProc, AdaptiveRuntime, AdaptiveStats, PublishMode,
-    Tier, TierUsed,
-};
-pub use cache::{
-    CacheStats, CompileClock, EvictionPolicy, ShapeKey, StubCache, COST_CLASSES,
-    DEFAULT_STUB_CACHE_ENTRIES,
-};
+pub use cache::{CacheStats, ShapeKey, StubCache, DEFAULT_STUB_CACHE_ENTRIES};
 pub use chaos::{run_chaos, run_chaos_matrix, ChaosConfig, ChaosReport};
 pub use client::{PathUsed, ProcSpec, SpecClient, SpecClientBuilder};
 pub use congestion::{run_congestion, run_congestion_matrix, CongestionConfig, CongestionReport};
 pub use pipeline::{CompiledProc, PipelineError, ProcPipeline, UNROLL_CANDIDATES};
 pub use scenario::{
-    deploy_nfs_service, run_adaptive, run_nfs, run_scale, run_scale_single_shard,
-    AdaptiveScenarioConfig, AdaptiveScenarioReport, NfsConfig, NfsReport, ScaleConfig, ScaleReport,
+    deploy_nfs_service, run_nfs, run_scale, run_scale_single_shard, NfsConfig, NfsReport,
+    ScaleConfig, ScaleReport,
 };
 pub use service::{EventService, SpecHandler, SpecService};
-pub use specializer::{CompileJob, Specializer, SpecializerStats};
 pub use summary::{ChaosSummary, LatencyHistogram, Summary, WireStats};

@@ -18,18 +18,13 @@
 //! [`ScaleConfig`] produces a byte-identical [`ScaleReport::render`]
 //! every run.
 
-use crate::adaptive::{
-    AdaptiveClient, AdaptiveConfig, AdaptiveProc, AdaptiveRuntime, AdaptiveStats, PublishMode,
-    TierUsed,
-};
-use crate::cache::CacheStats;
 use crate::pipeline::{PipelineError, ProcPipeline};
 use crate::service::SpecService;
 use crate::summary::{LatencyHistogram, Summary};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use specrpc_netsim::net::{Addr, Endpoint, LinkStats, Network, NetworkConfig};
-use specrpc_netsim::{Platform, SimTime};
+use specrpc_netsim::SimTime;
 use specrpc_rpc::msg::CallHeader;
 use specrpc_rpc::{ClntUdp, CoalescePolicy, CoalesceStats, Transport};
 use specrpc_tempo::compile::StubArgs;
@@ -394,256 +389,6 @@ pub fn deploy_scale_service(cfg: &ScaleConfig) -> Result<SpecService, PipelineEr
         });
     }
     Ok(service)
-}
-
-/// First client port of the adaptive churn scenario.
-const ADAPTIVE_CLIENT_BASE: Addr = 52_000;
-
-/// Configuration of one shape-churn adaptive run: a sliding window of
-/// live shapes drives an [`AdaptiveRuntime`]-backed deployment, so every
-/// rotation introduces one cold shape (served Tier-0, promoted in the
-/// background) and retires one.
-#[derive(Debug, Clone)]
-pub struct AdaptiveScenarioConfig {
-    /// Live shapes at any instant; rotation `r` serves shapes
-    /// `r .. r + window` (zipf-ranked, oldest most popular).
-    pub window: usize,
-    /// Window slides one shape per rotation; total distinct shapes is
-    /// `window + rotations - 1`.
-    pub rotations: usize,
-    /// Calls issued per rotation.
-    pub calls_per_rotation: usize,
-    /// Zipf skew exponent over the window ranks.
-    pub zipf_s: f64,
-    /// Seed for the shape draws.
-    pub seed: u64,
-    /// Promotion threshold ([`AdaptiveConfig::promote_after`]).
-    pub promote_after: u32,
-    /// Compile inline on the calling path (the stall baseline).
-    pub inline_compile: bool,
-    /// Drain (publish) finished background compiles every this many
-    /// calls — fixed hot-swap points keep the run deterministic.
-    pub drain_every: usize,
-    /// Stub-cache entry capacity; sized **below** the distinct shape
-    /// count so the run exercises cost-aware eviction.
-    pub cache_entries: usize,
-}
-
-impl AdaptiveScenarioConfig {
-    /// The churn smoke run: 15 distinct shapes through a 12-entry cache,
-    /// 600 calls, deterministic drains every 4 calls.
-    pub fn smoke() -> AdaptiveScenarioConfig {
-        AdaptiveScenarioConfig {
-            window: 6,
-            rotations: 10,
-            calls_per_rotation: 60,
-            zipf_s: 1.1,
-            seed: 42,
-            promote_after: 1,
-            inline_compile: false,
-            drain_every: 4,
-            cache_entries: 12,
-        }
-    }
-
-    /// This config with promotion disabled: every call serves Tier-0 —
-    /// the generic round-trip baseline the cold-call bound compares
-    /// against.
-    pub fn generic_baseline(mut self) -> AdaptiveScenarioConfig {
-        self.promote_after = u32::MAX;
-        self
-    }
-
-    /// This config compiling inline on the calling path — the stall the
-    /// background tiers exist to remove.
-    pub fn inline_compile(mut self) -> AdaptiveScenarioConfig {
-        self.inline_compile = true;
-        self
-    }
-
-    /// Distinct shapes the run touches across all rotations.
-    pub fn total_shapes(&self) -> usize {
-        self.window + self.rotations - 1
-    }
-}
-
-/// Outcome of one [`run_adaptive`] execution.
-#[derive(Debug, Clone)]
-pub struct AdaptiveScenarioReport {
-    /// Calls performed.
-    pub calls: u64,
-    /// Latency of calls marshaled on Tier-0 (cold contexts).
-    pub cold_latency: LatencyHistogram,
-    /// Latency of calls marshaled on Tier-1 (specialized).
-    pub hot_latency: LatencyHistogram,
-    /// All-call latency distribution.
-    pub latency: LatencyHistogram,
-    /// Tier-0 calls after the first rotation (steady state).
-    pub steady_tier0: u64,
-    /// Tier-1 calls after the first rotation.
-    pub steady_tier1: u64,
-    /// Runtime counter snapshot at the end of the run.
-    pub stats: AdaptiveStats,
-    /// Cache counter snapshot at the end of the run.
-    pub cache: CacheStats,
-    /// Virtual time at the end of the run.
-    pub elapsed: SimTime,
-}
-
-impl AdaptiveScenarioReport {
-    /// Tier-1 fraction of the calls issued after the first rotation —
-    /// the steady-state specialization hit rate (the first rotation is
-    /// all-cold by construction and would dilute the measurement).
-    pub fn steady_hit_rate(&self) -> f64 {
-        let total = self.steady_tier0 + self.steady_tier1;
-        if total == 0 {
-            return 0.0;
-        }
-        self.steady_tier1 as f64 / total as f64
-    }
-
-    /// The run as a [`Summary`] (adaptive + cache + latency lines).
-    pub fn summary(&self) -> Summary {
-        Summary::default()
-            .with_adaptive(self.stats)
-            .with_cache(self.cache)
-            .with_latency(self.latency.clone())
-    }
-
-    /// Human-readable report; byte-identical across runs of the same
-    /// config (the drain points pin every hot-swap).
-    pub fn render(&self) -> String {
-        let mut out = self.summary().render();
-        out.push_str(&format!(
-            "\n\u{20} shape churn:                    {} call(s), steady-state hit rate {:.1}%",
-            self.calls,
-            100.0 * self.steady_hit_rate()
-        ));
-        out.push_str(&format!(
-            "\n\u{20} cold/hot p99:                   {} / {}",
-            self.cold_latency.p99(),
-            self.hot_latency.p99()
-        ));
-        out
-    }
-}
-
-/// Execute one shape-churn run: deploy an adaptive echo service (client
-/// and server sharing one [`AdaptiveRuntime`]), slide the live-shape
-/// window one shape per rotation, and measure per-tier virtual-time
-/// latency. Client marshaling CPU is charged to the virtual clock via
-/// the calibrated platform cost model, so Tier-0's interpretive overhead
-/// and an inline compile's stall both show up in the quantiles.
-pub fn run_adaptive(cfg: &AdaptiveScenarioConfig) -> Result<AdaptiveScenarioReport, PipelineError> {
-    assert!(cfg.window > 0 && cfg.rotations > 0, "non-empty run");
-    let total = cfg.total_shapes();
-    let idl = scale_idl(total);
-    let shapes: Vec<usize> = (0..total).map(|k| 8 * (k + 1)).collect();
-    let net = Network::new(NetworkConfig::lan(), cfg.seed);
-    let costs = Platform::IpxSunosAtm.costs();
-
-    let mut acfg = AdaptiveConfig::default()
-        .promote_after(cfg.promote_after)
-        .publish(PublishMode::OnDrain)
-        .cache_entries(cfg.cache_entries);
-    if cfg.inline_compile {
-        acfg = acfg.inline_compile();
-    }
-    let runtime = AdaptiveRuntime::new(acfg);
-    {
-        // An inline Tempo run stalls the caller: charge it to the clock.
-        let net = net.clone();
-        runtime.set_charge(move |ns| net.advance(SimTime::from_nanos(ns)));
-    }
-
-    // One adaptively specialized echo procedure per shape; client and
-    // server consult the same runtime (every round trip is two lookups).
-    let mut service = SpecService::new();
-    let mut procs: Vec<AdaptiveProc> = Vec::with_capacity(total);
-    for (i, &shape) in shapes.iter().enumerate() {
-        let ap = AdaptiveProc::resolve(ProcPipeline::new(shape), &idl, None, i as u32 + 1)?;
-        procs.push(ap.clone());
-        service = service.proc_adaptive(runtime.clone(), ap, |args: &StubArgs| {
-            StubArgs::new(vec![], vec![args.arrays[0].clone()])
-        });
-    }
-    service.serve_udp(&net, SCALE_PORT_BASE);
-    let mut clients: Vec<AdaptiveClient<ClntUdp>> = procs
-        .into_iter()
-        .enumerate()
-        .map(|(i, ap)| {
-            let clnt = ClntUdp::create(
-                &net,
-                ADAPTIVE_CLIENT_BASE + i as u32,
-                SCALE_PORT_BASE,
-                SCALE_PROG,
-                SCALE_VERS,
-            );
-            AdaptiveClient::new(clnt, runtime.clone(), ap)
-        })
-        .collect();
-
-    let cdf = zipf_cdf(cfg.window, cfg.zipf_s);
-    let mut rng = StdRng::seed_from_u64(cfg.seed);
-    let mut cold_latency = LatencyHistogram::new();
-    let mut hot_latency = LatencyHistogram::new();
-    let mut latency = LatencyHistogram::new();
-    let (mut steady_tier0, mut steady_tier1) = (0u64, 0u64);
-    let mut calls = 0u64;
-    for rot in 0..cfg.rotations {
-        for _ in 0..cfg.calls_per_rotation {
-            let u = rng.random::<f64>();
-            let rank = cdf.partition_point(|&c| c < u).min(cfg.window - 1);
-            // Rank 0 (most popular) is the oldest live shape; the new
-            // shape enters at the unpopular tail and gains rank as the
-            // window slides toward it.
-            let idx = rot + rank;
-            let client = &mut clients[idx];
-            let data: Vec<i32> = (0..shapes[idx] as i32).collect();
-            let args = client.args(vec![], vec![data.clone()]);
-            let before = client.counts;
-            let t0 = net.now();
-            let (out, tier) = client
-                .call(&args)
-                .expect("lossless network answers every call");
-            let d = client.counts.since(before);
-            net.advance(SimTime::from_nanos(costs.marshal_ns(&d, 0) as u64));
-            debug_assert_eq!(out.arrays[0], data, "echo integrity");
-            let took = net.now().saturating_sub(t0);
-            latency.record(took);
-            match tier {
-                TierUsed::Generic => {
-                    cold_latency.record(took);
-                    if rot > 0 {
-                        steady_tier0 += 1;
-                    }
-                }
-                TierUsed::Specialized => {
-                    hot_latency.record(took);
-                    if rot > 0 {
-                        steady_tier1 += 1;
-                    }
-                }
-            }
-            calls += 1;
-            if cfg.drain_every > 0 && calls.is_multiple_of(cfg.drain_every as u64) {
-                runtime.drain();
-            }
-        }
-    }
-    runtime.drain();
-
-    Ok(AdaptiveScenarioReport {
-        calls,
-        cold_latency,
-        hot_latency,
-        latency,
-        steady_tier0,
-        steady_tier1,
-        stats: runtime.stats(),
-        cache: runtime.cache().stats(),
-        elapsed: net.now(),
-    })
 }
 
 // ---------------------------------------------------------------------
@@ -1299,29 +1044,6 @@ mod tests {
         cfg.churn_every = 0;
         let static_mix = run_scale(&cfg).unwrap();
         assert_ne!(a.latency, static_mix.latency);
-    }
-
-    #[test]
-    fn adaptive_smoke_is_deterministic_and_promotes() {
-        let mut cfg = AdaptiveScenarioConfig::smoke();
-        cfg.rotations = 4;
-        cfg.calls_per_rotation = 24;
-        let mut a = run_adaptive(&cfg).unwrap();
-        let mut b = run_adaptive(&cfg).unwrap();
-        // How deep the compile queue got is how the background worker was
-        // scheduled against the caller: 1 or 2, nothing else, and the one
-        // field of the report the drain points do not pin.
-        for run in [&mut a, &mut b] {
-            let depth = &mut run.stats.compile_queue_high_water;
-            assert!((1..=2).contains(depth), "queue high-water {depth}");
-            *depth = 1;
-        }
-        assert_eq!(a.render(), b.render(), "drain points pin the swaps");
-        assert!(a.stats.hot_swaps > 0, "{:?}", a.stats);
-        assert!(a.stats.tier1_calls > a.stats.tier0_calls, "{:?}", a.stats);
-        let text = a.render();
-        assert!(text.contains("adaptive tiers"), "{text}");
-        assert!(text.contains("steady-state hit rate"), "{text}");
     }
 
     #[test]

@@ -21,8 +21,7 @@
 //! per-shard and per-worker event counts surface through
 //! [`crate::Summary::with_served`].
 
-use crate::adaptive::{AdaptiveProc, AdaptiveRuntime, Tier};
-use crate::generic::{decode_shape_generic, encode_shape_generic, shape_counts};
+use crate::generic::{decode_shape_generic, encode_shape_generic};
 use crate::pipeline::CompiledProc;
 use specrpc_netsim::net::{Addr, Network};
 use specrpc_rpc::bufpool::BufPool;
@@ -41,20 +40,12 @@ use std::sync::{Arc, Mutex};
 /// generic path and may run on any dispatch thread.
 pub type SpecHandler = Arc<dyn Fn(&StubArgs) -> StubArgs + Send + Sync>;
 
-/// One registered procedure: statically specialized (the paper's model —
-/// stubs compiled before serving) or adaptively tiered (Tier-0 generic
-/// until the shared [`AdaptiveRuntime`] publishes a compile).
-enum ProcEntry {
-    Static(Arc<CompiledProc>, SpecHandler),
-    Adaptive(Arc<AdaptiveRuntime>, AdaptiveProc, SpecHandler),
-}
-
 /// A specialized RPC service: multiple procedures, each dispatched by
 /// `(program, version, procedure)` number with a compiled fast path and a
 /// generic fallback.
 #[derive(Default)]
 pub struct SpecService {
-    procs: Vec<ProcEntry>,
+    procs: Vec<(Arc<CompiledProc>, SpecHandler)>,
 }
 
 /// A service deployed through [`SpecService::serve_event`] or
@@ -109,35 +100,13 @@ impl SpecService {
         proc_: Arc<CompiledProc>,
         handler: impl Fn(&StubArgs) -> StubArgs + Send + Sync + 'static,
     ) -> Self {
-        self.procs.push(ProcEntry::Static(proc_, Arc::new(handler)));
+        self.procs.push((proc_, Arc::new(handler)));
         self
     }
 
     /// Add a procedure with an already-shared handler.
     pub fn proc_shared(mut self, proc_: Arc<CompiledProc>, handler: SpecHandler) -> Self {
-        self.procs.push(ProcEntry::Static(proc_, handler));
-        self
-    }
-
-    /// Add an **adaptively specialized** procedure: dispatch asks
-    /// `runtime` which tier serves each call — the compiled fast path
-    /// once a specialization is published, the generic path while the
-    /// context is cold. No Tempo run happens at registration unless
-    /// [`crate::AdaptiveConfig::compile_ahead`] is set, in which case the
-    /// cache is pre-seeded here so the first call already hits Tier-1.
-    ///
-    /// Sharing one runtime between this service and its
-    /// [`crate::AdaptiveClient`]s makes both sides hot-swap on the same
-    /// published compile; each call then contributes one client-side and
-    /// one server-side lookup to the promotion ledger.
-    pub fn proc_adaptive(
-        mut self,
-        runtime: Arc<AdaptiveRuntime>,
-        proc_: AdaptiveProc,
-        handler: impl Fn(&StubArgs) -> StubArgs + Send + Sync + 'static,
-    ) -> Self {
-        self.procs
-            .push(ProcEntry::Adaptive(runtime, proc_, Arc::new(handler)));
+        self.procs.push((proc_, handler));
         self
     }
 
@@ -154,13 +123,8 @@ impl SpecService {
     /// Install every procedure on `registry`, fast path + generic
     /// fallback each.
     pub fn install(self, registry: &SvcRegistry) {
-        for entry in self.procs {
-            match entry {
-                ProcEntry::Static(proc_, handler) => install_one(registry, proc_, handler),
-                ProcEntry::Adaptive(runtime, proc_, handler) => {
-                    install_one_adaptive(registry, runtime, proc_, handler)
-                }
-            }
+        for (proc_, handler) in self.procs {
+            install_one(registry, proc_, handler);
         }
     }
 
@@ -238,12 +202,11 @@ impl SpecService {
     }
 }
 
-/// The compiled fast-path dispatch body shared by static and adaptive
-/// registrations: compiled decode into reused scratch slots → user
-/// handler → compiled encode in one pass straight into the offered
-/// buffer, or a pooled one when the offer does not fit the reply
-/// (single-copy encode). `None` sends the request to the generic dispatch
-/// (§6.2 guard fallback).
+/// The compiled fast-path dispatch body: compiled decode into reused
+/// scratch slots → user handler → compiled encode in one pass straight
+/// into the offered buffer, or a pooled one when the offer does not fit
+/// the reply (single-copy encode). `None` sends the request to the
+/// generic dispatch (§6.2 guard fallback).
 fn raw_dispatch(
     p: &CompiledProc,
     scratch: &Mutex<StubArgs>,
@@ -323,53 +286,6 @@ fn install_one(registry: &SvcRegistry, proc_: Arc<CompiledProc>, handler: SpecHa
         let mut results = h(&args);
         // Generic results have no xid scratch; encode from slot 0.
         encode_shape_generic(results_x, &p.res_shape, 0, &mut results).map_err(RpcError::from)?;
-        Ok(())
-    });
-}
-
-/// Install one adaptively specialized procedure: the raw handler asks the
-/// runtime which tier serves each call (server-side lookups feed the same
-/// promotion ledger as client-side ones), and the generic handler is
-/// sized purely from the resolved shapes — no compile required for a
-/// service to start serving.
-fn install_one_adaptive(
-    registry: &SvcRegistry,
-    runtime: Arc<AdaptiveRuntime>,
-    proc_: AdaptiveProc,
-    handler: SpecHandler,
-) {
-    let (prog, vers, pnum) = proc_.target;
-    if runtime.config().compile_ahead {
-        // Pre-seed the cache at registration; unsupported shapes simply
-        // stay generic-only.
-        let _ = runtime.precompile(&proc_);
-    }
-
-    let rt = runtime;
-    let ap = proc_.clone();
-    let h = handler.clone();
-    let scratch: Mutex<StubArgs> = Mutex::new(StubArgs::default());
-    registry.register_raw(prog, vers, pnum, move |request, offer, pool| {
-        match rt.lookup(&ap) {
-            Tier::Specialized(cp) => raw_dispatch(&cp, &scratch, &h, request, offer, pool),
-            // Tier-0: hand the request to the generic dispatch below.
-            Tier::Generic => None,
-        }
-    });
-
-    let h = handler;
-    let arg_shape = proc_.arg.clone();
-    let res_shape = proc_.res.clone();
-    let (arg_scalars, arg_arrays) = shape_counts(&arg_shape);
-    registry.register(prog, vers, pnum, move |args_x, results_x| {
-        let mut args = StubArgs::new(
-            vec![0; call_fields::COUNT + arg_scalars],
-            vec![Vec::new(); arg_arrays],
-        );
-        decode_shape_generic(args_x, &arg_shape, call_fields::COUNT as u16, &mut args)
-            .map_err(RpcError::from)?;
-        let mut results = h(&args);
-        encode_shape_generic(results_x, &res_shape, 0, &mut results).map_err(RpcError::from)?;
         Ok(())
     });
 }

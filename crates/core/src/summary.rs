@@ -1,7 +1,6 @@
 //! Mapping specializer statistics onto the paper's §3 categories, plus
 //! the latency/throughput tables of the scaled serving scenarios.
 
-use crate::adaptive::AdaptiveStats;
 use crate::cache::CacheStats;
 use specrpc_netsim::{LinkStats, SimTime};
 use specrpc_rpc::bufpool::PoolStats;
@@ -217,9 +216,6 @@ pub struct Summary {
     pub latency: Option<LatencyHistogram>,
     /// Wire-path bytes-copied / allocs-per-call profile, when measured.
     pub wire: Option<WireStats>,
-    /// Tiered-execution counters, when the deployment ran through an
-    /// [`crate::AdaptiveRuntime`].
-    pub adaptive: Option<AdaptiveStats>,
     /// Availability-under-faults profile, when the deployment ran under
     /// a chaos schedule ([`crate::run_chaos`]).
     pub chaos: Option<ChaosSummary>,
@@ -245,7 +241,6 @@ impl Summary {
             shards: None,
             latency: None,
             wire: None,
-            adaptive: None,
             chaos: None,
         }
     }
@@ -298,15 +293,6 @@ impl Summary {
         self
     }
 
-    /// Attach tiered-execution counters from an adaptive deployment
-    /// ([`crate::AdaptiveRuntime::stats`]): tier-0/tier-1 call counts,
-    /// compiles queued/completed, hot-swaps, compile-queue depth
-    /// high-water, total compile cost, and evictions by cost class.
-    pub fn with_adaptive(mut self, stats: AdaptiveStats) -> Summary {
-        self.adaptive = Some(stats);
-        self
-    }
-
     /// Attach an availability-under-faults profile from a chaos run
     /// ([`crate::run_chaos`]): deadline-availability in basis points,
     /// crash-recovery time, duplicate handler executions, and the
@@ -347,25 +333,8 @@ impl Summary {
             }
             if c.compile_ns_total > 0 {
                 text.push_str(&format!(
-                    "\n\u{20} compile cost:                   {} total (the measurement eviction weighs)",
+                    "\n\u{20} compile cost:                   {} total (modeled)",
                     SimTime::from_nanos(c.compile_ns_total),
-                ));
-            }
-        }
-        if let Some(a) = self.adaptive {
-            text.push_str(&format!(
-                "\n\u{20} adaptive tiers:                 {} tier-0 / {} tier-1 call(s), {} hot swap(s)",
-                a.tier0_calls, a.tier1_calls, a.hot_swaps,
-            ));
-            text.push_str(&format!(
-                "\n\u{20} background compiles:            {} queued, {} completed, queue high-water {}",
-                a.compiles_queued, a.compiles_completed, a.compile_queue_high_water,
-            ));
-            let by = a.evictions_by_class;
-            if by.iter().sum::<u64>() > 0 {
-                text.push_str(&format!(
-                    "\n\u{20} evictions by cost class:        cheap {}, moderate {}, expensive {}",
-                    by[0], by[1], by[2],
                 ));
             }
         }
@@ -628,36 +597,6 @@ mod tests {
     }
 
     #[test]
-    fn render_includes_adaptive_tiers_when_attached() {
-        let s = Summary::default().with_adaptive(crate::adaptive::AdaptiveStats {
-            tier0_calls: 5,
-            tier1_calls: 95,
-            hot_swaps: 3,
-            compiles_queued: 4,
-            compiles_completed: 4,
-            compile_queue_high_water: 2,
-            ..Default::default()
-        });
-        let text = s.render();
-        assert!(text.contains("adaptive tiers"));
-        assert!(text.contains("5 tier-0 / 95 tier-1 call(s), 3 hot swap(s)"));
-        assert!(text.contains("4 queued, 4 completed, queue high-water 2"));
-        assert!(
-            !text.contains("evictions by cost class"),
-            "no class line without evictions"
-        );
-    }
-
-    #[test]
-    fn render_breaks_evictions_out_by_cost_class() {
-        let s = Summary::default().with_adaptive(crate::adaptive::AdaptiveStats {
-            evictions_by_class: [7, 1, 0],
-            ..Default::default()
-        });
-        assert!(s.render().contains("cheap 7, moderate 1, expensive 0"));
-    }
-
-    #[test]
     fn render_prices_the_cache_compile_cost_when_measured() {
         let s = Summary::default().with_cache(crate::cache::CacheStats {
             hits: 2,
@@ -665,7 +604,6 @@ mod tests {
             entries: 2,
             evictions: 0,
             compile_ns_total: 8_000_000,
-            ..Default::default()
         });
         let text = s.render();
         assert!(text.contains("compile cost"), "{text}");

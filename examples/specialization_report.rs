@@ -20,10 +20,11 @@
 //!    by itself (a stub's code size under any bound is arithmetic over
 //!    its loops) — the sweep's conclusion turned into an automatic knob,
 //! 8. what a specialization context costs to produce, 8…4096 elements:
-//!    specializer steps (deterministic), wall time and stub ops. Exits
-//!    non-zero if the 4096-element context burns more steps, or compiles
-//!    to more ops, than the 8-element one — specialization cost and stub
-//!    size belong to the shape, not to the array length.
+//!    specializer steps (deterministic), wall time beside the model that
+//!    stands for it in virtual time (`modeled_compile_ns`), and stub
+//!    ops. Exits non-zero if the 4096-element context burns more steps,
+//!    or compiles to more ops, than the 8-element one — specialization
+//!    cost and stub size belong to the shape, not to the array length.
 //!
 //! ```text
 //! cargo run --example specialization_report
@@ -152,17 +153,6 @@ fn main() {
             .with_cache(cache.stats())
             .render()
     );
-    // The compile-cost row prices what the cache line reports: the same
-    // per-entry measurement cost-aware eviction weighs, bucketed into
-    // the class an eviction of this entry would be charged to.
-    let stats = cache.stats();
-    let class = ["cheap", "moderate", "expensive"]
-        [specrpc::cache::cost_class(stats.compile_ns_total / stats.misses.max(1))];
-    println!(
-        "\u{20} compile cost/entry:             {}ns ({class} class of {})",
-        stats.compile_ns_total / stats.misses.max(1),
-        specrpc::cache::COST_CLASSES,
-    );
 
     // ---- 5. The decode side keeps its dynamic guards ----
     let (dec_res, _, dec_report) =
@@ -269,8 +259,9 @@ fn main() {
         ];
         let ops: usize = stubs.iter().map(|s| s.program.ops.len()).sum();
         println!(
-            "    n={n:<5} steps {steps:>6}   parse + specialize + compile {:>6} µs   {ops} ops for {} of residual code",
+            "    n={n:<5} steps {steps:>6}   parse + specialize + compile {:>6} µs (modeled {:>6} µs)   {ops} ops for {} of residual code",
             wall.as_micros(),
+            specrpc::cache::modeled_compile_ns(&cp) / 1_000,
             stubs.iter().map(|s| s.program.len()).sum::<usize>()
         );
         steps_at.push((n, steps, ops));

@@ -84,6 +84,35 @@ proptest! {
         prop_assert_eq!(from_cache, from_fresh);
     }
 
+    /// Cache invariants over arbitrary access traces: the entry count
+    /// never exceeds the capacity, and the books always balance — every
+    /// lookup is exactly one hit or miss, every miss created an entry,
+    /// and every entry is either live or evicted, never both.
+    #[test]
+    fn cache_accounting_invariants_hold(
+        ops in prop::collection::vec(1usize..6, 1..18),
+        cap in 1usize..4,
+    ) {
+        let cache = StubCache::with_capacity(cap);
+        for (step, &n) in ops.iter().enumerate() {
+            cache
+                .get_or_compile_idl(&ProcPipeline::new(n), ECHO_IDL, None, 1)
+                .unwrap();
+            let s = cache.stats();
+            prop_assert!(s.entries <= cap, "step {}: {} > cap {}", step, s.entries, cap);
+            prop_assert_eq!(
+                s.hits + s.misses,
+                step as u64 + 1,
+                "every lookup is exactly one hit or miss"
+            );
+            prop_assert_eq!(
+                s.entries as u64,
+                s.misses - s.evictions,
+                "live entries = misses - evictions (no double-count)"
+            );
+        }
+    }
+
     /// Server decode stub inverts client encode stub for all data.
     #[test]
     fn stub_decode_inverts_encode(

@@ -22,7 +22,7 @@ use specrpc::echo::{generic_encode_request, ECHO_IDL, ECHO_PROG, ECHO_VERS};
 use specrpc::{ProcPipeline, SpecService};
 use specrpc_netsim::net::{Network, NetworkConfig};
 use specrpc_netsim::{ChaosSchedule, FaultConfig, SimTime};
-use specrpc_rpc::{ClntTcp, ClntUdp, ServeConfig, Transport};
+use specrpc_rpc::{ClntTcp, ClntUdp, ServeConfig, SvcRegistry, Transport};
 use specrpc_tempo::compile::StubArgs;
 use specrpc_xdr::mem::XdrMem;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -71,10 +71,23 @@ struct RunResult {
 
 /// Deploy the counting echo service on `net` over both transports.
 fn deploy(net: &Network, udp_port: u32, tcp_port: u32) -> Arc<AtomicU64> {
+    deploy_pinned(net, N, udp_port, tcp_port).0
+}
+
+/// [`deploy`] with the stubs compiled for `pinned`-element arrays. The
+/// clients below send [`N`] elements, so any other `pinned` fails the
+/// compiled decoder's length guard on every request and the generic
+/// handler serves it (§6.2).
+fn deploy_pinned(
+    net: &Network,
+    pinned: usize,
+    udp_port: u32,
+    tcp_port: u32,
+) -> (Arc<AtomicU64>, Arc<SvcRegistry>) {
     let runs = Arc::new(AtomicU64::new(0));
     let r = runs.clone();
     let proc_ = Arc::new(
-        ProcPipeline::new(N)
+        ProcPipeline::new(pinned)
             .build_from_idl(ECHO_IDL, None, 1)
             .expect("pipeline"),
     );
@@ -84,8 +97,8 @@ fn deploy(net: &Network, udp_port: u32, tcp_port: u32) -> Arc<AtomicU64> {
     });
     let reg = service.into_registry();
     specrpc_rpc::serve(net, reg.clone(), ServeConfig::new(&[udp_port])).detach();
-    specrpc_rpc::svc_tcp::serve_tcp(net, tcp_port, reg, None);
-    runs
+    specrpc_rpc::svc_tcp::serve_tcp(net, tcp_port, reg.clone(), None);
+    (runs, reg)
 }
 
 fn call_data(i: usize) -> Vec<i32> {
@@ -93,9 +106,15 @@ fn call_data(i: usize) -> Vec<i32> {
 }
 
 fn run_udp(cfg: FaultConfig, seed: u64) -> RunResult {
+    run_udp_pinned(cfg, seed, N).0
+}
+
+/// [`run_udp`] against stubs compiled for `pinned` elements; also
+/// returns how many requests the generic handler served.
+fn run_udp_pinned(cfg: FaultConfig, seed: u64, pinned: usize) -> (RunResult, u64) {
     let net = Network::new(NetworkConfig::lan().with_faults(cfg), seed);
-    let runs = deploy(&net, 700, 701);
-    drive_udp(&net, runs)
+    let (runs, reg) = deploy_pinned(&net, pinned, 700, 701);
+    (drive_udp(&net, runs), reg.generic_dispatches())
 }
 
 /// Like [`run_udp`] but with a reactor worker (`serve_event`, one of
@@ -228,6 +247,32 @@ fn udp_fault_matrix_is_exactly_once_and_byte_identical() {
                     "{name}/{seed}: retransmission must cost virtual time"
                 );
             }
+        }
+    }
+}
+
+#[test]
+fn compiled_and_generic_replies_are_identical_across_the_fault_matrix() {
+    // The same raw client and requests against stubs pinned at N (every
+    // request on the compiled path) and at N + 1 (every request fails the
+    // guard and the generic handler serves it): which path marshals a
+    // reply is invisible on the wire, clean or under faults.
+    let clean = std::iter::once(("clean", FaultConfig::NONE));
+    for (name, cfg) in clean.chain(configs()) {
+        for seed in SEEDS {
+            let (compiled, compiled_fallbacks) = run_udp_pinned(cfg, seed, N);
+            let (generic, generic_fallbacks) = run_udp_pinned(cfg, seed, N + 1);
+            assert_eq!(compiled_fallbacks, 0, "{name}/{seed}: N is the fast path");
+            assert_eq!(
+                generic_fallbacks, CALLS as u64,
+                "{name}/{seed}: N + 1 fails every guard, once per transaction"
+            );
+            assert_eq!(
+                compiled.replies, generic.replies,
+                "{name}/{seed}: compiled and generic reply datagrams must match"
+            );
+            assert_eq!(compiled.handler_runs, CALLS as u64, "{name}/{seed}");
+            assert_eq!(generic.handler_runs, CALLS as u64, "{name}/{seed}");
         }
     }
 }

@@ -10,14 +10,15 @@
 //! the virtual-time numbers the retry, failover, batching and
 //! coalescing code must keep producing.
 
-use specrpc::echo::{build_echo_proc, BatchEchoBench, ECHO_PROG, ECHO_VERS};
+use specrpc::echo::{
+    build_echo_proc, workload, BatchEchoBench, EchoBench, Mode, ECHO_PROG, ECHO_VERS,
+};
 use specrpc::{
-    run_adaptive, run_chaos_matrix, run_congestion_matrix, run_nfs, run_scale,
-    AdaptiveScenarioConfig, ChaosConfig, CompiledProc, CongestionConfig, NfsConfig, ScaleConfig,
-    SpecClient, SpecService,
+    run_chaos_matrix, run_congestion_matrix, run_nfs, run_scale, ChaosConfig, CompiledProc,
+    CongestionConfig, NfsConfig, ScaleConfig, SpecClient, SpecService, StubCache,
 };
 use specrpc_netsim::net::{Addr, LinkStats, Network, NetworkConfig};
-use specrpc_netsim::{ChaosSchedule, FaultConfig, SimTime};
+use specrpc_netsim::{ChaosSchedule, FaultConfig, Platform, SimTime};
 use specrpc_rpc::{serve, ClntUdp, ServeConfig};
 use specrpc_tempo::compile::StubArgs;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -205,7 +206,7 @@ fn sharded_loop_trace_is_pinned() {
 }
 
 // ---------------------------------------------------------------------
-// The scenario rows (`batched/*`, `scale/p99/8`, `adaptive/*`,
+// The scenario rows (`batched/*`, `scale/p99/8`, `cold/*`,
 // `congestion/*`, `chaos/*`, `nfs/*`, the names CHANGES.md and the
 // README use): virtual time cannot vary, so each is an equality. The
 // first field of every tuple is the row's number, the rest are exact
@@ -305,50 +306,51 @@ fn scale_p99_row_is_pinned() {
     );
 }
 
-/// `adaptive/{p99/generic, p99/adaptive, p99/inline_compile,
-/// cold_p99/adaptive}`: the shape-churn run at six rotations of 40
-/// calls. Every round trip is two tier lookups (client and server).
+/// `cold/{n}`: what a shape nobody has compiled costs its first caller —
+/// one Tempo run (`modeled_compile_ns`, charged by the `StubCache` miss)
+/// plus one specialized round trip — beside one generic round trip of the
+/// same shape, under the IPX/SunOS/ATM CPU costs. A first call stays
+/// under 2× the generic call at every size, and from n ≈ 90 up compiling
+/// *and* calling specialized costs less than one generic call: the
+/// numbers compile-on-first-use rests on.
 #[test]
-fn adaptive_rows_are_pinned() {
-    let mut cfg = AdaptiveScenarioConfig::smoke();
-    cfg.rotations = 6;
-    cfg.calls_per_rotation = 40;
-    // (p99, cold p99, elapsed, tier-0 / tier-1 lookups, hot swaps,
-    // tier-0 / tier-1 calls after the first rotation)
-    for (row, cfg, want) in [
-        (
-            "generic",
-            cfg.clone().generic_baseline(),
-            (802_816, 802_816, 140_261_440, (480, 0), 0, (200, 0)),
-        ),
-        (
-            "adaptive",
-            cfg.clone(),
-            (737_280, 802_816, 109_242_140, (30, 450), 11, (6, 194)),
-        ),
-        // Moved once, from (5_636_096, 0, 153_777_600, ..): the stall is
-        // `modeled_compile_ns`, re-fitted from 2 ms + 200 ns/B (the
-        // unrolling specializer's cost) to the measured 270 µs + 1 ns/B.
-        // The other two rows charge no compile and did not move.
-        (
-            "inline_compile",
-            cfg.inline_compile(),
-            (802_816, 0, 110_143_240, (0, 480), 0, (0, 200)),
-        ),
+fn cold_first_calls_are_pinned() {
+    // (n, compile + specialized round trip, generic round trip)
+    for (n, cold_ns, generic_ns) in [
+        (1, 642_520, 394_860),
+        (8, 656_240, 427_900),
+        (16, 671_920, 465_660),
+        (24, 687_600, 503_420),
+        (32, 703_280, 541_180),
+        (40, 718_960, 578_940),
+        (48, 734_640, 616_700),
+        (56, 750_320, 654_460),
+        (64, 766_000, 692_220),
+        (72, 781_680, 729_980),
+        (80, 797_360, 767_740),
+        (88, 813_040, 805_500),
+        (96, 828_720, 843_260),
+        (104, 844_400, 881_020),
+        (112, 860_080, 918_780),
+        (120, 875_760, 956_540),
+        (250, 1_130_560, 1_570_140),
+        (2000, 4_560_560, 9_830_140),
     ] {
-        let report = run_adaptive(&cfg).expect("adaptive run");
+        let cache = StubCache::new();
+        let mut bench = EchoBench::new_cached(n, None, SEED, &cache).expect("deploy");
+        bench.model_cpu(Platform::IpxSunosAtm);
+        let data = workload(n);
+        let specialized = bench.timed_round_trips(Mode::Specialized, &data, 1);
+        let generic = bench.timed_round_trips(Mode::Generic, &data, 1);
         assert_eq!(
             (
-                report.latency.p99().as_nanos(),
-                report.cold_latency.p99().as_nanos(),
-                report.elapsed.as_nanos(),
-                (report.stats.tier0_calls, report.stats.tier1_calls),
-                report.stats.hot_swaps,
-                (report.steady_tier0, report.steady_tier1),
+                cache.stats().compile_ns_total + specialized.expect("call").as_nanos(),
+                generic.expect("call").as_nanos(),
             ),
-            want,
-            "adaptive/*/{row}"
+            (cold_ns, generic_ns),
+            "cold/{n}"
         );
+        assert!(cold_ns <= 2 * generic_ns, "cold/{n}");
     }
 }
 
