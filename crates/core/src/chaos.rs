@@ -35,14 +35,13 @@
 //!
 //! [`ServeConfig::restartable`]: specrpc_rpc::ServeConfig::restartable
 
-use crate::echo::{build_echo_proc, ECHO_PROG, ECHO_VERS, MAX_ARR};
+use crate::echo::{build_echo_proc, echo_handler, ECHO_PROG, ECHO_VERS, MAX_ARR};
 use crate::pipeline::PipelineError;
 use crate::service::SpecService;
 use crate::summary::{ChaosSummary, LatencyHistogram, Summary};
 use specrpc_netsim::net::{Addr, Network, NetworkConfig};
 use specrpc_netsim::{ChaosSchedule, ChaosStats, FaultConfig, SimTime};
 use specrpc_rpc::{serve, CircuitBreaker, ClntUdp, ServeConfig};
-use specrpc_tempo::compile::StubArgs;
 use specrpc_xdr::composite::xdr_array;
 use specrpc_xdr::primitives::xdr_int;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -290,9 +289,9 @@ pub fn run_chaos(cfg: &ChaosConfig) -> Result<ChaosReport, PipelineError> {
     let counter = runs.clone();
     let proc_ = Arc::new(build_echo_proc(cfg.payload, Some(32))?);
     let registry = SpecService::new()
-        .proc(proc_, move |args: &StubArgs| {
+        .proc_in_place(proc_, move |args, results| {
             counter.fetch_add(1, Ordering::Relaxed);
-            StubArgs::new(vec![], vec![args.arrays[0].clone()])
+            echo_handler(args, results);
         })
         .into_registry();
 

@@ -36,7 +36,7 @@
 //! Everything is seeded and single-driver: a fixed [`CongestionConfig`]
 //! produces a byte-identical [`CongestionReport::render`] every run.
 
-use crate::echo::{build_echo_proc, ECHO_PROG, ECHO_VERS, MAX_ARR};
+use crate::echo::{build_echo_proc, echo_handler, ECHO_PROG, ECHO_VERS, MAX_ARR};
 use crate::pipeline::PipelineError;
 use crate::service::SpecService;
 use crate::summary::{LatencyHistogram, Summary};
@@ -46,7 +46,6 @@ use specrpc_netsim::net::{Addr, Endpoint, LinkStats, Network, NetworkConfig};
 use specrpc_netsim::{FaultConfig, SimTime};
 use specrpc_rpc::msg::CallHeader;
 use specrpc_rpc::{RetryPolicy, SvcRegistry};
-use specrpc_tempo::compile::StubArgs;
 use specrpc_xdr::composite::xdr_array;
 use specrpc_xdr::mem::XdrMem;
 use specrpc_xdr::primitives::xdr_int;
@@ -473,9 +472,7 @@ pub fn deploy_congestion_service(
 ) -> Result<std::sync::Arc<SvcRegistry>, PipelineError> {
     let proc_ = std::sync::Arc::new(build_echo_proc(cfg.payload, Some(32))?);
     Ok(SpecService::new()
-        .proc(proc_, |args: &StubArgs| {
-            StubArgs::new(vec![], vec![args.arrays[0].clone()])
-        })
+        .proc_in_place(proc_, echo_handler)
         .into_registry())
 }
 

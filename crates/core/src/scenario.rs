@@ -27,7 +27,6 @@ use specrpc_netsim::net::{Addr, Endpoint, LinkStats, Network, NetworkConfig};
 use specrpc_netsim::SimTime;
 use specrpc_rpc::msg::CallHeader;
 use specrpc_rpc::{ClntUdp, CoalescePolicy, CoalesceStats, Transport};
-use specrpc_tempo::compile::StubArgs;
 use specrpc_xdr::composite::xdr_array;
 use specrpc_xdr::mem::XdrMem;
 use specrpc_xdr::primitives::xdr_int;
@@ -384,9 +383,7 @@ pub fn deploy_scale_service(cfg: &ScaleConfig) -> Result<SpecService, PipelineEr
         let mut pipeline = ProcPipeline::new(shape);
         pipeline.chunk = cfg.chunk;
         let proc_ = Arc::new(pipeline.build_from_idl(&idl, None, i as u32 + 1)?);
-        service = service.proc(proc_, |args: &StubArgs| {
-            StubArgs::new(vec![], vec![args.arrays[0].clone()])
-        });
+        service = service.proc_in_place(proc_, crate::echo::echo_handler);
     }
     Ok(service)
 }
@@ -666,18 +663,20 @@ pub fn deploy_nfs_service(files: usize) -> Result<SpecService, PipelineError> {
         .collect::<Result<_, _>>()?;
 
     let s = state.clone();
-    service = service.proc(compiled[0].clone(), move |args: &StubArgs| {
+    service = service.proc_in_place(compiled[0].clone(), move |args, results| {
         let fh = *args.scalars.last().expect("getattr arg");
         let size = s.lock().unwrap().sizes[fh_index(fh)];
-        StubArgs::new(vec![size, fh * 31 + size, 420], vec![])
+        results.scalars.extend([size, fh * 31 + size, 420]);
     });
-    service = service.proc(compiled[1].clone(), move |args: &StubArgs| {
+    service = service.proc_in_place(compiled[1].clone(), move |args, results| {
         let n = args.scalars.len();
         let (dir, name) = (args.scalars[n - 2], args.scalars[n - 1]);
-        StubArgs::new(vec![(dir + name).rem_euclid(files as i32) + 1], vec![])
+        results
+            .scalars
+            .push((dir + name).rem_euclid(files as i32) + 1);
     });
     let s = state.clone();
-    service = service.proc(compiled[2].clone(), move |args: &StubArgs| {
+    service = service.proc_in_place(compiled[2].clone(), move |args, results| {
         let n = args.scalars.len();
         let (fh, offset, count) = (
             args.scalars[n - 3],
@@ -686,10 +685,10 @@ pub fn deploy_nfs_service(files: usize) -> Result<SpecService, PipelineError> {
         );
         let size = s.lock().unwrap().sizes[fh_index(fh)];
         let len = count.min((size - offset).max(0));
-        StubArgs::new(vec![len, fh ^ offset], vec![])
+        results.scalars.extend([len, fh ^ offset]);
     });
     let s = state.clone();
-    service = service.proc(compiled[3].clone(), move |args: &StubArgs| {
+    service = service.proc_in_place(compiled[3].clone(), move |args, results| {
         let n = args.scalars.len();
         let (fh, offset, len) = (
             args.scalars[n - 3],
@@ -700,17 +699,15 @@ pub fn deploy_nfs_service(files: usize) -> Result<SpecService, PipelineError> {
         let i = fh_index(fh);
         st.sizes[i] = st.sizes[i].max(offset + len);
         st.uncommitted[i] += 1;
-        let size = st.sizes[i];
-        StubArgs::new(vec![size], vec![])
+        results.scalars.push(st.sizes[i]);
     });
     let s = state.clone();
-    service = service.proc(compiled[4].clone(), move |args: &StubArgs| {
+    service = service.proc_in_place(compiled[4].clone(), move |args, results| {
         let fh = *args.scalars.last().expect("commit arg");
         let mut st = s.lock().unwrap();
         let i = fh_index(fh);
-        let committed = st.uncommitted[i];
+        results.scalars.push(st.uncommitted[i]);
         st.uncommitted[i] = 0;
-        StubArgs::new(vec![committed], vec![])
     });
     Ok(service)
 }
@@ -888,8 +885,7 @@ mod tests {
         let mut cases: Vec<(Arc<SvcRegistry>, Vec<u8>)> = Vec::new();
         for n in [20, 2000] {
             let proc_ = Arc::new(crate::echo::build_echo_proc(n, None).unwrap());
-            let echo = |args: &StubArgs| StubArgs::new(vec![], vec![args.arrays[0].clone()]);
-            let reg = SpecService::new().proc(proc_, echo).into_registry();
+            let reg = crate::echo::echo_service(proc_).into_registry();
             let mut enc = XdrMem::encoder(64 + 4 * n);
             let mut data = crate::echo::workload(n);
             let len = crate::echo::generic_encode_request(&mut enc, 0x5151, &mut data).unwrap();
@@ -920,7 +916,7 @@ mod tests {
                 let buf = dirty(len + len / 2, offered_len);
                 let at = buf.as_ptr();
                 let mut offer = Some(buf);
-                let reply = reg.dispatch_offered(request, &mut offer);
+                let reply = reg.dispatch_offered(request, &mut offer, reg.pool());
                 assert!(offer.is_none(), "a fitting offer is taken");
                 assert_eq!(reply.as_ptr(), at);
                 assert_eq!(
@@ -931,7 +927,7 @@ mod tests {
             // Too small and too large (`svc::take_offer` pins the bounds).
             for capacity in [len - 1, 3 * len] {
                 let mut offer = Some(dirty(capacity, capacity));
-                assert_eq!(reg.dispatch_offered(request, &mut offer), fresh);
+                assert_eq!(reg.dispatch_offered(request, &mut offer, reg.pool()), fresh);
                 assert_eq!(offer, Some(dirty(capacity, capacity)), "left as it was");
             }
         }

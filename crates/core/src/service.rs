@@ -33,12 +33,28 @@ use specrpc_rpcgen::sunlib::call_fields;
 use specrpc_tempo::compile::{run_decode, run_encode_after_xid, Outcome, StubArgs};
 use specrpc_xdr::mem::XdrMem;
 use specrpc_xdr::OpCounts;
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, Mutex, TryLockError};
 
-/// A user service function: argument slots in, result slots out. `Arc`
-/// with `Send + Sync` because one handler backs both the fast and the
-/// generic path and may run on any dispatch thread.
-pub type SpecHandler = Arc<dyn Fn(&StubArgs) -> StubArgs + Send + Sync>;
+/// A user service function, working in place: `handler(args, results)`.
+/// `Arc` with `Send + Sync` because one handler backs both the fast and
+/// the generic path and may run on any dispatch thread.
+///
+/// * `args` holds the decoded arguments (on the fast path behind the
+///   call header's scalars, so a procedure's own scalars are the *last*
+///   ones). The handler may take from it — swap an array out, drain it:
+///   the slots are re-[`StubArgs::prepare`]d before the next decode.
+/// * `results` arrives shaped for the reply stub: no scalars, and one
+///   empty array per array slot of the reply. The handler pushes its
+///   scalars and fills (or swaps in) its arrays; the dispatch stamps
+///   the xid.
+/// * Both are one per-procedure pair reused from call to call, so the
+///   arrays keep their capacity and a steady dispatch allocates nothing.
+///   A dispatch that finds the pair in use (another thread mid-dispatch
+///   on the same procedure) works on a fresh pair, so a handler must not
+///   count on finding anything in either.
+///
+/// [`SpecService::proc`] wraps a returning closure in this form.
+pub type SpecHandler = Arc<dyn Fn(&mut StubArgs, &mut StubArgs) + Send + Sync>;
 
 /// A specialized RPC service: multiple procedures, each dispatched by
 /// `(program, version, procedure)` number with a compiled fast path and a
@@ -94,20 +110,28 @@ impl SpecService {
     }
 
     /// Fluently add a procedure: `proc_`'s target numbers route to
-    /// `handler`.
-    pub fn proc(
+    /// `handler`, which works in place on the dispatch's reused slots
+    /// (the contract is [`SpecHandler`]'s).
+    pub fn proc_in_place(
         mut self,
         proc_: Arc<CompiledProc>,
-        handler: impl Fn(&StubArgs) -> StubArgs + Send + Sync + 'static,
+        handler: impl Fn(&mut StubArgs, &mut StubArgs) + Send + Sync + 'static,
     ) -> Self {
         self.procs.push((proc_, Arc::new(handler)));
         self
     }
 
-    /// Add a procedure with an already-shared handler.
-    pub fn proc_shared(mut self, proc_: Arc<CompiledProc>, handler: SpecHandler) -> Self {
-        self.procs.push((proc_, handler));
-        self
+    /// [`SpecService::proc_in_place`] for a handler that returns its
+    /// results: the convenience form. It costs what building that
+    /// `StubArgs` costs — two allocations per call for an echo that
+    /// clones its argument, plus dropping the slots it replaces — which
+    /// `tests/alloc_free.rs` pins.
+    pub fn proc(
+        self,
+        proc_: Arc<CompiledProc>,
+        handler: impl Fn(&StubArgs) -> StubArgs + Send + Sync + 'static,
+    ) -> Self {
+        self.proc_in_place(proc_, move |args, results| *results = handler(args))
     }
 
     /// Number of procedures hosted.
@@ -202,6 +226,15 @@ impl SpecService {
     }
 }
 
+/// One dispatch's slots: the decoded arguments and the results.
+type Slots = (StubArgs, StubArgs);
+
+/// Shape the result slots as [`SpecHandler`] promises and run the handler.
+fn run_handler(p: &CompiledProc, h: &SpecHandler, args: &mut StubArgs, results: &mut StubArgs) {
+    results.prepare(0, p.server_encode.layout.array_count as usize);
+    h(args, results);
+}
+
 /// The compiled fast-path dispatch body: compiled decode into reused
 /// scratch slots → user handler → compiled encode in one pass straight
 /// into the offered buffer, or a pooled one when the offer does not fit
@@ -209,7 +242,7 @@ impl SpecService {
 /// generic dispatch (§6.2 guard fallback).
 fn raw_dispatch(
     p: &CompiledProc,
-    scratch: &Mutex<StubArgs>,
+    scratch: &Mutex<Slots>,
     h: &SpecHandler,
     request: &[u8],
     offer: &mut Option<Vec<u8>>,
@@ -217,15 +250,17 @@ fn raw_dispatch(
 ) -> Option<Vec<u8>> {
     let dec = &p.server_decode;
     let mut counts = OpCounts::new();
-    // Argument slots: per-procedure scratch when uncontended (the
-    // steady, allocation-free state); a fresh set when another worker
-    // is mid-dispatch on the same procedure.
-    let mut fresh: Option<StubArgs> = None;
-    let mut guard = scratch.try_lock();
-    let args: &mut StubArgs = match guard {
-        Ok(ref mut g) => g,
-        Err(_) => fresh.get_or_insert_with(StubArgs::default),
+    // Per-procedure scratch when uncontended (the steady, allocation-free
+    // state); a fresh pair when another worker is mid-dispatch on the
+    // same procedure. A handler that panicked holding the scratch left
+    // nothing in it that matters: both slots are re-prepared before use.
+    let mut fresh = Slots::default();
+    let mut guard = match scratch.try_lock() {
+        Ok(g) => Some(g),
+        Err(TryLockError::Poisoned(e)) => Some(e.into_inner()),
+        Err(TryLockError::WouldBlock) => None,
     };
+    let (args, results) = guard.as_deref_mut().unwrap_or(&mut fresh);
     args.prepare(
         dec.layout.scalar_count as usize,
         dec.layout.array_count as usize,
@@ -235,7 +270,7 @@ fn raw_dispatch(
         _ => return None, // guard failed → generic path
     }
     let xid = args.scalars[call_fields::XID];
-    let mut results = h(args);
+    run_handler(p, h, args, results);
     let enc = &p.server_encode;
     // An offered buffer is rewound, not cleared: the stub stores or zeroes
     // every byte of its image (`StubProgram::holes`), so only bytes the
@@ -244,7 +279,7 @@ fn raw_dispatch(
     reply.resize(enc.wire_len, 0);
     // Reply stub scalar slot 0 is the xid; the handler's result scalars
     // are read one slot down, where it left them.
-    match run_encode_after_xid(&enc.program, &mut reply, &results, xid, &mut counts) {
+    match run_encode_after_xid(&enc.program, &mut reply, results, xid, &mut counts) {
         Ok(Outcome::Done { ret: 1, .. }) => Some(reply),
         _ => {
             // Reply-shape guard failed: the handler produced
@@ -255,7 +290,7 @@ fn raw_dispatch(
             pool.put(reply);
             let mut gx = XdrMem::encoder_over(pool.take(REPLY_BUF_SIZE), REPLY_BUF_SIZE);
             ReplyHeader::encode_success(&mut gx, xid as u32).ok()?;
-            encode_shape_generic(&mut gx, &p.res_shape, 0, &mut results).ok()?;
+            encode_shape_generic(&mut gx, &p.res_shape, 0, results).ok()?;
             Some(gx.into_bytes())
         }
     }
@@ -267,7 +302,7 @@ fn install_one(registry: &SvcRegistry, proc_: Arc<CompiledProc>, handler: SpecHa
 
     let p = proc_.clone();
     let h = handler.clone();
-    let scratch: Mutex<StubArgs> = Mutex::new(StubArgs::default());
+    let scratch: Mutex<Slots> = Mutex::default();
     registry.register_raw(prog, vers, pnum, move |request, offer, pool| {
         raw_dispatch(&p, &scratch, &h, request, offer, pool)
     });
@@ -277,13 +312,14 @@ fn install_one(registry: &SvcRegistry, proc_: Arc<CompiledProc>, handler: SpecHa
     let h = handler;
     registry.register(prog, vers, pnum, move |args_x, results_x| {
         let dec = &p.server_decode;
-        let mut args = StubArgs::new(
-            vec![0; dec.layout.scalar_count as usize],
-            vec![Vec::new(); dec.layout.array_count as usize],
+        let (mut args, mut results) = Slots::default();
+        args.prepare(
+            dec.layout.scalar_count as usize,
+            dec.layout.array_count as usize,
         );
         decode_shape_generic(args_x, &p.arg_shape, call_fields::COUNT as u16, &mut args)
             .map_err(RpcError::from)?;
-        let mut results = h(&args);
+        run_handler(&p, &h, &mut args, &mut results);
         // Generic results have no xid scratch; encode from slot 0.
         encode_shape_generic(results_x, &p.res_shape, 0, &mut results).map_err(RpcError::from)?;
         Ok(())
@@ -294,6 +330,7 @@ fn install_one(registry: &SvcRegistry, proc_: Arc<CompiledProc>, handler: SpecHa
 mod tests {
     use super::*;
     use crate::client::{PathUsed, SpecClient};
+    use crate::echo::echo_service;
     use crate::pipeline::ProcPipeline;
     use specrpc_netsim::net::NetworkConfig;
     use specrpc_rpc::ClntUdp;
@@ -427,6 +464,84 @@ mod tests {
         assert_eq!(runs.load(Ordering::SeqCst), 2);
         assert_eq!(reg.raw_dispatches(), 2);
         assert_eq!(reg.generic_dispatches(), 0);
+    }
+
+    /// An ECHO request image for the `n`-element context `cp`, its first
+    /// element replaced by `first`.
+    fn echo_request(cp: &CompiledProc, n: usize, first: i32) -> Vec<u8> {
+        let mut data: Vec<i32> = (0..n as i32).collect();
+        data[0] = first;
+        let args = StubArgs::new(vec![7], vec![data]);
+        let mut buf = vec![0u8; cp.client_encode.wire_len];
+        let mut counts = OpCounts::new();
+        crate::echo::specialized_encode_request(cp, &mut buf, &args, &mut counts).unwrap();
+        buf
+    }
+
+    #[test]
+    fn a_handler_panic_does_not_cost_the_procedure_its_scratch() {
+        // The first call panics inside the handler, holding the scratch
+        // pair. The calls after it must find that same pair again: the
+        // decoded array at one address, and in the result slot the
+        // capacity the previous call gave it (a fresh pair has none).
+        let n = 10;
+        let cp = Arc::new(ProcPipeline::new(n).build_from_idl(IDL, None, 1).unwrap());
+        let seen = Arc::new(Mutex::new(Vec::new()));
+        let log = seen.clone();
+        let reg = SpecService::new()
+            .proc_in_place(cp.clone(), move |args, results| {
+                let at = args.arrays[0].as_ptr() as usize;
+                log.lock().unwrap().push((at, results.arrays[0].capacity()));
+                assert!(args.arrays[0][0] != -1, "the handler's own bug");
+                results.arrays[0].extend_from_slice(&args.arrays[0]);
+            })
+            .into_registry();
+        let poisoned = echo_request(&cp, n, -1);
+        let panicked =
+            std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| reg.dispatch(&poisoned)));
+        assert!(panicked.is_err());
+        for first in [1, 2] {
+            let reply = reg.dispatch(&echo_request(&cp, n, first));
+            assert_eq!(reply.len(), cp.server_encode.wire_len);
+        }
+        let seen = seen.lock().unwrap();
+        assert_eq!(seen.len(), 3);
+        assert_eq!(seen[1].0, seen[2].0, "decoded in place, call after call");
+        assert!(seen[2].1 >= n, "the result slot kept call 2's capacity");
+        assert_eq!(reg.raw_dispatches(), 2);
+    }
+
+    #[test]
+    fn a_dispatch_that_finds_the_scratch_in_use_works_on_a_fresh_pair() {
+        // One dispatch is held inside the handler, on the scratch pair;
+        // a second one of the same procedure, from this thread, must not
+        // wait for it and must answer what it would have answered alone.
+        use crate::echo::echo_handler;
+        use std::sync::mpsc::channel;
+        let n = 10;
+        let cp = Arc::new(ProcPipeline::new(n).build_from_idl(IDL, None, 1).unwrap());
+        let (entered_tx, entered) = channel();
+        let (release, released) = channel::<()>();
+        let released = Mutex::new(released);
+        let reg = SpecService::new()
+            .proc_in_place(cp.clone(), move |args, results| {
+                if args.arrays[0][0] == -1 {
+                    entered_tx.send(()).unwrap();
+                    released.lock().unwrap().recv().unwrap();
+                }
+                echo_handler(args, results);
+            })
+            .into_registry();
+        let (held, other) = (echo_request(&cp, n, -1), echo_request(&cp, n, 5));
+        let alone = echo_service(cp.clone()).into_registry();
+        std::thread::scope(|s| {
+            let worker = s.spawn(|| reg.dispatch(&held));
+            entered.recv().unwrap();
+            assert_eq!(reg.dispatch(&other), alone.dispatch(&other));
+            release.send(()).unwrap();
+            assert_eq!(worker.join().unwrap(), alone.dispatch(&held));
+        });
+        assert_eq!(reg.raw_dispatches(), 2);
     }
 
     #[test]

@@ -28,17 +28,20 @@
 //! (a kept buffer that had to grow is counted there as well,
 //! [`BufPool::note_alloc`]), and the integration tests pin it.
 //!
-//! Who owns which pool: a [`crate::SvcRegistry`] owns one (reply images
-//! that are not offered a buffer come from it), a client built with
-//! `create_pooled` is handed one to share, and the reactor
-//! ([`crate::serve`]) gives each *shard* the pool its addresses' dispatch
-//! bodies draw on — the registry's own for a one-shard deployment, so
-//! what the server consumes into the pool is what its replies come out
-//! of; a private one per shard otherwise, so shards never contend on a
-//! free list. The pool is `Send + Sync` (one `Mutex` around the free
-//! list), so reactor workers and any number of clients can share one
-//! instance.
+//! Who owns which pool: a [`crate::SvcRegistry`] owns one (generic
+//! replies come from it; a raw handler that is not offered a fitting
+//! buffer draws from the pool its caller names — the shard's on the
+//! reactor, the registry's own under [`crate::SvcRegistry::dispatch`]),
+//! a client built with `create_pooled` is handed one to share, and the
+//! reactor ([`crate::serve`]) gives each *shard* the pool its addresses'
+//! dispatch bodies draw on — the registry's own for a one-shard
+//! deployment, so what the server consumes into the pool is what its
+//! replies come out of; a private [`BufPool::tight`] one per shard
+//! otherwise, so shards never contend on a free list. The pool is
+//! `Send + Sync` (one `Mutex` around the free list), so reactor workers
+//! and any number of clients can share one instance.
 
+use crate::svc::offer_fits;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Mutex;
 
@@ -70,6 +73,9 @@ pub struct PoolStats {
 pub struct BufPool {
     slots: Mutex<Vec<Vec<u8>>>,
     max_slots: usize,
+    /// Whether a parked buffer serves a `take` only while an offered one
+    /// of its capacity would ([`BufPool::tight`]).
+    tight: bool,
     hits: AtomicU64,
     misses: AtomicU64,
     recycled: AtomicU64,
@@ -96,10 +102,26 @@ impl BufPool {
         BufPool {
             slots: Mutex::new(Vec::new()),
             max_slots,
+            tight: false,
             hits: AtomicU64::new(0),
             misses: AtomicU64::new(0),
             recycled: AtomicU64::new(0),
             overflow_drops: AtomicU64::new(0),
+        }
+    }
+
+    /// An empty pool that hands out no buffer of more than twice the
+    /// capacity asked for — the bound an offered buffer is held to
+    /// ([`crate::svc::take_offer`]); a larger one stays parked and the take
+    /// allocates. For a pool whose buffers leave for good: a shard's
+    /// private pool is fed by request datagrams of every size and drained
+    /// by replies that never come back (a client can share only the
+    /// registry's pool), so without the bound small replies carry the
+    /// large requests' buffers away and sit on them in mailboxes.
+    pub fn tight() -> Self {
+        BufPool {
+            tight: true,
+            ..BufPool::default()
         }
     }
 
@@ -109,18 +131,24 @@ impl BufPool {
     }
 
     /// Take a cleared buffer with at least `min_capacity` bytes of
-    /// capacity. The most recently parked buffer that already fits is
-    /// preferred (request- and reply-sized buffers coexist in one pool, so
-    /// a plain LIFO pop would keep growing undersized ones); only when no
-    /// parked buffer fits does the take cost a heap allocation (counted in
+    /// capacity. The most recently parked buffer that already fits (in a
+    /// [`BufPool::tight`] pool: and is not too large) is preferred
+    /// (request- and reply-sized buffers coexist in one pool, so a plain
+    /// LIFO pop would keep growing undersized ones); only when no parked
+    /// buffer fits does the take cost a heap allocation (counted in
     /// [`PoolStats::misses`]).
     pub fn take(&self, min_capacity: usize) -> Vec<u8> {
         let recycled = {
             let mut slots = self.slots.lock().expect("buffer pool lock");
-            match slots.iter().rposition(|b| b.capacity() >= min_capacity) {
-                Some(i) => Some(slots.swap_remove(i)),
-                None => slots.pop(),
-            }
+            let fits = |b: &Vec<u8>| {
+                b.capacity() >= min_capacity
+                    && (!self.tight || offer_fits(b.capacity(), min_capacity))
+            };
+            let at = slots
+                .iter()
+                .rposition(fits)
+                .or_else(|| slots.iter().rposition(|b| b.capacity() < min_capacity));
+            at.map(|i| slots.swap_remove(i))
         };
         match recycled {
             Some(mut buf) if buf.capacity() >= min_capacity => {
@@ -235,6 +263,19 @@ mod tests {
         assert!(b.capacity() >= 1024, "the fitting buffer is chosen");
         assert_eq!(pool.stats().misses, 0);
         assert_eq!(pool.parked(), 1, "the small buffer stays parked");
+    }
+
+    #[test]
+    fn a_tight_pool_leaves_an_oversized_buffer_parked() {
+        let pool = BufPool::tight();
+        pool.put(Vec::with_capacity(100));
+        pool.put(Vec::with_capacity(4096)); // most recent, too large
+        assert_eq!(pool.take(60).capacity(), 100);
+        assert_eq!(pool.take(60).capacity(), 60, "a fresh one");
+        assert_eq!(pool.parked(), 1, "the large buffer stays parked");
+        let s = pool.stats();
+        assert_eq!((s.hits, s.misses), (1, 1));
+        assert!(BufPool::new().take(0).is_empty());
     }
 
     #[test]

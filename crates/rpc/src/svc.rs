@@ -30,7 +30,7 @@ pub type ProcHandler =
     Arc<dyn Fn(&mut dyn XdrStream, &mut dyn XdrStream) -> Result<(), RpcError> + Send + Sync>;
 
 /// A specialized (raw) handler: takes the whole request datagram, the
-/// buffer the caller offers for the reply image and the registry's
+/// buffer the caller offers for the reply image and the caller's
 /// wire-buffer pool for when the offer does not do — [`take_offer`] chooses
 /// between them and states the contract; returns the whole reply datagram,
 /// or `None` to fall back to the generic path (dynamic-guard failure, §6.2).
@@ -204,16 +204,24 @@ impl SvcRegistry {
     /// without any registry lock held, so concurrent dispatches from
     /// different threads proceed in parallel.
     pub fn dispatch(&self, request: &[u8]) -> Vec<u8> {
-        self.dispatch_offered(request, &mut None)
+        self.dispatch_offered(request, &mut None, &self.pool)
     }
 
     /// [`SvcRegistry::dispatch`] with a buffer offered for the reply image
-    /// (see [`RawHandler`]); only a raw handler can take it.
-    pub fn dispatch_offered(&self, request: &[u8], offer: &mut Option<Vec<u8>>) -> Vec<u8> {
+    /// (see [`RawHandler`]; only a raw handler can take it) and the pool
+    /// a raw handler draws from when it leaves the offer: the one the
+    /// caller recycles its buffers into, which in a multi-shard
+    /// deployment is the shard's and not the registry's.
+    pub fn dispatch_offered(
+        &self,
+        request: &[u8],
+        offer: &mut Option<Vec<u8>>,
+        pool: &BufPool,
+    ) -> Vec<u8> {
         if let Some(key) = peek_call_target(request) {
             let raw = self.raw.read().expect("raw lock").get(&key).cloned();
             if let Some(h) = raw {
-                match h(request, offer, &self.pool) {
+                match h(request, offer, pool) {
                     Some(reply) => {
                         self.raw_dispatches.fetch_add(1, Ordering::Relaxed);
                         return reply;

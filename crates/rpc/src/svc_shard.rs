@@ -158,7 +158,7 @@ pub fn serve(net: &Network, registry: Arc<SvcRegistry>, cfg: ServeConfig) -> Ser
     let pools: Vec<Arc<BufPool>> = if shards == 1 {
         vec![registry.pool().clone()]
     } else {
-        (0..shards).map(|_| Arc::new(BufPool::new())).collect()
+        (0..shards).map(|_| Arc::new(BufPool::tight())).collect()
     };
     let sockets: Arc<Vec<Socket>> = Arc::new(
         addrs

@@ -337,7 +337,7 @@ impl DupState {
 /// touches the pool. A dispatched request's buffer is parked for the next
 /// dispatch's reply image ([`DupState::parked`]); `bufs` takes the request
 /// datagrams that are not, and gives the buffers of replays, unpacked
-/// sub-messages and reply envelopes.
+/// sub-messages, reply envelopes and the replies that refuse their offer.
 ///
 /// One fresh request takes the state lock twice: to look up the cache,
 /// mark the transaction in progress and pick up the parked buffer; and to
@@ -479,7 +479,9 @@ impl CachedDispatch {
             }
         }
         let mut guard = InProgressGuard(self, xid.map(|x| (x, from)));
-        let reply = self.registry.dispatch_offered(request, &mut offer);
+        let reply = self
+            .registry
+            .dispatch_offered(request, &mut offer, &self.bufs);
         let t = (self.model)(request.len(), reply.len());
         let mut displaced = None;
         if let Some(xid) = xid {
@@ -1018,7 +1020,8 @@ mod tests {
     /// The dispatch body of one address with a buffer pool of its own, as
     /// a shard of a multi-shard deployment has.
     fn offer_dispatch(reg: &Arc<SvcRegistry>) -> CachedDispatch {
-        CachedDispatch::new(reg.clone(), None, DUP_CACHE_ENTRIES, Arc::default())
+        let bufs = Arc::new(BufPool::tight());
+        CachedDispatch::new(reg.clone(), None, DUP_CACHE_ENTRIES, bufs)
     }
 
     impl CachedDispatch {
@@ -1039,8 +1042,9 @@ mod tests {
         assert_eq!(cd.parked_at(), Some(first_at), "consumed, so parked");
         let pools_before = (reg.pool().stats(), cd.bufs.stats());
         assert_eq!(
-            pools_before.0.misses, 1,
-            "nothing was parked for the cold reply"
+            (pools_before.0.misses, pools_before.1.misses),
+            (0, 1),
+            "nothing was parked for the cold reply: this dispatch's own pool serves it"
         );
 
         let mut second = shaped_call(2, 2, &[2; 32]);
@@ -1174,6 +1178,23 @@ mod tests {
             accepted += usize::from(Some(reply.as_ptr()) == parked_at);
         }
         assert_eq!(accepted, 2 * 21, "same-shape neighbours share");
+    }
+
+    #[test]
+    fn a_shards_pool_gives_a_small_reply_no_large_buffer() {
+        // A 4 KB request is parked and another 4 KB buffer sits in the
+        // shard's pool. A 36-byte reply refuses the first and must not
+        // leave in the second either: the pool allocates one of its size.
+        let reg = offer_registry();
+        let cd = offer_dispatch(&reg);
+        cd.handle(&mut shaped_call(0, 2, &[0; 4096]), 4000)
+            .expect("dispatched");
+        cd.bufs.put(Vec::with_capacity(4096));
+        let (reply, _) = cd
+            .handle(&mut shaped_call(1, 2, &[1; 32]), 4000)
+            .expect("dispatched");
+        assert!(reply.capacity() <= 2 * reply.len(), "{}", reply.capacity());
+        assert_eq!(cd.bufs.parked(), 2, "both large buffers are pooled");
     }
 
     #[test]

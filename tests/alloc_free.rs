@@ -1,0 +1,109 @@
+//! A warm specialized round trip touches the heap not at all — not the
+//! wire path alone (`tests/zero_copy.rs` counts pool misses) but the
+//! whole process: client stub, transport, simulator, dup cache, dispatch,
+//! the service routine, and back. The echo routine works in place
+//! ([`specrpc::SpecHandler`]); the same loop against the returning
+//! convenience form, [`SpecService::proc`], reads exactly the two
+//! allocations that form costs.
+//!
+//! One test function: the counters are process-wide.
+
+use specrpc::echo::{echo_service, workload, ECHO_IDL, ECHO_PROC, ECHO_PROG, ECHO_VERS};
+use specrpc::{PathUsed, ProcPipeline, SpecClient, SpecService};
+use specrpc_netsim::net::{Network, NetworkConfig};
+use specrpc_rpc::ClntUdp;
+use specrpc_tempo::compile::StubArgs;
+use std::alloc::{GlobalAlloc, Layout, System};
+use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::Arc;
+
+/// The system allocator, counting what is asked of it.
+struct Counting;
+
+// Statistics only: they publish no other data, so `Relaxed` is enough.
+static ALLOCS: AtomicU64 = AtomicU64::new(0);
+static FREES: AtomicU64 = AtomicU64::new(0);
+
+// SAFETY: every call is forwarded unchanged to `System`, which upholds the
+// `GlobalAlloc` contract; the only addition is a relaxed atomic count.
+unsafe impl GlobalAlloc for Counting {
+    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
+        ALLOCS.fetch_add(1, Ordering::Relaxed);
+        // SAFETY: `layout` is the caller's, passed through.
+        unsafe { System.alloc(layout) }
+    }
+
+    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        FREES.fetch_add(1, Ordering::Relaxed);
+        // SAFETY: `ptr` came from `System` with this `layout`.
+        unsafe { System.dealloc(ptr, layout) }
+    }
+
+    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
+        // A growing `Vec` is an allocation a reused slot should not make.
+        ALLOCS.fetch_add(1, Ordering::Relaxed);
+        // SAFETY: as for `dealloc`; `new_size` is the caller's.
+        unsafe { System.realloc(ptr, layout, new_size) }
+    }
+}
+
+#[global_allocator]
+static ALLOC: Counting = Counting;
+
+const WARM_UP: u64 = 4_096;
+const CALLS: u64 = 1_000;
+
+/// `(allocations, frees)` of [`CALLS`] warm echo round trips at `n`
+/// elements against `service` deployed through `serve_udp`.
+fn steady_state(
+    n: usize,
+    service: impl FnOnce(Arc<specrpc::CompiledProc>) -> SpecService,
+) -> (u64, u64) {
+    let proc_ = ProcPipeline::new(n).build_from_idl(ECHO_IDL, None, ECHO_PROC);
+    let proc_ = Arc::new(proc_.unwrap());
+    let port = 940;
+    let net = Network::new(NetworkConfig::lan(), 29);
+    let registry = service(proc_.clone()).serve_udp(&net, port);
+    let pool = registry.pool().clone();
+    let clnt = ClntUdp::create_pooled(&net, 5700, port, ECHO_PROG, ECHO_VERS, pool);
+    let mut client = SpecClient::from_parts(clnt, proc_);
+    let data = workload(n);
+    let args = client.args(vec![], vec![data.clone()]);
+    let mut out = StubArgs::default();
+    let mut round_trip = || {
+        assert_eq!(client.call_into(&args, &mut out), Ok(PathUsed::Fast));
+        assert!(out.arrays[0] == data);
+    };
+    // Warm-up: both sides' slots and buffers, and the dup cache — its
+    // 256-entry window fills first, then its reply log settles on the
+    // segments it recycles (a 64 KiB segment holds 600 replies at n = 20,
+    // and the last allocation falls near call 3 000).
+    (0..WARM_UP).for_each(|_| round_trip());
+    let counted = || {
+        (
+            ALLOCS.load(Ordering::Relaxed),
+            FREES.load(Ordering::Relaxed),
+        )
+    };
+    let before = counted();
+    (0..CALLS).for_each(|_| round_trip());
+    let after = counted();
+    assert_eq!(registry.raw_dispatches(), WARM_UP + CALLS);
+    (after.0 - before.0, after.1 - before.1)
+}
+
+#[test]
+fn a_warm_round_trip_neither_allocates_nor_frees() {
+    for n in [20, 2000] {
+        assert_eq!(steady_state(n, echo_service), (0, 0), "in place, n = {n}");
+        // What the convenience form costs: the cloned array and the
+        // result set's `Vec` of arrays, and the two they displace.
+        let returning = |proc_| {
+            SpecService::new().proc(proc_, |a: &StubArgs| {
+                StubArgs::new(vec![], vec![a.arrays[0].clone()])
+            })
+        };
+        let per_call = (2 * CALLS, 2 * CALLS);
+        assert_eq!(steady_state(n, returning), per_call, "returning, n = {n}");
+    }
+}

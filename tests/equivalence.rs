@@ -4,13 +4,184 @@
 //! code produces (`spec(p, s)(d) == p(s, d)`), and decode inverts encode.
 
 use proptest::prelude::*;
-use specrpc::echo::{build_echo_proc, generic_encode_request, ECHO_IDL};
-use specrpc::{ProcPipeline, StubCache};
+use specrpc::echo::{
+    build_echo_proc, echo_handler, generic_decode_reply, generic_encode_request, ECHO_IDL,
+};
+use specrpc::{EventService, ProcPipeline, SpecService, StubCache};
+use specrpc_netsim::net::{Endpoint, Network, NetworkConfig};
+use specrpc_netsim::SimTime;
 use specrpc_rpcgen::desc::{xdr_value, TypeDesc, XdrValue};
 use specrpc_tempo::compile::{run_decode, run_encode, Outcome, StubArgs};
 use specrpc_xdr::mem::XdrMem;
 use specrpc_xdr::{OpCounts, XdrStream};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
+
+/// The length the twins' echo procedure is pinned at: a request of
+/// exactly this many elements takes the raw lane, any other fails the
+/// decode guard and is served generically.
+const PINNED: usize = 64;
+
+/// One compiled echo procedure behind two deployments on one network —
+/// a service routine working in place and its returning twin through
+/// [`SpecService::proc`] — and one raw endpoint that asks both. Each
+/// deployment has a reactor worker racing the driver for every delivery,
+/// which is why CI's second interleaving pass runs this file too.
+struct Twins {
+    ep: Endpoint,
+    served: [EventService; 2],
+    runs: [Arc<AtomicU64>; 2],
+}
+
+const TWIN_PORTS: [u32; 2] = [950, 951];
+
+impl Twins {
+    fn deploy(
+        in_place: impl Fn(&mut StubArgs, &mut StubArgs) + Send + Sync + 'static,
+        returning: impl Fn(&StubArgs) -> StubArgs + Send + Sync + 'static,
+    ) -> Twins {
+        let proc_ = Arc::new(build_echo_proc(PINNED, None).unwrap());
+        let net = Network::new(NetworkConfig::lan(), 41);
+        let runs = [Arc::new(AtomicU64::new(0)), Arc::new(AtomicU64::new(0))];
+        let (ran_a, ran_b) = (runs[0].clone(), runs[1].clone());
+        let a = SpecService::new().proc_in_place(proc_.clone(), move |args, results| {
+            ran_a.fetch_add(1, Ordering::Relaxed);
+            in_place(args, results)
+        });
+        let b = SpecService::new().proc(proc_, move |args: &StubArgs| {
+            ran_b.fetch_add(1, Ordering::Relaxed);
+            returning(args)
+        });
+        let served = [
+            a.serve_event(&net, TWIN_PORTS[0], 1),
+            b.serve_event(&net, TWIN_PORTS[1], 1),
+        ];
+        let ep = net.bind_udp(6100);
+        Twins { ep, served, runs }
+    }
+
+    /// Send every array of `burst` to one twin, then to the other (xids
+    /// counting up from `xid`); asserts the reply datagrams of the two are
+    /// byte-identical call by call and returns the arrays they carry.
+    fn ask(&self, xid: u32, burst: &[Vec<i32>]) -> Vec<Vec<i32>> {
+        let mut enc = XdrMem::encoder(1 << 16);
+        let replies = TWIN_PORTS.map(|port| {
+            for (i, data) in burst.iter().enumerate() {
+                let mut data = data.clone();
+                let len = generic_encode_request(&mut enc, xid + i as u32, &mut data).unwrap();
+                self.ep.send_to(port, enc.bytes()[..len].to_vec());
+            }
+            let mut replies: Vec<Vec<u8>> = burst
+                .iter()
+                .map(|_| self.ep.recv_timeout(SimTime::from_millis(100)))
+                .map(|reply| reply.expect("answered").payload)
+                .collect();
+            replies.sort_by_key(|r| u32::from_be_bytes(r[..4].try_into().unwrap()));
+            replies
+        });
+        assert_eq!(replies[0], replies[1], "burst at xid {xid}");
+        let decoded = |reply: &Vec<u8>| {
+            let mut out = Vec::new();
+            generic_decode_reply(reply, &mut out).unwrap();
+            out
+        };
+        replies[0].iter().map(decoded).collect()
+    }
+
+    /// Both twins' `(handler runs, raw dispatches, raw fallbacks, generic
+    /// dispatches)`, asserted equal.
+    fn counters(&self) -> (u64, u64, u64, u64) {
+        let of = |i: usize| {
+            let reg = &self.served[i].registry;
+            (
+                self.runs[i].load(Ordering::Relaxed),
+                reg.raw_dispatches(),
+                reg.raw_fallbacks(),
+                reg.generic_dispatches(),
+            )
+        };
+        assert_eq!(of(0), of(1));
+        of(0)
+    }
+}
+
+fn returning_echo(args: &StubArgs) -> StubArgs {
+    StubArgs::new(vec![], vec![args.arrays[0].clone()])
+}
+
+#[test]
+fn in_place_and_returning_handlers_answer_byte_for_byte() {
+    let twins = Twins::deploy(echo_handler, returning_echo);
+    // SplitMix64: pinned-length requests (raw lane) mixed with longer and
+    // shorter ones (generic lane), in bursts of one to four.
+    let mut state = 0x9E37_79B9_7F4A_7C15u64;
+    let mut next = move || {
+        state = state.wrapping_add(0x9E37_79B9_7F4A_7C15);
+        let z = (state ^ (state >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+        let z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+        z ^ (z >> 31)
+    };
+    let (mut xid, mut asked) = (1u32, 0u64);
+    for _ in 0..60 {
+        let burst: Vec<Vec<i32>> = (0..1 + next() % 4)
+            .map(|_| {
+                let len = match next() % 3 {
+                    0 => 1 + next() as usize % 300,
+                    _ => PINNED,
+                };
+                (0..len).map(|_| next() as i32).collect()
+            })
+            .collect();
+        assert_eq!(twins.ask(xid, &burst), burst, "every call echoes its own");
+        xid += burst.len() as u32;
+        asked += burst.len() as u64;
+    }
+    // No slot hands a call what the previous one left in it.
+    let long_then_short = [(0..200).collect::<Vec<i32>>(), vec![7, 8, 9]];
+    for data in long_then_short.chunks(1) {
+        assert_eq!(twins.ask(xid, data), data);
+        xid += 1;
+    }
+    let (runs, raw, fallbacks, generic) = twins.counters();
+    assert_eq!(runs, asked + 2, "one handler run per call");
+    assert_eq!((raw + generic, fallbacks), (runs, generic));
+    assert!(
+        raw > 50 && generic > 20,
+        "both lanes: {raw} raw, {generic} generic"
+    );
+}
+
+#[test]
+fn a_reply_outside_the_pinned_shape_is_the_same_from_either_form() {
+    // Both routines drop the last element when the first is negative: the
+    // request passes the decode guard, the reply fails the reply stub's,
+    // and the results go through the generic encoder as the handler left
+    // them — after one run, not two.
+    let twins = Twins::deploy(
+        |args, results| {
+            echo_handler(args, results);
+            if results.arrays[0][0] < 0 {
+                results.arrays[0].pop();
+            }
+        },
+        |args| {
+            let mut results = returning_echo(args);
+            if results.arrays[0][0] < 0 {
+                results.arrays[0].pop();
+            }
+            results
+        },
+    );
+    let whole: Vec<i32> = (1..=PINNED as i32).collect();
+    let mut short = whole.clone();
+    short[0] = -1;
+    let burst = [whole.clone(), short.clone(), whole.clone()];
+    short.pop();
+    assert_eq!(twins.ask(1, &burst), [whole.clone(), short, whole]);
+    // Raw dispatches all three: the generic *encoder* ran, not the
+    // generic dispatch.
+    assert_eq!(twins.counters(), (3, 3, 0, 0));
+}
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]

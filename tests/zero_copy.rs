@@ -298,6 +298,50 @@ fn retransmission_reuses_the_request_image_without_rebuilding() {
     );
 }
 
+#[test]
+fn a_refused_offer_is_served_by_the_pool_the_shard_refills() {
+    // Two shards, no workers, raw endpoints that drop their replies (what
+    // `run_scale` drives): nothing ever recycles into the registry's own
+    // pool. Calls alternate an 8- and a 256-element procedure on one
+    // address, so each reply is offered the other shape's request buffer
+    // and refuses it; what it draws instead must come from the shard's
+    // pool, where the displaced request buffers go.
+    use specrpc::echo::{echo_handler, generic_encode_request};
+    const IDL: &str = r#"
+        const MAXARR = 100000;
+        struct int_arr { int arr<MAXARR>; };
+        program ARRAYPROG {
+            version ARRAYVERS {
+                int_arr ECHO(int_arr) = 1;
+                int_arr ECHO_LARGE(int_arr) = 2;
+            } = 1;
+        } = 0x20000101;
+    "#;
+    let net = Network::new(NetworkConfig::lan(), 31);
+    let mut service = SpecService::new();
+    for (proc_num, n) in [(1, 8), (2, 256)] {
+        let proc_ = ProcPipeline::new(n).build_from_idl(IDL, None, proc_num);
+        service = service.proc_in_place(Arc::new(proc_.unwrap()), echo_handler);
+    }
+    let served = service.serve_sharded(&net, &[920, 921], 2, 0);
+    let ep = net.bind_udp(6000);
+    let mut enc = XdrMem::encoder(2048);
+    let mut call = |xid: u32| {
+        let (proc_num, n) = [(1, 8), (2, 256)][xid as usize % 2];
+        let len = generic_encode_request(&mut enc, xid, &mut workload(n)).unwrap();
+        let mut request = enc.bytes()[..len].to_vec();
+        request[20..24].copy_from_slice(&u32::to_be_bytes(proc_num));
+        ep.send_to(920, request);
+        let reply = ep.recv_timeout(specrpc_netsim::SimTime::from_millis(50));
+        assert_eq!(reply.expect("answered").payload.len(), 28 + 4 * n);
+    };
+    (0..16).for_each(&mut call);
+    let warm = served.registry.pool().stats();
+    (16..80).for_each(&mut call);
+    assert_eq!(served.registry.pool().stats().misses, warm.misses);
+    assert_eq!(served.registry.raw_dispatches(), 80);
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 
