@@ -6,8 +6,9 @@
 //! workload; the per-platform cost weights ([`Platform::costs`]) convert
 //! those counts into modeled 1997 milliseconds. Absolute values are
 //! modeled; the shape (who wins, by what factor, where curves bend) comes
-//! from the executed code. `cargo bench` additionally measures real
-//! wall-clock time on the host for the same code paths.
+//! from the executed code. Real wall-clock time on the host for the same
+//! code paths is `benchmark/`'s to measure (and `tests/paper_ratio.rs`'s
+//! for the specialized ÷ generic ratio).
 
 #![deny(unsafe_code)]
 

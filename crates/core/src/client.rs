@@ -158,11 +158,6 @@ pub struct SpecClient<T: Transport> {
     batch_req: Vec<WireBuf>,
     /// Reused xid scratch for batched calls.
     batch_xids: Vec<u32>,
-    /// Wire-allocation watermark for the nonblocking (async-adapter)
-    /// lane: [`SpecClient::call_begin`]/[`SpecClient::batch_begin`] mark
-    /// it, [`SpecClient::call_finish`] folds the delta since the mark
-    /// into `counts.heap_allocs` and re-marks.
-    async_allocs_mark: u64,
     /// Stub-op, byte, and allocation counts from specialized marshaling
     /// (generic fallback decoding accumulates here too).
     pub counts: OpCounts,
@@ -195,7 +190,6 @@ impl<T: Transport> SpecClient<T> {
             req: WireBuf::new(),
             batch_req: Vec::new(),
             batch_xids: Vec::new(),
-            async_allocs_mark: 0,
             counts: OpCounts::new(),
             fast_calls: 0,
             fallback_calls: 0,
@@ -334,12 +328,6 @@ impl<T: Transport> SpecClient<T> {
         self.transport.flush_oneways()
     }
 
-    /// Whether [`SpecClient::call_oneway`] really queues (a batching
-    /// transport) rather than degrading to a blocking call.
-    pub fn oneway_batching(&self) -> bool {
-        self.transport.oneway_batching()
-    }
-
     /// Single-copy encode: the compiled stub emits header + arguments in
     /// one pass straight into the rewound exact-size wire buffer (xid
     /// stamped via the slot-0 override, not an args clone). The buffer is
@@ -395,7 +383,7 @@ impl<T: Transport> SpecClient<T> {
     /// submission order. The fixed per-call round-trip overhead — wire
     /// latency, server dispatch hand-off — is paid once per batch, the
     /// same way the compiled stubs amortize per-element marshaling
-    /// overhead (see the `batched` bench scenario).
+    /// overhead ([`crate::echo::BatchEchoBench`] drives this lane).
     ///
     /// Allocates fresh result slots; steady-state callers use
     /// [`SpecClient::call_batch_into`].
@@ -479,99 +467,6 @@ impl<T: Transport> SpecClient<T> {
             None => Ok(paths),
             Some(e) => Err(e),
         }
-    }
-
-    /// Whether the underlying transport supports the nonblocking
-    /// (async-adapter) lane — see [`Transport::nonblocking`].
-    pub fn nonblocking(&self) -> bool {
-        self.transport.nonblocking()
-    }
-
-    // ------------------------------------------------------------------
-    // The nonblocking call surface consumed by the `specrpc-async`
-    // adapter: begin (encode + transmit), poll, resend, finish (decode +
-    // recycle). The request image stays in the client's reusable wire
-    // buffer between begin and finish, so retransmission re-sends the
-    // same bytes — exactly like the blocking lane.
-    // ------------------------------------------------------------------
-
-    /// Begin one nonblocking call: allocate the xid, encode the request
-    /// image (kept for [`SpecClient::call_resend`]), and transmit it
-    /// once. At most one `call_begin` transaction may be outstanding per
-    /// client; use the batch surface for overlapped calls.
-    pub fn call_begin(&mut self, args: &StubArgs) -> Result<u32, RpcError> {
-        self.calls += 1;
-        self.async_allocs_mark = self.transport.wire_allocs();
-        let xid = self.transport.next_xid();
-        Self::encode_into(&self.proc_, &mut self.req, args, xid, &mut self.counts)?;
-        self.transport.send_request(self.req.bytes(), xid)?;
-        Ok(xid)
-    }
-
-    /// Nonblocking readiness poll for an outstanding
-    /// [`SpecClient::call_begin`] transaction.
-    pub fn call_poll(&mut self, xid: u32) -> Result<Option<Vec<u8>>, RpcError> {
-        self.transport.poll_reply(xid)
-    }
-
-    /// Retransmit the outstanding [`SpecClient::call_begin`] request
-    /// image (per-try timeout elapsed without a reply).
-    pub fn call_resend(&mut self, xid: u32) -> Result<(), RpcError> {
-        self.transport.send_request(self.req.bytes(), xid)
-    }
-
-    /// Begin `batch.len()` nonblocking calls: encode each into its
-    /// reused per-slot wire buffer and transmit all of them, returning
-    /// the xids in submission order. Collect replies with
-    /// [`SpecClient::batch_poll_any`] and straggler-retransmit with
-    /// [`SpecClient::batch_resend`].
-    pub fn batch_begin(&mut self, batch: &[StubArgs]) -> Result<Vec<u32>, RpcError> {
-        self.calls += batch.len() as u64;
-        self.async_allocs_mark = self.transport.wire_allocs();
-        while self.batch_req.len() < batch.len() {
-            self.batch_req.push(WireBuf::new());
-        }
-        self.batch_xids.clear();
-        for (args, req) in batch.iter().zip(self.batch_req.iter_mut()) {
-            let xid = self.transport.next_xid();
-            Self::encode_into(&self.proc_, req, args, xid, &mut self.counts)?;
-            self.batch_xids.push(xid);
-        }
-        for (req, &xid) in self.batch_req.iter().zip(&self.batch_xids) {
-            self.transport.send_request(req.bytes(), xid)?;
-        }
-        Ok(self.batch_xids.clone())
-    }
-
-    /// Nonblocking poll matching any of `xids` (the still-outstanding
-    /// subset of a [`SpecClient::batch_begin`]): position + reply bytes.
-    pub fn batch_poll_any(&mut self, xids: &[u32]) -> Result<Option<(usize, Vec<u8>)>, RpcError> {
-        self.transport.poll_reply_any(xids)
-    }
-
-    /// Retransmit batch slot `slot` (submission index) of the current
-    /// [`SpecClient::batch_begin`].
-    pub fn batch_resend(&mut self, slot: usize) -> Result<(), RpcError> {
-        let xid = self.batch_xids[slot];
-        self.transport
-            .send_request(self.batch_req[slot].bytes(), xid)
-    }
-
-    /// Finish a nonblocking call: decode `reply` into `out` (specialized
-    /// fast path with generic fallback, like the blocking lane), recycle
-    /// the reply buffer, and fold the wire allocations the transaction's
-    /// window provoked.
-    pub fn call_finish(
-        &mut self,
-        reply: Vec<u8>,
-        out: &mut StubArgs,
-    ) -> Result<PathUsed, RpcError> {
-        let result = self.decode_reply(&reply, out);
-        self.transport.recycle(reply);
-        let now = self.transport.wire_allocs();
-        self.counts.heap_allocs += now - self.async_allocs_mark;
-        self.async_allocs_mark = now;
-        result
     }
 
     /// Build the argument [`StubArgs`] with the xid slot reserved.

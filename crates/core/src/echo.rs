@@ -337,8 +337,8 @@ impl TcpEchoBench {
 }
 
 /// The echo deployment on the event-driven serving core, driven through
-/// batched pipelined calls — what the `batched` criterion scenario
-/// measures. The reactor worker(s) process requests off the driving
+/// batched pipelined calls — what `benchmark/`'s `rpc.reactor_threaded`
+/// probe measures. The reactor worker(s) process requests off the driving
 /// thread, so with a batch in flight the server's decode → handler →
 /// encode work overlaps the client's own marshaling and reply decoding;
 /// argument and result slots are prebuilt and reused, keeping the

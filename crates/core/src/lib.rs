@@ -249,17 +249,10 @@
 //! assert!(report.contains("event loop"));
 //! ```
 //!
-//! On top of the same readiness surface, the `specrpc-async` crate
-//! wraps the nonblocking client lane ([`SpecClient::call_begin`] /
-//! `call_poll` / `call_finish`) and the shard map's
-//! [`specrpc_rpc::Served::poll_once`] sweep in ordinary
-//! `Future`s, with a tiny `block_on` executor that interleaves polling
-//! with simulator steps — async-capable entry points without touching
-//! the core wire path. The open-loop **million-client scenario** (one
-//! pre-encoded request per endpoint, zipf-skewed shape mix, latency
-//! quantiles and per-shard throughput through [`Summary`]) lives in
-//! [`scenario`]; run it via `cargo run --release --example
-//! million_clients`.
+//! The open-loop **million-client scenario** (one pre-encoded request
+//! per endpoint, zipf-skewed shape mix, latency quantiles and per-shard
+//! throughput through [`Summary`]) lives in [`scenario`]; run it via
+//! `cargo run --release --example million_clients`.
 //!
 //! The [`echo`] module packages the paper's benchmark workload (a remote
 //! procedure exchanging integer arrays, §5 "The test program"); [`client`]

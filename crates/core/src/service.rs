@@ -73,7 +73,7 @@ pub struct SpecService {
 pub struct EventService {
     /// The shared dispatch registry (path counters, unregister).
     pub registry: Arc<SvcRegistry>,
-    /// The reactor (event counts, the async adapter's `poll_once`).
+    /// The reactor (per-shard and per-worker event counts).
     pub reactor: Served,
 }
 

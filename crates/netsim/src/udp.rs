@@ -65,19 +65,6 @@ impl SimUdpSocket {
         }
     }
 
-    /// Nonblocking receive: pop an already-delivered datagram from the
-    /// peer without advancing virtual time (stranger traffic is
-    /// discarded, like a connected socket). The readiness half of the
-    /// transport poll surface.
-    pub fn try_recv(&self) -> Option<Vec<u8>> {
-        loop {
-            let dg = self.ep.try_recv()?;
-            if dg.from == self.peer {
-                return Some(dg.payload);
-            }
-        }
-    }
-
     /// Bulk receive: hand every already-delivered datagram from the peer
     /// to `f` in arrival order, under a single mailbox lock acquisition
     /// (stranger traffic is discarded). `buf` is the caller's reusable

@@ -248,10 +248,6 @@ impl Transport for ClntTcp {
         }
     }
 
-    fn batch_mode(&self) -> crate::transport::BatchMode {
-        crate::transport::BatchMode::Pipelined
-    }
-
     fn recycle(&mut self, reply: Vec<u8>) {
         self.pool.put(reply);
     }
@@ -429,10 +425,6 @@ mod tests {
         let (requests, xids) = build(&mut batch_clnt, 6);
         let refs: Vec<&[u8]> = requests.iter().map(Vec::as_slice).collect();
         let batched = batch_clnt.call_batch(&refs, &xids).unwrap();
-        assert_eq!(
-            batch_clnt.batch_mode(),
-            crate::transport::BatchMode::Pipelined
-        );
 
         let net2 = Network::new(NetworkConfig::lan(), 11);
         serve_tcp(&net2, 2049, service(), None);

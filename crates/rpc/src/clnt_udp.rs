@@ -439,16 +439,6 @@ impl ClntUdp {
         self.rx_pending.pop_front()
     }
 
-    /// Nonblocking [`ClntUdp::next_reply`].
-    fn next_reply_nonblocking(&mut self) -> Option<Vec<u8>> {
-        if let Some(r) = self.rx_pending.pop_front() {
-            return Some(r);
-        }
-        let dg = self.sock.try_recv()?;
-        self.enqueue_reply(dg);
-        self.rx_pending.pop_front()
-    }
-
     /// Raw transaction: send `request` (whose first word must be `xid`),
     /// retransmit on per-try timeout, and return the first reply datagram
     /// whose xid matches. This is the path shared by the generic and
@@ -831,56 +821,6 @@ impl Transport for ClntUdp {
         self.exchange_batch(requests, xids)
     }
 
-    fn batch_mode(&self) -> crate::transport::BatchMode {
-        crate::transport::BatchMode::Pipelined
-    }
-
-    fn try_exchange(&mut self, request: &[u8], xid: u32) -> Result<Option<Vec<u8>>, RpcError> {
-        self.send_request(request, xid)?;
-        self.poll_reply(xid)
-    }
-
-    fn poll_reply(&mut self, xid: u32) -> Result<Option<Vec<u8>>, RpcError> {
-        while let Some(reply) = self.next_reply_nonblocking() {
-            if reply.len() >= 4
-                && u32::from_be_bytes([reply[0], reply[1], reply[2], reply[3]]) == xid
-            {
-                return Ok(Some(reply));
-            }
-            self.pool.put(reply);
-        }
-        Ok(None)
-    }
-
-    fn nonblocking(&self) -> bool {
-        true
-    }
-
-    fn send_request(&mut self, request: &[u8], xid: u32) -> Result<(), RpcError> {
-        debug_assert!(request.len() >= 4);
-        debug_assert_eq!(
-            u32::from_be_bytes([request[0], request[1], request[2], request[3]]),
-            xid,
-            "request must start with its xid"
-        );
-        self.sock
-            .send(datagram_in(self.kept.take(), &self.pool, request));
-        Ok(())
-    }
-
-    fn poll_reply_any(&mut self, xids: &[u32]) -> Result<Option<(usize, Vec<u8>)>, RpcError> {
-        while let Some(reply) = self.next_reply_nonblocking() {
-            if reply.len() >= 4 {
-                let rx = u32::from_be_bytes([reply[0], reply[1], reply[2], reply[3]]);
-                if let Some(i) = xids.iter().position(|&x| x == rx) {
-                    return Ok(Some((i, reply)));
-                }
-            }
-            self.pool.put(reply);
-        }
-        Ok(None)
-    }
-
     fn call_oneway(&mut self, request: &[u8], xid: u32) -> Result<(), RpcError> {
         if self.coalescer.is_some() {
             self.queue_oneway(request, xid);
@@ -897,10 +837,6 @@ impl Transport for ClntUdp {
     fn flush_oneways(&mut self) -> Result<(), RpcError> {
         self.flush_pending_oneways(FlushReason::Explicit);
         Ok(())
-    }
-
-    fn oneway_batching(&self) -> bool {
-        self.coalescer.is_some()
     }
 
     fn recycle(&mut self, reply: Vec<u8>) {
@@ -1199,29 +1135,6 @@ mod tests {
             clnt.exchange_batch(&[], &[]).unwrap(),
             Vec::<Vec<u8>>::new()
         );
-    }
-
-    #[test]
-    fn try_exchange_completes_after_the_network_runs() {
-        use crate::transport::Transport;
-        let net = Network::new(NetworkConfig::lan(), 3);
-        let mut clnt = start(&net, false);
-        let xid = Transport::next_xid(&mut clnt);
-        let mut enc = XdrMem::encoder(256);
-        let mut msg = CallHeader::new(xid, PROG, 1, 1);
-        CallHeader::xdr(&mut enc, &mut msg).unwrap();
-        let mut v = vec![2i32, 3];
-        xdr_array(&mut enc, &mut v, 100, xdr_int).unwrap();
-        let request = enc.into_bytes();
-        // The reply cannot be ready at the send instant…
-        assert!(clnt.try_exchange(&request, xid).unwrap().is_none());
-        assert!(clnt.poll_reply(xid).unwrap().is_none());
-        // …but once virtual time runs past the round trip it is.
-        net.advance(SimTime::from_millis(5));
-        let reply = clnt.poll_reply(xid).unwrap().expect("ready now");
-        let mut dec = XdrMem::decoder(&reply);
-        let hdr = ReplyHeader::decode(&mut dec).unwrap();
-        assert_eq!(hdr.xid, xid);
     }
 
     #[test]
@@ -1583,7 +1496,6 @@ mod tests {
         serve_udp(&net, 1011, counting_service(runs.clone()));
         let mut clnt = ClntUdp::create(&net, 5000, 1011, PROG, 1);
         assert!(clnt.coalesce_stats().is_none());
-        assert!(!Transport::oneway_batching(&clnt));
         let (req, xid) = encode_sum(&mut clnt, &[5]);
         clnt.call_oneway(&req, xid).unwrap();
         assert_eq!(runs.load(Ordering::Relaxed), 1, "ran synchronously");
@@ -1651,9 +1563,12 @@ mod tests {
         let net = Network::new(NetworkConfig::lan(), 3);
         let server = net.bind_udp(700);
         let pool = Arc::new(BufPool::new());
-        let mut clnt = ClntUdp::create_pooled(&net, 5000, 700, PROG, 1, pool.clone());
+        // Nobody answers: each exchange sends its one try and gives up.
+        let mut clnt =
+            ClntUdp::create_pooled(&net, 5000, 700, PROG, 1, pool.clone()).with_retry_budget(0);
         let send = |clnt: &mut ClntUdp, request: &[u8]| {
-            clnt.send_request(request, 7).unwrap();
+            let err = clnt.exchange(request, 7).unwrap_err();
+            assert_eq!(err, RpcError::GaveUp { tries: 1 });
             let dg = server.recv_timeout(SimTime::from_millis(5)).expect("sent");
             assert_eq!(dg.payload, request);
             dg.payload

@@ -53,4 +53,4 @@ pub use msg::{AcceptStat, CallHeader, MsgType, RejectStat, ReplyHeader, ReplySta
 pub use svc::SvcRegistry;
 pub use svc_shard::{serve, ServeConfig, Served};
 pub use svc_tcp::serve_tcp;
-pub use transport::{BatchMode, Transport};
+pub use transport::Transport;

@@ -315,22 +315,6 @@ impl Served {
         self.registry.clone()
     }
 
-    /// One nonblocking sweep over every socket in the map (one datagram
-    /// per socket), crediting each event to its owning shard. Returns
-    /// the number of events processed — the serving primitive the async
-    /// adapter's executor drives between readiness polls.
-    pub fn poll_once(&self) -> usize {
-        let mut served = 0;
-        for s in self.sockets.iter() {
-            let hit = self.net.poll_udp(s.addr, |req, from| {
-                self.counts.processed[s.shard].fetch_add(1, Ordering::Relaxed);
-                s.dispatch.handle(req, from)
-            });
-            served += usize::from(hit);
-        }
-        served
-    }
-
     /// The shared registry every socket dispatches through.
     pub fn registry(&self) -> &Arc<SvcRegistry> {
         &self.registry
@@ -360,11 +344,10 @@ impl Served {
         self.per_shard_events().iter().sum()
     }
 
-    /// Deliveries executed in place by a driving thread (or its
-    /// [`Served::poll_once`] sweep) rather than by a worker: all of the
-    /// traffic with zero workers; otherwise whatever the drivers got to
-    /// first (most of it on a single core). Every event is counted
-    /// before its reply is sent, so at quiescence this is exact.
+    /// Deliveries executed in place by a driving thread rather than by a
+    /// worker: all of the traffic with zero workers; otherwise whatever
+    /// the drivers got to first (most of it on a single core). Every event
+    /// is counted before its reply is sent, so at quiescence this is exact.
     pub fn driver_inline_events(&self) -> u64 {
         self.total_events()
             .saturating_sub(self.per_worker_events().iter().sum())
@@ -509,27 +492,6 @@ pub(crate) mod tests {
             (replies, net.now())
         };
         assert_eq!(run(1), run(4));
-    }
-
-    #[test]
-    fn poll_once_drains_ready_sockets() {
-        let net = Network::new(NetworkConfig::lan(), 8);
-        let ports: Vec<Addr> = vec![650, 651];
-        let sl = deploy(&net, &ports, echo_registry(), 2, 0);
-        let ep = net.bind_udp(4000);
-        assert_eq!(sl.poll_once(), 0, "idle map has nothing to serve");
-        // Land the delivery as a readiness event with single `step`s —
-        // stopping the moment it is queued, before a further step's
-        // driver-steal would execute it inline.
-        ep.send_to(650, call(1, 1));
-        let deadline = net.now() + SimTime::from_millis(5);
-        while net.ready_udp(650) == 0 {
-            assert!(net.step(deadline), "delivery must land before deadline");
-        }
-        assert_eq!(sl.poll_once(), 1, "the sweep serves the queued event");
-        assert_eq!(sl.total_events(), 1);
-        let dg = ep.recv_timeout(SimTime::from_millis(50)).expect("reply");
-        assert_eq!(dg.from, 650);
     }
 
     #[test]

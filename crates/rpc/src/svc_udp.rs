@@ -28,22 +28,9 @@ pub fn default_proc_time() -> ProcTimeModel {
 /// FIFO-evicted — enough to absorb retransmission windows).
 pub const DUP_CACHE_ENTRIES: usize = 256;
 
-/// 64-bit FNV-1a over the request bytes — the reference fingerprint
-/// (kept for its published test vectors and as documentation of the
-/// verification idea). One `u64` per entry replaces the full
-/// `request.to_vec()` copy the cache used to hold.
-#[cfg_attr(not(test), allow(dead_code))]
-pub(crate) fn fnv1a64(bytes: &[u8]) -> u64 {
-    let mut h = 0xcbf2_9ce4_8422_2325u64;
-    for &b in bytes {
-        h ^= b as u64;
-        h = h.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    h
-}
-
-/// The production fingerprint: an FNV-style multiply-xor mix over
-/// 8-byte chunks in four independent lanes. Byte-at-a-time FNV costs
+/// The request fingerprint the cache keeps (one `u64` per entry instead
+/// of a copy of the request): an FNV-1a-style multiply-xor mix over
+/// 8-byte chunks in four independent lanes. Byte-at-a-time FNV-1a costs
 /// ~1.2 ns/byte (a 10 µs tax on the paper's 8 KB workload — two thirds
 /// of the whole round trip); the four-lane chunked mix breaks the
 /// multiply dependency chain and runs more than an order of magnitude
@@ -88,7 +75,9 @@ pub(crate) enum Verify {
     /// pin.
     Hash,
     /// Compare the full stored request bytes (collision-proof; costs a
-    /// full copy per entry — kept as the honesty baseline for tests).
+    /// full copy per entry). Kept as the baseline the collision-honesty
+    /// test compares hash mode against, and as the reference an
+    /// "xid reuse with different bytes" check needs.
     #[cfg_attr(not(test), allow(dead_code))]
     FullBytes,
 }
@@ -842,7 +831,7 @@ mod tests {
     fn collision_honesty_hash_mode_replays_on_fingerprint_collision() {
         // Honesty test for the 64-bit fingerprint: if two *different*
         // requests collide (forced here with a degenerate hasher; a
-        // 2⁻⁶⁴ event with the real FNV-1a), hash mode WILL replay the
+        // 2⁻⁶⁴ event with the real fingerprint), hash mode WILL replay the
         // stale reply — the fingerprint is load-bearing, not decorative.
         let mut cache = DupCache::with_hasher(4, Verify::Hash, |_| 42);
         cache.record(7, 4000, b"original", &[9]);
@@ -866,14 +855,6 @@ mod tests {
             "byte comparison catches what the forced collision hides"
         );
         assert_eq!(cache.get(7, 4000, b"original"), Some(&[9][..]));
-    }
-
-    #[test]
-    fn fnv1a64_matches_reference_vectors() {
-        // Published FNV-1a 64-bit test vectors.
-        assert_eq!(fnv1a64(b""), 0xcbf2_9ce4_8422_2325);
-        assert_eq!(fnv1a64(b"a"), 0xaf63_dc4c_8601_ec8c);
-        assert_eq!(fnv1a64(b"foobar"), 0x85944171f73967e8);
     }
 
     #[test]

@@ -10,15 +10,6 @@
 
 use crate::error::RpcError;
 
-/// How [`Transport::call_batch`] ran a batch, for observability.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum BatchMode {
-    /// All requests were transmitted before any reply was awaited.
-    Pipelined,
-    /// The transport fell back to one blocking exchange per request.
-    Sequential,
-}
-
 /// A client-side RPC transport: raw pre-marshaled exchanges plus the
 /// identity of the remote program.
 ///
@@ -70,11 +61,6 @@ pub trait Transport {
             .collect()
     }
 
-    /// How this transport runs [`Transport::call_batch`].
-    fn batch_mode(&self) -> BatchMode {
-        BatchMode::Sequential
-    }
-
     /// Sun-style **one-way** (batched) call: the caller needs no reply
     /// and gives up the at-least-once guarantee for this transaction.
     ///
@@ -98,65 +84,6 @@ pub trait Transport {
     /// synchronous reply.
     fn flush_oneways(&mut self) -> Result<(), RpcError> {
         Ok(())
-    }
-
-    /// Whether [`Transport::call_oneway`] really queues (true batching)
-    /// rather than degrading to a blocking call.
-    fn oneway_batching(&self) -> bool {
-        false
-    }
-
-    /// Nonblocking half-exchange: transmit `request` and poll once for
-    /// its reply without advancing virtual time. `Ok(None)` means the
-    /// reply is not ready yet — keep polling with
-    /// [`Transport::poll_reply`] while something else drives the network
-    /// forward. Blocking transports default to completing the exchange
-    /// inline (never returning `Ok(None)`).
-    ///
-    /// At most one exchange may be outstanding through this surface at a
-    /// time; replies to other transactions are discarded as stale. Use
-    /// [`Transport::call_batch`] for multiple in-flight calls.
-    fn try_exchange(&mut self, request: &[u8], xid: u32) -> Result<Option<Vec<u8>>, RpcError> {
-        self.call(request, xid).map(Some)
-    }
-
-    /// Nonblocking readiness poll for the reply to an earlier
-    /// [`Transport::try_exchange`]. The default (for transports whose
-    /// `try_exchange` completes inline) always reports not-ready.
-    fn poll_reply(&mut self, xid: u32) -> Result<Option<Vec<u8>>, RpcError> {
-        let _ = xid;
-        Ok(None)
-    }
-
-    /// Whether this transport has a *real* nonblocking surface: a
-    /// [`Transport::send_request`] that only transmits and a
-    /// [`Transport::poll_reply`]/[`Transport::poll_reply_any`] that can
-    /// report not-ready. The async adapter uses this to decide between
-    /// overlapping calls and degrading to the blocking path.
-    fn nonblocking(&self) -> bool {
-        false
-    }
-
-    /// Transmit `request` without polling for any reply — the multi-call
-    /// async lane, where several transactions are in flight through one
-    /// transport and replies are collected by
-    /// [`Transport::poll_reply_any`]. Errors by default: a transport
-    /// without a nonblocking surface cannot overlap calls (check
-    /// [`Transport::nonblocking`] first).
-    fn send_request(&mut self, request: &[u8], xid: u32) -> Result<(), RpcError> {
-        let _ = (request, xid);
-        Err(RpcError::Transport(
-            "transport has no nonblocking send surface".into(),
-        ))
-    }
-
-    /// Nonblocking poll matching *any* of `xids`: returns the position in
-    /// `xids` plus the reply when one has arrived. Replies matching none
-    /// of the listed xids are discarded as stale. The default (for
-    /// blocking transports) always reports not-ready.
-    fn poll_reply_any(&mut self, xids: &[u32]) -> Result<Option<(usize, Vec<u8>)>, RpcError> {
-        let _ = xids;
-        Ok(None)
     }
 
     /// Hand a consumed reply buffer back for reuse (no-op by default;

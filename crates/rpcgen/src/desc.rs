@@ -3,10 +3,9 @@
 //! This is the *interpretive* way to marshal arbitrary IDL-defined data:
 //! a generic walker drives the layered XDR routines from a type
 //! description. The paper's related work (§7) discusses exactly this
-//! implementation style (Hoschka & Huitema's table-driven marshalers); the
-//! ablation benchmark measures it as the slowest baseline. It is also the
-//! general-purpose generic path for types the specialized fast path does
-//! not cover.
+//! implementation style (Hoschka & Huitema's table-driven marshalers). It
+//! is also the general-purpose generic path for types the specialized fast
+//! path does not cover.
 
 use crate::ast::{Decl, DeclKind, Definition, IdlFile, IdlType};
 use specrpc_xdr::composite::{xdr_bytes, xdr_opaque, xdr_string};

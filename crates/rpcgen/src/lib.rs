@@ -14,14 +14,11 @@
 //! * [`stubgen`] — generation of per-procedure IR stubs (client call
 //!   encode, client reply decode with the §6.2 `inlen` guard, server call
 //!   decode, server reply encode) plus the calling-convention bindings the
-//!   residual compiler needs;
-//! * [`codegen_rust`] — textual Rust stub emission, the analog of
-//!   rpcgen's generated C source (golden-tested fidelity artifact).
+//!   residual compiler needs.
 
 #![deny(unsafe_code)]
 
 pub mod ast;
-pub mod codegen_rust;
 pub mod desc;
 pub mod lexer;
 pub mod parser;

@@ -1,13 +1,8 @@
 //! Concrete interpreter for the IR.
 //!
-//! Two roles in the reproduction:
-//!
-//! 1. **Correctness oracle** — the specializer must satisfy
-//!    `run(specialize(p, static_inputs), dynamic_inputs) == run(p, all_inputs)`;
-//!    integration tests check this by comparing heap/buffer states.
-//! 2. **Table-driven baseline** — interpreting the generic stub corresponds
-//!    to the table-driven marshalers of Hoschka & Huitema discussed in the
-//!    paper's related work (§7); the ablation bench measures it.
+//! The reproduction's **correctness oracle**: the specializer must satisfy
+//! `run(specialize(p, static_inputs), dynamic_inputs) == run(p, all_inputs)`;
+//! integration tests check this by comparing heap/buffer states.
 
 use crate::ir::{BinOp, Expr, Function, LValue, Program, Stmt, Type, UnOp, VarId};
 use std::fmt;

@@ -18,8 +18,7 @@
 //! 5. [`compile`] — compiles residual IR into flat [`compile::StubProgram`]
 //!    micro-op sequences executed by a tight loop: the runtime payoff that
 //!    replaces the layered generic code path.
-//! 6. [`eval`] — a concrete interpreter used as correctness oracle and as
-//!    the table-driven baseline of the ablation benchmarks.
+//! 6. [`eval`] — a concrete interpreter used as correctness oracle.
 
 #![deny(unsafe_code)]
 
