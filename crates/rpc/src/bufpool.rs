@@ -20,13 +20,15 @@
 //! retransmissions (the request image is re-sent from the caller's buffer,
 //! never rebuilt), replays from the duplicate-request cache (which copies
 //! replies into a log it owns and never touches the pool), stale and
-//! duplicated replies, coalescing envelopes and their sub-messages, the
-//! generic fallback's reply, an offer of the wrong size, a second worker
-//! on one address, and the stream lane. There too every `take` is served
-//! by a previously recycled buffer once warm, so the wire path performs
-//! **zero heap allocations per call** — the `misses` counter is the proof
-//! (a kept buffer that had to grow is counted there as well,
-//! [`BufPool::note_alloc`]), and the integration tests pin it.
+//! duplicated replies, the envelopes a coalescing client packs and the
+//! sub-replies it unpacks, a server's reply envelope (a server dispatches
+//! an envelope's sub-messages where they lie in its datagram and copies
+//! none out), the generic fallback's reply, an offer of the wrong size, a
+//! second worker on one address, and the stream lane. There too every
+//! `take` is served by a previously recycled buffer once warm, so the
+//! wire path performs **zero heap allocations per call** — the `misses`
+//! counter is the proof (a kept buffer that had to grow is counted there
+//! as well, [`BufPool::note_alloc`]), and the integration tests pin it.
 //!
 //! Who owns which pool: a [`crate::SvcRegistry`] owns one (generic
 //! replies come from it; a raw handler that is not offered a fitting

@@ -11,7 +11,7 @@ use specrpc_netsim::net::Addr;
 use specrpc_netsim::SimTime;
 use specrpc_xdr::coalesce;
 use std::collections::VecDeque;
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, Mutex, MutexGuard};
 
 /// Server processing-time model: given (request bytes, reply bytes),
 /// return the simulated service time. Shared by every transport adapter.
@@ -304,6 +304,7 @@ struct DupState {
     /// request is pooled. One deep, because one is what a dispatch
     /// consumes and one is what the next needs; when workers overlap on
     /// the address the second buffer comes from and goes to the pool.
+    /// An envelope's sub-messages neither take nor fill it.
     parked: Option<Vec<u8>>,
 }
 
@@ -325,12 +326,16 @@ impl DupState {
 /// The cache owns the log its recorded replies are copied into and never
 /// touches the pool. A dispatched request's buffer is parked for the next
 /// dispatch's reply image ([`DupState::parked`]); `bufs` takes the request
-/// datagrams that are not, and gives the buffers of replays, unpacked
-/// sub-messages, reply envelopes and the replies that refuse their offer.
+/// datagrams that are not, and gives the buffers of replays, reply
+/// envelopes and the replies that refuse their offer. A coalesced
+/// envelope's sub-messages are dispatched where they lie in its datagram:
+/// none is copied out, none is offered a buffer, and the envelope's own
+/// buffer is pooled once all have run.
 ///
-/// One fresh request takes the state lock twice: to look up the cache,
-/// mark the transaction in progress and pick up the parked buffer; and to
-/// record the reply, retire the mark and park a buffer in its place.
+/// One fresh message takes the state lock twice: to look up the cache,
+/// mark the transaction in progress and (alone in its datagram) pick up
+/// the parked buffer; and to record the reply, retire the mark and park a
+/// buffer in its place.
 pub(crate) struct CachedDispatch {
     registry: Arc<SvcRegistry>,
     model: ProcTimeModel,
@@ -365,8 +370,10 @@ impl CachedDispatch {
     /// and record the reply. The contract matches
     /// [`specrpc_netsim::net::EventProcessor`].
     ///
-    /// A **coalesced** datagram ([`specrpc_xdr::coalesce`]) is unpacked
-    /// here, so every sub-message's xid passes through the duplicate
+    /// A **coalesced** datagram ([`specrpc_xdr::coalesce`]) is parsed once
+    /// and each sub-message runs, in packed order and in place, through
+    /// the same steps as a plain message ([`CachedDispatch::run`]), so
+    /// every sub-message's xid passes through the duplicate
     /// cache individually — a retransmitted envelope replays each inner
     /// transaction without re-executing its handler, exactly like plain
     /// retransmits. Sub-replies are re-coalesced on the return path when
@@ -376,24 +383,15 @@ impl CachedDispatch {
     /// datagram emitted — see [`specrpc_netsim::net::UdpHandler`], whose
     /// contract processors share).
     pub(crate) fn handle(&self, request: &mut Vec<u8>, from: Addr) -> Option<(Vec<u8>, SimTime)> {
-        let parts: Option<Vec<(Vec<u8>, bool)>> = coalesce::split(request).map(|parts| {
-            parts
-                .iter()
-                .map(|(bytes, oneway)| {
-                    let mut sub = self.bufs.take(bytes.len());
-                    sub.extend_from_slice(bytes);
-                    (sub, *oneway)
-                })
-                .collect()
-        });
-        let Some(parts) = parts else {
+        let Some(parts) = coalesce::split(request) else {
             return self.handle_single(request, from);
         };
-        self.bufs.put(std::mem::take(request));
         let mut total = SimTime::ZERO;
-        let mut sync_replies: Vec<Vec<u8>> = Vec::new();
-        for (mut sub, oneway) in parts {
-            let Some((reply, t)) = self.handle_single(&mut sub, from) else {
+        // The one sync reply an envelope usually carries, and any after it.
+        let (mut first, mut more) = (None, Vec::new());
+        for (sub, oneway) in parts {
+            // `_` lets go of the lock the reply was recorded under at once.
+            let Some((reply, t, _)) = self.run(sub, from, None) else {
                 continue; // suppressed duplicate: its original is in flight
             };
             total += t;
@@ -401,21 +399,24 @@ impl CachedDispatch {
                 // The reply is cached for duplicate suppression but never
                 // transmitted — the one-way contract.
                 self.bufs.put(reply);
+            } else if first.is_none() {
+                first = Some(reply);
             } else {
-                sync_replies.push(reply);
+                more.push(reply);
             }
         }
-        let reply = match sync_replies.len() {
-            0 => Vec::new(),
-            1 => sync_replies.pop().expect("checked"),
-            _ => {
-                let body: usize = sync_replies
-                    .iter()
+        self.bufs.put(std::mem::take(request));
+        let reply = match first {
+            None => Vec::new(),
+            Some(only) if more.is_empty() => only,
+            Some(first) => {
+                let body: usize = std::iter::once(&first)
+                    .chain(&more)
                     .map(|r| coalesce::pushed_len(r.len()))
                     .sum();
                 let mut env = self.bufs.take(coalesce::ENVELOPE_HEADER_BYTES + body);
                 coalesce::begin(&mut env);
-                for r in sync_replies {
+                for r in std::iter::once(first).chain(more) {
                     coalesce::push(&mut env, &r, false);
                     self.bufs.put(r);
                 }
@@ -425,10 +426,54 @@ impl CachedDispatch {
         Some((reply, total))
     }
 
-    /// [`CachedDispatch::handle`] for one plain (non-coalesced) message.
+    /// [`CachedDispatch::handle`] for one plain (non-coalesced) message:
+    /// [`CachedDispatch::run`] with the parked buffer offered, then the
+    /// request buffer parked or pooled.
     fn handle_single(&self, request: &mut Vec<u8>, from: Addr) -> Option<(Vec<u8>, SimTime)> {
-        let xid = xid_of(request);
         let mut offer = None;
+        let ran = self.run(request, from, Some(&mut offer));
+        let Some((reply, t, recorded)) = ran else {
+            self.bufs.put(std::mem::take(request));
+            return None;
+        };
+        let mut displaced = None;
+        if let Some(mut state) = recorded {
+            // The request datagram just consumed is the next reply image,
+            // unless the dispatch left its offer and this buffer would not
+            // have carried the reply either: then the offer goes back where
+            // it was. `offer` ends up with the one that is not parked; what
+            // a peer worker parked in the meantime gives way.
+            let mut next = std::mem::take(request);
+            if let Some(left) = offer.as_mut() {
+                if !offer_fits(next.capacity(), reply.len()) {
+                    std::mem::swap(left, &mut next);
+                }
+            }
+            displaced = state.parked.replace(next);
+        }
+        for spare in [displaced, offer].into_iter().flatten() {
+            self.bufs.put(spare);
+        }
+        // Still here if it was replayed, or too short to carry an xid; an
+        // empty buffer is dropped.
+        self.bufs.put(std::mem::take(request));
+        Some((reply, t))
+    }
+
+    /// What every message goes through, whether it arrived alone or in an
+    /// envelope: the cache lookup (a recorded reply is replayed), the
+    /// in-progress mark (a duplicate whose original is still in flight is
+    /// suppressed: `None`), the dispatch, and the record. A dispatched
+    /// message with an xid comes back with the lock its reply was recorded
+    /// under, still held. With `offer` given, the parked buffer is taken
+    /// into it and offered to the dispatch; what is left of it stays there.
+    fn run(
+        &self,
+        request: &[u8],
+        from: Addr,
+        mut offer: Option<&mut Option<Vec<u8>>>,
+    ) -> Option<(Vec<u8>, SimTime, Option<MutexGuard<'_, DupState>>)> {
+        let xid = xid_of(request);
         if let Some(xid) = xid {
             let mut state = self.state.lock().expect("dup cache lock");
             if let Some(hit) = state.cache.get(xid, from, request) {
@@ -436,19 +481,17 @@ impl CachedDispatch {
                 // cache lookup as a fraction of the dispatch cost.
                 let mut replay = self.bufs.take(hit.len());
                 replay.extend_from_slice(hit);
-                drop(state);
-                self.bufs.put(std::mem::take(request));
-                return Some((replay, SimTime::from_nanos(5_000)));
+                return Some((replay, SimTime::from_nanos(5_000), None));
             }
             if !state.in_progress.insert((xid, from)) {
                 // A peer worker is mid-dispatch on this very transaction:
                 // suppress the duplicate (UDP may drop datagrams; the
                 // original's reply is coming) to keep exactly-once.
-                drop(state);
-                self.bufs.put(std::mem::take(request));
                 return None;
             }
-            offer = state.parked.take();
+            if let Some(offer) = offer.as_deref_mut() {
+                *offer = state.parked.take();
+            }
         }
         // Remove the in-progress mark even if the dispatched handler
         // panics — a leaked mark would blackhole every retransmission of
@@ -470,34 +513,16 @@ impl CachedDispatch {
         let mut guard = InProgressGuard(self, xid.map(|x| (x, from)));
         let reply = self
             .registry
-            .dispatch_offered(request, &mut offer, &self.bufs);
+            .dispatch_offered(request, offer.unwrap_or(&mut None), &self.bufs);
         let t = (self.model)(request.len(), reply.len());
-        let mut displaced = None;
-        if let Some(xid) = xid {
+        let recorded = xid.map(|xid| {
             let mut state = self.state.lock().expect("dup cache lock");
             state.in_progress.remove(&(xid, from));
             state.cache.record(xid, from, request, &reply);
             guard.1 = None;
-            // The request datagram just consumed is the next reply image,
-            // unless the dispatch left its offer and this buffer would not
-            // have carried the reply either: then the offer goes back where
-            // it was. `offer` ends up with the one that is not parked; what
-            // a peer worker parked in the meantime gives way.
-            let mut next = std::mem::take(request);
-            if let Some(left) = offer.as_mut() {
-                if !offer_fits(next.capacity(), reply.len()) {
-                    std::mem::swap(left, &mut next);
-                }
-            }
-            displaced = state.parked.replace(next);
-        }
-        for spare in [displaced, offer].into_iter().flatten() {
-            self.bufs.put(spare);
-        }
-        // Still here only if it was too short to carry an xid; an empty
-        // buffer is dropped.
-        self.bufs.put(std::mem::take(request));
-        Some((reply, t))
+            state
+        });
+        Some((reply, t, recorded))
     }
 }
 
@@ -1195,6 +1220,87 @@ mod tests {
             assert_eq!(cd.parked_at(), Some(request_at));
         }
         assert_eq!(cd.bufs.parked(), 1, "the large one is pooled, not lost");
+    }
+
+    /// What `cd` sends back for an envelope of `msgs`, and the sync
+    /// sub-replies in it.
+    fn envelope_reply(cd: &CachedDispatch, msgs: &[(&[u8], bool)]) -> (Vec<u8>, Vec<Vec<u8>>) {
+        let mut envelope = coalesce::pack(msgs.iter().copied());
+        let (reply, _) = cd.handle(&mut envelope, 4000).expect("answered");
+        let parts = match coalesce::split(&reply) {
+            Some(parts) => parts.map(|(part, _)| part.to_vec()).collect(),
+            None if reply.is_empty() => Vec::new(),
+            None => vec![reply.clone()],
+        };
+        (reply, parts)
+    }
+
+    #[test]
+    fn an_xid_repeated_in_one_envelope_replays_only_with_the_same_bytes() {
+        let reg = offer_registry();
+        let cd = offer_dispatch(&reg);
+        let call = shaped_call(1, 2, &[1; 32]);
+        let (_, replies) = envelope_reply(&cd, &[(&call, false), (&call, false)]);
+        assert_eq!(replies.len(), 2);
+        assert_eq!(replies[0], replies[1], "the second is the first's replay");
+        assert_eq!(reg.raw_dispatches(), 1, "the handler ran once");
+
+        let (reused, differs) = (shaped_call(2, 2, &[2; 32]), shaped_call(2, 2, &[3; 32]));
+        let (_, replies) = envelope_reply(&cd, &[(&reused, false), (&differs, false)]);
+        let echo = |payload: &[u8]| [&2u32.to_be_bytes()[..], payload].concat();
+        assert_eq!(replies, [echo(&[2; 32]), echo(&[3; 32])]);
+        assert_eq!(reg.raw_dispatches(), 3, "different bytes are re-dispatched");
+    }
+
+    #[test]
+    fn an_envelope_delivered_twice_replays_every_sync_sub_reply() {
+        let reg = offer_registry();
+        let cd = offer_dispatch(&reg);
+        let calls = [
+            shaped_call(1, 2, &[1; 8]),
+            shaped_call(2, 1, &[]),
+            shaped_call(3, 2, &[3; 16]),
+            shaped_call(4, 2, &[4; 4]),
+        ];
+        let oneway = [true, false, true, false];
+        let msgs: Vec<(&[u8], bool)> = calls.iter().map(Vec::as_slice).zip(oneway).collect();
+        let (first, replies) = envelope_reply(&cd, &msgs);
+        assert_eq!(replies.len(), 2, "one per sync sub-message");
+        let dispatched = (reg.raw_dispatches(), reg.generic_dispatches());
+        assert_eq!(dispatched, (3, 1));
+        let (again, _) = envelope_reply(&cd, &msgs);
+        assert_eq!(again, first, "byte-identical");
+        let redispatched = (reg.raw_dispatches(), reg.generic_dispatches());
+        assert_eq!(redispatched, dispatched, "no handler ran again");
+    }
+
+    #[test]
+    fn a_panicking_sub_handler_retires_its_in_progress_mark() {
+        use std::panic::{catch_unwind, AssertUnwindSafe};
+        use std::sync::atomic::AtomicBool;
+        let reg = offer_registry();
+        let first = AtomicBool::new(true);
+        reg.register_raw(300, 1, 3, move |request, _offer, pool| {
+            assert!(!first.swap(false, Ordering::Relaxed), "handler bug");
+            let mut reply = pool.take(4);
+            reply.extend_from_slice(&request[..4]);
+            Some(reply)
+        });
+        let cd = offer_dispatch(&reg);
+        let (ahead, panics) = (shaped_call(1, 2, &[1; 8]), shaped_call(2, 3, &[]));
+        let msgs = [(&ahead[..], true), (&panics[..], false)];
+        let unwound = catch_unwind(AssertUnwindSafe(|| envelope_reply(&cd, &msgs)));
+        assert!(unwound.is_err(), "the handler's panic propagates");
+        let marks = cd.state.lock().expect("not poisoned").in_progress.len();
+        assert_eq!(marks, 0, "the unwind retired the mark");
+
+        let (reply, _) = envelope_reply(&cd, &msgs);
+        assert_eq!(reply, 2u32.to_be_bytes(), "dispatched, not suppressed");
+        assert_eq!(
+            reg.raw_dispatches(),
+            2,
+            "the one ahead replayed, the retry ran"
+        );
     }
 
     #[test]

@@ -81,43 +81,66 @@ pub fn pushed_len(msg_len: usize) -> usize {
     SUBMSG_HEADER_BYTES + msg_len
 }
 
-/// Strictly parse a datagram as a coalesced envelope. Returns the
-/// sub-messages (payload slice, one-way flag) in packed order, or `None`
-/// when the datagram is not a (complete, exactly-sized, non-empty)
-/// envelope — in which case it is one plain RPC message.
-pub fn split(dg: &[u8]) -> Option<Vec<(&[u8], bool)>> {
-    if dg.len() < ENVELOPE_HEADER_BYTES {
+/// The sub-messages of an envelope [`split`] has validated, as
+/// (payload slice, one-way flag) in packed order, read where they lie in
+/// the datagram.
+#[derive(Debug, Clone)]
+pub struct Parts<'a> {
+    /// The bytes behind the sub-messages already yielded.
+    rest: &'a [u8],
+    /// Sub-messages still to yield.
+    left: u32,
+}
+
+impl<'a> Iterator for Parts<'a> {
+    type Item = (&'a [u8], bool);
+
+    /// The next sub-message, or `None` once `left` reaches zero — or, in
+    /// [`split`]'s validating walk only, where a header or its payload
+    /// runs past the datagram.
+    fn next(&mut self) -> Option<Self::Item> {
+        if self.left == 0 {
+            return None;
+        }
+        let (hdr, body) = self.rest.split_first_chunk::<SUBMSG_HEADER_BYTES>()?;
+        let hdr = u32::from_be_bytes(*hdr);
+        let (msg, rest) = body.split_at_checked((hdr & LEN_MASK) as usize)?;
+        self.rest = rest;
+        self.left -= 1;
+        Some((msg, hdr & ONEWAY_FLAG != 0))
+    }
+
+    fn size_hint(&self) -> (usize, Option<usize>) {
+        (self.left as usize, Some(self.left as usize))
+    }
+}
+
+impl ExactSizeIterator for Parts<'_> {}
+
+/// Strictly parse a datagram as a coalesced envelope. Returns its
+/// sub-messages, or `None` when the datagram is not a (complete,
+/// exactly-sized, non-empty) envelope — in which case it is one plain RPC
+/// message. The whole frame is checked before anything is yielded, and
+/// nothing is allocated: the count word is trusted only as far as the
+/// bytes behind it go, which is at most one sub-message per 4 bytes.
+pub fn split(dg: &[u8]) -> Option<Parts<'_>> {
+    let (head, body) = dg.split_first_chunk::<ENVELOPE_HEADER_BYTES>()?;
+    let word = |at: usize| u32::from_be_bytes(head[at..at + 4].try_into().expect("4 bytes"));
+    let count = word(4);
+    if word(0) != COALESCE_MAGIC || count == 0 {
         return None;
     }
-    if u32::from_be_bytes(dg[0..4].try_into().expect("magic word")) != COALESCE_MAGIC {
-        return None;
-    }
-    let count = u32::from_be_bytes(dg[4..8].try_into().expect("count word"));
-    if count == 0 {
-        return None;
-    }
-    let mut parts = Vec::with_capacity(count as usize);
-    let mut pos = ENVELOPE_HEADER_BYTES;
+    let parts = Parts {
+        rest: body,
+        left: count,
+    };
+    let mut walk = parts.clone();
     for _ in 0..count {
-        let hdr_end = pos.checked_add(SUBMSG_HEADER_BYTES)?;
-        if hdr_end > dg.len() {
-            return None;
-        }
-        let hdr = u32::from_be_bytes(dg[pos..hdr_end].try_into().expect("submsg header"));
-        let len = (hdr & LEN_MASK) as usize;
-        let end = hdr_end.checked_add(len)?;
-        if end > dg.len() {
-            return None;
-        }
-        parts.push((&dg[hdr_end..end], hdr & ONEWAY_FLAG != 0));
-        pos = end;
+        walk.next()?;
     }
     // Trailing garbage disqualifies the envelope: a plain message that
     // merely *starts* like one must not lose its tail.
-    if pos != dg.len() {
-        return None;
-    }
-    Some(parts)
+    walk.rest.is_empty().then_some(parts)
 }
 
 /// Pack a message sequence into one envelope (convenience for tests and
@@ -146,9 +169,9 @@ mod tests {
         assert_eq!(count(&dg), 3);
         let parts = split(&dg).expect("valid envelope");
         assert_eq!(parts.len(), 3);
-        for ((got, got_ow), (want, want_ow)) in parts.iter().zip(&msgs) {
-            assert_eq!(*got, want.as_slice());
-            assert_eq!(got_ow, want_ow);
+        for ((got, got_ow), (want, want_ow)) in parts.zip(&msgs) {
+            assert_eq!(got, want.as_slice());
+            assert_eq!(got_ow, *want_ow);
         }
     }
 
@@ -185,16 +208,18 @@ mod tests {
         padded.push(0);
         assert!(split(&padded).is_none(), "trailing garbage");
         // Count claims more sub-messages than the bytes hold.
-        let mut overcount = dg.clone();
-        overcount[4..8].copy_from_slice(&2u32.to_be_bytes());
-        assert!(split(&overcount).is_none());
+        for lie in [2, 1 << 20, u32::MAX] {
+            let mut overcount = dg.clone();
+            overcount[4..8].copy_from_slice(&lie.to_be_bytes());
+            assert!(split(&overcount).is_none(), "count {lie}");
+        }
     }
 
     #[test]
     fn oneway_flag_does_not_leak_into_length() {
         let dg = pack([(&[0u8; 64][..], true)]);
-        let parts = split(&dg).expect("valid");
-        assert_eq!(parts[0].0.len(), 64);
-        assert!(parts[0].1);
+        let (msg, oneway) = split(&dg).expect("valid").next().expect("one part");
+        assert_eq!(msg.len(), 64);
+        assert!(oneway);
     }
 }

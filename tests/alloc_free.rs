@@ -9,10 +9,14 @@
 //! One test function: the counters are process-wide.
 
 use specrpc::echo::{echo_service, workload, ECHO_IDL, ECHO_PROC, ECHO_PROG, ECHO_VERS};
-use specrpc::{PathUsed, ProcPipeline, SpecClient, SpecService};
+use specrpc::scenario::{NFS_COMMIT, NFS_PORT, NFS_PROG, NFS_VERS, NFS_WRITE};
+use specrpc::{deploy_nfs_service, PathUsed, ProcPipeline, SpecClient, SpecService};
 use specrpc_netsim::net::{Network, NetworkConfig};
-use specrpc_rpc::ClntUdp;
+use specrpc_rpc::msg::CallHeader;
+use specrpc_rpc::{ClntUdp, CoalescePolicy, Transport};
 use specrpc_tempo::compile::StubArgs;
+use specrpc_xdr::mem::XdrMem;
+use specrpc_xdr::primitives::xdr_int;
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
@@ -92,8 +96,71 @@ fn steady_state(
     (after.0 - before.0, after.1 - before.1)
 }
 
+const ENVELOPES: u64 = 500;
+
+/// `(allocations, frees)` of [`ENVELOPES`] warm envelope round trips — 8
+/// one-way WRITEs sealed by a sync COMMIT, `nfs_mix`'s burst — through a
+/// coalescing client against the NFS-like service.
+fn coalesced_steady_state() -> (u64, u64) {
+    let net = Network::new(NetworkConfig::lan(), 31);
+    let registry = deploy_nfs_service(32).unwrap().serve_udp(&net, NFS_PORT);
+    let pool = registry.pool().clone();
+    let clnt = ClntUdp::create_pooled(&net, 5800, NFS_PORT, NFS_PROG, NFS_VERS, pool);
+    let mut clnt = clnt.with_coalescing(CoalescePolicy::ethernet());
+    // Encoded once; each call stamps its xid in.
+    let encode = |proc_num, args: &[i32]| {
+        let mut enc = XdrMem::encoder(64);
+        let mut header = CallHeader::new(0, NFS_PROG, NFS_VERS, proc_num);
+        CallHeader::xdr(&mut enc, &mut header).unwrap();
+        for &arg in args {
+            xdr_int(&mut enc, &mut { arg }).unwrap();
+        }
+        enc.into_bytes()
+    };
+    let mut writes: Vec<_> = (0..8)
+        .map(|b| encode(NFS_WRITE, &[1, 64 * b, 64]))
+        .collect();
+    let mut commit = encode(NFS_COMMIT, &[1]);
+    let mut round_trip = || {
+        for write in &mut writes {
+            let xid = clnt.next_xid();
+            write[..4].copy_from_slice(&xid.to_be_bytes());
+            clnt.call_oneway(write, xid).unwrap();
+        }
+        let xid = clnt.next_xid();
+        commit[..4].copy_from_slice(&xid.to_be_bytes());
+        let reply = Transport::call(&mut clnt, &commit, xid).unwrap();
+        assert_eq!(
+            reply[reply.len() - 4..],
+            8i32.to_be_bytes(),
+            "eight writes committed"
+        );
+        clnt.recycle(reply);
+    };
+    // Warm-up as for echo: nine records an envelope settle the dup cache
+    // in the same number of calls.
+    (0..WARM_UP / 9 + 1).for_each(|_| round_trip());
+    let counted = || {
+        (
+            ALLOCS.load(Ordering::Relaxed),
+            FREES.load(Ordering::Relaxed),
+        )
+    };
+    let before = counted();
+    (0..ENVELOPES).for_each(|_| round_trip());
+    let after = counted();
+    assert_eq!(registry.raw_dispatches(), 9 * (WARM_UP / 9 + 1 + ENVELOPES));
+    assert_eq!(
+        clnt.coalesce_stats().unwrap().flushes_sync,
+        WARM_UP / 9 + 1 + ENVELOPES,
+        "each COMMIT sealed its WRITEs into one datagram"
+    );
+    (after.0 - before.0, after.1 - before.1)
+}
+
 #[test]
 fn a_warm_round_trip_neither_allocates_nor_frees() {
+    assert_eq!(coalesced_steady_state(), (0, 0), "coalesced envelope");
     for n in [20, 2000] {
         assert_eq!(steady_state(n, echo_service), (0, 0), "in place, n = {n}");
         // What the convenience form costs: the cloned array and the

@@ -6,7 +6,9 @@
 //! and of a valid reply handed to `SpecClient`, and an array-length word of
 //! n − 1, n + 1 and `u32::MAX`, must end in an `RpcError` or in the generic
 //! path *counted* as a fallback — never a panic, never a wedged server,
-//! never an allocation sized by the hostile word.
+//! never an allocation sized by the hostile word. The same holds for a
+//! coalescing envelope whose count word lies, sent to the server and to a
+//! coalescing client.
 //!
 //! One test function: the allocation watermark is process-wide.
 
@@ -16,8 +18,9 @@ use specrpc_netsim::net::{Network, NetworkConfig};
 use specrpc_netsim::udp::SimUdpSocket;
 use specrpc_netsim::SimTime;
 use specrpc_rpc::msg::ReplyHeader;
-use specrpc_rpc::{serve, ClntUdp, RpcError, ServeConfig, Transport};
+use specrpc_rpc::{serve, ClntUdp, CoalescePolicy, RpcError, ServeConfig, Transport};
 use specrpc_tempo::compile::StubArgs;
+use specrpc_xdr::coalesce::COALESCE_MAGIC;
 use specrpc_xdr::mem::XdrMem;
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -187,6 +190,39 @@ fn sweep(n: usize) {
         answered, 1,
         "n={n}: the request claiming n − 1 elements is one"
     );
+
+    // Envelopes whose count word lies — one empty sub-message behind a
+    // count of 2, 2²⁰, 2³¹ − 1 and `u32::MAX` — sent to the server, and
+    // to a coalescing client ahead of the reply it waits for, on either
+    // of its receive paths: the client still gets its reply, from a
+    // server that still answers.
+    let mut coalescing = ClntUdp::create(&net, 5902, PORT, ECHO_PROG, ECHO_VERS)
+        .with_coalescing(CoalescePolicy::new(1400, SimTime::from_millis(10)));
+    let to_client = SimUdpSocket::connect(&net, 5903, 5902);
+    for claimed in [2, 1 << 20, (1 << 31) - 1, u32::MAX] {
+        let lying = [COALESCE_MAGIC, claimed, 0].map(u32::to_be_bytes).concat();
+        LARGEST.store(0, Ordering::Relaxed);
+        bare.send(lying.clone());
+        bare.recv(SimTime::from_millis(20));
+        for batch in [false, true] {
+            let xid = coalescing.next_xid();
+            let mut call = request.clone();
+            call[..4].copy_from_slice(&xid.to_be_bytes());
+            to_client.send(lying.clone());
+            let answer = if batch {
+                coalescing
+                    .exchange_batch(&[&call], &[xid])
+                    .map(|mut replies| replies.remove(0))
+            } else {
+                Transport::call(&mut coalescing, &call, xid)
+            };
+            let answer = answer.unwrap_or_else(|e| panic!("n={n} count {claimed}: {e:?}"));
+            assert_eq!(answer[..4], xid.to_be_bytes(), "n={n} count {claimed}");
+        }
+        let largest = LARGEST.load(Ordering::Relaxed);
+        assert!(largest <= ceiling, "n={n} count {claimed}: {largest} B");
+    }
+
     // The server is still there, and still on its fast path.
     let fallbacks = reg.raw_fallbacks();
     assert_eq!(client.call_into(&args, &mut out).unwrap(), PathUsed::Fast);
