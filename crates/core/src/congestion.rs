@@ -45,7 +45,7 @@ use rand::{Rng, SeedableRng};
 use specrpc_netsim::net::{Addr, Endpoint, LinkStats, Network, NetworkConfig};
 use specrpc_netsim::{FaultConfig, SimTime};
 use specrpc_rpc::msg::CallHeader;
-use specrpc_rpc::{RetryPolicy, SvcRegistry};
+use specrpc_rpc::SvcRegistry;
 use specrpc_xdr::composite::xdr_array;
 use specrpc_xdr::mem::XdrMem;
 use specrpc_xdr::primitives::xdr_int;
@@ -239,6 +239,45 @@ impl CongestionReport {
             );
         }
         out
+    }
+}
+
+/// A retransmission strategy of the study: how long each try waits, and
+/// whether resends queue behind the population's shared pacer. Every
+/// strategy starts from [`CongestionConfig::retry_timeout`] as the base
+/// per-try wait.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum RetryPolicy {
+    /// Classic `clntudp_call`: every try waits the same fixed
+    /// `retry_timeout` before retransmitting.
+    Fixed,
+    /// Exponential backoff: try `k` waits `retry_timeout · 2^k`, capped
+    /// at `cap` — fewer, later retransmissions, easing pressure on a
+    /// congested link at the price of slower loss recovery.
+    ExpBackoff {
+        /// Upper bound on the per-try timeout.
+        cap: SimTime,
+    },
+    /// Fixed per-try timeout, but a due resend is released at most one
+    /// per `gap` of virtual time across the whole client population — the
+    /// study's shared pacer — so a bounded server queue can absorb the
+    /// resend burst.
+    Paced {
+        /// Virtual-time spacing between consecutive resends.
+        gap: SimTime,
+    },
+}
+
+impl RetryPolicy {
+    /// Per-try timeout for the 0-based retry round `attempt`.
+    pub fn try_timeout(self, base: SimTime, attempt: u32) -> SimTime {
+        match self {
+            RetryPolicy::Fixed | RetryPolicy::Paced { .. } => base,
+            RetryPolicy::ExpBackoff { cap } => {
+                let mult = 1u64 << attempt.min(20);
+                SimTime::from_nanos(base.as_nanos().saturating_mul(mult).min(cap.as_nanos()))
+            }
+        }
     }
 }
 

@@ -11,7 +11,6 @@
 //!   [`ChaosStats::drops_down`]).
 //! * **restart** — the process comes back with **fresh state**
 //!   (re-registered from the factory given to
-//!   [`crate::net::Network::serve_udp_restartable`] or
 //!   [`crate::net::Network::serve_udp_events_restartable`]): in particular a
 //!   restarted RPC server's duplicate-request cache is empty, so a
 //!   retransmission of an already-executed call re-executes — the

@@ -360,12 +360,6 @@ impl Ord for Scheduled {
 /// acknowledges work on one-way (batched) calls that expect no reply.
 pub type UdpHandler = Box<dyn FnMut(&mut Vec<u8>, Addr) -> Option<(Vec<u8>, SimTime)> + Send>;
 
-/// Factory producing a [`UdpHandler`] with **fresh state** — what
-/// [`Network::serve_udp_restartable`] registers so a
-/// [`Network::restart`]ed endpoint comes back amnesiac (e.g. an RPC
-/// server whose duplicate-request cache is empty again).
-pub type UdpHandlerFactory = Box<dyn FnMut() -> UdpHandler + Send>;
-
 /// Per-connection TCP service handler: gets newly arrived bytes, returns
 /// bytes to send back plus processing time (empty response is fine — the
 /// handler may be mid-record).
@@ -716,15 +710,6 @@ impl Network {
         self.serve_udp_events_with(addr, handler_processor(handler));
     }
 
-    /// Install a **restartable** UDP service at `addr`: the factory is
-    /// invoked once now and again on every [`Network::restart`], so the
-    /// endpoint comes back from a [`Network::crash`] with fresh handler
-    /// state — the dup-cache amnesia the chaos scenarios exercise (see
-    /// [`crate::chaos`]).
-    pub fn serve_udp_restartable(&self, addr: Addr, mut factory: UdpHandlerFactory) {
-        self.serve_udp_events_restartable(addr, Box::new(move || handler_processor(factory())));
-    }
-
     /// [`Network::serve_udp_events_with`] for an address that survives a
     /// crash: the factory builds the processor registered now, and
     /// [`Network::restart`] registers what it builds then — the hook a
@@ -990,20 +975,6 @@ impl Network {
             .event_queues
             .get(&addr)
             .map_or(0, |q| q.ready.len())
-    }
-
-    /// Nonblocking probe over a socket *set*: whether any of `addrs` has
-    /// a queued readiness event. One lock acquisition for the whole set —
-    /// what a shard's reactor (or a steal pass over a peer shard's
-    /// sockets) checks before committing to a sweep.
-    pub fn ready_any(&self, addrs: &[Addr]) -> bool {
-        let inner = self.lock();
-        addrs.iter().any(|a| {
-            inner
-                .event_queues
-                .get(a)
-                .is_some_and(|q| !q.ready.is_empty())
-        })
     }
 
     /// Readiness events currently queued or checked out across **all**
@@ -2380,11 +2351,11 @@ mod tests {
             // the factory.
             for addr in [7002, 7003] {
                 let (n, ep) = (net.clone(), net.bind_udp(addr));
-                net.serve_udp_restartable(
+                net.serve_udp_events_restartable(
                     2001,
                     Box::new(move || {
                         let ep = n.bind_udp(ep.addr() + 100);
-                        Box::new(move |req, _| Some((req.to_vec(), ep.now())))
+                        Arc::new(move |req: &mut Vec<u8>, _| Some((req.to_vec(), ep.now())))
                     }),
                 );
             }
@@ -2633,9 +2604,9 @@ mod tests {
     fn crash_drops_deliveries_and_restart_restores_service() {
         use crate::chaos::ChaosStats;
         let net = Network::new(NetworkConfig::lan(), 1);
-        net.serve_udp_restartable(
+        net.serve_udp_events_restartable(
             2000,
-            Box::new(|| Box::new(|req: &mut Vec<u8>, _| Some((req.to_vec(), SimTime::ZERO)))),
+            Box::new(|| Arc::new(|req: &mut Vec<u8>, _| Some((req.to_vec(), SimTime::ZERO)))),
         );
         let ep = net.bind_udp(5001);
         ep.send_to(2000, vec![1]);
@@ -2680,12 +2651,12 @@ mod tests {
         // rebuilt by the factory, so a restarted endpoint forgets what it
         // saw — the netsim half of dup-cache amnesia.
         let net = Network::new(NetworkConfig::lan(), 1);
-        net.serve_udp_restartable(
+        net.serve_udp_events_restartable(
             2000,
             Box::new(|| {
-                let mut seen = 0u8;
-                Box::new(move |_req: &mut Vec<u8>, _| {
-                    seen += 1;
+                let seen = std::sync::atomic::AtomicU8::new(0);
+                Arc::new(move |_req: &mut Vec<u8>, _| {
+                    let seen = seen.fetch_add(1, Ordering::Relaxed) + 1;
                     Some((vec![seen], SimTime::ZERO))
                 })
             }),
@@ -2786,10 +2757,10 @@ mod tests {
         use crate::chaos::ChaosSchedule;
         let run = || {
             let net = Network::new(NetworkConfig::lan(), 11);
-            net.serve_udp_restartable(
+            net.serve_udp_events_restartable(
                 2000,
                 Box::new(|| {
-                    Box::new(|req: &mut Vec<u8>, _| Some((req.to_vec(), SimTime::from_micros(20))))
+                    Arc::new(|req: &mut Vec<u8>, _| Some((req.to_vec(), SimTime::from_micros(20))))
                 }),
             );
             net.apply_chaos(&ChaosSchedule::new().crash_window(

@@ -1,6 +1,20 @@
 //! The UDP RPC client (`clntudp_create`/`clntudp_call`): transaction ids,
 //! per-try timeout with retransmission, reply matching, and the generic
 //! marshaling path through the layered XDR routines.
+//!
+//! Every transaction runs through one loop over N outstanding requests:
+//! put them on the wire, route each arriving reply — or each sub-reply of
+//! a coalesced reply envelope — to the slot of the xid it answers, and on
+//! a per-try timeout replay the unacknowledged one-way window and resend
+//! whatever is still outstanding, until every slot is filled, the total
+//! timeout passes or the retry budget runs out. A lone call
+//! ([`ClntUdp::exchange`]) is an attempt of one inside the replica
+//! failover ring; a batch ([`ClntUdp::exchange_batch`]) is an attempt of N
+//! against the replica the socket targets. The two differ only in how the
+//! first transmission looks and what a retransmission resends: a lone call
+//! seals the queued one-ways into its own datagram and resends that image
+//! whole; a batch flushes them ahead, packs its requests into envelopes of
+//! at most the MTU and resends its stragglers plain.
 
 use crate::breaker::CircuitBreaker;
 use crate::bufpool::BufPool;
@@ -9,12 +23,13 @@ use crate::error::RpcError;
 use crate::msg::{CallHeader, ReplyHeader};
 use crate::transport::Transport;
 use crate::xid::XidGen;
-use specrpc_netsim::net::{Addr, Network};
+use specrpc_netsim::net::{Addr, Datagram, Network};
 use specrpc_netsim::udp::SimUdpSocket;
 use specrpc_netsim::SimTime;
 use specrpc_xdr::coalesce;
 use specrpc_xdr::mem::XdrMem;
 use specrpc_xdr::{OpCounts, XdrResult, XdrStream};
+use std::collections::VecDeque;
 use std::sync::Arc;
 
 /// Maximum UDP payload the original transport allows (`UDPMSGSIZE` is
@@ -22,100 +37,53 @@ use std::sync::Arc;
 /// datagram, as its ATM/Fast-Ethernet setup effectively did).
 pub const UDP_BUF_SIZE: usize = 66_000;
 
-/// Retransmission strategy for [`ClntUdp`] — the knob the congestion /
-/// retransmission study turns. All strategies use
-/// [`ClntUdp::retry_timeout`] as the base per-try wait and
-/// [`ClntUdp::total_timeout`] as the overall bound.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum RetryPolicy {
-    /// Classic `clntudp_call` (the default): every try waits the same
-    /// fixed `retry_timeout` before retransmitting everything still
-    /// outstanding.
-    Fixed,
-    /// Exponential backoff: try `k` waits `retry_timeout · 2^k`, capped
-    /// at `cap` — fewer, later retransmissions, easing pressure on a
-    /// congested link at the price of slower loss recovery.
-    ExpBackoff {
-        /// Upper bound on the per-try timeout.
-        cap: SimTime,
-    },
-    /// Fixed per-try timeout, but batch retransmissions are *paced*
-    /// `gap` apart in virtual time instead of re-blasted back-to-back,
-    /// and replies landing inside a gap are drained immediately — a
-    /// straggler answered mid-pace is not resent. Spreads the resend
-    /// burst so a bounded server queue can absorb it.
-    Paced {
-        /// Virtual-time spacing between consecutive resends of a round.
-        gap: SimTime,
-    },
+/// The reply slots of one transaction attempt: `replies[i]` awaits the
+/// reply whose leading word is `xids[i]`.
+struct Slots<'a> {
+    xids: &'a [u32],
+    replies: &'a mut [Option<Vec<u8>>],
+    outstanding: usize,
 }
 
-impl RetryPolicy {
-    /// Per-try timeout for the 0-based retry round `attempt`.
-    pub fn try_timeout(self, base: SimTime, attempt: u32) -> SimTime {
-        match self {
-            RetryPolicy::Fixed | RetryPolicy::Paced { .. } => base,
-            RetryPolicy::ExpBackoff { cap } => {
-                let mult = 1u64 << attempt.min(20);
-                SimTime::from_nanos(base.as_nanos().saturating_mul(mult).min(cap.as_nanos()))
+impl Slots<'_> {
+    /// Route one received datagram: with `unpack` (a coalescing client,
+    /// the only kind a server answers with envelopes) a reply envelope
+    /// sub-reply by sub-reply, anything else as one reply. A reply fills
+    /// the empty slot of its xid, first arrival winning, and a sub-reply
+    /// is copied into a pooled buffer to do so. What fills no slot — a
+    /// duplicate, a late reply to an earlier call, a message too short to
+    /// carry an xid — is stale, and its buffer feeds the pool.
+    fn route(&mut self, pool: &BufPool, unpack: bool, dg: Vec<u8>) {
+        if unpack {
+            if let Some(parts) = coalesce::split(&dg) {
+                for (part, _oneway) in parts {
+                    if let Some(i) = self.open(part) {
+                        let mut reply = pool.take(part.len());
+                        reply.extend_from_slice(part);
+                        self.fill(i, reply);
+                    }
+                }
+                pool.put(dg);
+                return;
             }
         }
-    }
-}
-
-/// Route one received datagram: file it under its xid's slot (first
-/// arrival wins) or recycle it into the pool as stale. Free function so
-/// the batch exchange can route from several borrow contexts (the main
-/// drain loop and the paced-resend gaps).
-fn accept_reply(
-    pool: &BufPool,
-    xids: &[u32],
-    replies: &mut [Option<Vec<u8>>],
-    outstanding: &mut usize,
-    reply: Vec<u8>,
-) {
-    let slot = if reply.len() >= 4 {
-        let rx = u32::from_be_bytes([reply[0], reply[1], reply[2], reply[3]]);
-        xids.iter().position(|&x| x == rx)
-    } else {
-        None
-    };
-    match slot {
-        Some(i) if replies[i].is_none() => {
-            replies[i] = Some(reply);
-            *outstanding -= 1;
-        }
-        // Stale: a duplicate of a completed call or an alien xid — its
-        // buffer feeds the pool.
-        _ => pool.put(reply),
-    }
-}
-
-/// [`accept_reply`] for a raw datagram that may be a coalesced reply
-/// envelope (the server packs several sub-replies into one datagram when
-/// the request arrived coalesced): when `unpack` is set and the datagram
-/// parses as an envelope, each sub-reply is copied into a pooled buffer
-/// and routed individually; otherwise the datagram is one plain reply.
-fn accept_datagram(
-    pool: &BufPool,
-    unpack: bool,
-    xids: &[u32],
-    replies: &mut [Option<Vec<u8>>],
-    outstanding: &mut usize,
-    dg: Vec<u8>,
-) {
-    if unpack {
-        if let Some(parts) = coalesce::split(&dg) {
-            for (bytes, _oneway) in parts {
-                let mut sub = pool.take(bytes.len());
-                sub.extend_from_slice(bytes);
-                accept_reply(pool, xids, replies, outstanding, sub);
-            }
-            pool.put(dg);
-            return;
+        match self.open(&dg) {
+            Some(i) => self.fill(i, dg),
+            None => pool.put(dg),
         }
     }
-    accept_reply(pool, xids, replies, outstanding, dg);
+
+    /// The empty slot awaiting `reply`, by its leading xid.
+    fn open(&self, reply: &[u8]) -> Option<usize> {
+        let xid = u32::from_be_bytes(reply.get(..4)?.try_into().ok()?);
+        let i = self.xids.iter().position(|&x| x == xid)?;
+        self.replies[i].is_none().then_some(i)
+    }
+
+    fn fill(&mut self, i: usize, reply: Vec<u8>) {
+        self.replies[i] = Some(reply);
+        self.outstanding -= 1;
+    }
 }
 
 /// `image` as a datagram to send: in `kept` (see [`ClntUdp::kept`]) when
@@ -148,14 +116,10 @@ pub struct ClntUdp {
     xids: XidGen,
     /// Per-try timeout before retransmission (`cu_wait`).
     pub retry_timeout: SimTime,
-    /// Total timeout for one call (`cu_total`).
+    /// Total timeout for one transaction (`cu_total`) — a lone call's
+    /// budget on one replica, before failover moves it on, or a whole
+    /// batch's.
     pub total_timeout: SimTime,
-    /// Per-call deadline, tighter than `total_timeout` when set: the
-    /// virtual-time budget one call may spend **on one replica** before
-    /// the resilience layer declares that replica unresponsive (and, with
-    /// replicas configured, moves on). `None` falls back to
-    /// `total_timeout`.
-    pub call_deadline: Option<SimTime>,
     /// Retry *budget*: maximum retransmissions per replica attempt,
     /// independent of the time-based `total_timeout`. Exhausting it
     /// surfaces [`RpcError::GaveUp`] (and trips failover) instead of
@@ -171,9 +135,6 @@ pub struct ClntUdp {
     /// Index into `replicas` the socket currently targets (sticky: a
     /// successful failover stays on the new replica).
     active: usize,
-    /// How per-try timeouts grow and how batch resends are spaced (see
-    /// [`RetryPolicy`]; defaults to the classic fixed-timeout behavior).
-    pub retry_policy: RetryPolicy,
     /// Micro-layer counts accumulated by generic marshaling.
     pub counts: OpCounts,
     /// Retransmissions performed (observability for fault tests).
@@ -187,15 +148,11 @@ pub struct ClntUdp {
     /// pool round trip. One deep, because a call consumes one reply
     /// before it sends again; a batch's other replies go to the pool.
     kept: Option<Vec<u8>>,
-    /// Reusable swap buffer for bulk reply draining in
-    /// [`ClntUdp::exchange_batch`].
-    drain_buf: std::collections::VecDeque<specrpc_netsim::net::Datagram>,
+    /// Reusable swap buffer for draining already-delivered replies in bulk.
+    drain_buf: VecDeque<Datagram>,
     /// MTU-aware one-way coalescing state (`None` = classic one datagram
     /// per call, byte- and time-identical to the pre-coalescing client).
     coalescer: Option<CallCoalescer>,
-    /// Sub-replies unpacked from a coalesced reply envelope, awaiting
-    /// pickup by the receive paths in arrival order.
-    rx_pending: std::collections::VecDeque<Vec<u8>>,
 }
 
 impl ClntUdp {
@@ -221,28 +178,25 @@ impl ClntUdp {
             xids: XidGen::new(local),
             retry_timeout: SimTime::from_millis(200),
             total_timeout: SimTime::from_millis(2_000),
-            call_deadline: None,
             retry_budget: None,
             failovers: 0,
             replicas: Vec::new(),
             breakers: Vec::new(),
             active: 0,
-            retry_policy: RetryPolicy::Fixed,
             counts: OpCounts::new(),
             retransmits: 0,
             pool,
             kept: None,
-            drain_buf: std::collections::VecDeque::new(),
+            drain_buf: VecDeque::new(),
             coalescer: None,
-            rx_pending: std::collections::VecDeque::new(),
         }
     }
 
     /// Enable MTU-aware coalescing and Sun-style one-way batching (see
     /// [`crate::CoalescePolicy`] and [`Transport::call_oneway`]): queued
     /// one-way calls pack into envelopes up to `policy.mtu`, flushed by
-    /// MTU fill, the linger bound, or the next synchronous call — whose
-    /// reply acknowledges the pipeline.
+    /// MTU fill, the linger bound, or the next synchronous call or batch —
+    /// whose replies acknowledge the pipeline.
     pub fn with_coalescing(mut self, policy: CoalescePolicy) -> Self {
         self.coalescer = Some(CallCoalescer::new(policy));
         self
@@ -298,12 +252,6 @@ impl ClntUdp {
         self
     }
 
-    /// Set the per-replica call deadline (see [`ClntUdp::call_deadline`]).
-    pub fn with_deadline(mut self, deadline: SimTime) -> Self {
-        self.call_deadline = Some(deadline);
-        self
-    }
-
     /// Set the retransmission budget (see [`ClntUdp::retry_budget`]).
     pub fn with_retry_budget(mut self, budget: u32) -> Self {
         self.retry_budget = Some(budget);
@@ -324,13 +272,11 @@ impl ClntUdp {
     /// when the linger bound has passed or the sub-message would not fit
     /// under the MTU. Requires coalescing to be enabled.
     fn queue_oneway(&mut self, request: &[u8], xid: u32) {
-        debug_assert!(request.len() >= 4);
         debug_assert_eq!(
-            u32::from_be_bytes([request[0], request[1], request[2], request[3]]),
-            xid,
+            request.get(..4),
+            Some(&xid.to_be_bytes()[..]),
             "request must start with its xid"
         );
-        let _ = xid;
         let now = self.sock.now();
         let (linger_due, mtu_over) = {
             let c = self.coalescer.as_ref().expect("coalescing enabled");
@@ -365,8 +311,8 @@ impl ClntUdp {
     }
 
     /// Transmit the envelope under construction (if non-empty) and park
-    /// its image in the unacknowledged-envelope window for replay
-    /// alongside a retransmitting synchronous call.
+    /// its image in the unacknowledged-envelope window, which every
+    /// retransmission replays until a transaction completes.
     fn flush_pending_oneways(&mut self, reason: FlushReason) {
         let Some(c) = self.coalescer.as_mut() else {
             return;
@@ -388,7 +334,7 @@ impl ClntUdp {
 
     /// Seal pending one-ways together with a synchronous `request` when
     /// everything fits one envelope (returning the sealed wire image the
-    /// exchange should transmit instead of the plain request); otherwise
+    /// attempt should transmit instead of the plain request); otherwise
     /// flush the one-ways on their own and let the request go plain.
     fn seal_with_pending(&mut self, request: &[u8]) -> Option<Vec<u8>> {
         let fits = {
@@ -410,35 +356,6 @@ impl ClntUdp {
         }
     }
 
-    /// File one received datagram into `rx_pending`, unpacking coalesced
-    /// reply envelopes into pooled per-reply buffers when coalescing is
-    /// enabled (a client that never coalesces never receives envelopes).
-    fn enqueue_reply(&mut self, dg: Vec<u8>) {
-        if self.coalescer.is_some() {
-            if let Some(parts) = coalesce::split(&dg) {
-                for (bytes, _oneway) in parts {
-                    let mut sub = self.pool.take(bytes.len());
-                    sub.extend_from_slice(bytes);
-                    self.rx_pending.push_back(sub);
-                }
-                self.pool.put(dg);
-                return;
-            }
-        }
-        self.rx_pending.push_back(dg);
-    }
-
-    /// Next reply message within `timeout`: unpacked sub-replies first,
-    /// then the socket.
-    fn next_reply(&mut self, timeout: SimTime) -> Option<Vec<u8>> {
-        if let Some(r) = self.rx_pending.pop_front() {
-            return Some(r);
-        }
-        let dg = self.sock.recv(timeout)?;
-        self.enqueue_reply(dg);
-        self.rx_pending.pop_front()
-    }
-
     /// Raw transaction: send `request` (whose first word must be `xid`),
     /// retransmit on per-try timeout, and return the first reply datagram
     /// whose xid matches. This is the path shared by the generic and
@@ -451,15 +368,17 @@ impl ClntUdp {
     /// the previous call recycled, retransmissions into pooled ones — and
     /// stale replies are recycled straight back into the pool, so a
     /// retransmitting call performs no steady-state allocation.
+    ///
+    /// With replicas configured ([`ClntUdp::with_replicas`]) the call
+    /// walks the replica ring from the sticky active index, one attempt
+    /// per replica whose breaker admits it.
     pub fn exchange(&mut self, request: &[u8], xid: u32) -> Result<Vec<u8>, RpcError> {
         if self.replicas.is_empty() {
-            return self.exchange_current(request, xid);
+            return self.attempt_one(request, xid);
         }
-        // Failover path: walk the replica ring starting from the sticky
-        // active index, skipping breaker-open hosts. An attempt that ends
-        // in TimedOut/GaveUp feeds its breaker and moves on; any reply
-        // (even a server-side error decoded upstream) is liveness and
-        // closes the breaker.
+        // An attempt that ends in TimedOut/GaveUp feeds its breaker and
+        // moves on; any reply (even a server-side error decoded upstream)
+        // is liveness and closes the breaker.
         let n = self.replicas.len();
         let mut last_err = None;
         for k in 0..n {
@@ -473,7 +392,7 @@ impl ClntUdp {
                 self.active = idx;
                 self.failovers += 1;
             }
-            match self.exchange_current(request, xid) {
+            match self.attempt_one(request, xid) {
                 Ok(reply) => {
                     self.breakers[idx].on_success();
                     return Ok(reply);
@@ -496,97 +415,13 @@ impl ClntUdp {
         }
     }
 
-    /// One [`ClntUdp::exchange`] attempt against the currently targeted
-    /// replica: retransmit on per-try timeout under the clamped total
-    /// deadline and the retry budget.
-    fn exchange_current(&mut self, request: &[u8], xid: u32) -> Result<Vec<u8>, RpcError> {
-        debug_assert!(request.len() >= 4);
-        debug_assert_eq!(
-            u32::from_be_bytes([request[0], request[1], request[2], request[3]]),
-            xid,
-            "request must start with its xid"
-        );
-        // Batch mode: pending one-ways seal into the same envelope as
-        // this call when they fit (one datagram carries the pipeline),
-        // or flush ahead of it when they don't. Either way this call's
-        // reply acknowledges every envelope in the window.
-        let mut sealed = self.seal_with_pending(request);
-        let start = self.sock.now();
-        let total = self
-            .call_deadline
-            .map_or(self.total_timeout, |d| d.min(self.total_timeout));
-        let total_deadline = start + total;
-        let mut attempt = 0u32;
-        loop {
-            if attempt > 0 {
-                // Replay unacknowledged one-way envelopes ahead of the
-                // retransmitted call: a lost batch reaches the server
-                // after all, and a delivered one is absorbed sub-message
-                // by sub-message in the duplicate-request cache.
-                if let Some(c) = &self.coalescer {
-                    for env in &c.window {
-                        self.sock
-                            .send(datagram_in(self.kept.take(), &self.pool, env));
-                    }
-                    self.retransmits += c.window.len() as u64;
-                }
-            }
-            let image: &[u8] = sealed.as_deref().unwrap_or(request);
-            self.sock
-                .send(datagram_in(self.kept.take(), &self.pool, image));
-            // Drain replies until the per-try deadline passes (recv
-            // returning None), then retransmit. Both deadlines are held in
-            // virtual time, so stale-xid replies are charged for the time
-            // they actually consumed waiting — not a token decrement. The
-            // per-try deadline is clamped to the total deadline so the
-            // last try cannot overshoot the promised bound.
-            let try_deadline = (self.sock.now()
-                + self.retry_policy.try_timeout(self.retry_timeout, attempt))
-            .min(total_deadline);
-            loop {
-                let now = self.sock.now();
-                if now >= try_deadline {
-                    break;
-                }
-                let Some(reply) = self.next_reply(try_deadline - now) else {
-                    break; // per-try timeout: retransmit
-                };
-                if reply.len() >= 4
-                    && u32::from_be_bytes([reply[0], reply[1], reply[2], reply[3]]) == xid
-                {
-                    // Pipeline acknowledged: the matched reply proves the
-                    // server saw everything sent ahead of this call.
-                    if let Some(c) = self.coalescer.as_mut() {
-                        while let Some(env) = c.window.pop() {
-                            self.pool.put(env);
-                        }
-                    }
-                    if let Some(img) = sealed.take() {
-                        self.pool.put(img);
-                    }
-                    return Ok(reply);
-                }
-                // Stale xid (a late reply to a retransmitted call): its
-                // buffer feeds the pool; keep waiting out this try.
-                self.pool.put(reply);
-            }
-            if self.sock.now() >= total_deadline {
-                if let Some(img) = sealed.take() {
-                    self.pool.put(img);
-                }
-                return Err(RpcError::TimedOut);
-            }
-            if let Some(budget) = self.retry_budget {
-                if attempt >= budget {
-                    if let Some(img) = sealed.take() {
-                        self.pool.put(img);
-                    }
-                    return Err(RpcError::GaveUp { tries: attempt + 1 });
-                }
-            }
-            self.retransmits += 1;
-            attempt += 1;
-        }
+    /// An attempt of one against the current replica, its reply slot on
+    /// the stack.
+    fn attempt_one(&mut self, request: &[u8], xid: u32) -> Result<Vec<u8>, RpcError> {
+        let mut reply = [None];
+        self.attempt(&[request], &[xid], &mut reply, true)?;
+        let [reply] = reply;
+        Ok(reply.expect("a completed attempt fills every slot"))
     }
 
     /// Pipelined batch of [`ClntUdp::exchange`]s: transmit **every**
@@ -594,14 +429,16 @@ impl ClntUdp {
     /// xid as they arrive (in any order), and return them in submission
     /// order. On a per-try timeout every still-outstanding request is
     /// retransmitted (each counted in `retransmits`); the total timeout
-    /// bounds the whole batch.
+    /// bounds the whole batch, and there is no failover.
     ///
     /// The N-1 overlapped round trips are where batching wins: wire
     /// latency and server dispatch for calls `1..N` overlap call `0`'s
     /// wait, so the fixed per-call overhead amortizes across the batch.
     /// Like [`ClntUdp::exchange`], every transmission copies the
     /// caller's request image into a pooled datagram and consumed stale
-    /// replies recycle straight back, so a warm batch allocates nothing.
+    /// replies recycle straight back, so a warm batch allocates nothing
+    /// on the wire path. Queued one-way calls are flushed ahead of the
+    /// batch, and its completion acknowledges them.
     ///
     /// # Panics
     /// Panics if `requests` and `xids` have different lengths.
@@ -614,158 +451,163 @@ impl ClntUdp {
         if requests.is_empty() {
             return Ok(Vec::new());
         }
+        let mut replies: Vec<Option<Vec<u8>>> = (0..requests.len()).map(|_| None).collect();
+        self.attempt(requests, xids, &mut replies, false)?;
+        Ok(replies
+            .into_iter()
+            .map(|r| r.expect("a completed attempt fills every slot"))
+            .collect())
+    }
+
+    /// The transaction loop, against the replica the socket targets: put
+    /// `requests` on the wire, fill `replies[i]` with the reply to
+    /// `xids[i]`, and at each per-try timeout replay the unacknowledged
+    /// one-way window and resend what is still outstanding. It ends when
+    /// every slot is filled, which acknowledges the window; when the total
+    /// timeout passes (`TimedOut`; the per-try deadline is clamped to it,
+    /// so the last try cannot overshoot); or when the retry budget is spent
+    /// (`GaveUp`). Both deadlines are virtual time, so a stale reply is
+    /// charged the time it actually took, not a token decrement. On
+    /// failure the replies that did arrive go back to the pool.
+    ///
+    /// A `lone` call seals the queued one-ways into one envelope with its
+    /// request when they fit, and resends that image whole; one-ways that
+    /// do not fit, and a batch's, are flushed ahead into the window. A
+    /// batch packs its requests into envelopes of at most the MTU and
+    /// resends its stragglers plain: a lost envelope must not resend
+    /// sub-messages that were already answered.
+    fn attempt(
+        &mut self,
+        requests: &[&[u8]],
+        xids: &[u32],
+        replies: &mut [Option<Vec<u8>>],
+        lone: bool,
+    ) -> Result<(), RpcError> {
         for (r, &xid) in requests.iter().zip(xids) {
-            debug_assert!(r.len() >= 4);
             debug_assert_eq!(
-                u32::from_be_bytes([r[0], r[1], r[2], r[3]]),
-                xid,
+                r.get(..4),
+                Some(&xid.to_be_bytes()[..]),
                 "each request must start with its xid"
             );
         }
-        let start = self.sock.now();
-        let total = self
-            .call_deadline
-            .map_or(self.total_timeout, |d| d.min(self.total_timeout));
-        let total_deadline = start + total;
+        let deadline = self.sock.now() + self.total_timeout;
+        let sealed = if lone {
+            let sealed = self.seal_with_pending(requests[0]);
+            let image = sealed.as_deref().unwrap_or(requests[0]);
+            self.sock
+                .send(datagram_in(self.kept.take(), &self.pool, image));
+            sealed
+        } else {
+            self.flush_pending_oneways(FlushReason::Sync);
+            self.send_packed(requests);
+            None
+        };
         let unpack = self.coalescer.is_some();
-        let mut replies: Vec<Option<Vec<u8>>> = (0..requests.len()).map(|_| None).collect();
-        let mut outstanding = requests.len();
-        let mut first_try = true;
-        let mut attempt = 0u32;
-        let mut skip_transmit = false;
-        if let Some(c) = &self.coalescer {
-            // Coalesced initial burst: pack the batch into ≤MTU
-            // envelopes (every sub-message reply-expected), so the
-            // per-datagram cost amortizes across the pipeline. The
-            // server coalesces the matching sub-replies on the return
-            // path. Straggler retransmissions below fall back to plain
-            // per-message datagrams — a lost envelope must not resend
-            // sub-messages that were already answered.
-            let mtu = c.policy.mtu;
-            let mut env = self.pool.take(coalesce::ENVELOPE_HEADER_BYTES);
-            coalesce::begin(&mut env);
-            for r in requests {
-                let fits_alone =
-                    coalesce::ENVELOPE_HEADER_BYTES + coalesce::pushed_len(r.len()) <= mtu;
-                if !fits_alone {
-                    // Too big for any envelope (or MTU 0, the per-call
-                    // baseline): this request goes plain.
-                    self.sock.send(datagram_in(self.kept.take(), &self.pool, r));
-                    continue;
-                }
-                if coalesce::count(&env) > 0 && env.len() + coalesce::pushed_len(r.len()) > mtu {
-                    let mut fresh = self.pool.take(coalesce::ENVELOPE_HEADER_BYTES);
-                    coalesce::begin(&mut fresh);
-                    self.sock.send(std::mem::replace(&mut env, fresh));
-                }
-                coalesce::push(&mut env, r, false);
-            }
-            if coalesce::count(&env) > 0 {
-                self.sock.send(env);
-            } else {
-                self.pool.put(env);
-            }
-            skip_transmit = true;
-            first_try = false;
-        }
-        loop {
-            // (Re)transmit every request still awaiting its reply. A
-            // paced policy spaces the resends of a retry round `gap`
-            // apart in virtual time, draining replies that land inside
-            // each gap — a straggler answered mid-pace is not resent.
-            if skip_transmit {
-                skip_transmit = false;
-            } else {
-                let pace = match self.retry_policy {
-                    RetryPolicy::Paced { gap } if !first_try => Some(gap),
-                    _ => None,
-                };
-                let mut sent_any = false;
-                for i in 0..requests.len() {
-                    if replies[i].is_some() {
-                        continue;
-                    }
-                    if let (Some(gap), true) = (pace, sent_any) {
-                        let pace_deadline = self.sock.now() + gap;
-                        loop {
-                            let now = self.sock.now();
-                            if now >= pace_deadline || outstanding == 0 {
-                                break;
-                            }
-                            match self.sock.recv(pace_deadline - now) {
-                                Some(reply) => accept_datagram(
-                                    &self.pool,
-                                    unpack,
-                                    xids,
-                                    &mut replies,
-                                    &mut outstanding,
-                                    reply,
-                                ),
-                                None => break,
-                            }
-                        }
-                        if replies[i].is_some() {
-                            continue;
-                        }
-                    }
-                    self.sock
-                        .send(datagram_in(self.kept.take(), &self.pool, requests[i]));
-                    if !first_try {
-                        self.retransmits += 1;
-                    }
-                    sent_any = true;
-                }
-                first_try = false;
-            }
-            // Clamped to the total deadline so the last retry round cannot
-            // overshoot the promised bound (same fix as `exchange`).
-            let try_deadline = (self.sock.now()
-                + self.retry_policy.try_timeout(self.retry_timeout, attempt))
-            .min(total_deadline);
-            while outstanding > 0 {
+        let mut slots = Slots {
+            xids,
+            replies,
+            outstanding: requests.len(),
+        };
+        let mut resent = 0u32;
+        let result = loop {
+            let try_deadline = (self.sock.now() + self.retry_timeout).min(deadline);
+            while slots.outstanding > 0 {
                 let now = self.sock.now();
                 if now >= try_deadline {
                     break;
                 }
-                let Some(reply) = self.sock.recv(try_deadline - now) else {
-                    break; // per-try timeout: retransmit the stragglers
+                let Some(dg) = self.sock.recv(try_deadline - now) else {
+                    break; // per-try timeout: retransmit
                 };
-                accept_datagram(
-                    &self.pool,
-                    unpack,
-                    xids,
-                    &mut replies,
-                    &mut outstanding,
-                    reply,
-                );
-                // Bulk-drain whatever else the pipeline has already
-                // delivered: one mailbox lock for the burst instead of a
-                // full receive round per reply.
-                let mut buf = std::mem::take(&mut self.drain_buf);
-                self.sock.drain_ready(&mut buf, &mut |r| {
-                    accept_datagram(&self.pool, unpack, xids, &mut replies, &mut outstanding, r)
-                });
-                self.drain_buf = buf;
+                slots.route(&self.pool, unpack, dg);
+                if slots.outstanding > 0 {
+                    // What else has already been delivered, under one
+                    // mailbox lock instead of a receive round per reply.
+                    let mut buf = std::mem::take(&mut self.drain_buf);
+                    self.sock
+                        .drain_ready(&mut buf, |dg| slots.route(&self.pool, unpack, dg));
+                    self.drain_buf = buf;
+                }
             }
-            if outstanding == 0 {
-                return Ok(replies.into_iter().map(|r| r.expect("filled")).collect());
+            if slots.outstanding == 0 {
+                break Ok(());
             }
-            let gave_up = self.retry_budget.is_some_and(|b| attempt >= b);
-            if self.sock.now() >= total_deadline || gave_up {
-                // The batch failed, but the replies that did arrive are
-                // pooled buffers — feed them back instead of dropping
-                // them (a dropped buffer resurfaces as an allocating
-                // miss on the next batch).
-                for reply in replies.into_iter().flatten() {
+            if self.sock.now() >= deadline {
+                break Err(RpcError::TimedOut);
+            }
+            if self.retry_budget.is_some_and(|budget| resent >= budget) {
+                break Err(RpcError::GaveUp { tries: resent + 1 });
+            }
+            resent += 1;
+            // Unacknowledged one-way envelopes go ahead of the resend: a
+            // lost one reaches the server after all, and a delivered one
+            // is absorbed sub-message by sub-message in the
+            // duplicate-request cache.
+            if let Some(c) = &self.coalescer {
+                for env in &c.window {
+                    self.sock
+                        .send(datagram_in(self.kept.take(), &self.pool, env));
+                }
+                self.retransmits += c.window.len() as u64;
+            }
+            for (r, reply) in requests.iter().zip(slots.replies.iter()) {
+                if reply.is_none() {
+                    // A lone call's sealed image goes whole.
+                    let image = sealed.as_deref().unwrap_or(r);
+                    self.sock
+                        .send(datagram_in(self.kept.take(), &self.pool, image));
+                    self.retransmits += 1;
+                }
+            }
+        };
+        match result {
+            // The pipeline is acknowledged: the replies prove the server
+            // saw everything sent ahead of them.
+            Ok(()) => {
+                if let Some(c) = self.coalescer.as_mut() {
+                    while let Some(env) = c.window.pop() {
+                        self.pool.put(env);
+                    }
+                }
+            }
+            Err(_) => {
+                for reply in slots.replies.iter_mut().filter_map(Option::take) {
                     self.pool.put(reply);
                 }
-                return Err(if gave_up {
-                    RpcError::GaveUp { tries: attempt + 1 }
-                } else {
-                    RpcError::TimedOut
-                });
             }
-            attempt += 1;
+        }
+        if let Some(image) = sealed {
+            self.pool.put(image);
+        }
+        result
+    }
+
+    /// A batch's first transmission: its requests, in order, packed into
+    /// envelopes of at most the coalescing MTU (every sub-message
+    /// reply-expected, so the server coalesces the sub-replies on the way
+    /// back); plain when the client does not coalesce, and for a request
+    /// too large for any envelope.
+    fn send_packed(&mut self, requests: &[&[u8]]) {
+        let mtu = self.coalescer.as_ref().map_or(0, |c| c.policy.mtu);
+        let mut env: Option<Vec<u8>> = None;
+        for r in requests {
+            let pushed = coalesce::pushed_len(r.len());
+            if coalesce::ENVELOPE_HEADER_BYTES + pushed > mtu {
+                self.sock.send(datagram_in(self.kept.take(), &self.pool, r));
+                continue;
+            }
+            if env.as_ref().is_some_and(|e| e.len() + pushed > mtu) {
+                self.sock.send(env.take().expect("checked above"));
+            }
+            let e = env.get_or_insert_with(|| {
+                let mut e = self.pool.take(coalesce::ENVELOPE_HEADER_BYTES);
+                coalesce::begin(&mut e);
+                e
+            });
+            coalesce::push(e, r, false);
+        }
+        if let Some(e) = env {
+            self.sock.send(e);
         }
     }
 
@@ -1066,68 +908,6 @@ mod tests {
     }
 
     #[test]
-    fn exp_backoff_retransmits_less_than_fixed() {
-        let run = |policy| {
-            let net = Network::new(NetworkConfig::lan(), 3);
-            let mut clnt = ClntUdp::create(&net, 5000, 999, PROG, 1);
-            clnt.retry_timeout = SimTime::from_millis(10);
-            clnt.total_timeout = SimTime::from_millis(500);
-            clnt.retry_policy = policy;
-            let err = clnt.call(1, &mut |_| Ok(()), &mut |_| Ok(())).unwrap_err();
-            assert_eq!(err, RpcError::TimedOut);
-            clnt.retransmits
-        };
-        let fixed = run(RetryPolicy::Fixed);
-        let backoff = run(RetryPolicy::ExpBackoff {
-            cap: SimTime::from_millis(200),
-        });
-        assert!(backoff < fixed, "backoff {backoff} >= fixed {fixed}");
-        // 10+20+40+80+160+200 ms already exceeds the 500 ms total.
-        assert!(backoff <= 7, "backoff retried {backoff} times");
-    }
-
-    #[test]
-    fn paced_batch_survives_loss() {
-        let net = Network::new(
-            NetworkConfig::lan().with_faults(FaultConfig {
-                loss: 0.4,
-                duplicate: 0.1,
-                reorder: 0.2,
-            }),
-            99,
-        );
-        let mut clnt = start(&net, true);
-        clnt.retry_timeout = SimTime::from_millis(20);
-        clnt.total_timeout = SimTime::from_millis(10_000);
-        clnt.retry_policy = RetryPolicy::Paced {
-            gap: SimTime::from_micros(500),
-        };
-        let mut requests = Vec::new();
-        let mut xids = Vec::new();
-        for i in 0..8i32 {
-            let xid = clnt.next_xid();
-            let mut enc = XdrMem::encoder(256);
-            let mut msg = CallHeader::new(xid, PROG, 1, 1);
-            CallHeader::xdr(&mut enc, &mut msg).unwrap();
-            let mut v = vec![i, i, i];
-            xdr_array(&mut enc, &mut v, 100, xdr_int).unwrap();
-            requests.push(enc.into_bytes());
-            xids.push(xid);
-        }
-        let refs: Vec<&[u8]> = requests.iter().map(Vec::as_slice).collect();
-        let replies = clnt.exchange_batch(&refs, &xids).unwrap();
-        for (i, reply) in replies.iter().enumerate() {
-            let mut dec = XdrMem::decoder(reply);
-            let hdr = ReplyHeader::decode(&mut dec).unwrap();
-            assert_eq!(hdr.xid, xids[i], "submission order preserved");
-            let mut sum = 0i32;
-            xdr_int(&mut dec, &mut sum).unwrap();
-            assert_eq!(sum, i as i32 * 3);
-        }
-        assert!(clnt.retransmits > 0, "loss must have forced paced retries");
-    }
-
-    #[test]
     fn empty_batch_is_a_no_op() {
         let net = Network::new(NetworkConfig::lan(), 3);
         let mut clnt = start(&net, false);
@@ -1201,19 +981,6 @@ mod tests {
             net.now() - start < SimTime::from_millis(50),
             "gave up on the budget, not the clock"
         );
-    }
-
-    #[test]
-    fn call_deadline_tightens_total_timeout() {
-        let net = Network::new(NetworkConfig::lan(), 3);
-        let mut clnt =
-            ClntUdp::create(&net, 5000, 999, PROG, 1).with_deadline(SimTime::from_millis(20));
-        clnt.retry_timeout = SimTime::from_millis(15);
-        clnt.total_timeout = SimTime::from_millis(2_000);
-        let start = net.now();
-        let err = clnt.call(1, &mut |_| Ok(()), &mut |_| Ok(())).unwrap_err();
-        assert_eq!(err, RpcError::TimedOut);
-        assert_eq!(net.now() - start, SimTime::from_millis(20));
     }
 
     #[test]
@@ -1327,39 +1094,110 @@ mod tests {
         (enc.into_bytes(), xid)
     }
 
+    /// `calls` fresh sum requests through one lone exchange (`batch`
+    /// unset, `calls` 1) or one batch: each reply checked, the xids
+    /// returned.
+    fn exchange_sums(clnt: &mut ClntUdp, batch: bool, calls: i32) -> Vec<u32> {
+        let (requests, xids): (Vec<_>, Vec<_>) =
+            (0..calls).map(|k| encode_sum(clnt, &[10, 20 + k])).unzip();
+        let replies = if batch {
+            let refs: Vec<&[u8]> = requests.iter().map(Vec::as_slice).collect();
+            clnt.exchange_batch(&refs, &xids).unwrap()
+        } else {
+            assert_eq!(calls, 1, "a lone call");
+            vec![clnt.exchange(&requests[0], xids[0]).unwrap()]
+        };
+        for (k, reply) in replies.iter().enumerate() {
+            let mut dec = XdrMem::decoder(reply);
+            let hdr = ReplyHeader::decode(&mut dec).unwrap();
+            assert_eq!(hdr.xid, xids[k], "batch {batch}");
+            let mut sum = 0i32;
+            xdr_int(&mut dec, &mut sum).unwrap();
+            assert_eq!(sum, 30 + k as i32, "batch {batch}");
+        }
+        xids
+    }
+
     #[test]
     fn oneway_batch_seals_into_one_datagram_with_the_sync_call() {
+        // Three queued one-ways, then a lone call or a batch of two: either
+        // carries them, and its completion acknowledges them. The lone call
+        // seals them into its own datagram; the batch flushes them ahead in
+        // one envelope and packs its calls into another.
         use crate::coalesce::CoalescePolicy;
-        let net = Network::new(NetworkConfig::lan(), 3);
-        let runs = Arc::new(AtomicU64::new(0));
-        serve_udp(&net, 1011, counting_service(runs.clone()));
-        let mut clnt = ClntUdp::create(&net, 5000, 1011, PROG, 1)
-            .with_coalescing(CoalescePolicy::new(1400, SimTime::from_millis(10)));
-        let before = net.link_stats().datagrams;
-        for i in 0..3i32 {
-            let (req, xid) = encode_sum(&mut clnt, &[i, i]);
-            clnt.call_oneway(&req, xid).unwrap();
+        for batch in [false, true] {
+            let net = Network::new(NetworkConfig::lan(), 3);
+            let runs = Arc::new(AtomicU64::new(0));
+            serve_udp(&net, 1011, counting_service(runs.clone()));
+            let mut clnt = ClntUdp::create(&net, 5000, 1011, PROG, 1)
+                .with_coalescing(CoalescePolicy::new(1400, SimTime::from_millis(10)));
+            let before = net.link_stats().datagrams;
+            for i in 0..3i32 {
+                let (req, xid) = encode_sum(&mut clnt, &[i, i]);
+                clnt.call_oneway(&req, xid).unwrap();
+            }
+            assert_eq!(runs.load(Ordering::Relaxed), 0, "queued, not sent");
+            let calls = if batch { 2 } else { 1 };
+            exchange_sums(&mut clnt, batch, calls);
+            assert_eq!(
+                runs.load(Ordering::Relaxed),
+                3 + calls as u64,
+                "every handler ran once, batch {batch}"
+            );
+            // Lone: one sealed request envelope, one plain reply. Batch:
+            // the one-ways' envelope, the calls' envelope, one reply
+            // envelope.
+            assert_eq!(
+                net.link_stats().datagrams - before,
+                if batch { 3 } else { 2 },
+                "batch {batch}"
+            );
+            let stats = clnt.coalesce_stats().expect("coalescing on");
+            assert_eq!(stats.oneways_queued, 3);
+            assert_eq!(stats.flushes_sync, 1, "batch {batch}");
+            assert_eq!(stats.pending_submessages, 0, "batch {batch}");
+            assert_eq!(stats.unacked_envelopes, 0, "acked, batch {batch}");
         }
-        assert_eq!(runs.load(Ordering::Relaxed), 0, "queued, not sent");
-        let (req, xid) = encode_sum(&mut clnt, &[10, 20]);
-        let reply = clnt.exchange(&req, xid).unwrap();
-        let mut dec = XdrMem::decoder(&reply);
-        let hdr = ReplyHeader::decode(&mut dec).unwrap();
-        assert_eq!(hdr.xid, xid);
-        let mut sum = 0i32;
-        xdr_int(&mut dec, &mut sum).unwrap();
-        assert_eq!(sum, 30);
-        assert_eq!(runs.load(Ordering::Relaxed), 4, "all four handlers ran");
-        assert_eq!(
-            net.link_stats().datagrams - before,
-            2,
-            "one sealed request envelope, one sync reply"
-        );
-        let stats = clnt.coalesce_stats().expect("coalescing on");
-        assert_eq!(stats.oneways_queued, 3);
-        assert_eq!(stats.flushes_sync, 1);
-        assert_eq!(stats.pending_submessages, 0);
-        assert_eq!(stats.unacked_envelopes, 0, "sync reply acked the window");
+    }
+
+    #[test]
+    fn a_retransmission_replays_the_unacked_window() {
+        // Three one-ways flushed into a cut link are lost, and so is the
+        // first try of the lone call or batch behind them. The link heals
+        // before the per-try timeout, and the retransmission replays their
+        // envelope ahead of the resend: every handler runs once.
+        use crate::coalesce::CoalescePolicy;
+        use specrpc_netsim::{ChaosEvent, ChaosSchedule};
+        for batch in [false, true] {
+            let net = Network::new(NetworkConfig::lan(), 3);
+            let runs = Arc::new(AtomicU64::new(0));
+            serve_udp(&net, 1011, counting_service(runs.clone()));
+            let mut clnt = ClntUdp::create(&net, 5000, 1011, PROG, 1)
+                .with_coalescing(CoalescePolicy::new(1400, SimTime::from_millis(10)));
+            clnt.retry_timeout = SimTime::from_millis(20);
+            net.partition(5000, 1011);
+            let heal = net.now() + SimTime::from_millis(5);
+            net.apply_chaos(&ChaosSchedule::new().at(heal, ChaosEvent::Heal(5000, 1011)));
+            for i in 0..3i32 {
+                let (req, xid) = encode_sum(&mut clnt, &[i]);
+                clnt.call_oneway(&req, xid).unwrap();
+            }
+            clnt.flush_oneways().unwrap();
+            let calls = if batch { 2 } else { 1 };
+            exchange_sums(&mut clnt, batch, calls);
+            assert_eq!(
+                runs.load(Ordering::Relaxed),
+                3 + calls as u64,
+                "every handler ran once, batch {batch}"
+            );
+            assert_eq!(
+                clnt.retransmits,
+                1 + calls as u64,
+                "the window's envelope, then each call, batch {batch}"
+            );
+            let stats = clnt.coalesce_stats().expect("coalescing on");
+            assert_eq!(stats.unacked_envelopes, 0, "acked, batch {batch}");
+        }
     }
 
     #[test]

@@ -30,23 +30,11 @@ pub mod svc_udp;
 pub mod transport;
 pub mod xid;
 
-// The reactor's cases at the two deployment shapes that used to be
-// front-ends of their own — one shard with N workers, worker threads
-// behind several addresses — under the test ids they were recorded with.
-#[cfg(test)]
-mod svc_event {
-    mod tests;
-}
-#[cfg(test)]
-mod svc_threaded {
-    mod tests;
-}
-
 pub use auth::OpaqueAuth;
 pub use breaker::{BreakerState, CircuitBreaker};
 pub use bufpool::{BufPool, PoolStats};
 pub use clnt_tcp::ClntTcp;
-pub use clnt_udp::{ClntUdp, RetryPolicy};
+pub use clnt_udp::ClntUdp;
 pub use coalesce::{CoalescePolicy, CoalesceStats};
 pub use error::RpcError;
 pub use msg::{AcceptStat, CallHeader, MsgType, RejectStat, ReplyHeader, ReplyStat, RPC_VERS};

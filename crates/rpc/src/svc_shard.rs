@@ -368,15 +368,16 @@ impl Drop for Served {
 }
 
 #[cfg(test)]
-pub(crate) mod tests {
+mod tests {
     use super::*;
     use crate::msg::{CallHeader, ReplyHeader};
-    use specrpc_netsim::net::NetworkConfig;
+    use specrpc_netsim::net::{Datagram, NetworkConfig};
     use specrpc_netsim::SimTime;
     use specrpc_xdr::mem::XdrMem;
     use specrpc_xdr::primitives::xdr_int;
+    use std::sync::{mpsc, Mutex};
 
-    pub(crate) fn echo_registry() -> Arc<SvcRegistry> {
+    fn echo_registry() -> Arc<SvcRegistry> {
         let reg = SvcRegistry::new();
         reg.register(300, 1, 1, |args, results| {
             let mut v = 0i32;
@@ -388,7 +389,7 @@ pub(crate) mod tests {
         Arc::new(reg)
     }
 
-    pub(crate) fn call(xid: u32, arg: i32) -> Vec<u8> {
+    fn call(xid: u32, arg: i32) -> Vec<u8> {
         let mut enc = XdrMem::encoder(128);
         let mut msg = CallHeader::new(xid, 300, 1, 1);
         CallHeader::xdr(&mut enc, &mut msg).unwrap();
@@ -398,7 +399,7 @@ pub(crate) mod tests {
     }
 
     /// The echo registry at `addrs` over `shards` × `workers` reactors.
-    pub(crate) fn deploy(
+    fn deploy(
         net: &Network,
         addrs: &[Addr],
         registry: Arc<SvcRegistry>,
@@ -415,7 +416,7 @@ pub(crate) mod tests {
 
     /// Check one reply: who sent it, whose it is, and that `arg` came
     /// back incremented.
-    pub(crate) fn assert_reply(dg: &specrpc_netsim::net::Datagram, from: Addr, xid: u32, arg: i32) {
+    fn assert_reply(dg: &Datagram, from: Addr, xid: u32, arg: i32) {
         assert_eq!(dg.from, from);
         let mut dec = XdrMem::decoder(&dg.payload);
         let hdr = ReplyHeader::decode(&mut dec).unwrap();
@@ -451,6 +452,55 @@ pub(crate) mod tests {
             8,
             "every event ran on a worker or on the driver"
         );
+    }
+
+    #[test]
+    fn workers_behind_one_address_answer_every_call() {
+        let net = Network::new(NetworkConfig::lan(), 8);
+        let sl = deploy(&net, &[650], echo_registry(), 1, 2);
+        let ep = net.bind_udp(4000);
+        for i in 0..6 {
+            ep.send_to(650, call(100 + i, 10 + i as i32));
+            let dg = ep.recv_timeout(SimTime::from_millis(50)).expect("reply");
+            assert_reply(&dg, 650, 100 + i, 10 + i as i32);
+        }
+        assert_eq!(sl.total_events(), 6);
+        assert_eq!(sl.per_worker_events().len(), 2);
+        assert_eq!(sl.registry().generic_dispatches(), 6);
+    }
+
+    #[test]
+    fn steals_are_worker_events_and_every_event_is_counted_once() {
+        // Two shards of two workers behind two addresses: each shard
+        // counts its own address's events, and the workers and the driver
+        // between them ran each event exactly once.
+        let net = Network::new(NetworkConfig::lan(), 8);
+        let sl = deploy(&net, &[650, 651], echo_registry(), 2, 2);
+        let ep = net.bind_udp(4000);
+        for i in 0..4 {
+            let port = 650 + i % 2;
+            ep.send_to(port, call(100 + i, 10 + i as i32));
+            let dg = ep.recv_timeout(SimTime::from_millis(20)).expect("reply");
+            assert_reply(&dg, port, 100 + i, 10 + i as i32);
+        }
+        assert_eq!(sl.per_shard_events(), vec![2, 2]);
+        let by_workers: u64 = sl.per_worker_events().iter().sum();
+        assert_eq!(sl.per_worker_events().len(), 4);
+        assert_eq!(by_workers + sl.driver_inline_events(), 4);
+        assert!(sl.cross_shard_steals() <= by_workers);
+    }
+
+    #[test]
+    fn one_shard_serves_every_address_it_owns() {
+        let net = Network::new(NetworkConfig::lan(), 9);
+        let sl = deploy(&net, &[650, 651], echo_registry(), 1, 1);
+        let ep = net.bind_udp(4000);
+        for (i, port) in [(0u32, 650u32), (1, 651), (2, 650), (3, 651)] {
+            ep.send_to(port, call(i, i as i32));
+            let dg = ep.recv_timeout(SimTime::from_millis(50)).expect("reply");
+            assert_eq!(dg.from, port);
+        }
+        assert_eq!(sl.total_events(), 4);
     }
 
     #[test]
@@ -495,25 +545,107 @@ pub(crate) mod tests {
     }
 
     #[test]
-    fn drop_joins_workers_and_releases_addresses() {
+    fn a_worker_racing_the_driver_changes_no_byte_or_instant() {
+        // The same call sequence with every delivery on the driving thread
+        // (a detached zero-worker deployment) and with a reactor worker
+        // racing it: byte- and virtual-time-identical.
+        let run = |workers: usize| {
+            let net = Network::new(NetworkConfig::lan(), 5);
+            let reg = echo_registry();
+            let sl = if workers > 0 {
+                Some(deploy(&net, &[650], reg, 1, workers))
+            } else {
+                serve(&net, reg, ServeConfig::new(&[650])).detach();
+                None
+            };
+            let ep = net.bind_udp(4000);
+            let mut replies = Vec::new();
+            for i in 0..8 {
+                ep.send_to(650, call(i, i as i32));
+                replies.push(
+                    ep.recv_timeout(SimTime::from_millis(50))
+                        .expect("reply")
+                        .payload,
+                );
+            }
+            drop(sl);
+            (replies, net.now())
+        };
+        assert_eq!(run(0), run(1));
+    }
+
+    fn assert_drop_joins_and_releases(ports: &[Addr], shards: usize, workers: usize) {
         let net = Network::new(NetworkConfig::lan(), 8);
-        let ports: Vec<Addr> = vec![650, 651];
-        let sl = deploy(&net, &ports, echo_registry(), 2, 2);
+        let sl = deploy(&net, ports, echo_registry(), shards, workers);
         let ep = net.bind_udp(4000);
-        ep.send_to(650, call(1, 1));
+        ep.send_to(ports[0], call(1, 1));
         ep.recv_timeout(SimTime::from_millis(50)).expect("reply");
         drop(sl); // must not hang
-        assert_eq!(net.ready_udp(650), 0);
-        ep.send_to(651, call(2, 2));
+        assert_eq!(net.ready_udp(ports[0]), 0);
+        // The addresses no longer answer (and must not stall the clock).
+        ep.send_to(ports[ports.len() - 1], call(2, 2));
         assert!(ep.recv_timeout(SimTime::from_millis(5)).is_none());
     }
 
     #[test]
-    fn duplicates_replay_from_the_owning_shards_cache() {
+    fn drop_joins_workers_and_releases_addresses() {
+        assert_drop_joins_and_releases(&[650, 651], 2, 2);
+    }
+
+    #[test]
+    fn drop_joins_every_worker_behind_one_address() {
+        assert_drop_joins_and_releases(&[650], 1, 4);
+    }
+
+    #[test]
+    fn drop_waits_for_the_dispatch_in_flight() {
+        // Dropped while a worker is mid-dispatch: the drop waits for it, the
+        // reply it owed still goes out, and only then is the address gone.
+        let (entered_tx, entered_rx) = mpsc::channel::<()>();
+        let (release_tx, release_rx) = mpsc::channel::<()>();
+        let release_rx = Mutex::new(release_rx);
+        let reg = SvcRegistry::new();
+        reg.register(300, 1, 1, move |_args, results| {
+            entered_tx.send(()).expect("test thread");
+            release_rx
+                .lock()
+                .expect("release")
+                .recv()
+                .expect("test thread");
+            let mut out = 5i32;
+            xdr_int(results, &mut out)?;
+            Ok(())
+        });
+        let net = Network::new(NetworkConfig::lan(), 8);
+        let sl = deploy(&net, &[650], Arc::new(reg), 1, 4);
+        let ep = net.bind_udp(4000);
+        ep.send_to(650, call(1, 1));
+        // Deliver it and stop driving, so that a worker — not this thread —
+        // picks it up.
+        let deadline = net.now() + SimTime::from_millis(5);
+        while net.pending_events() == 0 {
+            assert!(net.step(deadline), "delivery must land before deadline");
+        }
+        entered_rx.recv().expect("a worker took the delivery");
+        let (dropping_tx, dropping_rx) = mpsc::channel::<()>();
+        let dropper = std::thread::spawn(move || {
+            dropping_tx.send(()).expect("test thread");
+            drop(sl); // joins the worker stuck in the handler
+        });
+        dropping_rx.recv().expect("dropper thread");
+        release_tx.send(()).expect("handler");
+        dropper.join().expect("dropper thread");
+        assert_eq!(net.pending_events(), 0);
+        let dg = ep.recv_timeout(SimTime::from_millis(50)).expect("reply");
+        assert_reply(&dg, 650, 1, 4);
+        ep.send_to(650, call(2, 2));
+        assert!(ep.recv_timeout(SimTime::from_millis(5)).is_none());
+    }
+
+    fn assert_duplicates_replay(ports: &[Addr], shards: usize, workers: usize) {
         let net = Network::new(NetworkConfig::lan(), 8);
         let reg = echo_registry();
-        let ports: Vec<Addr> = vec![650, 651];
-        let sl = deploy(&net, &ports, reg.clone(), 2, 0);
+        let sl = deploy(&net, ports, reg.clone(), shards, workers);
         let ep = net.bind_udp(4000);
         let c = call(7, 1);
         ep.send_to(650, c.clone());
@@ -522,7 +654,52 @@ pub(crate) mod tests {
         let second = ep.recv_timeout(SimTime::from_millis(50)).expect("replay");
         assert_eq!(first.payload, second.payload, "replayed reply identical");
         assert_eq!(reg.generic_dispatches(), 1, "handler ran exactly once");
-        assert_eq!(sl.total_events(), 2);
+        assert_eq!(sl.total_events(), 2, "both deliveries went through");
+    }
+
+    #[test]
+    fn duplicates_replay_from_the_owning_shards_cache() {
+        assert_duplicates_replay(&[650, 651], 2, 0);
+    }
+
+    #[test]
+    fn a_worker_replays_duplicates_from_its_shards_cache() {
+        assert_duplicates_replay(&[650], 1, 1);
+    }
+
+    #[test]
+    fn racing_workers_replay_duplicates_from_one_cache() {
+        assert_duplicates_replay(&[650], 1, 2);
+    }
+
+    #[test]
+    fn concurrent_duplicates_execute_the_handler_exactly_once() {
+        // Force the in-progress race: a slow handler, 4 workers, and the
+        // same datagram delivered many times while the first dispatch is
+        // still running. The duplicates must be suppressed or replayed —
+        // never re-dispatched.
+        let runs = Arc::new(AtomicU64::new(0));
+        let reg = SvcRegistry::new();
+        let r = runs.clone();
+        reg.register(300, 1, 1, move |_args, results| {
+            r.fetch_add(1, Ordering::Relaxed);
+            std::thread::sleep(Duration::from_millis(5));
+            let mut out = 9i32;
+            xdr_int(results, &mut out)?;
+            Ok(())
+        });
+        let net = Network::new(NetworkConfig::lan(), 8);
+        let _sl = deploy(&net, &[650], Arc::new(reg), 1, 4);
+        let ep = net.bind_udp(4000);
+        let c = call(42, 0);
+        for _ in 0..6 {
+            ep.send_to(650, c.clone());
+        }
+        // At least one reply arrives; the handler ran exactly once.
+        assert!(ep.recv_timeout(SimTime::from_millis(200)).is_some());
+        // Drain whatever replays the cache produced.
+        while ep.recv_timeout(SimTime::from_millis(20)).is_some() {}
+        assert_eq!(runs.load(Ordering::Relaxed), 1, "exactly-once");
     }
 
     #[test]

@@ -50,6 +50,11 @@ pub trait Transport {
     /// overhead. The default implementation degrades to sequential
     /// blocking [`Transport::call`]s, which every transport supports.
     ///
+    /// A batch is synchronous: it returns when every reply is in, and it
+    /// carries queued one-way calls ([`Transport::call_oneway`]) the way a
+    /// single call does — a batching transport sends them ahead of the
+    /// batch, and the batch's completion acknowledges them.
+    ///
     /// # Panics
     /// Panics if `requests` and `xids` have different lengths.
     fn call_batch(&mut self, requests: &[&[u8]], xids: &[u32]) -> Result<Vec<Vec<u8>>, RpcError> {
@@ -67,8 +72,9 @@ pub trait Transport {
     /// A batching transport ([`crate::ClntUdp`] with coalescing enabled,
     /// see `ClntUdp::with_coalescing`) queues the request and returns
     /// immediately; queued calls ride to the server packed into MTU-sized
-    /// envelopes, and the next **synchronous** call flushes the batch —
-    /// its reply acknowledges the whole pipeline. A transport without a
+    /// envelopes, and the next **synchronous** call or batch
+    /// ([`Transport::call`], [`Transport::call_batch`]) flushes them — its
+    /// replies acknowledge the whole pipeline. A transport without a
     /// batching surface (the default, and [`crate::ClntTcp`]) degrades to
     /// a blocking [`Transport::call`] whose reply is discarded, which
     /// keeps the stronger delivery guarantee.

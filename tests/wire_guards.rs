@@ -8,7 +8,8 @@
 //! path *counted* as a fallback — never a panic, never a wedged server,
 //! never an allocation sized by the hostile word. The same holds for a
 //! coalescing envelope whose count word lies, sent to the server and to a
-//! coalescing client.
+//! coalescing client, and for a reply envelope whose sub-reply answers no
+//! call or is too short to carry an xid.
 //!
 //! One test function: the allocation watermark is process-wide.
 
@@ -20,7 +21,7 @@ use specrpc_netsim::SimTime;
 use specrpc_rpc::msg::ReplyHeader;
 use specrpc_rpc::{serve, ClntUdp, CoalescePolicy, RpcError, ServeConfig, Transport};
 use specrpc_tempo::compile::StubArgs;
-use specrpc_xdr::coalesce::COALESCE_MAGIC;
+use specrpc_xdr::coalesce::{self, COALESCE_MAGIC};
 use specrpc_xdr::mem::XdrMem;
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -192,23 +193,36 @@ fn sweep(n: usize) {
     );
 
     // Envelopes whose count word lies — one empty sub-message behind a
-    // count of 2, 2²⁰, 2³¹ − 1 and `u32::MAX` — sent to the server, and
-    // to a coalescing client ahead of the reply it waits for, on either
-    // of its receive paths: the client still gets its reply, from a
-    // server that still answers.
+    // count of 2, 2²⁰, 2³¹ − 1 and `u32::MAX` — and well-formed reply
+    // envelopes whose one sub-reply answers an xid no call waits for, or
+    // is 3 bytes long: each sent to the server, and to a coalescing client
+    // ahead of the reply it waits for, on either API: the client still
+    // gets its own reply, from a server that still answers.
     let mut coalescing = ClntUdp::create(&net, 5902, PORT, ECHO_PROG, ECHO_VERS)
         .with_coalescing(CoalescePolicy::new(1400, SimTime::from_millis(10)));
     let to_client = SimUdpSocket::connect(&net, 5903, 5902);
-    for claimed in [2, 1 << 20, (1 << 31) - 1, u32::MAX] {
-        let lying = [COALESCE_MAGIC, claimed, 0].map(u32::to_be_bytes).concat();
+    let mut alien = reply.clone();
+    alien[..4].copy_from_slice(&coalescing.next_xid().to_be_bytes());
+    let mut envelopes: Vec<(String, Vec<u8>)> = [2, 1 << 20, (1 << 31) - 1, u32::MAX]
+        .map(|claimed| {
+            let lying = [COALESCE_MAGIC, claimed, 0].map(u32::to_be_bytes).concat();
+            (format!("count {claimed}"), lying)
+        })
+        .into();
+    envelopes.push(("an alien xid".into(), coalesce::pack([(&alien[..], false)])));
+    envelopes.push((
+        "a 3-byte part".into(),
+        coalesce::pack([(&[1, 2, 3][..], false)]),
+    ));
+    for (case, envelope) in envelopes {
         LARGEST.store(0, Ordering::Relaxed);
-        bare.send(lying.clone());
+        bare.send(envelope.clone());
         bare.recv(SimTime::from_millis(20));
         for batch in [false, true] {
             let xid = coalescing.next_xid();
             let mut call = request.clone();
             call[..4].copy_from_slice(&xid.to_be_bytes());
-            to_client.send(lying.clone());
+            to_client.send(envelope.clone());
             let answer = if batch {
                 coalescing
                     .exchange_batch(&[&call], &[xid])
@@ -216,11 +230,11 @@ fn sweep(n: usize) {
             } else {
                 Transport::call(&mut coalescing, &call, xid)
             };
-            let answer = answer.unwrap_or_else(|e| panic!("n={n} count {claimed}: {e:?}"));
-            assert_eq!(answer[..4], xid.to_be_bytes(), "n={n} count {claimed}");
+            let answer = answer.unwrap_or_else(|e| panic!("n={n} {case}: {e:?}"));
+            assert_eq!(answer[..4], xid.to_be_bytes(), "n={n} {case}");
         }
         let largest = LARGEST.load(Ordering::Relaxed);
-        assert!(largest <= ceiling, "n={n} count {claimed}: {largest} B");
+        assert!(largest <= ceiling, "n={n} {case}: {largest} B");
     }
 
     // The server is still there, and still on its fast path.
