@@ -338,11 +338,11 @@ impl TcpEchoBench {
 
 /// The echo deployment on the event-driven serving core, driven through
 /// batched pipelined calls — what `benchmark/`'s `rpc.reactor_threaded`
-/// probe measures. The reactor worker(s) process requests off the driving
-/// thread, so with a batch in flight the server's decode → handler →
-/// encode work overlaps the client's own marshaling and reply decoding;
-/// argument and result slots are prebuilt and reused, keeping the
-/// steady-state batch on the allocation-free lane.
+/// probe measures. The reactor worker(s) race the driving thread for each
+/// delivery, and the simulator holds one at a time, so what a worker adds
+/// is a cross-thread hand-off, not parallelism; argument and result slots
+/// are prebuilt and reused, keeping the steady-state batch on the
+/// allocation-free lane.
 pub struct BatchEchoBench {
     /// The network.
     pub net: Network,

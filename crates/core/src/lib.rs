@@ -190,11 +190,13 @@
 //!   ([`SpecService::serve_event`] runs one shard with N of them): it
 //!   drains its shard's sockets round-robin, steals one datagram at a
 //!   time from peer shards when its own are dry, and sleeps when the map
-//!   is. Requests in flight together dispatch in parallel, which is what
-//!   makes batching pay: [`SpecClient::call_batch`] keeps N pipelined
-//!   requests outstanding (one reused `WireBuf` scratch per slot,
-//!   xid-matched completion, results in submission order), so the fixed
-//!   per-call round-trip overhead is paid once per batch.
+//!   is. The simulator holds one delivery at a time, so a worker races
+//!   the driving thread for it: it adds a cross-thread hand-off, not
+//!   parallelism. Batching pays on the wire instead:
+//!   [`SpecClient::call_batch`] keeps N pipelined requests outstanding
+//!   (one reused `WireBuf` scratch per slot, xid-matched completion,
+//!   results in submission order), so the propagation latency and the
+//!   server's turnaround overlap across the batch.
 //! - **Zero workers** ([`SpecService::serve_udp`], or
 //!   `workers_per_shard = 0`) spawns nothing: whichever thread drives
 //!   the network executes each delivery in place. That is the

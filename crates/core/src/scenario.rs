@@ -13,8 +13,8 @@
 //! the run scales to a million senders in one process.
 //!
 //! Everything is deterministic: arrivals, shapes, and target ports come
-//! from one seeded [`StdRng`]; the default single-driver shard mode
-//! executes all serving inline on the driving thread, so a fixed
+//! from one seeded [`StdRng`]; the shard map runs with no reactor thread
+//! and executes all serving inline on the driving thread, so a fixed
 //! [`ScaleConfig`] produces a byte-identical [`ScaleReport::render`]
 //! every run.
 
@@ -69,21 +69,9 @@ pub struct ScaleConfig {
     /// client-side memory without closing the loop (the window is sized
     /// far above the steady-state in-flight population).
     pub window: usize,
-    /// Reactor threads per shard; `0` = deterministic single-driver
-    /// mode (all serving inline on this thread).
-    pub workers_per_shard: usize,
     /// Unroll bound for the per-shape compiled stubs (keeps big-shape
     /// stub programs compact).
     pub chunk: Option<usize>,
-    /// Shape churn: rotate the zipf rank→shape mapping one step every
-    /// this many request draws (`0` = static mix). Under churn the
-    /// popular shape keeps moving, so no single stub set stays hot.
-    pub churn_every: usize,
-    /// Receive-queue capacity per mailbox/ready-queue
-    /// ([`NetworkConfig::with_rx_queue_cap`]); deliveries beyond it are
-    /// dropped tail-first and counted in [`ScaleReport::link`].
-    /// `usize::MAX` = effectively unbounded (the default).
-    pub rx_queue_cap: usize,
 }
 
 impl ScaleConfig {
@@ -99,10 +87,7 @@ impl ScaleConfig {
             span: SimTime::from_millis(80),
             seed: 42,
             window: 128,
-            workers_per_shard: 0,
             chunk: Some(32),
-            churn_every: 0,
-            rx_queue_cap: usize::MAX,
         }
     }
 
@@ -121,10 +106,7 @@ impl ScaleConfig {
             span: SimTime::from_millis(120_000),
             seed: 7,
             window: 4096,
-            workers_per_shard: 0,
             chunk: Some(32),
-            churn_every: 0,
-            rx_queue_cap: usize::MAX,
         }
     }
 
@@ -162,7 +144,8 @@ pub struct ScaleReport {
     pub latency: LatencyHistogram,
     /// Events processed per shard.
     pub per_shard: Vec<u64>,
-    /// Cross-shard steals observed (0 in single-driver mode).
+    /// Cross-shard steals observed: 0, since the map runs no reactor
+    /// thread to steal.
     pub steals: u64,
     /// Link receive-queue accounting at the end of the run: drop-tail
     /// discards plus the deepest queue observed
@@ -192,8 +175,7 @@ impl ScaleReport {
     }
 
     /// Human-readable report: the [`Summary`] lines plus the open-loop
-    /// accounting. Byte-identical across runs of the same config in
-    /// single-driver mode.
+    /// accounting. Byte-identical across runs of the same config.
     pub fn render(&self) -> String {
         let mut out = self.summary().render();
         out.push_str(&format!(
@@ -282,13 +264,10 @@ const REAP_TIMEOUT: SimTime = SimTime::from_millis(2_000);
 pub fn run_scale(cfg: &ScaleConfig) -> Result<ScaleReport, PipelineError> {
     assert!(!cfg.shapes.is_empty(), "at least one shape");
     assert!(cfg.window > 0, "window must be positive");
-    let net = Network::new(
-        NetworkConfig::lan().with_rx_queue_cap(cfg.rx_queue_cap),
-        cfg.seed,
-    );
+    let net = Network::new(NetworkConfig::lan(), cfg.seed);
     let service = deploy_scale_service(cfg)?;
     let ports = cfg.ports();
-    let sharded = service.serve_sharded(&net, &ports, cfg.shards, cfg.workers_per_shard);
+    let sharded = service.serve_sharded(&net, &ports, cfg.shards, 0);
 
     let templates: Vec<Vec<u8>> = cfg
         .shapes
@@ -303,17 +282,12 @@ pub fn run_scale(cfg: &ScaleConfig) -> Result<ScaleReport, PipelineError> {
     let mut rng = StdRng::seed_from_u64(cfg.seed);
     let span_ns = cfg.span.as_nanos() as f64;
     let mut arrivals: Vec<(SimTime, u32, Addr)> = (0..cfg.clients)
-        .map(|i| {
+        .map(|_| {
             let at = SimTime::from_nanos((rng.random::<f64>() * span_ns) as u64);
             let u = rng.random::<f64>();
-            let rank = cdf.partition_point(|&c| c < u).min(cfg.shapes.len() - 1);
-            // Churn: the rank→shape mapping rotates one step every
-            // `churn_every` draws, so popularity keeps migrating
-            // (`churn_every == 0` disables the rotation).
-            let offset = i.checked_div(cfg.churn_every).unwrap_or(0);
             // A `u32`, so an arrival is 16 bytes: every endpoint's is
             // held for the whole run.
-            let shape = ((rank + offset) % cfg.shapes.len()) as u32;
+            let shape = cdf.partition_point(|&c| c < u).min(cfg.shapes.len() - 1) as u32;
             let port = ports[rng.random_range(0..ports.len())];
             (at, shape, port)
         })
@@ -1023,23 +997,6 @@ mod tests {
         let cfg = ScaleConfig::million().scaled_to(1_000);
         assert_eq!(cfg.clients, 1_000);
         assert_eq!(cfg.span, SimTime::from_millis(120));
-    }
-
-    #[test]
-    fn churned_mix_still_answers_every_client() {
-        let mut cfg = ScaleConfig::smoke();
-        cfg.clients = 300;
-        cfg.churn_every = 50;
-        let a = run_scale(&cfg).unwrap();
-        assert_eq!(a.replies, 300);
-        assert_eq!(a.timeouts, 0);
-        let b = run_scale(&cfg).unwrap();
-        assert_eq!(a.render(), b.render(), "churn stays deterministic");
-        // The rotation really changes the mix: the same seed without
-        // churn produces a different (skew-stable) report.
-        cfg.churn_every = 0;
-        let static_mix = run_scale(&cfg).unwrap();
-        assert_ne!(a.latency, static_mix.latency);
     }
 
     #[test]

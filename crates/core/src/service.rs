@@ -176,10 +176,8 @@ impl SpecService {
     /// Install into a fresh registry and serve it over UDP at `addr`
     /// with `workers` reactor threads racing the driving thread for each
     /// delivery (dup cache, `BufPool`, zero-copy reply encode all as in
-    /// [`SpecService::serve_udp`]): requests to the one address that are
-    /// in flight together dispatch in parallel, which is what lets
-    /// [`crate::SpecClient::call_batch`] overlap a batch's server work
-    /// with its own marshaling.
+    /// [`SpecService::serve_udp`]). The simulator holds one delivery at a
+    /// time, so a worker adds a cross-thread hand-off, not parallelism.
     ///
     /// With one driving thread the deployment is byte- and
     /// virtual-time-identical to `serve_udp` whichever thread wins each
@@ -196,7 +194,7 @@ impl SpecService {
     /// `shards` shards: each address belongs to one shard (modulo
     /// spread), and each shard owns its addresses' duplicate-request
     /// caches and wire-buffer pool plus `workers_per_shard` reactor
-    /// threads; a shard whose queues run dry steals one datagram at a
+    /// threads; a shard whose sockets are dry steals one datagram at a
     /// time from its peers.
     ///
     /// `workers_per_shard == 0` spawns no thread: every delivery executes

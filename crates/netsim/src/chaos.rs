@@ -5,8 +5,8 @@
 //! *endpoints* — the failure modes Sun RPC's retransmission logic and
 //! duplicate-request cache were actually designed around:
 //!
-//! * **crash** — the process dies: its mailbox and every queued readiness
-//!   event are discarded, its address is unregistered, and deliveries
+//! * **crash** — the process dies: its mailbox and a delivery waiting
+//!   for it are discarded, its address is unregistered, and deliveries
 //!   arriving while it is down vanish (counted in
 //!   [`ChaosStats::drops_down`]).
 //! * **restart** — the process comes back with **fresh state**
@@ -40,7 +40,7 @@ use std::collections::{BTreeMap, HashMap, HashSet};
 /// One endpoint lifecycle fault (see the module docs for semantics).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum ChaosEvent {
-    /// Kill the endpoint: mailbox and readiness queue dropped, address
+    /// Kill the endpoint: mailbox and waiting delivery dropped, address
     /// unregistered, subsequent deliveries discarded.
     Crash(Addr),
     /// Bring a crashed endpoint back with fresh state (registered from
@@ -174,7 +174,7 @@ pub(crate) struct ChaosState {
     /// Paused endpoints → pause instant.
     paused: HashMap<Addr, SimTime>,
     /// Deliveries held for paused endpoints, re-injected on resume.
-    /// `BTreeMap` for deterministic iteration (matches `event_queues`).
+    /// Looked up by address, never iterated.
     deferred: BTreeMap<Addr, Vec<Datagram>>,
     /// Currently cut pairs, normalized `(min, max)`.
     partitions: HashSet<(Addr, Addr)>,

@@ -52,13 +52,14 @@
 //! `tx_done + latency` — a delayed datagram can never arrive earlier than
 //! a busy link allows.
 //!
-//! Receive side: a delivery lands in a bounded drop-tail queue (the
-//! mailbox of a bound endpoint or the readiness queue of a served
-//! address). When the queue already holds
+//! Receive side: a delivery to a bound endpoint lands in its mailbox, a
+//! bounded drop-tail queue. When the mailbox already holds
 //! [`NetworkConfig::rx_queue_cap`] datagrams the delivery is silently
 //! dropped — like a kernel socket buffer overflowing — and counted in
 //! [`Network::link_stats`] (`queue_drops`, plus the high-water depth
-//! `queue_depth_high_water`). The default cap is effectively unbounded;
+//! `queue_depth_high_water`). A delivery to a served address takes the
+//! lane's one slot (see "The delivery lane" below), which a cap of 0
+//! refuses the same way. The default cap is effectively unbounded;
 //! congestion studies opt in via [`NetworkConfig::with_rx_queue_cap`].
 //!
 //! # Threading model
@@ -76,7 +77,7 @@
 //!   freely and always sees an instant the simulation really was at.
 //! * **One acquisition per routed delivery.** The acquisition that pops
 //!   a datagram off the event queue also routes it — lifecycle-fault
-//!   verdict, readiness queue or mailbox push, drop-tail accounting — so
+//!   verdict, the lane's slot or a mailbox push, drop-tail accounting — so
 //!   no other thread ever sees a popped-but-unrouted datagram. A blocked
 //!   receive ([`Endpoint::recv_timeout`]) computes its deadline, looks at
 //!   its mailbox and steps the simulation under one acquisition, which it
@@ -94,10 +95,10 @@
 //!   unwinding processor retires its count through a guard instead.
 //!
 //! One mailbox ↔ server round trip therefore takes three acquisitions:
-//! the send, the receive's acquisition (which pops the request, queues it
-//! and takes it straight back out for the processor), and the completion
-//! under which the reply is sent, delivered and received (a unit test
-//! below pins the count).
+//! the send, the receive's acquisition (which pops the request, puts it
+//! in the slot and takes it straight back out for the processor), and
+//! the completion under which the reply is sent, delivered and received
+//! (a unit test below pins the count).
 //!
 //! Determinism guarantees under threads: with a **single** driving thread
 //! the trace is byte- and time-identical run to run (the seeded fault
@@ -139,31 +140,29 @@
 //!
 //! # The delivery lane
 //!
-//! There is one way a datagram reaches server code. A served address owns
-//! a *readiness queue*: a delivery is queued there under the simulator
-//! lock as a *readiness event*, and taken out again by whoever processes
-//! it — a driving thread running the address's inline processor in place
-//! ([`Network::serve_udp_events_with`]; [`Network::serve_udp`] registers
-//! a stateful handler this way), or a reactor thread draining the queue
+//! There is one way a datagram reaches server code. Every served address
+//! has a processor ([`Network::serve_udp_events_with`];
+//! [`Network::serve_udp`] wraps a stateful handler as one), and the lane
+//! holds **one** datagram: a delivery to a served address is put in the
+//! simulator's single slot under the lock, and taken out again by
+//! whoever processes it — a driving thread running the address's
+//! processor in place, or a reactor thread that wins the race for it
 //! with the nonblocking [`Network::poll_udp`] (sleeping in
-//! [`Network::wait_ready`] between bursts). Nothing serializes deliveries
-//! on an address: any number of datagrams — to the same address or
-//! different ones — can be in flight at once, processed in parallel by
-//! as many reactor workers as are polling.
+//! [`Network::wait_ready`] in between).
 //!
-//! Virtual-time determinism for the single-driver case rests on one
-//! count: a queued or checked-out readiness event is *pending*, and the
-//! idle fast-forward in [`Network::run_until`] refuses to jump the clock
-//! while anything is pending. The processing time is therefore charged,
-//! and the reply scheduled, from the exact virtual instant the delivery
-//! happened, whichever thread does the work — with an inline processor
-//! and no reactor the driver does it itself, and a reactor that wins the
-//! race for the datagram produces the same trace to the byte and the
-//! nanosecond.
+//! A delivery in the slot or checked out of it is *pending*, and while
+//! one is, no driving thread pops another event: it takes the slot, or
+//! waits for the completion. So at most one delivery is pending,
+//! network-wide — Sun's `svc_run`, which takes one datagram, dispatches
+//! it and answers before it takes the next. The processing time is
+//! therefore charged, and the reply scheduled, from the exact virtual
+//! instant the delivery happened, whichever thread does the work: a
+//! reactor that wins the race produces the driver's trace, to the byte
+//! and the nanosecond. It adds a hand-off, not parallelism.
 //!
 //! Waking costs a system call whether or not anyone is asleep, so the
 //! lane asks first: threads parked in [`Network::wait_ready`] or in the
-//! fast-forward guard count themselves under the lock, and an enqueue or
+//! fast-forward guard count themselves under the lock, and a delivery or
 //! a completion notifies only when the matching count is non-zero. A
 //! single driver with no reactor threads never enters the kernel; a
 //! reactor that is asleep is woken, on any host.
@@ -174,7 +173,7 @@ use crate::inthash::IntMap;
 use crate::time::SimTime;
 use std::cmp::Reverse;
 use std::collections::hash_map::Entry;
-use std::collections::{BTreeMap, BinaryHeap, HashMap, VecDeque};
+use std::collections::{BinaryHeap, HashMap, VecDeque};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, LockResult, Mutex, MutexGuard, PoisonError};
 use std::time::{Duration, Instant};
@@ -202,10 +201,12 @@ pub struct NetworkConfig {
     /// model is a reliable byte pipe and never consults the fault
     /// stream).
     pub faults: FaultConfig,
-    /// Bounded receive-queue depth (datagrams) per mailbox / served
-    /// address's readiness queue. A delivery to a full queue is dropped (drop-tail)
-    /// and counted in [`Network::link_stats`]. `usize::MAX` (the
-    /// default) is effectively unbounded.
+    /// Bounded receive-queue depth (datagrams) per mailbox. A delivery
+    /// to a full mailbox is dropped (drop-tail) and counted in
+    /// [`Network::link_stats`]. A served address takes one delivery
+    /// whatever the cap — the lane holds one datagram — and drops and
+    /// counts at a cap of 0. `usize::MAX` (the default) is effectively
+    /// unbounded.
     pub rx_queue_cap: usize,
     /// Protocol header bytes charged per UDP wire fragment on top of the
     /// payload (UDP/IP is 28; Ethernet framing would add more). `0` (the
@@ -279,7 +280,8 @@ pub const UDP_IP_HEADER_BYTES: usize = 28;
 /// ever got. Snapshot via [`Network::link_stats`].
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct LinkStats {
-    /// Deliveries discarded at a full mailbox / readiness queue.
+    /// Deliveries discarded at a full mailbox (or a served address
+    /// under a cap of 0).
     pub queue_drops: u64,
     /// Maximum depth any receive queue reached (after a push).
     pub queue_depth_high_water: u64,
@@ -392,10 +394,10 @@ type Slot<T> = Arc<Mutex<T>>;
 
 /// The server code of an address (the [`UdpHandler`] contract through
 /// `&self`): registered with [`Network::serve_udp_events_with`], it is
-/// run in place by a *driving* thread that finds a delivery queued, so a
-/// deployment without reactor threads pays no cross-thread hand-off per
-/// event; reactors racing the driver for the queue go through
-/// [`Network::poll_udp`].
+/// run in place by a *driving* thread that finds the address's delivery
+/// in the lane's slot, so a deployment without reactor threads pays no
+/// cross-thread hand-off per event; reactors racing the driver for the
+/// slot go through [`Network::poll_udp`].
 pub type EventProcessor =
     Arc<dyn Fn(&mut Vec<u8>, Addr) -> Option<(Vec<u8>, SimTime)> + Send + Sync>;
 
@@ -417,13 +419,6 @@ fn handler_processor(handler: UdpHandler) -> EventProcessor {
         let mut handler = slot.lock().unwrap_or_else(PoisonError::into_inner);
         handler(payload, from)
     })
-}
-
-/// One served address: its readiness queue plus the optional inline
-/// processor driving threads run queued work through.
-struct EventQueue {
-    ready: VecDeque<Datagram>,
-    processor: Option<EventProcessor>,
 }
 
 /// The receive queue of one bound address, alive as long as an
@@ -471,25 +466,16 @@ struct NetInner {
     /// to schedule follow-up events (e.g. a server reply), so idle
     /// fast-forward must wait for it — otherwise a concurrent waiter
     /// would see a transiently empty queue and jump the clock past its
-    /// own deadline. A datagram routed into a mailbox or a readiness
-    /// queue never counts: its routing completes under the acquisition
-    /// that popped it.
+    /// own deadline. A datagram routed into a mailbox or the lane's slot
+    /// never counts: its routing completes under the acquisition that
+    /// popped it.
     in_flight: usize,
-    /// Readiness events queued for (or checked out by) whoever processes
-    /// them. Counted exactly like `in_flight`: the idle fast-forward
-    /// must not jump the clock while a reactor still owes a reply for a
-    /// delivery that happened at the current virtual instant.
+    /// Deliveries routed to a served address and not yet answered: the
+    /// one in `ready`, or the one a thread has taken out of it — never
+    /// more than one. While it is non-zero a driving thread pops no
+    /// scheduled event, so whoever processes the delivery charges its
+    /// processing time from the instant it happened.
     pending_events: usize,
-    /// The subset of `pending_events` belonging to addresses registered
-    /// **with** an inline processor ([`Network::serve_udp_events_with`]).
-    /// These are *strict*: while one is queued or checked out, a driving
-    /// thread must not pop scheduled events at all — otherwise a reactor
-    /// worker that won the race for the datagram would charge its
-    /// processing time from a clock the driver has meanwhile advanced,
-    /// and the trace would diverge from the driver-only execution.
-    /// Pure-poll registrations stay *loose* (the driver keeps delivering
-    /// so multiple workers can hold events concurrently).
-    pending_strict: usize,
     cfg: NetworkConfig,
     faults: FaultState,
     queue: BinaryHeap<Reverse<Scheduled>>,
@@ -504,13 +490,11 @@ struct NetInner {
     /// re-registers what the factory builds (crash/restart amnesia — see
     /// [`crate::chaos`]).
     udp_factories: HashMap<Addr, Slot<EventProcessorFactory>>,
-    /// Served addresses: deliveries become readiness events, processed
-    /// inline by a driver or drained by [`Network::poll_udp`].
-    /// A `BTreeMap` so the driver's work-steal scan visits addresses in
-    /// a deterministic (sorted) order — a hash map's randomized
-    /// iteration would make multi-address steal order, and therefore the
-    /// virtual-time trace, differ run to run.
-    event_queues: BTreeMap<Addr, EventQueue>,
+    /// The processor of every served address. Looked up, never iterated.
+    served: IntMap<Addr, EventProcessor>,
+    /// The lane's one slot: a delivery routed to a served address, until
+    /// a driver or a reactor takes it out to process.
+    ready: Option<(Addr, Datagram)>,
     tcp_listeners: HashMap<Addr, Slot<TcpHandlerFactory>>,
     conns: Vec<ConnState>,
     /// Total payload bytes that crossed the link (for reports).
@@ -528,7 +512,7 @@ struct NetInner {
     /// Drop-tail accounting (see [`LinkStats`]).
     queue_drops: u64,
     queue_high_water: u64,
-    /// Deliveries to an address with no event queue and no mailbox (see
+    /// Deliveries to an address with no processor and no mailbox (see
     /// [`Network::unbound_drops`]).
     unbound_drops: u64,
     /// Threads parked on `ready_cv` / `retired_cv` right now. A waiter
@@ -556,7 +540,7 @@ struct NetShared {
     /// only when its sleeper count says somebody is.
     #[cfg(test)]
     notifies: AtomicU64,
-    /// Signaled when a readiness event is queued — what
+    /// Signaled when a delivery fills the slot — what
     /// [`Network::wait_ready`] reactors sleep on.
     ready_cv: Condvar,
     /// Signaled when pending work retires — what *driving* threads
@@ -603,13 +587,13 @@ impl Network {
                     seq: 0,
                     in_flight: 0,
                     pending_events: 0,
-                    pending_strict: 0,
                     faults: FaultState::new(cfg.faults, seed),
                     cfg,
                     queue: BinaryHeap::new(),
                     mailboxes: IntMap::default(),
                     udp_factories: HashMap::new(),
-                    event_queues: BTreeMap::new(),
+                    served: IntMap::default(),
+                    ready: None,
                     tcp_listeners: HashMap::new(),
                     conns: Vec::new(),
                     bytes_sent: 0,
@@ -724,10 +708,10 @@ impl Network {
         drop(replaced);
     }
 
-    /// Crash `addr` now (see [`ChaosEvent::Crash`]): its mailbox and
-    /// queued readiness events are dropped (and un-counted from the
-    /// pending guards), its registration is removed, and deliveries
-    /// arriving while it is down vanish.
+    /// Crash `addr` now (see [`ChaosEvent::Crash`]): its mailbox and a
+    /// delivery waiting for it in the slot are dropped (the latter
+    /// un-counted from `pending_events`), its registration is removed,
+    /// and deliveries arriving while it is down vanish.
     pub fn crash(&self, addr: Addr) {
         self.apply_chaos_event(ChaosEvent::Crash(addr));
     }
@@ -812,119 +796,84 @@ impl Network {
                 self.serve_udp_events_with(addr, processor);
             }
         }
-        // Crash may have dropped pending events; wake both sleeper kinds
-        // so reactors and fast-forward waiters re-check.
+        // Crash may have dropped the pending delivery; wake both sleeper
+        // kinds so reactors and fast-forward waiters re-check.
         self.notify_ready();
     }
 
-    /// Register `addr` with no inline processor: deliveries are queued
-    /// as readiness events and wait for a reactor. Drain them with
-    /// [`Network::poll_udp`]; block between bursts with
-    /// [`Network::wait_ready`].
-    ///
-    /// Every queued-but-undrained event counts as *pending*: the idle
-    /// fast-forward of [`Network::run_until`] will not advance the clock
-    /// past it, so a reactor must be draining the address (or the address
-    /// must be unregistered with [`Network::unserve_udp_events`]) for
-    /// driving threads to make progress.
-    pub fn serve_udp_events(&self, addr: Addr) {
-        self.lock().event_queues.entry(addr).or_insert(EventQueue {
-            ready: VecDeque::new(),
-            processor: None,
-        });
-    }
-
-    /// [`Network::serve_udp_events`] with an inline processor: reactors
-    /// may still drain the address via [`Network::poll_udp`], but a
-    /// *driving* thread that would otherwise sleep on pending events
-    /// takes queued work and runs `processor` itself. With no reactor at
-    /// all the driver does every delivery in place; with reactors, on a
-    /// single-core host, this still collapses the per-event cross-thread
-    /// hand-off to zero while multi-core hosts keep full reactor
-    /// parallelism.
+    /// Register `processor` as the server code of `addr`, replacing any
+    /// registration already there. A *driving* thread that finds the
+    /// address's delivery in the lane's slot runs `processor` in place,
+    /// so with no reactor the driver does every delivery itself; a
+    /// reactor may race it for the slot through [`Network::poll_udp`].
     pub fn serve_udp_events_with(&self, addr: Addr, processor: EventProcessor) {
         let mut inner = self.lock();
-        let replaced = inner.event_queues.insert(
-            addr,
-            EventQueue {
-                ready: VecDeque::new(),
-                processor: Some(processor),
-            },
-        );
-        // Re-registration drops a prior queue's undrained deliveries —
-        // un-count them, or the pending accounting would pin the clock
-        // forever on events nobody can reach anymore.
-        inner.forget_queued(replaced.as_ref());
+        let replaced = inner.served.insert(addr, processor);
+        // A delivery waiting for the old processor goes with it —
+        // un-counted, or the pending count would pin the clock forever
+        // on a datagram nobody can reach anymore.
+        inner.forget_ready(addr);
         drop(inner);
         drop(replaced);
     }
 
     /// Remove a registration (and the factory of a restartable one),
-    /// dropping (and un-counting) any queued deliveries, and wake every
-    /// [`Network::wait_ready`] sleeper.
+    /// dropping (and un-counting) a delivery waiting for it in the slot,
+    /// and wake every [`Network::wait_ready`] sleeper.
     pub fn unserve_udp_events(&self, addr: Addr) {
         let mut inner = self.lock();
         let removed = (
-            inner.event_queues.remove(&addr),
+            inner.served.remove(&addr),
             inner.udp_factories.remove(&addr),
         );
-        inner.forget_queued(removed.0.as_ref());
+        inner.forget_ready(addr);
         drop(inner);
         drop(removed);
         self.notify_ready();
     }
 
-    /// Nonblocking poll of one served address: if a delivery is
-    /// queued, pop it, run `process` on the payload **outside every
+    /// Nonblocking poll of one served address: if the slot holds its
+    /// delivery, take it, run `process` on the payload **outside every
     /// simulator lock**, charge the returned processing time to the
     /// virtual clock, send the reply (if any), and return `true`. Returns
-    /// `false` immediately when nothing is ready (or `addr` is not
-    /// served).
+    /// `false` immediately when the slot holds nothing for `addr`.
     ///
-    /// Multiple reactor threads may poll the same address concurrently:
-    /// each pops a distinct datagram, so in-flight deliveries to one
-    /// address process in parallel. The contract of `process` matches [`UdpHandler`]: it may consume
-    /// the payload (`std::mem::take`) and may itself send traffic.
+    /// A reactor polling races the driving thread, which runs the
+    /// address's processor on the same delivery if it gets there first;
+    /// nothing else is pending meanwhile, so the winner adds a hand-off,
+    /// not parallelism. The contract of `process` matches [`UdpHandler`]:
+    /// it may consume the payload (`std::mem::take`) and may itself send
+    /// traffic.
     pub fn poll_udp(
         &self,
         addr: Addr,
         process: impl FnOnce(&mut Vec<u8>, Addr) -> Option<(Vec<u8>, SimTime)>,
     ) -> bool {
-        let Some((dg, strict)) = ({
-            let mut inner = self.lock();
-            inner.event_queues.get_mut(&addr).and_then(|q| {
-                let strict = q.processor.is_some();
-                q.ready.pop_front().map(|dg| (dg, strict))
-            })
-        }) else {
+        let Some(dg) = self.lock().take_ready(addr) else {
             return false;
         };
-        drop(self.complete_event(addr, dg, strict, process));
+        drop(self.complete_event(addr, dg, process));
         true
     }
 
-    /// Run one checked-out readiness event to completion: `process`
-    /// outside every simulator lock, then clock charge + reply send +
-    /// pending retire under a single lock acquisition, then a wake for
-    /// the fast-forward waiters, if there are any. Returns that
+    /// Run the delivery just taken out of the slot to completion:
+    /// `process` outside every simulator lock, then clock charge + reply
+    /// send + pending retire under a single lock acquisition, then a wake
+    /// for the fast-forward waiters, if there are any. Returns that
     /// acquisition still held, so a driving thread carries on under it.
     /// The unwinding guard keeps `pending` honest if `process` panics.
     fn complete_event(
         &self,
         addr: Addr,
         mut dg: Datagram,
-        strict: bool,
         process: impl FnOnce(&mut Vec<u8>, Addr) -> Option<(Vec<u8>, SimTime)>,
     ) -> MutexGuard<'_, NetInner> {
-        struct PendingGuard<'a>(&'a Network, bool, bool);
+        struct PendingGuard<'a>(&'a Network, bool);
         impl Drop for PendingGuard<'_> {
             fn drop(&mut self) {
                 if self.1 {
                     let mut inner = self.0.lock();
                     inner.pending_events -= 1;
-                    if self.2 {
-                        inner.pending_strict -= 1;
-                    }
                     let waiting = inner.retired_sleepers > 0;
                     drop(inner);
                     if waiting {
@@ -933,15 +882,12 @@ impl Network {
                 }
             }
         }
-        let mut guard = PendingGuard(self, true, strict);
+        let mut guard = PendingGuard(self, true);
         let reply = process(&mut dg.payload, dg.from);
         let mut inner = self.lock();
         // Empty reply: charge the time, send nothing (one-way calls).
         self.finish_reply(&mut inner, addr, dg.from, reply);
         inner.pending_events -= 1;
-        if strict {
-            inner.pending_strict -= 1;
-        }
         guard.1 = false;
         if inner.retired_sleepers > 0 {
             self.shared.wake_retired();
@@ -968,24 +914,21 @@ impl Network {
         }
     }
 
-    /// Number of deliveries currently queued on a served address
-    /// (a nonblocking readiness probe).
+    /// Deliveries waiting in the slot for `addr`: 1 or 0 (a nonblocking
+    /// readiness probe).
     pub fn ready_udp(&self, addr: Addr) -> usize {
-        self.lock()
-            .event_queues
-            .get(&addr)
-            .map_or(0, |q| q.ready.len())
+        usize::from(self.lock().ready_for(&[addr]))
     }
 
-    /// Readiness events currently queued or checked out across **all**
-    /// served addresses — the simulator-wide backlog the idle
-    /// fast-forward refuses to jump (observability for reactor sizing).
+    /// Deliveries routed to a served address and not yet answered — in
+    /// the slot or checked out of it, so 0 or 1 network-wide — which the
+    /// idle fast-forward refuses to jump.
     pub fn pending_events(&self) -> usize {
         self.lock().pending_events
     }
 
-    /// Block (in real time, up to `timeout`) until at least one of
-    /// `addrs` has a queued readiness event, returning whether one does.
+    /// Block (in real time, up to `timeout`) until the slot holds a
+    /// delivery for one of `addrs`, returning whether it does.
     /// Wakes spuriously on [`Network::notify_ready`] /
     /// [`Network::unserve_udp_events`] so reactors can observe shutdown
     /// flags promptly.
@@ -993,12 +936,7 @@ impl Network {
         let deadline = Instant::now() + timeout;
         let mut inner = self.lock();
         loop {
-            if addrs.iter().any(|a| {
-                inner
-                    .event_queues
-                    .get(a)
-                    .is_some_and(|q| !q.ready.is_empty())
-            }) {
+            if inner.ready_for(addrs) {
                 return true;
             }
             let now = Instant::now();
@@ -1105,13 +1043,12 @@ impl Network {
     /// Process events until `pred` holds or virtual time passes `deadline`.
     /// Returns whether the predicate was satisfied.
     ///
-    /// Ordering: queued readiness events with an inline processor are
-    /// **overdue** work — their deliveries happened at or before the
-    /// current instant — so the driving thread steals and processes them
-    /// *before* popping events scheduled in the future. This is what
-    /// makes a pipelined batch overlap server processing with reply
-    /// flight in virtual time (and, on a single-core host, what removes
-    /// every cross-thread hand-off: the driver does the work in place).
+    /// Ordering: a delivery in the lane's slot is **overdue** work — it
+    /// happened at the current instant — so the driving thread processes
+    /// it *before* popping another event. This is what makes a pipelined
+    /// batch overlap server processing with reply flight in virtual time
+    /// (and, with no reactor thread, what removes every cross-thread
+    /// hand-off: the driver does the work in place).
     pub fn run_until(&self, deadline: SimTime, mut pred: impl FnMut() -> bool) -> bool {
         loop {
             if pred() {
@@ -1133,15 +1070,13 @@ impl Network {
         }
     }
 
-    /// Process **one** unit of due work: steal one queued readiness event
-    /// (inline-processor registrations first, in deterministic address
-    /// order) or pop-and-dispatch one scheduled event at or before
-    /// `deadline`, advancing the clock to exactly that event's instant.
-    /// Returns `false` — without touching the clock — when nothing is due,
-    /// so callers interleaving simulation progress with their own work
-    /// (e.g. the async block-on executor polling a future between events)
-    /// observe the same virtual-time trace as a blocking
-    /// [`Network::run_until`] drive.
+    /// Process **one** unit of due work: take the delivery in the lane's
+    /// slot and run its address's processor, or pop-and-dispatch one
+    /// scheduled event at or before `deadline`, advancing the clock to
+    /// exactly that event's instant. Returns `false` — without touching
+    /// the clock — when nothing is due, so a caller interleaving
+    /// simulation progress with its own checks observes the same
+    /// virtual-time trace as a blocking [`Network::run_until`] drive.
     pub fn step(&self, deadline: SimTime) -> bool {
         self.step_locked(self.lock(), deadline).1
     }
@@ -1149,9 +1084,9 @@ impl Network {
     /// [`Network::step`] entered with the simulator lock held and
     /// returning with it held, so a caller's own check (is my mailbox
     /// non-empty? is the deadline past?) shares an acquisition with the
-    /// step before it. A datagram bound for a mailbox or a readiness
-    /// queue is routed under the acquisition that popped it; only work
-    /// that runs user code (an event processor, a TCP handler, a lifecycle
+    /// step before it. A datagram bound for a mailbox or the lane's slot
+    /// is routed under the acquisition that popped it; only work that
+    /// runs user code (an event processor, a TCP handler, a lifecycle
     /// fault) leaves the lock, and comes back holding the acquisition its
     /// completion needed anyway.
     fn step_locked<'a>(
@@ -1160,35 +1095,23 @@ impl Network {
         deadline: SimTime,
     ) -> (MutexGuard<'a, NetInner>, bool) {
         loop {
-            let stolen = if inner.pending_events > 0 {
-                // Only the queue that has work pays for a handle on its
-                // processor; the idle ones are looked at and left alone.
-                inner.event_queues.iter_mut().find_map(|(&addr, q)| {
-                    let processor = q.processor.as_ref()?;
-                    let dg = q.ready.pop_front()?;
-                    Some((addr, dg, Arc::clone(processor)))
-                })
-            } else {
-                None
-            };
-            if let Some((addr, dg, processor)) = stolen {
+            if let Some((addr, dg)) = inner.ready.take() {
+                // The slot only ever holds a delivery to a served address.
+                let processor = Arc::clone(&inner.served[&addr]);
                 drop(inner);
                 // `move`: the handle is released when the call returns,
                 // before the completion takes the lock.
-                let inner = self.complete_event(addr, dg, true, move |payload, from| {
-                    processor(payload, from)
-                });
+                let inner =
+                    self.complete_event(addr, dg, move |payload, from| processor(payload, from));
                 return (inner, true);
             }
-            if inner.pending_strict > 0 {
-                // A strict (processor-registered) event is checked
-                // out by a peer — a reactor worker or another
-                // driver. Popping a scheduled event now would
-                // advance (or rewind) the clock the peer's
-                // completion is about to charge from, diverging from
-                // the driver-only trace; hold the clock until
-                // the work retires (completion notifies
-                // `retired_cv`).
+            if inner.pending_events > 0 {
+                // The delivery is checked out by a peer — a reactor
+                // worker or another driver. Popping an event now would
+                // advance (or rewind) the clock the peer's completion is
+                // about to charge from, diverging from the driver-only
+                // trace; hold the clock until the work retires
+                // (completion notifies `retired_cv`).
                 inner = self.wait_retired(inner);
                 continue;
             }
@@ -1197,14 +1120,6 @@ impl Network {
                     let Reverse(s) = inner.queue.pop().expect("peeked");
                     self.shared.set_now(&mut inner, s.at);
                     return (self.deliver(inner, s.ev), true);
-                }
-                _ if inner.pending_events > 0 => {
-                    // Loose (pure-poll) deliveries are checked out or
-                    // queued; the driver keeps delivering so several
-                    // workers can hold events at once, but it must
-                    // not fast-forward past work that may still
-                    // schedule replies.
-                    inner = self.wait_retired(inner);
                 }
                 _ if inner.in_flight > 0 => {
                     // Another thread is mid-dispatch and may still
@@ -1250,8 +1165,8 @@ impl Network {
     ) -> MutexGuard<'a, NetInner> {
         match ev {
             Event::UdpDeliver { to, dg } => {
-                // A reactor that parks after this read finds the event
-                // first: it looks at the queue under the lock before it
+                // A reactor that parks after this read finds the delivery
+                // first: it looks at the slot under the lock before it
                 // sleeps.
                 if inner.route_udp(to, dg) && inner.ready_sleepers > 0 {
                     // Wake them only once they can take the lock.
@@ -1378,12 +1293,18 @@ impl ConnState {
 
 impl NetInner {
     /// Route a datagram arriving at `to` at the current instant, under
-    /// the simulator lock: a served address queues it as a readiness
-    /// event (counted as pending so the clock cannot run past it) and
-    /// `true` is returned; else a bound mailbox receives it; else it is
-    /// dropped and counted as unbound (ICMP-unreachable behaviour is not
+    /// the simulator lock: a served address gets it in the lane's slot
+    /// (counted as pending so the clock cannot run past it) and `true`
+    /// is returned; else a bound mailbox receives it; else it is dropped
+    /// and counted as unbound (ICMP-unreachable behaviour is not
     /// modeled). Full queues drop the tail, counted.
     fn route_udp(&mut self, to: Addr, dg: Datagram) -> bool {
+        // Nothing is popped, and so nothing routed, while a delivery is
+        // pending: the slot is always free here.
+        debug_assert!(
+            self.ready.is_none() && self.pending_events == 0,
+            "the lane holds one datagram"
+        );
         if self.chaos.armed() {
             if self.chaos.is_down(to) {
                 // The destination process is dead: the delivery vanishes
@@ -1399,24 +1320,17 @@ impl NetInner {
             }
         }
         let cap = self.cfg.rx_queue_cap;
-        // A client-only network serves nothing; the ordered map is only
-        // searched when it holds something.
-        if !self.event_queues.is_empty() {
-            if let Some(q) = self.event_queues.get_mut(&to) {
-                if q.ready.len() >= cap {
-                    // Drop-tail: never counted as pending — nobody will
-                    // drain it.
-                    self.queue_drops += 1;
-                    return false;
-                }
-                q.ready.push_back(dg);
-                self.queue_high_water = self.queue_high_water.max(q.ready.len() as u64);
-                self.pending_events += 1;
-                if q.processor.is_some() {
-                    self.pending_strict += 1;
-                }
-                return true;
+        if self.served.contains_key(&to) {
+            if cap == 0 {
+                // Drop-tail: never counted as pending — nobody will
+                // process it.
+                self.queue_drops += 1;
+                return false;
             }
+            self.ready = Some((to, dg));
+            self.queue_high_water = self.queue_high_water.max(1);
+            self.pending_events += 1;
+            return true;
         }
         match self.mailboxes.get_mut(&to) {
             Some(mb) if mb.queue.len() >= cap => self.queue_drops += 1,
@@ -1433,14 +1347,24 @@ impl NetInner {
         self.mailboxes.get_mut(&addr)?.queue.pop_front()
     }
 
-    /// Un-count the queued deliveries of an event queue that has just
-    /// left the table: nobody can drain them anymore.
-    fn forget_queued(&mut self, q: Option<&EventQueue>) {
-        if let Some(q) = q {
-            self.pending_events -= q.ready.len();
-            if q.processor.is_some() {
-                self.pending_strict -= q.ready.len();
-            }
+    /// The delivery waiting in the slot for `addr`, taken out; it stays
+    /// counted as pending until its completion retires it.
+    fn take_ready(&mut self, addr: Addr) -> Option<Datagram> {
+        self.ready.take_if(|(to, _)| *to == addr).map(|(_, dg)| dg)
+    }
+
+    /// Whether the slot holds a delivery for one of `addrs`.
+    fn ready_for(&self, addrs: &[Addr]) -> bool {
+        self.ready
+            .as_ref()
+            .is_some_and(|(to, _)| addrs.contains(to))
+    }
+
+    /// Drop and un-count the delivery waiting in the slot for `addr`,
+    /// whose processor has just gone: nobody can process it anymore.
+    fn forget_ready(&mut self, addr: Addr) {
+        if self.take_ready(addr).is_some() {
+            self.pending_events -= 1;
         }
     }
 
@@ -1474,24 +1398,23 @@ impl NetInner {
     /// re-registered from the address's factory (restart of a
     /// restartable service), and the registration a crash removed, to be
     /// dropped.
-    fn apply_chaos_locked(&mut self, ev: ChaosEvent) -> (Option<Addr>, Option<EventQueue>) {
+    fn apply_chaos_locked(&mut self, ev: ChaosEvent) -> (Option<Addr>, Option<EventProcessor>) {
         let now = self.now;
         let mut crashed = None;
         let reinstall = match ev {
             ChaosEvent::Crash(addr) => {
                 if self.chaos.crash(addr, now) {
                     // Everything the process held in memory dies with it:
-                    // mailbox contents, queued readiness events (which
-                    // must be un-counted from the pending guards exactly
-                    // like `unserve_udp_events`, or the clock would pin
-                    // forever on events nobody can drain), and the
-                    // processor itself. The factory survives — that is
-                    // what restart rebuilds from.
+                    // mailbox contents, a delivery waiting in the slot
+                    // (un-counted exactly like `unserve_udp_events`, or
+                    // the clock would pin forever on a datagram nobody
+                    // can process), and the processor itself. The factory
+                    // survives — that is what restart rebuilds from.
                     if let Some(mb) = self.mailboxes.get_mut(&addr) {
                         mb.queue.clear();
                     }
-                    crashed = self.event_queues.remove(&addr);
-                    self.forget_queued(crashed.as_ref());
+                    crashed = self.served.remove(&addr);
+                    self.forget_ready(addr);
                 }
                 None
             }
@@ -1688,6 +1611,11 @@ impl Endpoint {
 mod tests {
     use super::*;
 
+    /// A processor echoing each request after `proc_time`.
+    fn echo(proc_time: SimTime) -> EventProcessor {
+        Arc::new(move |req: &mut Vec<u8>, _| Some((req.to_vec(), proc_time)))
+    }
+
     #[test]
     fn network_handles_are_send_and_sync() {
         fn assert_send_sync<T: Send + Sync>() {}
@@ -1852,31 +1780,6 @@ mod tests {
         assert_eq!(b.try_recv().expect("kept").payload, vec![0]);
         assert_eq!(b.try_recv().expect("kept").payload, vec![1]);
         assert!(b.try_recv().is_none());
-    }
-
-    #[test]
-    fn bounded_event_queue_drops_tail_and_counts() {
-        let net = Network::new(NetworkConfig::lan().with_rx_queue_cap(2), 1);
-        net.serve_udp_events(2000);
-        let ep = net.bind_udp(5001);
-        for i in 0..5u8 {
-            ep.send_to(2000, vec![i]);
-        }
-        // Dropped deliveries must not count as pending (nothing would
-        // ever drain them), so the driver reaches all five deliveries.
-        assert!(net.run_until(net.now() + SimTime::from_millis(10), || {
-            net.link_stats().queue_drops == 3
-        }));
-        assert_eq!(net.ready_udp(2000), 2);
-        assert_eq!(net.pending_events(), 2);
-        for want in 0..2u8 {
-            assert!(net.poll_udp(2000, |req, _| {
-                assert_eq!(req[0], want);
-                None
-            }));
-        }
-        assert_eq!(net.pending_events(), 0);
-        net.unserve_udp_events(2000);
     }
 
     #[test]
@@ -2144,7 +2047,8 @@ mod tests {
         // bound, sends one request to an event-mode address with an
         // inline processor, receives its reply and is dropped. The
         // bind; the send; the receive's acquisition, which pops the
-        // request, queues it and steals it; the processor's completion,
+        // request, puts it in the slot and takes it back out; the
+        // processor's completion,
         // under which the reply is sent, delivered and received; the
         // unbind.
         let net = Network::new(NetworkConfig::lan(), 1);
@@ -2194,7 +2098,7 @@ mod tests {
         // must bring the reactor back.
         use std::sync::mpsc;
         let net = Network::new(NetworkConfig::lan(), 1);
-        net.serve_udp_events(2000);
+        net.serve_udp_events_with(2000, echo(SimTime::ZERO));
         let (woke_tx, woke_rx) = mpsc::channel::<Instant>();
         let (go_tx, go_rx) = mpsc::channel::<()>();
         let reactor = {
@@ -2411,11 +2315,13 @@ mod tests {
         assert_eq!(side.at, delivered + SimTime::from_nanos(80 + 150_000));
     }
 
-    /// Spawn a reactor thread echoing on `addr` in event mode; returns
-    /// a shutdown closure that must be called before the test ends.
+    /// Serve an echo on `addr` and spawn a reactor thread racing the
+    /// driver for its deliveries, charging what the processor charges;
+    /// returns a shutdown closure that must be called before the test
+    /// ends.
     fn spawn_echo_reactor(net: &Network, addr: Addr, proc_time: SimTime) -> impl FnOnce() + use<> {
         use std::sync::atomic::{AtomicBool, Ordering};
-        net.serve_udp_events(addr);
+        net.serve_udp_events_with(addr, echo(proc_time));
         let stop = Arc::new(AtomicBool::new(false));
         let (n, s) = (net.clone(), stop.clone());
         let h = std::thread::spawn(move || {
@@ -2436,11 +2342,10 @@ mod tests {
 
     #[test]
     fn event_mode_round_trip_matches_blocking_handler_timing() {
-        // The lane's determinism property, through its two kinds of
-        // registration: the same workload produces the SAME bytes at the
-        // SAME virtual times whether a stateful handler is run in place
-        // by the driver (`serve_udp`) or a reactor thread drains a
-        // processor-less queue (`serve_udp_events` + `poll_udp`).
+        // The lane's determinism property: the same workload produces
+        // the SAME bytes at the SAME virtual times whether a stateful
+        // handler is run in place by the driver (`serve_udp`) or a
+        // reactor thread races the driver for the slot (`poll_udp`).
         let proc_time = SimTime::from_micros(50);
         let run_blocking = || {
             let net = Network::new(NetworkConfig::lan(), 3);
@@ -2518,7 +2423,7 @@ mod tests {
     #[test]
     fn poll_udp_returns_false_when_nothing_is_ready() {
         let net = Network::new(NetworkConfig::lan(), 1);
-        net.serve_udp_events(2000);
+        net.serve_udp_events_with(2000, echo(SimTime::ZERO));
         assert!(!net.poll_udp(2000, |_, _| None));
         assert!(!net.poll_udp(999, |_, _| None), "unregistered address");
         assert_eq!(net.ready_udp(2000), 0);
@@ -2526,54 +2431,55 @@ mod tests {
     }
 
     #[test]
-    fn same_address_deliveries_process_in_parallel() {
-        // Two deliveries to ONE address, two reactor workers, and a
-        // barrier that only opens when both are inside `process` at the
-        // same time: nothing on the lane serializes an address — the
-        // point of the readiness model.
-        use std::sync::Barrier;
-        let net = Network::new(NetworkConfig::lan(), 1);
-        net.serve_udp_events(2000);
-        let barrier = Arc::new(Barrier::new(2));
-        let mut workers = Vec::new();
-        for _ in 0..2 {
-            let (n, b) = (net.clone(), barrier.clone());
-            workers.push(std::thread::spawn(move || {
-                loop {
-                    let processed = n.poll_udp(2000, |req, _| {
-                        b.wait(); // both workers must be in here at once
-                        Some((std::mem::take(req), SimTime::ZERO))
-                    });
-                    if processed {
-                        return;
-                    }
-                    n.wait_ready(&[2000], Duration::from_millis(1));
-                }
-            }));
+    fn the_lane_holds_one_delivery_at_a_time() {
+        // Four requests landing at one instant, two at each of two
+        // served addresses: stepped one unit of work at a time, the
+        // driver routes one into the slot, processes it, and only then
+        // routes the next — at most one delivery is pending after any
+        // step, network-wide. So every request is answered whatever the
+        // receive-queue cap, except at a cap of 0, which drops and
+        // counts all four.
+        for cap in [usize::MAX, 1, 0] {
+            let net = Network::new(NetworkConfig::lan().with_rx_queue_cap(cap), 1);
+            for addr in [2000, 2001] {
+                net.serve_udp_events_with(addr, echo(SimTime::from_micros(50)));
+            }
+            let eps: Vec<Endpoint> = (0..4).map(|i| net.bind_udp(5001 + i)).collect();
+            for (i, ep) in eps.iter().enumerate() {
+                ep.send_to(2000 + i as Addr % 2, vec![i as u8]);
+            }
+            let mut most = 0;
+            while net.step(SimTime::from_millis(10)) {
+                let pending = net.pending_events();
+                assert!(pending <= 1, "{pending} deliveries pending");
+                most = most.max(pending);
+            }
+            let served = cap > 0;
+            assert_eq!(most, usize::from(served), "cap {cap}");
+            for (i, ep) in eps.iter().enumerate() {
+                let want = (2000 + i as Addr % 2, vec![i as u8]);
+                let reply = ep.try_recv().map(|dg| (dg.from, dg.payload));
+                assert_eq!(reply, served.then_some(want), "cap {cap}");
+            }
+            let stats = net.link_stats();
+            let (drops, depth) = if served { (0, 1) } else { (4, 0) };
+            assert_eq!(
+                (stats.queue_drops, stats.queue_depth_high_water),
+                (drops, depth),
+                "cap {cap}"
+            );
         }
-        let ep = net.bind_udp(5001);
-        ep.send_to(2000, vec![1]);
-        ep.send_to(2000, vec![2]);
-        let a = ep.recv_timeout(SimTime::from_millis(50)).expect("reply 1");
-        let b = ep.recv_timeout(SimTime::from_millis(50)).expect("reply 2");
-        let mut got = [a.payload[0], b.payload[0]];
-        got.sort_unstable();
-        assert_eq!(got, [1, 2]);
-        for w in workers {
-            w.join().expect("worker");
-        }
-        net.unserve_udp_events(2000);
     }
 
     #[test]
     fn unserve_releases_pending_events_for_fast_forward() {
-        // A queued-but-never-drained event pins the clock (pending); once
-        // the address is unregistered the driver can fast-forward again.
+        // A delivery left in the slot pins the clock (pending); once the
+        // address is unregistered the driver can fast-forward again.
         let net = Network::new(NetworkConfig::lan(), 1);
-        net.serve_udp_events(2000);
+        net.serve_udp_events_with(2000, echo(SimTime::ZERO));
         let ep = net.bind_udp(5001);
         ep.send_to(2000, vec![7]);
-        // Run just far enough to deliver the datagram into the queue.
+        // Run just far enough to deliver the datagram into the slot.
         net.run_until(SimTime::from_millis(1), || net.ready_udp(2000) > 0);
         assert_eq!(net.ready_udp(2000), 1);
         net.unserve_udp_events(2000);
@@ -2737,10 +2643,10 @@ mod tests {
 
     #[test]
     fn crash_releases_queued_readiness_events() {
-        // A crash must un-count pending readiness events exactly like
+        // A crash must un-count the delivery in the slot exactly like
         // unserve_udp_events, or the idle fast-forward would pin forever.
         let net = Network::new(NetworkConfig::lan(), 1);
-        net.serve_udp_events(2000);
+        net.serve_udp_events_with(2000, echo(SimTime::ZERO));
         let ep = net.bind_udp(5001);
         ep.send_to(2000, vec![7]);
         net.run_until(SimTime::from_millis(1), || net.ready_udp(2000) > 0);

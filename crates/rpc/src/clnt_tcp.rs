@@ -87,56 +87,47 @@ impl ClntTcp {
         Ok(())
     }
 
-    /// One raw record exchange on the current connection (the body of
-    /// `Transport::call`; the wrapper adds the one-shot reconnect).
-    fn call_once(&mut self, request: &[u8], xid: u32) -> Result<Vec<u8>, RpcError> {
-        debug_assert!(request.len() >= 4);
-        debug_assert_eq!(
-            u32::from_be_bytes([request[0], request[1], request[2], request[3]]),
-            xid,
-            "request must start with its xid"
-        );
-        rec::write_record(&mut self.conn, request)
-            .map_err(|e| RpcError::Transport(e.to_string()))?;
-        let mut reply = self.pool.take(request.len().max(self.reply_hint));
-        let mut cap0 = reply.capacity();
-        loop {
-            rec::read_record_into(&mut self.conn, &mut reply)
-                .map_err(|e| RpcError::Transport(e.to_string()))?;
-            self.reply_hint = self.reply_hint.max(reply.len());
-            if reply.capacity() > cap0 {
-                // The reassembler outgrew the pooled buffer (an
-                // oversized reply): account the hidden allocation so
-                // allocs-per-call stays honest.
-                self.pool.note_alloc();
-                cap0 = reply.capacity();
-            }
-            if reply.len() >= 4
-                && u32::from_be_bytes([reply[0], reply[1], reply[2], reply[3]]) == xid
-            {
-                return Ok(reply);
-            }
-        }
-    }
-
-    /// One pipelined-batch attempt on the current connection (the body
-    /// of `Transport::call_batch`; the wrapper adds the reconnect).
-    fn call_batch_once(
+    /// [`ClntTcp::attempt`] with the one-shot reconnect: a transport
+    /// error (dead peer, read timeout) puts the replies that did arrive
+    /// back in the pool, reconnects once and resends every request on
+    /// the fresh connection before surfacing.
+    fn exchange(
         &mut self,
         requests: &[&[u8]],
         xids: &[u32],
-    ) -> Result<Vec<Vec<u8>>, RpcError> {
-        assert_eq!(requests.len(), xids.len(), "one xid per request");
+        replies: &mut [Option<Vec<u8>>],
+    ) -> Result<(), RpcError> {
+        match self.attempt(requests, xids, replies) {
+            Err(RpcError::Transport(_)) => {
+                for reply in replies.iter_mut().filter_map(Option::take) {
+                    self.pool.put(reply);
+                }
+                self.reconnect()?;
+                self.attempt(requests, xids, replies)
+            }
+            done => done,
+        }
+    }
+
+    /// The transaction loop, on the current connection: write every
+    /// request as one record, then read reply records until `replies[i]`
+    /// holds the reply to `xids[i]`. A record that fills no empty slot —
+    /// a stale reply, or one too short to carry an xid — is skipped, as
+    /// in `clnttcp_call`'s receive loop, and its buffer feeds the pool.
+    fn attempt(
+        &mut self,
+        requests: &[&[u8]],
+        xids: &[u32],
+        replies: &mut [Option<Vec<u8>>],
+    ) -> Result<(), RpcError> {
         for (r, &xid) in requests.iter().zip(xids) {
-            debug_assert!(r.len() >= 4);
             debug_assert_eq!(
-                u32::from_be_bytes([r[0], r[1], r[2], r[3]]),
-                xid,
+                r.get(..4),
+                Some(&xid.to_be_bytes()[..]),
                 "each request must start with its xid"
             );
             rec::write_record(&mut self.conn, r).map_err(|e| RpcError::Transport(e.to_string()))?;
         }
-        let mut replies: Vec<Option<Vec<u8>>> = (0..requests.len()).map(|_| None).collect();
         let mut outstanding = requests.len();
         let hint = requests.iter().map(|r| r.len()).max().unwrap_or(0);
         while outstanding > 0 {
@@ -146,23 +137,24 @@ impl ClntTcp {
                 .map_err(|e| RpcError::Transport(e.to_string()))?;
             self.reply_hint = self.reply_hint.max(reply.len());
             if reply.capacity() > cap0 {
+                // The reassembler outgrew the pooled buffer (an
+                // oversized reply): account the hidden allocation so
+                // allocs-per-call stays honest.
                 self.pool.note_alloc();
             }
-            let slot = if reply.len() >= 4 {
-                let rx = u32::from_be_bytes([reply[0], reply[1], reply[2], reply[3]]);
-                xids.iter().position(|&x| x == rx)
-            } else {
-                None
-            };
+            let slot = reply.get(..4).and_then(|word| {
+                let i = xids.iter().position(|x| x.to_be_bytes() == word)?;
+                replies[i].is_none().then_some(i)
+            });
             match slot {
-                Some(i) if replies[i].is_none() => {
+                Some(i) => {
                     replies[i] = Some(reply);
                     outstanding -= 1;
                 }
-                _ => self.pool.put(reply), // stale record: reuse the buffer
+                None => self.pool.put(reply),
             }
         }
-        Ok(replies.into_iter().map(|r| r.expect("filled")).collect())
+        Ok(())
     }
 
     /// `clnt_call` over TCP: one record out, one record in.
@@ -215,37 +207,29 @@ impl Transport for ClntTcp {
         self.xids.next_xid()
     }
 
-    /// Raw record exchange: the request goes out as one record; reply
-    /// records are read until the xid matches (stale replies skipped, as
-    /// in `clnttcp_call`'s receive loop). The stream is reliable, so
-    /// there is no retransmission; a transport error (dead peer, read
-    /// timeout) triggers one reconnect-and-retry on a fresh connection
-    /// before surfacing — the whole record is resent, which is safe
-    /// because nothing of the failed attempt was answered.
+    /// Raw record exchange: an exchange of one, its reply slot on the
+    /// stack. The request goes out as one record; reply records are read
+    /// until the xid matches. The stream is reliable, so there is no
+    /// retransmission, only the one-shot reconnect.
     fn call(&mut self, request: &[u8], xid: u32) -> Result<Vec<u8>, RpcError> {
-        match self.call_once(request, xid) {
-            Err(RpcError::Transport(_)) => {
-                self.reconnect()?;
-                self.call_once(request, xid)
-            }
-            done => done,
-        }
+        let mut reply = [None];
+        self.exchange(&[request], &[xid], &mut reply)?;
+        let [reply] = reply;
+        Ok(reply.expect("a completed attempt fills every slot"))
     }
 
     /// Pipelined batch over the stream: every call record is written
     /// before any reply record is read, so the per-record round-trip
     /// latency overlaps across the batch (the server answers records in
-    /// arrival order on one connection; matching is still by xid). A
-    /// transport error triggers one reconnect and a retry of the whole
-    /// batch on the fresh connection before surfacing.
+    /// arrival order on one connection; matching is still by xid).
     fn call_batch(&mut self, requests: &[&[u8]], xids: &[u32]) -> Result<Vec<Vec<u8>>, RpcError> {
-        match self.call_batch_once(requests, xids) {
-            Err(RpcError::Transport(_)) => {
-                self.reconnect()?;
-                self.call_batch_once(requests, xids)
-            }
-            done => done,
-        }
+        assert_eq!(requests.len(), xids.len(), "one xid per request");
+        let mut replies: Vec<Option<Vec<u8>>> = (0..requests.len()).map(|_| None).collect();
+        self.exchange(requests, xids, &mut replies)?;
+        Ok(replies
+            .into_iter()
+            .map(|r| r.expect("a completed attempt fills every slot"))
+            .collect())
     }
 
     fn recycle(&mut self, reply: Vec<u8>) {

@@ -32,8 +32,9 @@
 //! fast one on a host with few cores. Workers keep every delivery
 //! exactly-once and every virtual-time trace identical for a single
 //! driver (a worker that wins the race for a datagram charges the same
-//! clock the driver would have); what they add is real cross-thread
-//! dispatch of requests that are in flight together.
+//! clock the driver would have). They add a cross-thread hand-off, not
+//! parallelism: the simulator's lane holds one datagram at a time, so a
+//! worker only races the driving thread for it.
 
 use crate::bufpool::BufPool;
 use crate::svc::SvcRegistry;

@@ -285,13 +285,14 @@ pub(crate) fn xid_of(request: &[u8]) -> Option<u32> {
 /// behind a single short-lived lock (never across a dispatch).
 struct DupState {
     cache: DupCache,
-    /// Transactions currently being dispatched. With one driving thread
-    /// and no workers this is a singleton at most; reactor workers
-    /// process one address in parallel, and a duplicate arriving while
-    /// its original is still in flight must be *dropped*, not
-    /// re-dispatched — the original's reply is already on the way. Never
-    /// larger than the number of threads dispatching at once, which is
-    /// what bounds a collision chain under the integer hasher.
+    /// Transactions currently being dispatched. Served through the
+    /// simulator, whose lane holds one delivery at a time, this is a
+    /// singleton at most; when two threads call [`CachedDispatch::handle`]
+    /// at once, a duplicate arriving while its original is still in
+    /// flight must be *dropped*, not re-dispatched — the original's reply
+    /// is already on the way. Never larger than the number of threads
+    /// dispatching at once, which is what bounds a collision chain under
+    /// the integer hasher.
     in_progress: IntSet<(u32, Addr)>,
     /// A request datagram's buffer this address has consumed, offered to
     /// the next dispatch for its reply image: the buffers follow the
@@ -302,8 +303,8 @@ struct DupState {
     /// reply just sent, so one odd-sized buffer does not sit here refusing
     /// a stream of like-sized calls; otherwise the offer stays and the
     /// request is pooled. One deep, because one is what a dispatch
-    /// consumes and one is what the next needs; when workers overlap on
-    /// the address the second buffer comes from and goes to the pool.
+    /// consumes and one is what the next needs; when dispatches overlap
+    /// on the address the second buffer comes from and goes to the pool.
     /// An envelope's sub-messages neither take nor fill it.
     parked: Option<Vec<u8>>,
 }
@@ -319,9 +320,9 @@ impl DupState {
 }
 
 /// The cache-fronted dispatch body of one served address. Dispatch runs
-/// with **no** cache lock held, so the reactor's workers process one
-/// address's requests in parallel; exactly-once execution is preserved
-/// by the in-progress set.
+/// with **no** cache lock held, so threads calling it at once do not
+/// wait for each other; exactly-once execution is preserved by the
+/// in-progress set.
 ///
 /// The cache owns the log its recorded replies are copied into and never
 /// touches the pool. A dispatched request's buffer is parked for the next

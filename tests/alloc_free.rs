@@ -1,10 +1,11 @@
 //! A warm specialized round trip touches the heap not at all — not the
 //! wire path alone (`tests/zero_copy.rs` counts pool misses) but the
 //! whole process: client stub, transport, simulator, dup cache, dispatch,
-//! the service routine, and back. The echo routine works in place
-//! ([`specrpc::SpecHandler`]); the same loop against the returning
-//! convenience form, [`SpecService::proc`], reads exactly the two
-//! allocations that form costs.
+//! the service routine, and back, over UDP and over the record-marked
+//! stream. The echo routine works in place ([`specrpc::SpecHandler`]);
+//! the same loop against the returning convenience form,
+//! [`SpecService::proc`], reads exactly the two allocations that form
+//! costs.
 //!
 //! One test function: the counters are process-wide.
 
@@ -13,7 +14,7 @@ use specrpc::scenario::{NFS_COMMIT, NFS_PORT, NFS_PROG, NFS_VERS, NFS_WRITE};
 use specrpc::{deploy_nfs_service, PathUsed, ProcPipeline, SpecClient, SpecService};
 use specrpc_netsim::net::{Network, NetworkConfig};
 use specrpc_rpc::msg::CallHeader;
-use specrpc_rpc::{ClntUdp, CoalescePolicy, Transport};
+use specrpc_rpc::{ClntTcp, ClntUdp, CoalescePolicy, SvcRegistry, Transport};
 use specrpc_tempo::compile::StubArgs;
 use specrpc_xdr::mem::XdrMem;
 use specrpc_xdr::primitives::xdr_int;
@@ -57,20 +58,46 @@ static ALLOC: Counting = Counting;
 const WARM_UP: u64 = 4_096;
 const CALLS: u64 = 1_000;
 
+/// The echo procedure compiled for `n` elements.
+fn echo_proc(n: usize) -> Arc<specrpc::CompiledProc> {
+    let proc_ = ProcPipeline::new(n).build_from_idl(ECHO_IDL, None, ECHO_PROC);
+    Arc::new(proc_.unwrap())
+}
+
 /// `(allocations, frees)` of [`CALLS`] warm echo round trips at `n`
 /// elements against `service` deployed through `serve_udp`.
 fn steady_state(
     n: usize,
     service: impl FnOnce(Arc<specrpc::CompiledProc>) -> SpecService,
 ) -> (u64, u64) {
-    let proc_ = ProcPipeline::new(n).build_from_idl(ECHO_IDL, None, ECHO_PROC);
-    let proc_ = Arc::new(proc_.unwrap());
+    let proc_ = echo_proc(n);
     let port = 940;
     let net = Network::new(NetworkConfig::lan(), 29);
     let registry = service(proc_.clone()).serve_udp(&net, port);
     let pool = registry.pool().clone();
     let clnt = ClntUdp::create_pooled(&net, 5700, port, ECHO_PROG, ECHO_VERS, pool);
-    let mut client = SpecClient::from_parts(clnt, proc_);
+    round_trips(n, &registry, SpecClient::from_parts(clnt, proc_))
+}
+
+/// [`steady_state`] of the in-place echo over the record-marked stream:
+/// `serve_tcp` and a pooled `ClntTcp`.
+fn tcp_steady_state(n: usize) -> (u64, u64) {
+    let proc_ = echo_proc(n);
+    let port = 941;
+    let net = Network::new(NetworkConfig::lan(), 29);
+    let registry = echo_service(proc_.clone()).serve_tcp(&net, port);
+    let pool = registry.pool().clone();
+    let clnt = ClntTcp::create_pooled(&net, port, ECHO_PROG, ECHO_VERS, pool).unwrap();
+    round_trips(n, &registry, SpecClient::from_parts(clnt, proc_))
+}
+
+/// `(allocations, frees)` of [`CALLS`] echo round trips at `n` elements
+/// through `client`, after [`WARM_UP`] of them.
+fn round_trips<T: Transport>(
+    n: usize,
+    registry: &SvcRegistry,
+    mut client: SpecClient<T>,
+) -> (u64, u64) {
     let data = workload(n);
     let args = client.args(vec![], vec![data.clone()]);
     let mut out = StubArgs::default();
@@ -163,6 +190,7 @@ fn a_warm_round_trip_neither_allocates_nor_frees() {
     assert_eq!(coalesced_steady_state(), (0, 0), "coalesced envelope");
     for n in [20, 2000] {
         assert_eq!(steady_state(n, echo_service), (0, 0), "in place, n = {n}");
+        assert_eq!(tcp_steady_state(n), (0, 0), "over TCP, n = {n}");
         // What the convenience form costs: the cloned array and the
         // result set's `Vec` of arrays, and the two they displace.
         let returning = |proc_| {
