@@ -18,7 +18,8 @@
 //! [`ScaleConfig`] produces a byte-identical [`ScaleReport::render`]
 //! every run.
 
-use crate::pipeline::{PipelineError, ProcPipeline};
+use crate::client::{decode_reply_fast, encode_into};
+use crate::pipeline::{CompiledProc, PipelineError, ProcPipeline};
 use crate::service::SpecService;
 use crate::summary::{LatencyHistogram, Summary};
 use rand::rngs::StdRng;
@@ -27,10 +28,12 @@ use specrpc_netsim::net::{Addr, Endpoint, LinkStats, Network, NetworkConfig};
 use specrpc_netsim::SimTime;
 use specrpc_rpc::msg::CallHeader;
 use specrpc_rpc::{ClntUdp, CoalescePolicy, CoalesceStats, Transport};
+use specrpc_rpcgen::sunlib::reply_fields;
+use specrpc_tempo::compile::StubArgs;
 use specrpc_xdr::composite::xdr_array;
 use specrpc_xdr::mem::XdrMem;
 use specrpc_xdr::primitives::xdr_int;
-use specrpc_xdr::{OpCounts, XdrStream};
+use specrpc_xdr::{OpCounts, WireBuf, XdrStream};
 use std::collections::VecDeque;
 use std::sync::Arc;
 
@@ -364,6 +367,11 @@ pub fn deploy_scale_service(cfg: &ScaleConfig) -> Result<SpecService, PipelineEr
 
 // ---------------------------------------------------------------------
 // NFS-like mixed-procedure scenario (coalescing & one-way batching).
+//
+// Both sides are specialized: the service and every client share one
+// compiled stub set per procedure, the clients' stubs marshal each call
+// into a reused wire image, and each sync reply is decoded by its stub
+// and checked. The layered encoder lives in the tests, as the reference.
 // ---------------------------------------------------------------------
 
 /// Program number of the NFS-like service.
@@ -597,25 +605,28 @@ impl NfsReport {
     }
 }
 
-/// Encode one NFS-like call message: header for `proc_num` under `xid`,
-/// then the argument scalars in field order.
-fn encode_nfs_call(xid: u32, proc_num: u32, scalars: &[i32]) -> Vec<u8> {
-    let mut enc = XdrMem::encoder(64 + 4 * scalars.len());
-    let mut hdr = CallHeader::new(xid, NFS_PROG, NFS_VERS, proc_num);
-    CallHeader::xdr(&mut enc, &mut hdr).expect("header encode");
-    for &v in scalars {
-        let mut v = v;
-        xdr_int(&mut enc, &mut v).expect("arg encode");
-    }
-    let len = enc.getpos();
-    enc.bytes()[..len].to_vec()
-}
-
 /// Build the NFS-like [`SpecService`]: five compiled fixed-shape
 /// procedures over one shared in-memory file table. WRITE sizes and
 /// COMMIT counters are real state, so replies (and the equivalence
 /// tests over them) observe every handler execution.
 pub fn deploy_nfs_service(files: usize) -> Result<SpecService, PipelineError> {
+    Ok(nfs_service(files, &compile_nfs_procs()?))
+}
+
+/// The five NFS-like procedures compiled once, in procedure-number order
+/// (`GETATTR` first): what [`run_nfs`]'s service and clients share.
+fn compile_nfs_procs() -> Result<Vec<Arc<CompiledProc>>, PipelineError> {
+    (NFS_GETATTR..=NFS_COMMIT)
+        .map(|p| {
+            ProcPipeline::new(0)
+                .build_from_idl(NFS_IDL, None, p)
+                .map(Arc::new)
+        })
+        .collect()
+}
+
+/// The [`deploy_nfs_service`] service over already-compiled procedures.
+fn nfs_service(files: usize, compiled: &[Arc<CompiledProc>]) -> SpecService {
     #[derive(Default)]
     struct NfsState {
         sizes: Vec<i32>,
@@ -625,29 +636,25 @@ pub fn deploy_nfs_service(files: usize) -> Result<SpecService, PipelineError> {
         sizes: (0..files).map(|i| 512 * (i as i32 % 7 + 1)).collect(),
         uncommitted: vec![0; files],
     }));
-    let fh_index = move |fh: i32| (fh - 1).rem_euclid(files as i32) as usize;
+    // Wrapping arithmetic throughout: a routine answers any argument words
+    // a client sends, `i32::MIN` and `i32::MAX` included.
+    let fh_index = move |fh: i32| fh.wrapping_sub(1).rem_euclid(files as i32) as usize;
 
     let mut service = SpecService::new();
-    let compiled: Vec<Arc<crate::pipeline::CompiledProc>> = (NFS_GETATTR..=NFS_COMMIT)
-        .map(|p| {
-            ProcPipeline::new(0)
-                .build_from_idl(NFS_IDL, None, p)
-                .map(Arc::new)
-        })
-        .collect::<Result<_, _>>()?;
-
     let s = state.clone();
     service = service.proc_in_place(compiled[0].clone(), move |args, results| {
         let fh = *args.scalars.last().expect("getattr arg");
         let size = s.lock().unwrap().sizes[fh_index(fh)];
-        results.scalars.extend([size, fh * 31 + size, 420]);
+        results
+            .scalars
+            .extend([size, fh.wrapping_mul(31).wrapping_add(size), 420]);
     });
     service = service.proc_in_place(compiled[1].clone(), move |args, results| {
         let n = args.scalars.len();
         let (dir, name) = (args.scalars[n - 2], args.scalars[n - 1]);
         results
             .scalars
-            .push((dir + name).rem_euclid(files as i32) + 1);
+            .push(dir.wrapping_add(name).rem_euclid(files as i32) + 1);
     });
     let s = state.clone();
     service = service.proc_in_place(compiled[2].clone(), move |args, results| {
@@ -658,7 +665,7 @@ pub fn deploy_nfs_service(files: usize) -> Result<SpecService, PipelineError> {
             args.scalars[n - 1],
         );
         let size = s.lock().unwrap().sizes[fh_index(fh)];
-        let len = count.min((size - offset).max(0));
+        let len = count.min(size.wrapping_sub(offset).max(0));
         results.scalars.extend([len, fh ^ offset]);
     });
     let s = state.clone();
@@ -671,7 +678,7 @@ pub fn deploy_nfs_service(files: usize) -> Result<SpecService, PipelineError> {
         );
         let mut st = s.lock().unwrap();
         let i = fh_index(fh);
-        st.sizes[i] = st.sizes[i].max(offset + len);
+        st.sizes[i] = st.sizes[i].max(offset.wrapping_add(len));
         st.uncommitted[i] += 1;
         results.scalars.push(st.sizes[i]);
     });
@@ -683,7 +690,89 @@ pub fn deploy_nfs_service(files: usize) -> Result<SpecService, PipelineError> {
         results.scalars.push(st.uncommitted[i]);
         st.uncommitted[i] = 0;
     });
-    Ok(service)
+    service
+}
+
+/// One [`run_nfs`] client: the five procedures' compiled stubs marshal
+/// every call into one reused wire image and decode every synchronous
+/// reply into result slots shaped once, so a warm op allocates nothing.
+struct NfsClient {
+    clnt: ClntUdp,
+    req: WireBuf,
+    /// Per procedure, in procedure-number order: its stubs, its argument
+    /// slots (xid slot first) and its result slots.
+    stubs: Vec<(Arc<CompiledProc>, StubArgs, StubArgs)>,
+    counts: OpCounts,
+}
+
+impl NfsClient {
+    fn new(clnt: ClntUdp, procs: &[Arc<CompiledProc>]) -> NfsClient {
+        let stubs = procs
+            .iter()
+            .map(|p| {
+                let slots = p.client_encode.layout.scalar_count as usize;
+                (
+                    p.clone(),
+                    StubArgs::new(vec![0; slots], vec![]),
+                    StubArgs::default(),
+                )
+            })
+            .collect();
+        NfsClient {
+            clnt,
+            req: WireBuf::new(),
+            stubs,
+            counts: OpCounts::new(),
+        }
+    }
+
+    /// Encode `proc_num(args)` under a fresh xid into the wire image.
+    fn encode(&mut self, proc_num: u32, args: &[i32]) -> u32 {
+        let xid = self.clnt.next_xid();
+        let (proc_, slots, _) = &mut self.stubs[proc_num as usize - 1];
+        slots.scalars[1..].copy_from_slice(args);
+        encode_into(proc_, &mut self.req, slots, xid, &mut self.counts)
+            .expect("a compiled stub encodes its own argument slots");
+        xid
+    }
+
+    /// Queue `proc_num(args)` one-way.
+    fn oneway(&mut self, proc_num: u32, args: &[i32]) {
+        let xid = self.encode(proc_num, args);
+        self.clnt
+            .call_oneway(self.req.bytes(), xid)
+            .expect("one-way queue");
+    }
+
+    /// Call `proc_num(args)`, record its virtual-time latency, and return
+    /// the result scalars the compiled stub decoded from its reply.
+    ///
+    /// # Panics
+    /// If no reply comes (the link is lossless) or the reply misses the
+    /// fast path; both name the procedure and the xid.
+    fn call(
+        &mut self,
+        net: &Network,
+        latency: &mut LatencyHistogram,
+        proc_num: u32,
+        args: &[i32],
+    ) -> &[i32] {
+        let xid = self.encode(proc_num, args);
+        let t0 = net.now();
+        let reply = Transport::call(&mut self.clnt, self.req.bytes(), xid).unwrap_or_else(|e| {
+            panic!("procedure {proc_num}, xid {xid:#x}: a lossless link answers, got {e}")
+        });
+        latency.record(net.now().saturating_sub(t0));
+        let (proc_, _, out) = &mut self.stubs[proc_num as usize - 1];
+        let fast = decode_reply_fast(proc_, &reply, out, &mut self.counts);
+        self.clnt.recycle(reply);
+        assert_eq!(
+            fast,
+            Ok(true),
+            "procedure {proc_num}, xid {xid:#x}: reply missed the fast path"
+        );
+        &out.scalars[reply_fields::COUNT..]
+    }
 }
 
 /// Execute one NFS-like run: deploy the five-procedure service behind
@@ -692,8 +781,22 @@ pub fn deploy_nfs_service(files: usize) -> Result<SpecService, PipelineError> {
 /// WRITE bursts sealed by sync COMMITs, over a link that charges every
 /// wire fragment its header bytes plus a fixed per-packet cost.
 ///
+/// The five procedures are compiled once and shared by the service and
+/// the clients. Each client is specialized: a procedure's compiled client
+/// stub encodes every call into one reused wire image (the same bytes the
+/// layered xdr routines produce), and its compiled decode stub reads
+/// every sync reply into result slots shaped once, so a warm op
+/// allocates nothing.
+///
 /// Clients run sequentially on the virtual clock, so a fixed config
 /// produces a byte-identical [`NfsReport::render`] every run.
+///
+/// # Panics
+/// On a sync call that gets no reply (the link is lossless), a reply
+/// that misses the compiled fast path, or a COMMIT whose count is not
+/// [`NfsConfig::write_burst`], i.e. a one-way WRITE of its burst that
+/// did not run exactly once before the seal. Each message names the
+/// procedure and the xid or file.
 pub fn run_nfs(cfg: &NfsConfig) -> Result<NfsReport, PipelineError> {
     assert!(cfg.clients > 0 && cfg.files > 0, "non-empty run");
     let net = Network::new(
@@ -702,8 +805,8 @@ pub fn run_nfs(cfg: &NfsConfig) -> Result<NfsReport, PipelineError> {
             .with_mtu(cfg.wire_mtu),
         cfg.seed,
     );
-    let service = deploy_nfs_service(cfg.files)?;
-    service.serve_udp(&net, NFS_PORT);
+    let procs = compile_nfs_procs()?;
+    nfs_service(cfg.files, &procs).serve_udp(&net, NFS_PORT);
 
     let cdf = zipf_cdf(cfg.files, cfg.zipf_s);
     let mut rng = StdRng::seed_from_u64(cfg.seed);
@@ -712,7 +815,7 @@ pub fn run_nfs(cfg: &NfsConfig) -> Result<NfsReport, PipelineError> {
     let mut coalesce = CoalesceStats::default();
 
     for c in 0..cfg.clients {
-        let mut clnt = ClntUdp::create(
+        let clnt = ClntUdp::create(
             &net,
             NFS_CLIENT_BASE + c as Addr,
             NFS_PORT,
@@ -720,47 +823,43 @@ pub fn run_nfs(cfg: &NfsConfig) -> Result<NfsReport, PipelineError> {
             NFS_VERS,
         )
         .with_coalescing(cfg.policy);
-        fn sync_call(
-            net: &Network,
-            clnt: &mut ClntUdp,
-            latency: &mut LatencyHistogram,
-            proc_num: u32,
-            scalars: &[i32],
-        ) {
-            let xid = clnt.next_xid();
-            let req = encode_nfs_call(xid, proc_num, scalars);
-            let t0 = net.now();
-            let reply = Transport::call(clnt, &req, xid).expect("lossless link answers");
-            latency.record(net.now().saturating_sub(t0));
-            clnt.recycle(reply);
-        }
+        let mut client = NfsClient::new(clnt, &procs);
         for _ in 0..cfg.ops_per_client {
             let u = rng.random::<f64>();
             let rank = cdf.partition_point(|&c| c < u).min(cfg.files - 1);
             let fh = rank as i32 + 1;
-            let (proc_num, args) = match rng.random_range(0..4u32) {
+            match rng.random_range(0..4u32) {
                 0 => {
                     // One-way WRITE burst, sealed by a sync COMMIT whose
                     // reply acknowledges the whole pipeline.
                     for b in 0..cfg.write_burst {
-                        let xid = clnt.next_xid();
-                        let req = encode_nfs_call(xid, NFS_WRITE, &[fh, 64 * b as i32, 64]);
-                        clnt.call_oneway(&req, xid).expect("one-way queue");
+                        client.oneway(NFS_WRITE, &[fh, 64 * b as i32, 64]);
                         oneway_writes += 1;
                         ops += 1;
                     }
                     commits += 1;
-                    (NFS_COMMIT, vec![fh])
+                    let committed = client.call(&net, &mut latency, NFS_COMMIT, &[fh])[0];
+                    assert_eq!(
+                        committed, cfg.write_burst as i32,
+                        "COMMIT of file {fh}: each one-way WRITE of its burst runs once"
+                    );
                 }
-                1 => (NFS_GETATTR, vec![fh]),
-                2 => (NFS_LOOKUP, vec![fh, rng.random_range(0..64)]),
-                _ => (NFS_READ, vec![fh, rng.random_range(0..4) * 64, 64]),
-            };
-            sync_call(&net, &mut clnt, &mut latency, proc_num, &args);
+                1 => {
+                    client.call(&net, &mut latency, NFS_GETATTR, &[fh]);
+                }
+                2 => {
+                    let name = rng.random_range(0..64);
+                    client.call(&net, &mut latency, NFS_LOOKUP, &[fh, name]);
+                }
+                _ => {
+                    let offset = rng.random_range(0..4) * 64;
+                    client.call(&net, &mut latency, NFS_READ, &[fh, offset, 64]);
+                }
+            }
             sync_calls += 1;
             ops += 1;
         }
-        if let Some(s) = clnt.coalesce_stats() {
+        if let Some(s) = client.clnt.coalesce_stats() {
             coalesce.oneways_queued += s.oneways_queued;
             coalesce.flushes_mtu += s.flushes_mtu;
             coalesce.flushes_linger += s.flushes_linger;
@@ -798,6 +897,82 @@ pub fn run_scale_single_shard(cfg: &ScaleConfig) -> Result<ScaleReport, Pipeline
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// Encode one NFS-like call message through the layered xdr
+    /// micro-routines: header for `proc_num` under `xid`, then the
+    /// argument scalars in field order. The reference the compiled client
+    /// stubs are checked against; no scenario marshals with it.
+    fn encode_nfs_call(xid: u32, proc_num: u32, scalars: &[i32]) -> Vec<u8> {
+        let mut enc = XdrMem::encoder(64 + 4 * scalars.len());
+        let mut hdr = CallHeader::new(xid, NFS_PROG, NFS_VERS, proc_num);
+        CallHeader::xdr(&mut enc, &mut hdr).expect("header encode");
+        for &v in scalars {
+            let mut v = v;
+            xdr_int(&mut enc, &mut v).expect("arg encode");
+        }
+        let len = enc.getpos();
+        enc.bytes()[..len].to_vec()
+    }
+
+    /// `run_nfs`'s client marshals as the layered micro-routines do, for
+    /// all five procedures, over argument words 0, ±1, `i32::MIN`,
+    /// `i32::MAX` and 64 in every position and xids across the `u32`
+    /// range: the compiled request is `encode_nfs_call`'s byte for byte,
+    /// and the compiled decode of the service's real reply yields the
+    /// result slots the layered decode (reply header, then
+    /// `decode_shape_generic`) does.
+    #[test]
+    fn nfs_stubs_marshal_as_the_layered_routines_do() {
+        use crate::generic::decode_shape_generic;
+        use specrpc_rpc::msg::ReplyHeader;
+        let procs = compile_nfs_procs().unwrap();
+        let registry = nfs_service(4, &procs).into_registry();
+        let words = [0, 1, -1, i32::MIN, i32::MAX, 64];
+        let mut req = WireBuf::new();
+        let mut counts = OpCounts::new();
+        let (mut fast, mut layered) = (StubArgs::default(), StubArgs::default());
+        let mut checked = 0;
+        for (proc_, proc_num) in procs.iter().zip(NFS_GETATTR..=NFS_COMMIT) {
+            let arity = proc_.client_encode.layout.scalar_count as usize - 1;
+            let mut slots = StubArgs::new(vec![0; arity + 1], vec![]);
+            for k in 0..words.len() {
+                let args: Vec<i32> = (0..arity).map(|i| words[(k + i) % words.len()]).collect();
+                for xid in [1, 0x5151, 0x8000_0000, u32::MAX] {
+                    let what = format!("procedure {proc_num}{args:?} under xid {xid:#x}");
+                    slots.scalars[1..].copy_from_slice(&args);
+                    encode_into(proc_, &mut req, &slots, xid, &mut counts).unwrap();
+                    let request = encode_nfs_call(xid, proc_num, &args);
+                    assert_eq!(req.bytes(), request, "{what}");
+
+                    let reply = registry.dispatch(&request);
+                    let decoded = decode_reply_fast(proc_, &reply, &mut fast, &mut counts);
+                    assert_eq!(decoded, Ok(true), "{what}");
+                    let mut dec = XdrMem::decoder(&reply);
+                    let header = ReplyHeader::decode(&mut dec).unwrap();
+                    assert_eq!((header.xid, header.to_error()), (xid, None), "{what}");
+                    let dec_layout = &proc_.client_decode.layout;
+                    layered.prepare(
+                        dec_layout.scalar_count as usize,
+                        dec_layout.array_count as usize,
+                    );
+                    let base = reply_fields::COUNT as u16;
+                    decode_shape_generic(&mut dec, &proc_.res_shape, base, &mut layered).unwrap();
+                    assert_eq!(dec.getpos(), reply.len(), "{what}: reply read to its end");
+                    // Result slots only: the layered path decodes the
+                    // header into a `ReplyHeader`, not into slots.
+                    let (fast_results, layered_results) = (
+                        &fast.scalars[reply_fields::COUNT..],
+                        &layered.scalars[reply_fields::COUNT..],
+                    );
+                    assert_eq!(fast_results, layered_results, "{what}");
+                    assert_eq!(fast.arrays, layered.arrays, "{what}");
+                    checked += 1;
+                }
+            }
+        }
+        assert_eq!(checked, 5 * words.len() * 4);
+        assert_eq!(registry.generic_dispatches(), 0);
+    }
 
     /// Every specialization context `BENCHMARK.json`'s workloads compile —
     /// echo at 20 / 250 / 2000, the scale shapes (and the smoke config's)
@@ -1001,20 +1176,28 @@ mod tests {
 
     #[test]
     fn nfs_smoke_runs_the_full_mix() {
-        let report = run_nfs(&NfsConfig::smoke()).unwrap();
-        assert!(report.oneway_writes > 0, "bursts drawn: {report:?}");
-        assert!(report.commits > 0);
-        assert_eq!(
-            report.ops,
-            report.sync_calls + report.oneway_writes,
-            "every op is sync or one-way"
-        );
-        assert_eq!(report.latency.count(), report.sync_calls);
-        assert_eq!(report.coalesce.oneways_queued, report.oneway_writes);
-        assert_eq!(report.coalesce.pending_submessages, 0, "all bursts sealed");
-        assert_eq!(report.coalesce.unacked_envelopes, 0, "all bursts acked");
-        assert_eq!(report.coalesce.window_evictions, 0, "nothing fell off");
-        assert_eq!(report.link.queue_drops, 0);
+        // `run_nfs` itself checks every reply: decoded on the fast path,
+        // and each COMMIT counting its whole burst.
+        for cfg in [NfsConfig::smoke(), NfsConfig::smoke().per_call()] {
+            let report = run_nfs(&cfg).unwrap();
+            assert!(report.oneway_writes > 0, "bursts drawn: {report:?}");
+            assert!(report.commits > 0);
+            assert_eq!(
+                report.oneway_writes,
+                report.commits * cfg.write_burst as u64
+            );
+            assert_eq!(
+                report.ops,
+                report.sync_calls + report.oneway_writes,
+                "every op is sync or one-way"
+            );
+            assert_eq!(report.latency.count(), report.sync_calls);
+            assert_eq!(report.coalesce.oneways_queued, report.oneway_writes);
+            assert_eq!(report.coalesce.pending_submessages, 0, "all bursts sealed");
+            assert_eq!(report.coalesce.unacked_envelopes, 0, "all bursts acked");
+            assert_eq!(report.coalesce.window_evictions, 0, "nothing fell off");
+            assert_eq!(report.link.queue_drops, 0);
+        }
     }
 
     #[test]

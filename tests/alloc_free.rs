@@ -5,13 +5,17 @@
 //! stream. The echo routine works in place ([`specrpc::SpecHandler`]);
 //! the same loop against the returning convenience form,
 //! [`SpecService::proc`], reads exactly the two allocations that form
-//! costs.
+//! costs. The NFS-like scenario, whose clients run compiled stubs too,
+//! allocates as much, give or take a few, for a whole run at twice the
+//! draws per client: none of its ops allocates.
 //!
 //! One test function: the counters are process-wide.
 
 use specrpc::echo::{echo_service, workload, ECHO_IDL, ECHO_PROC, ECHO_PROG, ECHO_VERS};
 use specrpc::scenario::{NFS_COMMIT, NFS_PORT, NFS_PROG, NFS_VERS, NFS_WRITE};
-use specrpc::{deploy_nfs_service, PathUsed, ProcPipeline, SpecClient, SpecService};
+use specrpc::{
+    deploy_nfs_service, run_nfs, NfsConfig, PathUsed, ProcPipeline, SpecClient, SpecService,
+};
 use specrpc_netsim::net::{Network, NetworkConfig};
 use specrpc_rpc::msg::CallHeader;
 use specrpc_rpc::{ClntTcp, ClntUdp, CoalescePolicy, SvcRegistry, Transport};
@@ -185,9 +189,33 @@ fn coalesced_steady_state() -> (u64, u64) {
     (after.0 - before.0, after.1 - before.1)
 }
 
+/// Allocations of one whole `run_nfs` pass — compiling, deploying, every
+/// client and the report — at `nfs_mix`'s shape: 8 clients of `draws` op
+/// draws each, seed 7.
+fn nfs_run_allocations(draws: usize) -> u64 {
+    let cfg = NfsConfig {
+        clients: 8,
+        ops_per_client: draws,
+        seed: 7,
+        ..NfsConfig::smoke()
+    };
+    let before = ALLOCS.load(Ordering::Relaxed);
+    let report = run_nfs(&cfg).unwrap();
+    let allocations = ALLOCS.load(Ordering::Relaxed) - before;
+    assert_eq!(report.sync_calls, 8 * draws as u64);
+    allocations
+}
+
 #[test]
 fn a_warm_round_trip_neither_allocates_nor_frees() {
     assert_eq!(coalesced_steady_state(), (0, 0), "coalesced envelope");
+    // The NFS mix as the scenario drives it: twice the draws, the same
+    // allocations give or take a few, so no op allocates.
+    let (short, long) = (nfs_run_allocations(2_000), nfs_run_allocations(4_000));
+    assert!(
+        long.abs_diff(short) <= 16,
+        "run_nfs: {short} allocations at 2 000 draws a client, {long} at 4 000"
+    );
     for n in [20, 2000] {
         assert_eq!(steady_state(n, echo_service), (0, 0), "in place, n = {n}");
         assert_eq!(tcp_steady_state(n), (0, 0), "over TCP, n = {n}");
