@@ -38,7 +38,7 @@
 use crate::echo::{build_echo_proc, echo_handler, ECHO_PROG, ECHO_VERS, MAX_ARR};
 use crate::pipeline::PipelineError;
 use crate::service::SpecService;
-use crate::summary::{ChaosSummary, LatencyHistogram, Summary};
+use crate::summary::{latency_line, LatencyHistogram};
 use specrpc_netsim::net::{Addr, Network, NetworkConfig};
 use specrpc_netsim::{ChaosSchedule, ChaosStats, FaultConfig, SimTime};
 use specrpc_rpc::{serve, CircuitBreaker, ClntUdp, ServeConfig};
@@ -192,26 +192,29 @@ impl ChaosReport {
         }
     }
 
-    /// The run as a [`Summary`] (latency + chaos-availability lines).
-    pub fn summary(&self) -> Summary {
-        Summary::default()
-            .with_latency(self.latency.clone())
-            .with_chaos(ChaosSummary {
-                calls: self.calls,
-                within_deadline: self.within_deadline,
-                failed: self.failed,
-                availability_bp: self.availability_bp(),
-                recovery: self.recovery,
-                extra_executions: self.extra_executions,
-                failovers: self.failovers,
-                breaker_trips: self.breaker_trips,
-                downtime: self.chaos.downtime,
-            })
-    }
-
     /// Human-readable report; byte-identical across runs of one config.
     pub fn render(&self) -> String {
-        let mut out = self.summary().render();
+        let bp = self.availability_bp();
+        let recovery = match self.recovery {
+            Some(r) => format!("{r} after the crash"),
+            None => "never recovered".to_string(),
+        };
+        let mut out = format!(
+            "{}\n\
+             \u{20} chaos availability:             {}.{:02}% ({}/{} within deadline, {} failed)\n\
+             \u{20} crash recovery:                 {recovery}, downtime {}\n\
+             \u{20} at-least-once erosion:          {} duplicate execution(s), {} failover(s), {} breaker trip(s)",
+            latency_line(&self.latency),
+            bp / 100,
+            bp % 100,
+            self.within_deadline,
+            self.calls,
+            self.failed,
+            self.chaos.downtime,
+            self.extra_executions,
+            self.failovers,
+            self.breaker_trips,
+        );
         out.push_str(&format!(
             "\n\u{20} chaos mode:                     {}",
             self.mode_label(),
@@ -463,5 +466,46 @@ mod tests {
         let b = run_chaos(&cfg).unwrap();
         assert_eq!(a.render(), b.render());
         assert_eq!(a.latency, b.latency);
+    }
+
+    #[test]
+    fn render_includes_chaos_lines() {
+        let report = ChaosReport {
+            failover: true,
+            calls: 96,
+            completed: 96,
+            within_deadline: 95,
+            failed: 0,
+            handler_runs: 97,
+            extra_executions: 1,
+            failovers: 1,
+            breaker_trips: 2,
+            retransmits: 3,
+            recovery: Some(SimTime::from_millis(6)),
+            chaos: ChaosStats {
+                downtime: SimTime::from_millis(30),
+                ..ChaosStats::default()
+            },
+            elapsed: SimTime::from_millis(100),
+            latency: LatencyHistogram::new(),
+        };
+        let text = report.render();
+        assert!(
+            text.contains("98.95% (95/96 within deadline, 0 failed)"),
+            "{text}"
+        );
+        assert!(
+            text.contains("6.000ms after the crash, downtime 30.000ms"),
+            "{text}"
+        );
+        assert!(text.contains("1 duplicate execution(s), 1 failover(s), 2 breaker trip(s)"));
+
+        let never = ChaosReport {
+            recovery: None,
+            ..report
+        };
+        assert!(never
+            .render()
+            .contains("never recovered, downtime 30.000ms"));
     }
 }

@@ -39,7 +39,7 @@
 use crate::echo::{build_echo_proc, echo_handler, ECHO_PROG, ECHO_VERS, MAX_ARR};
 use crate::pipeline::PipelineError;
 use crate::service::SpecService;
-use crate::summary::{LatencyHistogram, Summary};
+use crate::summary::{latency_line, link_lines, LatencyHistogram};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use specrpc_netsim::net::{Addr, Endpoint, LinkStats, Network, NetworkConfig};
@@ -49,7 +49,7 @@ use specrpc_rpc::SvcRegistry;
 use specrpc_xdr::composite::xdr_array;
 use specrpc_xdr::mem::XdrMem;
 use specrpc_xdr::primitives::xdr_int;
-use specrpc_xdr::{OpCounts, XdrStream};
+use specrpc_xdr::XdrStream;
 
 /// Server port of the congestion scenario.
 pub const CONGESTION_PORT: Addr = 48_000;
@@ -176,16 +176,13 @@ impl CongestionReport {
         policy_label(self.policy)
     }
 
-    /// The run as a [`Summary`] (latency + link-queue lines).
-    pub fn summary(&self) -> Summary {
-        Summary::default()
-            .with_latency(self.latency.clone())
-            .with_wire(OpCounts::new(), self.calls as u64, None, Some(self.link))
-    }
-
     /// Human-readable report; byte-identical across runs of one config.
     pub fn render(&self) -> String {
-        let mut out = self.summary().render();
+        let mut out = format!(
+            "{}\n{}",
+            latency_line(&self.latency),
+            link_lines(&self.link)
+        );
         out.push_str(&format!(
             "\n\u{20} retransmission strategy:        {}",
             self.policy_label()
@@ -622,6 +619,37 @@ mod tests {
             "{text}"
         );
         assert!(text.contains("congestion outcome:"), "{text}");
+    }
+
+    #[test]
+    fn render_surfaces_link_queue_drops() {
+        let report = CongestionReport {
+            policy: RetryPolicy::Fixed,
+            calls: 10,
+            completed: 10,
+            failed: 0,
+            transmissions: 12,
+            retransmits: 2,
+            link: LinkStats {
+                queue_drops: 42,
+                queue_depth_high_water: 9,
+                datagrams: 120,
+                fragments: 130,
+            },
+            elapsed: SimTime::from_millis(5),
+            latency: LatencyHistogram::new(),
+        };
+        let text = report.render();
+        assert!(
+            text.contains("\n  link queues:                    42 drop(s), depth high-water 9\n"),
+            "{text}"
+        );
+        assert!(
+            text.contains(
+                "\n  link packets:                   120 datagram(s) in 130 wire fragment(s)\n"
+            ),
+            "{text}"
+        );
     }
 
     #[test]

@@ -21,7 +21,7 @@
 use crate::client::{decode_reply_fast, encode_into};
 use crate::pipeline::{CompiledProc, PipelineError, ProcPipeline};
 use crate::service::SpecService;
-use crate::summary::{LatencyHistogram, Summary};
+use crate::summary::{latency_line, link_lines, LatencyHistogram};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use specrpc_netsim::net::{Addr, Endpoint, LinkStats, Network, NetworkConfig};
@@ -170,17 +170,17 @@ impl ScaleReport {
             .collect()
     }
 
-    /// The run as a [`Summary`] (shard map + latency lines).
-    pub fn summary(&self) -> Summary {
-        Summary::default()
-            .with_served(self.per_shard.clone(), Vec::new())
-            .with_latency(self.latency.clone())
-    }
-
-    /// Human-readable report: the [`Summary`] lines plus the open-loop
+    /// Human-readable report: shard map, latency and the open-loop
     /// accounting. Byte-identical across runs of the same config.
     pub fn render(&self) -> String {
-        let mut out = self.summary().render();
+        let per: Vec<String> = self.per_shard.iter().map(u64::to_string).collect();
+        let mut out = format!(
+            "  shard map:                      {} event(s) across {} shard(s) [{}]\n{}",
+            self.per_shard.iter().sum::<u64>(),
+            self.per_shard.len(),
+            per.join(", "),
+            latency_line(&self.latency),
+        );
         out.push_str(&format!(
             "\n\u{20} open loop:                      {} client(s), {} replie(s), {} timeout(s) over {} virtual",
             self.clients, self.replies, self.timeouts, self.elapsed
@@ -522,17 +522,14 @@ impl NfsReport {
         SimTime::from_nanos(self.elapsed.as_nanos() / self.ops.max(1))
     }
 
-    /// The run as a [`Summary`] (latency + link lines).
-    pub fn summary(&self) -> Summary {
-        Summary::default()
-            .with_latency(self.latency.clone())
-            .with_wire(OpCounts::default(), self.sync_calls, None, Some(self.link))
-    }
-
     /// Human-readable report; byte-identical across runs of the same
     /// config (sequential clients, one seeded stream, virtual clock).
     pub fn render(&self) -> String {
-        let mut out = self.summary().render();
+        let mut out = format!(
+            "{}\n{}",
+            latency_line(&self.latency),
+            link_lines(&self.link)
+        );
         out.push_str(&format!(
             "\n\u{20} nfs mix:                        {} op(s) from {} client(s): {} sync, {} one-way write(s), {} commit(s)",
             self.ops, self.clients, self.sync_calls, self.oneway_writes, self.commits
@@ -1165,6 +1162,34 @@ mod tests {
             "{text}"
         );
         assert!(text.contains("shard throughput:"), "{text}");
+    }
+
+    #[test]
+    fn report_renders_the_shard_map_and_latency_lines() {
+        let mut latency = LatencyHistogram::new();
+        latency.record(SimTime::from_micros(120));
+        let report = ScaleReport {
+            clients: 26,
+            replies: 26,
+            timeouts: 0,
+            elapsed: SimTime::from_millis(1),
+            latency,
+            per_shard: vec![5, 6, 7, 8],
+            steals: 0,
+            link: LinkStats::default(),
+            unbound_drops: 0,
+        };
+        let text = report.render();
+        assert!(
+            text.starts_with(
+                "  shard map:                      26 event(s) across 4 shard(s) [5, 6, 7, 8]\n"
+            ),
+            "{text}"
+        );
+        assert!(
+            text.contains("\n  latency (virtual time):         p50 120.0us, p99 120.0us, p999 120.0us, max 120.0us over 1 sample(s)\n"),
+            "{text}"
+        );
     }
 
     #[test]

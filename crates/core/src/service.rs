@@ -18,8 +18,9 @@
 //! ([`SpecService::serve_event`], [`SpecService::serve_sharded`])
 //! independent requests dispatch on reactor threads that share the one
 //! registry (and therefore one `StubCache`-compiled stub set); the
-//! per-shard and per-worker event counts surface through
-//! [`crate::Summary::with_served`].
+//! per-shard and per-worker event counts are read from
+//! [`EventService::per_shard_events`] and
+//! [`EventService::per_worker_events`].
 
 use crate::generic::{decode_shape_generic, encode_shape_generic};
 use crate::pipeline::CompiledProc;
@@ -79,8 +80,7 @@ pub struct EventService {
 
 impl EventService {
     /// Events processed per shard, credited to the shard owning the
-    /// address — with [`EventService::per_worker_events`], what
-    /// [`crate::Summary::with_served`] renders.
+    /// address, whichever thread executed them.
     pub fn per_shard_events(&self) -> Vec<u64> {
         self.reactor.per_shard_events()
     }
@@ -169,7 +169,7 @@ impl SpecService {
     /// Install into a fresh registry and serve it over TCP at `addr`.
     pub fn serve_tcp(self, net: &Network, addr: Addr) -> Arc<SvcRegistry> {
         let reg = self.into_registry();
-        serve_tcp(net, addr, reg.clone(), None);
+        serve_tcp(net, addr, reg.clone());
         reg
     }
 
@@ -697,11 +697,7 @@ mod tests {
         assert_eq!(served.total_events(), 4);
         assert_eq!(per, vec![2, 2], "modulo spread over even/odd ports");
         assert_eq!(served.registry.raw_dispatches(), 4);
-        let report = crate::Summary::default()
-            .with_served(per, served.per_worker_events())
-            .render();
-        assert!(report.contains("shard map"));
-        assert!(!report.contains("event loop"), "no workers, no worker row");
+        assert!(served.per_worker_events().is_empty(), "no workers");
     }
 
     #[test]
@@ -738,10 +734,5 @@ mod tests {
         );
         assert!(served.cross_shard_steals() <= per.iter().sum());
         assert_eq!(served.registry.raw_dispatches(), 6);
-        let report = crate::Summary::default()
-            .with_served(served.per_shard_events(), per)
-            .render();
-        assert!(report.contains("6 event(s) across 2 shard(s) [3, 3]"));
-        assert!(report.contains("across 2 worker(s)"));
     }
 }

@@ -1,11 +1,10 @@
 //! Mapping specializer statistics onto the paper's §3 categories, plus
-//! the latency/throughput tables of the scaled serving scenarios.
+//! the latency histogram the study reports record into and the line
+//! formats their renders share.
 
 use crate::cache::CacheStats;
 use specrpc_netsim::{LinkStats, SimTime};
-use specrpc_rpc::bufpool::PoolStats;
 use specrpc_tempo::spec::SpecReport;
-use specrpc_xdr::OpCounts;
 
 /// Minor buckets per power-of-two octave: latency values land in
 /// logarithmic octaves subdivided 16 ways, bounding the relative
@@ -123,64 +122,6 @@ impl LatencyHistogram {
     }
 }
 
-/// Wire-path allocation/copy profile of a measured client (from its
-/// accumulated [`OpCounts`]): the paper's copy-elimination story in two
-/// numbers — bytes that still move (the irreducible data) and heap
-/// allocations (zero per call on the pooled zero-copy lane).
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct WireStats {
-    /// Bytes copied between argument memory and wire buffers.
-    pub bytes_copied: u64,
-    /// Wire-path heap allocations (pool misses + buffer/array growth).
-    pub heap_allocs: u64,
-    /// Calls the counters cover.
-    pub calls: u64,
-    /// Wire-buffer pool counters, when the deployment shares one
-    /// [`specrpc_rpc::BufPool`]. Overflow drops are the misconfiguration
-    /// signal: a cap smaller than the in-flight buffer count drops
-    /// returns, and every drop resurfaces later as an allocating miss.
-    pub pool: Option<PoolStats>,
-    /// Link receive-queue accounting ([`Network::link_stats`]) under the
-    /// bounded drop-tail model: deliveries the wire discarded at full
-    /// queues, plus the deepest queue observed. Nonzero drops mean the
-    /// offered load exceeded what the receive queues could absorb —
-    /// every drop resurfaces as a client retransmission.
-    ///
-    /// [`Network::link_stats`]: specrpc_netsim::Network::link_stats
-    pub link: Option<LinkStats>,
-}
-
-/// Availability profile of a chaos run: how the deployment behaved
-/// while the fault schedule crashed, restarted, and partitioned its
-/// endpoints. Availability is carried in basis points (1/100 of a
-/// percent) so the summary stays `Eq` and renders byte-identically
-/// across runs.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct ChaosSummary {
-    /// Calls attempted over the run.
-    pub calls: u64,
-    /// Calls that completed within the scenario's deadline.
-    pub within_deadline: u64,
-    /// Calls that errored outright (timed out, gave up, or were refused
-    /// fast by open circuit breakers).
-    pub failed: u64,
-    /// `within_deadline / calls` in basis points (9_967 = 99.67%).
-    pub availability_bp: u32,
-    /// Virtual time from the primary's crash to the next completed
-    /// call, when one completed after the crash at all.
-    pub recovery: Option<SimTime>,
-    /// Handler executions beyond one per completed call — the
-    /// exactly-once → at-least-once erosion a restart's duplicate-cache
-    /// amnesia (and failover re-sends) cause.
-    pub extra_executions: u64,
-    /// Times clients retargeted to a backup replica.
-    pub failovers: u64,
-    /// Circuit-breaker open transitions across all clients.
-    pub breaker_trips: u64,
-    /// Total endpoint downtime the chaos schedule inflicted.
-    pub downtime: SimTime,
-}
-
 /// What specialization eliminated, in the paper's vocabulary.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct Summary {
@@ -205,20 +146,6 @@ pub struct Summary {
     /// Stub-cache effectiveness, when the stubs came through a
     /// [`crate::cache::StubCache`].
     pub cache: Option<CacheStats>,
-    /// Events executed per reactor worker, when the deployment had
-    /// workers ([`Summary::with_served`]).
-    pub events: Option<Vec<u64>>,
-    /// Events processed per shard of the reactor
-    /// ([`Summary::with_served`]).
-    pub shards: Option<Vec<u64>>,
-    /// Virtual-time latency distribution, when the deployment recorded
-    /// one (the open-loop scaling scenarios).
-    pub latency: Option<LatencyHistogram>,
-    /// Wire-path bytes-copied / allocs-per-call profile, when measured.
-    pub wire: Option<WireStats>,
-    /// Availability-under-faults profile, when the deployment ran under
-    /// a chaos schedule ([`crate::run_chaos`]).
-    pub chaos: Option<ChaosSummary>,
 }
 
 impl Summary {
@@ -237,68 +164,12 @@ impl Summary {
             dynamic_guards: r.dynamic_ifs_residualized,
             residual_stmts: r.residual_stmts,
             cache: None,
-            events: None,
-            shards: None,
-            latency: None,
-            wire: None,
-            chaos: None,
         }
     }
 
     /// Attach stub-cache counters (how many Tempo runs the cache saved).
     pub fn with_cache(mut self, stats: CacheStats) -> Summary {
         self.cache = Some(stats);
-        self
-    }
-
-    /// Attach a reactor deployment's event counts
-    /// ([`crate::service::EventService::per_shard_events`] /
-    /// [`crate::service::EventService::per_worker_events`]): the shard
-    /// map line, and the event loop line when there were workers.
-    pub fn with_served(mut self, per_shard: Vec<u64>, per_worker: Vec<u64>) -> Summary {
-        self.shards = Some(per_shard);
-        self.events = (!per_worker.is_empty()).then_some(per_worker);
-        self
-    }
-
-    /// Attach a virtual-time latency distribution (p50/p99/p999 lines in
-    /// the report).
-    pub fn with_latency(mut self, hist: LatencyHistogram) -> Summary {
-        self.latency = Some(hist);
-        self
-    }
-
-    /// Attach a client's wire-path profile: `counts` accumulated over
-    /// `calls` calls (e.g. `SpecClient::counts` / `SpecClient::calls`),
-    /// plus — when the deployment shares a wire-buffer pool — that
-    /// pool's counters so cap misconfiguration (overflow drops) is
-    /// visible next to the allocs-per-call number it inflates, and —
-    /// when the network ran with bounded drop-tail receive queues — the
-    /// link's queue-drop / high-water accounting
-    /// (`Network::link_stats`).
-    pub fn with_wire(
-        mut self,
-        counts: OpCounts,
-        calls: u64,
-        pool: Option<PoolStats>,
-        link: Option<LinkStats>,
-    ) -> Summary {
-        self.wire = Some(WireStats {
-            bytes_copied: counts.mem_moves,
-            heap_allocs: counts.heap_allocs,
-            calls,
-            pool,
-            link,
-        });
-        self
-    }
-
-    /// Attach an availability-under-faults profile from a chaos run
-    /// ([`crate::run_chaos`]): deadline-availability in basis points,
-    /// crash-recovery time, duplicate handler executions, and the
-    /// failover/breaker activity that kept the deployment serving.
-    pub fn with_chaos(mut self, stats: ChaosSummary) -> Summary {
-        self.chaos = Some(stats);
         self
     }
 
@@ -338,79 +209,30 @@ impl Summary {
                 ));
             }
         }
-        for (label, unit, counts) in [
-            ("event loop:", "worker", &self.events),
-            ("shard map:", "shard", &self.shards),
-        ] {
-            if let Some(c) = counts {
-                let per: Vec<String> = c.iter().map(u64::to_string).collect();
-                text.push_str(&format!(
-                    "\n\u{20} {label:<32}{} event(s) across {} {unit}(s) [{}]",
-                    c.iter().sum::<u64>(),
-                    c.len(),
-                    per.join(", "),
-                ));
-            }
-        }
-        if let Some(l) = &self.latency {
-            text.push_str(&format!(
-                "\n\u{20} latency (virtual time):         p50 {}, p99 {}, p999 {}, max {} over {} sample(s)",
-                l.p50(),
-                l.p99(),
-                l.p999(),
-                l.max(),
-                l.count(),
-            ));
-        }
-        if let Some(w) = self.wire {
-            let per_call = w.heap_allocs as f64 / w.calls.max(1) as f64;
-            text.push_str(&format!(
-                "\n\u{20} wire path:                      {} B copied, {} alloc(s) over {} call(s) ({per_call:.2} allocs/call)",
-                w.bytes_copied, w.heap_allocs, w.calls,
-            ));
-            if let Some(p) = w.pool {
-                text.push_str(&format!(
-                    "\n\u{20} buffer pool:                    {} hit(s), {} miss(es), {} overflow drop(s)",
-                    p.hits, p.misses, p.overflow_drops,
-                ));
-            }
-            if let Some(l) = w.link {
-                text.push_str(&format!(
-                    "\n\u{20} link queues:                    {} drop(s), depth high-water {}",
-                    l.queue_drops, l.queue_depth_high_water,
-                ));
-                text.push_str(&format!(
-                    "\n\u{20} link packets:                   {} datagram(s) in {} wire fragment(s)",
-                    l.datagrams, l.fragments,
-                ));
-            }
-        }
-        if let Some(c) = self.chaos {
-            text.push_str(&format!(
-                "\n\u{20} chaos availability:             {}.{:02}% ({}/{} within deadline, {} failed)",
-                c.availability_bp / 100,
-                c.availability_bp % 100,
-                c.within_deadline,
-                c.calls,
-                c.failed,
-            ));
-            match c.recovery {
-                Some(r) => text.push_str(&format!(
-                    "\n\u{20} crash recovery:                 {r} after the crash, downtime {}",
-                    c.downtime,
-                )),
-                None => text.push_str(&format!(
-                    "\n\u{20} crash recovery:                 never recovered, downtime {}",
-                    c.downtime,
-                )),
-            }
-            text.push_str(&format!(
-                "\n\u{20} at-least-once erosion:          {} duplicate execution(s), {} failover(s), {} breaker trip(s)",
-                c.extra_executions, c.failovers, c.breaker_trips,
-            ));
-        }
         text
     }
+}
+
+/// The latency line of a study report's render (no trailing newline).
+pub(crate) fn latency_line(l: &LatencyHistogram) -> String {
+    format!(
+        "  latency (virtual time):         p50 {}, p99 {}, p999 {}, max {} over {} sample(s)",
+        l.p50(),
+        l.p99(),
+        l.p999(),
+        l.max(),
+        l.count(),
+    )
+}
+
+/// The two link lines of a study report's render: drop-tail queue
+/// accounting, then datagrams against wire fragments.
+pub(crate) fn link_lines(l: &LinkStats) -> String {
+    format!(
+        "  link queues:                    {} drop(s), depth high-water {}\n\
+         \u{20} link packets:                   {} datagram(s) in {} wire fragment(s)",
+        l.queue_drops, l.queue_depth_high_water, l.datagrams, l.fragments,
+    )
 }
 
 #[cfg(test)]
@@ -464,51 +286,6 @@ mod tests {
         let text = s.render();
         assert!(text.contains("stub cache"));
         assert!(text.contains("3 hit(s), 1 miss(es), 1 entry"));
-        assert!(!text.contains("event loop"), "no event line without stats");
-    }
-
-    #[test]
-    fn render_includes_per_thread_dispatches_when_attached() {
-        // Workers on several shards: both breakdowns of one deployment.
-        let s = Summary::default().with_served(vec![9, 6], vec![4, 3, 5, 0]);
-        let text = s.render();
-        assert!(text.contains("12 event(s) across 4 worker(s) [4, 3, 5, 0]"));
-        assert!(text.contains("15 event(s) across 2 shard(s) [9, 6]"));
-        assert!(!text.contains("wire path"), "no wire line without stats");
-    }
-
-    #[test]
-    fn render_includes_event_loop_throughput_when_attached() {
-        let s = Summary::default().with_served(vec![20], vec![7, 9]);
-        let text = s.render();
-        assert!(text
-            .contains("\n  event loop:                     16 event(s) across 2 worker(s) [7, 9]"));
-        assert!(
-            text.contains("\n  shard map:                      20 event(s) across 1 shard(s) [20]")
-        );
-    }
-
-    #[test]
-    fn render_includes_chaos_lines_when_attached() {
-        let s = Summary::default().with_chaos(ChaosSummary {
-            calls: 96,
-            within_deadline: 95,
-            failed: 0,
-            availability_bp: 9_895,
-            recovery: Some(SimTime::from_millis(6)),
-            extra_executions: 1,
-            failovers: 1,
-            breaker_trips: 2,
-            downtime: SimTime::from_millis(30),
-        });
-        let text = s.render();
-        assert!(text.contains("chaos availability"));
-        assert!(text.contains("98.95% (95/96 within deadline, 0 failed)"));
-        assert!(text.contains("6.000ms after the crash"), "{text}");
-        assert!(text.contains("1 duplicate execution(s), 1 failover(s), 2 breaker trip(s)"));
-
-        let never = Summary::default().with_chaos(ChaosSummary::default());
-        assert!(never.render().contains("never recovered"));
     }
 
     #[test]
@@ -570,21 +347,6 @@ mod tests {
     }
 
     #[test]
-    fn render_includes_shard_and_latency_lines_when_attached() {
-        let mut hist = LatencyHistogram::new();
-        hist.record(SimTime::from_micros(120));
-        let text = Summary::default()
-            .with_served(vec![5, 6, 7, 8], Vec::new())
-            .with_latency(hist)
-            .render();
-        assert!(text.contains("shard map"));
-        assert!(!text.contains("event loop"), "no workers, no worker line");
-        assert!(text.contains("26 event(s) across 4 shard(s) [5, 6, 7, 8]"));
-        assert!(text.contains("latency (virtual time)"));
-        assert!(text.contains("p999"));
-    }
-
-    #[test]
     fn render_mentions_cache_evictions_only_when_nonzero() {
         let evicting = Summary::default().with_cache(crate::cache::CacheStats {
             hits: 1,
@@ -610,49 +372,52 @@ mod tests {
         assert!(text.contains("8.000ms"), "{text}");
     }
 
+    /// Each study report renders its own measurements and no `Summary`
+    /// block: no §3 line (nothing was specialized in the run) and no
+    /// wire-path line (nothing measured it).
     #[test]
-    fn render_includes_wire_profile_when_attached() {
-        let mut counts = specrpc_xdr::OpCounts::new();
-        counts.mem_moves = 32_000;
-        counts.heap_allocs = 2;
-        let s = Summary::default().with_wire(counts, 4, None, None);
-        let text = s.render();
-        assert!(text.contains("wire path"));
-        assert!(text.contains("32000 B copied, 2 alloc(s) over 4 call(s) (0.50 allocs/call)"));
-        assert!(!text.contains("buffer pool"), "no pool line without stats");
-        assert!(!text.contains("link queues"), "no link line without stats");
-    }
-
-    #[test]
-    fn render_surfaces_link_queue_drops() {
-        let counts = specrpc_xdr::OpCounts::new();
-        let link = LinkStats {
-            queue_drops: 42,
-            queue_depth_high_water: 9,
-            datagrams: 120,
-            fragments: 130,
+    fn study_reports_render_only_what_they_measured() {
+        use crate::{
+            run_chaos, run_congestion, run_nfs, run_scale, ChaosConfig, CongestionConfig,
+            NfsConfig, ScaleConfig,
         };
-        let text = Summary::default()
-            .with_wire(counts, 10, None, Some(link))
-            .render();
-        assert!(text.contains("link queues"));
-        assert!(text.contains("42 drop(s), depth high-water 9"));
-        assert!(text.contains("120 datagram(s) in 130 wire fragment(s)"));
-    }
-
-    #[test]
-    fn render_surfaces_pool_overflow_drops() {
-        let counts = specrpc_xdr::OpCounts::new();
-        let pool = specrpc_rpc::PoolStats {
-            hits: 100,
-            misses: 3,
-            recycled: 90,
-            overflow_drops: 13,
-        };
-        let text = Summary::default()
-            .with_wire(counts, 10, Some(pool), None)
-            .render();
-        assert!(text.contains("buffer pool"));
-        assert!(text.contains("100 hit(s), 3 miss(es), 13 overflow drop(s)"));
+        let reports = [
+            (
+                "scale",
+                run_scale(&ScaleConfig::smoke()).unwrap().render(),
+                &["latency (virtual time):", "link queues:", "shard map:"][..],
+            ),
+            (
+                "nfs",
+                run_nfs(&NfsConfig::smoke()).unwrap().render(),
+                &["latency (virtual time):", "link queues:", "link packets:"],
+            ),
+            (
+                "congestion",
+                run_congestion(&CongestionConfig::smoke()).unwrap().render(),
+                &["latency (virtual time):", "link queues:", "link packets:"],
+            ),
+            (
+                "chaos",
+                run_chaos(&ChaosConfig::smoke()).unwrap().render(),
+                &[
+                    "latency (virtual time):",
+                    "chaos availability:",
+                    "crash recovery:",
+                ],
+            ),
+        ];
+        for (study, text, measured) in reports {
+            for line in text.lines() {
+                let line = line.trim_start();
+                assert!(!line.starts_with("§3"), "{study}: {line}");
+                assert!(!line.contains("wire path:"), "{study}: {line}");
+            }
+            assert!(!text.starts_with('\n'), "{study} opens with a blank line");
+            for label in measured {
+                let found = text.lines().any(|l| l.trim_start().starts_with(label));
+                assert!(found, "{study} lacks {label}:\n{text}");
+            }
+        }
     }
 }

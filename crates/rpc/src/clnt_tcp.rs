@@ -275,7 +275,7 @@ mod tests {
     #[test]
     fn tcp_call_round_trips() {
         let net = Network::new(NetworkConfig::lan(), 11);
-        serve_tcp(&net, 2049, service(), None);
+        serve_tcp(&net, 2049, service());
         let mut clnt = ClntTcp::create(&net, 2049, PROG, 1).unwrap();
         let mut out: Vec<i32> = Vec::new();
         clnt.call(
@@ -293,7 +293,7 @@ mod tests {
     #[test]
     fn multiple_calls_on_one_connection() {
         let net = Network::new(NetworkConfig::lan(), 11);
-        serve_tcp(&net, 2049, service(), None);
+        serve_tcp(&net, 2049, service());
         let mut clnt = ClntTcp::create(&net, 2049, PROG, 1).unwrap();
         for i in 0..5 {
             let mut out: Vec<i32> = Vec::new();
@@ -313,7 +313,7 @@ mod tests {
     #[test]
     fn string_procedure() {
         let net = Network::new(NetworkConfig::lan(), 11);
-        serve_tcp(&net, 2049, service(), None);
+        serve_tcp(&net, 2049, service());
         let mut clnt = ClntTcp::create(&net, 2049, PROG, 1).unwrap();
         let mut out = String::new();
         clnt.call(
@@ -331,7 +331,7 @@ mod tests {
     #[test]
     fn large_payload_spans_fragments() {
         let net = Network::new(NetworkConfig::lan(), 11);
-        serve_tcp(&net, 2049, service(), None);
+        serve_tcp(&net, 2049, service());
         let mut clnt = ClntTcp::create(&net, 2049, PROG, 1).unwrap();
         let data: Vec<i32> = (0..5000).collect();
         let mut out: Vec<i32> = Vec::new();
@@ -365,7 +365,7 @@ mod tests {
         use crate::msg::{CallHeader, ReplyHeader};
         use specrpc_xdr::mem::XdrMem;
         let net = Network::new(NetworkConfig::lan(), 11);
-        serve_tcp(&net, 2049, service(), None);
+        serve_tcp(&net, 2049, service());
         let mut clnt = ClntTcp::create(&net, 2049, PROG, 1).unwrap();
         let xid = Transport::next_xid(&mut clnt);
         let mut enc = XdrMem::encoder(256);
@@ -404,14 +404,14 @@ mod tests {
             (requests, xids)
         };
         let net = Network::new(NetworkConfig::lan(), 11);
-        serve_tcp(&net, 2049, service(), None);
+        serve_tcp(&net, 2049, service());
         let mut batch_clnt = ClntTcp::create(&net, 2049, PROG, 1).unwrap();
         let (requests, xids) = build(&mut batch_clnt, 6);
         let refs: Vec<&[u8]> = requests.iter().map(Vec::as_slice).collect();
         let batched = batch_clnt.call_batch(&refs, &xids).unwrap();
 
         let net2 = Network::new(NetworkConfig::lan(), 11);
-        serve_tcp(&net2, 2049, service(), None);
+        serve_tcp(&net2, 2049, service());
         let mut seq_clnt = ClntTcp::create(&net2, 2049, PROG, 1).unwrap();
         let (requests2, xids2) = build(&mut seq_clnt, 6);
         let sequential: Vec<Vec<u8>> = requests2
@@ -512,7 +512,7 @@ mod tests {
     #[test]
     fn server_error_over_tcp() {
         let net = Network::new(NetworkConfig::lan(), 11);
-        serve_tcp(&net, 2049, service(), None);
+        serve_tcp(&net, 2049, service());
         let mut clnt = ClntTcp::create(&net, 2049, PROG, 9).unwrap();
         let err = clnt.call(1, &mut |_| Ok(()), &mut |_| Ok(())).unwrap_err();
         assert!(matches!(err, RpcError::ProgMismatch { .. }));

@@ -129,14 +129,10 @@ impl TcpHandler for SvcTcpConn {
     }
 }
 
-/// Install the registry as a TCP service at `addr`.
-pub fn serve_tcp(
-    net: &Network,
-    addr: Addr,
-    registry: Arc<SvcRegistry>,
-    proc_time: Option<ProcTimeModel>,
-) {
-    let model: ProcTimeModel = proc_time.unwrap_or_else(default_proc_time);
+/// Install the registry as a TCP service at `addr`, each request priced
+/// by [`default_proc_time`] as the datagram lane's `ServeConfig::new` does.
+pub fn serve_tcp(net: &Network, addr: Addr, registry: Arc<SvcRegistry>) {
+    let model = default_proc_time();
     net.serve_tcp(
         addr,
         Box::new(move || {

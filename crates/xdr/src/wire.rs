@@ -18,8 +18,9 @@
 //!   (the paper's §3 copy elimination);
 //! * **allocation/copy accounting** — every buffer acquisition and byte
 //!   move is folded into an [`OpCounts`] (`heap_allocs` / `mem_moves`), so
-//!   the cost model and `Summary` can report bytes-copied and
-//!   allocs-per-call, and tests can pin "zero allocations in steady state".
+//!   the cost model can price them, a client's counters give bytes-copied
+//!   and allocs-per-call, and tests can pin "zero allocations in steady
+//!   state".
 
 use crate::cost::OpCounts;
 use crate::error::{XdrError, XdrResult};

@@ -143,7 +143,7 @@ fn main() {
         })
         .install(&reg);
 
-    serve_tcp(&net, NFS_PORT, Arc::new(reg), None);
+    serve_tcp(&net, NFS_PORT, Arc::new(reg));
     pmap::pmap_set(
         &net,
         5900,

@@ -8,7 +8,7 @@
 //! unique transactions.
 
 use specrpc::echo::{echo_spec, ECHO_IDL, ECHO_PROG, ECHO_VERS};
-use specrpc::{EventService, ProcPipeline, SpecClient, SpecService, StubCache, Summary};
+use specrpc::{EventService, ProcPipeline, SpecClient, SpecService, StubCache};
 use specrpc_netsim::net::{Network, NetworkConfig};
 use specrpc_netsim::SimTime;
 use specrpc_rpc::{ClntUdp, SvcRegistry};
@@ -121,14 +121,11 @@ fn n_threads_hammer_one_threaded_service_through_one_cache() {
         "all calls took the specialized fast path"
     );
     assert_eq!(served.registry.raw_fallbacks(), 0);
-
-    // The whole story surfaces through one Summary.
-    let report = Summary::default()
-        .with_cache(stats)
-        .with_served(served.per_shard_events(), per_thread)
-        .render();
-    assert!(report.contains("stub cache"), "{report}");
-    assert!(report.contains("event loop"), "{report}");
+    assert_eq!(
+        served.per_shard_events(),
+        vec![(THREADS * CALLS) as u64],
+        "one shard owns the address"
+    );
 }
 
 #[test]
@@ -192,10 +189,7 @@ fn n_threads_hammer_one_event_served_service_with_batches() {
     // replayed from the cache, not re-dispatched; under a clean network
     // with huge timeouts there are none).
     assert_eq!(served.total_events(), (THREADS * BATCH * BATCHES) as u64);
-    let report = Summary::default()
-        .with_served(served.per_shard_events(), served.per_worker_events())
-        .render();
-    assert!(report.contains("event loop"), "{report}");
+    assert_eq!(served.per_worker_events().len(), 4, "one count per worker");
 }
 
 #[test]

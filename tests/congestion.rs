@@ -245,7 +245,15 @@ fn congestion_report_surfaces_link_counters_through_summary() {
     let mut cfg = CongestionConfig::smoke();
     cfg.clients = 16;
     let report = run_congestion(&cfg).unwrap();
-    let text = report.summary().render();
-    assert!(text.contains("link queues:"), "{text}");
+    // Every request and every reply crossed the link.
+    assert!(report.link.datagrams >= report.transmissions + report.completed);
+    assert!(report.link.queue_depth_high_water > 0, "{:?}", report.link);
+    assert_eq!(report.latency.count(), report.completed);
+    let text = report.render();
+    let queues = format!(
+        "link queues:                    {} drop(s), depth high-water {}",
+        report.link.queue_drops, report.link.queue_depth_high_water
+    );
+    assert!(text.contains(&queues), "{text}");
     assert!(text.contains("latency (virtual time):"), "{text}");
 }

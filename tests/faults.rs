@@ -97,7 +97,7 @@ fn deploy_pinned(
     });
     let reg = service.into_registry();
     specrpc_rpc::serve(net, reg.clone(), ServeConfig::new(&[udp_port])).detach();
-    specrpc_rpc::svc_tcp::serve_tcp(net, tcp_port, reg.clone(), None);
+    specrpc_rpc::svc_tcp::serve_tcp(net, tcp_port, reg.clone());
     (runs, reg)
 }
 

@@ -32,7 +32,7 @@ fn service_discovery_then_call_over_udp_and_tcp() {
     pmap::start_portmapper(&net);
     let reg = sum_registry();
     serve(&net, reg.clone(), ServeConfig::new(&[901])).detach();
-    serve_tcp(&net, 902, reg, None);
+    serve_tcp(&net, 902, reg);
     pmap::pmap_set(
         &net,
         6000,
@@ -93,7 +93,7 @@ fn service_discovery_then_call_over_udp_and_tcp() {
 fn tcp_large_arrays_cross_fragment_boundaries() {
     let net = Network::new(NetworkConfig::lan(), 32);
     let reg = sum_registry();
-    serve_tcp(&net, 902, reg, None);
+    serve_tcp(&net, 902, reg);
     let mut clnt = ClntTcp::create(&net, 902, PROG, 1).expect("connect");
     // 12000 ints = 48 KB >> the 8 KB fragment bound: multi-fragment
     // records in both directions.

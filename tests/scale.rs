@@ -1,7 +1,8 @@
 //! The million-client acceptance scenario at CI scale: the open-loop
 //! run is executed twice at a reduced endpoint count and its rendered
-//! report must be byte-identical (fixed seed ⇒ identical Summary
-//! tables), with every client answered exactly once.
+//! report must be byte-identical (fixed seed ⇒ identical shard map,
+//! latency and open-loop lines), with every client answered exactly
+//! once.
 //!
 //! `SPECRPC_SCALE_CLIENTS` scales the endpoint count (default 2 000;
 //! the smoke-scale CI job raises it in release builds). The arrival
@@ -29,7 +30,7 @@ fn scaled_million_client_scenario_is_deterministic() {
     assert_eq!(
         a.render(),
         b.render(),
-        "fixed seed must render byte-identical Summary tables"
+        "fixed seed must render byte-identical reports"
     );
     assert_eq!(a.latency, b.latency);
     assert_eq!(a.per_shard, b.per_shard);

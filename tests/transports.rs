@@ -47,7 +47,7 @@ fn deploy(
     });
     let reg = service.into_registry();
     specrpc_rpc::serve(net, reg.clone(), specrpc_rpc::ServeConfig::new(&[PORT])).detach();
-    specrpc_rpc::svc_tcp::serve_tcp(net, PORT + 1, reg.clone(), None);
+    specrpc_rpc::svc_tcp::serve_tcp(net, PORT + 1, reg.clone());
     (reg, calls)
 }
 
