@@ -67,8 +67,9 @@
 //! [`Network`] is `Send + Sync`: every piece of simulator state lives
 //! behind one `Arc<Mutex<NetInner>>`, so the virtual clock, the event
 //! queue, and the traffic counters advance under a single lock and can be
-//! shared freely across threads (handlers must be `Send`). The lock
-//! discipline of the datagram path:
+//! shared freely across threads (handlers must be `Send`, not `Sync`:
+//! server code is lent, never shared). The lock discipline of the
+//! datagram path:
 //!
 //! * **The clock is read without the lock.** It is *written* only under
 //!   the lock, through one setter that also publishes it to an atomic
@@ -87,16 +88,23 @@
 //!   *pending* meanwhile (see "The delivery lane" below) and idle
 //!   fast-forward on other threads waits for it. TCP deliveries and
 //!   lifecycle faults also leave the lock, counted as `in_flight`.
+//! * **Server code is lent, never shared.** The acquisition that takes a
+//!   delivery out of the lane's slot also takes its address's processor
+//!   out of the registration, and hands both to the thread that runs
+//!   them; no other thread can reach that processor until it is back, so
+//!   it runs with `&mut` access and no lock or reference count of its
+//!   own.
 //! * **A completion is one acquisition**: charging the processing time to
-//!   the clock, putting the reply on the uplink from that instant and
-//!   retiring the pending count all mutate simulator state and none runs
-//!   user code, so nothing is gained by releasing the lock between them.
-//!   The driving thread keeps that acquisition for its next step. An
-//!   unwinding processor retires its count through a guard instead.
+//!   the clock, putting the reply on the uplink from that instant, giving
+//!   the processor back and retiring the pending count all mutate
+//!   simulator state and none runs user code, so nothing is gained by
+//!   releasing the lock between them. The driving thread keeps that
+//!   acquisition for its next step. An unwinding processor is given back
+//!   and its count retired through a guard instead.
 //!
 //! One mailbox ↔ server round trip therefore takes three acquisitions:
 //! the send, the receive's acquisition (which pops the request, puts it
-//! in the slot and takes it straight back out for the processor), and
+//! in the slot and takes it straight back out with the processor), and
 //! the completion under which the reply is sent, delivered and received
 //! (a unit test below pins the count).
 //!
@@ -135,18 +143,19 @@
 //! whatever replaces or removes a registration ([`Network::serve_udp`]
 //! over an existing one, [`Network::crash`],
 //! [`Network::unserve_udp_events`], …) takes the old value out under the
-//! lock and lets go of it after. New code in this module must keep to
-//! that.
+//! lock and lets go of it after, and a lent processor whose registration
+//! went while it was out is let go of the same way when it comes back.
+//! New code in this module must keep to that.
 //!
 //! # The delivery lane
 //!
 //! There is one way a datagram reaches server code. Every served address
 //! has a processor ([`Network::serve_udp_events_with`];
-//! [`Network::serve_udp`] wraps a stateful handler as one), and the lane
-//! holds **one** datagram: a delivery to a served address is put in the
-//! simulator's single slot under the lock, and taken out again by
-//! whoever processes it — a driving thread running the address's
-//! processor in place, or a reactor thread that wins the race for it
+//! [`Network::serve_udp`] registers a stateful handler as one), and the
+//! lane holds **one** datagram: a delivery to a served address is put in
+//! the simulator's single slot under the lock, and taken out again,
+//! together with its address's processor, by whoever processes it — a
+//! driving thread in place, or a reactor thread that wins the race for it
 //! with the nonblocking [`Network::poll_udp`] (sleeping in
 //! [`Network::wait_ready`] in between).
 //!
@@ -175,7 +184,7 @@ use std::cmp::Reverse;
 use std::collections::hash_map::Entry;
 use std::collections::{BinaryHeap, HashMap, VecDeque};
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Condvar, LockResult, Mutex, MutexGuard, PoisonError};
+use std::sync::{Arc, Condvar, LockResult, Mutex, MutexGuard};
 use std::time::{Duration, Instant};
 
 /// A network address (think UDP/TCP port; hosts are implicit — the paper's
@@ -350,8 +359,8 @@ impl Ord for Scheduled {
 
 /// A stateful UDP service handler: gets a request datagram, optionally
 /// returns a reply plus the simulated processing time spent producing it.
-/// [`Network::serve_udp`] registers it as its address's inline
-/// [`EventProcessor`], behind a mutex of its own.
+/// [`Network::serve_udp`] registers it as its address's
+/// [`EventProcessor`] as it is.
 ///
 /// The payload is passed by mutable reference so a handler may *consume*
 /// it (`std::mem::take`) — e.g. to recycle the buffer into a wire-buffer
@@ -392,34 +401,22 @@ pub type TcpHandlerFactory = Box<dyn FnMut() -> Box<dyn TcpHandler> + Send>;
 /// network.
 type Slot<T> = Arc<Mutex<T>>;
 
-/// The server code of an address (the [`UdpHandler`] contract through
-/// `&self`): registered with [`Network::serve_udp_events_with`], it is
-/// run in place by a *driving* thread that finds the address's delivery
-/// in the lane's slot, so a deployment without reactor threads pays no
-/// cross-thread hand-off per event; reactors racing the driver for the
-/// slot go through [`Network::poll_udp`].
-pub type EventProcessor =
-    Arc<dyn Fn(&mut Vec<u8>, Addr) -> Option<(Vec<u8>, SimTime)> + Send + Sync>;
+/// The server code of an address: a [`UdpHandler`], registered with
+/// [`Network::serve_udp_events_with`]. It is never shared. The
+/// acquisition that takes the address's delivery out of the lane's slot
+/// also takes the processor out of the registration and *lends* it to
+/// the thread that runs it — a driving thread in place, or a reactor
+/// through [`Network::poll_udp`] — and the completion's acquisition gives
+/// it back. The lane holds one delivery, so a processor never waits for
+/// itself; it needs `Send`, not `Sync`, and keeps its state without a
+/// lock of its own.
+pub type EventProcessor = UdpHandler;
 
 /// Factory producing the [`EventProcessor`] of a restartable address:
 /// invoked at registration and again on every [`Network::restart`], so
 /// whatever state the processor keeps can start over (see
 /// [`Network::serve_udp_events_restartable`]).
 pub type EventProcessorFactory = Box<dyn FnMut() -> EventProcessor + Send>;
-
-/// Wrap a stateful handler as an inline processor: the `FnMut` sits
-/// behind a mutex of its own, so two threads delivering to its address
-/// take turns. A handler that panicked poisoned that mutex and nothing
-/// else; the next delivery takes the guard back — what state the handler
-/// left behind is the handler's business, and wedging its address (and
-/// the thread driving the next retransmission) would help nobody.
-fn handler_processor(handler: UdpHandler) -> EventProcessor {
-    let slot = Mutex::new(handler);
-    Arc::new(move |payload: &mut Vec<u8>, from: Addr| {
-        let mut handler = slot.lock().unwrap_or_else(PoisonError::into_inner);
-        handler(payload, from)
-    })
-}
 
 /// The receive queue of one bound address, alive as long as an
 /// [`Endpoint`] on that address is.
@@ -490,8 +487,10 @@ struct NetInner {
     /// re-registers what the factory builds (crash/restart amnesia — see
     /// [`crate::chaos`]).
     udp_factories: HashMap<Addr, Slot<EventProcessorFactory>>,
-    /// The processor of every served address. Looked up, never iterated.
-    served: IntMap<Addr, EventProcessor>,
+    /// The processor of every served address — `None` while it is lent
+    /// to the thread running the address's delivery. Looked up, never
+    /// iterated.
+    served: IntMap<Addr, Option<EventProcessor>>,
     /// The lane's one slot: a delivery routed to a served address, until
     /// a driver or a reactor takes it out to process.
     ready: Option<(Addr, Datagram)>,
@@ -687,11 +686,11 @@ impl Network {
     }
 
     /// Install a UDP service at `addr`, replacing any registration
-    /// already there: `handler` becomes the address's inline processor
-    /// ([`Network::serve_udp_events_with`]), run by whichever thread
-    /// drives the delivery.
+    /// already there: `handler` becomes the address's processor
+    /// ([`Network::serve_udp_events_with`]), lent to whichever thread
+    /// runs the delivery.
     pub fn serve_udp(&self, addr: Addr, handler: UdpHandler) {
-        self.serve_udp_events_with(addr, handler_processor(handler));
+        self.serve_udp_events_with(addr, handler);
     }
 
     /// [`Network::serve_udp_events_with`] for an address that survives a
@@ -806,9 +805,11 @@ impl Network {
     /// address's delivery in the lane's slot runs `processor` in place,
     /// so with no reactor the driver does every delivery itself; a
     /// reactor may race it for the slot through [`Network::poll_udp`].
+    /// Replacing a processor that is lent out stands: the lent one is
+    /// dropped when it comes back.
     pub fn serve_udp_events_with(&self, addr: Addr, processor: EventProcessor) {
         let mut inner = self.lock();
-        let replaced = inner.served.insert(addr, processor);
+        let replaced = inner.served.insert(addr, Some(processor));
         // A delivery waiting for the old processor goes with it —
         // un-counted, or the pending count would pin the clock forever
         // on a datagram nobody can reach anymore.
@@ -833,64 +834,75 @@ impl Network {
     }
 
     /// Nonblocking poll of one served address: if the slot holds its
-    /// delivery, take it, run `process` on the payload **outside every
-    /// simulator lock**, charge the returned processing time to the
-    /// virtual clock, send the reply (if any), and return `true`. Returns
-    /// `false` immediately when the slot holds nothing for `addr`.
+    /// delivery, take it and borrow the address's processor, run `before`
+    /// and then the processor on the payload **outside every simulator
+    /// lock**, charge the returned processing time to the virtual clock,
+    /// send the reply (if any), give the processor back and return
+    /// `true`. Returns `false` immediately when the slot holds nothing
+    /// for `addr`.
     ///
-    /// A reactor polling races the driving thread, which runs the
-    /// address's processor on the same delivery if it gets there first;
-    /// nothing else is pending meanwhile, so the winner adds a hand-off,
-    /// not parallelism. The contract of `process` matches [`UdpHandler`]:
-    /// it may consume the payload (`std::mem::take`) and may itself send
-    /// traffic.
-    pub fn poll_udp(
-        &self,
-        addr: Addr,
-        process: impl FnOnce(&mut Vec<u8>, Addr) -> Option<(Vec<u8>, SimTime)>,
-    ) -> bool {
-        let Some(dg) = self.lock().take_ready(addr) else {
+    /// A reactor polling races the driving thread, which runs the same
+    /// processor on the same delivery if it gets there first; nothing
+    /// else is pending meanwhile, so the winner adds a hand-off, not
+    /// parallelism. `before` is the reactor's own bookkeeping (counting
+    /// who ran the delivery, ahead of the reply that makes it visible).
+    pub fn poll_udp(&self, addr: Addr, before: impl FnOnce()) -> bool {
+        let mut inner = self.lock();
+        let Some(dg) = inner.take_ready(addr) else {
             return false;
         };
-        drop(self.complete_event(addr, dg, process));
+        let processor = inner.lend(addr);
+        drop(inner);
+        drop(self.complete_event(addr, dg, processor, before));
         true
     }
 
-    /// Run the delivery just taken out of the slot to completion:
-    /// `process` outside every simulator lock, then clock charge + reply
-    /// send + pending retire under a single lock acquisition, then a wake
-    /// for the fast-forward waiters, if there are any. Returns that
-    /// acquisition still held, so a driving thread carries on under it.
-    /// The unwinding guard keeps `pending` honest if `process` panics.
+    /// Run the delivery just taken out of the slot with the processor
+    /// lent for it: `before` and the processor outside every simulator
+    /// lock, then clock charge + reply send + processor return + pending
+    /// retire under a single lock acquisition, then a wake for the
+    /// fast-forward waiters, if there are any. Returns that acquisition
+    /// still held, so a driving thread carries on under it. If the
+    /// processor unwinds, a guard gives it back and retires the pending
+    /// count instead. A processor whose address was re-registered,
+    /// unserved or crashed while it was out is dropped outside the lock.
     fn complete_event(
         &self,
         addr: Addr,
         mut dg: Datagram,
-        process: impl FnOnce(&mut Vec<u8>, Addr) -> Option<(Vec<u8>, SimTime)>,
+        processor: EventProcessor,
+        before: impl FnOnce(),
     ) -> MutexGuard<'_, NetInner> {
-        struct PendingGuard<'a>(&'a Network, bool);
-        impl Drop for PendingGuard<'_> {
+        struct Lent<'a>(&'a Network, Addr, Option<EventProcessor>);
+        impl Drop for Lent<'_> {
             fn drop(&mut self) {
-                if self.1 {
+                if let Some(processor) = self.2.take() {
                     let mut inner = self.0.lock();
-                    inner.pending_events -= 1;
+                    let stale = inner.retire(self.1, processor);
                     let waiting = inner.retired_sleepers > 0;
                     drop(inner);
+                    drop(stale);
                     if waiting {
                         self.0.shared.wake_retired();
                     }
                 }
             }
         }
-        let mut guard = PendingGuard(self, true);
-        let reply = process(&mut dg.payload, dg.from);
+        let mut lent = Lent(self, addr, Some(processor));
+        before();
+        let reply = (lent.2.as_mut().expect("lent"))(&mut dg.payload, dg.from);
         let mut inner = self.lock();
         // Empty reply: charge the time, send nothing (one-way calls).
         self.finish_reply(&mut inner, addr, dg.from, reply);
-        inner.pending_events -= 1;
-        guard.1 = false;
+        let stale = inner.retire(addr, lent.2.take().expect("lent"));
         if inner.retired_sleepers > 0 {
             self.shared.wake_retired();
+        }
+        if stale.is_some() {
+            // See "Dropping user code" in the module docs.
+            drop(inner);
+            drop(stale);
+            inner = self.lock();
         }
         inner
     }
@@ -1096,14 +1108,9 @@ impl Network {
     ) -> (MutexGuard<'a, NetInner>, bool) {
         loop {
             if let Some((addr, dg)) = inner.ready.take() {
-                // The slot only ever holds a delivery to a served address.
-                let processor = Arc::clone(&inner.served[&addr]);
+                let processor = inner.lend(addr);
                 drop(inner);
-                // `move`: the handle is released when the call returns,
-                // before the completion takes the lock.
-                let inner =
-                    self.complete_event(addr, dg, move |payload, from| processor(payload, from));
-                return (inner, true);
+                return (self.complete_event(addr, dg, processor, || ()), true);
             }
             if inner.pending_events > 0 {
                 // The delivery is checked out by a peer — a reactor
@@ -1360,6 +1367,33 @@ impl NetInner {
             .is_some_and(|(to, _)| addrs.contains(to))
     }
 
+    /// Take `addr`'s processor out of its registration for the delivery
+    /// just taken out of the slot. It is there: the slot only ever holds
+    /// a delivery to a served address, and no other delivery is pending
+    /// that could have it out.
+    fn lend(&mut self, addr: Addr) -> EventProcessor {
+        self.served
+            .get_mut(&addr)
+            .and_then(Option::take)
+            .expect("a delivery in the slot finds its processor at home")
+    }
+
+    /// Retire `addr`'s pending delivery and return the processor lent
+    /// for it to the registration — unless the address was re-registered,
+    /// unserved or crashed while it was out: then what stands stands, and
+    /// the processor comes back to the caller to be dropped outside the
+    /// lock.
+    fn retire(&mut self, addr: Addr, processor: EventProcessor) -> Option<EventProcessor> {
+        self.pending_events -= 1;
+        match self.served.get_mut(&addr) {
+            Some(home @ None) => {
+                *home = Some(processor);
+                None
+            }
+            _ => Some(processor),
+        }
+    }
+
     /// Drop and un-count the delivery waiting in the slot for `addr`,
     /// whose processor has just gone: nobody can process it anymore.
     fn forget_ready(&mut self, addr: Addr) {
@@ -1408,12 +1442,13 @@ impl NetInner {
                     // mailbox contents, a delivery waiting in the slot
                     // (un-counted exactly like `unserve_udp_events`, or
                     // the clock would pin forever on a datagram nobody
-                    // can process), and the processor itself. The factory
-                    // survives — that is what restart rebuilds from.
+                    // can process), and the processor itself (a lent one
+                    // when it comes back). The factory survives — that is
+                    // what restart rebuilds from.
                     if let Some(mb) = self.mailboxes.get_mut(&addr) {
                         mb.queue.clear();
                     }
-                    crashed = self.served.remove(&addr);
+                    crashed = self.served.remove(&addr).flatten();
                     self.forget_ready(addr);
                 }
                 None
@@ -1613,7 +1648,7 @@ mod tests {
 
     /// A processor echoing each request after `proc_time`.
     fn echo(proc_time: SimTime) -> EventProcessor {
-        Arc::new(move |req: &mut Vec<u8>, _| Some((req.to_vec(), proc_time)))
+        Box::new(move |req: &mut Vec<u8>, _| Some((req.to_vec(), proc_time)))
     }
 
     #[test]
@@ -1986,10 +2021,11 @@ mod tests {
 
     #[test]
     fn panicking_handler_answers_the_next_datagram() {
-        // A handler that panics poisons the mutex it sits behind and
-        // nothing else: the driving thread sees the panic, the pending
-        // count is retired, and the next delivery to the address — a
-        // retransmission, typically — reaches the handler again.
+        // A lent handler that panics is given back: the driving thread
+        // sees the panic, the unwind guard returns the handler to its
+        // registration and retires the pending count, and the next
+        // delivery to the address — a retransmission, typically — reaches
+        // the same handler again.
         use std::panic::{catch_unwind, AssertUnwindSafe};
         let net = Network::new(NetworkConfig::lan(), 1);
         let mut seen = 0u8;
@@ -2008,6 +2044,7 @@ mod tests {
         }));
         assert!(first.is_err(), "the handler's panic reaches the driver");
         assert_eq!((net.pending_events(), net.lock().in_flight), (0, 0));
+        assert!(net.lock().served[&2000].is_some(), "given back");
         ep.send_to(2000, vec![8]);
         let dg = ep.recv_timeout(SimTime::from_millis(5)).expect("reply");
         assert_eq!(dg.payload, vec![2, 8], "same handler, state kept");
@@ -2016,8 +2053,8 @@ mod tests {
 
     #[test]
     fn echo_round_trip_takes_three_simulator_lock_acquisitions() {
-        // The datagram lane's regression meter, read through the
-        // `FnMut` adapter. One mailbox ↔ handler round trip is: the
+        // The datagram lane's regression meter, read through
+        // `serve_udp`. One mailbox ↔ handler round trip is: the
         // send; the receive's acquisition, which pops the request,
         // queues it and takes it back out for the handler; and the
         // handler's completion, under which the reply is sent, popped,
@@ -2054,7 +2091,7 @@ mod tests {
         let net = Network::new(NetworkConfig::lan(), 1);
         net.serve_udp_events_with(
             2000,
-            Arc::new(|req: &mut Vec<u8>, _| Some((req.to_vec(), SimTime::from_micros(50)))),
+            Box::new(|req: &mut Vec<u8>, _| Some((req.to_vec(), SimTime::from_micros(50)))),
         );
         let call = |addr: Addr| {
             let ep = net.bind_udp(addr);
@@ -2078,7 +2115,7 @@ mod tests {
         let net = Network::new(NetworkConfig::lan(), 1);
         net.serve_udp_events_with(
             2000,
-            Arc::new(|req: &mut Vec<u8>, _| Some((req.to_vec(), SimTime::from_micros(50)))),
+            Box::new(|req: &mut Vec<u8>, _| Some((req.to_vec(), SimTime::from_micros(50)))),
         );
         let ep = net.bind_udp(5001);
         for i in 0..100u8 {
@@ -2098,7 +2135,7 @@ mod tests {
         // must bring the reactor back.
         use std::sync::mpsc;
         let net = Network::new(NetworkConfig::lan(), 1);
-        net.serve_udp_events_with(2000, echo(SimTime::ZERO));
+        net.serve_udp_events_with(2000, Box::new(|_, _| None));
         let (woke_tx, woke_rx) = mpsc::channel::<Instant>();
         let (go_tx, go_rx) = mpsc::channel::<()>();
         let reactor = {
@@ -2107,7 +2144,7 @@ mod tests {
                 while go_rx.recv().is_ok() {
                     assert!(net.wait_ready(&[2000], Duration::from_secs(120)));
                     woke_tx.send(Instant::now()).expect("test thread");
-                    assert!(net.poll_udp(2000, |_, _| None));
+                    assert!(net.poll_udp(2000, || ()));
                 }
             })
         };
@@ -2245,7 +2282,7 @@ mod tests {
             };
             let owning_processor = |addr: Addr| -> EventProcessor {
                 let ep = net.bind_udp(addr);
-                Arc::new(move |req: &mut Vec<u8>, _| Some((req.to_vec(), ep.now())))
+                Box::new(move |req: &mut Vec<u8>, _| Some((req.to_vec(), ep.now())))
             };
             // Handler replaced, then crashed.
             net.serve_udp(2000, owning_handler(7000));
@@ -2259,7 +2296,7 @@ mod tests {
                     2001,
                     Box::new(move || {
                         let ep = n.bind_udp(ep.addr() + 100);
-                        Arc::new(move |req: &mut Vec<u8>, _| Some((req.to_vec(), ep.now())))
+                        Box::new(move |req: &mut Vec<u8>, _| Some((req.to_vec(), ep.now())))
                     }),
                 );
             }
@@ -2279,6 +2316,83 @@ mod tests {
             .expect("a registration was dropped under the simulator lock");
         side.join().expect("side thread");
         assert_eq!(bound, vec![7003], "every other owner was dropped");
+    }
+
+    #[test]
+    fn a_processor_that_moves_its_own_registration_is_dropped_when_it_returns() {
+        // A processor re-registers, unserves or crashes its own address
+        // mid-run. What it did stands, and the lent processor — which
+        // owns an `Endpoint` — is dropped when it comes back, outside the
+        // lock: under it, this side thread would deadlock.
+        let (done_tx, done_rx) = std::sync::mpsc::channel();
+        let side = std::thread::spawn(move || {
+            let mut outcomes = Vec::new();
+            for what in ["re-register", "unserve", "crash"] {
+                let net = Network::new(NetworkConfig::lan(), 1);
+                let (n, owned) = (net.clone(), net.bind_udp(7000));
+                net.serve_udp(
+                    2000,
+                    Box::new(move |req, _| {
+                        let _ = &owned;
+                        match what {
+                            "re-register" => n.serve_udp(
+                                2000,
+                                Box::new(|req, _| Some((vec![2, req[0]], SimTime::ZERO))),
+                            ),
+                            "unserve" => n.unserve_udp_events(2000),
+                            _ => n.crash(2000),
+                        }
+                        Some((vec![1, req[0]], SimTime::ZERO))
+                    }),
+                );
+                let ep = net.bind_udp(5001);
+                let mut replies = Vec::new();
+                for i in [7, 8] {
+                    ep.send_to(2000, vec![i]);
+                    let reply = ep.recv_timeout(SimTime::from_millis(5));
+                    replies.push(reply.map(|dg| dg.payload));
+                }
+                let owner_bound = net.lock().mailboxes.contains_key(&7000);
+                outcomes.push((replies, net.pending_events(), owner_bound));
+            }
+            done_tx.send(outcomes).expect("test thread");
+        });
+        let outcomes = done_rx
+            .recv_timeout(Duration::from_secs(60))
+            .expect("a lent processor was dropped under the simulator lock");
+        side.join().expect("side thread");
+        assert_eq!(
+            outcomes,
+            vec![
+                // The new registration answers the next call.
+                (vec![Some(vec![1, 7]), Some(vec![2, 8])], 0, false),
+                // Nobody answers the next call.
+                (vec![Some(vec![1, 7]), None], 0, false),
+                // A crashed sender's reply dies on the wire, too.
+                (vec![None, None], 0, false),
+            ]
+        );
+    }
+
+    #[test]
+    fn a_processor_need_not_be_sync() {
+        // A compile-time pin as much as a run-time one: a processor is
+        // lent, never shared, so state in a `Cell` needs no lock.
+        let net = Network::new(NetworkConfig::lan(), 1);
+        let calls = std::cell::Cell::new(0u8);
+        net.serve_udp_events_with(
+            2000,
+            Box::new(move |_, _| {
+                calls.set(calls.get() + 1);
+                Some((vec![calls.get()], SimTime::ZERO))
+            }),
+        );
+        let ep = net.bind_udp(5001);
+        for want in 1..=3u8 {
+            ep.send_to(2000, vec![0]);
+            let dg = ep.recv_timeout(SimTime::from_millis(5)).expect("reply");
+            assert_eq!(dg.payload, vec![want]);
+        }
     }
 
     #[test]
@@ -2326,7 +2440,7 @@ mod tests {
         let (n, s) = (net.clone(), stop.clone());
         let h = std::thread::spawn(move || {
             while !s.load(Ordering::Acquire) {
-                if !n.poll_udp(addr, |req, _from| Some((req.to_vec(), proc_time))) {
+                if !n.poll_udp(addr, || ()) {
                     n.wait_ready(&[addr], Duration::from_millis(1));
                 }
             }
@@ -2382,50 +2496,36 @@ mod tests {
 
     #[test]
     fn driver_steals_inline_processor_work_with_no_reactor_at_all() {
-        // An address registered WITH a processor needs no reactor
-        // thread: the driving thread takes queued deliveries when it
-        // would otherwise sleep on them, and a `Fn` processor traces
-        // byte- and time-identically to an `FnMut` handler behind the
-        // adapter's mutex.
-        let proc_time = SimTime::from_micros(50);
-        let run_blocking = || {
-            let net = Network::new(NetworkConfig::lan(), 3);
-            net.serve_udp(
-                2000,
-                Box::new(move |req, _| Some((req.to_vec(), proc_time))),
-            );
-            let ep = net.bind_udp(5001);
-            let mut replies = Vec::new();
-            for i in 0..10u8 {
-                ep.send_to(2000, vec![i, i + 1]);
-                replies.push(ep.recv_timeout(SimTime::from_millis(10)).expect("reply"));
-            }
-            (replies, net.now())
-        };
-        let run_steal = || {
-            let net = Network::new(NetworkConfig::lan(), 3);
-            net.serve_udp_events_with(
-                2000,
-                Arc::new(move |req: &mut Vec<u8>, _from| Some((req.to_vec(), proc_time))),
-            );
-            let ep = net.bind_udp(5001);
-            let mut replies = Vec::new();
-            for i in 0..10u8 {
-                ep.send_to(2000, vec![i, i + 1]);
-                replies.push(ep.recv_timeout(SimTime::from_millis(10)).expect("reply"));
-            }
-            net.unserve_udp_events(2000);
-            (replies, net.now())
-        };
-        assert_eq!(run_steal(), run_blocking());
+        // An address registered with a processor needs no reactor
+        // thread: the thread driving the simulation takes each delivery
+        // out of the slot and runs the processor in place.
+        let net = Network::new(NetworkConfig::lan(), 3);
+        let driver = std::thread::current().id();
+        net.serve_udp_events_with(
+            2000,
+            Box::new(move |req: &mut Vec<u8>, _| {
+                assert_eq!(std::thread::current().id(), driver, "run in place");
+                Some((req.to_vec(), SimTime::from_micros(50)))
+            }),
+        );
+        let ep = net.bind_udp(5001);
+        for i in 0..10u8 {
+            ep.send_to(2000, vec![i, i + 1]);
+            let dg = ep.recv_timeout(SimTime::from_millis(10)).expect("reply");
+            assert_eq!(dg.payload, vec![i, i + 1]);
+        }
+        net.unserve_udp_events(2000);
     }
 
     #[test]
     fn poll_udp_returns_false_when_nothing_is_ready() {
         let net = Network::new(NetworkConfig::lan(), 1);
         net.serve_udp_events_with(2000, echo(SimTime::ZERO));
-        assert!(!net.poll_udp(2000, |_, _| None));
-        assert!(!net.poll_udp(999, |_, _| None), "unregistered address");
+        assert!(!net.poll_udp(2000, || panic!("nothing to run")));
+        assert!(
+            !net.poll_udp(999, || panic!("nothing to run")),
+            "unregistered address"
+        );
         assert_eq!(net.ready_udp(2000), 0);
         net.unserve_udp_events(2000);
     }
@@ -2512,7 +2612,7 @@ mod tests {
         let net = Network::new(NetworkConfig::lan(), 1);
         net.serve_udp_events_restartable(
             2000,
-            Box::new(|| Arc::new(|req: &mut Vec<u8>, _| Some((req.to_vec(), SimTime::ZERO)))),
+            Box::new(|| Box::new(|req: &mut Vec<u8>, _| Some((req.to_vec(), SimTime::ZERO)))),
         );
         let ep = net.bind_udp(5001);
         ep.send_to(2000, vec![1]);
@@ -2560,9 +2660,9 @@ mod tests {
         net.serve_udp_events_restartable(
             2000,
             Box::new(|| {
-                let seen = std::sync::atomic::AtomicU8::new(0);
-                Arc::new(move |_req: &mut Vec<u8>, _| {
-                    let seen = seen.fetch_add(1, Ordering::Relaxed) + 1;
+                let mut seen = 0u8;
+                Box::new(move |_req: &mut Vec<u8>, _| {
+                    seen += 1;
                     Some((vec![seen], SimTime::ZERO))
                 })
             }),
@@ -2666,7 +2766,7 @@ mod tests {
             net.serve_udp_events_restartable(
                 2000,
                 Box::new(|| {
-                    Arc::new(|req: &mut Vec<u8>, _| Some((req.to_vec(), SimTime::from_micros(20))))
+                    Box::new(|req: &mut Vec<u8>, _| Some((req.to_vec(), SimTime::from_micros(20))))
                 }),
             );
             net.apply_chaos(&ChaosSchedule::new().crash_window(

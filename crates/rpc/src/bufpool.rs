@@ -23,12 +23,12 @@
 //! duplicated replies, the envelopes a coalescing client packs and the
 //! sub-replies it unpacks, a server's reply envelope (a server dispatches
 //! an envelope's sub-messages where they lie in its datagram and copies
-//! none out), the generic fallback's reply, an offer of the wrong size, a
-//! second worker on one address, and the stream lane. There too every
-//! `take` is served by a previously recycled buffer once warm, so the
-//! wire path performs **zero heap allocations per call** — the `misses`
-//! counter is the proof (a kept buffer that had to grow is counted there
-//! as well, [`BufPool::note_alloc`]), and the integration tests pin it.
+//! none out), the generic fallback's reply, an offer of the wrong size,
+//! and the stream lane. There too every `take` is served by a previously
+//! recycled buffer once warm, so the wire path performs **zero heap
+//! allocations per call** — the `misses` counter is the proof (a kept
+//! buffer that had to grow is counted there as well,
+//! [`BufPool::note_alloc`]), and the integration tests pin it.
 //!
 //! Who owns which pool: a [`crate::SvcRegistry`] owns one (generic
 //! replies come from it; a raw handler that is not offered a fitting

@@ -2,32 +2,36 @@
 //!
 //! [`serve`] registers every address of a [`ServeConfig`] on the
 //! simulator's delivery lane ([`Network::serve_udp_events_with`]) with a
-//! cache-fronted dispatch body as its inline processor, and returns the
-//! [`Served`] handle that owns the deployment. Two numbers shape it:
+//! processor that owns the address's cache-fronted dispatch body, and
+//! returns the [`Served`] handle that owns the deployment. The simulator
+//! lends that processor to whichever thread runs the address's delivery,
+//! one at a time, so the body — its duplicate-request cache, the log its
+//! replies are copied into and the one request buffer it parks for the
+//! next reply — takes no lock. Two numbers shape the deployment:
 //!
 //! - **`shards`** partitions the served addresses (`addr % shards`). A
-//!   shard *owns* its addresses' duplicate-request caches — each with
-//!   the log its replies are copied into and the one request buffer it
-//!   parks for the next reply — and one wire-buffer pool, which consumes
-//!   the shard's other request datagrams and feeds its replay,
-//!   sub-message and reply-envelope buffers. A one-shard deployment draws
-//!   on the registry's own pool — the one reply images that were offered
-//!   no fitting buffer come from and a pooled client recycles into — so a
-//!   call allocates nothing. (`tests/zero_copy.rs` holds with a private
-//!   pool there too; the envelope path is what needs the shared one: a
-//!   sub-message buffer rarely fits its reply, and on `nfs_mix` a
-//!   registry pool that nothing refills cost 8% of `calls_per_s`.)
+//!   shard *owns* its addresses' dispatch bodies and one wire-buffer
+//!   pool, which consumes the shard's other request datagrams and feeds
+//!   its replay, sub-message and reply-envelope buffers. A one-shard
+//!   deployment draws on the registry's own pool — the one reply images
+//!   that were offered no fitting buffer come from and a pooled client
+//!   recycles into — so a call allocates nothing. (`tests/zero_copy.rs`
+//!   holds with a private pool there too; the envelope path is what needs
+//!   the shared one: a sub-message buffer rarely fits its reply, and on
+//!   `nfs_mix` a registry pool that nothing refills cost 8% of
+//!   `calls_per_s`.)
 //! - **`workers_per_shard`** is how many reactor threads each shard runs.
-//!   A worker sweeps its own shard's sockets round-robin, one datagram
-//!   per socket per visit; when those are dry it walks the peer shards in
-//!   `(shard + d) % shards` order and *steals*, and when the whole map is
-//!   dry it sleeps in [`Network::wait_ready`].
+//!   A worker sweeps its own shard's sockets round-robin, running the
+//!   registered processor on one datagram per socket per visit
+//!   ([`Network::poll_udp`]); when those are dry it walks the peer shards
+//!   in `(shard + d) % shards` order and *steals*, and when the whole map
+//!   is dry it sleeps in [`Network::wait_ready`].
 //!
 //! With **zero workers** no thread is spawned at all: every delivery is
 //! executed in place by the thread driving the simulation, in the order a
 //! single reactor would drain it. That mode is deterministic — byte- and
 //! virtual-time-identical for any shard count, because the shard map only
-//! changes who *owns* caches and pools, never the dispatch bodies or the
+//! changes who *owns* caches and pools, never the dispatch logic or the
 //! delivery order — and, with no hand-off between threads, it is also the
 //! fast one on a host with few cores. Workers keep every delivery
 //! exactly-once and every virtual-time trace identical for a single
@@ -95,14 +99,6 @@ fn shard_of(addr: Addr, shards: usize) -> usize {
     addr as usize % shards
 }
 
-/// One served socket: its address, owning shard, and cache-fronted
-/// dispatch body (drawing on the owning shard's buffer pool).
-struct Socket {
-    addr: Addr,
-    shard: usize,
-    dispatch: Arc<CachedDispatch>,
-}
-
 /// Event counters of one deployment.
 struct Counts {
     /// Per shard: events processed on the shard's sockets, by *any*
@@ -130,7 +126,7 @@ fn loads(counters: &[AtomicU64]) -> Vec<u64> {
 #[must_use = "dropping the handle stops the service; `detach` leaves it with the network"]
 pub struct Served {
     net: Network,
-    sockets: Arc<Vec<Socket>>,
+    addrs: Arc<Vec<Addr>>,
     registry: Arc<SvcRegistry>,
     shutdown: Arc<AtomicBool>,
     counts: Arc<Counts>,
@@ -161,59 +157,46 @@ pub fn serve(net: &Network, registry: Arc<SvcRegistry>, cfg: ServeConfig) -> Ser
     } else {
         (0..shards).map(|_| Arc::new(BufPool::tight())).collect()
     };
-    let sockets: Arc<Vec<Socket>> = Arc::new(
-        addrs
-            .iter()
-            .map(|&addr| {
-                let shard = shard_of(addr, shards);
-                Socket {
-                    addr,
-                    shard,
-                    dispatch: Arc::new(CachedDispatch::new(
-                        registry.clone(),
-                        proc_time.clone(),
-                        cache_entries,
-                        pools[shard].clone(),
-                    )),
-                }
-            })
-            .collect(),
-    );
     let counts = Arc::new(Counts {
         processed: counters(shards),
         steals: counters(shards),
         by_worker: counters(shards * workers_per_shard),
     });
-    for s in sockets.iter() {
-        // The inline processor: a driving thread that finds this
-        // socket's delivery queued executes it in place. The count comes
-        // before the reply is sent, so a client holding the reply always
-        // observes it.
-        let (cd, ct, shard) = (s.dispatch.clone(), counts.clone(), s.shard);
-        let processor: EventProcessor = Arc::new(move |req: &mut Vec<u8>, from: Addr| {
-            ct.processed[shard].fetch_add(1, Ordering::Relaxed);
-            cd.handle(req, from)
-        });
-        if restartable {
-            let cd = s.dispatch.clone();
-            net.serve_udp_events_restartable(
-                s.addr,
-                Box::new(move || {
-                    cd.forget();
-                    processor.clone()
-                }),
+    let addrs = Arc::new(addrs);
+    for &addr in addrs.iter() {
+        // The address's processor owns its cache-fronted dispatch body,
+        // drawing on the owning shard's buffer pool; a restart builds a
+        // fresh one. The count comes before the reply is sent, so a
+        // client holding the reply always observes it.
+        let shard = shard_of(addr, shards);
+        let (registry, proc_time) = (registry.clone(), proc_time.clone());
+        let (bufs, counts) = (pools[shard].clone(), counts.clone());
+        let processor = move || -> EventProcessor {
+            let mut cd = CachedDispatch::new(
+                registry.clone(),
+                proc_time.clone(),
+                cache_entries,
+                bufs.clone(),
             );
+            let counts = counts.clone();
+            Box::new(move |req, from| {
+                counts.processed[shard].fetch_add(1, Ordering::Relaxed);
+                Some(cd.handle(req, from))
+            })
+        };
+        if restartable {
+            net.serve_udp_events_restartable(addr, Box::new(processor));
         } else {
-            net.serve_udp_events_with(s.addr, processor);
+            net.serve_udp_events_with(addr, processor());
         }
     }
     let shutdown = Arc::new(AtomicBool::new(false));
-    // Socket indices grouped by owning shard, so a worker walks shard by
+    // Address indices grouped by owning shard, so a worker walks shard by
     // shard without re-filtering.
     let by_shard: Arc<Vec<Vec<usize>>> = Arc::new({
         let mut groups = vec![Vec::new(); shards];
-        for (i, s) in sockets.iter().enumerate() {
-            groups[s.shard].push(i);
+        for (i, &addr) in addrs.iter().enumerate() {
+            groups[shard_of(addr, shards)].push(i);
         }
         groups
     });
@@ -222,7 +205,7 @@ pub fn serve(net: &Network, registry: Arc<SvcRegistry>, cfg: ServeConfig) -> Ser
         for w in 0..workers_per_shard {
             let worker = Worker {
                 net: net.clone(),
-                sockets: sockets.clone(),
+                addrs: addrs.clone(),
                 by_shard: by_shard.clone(),
                 counts: counts.clone(),
                 shutdown: shutdown.clone(),
@@ -239,7 +222,7 @@ pub fn serve(net: &Network, registry: Arc<SvcRegistry>, cfg: ServeConfig) -> Ser
     }
     Served {
         net: net.clone(),
-        sockets,
+        addrs,
         registry,
         shutdown,
         counts,
@@ -250,7 +233,7 @@ pub fn serve(net: &Network, registry: Arc<SvcRegistry>, cfg: ServeConfig) -> Ser
 /// One reactor thread of shard `shard`.
 struct Worker {
     net: Network,
-    sockets: Arc<Vec<Socket>>,
+    addrs: Arc<Vec<Addr>>,
     by_shard: Arc<Vec<Vec<usize>>>,
     counts: Arc<Counts>,
     shutdown: Arc<AtomicBool>,
@@ -264,7 +247,6 @@ impl Worker {
     /// per socket per visit.
     fn run(&self, mut offset: usize) {
         let shards = self.by_shard.len();
-        let all: Vec<Addr> = self.sockets.iter().map(|s| s.addr).collect();
         while !self.shutdown.load(Ordering::Acquire) {
             // The own shard first (`d == 0`), then the peers in a fixed
             // order; the walk stops at the first shard that had work, so
@@ -274,7 +256,7 @@ impl Worker {
             if !served {
                 // Wake on traffic anywhere in the map: the next delivery
                 // may be stealable.
-                self.net.wait_ready(&all, IDLE_WAIT);
+                self.net.wait_ready(&self.addrs, IDLE_WAIT);
             }
         }
     }
@@ -285,14 +267,12 @@ impl Worker {
         let group = &self.by_shard[owner];
         let mut served = false;
         for k in 0..group.len() {
-            let s = &self.sockets[group[(offset + k) % group.len()]];
-            served |= self.net.poll_udp(s.addr, |req, from| {
-                self.counts.processed[owner].fetch_add(1, Ordering::Relaxed);
+            let addr = self.addrs[group[(offset + k) % group.len()]];
+            served |= self.net.poll_udp(addr, || {
                 self.counts.by_worker[self.id].fetch_add(1, Ordering::Relaxed);
                 if owner != self.shard {
                     self.counts.steals[self.shard].fetch_add(1, Ordering::Relaxed);
                 }
-                s.dispatch.handle(req, from)
             });
         }
         served
@@ -312,7 +292,7 @@ impl Served {
             self.handles.is_empty(),
             "a deployment with workers cannot be detached"
         );
-        self.sockets = Arc::default();
+        self.addrs = Arc::default();
         self.registry.clone()
     }
 
@@ -362,8 +342,8 @@ impl Drop for Served {
         for h in self.handles.drain(..) {
             let _ = h.join();
         }
-        for s in self.sockets.iter() {
-            self.net.unserve_udp_events(s.addr);
+        for &addr in self.addrs.iter() {
+            self.net.unserve_udp_events(addr);
         }
     }
 }
@@ -675,10 +655,10 @@ mod tests {
 
     #[test]
     fn concurrent_duplicates_execute_the_handler_exactly_once() {
-        // Force the in-progress race: a slow handler, 4 workers, and the
-        // same datagram delivered many times while the first dispatch is
-        // still running. The duplicates must be suppressed or replayed —
-        // never re-dispatched.
+        // A slow handler, 4 workers, and the same datagram delivered many
+        // times. The lane holds one delivery at a time, so every duplicate
+        // reaches the address after its original's reply was recorded,
+        // and is replayed — never re-dispatched.
         let runs = Arc::new(AtomicU64::new(0));
         let reg = SvcRegistry::new();
         let r = runs.clone();
@@ -704,12 +684,58 @@ mod tests {
     }
 
     #[test]
+    fn one_address_never_runs_its_server_code_twice_at_once() {
+        // Two driving threads and a reactor worker race for one
+        // address's deliveries, and its handler flags re-entry: it never
+        // sees two runs at once, and every call ran it exactly once.
+        const THREADS: u32 = 2;
+        const CALLS: u32 = 200;
+        let (busy, overlaps) = (AtomicBool::new(false), Arc::new(AtomicU64::new(0)));
+        let reg = SvcRegistry::new();
+        let seen = overlaps.clone();
+        reg.register(300, 1, 1, move |args, results| {
+            if busy.swap(true, Ordering::AcqRel) {
+                seen.fetch_add(1, Ordering::Relaxed);
+            }
+            let mut v = 0i32;
+            xdr_int(args, &mut v)?;
+            std::thread::yield_now();
+            let mut out = v + 1;
+            xdr_int(results, &mut out)?;
+            busy.store(false, Ordering::Release);
+            Ok(())
+        });
+        let net = Network::new(NetworkConfig::lan(), 8);
+        let sl = deploy(&net, &[650], Arc::new(reg), 1, 1);
+        std::thread::scope(|s| {
+            for t in 0..THREADS {
+                let net = &net;
+                s.spawn(move || {
+                    let ep = net.bind_udp(4000 + t);
+                    for i in 0..CALLS {
+                        let xid = t * CALLS + i;
+                        ep.send_to(650, call(xid, xid as i32));
+                        // Generous: the peer thread may advance the shared
+                        // clock while this one waits.
+                        let dg = ep.recv_timeout(SimTime::from_millis(500)).expect("reply");
+                        assert_reply(&dg, 650, xid, xid as i32);
+                    }
+                });
+            }
+        });
+        assert_eq!(overlaps.load(Ordering::Relaxed), 0, "two runs at once");
+        let calls = u64::from(THREADS * CALLS);
+        assert_eq!(sl.registry().generic_dispatches(), calls);
+        assert_eq!(sl.total_events(), calls);
+    }
+
+    #[test]
     fn handler_panic_does_not_wedge_its_address() {
         // A registry handler that panics once. The panic reaches the
-        // thread driving the delivery and nothing else: the address
-        // keeps its registration, the transaction keeps no in-progress
-        // mark, so the client's retransmission is executed, and a third
-        // copy of the request is answered from the dup cache.
+        // thread driving the delivery and nothing else: the address gets
+        // its processor back with nothing of the transaction recorded, so
+        // the client's retransmission is executed, and a third copy of the
+        // request is answered from the dup cache.
         use std::panic::{catch_unwind, AssertUnwindSafe};
         let reg = SvcRegistry::new();
         let first = AtomicBool::new(true);

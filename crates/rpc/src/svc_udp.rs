@@ -6,12 +6,12 @@
 
 use crate::bufpool::BufPool;
 use crate::svc::{offer_fits, SvcRegistry};
-use specrpc_netsim::inthash::{IntMap, IntSet};
+use specrpc_netsim::inthash::IntMap;
 use specrpc_netsim::net::Addr;
 use specrpc_netsim::SimTime;
 use specrpc_xdr::coalesce;
 use std::collections::VecDeque;
-use std::sync::{Arc, Mutex, MutexGuard};
+use std::sync::Arc;
 
 /// Server processing-time model: given (request bytes, reply bytes),
 /// return the simulated service time. Shared by every transport adapter.
@@ -36,6 +36,9 @@ pub const DUP_CACHE_ENTRIES: usize = 256;
 /// multiply dependency chain and runs more than an order of magnitude
 /// faster with the same 2⁻⁶⁴-collision verification contract (pinned by
 /// the same collision-honesty tests, which inject degenerate hashers).
+/// The tail behind the last 32-byte block is folded a word at a time,
+/// its last partial word zero-filled: the length, mixed in first, tells
+/// those zeros from real ones.
 pub(crate) fn fingerprint64(bytes: &[u8]) -> u64 {
     const SEEDS: [u64; 4] = [
         0xcbf2_9ce4_8422_2325,
@@ -55,8 +58,14 @@ pub(crate) fn fingerprint64(bytes: &[u8]) -> u64 {
     let mut h = lanes
         .iter()
         .fold(bytes.len() as u64, |acc, &l| (acc ^ l).wrapping_mul(M));
-    for &b in chunks.remainder() {
-        h = (h ^ b as u64).wrapping_mul(M);
+    let mut words = chunks.remainder().chunks_exact(8);
+    for w in words.by_ref() {
+        h = (h ^ u64::from_le_bytes(w.try_into().expect("8 bytes"))).wrapping_mul(M);
+    }
+    let last = words.remainder();
+    if !last.is_empty() {
+        let w = last.iter().rfold(0, |w, &b| (w << 8) | u64::from(b));
+        h = (h ^ w).wrapping_mul(M);
     }
     // Final avalanche so short tails still flip high bits.
     h ^= h >> 33;
@@ -281,19 +290,25 @@ pub(crate) fn xid_of(request: &[u8]) -> Option<u32> {
         .map(|b| u32::from_be_bytes([b[0], b[1], b[2], b[3]]))
 }
 
-/// Mutable duplicate-suppression state of one [`CachedDispatch`], held
-/// behind a single short-lived lock (never across a dispatch).
-struct DupState {
+/// The cache-fronted dispatch body of one served address, owned by the
+/// processor the reactor registers for it. The simulator lends that
+/// processor to one thread at a time, so the body runs with `&mut self`:
+/// the cache and the parked buffer take no lock, and no duplicate can
+/// arrive while its original is being dispatched.
+///
+/// The cache owns the log its recorded replies are copied into and never
+/// touches the pool. A dispatched request's buffer is parked for the next
+/// dispatch's reply image ([`CachedDispatch::parked`]); `bufs` takes the
+/// request datagrams that are not, and gives the buffers of replays,
+/// reply envelopes and the replies that refuse their offer. A coalesced
+/// envelope's sub-messages are dispatched where they lie in its datagram:
+/// none is copied out, none is offered a buffer, and the envelope's own
+/// buffer is pooled once all have run.
+pub(crate) struct CachedDispatch {
+    registry: Arc<SvcRegistry>,
+    model: ProcTimeModel,
+    bufs: Arc<BufPool>,
     cache: DupCache,
-    /// Transactions currently being dispatched. Served through the
-    /// simulator, whose lane holds one delivery at a time, this is a
-    /// singleton at most; when two threads call [`CachedDispatch::handle`]
-    /// at once, a duplicate arriving while its original is still in
-    /// flight must be *dropped*, not re-dispatched — the original's reply
-    /// is already on the way. Never larger than the number of threads
-    /// dispatching at once, which is what bounds a collision chain under
-    /// the integer hasher.
-    in_progress: IntSet<(u32, Addr)>,
     /// A request datagram's buffer this address has consumed, offered to
     /// the next dispatch for its reply image: the buffers follow the
     /// datagrams, and a steady call never reaches the pool. A dispatch
@@ -303,45 +318,9 @@ struct DupState {
     /// reply just sent, so one odd-sized buffer does not sit here refusing
     /// a stream of like-sized calls; otherwise the offer stays and the
     /// request is pooled. One deep, because one is what a dispatch
-    /// consumes and one is what the next needs; when dispatches overlap
-    /// on the address the second buffer comes from and goes to the pool.
-    /// An envelope's sub-messages neither take nor fill it.
+    /// consumes and one is what the next needs. An envelope's
+    /// sub-messages neither take nor fill it.
     parked: Option<Vec<u8>>,
-}
-
-impl DupState {
-    fn empty(cache_entries: usize) -> Self {
-        DupState {
-            cache: DupCache::new(cache_entries),
-            in_progress: IntSet::default(),
-            parked: None,
-        }
-    }
-}
-
-/// The cache-fronted dispatch body of one served address. Dispatch runs
-/// with **no** cache lock held, so threads calling it at once do not
-/// wait for each other; exactly-once execution is preserved by the
-/// in-progress set.
-///
-/// The cache owns the log its recorded replies are copied into and never
-/// touches the pool. A dispatched request's buffer is parked for the next
-/// dispatch's reply image ([`DupState::parked`]); `bufs` takes the request
-/// datagrams that are not, and gives the buffers of replays, reply
-/// envelopes and the replies that refuse their offer. A coalesced
-/// envelope's sub-messages are dispatched where they lie in its datagram:
-/// none is copied out, none is offered a buffer, and the envelope's own
-/// buffer is pooled once all have run.
-///
-/// One fresh message takes the state lock twice: to look up the cache,
-/// mark the transaction in progress and (alone in its datagram) pick up
-/// the parked buffer; and to record the reply, retire the mark and park a
-/// buffer in its place.
-pub(crate) struct CachedDispatch {
-    registry: Arc<SvcRegistry>,
-    model: ProcTimeModel,
-    bufs: Arc<BufPool>,
-    state: Mutex<DupState>,
 }
 
 impl CachedDispatch {
@@ -355,21 +334,15 @@ impl CachedDispatch {
             registry,
             model: proc_time.unwrap_or_else(default_proc_time),
             bufs,
-            state: Mutex::new(DupState::empty(cache_entries)),
+            cache: DupCache::new(cache_entries),
+            parked: None,
         }
     }
 
-    /// Start over with an empty cache of the same size, as a restarted
-    /// server process does.
-    pub(crate) fn forget(&self) {
-        let mut state = self.state.lock().expect("dup cache lock");
-        *state = DupState::empty(state.cache.cap);
-    }
-
-    /// Handle one delivered request datagram: replay a cached duplicate,
-    /// drop a duplicate whose original is still in flight, or dispatch
-    /// and record the reply. The contract matches
-    /// [`specrpc_netsim::net::EventProcessor`].
+    /// Answer one delivered request datagram: replay a cached duplicate,
+    /// or dispatch and record the reply. Returns the reply image and the
+    /// processing time, which is what the address's
+    /// [`specrpc_netsim::net::EventProcessor`] hands back to the lane.
     ///
     /// A **coalesced** datagram ([`specrpc_xdr::coalesce`]) is parsed once
     /// and each sub-message runs, in packed order and in place, through
@@ -383,7 +356,7 @@ impl CachedDispatch {
     /// returns an empty reply image (processing time charged, no
     /// datagram emitted — see [`specrpc_netsim::net::UdpHandler`], whose
     /// contract processors share).
-    pub(crate) fn handle(&self, request: &mut Vec<u8>, from: Addr) -> Option<(Vec<u8>, SimTime)> {
+    pub(crate) fn handle(&mut self, request: &mut Vec<u8>, from: Addr) -> (Vec<u8>, SimTime) {
         let Some(parts) = coalesce::split(request) else {
             return self.handle_single(request, from);
         };
@@ -391,10 +364,7 @@ impl CachedDispatch {
         // The one sync reply an envelope usually carries, and any after it.
         let (mut first, mut more) = (None, Vec::new());
         for (sub, oneway) in parts {
-            // `_` lets go of the lock the reply was recorded under at once.
-            let Some((reply, t, _)) = self.run(sub, from, None) else {
-                continue; // suppressed duplicate: its original is in flight
-            };
+            let (reply, t, _) = self.run(sub, from, None);
             total += t;
             if oneway {
                 // The reply is cached for duplicate suppression but never
@@ -424,106 +394,70 @@ impl CachedDispatch {
                 env
             }
         };
-        Some((reply, total))
+        (reply, total)
     }
 
     /// [`CachedDispatch::handle`] for one plain (non-coalesced) message:
     /// [`CachedDispatch::run`] with the parked buffer offered, then the
     /// request buffer parked or pooled.
-    fn handle_single(&self, request: &mut Vec<u8>, from: Addr) -> Option<(Vec<u8>, SimTime)> {
+    fn handle_single(&mut self, request: &mut Vec<u8>, from: Addr) -> (Vec<u8>, SimTime) {
         let mut offer = None;
-        let ran = self.run(request, from, Some(&mut offer));
-        let Some((reply, t, recorded)) = ran else {
-            self.bufs.put(std::mem::take(request));
-            return None;
-        };
-        let mut displaced = None;
-        if let Some(mut state) = recorded {
+        let (reply, t, recorded) = self.run(request, from, Some(&mut offer));
+        if recorded {
             // The request datagram just consumed is the next reply image,
             // unless the dispatch left its offer and this buffer would not
             // have carried the reply either: then the offer goes back where
-            // it was. `offer` ends up with the one that is not parked; what
-            // a peer worker parked in the meantime gives way.
+            // it was. `offer` ends up with the one that is not parked.
             let mut next = std::mem::take(request);
             if let Some(left) = offer.as_mut() {
                 if !offer_fits(next.capacity(), reply.len()) {
                     std::mem::swap(left, &mut next);
                 }
             }
-            displaced = state.parked.replace(next);
+            self.parked = Some(next);
         }
-        for spare in [displaced, offer].into_iter().flatten() {
+        if let Some(spare) = offer {
             self.bufs.put(spare);
         }
         // Still here if it was replayed, or too short to carry an xid; an
         // empty buffer is dropped.
         self.bufs.put(std::mem::take(request));
-        Some((reply, t))
+        (reply, t)
     }
 
     /// What every message goes through, whether it arrived alone or in an
     /// envelope: the cache lookup (a recorded reply is replayed), the
-    /// in-progress mark (a duplicate whose original is still in flight is
-    /// suppressed: `None`), the dispatch, and the record. A dispatched
-    /// message with an xid comes back with the lock its reply was recorded
-    /// under, still held. With `offer` given, the parked buffer is taken
-    /// into it and offered to the dispatch; what is left of it stays there.
+    /// dispatch, and the record; the flag says whether a reply was
+    /// dispatched and recorded. With `offer` given, a message with an xid
+    /// that is not a replay takes the parked buffer into it and offers it
+    /// to the dispatch; what is left of it stays there.
     fn run(
-        &self,
+        &mut self,
         request: &[u8],
         from: Addr,
         mut offer: Option<&mut Option<Vec<u8>>>,
-    ) -> Option<(Vec<u8>, SimTime, Option<MutexGuard<'_, DupState>>)> {
+    ) -> (Vec<u8>, SimTime, bool) {
         let xid = xid_of(request);
         if let Some(xid) = xid {
-            let mut state = self.state.lock().expect("dup cache lock");
-            if let Some(hit) = state.cache.get(xid, from, request) {
+            if let Some(hit) = self.cache.get(xid, from, request) {
                 // Replay from a pooled buffer, charging only the (cheap)
                 // cache lookup as a fraction of the dispatch cost.
                 let mut replay = self.bufs.take(hit.len());
                 replay.extend_from_slice(hit);
-                return Some((replay, SimTime::from_nanos(5_000), None));
-            }
-            if !state.in_progress.insert((xid, from)) {
-                // A peer worker is mid-dispatch on this very transaction:
-                // suppress the duplicate (UDP may drop datagrams; the
-                // original's reply is coming) to keep exactly-once.
-                return None;
+                return (replay, SimTime::from_nanos(5_000), false);
             }
             if let Some(offer) = offer.as_deref_mut() {
-                *offer = state.parked.take();
+                *offer = self.parked.take();
             }
         }
-        // Remove the in-progress mark even if the dispatched handler
-        // panics — a leaked mark would blackhole every retransmission of
-        // this transaction. A dispatch that returns retires its mark
-        // below, in the acquisition that records the reply.
-        struct InProgressGuard<'a>(&'a CachedDispatch, Option<(u32, Addr)>);
-        impl Drop for InProgressGuard<'_> {
-            fn drop(&mut self) {
-                if let Some(key) = self.1 {
-                    self.0
-                        .state
-                        .lock()
-                        .expect("dup cache lock")
-                        .in_progress
-                        .remove(&key);
-                }
-            }
-        }
-        let mut guard = InProgressGuard(self, xid.map(|x| (x, from)));
         let reply = self
             .registry
             .dispatch_offered(request, offer.unwrap_or(&mut None), &self.bufs);
         let t = (self.model)(request.len(), reply.len());
-        let recorded = xid.map(|xid| {
-            let mut state = self.state.lock().expect("dup cache lock");
-            state.in_progress.remove(&(xid, from));
-            state.cache.record(xid, from, request, &reply);
-            guard.1 = None;
-            state
-        });
-        Some((reply, t, recorded))
+        if let Some(xid) = xid {
+            self.cache.record(xid, from, request, &reply);
+        }
+        (reply, t, xid.is_some())
     }
 }
 
@@ -898,6 +832,25 @@ mod tests {
         }
         assert_ne!(h, fingerprint64(&base[..199]), "length must matter");
         assert_ne!(fingerprint64(b""), fingerprint64(&[0]));
+        // Every length a tail can have, beside a block and without one:
+        // each byte matters, and so does each trailing zero.
+        let mut zeros = std::collections::HashSet::new();
+        for len in 0..=40 {
+            let h = fingerprint64(&base[..len]);
+            for i in 0..len {
+                let mut tweaked = base[..len].to_vec();
+                tweaked[i] ^= 0x80;
+                assert_ne!(
+                    h,
+                    fingerprint64(&tweaked),
+                    "len {len}: byte {i} must matter"
+                );
+            }
+            assert!(
+                zeros.insert(fingerprint64(&vec![0; len])),
+                "len {len} must matter"
+            );
+        }
     }
 
     #[test]
@@ -952,9 +905,9 @@ mod tests {
     #[test]
     fn panicking_dispatch_leaves_no_in_progress_mark_behind() {
         // A raw handler that panics on its first run: the unwind must
-        // retire the transaction's in-progress mark, or the client's
-        // retransmission of the same xid would be suppressed forever as a
-        // "duplicate whose original is still in flight".
+        // leave nothing of the transaction behind, or the client's
+        // retransmission of the same xid would be suppressed or answered
+        // from a reply that was never made.
         use std::panic::{catch_unwind, AssertUnwindSafe};
         use std::sync::atomic::AtomicBool;
         let reg = Arc::new(SvcRegistry::new());
@@ -966,7 +919,7 @@ mod tests {
             reply.extend_from_slice(b"done");
             Some(reply)
         });
-        let cd = CachedDispatch::new(reg.clone(), None, DUP_CACHE_ENTRIES, reg.pool().clone());
+        let mut cd = CachedDispatch::new(reg.clone(), None, DUP_CACHE_ENTRIES, reg.pool().clone());
         let mut enc = XdrMem::encoder(128);
         let mut msg = CallHeader::new(0x77, 300, 1, 0);
         CallHeader::xdr(&mut enc, &mut msg).unwrap();
@@ -975,14 +928,18 @@ mod tests {
         let mut first_try = call.clone();
         let unwound = catch_unwind(AssertUnwindSafe(|| cd.handle(&mut first_try, 4000)));
         assert!(unwound.is_err(), "the handler's panic propagates");
-        let marks = cd.state.lock().expect("not poisoned").in_progress.len();
-        assert_eq!(marks, 0, "the unwind retired the mark");
+        assert!(
+            cd.cache.get(0x77, 4000, &call).is_none(),
+            "the unwind recorded nothing"
+        );
 
         let mut retransmission = call.clone();
-        let (reply, _) = cd
-            .handle(&mut retransmission, 4000)
-            .expect("dispatched and answered, not suppressed");
-        assert_eq!(&reply[..4], &call[..4]);
+        let (reply, _) = cd.handle(&mut retransmission, 4000);
+        assert_eq!(
+            &reply[..4],
+            &call[..4],
+            "dispatched and answered, not suppressed"
+        );
         assert_eq!(&reply[4..], b"done");
         assert_eq!(reg.raw_dispatches(), 1, "the retry ran the handler");
     }
@@ -1034,18 +991,17 @@ mod tests {
     impl CachedDispatch {
         /// Where the parked buffer lives, if one is parked.
         fn parked_at(&self) -> Option<*const u8> {
-            let state = self.state.lock().expect("dup cache lock");
-            state.parked.as_ref().map(|b| b.as_ptr())
+            self.parked.as_ref().map(|b| b.as_ptr())
         }
     }
 
     #[test]
     fn the_request_buffer_is_the_next_reply_and_the_pools_stand_still() {
         let reg = offer_registry();
-        let cd = offer_dispatch(&reg);
+        let mut cd = offer_dispatch(&reg);
         let mut first = shaped_call(1, 2, &[1; 32]);
         let first_at = first.as_ptr();
-        cd.handle(&mut first, 4000).expect("dispatched");
+        cd.handle(&mut first, 4000);
         assert_eq!(cd.parked_at(), Some(first_at), "consumed, so parked");
         let pools_before = (reg.pool().stats(), cd.bufs.stats());
         assert_eq!(
@@ -1056,7 +1012,7 @@ mod tests {
 
         let mut second = shaped_call(2, 2, &[2; 32]);
         let second_at = second.as_ptr();
-        let (warm, _) = cd.handle(&mut second, 4000).expect("dispatched");
+        let (warm, _) = cd.handle(&mut second, 4000);
         assert_eq!(
             warm.as_ptr(),
             first_at,
@@ -1070,17 +1026,17 @@ mod tests {
     #[test]
     fn an_unused_offer_returns_to_the_slot() {
         let reg = offer_registry();
-        let cd = offer_dispatch(&reg);
+        let mut cd = offer_dispatch(&reg);
         let mut first = shaped_call(1, 2, &[1; 32]);
         let parked_at = first.as_ptr();
-        cd.handle(&mut first, 4000).expect("dispatched");
+        cd.handle(&mut first, 4000);
         // A procedure with no raw handler, then a raw handler whose guard
         // fails: the generic path answers from the pool either way, with
         // 28 bytes the 72-byte request would not have carried either.
         for (xid, proc_, payload) in [(2, 1, [0u8; 32]), (3, 2, [0xFF; 32])] {
             let parked_before = cd.bufs.parked();
             let mut request = shaped_call(xid, proc_, &payload);
-            let (reply, _) = cd.handle(&mut request, 4000).expect("dispatched");
+            let (reply, _) = cd.handle(&mut request, 4000);
             assert_ne!(reply.as_ptr(), parked_at);
             assert_eq!(cd.parked_at(), Some(parked_at), "xid {xid}");
             assert_eq!(cd.bufs.parked(), parked_before + 1, "the request is pooled");
@@ -1089,74 +1045,19 @@ mod tests {
     }
 
     #[test]
-    fn a_replay_neither_takes_nor_loses_the_parked_buffer_and_forget_drops_it() {
+    fn a_replay_neither_takes_nor_loses_the_parked_buffer() {
         let reg = offer_registry();
-        let cd = offer_dispatch(&reg);
+        let mut cd = offer_dispatch(&reg);
         let call = shaped_call(1, 2, &[1; 32]);
         let mut first = call.clone();
         let parked_at = first.as_ptr();
-        let (reply, _) = cd.handle(&mut first, 4000).expect("dispatched");
+        let (reply, _) = cd.handle(&mut first, 4000);
         let mut again = call.clone();
-        let (replay, _) = cd.handle(&mut again, 4000).expect("replayed");
+        let (replay, _) = cd.handle(&mut again, 4000);
         assert_eq!(replay, reply);
         assert_ne!(replay.as_ptr(), parked_at, "a replay is a pooled copy");
         assert_eq!(cd.parked_at(), Some(parked_at));
         assert_eq!(reg.raw_dispatches(), 1);
-        // A restarted server process remembers no buffer either.
-        cd.forget();
-        assert_eq!(cd.parked_at(), None);
-    }
-
-    #[test]
-    fn overlapping_workers_on_one_address_conserve_buffers() {
-        // Worker A is held inside procedure 3's handler, having taken the
-        // parked buffer; meanwhile this thread dispatches another request
-        // (nothing parked: the pool serves it) and delivers a duplicate of
-        // A's (suppressed). Every buffer that went in or was allocated is
-        // then a reply, parked, or in a pool.
-        use std::sync::mpsc::channel;
-        let reg = offer_registry();
-        let (entered_tx, entered) = channel();
-        let (release, released) = channel::<()>();
-        let (entered_tx, released) = (Mutex::new(entered_tx), Mutex::new(released));
-        reg.register_raw(300, 1, 3, move |request, offer, _pool| {
-            entered_tx.lock().unwrap().send(()).unwrap();
-            released.lock().unwrap().recv().unwrap();
-            let mut reply = offer.take().expect("the parked buffer is offered");
-            reply.clear();
-            reply.extend_from_slice(&request[..4]);
-            Some(reply)
-        });
-        let cd = offer_dispatch(&reg);
-        let mut replies = Vec::new();
-        let mut warm_up = shaped_call(1, 2, &[1; 32]);
-        replies.push(cd.handle(&mut warm_up, 4000).expect("dispatched").0);
-
-        let held = shaped_call(2, 3, &[2; 32]);
-        std::thread::scope(|s| {
-            let worker = s.spawn(|| cd.handle(&mut held.clone(), 4000).expect("dispatched").0);
-            entered.recv().unwrap();
-            assert_eq!(cd.parked_at(), None, "the held dispatch has it");
-
-            let mut other = shaped_call(3, 2, &[3; 32]);
-            let other_at = other.as_ptr();
-            replies.push(cd.handle(&mut other, 4000).expect("dispatched").0);
-            assert_eq!(cd.parked_at(), Some(other_at));
-
-            let mut duplicate = held.clone();
-            assert!(cd.handle(&mut duplicate, 4000).is_none(), "suppressed");
-            assert!(duplicate.is_empty(), "and consumed");
-            assert_eq!(cd.parked_at(), Some(other_at), "neither taken nor lost");
-
-            release.send(()).unwrap();
-            replies.push(worker.join().unwrap());
-        });
-        assert!(cd.parked_at().is_some());
-        let (shard, registry) = (cd.bufs.stats(), reg.pool().stats());
-        assert_eq!((shard.overflow_drops, registry.overflow_drops), (0, 0));
-        let came_in = 4 + shard.misses + registry.misses;
-        let are_somewhere = replies.len() + 1 + cd.bufs.parked() + reg.pool().parked();
-        assert_eq!(came_in as usize, are_somewhere);
     }
 
     #[test]
@@ -1169,13 +1070,13 @@ mod tests {
         // otherwise hold 16 KB each. The first call of each run of three
         // is refused and parks its own request; the other two share.
         let reg = offer_registry();
-        let cd = offer_dispatch(&reg);
+        let mut cd = offer_dispatch(&reg);
         let mut accepted = 0;
         for xid in 0..64u32 {
             let elements = if (xid / 3) % 2 == 0 { 8 } else { 4096 };
             let mut request = shaped_call(xid, 2, &vec![xid as u8; 4 * elements]);
             let parked_at = cd.parked_at();
-            let (reply, _) = cd.handle(&mut request, 4000).expect("dispatched");
+            let (reply, _) = cd.handle(&mut request, 4000);
             assert!(
                 reply.capacity() <= 2 * reply.len(),
                 "xid {xid}: {} bytes in a buffer of {}",
@@ -1193,13 +1094,10 @@ mod tests {
         // shard's pool. A 36-byte reply refuses the first and must not
         // leave in the second either: the pool allocates one of its size.
         let reg = offer_registry();
-        let cd = offer_dispatch(&reg);
-        cd.handle(&mut shaped_call(0, 2, &[0; 4096]), 4000)
-            .expect("dispatched");
+        let mut cd = offer_dispatch(&reg);
+        cd.handle(&mut shaped_call(0, 2, &[0; 4096]), 4000);
         cd.bufs.put(Vec::with_capacity(4096));
-        let (reply, _) = cd
-            .handle(&mut shaped_call(1, 2, &[1; 32]), 4000)
-            .expect("dispatched");
+        let (reply, _) = cd.handle(&mut shaped_call(1, 2, &[1; 32]), 4000);
         assert!(reply.capacity() <= 2 * reply.len(), "{}", reply.capacity());
         assert_eq!(cd.bufs.parked(), 2, "both large buffers are pooled");
     }
@@ -1210,13 +1108,13 @@ mod tests {
         // refused the offer and, as its own buffer would have carried its
         // reply, takes the slot; the large buffer goes to the pool.
         let reg = offer_registry();
-        let cd = offer_dispatch(&reg);
+        let mut cd = offer_dispatch(&reg);
         let mut large = shaped_call(0, 2, &[0; 4096]);
-        cd.handle(&mut large, 4000).expect("dispatched");
+        cd.handle(&mut large, 4000);
         for xid in 1..=8u32 {
             let mut request = shaped_call(xid, 2, &[xid as u8; 32]);
             let (request_at, parked_at) = (request.as_ptr(), cd.parked_at());
-            let (reply, _) = cd.handle(&mut request, 4000).expect("dispatched");
+            let (reply, _) = cd.handle(&mut request, 4000);
             assert_eq!(Some(reply.as_ptr()) == parked_at, xid > 1, "xid {xid}");
             assert_eq!(cd.parked_at(), Some(request_at));
         }
@@ -1225,9 +1123,9 @@ mod tests {
 
     /// What `cd` sends back for an envelope of `msgs`, and the sync
     /// sub-replies in it.
-    fn envelope_reply(cd: &CachedDispatch, msgs: &[(&[u8], bool)]) -> (Vec<u8>, Vec<Vec<u8>>) {
+    fn envelope_reply(cd: &mut CachedDispatch, msgs: &[(&[u8], bool)]) -> (Vec<u8>, Vec<Vec<u8>>) {
         let mut envelope = coalesce::pack(msgs.iter().copied());
-        let (reply, _) = cd.handle(&mut envelope, 4000).expect("answered");
+        let (reply, _) = cd.handle(&mut envelope, 4000);
         let parts = match coalesce::split(&reply) {
             Some(parts) => parts.map(|(part, _)| part.to_vec()).collect(),
             None if reply.is_empty() => Vec::new(),
@@ -1239,15 +1137,15 @@ mod tests {
     #[test]
     fn an_xid_repeated_in_one_envelope_replays_only_with_the_same_bytes() {
         let reg = offer_registry();
-        let cd = offer_dispatch(&reg);
+        let mut cd = offer_dispatch(&reg);
         let call = shaped_call(1, 2, &[1; 32]);
-        let (_, replies) = envelope_reply(&cd, &[(&call, false), (&call, false)]);
+        let (_, replies) = envelope_reply(&mut cd, &[(&call, false), (&call, false)]);
         assert_eq!(replies.len(), 2);
         assert_eq!(replies[0], replies[1], "the second is the first's replay");
         assert_eq!(reg.raw_dispatches(), 1, "the handler ran once");
 
         let (reused, differs) = (shaped_call(2, 2, &[2; 32]), shaped_call(2, 2, &[3; 32]));
-        let (_, replies) = envelope_reply(&cd, &[(&reused, false), (&differs, false)]);
+        let (_, replies) = envelope_reply(&mut cd, &[(&reused, false), (&differs, false)]);
         let echo = |payload: &[u8]| [&2u32.to_be_bytes()[..], payload].concat();
         assert_eq!(replies, [echo(&[2; 32]), echo(&[3; 32])]);
         assert_eq!(reg.raw_dispatches(), 3, "different bytes are re-dispatched");
@@ -1256,7 +1154,7 @@ mod tests {
     #[test]
     fn an_envelope_delivered_twice_replays_every_sync_sub_reply() {
         let reg = offer_registry();
-        let cd = offer_dispatch(&reg);
+        let mut cd = offer_dispatch(&reg);
         let calls = [
             shaped_call(1, 2, &[1; 8]),
             shaped_call(2, 1, &[]),
@@ -1265,11 +1163,11 @@ mod tests {
         ];
         let oneway = [true, false, true, false];
         let msgs: Vec<(&[u8], bool)> = calls.iter().map(Vec::as_slice).zip(oneway).collect();
-        let (first, replies) = envelope_reply(&cd, &msgs);
+        let (first, replies) = envelope_reply(&mut cd, &msgs);
         assert_eq!(replies.len(), 2, "one per sync sub-message");
         let dispatched = (reg.raw_dispatches(), reg.generic_dispatches());
         assert_eq!(dispatched, (3, 1));
-        let (again, _) = envelope_reply(&cd, &msgs);
+        let (again, _) = envelope_reply(&mut cd, &msgs);
         assert_eq!(again, first, "byte-identical");
         let redispatched = (reg.raw_dispatches(), reg.generic_dispatches());
         assert_eq!(redispatched, dispatched, "no handler ran again");
@@ -1287,21 +1185,67 @@ mod tests {
             reply.extend_from_slice(&request[..4]);
             Some(reply)
         });
-        let cd = offer_dispatch(&reg);
+        let mut cd = offer_dispatch(&reg);
         let (ahead, panics) = (shaped_call(1, 2, &[1; 8]), shaped_call(2, 3, &[]));
         let msgs = [(&ahead[..], true), (&panics[..], false)];
-        let unwound = catch_unwind(AssertUnwindSafe(|| envelope_reply(&cd, &msgs)));
+        let unwound = catch_unwind(AssertUnwindSafe(|| envelope_reply(&mut cd, &msgs)));
         assert!(unwound.is_err(), "the handler's panic propagates");
-        let marks = cd.state.lock().expect("not poisoned").in_progress.len();
-        assert_eq!(marks, 0, "the unwind retired the mark");
+        assert!(
+            cd.cache.get(1, 4000, &ahead).is_some(),
+            "the one ahead ran and was recorded"
+        );
+        assert!(
+            cd.cache.get(2, 4000, &panics).is_none(),
+            "the unwind recorded nothing"
+        );
 
-        let (reply, _) = envelope_reply(&cd, &msgs);
+        let (reply, _) = envelope_reply(&mut cd, &msgs);
         assert_eq!(reply, 2u32.to_be_bytes(), "dispatched, not suppressed");
         assert_eq!(
             reg.raw_dispatches(),
             2,
             "the one ahead replayed, the retry ran"
         );
+    }
+
+    #[test]
+    fn a_retransmission_after_a_panic_is_dispatched_and_answered() {
+        // A handler that panics on its first run, reached alone and from
+        // inside an envelope, through the reactor and the network: the
+        // panic reaches the driving thread, and the client's
+        // retransmission is dispatched and answered — nothing of the
+        // transaction outlives the unwind.
+        use std::panic::{catch_unwind, AssertUnwindSafe};
+        use std::sync::atomic::AtomicBool;
+        let reg = offer_registry();
+        for proc_ in [3, 4] {
+            let first = AtomicBool::new(true);
+            reg.register_raw(300, 1, proc_, move |request, _offer, pool| {
+                assert!(!first.swap(false, Ordering::Relaxed), "handler bug");
+                let mut reply = pool.take(4);
+                reply.extend_from_slice(&request[..4]);
+                Some(reply)
+            });
+        }
+        let net = Network::new(NetworkConfig::lan(), 5);
+        serve(&net, reg.clone(), ServeConfig::new(&[650])).detach();
+        let ep = net.bind_udp(4000);
+        let (ahead, panics) = (shaped_call(2, 2, &[2; 8]), shaped_call(3, 4, &[]));
+        let envelope = coalesce::pack([(&ahead[..], true), (&panics[..], false)]);
+        for (request, xid) in [(shaped_call(1, 3, &[]), 1u32), (envelope, 3)] {
+            ep.send_to(650, request.clone());
+            let crashed = catch_unwind(AssertUnwindSafe(|| {
+                ep.recv_timeout(SimTime::from_millis(5))
+            }));
+            assert!(crashed.is_err(), "the handler's panic reaches the driver");
+            assert_eq!(net.pending_events(), 0);
+            ep.send_to(650, request);
+            let retried = ep.recv_timeout(SimTime::from_millis(50)).expect("answered");
+            assert_eq!(retried.payload, xid.to_be_bytes(), "xid {xid}");
+        }
+        // The two retries, and the sub-message ahead of the panic once:
+        // the retransmitted envelope replayed it.
+        assert_eq!(reg.raw_dispatches(), 3);
     }
 
     #[test]
