@@ -376,8 +376,9 @@ impl BatchEchoBench {
         // flight at once — the default cap would overflow (dropping
         // buffers that come back later as allocating misses).
         let pool = Arc::new(specrpc_rpc::BufPool::with_max_slots(3 * batch + 16));
-        let registry = Arc::new(specrpc_rpc::SvcRegistry::with_pool(pool));
-        echo_service(proc_.clone()).install(&registry);
+        let mut registry = specrpc_rpc::SvcRegistry::with_pool(pool);
+        echo_service(proc_.clone()).install(&mut registry);
+        let registry = Arc::new(registry);
         let cfg = specrpc_rpc::ServeConfig {
             workers_per_shard: workers,
             ..specrpc_rpc::ServeConfig::new(&[ECHO_PORT])

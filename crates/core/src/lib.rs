@@ -84,10 +84,10 @@
 //!   multiple driving threads stay data-race-free but interleave
 //!   scheduling-dependently (see `specrpc_netsim::net` for the precise
 //!   guarantee).
-//! - [`SvcRegistry`](specrpc_rpc::SvcRegistry) stores handlers as
-//!   `Arc<dyn Fn … + Send + Sync>` behind `RwLock`ed maps and dispatches
-//!   through `&self` with no lock held during the handler run, so
-//!   independent requests dispatch concurrently.
+//! - [`SvcRegistry`](specrpc_rpc::SvcRegistry) is one table of
+//!   `Box<dyn Fn … + Send + Sync>` handlers, filled before it is shared;
+//!   dispatch through `&self` reads it with no lock, so independent
+//!   requests dispatch concurrently.
 //! - [`StubCache`] is `Arc`/`Mutex`-based: equal contexts compile exactly
 //!   once no matter how many threads race on the lookup.
 //! - Every UDP deployment is one reactor ([`specrpc_rpc::serve`]); its

@@ -9,10 +9,12 @@
 //!
 //! # Threading model
 //!
-//! The whole serving stack is `Send + Sync`: handlers are
-//! `Arc<dyn Fn … + Send + Sync>`, the registry is interior-locked, and
-//! the network is shareable across threads, so one installed service can
-//! be driven (and dispatched) from any number of threads. Every UDP
+//! The whole serving stack is `Send + Sync`: the registry is filled
+//! before it is shared and then read without a lock, each procedure's
+//! reused scratch slots sit behind a `Mutex` of their own (a dispatch
+//! that finds them taken works on fresh ones), and the network is
+//! shareable across threads, so one installed service can be driven (and
+//! dispatched) from any number of threads. Every UDP
 //! deployment is one reactor ([`specrpc_rpc::serve`]): with no workers
 //! the driving threads dispatch in place; with workers
 //! ([`SpecService::serve_event`], [`SpecService::serve_sharded`])
@@ -72,7 +74,7 @@ pub struct SpecService {
 /// Dropping the service shuts the reactor down (workers joined, the
 /// addresses released).
 pub struct EventService {
-    /// The shared dispatch registry (path counters, unregister).
+    /// The shared dispatch registry (path counters).
     pub registry: Arc<SvcRegistry>,
     /// The reactor (per-shard and per-worker event counts).
     pub reactor: Served,
@@ -145,8 +147,8 @@ impl SpecService {
     }
 
     /// Install every procedure on `registry`, fast path + generic
-    /// fallback each.
-    pub fn install(self, registry: &SvcRegistry) {
+    /// fallback each, before the registry is shared.
+    pub fn install(self, registry: &mut SvcRegistry) {
         for (proc_, handler) in self.procs {
             install_one(registry, proc_, handler);
         }
@@ -154,8 +156,8 @@ impl SpecService {
 
     /// Install into a fresh shared registry.
     pub fn into_registry(self) -> Arc<SvcRegistry> {
-        let reg = SvcRegistry::new();
-        self.install(&reg);
+        let mut reg = SvcRegistry::new();
+        self.install(&mut reg);
         Arc::new(reg)
     }
 
@@ -295,7 +297,7 @@ fn raw_dispatch(
 }
 
 /// Install one procedure's fast and generic handlers on the registry.
-fn install_one(registry: &SvcRegistry, proc_: Arc<CompiledProc>, handler: SpecHandler) {
+fn install_one(registry: &mut SvcRegistry, proc_: Arc<CompiledProc>, handler: SpecHandler) {
     let (prog, vers, pnum) = proc_.target;
 
     let p = proc_.clone();
@@ -585,7 +587,7 @@ mod tests {
         // guard, the generic decoder runs and surfaces the proper error.
         let cp10 = Arc::new(ProcPipeline::new(1).build_from_idl(IDL, None, 1).unwrap());
         let net = Network::new(NetworkConfig::lan(), 9);
-        let reg = SvcRegistry::new();
+        let mut reg = SvcRegistry::new();
         // Program registered with no procedures beyond NULL.
         reg.register(0x2000_0101, 1, 0, |_, _| Ok(()));
         serve(&net, Arc::new(reg), ServeConfig::new(&[802])).detach();

@@ -13,7 +13,7 @@
 //! program chose, or one whose size is capped (state the cap next to the
 //! table). Everything else keeps the default hasher.
 
-use std::collections::{HashMap, HashSet};
+use std::collections::HashMap;
 use std::hash::{BuildHasherDefault, Hasher};
 
 /// 2⁶⁴ / φ, odd: the classic Fibonacci-hashing multiplier.
@@ -57,12 +57,10 @@ impl Hasher for IntHasher {
 /// A `HashMap` hashed by [`IntHasher`].
 pub type IntMap<K, V> = HashMap<K, V, BuildHasherDefault<IntHasher>>;
 
-/// A `HashSet` hashed by [`IntHasher`].
-pub type IntSet<K> = HashSet<K, BuildHasherDefault<IntHasher>>;
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::collections::HashSet;
     use std::hash::{BuildHasher, Hash};
 
     fn hash_of<T: Hash>(v: T) -> u64 {
@@ -100,9 +98,5 @@ mod tests {
         assert_eq!(m.get(&1), Some(&"a"));
         assert_eq!(m.get(&(1 << 31)), Some(&"b"));
         assert_eq!(m.remove(&1), Some("a"));
-        let mut s: IntSet<(u32, u32)> = IntSet::default();
-        assert!(s.insert((1, 2)));
-        assert!(!s.insert((1, 2)));
-        assert!(s.remove(&(1, 2)));
     }
 }

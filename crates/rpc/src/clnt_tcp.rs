@@ -254,7 +254,7 @@ mod tests {
     const PROG: u32 = 400_100;
 
     fn service() -> Arc<SvcRegistry> {
-        let reg = SvcRegistry::new();
+        let mut reg = SvcRegistry::new();
         reg.register(PROG, 1, 1, |args, results| {
             let mut v: Vec<i32> = Vec::new();
             xdr_array(args, &mut v, 100_000, xdr_int)?;

@@ -709,7 +709,7 @@ mod tests {
     }
 
     fn sum_service() -> SvcRegistry {
-        let reg = SvcRegistry::new();
+        let mut reg = SvcRegistry::new();
         reg.register(PROG, 1, 1, |args, results| {
             let mut v: Vec<i32> = Vec::new();
             xdr_array(args, &mut v, 100_000, xdr_int)?;
@@ -1072,7 +1072,7 @@ mod tests {
     use std::sync::atomic::{AtomicU64, Ordering};
 
     fn counting_service(runs: Arc<AtomicU64>) -> SvcRegistry {
-        let reg = SvcRegistry::new();
+        let mut reg = SvcRegistry::new();
         reg.register(PROG, 1, 1, move |args, results| {
             runs.fetch_add(1, Ordering::Relaxed);
             let mut v: Vec<i32> = Vec::new();

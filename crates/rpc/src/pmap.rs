@@ -62,7 +62,7 @@ pub type PmapTable = Arc<Mutex<HashMap<(u32, u32, u32), u32>>>;
 /// [`PMAP_PORT`]. Returns the shared mapping table.
 pub fn start_portmapper(net: &Network) -> PmapTable {
     let table: PmapTable = Arc::new(Mutex::new(HashMap::new()));
-    let reg = SvcRegistry::new();
+    let mut reg = SvcRegistry::new();
 
     reg.register(PMAP_PROG, PMAP_VERS, PMAPPROC_NULL, |_, _| Ok(()));
 

@@ -4,13 +4,14 @@
 //!
 //! # Threading model
 //!
-//! [`SvcRegistry`] is `Send + Sync` and dispatches through `&self`:
-//! handlers are stored as `Arc<dyn Fn … + Send + Sync>` behind `RwLock`ed
-//! maps (write-locked only while registering), the dispatch counters are
-//! atomics, and the op-count accumulator sits behind its own `Mutex`.
-//! A handler `Arc` is cloned out under a read lock and invoked with **no**
-//! registry lock held, so independent requests dispatch concurrently from
-//! any number of threads — the property the reactor's workers build on.
+//! A [`SvcRegistry`] is built, then shared. Every procedure is registered
+//! through `&mut self` before the registry goes behind an `Arc` — Sun's
+//! servers likewise register before `svc_run` — so dispatch through
+//! `&self` reads one plain table: no lock and no reference count per
+//! call, and the handler is called by reference. Handlers are
+//! `Box<dyn Fn … + Send + Sync>`, the dispatch counters are atomics and
+//! the op-count accumulator sits behind its own `Mutex`, so independent
+//! requests may dispatch from any number of threads at once.
 
 use crate::bufpool::BufPool;
 use crate::error::RpcError;
@@ -18,16 +19,16 @@ use crate::msg::{AcceptStat, CallHeader, RejectStat, ReplyHeader, RPC_VERS};
 use specrpc_netsim::inthash::IntMap;
 use specrpc_xdr::mem::XdrMem;
 use specrpc_xdr::{OpCounts, XdrError, XdrStream};
-use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex, RwLock};
+use std::sync::{Arc, Mutex};
 
 /// A generic procedure handler: decode arguments from the first stream
 /// (positioned after the call header), encode results into the second
-/// (positioned after the reply header). Shared and thread-safe; handlers
-/// needing mutable state capture it behind a `Mutex`/atomic.
+/// (positioned after the reply header). Called by reference from any
+/// dispatching thread; handlers needing mutable state capture it behind
+/// a `Mutex`/atomic.
 pub type ProcHandler =
-    Arc<dyn Fn(&mut dyn XdrStream, &mut dyn XdrStream) -> Result<(), RpcError> + Send + Sync>;
+    Box<dyn Fn(&mut dyn XdrStream, &mut dyn XdrStream) -> Result<(), RpcError> + Send + Sync>;
 
 /// A specialized (raw) handler: takes the whole request datagram, the
 /// buffer the caller offers for the reply image and the caller's
@@ -35,7 +36,7 @@ pub type ProcHandler =
 /// between them and states the contract; returns the whole reply datagram,
 /// or `None` to fall back to the generic path (dynamic-guard failure, §6.2).
 pub type RawHandler =
-    Arc<dyn Fn(&[u8], &mut Option<Vec<u8>>, &BufPool) -> Option<Vec<u8>> + Send + Sync>;
+    Box<dyn Fn(&[u8], &mut Option<Vec<u8>>, &BufPool) -> Option<Vec<u8>> + Send + Sync>;
 
 /// The most capacity, in reply lengths, an offered buffer may have and
 /// still carry that reply. The reply's buffer travels on — to the client
@@ -66,14 +67,21 @@ pub fn take_offer(offer: &mut Option<Vec<u8>>, wire_len: usize) -> Option<Vec<u8
 /// Default reply buffer size (UDP max payload in the original: 8800).
 pub const REPLY_BUF_SIZE: usize = 66_000;
 
+/// The two ways one procedure can be served: a specialized raw handler,
+/// tried first, and the generic handler it falls back to.
+#[derive(Default)]
+struct Procedure {
+    raw: Option<RawHandler>,
+    generic: Option<ProcHandler>,
+}
+
 /// The service registry and dispatcher.
 #[derive(Default)]
 pub struct SvcRegistry {
-    procs: RwLock<HashMap<(u32, u32), HashMap<u32, ProcHandler>>>,
     /// Looked up once per request by the (prog, vers, proc) words of the
     /// call; the keys *in* the table are the ones the program registered,
     /// so the integer hasher has no crafted collisions to fear.
-    raw: RwLock<IntMap<(u32, u32, u32), RawHandler>>,
+    procs: IntMap<(u32, u32, u32), Procedure>,
     /// Micro-layer counts accumulated by generic dispatches (for the cost
     /// model and reports).
     counts: Mutex<OpCounts>,
@@ -106,7 +114,7 @@ impl SvcRegistry {
 
     /// `svc_register`: install a generic handler.
     pub fn register(
-        &self,
+        &mut self,
         prog: u32,
         vers: u32,
         proc_: u32,
@@ -115,12 +123,7 @@ impl SvcRegistry {
             + Sync
             + 'static,
     ) {
-        self.procs
-            .write()
-            .expect("procs lock")
-            .entry((prog, vers))
-            .or_default()
-            .insert(proc_, Arc::new(handler));
+        self.procs.entry((prog, vers, proc_)).or_default().generic = Some(Box::new(handler));
     }
 
     /// The registry's shared wire-buffer pool.
@@ -130,7 +133,7 @@ impl SvcRegistry {
 
     /// Install a specialized raw handler for one procedure.
     pub fn register_raw(
-        &self,
+        &mut self,
         prog: u32,
         vers: u32,
         proc_: u32,
@@ -139,30 +142,7 @@ impl SvcRegistry {
             + Sync
             + 'static,
     ) {
-        self.raw
-            .write()
-            .expect("raw lock")
-            .insert((prog, vers, proc_), Arc::new(handler));
-    }
-
-    /// Remove a program registration (`svc_unregister`).
-    pub fn unregister(&self, prog: u32, vers: u32) {
-        self.procs
-            .write()
-            .expect("procs lock")
-            .remove(&(prog, vers));
-        self.raw
-            .write()
-            .expect("raw lock")
-            .retain(|k, _| (k.0, k.1) != (prog, vers));
-    }
-
-    /// Whether a program/version is registered.
-    pub fn is_registered(&self, prog: u32, vers: u32) -> bool {
-        self.procs
-            .read()
-            .expect("procs lock")
-            .contains_key(&(prog, vers))
+        self.procs.entry((prog, vers, proc_)).or_default().raw = Some(Box::new(handler));
     }
 
     /// Number of generic dispatches performed.
@@ -200,9 +180,9 @@ impl SvcRegistry {
     ///
     /// Tries the specialized raw handler first when one matches the
     /// request's (prog, vers, proc) words; a `None` from it (guard failure)
-    /// falls back to the generic path, preserving semantics. Handlers run
-    /// without any registry lock held, so concurrent dispatches from
-    /// different threads proceed in parallel.
+    /// falls back to the generic path, preserving semantics. Dispatch
+    /// takes no registry lock, so concurrent dispatches from different
+    /// threads proceed in parallel.
     pub fn dispatch(&self, request: &[u8]) -> Vec<u8> {
         self.dispatch_offered(request, &mut None, &self.pool)
     }
@@ -218,29 +198,25 @@ impl SvcRegistry {
         offer: &mut Option<Vec<u8>>,
         pool: &BufPool,
     ) -> Vec<u8> {
-        if let Some(key) = peek_call_target(request) {
-            let raw = self.raw.read().expect("raw lock").get(&key).cloned();
-            if let Some(h) = raw {
-                match h(request, offer, pool) {
-                    Some(reply) => {
-                        self.raw_dispatches.fetch_add(1, Ordering::Relaxed);
-                        return reply;
-                    }
-                    None => {
-                        self.raw_fallbacks.fetch_add(1, Ordering::Relaxed);
-                    }
-                }
+        let procedure = peek_call_target(request).and_then(|key| self.procs.get(&key));
+        if let Some(raw) = procedure.and_then(|p| p.raw.as_ref()) {
+            if let Some(reply) = raw(request, offer, pool) {
+                self.raw_dispatches.fetch_add(1, Ordering::Relaxed);
+                return reply;
             }
+            self.raw_fallbacks.fetch_add(1, Ordering::Relaxed);
         }
         self.generic_dispatches.fetch_add(1, Ordering::Relaxed);
-        self.dispatch_generic(request)
+        self.dispatch_generic(request, procedure)
     }
 
     fn add_counts(&self, c: OpCounts) {
         *self.counts.lock().expect("counts lock") += c;
     }
 
-    fn dispatch_generic(&self, request: &[u8]) -> Vec<u8> {
+    /// The generic path, with the procedure the request's target words
+    /// found.
+    fn dispatch_generic(&self, request: &[u8], procedure: Option<&Procedure>) -> Vec<u8> {
         let mut args = XdrMem::decoder(request);
         let mut msg = CallHeader::new(0, 0, 0, 0);
         if CallHeader::xdr(&mut args, &mut msg).is_err() {
@@ -266,38 +242,12 @@ impl SvcRegistry {
             return enc.into_bytes();
         }
 
-        // Resolve the handler under the read lock, then release it for
-        // the (possibly long) handler run.
-        let resolved: Result<ProcHandler, Vec<u8>> = {
-            let procs = self.procs.read().expect("procs lock");
-            match procs.get(&(msg.prog, msg.vers)) {
-                Some(table) => match table.get(&msg.proc_) {
-                    Some(h) => Ok(h.clone()),
-                    None => Err(encode_failure(msg.xid, AcceptStat::ProcUnavail, None)),
-                },
-                None => {
-                    let versions: Vec<u32> = procs
-                        .keys()
-                        .filter(|(p, _)| *p == msg.prog)
-                        .map(|(_, v)| *v)
-                        .collect();
-                    if versions.is_empty() {
-                        Err(encode_failure(msg.xid, AcceptStat::ProgUnavail, None))
-                    } else {
-                        let lo = *versions.iter().min().expect("nonempty");
-                        let hi = *versions.iter().max().expect("nonempty");
-                        Err(encode_failure(
-                            msg.xid,
-                            AcceptStat::ProgMismatch,
-                            Some((lo, hi)),
-                        ))
-                    }
-                }
-            }
-        };
-        let handler = match resolved {
-            Ok(h) => h,
-            Err(reply) => return reply,
+        // A header that decodes carries the words the target was peeked
+        // from, unless its direction word is not CALL: the peek refuses
+        // that, the decode lets it through.
+        let procedure = procedure.or_else(|| self.procs.get(&(msg.prog, msg.vers, msg.proc_)));
+        let Some(handler) = procedure.and_then(|p| p.generic.as_ref()) else {
+            return self.unavailable(&msg);
         };
 
         // Reply image in a pooled backing buffer: in steady state this is
@@ -318,6 +268,31 @@ impl SvcRegistry {
                 encode_failure(msg.xid, AcceptStat::GarbageArgs, None)
             }
             Err(_) => encode_failure(msg.xid, AcceptStat::SystemErr, None),
+        }
+    }
+
+    /// The reply to a call no generic handler serves: `PROC_UNAVAIL` when
+    /// its program version has other procedures, `PROG_MISMATCH` with the
+    /// lowest and highest registered versions when its program has other
+    /// versions, `PROG_UNAVAIL` otherwise. Only the generic registrations
+    /// count: a raw handler serves a procedure only in front of one.
+    fn unavailable(&self, msg: &CallHeader) -> Vec<u8> {
+        let versions = self
+            .procs
+            .iter()
+            .filter(|((prog, _, _), p)| *prog == msg.prog && p.generic.is_some())
+            .map(|(&(_, vers, _), _)| vers);
+        let (mut low, mut high, mut served) = (u32::MAX, 0, false);
+        for vers in versions {
+            (low, high) = (low.min(vers), high.max(vers));
+            served |= vers == msg.vers;
+        }
+        if served {
+            encode_failure(msg.xid, AcceptStat::ProcUnavail, None)
+        } else if low <= high {
+            encode_failure(msg.xid, AcceptStat::ProgMismatch, Some((low, high)))
+        } else {
+            encode_failure(msg.xid, AcceptStat::ProgUnavail, None)
         }
     }
 }
@@ -362,7 +337,7 @@ mod tests {
     }
 
     fn echo_registry() -> SvcRegistry {
-        let reg = SvcRegistry::new();
+        let mut reg = SvcRegistry::new();
         reg.register(100_007, 1, 3, |args, results| {
             let mut v = 0i32;
             xdr_int(args, &mut v)?;
@@ -411,12 +386,20 @@ mod tests {
 
     #[test]
     fn version_mismatch_reports_range() {
-        let reg = echo_registry();
+        let mut reg = echo_registry();
         let reply = reg.dispatch(&make_call(100_007, 9, 3, 0));
         let (hdr, _) = parse_reply(&reply);
         assert_eq!(
             hdr.to_error(),
             Some(RpcError::ProgMismatch { low: 1, high: 1 })
+        );
+        // Versions 1 and 3 registered, 2 called: the range spans both.
+        reg.register(100_007, 3, 3, |_, _| Ok(()));
+        let reply = reg.dispatch(&make_call(100_007, 2, 3, 0));
+        let (hdr, _) = parse_reply(&reply);
+        assert_eq!(
+            hdr.to_error(),
+            Some(RpcError::ProgMismatch { low: 1, high: 3 })
         );
     }
 
@@ -459,7 +442,7 @@ mod tests {
 
     #[test]
     fn raw_handler_takes_precedence_and_falls_back() {
-        let reg = echo_registry();
+        let mut reg = echo_registry();
         reg.register_raw(100_007, 1, 3, |req: &[u8], _offer, _pool: &BufPool| {
             // "Specialized" echo: only handles arg == 1 (guard), else
             // falls back.
@@ -499,31 +482,6 @@ mod tests {
             assert_eq!(offer.is_none(), taken, "a refused offer stays");
         }
         assert_eq!(take_offer(&mut None, 60), None);
-    }
-
-    #[test]
-    fn unregister_removes_program() {
-        let reg = echo_registry();
-        assert!(reg.is_registered(100_007, 1));
-        reg.unregister(100_007, 1);
-        assert!(!reg.is_registered(100_007, 1));
-        let reply = reg.dispatch(&make_call(100_007, 1, 3, 1));
-        let (hdr, _) = parse_reply(&reply);
-        assert_eq!(hdr.to_error(), Some(RpcError::ProgUnavail));
-    }
-
-    #[test]
-    fn unregister_also_drops_raw_handlers() {
-        // Regression guard: unregister must clean BOTH maps. A stale raw
-        // handler left behind would keep answering on the specialized
-        // path after the program is gone.
-        let reg = echo_registry();
-        reg.register_raw(100_007, 1, 3, |_req, _offer, _pool| Some(vec![0; 4]));
-        reg.unregister(100_007, 1);
-        let reply = reg.dispatch(&make_call(100_007, 1, 3, 1));
-        let (hdr, _) = parse_reply(&reply);
-        assert_eq!(hdr.to_error(), Some(RpcError::ProgUnavail));
-        assert_eq!(reg.raw_dispatches(), 0, "raw handler must be gone");
     }
 
     #[test]

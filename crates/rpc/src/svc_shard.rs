@@ -359,7 +359,7 @@ mod tests {
     use std::sync::{mpsc, Mutex};
 
     fn echo_registry() -> Arc<SvcRegistry> {
-        let reg = SvcRegistry::new();
+        let mut reg = SvcRegistry::new();
         reg.register(300, 1, 1, |args, results| {
             let mut v = 0i32;
             xdr_int(args, &mut v)?;
@@ -585,7 +585,7 @@ mod tests {
         let (entered_tx, entered_rx) = mpsc::channel::<()>();
         let (release_tx, release_rx) = mpsc::channel::<()>();
         let release_rx = Mutex::new(release_rx);
-        let reg = SvcRegistry::new();
+        let mut reg = SvcRegistry::new();
         reg.register(300, 1, 1, move |_args, results| {
             entered_tx.send(()).expect("test thread");
             release_rx
@@ -660,7 +660,7 @@ mod tests {
         // reaches the address after its original's reply was recorded,
         // and is replayed — never re-dispatched.
         let runs = Arc::new(AtomicU64::new(0));
-        let reg = SvcRegistry::new();
+        let mut reg = SvcRegistry::new();
         let r = runs.clone();
         reg.register(300, 1, 1, move |_args, results| {
             r.fetch_add(1, Ordering::Relaxed);
@@ -691,7 +691,7 @@ mod tests {
         const THREADS: u32 = 2;
         const CALLS: u32 = 200;
         let (busy, overlaps) = (AtomicBool::new(false), Arc::new(AtomicU64::new(0)));
-        let reg = SvcRegistry::new();
+        let mut reg = SvcRegistry::new();
         let seen = overlaps.clone();
         reg.register(300, 1, 1, move |args, results| {
             if busy.swap(true, Ordering::AcqRel) {
@@ -737,7 +737,7 @@ mod tests {
         // the client's retransmission is executed, and a third copy of the
         // request is answered from the dup cache.
         use std::panic::{catch_unwind, AssertUnwindSafe};
-        let reg = SvcRegistry::new();
+        let mut reg = SvcRegistry::new();
         let first = AtomicBool::new(true);
         reg.register(300, 1, 1, move |_args, results| {
             assert!(!first.swap(false, Ordering::Relaxed), "handler bug");

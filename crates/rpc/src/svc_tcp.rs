@@ -150,7 +150,7 @@ mod tests {
     use specrpc_xdr::rec::FRAG_LEN_MASK as LEN_MASK;
 
     fn reg() -> Arc<SvcRegistry> {
-        let r = SvcRegistry::new();
+        let mut r = SvcRegistry::new();
         r.register(1, 1, 1, |args, results| {
             let mut v = 0i32;
             xdr_int(args, &mut v)?;
@@ -292,7 +292,7 @@ mod tests {
     /// and generic dispatches all occur).
     fn mixed_registry() -> Arc<SvcRegistry> {
         use specrpc_xdr::composite::xdr_array;
-        let r = SvcRegistry::new();
+        let mut r = SvcRegistry::new();
         for proc_ in [1, 2] {
             r.register(1, 1, proc_, |args, results| {
                 let mut v: Vec<i32> = Vec::new();

@@ -483,7 +483,7 @@ mod tests {
     #[test]
     fn registry_answers_over_the_network() {
         let net = Network::new(NetworkConfig::lan(), 5);
-        let reg = SvcRegistry::new();
+        let mut reg = SvcRegistry::new();
         reg.register(300, 1, 0, |_, results| {
             let mut v = 99i32;
             xdr_int(results, &mut v)?;
@@ -508,7 +508,7 @@ mod tests {
     #[test]
     fn custom_processing_time_advances_clock() {
         let net = Network::new(NetworkConfig::lan(), 5);
-        let reg = SvcRegistry::new();
+        let mut reg = SvcRegistry::new();
         reg.register(300, 1, 0, |_, _| Ok(()));
         let cfg = ServeConfig {
             proc_time: Some(Arc::new(|_, _| SimTime::from_millis(7))),
@@ -531,7 +531,7 @@ mod tests {
         // is answered from the reply cache, and both replies are
         // byte-identical.
         let net = Network::new(NetworkConfig::lan(), 5);
-        let reg = Arc::new(SvcRegistry::new());
+        let mut reg = SvcRegistry::new();
         let runs = Arc::new(AtomicU64::new(0));
         let r = runs.clone();
         reg.register(300, 1, 0, move |_, results| {
@@ -540,6 +540,7 @@ mod tests {
             xdr_int(results, &mut v)?;
             Ok(())
         });
+        let reg = Arc::new(reg);
         serve(&net, reg.clone(), ServeConfig::new(&[650])).detach();
 
         let ep = net.bind_udp(4000);
@@ -561,12 +562,13 @@ mod tests {
         // Two clients may collide on xid values; the cache key includes
         // the sender address, so each still gets its own dispatch.
         let net = Network::new(NetworkConfig::lan(), 5);
-        let reg = Arc::new(SvcRegistry::new());
+        let mut reg = SvcRegistry::new();
         reg.register(300, 1, 0, |_, results| {
             let mut v = 1i32;
             xdr_int(results, &mut v)?;
             Ok(())
         });
+        let reg = Arc::new(reg);
         serve(&net, reg.clone(), ServeConfig::new(&[650])).detach();
         let make = || {
             let mut enc = XdrMem::encoder(128);
@@ -860,7 +862,7 @@ mod tests {
         // a retransmission of a pre-crash call re-executes its handler —
         // exactly-once degrades to at-least-once, observably.
         let net = Network::new(NetworkConfig::lan(), 5);
-        let reg = Arc::new(SvcRegistry::new());
+        let mut reg = SvcRegistry::new();
         let runs = Arc::new(AtomicU64::new(0));
         let r = runs.clone();
         reg.register(300, 1, 0, move |_, results| {
@@ -869,6 +871,7 @@ mod tests {
             xdr_int(results, &mut v)?;
             Ok(())
         });
+        let reg = Arc::new(reg);
         let cfg = ServeConfig {
             restartable: true,
             ..ServeConfig::new(&[650])
@@ -910,7 +913,7 @@ mod tests {
         // from a reply that was never made.
         use std::panic::{catch_unwind, AssertUnwindSafe};
         use std::sync::atomic::AtomicBool;
-        let reg = Arc::new(SvcRegistry::new());
+        let mut reg = SvcRegistry::new();
         let first = AtomicBool::new(true);
         reg.register_raw(300, 1, 0, move |request, _offer, pool| {
             assert!(!first.swap(false, Ordering::Relaxed), "handler bug");
@@ -919,6 +922,7 @@ mod tests {
             reply.extend_from_slice(b"done");
             Some(reply)
         });
+        let reg = Arc::new(reg);
         let mut cd = CachedDispatch::new(reg.clone(), None, DUP_CACHE_ENTRIES, reg.pool().clone());
         let mut enc = XdrMem::encoder(128);
         let mut msg = CallHeader::new(0x77, 300, 1, 0);
@@ -949,7 +953,12 @@ mod tests {
     /// `None`, the guard fallback, when the payload starts with `0xFF`;
     /// procedure 1 has a generic handler only.
     fn offer_registry() -> Arc<SvcRegistry> {
-        let reg = SvcRegistry::new();
+        Arc::new(offer_procedures())
+    }
+
+    /// [`offer_registry`] before it is shared, for a test to add to.
+    fn offer_procedures() -> SvcRegistry {
+        let mut reg = SvcRegistry::new();
         for proc_ in [1, 2] {
             reg.register(300, 1, proc_, |_, results| {
                 let mut v = 7i32;
@@ -969,7 +978,7 @@ mod tests {
             reply.extend_from_slice(payload);
             Some(reply)
         });
-        Arc::new(reg)
+        reg
     }
 
     /// A call to `proc_` carrying `payload`, in a buffer of exactly its
@@ -1177,7 +1186,7 @@ mod tests {
     fn a_panicking_sub_handler_retires_its_in_progress_mark() {
         use std::panic::{catch_unwind, AssertUnwindSafe};
         use std::sync::atomic::AtomicBool;
-        let reg = offer_registry();
+        let mut reg = offer_procedures();
         let first = AtomicBool::new(true);
         reg.register_raw(300, 1, 3, move |request, _offer, pool| {
             assert!(!first.swap(false, Ordering::Relaxed), "handler bug");
@@ -1185,6 +1194,7 @@ mod tests {
             reply.extend_from_slice(&request[..4]);
             Some(reply)
         });
+        let reg = Arc::new(reg);
         let mut cd = offer_dispatch(&reg);
         let (ahead, panics) = (shaped_call(1, 2, &[1; 8]), shaped_call(2, 3, &[]));
         let msgs = [(&ahead[..], true), (&panics[..], false)];
@@ -1217,7 +1227,7 @@ mod tests {
         // transaction outlives the unwind.
         use std::panic::{catch_unwind, AssertUnwindSafe};
         use std::sync::atomic::AtomicBool;
-        let reg = offer_registry();
+        let mut reg = offer_procedures();
         for proc_ in [3, 4] {
             let first = AtomicBool::new(true);
             reg.register_raw(300, 1, proc_, move |request, _offer, pool| {
@@ -1227,6 +1237,7 @@ mod tests {
                 Some(reply)
             });
         }
+        let reg = Arc::new(reg);
         let net = Network::new(NetworkConfig::lan(), 5);
         serve(&net, reg.clone(), ServeConfig::new(&[650])).detach();
         let ep = net.bind_udp(4000);
@@ -1251,8 +1262,9 @@ mod tests {
     #[test]
     fn zero_sized_cache_redispatches_every_delivery() {
         let net = Network::new(NetworkConfig::lan(), 5);
-        let reg = Arc::new(SvcRegistry::new());
+        let mut reg = SvcRegistry::new();
         reg.register(300, 1, 0, |_, _| Ok(()));
+        let reg = Arc::new(reg);
         let cfg = ServeConfig {
             cache_entries: 0,
             ..ServeConfig::new(&[650])

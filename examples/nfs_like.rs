@@ -72,7 +72,7 @@ fn main() {
         .collect(),
     ));
 
-    let reg = SvcRegistry::new();
+    let mut reg = SvcRegistry::new();
     // LOOKUP(name) -> fhandle (0 = not found)
     let f = files.clone();
     reg.register(NFS_PROG, NFS_VERS, PROC_LOOKUP, move |args, results| {
@@ -141,7 +141,7 @@ fn main() {
             // tsize, bsize, blocks, bfree, bavail (modeled numbers).
             StubArgs::new(vec![8192, 512, 4096, 4096 - total / 512, 4000], vec![])
         })
-        .install(&reg);
+        .install(&mut reg);
 
     serve_tcp(&net, NFS_PORT, Arc::new(reg));
     pmap::pmap_set(

@@ -15,7 +15,7 @@ use std::sync::Arc;
 const PROG: u32 = 600_000;
 
 fn sum_registry() -> Arc<SvcRegistry> {
-    let reg = SvcRegistry::new();
+    let mut reg = SvcRegistry::new();
     reg.register(PROG, 1, 1, |args, results| {
         let mut v: Vec<i32> = Vec::new();
         xdr_array(args, &mut v, 1 << 20, xdr_int)?;
