@@ -894,6 +894,9 @@ pub fn run_scale_single_shard(cfg: &ScaleConfig) -> Result<ScaleReport, Pipeline
 #[cfg(test)]
 mod tests {
     use super::*;
+    use specrpc_rpcgen::stubgen::CompiledStub;
+    use specrpc_tempo::compile::{run_decode, Outcome, PlanOp, StubError, StubOp, StubProgram};
+    use std::collections::HashMap;
 
     /// Encode one NFS-like call message through the layered xdr
     /// micro-routines: header for `proc_num` under `xid`, then the
@@ -1018,6 +1021,221 @@ mod tests {
                     .unwrap(),
             );
         }
+    }
+
+    /// Every stub set the pipeline generates, named: echo at 1 / 20 / 250
+    /// / 2000 elements, unrolled in full and under each
+    /// `UNROLL_CANDIDATES` bound; the six scale shapes at their chunk; the
+    /// five NFS procedures.
+    fn generated_procs() -> Vec<(String, CompiledProc)> {
+        let mut procs = Vec::new();
+        for n in [1, 20, 250, 2000] {
+            let bounds = crate::pipeline::UNROLL_CANDIDATES.map(Some);
+            for chunk in std::iter::once(None).chain(bounds) {
+                let cp = crate::echo::build_echo_proc(n, chunk).unwrap();
+                procs.push((format!("echo n={n} chunk {chunk:?}"), cp));
+            }
+        }
+        let cfg = ScaleConfig::million();
+        let idl = scale_idl(cfg.shapes.len());
+        for (i, &shape) in cfg.shapes.iter().enumerate() {
+            let mut pipeline = ProcPipeline::new(shape);
+            pipeline.chunk = cfg.chunk;
+            let cp = pipeline.build_from_idl(&idl, None, i as u32 + 1).unwrap();
+            procs.push((format!("scale shape {shape}"), cp));
+        }
+        for p in NFS_GETATTR..=NFS_COMMIT {
+            let cp = ProcPipeline::new(0).build_from_idl(NFS_IDL, None, p);
+            procs.push((format!("nfs proc {p}"), cp.unwrap()));
+        }
+        procs
+    }
+
+    /// The same ops with nothing fused, every op its own plan step: the
+    /// reference a fused plan is held to (as in `compile`'s own tests).
+    fn op_by_op(stub: &StubProgram) -> StubProgram {
+        let mut walk = stub.clone();
+        walk.plan = stub.ops.iter().copied().map(PlanOp::Op).collect();
+        walk
+    }
+
+    /// Buffer lengths short of a whole message: every one through the
+    /// header, then half and all but one byte.
+    fn cuts(wire_len: usize) -> impl Iterator<Item = usize> {
+        (0..wire_len.min(72)).chain([wire_len / 2, wire_len - 1])
+    }
+
+    /// An encode stub's fused plan against its ops run one by one, in all
+    /// three lanes (plain, xid override, result slots after the xid):
+    /// the same outcome, bytes over a dirty buffer and `OpCounts`; the
+    /// same error variant on every truncated buffer and with no scalar
+    /// slots. Returns the message the xid lane wrote.
+    fn check_encode(what: &str, stub: &CompiledStub) -> Vec<u8> {
+        use specrpc_tempo::compile::{run_encode, run_encode_after_xid, run_encode_with_xid};
+        type Lane = fn(&StubProgram, &mut [u8], &StubArgs, &mut OpCounts) -> StubResult;
+        let lanes: [(&str, Lane); 3] = [
+            ("plain", run_encode),
+            ("after xid", |p, b, a, c| {
+                run_encode_after_xid(p, b, a, 0x0A0B_0C0D, c)
+            }),
+            ("xid", |p, b, a, c| {
+                run_encode_with_xid(p, b, a, 0x0102_0304, c)
+            }),
+        ];
+        let (prog, walk) = (&stub.program, op_by_op(&stub.program));
+        let layout = &stub.layout;
+        let words = prog.wire_len as i32 / 4;
+        let scalars = (0..layout.scalar_count as i32).map(|k| k.wrapping_mul(0x0103_0507) - 9);
+        let arrays = (0..layout.array_count as i32).map(|a| (0..words).map(move |i| i * 31 - a));
+        let args = StubArgs::new(scalars.collect(), arrays.map(Iterator::collect).collect());
+        let mut wire = vec![0xEEu8; prog.wire_len];
+        for (lane, run) in lanes {
+            let what = format!("{what}, {lane} lane");
+            let mut walked = vec![0xEEu8; prog.wire_len];
+            let (mut cf, mut cw) = (OpCounts::new(), OpCounts::new());
+            let done = run(prog, &mut wire, &args, &mut cf);
+            assert!(matches!(done, Ok(Outcome::Done { .. })), "{what}: {done:?}");
+            assert_eq!(done, run(&walk, &mut walked, &args, &mut cw), "{what}");
+            assert_eq!((&wire, cf), (&walked, cw), "{what}");
+            for cut in cuts(prog.wire_len) {
+                let fused = run(prog, &mut wire.clone()[..cut], &args, &mut OpCounts::new());
+                let walked = run(&walk, &mut walked[..cut], &args, &mut OpCounts::new());
+                assert_same_error(&fused, &walked, &format!("{what}, {cut} B"));
+            }
+        }
+        let bare = StubArgs::new(vec![], args.arrays.clone());
+        let fused = run_encode(prog, &mut wire.clone(), &bare, &mut OpCounts::new());
+        let walked = run_encode(&walk, &mut wire.clone(), &bare, &mut OpCounts::new());
+        assert_same_error(&fused, &walked, &format!("{what}, no scalar slots"));
+        wire
+    }
+
+    type StubResult = Result<Outcome, StubError>;
+
+    fn assert_same_error(fused: &StubResult, walked: &StubResult, what: &str) {
+        let variant = |r: &StubResult| r.as_ref().map_err(std::mem::discriminant).err();
+        assert!(fused.is_err(), "{what}: {fused:?}");
+        assert_eq!(
+            variant(fused),
+            variant(walked),
+            "{what}: {fused:?} vs {walked:?}"
+        );
+    }
+
+    /// A decode stub's fused plan against its ops run one by one: the
+    /// same outcome, decoded slots and `OpCounts` on `wire`, on a wrong
+    /// `inlen`, and with each word a guard checks flipped (a `Fallback`
+    /// after the same ops); the same error variant on every truncated
+    /// buffer.
+    fn check_decode(what: &str, stub: &CompiledStub, wire: &[u8]) {
+        let (prog, walk) = (&stub.program, op_by_op(&stub.program));
+        let (scalars, arrays) = (stub.layout.scalar_count, stub.layout.array_count);
+        let decode = |prog: &StubProgram, wire: &[u8], inlen: usize| {
+            let mut out = StubArgs::default();
+            out.prepare(scalars as usize, arrays as usize);
+            let mut counts = OpCounts::new();
+            let done = run_decode(prog, wire, &mut out, inlen, &mut counts);
+            (done, out, counts)
+        };
+        let same = |wire: &[u8], inlen: usize, note: &str| {
+            let (fused, walked) = (decode(prog, wire, inlen), decode(&walk, wire, inlen));
+            assert_eq!(fused, walked, "{what}: {note}");
+            fused.0
+        };
+        let done = same(wire, wire.len(), "the message");
+        assert!(matches!(done, Ok(Outcome::Done { .. })), "{what}: {done:?}");
+        let fallback = Ok(Outcome::Fallback);
+        assert_eq!(
+            same(wire, wire.len() - 4, "short inlen"),
+            fallback,
+            "{what}"
+        );
+        let loaded: HashMap<u16, u32> = (prog.ops.iter())
+            .filter_map(|op| match *op {
+                StubOp::GetScalar { off, slot } => Some((slot, off)),
+                _ => None,
+            })
+            .collect();
+        let checked: Vec<u32> = (prog.ops.iter())
+            .filter_map(|op| match *op {
+                StubOp::CheckWord { off, .. } => Some(off),
+                StubOp::CheckScalar { slot, .. } => loaded.get(&slot).copied(),
+                _ => None,
+            })
+            .collect();
+        assert!(!checked.is_empty(), "{what}");
+        for off in checked {
+            let mut flipped = wire.to_vec();
+            let word = off as usize..off as usize + 4;
+            flipped[word].iter_mut().for_each(|b| *b ^= 0xFF);
+            let done = same(&flipped, wire.len(), &format!("word at {off} flipped"));
+            assert_eq!(done, fallback, "{what}: word at {off} flipped");
+        }
+        for cut in cuts(wire.len()) {
+            let (fused, walked) = (
+                decode(prog, &wire[..cut], wire.len()),
+                decode(&walk, &wire[..cut], wire.len()),
+            );
+            assert_same_error(&fused.0, &walked.0, &format!("{what}, {cut} B"));
+        }
+    }
+
+    /// The fused plan is exact: every generated stub, run fused and op by
+    /// op, writes the same bytes, decodes the same slots, ends in the same
+    /// outcome or error variant and counts the same `OpCounts`, on good
+    /// messages, guards that fail and buffers cut short.
+    #[test]
+    fn generated_stubs_run_fused_as_their_ops_do_one_by_one() {
+        for (what, cp) in generated_procs() {
+            let request = check_encode(&format!("{what}: client encode"), &cp.client_encode);
+            let reply = check_encode(&format!("{what}: server encode"), &cp.server_encode);
+            check_decode(
+                &format!("{what}: server decode"),
+                &cp.server_decode,
+                &request,
+            );
+            check_decode(&format!("{what}: client decode"), &cp.client_decode, &reply);
+        }
+    }
+
+    /// A generated stub's header is one plan step: an encode plans to the
+    /// header image, at most one element step (a bulk put, or the lone
+    /// store of a one-element array) and `Ret`; a decode to at most four
+    /// steps, the guard prefix first. Echo at 20 elements runs 12 steps
+    /// for its four stubs (43 when the header ran a step per word).
+    #[test]
+    fn a_generated_stub_plans_its_header_as_one_step() {
+        for (what, cp) in generated_procs() {
+            for stub in [&cp.client_encode, &cp.server_encode] {
+                let plan = &stub.program.plan;
+                let element = |s: &PlanOp| {
+                    matches!(
+                        s,
+                        PlanOp::BulkPut { .. } | PlanOp::Op(StubOp::PutElem { .. })
+                    )
+                };
+                let ok = match plan[..] {
+                    [PlanOp::PutImage { .. }, PlanOp::Op(StubOp::Ret { .. })] => true,
+                    [PlanOp::PutImage { .. }, ref e, PlanOp::Op(StubOp::Ret { .. })] => element(e),
+                    _ => false,
+                };
+                assert!(ok, "{what}: {plan:?}");
+            }
+            for stub in [&cp.server_decode, &cp.client_decode] {
+                let plan = &stub.program.plan;
+                let header = matches!(plan.first(), Some(PlanOp::GetImage { .. }));
+                assert!(header && plan.len() <= 4, "{what}: {plan:?}");
+            }
+        }
+        let cp = crate::echo::build_echo_proc(20, None).unwrap();
+        let stubs = [
+            &cp.client_encode,
+            &cp.server_decode,
+            &cp.server_encode,
+            &cp.client_decode,
+        ];
+        let steps: usize = stubs.iter().map(|s| s.program.plan.len()).sum();
+        assert_eq!(steps, 12);
     }
 
     /// A reply image encoded into an offered buffer is rewound, not

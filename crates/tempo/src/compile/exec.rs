@@ -29,14 +29,27 @@
 //! followed by the bulk get of the whole array is one
 //! [`PlanOp::BulkFill`] (clear + extend, each element written once), and an
 //! encode zeroes exactly the program's [`StubProgram::holes`] — none for
-//! generated stubs — so callers need not clear the image between messages.
-//! The decoded message header, a run of `GetScalar`s over consecutive
-//! words and slots, is one [`PlanOp::GetScalars`] through the same kernel:
-//! at 20 elements the header is half of a decode stub's dispatches.
+//! generated stubs — so callers need not clear the buffer between messages.
+//!
+//! The message header is one step as well: its static words are folded
+//! constants, as in the paper's residual C. An encode's header is a
+//! [`PlanOp::PutImage`]: one bounds check, one copy of the header image
+//! encoded when the program was built, then the dynamic words patched in
+//! (the xid override, argument or result slots). A decode's guard prefix
+//! is a [`PlanOp::GetImage`]: the `inlen` test, one bounds check, every
+//! checked word compared at once (`wire & mask == image`), and one load of
+//! the scalar run through the kernel. So every generated stub is a header
+//! step, at most one bulk step per array and its `Ret`.
+//!
+//! The accounting rule is op-by-op's. An image step that completes counts
+//! what its ops would; one that cannot — a guard fails, the buffer is too
+//! short, a slot is missing — has written nothing and counted nothing, and
+//! runs its ops one by one instead (a cold path), so a `Fallback` carries
+//! the counts of the ops up to the failing guard, and an error its
+//! variant, offset and partial writes.
 
-use super::{build_plan, count_op, kernel, rolled, PlanOp, StubOp, StubProgram};
+use super::{build_plan, count_op, kernel, rolled, Image, PlanOp, StubOp, StubProgram};
 use specrpc_xdr::OpCounts;
-use std::borrow::Cow;
 use std::fmt;
 
 /// The specialized calling convention: scalar arguments and integer arrays
@@ -113,7 +126,8 @@ pub enum StubError {
         /// Array length.
         len: usize,
     },
-    /// Malformed loop structure.
+    /// Malformed loop structure, or a plan step whose image the program
+    /// lacks.
     BadLoop,
     /// Decode op encountered while encoding or vice versa.
     WrongDirection(&'static str),
@@ -173,13 +187,42 @@ fn iterate(
     Ok((past, None))
 }
 
-/// The program's fused plan, borrowing the prebuilt one when present and
-/// planning hand-assembled programs on the fly.
-fn plan_of(prog: &StubProgram) -> Cow<'_, [PlanOp]> {
-    if prog.plan.is_empty() && !prog.ops.is_empty() {
-        Cow::Owned(build_plan(&prog.ops))
-    } else {
-        Cow::Borrowed(prog.plan.as_slice())
+/// Whether `prog`'s plan was emptied, so that it must be planned on the
+/// fly ([`planned`]) before it runs.
+#[inline(always)]
+fn unplanned(prog: &StubProgram) -> bool {
+    prog.plan.is_empty() && !prog.ops.is_empty()
+}
+
+/// `prog` with the plan and images of its ops. Off the hot path: a
+/// program only lacks them if its plan was emptied.
+#[cold]
+#[inline(never)]
+fn planned(prog: &StubProgram) -> StubProgram {
+    let (plan, images) = build_plan(&prog.ops);
+    StubProgram {
+        plan,
+        images,
+        ..prog.clone()
+    }
+}
+
+/// The image a step indexes.
+#[inline(always)]
+fn image(prog: &StubProgram, at: u32) -> Result<&Image, StubError> {
+    prog.images.get(at as usize).ok_or(StubError::BadLoop)
+}
+
+/// What encoding scalar slot `slot` writes: `xid`, when given, for slot 0,
+/// otherwise `args.scalars[slot - first_slot]`.
+#[inline(always)]
+fn scalar(args: &StubArgs, (xid, first_slot): (Option<i32>, usize), slot: u16) -> Option<i32> {
+    match xid {
+        Some(x) if slot == 0 => Some(x),
+        _ => (slot as usize)
+            .checked_sub(first_slot)
+            .and_then(|s| args.scalars.get(s))
+            .copied(),
     }
 }
 
@@ -230,6 +273,9 @@ fn encode_inner(
     first_slot: usize,
     counts: &mut OpCounts,
 ) -> Result<Outcome, StubError> {
+    if unplanned(prog) {
+        return encode_inner(&planned(prog), buf, args, xid, first_slot, counts);
+    }
     // The bytes no op stores are the stub's to clear. A buffer too short
     // for a hole is reported by the op that falls outside it, as before.
     for hole in &prog.holes {
@@ -238,9 +284,9 @@ fn encode_inner(
             gap.fill(0);
         }
     }
-    let (plan, wire_len) = (plan_of(prog), prog.wire_len);
     let slots = (xid, first_slot);
-    let done = encode_steps(&plan, (0, 0), buf, args, slots, wire_len, counts)?;
+    let done = encode_steps(&prog.plan, (0, 0), buf, args, slots, prog, counts)?;
+    let wire_len = prog.wire_len;
     Ok(done.unwrap_or(Outcome::Done { ret: 1, wire_len }))
 }
 
@@ -256,12 +302,55 @@ fn encode_loop(
     buf: &mut [u8],
     args: &StubArgs,
     slots: (Option<i32>, usize),
-    wire_len: usize,
+    prog: &StubProgram,
     counts: &mut OpCounts,
 ) -> Result<(usize, Option<Outcome>), StubError> {
     iterate(plan, pc, times, |op, by| {
-        encode_steps(op, by, buf, args, slots, wire_len, counts)
+        encode_steps(op, by, buf, args, slots, prog, counts)
     })
+}
+
+/// An encode image that cannot be written whole, written op by op.
+#[cold]
+#[inline(never)]
+fn encode_replay(
+    image: &Image,
+    by: (i64, i64),
+    buf: &mut [u8],
+    args: &StubArgs,
+    slots: (Option<i32>, usize),
+    prog: &StubProgram,
+    counts: &mut OpCounts,
+) -> Result<Option<Outcome>, StubError> {
+    encode_steps(&image.replay, by, buf, args, slots, prog, counts)
+}
+
+/// The fast path of a [`PlanOp::PutImage`] at byte `at`: `false`, having
+/// written nothing, if the span leaves `buf` or a slot is missing.
+#[inline(always)]
+fn put_image(
+    buf: &mut [u8],
+    at: usize,
+    image: &Image,
+    args: &StubArgs,
+    slots: (Option<i32>, usize),
+) -> bool {
+    let Ok(dst) = wire_mut(buf, at, image.bytes.len()) else {
+        return false;
+    };
+    let patches = &image.patches;
+    if !patches
+        .iter()
+        .all(|&(_, s)| scalar(args, slots, s).is_some())
+    {
+        return false;
+    }
+    dst.copy_from_slice(&image.bytes);
+    for &(k, s) in patches {
+        let v = scalar(args, slots, s).unwrap_or_default();
+        dst[k..k + 4].copy_from_slice(&v.to_be_bytes());
+    }
+    true
 }
 
 /// Run `plan`, every op displaced by `by` (nothing, unless `plan` is one
@@ -272,13 +361,26 @@ fn encode_steps(
     (off_by, idx_by): (i64, i64),
     buf: &mut [u8],
     args: &StubArgs,
-    (xid, first_slot): (Option<i32>, usize),
-    wire_len: usize,
+    slots: (Option<i32>, usize),
+    prog: &StubProgram,
     counts: &mut OpCounts,
 ) -> Result<Option<Outcome>, StubError> {
     let mut pc = 0usize;
     while pc < plan.len() {
         match plan[pc] {
+            PlanOp::PutImage { off, at } => {
+                let image = image(prog, at)?;
+                if put_image(buf, displaced(off, off_by), image, args, slots) {
+                    counts.stub_ops += image.ops;
+                    counts.mem_moves += image.moves;
+                } else {
+                    let by = (off_by, idx_by);
+                    let done = encode_replay(image, by, buf, args, slots, prog, counts)?;
+                    if done.is_some() {
+                        return Ok(done);
+                    }
+                }
+            }
             PlanOp::BulkPut {
                 off,
                 arr,
@@ -297,7 +399,7 @@ fn encode_steps(
                 counts.stub_ops += ops as u64;
                 counts.mem_moves += 4 * n as u64;
             }
-            PlanOp::BulkGet { .. } | PlanOp::GetScalars { .. } => {
+            PlanOp::BulkGet { .. } | PlanOp::GetImage { .. } => {
                 return Err(StubError::WrongDirection("get in encode"));
             }
             PlanOp::BulkFill { .. } => {
@@ -309,13 +411,7 @@ fn encode_steps(
                     count_op(counts, 4);
                 }
                 StubOp::PutScalar { off, slot } => {
-                    let v = match xid {
-                        Some(x) if slot == 0 => x,
-                        _ => *(slot as usize)
-                            .checked_sub(first_slot)
-                            .and_then(|s| args.scalars.get(s))
-                            .ok_or(StubError::BadScalarSlot(slot))?,
-                    };
+                    let v = scalar(args, slots, slot).ok_or(StubError::BadScalarSlot(slot))?;
                     put4(buf, displaced(off, off_by), v.to_be_bytes())?;
                     count_op(counts, 4);
                 }
@@ -337,9 +433,8 @@ fn encode_steps(
                     // The header is an op of the modeled code only where
                     // that code keeps a loop; unrolled, nothing to count.
                     counts.stub_ops += rolled(times, unroll) as u64;
-                    let slots = (xid, first_slot);
                     let (past, done) =
-                        encode_loop(plan, pc, times, buf, args, slots, wire_len, counts)?;
+                        encode_loop(plan, pc, times, buf, args, slots, prog, counts)?;
                     if done.is_some() {
                         return Ok(done);
                     }
@@ -351,6 +446,7 @@ fn encode_steps(
                 StubOp::EndLoop => return Err(StubError::BadLoop),
                 StubOp::Ret { val } => {
                     count_op(counts, 0);
+                    let wire_len = prog.wire_len;
                     return Ok(Some(Outcome::Done { ret: val, wire_len }));
                 }
                 StubOp::SetScalarImm { .. } | StubOp::SetArrLen { .. } => {
@@ -377,8 +473,11 @@ pub fn run_decode(
     inlen: usize,
     counts: &mut OpCounts,
 ) -> Result<Outcome, StubError> {
-    let (plan, wire_len) = (plan_of(prog), prog.wire_len);
-    let done = decode_steps(&plan, (0, 0), buf, args, inlen, wire_len, counts)?;
+    if unplanned(prog) {
+        return run_decode(&planned(prog), buf, args, inlen, counts);
+    }
+    let done = decode_steps(&prog.plan, (0, 0), buf, args, inlen, prog, counts)?;
+    let wire_len = prog.wire_len;
     Ok(done.unwrap_or(Outcome::Done { ret: 1, wire_len }))
 }
 
@@ -393,12 +492,49 @@ fn decode_loop(
     buf: &[u8],
     args: &mut StubArgs,
     inlen: usize,
-    wire_len: usize,
+    prog: &StubProgram,
     counts: &mut OpCounts,
 ) -> Result<(usize, Option<Outcome>), StubError> {
     iterate(plan, pc, times, |op, by| {
-        decode_steps(op, by, buf, args, inlen, wire_len, counts)
+        decode_steps(op, by, buf, args, inlen, prog, counts)
     })
+}
+
+/// The decode-side mirror of [`encode_replay`].
+#[cold]
+#[inline(never)]
+fn decode_replay(
+    image: &Image,
+    by: (i64, i64),
+    buf: &[u8],
+    args: &mut StubArgs,
+    inlen: usize,
+    prog: &StubProgram,
+    counts: &mut OpCounts,
+) -> Result<Option<Outcome>, StubError> {
+    decode_steps(&image.replay, by, buf, args, inlen, prog, counts)
+}
+
+/// The fast path of a [`PlanOp::GetImage`] at byte `at`: `false`, having
+/// loaded nothing, if the `inlen` guard or a word's fails, the span leaves
+/// `buf` or a slot is missing.
+#[inline(always)]
+fn get_image(buf: &[u8], at: usize, image: &Image, args: &mut StubArgs, inlen: usize) -> bool {
+    if image.inlen.is_some_and(|want| want != inlen) {
+        return false;
+    }
+    let Ok(src) = wire(buf, at, image.bytes.len()) else {
+        return false;
+    };
+    let wanted = src.iter().zip(&image.mask).zip(&image.bytes);
+    if wanted.fold(0, |diff, ((w, m), b)| diff | (w & m) ^ b) != 0 {
+        return false;
+    }
+    let Some(dst) = args.scalars.get_mut(image.slots.clone()) else {
+        return false;
+    };
+    kernel::get(dst, &src[..4 * image.slots.len()]);
+    true
 }
 
 /// The decode-side mirror of [`encode_steps`].
@@ -408,12 +544,25 @@ fn decode_steps(
     buf: &[u8],
     args: &mut StubArgs,
     inlen: usize,
-    wire_len: usize,
+    prog: &StubProgram,
     counts: &mut OpCounts,
 ) -> Result<Option<Outcome>, StubError> {
     let mut pc = 0usize;
     while pc < plan.len() {
         match plan[pc] {
+            PlanOp::GetImage { off, at } => {
+                let image = image(prog, at)?;
+                if get_image(buf, displaced(off, off_by), image, args, inlen) {
+                    counts.stub_ops += image.ops;
+                    counts.mem_moves += image.moves;
+                } else {
+                    let by = (off_by, idx_by);
+                    let done = decode_replay(image, by, buf, args, inlen, prog, counts)?;
+                    if done.is_some() {
+                        return Ok(done);
+                    }
+                }
+            }
             PlanOp::BulkGet {
                 off,
                 arr,
@@ -434,18 +583,6 @@ fn decode_steps(
                 counts.stub_ops += ops as u64;
                 counts.mem_moves += 4 * n as u64;
             }
-            PlanOp::GetScalars { off, slot, n } => {
-                let first = slot as usize;
-                let slots = args.scalars.len();
-                // The first slot that is missing lies inside the run, and
-                // the run's slots are `u16`s.
-                let dst = span(first, n as usize)
-                    .and_then(|r| args.scalars.get_mut(r))
-                    .ok_or(StubError::BadScalarSlot(slots.max(first) as u16))?;
-                kernel::get(dst, wire(buf, displaced(off, off_by), 4 * n as usize)?);
-                counts.stub_ops += n as u64;
-                counts.mem_moves += 4 * n as u64;
-            }
             PlanOp::BulkFill { off, arr, n, ops } => {
                 let a = args
                     .arrays
@@ -462,7 +599,7 @@ fn decode_steps(
                 counts.stub_ops += ops as u64;
                 counts.mem_moves += 4 * n as u64;
             }
-            PlanOp::BulkPut { .. } => {
+            PlanOp::BulkPut { .. } | PlanOp::PutImage { .. } => {
                 return Err(StubError::WrongDirection("put in decode"));
             }
             PlanOp::Op(op) => match op {
@@ -535,7 +672,7 @@ fn decode_steps(
                 StubOp::Loop { times, unroll, .. } => {
                     counts.stub_ops += rolled(times, unroll) as u64;
                     let (past, done) =
-                        decode_loop(plan, pc, times, buf, args, inlen, wire_len, counts)?;
+                        decode_loop(plan, pc, times, buf, args, inlen, prog, counts)?;
                     if done.is_some() {
                         return Ok(done);
                     }
@@ -547,6 +684,7 @@ fn decode_steps(
                 StubOp::EndLoop => return Err(StubError::BadLoop),
                 StubOp::Ret { val } => {
                     count_op(counts, 0);
+                    let wire_len = prog.wire_len;
                     return Ok(Some(Outcome::Done { ret: val, wire_len }));
                 }
                 StubOp::PutImm { .. } | StubOp::PutScalar { .. } | StubOp::PutElem { .. } => {

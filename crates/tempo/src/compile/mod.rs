@@ -26,7 +26,8 @@
 //! (`unroll`), and [`StubProgram::len`] / [`StubProgram::code_size_bytes`]
 //! are arithmetic over (templates, trips, bound). What *runs* is the plan:
 //! a loop over one contiguous element store becomes a single bulk kernel
-//! call, any other loop is iterated by the executor.
+//! call, any other loop is iterated by the executor, and the message
+//! header is one step over an image built with the plan ([`PlanOp`]).
 
 use crate::ir::{BinOp, Expr, Function, LValue, Program, Stmt, Type, UnOp, VarId};
 use specrpc_xdr::OpCounts;
@@ -246,13 +247,26 @@ fn rolled(times: u32, unroll: u32) -> bool {
 /// path is one bounds check and one byte-swapping block copy per array
 /// instead of per element. A decode's `SetArrLen` followed by the bulk get
 /// of the whole array becomes a [`PlanOp::BulkFill`] that writes each
-/// element once instead of zero-filling it first, and a run of
-/// `GetScalar`s over consecutive words and slots (the decoded message
-/// header) is one [`PlanOp::GetScalars`]. Fusion is purely a
-/// representation change — wire bytes and [`OpCounts`] accounting are
-/// identical to executing the underlying ops one by one; only a failing
-/// step reports the offset of the fused run's start, not of the element
-/// that fell outside.
+/// element once instead of zero-filling it first.
+///
+/// The message header is one step too, the way Tempo's run-time
+/// templates are a pre-compiled image whose holes are filled at run time:
+/// a run of `PutImm` / `PutScalar` over consecutive words is a
+/// [`PlanOp::PutImage`] (copy the words encoded at build time, patch the
+/// dynamic ones), and a decode's guard prefix — `LenGuard`, a `GetScalar`
+/// run, the `CheckScalar`s and `CheckWord`s on those words — is a
+/// [`PlanOp::GetImage`] (one load, the static words compared at once). The
+/// images live beside the plan on the [`StubProgram`], so a step stays
+/// small and `Copy`.
+///
+/// Fusion is purely a representation change — wire bytes, decoded slots,
+/// [`Outcome`] and [`OpCounts`] accounting are identical to executing the
+/// underlying ops one by one. An image step that cannot finish on its fast
+/// path (a guard that fails, a buffer too short, a slot missing) runs the
+/// ops it stands for one by one instead, so a `Fallback` counts exactly
+/// the ops before it and an error leaves exactly op-by-op's partial
+/// writes. A bulk step that fails reports the offset of the fused run's
+/// start, not of the element that fell outside.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum PlanOp {
     /// A single micro-op, executed exactly as the interpreter would.
@@ -286,17 +300,6 @@ pub enum PlanOp {
         /// Stub ops accounted (for [`OpCounts`] parity).
         ops: u32,
     },
-    /// Fused decode of `n` consecutive wire words starting at `off` into
-    /// scalar slots `slot..slot + n` — the message header, which is a
-    /// third to a half of a small stub's ops.
-    GetScalars {
-        /// Buffer byte offset of the first word.
-        off: u32,
-        /// First scalar slot.
-        slot: u16,
-        /// Word count (= stub ops accounted).
-        n: u32,
-    },
     /// `SetArrLen { arr, len: n }` and the [`PlanOp::BulkGet`] of that
     /// array's elements `0..n` in one step: the array is cleared and
     /// extended from the checked wire slice, so no element is zero-filled
@@ -312,6 +315,168 @@ pub enum PlanOp {
         /// Stub ops accounted: the bulk get's plus one for the `SetArrLen`.
         ops: u32,
     },
+    /// Two or more `PutImm` / `PutScalar` ops over consecutive words from
+    /// `off`: one bounds check, one copy of the pre-encoded image (static
+    /// words in wire order, zeros where a scalar goes), then each dynamic
+    /// word patched in. Top-level only.
+    PutImage {
+        /// Buffer byte offset of the first word.
+        off: u32,
+        /// The image's index in the program's image table.
+        at: u32,
+    },
+    /// Two or more of an optional `LenGuard`, a `GetScalar` run over
+    /// consecutive words from `off` and slots, and `CheckScalar`s /
+    /// `CheckWord`s on words of that span (a `CheckWord` may extend it by
+    /// the word after it): one bounds check, the static words compared
+    /// against the image under a mask in one pass, one load of the run
+    /// into its slots. Top-level only.
+    GetImage {
+        /// Buffer byte offset of the first word.
+        off: u32,
+        /// The image's index in the program's image table.
+        at: u32,
+    },
+}
+
+/// What a [`PlanOp::PutImage`] or [`PlanOp::GetImage`] step works from,
+/// built with the plan and kept beside it.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub(crate) struct Image {
+    /// The span as a step that succeeds leaves it (encode) or finds it
+    /// (decode): every static word in wire order, zeros elsewhere.
+    bytes: Vec<u8>,
+    /// Decode: `0xFF` over each word a guard checks, zero elsewhere, so
+    /// the guards pass exactly when `wire & mask == bytes`. Empty when
+    /// nothing is checked.
+    mask: Vec<u8>,
+    /// Encode: each dynamic word's byte offset in the span and the scalar
+    /// slot it reads.
+    patches: Vec<(usize, u16)>,
+    /// Decode: the scalar slots the span's first words are loaded into.
+    slots: Range<usize>,
+    /// Decode: the `inlen` the step's `LenGuard` wants, if it has one.
+    inlen: Option<usize>,
+    /// The stub ops the step stands for, counted when all of them run.
+    ops: u64,
+    /// The bytes those ops move.
+    moves: u64,
+    /// Those ops, one plan step each: what runs instead whenever the fast
+    /// path cannot finish, so that outcome, errors, partial writes and
+    /// partial counts are op-by-op's.
+    replay: Vec<PlanOp>,
+}
+
+impl Image {
+    /// The image of the `PutImm` / `PutScalar` run at the start of `ops`,
+    /// and how many ops it covers; `None` under two.
+    fn put(ops: &[StubOp]) -> Option<(u32, usize, Image)> {
+        let word_at = |op: &StubOp| match *op {
+            StubOp::PutImm { off, .. } | StubOp::PutScalar { off, .. } => Some(off),
+            _ => None,
+        };
+        let off = word_at(ops.first()?)?;
+        let n = ops
+            .iter()
+            .enumerate()
+            .take_while(|&(k, op)| word_at(op).map(u64::from) == Some(off as u64 + 4 * k as u64))
+            .count();
+        if n < 2 {
+            return None;
+        }
+        let mut image = Image::replaying(&ops[..n]);
+        image.bytes = vec![0; 4 * n];
+        for (k, op) in ops[..n].iter().enumerate() {
+            match *op {
+                StubOp::PutImm { word, .. } => {
+                    image.bytes[4 * k..4 * k + 4].copy_from_slice(&word.to_le_bytes())
+                }
+                StubOp::PutScalar { slot, .. } => image.patches.push((4 * k, slot)),
+                _ => unreachable!("the run holds puts only"),
+            }
+        }
+        image.moves = 4 * n as u64;
+        Some((off, n, image))
+    }
+
+    /// The image of the guard prefix at the start of `ops` — an optional
+    /// `LenGuard`, a `GetScalar` run, then `CheckScalar`s of slots that
+    /// run loaded and `CheckWord`s on its words or the word after them —
+    /// and how many ops it covers; `None` under two. A second check of
+    /// one word against another value ends the prefix.
+    fn get(ops: &[StubOp]) -> Option<(u32, usize, Image)> {
+        let inlen = match ops.first() {
+            Some(&StubOp::LenGuard { expected }) => Some(expected as usize),
+            _ => None,
+        };
+        let mut i = inlen.is_some() as usize;
+        let loaded = scalar_run_len(&ops[i..]);
+        let (mut off, first) = match ops.get(i) {
+            Some(&StubOp::GetScalar { off, slot }) => (Some(off), slot as usize),
+            _ => (None, 0),
+        };
+        i += loaded;
+        let (mut wants, mut moves) = (vec![None; loaded], 4 * loaded as u64);
+        loop {
+            let (word, want, moved) = match ops.get(i) {
+                Some(&StubOp::CheckScalar { slot, want })
+                    if (first..first + loaded).contains(&(slot as usize)) =>
+                {
+                    (slot as usize - first, want, 0)
+                }
+                Some(&StubOp::CheckWord { off: at, want }) => {
+                    let rel = at.checked_sub(*off.get_or_insert(at));
+                    let Some(word) = rel.filter(|r| r % 4 == 0).map(|r| r as usize / 4) else {
+                        break;
+                    };
+                    if word > wants.len() {
+                        break;
+                    }
+                    if word == wants.len() {
+                        wants.push(None);
+                    }
+                    (word, want, 4)
+                }
+                _ => break,
+            };
+            match wants[word] {
+                Some(held) if held != want => break,
+                _ => wants[word] = Some(want),
+            }
+            moves += moved;
+            i += 1;
+        }
+        if i < 2 {
+            return None;
+        }
+        let mut image = Image::replaying(&ops[..i]);
+        image.bytes = wants
+            .iter()
+            .flat_map(|w| w.unwrap_or(0).to_be_bytes())
+            .collect();
+        if wants.iter().any(Option::is_some) {
+            image.mask = wants
+                .iter()
+                .flat_map(|w| [if w.is_some() { 0xFF } else { 0 }; 4])
+                .collect();
+        }
+        (image.slots, image.inlen, image.moves) = (first..first + loaded, inlen, moves);
+        Some((off?, i, image))
+    }
+
+    /// An image standing for `ops`, with nothing filled in yet.
+    fn replaying(ops: &[StubOp]) -> Image {
+        Image {
+            bytes: Vec::new(),
+            mask: Vec::new(),
+            patches: Vec::new(),
+            slots: 0..0,
+            inlen: None,
+            ops: ops.len() as u64,
+            moves: 0,
+            replay: ops.iter().copied().map(PlanOp::Op).collect(),
+        }
+    }
 }
 
 /// A compiled stub: the runtime form of the residual function.
@@ -322,9 +487,12 @@ pub struct StubProgram {
     /// what it models ([`StubProgram::len`]), not how long it is.
     pub ops: Vec<StubOp>,
     /// The fused monomorphic plan the executor actually runs (built once
-    /// at compile time from `ops`; empty only for hand-assembled
-    /// programs, which the executor plans on the fly).
+    /// at compile time from `ops`; when emptied, the executor plans the
+    /// program on the fly).
     pub plan: Vec<PlanOp>,
+    /// The images the plan's [`PlanOp::PutImage`] / [`PlanOp::GetImage`]
+    /// steps index, built with it.
+    images: Vec<Image>,
     /// Total wire bytes the stub reads/writes.
     pub wire_len: usize,
     /// For an encode stub, the byte ranges of `0..wire_len` that no `Put*`
@@ -345,11 +513,12 @@ impl StubProgram {
     /// [`StubError::BadLoop`].
     pub fn from_ops(ops: Vec<StubOp>, name: String) -> Self {
         let wire_len = wire_len(&ops);
-        let plan = build_plan(&ops);
-        let holes = holes(&plan, wire_len);
+        let (plan, images) = build_plan(&ops);
+        let holes = holes(&plan, &images, wire_len);
         StubProgram {
             ops,
             plan,
+            images,
             wire_len,
             holes,
             name,
@@ -1128,13 +1297,14 @@ fn scalar_run_len(ops: &[StubOp]) -> usize {
 /// Map a program to the monomorphic execution plan, op for op: a loop
 /// that is one contiguous element run becomes a bulk op covering all its
 /// trips (with the `SetArrLen` before it, a [`PlanOp::BulkFill`]), any
-/// other loop is kept verbatim for the executor to iterate, and contiguous
-/// `GetScalar` runs become [`PlanOp::GetScalars`]. Set-up work: inlined
-/// into the executors (which plan a hand-assembled program on the fly) it
-/// costs every run of every stub a larger frame, hence never.
+/// other loop is kept verbatim for the executor to iterate, and a run of
+/// header puts or a guard prefix becomes an image step, its image pushed
+/// on the table returned beside the plan. Set-up work: inlined into the
+/// executors (which plan an emptied program on the fly) it costs every run
+/// of every stub a larger frame, hence never.
 #[inline(never)]
-pub(crate) fn build_plan(ops: &[StubOp]) -> Vec<PlanOp> {
-    let mut plan = Vec::new();
+pub(crate) fn build_plan(ops: &[StubOp]) -> (Vec<PlanOp>, Vec<Image>) {
+    let (mut plan, mut images) = (Vec::new(), Vec::new());
     let mut i = 0;
     while i < ops.len() {
         if let StubOp::Loop { times, unroll, .. } = ops[i] {
@@ -1142,7 +1312,7 @@ pub(crate) fn build_plan(ops: &[StubOp]) -> Vec<PlanOp> {
                 // Malformed loop structure: keep everything verbatim so the
                 // executor reports the same BadLoop the interpreter would.
                 plan.extend(ops[i..].iter().copied().map(PlanOp::Op));
-                return plan;
+                return (plan, images);
             };
             // What iterating it costs: one op per trip, plus the header
             // when the modeled code has one.
@@ -1154,21 +1324,23 @@ pub(crate) fn build_plan(ops: &[StubOp]) -> Vec<PlanOp> {
                 _ => plan.extend(ops[i..=end].iter().copied().map(PlanOp::Op)),
             }
             i = end + 1;
-        } else if let (StubOp::GetScalar { off, slot }, n @ 2..) =
-            (ops[i], scalar_run_len(&ops[i..]))
-        {
-            plan.push(PlanOp::GetScalars {
-                off,
-                slot,
-                n: n as u32,
-            });
+            continue;
+        }
+        let at = images.len() as u32;
+        if let Some((off, n, image)) = Image::put(&ops[i..]) {
+            plan.push(PlanOp::PutImage { off, at });
+            images.push(image);
+            i += n;
+        } else if let Some((off, n, image)) = Image::get(&ops[i..]) {
+            plan.push(PlanOp::GetImage { off, at });
+            images.push(image);
             i += n;
         } else {
             plan.push(PlanOp::Op(ops[i]));
             i += 1;
         }
     }
-    plan
+    (plan, images)
 }
 
 /// Index of the `EndLoop` closing the `Loop` at `ops[i]`, or `None` when
@@ -1210,19 +1382,18 @@ fn wire_len(ops: &[StubOp]) -> usize {
 /// to be the stub's alone. Stores inside a verbatim loop are not counted
 /// (their range is zeroed, then written: correct, merely not free); a plan
 /// without any put at all (a decode stub) has no holes.
-fn holes(plan: &[PlanOp], wire_len: usize) -> Vec<Range<usize>> {
-    /// First byte and word count a step stores.
-    fn stored(step: &PlanOp) -> Option<(u32, u32)> {
-        match *step {
-            PlanOp::BulkPut { off, n, .. } => Some((off, n)),
-            PlanOp::Op(
-                StubOp::PutImm { off, .. }
-                | StubOp::PutScalar { off, .. }
-                | StubOp::PutElem { off, .. },
-            ) => Some((off, 1)),
-            _ => None,
-        }
-    }
+fn holes(plan: &[PlanOp], images: &[Image], wire_len: usize) -> Vec<Range<usize>> {
+    // First byte and word count a step stores.
+    let stored = |step: &PlanOp| match *step {
+        PlanOp::BulkPut { off, n, .. } => Some((off, n)),
+        PlanOp::PutImage { off, at } => Some((off, (images[at as usize].bytes.len() / 4) as u32)),
+        PlanOp::Op(
+            StubOp::PutImm { off, .. }
+            | StubOp::PutScalar { off, .. }
+            | StubOp::PutElem { off, .. },
+        ) => Some((off, 1)),
+        _ => None,
+    };
     if !plan.iter().any(|step| stored(step).is_some()) {
         return Vec::new();
     }

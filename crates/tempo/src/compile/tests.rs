@@ -598,13 +598,8 @@ fn chunked_plan_merges_loop_and_remainder_into_one_step() {
     assert_eq!(
         dec.plan,
         vec![
-            PlanOp::Op(StubOp::LenGuard { expected: 96 }),
-            PlanOp::GetScalars {
-                off: 0,
-                slot: 0,
-                n: 3
-            },
-            PlanOp::Op(StubOp::CheckWord { off: 12, want: 20 }),
+            // LenGuard, three GetScalars and the CheckWord after them.
+            PlanOp::GetImage { off: 0, at: 0 },
             // SetArrLen + loop header + 20 elements.
             PlanOp::BulkFill {
                 off: 16,
@@ -792,14 +787,7 @@ fn scalar_run_reports_the_first_missing_slot() {
         })
         .collect();
     let stub = StubProgram::from_ops(ops, "header".into());
-    assert_eq!(
-        stub.plan,
-        vec![PlanOp::GetScalars {
-            off: 0,
-            slot: 0,
-            n: 4
-        }]
-    );
+    assert_eq!(stub.plan, vec![PlanOp::GetImage { off: 0, at: 0 }]);
     let wire = [0u8; 16];
     for walk in [stub.clone(), op_by_op(&stub)] {
         let mut out = StubArgs::new(vec![0; 2], vec![]);
@@ -808,6 +796,104 @@ fn scalar_run_reports_the_first_missing_slot() {
         let mut out = StubArgs::new(vec![0; 4], vec![]);
         let err = run_decode(&walk, &wire[..8], &mut out, 16, &mut OpCounts::new()).unwrap_err();
         assert!(matches!(err, StubError::BufTooSmall { len: 8, .. }));
+    }
+}
+
+#[test]
+fn a_put_run_inside_a_verbatim_loop_stays_unfused() {
+    // Two words a trip, eight bytes apart: no bulk step, so the loop is
+    // iterated, and its `PutImm` / `PutScalar` pair is planned op by op.
+    // The same pair after the loop is one image.
+    let pair = |off: u32, slot: u16| {
+        [
+            StubOp::PutImm {
+                off,
+                word: 0x0403_0201,
+            },
+            StubOp::PutScalar { off: off + 4, slot },
+        ]
+    };
+    let mut ops = vec![StubOp::Loop {
+        times: 3,
+        body: 4,
+        unroll: 0,
+    }];
+    for op in pair(0, 0) {
+        ops.extend([StubOp::Step { off: 8, idx: 0 }, op]);
+    }
+    ops.push(StubOp::EndLoop);
+    ops.extend(pair(24, 1));
+    ops.push(StubOp::Ret { val: 1 });
+    let stub = StubProgram::from_ops(ops.clone(), "looped".into());
+    let verbatim: Vec<PlanOp> = ops[..6].iter().copied().map(PlanOp::Op).collect();
+    assert_eq!(stub.plan[..6], verbatim[..]);
+    let tail = [
+        PlanOp::PutImage { off: 24, at: 0 },
+        PlanOp::Op(StubOp::Ret { val: 1 }),
+    ];
+    assert_eq!(stub.plan[6..], tail);
+    // What the loop stores is cleared first; the image counts as stored.
+    assert_eq!(stub.holes, vec![0..24]);
+
+    let args = StubArgs::new(vec![-2, 9], vec![]);
+    let mut emptied = stub.clone();
+    emptied.plan.clear();
+    let mut want = [0u8; 32];
+    for (k, word) in want.chunks_exact_mut(4).enumerate() {
+        let v: i32 = [-2, 9][k / 6];
+        word.copy_from_slice(&[[1, 2, 3, 4], v.to_be_bytes()][k % 2]);
+    }
+    for walk in [stub.clone(), op_by_op(&stub), emptied] {
+        let (mut wire, mut counts) = ([0xEEu8; 32], OpCounts::new());
+        let done = run_encode(&walk, &mut wire, &args, &mut counts).unwrap();
+        assert_eq!(
+            done,
+            Outcome::Done {
+                ret: 1,
+                wire_len: 32
+            }
+        );
+        assert_eq!(wire, want);
+        assert_eq!(tally(&counts), (9, 32, 0));
+    }
+}
+
+#[test]
+fn a_guard_prefix_ends_at_a_check_the_image_cannot_hold() {
+    // Word 0 is checked against 1 and then against 2: the image holds
+    // the first check, the second runs as an op of its own, and either
+    // way the counts are op-by-op's.
+    let ops = vec![
+        StubOp::LenGuard { expected: 12 },
+        StubOp::GetScalar { off: 0, slot: 0 },
+        StubOp::GetScalar { off: 4, slot: 1 },
+        StubOp::CheckScalar { slot: 0, want: 1 },
+        StubOp::CheckWord { off: 8, want: 3 },
+        StubOp::CheckWord { off: 0, want: 2 },
+        StubOp::Ret { val: 1 },
+    ];
+    let stub = StubProgram::from_ops(ops, "conflict".into());
+    assert_eq!(
+        stub.plan,
+        vec![
+            PlanOp::GetImage { off: 0, at: 0 },
+            PlanOp::Op(StubOp::CheckWord { off: 0, want: 2 }),
+            PlanOp::Op(StubOp::Ret { val: 1 }),
+        ]
+    );
+    for (first, third) in [(1, 3), (2, 3), (1, 4)] {
+        let wire: Vec<u8> = [first, 7, third]
+            .iter()
+            .flat_map(|w: &i32| w.to_be_bytes())
+            .collect();
+        let run = |walk: &StubProgram| {
+            let (mut out, mut counts) = (StubArgs::new(vec![0; 2], vec![]), OpCounts::new());
+            let done = run_decode(walk, &wire, &mut out, 12, &mut counts).unwrap();
+            (done, out, tally(&counts))
+        };
+        let fused = run(&stub);
+        assert_eq!(fused, run(&op_by_op(&stub)), "{first} {third}");
+        assert_eq!(fused.0, Outcome::Fallback);
     }
 }
 

@@ -137,7 +137,8 @@ fn batch_survives_loss_duplication_and_reordering() {
     // The pipelined path keeps its retransmission semantics: under a
     // faulty link every batched call still completes, results stay in
     // submission order, and the handler still runs exactly once per
-    // transaction (dup cache + in-progress suppression).
+    // transaction (the dup cache answers a retransmission of one already
+    // run; a served address runs one request at a time, so none overlaps).
     let n = 24;
     for seed in [11u64, 22, 33] {
         let (_clean_net, mut clean, _svc_c) = deploy(n, seed, FaultConfig::NONE);
