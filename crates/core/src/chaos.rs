@@ -12,9 +12,10 @@
 //!   scenario deadline, in basis points so reports stay `Eq`;
 //! - **recovery time** — virtual time from the crash instant to the
 //!   first *subsequently issued* call that completed;
-//! - **exactly-once erosion** — handler executions beyond one per
-//!   completed call: a restarted server's duplicate-request cache comes
-//!   back empty ([`ServeConfig::restartable`]), so a retransmission of an
+//! - **exactly-once erosion** — calls executed more than once, as the
+//!   [`Invariants`] observer names them: a restarted server's
+//!   duplicate-request cache comes back empty
+//!   ([`ServeConfig::restartable`]), so a retransmission of an
 //!   already-executed request re-executes it, and a failover re-send
 //!   executes on a second replica.
 //!
@@ -34,8 +35,10 @@
 //! ```
 //!
 //! [`ServeConfig::restartable`]: specrpc_rpc::ServeConfig::restartable
+//! [`Invariants`]: crate::Invariants
 
 use crate::echo::{build_echo_proc, echo_handler, ECHO_PROG, ECHO_VERS, MAX_ARR};
+use crate::invariants::Invariants;
 use crate::pipeline::PipelineError;
 use crate::service::SpecService;
 use crate::summary::{latency_line, LatencyHistogram};
@@ -44,7 +47,6 @@ use specrpc_netsim::{ChaosSchedule, ChaosStats, FaultConfig, SimTime};
 use specrpc_rpc::{serve, CircuitBreaker, ClntUdp, ServeConfig};
 use specrpc_xdr::composite::xdr_array;
 use specrpc_xdr::primitives::xdr_int;
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 /// Primary server port of the chaos scenario.
@@ -156,8 +158,9 @@ pub struct ChaosReport {
     pub failed: u64,
     /// Handler executions across every replica incarnation.
     pub handler_runs: u64,
-    /// Handler executions beyond one per completed call — the
-    /// exactly-once → at-least-once erosion.
+    /// Executions of a call after its first ([`Invariants::repeats`]):
+    /// amnesia re-runs on the restarted primary and replica re-runs on a
+    /// backup — the exactly-once → at-least-once erosion.
     pub extra_executions: u64,
     /// Client retargetings to a backup replica.
     pub failovers: u64,
@@ -275,8 +278,8 @@ impl ChaosReport {
 }
 
 /// Execute one chaos run: deploy the primary restartably plus its
-/// backups (one shared registry, so the handler-run counter sees every
-/// incarnation), arm the fault schedule, drive every client through
+/// backups (observed by one [`Invariants`], the primary and the backups
+/// under their own labels), arm the fault schedule, drive every client through
 /// its closed-loop call sequence, then play the schedule out so the
 /// restart and downtime accounting land even if the calls finished
 /// early.
@@ -285,29 +288,33 @@ pub fn run_chaos(cfg: &ChaosConfig) -> Result<ChaosReport, PipelineError> {
     assert!(cfg.payload <= MAX_ARR, "payload within IDL bound");
     let net = Network::new(NetworkConfig::lan().with_faults(cfg.faults), cfg.seed);
 
-    // One registry (and one run counter) shared by the primary and
-    // every backup: `handler_runs` counts real executions wherever they
-    // happen; duplicate-cache hits do not re-execute and do not count.
-    let runs = Arc::new(AtomicU64::new(0));
-    let counter = runs.clone();
+    // One observer for the primary and every backup: it records real
+    // executions wherever they happen (duplicate-cache hits do not
+    // re-execute), and tells an amnesia re-run from a replica's.
+    let invariants = Invariants::new(&net);
     let proc_ = Arc::new(build_echo_proc(cfg.payload, Some(32))?);
-    let registry = SpecService::new()
-        .proc_in_place(proc_, move |args, results| {
-            counter.fetch_add(1, Ordering::Relaxed);
-            echo_handler(args, results);
-        })
-        .into_registry();
+    let observed = |server| {
+        SpecService::new()
+            .proc_in_place(proc_.clone(), echo_handler)
+            .observed(&invariants, server)
+            .into_registry()
+    };
 
     let primary = ServeConfig {
         restartable: true,
         ..ServeConfig::new(&[CHAOS_PRIMARY])
     };
-    serve(&net, registry.clone(), primary).detach();
+    serve(&net, observed(CHAOS_PRIMARY), primary).detach();
     let backups: Vec<Addr> = (0..cfg.backups)
         .map(|b| CHAOS_BACKUP_BASE + b as u32)
         .collect();
     if !backups.is_empty() {
-        serve(&net, registry.clone(), ServeConfig::new(&backups)).detach();
+        serve(
+            &net,
+            observed(CHAOS_BACKUP_BASE),
+            ServeConfig::new(&backups),
+        )
+        .detach();
     }
     net.apply_chaos(&cfg.schedule());
 
@@ -375,15 +382,14 @@ pub fn run_chaos(cfg: &ChaosConfig) -> Result<ChaosReport, PipelineError> {
     }
 
     let calls = (cfg.clients * cfg.calls_per_client) as u64;
-    let handler_runs = runs.load(Ordering::Relaxed);
     Ok(ChaosReport {
         failover: cfg.failover,
         calls,
         completed,
         within_deadline: within,
         failed,
-        handler_runs,
-        extra_executions: handler_runs.saturating_sub(completed),
+        handler_runs: invariants.runs(),
+        extra_executions: invariants.repeats().len() as u64,
         failovers: clients.iter().map(|c| c.failovers).sum(),
         breaker_trips: clients.iter().map(|c| c.breaker_trips()).sum(),
         retransmits: clients.iter().map(|c| c.retransmits).sum(),

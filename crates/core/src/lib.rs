@@ -276,6 +276,7 @@ pub mod client;
 pub mod congestion;
 pub mod echo;
 pub mod generic;
+pub mod invariants;
 pub mod pipeline;
 pub mod scenario;
 pub mod service;
@@ -285,6 +286,7 @@ pub use cache::{CacheStats, ShapeKey, StubCache, DEFAULT_STUB_CACHE_ENTRIES};
 pub use chaos::{run_chaos, run_chaos_matrix, ChaosConfig, ChaosReport};
 pub use client::{PathUsed, ProcSpec, SpecClient, SpecClientBuilder};
 pub use congestion::{run_congestion, run_congestion_matrix, CongestionConfig, CongestionReport};
+pub use invariants::{Execution, Invariants, Repeat};
 pub use pipeline::{CompiledProc, PipelineError, ProcPipeline, UNROLL_CANDIDATES};
 pub use scenario::{
     deploy_nfs_service, run_nfs, run_scale, run_scale_single_shard, NfsConfig, NfsReport,

@@ -895,7 +895,9 @@ pub fn run_scale_single_shard(cfg: &ScaleConfig) -> Result<ScaleReport, Pipeline
 mod tests {
     use super::*;
     use specrpc_rpcgen::stubgen::CompiledStub;
-    use specrpc_tempo::compile::{run_decode, Outcome, PlanOp, StubError, StubOp, StubProgram};
+    use specrpc_tempo::compile::{
+        run_decode, FieldTarget, Outcome, ParamBinding, PlanOp, StubError, StubOp, StubProgram,
+    };
     use std::collections::HashMap;
 
     /// Encode one NFS-like call message through the layered xdr
@@ -1084,10 +1086,25 @@ mod tests {
         ];
         let (prog, walk) = (&stub.program, op_by_op(&stub.program));
         let layout = &stub.layout;
-        let words = prog.wire_len as i32 / 4;
+        // Each array as long as the context pins it: the stub carries that
+        // many elements and refuses more.
+        let mut lens = vec![0; layout.array_count as usize];
+        for param in &stub.conventions.params {
+            let ParamBinding::Struct(fields) = param else {
+                continue;
+            };
+            for field in fields {
+                if let FieldTarget::Array(a) = field.target {
+                    lens[a as usize] = field.slot_len as i32;
+                }
+            }
+        }
         let scalars = (0..layout.scalar_count as i32).map(|k| k.wrapping_mul(0x0103_0507) - 9);
-        let arrays = (0..layout.array_count as i32).map(|a| (0..words).map(move |i| i * 31 - a));
-        let args = StubArgs::new(scalars.collect(), arrays.map(Iterator::collect).collect());
+        let arrays = lens
+            .iter()
+            .zip(0..)
+            .map(|(&n, a)| (0..n).map(|i| i * 31 - a).collect());
+        let args = StubArgs::new(scalars.collect(), arrays.collect());
         let mut wire = vec![0xEEu8; prog.wire_len];
         for (lane, run) in lanes {
             let what = format!("{what}, {lane} lane");

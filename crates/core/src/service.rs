@@ -25,11 +25,12 @@
 //! [`EventService::per_worker_events`].
 
 use crate::generic::{decode_shape_generic, encode_shape_generic};
+use crate::invariants::Invariants;
 use crate::pipeline::CompiledProc;
 use specrpc_netsim::net::{Addr, Network};
 use specrpc_rpc::bufpool::BufPool;
 use specrpc_rpc::error::RpcError;
-use specrpc_rpc::msg::ReplyHeader;
+use specrpc_rpc::msg::{AcceptStat, ReplyHeader};
 use specrpc_rpc::svc::{take_offer, SvcRegistry, REPLY_BUF_SIZE};
 use specrpc_rpc::{serve, serve_tcp, ServeConfig, Served};
 use specrpc_rpcgen::sunlib::call_fields;
@@ -42,10 +43,11 @@ use std::sync::{Arc, Mutex, TryLockError};
 /// `Arc` with `Send + Sync` because one handler backs both the fast and
 /// the generic path and may run on any dispatch thread.
 ///
-/// * `args` holds the decoded arguments (on the fast path behind the
-///   call header's scalars, so a procedure's own scalars are the *last*
-///   ones). The handler may take from it — swap an array out, drain it:
-///   the slots are re-[`StubArgs::prepare`]d before the next decode.
+/// * `args` holds the decoded arguments behind the call header's
+///   scalars, so a procedure's own scalars are the *last* ones; the xid
+///   is in slot [`call_fields::XID`] on either lane. The handler may take
+///   from it — swap an array out, drain it: the slots are
+///   re-[`StubArgs::prepare`]d before the next decode.
 /// * `results` arrives shaped for the reply stub: no scalars, and one
 ///   empty array per array slot of the reply. The handler pushes its
 ///   scalars and fills (or swaps in) its arrays; the dispatch stamps
@@ -65,6 +67,8 @@ pub type SpecHandler = Arc<dyn Fn(&mut StubArgs, &mut StubArgs) + Send + Sync>;
 #[derive(Default)]
 pub struct SpecService {
     procs: Vec<(Arc<CompiledProc>, SpecHandler)>,
+    /// Where [`SpecService::observed`] reports executions, and as whom.
+    observer: Option<(Arc<Invariants>, Addr)>,
 }
 
 /// A service deployed through [`SpecService::serve_event`] or
@@ -136,6 +140,15 @@ impl SpecService {
         self.proc_in_place(proc_, move |args, results| *results = handler(args))
     }
 
+    /// Report every handler execution of this service to `invariants`
+    /// as `server`'s (by convention the address it serves): each handler
+    /// is wrapped when the service is installed. A service that is not
+    /// observed installs its handlers as they are.
+    pub fn observed(mut self, invariants: &Arc<Invariants>, server: Addr) -> Self {
+        self.observer = Some((invariants.clone(), server));
+        self
+    }
+
     /// Number of procedures hosted.
     pub fn len(&self) -> usize {
         self.procs.len()
@@ -150,6 +163,10 @@ impl SpecService {
     /// fallback each, before the registry is shared.
     pub fn install(self, registry: &mut SvcRegistry) {
         for (proc_, handler) in self.procs {
+            let handler = match &self.observer {
+                Some((invariants, server)) => invariants.watch(*server, proc_.target.2, handler),
+                None => handler,
+            };
             install_one(registry, proc_, handler);
         }
     }
@@ -239,7 +256,8 @@ fn run_handler(p: &CompiledProc, h: &SpecHandler, args: &mut StubArgs, results: 
 /// scratch slots → user handler → compiled encode in one pass straight
 /// into the offered buffer, or a pooled one when the offer does not fit
 /// the reply (single-copy encode). `None` sends the request to the
-/// generic dispatch (§6.2 guard fallback).
+/// generic dispatch (§6.2 guard fallback), so it is only returned before
+/// the handler runs.
 fn raw_dispatch(
     p: &CompiledProc,
     scratch: &Mutex<Slots>,
@@ -289,8 +307,19 @@ fn raw_dispatch(
             // run the (possibly side-effecting) handler twice.
             pool.put(reply);
             let mut gx = XdrMem::encoder_over(pool.take(REPLY_BUF_SIZE), REPLY_BUF_SIZE);
-            ReplyHeader::encode_success(&mut gx, xid as u32).ok()?;
-            encode_shape_generic(&mut gx, &p.res_shape, 0, results).ok()?;
+            ReplyHeader::encode_success(&mut gx, xid as u32).expect("a reply header fits");
+            if encode_shape_generic(&mut gx, &p.res_shape, 0, results).is_err() {
+                // Nor can the generic encoder carry them (an array past
+                // its IDL bound): the generic lane's answer, SYSTEM_ERR.
+                gx = XdrMem::encoder_over(gx.into_bytes(), REPLY_BUF_SIZE);
+                ReplyHeader::encode_accept_failure(
+                    &mut gx,
+                    xid as u32,
+                    AcceptStat::SystemErr,
+                    None,
+                )
+                .expect("a failure reply fits");
+            }
             Some(gx.into_bytes())
         }
     }
@@ -310,7 +339,7 @@ fn install_one(registry: &mut SvcRegistry, proc_: Arc<CompiledProc>, handler: Sp
     // Generic path (also serves guard fallbacks).
     let p = proc_;
     let h = handler;
-    registry.register(prog, vers, pnum, move |args_x, results_x| {
+    registry.register(prog, vers, pnum, move |call, args_x, results_x| {
         let dec = &p.server_decode;
         let (mut args, mut results) = Slots::default();
         args.prepare(
@@ -319,10 +348,12 @@ fn install_one(registry: &mut SvcRegistry, proc_: Arc<CompiledProc>, handler: Sp
         );
         decode_shape_generic(args_x, &p.arg_shape, call_fields::COUNT as u16, &mut args)
             .map_err(RpcError::from)?;
+        args.scalars[call_fields::XID] = call.xid as i32;
         run_handler(&p, &h, &mut args, &mut results);
-        // Generic results have no xid scratch; encode from slot 0.
-        encode_shape_generic(results_x, &p.res_shape, 0, &mut results).map_err(RpcError::from)?;
-        Ok(())
+        // Generic results have no xid scratch; encode from slot 0. Results
+        // no encoder carries are the server's failure, not the caller's.
+        encode_shape_generic(results_x, &p.res_shape, 0, &mut results)
+            .map_err(|_| RpcError::SystemErr)
     });
 }
 
@@ -332,6 +363,7 @@ mod tests {
     use crate::client::{PathUsed, SpecClient};
     use crate::echo::echo_service;
     use crate::pipeline::ProcPipeline;
+    use crate::Invariants;
     use specrpc_netsim::net::NetworkConfig;
     use specrpc_rpc::ClntUdp;
 
@@ -421,10 +453,11 @@ mod tests {
     #[test]
     fn reply_outside_the_pinned_context_is_encoded_generically_once() {
         // The handler answers with 7 elements where the reply stub is
-        // pinned to 10: the compiled encode fails, the generic encoder
-        // takes the results as the handler left them (scalars from slot
-        // 0 — the xid is stamped, never inserted), and the handler is
-        // not run a second time.
+        // pinned to 10, then with 12: the compiled encode refuses both
+        // (the longer one is not cut to 10), the generic encoder takes
+        // the results as the handler left them (scalars from slot 0 —
+        // the xid is stamped, never inserted), and the handler is not
+        // run a second time.
         const TAGGED: &str = r#"
             const MAXARR = 2000;
             struct int_arr { int arr<MAXARR>; };
@@ -438,32 +471,67 @@ mod tests {
                 .build_from_idl(TAGGED, None, 1)
                 .unwrap(),
         );
-        use std::sync::atomic::{AtomicU64, Ordering};
-        let runs = Arc::new(AtomicU64::new(0));
-        let seen = runs.clone();
         let net = Network::new(NetworkConfig::lan(), 7);
+        let invariants = Invariants::new(&net);
         let reg = SpecService::new()
             .proc(cp.clone(), move |args: &StubArgs| {
-                seen.fetch_add(1, Ordering::SeqCst);
                 let n = args.arrays[0][0] as usize;
-                StubArgs::new(vec![77], vec![args.arrays[0][..n].to_vec()])
+                let arr = args.arrays[0].iter().copied().cycle().take(n).collect();
+                StubArgs::new(vec![77], vec![arr])
             })
+            .observed(&invariants, 810)
             .serve_udp(&net, 810);
         let clnt = ClntUdp::create(&net, 5110, 810, 0x2000_0102, 1);
         let mut client = SpecClient::from_parts(clnt, cp);
 
         let mut data: Vec<i32> = (0..10).collect();
-        for (n, path) in [(10, PathUsed::Fast), (7, PathUsed::GenericFallback)] {
+        let shapes = [(10, PathUsed::Fast), (7, PathUsed::GenericFallback)];
+        for (n, path) in shapes.into_iter().chain([(12, PathUsed::GenericFallback)]) {
             data[0] = n;
             let args = client.args(vec![], vec![data.clone()]);
             let (out, used) = client.call(&args).unwrap();
             assert_eq!(used, path);
             assert_eq!(*out.scalars.last().unwrap(), 77);
-            assert_eq!(out.arrays[0], data[..n as usize]);
+            let want: Vec<i32> = data.iter().copied().cycle().take(n as usize).collect();
+            assert_eq!(out.arrays[0], want);
         }
-        assert_eq!(runs.load(Ordering::SeqCst), 2);
-        assert_eq!(reg.raw_dispatches(), 2);
+        assert_eq!((invariants.runs(), invariants.repeats()), (3, vec![]));
+        assert_eq!(reg.raw_dispatches(), 3);
         assert_eq!(reg.generic_dispatches(), 0);
+    }
+
+    #[test]
+    fn results_no_encoder_carries_answer_system_err_after_one_run() {
+        // Both arrays are bounded at 8 and pinned at 4; the handler
+        // answers 2 and 9 elements. The compiled encode refuses the 2,
+        // the generic encoder the 9: the call is answered SYSTEM_ERR on
+        // the raw lane (a pinned request) and the generic lane (a
+        // 5-element one) alike, and each runs its handler once. The raw
+        // lane must not hand a call it has run to the generic lane, which
+        // would run it again and answer GARBAGE_ARGS.
+        const PAIR: &str = r#"
+            struct pair { int a<8>; int b<8>; };
+            program PAIRPROG {
+                version PAIRVERS { pair SPLIT(pair) = 1; } = 1;
+            } = 0x20000103;
+        "#;
+        let pinned = |n| Arc::new(ProcPipeline::new(n).build_from_idl(PAIR, None, 1).unwrap());
+        let net = Network::new(NetworkConfig::lan(), 7);
+        let invariants = Invariants::new(&net);
+        let reg = SpecService::new()
+            .proc(pinned(4), |_: &StubArgs| {
+                StubArgs::new(vec![], vec![vec![1, 2], (0..9).collect()])
+            })
+            .observed(&invariants, 811)
+            .serve_udp(&net, 811);
+        for n in [4, 5] {
+            let clnt = ClntUdp::create(&net, 5110 + n as u32, 811, 0x2000_0103, 1);
+            let mut client = SpecClient::from_parts(clnt, pinned(n));
+            let args = client.args(vec![], vec![vec![7; n], vec![8; n]]);
+            assert_eq!(client.call(&args).unwrap_err(), RpcError::SystemErr, "{n}");
+        }
+        assert_eq!((invariants.runs(), invariants.repeats()), (2, vec![]));
+        assert_eq!((reg.raw_dispatches(), reg.generic_dispatches()), (1, 1));
     }
 
     /// An ECHO request image for the `n`-element context `cp`, its first
@@ -589,7 +657,7 @@ mod tests {
         let net = Network::new(NetworkConfig::lan(), 9);
         let mut reg = SvcRegistry::new();
         // Program registered with no procedures beyond NULL.
-        reg.register(0x2000_0101, 1, 0, |_, _| Ok(()));
+        reg.register(0x2000_0101, 1, 0, |_, _, _| Ok(()));
         serve(&net, Arc::new(reg), ServeConfig::new(&[802])).detach();
         let clnt = ClntUdp::create(&net, 5300, 802, 0x2000_0101, 1);
         let mut client = SpecClient::from_parts(clnt, cp10);
@@ -603,11 +671,16 @@ mod tests {
     fn wrong_wire_size_from_client_side() {
         // Encode stub wire length is fixed per context; sending a
         // different count than the pinned length is a caller error the
-        // stub detects as BadElem (too few) — the API requires matching
-        // the context, mirroring per-size specialized binaries (Table 3).
-        let (_net, mut client, _reg) = setup(10);
-        let args = client.args(vec![], vec![vec![1, 2, 3]]);
-        assert!(client.call(&args).is_err());
+        // stub detects as BadElem, too few or too many (the header image
+        // carries the pinned length: more would be cut to it) — the API
+        // requires matching the context, mirroring per-size specialized
+        // binaries (Table 3). Nothing is sent.
+        let (_net, mut client, reg) = setup(10);
+        for n in [3, 12] {
+            let args = client.args(vec![], vec![(0..n).collect()]);
+            assert!(client.call(&args).is_err(), "{n} elements");
+        }
+        assert_eq!(reg.raw_dispatches() + reg.generic_dispatches(), 0);
     }
 
     #[test]

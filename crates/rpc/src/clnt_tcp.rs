@@ -255,14 +255,14 @@ mod tests {
 
     fn service() -> Arc<SvcRegistry> {
         let mut reg = SvcRegistry::new();
-        reg.register(PROG, 1, 1, |args, results| {
+        reg.register(PROG, 1, 1, |_, args, results| {
             let mut v: Vec<i32> = Vec::new();
             xdr_array(args, &mut v, 100_000, xdr_int)?;
             v.reverse();
             xdr_array(results, &mut v, 100_000, xdr_int)?;
             Ok(())
         });
-        reg.register(PROG, 1, 2, |args, results| {
+        reg.register(PROG, 1, 2, |_, args, results| {
             let mut s = String::new();
             xdr_string(args, &mut s, 1024)?;
             let mut up = s.to_uppercase();

@@ -710,7 +710,7 @@ mod tests {
 
     fn sum_service() -> SvcRegistry {
         let mut reg = SvcRegistry::new();
-        reg.register(PROG, 1, 1, |args, results| {
+        reg.register(PROG, 1, 1, |_, args, results| {
             let mut v: Vec<i32> = Vec::new();
             xdr_array(args, &mut v, 100_000, xdr_int)?;
             let mut sum: i32 = v.iter().sum();
@@ -1073,7 +1073,7 @@ mod tests {
 
     fn counting_service(runs: Arc<AtomicU64>) -> SvcRegistry {
         let mut reg = SvcRegistry::new();
-        reg.register(PROG, 1, 1, move |args, results| {
+        reg.register(PROG, 1, 1, move |_, args, results| {
             runs.fetch_add(1, Ordering::Relaxed);
             let mut v: Vec<i32> = Vec::new();
             xdr_array(args, &mut v, 100_000, xdr_int)?;

@@ -64,39 +64,44 @@ pub fn start_portmapper(net: &Network) -> PmapTable {
     let table: PmapTable = Arc::new(Mutex::new(HashMap::new()));
     let mut reg = SvcRegistry::new();
 
-    reg.register(PMAP_PROG, PMAP_VERS, PMAPPROC_NULL, |_, _| Ok(()));
+    reg.register(PMAP_PROG, PMAP_VERS, PMAPPROC_NULL, |_, _, _| Ok(()));
 
     let t = table.clone();
-    reg.register(PMAP_PROG, PMAP_VERS, PMAPPROC_SET, move |args, results| {
-        let mut m = Mapping {
-            prog: 0,
-            vers: 0,
-            prot: 0,
-            port: 0,
-        };
-        Mapping::xdr(args, &mut m)?;
-        let inserted = match t
-            .lock()
-            .expect("pmap table")
-            .entry((m.prog, m.vers, m.prot))
-        {
-            std::collections::hash_map::Entry::Occupied(_) => false,
-            std::collections::hash_map::Entry::Vacant(e) => {
-                e.insert(m.port);
-                true
-            }
-        };
-        let mut ok = inserted;
-        xdr_bool(results, &mut ok)?;
-        Ok(())
-    });
+    reg.register(
+        PMAP_PROG,
+        PMAP_VERS,
+        PMAPPROC_SET,
+        move |_, args, results| {
+            let mut m = Mapping {
+                prog: 0,
+                vers: 0,
+                prot: 0,
+                port: 0,
+            };
+            Mapping::xdr(args, &mut m)?;
+            let inserted = match t
+                .lock()
+                .expect("pmap table")
+                .entry((m.prog, m.vers, m.prot))
+            {
+                std::collections::hash_map::Entry::Occupied(_) => false,
+                std::collections::hash_map::Entry::Vacant(e) => {
+                    e.insert(m.port);
+                    true
+                }
+            };
+            let mut ok = inserted;
+            xdr_bool(results, &mut ok)?;
+            Ok(())
+        },
+    );
 
     let t = table.clone();
     reg.register(
         PMAP_PROG,
         PMAP_VERS,
         PMAPPROC_UNSET,
-        move |args, results| {
+        move |_, args, results| {
             let mut m = Mapping {
                 prog: 0,
                 vers: 0,
@@ -120,7 +125,7 @@ pub fn start_portmapper(net: &Network) -> PmapTable {
         PMAP_PROG,
         PMAP_VERS,
         PMAPPROC_GETPORT,
-        move |args, results| {
+        move |_, args, results| {
             let mut m = Mapping {
                 prog: 0,
                 vers: 0,

@@ -22,13 +22,19 @@ use specrpc_xdr::{OpCounts, XdrError, XdrStream};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 
-/// A generic procedure handler: decode arguments from the first stream
-/// (positioned after the call header), encode results into the second
-/// (positioned after the reply header). Called by reference from any
-/// dispatching thread; handlers needing mutable state capture it behind
-/// a `Mutex`/atomic.
-pub type ProcHandler =
-    Box<dyn Fn(&mut dyn XdrStream, &mut dyn XdrStream) -> Result<(), RpcError> + Send + Sync>;
+/// A generic procedure handler: given the decoded call header (Sun's
+/// `svc_req`), decode arguments from the first stream (positioned after
+/// the header), encode results into the second (positioned after the
+/// reply header). Called by reference from any dispatching thread;
+/// handlers needing mutable state capture it behind a `Mutex`/atomic.
+///
+/// An error reading the arguments answers `GARBAGE_ARGS`; a result the
+/// handler cannot encode should be returned as [`RpcError::SystemErr`].
+pub type ProcHandler = Box<
+    dyn Fn(&CallHeader, &mut dyn XdrStream, &mut dyn XdrStream) -> Result<(), RpcError>
+        + Send
+        + Sync,
+>;
 
 /// A specialized (raw) handler: takes the whole request datagram, the
 /// buffer the caller offers for the reply image and the caller's
@@ -118,7 +124,7 @@ impl SvcRegistry {
         prog: u32,
         vers: u32,
         proc_: u32,
-        handler: impl Fn(&mut dyn XdrStream, &mut dyn XdrStream) -> Result<(), RpcError>
+        handler: impl Fn(&CallHeader, &mut dyn XdrStream, &mut dyn XdrStream) -> Result<(), RpcError>
             + Send
             + Sync
             + 'static,
@@ -254,7 +260,7 @@ impl SvcRegistry {
         // a rewind, not an allocation.
         let mut results = XdrMem::encoder_over(self.pool.take(REPLY_BUF_SIZE), REPLY_BUF_SIZE);
         ReplyHeader::encode_success(&mut results, msg.xid).expect("header fits");
-        let r = handler(&mut args, &mut results);
+        let r = handler(&msg, &mut args, &mut results);
         self.add_counts(*args.counts());
         self.add_counts(*results.counts());
         match r {
@@ -338,7 +344,7 @@ mod tests {
 
     fn echo_registry() -> SvcRegistry {
         let mut reg = SvcRegistry::new();
-        reg.register(100_007, 1, 3, |args, results| {
+        reg.register(100_007, 1, 3, |_, args, results| {
             let mut v = 0i32;
             xdr_int(args, &mut v)?;
             let mut doubled = v * 2;
@@ -394,7 +400,7 @@ mod tests {
             Some(RpcError::ProgMismatch { low: 1, high: 1 })
         );
         // Versions 1 and 3 registered, 2 called: the range spans both.
-        reg.register(100_007, 3, 3, |_, _| Ok(()));
+        reg.register(100_007, 3, 3, |_, _, _| Ok(()));
         let reply = reg.dispatch(&make_call(100_007, 2, 3, 0));
         let (hdr, _) = parse_reply(&reply);
         assert_eq!(

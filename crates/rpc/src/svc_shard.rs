@@ -42,7 +42,7 @@
 
 use crate::bufpool::BufPool;
 use crate::svc::SvcRegistry;
-use crate::svc_udp::{CachedDispatch, ProcTimeModel, DUP_CACHE_ENTRIES};
+use crate::svc_udp::{CachedDispatch, DUP_CACHE_ENTRIES};
 use specrpc_netsim::net::{Addr, EventProcessor, Network};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
@@ -63,9 +63,6 @@ pub struct ServeConfig {
     /// Reactor threads per shard; `0` runs every delivery on the thread
     /// driving the simulation.
     pub workers_per_shard: usize,
-    /// Server processing-time model; `None` is
-    /// [`crate::svc_udp::default_proc_time`].
-    pub proc_time: Option<ProcTimeModel>,
     /// Entries in each address's duplicate-request cache (`0` disables
     /// caching: every delivery re-dispatches, at-least-once).
     pub cache_entries: usize,
@@ -80,14 +77,14 @@ pub struct ServeConfig {
 }
 
 impl ServeConfig {
-    /// `addrs` on one shard with no workers, the default processing-time
-    /// model, [`DUP_CACHE_ENTRIES`]-entry caches, not restartable.
+    /// `addrs` on one shard with no workers,
+    /// [`DUP_CACHE_ENTRIES`]-entry caches, not restartable. Every
+    /// deployment charges [`crate::svc_udp::default_proc_time`].
     pub fn new(addrs: &[Addr]) -> ServeConfig {
         ServeConfig {
             addrs: addrs.to_vec(),
             shards: 1,
             workers_per_shard: 0,
-            proc_time: None,
             cache_entries: DUP_CACHE_ENTRIES,
             restartable: false,
         }
@@ -143,7 +140,6 @@ pub fn serve(net: &Network, registry: Arc<SvcRegistry>, cfg: ServeConfig) -> Ser
         addrs,
         shards,
         workers_per_shard,
-        proc_time,
         cache_entries,
         restartable,
     } = cfg;
@@ -169,15 +165,10 @@ pub fn serve(net: &Network, registry: Arc<SvcRegistry>, cfg: ServeConfig) -> Ser
         // fresh one. The count comes before the reply is sent, so a
         // client holding the reply always observes it.
         let shard = shard_of(addr, shards);
-        let (registry, proc_time) = (registry.clone(), proc_time.clone());
+        let registry = registry.clone();
         let (bufs, counts) = (pools[shard].clone(), counts.clone());
         let processor = move || -> EventProcessor {
-            let mut cd = CachedDispatch::new(
-                registry.clone(),
-                proc_time.clone(),
-                cache_entries,
-                bufs.clone(),
-            );
+            let mut cd = CachedDispatch::new(registry.clone(), cache_entries, bufs.clone());
             let counts = counts.clone();
             Box::new(move |req, from| {
                 counts.processed[shard].fetch_add(1, Ordering::Relaxed);
@@ -360,7 +351,7 @@ mod tests {
 
     fn echo_registry() -> Arc<SvcRegistry> {
         let mut reg = SvcRegistry::new();
-        reg.register(300, 1, 1, |args, results| {
+        reg.register(300, 1, 1, |_, args, results| {
             let mut v = 0i32;
             xdr_int(args, &mut v)?;
             let mut out = v + 1;
@@ -586,7 +577,7 @@ mod tests {
         let (release_tx, release_rx) = mpsc::channel::<()>();
         let release_rx = Mutex::new(release_rx);
         let mut reg = SvcRegistry::new();
-        reg.register(300, 1, 1, move |_args, results| {
+        reg.register(300, 1, 1, move |_, _args, results| {
             entered_tx.send(()).expect("test thread");
             release_rx
                 .lock()
@@ -662,7 +653,7 @@ mod tests {
         let runs = Arc::new(AtomicU64::new(0));
         let mut reg = SvcRegistry::new();
         let r = runs.clone();
-        reg.register(300, 1, 1, move |_args, results| {
+        reg.register(300, 1, 1, move |_, _args, results| {
             r.fetch_add(1, Ordering::Relaxed);
             std::thread::sleep(Duration::from_millis(5));
             let mut out = 9i32;
@@ -693,7 +684,7 @@ mod tests {
         let (busy, overlaps) = (AtomicBool::new(false), Arc::new(AtomicU64::new(0)));
         let mut reg = SvcRegistry::new();
         let seen = overlaps.clone();
-        reg.register(300, 1, 1, move |args, results| {
+        reg.register(300, 1, 1, move |_, args, results| {
             if busy.swap(true, Ordering::AcqRel) {
                 seen.fetch_add(1, Ordering::Relaxed);
             }
@@ -739,7 +730,7 @@ mod tests {
         use std::panic::{catch_unwind, AssertUnwindSafe};
         let mut reg = SvcRegistry::new();
         let first = AtomicBool::new(true);
-        reg.register(300, 1, 1, move |_args, results| {
+        reg.register(300, 1, 1, move |_, _args, results| {
             assert!(!first.swap(false, Ordering::Relaxed), "handler bug");
             let mut out = 9i32;
             xdr_int(results, &mut out)?;

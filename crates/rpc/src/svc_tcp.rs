@@ -151,7 +151,7 @@ mod tests {
 
     fn reg() -> Arc<SvcRegistry> {
         let mut r = SvcRegistry::new();
-        r.register(1, 1, 1, |args, results| {
+        r.register(1, 1, 1, |_, args, results| {
             let mut v = 0i32;
             xdr_int(args, &mut v)?;
             let mut neg = -v;
@@ -294,7 +294,7 @@ mod tests {
         use specrpc_xdr::composite::xdr_array;
         let mut r = SvcRegistry::new();
         for proc_ in [1, 2] {
-            r.register(1, 1, proc_, |args, results| {
+            r.register(1, 1, proc_, |_, args, results| {
                 let mut v: Vec<i32> = Vec::new();
                 xdr_array(args, &mut v, 1024, xdr_int)?;
                 v.reverse();

@@ -21,7 +21,12 @@ pub type ProcTimeModel = Arc<dyn Fn(usize, usize) -> SimTime + Send + Sync>;
 /// per-byte term (a small stand-in; the paper-table harness models server
 /// time from real op counts instead).
 pub fn default_proc_time() -> ProcTimeModel {
-    Arc::new(|req, rep| SimTime::from_nanos(50_000 + 20 * (req + rep) as u64))
+    Arc::new(modeled_proc_time)
+}
+
+/// [`default_proc_time`]'s model, which every datagram deployment charges.
+fn modeled_proc_time(req: usize, rep: usize) -> SimTime {
+    SimTime::from_nanos(50_000 + 20 * (req + rep) as u64)
 }
 
 /// Entries held by the duplicate-request cache (`SPCACHESIZE`-ish; small,
@@ -306,7 +311,6 @@ pub(crate) fn xid_of(request: &[u8]) -> Option<u32> {
 /// buffer is pooled once all have run.
 pub(crate) struct CachedDispatch {
     registry: Arc<SvcRegistry>,
-    model: ProcTimeModel,
     bufs: Arc<BufPool>,
     cache: DupCache,
     /// A request datagram's buffer this address has consumed, offered to
@@ -326,13 +330,11 @@ pub(crate) struct CachedDispatch {
 impl CachedDispatch {
     pub(crate) fn new(
         registry: Arc<SvcRegistry>,
-        proc_time: Option<ProcTimeModel>,
         cache_entries: usize,
         bufs: Arc<BufPool>,
     ) -> Self {
         CachedDispatch {
             registry,
-            model: proc_time.unwrap_or_else(default_proc_time),
             bufs,
             cache: DupCache::new(cache_entries),
             parked: None,
@@ -453,7 +455,7 @@ impl CachedDispatch {
         let reply = self
             .registry
             .dispatch_offered(request, offer.unwrap_or(&mut None), &self.bufs);
-        let t = (self.model)(request.len(), reply.len());
+        let t = modeled_proc_time(request.len(), reply.len());
         if let Some(xid) = xid {
             self.cache.record(xid, from, request, &reply);
         }
@@ -484,7 +486,7 @@ mod tests {
     fn registry_answers_over_the_network() {
         let net = Network::new(NetworkConfig::lan(), 5);
         let mut reg = SvcRegistry::new();
-        reg.register(300, 1, 0, |_, results| {
+        reg.register(300, 1, 0, |_, _, results| {
             let mut v = 99i32;
             xdr_int(results, &mut v)?;
             Ok(())
@@ -506,25 +508,6 @@ mod tests {
     }
 
     #[test]
-    fn custom_processing_time_advances_clock() {
-        let net = Network::new(NetworkConfig::lan(), 5);
-        let mut reg = SvcRegistry::new();
-        reg.register(300, 1, 0, |_, _| Ok(()));
-        let cfg = ServeConfig {
-            proc_time: Some(Arc::new(|_, _| SimTime::from_millis(7))),
-            ..ServeConfig::new(&[650])
-        };
-        serve(&net, Arc::new(reg), cfg).detach();
-        let ep = net.bind_udp(4000);
-        let mut enc = XdrMem::encoder(128);
-        let mut msg = CallHeader::new(1, 300, 1, 0);
-        CallHeader::xdr(&mut enc, &mut msg).unwrap();
-        ep.send_to(650, enc.into_bytes());
-        ep.recv_timeout(SimTime::from_millis(50)).expect("reply");
-        assert!(net.now() >= SimTime::from_millis(7));
-    }
-
-    #[test]
     fn duplicate_request_cache_replays_instead_of_redispatching() {
         // The same call datagram delivered twice (a retransmission or a
         // network duplicate): the handler runs once, the second delivery
@@ -534,7 +517,7 @@ mod tests {
         let mut reg = SvcRegistry::new();
         let runs = Arc::new(AtomicU64::new(0));
         let r = runs.clone();
-        reg.register(300, 1, 0, move |_, results| {
+        reg.register(300, 1, 0, move |_, _, results| {
             r.fetch_add(1, Ordering::Relaxed);
             let mut v = 5i32;
             xdr_int(results, &mut v)?;
@@ -563,7 +546,7 @@ mod tests {
         // the sender address, so each still gets its own dispatch.
         let net = Network::new(NetworkConfig::lan(), 5);
         let mut reg = SvcRegistry::new();
-        reg.register(300, 1, 0, |_, results| {
+        reg.register(300, 1, 0, |_, _, results| {
             let mut v = 1i32;
             xdr_int(results, &mut v)?;
             Ok(())
@@ -865,7 +848,7 @@ mod tests {
         let mut reg = SvcRegistry::new();
         let runs = Arc::new(AtomicU64::new(0));
         let r = runs.clone();
-        reg.register(300, 1, 0, move |_, results| {
+        reg.register(300, 1, 0, move |_, _, results| {
             r.fetch_add(1, Ordering::Relaxed);
             let mut v = 5i32;
             xdr_int(results, &mut v)?;
@@ -923,7 +906,7 @@ mod tests {
             Some(reply)
         });
         let reg = Arc::new(reg);
-        let mut cd = CachedDispatch::new(reg.clone(), None, DUP_CACHE_ENTRIES, reg.pool().clone());
+        let mut cd = CachedDispatch::new(reg.clone(), DUP_CACHE_ENTRIES, reg.pool().clone());
         let mut enc = XdrMem::encoder(128);
         let mut msg = CallHeader::new(0x77, 300, 1, 0);
         CallHeader::xdr(&mut enc, &mut msg).unwrap();
@@ -960,7 +943,7 @@ mod tests {
     fn offer_procedures() -> SvcRegistry {
         let mut reg = SvcRegistry::new();
         for proc_ in [1, 2] {
-            reg.register(300, 1, proc_, |_, results| {
+            reg.register(300, 1, proc_, |_, _, results| {
                 let mut v = 7i32;
                 xdr_int(results, &mut v)?;
                 Ok(())
@@ -994,7 +977,7 @@ mod tests {
     /// a shard of a multi-shard deployment has.
     fn offer_dispatch(reg: &Arc<SvcRegistry>) -> CachedDispatch {
         let bufs = Arc::new(BufPool::tight());
-        CachedDispatch::new(reg.clone(), None, DUP_CACHE_ENTRIES, bufs)
+        CachedDispatch::new(reg.clone(), DUP_CACHE_ENTRIES, bufs)
     }
 
     impl CachedDispatch {
@@ -1263,7 +1246,7 @@ mod tests {
     fn zero_sized_cache_redispatches_every_delivery() {
         let net = Network::new(NetworkConfig::lan(), 5);
         let mut reg = SvcRegistry::new();
-        reg.register(300, 1, 0, |_, _| Ok(()));
+        reg.register(300, 1, 0, |_, _, _| Ok(()));
         let reg = Arc::new(reg);
         let cfg = ServeConfig {
             cache_entries: 0,

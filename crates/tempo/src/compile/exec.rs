@@ -117,7 +117,8 @@ pub enum StubError {
     BadScalarSlot(u16),
     /// Array slot out of range.
     BadArraySlot(u16),
-    /// Array element out of range.
+    /// Array element out of range: one the stub reads is missing or, with
+    /// `idx` the elements the stub carries, the array holds more.
     BadElem {
         /// Array slot.
         arr: u16,
@@ -282,6 +283,15 @@ fn encode_inner(
         let end = hole.end.min(buf.len());
         if let Some(gap) = buf.get_mut(hole.start..end) {
             gap.fill(0);
+        }
+    }
+    // An array fills at most the slots its conventions cover — for a
+    // generated stub, the length its header image carries: a longer one
+    // is refused like a shorter one, never cut to fit.
+    for &(arr, n) in &prog.elems {
+        if let Some(a) = args.arrays.get(arr as usize).filter(|a| a.len() > n) {
+            let len = a.len();
+            return Err(StubError::BadElem { arr, idx: n, len });
         }
     }
     let slots = (xid, first_slot);

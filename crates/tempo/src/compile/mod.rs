@@ -502,6 +502,11 @@ pub struct StubProgram {
     /// data are longs, so header and arguments tile the image) and for
     /// decode stubs.
     pub holes: Vec<Range<usize>>,
+    /// Each array slot its conventions bind and the elements they cover:
+    /// for a generated encode stub, the length its image folds in. An
+    /// array with more is refused, not cut. Empty for a program built
+    /// from ops alone.
+    elems: Vec<(u16, usize)>,
     /// Name (inherited from the residual function).
     pub name: String,
 }
@@ -521,6 +526,7 @@ impl StubProgram {
             images,
             wire_len,
             holes,
+            elems: Vec::new(),
             name,
         }
     }
@@ -534,7 +540,10 @@ impl StubProgram {
                 *unroll = CompileOptions { chunk }.unroll();
             }
         }
-        StubProgram::from_ops(ops, self.name.clone())
+        StubProgram {
+            elems: self.elems.clone(),
+            ..StubProgram::from_ops(ops, self.name.clone())
+        }
     }
 
     /// Number of ops in the residual code the stub models (the Table 3/4
@@ -623,7 +632,18 @@ pub fn compile(
     if !matches!(c.ops.last(), Some(StubOp::Ret { .. })) {
         c.push(StubOp::Ret { val: 1 });
     }
-    Ok(StubProgram::from_ops(c.ops, f.name.clone()))
+    let elems = conv.params.iter().flat_map(|param| match param {
+        ParamBinding::Struct(fields) => fields.as_slice(),
+        _ => &[],
+    });
+    let elems = elems.filter_map(|field| match field.target {
+        FieldTarget::Array(arr) => Some((arr, field.slot_len)),
+        _ => None,
+    });
+    Ok(StubProgram {
+        elems: elems.collect(),
+        ..StubProgram::from_ops(c.ops, f.name.clone())
+    })
 }
 
 struct Compiler<'a> {

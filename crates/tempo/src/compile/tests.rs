@@ -341,6 +341,33 @@ fn chunked_and_full_produce_identical_bytes() {
 }
 
 #[test]
+fn an_encode_refuses_an_array_longer_than_it_carries() {
+    // The element count is the stub's, folded into its image: one
+    // element more is refused like one fewer, in every plan and lane,
+    // never cut to fit.
+    let n = 1003usize;
+    let (p, sid) = big_prog(n);
+    let f = big_encode_residual(sid, n);
+    for chunk in [None, Some(250)] {
+        let stub = compile(&p, &f, &big_conv(n), CompileOptions { chunk }).unwrap();
+        for prog in [&stub, &op_by_op(&stub)] {
+            let mut buf = vec![0u8; 4 * n];
+            let mut counts = OpCounts::new();
+            for len in [n - 1, n + 1] {
+                let args = StubArgs::new(vec![], vec![vec![1; len]]);
+                let err = run_encode(prog, &mut buf, &args, &mut counts).unwrap_err();
+                assert!(
+                    matches!(err, StubError::BadElem { arr: 0, .. }),
+                    "{len}: {err}"
+                );
+                let xid = run_encode_with_xid(prog, &mut buf, &args, 1, &mut counts);
+                assert_eq!(xid.unwrap_err(), err, "{len}");
+            }
+        }
+    }
+}
+
+#[test]
 fn chunk_one_keeps_a_plain_loop() {
     let n = 64usize;
     let (p, sid) = big_prog(n);

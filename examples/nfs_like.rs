@@ -75,7 +75,7 @@ fn main() {
     let mut reg = SvcRegistry::new();
     // LOOKUP(name) -> fhandle (0 = not found)
     let f = files.clone();
-    reg.register(NFS_PROG, NFS_VERS, PROC_LOOKUP, move |args, results| {
+    reg.register(NFS_PROG, NFS_VERS, PROC_LOOKUP, move |_, args, results| {
         let mut name = String::new();
         xdr_string(args, &mut name, 255)?;
         let mut handle = f
@@ -90,7 +90,7 @@ fn main() {
     });
     // READ(fhandle, offset, count) -> opaque<>
     let f = files.clone();
-    reg.register(NFS_PROG, NFS_VERS, PROC_READ, move |args, results| {
+    reg.register(NFS_PROG, NFS_VERS, PROC_READ, move |_, args, results| {
         let (mut h, mut off, mut cnt) = (0u32, 0u32, 0u32);
         xdr_u_int(args, &mut h)?;
         xdr_u_int(args, &mut off)?;
@@ -110,7 +110,7 @@ fn main() {
     });
     // WRITE(fhandle, data) -> new size
     let f = files.clone();
-    reg.register(NFS_PROG, NFS_VERS, PROC_WRITE, move |args, results| {
+    reg.register(NFS_PROG, NFS_VERS, PROC_WRITE, move |_, args, results| {
         let mut h = 0u32;
         xdr_u_int(args, &mut h)?;
         let mut data = Vec::new();

@@ -12,16 +12,16 @@
 //!   faster than waiting out the restart;
 //! - **determinism** — a fixed `ChaosConfig` (schedule + seed) replays
 //!   byte-identically: same report text, same histogram, same chaos
-//!   accounting, run after run.
+//!   accounting, run after run;
+//! - **exactly-once per incarnation** — the `Invariants` observer sees
+//!   no call run twice by one incarnation of one server.
 
-use specrpc::echo::{generic_encode_request, ECHO_IDL, ECHO_PROG, ECHO_VERS};
-use specrpc::{run_chaos, run_chaos_matrix, ChaosConfig, ProcPipeline, SpecService};
+use specrpc::echo::{echo_service, generic_encode_request, ECHO_IDL, ECHO_PROG, ECHO_VERS};
+use specrpc::{run_chaos, run_chaos_matrix, ChaosConfig, Invariants, ProcPipeline};
 use specrpc_netsim::net::{Network, NetworkConfig};
 use specrpc_netsim::{ChaosSchedule, FaultConfig, SimTime};
 use specrpc_rpc::{ClntUdp, ServeConfig};
-use specrpc_tempo::compile::StubArgs;
 use specrpc_xdr::mem::XdrMem;
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 #[test]
@@ -87,25 +87,22 @@ fn seeded_schedule_sweep_survives_random_outage_patterns() {
     // generates its crash/restart windows from its own RNG, so each seed
     // exercises a different outage pattern against the restartable
     // serving path. Across ≥ 4 seeds: every call completes, completed
-    // replies are byte-identical to an undisturbed run, and amnesia
-    // duplicates stay bounded (at-least-once, never at-will).
+    // replies are byte-identical to an undisturbed run, and every
+    // duplicate execution is one a restart excuses (at-least-once,
+    // never at-will).
     const CALLS: usize = 16;
     const N: usize = 16;
     let horizon = SimTime::from_millis(40);
     let run = |seed: u64, schedule: Option<ChaosSchedule>| {
         let net = Network::new(NetworkConfig::lan(), seed);
-        let runs = Arc::new(AtomicU64::new(0));
-        let r = runs.clone();
+        let invariants = Invariants::new(&net);
         let proc_ = Arc::new(
             ProcPipeline::new(N)
                 .build_from_idl(ECHO_IDL, None, 1)
                 .expect("pipeline"),
         );
-        let reg = SpecService::new()
-            .proc(proc_, move |args: &StubArgs| {
-                r.fetch_add(1, Ordering::Relaxed);
-                StubArgs::new(vec![], vec![args.arrays[0].clone()])
-            })
+        let reg = echo_service(proc_)
+            .observed(&invariants, 700)
             .into_registry();
         let cfg = ServeConfig {
             restartable: true,
@@ -132,20 +129,30 @@ fn seeded_schedule_sweep_survives_random_outage_patterns() {
             // windows land between calls, not only at the start.
             net.advance(SimTime::from_nanos(horizon.as_nanos() / CALLS as u64));
         }
-        (replies, runs.load(Ordering::Relaxed), net.now())
+        (replies, invariants, net.now())
     };
     for seed in [101u64, 202, 303, 404, 505] {
         let schedule = ChaosSchedule::seeded(seed, &[700], horizon, 3);
         let (clean, clean_runs, clean_end) = run(seed, None);
         let (chaotic, chaotic_runs, chaotic_end) = run(seed, Some(schedule));
-        assert_eq!(clean_runs, CALLS as u64, "seed {seed}");
+        assert_eq!(
+            (clean_runs.runs(), clean_runs.repeats()),
+            (CALLS as u64, vec![]),
+            "seed {seed}"
+        );
         assert_eq!(
             chaotic, clean,
             "seed {seed}: completed replies must match the undisturbed run"
         );
+        let amnesia = chaotic_runs.repeats();
         assert!(
-            chaotic_runs >= CALLS as u64 && chaotic_runs <= CALLS as u64 + 6,
-            "seed {seed}: at-least-once with bounded amnesia duplicates: {chaotic_runs} runs"
+            amnesia.iter().all(|r| r.across_restart()),
+            "seed {seed}: a call ran twice in one incarnation: {amnesia:?}"
+        );
+        assert_eq!(
+            chaotic_runs.runs(),
+            (CALLS + amnesia.len()) as u64,
+            "seed {seed}: at-least-once, re-runs {amnesia:?}"
         );
         assert!(
             chaotic_end >= clean_end,

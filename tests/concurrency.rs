@@ -11,6 +11,7 @@ use specrpc::echo::{echo_spec, ECHO_IDL, ECHO_PROG, ECHO_VERS};
 use specrpc::{EventService, ProcPipeline, SpecClient, SpecService, StubCache};
 use specrpc_netsim::net::{Network, NetworkConfig};
 use specrpc_netsim::SimTime;
+use specrpc_rpc::svc_udp::default_proc_time;
 use specrpc_rpc::{ClntUdp, SvcRegistry};
 use specrpc_tempo::compile::StubArgs;
 use std::sync::Arc;
@@ -215,26 +216,22 @@ fn lock_free_clock_readers_see_only_instants_of_the_drivers_trace() {
                 .build_from_idl(ECHO_IDL, None, 1)
                 .expect("pipeline"),
         );
-        let registry = SpecService::new()
-            .proc(proc_.clone(), |args: &StubArgs| {
-                StubArgs::new(vec![], vec![args.arrays[0].clone()])
-            })
-            .into_registry();
-        // The processing-time model runs inside the handler invocation:
-        // it sees the arrival instant and decides the completion instant.
+        // The handler runs at the arrival instant; the processing-time
+        // model charges the request and reply images from there.
         let trace = Arc::new(Mutex::new(vec![SimTime::ZERO]));
         let (n2, t2) = (net.clone(), trace.clone());
-        let cfg = specrpc_rpc::ServeConfig {
-            proc_time: Some(Arc::new(move |req, rep| {
+        let wire = (proc_.client_encode.wire_len, proc_.server_encode.wire_len);
+        let proc_time = default_proc_time()(wire.0, wire.1);
+        let registry = SpecService::new()
+            .proc(proc_.clone(), move |args: &StubArgs| {
                 let arrived = n2.now();
-                let proc_time = SimTime::from_nanos(50_000 + 20 * (req + rep) as u64);
                 t2.lock()
                     .expect("trace")
                     .extend([arrived, arrived + proc_time]);
-                proc_time
-            })),
-            ..specrpc_rpc::ServeConfig::new(&[PORT + 30])
-        };
+                StubArgs::new(vec![], vec![args.arrays[0].clone()])
+            })
+            .into_registry();
+        let cfg = specrpc_rpc::ServeConfig::new(&[PORT + 30]);
         specrpc_rpc::serve(&net, registry, cfg).detach();
         let clnt = ClntUdp::create(&net, 6200, PORT + 30, ECHO_PROG, ECHO_VERS);
         let mut client = SpecClient::from_parts(clnt, proc_);

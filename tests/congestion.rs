@@ -9,30 +9,31 @@
 
 use proptest::prelude::*;
 use specrpc::congestion::policy_label;
-use specrpc::echo::{generic_encode_request, ECHO_IDL, ECHO_PROC, ECHO_PROG, ECHO_VERS};
+use specrpc::echo::{
+    echo_service, generic_encode_request, ECHO_IDL, ECHO_PROC, ECHO_PROG, ECHO_VERS,
+};
 use specrpc::{
-    run_congestion, run_congestion_matrix, CongestionConfig, EventService, PathUsed, ProcPipeline,
-    SpecClient, SpecService,
+    run_congestion, run_congestion_matrix, CongestionConfig, EventService, Invariants, PathUsed,
+    ProcPipeline, SpecClient,
 };
 use specrpc_netsim::net::{Network, NetworkConfig};
 use specrpc_netsim::{FaultConfig, SimTime};
 use specrpc_rpc::{ClntUdp, Transport};
 use specrpc_tempo::compile::StubArgs;
 use specrpc_xdr::mem::XdrMem;
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 const PORT: u32 = 830;
 
 /// Deploy the event-driven echo service and a specialized client over a
-/// network with the given receive-queue cap; the handler counts its
-/// invocations so exactly-once stays checkable under faults.
+/// network with the given receive-queue cap, observed so exactly-once
+/// stays checkable under faults.
 fn deploy(
     n: usize,
     seed: u64,
     faults: FaultConfig,
     rx_queue_cap: usize,
-) -> (Network, SpecClient<ClntUdp>, EventService, Arc<AtomicU64>) {
+) -> (Network, SpecClient<ClntUdp>, EventService, Arc<Invariants>) {
     let proc_ = Arc::new(
         ProcPipeline::new(n)
             .build_from_idl(ECHO_IDL, None, ECHO_PROC)
@@ -44,18 +45,19 @@ fn deploy(
             .with_rx_queue_cap(rx_queue_cap),
         seed,
     );
-    let served = Arc::new(AtomicU64::new(0));
-    let counter = served.clone();
-    let service = SpecService::new()
-        .proc(proc_.clone(), move |args: &StubArgs| {
-            counter.fetch_add(1, Ordering::Relaxed);
-            StubArgs::new(vec![], vec![args.arrays[0].clone()])
-        })
+    let invariants = Invariants::new(&net);
+    let service = echo_service(proc_.clone())
+        .observed(&invariants, PORT)
         .serve_event(&net, PORT, 1);
     let mut clnt = ClntUdp::create(&net, 5900, PORT, ECHO_PROG, ECHO_VERS);
     clnt.retry_timeout = SimTime::from_millis(20);
     clnt.total_timeout = SimTime::from_millis(60_000);
-    (net, SpecClient::from_parts(clnt, proc_), service, served)
+    (
+        net,
+        SpecClient::from_parts(clnt, proc_),
+        service,
+        invariants,
+    )
 }
 
 #[test]
@@ -149,7 +151,7 @@ proptest! {
     ) {
         let faults = if lossy { FaultConfig::LOSSY } else { FaultConfig::NONE };
         let run = |cap: usize| {
-            let (net, mut client, _svc, served) = deploy(n, seed, faults, cap);
+            let (net, mut client, _svc, invariants) = deploy(n, seed, faults, cap);
             let clnt = client.transport_mut();
             let mut requests = Vec::new();
             let mut xids = Vec::new();
@@ -163,17 +165,18 @@ proptest! {
             }
             let refs: Vec<&[u8]> = requests.iter().map(Vec::as_slice).collect();
             let replies = clnt.exchange_batch(&refs, &xids).unwrap();
-            (replies, served.load(Ordering::Relaxed), net.link_stats().queue_drops)
+            let executed = (invariants.runs(), invariants.repeats().len());
+            (replies, executed, net.link_stats().queue_drops)
         };
-        let (unbounded, served_a, drops_a) = run(usize::MAX);
-        let (bounded, served_b, drops_b) = run(64);
+        let (unbounded, executed_a, drops_a) = run(usize::MAX);
+        let (bounded, executed_b, drops_b) = run(64);
         prop_assert_eq!(unbounded, bounded, "reply bytes must not depend on the cap");
         prop_assert_eq!(drops_a, 0u64);
         prop_assert_eq!(drops_b, 0u64, "a cap of 64 must not overflow here");
         // Exactly-once execution: the dup-request cache suppresses
         // retransmitted work, bounded queue or not.
-        prop_assert_eq!(served_a, batch as u64);
-        prop_assert_eq!(served_b, batch as u64);
+        prop_assert_eq!(executed_a, (batch as u64, 0));
+        prop_assert_eq!(executed_b, (batch as u64, 0));
     }
 }
 

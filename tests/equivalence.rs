@@ -7,14 +7,13 @@ use proptest::prelude::*;
 use specrpc::echo::{
     build_echo_proc, echo_handler, generic_decode_reply, generic_encode_request, ECHO_IDL,
 };
-use specrpc::{EventService, ProcPipeline, SpecService, StubCache};
+use specrpc::{EventService, Invariants, ProcPipeline, SpecService, StubCache};
 use specrpc_netsim::net::{Endpoint, Network, NetworkConfig};
 use specrpc_netsim::SimTime;
 use specrpc_rpcgen::desc::{xdr_value, TypeDesc, XdrValue};
 use specrpc_tempo::compile::{run_decode, run_encode, Outcome, StubArgs};
 use specrpc_xdr::mem::XdrMem;
 use specrpc_xdr::{OpCounts, XdrStream};
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 /// The length the twins' echo procedure is pinned at: a request of
@@ -30,7 +29,7 @@ const PINNED: usize = 64;
 struct Twins {
     ep: Endpoint,
     served: [EventService; 2],
-    runs: [Arc<AtomicU64>; 2],
+    invariants: [Arc<Invariants>; 2],
 }
 
 const TWIN_PORTS: [u32; 2] = [950, 951];
@@ -42,22 +41,21 @@ impl Twins {
     ) -> Twins {
         let proc_ = Arc::new(build_echo_proc(PINNED, None).unwrap());
         let net = Network::new(NetworkConfig::lan(), 41);
-        let runs = [Arc::new(AtomicU64::new(0)), Arc::new(AtomicU64::new(0))];
-        let (ran_a, ran_b) = (runs[0].clone(), runs[1].clone());
-        let a = SpecService::new().proc_in_place(proc_.clone(), move |args, results| {
-            ran_a.fetch_add(1, Ordering::Relaxed);
-            in_place(args, results)
-        });
-        let b = SpecService::new().proc(proc_, move |args: &StubArgs| {
-            ran_b.fetch_add(1, Ordering::Relaxed);
-            returning(args)
-        });
+        let invariants = [Invariants::new(&net), Invariants::new(&net)];
+        let a = SpecService::new().proc_in_place(proc_.clone(), in_place);
+        let b = SpecService::new().proc(proc_, returning);
         let served = [
-            a.serve_event(&net, TWIN_PORTS[0], 1),
-            b.serve_event(&net, TWIN_PORTS[1], 1),
+            a.observed(&invariants[0], TWIN_PORTS[0])
+                .serve_event(&net, TWIN_PORTS[0], 1),
+            b.observed(&invariants[1], TWIN_PORTS[1])
+                .serve_event(&net, TWIN_PORTS[1], 1),
         ];
         let ep = net.bind_udp(6100);
-        Twins { ep, served, runs }
+        Twins {
+            ep,
+            served,
+            invariants,
+        }
     }
 
     /// Send every array of `burst` to one twin, then to the other (xids
@@ -89,12 +87,13 @@ impl Twins {
     }
 
     /// Both twins' `(handler runs, raw dispatches, raw fallbacks, generic
-    /// dispatches)`, asserted equal.
+    /// dispatches)`, asserted equal, with no call run twice.
     fn counters(&self) -> (u64, u64, u64, u64) {
         let of = |i: usize| {
             let reg = &self.served[i].registry;
+            assert_eq!(self.invariants[i].repeats(), [], "twin {i}");
             (
-                self.runs[i].load(Ordering::Relaxed),
+                self.invariants[i].runs(),
                 reg.raw_dispatches(),
                 reg.raw_fallbacks(),
                 reg.generic_dispatches(),

@@ -16,7 +16,7 @@ const PROG: u32 = 600_000;
 
 fn sum_registry() -> Arc<SvcRegistry> {
     let mut reg = SvcRegistry::new();
-    reg.register(PROG, 1, 1, |args, results| {
+    reg.register(PROG, 1, 1, |_, args, results| {
         let mut v: Vec<i32> = Vec::new();
         xdr_array(args, &mut v, 1 << 20, xdr_int)?;
         let mut sum: i32 = v.iter().copied().fold(0i32, i32::wrapping_add);

@@ -15,14 +15,12 @@
 //! - retransmission counts identical (loss patterns are seeded on the
 //!   network, not the serving layer).
 
-use specrpc::echo::{generic_encode_request, ECHO_IDL, ECHO_PROG, ECHO_VERS};
-use specrpc::{ProcPipeline, SpecService};
+use specrpc::echo::{echo_service, generic_encode_request, ECHO_IDL, ECHO_PROG, ECHO_VERS};
+use specrpc::{Invariants, ProcPipeline};
 use specrpc_netsim::net::{Addr, Network, NetworkConfig};
 use specrpc_netsim::{FaultConfig, SimTime};
 use specrpc_rpc::ClntUdp;
-use specrpc_tempo::compile::StubArgs;
 use specrpc_xdr::mem::XdrMem;
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 const N: usize = 24;
@@ -30,40 +28,21 @@ const CALLS: usize = 16;
 const SEEDS: [u64; 3] = [11, 22, 33];
 const PORTS: [Addr; 4] = [700, 701, 702, 703];
 
-fn configs() -> Vec<(&'static str, FaultConfig)> {
-    vec![
-        (
-            "none",
-            FaultConfig {
-                loss: 0.0,
-                duplicate: 0.0,
-                reorder: 0.0,
-            },
-        ),
-        (
-            "loss",
-            FaultConfig {
-                loss: 0.25,
-                duplicate: 0.0,
-                reorder: 0.0,
-            },
-        ),
-        (
-            "duplicate",
-            FaultConfig {
-                loss: 0.0,
-                duplicate: 0.3,
-                reorder: 0.0,
-            },
-        ),
-        (
-            "reorder",
-            FaultConfig {
-                loss: 0.0,
-                duplicate: 0.0,
-                reorder: 0.3,
-            },
-        ),
+/// A link with only these fault rates.
+const fn faults(loss: f64, duplicate: f64, reorder: f64) -> FaultConfig {
+    FaultConfig {
+        loss,
+        duplicate,
+        reorder,
+    }
+}
+
+fn configs() -> [(&'static str, FaultConfig); 5] {
+    [
+        ("none", FaultConfig::NONE),
+        ("loss", faults(0.25, 0.0, 0.0)),
+        ("duplicate", faults(0.0, 0.3, 0.0)),
+        ("reorder", faults(0.0, 0.0, 0.3)),
         ("mixed", FaultConfig::LOSSY),
     ]
 }
@@ -71,33 +50,41 @@ fn configs() -> Vec<(&'static str, FaultConfig)> {
 struct RunResult {
     replies: Vec<Vec<u8>>,
     retransmits: u64,
-    handler_runs: u64,
     per_shard: Vec<u64>,
     end_time: SimTime,
+    invariants: Arc<Invariants>,
+}
+
+impl RunResult {
+    /// Every call executed, none of them twice.
+    fn assert_exactly_once(&self, what: &str) {
+        assert_eq!(self.invariants.repeats(), [], "{what}: calls ran twice");
+        assert_eq!(
+            self.invariants.runs(),
+            CALLS as u64,
+            "{what}: a call never ran"
+        );
+    }
 }
 
 fn call_data(i: usize) -> Vec<i32> {
     (0..N).map(|k| (i * 1000 + k) as i32).collect()
 }
 
-/// Serve the counting echo service over `PORTS` partitioned across
+/// Serve the observed echo service over `PORTS` partitioned across
 /// `shards` reactors (single-driver mode), then run `CALLS` sequential
 /// exchanges rotating across the sockets — so every shard sees traffic
 /// and the interleaving crosses shard boundaries on every call.
 fn run_sharded(cfg: FaultConfig, seed: u64, shards: usize) -> RunResult {
     let net = Network::new(NetworkConfig::lan().with_faults(cfg), seed);
-    let runs = Arc::new(AtomicU64::new(0));
-    let r = runs.clone();
+    let invariants = Invariants::new(&net);
     let proc_ = Arc::new(
         ProcPipeline::new(N)
             .build_from_idl(ECHO_IDL, None, 1)
             .expect("pipeline"),
     );
-    let service = SpecService::new()
-        .proc(proc_, move |args: &StubArgs| {
-            r.fetch_add(1, Ordering::Relaxed);
-            StubArgs::new(vec![], vec![args.arrays[0].clone()])
-        })
+    let service = echo_service(proc_)
+        .observed(&invariants, PORTS[0])
         .serve_sharded(&net, &PORTS, shards, 0);
 
     let mut clients: Vec<ClntUdp> = PORTS
@@ -126,9 +113,9 @@ fn run_sharded(cfg: FaultConfig, seed: u64, shards: usize) -> RunResult {
     RunResult {
         replies,
         retransmits: clients.iter().map(|c| c.retransmits).sum(),
-        handler_runs: runs.load(Ordering::Relaxed),
         per_shard: service.per_shard_events(),
         end_time: net.now(),
+        invariants,
     }
 }
 
@@ -150,11 +137,8 @@ fn shard_count_is_invisible_under_the_fault_matrix() {
                 four.retransmits, one.retransmits,
                 "{name}/{seed}: loss patterns are seeded on the network"
             );
-            assert_eq!(
-                four.handler_runs, CALLS as u64,
-                "{name}/{seed}: handler must run exactly once per transaction"
-            );
-            assert_eq!(one.handler_runs, CALLS as u64);
+            four.assert_exactly_once(&format!("{name}/{seed}, 4 shards"));
+            one.assert_exactly_once(&format!("{name}/{seed}, 1 shard"));
             assert_eq!(one.per_shard.len(), 1);
             assert_eq!(four.per_shard.len(), 4);
             assert_eq!(
@@ -172,19 +156,14 @@ fn every_datagram_duplicated_replays_from_each_shards_cache() {
     // absorbed by the duplicate-request cache of the shard owning the
     // target socket — exactly one handler run per call, and replies
     // identical to a fault-free run of the same call sequence.
-    let every_dup = FaultConfig {
-        loss: 0.0,
-        duplicate: 1.0,
-        reorder: 0.0,
-    };
+    let every_dup = faults(0.0, 1.0, 0.0);
     for seed in SEEDS {
         for shards in [1, 2, 4] {
             let dup = run_sharded(every_dup, seed, shards);
             let clean = run_sharded(FaultConfig::NONE, seed, shards);
-            assert_eq!(
-                dup.handler_runs, CALLS as u64,
-                "seed {seed}/{shards} shard(s): duplicates must replay, not re-dispatch"
-            );
+            dup.assert_exactly_once(&format!(
+                "seed {seed}/{shards} shard(s): duplicates must replay"
+            ));
             assert_eq!(dup.replies, clean.replies, "seed {seed}/{shards} shard(s)");
         }
     }

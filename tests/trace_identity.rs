@@ -11,17 +11,16 @@
 //! coalescing code must keep producing.
 
 use specrpc::echo::{
-    build_echo_proc, workload, BatchEchoBench, EchoBench, Mode, ECHO_PROG, ECHO_VERS,
+    build_echo_proc, echo_service, workload, BatchEchoBench, EchoBench, Mode, ECHO_PROG, ECHO_VERS,
 };
 use specrpc::{
     run_chaos_matrix, run_congestion_matrix, run_nfs, run_scale, ChaosConfig, CompiledProc,
-    CongestionConfig, NfsConfig, ScaleConfig, SpecClient, SpecService, StubCache,
+    CongestionConfig, Invariants, NfsConfig, ScaleConfig, SpecClient, SpecService, StubCache,
 };
 use specrpc_netsim::net::{Addr, LinkStats, Network, NetworkConfig};
 use specrpc_netsim::{ChaosSchedule, FaultConfig, Platform, SimTime};
 use specrpc_rpc::{serve, ClntUdp, ServeConfig};
 use specrpc_tempo::compile::StubArgs;
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 const N: usize = 250;
@@ -43,7 +42,6 @@ struct Trace {
     datagrams_sent: u64,
     link: LinkStats,
     retransmits: u64,
-    handler_runs: u64,
 }
 
 fn lossy_net() -> Network {
@@ -54,16 +52,22 @@ fn echo_proc() -> Arc<CompiledProc> {
     Arc::new(build_echo_proc(N, None).expect("specialize echo"))
 }
 
-fn counting_service(proc_: &Arc<CompiledProc>, runs: &Arc<AtomicU64>) -> SpecService {
-    let counter = runs.clone();
-    SpecService::new().proc(proc_.clone(), move |args: &StubArgs| {
-        counter.fetch_add(1, Ordering::Relaxed);
-        StubArgs::new(vec![], vec![args.arrays[0].clone()])
-    })
+/// The echo service, its executions reported to a fresh observer on
+/// `net`.
+fn observed_service(net: &Network, proc_: &Arc<CompiledProc>) -> (SpecService, Arc<Invariants>) {
+    let invariants = Invariants::new(net);
+    let service = echo_service(proc_.clone()).observed(&invariants, PORTS[0]);
+    (service, invariants)
 }
 
-/// `CALLS` checked echo calls rotating over one client per port.
-fn drive(net: &Network, ports: &[Addr], proc_: &Arc<CompiledProc>, runs: &AtomicU64) -> Trace {
+/// `CALLS` checked echo calls rotating over one client per port, each
+/// executed once — or again only where a restart excuses it.
+fn drive(
+    net: &Network,
+    ports: &[Addr],
+    proc_: &Arc<CompiledProc>,
+    invariants: &Invariants,
+) -> Trace {
     let mut clients: Vec<SpecClient<ClntUdp>> = ports
         .iter()
         .enumerate()
@@ -81,6 +85,9 @@ fn drive(net: &Network, ports: &[Addr], proc_: &Arc<CompiledProc>, runs: &Atomic
             .unwrap_or_else(|e| panic!("call {i}: {e}"));
         assert_eq!(out.arrays[0], data, "call {i} echoed wrong data");
     }
+    let repeats = invariants.repeats();
+    assert!(repeats.iter().all(|r| r.across_restart()), "{repeats:?}");
+    assert_eq!(invariants.runs(), (CALLS + repeats.len()) as u64);
     Trace {
         now_ns: net.now().as_nanos(),
         bytes_sent: net.bytes_sent(),
@@ -90,7 +97,6 @@ fn drive(net: &Network, ports: &[Addr], proc_: &Arc<CompiledProc>, runs: &Atomic
             .iter_mut()
             .map(|c| c.transport_mut().retransmits)
             .sum(),
-        handler_runs: runs.load(Ordering::Relaxed),
     }
 }
 
@@ -111,16 +117,15 @@ const fn pinned(queue_depth_high_water: u64) -> Trace {
             fragments: 42_801,
         },
         retransmits: 1_169,
-        handler_runs: 20_000,
     }
 }
 
 #[test]
 fn blocking_slot_trace_is_pinned() {
     let (net, proc_) = (lossy_net(), echo_proc());
-    let runs = Arc::new(AtomicU64::new(0));
-    counting_service(&proc_, &runs).serve_udp(&net, PORTS[0]);
-    assert_eq!(drive(&net, &PORTS[..1], &proc_, &runs), pinned(1));
+    let (service, invariants) = observed_service(&net, &proc_);
+    service.serve_udp(&net, PORTS[0]);
+    assert_eq!(drive(&net, &PORTS[..1], &proc_, &invariants), pinned(1));
 }
 
 #[test]
@@ -130,10 +135,9 @@ fn zero_worker_reactor_is_the_blocking_slot() {
     // pin below are one deployment: the trace `serve_udp` has always
     // left, every delivery on the driving thread.
     let (net, proc_) = (lossy_net(), echo_proc());
-    let runs = Arc::new(AtomicU64::new(0));
-    let registry = counting_service(&proc_, &runs).into_registry();
-    let served = serve(&net, registry, ServeConfig::new(&PORTS[..1]));
-    assert_eq!(drive(&net, &PORTS[..1], &proc_, &runs), pinned(1));
+    let (service, invariants) = observed_service(&net, &proc_);
+    let served = serve(&net, service.into_registry(), ServeConfig::new(&PORTS[..1]));
+    assert_eq!(drive(&net, &PORTS[..1], &proc_, &invariants), pinned(1));
     assert_eq!(served.driver_inline_events(), served.total_events());
 }
 
@@ -146,19 +150,18 @@ fn restartable_reactor_trace_is_pinned() {
     // ride it out on retransmission, and one of them is executed twice
     // because the restarted server has forgotten it.
     let (net, proc_) = (lossy_net(), echo_proc());
-    let runs = Arc::new(AtomicU64::new(0));
-    let registry = counting_service(&proc_, &runs).into_registry();
+    let (service, invariants) = observed_service(&net, &proc_);
     let cfg = ServeConfig {
         restartable: true,
         ..ServeConfig::new(&PORTS[..1])
     };
-    let _served = serve(&net, registry, cfg);
+    let _served = serve(&net, service.into_registry(), cfg);
     net.apply_chaos(&ChaosSchedule::new().crash_window(
         PORTS[0],
         SimTime::from_millis(2_234),
         SimTime::from_millis(250),
     ));
-    let trace = drive(&net, &PORTS[..1], &proc_, &runs);
+    let trace = drive(&net, &PORTS[..1], &proc_, &invariants);
     let stats = net.chaos_stats();
     assert_eq!((stats.crashes, stats.restarts, stats.drops_down), (1, 1, 2));
     assert_eq!(
@@ -174,8 +177,16 @@ fn restartable_reactor_trace_is_pinned() {
                 fragments: 42_803,
             },
             retransmits: 1_171,
-            handler_runs: 20_001,
         }
+    );
+    let amnesia = invariants.repeats();
+    assert_eq!(
+        amnesia
+            .iter()
+            .map(|r| (r.earlier.restarts, r.again.restarts))
+            .collect::<Vec<_>>(),
+        [(0, 1)],
+        "one call re-run by the restarted incarnation: {amnesia:?}"
     );
 }
 
@@ -184,9 +195,9 @@ fn event_loop_trace_is_pinned() {
     let proc_ = echo_proc();
     for workers in [1, 2] {
         let net = lossy_net();
-        let runs = Arc::new(AtomicU64::new(0));
-        let service = counting_service(&proc_, &runs).serve_event(&net, PORTS[0], workers);
-        let trace = drive(&net, &PORTS[..1], &proc_, &runs);
+        let (service, invariants) = observed_service(&net, &proc_);
+        let service = service.serve_event(&net, PORTS[0], workers);
+        let trace = drive(&net, &PORTS[..1], &proc_, &invariants);
         drop(service);
         assert_eq!(trace, pinned(1), "{workers} workers");
     }
@@ -197,9 +208,9 @@ fn sharded_loop_trace_is_pinned() {
     let proc_ = echo_proc();
     for shards in [1, 2, 8] {
         let net = lossy_net();
-        let runs = Arc::new(AtomicU64::new(0));
-        let service = counting_service(&proc_, &runs).serve_sharded(&net, &PORTS, shards, 0);
-        let trace = drive(&net, &PORTS, &proc_, &runs);
+        let (service, invariants) = observed_service(&net, &proc_);
+        let service = service.serve_sharded(&net, &PORTS, shards, 0);
+        let trace = drive(&net, &PORTS, &proc_, &invariants);
         drop(service);
         assert_eq!(trace, pinned(2), "{shards} shards");
     }
@@ -394,12 +405,16 @@ fn congestion_rows_are_pinned() {
 #[test]
 fn chaos_rows_are_pinned() {
     // (elapsed, availability bp, completed, failed, crash → recovery,
-    // failovers, breaker trips, extra executions, p99)
+    // failovers, breaker trips, extra executions, p99). Extra executions
+    // are the calls the observer saw run more than once; `lossy`
+    // without failover was 1 while they were runs − completed, which
+    // counts a call that ran once and then failed: its 189 runs are 189
+    // distinct xids.
     let want = [
         (101_040_000, 10_000, 192, 0, 6_440_000, 5, 5, 0, 6_370_000),
         (99_930_000, 9_843, 189, 3, 30_440_000, 0, 0, 0, 368_640),
         (377_261_763, 9_895, 192, 0, 11_903_906, 8, 8, 4, 8_650_752),
-        (379_819_070, 9_791, 188, 4, 32_163_676, 0, 0, 1, 6_422_528),
+        (379_819_070, 9_791, 188, 4, 32_163_676, 0, 0, 0, 6_422_528),
     ];
     let mut want = want.into_iter();
     for (faults, fault_cfg) in FAULT_COLUMNS {

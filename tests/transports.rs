@@ -4,14 +4,13 @@
 //! datagrams and record-marked TCP streams alike.
 
 use specrpc::echo::{workload, ECHO_IDL};
-use specrpc::{PathUsed, ProcPipeline, SpecClient, SpecService};
+use specrpc::{Invariants, PathUsed, ProcPipeline, SpecClient, SpecService};
 use specrpc_netsim::net::{Network, NetworkConfig};
 use specrpc_netsim::SimTime;
 use specrpc_rpc::svc::SvcRegistry;
 use specrpc_rpc::svc_udp::default_proc_time;
 use specrpc_rpc::{ClntTcp, ClntUdp, Transport};
 use specrpc_tempo::compile::StubArgs;
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 const PROG: u32 = 0x2000_0101;
@@ -27,28 +26,42 @@ fn compile(n: usize) -> Arc<specrpc::CompiledProc> {
 
 /// Deploy an echoing service specialized for `server_n` over both
 /// transports of one network, with a handler that truncates results to
-/// `truncate_to` elements when set. Returns the registry and a counter
-/// of handler invocations (§6.2 fallback must not re-run user code).
+/// `truncate_to` elements when set. Returns the registry and the
+/// observer of its handler executions (§6.2 fallback must not re-run
+/// user code).
 fn deploy(
     net: &Network,
     server_n: usize,
     truncate_to: Option<usize>,
-) -> (Arc<SvcRegistry>, Arc<AtomicU64>) {
-    let calls = Arc::new(AtomicU64::new(0));
-    let c = calls.clone();
-    let proc_ = compile(server_n);
-    let service = SpecService::new().proc(proc_, move |args: &StubArgs| {
-        c.fetch_add(1, Ordering::Relaxed);
-        let data = match truncate_to {
-            Some(k) => args.arrays[0][..k.min(args.arrays[0].len())].to_vec(),
-            None => args.arrays[0].clone(),
-        };
-        StubArgs::new(vec![], vec![data])
-    });
-    let reg = service.into_registry();
+) -> (Arc<SvcRegistry>, Arc<Invariants>) {
+    serve_both(
+        net,
+        SpecService::new().proc(compile(server_n), move |args: &StubArgs| {
+            let data = match truncate_to {
+                Some(k) => args.arrays[0][..k.min(args.arrays[0].len())].to_vec(),
+                None => args.arrays[0].clone(),
+            };
+            StubArgs::new(vec![], vec![data])
+        }),
+    )
+}
+
+/// `service`, observed, at [`PORT`] over UDP and the next port over TCP.
+fn serve_both(net: &Network, service: SpecService) -> (Arc<SvcRegistry>, Arc<Invariants>) {
+    let invariants = Invariants::new(net);
+    let reg = service.observed(&invariants, PORT).into_registry();
     specrpc_rpc::serve(net, reg.clone(), specrpc_rpc::ServeConfig::new(&[PORT])).detach();
     specrpc_rpc::svc_tcp::serve_tcp(net, PORT + 1, reg.clone());
-    (reg, calls)
+    (reg, invariants)
+}
+
+/// The one call made so far ran exactly once.
+fn ran_once(invariants: &Invariants) {
+    assert_eq!(
+        (invariants.runs(), invariants.repeats()),
+        (1, vec![]),
+        "handler must run exactly once"
+    );
 }
 
 fn udp_client(net: &Network, n: usize) -> SpecClient<ClntUdp> {
@@ -69,7 +82,7 @@ fn tcp_client(net: &Network, n: usize) -> SpecClient<ClntTcp> {
 fn server_guard_fallback_on<T: Transport>(
     mut client: SpecClient<T>,
     reg: &Arc<SvcRegistry>,
-    calls: &Arc<AtomicU64>,
+    invariants: &Invariants,
 ) {
     let data = workload(7);
     let args = client.args(vec![], vec![data.clone()]);
@@ -77,25 +90,21 @@ fn server_guard_fallback_on<T: Transport>(
     assert_eq!(out.arrays[0], data, "fallback must preserve semantics");
     assert_eq!(reg.raw_fallbacks(), 1, "server guard must fail");
     assert_eq!(reg.generic_dispatches(), 1);
-    assert_eq!(
-        calls.load(Ordering::Relaxed),
-        1,
-        "handler must run exactly once"
-    );
+    ran_once(invariants);
 }
 
 #[test]
 fn server_guard_fallback_over_udp() {
     let net = Network::new(NetworkConfig::lan(), 41);
-    let (reg, calls) = deploy(&net, 10, None);
-    server_guard_fallback_on(udp_client(&net, 7), &reg, &calls);
+    let (reg, invariants) = deploy(&net, 10, None);
+    server_guard_fallback_on(udp_client(&net, 7), &reg, &invariants);
 }
 
 #[test]
 fn server_guard_fallback_over_tcp() {
     let net = Network::new(NetworkConfig::lan(), 42);
-    let (reg, calls) = deploy(&net, 10, None);
-    server_guard_fallback_on(tcp_client(&net, 7), &reg, &calls);
+    let (reg, invariants) = deploy(&net, 10, None);
+    server_guard_fallback_on(tcp_client(&net, 7), &reg, &invariants);
 }
 
 /// A handler that returns fewer elements than the reply stub is pinned
@@ -107,7 +116,7 @@ fn server_guard_fallback_over_tcp() {
 fn reply_shape_mismatch_on<T: Transport>(
     mut client: SpecClient<T>,
     reg: &Arc<SvcRegistry>,
-    calls: &Arc<AtomicU64>,
+    invariants: &Invariants,
 ) {
     let data = workload(10);
     let args = client.args(vec![], vec![data.clone()]);
@@ -115,11 +124,7 @@ fn reply_shape_mismatch_on<T: Transport>(
     assert_eq!(path, PathUsed::GenericFallback, "client guard must fail");
     assert_eq!(out.arrays[0], &data[..5], "fallback result must be right");
     assert_eq!(client.fallback_calls, 1);
-    assert_eq!(
-        calls.load(Ordering::Relaxed),
-        1,
-        "handler must run exactly once"
-    );
+    ran_once(invariants);
     // The raw handler answered (with a generically-encoded reply); no
     // second dispatch happened.
     assert_eq!(reg.raw_dispatches(), 1);
@@ -129,15 +134,15 @@ fn reply_shape_mismatch_on<T: Transport>(
 #[test]
 fn reply_shape_mismatch_falls_back_over_udp() {
     let net = Network::new(NetworkConfig::lan(), 43);
-    let (reg, calls) = deploy(&net, 10, Some(5));
-    reply_shape_mismatch_on(udp_client(&net, 10), &reg, &calls);
+    let (reg, invariants) = deploy(&net, 10, Some(5));
+    reply_shape_mismatch_on(udp_client(&net, 10), &reg, &invariants);
 }
 
 #[test]
 fn reply_shape_mismatch_falls_back_over_tcp() {
     let net = Network::new(NetworkConfig::lan(), 44);
-    let (reg, calls) = deploy(&net, 10, Some(5));
-    reply_shape_mismatch_on(tcp_client(&net, 10), &reg, &calls);
+    let (reg, invariants) = deploy(&net, 10, Some(5));
+    reply_shape_mismatch_on(tcp_client(&net, 10), &reg, &invariants);
 }
 
 #[test]
@@ -147,7 +152,7 @@ fn same_stubs_same_bytes_on_both_transports() {
     // the framing differs. Compare the request bytes each server saw.
     let n = 12;
     let net = Network::new(NetworkConfig::lan(), 45);
-    let (reg, _calls) = deploy(&net, n, None);
+    let (reg, _) = deploy(&net, n, None);
     let data = workload(n);
 
     let mut udp = udp_client(&net, n);

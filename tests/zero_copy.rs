@@ -235,8 +235,9 @@ fn pooled_specialized_tcp_round_trip_allocates_zero_after_warmup() {
 
 #[test]
 fn retransmission_reuses_the_request_image_without_rebuilding() {
-    // A server slower than the per-try timeout forces a retransmission on
-    // every call (the dup cache replays, so semantics stay exactly-once).
+    // A per-try timeout shorter than the ≈400 µs round trip forces a
+    // retransmission on every call (the dup cache replays the duplicate,
+    // so semantics stay exactly-once).
     // Retries re-send the rewound pooled request image instead of cloning
     // it — with no packet loss every buffer stays in the recycle loop, so
     // even a permanently-retransmitting client allocates nothing once
@@ -256,14 +257,13 @@ fn retransmission_reuses_the_request_image_without_rebuilding() {
         })
         .into_registry();
     let cfg = ServeConfig {
-        proc_time: Some(Arc::new(|_, _| SimTime::from_millis(30))),
         cache_entries: 8,
         ..ServeConfig::new(&[911])
     };
     serve(&net, reg.clone(), cfg).detach();
     let mut clnt =
         ClntUdp::create_pooled(&net, 5601, 911, ECHO_PROG, ECHO_VERS, reg.pool().clone());
-    clnt.retry_timeout = SimTime::from_millis(20);
+    clnt.retry_timeout = SimTime::from_micros(250);
     clnt.total_timeout = SimTime::from_millis(2_000);
     let mut client = SpecClient::from_parts(clnt, proc_);
 
@@ -275,7 +275,10 @@ fn retransmission_reuses_the_request_image_without_rebuilding() {
         assert_eq!(out.arrays[0], data);
     }
     let retransmits_warm = client.transport_mut().retransmits;
-    assert!(retransmits_warm > 0, "slow server must have forced retries");
+    assert!(
+        retransmits_warm > 0,
+        "the short timeout must have forced retries"
+    );
 
     // Steady state: retransmissions keep happening, allocations do not.
     let before = client.counts.heap_allocs;
