@@ -15,7 +15,7 @@
 //! - **exactly-once erosion** — calls executed more than once, as the
 //!   [`Invariants`] observer names them: a restarted server's
 //!   duplicate-request cache comes back empty
-//!   ([`ServeConfig::restartable`]), so a retransmission of an
+//!   ([`specrpc_rpc::serve`]), so a retransmission of an
 //!   already-executed request re-executes it, and a failover re-send
 //!   executes on a second replica.
 //!
@@ -34,7 +34,6 @@
 //! assert!(without.availability_bp() < with.availability_bp());
 //! ```
 //!
-//! [`ServeConfig::restartable`]: specrpc_rpc::ServeConfig::restartable
 //! [`Invariants`]: crate::Invariants
 
 use crate::echo::{build_echo_proc, echo_handler, ECHO_PROG, ECHO_VERS, MAX_ARR};
@@ -277,7 +276,7 @@ impl ChaosReport {
     }
 }
 
-/// Execute one chaos run: deploy the primary restartably plus its
+/// Execute one chaos run: deploy the primary plus its
 /// backups (observed by one [`Invariants`], the primary and the backups
 /// under their own labels), arm the fault schedule, drive every client through
 /// its closed-loop call sequence, then play the schedule out so the
@@ -300,11 +299,12 @@ pub fn run_chaos(cfg: &ChaosConfig) -> Result<ChaosReport, PipelineError> {
             .into_registry()
     };
 
-    let primary = ServeConfig {
-        restartable: true,
-        ..ServeConfig::new(&[CHAOS_PRIMARY])
-    };
-    serve(&net, observed(CHAOS_PRIMARY), primary).detach();
+    serve(
+        &net,
+        observed(CHAOS_PRIMARY),
+        ServeConfig::new(&[CHAOS_PRIMARY]),
+    )
+    .detach();
     let backups: Vec<Addr> = (0..cfg.backups)
         .map(|b| CHAOS_BACKUP_BASE + b as u32)
         .collect();

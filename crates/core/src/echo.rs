@@ -348,8 +348,8 @@ pub struct BatchEchoBench {
     pub net: Network,
     /// Specialized client (pool shared with the serving side).
     pub spec: SpecClient<ClntUdp>,
-    /// The served registry and its reactor's counters.
-    pub service: crate::service::EventService,
+    /// The deployment: its registry and its reactor's counters.
+    pub service: specrpc_rpc::Served,
     /// Array size this deployment is specialized for.
     pub n: usize,
     /// Calls per batch.
@@ -383,15 +383,14 @@ impl BatchEchoBench {
             workers_per_shard: workers,
             ..specrpc_rpc::ServeConfig::new(&[ECHO_PORT])
         };
-        let reactor = specrpc_rpc::serve(&net, registry.clone(), cfg);
-        let service = crate::service::EventService { registry, reactor };
+        let service = specrpc_rpc::serve(&net, registry, cfg);
         let clnt = ClntUdp::create_pooled(
             &net,
             5002,
             ECHO_PORT,
             ECHO_PROG,
             ECHO_VERS,
-            service.registry.pool().clone(),
+            service.registry().pool().clone(),
         );
         let spec = SpecClient::from_parts(clnt, proc_);
         let expect = workload(n);

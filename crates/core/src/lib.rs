@@ -174,41 +174,39 @@
 //!
 //! # Scaling the server
 //!
-//! There is one serving core: [`specrpc_rpc::serve`] registers each
-//! served address on the simulator's delivery lane with a cache-fronted
-//! dispatch body (registry, dup cache, buffer pool, zero-copy encode),
-//! and two numbers of its [`specrpc_rpc::ServeConfig`] shape the
-//! deployment. The `SpecService::serve_*` methods are spellings of it:
+//! There is one serving core and one way to deploy it:
+//! [`specrpc_rpc::serve`] registers each address of a
+//! [`specrpc_rpc::ServeConfig`] on the simulator's delivery lane with a
+//! cache-fronted dispatch body (registry, dup cache, buffer pool,
+//! zero-copy encode). [`SpecService::serve_udp`] is that call for one
+//! address with the defaults; two numbers of the config shape anything
+//! bigger:
 //!
-//! - **A shard** owns a slice of the served addresses (`addr % shards`)
-//!   together with that slice's duplicate-request caches and buffer
-//!   pool; [`SpecService::serve_sharded`] sets how many there are. A
-//!   one-shard deployment draws on the registry's own pool, so a pooled
-//!   client and its server allocate nothing per call; a steady call does
-//!   not visit the pool at all (see `specrpc_rpc::bufpool`).
-//! - **A worker** is a reactor thread of one shard
-//!   ([`SpecService::serve_event`] runs one shard with N of them): it
-//!   drains its shard's sockets round-robin, steals one datagram at a
+//! - **`shards`**: a shard owns a slice of the served addresses
+//!   (`addr % shards`) together with that slice's duplicate-request
+//!   caches and buffer pool. A one-shard deployment draws on the
+//!   registry's own pool, so a pooled client and its server allocate
+//!   nothing per call; a steady call does not visit the pool at all (see
+//!   `specrpc_rpc::bufpool`).
+//! - **`workers_per_shard`**: a worker is a reactor thread of one shard.
+//!   It drains its shard's sockets round-robin, steals one datagram at a
 //!   time from peer shards when its own are dry, and sleeps when the map
 //!   is. The simulator holds one delivery at a time, so a worker races
 //!   the driving thread for it: it adds a cross-thread hand-off, not
-//!   parallelism. Batching pays on the wire instead:
-//!   [`SpecClient::call_batch`] keeps N pipelined requests outstanding
-//!   (one reused `WireBuf` scratch per slot, xid-matched completion,
-//!   results in submission order), so the propagation latency and the
-//!   server's turnaround overlap across the batch.
-//! - **Zero workers** ([`SpecService::serve_udp`], or
-//!   `workers_per_shard = 0`) spawns nothing: whichever thread drives
-//!   the network executes each delivery in place. That is the
-//!   deterministic mode — byte- and virtual-time-identical for any shard
-//!   count, since shard assignment moves ownership, never delivery order
-//!   — and, with no hand-off between threads, the fast one on a host
-//!   with few cores.
+//!   parallelism. With **zero** (the default) nothing is spawned: the
+//!   thread driving the network executes each delivery in place. That is
+//!   the deterministic mode — byte- and virtual-time-identical for any
+//!   shard count, since shard assignment moves ownership, never delivery
+//!   order — and, with no hand-off between threads, the fast one on a
+//!   host with few cores.
 //!
-//! With one driving thread the virtual-time trace is the same whatever
-//! the shard and worker counts. Event counts are read from
-//! [`EventService::per_shard_events`] and
-//! [`EventService::per_worker_events`].
+//! Batching pays on the wire instead: [`SpecClient::call_batch`] keeps N
+//! pipelined requests outstanding (one reused `WireBuf` scratch per slot,
+//! xid-matched completion, results in submission order), so the
+//! propagation latency and the server's turnaround overlap across the
+//! batch. With one driving thread the virtual-time trace is the same
+//! whatever the shard and worker counts. Event counts are read from the
+//! returned [`specrpc_rpc::Served`].
 //!
 //! Two shards with a worker each, a batch against one of them:
 //!
@@ -216,14 +214,18 @@
 //! use specrpc::echo::{build_echo_proc, echo_service, ECHO_PROG, ECHO_VERS};
 //! use specrpc::SpecClient;
 //! use specrpc_netsim::net::{Network, NetworkConfig};
-//! use specrpc_rpc::ClntUdp;
+//! use specrpc_rpc::{serve, ClntUdp, ServeConfig};
 //! use specrpc_tempo::compile::StubArgs;
 //! use std::sync::Arc;
 //!
 //! let net = Network::new(NetworkConfig::lan(), 5);
 //! let proc_ = Arc::new(build_echo_proc(8, None).unwrap());
-//! let ports = [910, 911];
-//! let served = echo_service(proc_.clone()).serve_sharded(&net, &ports, 2, 1);
+//! let cfg = ServeConfig {
+//!     shards: 2,
+//!     workers_per_shard: 1,
+//!     ..ServeConfig::new(&[910, 911])
+//! };
+//! let served = serve(&net, echo_service(proc_.clone()).into_registry(), cfg);
 //!
 //! // Eight calls in flight at once; replies return in submission order.
 //! let transport = ClntUdp::create(&net, 5200, 910, ECHO_PROG, ECHO_VERS);
@@ -248,10 +250,7 @@
 //! // thread did in place.
 //! let per_worker = served.per_worker_events();
 //! assert_eq!(per_worker.len(), 2);
-//! assert_eq!(
-//!     per_worker.iter().sum::<u64>() + served.reactor.driver_inline_events(),
-//!     9
-//! );
+//! assert_eq!(per_worker.iter().sum::<u64>() + served.driver_inline_events(), 9);
 //! ```
 //!
 //! The open-loop **million-client scenario** (one pre-encoded request
@@ -292,5 +291,8 @@ pub use scenario::{
     deploy_nfs_service, run_nfs, run_scale, run_scale_single_shard, NfsConfig, NfsReport,
     ScaleConfig, ScaleReport,
 };
-pub use service::{EventService, SpecHandler, SpecService};
+pub use service::{SpecHandler, SpecService};
+/// A running datagram deployment, by the name the benchmark's API
+/// contract gives it.
+pub use specrpc_rpc::Served as EventService;
 pub use summary::{LatencyHistogram, Summary};

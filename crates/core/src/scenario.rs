@@ -7,7 +7,7 @@
 //! a random instant inside an arrival window, against a service hosting
 //! one procedure per array shape with a zipf-ranked shape mix (small
 //! requests dominate, heavy tails exist). The server side is a
-//! [`SpecService::serve_sharded`] map; the client side is raw pre-encoded
+//! [`specrpc_rpc::serve`] shard map; the client side is raw pre-encoded
 //! datagrams — one wire template per shape with only the xid patched per
 //! request — so the open loop costs O(1) client state per endpoint and
 //! the run scales to a million senders in one process.
@@ -27,7 +27,7 @@ use rand::{Rng, SeedableRng};
 use specrpc_netsim::net::{Addr, Endpoint, LinkStats, Network, NetworkConfig};
 use specrpc_netsim::SimTime;
 use specrpc_rpc::msg::CallHeader;
-use specrpc_rpc::{ClntUdp, CoalescePolicy, CoalesceStats, Transport};
+use specrpc_rpc::{serve, ClntUdp, CoalescePolicy, CoalesceStats, ServeConfig, Transport};
 use specrpc_rpcgen::sunlib::reply_fields;
 use specrpc_tempo::compile::StubArgs;
 use specrpc_xdr::composite::xdr_array;
@@ -270,7 +270,11 @@ pub fn run_scale(cfg: &ScaleConfig) -> Result<ScaleReport, PipelineError> {
     let net = Network::new(NetworkConfig::lan(), cfg.seed);
     let service = deploy_scale_service(cfg)?;
     let ports = cfg.ports();
-    let sharded = service.serve_sharded(&net, &ports, cfg.shards, 0);
+    let shard_map = ServeConfig {
+        shards: cfg.shards,
+        ..ServeConfig::new(&ports)
+    };
+    let sharded = serve(&net, service.into_registry(), shard_map);
 
     let templates: Vec<Vec<u8>> = cfg
         .shapes

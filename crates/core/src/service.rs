@@ -14,15 +14,17 @@
 //! reused scratch slots sit behind a `Mutex` of their own (a dispatch
 //! that finds them taken works on fresh ones), and the network is
 //! shareable across threads, so one installed service can be driven (and
-//! dispatched) from any number of threads. Every UDP
-//! deployment is one reactor ([`specrpc_rpc::serve`]): with no workers
-//! the driving threads dispatch in place; with workers
-//! ([`SpecService::serve_event`], [`SpecService::serve_sharded`])
-//! independent requests dispatch on reactor threads that share the one
-//! registry (and therefore one `StubCache`-compiled stub set); the
-//! per-shard and per-worker event counts are read from
-//! [`EventService::per_shard_events`] and
-//! [`EventService::per_worker_events`].
+//! dispatched) from any number of threads.
+//!
+//! # Deploying
+//!
+//! [`SpecService::serve_udp`] and [`SpecService::serve_tcp`] serve one
+//! address with the defaults. Any other datagram deployment — several
+//! addresses, shards, reactor workers, another cache size — is a
+//! [`ServeConfig`] value given to the one serving core:
+//! `specrpc_rpc::serve(&net, service.into_registry(), cfg)`, whose
+//! [`Served`](specrpc_rpc::Served) handle holds the registry and the
+//! per-shard and per-worker event counts.
 
 use crate::generic::{decode_shape_generic, encode_shape_generic};
 use crate::invariants::Invariants;
@@ -32,7 +34,7 @@ use specrpc_rpc::bufpool::BufPool;
 use specrpc_rpc::error::RpcError;
 use specrpc_rpc::msg::{AcceptStat, ReplyHeader};
 use specrpc_rpc::svc::{take_offer, SvcRegistry, REPLY_BUF_SIZE};
-use specrpc_rpc::{serve, serve_tcp, ServeConfig, Served};
+use specrpc_rpc::{serve, serve_tcp, ServeConfig};
 use specrpc_rpcgen::sunlib::call_fields;
 use specrpc_tempo::compile::{run_decode, run_encode_after_xid, Outcome, StubArgs};
 use specrpc_xdr::mem::XdrMem;
@@ -69,44 +71,6 @@ pub struct SpecService {
     procs: Vec<(Arc<CompiledProc>, SpecHandler)>,
     /// Where [`SpecService::observed`] reports executions, and as whom.
     observer: Option<(Arc<Invariants>, Addr)>,
-}
-
-/// A service deployed through [`SpecService::serve_event`] or
-/// [`SpecService::serve_sharded`]: the shared registry plus the reactor
-/// serving it.
-///
-/// Dropping the service shuts the reactor down (workers joined, the
-/// addresses released).
-pub struct EventService {
-    /// The shared dispatch registry (path counters).
-    pub registry: Arc<SvcRegistry>,
-    /// The reactor (per-shard and per-worker event counts).
-    pub reactor: Served,
-}
-
-impl EventService {
-    /// Events processed per shard, credited to the shard owning the
-    /// address, whichever thread executed them.
-    pub fn per_shard_events(&self) -> Vec<u64> {
-        self.reactor.per_shard_events()
-    }
-
-    /// Events executed per reactor worker (shard-major; empty with zero
-    /// workers). Deliveries a driving thread executed in place are in
-    /// the total but in no worker's count.
-    pub fn per_worker_events(&self) -> Vec<u64> {
-        self.reactor.per_worker_events()
-    }
-
-    /// Total events processed by the reactor.
-    pub fn total_events(&self) -> u64 {
-        self.reactor.total_events()
-    }
-
-    /// Cross-shard steals performed by idle shard workers.
-    pub fn cross_shard_steals(&self) -> u64 {
-        self.reactor.cross_shard_steals()
-    }
 }
 
 impl SpecService {
@@ -190,56 +154,6 @@ impl SpecService {
         let reg = self.into_registry();
         serve_tcp(net, addr, reg.clone());
         reg
-    }
-
-    /// Install into a fresh registry and serve it over UDP at `addr`
-    /// with `workers` reactor threads racing the driving thread for each
-    /// delivery (dup cache, `BufPool`, zero-copy reply encode all as in
-    /// [`SpecService::serve_udp`]). The simulator holds one delivery at a
-    /// time, so a worker adds a cross-thread hand-off, not parallelism.
-    ///
-    /// With one driving thread the deployment is byte- and
-    /// virtual-time-identical to `serve_udp` whichever thread wins each
-    /// race.
-    pub fn serve_event(self, net: &Network, addr: Addr, workers: usize) -> EventService {
-        let cfg = ServeConfig {
-            workers_per_shard: workers,
-            ..ServeConfig::new(&[addr])
-        };
-        self.serve_with(net, cfg)
-    }
-
-    /// Install into a fresh registry and serve it at `addrs` through
-    /// `shards` shards: each address belongs to one shard (modulo
-    /// spread), and each shard owns its addresses' duplicate-request
-    /// caches and wire-buffer pool plus `workers_per_shard` reactor
-    /// threads; a shard whose sockets are dry steals one datagram at a
-    /// time from its peers.
-    ///
-    /// `workers_per_shard == 0` spawns no thread: every delivery executes
-    /// on the driving thread, producing byte- and virtual-time-identical
-    /// traces for any shard count (the shard map then only partitions
-    /// cache/pool ownership). This is the mode the million-client
-    /// scenario measures.
-    pub fn serve_sharded(
-        self,
-        net: &Network,
-        addrs: &[Addr],
-        shards: usize,
-        workers_per_shard: usize,
-    ) -> EventService {
-        let cfg = ServeConfig {
-            shards,
-            workers_per_shard,
-            ..ServeConfig::new(addrs)
-        };
-        self.serve_with(net, cfg)
-    }
-
-    fn serve_with(self, net: &Network, cfg: ServeConfig) -> EventService {
-        let registry = self.into_registry();
-        let reactor = serve(net, registry.clone(), cfg);
-        EventService { registry, reactor }
     }
 }
 
@@ -365,7 +279,7 @@ mod tests {
     use crate::pipeline::ProcPipeline;
     use crate::Invariants;
     use specrpc_netsim::net::NetworkConfig;
-    use specrpc_rpc::ClntUdp;
+    use specrpc_rpc::{ClntUdp, Served};
 
     const IDL: &str = r#"
         const MAXARR = 2000;
@@ -384,7 +298,7 @@ mod tests {
         assert_send_sync::<SpecService>();
         assert_send_sync::<SvcRegistry>();
         assert_send_sync::<Network>();
-        assert_send_sync::<EventService>();
+        assert_send_sync::<Served>();
     }
 
     fn setup(n: usize) -> (Network, SpecClient<ClntUdp>, Arc<SvcRegistry>) {
@@ -684,47 +598,20 @@ mod tests {
     }
 
     #[test]
-    fn event_service_round_trips_and_counts_per_worker() {
-        let n = 8;
-        let cp = Arc::new(ProcPipeline::new(n).build_from_idl(IDL, None, 1).unwrap());
-        let net = Network::new(NetworkConfig::lan(), 13);
-        let served = SpecService::new()
-            .proc(cp.clone(), |args: &StubArgs| {
-                StubArgs::new(vec![], vec![args.arrays[0].clone()])
-            })
-            .serve_event(&net, 804, 2);
-
-        let clnt = ClntUdp::create(&net, 5500, 804, 0x2000_0101, 1);
-        let mut client = SpecClient::from_parts(clnt, cp);
-        let data: Vec<i32> = (0..n as i32).collect();
-        for _ in 0..6 {
-            let args = client.args(vec![], vec![data.clone()]);
-            let (out, path) = client.call(&args).unwrap();
-            assert_eq!(path, PathUsed::Fast);
-            assert_eq!(out.arrays[0], data);
-        }
-        let per = served.per_worker_events();
-        assert_eq!(per.len(), 2);
-        // Worker counts plus driver steals cover every request: on a
-        // single-core host the driving thread steals most of them.
-        assert_eq!(served.total_events(), 6);
-        assert_eq!(
-            per.iter().sum::<u64>() + served.reactor.driver_inline_events(),
-            6
-        );
-        assert_eq!(served.registry.raw_dispatches(), 6);
-    }
-
-    #[test]
     fn batched_calls_through_the_event_service() {
         let n = 8;
         let cp = Arc::new(ProcPipeline::new(n).build_from_idl(IDL, None, 1).unwrap());
         let net = Network::new(NetworkConfig::lan(), 13);
-        let served = SpecService::new()
+        let registry = SpecService::new()
             .proc(cp.clone(), |args: &StubArgs| {
                 StubArgs::new(vec![], vec![args.arrays[0].clone()])
             })
-            .serve_event(&net, 805, 1);
+            .into_registry();
+        let cfg = ServeConfig {
+            workers_per_shard: 1,
+            ..ServeConfig::new(&[805])
+        };
+        let served = serve(&net, registry, cfg);
 
         let clnt = ClntUdp::create(&net, 5501, 805, 0x2000_0101, 1);
         let mut client = SpecClient::from_parts(clnt, cp);
@@ -744,70 +631,5 @@ mod tests {
         assert_eq!(served.total_events(), 5);
         assert_eq!(client.fast_calls, 5);
         assert_eq!(client.calls, 5);
-    }
-
-    #[test]
-    fn sharded_service_round_trips_and_counts_per_shard() {
-        let n = 8;
-        let cp = Arc::new(ProcPipeline::new(n).build_from_idl(IDL, None, 1).unwrap());
-        let net = Network::new(NetworkConfig::lan(), 13);
-        let ports: Vec<u32> = (806..810).collect();
-        let served = SpecService::new()
-            .proc(cp.clone(), |args: &StubArgs| {
-                StubArgs::new(vec![], vec![args.arrays[0].clone()])
-            })
-            .serve_sharded(&net, &ports, 2, 0);
-
-        let data: Vec<i32> = (0..n as i32).collect();
-        for (i, &port) in ports.iter().enumerate() {
-            let clnt = ClntUdp::create(&net, 5600 + i as u32, port, 0x2000_0101, 1);
-            let mut client = SpecClient::from_parts(clnt, cp.clone());
-            let args = client.args(vec![], vec![data.clone()]);
-            let (out, path) = client.call(&args).unwrap();
-            assert_eq!(path, PathUsed::Fast);
-            assert_eq!(out.arrays[0], data);
-        }
-        let per = served.per_shard_events();
-        assert_eq!(per.len(), 2);
-        assert_eq!(served.total_events(), 4);
-        assert_eq!(per, vec![2, 2], "modulo spread over even/odd ports");
-        assert_eq!(served.registry.raw_dispatches(), 4);
-        assert!(served.per_worker_events().is_empty(), "no workers");
-    }
-
-    #[test]
-    fn threaded_service_round_trips_and_counts_per_worker() {
-        // Shards *and* workers through the one handle: two ports on two
-        // shards, one reactor thread each.
-        let n = 8;
-        let cp = Arc::new(ProcPipeline::new(n).build_from_idl(IDL, None, 1).unwrap());
-        let net = Network::new(NetworkConfig::lan(), 13);
-        let ports = [802u32, 803];
-        let served = SpecService::new()
-            .proc(cp.clone(), |args: &StubArgs| {
-                StubArgs::new(vec![], vec![args.arrays[0].clone()])
-            })
-            .serve_sharded(&net, &ports, 2, 1);
-
-        let data: Vec<i32> = (0..n as i32).collect();
-        for (i, &port) in ports.iter().enumerate() {
-            let clnt = ClntUdp::create(&net, 5400 + i as u32, port, 0x2000_0101, 1);
-            let mut client = SpecClient::from_parts(clnt, cp.clone());
-            for _ in 0..3 {
-                let args = client.args(vec![], vec![data.clone()]);
-                let (out, path) = client.call(&args).unwrap();
-                assert_eq!(path, PathUsed::Fast);
-                assert_eq!(out.arrays[0], data);
-            }
-        }
-        let per = served.per_worker_events();
-        assert_eq!(per.len(), 2);
-        assert_eq!(served.per_shard_events(), vec![3, 3]);
-        assert_eq!(
-            per.iter().sum::<u64>() + served.reactor.driver_inline_events(),
-            6
-        );
-        assert!(served.cross_shard_steals() <= per.iter().sum());
-        assert_eq!(served.registry.raw_dispatches(), 6);
     }
 }

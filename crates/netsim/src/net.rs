@@ -150,9 +150,8 @@
 //! # The delivery lane
 //!
 //! There is one way a datagram reaches server code. Every served address
-//! has a processor ([`Network::serve_udp_events_with`];
-//! [`Network::serve_udp`] registers a stateful handler as one), and the
-//! lane holds **one** datagram: a delivery to a served address is put in
+//! has a processor (the [`UdpHandler`] [`Network::serve_udp`] registers),
+//! and the lane holds **one** datagram: a delivery to a served address is put in
 //! the simulator's single slot under the lock, and taken out again,
 //! together with its address's processor, by whoever processes it — a
 //! driving thread in place, or a reactor thread that wins the race for it
@@ -362,10 +361,17 @@ impl Ord for Scheduled {
     }
 }
 
-/// A stateful UDP service handler: gets a request datagram, optionally
-/// returns a reply plus the simulated processing time spent producing it.
-/// [`Network::serve_udp`] registers it as its address's
-/// [`EventProcessor`] as it is.
+/// The server code of an address, registered with [`Network::serve_udp`]:
+/// gets a request datagram, optionally returns a reply plus the simulated
+/// processing time spent producing it.
+///
+/// It is never shared. The acquisition that takes the address's delivery
+/// out of the lane's slot also takes the handler out of the registration
+/// and *lends* it to the thread that runs it — a driving thread in place,
+/// or a reactor through [`Network::poll_udp`] — and the completion's
+/// acquisition gives it back. The lane holds one delivery, so a handler
+/// never waits for itself; it needs `Send`, not `Sync`, and keeps its
+/// state without a lock of its own.
 ///
 /// The payload is passed by mutable reference so a handler may *consume*
 /// it (`std::mem::take`) — e.g. to recycle the buffer into a wire-buffer
@@ -406,22 +412,11 @@ pub type TcpHandlerFactory = Box<dyn FnMut() -> Box<dyn TcpHandler> + Send>;
 /// network.
 type Slot<T> = Arc<Mutex<T>>;
 
-/// The server code of an address: a [`UdpHandler`], registered with
-/// [`Network::serve_udp_events_with`]. It is never shared. The
-/// acquisition that takes the address's delivery out of the lane's slot
-/// also takes the processor out of the registration and *lends* it to
-/// the thread that runs it — a driving thread in place, or a reactor
-/// through [`Network::poll_udp`] — and the completion's acquisition gives
-/// it back. The lane holds one delivery, so a processor never waits for
-/// itself; it needs `Send`, not `Sync`, and keeps its state without a
-/// lock of its own.
-pub type EventProcessor = UdpHandler;
-
-/// Factory producing the [`EventProcessor`] of a restartable address:
-/// invoked at registration and again on every [`Network::restart`], so
-/// whatever state the processor keeps can start over (see
-/// [`Network::serve_udp_events_restartable`]).
-pub type EventProcessorFactory = Box<dyn FnMut() -> EventProcessor + Send>;
+/// Builds the [`UdpHandler`] of a restartable address, at registration
+/// and again on every [`Network::restart`], so whatever state the
+/// handler keeps can start over. `Fn + Sync`: a restart clones it under
+/// the simulator lock and calls it outside.
+type UdpFactory = Arc<dyn Fn() -> UdpHandler + Send + Sync>;
 
 /// The receive queue of one bound address, alive as long as an
 /// [`Endpoint`] on that address is.
@@ -482,14 +477,14 @@ struct NetInner {
     /// Neither is ever iterated, so no trace depends on their internal
     /// order.
     mailboxes: IntMap<Addr, Mailbox>,
-    /// Processor factories of restartable services: [`Network::restart`]
+    /// Handler factories of restartable services: [`Network::restart`]
     /// re-registers what the factory builds (crash/restart amnesia — see
     /// [`crate::chaos`]).
-    udp_factories: HashMap<Addr, Slot<EventProcessorFactory>>,
-    /// The processor of every served address — `None` while it is lent
+    udp_factories: HashMap<Addr, UdpFactory>,
+    /// The handler of every served address — `None` while it is lent
     /// to the thread running the address's delivery. Looked up, never
     /// iterated.
-    served: IntMap<Addr, Option<EventProcessor>>,
+    served: IntMap<Addr, Option<UdpHandler>>,
     /// The lane's one slot: a delivery routed to a served address, until
     /// a driver or a reactor takes it out to process.
     ready: Option<(Addr, Datagram)>,
@@ -646,12 +641,6 @@ impl Network {
         self.lock().datagrams_sent
     }
 
-    /// Total UDP wire fragments charged so far (see
-    /// [`LinkStats::fragments`]).
-    pub fn fragments_sent(&self) -> u64 {
-        self.lock().fragments_sent
-    }
-
     /// Link accounting snapshot: drop-tail receive-queue counters plus
     /// datagram/fragment totals (see [`LinkStats`]).
     pub fn link_stats(&self) -> LinkStats {
@@ -684,23 +673,35 @@ impl Network {
     }
 
     /// Install a UDP service at `addr`, replacing any registration
-    /// already there: `handler` becomes the address's processor
-    /// ([`Network::serve_udp_events_with`]), lent to whichever thread
-    /// runs the delivery.
+    /// already there: `handler` becomes the address's server code, lent to
+    /// whichever thread runs its delivery. A *driving* thread that finds
+    /// the address's delivery in the lane's slot runs it in place, so with
+    /// no reactor the driver does every delivery itself; a reactor may
+    /// race it for the slot through [`Network::poll_udp`]. Replacing a
+    /// handler that is lent out stands: the lent one is dropped when it
+    /// comes back.
     pub fn serve_udp(&self, addr: Addr, handler: UdpHandler) {
-        self.serve_udp_events_with(addr, handler);
+        let mut inner = self.lock();
+        let replaced = inner.served.insert(addr, Some(handler));
+        // A delivery waiting for the old handler goes with it —
+        // un-counted, or the pending count would pin the clock forever
+        // on a datagram nobody can reach anymore.
+        inner.forget_ready(addr);
+        drop(inner);
+        drop(replaced);
     }
 
-    /// [`Network::serve_udp_events_with`] for an address that survives a
-    /// crash: the factory builds the processor registered now, and
+    /// [`Network::serve_udp`] for an address that survives a crash: the
+    /// factory builds the handler registered now, and
     /// [`Network::restart`] registers what it builds then — the hook a
     /// reactor uses to come back with an empty duplicate-request cache.
-    pub fn serve_udp_events_restartable(&self, addr: Addr, mut factory: EventProcessorFactory) {
-        self.serve_udp_events_with(addr, factory());
-        let replaced = self
-            .lock()
-            .udp_factories
-            .insert(addr, Arc::new(Mutex::new(factory)));
+    pub fn serve_udp_events_restartable(
+        &self,
+        addr: Addr,
+        factory: impl Fn() -> UdpHandler + Send + Sync + 'static,
+    ) {
+        self.serve_udp(addr, factory());
+        let replaced = self.lock().udp_factories.insert(addr, Arc::new(factory));
         // Outside the lock: see "Dropping user code" in the module docs.
         drop(replaced);
     }
@@ -780,40 +781,18 @@ impl Network {
     /// of the direct `crash`/`restart`/… methods and of scheduled
     /// [`Event::Chaos`] dispatches.
     fn apply_chaos_event(&self, ev: ChaosEvent) {
-        let (reinstall, crashed) = self.lock().apply_chaos_locked(ev);
+        let (rebuild, crashed) = self.lock().apply_chaos_locked(ev);
         // What a crash removed is user code: dropped outside the lock.
         drop(crashed);
-        // A restart re-builds the processor from its factory OUTSIDE the
+        // A restart re-builds the handler from its factory OUTSIDE the
         // simulator lock (the factory is user code and may touch the
         // network itself).
-        if let Some(addr) = reinstall {
-            let factory = self.lock().udp_factories.get(&addr).cloned();
-            if let Some(factory) = factory {
-                let processor = (factory.lock().expect("udp factory lock"))();
-                self.serve_udp_events_with(addr, processor);
-            }
+        if let Some((addr, factory)) = rebuild {
+            self.serve_udp(addr, factory());
         }
         // Crash may have dropped the pending delivery; wake both sleeper
         // kinds so reactors and fast-forward waiters re-check.
         self.notify_ready();
-    }
-
-    /// Register `processor` as the server code of `addr`, replacing any
-    /// registration already there. A *driving* thread that finds the
-    /// address's delivery in the lane's slot runs `processor` in place,
-    /// so with no reactor the driver does every delivery itself; a
-    /// reactor may race it for the slot through [`Network::poll_udp`].
-    /// Replacing a processor that is lent out stands: the lent one is
-    /// dropped when it comes back.
-    pub fn serve_udp_events_with(&self, addr: Addr, processor: EventProcessor) {
-        let mut inner = self.lock();
-        let replaced = inner.served.insert(addr, Some(processor));
-        // A delivery waiting for the old processor goes with it —
-        // un-counted, or the pending count would pin the clock forever
-        // on a datagram nobody can reach anymore.
-        inner.forget_ready(addr);
-        drop(inner);
-        drop(replaced);
     }
 
     /// Remove a registration (and the factory of a restartable one),
@@ -868,7 +847,7 @@ impl Network {
         &self,
         addr: Addr,
         mut dg: Datagram,
-        processor: EventProcessor,
+        processor: UdpHandler,
         before: impl FnOnce(),
     ) -> MutexGuard<'_, NetInner> {
         let mut lent = Lent::new(self, (addr, processor), NetInner::home_processor);
@@ -1392,7 +1371,7 @@ impl NetInner {
     /// just taken out of the slot. It is there: the slot only ever holds
     /// a delivery to a served address, and no other delivery is pending
     /// that could have it out.
-    fn lend(&mut self, addr: Addr) -> EventProcessor {
+    fn lend(&mut self, addr: Addr) -> UdpHandler {
         self.served
             .get_mut(&addr)
             .and_then(Option::take)
@@ -1405,8 +1384,8 @@ impl NetInner {
     /// processor comes back to the caller to be dropped outside the lock.
     fn home_processor(
         &mut self,
-        (addr, processor): (Addr, EventProcessor),
-    ) -> Option<(Addr, EventProcessor)> {
+        (addr, processor): (Addr, UdpHandler),
+    ) -> Option<(Addr, UdpHandler)> {
         match self.served.get_mut(&addr) {
             Some(home @ None) => {
                 *home = Some(processor);
@@ -1450,14 +1429,16 @@ impl NetInner {
 
     /// Apply one lifecycle fault under the simulator lock. Two things
     /// are left to the caller, because both are user code and belong
-    /// outside this lock: `Some(addr)` when a processor must be
-    /// re-registered from the address's factory (restart of a
-    /// restartable service), and the registration a crash removed, to be
-    /// dropped.
-    fn apply_chaos_locked(&mut self, ev: ChaosEvent) -> (Option<Addr>, Option<EventProcessor>) {
+    /// outside this lock: the address and factory whose handler must be
+    /// re-registered (restart of a restartable service), and the
+    /// registration a crash removed, to be dropped.
+    fn apply_chaos_locked(
+        &mut self,
+        ev: ChaosEvent,
+    ) -> (Option<(Addr, UdpFactory)>, Option<UdpHandler>) {
         let now = self.now;
         let mut crashed = None;
-        let reinstall = match ev {
+        let rebuild = match ev {
             ChaosEvent::Crash(addr) => {
                 if self.chaos.crash(addr, now) {
                     // Everything the process held in memory dies with it:
@@ -1475,7 +1456,11 @@ impl NetInner {
                 }
                 None
             }
-            ChaosEvent::Restart(addr) => self.chaos.restart(addr, now).then_some(addr),
+            ChaosEvent::Restart(addr) => {
+                let up = self.chaos.restart(addr, now);
+                let factory = self.udp_factories.get(&addr).filter(|_| up);
+                factory.map(|f| (addr, f.clone()))
+            }
             ChaosEvent::Partition(a, b) => {
                 self.chaos.partition(a, b);
                 None
@@ -1498,7 +1483,7 @@ impl NetInner {
                 None
             }
         };
-        (reinstall, crashed)
+        (rebuild, crashed)
     }
 
     /// [`Network::send_udp`] body, callable while the simulator lock is
@@ -1669,7 +1654,7 @@ mod tests {
     use super::*;
 
     /// A processor echoing each request after `proc_time`.
-    fn echo(proc_time: SimTime) -> EventProcessor {
+    fn echo(proc_time: SimTime) -> UdpHandler {
         Box::new(move |req: &mut Vec<u8>, _| Some((req.to_vec(), proc_time)))
     }
 
@@ -1921,7 +1906,7 @@ mod tests {
         a.send_to(2, vec![0; 100]);
         assert_eq!(net.bytes_sent(), 100);
         assert_eq!(net.datagrams_sent(), 1);
-        assert_eq!(net.fragments_sent(), 1);
+        assert_eq!(net.link_stats().fragments, 1);
     }
 
     #[test]
@@ -1958,7 +1943,7 @@ mod tests {
         let t0 = SimTime::from_nanos((100 + 28) * 80 + 20_000);
         let dg = b.recv_timeout(SimTime::from_millis(10)).expect("delivery");
         assert_eq!(dg.at, t0 + SimTime::from_nanos(28 * 80 + 20_000 + 150_000));
-        assert_eq!(net.fragments_sent(), 2);
+        assert_eq!(net.link_stats().fragments, 2);
     }
 
     #[test]
@@ -1979,7 +1964,7 @@ mod tests {
         assert_eq!(dg.at, SimTime::from_nanos(tx + 150_000));
         assert_eq!(dg.payload.len(), 2500);
         assert_eq!(net.datagrams_sent(), 1);
-        assert_eq!(net.fragments_sent(), 3);
+        assert_eq!(net.link_stats().fragments, 3);
         let stats = net.link_stats();
         assert_eq!(stats.datagrams, 1);
         assert_eq!(stats.fragments, 3);
@@ -2176,7 +2161,7 @@ mod tests {
         // under which the reply is sent, delivered and received; the
         // unbind.
         let net = Network::new(NetworkConfig::lan(), 1);
-        net.serve_udp_events_with(
+        net.serve_udp(
             2000,
             Box::new(|req: &mut Vec<u8>, _| Some((req.to_vec(), SimTime::from_micros(50)))),
         );
@@ -2200,7 +2185,7 @@ mod tests {
         // work itself, so N round trips must issue none (it was two per
         // round trip on a multi-core host, one on a single core).
         let net = Network::new(NetworkConfig::lan(), 1);
-        net.serve_udp_events_with(
+        net.serve_udp(
             2000,
             Box::new(|req: &mut Vec<u8>, _| Some((req.to_vec(), SimTime::from_micros(50)))),
         );
@@ -2222,7 +2207,7 @@ mod tests {
         // must bring the reactor back.
         use std::sync::mpsc;
         let net = Network::new(NetworkConfig::lan(), 1);
-        net.serve_udp_events_with(2000, Box::new(|_, _| None));
+        net.serve_udp(2000, Box::new(|_, _| None));
         let (woke_tx, woke_rx) = mpsc::channel::<Instant>();
         let (go_tx, go_rx) = mpsc::channel::<()>();
         let reactor = {
@@ -2367,7 +2352,7 @@ mod tests {
                 let ep = net.bind_udp(addr);
                 Box::new(move |req, _| Some((req.to_vec(), ep.now())))
             };
-            let owning_processor = |addr: Addr| -> EventProcessor {
+            let owning_processor = |addr: Addr| -> UdpHandler {
                 let ep = net.bind_udp(addr);
                 Box::new(move |req: &mut Vec<u8>, _| Some((req.to_vec(), ep.now())))
             };
@@ -2379,20 +2364,17 @@ mod tests {
             // the factory.
             for addr in [7002, 7003] {
                 let (n, ep) = (net.clone(), net.bind_udp(addr));
-                net.serve_udp_events_restartable(
-                    2001,
-                    Box::new(move || {
-                        let ep = n.bind_udp(ep.addr() + 100);
-                        Box::new(move |req: &mut Vec<u8>, _| Some((req.to_vec(), ep.now())))
-                    }),
-                );
+                net.serve_udp_events_restartable(2001, move || {
+                    let ep = n.bind_udp(ep.addr() + 100);
+                    Box::new(move |req: &mut Vec<u8>, _| Some((req.to_vec(), ep.now())))
+                });
             }
             net.crash(2001);
             // Event mode: re-registered, unregistered, crashed.
-            net.serve_udp_events_with(2002, owning_processor(7004));
-            net.serve_udp_events_with(2002, owning_processor(7005));
+            net.serve_udp(2002, owning_processor(7004));
+            net.serve_udp(2002, owning_processor(7005));
             net.unserve_udp_events(2002);
-            net.serve_udp_events_with(2003, owning_processor(7006));
+            net.serve_udp(2003, owning_processor(7006));
             net.crash(2003);
             // The factory of 2001 is still registered and owns 7003.
             let bound: Vec<Addr> = net.lock().mailboxes.keys().copied().collect();
@@ -2467,7 +2449,7 @@ mod tests {
         // lent, never shared, so state in a `Cell` needs no lock.
         let net = Network::new(NetworkConfig::lan(), 1);
         let calls = std::cell::Cell::new(0u8);
-        net.serve_udp_events_with(
+        net.serve_udp(
             2000,
             Box::new(move |_, _| {
                 calls.set(calls.get() + 1);
@@ -2522,7 +2504,7 @@ mod tests {
     /// ends.
     fn spawn_echo_reactor(net: &Network, addr: Addr, proc_time: SimTime) -> impl FnOnce() + use<> {
         use std::sync::atomic::{AtomicBool, Ordering};
-        net.serve_udp_events_with(addr, echo(proc_time));
+        net.serve_udp(addr, echo(proc_time));
         let stop = Arc::new(AtomicBool::new(false));
         let (n, s) = (net.clone(), stop.clone());
         let h = std::thread::spawn(move || {
@@ -2588,7 +2570,7 @@ mod tests {
         // out of the slot and runs the processor in place.
         let net = Network::new(NetworkConfig::lan(), 3);
         let driver = std::thread::current().id();
-        net.serve_udp_events_with(
+        net.serve_udp(
             2000,
             Box::new(move |req: &mut Vec<u8>, _| {
                 assert_eq!(std::thread::current().id(), driver, "run in place");
@@ -2607,7 +2589,7 @@ mod tests {
     #[test]
     fn poll_udp_returns_false_when_nothing_is_ready() {
         let net = Network::new(NetworkConfig::lan(), 1);
-        net.serve_udp_events_with(2000, echo(SimTime::ZERO));
+        net.serve_udp(2000, echo(SimTime::ZERO));
         assert!(!net.poll_udp(2000, || panic!("nothing to run")));
         assert!(
             !net.poll_udp(999, || panic!("nothing to run")),
@@ -2629,7 +2611,7 @@ mod tests {
         for cap in [usize::MAX, 1, 0] {
             let net = Network::new(NetworkConfig::lan().with_rx_queue_cap(cap), 1);
             for addr in [2000, 2001] {
-                net.serve_udp_events_with(addr, echo(SimTime::from_micros(50)));
+                net.serve_udp(addr, echo(SimTime::from_micros(50)));
             }
             let eps: Vec<Endpoint> = (0..4).map(|i| net.bind_udp(5001 + i)).collect();
             for (i, ep) in eps.iter().enumerate() {
@@ -2663,7 +2645,7 @@ mod tests {
         // A delivery left in the slot pins the clock (pending); once the
         // address is unregistered the driver can fast-forward again.
         let net = Network::new(NetworkConfig::lan(), 1);
-        net.serve_udp_events_with(2000, echo(SimTime::ZERO));
+        net.serve_udp(2000, echo(SimTime::ZERO));
         let ep = net.bind_udp(5001);
         ep.send_to(2000, vec![7]);
         // Run just far enough to deliver the datagram into the slot.
@@ -2697,10 +2679,9 @@ mod tests {
     fn crash_drops_deliveries_and_restart_restores_service() {
         use crate::chaos::ChaosStats;
         let net = Network::new(NetworkConfig::lan(), 1);
-        net.serve_udp_events_restartable(
-            2000,
-            Box::new(|| Box::new(|req: &mut Vec<u8>, _| Some((req.to_vec(), SimTime::ZERO)))),
-        );
+        net.serve_udp_events_restartable(2000, || {
+            Box::new(|req: &mut Vec<u8>, _| Some((req.to_vec(), SimTime::ZERO)))
+        });
         let ep = net.bind_udp(5001);
         ep.send_to(2000, vec![1]);
         assert!(ep.recv_timeout(SimTime::from_millis(5)).is_some());
@@ -2744,16 +2725,13 @@ mod tests {
         // rebuilt by the factory, so a restarted endpoint forgets what it
         // saw — the netsim half of dup-cache amnesia.
         let net = Network::new(NetworkConfig::lan(), 1);
-        net.serve_udp_events_restartable(
-            2000,
-            Box::new(|| {
-                let mut seen = 0u8;
-                Box::new(move |_req: &mut Vec<u8>, _| {
-                    seen += 1;
-                    Some((vec![seen], SimTime::ZERO))
-                })
-            }),
-        );
+        net.serve_udp_events_restartable(2000, || {
+            let mut seen = 0u8;
+            Box::new(move |_req: &mut Vec<u8>, _| {
+                seen += 1;
+                Some((vec![seen], SimTime::ZERO))
+            })
+        });
         let ep = net.bind_udp(5001);
         for want in 1..=2u8 {
             ep.send_to(2000, vec![0]);
@@ -2833,7 +2811,7 @@ mod tests {
         // A crash must un-count the delivery in the slot exactly like
         // unserve_udp_events, or the idle fast-forward would pin forever.
         let net = Network::new(NetworkConfig::lan(), 1);
-        net.serve_udp_events_with(2000, echo(SimTime::ZERO));
+        net.serve_udp(2000, echo(SimTime::ZERO));
         let ep = net.bind_udp(5001);
         ep.send_to(2000, vec![7]);
         net.run_until(SimTime::from_millis(1), || net.ready_udp(2000) > 0);
@@ -2850,12 +2828,9 @@ mod tests {
         use crate::chaos::ChaosSchedule;
         let run = || {
             let net = Network::new(NetworkConfig::lan(), 11);
-            net.serve_udp_events_restartable(
-                2000,
-                Box::new(|| {
-                    Box::new(|req: &mut Vec<u8>, _| Some((req.to_vec(), SimTime::from_micros(20))))
-                }),
-            );
+            net.serve_udp_events_restartable(2000, || {
+                Box::new(|req: &mut Vec<u8>, _| Some((req.to_vec(), SimTime::from_micros(20))))
+            });
             net.apply_chaos(&ChaosSchedule::new().crash_window(
                 2000,
                 SimTime::from_millis(3),

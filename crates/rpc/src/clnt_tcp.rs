@@ -425,7 +425,6 @@ mod tests {
     #[test]
     fn one_shot_reconnect_recovers_from_a_dead_connection() {
         use crate::svc_tcp::SvcTcpConn;
-        use crate::svc_udp::default_proc_time;
         use specrpc_netsim::net::TcpHandler;
         use specrpc_netsim::SimTime;
         use specrpc_xdr::mem::XdrMem;
@@ -450,7 +449,7 @@ mod tests {
                 if conns.fetch_add(1, Ordering::Relaxed) == 0 {
                     Box::new(DeadConn) as Box<dyn TcpHandler>
                 } else {
-                    Box::new(SvcTcpConn::new(registry.clone(), default_proc_time()))
+                    Box::new(SvcTcpConn::new(registry.clone()))
                 }
             })
         });

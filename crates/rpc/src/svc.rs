@@ -9,18 +9,18 @@
 //! servers likewise register before `svc_run` — so dispatch through
 //! `&self` reads one plain table: no lock and no reference count per
 //! call, and the handler is called by reference. Handlers are
-//! `Box<dyn Fn … + Send + Sync>`, the dispatch counters are atomics and
-//! the op-count accumulator sits behind its own `Mutex`, so independent
-//! requests may dispatch from any number of threads at once.
+//! `Box<dyn Fn … + Send + Sync>` and the dispatch counters are atomics,
+//! so independent requests may dispatch from any number of threads at
+//! once.
 
 use crate::bufpool::BufPool;
 use crate::error::RpcError;
 use crate::msg::{AcceptStat, CallHeader, RejectStat, ReplyHeader, RPC_VERS};
 use specrpc_netsim::inthash::IntMap;
 use specrpc_xdr::mem::XdrMem;
-use specrpc_xdr::{OpCounts, XdrError, XdrStream};
+use specrpc_xdr::{XdrError, XdrStream};
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::Arc;
 
 /// A generic procedure handler: given the decoded call header (Sun's
 /// `svc_req`), decode arguments from the first stream (positioned after
@@ -88,9 +88,6 @@ pub struct SvcRegistry {
     /// call; the keys *in* the table are the ones the program registered,
     /// so the integer hasher has no crafted collisions to fear.
     procs: IntMap<(u32, u32, u32), Procedure>,
-    /// Micro-layer counts accumulated by generic dispatches (for the cost
-    /// model and reports).
-    counts: Mutex<OpCounts>,
     /// Wire-buffer pool shared by every reply path of this registry (raw
     /// handlers, generic replies, and the transport adapters' caches).
     pool: Arc<BufPool>,
@@ -177,11 +174,6 @@ impl SvcRegistry {
         self.record_drops.fetch_add(1, Ordering::Relaxed);
     }
 
-    /// Micro-layer counts accumulated by generic dispatches.
-    pub fn counts(&self) -> OpCounts {
-        *self.counts.lock().expect("counts lock")
-    }
-
     /// Dispatch one request datagram to a reply datagram.
     ///
     /// Tries the specialized raw handler first when one matches the
@@ -216,10 +208,6 @@ impl SvcRegistry {
         self.dispatch_generic(request, procedure)
     }
 
-    fn add_counts(&self, c: OpCounts) {
-        *self.counts.lock().expect("counts lock") += c;
-    }
-
     /// The generic path, with the procedure the request's target words
     /// found.
     fn dispatch_generic(&self, request: &[u8], procedure: Option<&Procedure>) -> Vec<u8> {
@@ -234,7 +222,6 @@ impl SvcRegistry {
                 .unwrap_or(0);
             return encode_failure(xid, AcceptStat::GarbageArgs, None);
         }
-        self.add_counts(*args.counts());
 
         if msg.rpcvers != RPC_VERS {
             let mut enc = XdrMem::encoder(64);
@@ -260,10 +247,7 @@ impl SvcRegistry {
         // a rewind, not an allocation.
         let mut results = XdrMem::encoder_over(self.pool.take(REPLY_BUF_SIZE), REPLY_BUF_SIZE);
         ReplyHeader::encode_success(&mut results, msg.xid).expect("header fits");
-        let r = handler(&msg, &mut args, &mut results);
-        self.add_counts(*args.counts());
-        self.add_counts(*results.counts());
-        match r {
+        match handler(&msg, &mut args, &mut results) {
             Ok(()) => results.into_bytes(),
             Err(RpcError::Xdr(XdrError::Underflow { .. }))
             | Err(RpcError::Xdr(XdrError::SizeLimit { .. }))
@@ -495,14 +479,6 @@ mod tests {
         let call = make_call(77, 8, 9, 0);
         assert_eq!(peek_call_target(&call), Some((77, 8, 9)));
         assert_eq!(peek_call_target(&[0; 8]), None);
-    }
-
-    #[test]
-    fn generic_dispatch_accumulates_counts() {
-        let reg = echo_registry();
-        reg.dispatch(&make_call(100_007, 1, 3, 21));
-        assert!(reg.counts().dispatches > 0);
-        assert!(reg.counts().mem_moves > 0);
     }
 
     #[test]

@@ -1,13 +1,15 @@
 //! The serving core: one reactor, however a datagram service is deployed.
 //!
 //! [`serve`] registers every address of a [`ServeConfig`] on the
-//! simulator's delivery lane ([`Network::serve_udp_events_with`]) with a
-//! processor that owns the address's cache-fronted dispatch body, and
-//! returns the [`Served`] handle that owns the deployment. The simulator
-//! lends that processor to whichever thread runs the address's delivery,
-//! one at a time, so the body — its duplicate-request cache, the log its
-//! replies are copied into and the one request buffer it parks for the
-//! next reply — takes no lock. Two numbers shape the deployment:
+//! simulator's delivery lane with a factory that builds the processor
+//! owning the address's cache-fronted dispatch body — now, and again on
+//! every [`Network::restart`], so a crashed address always comes back —
+//! and returns the [`Served`] handle that owns the deployment. The
+//! simulator lends that processor to whichever thread runs the address's
+//! delivery, one at a time, so the body — its duplicate-request cache,
+//! the log its replies are copied into and the one request buffer it
+//! parks for the next reply — takes no lock. Two numbers shape the
+//! deployment:
 //!
 //! - **`shards`** partitions the served addresses (`addr % shards`). A
 //!   shard *owns* its addresses' dispatch bodies and one wire-buffer
@@ -43,7 +45,7 @@
 use crate::bufpool::BufPool;
 use crate::svc::SvcRegistry;
 use crate::svc_udp::{CachedDispatch, DUP_CACHE_ENTRIES};
-use specrpc_netsim::net::{Addr, EventProcessor, Network};
+use specrpc_netsim::net::{Addr, Network, UdpHandler};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 use std::thread::JoinHandle;
@@ -66,27 +68,18 @@ pub struct ServeConfig {
     /// Entries in each address's duplicate-request cache (`0` disables
     /// caching: every delivery re-dispatches, at-least-once).
     pub cache_entries: usize,
-    /// Whether a [`Network::crash`] / [`Network::restart`] cycle on a
-    /// served address brings it back — with an **empty**
-    /// duplicate-request cache, the amnesiac-server failure mode Sun
-    /// RPC's cache cannot protect against: a retransmission of a
-    /// pre-crash call re-executes its handler. The registry (and its
-    /// handlers' state) is shared across incarnations, like an NFS
-    /// server whose disk survives the reboot that wipes its memory.
-    pub restartable: bool,
 }
 
 impl ServeConfig {
-    /// `addrs` on one shard with no workers,
-    /// [`DUP_CACHE_ENTRIES`]-entry caches, not restartable. Every
-    /// deployment charges [`crate::svc_udp::default_proc_time`].
+    /// `addrs` on one shard with no workers and
+    /// [`DUP_CACHE_ENTRIES`]-entry caches. Every deployment charges
+    /// [`crate::svc_udp::default_proc_time`].
     pub fn new(addrs: &[Addr]) -> ServeConfig {
         ServeConfig {
             addrs: addrs.to_vec(),
             shards: 1,
             workers_per_shard: 0,
             cache_entries: DUP_CACHE_ENTRIES,
-            restartable: false,
         }
     }
 }
@@ -133,6 +126,14 @@ pub struct Served {
 /// Serve `registry` over UDP as `cfg` describes — the one way server
 /// code is reached by a datagram.
 ///
+/// A [`Network::crash`] / [`Network::restart`] cycle on a served address
+/// brings it back with an **empty** duplicate-request cache: the
+/// amnesiac-server failure mode Sun RPC's cache cannot protect against,
+/// in which a retransmission of a pre-crash call re-executes its handler.
+/// The registry (and its handlers' state) is shared across incarnations,
+/// like an NFS server whose disk survives the reboot that wipes its
+/// memory.
+///
 /// # Panics
 /// Panics if `cfg` names no address or no shard.
 pub fn serve(net: &Network, registry: Arc<SvcRegistry>, cfg: ServeConfig) -> Served {
@@ -141,7 +142,6 @@ pub fn serve(net: &Network, registry: Arc<SvcRegistry>, cfg: ServeConfig) -> Ser
         shards,
         workers_per_shard,
         cache_entries,
-        restartable,
     } = cfg;
     assert!(
         !addrs.is_empty(),
@@ -167,19 +167,14 @@ pub fn serve(net: &Network, registry: Arc<SvcRegistry>, cfg: ServeConfig) -> Ser
         let shard = shard_of(addr, shards);
         let registry = registry.clone();
         let (bufs, counts) = (pools[shard].clone(), counts.clone());
-        let processor = move || -> EventProcessor {
+        net.serve_udp_events_restartable(addr, move || -> UdpHandler {
             let mut cd = CachedDispatch::new(registry.clone(), cache_entries, bufs.clone());
             let counts = counts.clone();
             Box::new(move |req, from| {
                 counts.processed[shard].fetch_add(1, Ordering::Relaxed);
                 Some(cd.handle(req, from))
             })
-        };
-        if restartable {
-            net.serve_udp_events_restartable(addr, Box::new(processor));
-        } else {
-            net.serve_udp_events_with(addr, processor());
-        }
+        });
     }
     let shutdown = Arc::new(AtomicBool::new(false));
     // Address indices grouped by owning shard, so a worker walks shard by

@@ -16,7 +16,7 @@
 //! reassembly buffer.
 
 use crate::svc::SvcRegistry;
-use crate::svc_udp::{default_proc_time, ProcTimeModel};
+use crate::svc_udp::default_proc_time;
 use specrpc_netsim::net::{Addr, Network, TcpHandler};
 use specrpc_netsim::SimTime;
 use specrpc_xdr::rec::{parse_mark, LAST_FRAG_FLAG as LAST_FRAG, MAX_RECORD_BYTES};
@@ -24,7 +24,6 @@ use std::sync::Arc;
 
 /// Record-marking reassembler + dispatcher for one connection.
 pub struct SvcTcpConn {
-    model: ProcTimeModel,
     /// Complete records dispatch through it; its pool takes the replies
     /// back, its counter records dropped records.
     registry: Arc<SvcRegistry>,
@@ -46,9 +45,8 @@ pub struct SvcTcpConn {
 
 impl SvcTcpConn {
     /// A fresh per-connection reassembler over the shared registry.
-    pub fn new(registry: Arc<SvcRegistry>, model: ProcTimeModel) -> Self {
+    pub fn new(registry: Arc<SvcRegistry>) -> Self {
         SvcTcpConn {
-            model,
             registry,
             record: Vec::new(),
             mark: [0; 4],
@@ -60,13 +58,14 @@ impl SvcTcpConn {
     }
 
     /// Dispatch one complete request and append its reply to `out` as a
-    /// single-fragment record; returns the modeled processing time.
+    /// single-fragment record; returns the processing time
+    /// [`default_proc_time`] charges.
     fn answer(&self, request: &[u8], out: &mut Vec<u8>) -> SimTime {
         let reply = self.registry.dispatch(request);
         out.reserve(4 + reply.len());
         out.extend_from_slice(&(reply.len() as u32 | LAST_FRAG).to_be_bytes());
         out.extend_from_slice(&reply);
-        let proc_time = (self.model)(request.len(), reply.len());
+        let proc_time = default_proc_time(request.len(), reply.len());
         self.registry.pool().put(reply);
         proc_time
     }
@@ -130,14 +129,11 @@ impl TcpHandler for SvcTcpConn {
 }
 
 /// Install the registry as a TCP service at `addr`, each request priced
-/// by [`default_proc_time`] as the datagram lane's `ServeConfig::new` does.
+/// by [`default_proc_time`] as on the datagram lane.
 pub fn serve_tcp(net: &Network, addr: Addr, registry: Arc<SvcRegistry>) {
-    let model = default_proc_time();
     net.serve_tcp(
         addr,
-        Box::new(move || {
-            Box::new(SvcTcpConn::new(registry.clone(), model.clone())) as Box<dyn TcpHandler>
-        }),
+        Box::new(move || Box::new(SvcTcpConn::new(registry.clone())) as Box<dyn TcpHandler>),
     );
 }
 
@@ -175,13 +171,9 @@ mod tests {
         rec
     }
 
-    fn zero_time() -> ProcTimeModel {
-        Arc::new(|_, _| SimTime::ZERO)
-    }
-
     #[test]
     fn complete_record_dispatches() {
-        let mut conn = SvcTcpConn::new(reg(), zero_time());
+        let mut conn = SvcTcpConn::new(reg());
         let (out, _) = conn.on_bytes(&call_record(7, 5));
         assert!(!out.is_empty());
         // Reply record header then xid.
@@ -190,7 +182,7 @@ mod tests {
 
     #[test]
     fn partial_bytes_accumulate() {
-        let mut conn = SvcTcpConn::new(reg(), zero_time());
+        let mut conn = SvcTcpConn::new(reg());
         let rec = call_record(9, 1);
         let (mid, _) = conn.on_bytes(&rec[..10]);
         assert!(mid.is_empty(), "incomplete record must not dispatch");
@@ -200,7 +192,7 @@ mod tests {
 
     #[test]
     fn multi_fragment_record_reassembles() {
-        let mut conn = SvcTcpConn::new(reg(), zero_time());
+        let mut conn = SvcTcpConn::new(reg());
         let full = call_record(3, 2);
         let payload = &full[4..];
         // Split payload into two fragments: first without LAST bit.
@@ -215,7 +207,7 @@ mod tests {
 
     #[test]
     fn two_records_in_one_burst() {
-        let mut conn = SvcTcpConn::new(reg(), zero_time());
+        let mut conn = SvcTcpConn::new(reg());
         let mut wire = call_record(1, 10);
         wire.extend_from_slice(&call_record(2, 20));
         let (out, _) = conn.on_bytes(&wire);
@@ -228,17 +220,20 @@ mod tests {
 
     #[test]
     fn processing_time_sums_per_record() {
-        let mut conn = SvcTcpConn::new(reg(), Arc::new(|_, _| SimTime::from_millis(1)));
-        let mut wire = call_record(1, 10);
-        wire.extend_from_slice(&call_record(2, 20));
-        let (_, t) = conn.on_bytes(&wire);
-        assert_eq!(t, SimTime::from_millis(2));
+        let mut conn = SvcTcpConn::new(reg());
+        let (first, second) = (call_record(1, 10), call_record(2, 20));
+        let (out, t) = conn.on_bytes(&[first.as_slice(), &second].concat());
+        // Two replies of one length, each behind its record mark.
+        let reply = (u32::from_be_bytes([out[0], out[1], out[2], out[3]]) & LEN_MASK) as usize;
+        assert_eq!(out.len(), 2 * (4 + reply));
+        let charged = |record: &[u8]| default_proc_time(record.len() - 4, reply);
+        assert_eq!(t, charged(&first) + charged(&second));
     }
 
     #[test]
     fn whole_record_is_dispatched_in_place_and_its_reply_recycled() {
         let registry = reg();
-        let mut conn = SvcTcpConn::new(registry.clone(), zero_time());
+        let mut conn = SvcTcpConn::new(registry.clone());
         let mut out = Vec::new();
         conn.on_bytes_into(&call_record(7, 5), &mut out);
         assert_eq!(&out[4..8], &7u32.to_be_bytes());
@@ -253,7 +248,7 @@ mod tests {
     #[test]
     fn lying_record_mark_is_a_counted_drop_and_resets_the_connection() {
         let registry = reg();
-        let mut conn = SvcTcpConn::new(registry.clone(), zero_time());
+        let mut conn = SvcTcpConn::new(registry.clone());
         // 2 GiB claimed in a final fragment, a few bytes behind it.
         let mut wire = (LEN_MASK | LAST_FRAG).to_be_bytes().to_vec();
         wire.extend_from_slice(&[0u8; 64]);
@@ -272,7 +267,7 @@ mod tests {
     #[test]
     fn fragment_chain_crossing_the_limit_is_dropped() {
         let registry = reg();
-        let mut conn = SvcTcpConn::new(registry.clone(), zero_time());
+        let mut conn = SvcTcpConn::new(registry.clone());
         // Each fragment is legal alone; their sum is not.
         let half = MAX_RECORD_BYTES / 2 + 1;
         let mut wire = (half as u32).to_be_bytes().to_vec();
@@ -333,7 +328,7 @@ mod tests {
     /// returns everything observable.
     fn serve(deliveries: &[&[u8]]) -> (Vec<u8>, SimTime, [u64; 3]) {
         let registry = mixed_registry();
-        let mut conn = SvcTcpConn::new(registry.clone(), default_proc_time());
+        let mut conn = SvcTcpConn::new(registry.clone());
         let mut replies = Vec::new();
         let mut total = SimTime::ZERO;
         for bytes in deliveries {

@@ -13,20 +13,12 @@ use specrpc_xdr::coalesce;
 use std::collections::VecDeque;
 use std::sync::Arc;
 
-/// Server processing-time model: given (request bytes, reply bytes),
-/// return the simulated service time. Shared by every transport adapter.
-pub type ProcTimeModel = Arc<dyn Fn(usize, usize) -> SimTime + Send + Sync>;
-
-/// The default processing-time model: a fixed 50 µs dispatch cost plus a
-/// per-byte term (a small stand-in; the paper-table harness models server
-/// time from real op counts instead).
-pub fn default_proc_time() -> ProcTimeModel {
-    Arc::new(modeled_proc_time)
-}
-
-/// [`default_proc_time`]'s model, which every datagram deployment charges.
-fn modeled_proc_time(req: usize, rep: usize) -> SimTime {
-    SimTime::from_nanos(50_000 + 20 * (req + rep) as u64)
+/// The server processing-time model every deployment charges, over
+/// either transport: given (request bytes, reply bytes), a fixed 50 µs
+/// dispatch cost plus a per-byte term (a small stand-in; the paper-table
+/// harness models server time from real op counts instead).
+pub fn default_proc_time(request_len: usize, reply_len: usize) -> SimTime {
+    SimTime::from_nanos(50_000 + 20 * (request_len + reply_len) as u64)
 }
 
 /// Entries held by the duplicate-request cache (`SPCACHESIZE`-ish; small,
@@ -344,7 +336,7 @@ impl CachedDispatch {
     /// Answer one delivered request datagram: replay a cached duplicate,
     /// or dispatch and record the reply. Returns the reply image and the
     /// processing time, which is what the address's
-    /// [`specrpc_netsim::net::EventProcessor`] hands back to the lane.
+    /// [`specrpc_netsim::net::UdpHandler`] hands back to the lane.
     ///
     /// A **coalesced** datagram ([`specrpc_xdr::coalesce`]) is parsed once
     /// and each sub-message runs, in packed order and in place, through
@@ -455,7 +447,7 @@ impl CachedDispatch {
         let reply = self
             .registry
             .dispatch_offered(request, offer.unwrap_or(&mut None), &self.bufs);
-        let t = modeled_proc_time(request.len(), reply.len());
+        let t = default_proc_time(request.len(), reply.len());
         if let Some(xid) = xid {
             self.cache.record(xid, from, request, &reply);
         }
@@ -855,11 +847,7 @@ mod tests {
             Ok(())
         });
         let reg = Arc::new(reg);
-        let cfg = ServeConfig {
-            restartable: true,
-            ..ServeConfig::new(&[650])
-        };
-        serve(&net, reg, cfg).detach();
+        serve(&net, reg, ServeConfig::new(&[650])).detach();
 
         let ep = net.bind_udp(4000);
         let mut enc = XdrMem::encoder(128);

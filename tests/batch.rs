@@ -10,35 +10,36 @@
 
 use proptest::prelude::*;
 use specrpc::echo::{generic_encode_request, ECHO_IDL, ECHO_PROC, ECHO_PROG, ECHO_VERS};
-use specrpc::{EventService, PathUsed, ProcPipeline, SpecClient, SpecService};
+use specrpc::{PathUsed, ProcPipeline, SpecClient, SpecService};
 use specrpc_netsim::net::{Network, NetworkConfig};
 use specrpc_netsim::{FaultConfig, SimTime};
-use specrpc_rpc::{ClntUdp, Transport};
+use specrpc_rpc::{serve, ClntUdp, ServeConfig, Served, Transport};
 use specrpc_tempo::compile::StubArgs;
 use specrpc_xdr::mem::XdrMem;
 use std::sync::Arc;
 
 const PORT: u32 = 820;
 
-/// Deploy the echo service (event-driven) and a specialized client. The
-/// returned `EventService` keeps the reactor alive for the test's
+/// Deploy the echo service (one reactor worker) and a specialized
+/// client. The returned `Served` keeps the reactor alive for the test's
 /// duration (dropping it joins the workers).
-fn deploy(
-    n: usize,
-    seed: u64,
-    faults: FaultConfig,
-) -> (Network, SpecClient<ClntUdp>, EventService) {
+fn deploy(n: usize, seed: u64, faults: FaultConfig) -> (Network, SpecClient<ClntUdp>, Served) {
     let proc_ = Arc::new(
         ProcPipeline::new(n)
             .build_from_idl(ECHO_IDL, None, ECHO_PROC)
             .unwrap(),
     );
     let net = Network::new(NetworkConfig::lan().with_faults(faults), seed);
-    let service = SpecService::new()
+    let registry = SpecService::new()
         .proc(proc_.clone(), |args: &StubArgs| {
             StubArgs::new(vec![], vec![args.arrays[0].clone()])
         })
-        .serve_event(&net, PORT, 1);
+        .into_registry();
+    let cfg = ServeConfig {
+        workers_per_shard: 1,
+        ..ServeConfig::new(&[PORT])
+    };
+    let service = serve(&net, registry, cfg);
     let mut clnt = ClntUdp::create(&net, 5800, PORT, ECHO_PROG, ECHO_VERS);
     clnt.retry_timeout = SimTime::from_millis(20);
     clnt.total_timeout = SimTime::from_millis(60_000);

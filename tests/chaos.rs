@@ -104,11 +104,7 @@ fn seeded_schedule_sweep_survives_random_outage_patterns() {
         let reg = echo_service(proc_)
             .observed(&invariants, 700)
             .into_registry();
-        let cfg = ServeConfig {
-            restartable: true,
-            ..ServeConfig::new(&[700])
-        };
-        specrpc_rpc::serve(&net, reg, cfg).detach();
+        specrpc_rpc::serve(&net, reg, ServeConfig::new(&[700])).detach();
         if let Some(s) = &schedule {
             net.apply_chaos(s);
         }

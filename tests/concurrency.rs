@@ -8,11 +8,11 @@
 //! unique transactions.
 
 use specrpc::echo::{echo_spec, ECHO_IDL, ECHO_PROG, ECHO_VERS};
-use specrpc::{EventService, ProcPipeline, SpecClient, SpecService, StubCache};
+use specrpc::{ProcPipeline, SpecClient, SpecService, StubCache};
 use specrpc_netsim::net::{Network, NetworkConfig};
 use specrpc_netsim::SimTime;
 use specrpc_rpc::svc_udp::default_proc_time;
-use specrpc_rpc::{ClntUdp, SvcRegistry};
+use specrpc_rpc::{serve, ClntUdp, ServeConfig, Served, SvcRegistry};
 use specrpc_tempo::compile::StubArgs;
 use std::sync::Arc;
 
@@ -31,8 +31,7 @@ fn serving_stack_is_send_and_sync() {
     assert_send_sync::<SvcRegistry>();
     assert_send_sync::<SpecService>();
     assert_send_sync::<StubCache>();
-    assert_send_sync::<EventService>();
-    assert_send_sync::<specrpc_rpc::Served>();
+    assert_send_sync::<Served>();
 }
 
 fn thread_data(t: usize, i: usize) -> Vec<i32> {
@@ -50,11 +49,16 @@ fn n_threads_hammer_one_threaded_service_through_one_cache() {
     let proc_ = cache
         .get_or_compile_idl(&ProcPipeline::new(N), ECHO_IDL, None, 1)
         .expect("server stubs");
-    let served = SpecService::new()
+    let registry = SpecService::new()
         .proc(proc_, |args: &StubArgs| {
             StubArgs::new(vec![], vec![args.arrays[0].clone()])
         })
-        .serve_event(&net, PORT, 4);
+        .into_registry();
+    let cfg = ServeConfig {
+        workers_per_shard: 4,
+        ..ServeConfig::new(&[PORT])
+    };
+    let served = serve(&net, registry, cfg);
 
     let mut handles = Vec::new();
     for t in 0..THREADS {
@@ -112,16 +116,16 @@ fn n_threads_hammer_one_threaded_service_through_one_cache() {
     let per_thread = served.per_worker_events();
     assert_eq!(per_thread.len(), 4);
     assert_eq!(
-        per_thread.iter().sum::<u64>() + served.reactor.driver_inline_events(),
+        per_thread.iter().sum::<u64>() + served.driver_inline_events(),
         (THREADS * CALLS) as u64,
         "unique dispatches: {per_thread:?}"
     );
     assert_eq!(
-        served.registry.raw_dispatches(),
+        served.registry().raw_dispatches(),
         (THREADS * CALLS) as u64,
         "all calls took the specialized fast path"
     );
-    assert_eq!(served.registry.raw_fallbacks(), 0);
+    assert_eq!(served.registry().raw_fallbacks(), 0);
     assert_eq!(
         served.per_shard_events(),
         vec![(THREADS * CALLS) as u64],
@@ -144,11 +148,16 @@ fn n_threads_hammer_one_event_served_service_with_batches() {
     let proc_ = cache
         .get_or_compile_idl(&ProcPipeline::new(N), ECHO_IDL, None, 1)
         .expect("server stubs");
-    let served = SpecService::new()
+    let registry = SpecService::new()
         .proc(proc_, |args: &StubArgs| {
             StubArgs::new(vec![], vec![args.arrays[0].clone()])
         })
-        .serve_event(&net, PORT + 20, 4);
+        .into_registry();
+    let cfg = ServeConfig {
+        workers_per_shard: 4,
+        ..ServeConfig::new(&[PORT + 20])
+    };
+    let served = serve(&net, registry, cfg);
 
     let mut handles = Vec::new();
     for t in 0..THREADS {
@@ -221,7 +230,7 @@ fn lock_free_clock_readers_see_only_instants_of_the_drivers_trace() {
         let trace = Arc::new(Mutex::new(vec![SimTime::ZERO]));
         let (n2, t2) = (net.clone(), trace.clone());
         let wire = (proc_.client_encode.wire_len, proc_.server_encode.wire_len);
-        let proc_time = default_proc_time()(wire.0, wire.1);
+        let proc_time = default_proc_time(wire.0, wire.1);
         let registry = SpecService::new()
             .proc(proc_.clone(), move |args: &StubArgs| {
                 let arrived = n2.now();

@@ -13,27 +13,27 @@ use specrpc::echo::{
     echo_service, generic_encode_request, ECHO_IDL, ECHO_PROC, ECHO_PROG, ECHO_VERS,
 };
 use specrpc::{
-    run_congestion, run_congestion_matrix, CongestionConfig, EventService, Invariants, PathUsed,
-    ProcPipeline, SpecClient,
+    run_congestion, run_congestion_matrix, CongestionConfig, Invariants, PathUsed, ProcPipeline,
+    SpecClient,
 };
 use specrpc_netsim::net::{Network, NetworkConfig};
 use specrpc_netsim::{FaultConfig, SimTime};
-use specrpc_rpc::{ClntUdp, Transport};
+use specrpc_rpc::{serve, ClntUdp, ServeConfig, Served, Transport};
 use specrpc_tempo::compile::StubArgs;
 use specrpc_xdr::mem::XdrMem;
 use std::sync::Arc;
 
 const PORT: u32 = 830;
 
-/// Deploy the event-driven echo service and a specialized client over a
-/// network with the given receive-queue cap, observed so exactly-once
-/// stays checkable under faults.
+/// Deploy the echo service (one reactor worker) and a specialized client
+/// over a network with the given receive-queue cap, observed so
+/// exactly-once stays checkable under faults.
 fn deploy(
     n: usize,
     seed: u64,
     faults: FaultConfig,
     rx_queue_cap: usize,
-) -> (Network, SpecClient<ClntUdp>, EventService, Arc<Invariants>) {
+) -> (Network, SpecClient<ClntUdp>, Served, Arc<Invariants>) {
     let proc_ = Arc::new(
         ProcPipeline::new(n)
             .build_from_idl(ECHO_IDL, None, ECHO_PROC)
@@ -46,9 +46,14 @@ fn deploy(
         seed,
     );
     let invariants = Invariants::new(&net);
-    let service = echo_service(proc_.clone())
+    let registry = echo_service(proc_.clone())
         .observed(&invariants, PORT)
-        .serve_event(&net, PORT, 1);
+        .into_registry();
+    let cfg = ServeConfig {
+        workers_per_shard: 1,
+        ..ServeConfig::new(&[PORT])
+    };
+    let service = serve(&net, registry, cfg);
     let mut clnt = ClntUdp::create(&net, 5900, PORT, ECHO_PROG, ECHO_VERS);
     clnt.retry_timeout = SimTime::from_millis(20);
     clnt.total_timeout = SimTime::from_millis(60_000);

@@ -7,9 +7,10 @@ use proptest::prelude::*;
 use specrpc::echo::{
     build_echo_proc, echo_handler, generic_decode_reply, generic_encode_request, ECHO_IDL,
 };
-use specrpc::{EventService, Invariants, ProcPipeline, SpecService, StubCache};
+use specrpc::{Invariants, ProcPipeline, SpecService, StubCache};
 use specrpc_netsim::net::{Endpoint, Network, NetworkConfig};
 use specrpc_netsim::SimTime;
+use specrpc_rpc::{serve, ServeConfig, Served};
 use specrpc_rpcgen::desc::{xdr_value, TypeDesc, XdrValue};
 use specrpc_tempo::compile::{run_decode, run_encode, Outcome, StubArgs};
 use specrpc_xdr::mem::XdrMem;
@@ -28,7 +29,7 @@ const PINNED: usize = 64;
 /// which is why CI's second interleaving pass runs this file too.
 struct Twins {
     ep: Endpoint,
-    served: [EventService; 2],
+    served: [Served; 2],
     invariants: [Arc<Invariants>; 2],
 }
 
@@ -44,11 +45,16 @@ impl Twins {
         let invariants = [Invariants::new(&net), Invariants::new(&net)];
         let a = SpecService::new().proc_in_place(proc_.clone(), in_place);
         let b = SpecService::new().proc(proc_, returning);
+        let with_a_worker = |service: SpecService, port| {
+            let cfg = ServeConfig {
+                workers_per_shard: 1,
+                ..ServeConfig::new(&[port])
+            };
+            serve(&net, service.into_registry(), cfg)
+        };
         let served = [
-            a.observed(&invariants[0], TWIN_PORTS[0])
-                .serve_event(&net, TWIN_PORTS[0], 1),
-            b.observed(&invariants[1], TWIN_PORTS[1])
-                .serve_event(&net, TWIN_PORTS[1], 1),
+            with_a_worker(a.observed(&invariants[0], TWIN_PORTS[0]), TWIN_PORTS[0]),
+            with_a_worker(b.observed(&invariants[1], TWIN_PORTS[1]), TWIN_PORTS[1]),
         ];
         let ep = net.bind_udp(6100);
         Twins {
@@ -90,7 +96,7 @@ impl Twins {
     /// dispatches)`, asserted equal, with no call run twice.
     fn counters(&self) -> (u64, u64, u64, u64) {
         let of = |i: usize| {
-            let reg = &self.served[i].registry;
+            let reg = self.served[i].registry();
             assert_eq!(self.invariants[i].repeats(), [], "twin {i}");
             (
                 self.invariants[i].runs(),

@@ -121,23 +121,19 @@ fn run_udp_pinned(cfg: FaultConfig, seed: u64, pinned: usize) -> (RunResult, u64
     (drive_udp(&net, invariants), reg.generic_dispatches())
 }
 
-/// Like [`run_udp`] but with a reactor worker (`serve_event`, one of
-/// them) racing the driving thread for every delivery.
+/// Like [`run_udp`] but with a reactor worker (`workers_per_shard: 1`)
+/// racing the driving thread for every delivery.
 fn run_udp_event(cfg: FaultConfig, seed: u64) -> RunResult {
     let net = Network::new(NetworkConfig::lan().with_faults(cfg), seed);
     let (service, invariants) = observed_echo(&net, N);
-    let service = service.serve_event(&net, 700, 1);
+    let cfg = ServeConfig {
+        workers_per_shard: 1,
+        ..ServeConfig::new(&[700])
+    };
+    let service = specrpc_rpc::serve(&net, service.into_registry(), cfg);
     let result = drive_udp(&net, invariants);
     drop(service);
     result
-}
-
-/// `addr` served by one restartable, worker-less shard.
-fn restartable(addr: u32) -> ServeConfig {
-    ServeConfig {
-        restartable: true,
-        ..ServeConfig::new(&[addr])
-    }
 }
 
 /// The shared client driver: CALLS sequential exchanges against the UDP
@@ -165,13 +161,13 @@ fn drive_udp(net: &Network, invariants: Arc<Invariants>) -> RunResult {
     }
 }
 
-/// Like [`run_udp`] but serving **restartably** with a crash/restart
-/// window armed mid-sequence: the server loses its mailbox and its
+/// Like [`run_udp`] but with a crash/restart window armed
+/// mid-sequence: the server loses its mailbox and its
 /// duplicate-request cache at `crash_at` and comes back `downtime`
 /// later with a fresh (amnesiac) cache.
 fn run_udp_chaos(cfg: FaultConfig, seed: u64, crash_at: SimTime, downtime: SimTime) -> RunResult {
     let net = Network::new(NetworkConfig::lan().with_faults(cfg), seed);
-    let (invariants, _) = deploy_with(&net, N, restartable(700), 701);
+    let invariants = deploy(&net, 700, 701);
     net.apply_chaos(&ChaosSchedule::new().crash_window(700, crash_at, downtime));
     drive_udp(&net, invariants)
 }
@@ -268,7 +264,7 @@ fn udp_duplicated_datagrams_execute_handlers_exactly_once() {
 
 #[test]
 fn udp_event_reactor_fault_matrix_matches_the_blocking_path() {
-    // The whole matrix again through `serve_event`: every conformance
+    // The whole matrix again with a reactor worker: every conformance
     // property of the blocking path must survive the reactor — and the
     // traces must be IDENTICAL between the two serving modes (bytes,
     // handler runs, retransmits, and the virtual clock), because with a
@@ -398,7 +394,7 @@ fn restart_amnesia_duplicate_execution_count_is_exact() {
     // exactly once (the restarted cache is empty), returns the same
     // bytes, and the rebuilt cache absorbs further replays.
     let net = Network::new(NetworkConfig::lan(), 5);
-    let (invariants, _) = deploy_with(&net, N, restartable(700), 701);
+    let invariants = deploy(&net, 700, 701);
 
     let mut clnt = ClntUdp::create(&net, 5000, 700, ECHO_PROG, ECHO_VERS);
     clnt.retry_timeout = SimTime::from_millis(20);

@@ -19,7 +19,7 @@ use specrpc::echo::{echo_service, generic_encode_request, ECHO_IDL, ECHO_PROG, E
 use specrpc::{Invariants, ProcPipeline};
 use specrpc_netsim::net::{Addr, Network, NetworkConfig};
 use specrpc_netsim::{FaultConfig, SimTime};
-use specrpc_rpc::ClntUdp;
+use specrpc_rpc::{serve, ClntUdp, ServeConfig};
 use specrpc_xdr::mem::XdrMem;
 use std::sync::Arc;
 
@@ -83,9 +83,14 @@ fn run_sharded(cfg: FaultConfig, seed: u64, shards: usize) -> RunResult {
             .build_from_idl(ECHO_IDL, None, 1)
             .expect("pipeline"),
     );
-    let service = echo_service(proc_)
+    let registry = echo_service(proc_)
         .observed(&invariants, PORTS[0])
-        .serve_sharded(&net, &PORTS, shards, 0);
+        .into_registry();
+    let cfg = ServeConfig {
+        shards,
+        ..ServeConfig::new(&PORTS)
+    };
+    let service = serve(&net, registry, cfg);
 
     let mut clients: Vec<ClntUdp> = PORTS
         .iter()

@@ -5,7 +5,7 @@
 //! `specrpc-netsim` / `specrpc-rpc` that moves a modeled nanosecond, a
 //! fault-stream draw or a counter fails here — in tier-1, not only in the
 //! outside-in benchmark. The workload is the benchmark's `echo250_lossy`
-//! (3% loss, 5% duplication, 5% reordering) through every spelling of
+//! (3% loss, 5% duplication, 5% reordering) through every config of
 //! the one serving core; below it, one exact row per scenario config —
 //! the virtual-time numbers the retry, failover, batching and
 //! coalescing code must keep producing.
@@ -149,13 +149,10 @@ fn restartable_reactor_trace_is_pinned() {
     // handler slot: two datagrams die at the dead address, the calls
     // ride it out on retransmission, and one of them is executed twice
     // because the restarted server has forgotten it.
+    // Every served address comes back from a restart.
     let (net, proc_) = (lossy_net(), echo_proc());
     let (service, invariants) = observed_service(&net, &proc_);
-    let cfg = ServeConfig {
-        restartable: true,
-        ..ServeConfig::new(&PORTS[..1])
-    };
-    let _served = serve(&net, service.into_registry(), cfg);
+    let _served = serve(&net, service.into_registry(), ServeConfig::new(&PORTS[..1]));
     net.apply_chaos(&ChaosSchedule::new().crash_window(
         PORTS[0],
         SimTime::from_millis(2_234),
@@ -196,7 +193,11 @@ fn event_loop_trace_is_pinned() {
     for workers in [1, 2] {
         let net = lossy_net();
         let (service, invariants) = observed_service(&net, &proc_);
-        let service = service.serve_event(&net, PORTS[0], workers);
+        let cfg = ServeConfig {
+            workers_per_shard: workers,
+            ..ServeConfig::new(&PORTS[..1])
+        };
+        let service = serve(&net, service.into_registry(), cfg);
         let trace = drive(&net, &PORTS[..1], &proc_, &invariants);
         drop(service);
         assert_eq!(trace, pinned(1), "{workers} workers");
@@ -209,7 +210,11 @@ fn sharded_loop_trace_is_pinned() {
     for shards in [1, 2, 8] {
         let net = lossy_net();
         let (service, invariants) = observed_service(&net, &proc_);
-        let service = service.serve_sharded(&net, &PORTS, shards, 0);
+        let cfg = ServeConfig {
+            shards,
+            ..ServeConfig::new(&PORTS)
+        };
+        let service = serve(&net, service.into_registry(), cfg);
         let trace = drive(&net, &PORTS, &proc_, &invariants);
         drop(service);
         assert_eq!(trace, pinned(2), "{shards} shards");

@@ -213,7 +213,7 @@ fn solitary_tcp_call_takes_exactly_what_the_link_model_says() {
     for n in [20, 250, 2000] {
         let (req, rep, took) = solitary_tcp_call(n);
         let wire = SimTime::from_nanos((req + rep + 8) as u64 * cfg.ns_per_byte);
-        let want = cfg.latency + cfg.latency + wire + default_proc_time()(req, rep);
+        let want = cfg.latency + cfg.latency + wire + default_proc_time(req, rep);
         assert_eq!(took, want, "n={n}");
     }
 }

@@ -88,14 +88,14 @@ fn pooled_specialized_round_trip_allocates_zero_after_warmup() {
 #[test]
 fn event_reactor_keeps_the_wire_path_allocation_free() {
     // The same steady-state bar with a reactor worker racing the driver
-    // (what `serve_event(…, 1)` spells).
+    // (`workers_per_shard: 1`).
     reactor_is_allocation_free(1);
 }
 
 #[test]
 fn zero_worker_reactor_keeps_the_wire_path_allocation_free() {
-    // … and held by its handle with no worker at all (what
-    // `serve_sharded(&[port], 1, 0)` spells).
+    // … and held by its handle with no worker at all
+    // (`workers_per_shard: 0`).
     reactor_is_allocation_free(0);
 }
 
@@ -321,7 +321,11 @@ fn a_refused_offer_is_served_by_the_pool_the_shard_refills() {
         let proc_ = ProcPipeline::new(n).build_from_idl(IDL, None, proc_num);
         service = service.proc_in_place(Arc::new(proc_.unwrap()), echo_handler);
     }
-    let served = service.serve_sharded(&net, &[920, 921], 2, 0);
+    let cfg = ServeConfig {
+        shards: 2,
+        ..ServeConfig::new(&[920, 921])
+    };
+    let served = serve(&net, service.into_registry(), cfg);
     let ep = net.bind_udp(6000);
     let mut enc = XdrMem::encoder(2048);
     let mut call = |xid: u32| {
@@ -334,10 +338,10 @@ fn a_refused_offer_is_served_by_the_pool_the_shard_refills() {
         assert_eq!(reply.expect("answered").payload.len(), 28 + 4 * n);
     };
     (0..16).for_each(&mut call);
-    let warm = served.registry.pool().stats();
+    let warm = served.registry().pool().stats();
     (16..80).for_each(&mut call);
-    assert_eq!(served.registry.pool().stats().misses, warm.misses);
-    assert_eq!(served.registry.raw_dispatches(), 80);
+    assert_eq!(served.registry().pool().stats().misses, warm.misses);
+    assert_eq!(served.registry().raw_dispatches(), 80);
 }
 
 proptest! {
