@@ -24,7 +24,7 @@ use crate::service::SpecService;
 use crate::summary::{latency_line, link_lines, LatencyHistogram};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use specrpc_netsim::net::{Addr, Endpoint, LinkStats, Network, NetworkConfig};
+use specrpc_netsim::net::{Addr, Datagram, Endpoint, LinkStats, Network, NetworkConfig};
 use specrpc_netsim::SimTime;
 use specrpc_rpc::msg::CallHeader;
 use specrpc_rpc::{serve, ClntUdp, CoalescePolicy, CoalesceStats, ServeConfig, Transport};
@@ -68,9 +68,10 @@ pub struct ScaleConfig {
     pub span: SimTime,
     /// Seed for arrivals, shape mix, and port targeting.
     pub seed: u64,
-    /// Max in-flight requests before the oldest is reaped — bounds
-    /// client-side memory without closing the loop (the window is sized
-    /// far above the steady-state in-flight population).
+    /// Max unanswered requests before the run blocks on the oldest —
+    /// bounds client-side memory without closing the loop (the window is
+    /// sized far above the steady-state in-flight population). An
+    /// answered request leaves at the next send, whatever the window.
     pub window: usize,
     /// Unroll bound for the per-shape compiled stubs (keeps big-shape
     /// stub programs compact).
@@ -257,13 +258,82 @@ struct InFlight {
     sent: SimTime,
 }
 
+impl InFlight {
+    /// Whether `dg` is this request's reply (a stale or foreign
+    /// datagram is not).
+    fn answered_by(&self, dg: &Datagram) -> bool {
+        dg.payload.len() >= 4 && dg.payload[0..4] == self.xid.to_be_bytes()
+    }
+}
+
 /// How long the reaper waits on a straggler before declaring it lost.
 const REAP_TIMEOUT: SimTime = SimTime::from_millis(2_000);
+
+/// The open loop's client side: the requests still unanswered, oldest
+/// first, and what the answered ones measured. Dropping a request's
+/// [`InFlight`] unbinds its endpoint, so the simulator holds only the
+/// endpoints in this queue.
+#[derive(Default)]
+struct OpenLoop {
+    inflight: VecDeque<InFlight>,
+    latency: LatencyHistogram,
+    replies: u64,
+    timeouts: u64,
+    /// The swap buffer [`Endpoint::drain_ready`] reads a mailbox into.
+    mailbox: VecDeque<Datagram>,
+}
+
+impl OpenLoop {
+    fn answered(&mut self, sent: SimTime, reply: &Datagram) {
+        self.latency.record(reply.at.saturating_sub(sent));
+        self.replies += 1;
+    }
+
+    /// Retire every request at the head whose reply has already landed,
+    /// stopping at the first unanswered one. Mailboxes are read with
+    /// [`Endpoint::drain_ready`], which runs no simulation: `try_recv`
+    /// would step the events due at `now`, and a server completion can
+    /// leave deliveries overdue, so sweeping with it would move the
+    /// virtual-time trace.
+    fn sweep(&mut self) {
+        while let Some(f) = self.inflight.front() {
+            f.ep.drain_ready(&mut self.mailbox);
+            let Some(reply) = self.mailbox.drain(..).find(|dg| f.answered_by(dg)) else {
+                break;
+            };
+            let sent = f.sent;
+            self.inflight.pop_front();
+            self.answered(sent, &reply);
+        }
+    }
+
+    /// Block on the oldest request's reply, driving the simulation up to
+    /// [`REAP_TIMEOUT`] for it, and retire it answered or timed out.
+    fn reap(&mut self) {
+        let Some(f) = self.inflight.pop_front() else {
+            return;
+        };
+        loop {
+            match f.ep.recv_timeout(REAP_TIMEOUT) {
+                Some(dg) if f.answered_by(&dg) => return self.answered(f.sent, &dg),
+                // Stale or foreign datagram: keep draining this mailbox.
+                Some(_) => continue,
+                None => {
+                    self.timeouts += 1;
+                    return;
+                }
+            }
+        }
+    }
+}
 
 /// Execute one open-loop scale run: deploy the sharded service, fire
 /// every arrival at its instant, measure reply latency (send instant →
 /// reply [`specrpc_netsim::net::Datagram::at`] arrival stamp), and
-/// collect per-shard throughput.
+/// collect per-shard throughput. After every send the answered requests
+/// at the head of the queue are retired, so the run holds only the
+/// unanswered ones; it blocks on the oldest only when
+/// [`ScaleConfig::window`] of them are outstanding, and at the end.
 pub fn run_scale(cfg: &ScaleConfig) -> Result<ScaleReport, PipelineError> {
     assert!(!cfg.shapes.is_empty(), "at least one shape");
     assert!(cfg.window > 0, "window must be positive");
@@ -301,30 +371,7 @@ pub fn run_scale(cfg: &ScaleConfig) -> Result<ScaleReport, PipelineError> {
         .collect();
     arrivals.sort_by_key(|a| a.0);
 
-    let mut inflight: VecDeque<InFlight> = VecDeque::new();
-    let mut latency = LatencyHistogram::new();
-    let (mut replies, mut timeouts) = (0u64, 0u64);
-    let mut reap = |inflight: &mut VecDeque<InFlight>| {
-        let Some(f) = inflight.pop_front() else {
-            return;
-        };
-        loop {
-            match f.ep.recv_timeout(REAP_TIMEOUT) {
-                Some(dg) if dg.payload.len() >= 4 && dg.payload[0..4] == f.xid.to_be_bytes() => {
-                    latency.record(dg.at.saturating_sub(f.sent));
-                    replies += 1;
-                    return;
-                }
-                // Stale or foreign datagram: keep draining this mailbox.
-                Some(_) => continue,
-                None => {
-                    timeouts += 1;
-                    return;
-                }
-            }
-        }
-    };
-
+    let mut open = OpenLoop::default();
     for (i, &(at, shape, port)) in arrivals.iter().enumerate() {
         net.run_until(at, || false);
         let ep = net.bind_udp(SCALE_CLIENT_BASE + i as u32);
@@ -333,21 +380,22 @@ pub fn run_scale(cfg: &ScaleConfig) -> Result<ScaleReport, PipelineError> {
         req[0..4].copy_from_slice(&xid.to_be_bytes());
         let sent = net.now();
         ep.send_to(port, req);
-        inflight.push_back(InFlight { ep, xid, sent });
-        if inflight.len() >= cfg.window {
-            reap(&mut inflight);
+        open.inflight.push_back(InFlight { ep, xid, sent });
+        open.sweep();
+        if open.inflight.len() >= cfg.window {
+            open.reap();
         }
     }
-    while !inflight.is_empty() {
-        reap(&mut inflight);
+    while !open.inflight.is_empty() {
+        open.reap();
     }
 
     Ok(ScaleReport {
         clients: cfg.clients,
-        replies,
-        timeouts,
+        replies: open.replies,
+        timeouts: open.timeouts,
         elapsed: net.now(),
-        latency,
+        latency: open.latency,
         per_shard: sharded.per_shard_events(),
         steals: sharded.cross_shard_steals(),
         link: net.link_stats(),
@@ -1319,6 +1367,44 @@ mod tests {
         let echoes: u64 = cases[..2].iter().map(|(reg, _)| reg.raw_dispatches()).sum();
         assert_eq!((echoes, nfs.raw_dispatches()), (2 * 7, 5 * 7));
         assert_eq!(nfs.generic_dispatches(), 0);
+    }
+
+    #[test]
+    fn the_sweep_retires_answered_heads_and_runs_no_simulation() {
+        const SERVER: Addr = 7;
+        let net = Network::new(NetworkConfig::lan(), 1);
+        net.serve_udp(
+            SERVER,
+            Box::new(|req: &mut Vec<u8>, _| Some((req.to_vec(), SimTime::from_millis(1)))),
+        );
+        let mut open = OpenLoop::default();
+        let send = |open: &mut OpenLoop, xid: u32| {
+            let ep = net.bind_udp(SCALE_CLIENT_BASE + xid);
+            ep.send_to(SERVER, xid.to_be_bytes().to_vec());
+            let sent = net.now();
+            open.inflight.push_back(InFlight { ep, xid, sent });
+        };
+        send(&mut open, 1);
+        send(&mut open, 2);
+        net.run_until(SimTime::from_millis(10), || false);
+        send(&mut open, 3);
+        send(&mut open, 4);
+        // Request 3 reaches the server and is answered 1 ms later; the
+        // delivery of request 4, due before that instant, is overdue.
+        let far = SimTime::from_millis(100);
+        assert!(net.step(far) && net.step(far));
+        let (now, link) = (net.now(), net.link_stats());
+
+        open.sweep();
+        let left: Vec<u32> = open.inflight.iter().map(|f| f.xid).collect();
+        assert_eq!(left, [3, 4], "the first unanswered request stops the sweep");
+        assert_eq!(
+            (open.replies, open.latency.count(), open.timeouts),
+            (2, 2, 0)
+        );
+        assert_eq!(net.unbound_drops(), 0);
+        assert_eq!((net.now(), net.link_stats()), (now, link), "no event ran");
+        assert!(net.step(now), "the overdue delivery is still queued");
     }
 
     #[test]
