@@ -30,10 +30,6 @@ pub struct ShapeKey {
     pub pinned_len: usize,
     /// Bounded-unroll chunk (Table 4); `None` = full unrolling.
     pub chunk: Option<usize>,
-    /// Target icache budget for the automatic unroll-bound picker —
-    /// part of the identity because two pipelines with equal shapes but
-    /// different budgets can compile different residuals.
-    pub icache_budget: Option<usize>,
     /// Argument message shape.
     pub arg: MsgShape,
     /// Result message shape.
@@ -46,7 +42,6 @@ impl ShapeKey {
         ShapeKey {
             pinned_len: pipeline.pinned_len,
             chunk: pipeline.chunk,
-            icache_budget: pipeline.icache_budget,
             arg: arg.clone(),
             res: res.clone(),
         }

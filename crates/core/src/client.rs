@@ -8,9 +8,8 @@
 //! dynamic guard failure falls back to the generic layered path,
 //! preserving the original semantics (§6.2).
 
-use crate::cache::StubCache;
 use crate::generic::decode_shape_generic;
-use crate::pipeline::{CompiledProc, PipelineError, ProcPipeline};
+use crate::pipeline::CompiledProc;
 use specrpc_rpc::error::RpcError;
 use specrpc_rpc::msg::ReplyHeader;
 use specrpc_rpc::transport::Transport;
@@ -27,112 +26,6 @@ pub enum PathUsed {
     Fast,
     /// The generic micro-layer path (guard fallback).
     GenericFallback,
-}
-
-/// What a client should specialize: an IDL procedure plus its
-/// specialization context (the paper's per-size pinning).
-#[derive(Debug, Clone)]
-pub struct ProcSpec {
-    idl: String,
-    program: Option<String>,
-    proc_num: u32,
-    pinned_len: usize,
-}
-
-impl ProcSpec {
-    /// Specialize procedure `proc_num` of the first program in `idl`.
-    pub fn new(idl: impl Into<String>, proc_num: u32) -> ProcSpec {
-        ProcSpec {
-            idl: idl.into(),
-            program: None,
-            proc_num,
-            pinned_len: 0,
-        }
-    }
-
-    /// Select a program by name (default: the IDL's first program).
-    pub fn program(mut self, name: impl Into<String>) -> ProcSpec {
-        self.program = Some(name.into());
-        self
-    }
-
-    /// Pin counted arrays to `n` elements (the per-size context).
-    pub fn pinned(mut self, n: usize) -> ProcSpec {
-        self.pinned_len = n;
-        self
-    }
-
-    /// Compile this spec (optionally chunked, optionally through a
-    /// shared cache).
-    pub fn compile(
-        &self,
-        chunk: Option<usize>,
-        cache: Option<&StubCache>,
-    ) -> Result<Arc<CompiledProc>, PipelineError> {
-        let mut pipeline = ProcPipeline::new(self.pinned_len);
-        pipeline.chunk = chunk;
-        match cache {
-            Some(cache) => cache.get_or_compile_idl(
-                &pipeline,
-                &self.idl,
-                self.program.as_deref(),
-                self.proc_num,
-            ),
-            None => pipeline
-                .build_from_idl(&self.idl, self.program.as_deref(), self.proc_num)
-                .map(Arc::new),
-        }
-    }
-}
-
-enum StubSource {
-    Compiled(Arc<CompiledProc>),
-    Spec(ProcSpec),
-}
-
-/// Fluent constructor for [`SpecClient`]:
-/// `SpecClient::builder(transport).proc(spec).chunk(250).build()`.
-pub struct SpecClientBuilder<T: Transport> {
-    transport: T,
-    source: Option<StubSource>,
-    chunk: Option<usize>,
-    cache: Option<Arc<StubCache>>,
-}
-
-impl<T: Transport> SpecClientBuilder<T> {
-    /// Specialize the procedure described by `spec`.
-    pub fn proc(mut self, spec: ProcSpec) -> Self {
-        self.source = Some(StubSource::Spec(spec));
-        self
-    }
-
-    /// Use an already-compiled stub set (shared with a server or another
-    /// client). `chunk`/`cache` settings do not apply to it.
-    pub fn compiled(mut self, proc_: Arc<CompiledProc>) -> Self {
-        self.source = Some(StubSource::Compiled(proc_));
-        self
-    }
-
-    /// Bound loop unrolling to `chunk`-element pieces (Table 4).
-    pub fn chunk(mut self, chunk: usize) -> Self {
-        self.chunk = Some(chunk);
-        self
-    }
-
-    /// Resolve stubs through `cache` instead of always running Tempo.
-    pub fn cache(mut self, cache: Arc<StubCache>) -> Self {
-        self.cache = Some(cache);
-        self
-    }
-
-    /// Compile (or fetch) the stubs and wrap the transport.
-    pub fn build(self) -> Result<SpecClient<T>, PipelineError> {
-        let proc_ = match self.source.ok_or(PipelineError::NoProcGiven)? {
-            StubSource::Compiled(p) => p,
-            StubSource::Spec(spec) => spec.compile(self.chunk, self.cache.as_deref())?,
-        };
-        Ok(SpecClient::from_parts(self.transport, proc_))
-    }
 }
 
 /// A specialized RPC client for one procedure: compiled stubs over the
@@ -172,16 +65,6 @@ pub struct SpecClient<T: Transport> {
 }
 
 impl<T: Transport> SpecClient<T> {
-    /// Start building a client over `transport`.
-    pub fn builder(transport: T) -> SpecClientBuilder<T> {
-        SpecClientBuilder {
-            transport,
-            source: None,
-            chunk: None,
-            cache: None,
-        }
-    }
-
     /// Wrap a transport with already-compiled stubs.
     pub fn from_parts(transport: T, proc_: Arc<CompiledProc>) -> Self {
         SpecClient {
@@ -265,7 +148,7 @@ impl<T: Transport> SpecClient<T> {
     /// synchronous call in the stream.
     ///
     /// ```
-    /// use specrpc::{ProcSpec, SpecClient, SpecService, StubCache};
+    /// use specrpc::{ProcPipeline, SpecClient, SpecService};
     /// use specrpc_netsim::net::{Network, NetworkConfig};
     /// use specrpc_netsim::SimTime;
     /// use specrpc_rpc::{ClntUdp, CoalescePolicy};
@@ -278,8 +161,8 @@ impl<T: Transport> SpecClient<T> {
     ///     } = 0x20000779;
     /// "#;
     ///
-    /// let cache = Arc::new(StubCache::new());
-    /// let proc_ = ProcSpec::new(IDL, 1).compile(None, Some(&cache)).unwrap();
+    /// // One stub set, shared by the service and the client.
+    /// let proc_ = Arc::new(ProcPipeline::new(0).build_from_idl(IDL, None, 1).unwrap());
     ///
     /// let net = Network::new(NetworkConfig::lan(), 1);
     /// SpecService::new()
@@ -294,11 +177,7 @@ impl<T: Transport> SpecClient<T> {
     /// // the whole pipeline in one round trip.
     /// let transport = ClntUdp::create(&net, 5002, 901, 0x2000_0779, 1)
     ///     .with_coalescing(CoalescePolicy::new(1400, SimTime::from_micros(100)));
-    /// let mut client = SpecClient::builder(transport)
-    ///     .proc(ProcSpec::new(IDL, 1))
-    ///     .cache(cache)
-    ///     .build()
-    ///     .unwrap();
+    /// let mut client = SpecClient::from_parts(transport, proc_);
     ///
     /// for i in 0..8 {
     ///     client.call_oneway(&client.args(vec![i], vec![])).unwrap();

@@ -156,16 +156,6 @@ pub struct CongestionReport {
 }
 
 impl CongestionReport {
-    /// Completed calls per virtual second.
-    pub fn goodput(&self) -> f64 {
-        let secs = self.elapsed.as_nanos() as f64 / 1e9;
-        if secs > 0.0 {
-            self.completed as f64 / secs
-        } else {
-            0.0
-        }
-    }
-
     /// Retransmissions per issued call.
     pub fn retransmits_per_call(&self) -> f64 {
         self.retransmits as f64 / self.calls.max(1) as f64

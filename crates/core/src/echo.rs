@@ -11,7 +11,7 @@
 //! TCP).
 
 use crate::cache::StubCache;
-use crate::client::{ProcSpec, SpecClient};
+use crate::client::SpecClient;
 use crate::pipeline::{CompiledProc, PipelineError, ProcPipeline};
 use crate::service::SpecService;
 use specrpc_netsim::net::{Addr, Network, NetworkConfig};
@@ -59,23 +59,15 @@ pub const ECHO_IDL: &str = r#"
 /// The array sizes of the paper's tables.
 pub const PAPER_SIZES: [usize; 6] = [20, 100, 250, 500, 1000, 2000];
 
-/// Power-of-two unroll bounds swept by the unroll benchmark and the
-/// knee detector in `examples/specialization_report.rs` — the same
-/// candidate set [`ProcPipeline::with_icache_budget`] picks from, so
-/// the measured curve, the modeled knee, and the auto-tuner always
-/// cover the same bounds.
-pub const UNROLL_SWEEP: [usize; 10] = crate::pipeline::UNROLL_CANDIDATES;
+/// Power-of-two unroll bounds swept by the knee detector in
+/// `examples/specialization_report.rs` and by the generated-stub tests.
+pub const UNROLL_SWEEP: [usize; 10] = [8, 16, 32, 64, 128, 256, 512, 1024, 2048, 4096];
 
 /// The sweep bounds applicable to arrays of `n` integers: a bound only
 /// re-rolls element runs of at least `2 × bound` ops, so bounds above
 /// `n / 2` compile to the full unroll and are excluded.
 pub fn unroll_bounds(n: usize) -> impl Iterator<Item = usize> {
     UNROLL_SWEEP.into_iter().filter(move |&c| 2 * c <= n)
-}
-
-/// The [`ProcSpec`] for `ECHO` pinned to arrays of `n` integers.
-pub fn echo_spec(n: usize) -> ProcSpec {
-    ProcSpec::new(ECHO_IDL, ECHO_PROC).pinned(n)
 }
 
 /// The echo specialization pipeline for arrays of `n` integers

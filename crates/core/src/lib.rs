@@ -17,8 +17,10 @@
 //!
 //! - [`SpecClient`] — a specialized client over any
 //!   [`Transport`](specrpc_rpc::Transport) (retransmitting UDP or
-//!   record-marked TCP), built fluently:
-//!   `SpecClient::builder(transport).proc(spec).chunk(250).build()`.
+//!   record-marked TCP), built from a transport and a compiled stub set:
+//!   `SpecClient::from_parts(transport, proc_)`. The stubs come from
+//!   [`ProcPipeline`] (`ProcPipeline::new(n).with_chunk(250)` is the
+//!   per-size, Table 4 context), shared through [`StubCache`].
 //! - [`SpecService`] — a server hosting *multiple* procedures, each
 //!   installed with a compiled fast path and a generic guard fallback,
 //!   dispatched by procedure number.
@@ -32,7 +34,7 @@
 //! A doubling service and a specialized client, end to end:
 //!
 //! ```
-//! use specrpc::{ProcSpec, SpecClient, SpecService, StubCache};
+//! use specrpc::{ProcPipeline, SpecClient, SpecService, StubCache};
 //! use specrpc_netsim::net::{Network, NetworkConfig};
 //! use specrpc_rpc::ClntUdp;
 //! use specrpc_tempo::compile::StubArgs;
@@ -46,8 +48,8 @@
 //!
 //! // One Tempo run, shared by server and client through the cache.
 //! let cache = Arc::new(StubCache::new());
-//! let spec = ProcSpec::new(IDL, 1);
-//! let proc_ = spec.compile(None, Some(&cache)).unwrap();
+//! let pipeline = ProcPipeline::new(0);
+//! let proc_ = cache.get_or_compile_idl(&pipeline, IDL, None, 1).unwrap();
 //!
 //! let net = Network::new(NetworkConfig::lan(), 1);
 //! SpecService::new()
@@ -58,11 +60,8 @@
 //!     .serve_udp(&net, 900);
 //!
 //! let transport = ClntUdp::create(&net, 5001, 900, 0x2000_0777, 1);
-//! let mut client = SpecClient::builder(transport)
-//!     .proc(ProcSpec::new(IDL, 1))
-//!     .cache(cache.clone())
-//!     .build()
-//!     .unwrap();
+//! let stubs = cache.get_or_compile_idl(&pipeline, IDL, None, 1).unwrap();
+//! let mut client = SpecClient::from_parts(transport, stubs);
 //!
 //! let (out, path) = client.call(&client.args(vec![21], vec![])).unwrap();
 //! assert_eq!(*out.scalars.last().unwrap(), 42);
@@ -283,10 +282,10 @@ pub mod summary;
 
 pub use cache::{CacheStats, ShapeKey, StubCache, DEFAULT_STUB_CACHE_ENTRIES};
 pub use chaos::{run_chaos, run_chaos_matrix, ChaosConfig, ChaosReport};
-pub use client::{PathUsed, ProcSpec, SpecClient, SpecClientBuilder};
+pub use client::{PathUsed, SpecClient};
 pub use congestion::{run_congestion, run_congestion_matrix, CongestionConfig, CongestionReport};
 pub use invariants::{Execution, Invariants, Repeat};
-pub use pipeline::{CompiledProc, PipelineError, ProcPipeline, UNROLL_CANDIDATES};
+pub use pipeline::{CompiledProc, PipelineError, ProcPipeline};
 pub use scenario::{
     deploy_nfs_service, run_nfs, run_scale, run_scale_single_shard, NfsConfig, NfsReport,
     ScaleConfig, ScaleReport,

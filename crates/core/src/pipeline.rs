@@ -6,7 +6,6 @@ use specrpc_rpcgen::parser::{parse, ParseError};
 use specrpc_rpcgen::stubgen::{
     self, CompiledStub, GeneratedStubs, MsgShape, StubGenError, StubKind,
 };
-use specrpc_tempo::compile::StubProgram;
 use std::fmt;
 
 /// Pipeline failures.
@@ -26,8 +25,6 @@ pub enum PipelineError {
     UnsupportedShape,
     /// Specialization or compilation failed.
     StubGen(StubGenError),
-    /// A client builder was finished without naming a procedure.
-    NoProcGiven,
     /// Deploying over a transport failed (e.g. TCP connect refused).
     Deploy(String),
 }
@@ -43,9 +40,6 @@ impl fmt::Display for PipelineError {
                 write!(f, "procedure shapes not specializable; generic path only")
             }
             PipelineError::StubGen(e) => write!(f, "{e}"),
-            PipelineError::NoProcGiven => {
-                write!(f, "SpecClient builder needs .proc(...) or .compiled(...)")
-            }
             PipelineError::Deploy(e) => write!(f, "deploy failed: {e}"),
         }
     }
@@ -65,21 +59,13 @@ impl From<StubGenError> for PipelineError {
     }
 }
 
-/// Power-of-two unroll bounds considered by the automatic bound picker
-/// ([`ProcPipeline::with_icache_budget`]) and swept by the unroll
-/// benchmark / the knee detector in `examples/specialization_report.rs`
-/// (one source, so the tuner and the measured curve always cover the
-/// same candidates).
-pub const UNROLL_CANDIDATES: [usize; 10] = [8, 16, 32, 64, 128, 256, 512, 1024, 2048, 4096];
-
 /// All four compiled stubs of one procedure in one specialization context.
 #[derive(Debug)]
 pub struct CompiledProc {
     /// (program, version, procedure) numbers.
     pub target: (u32, u32, u32),
     /// The unroll bound the stubs were compiled with (`None` = full
-    /// unrolling) — explicit via [`ProcPipeline::with_chunk`] or picked
-    /// automatically by [`ProcPipeline::with_icache_budget`].
+    /// unrolling), set by [`ProcPipeline::with_chunk`].
     pub unroll_bound: Option<usize>,
     /// Client request encoder.
     pub client_encode: CompiledStub,
@@ -107,14 +93,8 @@ pub type ResolvedTarget = ((u32, u32, u32), MsgShape, MsgShape);
 pub struct ProcPipeline {
     /// Pinned length for counted arrays (the paper's per-size contexts).
     pub pinned_len: usize,
-    /// Bounded-unroll chunk (Table 4); `None` = full unrolling (unless
-    /// an icache budget picks a bound automatically).
+    /// Bounded-unroll chunk (Table 4); `None` = full unrolling.
     pub chunk: Option<usize>,
-    /// Target instruction-cache footprint for the residual stubs: when
-    /// set (and no explicit chunk overrides it), the pipeline picks the
-    /// unroll bound itself — the feedback loop the unroll-knee sweep of
-    /// `examples/specialization_report.rs` motivates.
-    pub icache_budget: Option<usize>,
 }
 
 impl ProcPipeline {
@@ -123,27 +103,12 @@ impl ProcPipeline {
         ProcPipeline {
             pinned_len,
             chunk: None,
-            icache_budget: None,
         }
     }
 
     /// Use bounded unrolling with the given chunk.
     pub fn with_chunk(mut self, chunk: usize) -> Self {
         self.chunk = Some(chunk);
-        self
-    }
-
-    /// Pick the unroll bound automatically from a target
-    /// instruction-cache budget (bytes), e.g. a platform's
-    /// `icache_capacity_bytes`: full unrolling when the whole residual
-    /// encoder fits, otherwise the **largest** [`UNROLL_CANDIDATES`]
-    /// bound under which the client-encode stub still fits (largest =
-    /// fewest residual loop iterations for the allowed footprint; past
-    /// the budget, every extra op pays the icache-miss penalty the
-    /// Table 4 sweep measures). An explicit [`ProcPipeline::with_chunk`]
-    /// always wins over the budget.
-    pub fn with_icache_budget(mut self, budget_bytes: usize) -> Self {
-        self.icache_budget = Some(budget_bytes);
         self
     }
 
@@ -216,11 +181,8 @@ impl ProcPipeline {
     }
 
     fn compile_all(&self, gs: GeneratedStubs) -> Result<CompiledProc, PipelineError> {
-        let mut client_encode = stubgen::specialize_stub(&gs, StubKind::ClientEncode, self.chunk)?;
-        let chunk = self.effective_chunk(&client_encode.program);
-        if chunk != self.chunk {
-            client_encode.program = client_encode.program.with_chunk(chunk);
-        }
+        let chunk = self.chunk;
+        let client_encode = stubgen::specialize_stub(&gs, StubKind::ClientEncode, chunk)?;
         let client_decode = stubgen::specialize_stub(&gs, StubKind::ClientDecode, chunk)?;
         let server_decode = stubgen::specialize_stub(&gs, StubKind::ServerDecode, chunk)?;
         let server_encode = stubgen::specialize_stub(&gs, StubKind::ServerEncode, chunk)?;
@@ -235,54 +197,6 @@ impl ProcPipeline {
             res_shape: gs.res_shape.clone(),
             generated: gs,
         })
-    }
-
-    /// Resolve the unroll bound this pipeline will compile with: the
-    /// explicit chunk if set, otherwise the bound the icache budget
-    /// picks, otherwise full unrolling. `encode` is the client-encode stub
-    /// compiled under `self.chunk`; a stub's size under any bound is
-    /// arithmetic over its loops, so no candidate is compiled to be
-    /// weighed.
-    fn effective_chunk(&self, encode: &StubProgram) -> Option<usize> {
-        if self.chunk.is_some() {
-            return self.chunk;
-        }
-        let budget = self.icache_budget?;
-        let code_bytes = |chunk| encode.with_chunk(chunk).code_size_bytes();
-        if code_bytes(None) <= budget {
-            return None; // the full unroll already fits
-        }
-        let mut smallest_applicable = None;
-        for &c in UNROLL_CANDIDATES.iter().rev() {
-            // A bound only re-rolls element runs of at least 2×bound ops;
-            // larger bounds are the full unroll we just rejected.
-            if 2 * c > self.pinned_len {
-                continue;
-            }
-            if code_bytes(Some(c)) <= budget {
-                return Some(c);
-            }
-            smallest_applicable = Some(c);
-        }
-        // Nothing fits (or no candidate applies): the smallest applicable
-        // bound is the best effort — the tightest residual we can emit.
-        smallest_applicable
-    }
-
-    /// The unroll bound [`ProcPipeline::build_from_idl`] would compile
-    /// `proc_num` with — exposed so reports can show what an icache
-    /// budget picked without keeping the compile.
-    pub fn auto_chunk_from_idl(
-        &self,
-        idl: &str,
-        program: Option<&str>,
-        proc_num: u32,
-    ) -> Result<Option<usize>, PipelineError> {
-        let ((prog_num, vers_num, proc_num), arg, res) =
-            self.resolve_shapes(idl, program, proc_num)?;
-        let gs = stubgen::generate_from_shapes(prog_num, vers_num, proc_num, arg, res);
-        let encode = stubgen::specialize_stub(&gs, StubKind::ClientEncode, self.chunk)?;
-        Ok(self.effective_chunk(&encode.program))
     }
 }
 
@@ -317,105 +231,6 @@ mod tests {
             .build_from_idl(IDL, None, 1)
             .unwrap();
         assert!(chunked.client_encode.program.len() < full.client_encode.program.len() / 3);
-    }
-
-    #[test]
-    fn icache_budget_picks_full_unroll_when_it_fits() {
-        let cp = ProcPipeline::new(100)
-            .with_icache_budget(1 << 20)
-            .build_from_idl(IDL, None, 1)
-            .unwrap();
-        assert_eq!(cp.unroll_bound, None, "a huge budget needs no bound");
-    }
-
-    #[test]
-    fn icache_budget_picks_the_largest_bound_that_fits() {
-        let n = 2000;
-        let full = ProcPipeline::new(n).build_from_idl(IDL, None, 1).unwrap();
-        let full_bytes = full.client_encode.program.code_size_bytes();
-        // A budget at 1/4 of the full footprint forces a real bound.
-        let budget = full_bytes / 4;
-        let cp = ProcPipeline::new(n)
-            .with_icache_budget(budget)
-            .build_from_idl(IDL, None, 1)
-            .unwrap();
-        let bound = cp.unroll_bound.expect("budget must pick a bound");
-        assert!(UNROLL_CANDIDATES.contains(&bound), "{bound}");
-        assert!(
-            cp.client_encode.program.code_size_bytes() <= budget,
-            "picked stub must fit the budget"
-        );
-        // Maximality: the next larger applicable candidate must NOT fit.
-        if let Some(&next) = UNROLL_CANDIDATES.iter().find(|&&c| c > bound) {
-            if 2 * next <= n {
-                let bigger = ProcPipeline::new(n)
-                    .with_chunk(next)
-                    .build_from_idl(IDL, None, 1)
-                    .unwrap();
-                assert!(
-                    bigger.client_encode.program.code_size_bytes() > budget,
-                    "a larger bound would have fit — picker not maximal"
-                );
-            }
-        }
-        // The auto-pick is observable without compiling all four stubs.
-        assert_eq!(
-            ProcPipeline::new(n)
-                .with_icache_budget(budget)
-                .auto_chunk_from_idl(IDL, None, 1)
-                .unwrap(),
-            Some(bound)
-        );
-    }
-
-    #[test]
-    fn icache_budget_costs_no_specializer_run() {
-        // One run per stub, whatever the budget makes of the candidates;
-        // the report alone needs the one stub it weighs.
-        let runs = |build: &dyn Fn()| {
-            let before = stubgen::specializer_runs();
-            build();
-            stubgen::specializer_runs() - before
-        };
-        let unbounded = ProcPipeline::new(2000);
-        for budget in [1, 20_000, 1 << 20] {
-            let tuned = unbounded.clone().with_icache_budget(budget);
-            assert_eq!(
-                runs(&|| drop(tuned.build_from_idl(IDL, None, 1).unwrap())),
-                4
-            );
-            assert_eq!(runs(&|| drop(tuned.auto_chunk_from_idl(IDL, None, 1))), 1);
-            // …and what it builds is what compiling under its pick builds.
-            let cp = tuned.build_from_idl(IDL, None, 1).unwrap();
-            let mut explicit = unbounded.clone();
-            explicit.chunk = cp.unroll_bound;
-            let want = explicit.build_from_idl(IDL, None, 1).unwrap();
-            let (got, want) = (&cp.client_encode.program, &want.client_encode.program);
-            assert_eq!((&got.ops, &got.plan), (&want.ops, &want.plan), "{budget}");
-        }
-        assert_eq!(
-            runs(&|| drop(unbounded.build_from_idl(IDL, None, 1).unwrap())),
-            4
-        );
-    }
-
-    #[test]
-    fn icache_budget_degrades_to_smallest_bound_when_nothing_fits() {
-        let cp = ProcPipeline::new(2000)
-            .with_icache_budget(1) // absurd: nothing fits
-            .build_from_idl(IDL, None, 1)
-            .unwrap();
-        assert_eq!(cp.unroll_bound, Some(8), "tightest residual is best effort");
-    }
-
-    #[test]
-    fn explicit_chunk_overrides_the_budget() {
-        let cp = ProcPipeline::new(2000)
-            .with_icache_budget(1)
-            .with_chunk(250)
-            .build_from_idl(IDL, None, 1)
-            .unwrap();
-        assert_eq!(cp.unroll_bound, Some(250));
     }
 
     #[test]

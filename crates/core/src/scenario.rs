@@ -1079,12 +1079,12 @@ mod tests {
 
     /// Every stub set the pipeline generates, named: echo at 1 / 20 / 250
     /// / 2000 elements, unrolled in full and under each
-    /// `UNROLL_CANDIDATES` bound; the six scale shapes at their chunk; the
+    /// `UNROLL_SWEEP` bound; the six scale shapes at their chunk; the
     /// five NFS procedures.
     fn generated_procs() -> Vec<(String, CompiledProc)> {
         let mut procs = Vec::new();
         for n in [1, 20, 250, 2000] {
-            let bounds = crate::pipeline::UNROLL_CANDIDATES.map(Some);
+            let bounds = crate::echo::UNROLL_SWEEP.map(Some);
             for chunk in std::iter::once(None).chain(bounds) {
                 let cp = crate::echo::build_echo_proc(n, chunk).unwrap();
                 procs.push((format!("echo n={n} chunk {chunk:?}"), cp));

@@ -2,7 +2,6 @@
 //! the latency histogram the study reports record into and the line
 //! formats their renders share.
 
-use crate::cache::CacheStats;
 use specrpc_netsim::{LinkStats, SimTime};
 use specrpc_tempo::spec::SpecReport;
 
@@ -143,9 +142,6 @@ pub struct Summary {
     pub dynamic_guards: u64,
     /// Residual statement count.
     pub residual_stmts: usize,
-    /// Stub-cache effectiveness, when the stubs came through a
-    /// [`crate::cache::StubCache`].
-    pub cache: Option<CacheStats>,
 }
 
 impl Summary {
@@ -163,19 +159,12 @@ impl Summary {
             loop_iters_unrolled: r.loop_iters_unrolled,
             dynamic_guards: r.dynamic_ifs_residualized,
             residual_stmts: r.residual_stmts,
-            cache: None,
         }
-    }
-
-    /// Attach stub-cache counters (how many Tempo runs the cache saved).
-    pub fn with_cache(mut self, stats: CacheStats) -> Summary {
-        self.cache = Some(stats);
-        self
     }
 
     /// Render as the report block examples print.
     pub fn render(&self) -> String {
-        let mut text = format!(
+        format!(
             "  §3.1 dispatches eliminated:     {}\n\
              \u{20} §3.2 overflow checks removed:   {}\n\
              \u{20} §3.3 status tests folded:       {}\n\
@@ -190,26 +179,7 @@ impl Summary {
             self.loop_iters_unrolled,
             self.dynamic_guards,
             self.residual_stmts,
-        );
-        if let Some(c) = self.cache {
-            text.push_str(&format!(
-                "\n\u{20} stub cache:                     {} hit(s), {} miss(es), {} entr{}",
-                c.hits,
-                c.misses,
-                c.entries,
-                if c.entries == 1 { "y" } else { "ies" },
-            ));
-            if c.evictions > 0 {
-                text.push_str(&format!(", {} evicted", c.evictions));
-            }
-            if c.compile_ns_total > 0 {
-                text.push_str(&format!(
-                    "\n\u{20} compile cost:                   {} total (modeled)",
-                    SimTime::from_nanos(c.compile_ns_total),
-                ));
-            }
-        }
-        text
+        )
     }
 }
 
@@ -271,21 +241,7 @@ mod tests {
         let text = s.render();
         assert!(text.contains("§3.1"));
         assert!(text.contains('7'));
-        assert!(!text.contains("stub cache"), "no cache line without stats");
-    }
-
-    #[test]
-    fn render_includes_cache_stats_when_attached() {
-        let s = Summary::default().with_cache(crate::cache::CacheStats {
-            hits: 3,
-            misses: 1,
-            entries: 1,
-            evictions: 0,
-            ..Default::default()
-        });
-        let text = s.render();
-        assert!(text.contains("stub cache"));
-        assert!(text.contains("3 hit(s), 1 miss(es), 1 entry"));
+        assert!(!text.contains("stub cache"), "no cache line");
     }
 
     #[test]
@@ -344,32 +300,6 @@ mod tests {
         let mut h = LatencyHistogram::new();
         h.record(SimTime::from_nanos(3));
         assert_eq!(h.p50(), SimTime::from_nanos(3), "sub-octave values exact");
-    }
-
-    #[test]
-    fn render_mentions_cache_evictions_only_when_nonzero() {
-        let evicting = Summary::default().with_cache(crate::cache::CacheStats {
-            hits: 1,
-            misses: 4,
-            entries: 2,
-            evictions: 2,
-            ..Default::default()
-        });
-        assert!(evicting.render().contains("2 evicted"));
-    }
-
-    #[test]
-    fn render_prices_the_cache_compile_cost_when_measured() {
-        let s = Summary::default().with_cache(crate::cache::CacheStats {
-            hits: 2,
-            misses: 2,
-            entries: 2,
-            evictions: 0,
-            compile_ns_total: 8_000_000,
-        });
-        let text = s.render();
-        assert!(text.contains("compile cost"), "{text}");
-        assert!(text.contains("8.000ms"), "{text}");
     }
 
     /// Each study report renders its own measurements and no `Summary`

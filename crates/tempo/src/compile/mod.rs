@@ -531,21 +531,6 @@ impl StubProgram {
         }
     }
 
-    /// The same stub under another unroll bound: only what the element
-    /// runs are modeled as, and accounted for in [`OpCounts`], moves.
-    pub fn with_chunk(&self, chunk: Option<usize>) -> Self {
-        let mut ops = self.ops.clone();
-        for (i, op) in ops.iter_mut().enumerate() {
-            if let (StubOp::Loop { unroll, .. }, Some(_)) = (op, Run::of_loop(&self.ops[i..])) {
-                *unroll = CompileOptions { chunk }.unroll();
-            }
-        }
-        StubProgram {
-            elems: self.elems.clone(),
-            ..StubProgram::from_ops(ops, self.name.clone())
-        }
-    }
-
     /// Number of ops in the residual code the stub models (the Table 3/4
     /// "code size" proxy): one per op outside a loop; a loop counts every
     /// template once per trip, or — re-rolled under its `unroll` bound —

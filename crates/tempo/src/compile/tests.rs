@@ -311,15 +311,6 @@ fn chunk_bounds_the_modeled_unrolling_not_the_program() {
     );
     assert_eq!(chunked.ops[1..], full.ops[1..]);
     assert_eq!(chunked.wire_len, full.wire_len);
-    // Re-bounding a compiled stub is compiling it with that bound.
-    for chunk in [None, Some(1), Some(250), Some(499), Some(500), Some(501)] {
-        let want = compile(&p, &f, &big_conv(n), CompileOptions { chunk }).unwrap();
-        for from in [&full, &chunked] {
-            let got = from.with_chunk(chunk);
-            assert_eq!((&got.ops, &got.plan), (&want.ops, &want.plan), "{chunk:?}");
-            assert_eq!(got.len(), want.len());
-        }
-    }
 }
 
 #[test]

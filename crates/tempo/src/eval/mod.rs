@@ -319,16 +319,6 @@ impl<'p> Evaluator<'p> {
         }
     }
 
-    /// Interpreter reusing an existing heap (pre-populated inputs).
-    pub fn with_heap(prog: &'p Program, heap: Heap) -> Self {
-        Evaluator {
-            prog,
-            heap,
-            fuel: 100_000_000,
-            steps: 0,
-        }
-    }
-
     /// Lower the step budget (tests for non-termination).
     pub fn set_fuel(&mut self, fuel: u64) {
         self.fuel = fuel;

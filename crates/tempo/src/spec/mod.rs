@@ -303,11 +303,6 @@ impl<'p> Specializer<'p> {
         self.steps
     }
 
-    /// The static heap (for initializing object slots).
-    pub fn heap_mut(&mut self) -> &mut Heap {
-        &mut self.heap
-    }
-
     /// Allocate a struct whose slots are all **static** (e.g. the `XDR`
     /// handle: `x_op`, `x_handy`, the buffer cursor…).
     pub fn alloc_static_struct(&mut self, sid: usize) -> ObjId {

@@ -214,11 +214,6 @@ impl<T: RecordIo> XdrRec<T> {
         &self.io
     }
 
-    /// Mutable access to the underlying transport.
-    pub fn io_mut(&mut self) -> &mut T {
-        &mut self.io
-    }
-
     /// Consume the stream and return the transport.
     pub fn into_io(self) -> T {
         self.io

@@ -16,7 +16,7 @@
 //! cargo run --example nfs_like
 //! ```
 
-use specrpc::{run_nfs, NfsConfig, PathUsed, ProcSpec, SpecClient, SpecService};
+use specrpc::{run_nfs, NfsConfig, PathUsed, ProcPipeline, SpecClient, SpecService};
 use specrpc_netsim::net::{Network, NetworkConfig};
 use specrpc_rpc::clnt_tcp::ClntTcp;
 use specrpc_rpc::pmap::{self, Mapping, IPPROTO_TCP};
@@ -126,8 +126,9 @@ fn main() {
     });
     // STATFS: fixed shape → specialized fast path, same registry, same
     // TCP transport (guard fallback keeps generic clients working too).
-    let statfs_stubs = ProcSpec::new(STATFS_IDL, PROC_STATFS)
-        .compile(None, None)
+    let statfs_stubs = ProcPipeline::new(0)
+        .build_from_idl(STATFS_IDL, None, PROC_STATFS)
+        .map(Arc::new)
         .expect("statfs pipeline");
     let f = files.clone();
     SpecService::new()
@@ -227,10 +228,7 @@ fn main() {
     //    over the same record-marked TCP transport, via the Transport
     //    trait.
     let tcp = ClntTcp::create(&net, port, NFS_PROG, NFS_VERS).expect("connect statfs");
-    let mut statfs = SpecClient::builder(tcp)
-        .compiled(statfs_stubs)
-        .build()
-        .expect("statfs client");
+    let mut statfs = SpecClient::from_parts(tcp, statfs_stubs);
     let args = statfs.args(vec![handle as i32], vec![]);
     let (out, path) = statfs.call(&args).expect("STATFS");
     assert_eq!(path, PathUsed::Fast);

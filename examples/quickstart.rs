@@ -8,7 +8,7 @@
 //! cargo run --example quickstart
 //! ```
 
-use specrpc::{PathUsed, ProcSpec, SpecClient, SpecService, StubCache};
+use specrpc::{PathUsed, ProcPipeline, SpecClient, SpecService, StubCache};
 use specrpc_netsim::net::{Network, NetworkConfig};
 use specrpc_rpc::ClntUdp;
 use specrpc_tempo::compile::StubArgs;
@@ -38,8 +38,9 @@ fn main() {
     //    four stubs for RMIN, compiled exactly once no matter how many
     //    clients and services ask for this context.
     let cache = Arc::new(StubCache::new());
-    let proc_ = ProcSpec::new(RMIN_IDL, 1)
-        .compile(None, Some(&cache))
+    let pipeline = ProcPipeline::new(0);
+    let proc_ = cache
+        .get_or_compile_idl(&pipeline, RMIN_IDL, None, 1)
         .expect("pipeline");
     println!(
         "specialized stubs compiled: encode {} ops / decode {} ops (request {} bytes)",
@@ -86,15 +87,14 @@ fn main() {
         generic.counts.dispatches, generic.counts.overflow_checks, generic.counts.layer_calls
     );
 
-    // 4. Specialized call: the fluent builder resolves the same context
-    //    through the cache (a hit — no second Tempo run), wraps the UDP
+    // 4. Specialized call: the client resolves the same context through
+    //    the cache (a hit — no second Tempo run), wraps the UDP
     //    transport, and runs the compiled residual stubs.
     println!("\n-- specialized call (Figure 5 residual, compiled) --");
-    let mut spec = SpecClient::builder(ClntUdp::create(&net, 5002, PORT, 0x2000_0100, 1))
-        .proc(ProcSpec::new(RMIN_IDL, 1))
-        .cache(cache.clone())
-        .build()
-        .expect("specialized client");
+    let stubs = cache
+        .get_or_compile_idl(&pipeline, RMIN_IDL, None, 1)
+        .expect("cached stubs");
+    let mut spec = SpecClient::from_parts(ClntUdp::create(&net, 5002, PORT, 0x2000_0100, 1), stubs);
     let args = spec.args(vec![42, 7], vec![]);
     let (out, path) = spec.call(&args).expect("fast rmin");
     assert_eq!(path, PathUsed::Fast);

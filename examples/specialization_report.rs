@@ -8,18 +8,14 @@
 //!    the one loop the specializer derives by proving the body affine,
 //! 3. the compiled micro-op program — the loop is one op, whatever its
 //!    trip count,
-//! 4. the specialization report mapped to the paper's §3 categories —
-//!    including stub-cache effectiveness when the same context is
-//!    requested repeatedly,
+//! 4. the specialization report mapped to the paper's §3 categories,
+//!    then the stub cache's counters when the same context is requested
+//!    repeatedly,
 //! 5. the decode-side residual with its dynamic guards,
 //! 6. an unroll-bound sweep (powers of two 8..4096) with the knee of the
 //!    modeled time curve auto-detected per platform — the measurement the
 //!    paper's Table 4 samples at only {25, 250, full},
-//! 7. the tuner feedback loop: `ProcPipeline::with_icache_budget` fed
-//!    each platform's instruction-cache capacity picks the unroll bound
-//!    by itself (a stub's code size under any bound is arithmetic over
-//!    its loops) — the sweep's conclusion turned into an automatic knob,
-//! 8. what a specialization context costs to produce, 8…4096 elements:
+//! 7. what a specialization context costs to produce, 8…4096 elements:
 //!    specializer steps (deterministic), wall time beside the model that
 //!    stands for it in virtual time (`modeled_compile_ns`), stub ops and
 //!    the plan steps they run as. Exits non-zero if the 4096-element
@@ -35,6 +31,7 @@ use specrpc::echo::{build_echo_proc, unroll_bounds, workload};
 use specrpc::summary::Summary;
 use specrpc::{ProcPipeline, StubCache};
 use specrpc_netsim::platform::Platform;
+use specrpc_netsim::SimTime;
 use specrpc_rpcgen::stubgen::{self, FieldShape, MsgShape, StubKind};
 use specrpc_rpcgen::sunlib::{self, xdr_fields};
 use specrpc_tempo::bta::{AVal, Bta};
@@ -138,8 +135,7 @@ fn main() {
 
     // ---- 4. Report in the paper's vocabulary, with cache counters ----
     // Three clients asking for the same context: one Tempo run, two
-    // cache hits — the report carries the cache line when stubs come
-    // through a StubCache.
+    // cache hits.
     let cache = StubCache::new();
     let pipeline = ProcPipeline::new(4);
     for _ in 0..3 {
@@ -148,11 +144,15 @@ fn main() {
             .expect("cached compile");
     }
     println!("\n-- specialization report (paper §3 categories) --\n");
+    println!("{}", Summary::from_report(&report).render());
+    let c = cache.stats();
     println!(
-        "{}",
-        Summary::from_report(&report)
-            .with_cache(cache.stats())
-            .render()
+        "  stub cache:                     {} hit(s), {} miss(es), {} entr{}, {} compile (modeled)",
+        c.hits,
+        c.misses,
+        c.entries,
+        if c.entries == 1 { "y" } else { "ies" },
+        SimTime::from_nanos(c.compile_ns_total),
     );
 
     // ---- 5. The decode side keeps its dynamic guards ----
@@ -194,38 +194,7 @@ fn main() {
         }
     }
 
-    // ---- 7. Feed the knee back: the pipeline picks its own bound ----
-    println!("-- unroll auto-tuner: ProcPipeline::with_icache_budget picks the bound --");
-    println!(
-        "   (budget = each platform's icache capacity; the pipeline weighs\n\
-         \u{20}   its one encode stub under each bound and keeps the largest whose\n\
-         \u{20}   residual still fits — an explicit .with_chunk() always overrides it)\n"
-    );
-    for platform in Platform::all() {
-        let budget = platform.costs().icache_capacity_bytes;
-        println!("  [{}] budget = {budget} B", platform.costs().name);
-        for n in [500usize, 1000, 2000] {
-            let pipeline = specrpc::echo::echo_pipeline(n, None).with_icache_budget(budget);
-            let picked = pipeline
-                .auto_chunk_from_idl(specrpc::echo::ECHO_IDL, None, specrpc::echo::ECHO_PROC)
-                .expect("auto chunk");
-            let cp = pipeline
-                .build_from_idl(specrpc::echo::ECHO_IDL, None, specrpc::echo::ECHO_PROC)
-                .expect("pipeline");
-            assert_eq!(cp.unroll_bound, picked, "report matches the compile");
-            let label = match picked {
-                None => "full unrolling (fits the budget)".to_string(),
-                Some(c) => format!("bound {c}"),
-            };
-            println!(
-                "    n={n:<5} picked {label:<34} residual encode = {} B",
-                cp.client_encode.program.code_size_bytes()
-            );
-        }
-        println!();
-    }
-
-    // ---- 8. What a context costs: the shape's, not the array length's ----
+    // ---- 7. What a context costs: the shape's, not the array length's ----
     println!("-- specialization cost per context (four stubs; steps are deterministic) --\n");
     let kinds = [
         StubKind::ClientEncode,

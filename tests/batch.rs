@@ -188,9 +188,11 @@ fn deploy_inc(
     config: NetworkConfig,
     policy: Option<specrpc_rpc::CoalescePolicy>,
 ) -> (Network, SpecClient<ClntUdp>) {
-    let proc_ = specrpc::ProcSpec::new(INC_IDL, 1)
-        .compile(None, None)
-        .unwrap();
+    let proc_ = Arc::new(
+        ProcPipeline::new(0)
+            .build_from_idl(INC_IDL, None, 1)
+            .unwrap(),
+    );
     let net = Network::new(config, 7);
     SpecService::new()
         .proc(proc_.clone(), |args: &StubArgs| {

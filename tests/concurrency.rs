@@ -7,7 +7,7 @@
 //! the workers and the stealing drivers executed sum to the number of
 //! unique transactions.
 
-use specrpc::echo::{echo_spec, ECHO_IDL, ECHO_PROG, ECHO_VERS};
+use specrpc::echo::{ECHO_IDL, ECHO_PROG, ECHO_VERS};
 use specrpc::{ProcPipeline, SpecClient, SpecService, StubCache};
 use specrpc_netsim::net::{Network, NetworkConfig};
 use specrpc_netsim::SimTime;
@@ -71,11 +71,10 @@ fn n_threads_hammer_one_threaded_service_through_one_cache() {
             clnt.retry_timeout = SimTime::from_millis(50);
             clnt.total_timeout = SimTime::from_millis(600_000);
             // Lookups #2..=#THREADS+1: hits on the shared cache.
-            let mut client = SpecClient::builder(clnt)
-                .proc(echo_spec(N))
-                .cache(cache)
-                .build()
+            let stubs = cache
+                .get_or_compile_idl(&ProcPipeline::new(N), ECHO_IDL, None, 1)
                 .expect("client stubs");
+            let mut client = SpecClient::from_parts(clnt, stubs);
             let mut replies = 0u64;
             for i in 0..CALLS {
                 let data = thread_data(t, i);
@@ -167,11 +166,10 @@ fn n_threads_hammer_one_event_served_service_with_batches() {
             let mut clnt = ClntUdp::create(&net, 6100 + t as u32, PORT + 20, ECHO_PROG, ECHO_VERS);
             clnt.retry_timeout = SimTime::from_millis(50);
             clnt.total_timeout = SimTime::from_millis(600_000);
-            let mut client = SpecClient::builder(clnt)
-                .proc(echo_spec(N))
-                .cache(cache)
-                .build()
+            let stubs = cache
+                .get_or_compile_idl(&ProcPipeline::new(N), ECHO_IDL, None, 1)
                 .expect("client stubs");
+            let mut client = SpecClient::from_parts(clnt, stubs);
             for b in 0..BATCHES {
                 let batch: Vec<StubArgs> = (0..BATCH)
                     .map(|k| {

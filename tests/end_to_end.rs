@@ -2,7 +2,7 @@
 //! → RPC over the simulated network — under normal and faulty conditions,
 //! through the transport-agnostic `SpecClient`/`SpecService` facade.
 
-use specrpc::echo::{echo_service, workload, EchoBench, Mode};
+use specrpc::echo::{echo_service, workload, EchoBench, Mode, ECHO_IDL, ECHO_PROC};
 use specrpc::{PathUsed, ProcPipeline, SpecClient, StubCache};
 use specrpc_netsim::net::{Network, NetworkConfig};
 use specrpc_netsim::{FaultConfig, SimTime};
@@ -153,18 +153,20 @@ fn stub_cache_reuses_one_compile_across_clients() {
     let cache = Arc::new(StubCache::new());
     let net = Network::new(NetworkConfig::lan(), 3);
 
-    let first = SpecClient::builder(ClntUdp::create(&net, 5007, 700, 0x2000_0101, 1))
-        .proc(specrpc::echo::echo_spec(n))
-        .cache(cache.clone())
-        .build()
-        .expect("first client");
+    let first = SpecClient::from_parts(
+        ClntUdp::create(&net, 5007, 700, 0x2000_0101, 1),
+        cache
+            .get_or_compile_idl(&ProcPipeline::new(n), ECHO_IDL, None, ECHO_PROC)
+            .expect("first client"),
+    );
     echo_service(first.compiled().clone()).serve_udp(&net, 700);
 
-    let mut second = SpecClient::builder(ClntUdp::create(&net, 5008, 700, 0x2000_0101, 1))
-        .proc(specrpc::echo::echo_spec(n))
-        .cache(cache.clone())
-        .build()
-        .expect("second client");
+    let mut second = SpecClient::from_parts(
+        ClntUdp::create(&net, 5008, 700, 0x2000_0101, 1),
+        cache
+            .get_or_compile_idl(&ProcPipeline::new(n), ECHO_IDL, None, ECHO_PROC)
+            .expect("second client"),
+    );
 
     let stats = cache.stats();
     assert_eq!(stats.misses, 1, "exactly one Tempo run");
@@ -182,11 +184,12 @@ fn stub_cache_reuses_one_compile_across_clients() {
     assert_eq!(out.arrays[0], data);
 
     // A different shape context is a miss, not a collision.
-    let third = SpecClient::builder(ClntUdp::create(&net, 5009, 700, 0x2000_0101, 1))
-        .proc(specrpc::echo::echo_spec(n + 1))
-        .cache(cache.clone())
-        .build()
-        .expect("third client");
+    let third = SpecClient::from_parts(
+        ClntUdp::create(&net, 5009, 700, 0x2000_0101, 1),
+        cache
+            .get_or_compile_idl(&ProcPipeline::new(n + 1), ECHO_IDL, None, ECHO_PROC)
+            .expect("third client"),
+    );
     assert!(!Arc::ptr_eq(first.compiled(), third.compiled()));
     assert_eq!(cache.stats().misses, 2);
 }
