@@ -271,9 +271,11 @@ mod tests {
         let b = cache
             .get_or_compile_idl(&ProcPipeline::new(41), IDL, None, 1)
             .unwrap();
-        let c = cache
-            .get_or_compile_idl(&ProcPipeline::new(40).with_chunk(8), IDL, None, 1)
-            .unwrap();
+        let chunked = ProcPipeline {
+            chunk: Some(8),
+            ..ProcPipeline::new(40)
+        };
+        let c = cache.get_or_compile_idl(&chunked, IDL, None, 1).unwrap();
         assert!(!Arc::ptr_eq(&a, &b));
         assert!(!Arc::ptr_eq(&a, &c));
         assert_eq!(a.client_encode.wire_len, b.client_encode.wire_len - 4);

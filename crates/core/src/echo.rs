@@ -21,7 +21,7 @@ use specrpc_rpc::error::RpcError;
 use specrpc_rpc::msg::CallHeader;
 use specrpc_rpc::svc::SvcRegistry;
 use specrpc_rpc::{ClntTcp, ClntUdp};
-use specrpc_tempo::compile::{run_encode, StubArgs};
+use specrpc_tempo::compile::StubArgs;
 use specrpc_xdr::composite::xdr_array;
 use specrpc_xdr::mem::XdrMem;
 use specrpc_xdr::primitives::xdr_int;
@@ -103,19 +103,6 @@ pub fn generic_decode_reply(reply: &[u8], out: &mut Vec<i32>) -> Result<OpCounts
     }
     xdr_array(&mut dec, out, MAX_ARR, xdr_int)?;
     Ok(*dec.counts())
-}
-
-/// Specialized client-side request marshaling: one compiled-stub run.
-pub fn specialized_encode_request(
-    proc_: &CompiledProc,
-    buf: &mut [u8],
-    args: &StubArgs,
-    counts: &mut OpCounts,
-) -> Result<usize, RpcError> {
-    match run_encode(&proc_.client_encode.program, buf, args, counts) {
-        Ok(_) => Ok(proc_.client_encode.wire_len),
-        Err(e) => Err(RpcError::Transport(e.to_string())),
-    }
 }
 
 /// Marshaling mode under measurement.
@@ -424,6 +411,7 @@ pub fn workload(n: usize) -> Vec<i32> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use specrpc_tempo::compile::run_encode;
 
     #[test]
     fn generic_and_specialized_wire_images_match() {
@@ -437,7 +425,7 @@ mod tests {
         let args = StubArgs::new(vec![0xfeed_beefu32 as i32], vec![data.clone()]);
         let mut buf = vec![0u8; proc_.client_encode.wire_len];
         let mut counts = OpCounts::new();
-        specialized_encode_request(&proc_, &mut buf, &args, &mut counts).unwrap();
+        run_encode(&proc_.client_encode.program, &mut buf, &args, &mut counts).unwrap();
 
         assert_eq!(len, buf.len());
         assert_eq!(&enc.bytes()[..len], buf.as_slice());
@@ -492,7 +480,7 @@ mod tests {
         let args = StubArgs::new(vec![1], vec![data.clone()]);
         let mut buf = vec![0u8; proc_.client_encode.wire_len];
         let mut s = OpCounts::new();
-        specialized_encode_request(&proc_, &mut buf, &args, &mut s).unwrap();
+        run_encode(&proc_.client_encode.program, &mut buf, &args, &mut s).unwrap();
 
         // Same bytes moved...
         assert_eq!(

@@ -19,8 +19,9 @@
 //!   [`Transport`](specrpc_rpc::Transport) (retransmitting UDP or
 //!   record-marked TCP), built from a transport and a compiled stub set:
 //!   `SpecClient::from_parts(transport, proc_)`. The stubs come from
-//!   [`ProcPipeline`] (`ProcPipeline::new(n).with_chunk(250)` is the
-//!   per-size, Table 4 context), shared through [`StubCache`].
+//!   [`ProcPipeline`] (`ProcPipeline::new(n)` is the per-size context;
+//!   its `chunk` field is Table 4's unroll bound), shared through
+//!   [`StubCache`].
 //! - [`SpecService`] — a server hosting *multiple* procedures, each
 //!   installed with a compiled fast path and a generic guard fallback,
 //!   dispatched by procedure number.
@@ -117,10 +118,8 @@
 //!   a client's `OpCounts` count them (`heap_allocs`, and `mem_moves`
 //!   for the bytes copied) over its `calls`.
 //!
-//! On the checked-in baselines this lane took `marshal/specialized/2000`
-//! from 3346.7 ns to 612.9 ns (−81.7%) and `unroll/full/2000` from
-//! 3018.6 ns to 465.4 ns (−84.6%); see `BENCH_marshal.json` /
-//! `BENCH_unroll.json`.
+//! `cargo test --release -p specrpc-bench --test paper_ratio -- --nocapture`
+//! measures this lane against the generic one at n = 20 / 250 / 2000.
 //!
 //! The allocation-free loop, end to end:
 //!

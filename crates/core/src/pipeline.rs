@@ -65,7 +65,7 @@ pub struct CompiledProc {
     /// (program, version, procedure) numbers.
     pub target: (u32, u32, u32),
     /// The unroll bound the stubs were compiled with (`None` = full
-    /// unrolling), set by [`ProcPipeline::with_chunk`].
+    /// unrolling): the pipeline's [`ProcPipeline::chunk`].
     pub unroll_bound: Option<usize>,
     /// Client request encoder.
     pub client_encode: CompiledStub,
@@ -104,12 +104,6 @@ impl ProcPipeline {
             pinned_len,
             chunk: None,
         }
-    }
-
-    /// Use bounded unrolling with the given chunk.
-    pub fn with_chunk(mut self, chunk: usize) -> Self {
-        self.chunk = Some(chunk);
-        self
     }
 
     /// Resolve the `(program, version, procedure)` numbers and message
@@ -226,10 +220,12 @@ mod tests {
         let full = ProcPipeline::new(1000)
             .build_from_idl(IDL, None, 1)
             .unwrap();
-        let chunked = ProcPipeline::new(1000)
-            .with_chunk(250)
-            .build_from_idl(IDL, None, 1)
-            .unwrap();
+        let chunked = ProcPipeline {
+            chunk: Some(250),
+            ..ProcPipeline::new(1000)
+        }
+        .build_from_idl(IDL, None, 1)
+        .unwrap();
         assert!(chunked.client_encode.program.len() < full.client_encode.program.len() / 3);
     }
 

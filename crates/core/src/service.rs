@@ -456,7 +456,8 @@ mod tests {
         let args = StubArgs::new(vec![7], vec![data]);
         let mut buf = vec![0u8; cp.client_encode.wire_len];
         let mut counts = OpCounts::new();
-        crate::echo::specialized_encode_request(cp, &mut buf, &args, &mut counts).unwrap();
+        specrpc_tempo::compile::run_encode(&cp.client_encode.program, &mut buf, &args, &mut counts)
+            .unwrap();
         buf
     }
 

@@ -110,15 +110,6 @@ impl LatencyHistogram {
     pub fn p999(&self) -> SimTime {
         self.quantile(0.999)
     }
-
-    /// Fold another histogram into this one.
-    pub fn merge(&mut self, other: &LatencyHistogram) {
-        for (a, b) in self.counts.iter_mut().zip(&other.counts) {
-            *a += b;
-        }
-        self.total += other.total;
-        self.max = self.max.max(other.max);
-    }
 }
 
 /// What specialization eliminated, in the paper's vocabulary.
@@ -274,7 +265,7 @@ mod tests {
     }
 
     #[test]
-    fn histogram_is_deterministic_and_mergeable() {
+    fn histogram_is_deterministic() {
         let build = || {
             let mut h = LatencyHistogram::new();
             for i in 0..10_000u64 {
@@ -283,14 +274,6 @@ mod tests {
             h
         };
         assert_eq!(build(), build(), "same samples, same histogram");
-        let mut merged = build();
-        merged.merge(&build());
-        assert_eq!(merged.count(), 20_000);
-        assert_eq!(
-            merged.p50(),
-            build().p50(),
-            "merge of equals keeps quantiles"
-        );
     }
 
     #[test]

@@ -197,9 +197,6 @@ use std::time::{Duration, Instant};
 /// cap a "millions of users" run at 65 536 addresses).
 pub type Addr = u32;
 
-/// Identifier of a bound client endpoint.
-pub type EndpointId = usize;
-
 /// Identifier of a TCP connection.
 pub type ConnId = usize;
 
@@ -882,12 +879,6 @@ impl Network {
                 inner.send_udp_locked(server, client, bytes);
             }
         }
-    }
-
-    /// Deliveries waiting in the slot for `addr`: 1 or 0 (a nonblocking
-    /// readiness probe).
-    pub fn ready_udp(&self, addr: Addr) -> usize {
-        usize::from(self.lock().ready_for(&[addr]))
     }
 
     /// Work that runs server code and has not finished — a delivery in
@@ -2595,7 +2586,7 @@ mod tests {
             !net.poll_udp(999, || panic!("nothing to run")),
             "unregistered address"
         );
-        assert_eq!(net.ready_udp(2000), 0);
+        assert_eq!(net.pending_events(), 0);
         net.unserve_udp_events(2000);
     }
 
@@ -2649,10 +2640,10 @@ mod tests {
         let ep = net.bind_udp(5001);
         ep.send_to(2000, vec![7]);
         // Run just far enough to deliver the datagram into the slot.
-        net.run_until(SimTime::from_millis(1), || net.ready_udp(2000) > 0);
-        assert_eq!(net.ready_udp(2000), 1);
+        net.run_until(SimTime::from_millis(1), || net.pending_events() > 0);
+        assert_eq!(net.pending_events(), 1);
         net.unserve_udp_events(2000);
-        assert_eq!(net.ready_udp(2000), 0);
+        assert_eq!(net.pending_events(), 0);
         let before = net.now();
         assert!(ep.recv_timeout(SimTime::from_millis(2)).is_none());
         assert_eq!(net.now(), before + SimTime::from_millis(2));
@@ -2814,7 +2805,7 @@ mod tests {
         net.serve_udp(2000, echo(SimTime::ZERO));
         let ep = net.bind_udp(5001);
         ep.send_to(2000, vec![7]);
-        net.run_until(SimTime::from_millis(1), || net.ready_udp(2000) > 0);
+        net.run_until(SimTime::from_millis(1), || net.pending_events() > 0);
         assert_eq!(net.pending_events(), 1);
         net.crash(2000);
         assert_eq!(net.pending_events(), 0);

@@ -19,32 +19,19 @@ use crate::time::SimTime;
 use specrpc_xdr::rec::RecordIo;
 use specrpc_xdr::{XdrError, XdrResult};
 
+/// Receive budget: how long a blocking read may run the network.
+const READ_TIMEOUT: SimTime = SimTime::from_millis(5_000);
+
 /// Client side of a simulated TCP connection, usable directly as the
 /// byte transport under an XDR record stream.
 pub struct SimTcpStream {
     net: Network,
     conn: ConnId,
-    /// Receive budget: how long a blocking read may run the network.
-    read_timeout: SimTime,
 }
 
 impl SimTcpStream {
     pub(crate) fn new(net: Network, conn: ConnId) -> Self {
-        SimTcpStream {
-            net,
-            conn,
-            read_timeout: SimTime::from_millis(5_000),
-        }
-    }
-
-    /// Set the virtual-time budget for blocking reads.
-    pub fn set_read_timeout(&mut self, t: SimTime) {
-        self.read_timeout = t;
-    }
-
-    /// The underlying network handle.
-    pub fn network(&self) -> &Network {
-        &self.net
+        SimTcpStream { net, conn }
     }
 }
 
@@ -83,7 +70,7 @@ impl RecordIo for SimTcpStream {
         if net.conn_read(conn, buf) {
             return Ok(());
         }
-        let deadline = net.now() + self.read_timeout;
+        let deadline = net.now() + READ_TIMEOUT;
         if net.run_until(deadline, || net.conn_read(conn, buf)) {
             Ok(())
         } else {
@@ -139,18 +126,17 @@ mod tests {
         let net = Network::new(NetworkConfig::lan(), 1);
         net.serve_tcp(2049, Box::new(|| Box::new(Echo { buf: Vec::new() })));
         let mut conn = net.connect_tcp(2049).expect("connect");
-        conn.set_read_timeout(SimTime::from_millis(2));
         // Two bytes do come back; four never will.
         conn.write_all(b"ab").unwrap();
         let start = net.now();
         let mut out = [0u8; 4];
         assert!(matches!(conn.read_exact(&mut out), Err(XdrError::Io(_))));
-        assert_eq!(net.now(), start + SimTime::from_millis(2));
+        assert_eq!(net.now(), start + READ_TIMEOUT);
         // The failed read consumed nothing.
         let mut two = [0u8; 2];
         conn.read_exact(&mut two).unwrap();
         assert_eq!(&two, b"ab");
-        assert_eq!(net.now(), start + SimTime::from_millis(2));
+        assert_eq!(net.now(), start + READ_TIMEOUT);
     }
 
     #[test]
@@ -247,17 +233,16 @@ mod tests {
     fn record_stream_over_sim_tcp() {
         let net = Network::new(NetworkConfig::lan(), 7);
         net.serve_tcp(111, Box::new(|| Box::new(Echo { buf: Vec::new() })));
-        let conn = net.connect_tcp(111).expect("connect");
+        let mut conn = net.connect_tcp(111).expect("connect");
 
-        let mut rec = XdrRec::with_fragment_size(conn, specrpc_xdr::XdrOp::Encode, 8192);
+        let mut rec = XdrRec::with_fragment_size(&mut conn, specrpc_xdr::XdrOp::Encode, 8192);
         rec.putlong(0x0a0b0c0d).unwrap();
         rec.putlong(-99).unwrap();
         rec.end_of_record().unwrap();
 
-        // Reuse the same stream object for reading the echoed record: build
-        // a decode-mode stream over the same connection.
-        let conn = rec.into_io();
-        let mut dec = XdrRec::with_fragment_size(conn, specrpc_xdr::XdrOp::Decode, 8192);
+        // Read the echoed record back through a decode-mode stream over
+        // the same connection.
+        let mut dec = XdrRec::with_fragment_size(&mut conn, specrpc_xdr::XdrOp::Decode, 8192);
         assert_eq!(dec.getlong().unwrap(), 0x0a0b0c0d);
         assert_eq!(dec.getlong().unwrap(), -99);
     }

@@ -22,11 +22,6 @@ impl SimUdpSocket {
         }
     }
 
-    /// Local address.
-    pub fn local_addr(&self) -> Addr {
-        self.ep.addr()
-    }
-
     /// Peer address.
     pub fn peer_addr(&self) -> Addr {
         self.peer
@@ -114,7 +109,6 @@ mod tests {
     fn addresses_exposed() {
         let net = Network::new(NetworkConfig::lan(), 1);
         let sock = SimUdpSocket::connect(&net, 5000, 900);
-        assert_eq!(sock.local_addr(), 5000);
         assert_eq!(sock.peer_addr(), 900);
     }
 }

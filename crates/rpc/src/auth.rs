@@ -1,9 +1,9 @@
-//! RPC authentication flavors (RFC 1057 §9): `AUTH_NONE` and `AUTH_SYS`
-//! (née `AUTH_UNIX`), carried as opaque bodies in call and reply headers.
+//! RPC authentication (RFC 1057 §9): the opaque authenticator every call
+//! and reply header carries. Clients send `AUTH_NONE`; a server passes any
+//! credential through as flavor plus opaque body.
 
-use specrpc_xdr::composite::xdr_array;
-use specrpc_xdr::composite::{xdr_bytes, xdr_string};
-use specrpc_xdr::primitives::{xdr_u_int, xdr_u_long};
+use specrpc_xdr::composite::xdr_bytes;
+use specrpc_xdr::primitives::xdr_u_int;
 use specrpc_xdr::{XdrResult, XdrStream};
 
 /// Maximum opaque auth body size (RFC 1057).
@@ -11,8 +11,6 @@ pub const MAX_AUTH_BYTES: usize = 400;
 
 /// `AUTH_NONE` flavor number.
 pub const AUTH_NONE: u32 = 0;
-/// `AUTH_SYS` flavor number.
-pub const AUTH_SYS: u32 = 1;
 
 /// An opaque authenticator: flavor plus opaque body.
 #[derive(Debug, Clone, PartialEq, Eq, Default)]
@@ -32,14 +30,6 @@ impl OpaqueAuth {
         }
     }
 
-    /// An `AUTH_SYS` authenticator for the given identity.
-    pub fn sys(params: &AuthSysParams) -> Self {
-        OpaqueAuth {
-            flavor: AUTH_SYS,
-            body: params.to_bytes(),
-        }
-    }
-
     /// Generic XDR filter (flavor word + counted opaque).
     pub fn xdr(xdrs: &mut dyn XdrStream, auth: &mut OpaqueAuth) -> XdrResult {
         xdr_u_int(xdrs, &mut auth.flavor)?;
@@ -49,54 +39,6 @@ impl OpaqueAuth {
     /// Wire size in bytes when encoded.
     pub fn wire_size(&self) -> usize {
         8 + specrpc_xdr::sizes::rndup(self.body.len())
-    }
-}
-
-/// The `AUTH_SYS` credential contents.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct AuthSysParams {
-    /// Timestamp (arbitrary stamp in the original).
-    pub stamp: u32,
-    /// Caller's machine name.
-    pub machinename: String,
-    /// Effective uid.
-    pub uid: u32,
-    /// Effective gid.
-    pub gid: u32,
-    /// Supplementary gids (max 16).
-    pub gids: Vec<u32>,
-}
-
-impl AuthSysParams {
-    /// XDR filter for the structured body.
-    pub fn xdr(xdrs: &mut dyn XdrStream, p: &mut AuthSysParams) -> XdrResult {
-        xdr_u_long(xdrs, &mut p.stamp)?;
-        xdr_string(xdrs, &mut p.machinename, 255)?;
-        xdr_u_long(xdrs, &mut p.uid)?;
-        xdr_u_long(xdrs, &mut p.gid)?;
-        xdr_array(xdrs, &mut p.gids, 16, xdr_u_long)
-    }
-
-    /// Encode to the opaque body representation.
-    pub fn to_bytes(&self) -> Vec<u8> {
-        let mut enc = specrpc_xdr::mem::XdrMem::encoder(MAX_AUTH_BYTES);
-        let mut copy = self.clone();
-        AuthSysParams::xdr(&mut enc, &mut copy).expect("auth_sys fits 400 bytes");
-        enc.into_bytes()
-    }
-
-    /// Decode from an opaque body.
-    pub fn from_bytes(body: &[u8]) -> Option<AuthSysParams> {
-        let mut dec = specrpc_xdr::mem::XdrMem::decoder(body);
-        let mut p = AuthSysParams {
-            stamp: 0,
-            machinename: String::new(),
-            uid: 0,
-            gid: 0,
-            gids: Vec::new(),
-        };
-        AuthSysParams::xdr(&mut dec, &mut p).ok()?;
-        Some(p)
     }
 }
 
@@ -125,21 +67,6 @@ mod tests {
         let mut out = OpaqueAuth::default();
         OpaqueAuth::xdr(&mut dec, &mut out).unwrap();
         assert_eq!(out, a);
-    }
-
-    #[test]
-    fn auth_sys_roundtrip() {
-        let p = AuthSysParams {
-            stamp: 0x1234,
-            machinename: "ipx-sunos".into(),
-            uid: 501,
-            gid: 100,
-            gids: vec![4, 20, 24],
-        };
-        let a = OpaqueAuth::sys(&p);
-        assert_eq!(a.flavor, AUTH_SYS);
-        let back = AuthSysParams::from_bytes(&a.body).expect("parse");
-        assert_eq!(back, p);
     }
 
     #[test]

@@ -70,11 +70,6 @@ impl ClntTcp {
         &self.pool
     }
 
-    /// Access the underlying stream (read-timeout tuning).
-    pub fn stream_mut(&mut self) -> &mut SimTcpStream {
-        &mut self.conn
-    }
-
     /// Replace the poisoned connection with a fresh one to the same
     /// server (the one-shot recovery the raw transport paths use before
     /// surfacing a transport error).
@@ -454,7 +449,6 @@ mod tests {
             })
         });
         let mut clnt = ClntTcp::create(&net, 2049, PROG, 1).unwrap();
-        clnt.stream_mut().set_read_timeout(SimTime::from_millis(5));
         let xid = Transport::next_xid(&mut clnt);
         let mut enc = XdrMem::encoder(256);
         let mut msg = CallHeader::new(xid, PROG, 1, 1);
@@ -498,7 +492,6 @@ mod tests {
         let net = Network::new(NetworkConfig::lan(), 11);
         net.serve_tcp(2049, Box::new(|| Box::new(DeadConn) as Box<dyn TcpHandler>));
         let mut clnt = ClntTcp::create(&net, 2049, PROG, 1).unwrap();
-        clnt.stream_mut().set_read_timeout(SimTime::from_millis(2));
         let xid = Transport::next_xid(&mut clnt);
         let mut enc = XdrMem::encoder(64);
         let mut msg = CallHeader::new(xid, PROG, 1, 1);

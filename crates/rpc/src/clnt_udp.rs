@@ -258,11 +258,6 @@ impl ClntUdp {
         self
     }
 
-    /// The replica the socket currently targets.
-    pub fn active_replica(&self) -> Addr {
-        self.sock.peer_addr()
-    }
-
     /// Total circuit-breaker trips across all replicas.
     pub fn breaker_trips(&self) -> u64 {
         self.breakers.iter().map(|b| b.trips).sum()
@@ -1007,7 +1002,7 @@ mod tests {
             assert_eq!(out, round * 4);
         }
         assert_eq!(clnt.failovers, 1, "sticky: only the first call moves");
-        assert_eq!(clnt.active_replica(), backup);
+        assert_eq!(clnt.sock.peer_addr(), backup);
     }
 
     #[test]

@@ -27,10 +27,8 @@ pub const PMAPPROC_UNSET: u32 = 2;
 /// Look up a port.
 pub const PMAPPROC_GETPORT: u32 = 3;
 
-/// Protocol numbers used in mappings.
+/// TCP's protocol number, the `prot` of a stream service's mapping.
 pub const IPPROTO_TCP: u32 = 6;
-/// UDP protocol number.
-pub const IPPROTO_UDP: u32 = 17;
 
 /// One mapping entry.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -39,7 +37,7 @@ pub struct Mapping {
     pub prog: u32,
     /// Program version.
     pub vers: u32,
-    /// Transport protocol ([`IPPROTO_UDP`] or [`IPPROTO_TCP`]).
+    /// Transport protocol (17 for UDP, [`IPPROTO_TCP`]).
     pub prot: u32,
     /// Port the service listens on.
     pub port: u32,
@@ -163,22 +161,6 @@ pub fn pmap_set(net: &Network, local: Addr, m: Mapping) -> Result<bool, RpcError
     Ok(ok)
 }
 
-/// Client helper: remove a mapping (`pmap_unset`).
-pub fn pmap_unset(net: &Network, local: Addr, prog: u32, vers: u32) -> Result<bool, RpcError> {
-    let mut clnt = ClntUdp::create(net, local, PMAP_PORT, PMAP_PROG, PMAP_VERS);
-    let mut ok = false;
-    let mut m = Mapping {
-        prog,
-        vers,
-        prot: 0,
-        port: 0,
-    };
-    clnt.call(PMAPPROC_UNSET, &mut |x| Mapping::xdr(x, &mut m), &mut |x| {
-        xdr_bool(x, &mut ok)
-    })?;
-    Ok(ok)
-}
-
 /// Client helper: look a port up (`pmap_getport`). Errors with
 /// [`RpcError::ProgNotRegistered`] when the mapping is absent.
 pub fn pmap_getport(
@@ -212,6 +194,8 @@ mod tests {
     use super::*;
     use specrpc_netsim::net::NetworkConfig;
 
+    const IPPROTO_UDP: u32 = 17;
+
     #[test]
     fn set_getport_unset_cycle() {
         let net = Network::new(NetworkConfig::lan(), 21);
@@ -227,7 +211,13 @@ mod tests {
             pmap_getport(&net, 6001, 500_000, 1, IPPROTO_UDP).unwrap(),
             2049
         );
-        assert!(pmap_unset(&net, 6002, 500_000, 1).unwrap());
+        let mut clnt = ClntUdp::create(&net, 6002, PMAP_PORT, PMAP_PROG, PMAP_VERS);
+        let (mut m, mut removed) = (Mapping { port: 0, ..m }, false);
+        clnt.call(PMAPPROC_UNSET, &mut |x| Mapping::xdr(x, &mut m), &mut |x| {
+            xdr_bool(x, &mut removed)
+        })
+        .unwrap();
+        assert!(removed);
         assert_eq!(
             pmap_getport(&net, 6003, 500_000, 1, IPPROTO_UDP).unwrap_err(),
             RpcError::ProgNotRegistered

@@ -253,7 +253,6 @@ impl SvcRegistry {
             | Err(RpcError::Xdr(XdrError::SizeLimit { .. }))
             | Err(RpcError::Xdr(XdrError::BadBool(_)))
             | Err(RpcError::Xdr(XdrError::BadEnumValue(_)))
-            | Err(RpcError::Xdr(XdrError::BadUnionDiscriminant(_)))
             | Err(RpcError::Xdr(XdrError::BadString)) => {
                 encode_failure(msg.xid, AcceptStat::GarbageArgs, None)
             }

@@ -157,7 +157,8 @@ impl IdlFile {
     }
 
     /// Find an enum definition by name.
-    pub fn enum_def(&self, name: &str) -> Option<&[(String, i64)]> {
+    #[cfg(test)]
+    pub(crate) fn enum_def(&self, name: &str) -> Option<&[(String, i64)]> {
         self.defs.iter().find_map(|d| match d {
             Definition::Enum { name: n, members } if n == name => Some(members.as_slice()),
             _ => None,

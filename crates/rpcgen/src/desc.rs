@@ -3,20 +3,17 @@
 //! This is the *interpretive* way to marshal arbitrary IDL-defined data:
 //! a generic walker drives the layered XDR routines from a type
 //! description. The paper's related work (§7) discusses exactly this
-//! implementation style (Hoschka & Huitema's table-driven marshalers). It
-//! is also the general-purpose generic path for types the specialized fast
-//! path does not cover.
+//! implementation style (Hoschka & Huitema's table-driven marshalers).
+//! Here it is an oracle: `tests/equivalence.rs` checks the specialized
+//! stubs' bytes against it for hand-built descriptors.
 
-use crate::ast::{Decl, DeclKind, Definition, IdlFile, IdlType};
 use specrpc_xdr::composite::{xdr_bytes, xdr_opaque, xdr_string};
 use specrpc_xdr::primitives::{
     xdr_bool, xdr_double, xdr_float, xdr_hyper, xdr_int, xdr_u_hyper, xdr_u_int,
 };
 use specrpc_xdr::{XdrError, XdrOp, XdrResult, XdrStream};
-use std::collections::HashMap;
-use std::fmt;
 
-/// A resolved runtime type descriptor.
+/// A runtime type descriptor.
 #[derive(Debug, Clone, PartialEq)]
 pub enum TypeDesc {
     /// 32-bit signed integer.
@@ -171,128 +168,6 @@ impl XdrValue {
             _ => 4,
         }
     }
-}
-
-/// Descriptor resolution errors.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum ResolveError {
-    /// A named type is not defined in the IDL file.
-    Unknown(String),
-    /// Unions need a value-level discriminant; they are resolved to
-    /// structs by rpcgen in the original and unsupported as descriptors.
-    UnsupportedUnion(String),
-    /// Type recursion without a pointer indirection.
-    InfiniteType(String),
-}
-
-impl fmt::Display for ResolveError {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            ResolveError::Unknown(n) => write!(f, "unknown type `{n}`"),
-            ResolveError::UnsupportedUnion(n) => {
-                write!(f, "union `{n}` not supported as a descriptor")
-            }
-            ResolveError::InfiniteType(n) => write!(f, "type `{n}` recurses without indirection"),
-        }
-    }
-}
-
-impl std::error::Error for ResolveError {}
-
-/// Resolve a named (or primitive) IDL type into a [`TypeDesc`] using the
-/// file's definitions. Recursive types through pointers become
-/// [`TypeDesc::Recurse`] back-references.
-pub fn resolve(file: &IdlFile, ty: &IdlType) -> Result<TypeDesc, ResolveError> {
-    let mut guard = Vec::new();
-    resolve_inner(file, ty, &mut guard)
-}
-
-fn resolve_inner(
-    file: &IdlFile,
-    ty: &IdlType,
-    guard: &mut Vec<String>,
-) -> Result<TypeDesc, ResolveError> {
-    Ok(match ty {
-        IdlType::Int => TypeDesc::Int,
-        IdlType::UInt => TypeDesc::UInt,
-        IdlType::Hyper => TypeDesc::Hyper,
-        IdlType::UHyper => TypeDesc::UHyper,
-        IdlType::Bool => TypeDesc::Bool,
-        IdlType::Float => TypeDesc::Float,
-        IdlType::Double => TypeDesc::Double,
-        IdlType::Void => TypeDesc::Void,
-        IdlType::Named(name) => {
-            if guard.contains(name) {
-                return Err(ResolveError::InfiniteType(name.clone()));
-            }
-            named_desc(file, name, guard)?
-        }
-    })
-}
-
-fn named_desc(
-    file: &IdlFile,
-    name: &str,
-    guard: &mut Vec<String>,
-) -> Result<TypeDesc, ResolveError> {
-    for def in &file.defs {
-        match def {
-            Definition::Struct { name: n, fields } if n == name => {
-                guard.push(name.to_string());
-                let mut fs = Vec::new();
-                for d in fields {
-                    match decl_desc(file, d, guard) {
-                        Ok(desc) => fs.push((d.name.clone(), desc)),
-                        Err(e) => {
-                            guard.pop();
-                            return Err(e);
-                        }
-                    }
-                }
-                guard.pop();
-                return Ok(TypeDesc::Struct(fs));
-            }
-            Definition::Enum { name: n, members } if n == name => {
-                return Ok(TypeDesc::Enum(
-                    members.iter().map(|(_, v)| *v as i32).collect(),
-                ));
-            }
-            Definition::Typedef(d) if d.name == name => {
-                return decl_desc(file, d, guard);
-            }
-            Definition::Union { name: n, .. } if n == name => {
-                return Err(ResolveError::UnsupportedUnion(name.to_string()));
-            }
-            _ => {}
-        }
-    }
-    Err(ResolveError::Unknown(name.to_string()))
-}
-
-fn decl_desc(file: &IdlFile, d: &Decl, guard: &mut Vec<String>) -> Result<TypeDesc, ResolveError> {
-    Ok(match &d.kind {
-        DeclKind::Scalar => resolve_inner(file, &d.ty, guard)?,
-        DeclKind::FixedArray(n) => {
-            TypeDesc::FixedArray(Box::new(resolve_inner(file, &d.ty, guard)?), *n)
-        }
-        DeclKind::VarArray(max) => {
-            TypeDesc::VarArray(Box::new(resolve_inner(file, &d.ty, guard)?), *max)
-        }
-        DeclKind::String(max) => TypeDesc::String(*max),
-        DeclKind::FixedOpaque(n) => TypeDesc::FixedOpaque(*n),
-        DeclKind::VarOpaque(max) => TypeDesc::VarOpaque(*max),
-        DeclKind::Pointer => {
-            // Pointers may close a recursion cycle: a pointer to a struct
-            // currently being resolved becomes a back-reference.
-            if let IdlType::Named(n) = &d.ty {
-                if let Some(pos) = guard.iter().rposition(|g| g == n) {
-                    let k = guard.len() - 1 - pos;
-                    return Ok(TypeDesc::Optional(Box::new(TypeDesc::Recurse(k))));
-                }
-            }
-            TypeDesc::Optional(Box::new(resolve_inner(file, &d.ty, guard)?))
-        }
-    })
 }
 
 const UNBOUNDED: usize = u32::MAX as usize;
@@ -466,38 +341,9 @@ fn xdr_value_s<'d>(
     }
 }
 
-/// A descriptor table for all the named types of an IDL file.
-#[derive(Debug, Default)]
-pub struct DescTable {
-    descs: HashMap<String, TypeDesc>,
-}
-
-impl DescTable {
-    /// Resolve every named type in the file.
-    pub fn build(file: &IdlFile) -> Result<DescTable, ResolveError> {
-        let mut t = DescTable::default();
-        for def in &file.defs {
-            let name = match def {
-                Definition::Struct { name, .. } | Definition::Enum { name, .. } => name.clone(),
-                Definition::Typedef(d) => d.name.clone(),
-                _ => continue,
-            };
-            let d = resolve(file, &IdlType::Named(name.clone()))?;
-            t.descs.insert(name, d);
-        }
-        Ok(t)
-    }
-
-    /// Look up a descriptor.
-    pub fn get(&self, name: &str) -> Option<&TypeDesc> {
-        self.descs.get(name)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::parser::parse;
     use specrpc_xdr::mem::XdrMem;
 
     fn roundtrip(desc: &TypeDesc, val: &XdrValue) -> XdrValue {
@@ -569,42 +415,15 @@ mod tests {
     }
 
     #[test]
-    fn resolve_from_idl() {
-        let f = parse(
-            r#"
-            const N = 3;
-            enum kind { A, B };
-            struct item { int id; kind k; int data<N>; };
-            struct node { item it; node *next; };
-            "#,
-        )
-        .unwrap();
-        let t = DescTable::build(&f).unwrap();
-        match t.get("item").unwrap() {
-            TypeDesc::Struct(fields) => {
-                assert_eq!(fields[1].1, TypeDesc::Enum(vec![0, 1]));
-                assert_eq!(fields[2].1, TypeDesc::VarArray(Box::new(TypeDesc::Int), 3));
-            }
-            other => panic!("{other:?}"),
-        }
-        // Recursive through pointer works.
-        assert!(matches!(t.get("node").unwrap(), TypeDesc::Struct(_)));
-    }
-
-    #[test]
-    fn direct_recursion_is_rejected() {
-        let f = parse("struct bad { bad inner; };").unwrap();
-        assert_eq!(
-            DescTable::build(&f).unwrap_err(),
-            ResolveError::InfiniteType("bad".into())
-        );
-    }
-
-    #[test]
     fn linked_list_roundtrip() {
-        let f = parse("struct node { int v; node *next; };").unwrap();
-        let t = DescTable::build(&f).unwrap();
-        let desc = t.get("node").unwrap();
+        // struct node { int v; node *next; };
+        let desc = TypeDesc::Struct(vec![
+            ("v".into(), TypeDesc::Int),
+            (
+                "next".into(),
+                TypeDesc::Optional(Box::new(TypeDesc::Recurse(0))),
+            ),
+        ]);
         let val = XdrValue::Struct(vec![
             XdrValue::Int(1),
             XdrValue::Optional(Some(Box::new(XdrValue::Struct(vec![
@@ -612,7 +431,7 @@ mod tests {
                 XdrValue::Optional(None),
             ])))),
         ]);
-        assert_eq!(roundtrip(desc, &val), val);
+        assert_eq!(roundtrip(&desc, &val), val);
     }
 
     #[test]

@@ -6,7 +6,7 @@
 //!   `struct`, `union`, `typedef`, `program` declarations);
 //! * [`desc`] — runtime type descriptors and a table-driven marshaler over
 //!   the generic micro-layers (the Hoschka–Huitema-style baseline of the
-//!   paper's related work, and the generic path for arbitrary IDL types);
+//!   paper's related work, kept as a test oracle);
 //! * [`sunlib`] — the Sun RPC marshaling micro-layers transliterated into
 //!   the `specrpc-tempo` IR, figure-by-figure faithful to the paper
 //!   (`xdr_long` is Figure 2, `xdrmem_putlong` is Figure 3, generated

@@ -18,7 +18,7 @@
 //! lengths are pinned to the specialization context), specialize, clean
 //! up, and compile to a [`StubProgram`].
 
-use crate::ast::{DeclKind, IdlFile, IdlType, ProcDef};
+use crate::ast::{DeclKind, IdlFile, IdlType};
 use crate::sunlib::{self, call_fields, reply_fields, xdr_fields, SunIds};
 use specrpc_tempo::compile::{
     self, CompileError, CompileOptions, FieldBinding, FieldTarget, ParamBinding, StubConventions,
@@ -232,26 +232,6 @@ impl From<CompileError> for StubGenError {
 pub const CALL_HEADER_BYTES: usize = 40;
 /// Accepted-success reply header bytes with AUTH_NONE verifier.
 pub const REPLY_HEADER_BYTES: usize = 24;
-
-/// Generate the four stubs for `proc_` of `prog`/`vers`, with counted
-/// arrays pinned to `pinned_len` elements.
-pub fn generate(
-    file: &IdlFile,
-    prog_num: u32,
-    vers_num: u32,
-    proc_: &ProcDef,
-    pinned_len: usize,
-) -> Option<GeneratedStubs> {
-    let arg_shape = MsgShape::from_idl(file, &proc_.arg, pinned_len)?;
-    let res_shape = MsgShape::from_idl(file, &proc_.result, pinned_len)?;
-    Some(generate_from_shapes(
-        prog_num,
-        vers_num,
-        proc_.number,
-        arg_shape,
-        res_shape,
-    ))
-}
 
 /// Generate stubs directly from message shapes.
 pub fn generate_from_shapes(
@@ -788,15 +768,6 @@ pub fn specialize_stub(
     })
 }
 
-/// Specialize one stub and return the cleaned residual plus its plan.
-pub fn specialize_residual(
-    gs: &GeneratedStubs,
-    kind: StubKind,
-) -> Result<(Function, &StubPlan), StubGenError> {
-    let (f, p, _) = specialize_with_report(gs, kind)?;
-    Ok((f, p))
-}
-
 /// Specialize one stub, also returning the specializer's report.
 pub fn specialize_with_report(
     gs: &GeneratedStubs,
@@ -827,16 +798,6 @@ pub fn specialization_steps(gs: &GeneratedStubs, kind: StubKind) -> Result<u64, 
     Ok(run_specializer(gs, kind, Specializer::new(&gs.program))?.3)
 }
 
-thread_local! {
-    static RUNS: std::cell::Cell<u64> = const { std::cell::Cell::new(0) };
-}
-
-/// Specializer runs this thread has made so far — what a test reads
-/// before and after a pipeline to pin how many the pipeline costs.
-pub fn specializer_runs() -> u64 {
-    RUNS.get()
-}
-
 /// Set up the partially-static heap of `kind` in `spec`, specialize and
 /// clean up: residual, plan, report and specializer steps burned.
 fn run_specializer<'g>(
@@ -845,7 +806,6 @@ fn run_specializer<'g>(
     mut spec: Specializer<'g>,
 ) -> Result<(Function, &'g StubPlan, SpecReport, u64), StubGenError> {
     use sunlib::{XDR_DECODE, XDR_ENCODE};
-    RUNS.set(RUNS.get() + 1);
     let buf = spec.alloc_buffer("buf");
     let (prog_num, vers_num, proc_num) = gs.target;
 

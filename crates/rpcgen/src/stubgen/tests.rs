@@ -190,7 +190,7 @@ fn fill_msg_object(
 #[test]
 fn client_encode_residual_is_straight_line() {
     let gs = generate_from_shapes(PROG, VERS, PROC, pair_shape(), int_shape());
-    let (residual, _) = specialize_residual(&gs, StubKind::ClientEncode).unwrap();
+    let (residual, _, _) = specialize_with_report(&gs, StubKind::ClientEncode).unwrap();
     let text = pretty::function_str(&gs.program, &residual);
     assert!(!text.contains("if"), "no dispatch/checks survive:\n{text}");
     assert!(!text.contains("for"), "no loops survive:\n{text}");
@@ -217,7 +217,7 @@ fn client_encode_residual_of_an_array_is_one_loop() {
     // no status test, at any array length.
     let stmts = |n: usize| {
         let gs = generate_from_shapes(PROG, VERS, PROC, arr_shape(n), int_shape());
-        let (residual, _) = specialize_residual(&gs, StubKind::ClientEncode).unwrap();
+        let (residual, _, _) = specialize_with_report(&gs, StubKind::ClientEncode).unwrap();
         let text = pretty::function_str(&gs.program, &residual);
         assert!(!text.contains("if"), "no dispatch/checks survive:\n{text}");
         assert_eq!(text.matches("for (").count(), 1, "{text}");
@@ -404,7 +404,9 @@ fn generate_from_idl_file() {
     .unwrap();
     let prog = &file.programs()[0];
     let proc_ = &prog.versions[0].procs[0];
-    let gs = generate(&file, prog.number, prog.versions[0].number, proc_, 250).unwrap();
+    let arg = MsgShape::from_idl(&file, &proc_.arg, 250).unwrap();
+    let res = MsgShape::from_idl(&file, &proc_.result, 250).unwrap();
+    let gs = generate_from_shapes(prog.number, prog.versions[0].number, proc_.number, arg, res);
     assert_eq!(gs.target, (0x2000_0101, 1, 1));
     assert_eq!(gs.arg_shape.wire_size(), 4 + 4 * 250);
     // All four stubs specialize and compile.
@@ -424,7 +426,7 @@ fn unsupported_shapes_are_rejected() {
     .unwrap();
     let prog = &file.programs()[0];
     let proc_ = &prog.versions[0].procs[0];
-    assert!(generate(&file, prog.number, 1, proc_, 10).is_none());
+    assert!(MsgShape::from_idl(&file, &proc_.arg, 10).is_none());
 }
 
 #[test]
@@ -480,7 +482,7 @@ fn specialization_cost_is_the_shapes_not_the_lengths() {
         let gs = generate_from_shapes(PROG, VERS, PROC, arr_shape(n), arr_shape(n));
         KINDS.map(|kind| {
             let steps = specialization_steps(&gs, kind).unwrap();
-            let (residual, _) = specialize_residual(&gs, kind).unwrap();
+            let (residual, _, _) = specialize_with_report(&gs, kind).unwrap();
             (steps, residual.stmt_count())
         })
     };
@@ -515,7 +517,7 @@ fn decode_loop_inside_the_length_guard_is_summarized() {
     // decoded length; it is summarized there like anywhere else.
     let gs = generate_from_shapes(PROG, VERS, PROC, arr_shape(300), arr_shape(300));
     for kind in [StubKind::ClientDecode, StubKind::ServerDecode] {
-        let (residual, _) = specialize_residual(&gs, kind).unwrap();
+        let (residual, _, _) = specialize_with_report(&gs, kind).unwrap();
         let text = pretty::function_str(&gs.program, &residual);
         let guard = text.find("arr_len == 300").expect("length guard");
         let the_loop = text
@@ -551,6 +553,6 @@ fn handle_running_out_of_space_unrolls_as_before() {
     );
     // One element fewer and the handle never overflows: one loop.
     let gs = generate_from_shapes(PROG, VERS, PROC, arr_shape(fits - 11), int_shape());
-    let (residual, _) = specialize_residual(&gs, StubKind::ClientEncode).unwrap();
+    let (residual, _, _) = specialize_with_report(&gs, StubKind::ClientEncode).unwrap();
     assert_eq!(residual.stmt_count(), 14);
 }

@@ -659,7 +659,11 @@ mod tests {
     #[test]
     fn library_validates_and_prints() {
         let (prog, _) = build();
-        let text = specrpc_tempo::ir::pretty::program_str(&prog);
+        let text: String = prog
+            .funcs
+            .iter()
+            .map(|f| specrpc_tempo::ir::pretty::function_str(&prog, f))
+            .collect();
         assert!(
             text.contains("long xdr_long(struct XDR* xdrs, long* lp)"),
             "{text}"

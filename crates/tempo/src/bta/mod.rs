@@ -170,7 +170,8 @@ pub struct Instance {
 
 impl Instance {
     /// Count statements by binding time: `(static, dynamic)`.
-    pub fn stmt_counts(&self) -> (usize, usize) {
+    #[cfg(test)]
+    pub(crate) fn stmt_counts(&self) -> (usize, usize) {
         fn walk(stmts: &[AStmt], s: &mut usize, d: &mut usize) {
             for st in stmts {
                 match st.bt {
@@ -204,7 +205,8 @@ impl Analysis {
     }
 
     /// All instances of the named function.
-    pub fn instances_of(&self, func: &str) -> Vec<&Instance> {
+    #[cfg(test)]
+    pub(crate) fn instances_of(&self, func: &str) -> Vec<&Instance> {
         self.instances.iter().filter(|i| i.func == func).collect()
     }
 

@@ -713,7 +713,7 @@ fn encode_zeroes_the_bytes_no_op_writes() {
     // is rewound, not refilled.
     let mut wb = WireBuf::new();
     wb.reset(16);
-    wb.put_bytes(0, &[0xFF; 16]).unwrap();
+    wb.bytes_mut().fill(0xFF);
     wb.rewind(16);
     let args = StubArgs::new(vec![-2], vec![vec![6]]);
     run_encode(&stub, wb.bytes_mut(), &args, &mut OpCounts::new()).unwrap();

@@ -320,7 +320,8 @@ impl<'p> Evaluator<'p> {
     }
 
     /// Lower the step budget (tests for non-termination).
-    pub fn set_fuel(&mut self, fuel: u64) {
+    #[cfg(test)]
+    pub(crate) fn set_fuel(&mut self, fuel: u64) {
         self.fuel = fuel;
     }
 

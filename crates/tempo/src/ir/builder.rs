@@ -22,11 +22,6 @@ pub fn deref_var(v: VarId) -> LValue {
     LValue::Deref(Box::new(Expr::Lv(Box::new(LValue::Var(v)))))
 }
 
-/// `*e` for an arbitrary pointer expression.
-pub fn deref(e: Expr) -> LValue {
-    LValue::Deref(Box::new(e))
-}
-
 /// `lv.f`.
 pub fn field(lv: LValue, f: FieldId) -> LValue {
     LValue::Field(Box::new(lv), f)
@@ -68,7 +63,8 @@ pub fn sub(a: Expr, b: Expr) -> Expr {
 }
 
 /// `a * b`.
-pub fn mul(a: Expr, b: Expr) -> Expr {
+#[cfg(test)]
+pub(crate) fn mul(a: Expr, b: Expr) -> Expr {
     Expr::Bin(BinOp::Mul, Box::new(a), Box::new(b))
 }
 
@@ -88,7 +84,8 @@ pub fn lt(a: Expr, b: Expr) -> Expr {
 }
 
 /// `a >= b`.
-pub fn ge(a: Expr, b: Expr) -> Expr {
+#[cfg(test)]
+pub(crate) fn ge(a: Expr, b: Expr) -> Expr {
     Expr::Bin(BinOp::Ge, Box::new(a), Box::new(b))
 }
 
@@ -133,7 +130,8 @@ pub fn ret(e: Option<Expr>) -> Stmt {
 }
 
 /// Call-for-effect statement.
-pub fn expr_stmt(e: Expr) -> Stmt {
+#[cfg(test)]
+pub(crate) fn expr_stmt(e: Expr) -> Stmt {
     Stmt::Expr(e)
 }
 

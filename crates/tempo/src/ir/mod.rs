@@ -15,11 +15,6 @@ pub mod pretty;
 use std::collections::HashMap;
 use std::fmt;
 
-/// C `TRUE`.
-pub const TRUE: i64 = 1;
-/// C `FALSE`.
-pub const FALSE: i64 = 0;
-
 /// Index of a struct definition within a [`Program`].
 pub type StructId = usize;
 /// Index of a variable within a [`Function`] frame
@@ -87,11 +82,6 @@ impl StructDef {
             .iter()
             .map(|f| f.ty.flat_size(prog))
             .sum()
-    }
-
-    /// Index of the field named `name`.
-    pub fn field_named(&self, name: &str) -> Option<FieldId> {
-        self.fields.iter().position(|f| f.name == name)
     }
 }
 
@@ -327,7 +317,8 @@ impl Program {
     }
 
     /// Look up a struct by name.
-    pub fn struct_named(&self, name: &str) -> Option<StructId> {
+    #[cfg(test)]
+    pub(crate) fn struct_named(&self, name: &str) -> Option<StructId> {
         self.structs.iter().position(|s| s.name == name)
     }
 
@@ -551,13 +542,6 @@ mod tests {
         assert_eq!(p.structs[0].field_offset(&p, 0), 0);
         assert_eq!(p.structs[0].field_offset(&p, 1), 1);
         assert_eq!(p.structs[0].field_offset(&p, 2), 2);
-    }
-
-    #[test]
-    fn field_lookup_by_name() {
-        let p = tiny_program();
-        assert_eq!(p.structs[0].field_named("arr"), Some(2));
-        assert_eq!(p.structs[0].field_named("zz"), None);
     }
 
     #[test]

@@ -187,23 +187,6 @@ pub fn function_str(prog: &Program, f: &Function) -> String {
     out
 }
 
-/// Render every function in the program.
-pub fn program_str(prog: &Program) -> String {
-    let mut out = String::new();
-    for st in &prog.structs {
-        let _ = writeln!(out, "struct {} {{", st.name);
-        for fd in &st.fields {
-            let _ = writeln!(out, "    {} {};", type_str(prog, &fd.ty), fd.name);
-        }
-        let _ = writeln!(out, "}};\n");
-    }
-    for f in &prog.funcs {
-        out.push_str(&function_str(prog, f));
-        out.push('\n');
-    }
-    out
-}
-
 #[cfg(test)]
 mod tests {
     use super::super::builder::*;
@@ -273,13 +256,5 @@ mod tests {
         let p = Program::new();
         let s = function_str(&p, &f);
         assert!(s.contains("*(long*)(bp) = htonl(v);"), "{s}");
-    }
-
-    #[test]
-    fn program_str_includes_structs() {
-        let (p, _) = prog_with_xdr();
-        let s = program_str(&p);
-        assert!(s.contains("struct XDR {"));
-        assert!(s.contains("long x_handy;"));
     }
 }

@@ -59,29 +59,12 @@
 //! `residual_stmts` can tell). [`Specializer::unrolling`] is the reference.
 
 use crate::eval::{eval_binop, EvalError, Heap, ObjId, ObjectData, Place, Value};
-use crate::ir::{
-    BinOp, Expr, FieldDef, Function, LValue, Program, Stmt, StructDef, Type, UnOp, VarId,
-};
+use crate::ir::{BinOp, Expr, Function, LValue, Program, Stmt, Type, UnOp, VarId};
 use std::collections::HashMap;
 use std::fmt;
 
 mod report;
 pub use report::SpecReport;
-
-/// How a specialization request describes each entry-function argument.
-#[derive(Debug, Clone)]
-pub enum SpecArg {
-    /// A fully static value (scalar, or a pointer to a registered object).
-    Static(Value),
-    /// A dynamic scalar that becomes a residual parameter
-    /// (for example the transaction id `xid`).
-    Dynamic {
-        /// Residual parameter name.
-        name: String,
-        /// Residual parameter type.
-        ty: Type,
-    },
-}
 
 /// Specialization failures.
 #[derive(Debug, Clone, PartialEq)]
@@ -348,7 +331,8 @@ impl<'p> Specializer<'p> {
     }
 
     /// Mark one slot of a registered object dynamic.
-    pub fn set_slot_dynamic(&mut self, place: Place) {
+    #[cfg(test)]
+    pub(crate) fn set_slot_dynamic(&mut self, place: Place) {
         self.masks[place.obj].slots[place.slot] = true;
     }
 
@@ -362,7 +346,7 @@ impl<'p> Specializer<'p> {
     }
 
     /// Register a dynamic scalar residual parameter (e.g. `xid`) and return
-    /// a dynamic value reading it, to pass as a [`SpecArg`]-style argument.
+    /// a dynamic value reading it, to pass as an entry argument.
     pub fn dynamic_scalar_param(&mut self, name: &str, ty: Type) -> SVal {
         let pid = self.add_residual_param(name, ty);
         SVal::D(Expr::Lv(Box::new(LValue::Var(pid))))
@@ -1581,21 +1565,6 @@ enum SLoc {
     Slot(Place, i64),
     Buf(ObjId, usize, i64),
     DynL(LValue),
-}
-
-/// Convenience: build a one-off program containing a struct for tests.
-#[doc(hidden)]
-pub fn test_struct(name: &str, fields: &[(&str, Type)]) -> StructDef {
-    StructDef {
-        name: name.to_string(),
-        fields: fields
-            .iter()
-            .map(|(n, t)| FieldDef {
-                name: n.to_string(),
-                ty: t.clone(),
-            })
-            .collect(),
-    }
 }
 
 #[cfg(test)]

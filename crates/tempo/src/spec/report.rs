@@ -57,24 +57,6 @@ impl SpecReport {
             );
         }
     }
-
-    /// Human-readable summary block.
-    pub fn summary(&self) -> String {
-        format!(
-            "static ifs folded:        {}\n\
-             calls unfolded:           {}\n\
-             loop iters unrolled:      {}\n\
-             static assigns executed:  {}\n\
-             dynamic ifs residualized: {}\n\
-             residual statements:      {}",
-            self.static_ifs_folded,
-            self.calls_unfolded,
-            self.loop_iters_unrolled,
-            self.static_assigns,
-            self.dynamic_ifs_residualized,
-            self.residual_stmts,
-        )
-    }
 }
 
 #[cfg(test)]
@@ -90,14 +72,5 @@ mod tests {
         assert_eq!(r.folds_in("putlong"), 5);
         assert_eq!(r.folds_in("xdr"), 14);
         assert_eq!(r.folds_in("nope"), 0);
-    }
-
-    #[test]
-    fn summary_contains_counts() {
-        let r = SpecReport {
-            static_ifs_folded: 42,
-            ..Default::default()
-        };
-        assert!(r.summary().contains("42"));
     }
 }

@@ -5,7 +5,21 @@
 use super::*;
 use crate::eval::Evaluator;
 use crate::ir::builder::*;
-use crate::ir::{pretty, Program, Stmt, Type};
+use crate::ir::{pretty, FieldDef, Program, Stmt, StructDef, Type};
+
+/// A struct definition from `(name, type)` field pairs.
+fn test_struct(name: &str, fields: &[(&str, Type)]) -> StructDef {
+    StructDef {
+        name: name.to_string(),
+        fields: fields
+            .iter()
+            .map(|(n, t)| FieldDef {
+                name: n.to_string(),
+                ty: t.clone(),
+            })
+            .collect(),
+    }
+}
 
 const OP_ENCODE: i64 = 0;
 const OP_DECODE: i64 = 1;

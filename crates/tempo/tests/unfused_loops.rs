@@ -15,7 +15,7 @@ use specrpc_tempo::compile::{
     PlanOp, StubArgs, StubConventions, StubProgram,
 };
 use specrpc_tempo::ir::builder::*;
-use specrpc_tempo::ir::{Expr, FieldDef, Function, Program, Stmt, StructDef, Type};
+use specrpc_tempo::ir::{BinOp, Expr, FieldDef, Function, Program, Stmt, StructDef, Type};
 use specrpc_xdr::OpCounts;
 
 /// Elements in each of the two arrays.
@@ -136,7 +136,12 @@ impl Case {
         let buf = fb.param("buf", Type::BufPtr);
         let argsp = fb.param("argsp", ptr(Type::Struct(sid)));
         let i = fb.local("i", Type::Long);
-        let affine = |(base, step): (i64, i64), i: Expr| add(c(base), mul(c(step), i));
+        let affine = |(base, step): (i64, i64), i: Expr| {
+            add(
+                c(base),
+                Expr::Bin(BinOp::Mul, Box::new(c(step)), Box::new(i)),
+            )
+        };
         let store = |s: &Store, i: Expr| -> Stmt {
             let word = buf32(add(lv(var(buf)), affine(s.off, i.clone())));
             let elem = index(field(deref_var(argsp), s.arr), affine(s.idx, i));

@@ -1,5 +1,5 @@
 //! Composite XDR filter routines: opaque data, counted bytes, strings,
-//! arrays, vectors, optional data, and discriminated unions.
+//! arrays and vectors.
 //!
 //! Like the primitives, these mirror the generic Sun routines: each takes
 //! the stream plus an element filter and interprets the stream's `x_op`
@@ -203,97 +203,11 @@ pub fn xdr_vector<T>(xdrs: &mut dyn XdrStream, arr: &mut [T], elem_proc: XdrProc
     Ok(())
 }
 
-/// Optional data (`xdr_pointer`): a boolean "follows" word, then the value
-/// if present. This is how linked structures travel in XDR.
-#[inline(never)]
-pub fn xdr_pointer<T: Default>(
-    xdrs: &mut dyn XdrStream,
-    objp: &mut Option<Box<T>>,
-    elem_proc: XdrProc<T>,
-) -> XdrResult {
-    let c = xdrs.counts_mut();
-    c.layer_calls += 1;
-    c.dispatches += 1;
-    match xdrs.op() {
-        XdrOp::Encode => {
-            let mut more = objp.is_some() as i32;
-            crate::primitives::xdr_long(xdrs, &mut more)?;
-            if let Some(inner) = objp.as_deref_mut() {
-                elem_proc(xdrs, inner)?;
-            }
-            Ok(())
-        }
-        XdrOp::Decode => {
-            let mut more = 0i32;
-            crate::primitives::xdr_long(xdrs, &mut more)?;
-            match more {
-                0 => {
-                    *objp = None;
-                    Ok(())
-                }
-                1 => {
-                    let mut inner = Box::<T>::default();
-                    elem_proc(xdrs, &mut inner)?;
-                    *objp = Some(inner);
-                    Ok(())
-                }
-                other => Err(XdrError::BadBool(other)),
-            }
-        }
-        XdrOp::Free => {
-            *objp = None;
-            Ok(())
-        }
-    }
-}
-
-/// A union arm's body filter: the same shape as every other XDR filter,
-/// specialized to the union's body type.
-pub type ArmProc<'a, T> = &'a mut dyn FnMut(&mut dyn XdrStream, &mut T) -> XdrResult;
-
-/// One arm of a discriminated union: the discriminant value and the filter
-/// that handles the arm's body.
-pub struct UnionArm<'a, T> {
-    /// Discriminant value selecting this arm.
-    pub value: i32,
-    /// Filter for the arm body.
-    pub proc_: ArmProc<'a, T>,
-}
-
-/// Discriminated union (`xdr_union`): encode/decode the discriminant, then
-/// interpret the arm table to find the matching body filter.
-///
-/// The arm-table interpretation is another instance of the run-time
-/// dispatch that specialization removes when the discriminant is static.
-#[inline(never)]
-pub fn xdr_union<T>(
-    xdrs: &mut dyn XdrStream,
-    discriminant: &mut i32,
-    body: &mut T,
-    arms: &mut [UnionArm<'_, T>],
-    default_arm: Option<ArmProc<'_, T>>,
-) -> XdrResult {
-    let c = xdrs.counts_mut();
-    c.layer_calls += 1;
-    c.dispatches += 1;
-    crate::primitives::xdr_long(xdrs, discriminant)?;
-    for arm in arms.iter_mut() {
-        xdrs.counts_mut().dispatches += 1;
-        if arm.value == *discriminant {
-            return (arm.proc_)(xdrs, body);
-        }
-    }
-    match default_arm {
-        Some(f) => f(xdrs, body),
-        None => Err(XdrError::BadUnionDiscriminant(*discriminant)),
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::mem::XdrMem;
-    use crate::primitives::{xdr_int, xdr_long};
+    use crate::primitives::xdr_int;
 
     #[test]
     fn opaque_pads_to_unit() {
@@ -428,83 +342,6 @@ mod tests {
     }
 
     #[test]
-    fn pointer_roundtrip_some_and_none() {
-        let mut e = XdrMem::encoder(16);
-        let mut p: Option<Box<i32>> = Some(Box::new(77));
-        xdr_pointer(&mut e, &mut p, xdr_int).unwrap();
-        let mut none: Option<Box<i32>> = None;
-        xdr_pointer(&mut e, &mut none, xdr_int).unwrap();
-
-        let mut d = XdrMem::decoder(e.bytes());
-        let mut out: Option<Box<i32>> = None;
-        xdr_pointer(&mut d, &mut out, xdr_int).unwrap();
-        assert_eq!(out.as_deref(), Some(&77));
-        let mut out2: Option<Box<i32>> = Some(Box::new(1));
-        xdr_pointer(&mut d, &mut out2, xdr_int).unwrap();
-        assert_eq!(out2, None);
-    }
-
-    #[test]
-    fn pointer_rejects_garbage_follows_word() {
-        let wire = [0, 0, 0, 9];
-        let mut d = XdrMem::decoder(&wire);
-        let mut out: Option<Box<i32>> = None;
-        assert_eq!(
-            xdr_pointer(&mut d, &mut out, xdr_int).unwrap_err(),
-            XdrError::BadBool(9)
-        );
-    }
-
-    #[test]
-    fn union_selects_matching_arm() {
-        let mut e = XdrMem::encoder(16);
-        let mut disc = 2i32;
-        let mut body = 55i32;
-        let mut enc_long = |x: &mut dyn XdrStream, b: &mut i32| xdr_long(x, b);
-        let mut enc_double_it = |x: &mut dyn XdrStream, b: &mut i32| {
-            let mut twice = *b * 2;
-            xdr_long(x, &mut twice)
-        };
-        let mut arms = [
-            UnionArm {
-                value: 1,
-                proc_: &mut enc_double_it,
-            },
-            UnionArm {
-                value: 2,
-                proc_: &mut enc_long,
-            },
-        ];
-        xdr_union(&mut e, &mut disc, &mut body, &mut arms, None).unwrap();
-        assert_eq!(e.bytes(), &[0, 0, 0, 2, 0, 0, 0, 55]);
-    }
-
-    #[test]
-    fn union_uses_default_arm_or_fails() {
-        let mut e = XdrMem::encoder(16);
-        let mut disc = 9i32;
-        let mut body = 1i32;
-        let mut arms: [UnionArm<'_, i32>; 0] = [];
-        assert_eq!(
-            xdr_union(&mut e, &mut disc, &mut body, &mut arms, None).unwrap_err(),
-            XdrError::BadUnionDiscriminant(9)
-        );
-
-        let mut e2 = XdrMem::encoder(16);
-        let mut void_arm = |_x: &mut dyn XdrStream, _b: &mut i32| Ok(());
-        let mut arms2: [UnionArm<'_, i32>; 0] = [];
-        xdr_union(
-            &mut e2,
-            &mut disc,
-            &mut body,
-            &mut arms2,
-            Some(&mut void_arm),
-        )
-        .unwrap();
-        assert_eq!(e2.getpos(), 4);
-    }
-
-    #[test]
     fn free_mode_clears_containers() {
         let mut f = XdrMem::freer();
         let mut v = vec![1i32, 2, 3];
@@ -513,8 +350,5 @@ mod tests {
         let mut s = String::from("x");
         xdr_string(&mut f, &mut s, 10).unwrap();
         assert!(s.is_empty());
-        let mut p: Option<Box<i32>> = Some(Box::new(1));
-        xdr_pointer(&mut f, &mut p, xdr_int).unwrap();
-        assert!(p.is_none());
     }
 }

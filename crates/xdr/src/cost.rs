@@ -83,18 +83,6 @@ impl OpCounts {
         }
     }
 
-    /// Total "instruction-like" events (everything except `mem_moves`,
-    /// which is in bytes, and `heap_allocs`, which the cost model does not
-    /// weight — the calibrated platform tables predate it).
-    pub fn instruction_events(&self) -> u64 {
-        self.dispatches
-            + self.overflow_checks
-            + self.status_checks
-            + self.layer_calls
-            + self.byteorder_ops
-            + self.stub_ops
-    }
-
     /// Reset all counters to zero.
     pub fn reset(&mut self) {
         *self = OpCounts::new();
@@ -130,9 +118,7 @@ mod tests {
 
     #[test]
     fn new_is_zeroed() {
-        let c = OpCounts::new();
-        assert_eq!(c.instruction_events(), 0);
-        assert_eq!(c.mem_moves, 0);
+        assert_eq!(OpCounts::new(), OpCounts::default());
     }
 
     #[test]
@@ -152,7 +138,16 @@ mod tests {
         assert_eq!(c.dispatches, 2);
         assert_eq!(c.mem_moves, 12);
         assert_eq!(c.heap_allocs, 16);
-        assert_eq!(c.instruction_events(), 2 * (1 + 2 + 3 + 4 + 5 + 7));
+        assert_eq!(
+            (
+                c.overflow_checks,
+                c.status_checks,
+                c.layer_calls,
+                c.byteorder_ops,
+                c.stub_ops
+            ),
+            (4, 6, 8, 10, 14)
+        );
     }
 
     #[test]

@@ -40,9 +40,6 @@ pub enum XdrError {
         /// Declared maximum.
         max: usize,
     },
-    /// A discriminated union carried a discriminant with no matching arm
-    /// and no default arm.
-    BadUnionDiscriminant(i32),
     /// An enum value on the wire does not map to any declared member.
     BadEnumValue(i32),
     /// A string contained interior NUL or invalid UTF-8.
@@ -74,9 +71,6 @@ impl fmt::Display for XdrError {
             ),
             XdrError::SizeLimit { len, max } => {
                 write!(f, "XDR size limit exceeded: length {len} > maximum {max}")
-            }
-            XdrError::BadUnionDiscriminant(d) => {
-                write!(f, "XDR union: no arm matches discriminant {d}")
             }
             XdrError::BadEnumValue(v) => write!(f, "XDR enum: {v} is not a declared member"),
             XdrError::BadString => write!(f, "XDR string: invalid contents"),

@@ -23,10 +23,10 @@
 //! the protocol that stay generic (message headers, error paths).
 //!
 //! The crate also hosts the other side of that comparison: the [`wire`]
-//! module is the **zero-copy lane** the specialized runtime writes and
-//! reads through — a monomorphic [`WireBuf`]/[`WireView`] pair with
-//! exact-size preallocation and borrowed-slice decode, no `dyn` dispatch
-//! anywhere, and allocation/copy accounting folded into [`OpCounts`].
+//! module is the **zero-copy lane** the specialized runtime writes
+//! through — a monomorphic [`WireBuf`] with exact-size preallocation, no
+//! `dyn` dispatch anywhere, and allocation/copy accounting folded into
+//! [`OpCounts`].
 //!
 //! # Quick example
 //!
@@ -67,7 +67,7 @@ pub mod wire;
 pub use cost::OpCounts;
 pub use error::{XdrError, XdrResult};
 pub use stream::{XdrOp, XdrStream};
-pub use wire::{WireBuf, WireView};
+pub use wire::WireBuf;
 
 /// Byte-order conversion micro-layer.
 ///

@@ -64,41 +64,6 @@ pub fn xdr_u_int(xdrs: &mut dyn XdrStream, up: &mut u32) -> XdrResult {
     xdr_u_long(xdrs, up)
 }
 
-/// Encode or decode a `short` (carried as a full XDR unit on the wire).
-#[inline(never)]
-pub fn xdr_short(xdrs: &mut dyn XdrStream, sp: &mut i16) -> XdrResult {
-    match enter_dispatch(xdrs) {
-        XdrOp::Encode => xdrs.putlong(*sp as i32),
-        XdrOp::Decode => {
-            *sp = xdrs.getlong()? as i16;
-            Ok(())
-        }
-        XdrOp::Free => Ok(()),
-    }
-}
-
-/// Encode or decode an `unsigned short`.
-#[inline(never)]
-pub fn xdr_u_short(xdrs: &mut dyn XdrStream, usp: &mut u16) -> XdrResult {
-    match enter_dispatch(xdrs) {
-        XdrOp::Encode => xdrs.putlong(*usp as i32),
-        XdrOp::Decode => {
-            *usp = xdrs.getlong()? as u16;
-            Ok(())
-        }
-        XdrOp::Free => Ok(()),
-    }
-}
-
-/// Encode or decode a `char` (one XDR unit on the wire, like the C code).
-#[inline(never)]
-pub fn xdr_char(xdrs: &mut dyn XdrStream, cp: &mut u8) -> XdrResult {
-    let mut i = *cp as i32;
-    xdr_int(xdrs, &mut i)?;
-    *cp = i as u8;
-    Ok(())
-}
-
 /// Encode or decode a boolean; on the wire TRUE is 1 and FALSE is 0, and a
 /// decoder must reject anything else.
 #[inline(never)]
@@ -199,13 +164,6 @@ pub fn xdr_double(xdrs: &mut dyn XdrStream, dp: &mut f64) -> XdrResult {
     }
 }
 
-/// The trivial filter for `void` results; always succeeds and moves nothing.
-#[inline(never)]
-pub fn xdr_void(xdrs: &mut dyn XdrStream) -> XdrResult {
-    xdrs.counts_mut().layer_calls += 1;
-    Ok(())
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -248,17 +206,6 @@ mod tests {
         // Two layer calls: xdr_int plus xdr_long underneath.
         assert_eq!(e.counts().layer_calls, 2);
         assert_eq!(e.counts().dispatches, 1);
-    }
-
-    #[test]
-    fn short_roundtrip_takes_full_unit() {
-        roundtrip(xdr_short, -7i16, 0, 4);
-        roundtrip(xdr_u_short, 65535u16, 0, 4);
-    }
-
-    #[test]
-    fn char_roundtrip() {
-        roundtrip(xdr_char, 0xabu8, 0, 4);
     }
 
     #[test]
@@ -312,13 +259,6 @@ mod tests {
         xdr_long(&mut f, &mut v).unwrap();
         assert_eq!(v, 3);
         assert_eq!(f.getpos(), 0);
-    }
-
-    #[test]
-    fn void_succeeds() {
-        let mut e = XdrMem::encoder(0);
-        xdr_void(&mut e).unwrap();
-        assert_eq!(e.getpos(), 0);
     }
 
     #[test]

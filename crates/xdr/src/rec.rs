@@ -44,46 +44,6 @@ impl<T: RecordIo + ?Sized> RecordIo for &mut T {
     }
 }
 
-/// An in-memory loopback transport, useful for tests: everything written is
-/// available for reading.
-#[derive(Debug, Default)]
-pub struct MemPipe {
-    data: Vec<u8>,
-    read_pos: usize,
-}
-
-impl MemPipe {
-    /// An empty pipe.
-    pub fn new() -> Self {
-        MemPipe::default()
-    }
-
-    /// Bytes written but not yet read.
-    pub fn pending(&self) -> usize {
-        self.data.len() - self.read_pos
-    }
-}
-
-impl RecordIo for MemPipe {
-    fn write_all(&mut self, buf: &[u8]) -> XdrResult {
-        self.data.extend_from_slice(buf);
-        Ok(())
-    }
-
-    fn read_exact(&mut self, buf: &mut [u8]) -> XdrResult {
-        if self.pending() < buf.len() {
-            return Err(XdrError::Io(format!(
-                "pipe underrun: wanted {}, have {}",
-                buf.len(),
-                self.pending()
-            )));
-        }
-        buf.copy_from_slice(&self.data[self.read_pos..self.read_pos + buf.len()]);
-        self.read_pos += buf.len();
-        Ok(())
-    }
-}
-
 /// Default upper bound on fragment payload size (matches the C default
 /// send buffer).
 pub const DEFAULT_FRAGMENT_SIZE: usize = 8192;
@@ -119,14 +79,6 @@ pub fn parse_mark(raw: [u8; 4]) -> (usize, bool) {
 pub fn write_record<T: RecordIo>(io: &mut T, payload: &[u8]) -> XdrResult {
     let header = htonl(payload.len() as u32 | LAST_FRAG_FLAG);
     io.write_parts(&header.to_ne_bytes(), payload)
-}
-
-/// Read one complete record from `io`, reassembling fragment chains into
-/// flat message bytes.
-pub fn read_record<T: RecordIo>(io: &mut T) -> XdrResult<Vec<u8>> {
-    let mut record = Vec::new();
-    read_record_into(io, &mut record)?;
-    Ok(record)
 }
 
 /// Read one complete record from `io` into `record` (cleared first),
@@ -207,16 +159,6 @@ impl<T: RecordIo> XdrRec<T> {
             in_total: 0,
             counts: OpCounts::new(),
         }
-    }
-
-    /// Access the underlying transport.
-    pub fn io(&self) -> &T {
-        &self.io
-    }
-
-    /// Consume the stream and return the transport.
-    pub fn into_io(self) -> T {
-        self.io
     }
 
     fn emit_fragment(&mut self, last: bool) -> XdrResult {
@@ -402,25 +344,65 @@ impl<T: RecordIo> XdrStream for XdrRec<T> {
 mod tests {
     use super::*;
 
+    /// An in-memory loopback transport: everything written is available for
+    /// reading.
+    #[derive(Debug, Default)]
+    struct MemPipe {
+        data: Vec<u8>,
+        read_pos: usize,
+    }
+
+    impl MemPipe {
+        /// An empty pipe.
+        fn new() -> Self {
+            MemPipe::default()
+        }
+
+        /// Bytes written but not yet read.
+        fn pending(&self) -> usize {
+            self.data.len() - self.read_pos
+        }
+    }
+
+    impl RecordIo for MemPipe {
+        fn write_all(&mut self, buf: &[u8]) -> XdrResult {
+            self.data.extend_from_slice(buf);
+            Ok(())
+        }
+
+        fn read_exact(&mut self, buf: &mut [u8]) -> XdrResult {
+            if self.pending() < buf.len() {
+                return Err(XdrError::Io(format!(
+                    "pipe underrun: wanted {}, have {}",
+                    buf.len(),
+                    self.pending()
+                )));
+            }
+            buf.copy_from_slice(&self.data[self.read_pos..self.read_pos + buf.len()]);
+            self.read_pos += buf.len();
+            Ok(())
+        }
+    }
+
     #[test]
     fn single_fragment_roundtrip() {
-        let mut enc = XdrRec::encoder(MemPipe::new());
+        let mut pipe = MemPipe::new();
+        let mut enc = XdrRec::encoder(&mut pipe);
         enc.putlong(42).unwrap();
         enc.putlong(-1).unwrap();
         enc.end_of_record().unwrap();
-        let pipe = enc.into_io();
 
-        let mut dec = XdrRec::decoder(pipe);
+        let mut dec = XdrRec::decoder(&mut pipe);
         assert_eq!(dec.getlong().unwrap(), 42);
         assert_eq!(dec.getlong().unwrap(), -1);
     }
 
     #[test]
     fn header_has_last_fragment_bit() {
-        let mut enc = XdrRec::encoder(MemPipe::new());
+        let mut pipe = MemPipe::new();
+        let mut enc = XdrRec::encoder(&mut pipe);
         enc.putlong(7).unwrap();
         enc.end_of_record().unwrap();
-        let pipe = enc.into_io();
         // First 4 bytes: header = 0x80000004.
         assert_eq!(&pipe.data[..4], &[0x80, 0, 0, 4]);
         assert_eq!(&pipe.data[4..8], &[0, 0, 0, 7]);
@@ -429,14 +411,14 @@ mod tests {
     #[test]
     fn multi_fragment_records_are_transparent() {
         // Force 8-byte fragments so three longs span two fragments.
-        let mut enc = XdrRec::with_fragment_size(MemPipe::new(), XdrOp::Encode, 8);
+        let mut pipe = MemPipe::new();
+        let mut enc = XdrRec::with_fragment_size(&mut pipe, XdrOp::Encode, 8);
         for i in 0..5 {
             enc.putlong(i).unwrap();
         }
         enc.end_of_record().unwrap();
-        let pipe = enc.into_io();
 
-        let mut dec = XdrRec::decoder(pipe);
+        let mut dec = XdrRec::decoder(&mut pipe);
         for i in 0..5 {
             assert_eq!(dec.getlong().unwrap(), i);
         }
@@ -444,17 +426,19 @@ mod tests {
 
     #[test]
     fn reading_past_record_end_fails() {
-        let mut enc = XdrRec::encoder(MemPipe::new());
+        let mut pipe = MemPipe::new();
+        let mut enc = XdrRec::encoder(&mut pipe);
         enc.putlong(1).unwrap();
         enc.end_of_record().unwrap();
-        let mut dec = XdrRec::decoder(enc.into_io());
+        let mut dec = XdrRec::decoder(&mut pipe);
         assert_eq!(dec.getlong().unwrap(), 1);
         assert!(dec.getlong().is_err());
     }
 
     #[test]
     fn skip_record_positions_at_next_record() {
-        let mut enc = XdrRec::with_fragment_size(MemPipe::new(), XdrOp::Encode, 8);
+        let mut pipe = MemPipe::new();
+        let mut enc = XdrRec::with_fragment_size(&mut pipe, XdrOp::Encode, 8);
         for i in 0..4 {
             enc.putlong(i).unwrap();
         }
@@ -462,7 +446,7 @@ mod tests {
         enc.putlong(99).unwrap();
         enc.end_of_record().unwrap();
 
-        let mut dec = XdrRec::decoder(enc.into_io());
+        let mut dec = XdrRec::decoder(&mut pipe);
         assert_eq!(dec.getlong().unwrap(), 0);
         dec.skip_record().unwrap();
         assert_eq!(dec.getlong().unwrap(), 99);
@@ -470,12 +454,13 @@ mod tests {
 
     #[test]
     fn putbytes_spans_fragments() {
-        let mut enc = XdrRec::with_fragment_size(MemPipe::new(), XdrOp::Encode, 8);
+        let mut pipe = MemPipe::new();
+        let mut enc = XdrRec::with_fragment_size(&mut pipe, XdrOp::Encode, 8);
         let payload: Vec<u8> = (0..40u8).collect();
         enc.putbytes(&payload).unwrap();
         enc.end_of_record().unwrap();
 
-        let mut dec = XdrRec::decoder(enc.into_io());
+        let mut dec = XdrRec::decoder(&mut pipe);
         let mut out = vec![0u8; 40];
         dec.getbytes(&mut out).unwrap();
         assert_eq!(out, payload);
@@ -483,13 +468,14 @@ mod tests {
 
     #[test]
     fn setpos_within_output_fragment() {
-        let mut enc = XdrRec::encoder(MemPipe::new());
+        let mut pipe = MemPipe::new();
+        let mut enc = XdrRec::encoder(&mut pipe);
         enc.putlong(1).unwrap();
         enc.putlong(2).unwrap();
         enc.setpos(4).unwrap();
         enc.putlong(3).unwrap();
         enc.end_of_record().unwrap();
-        let mut dec = XdrRec::decoder(enc.into_io());
+        let mut dec = XdrRec::decoder(&mut pipe);
         assert_eq!(dec.getlong().unwrap(), 1);
         assert_eq!(dec.getlong().unwrap(), 3);
         assert!(dec.getlong().is_err());
@@ -497,7 +483,8 @@ mod tests {
 
     #[test]
     fn setpos_outside_fragment_is_rejected() {
-        let mut enc = XdrRec::with_fragment_size(MemPipe::new(), XdrOp::Encode, 8);
+        let mut pipe = MemPipe::new();
+        let mut enc = XdrRec::with_fragment_size(&mut pipe, XdrOp::Encode, 8);
         for i in 0..4 {
             enc.putlong(i).unwrap();
         }
@@ -513,11 +500,12 @@ mod tests {
 
     #[test]
     fn getpos_tracks_payload_not_headers() {
-        let mut enc = XdrRec::encoder(MemPipe::new());
+        let mut pipe = MemPipe::new();
+        let mut enc = XdrRec::encoder(&mut pipe);
         enc.putlong(5).unwrap();
         assert_eq!(enc.getpos(), 4);
         enc.end_of_record().unwrap();
-        let mut dec = XdrRec::decoder(enc.into_io());
+        let mut dec = XdrRec::decoder(&mut pipe);
         dec.getlong().unwrap();
         assert_eq!(dec.getpos(), 4);
     }
@@ -564,22 +552,22 @@ mod tests {
 
     #[test]
     fn decoder_reads_each_fragment_from_the_transport_once() {
-        let mut enc = XdrRec::with_fragment_size(CountingPipe::default(), XdrOp::Encode, 400);
+        let mut pipe = CountingPipe::default();
+        let mut enc = XdrRec::with_fragment_size(&mut pipe, XdrOp::Encode, 400);
         for i in 0..250 {
             enc.putlong(i).unwrap();
         }
         enc.end_of_record().unwrap();
-        let mut pipe = enc.into_io();
         pipe.reads = 0;
-        let mut dec = XdrRec::decoder(pipe);
+        let mut dec = XdrRec::decoder(&mut pipe);
         for i in 0..250 {
             assert_eq!(dec.getlong().unwrap(), i);
         }
-        // 1000 payload bytes in 400-byte fragments: 3 fragments, each one
-        // header read plus one payload read — not one read per long.
-        assert_eq!(dec.io().reads, 6);
         assert_eq!(dec.counts().mem_moves, 1000, "accounting is per item");
         assert_eq!(dec.getpos(), 1000);
+        // 1000 payload bytes in 400-byte fragments: 3 fragments, each one
+        // header read plus one payload read — not one read per long.
+        assert_eq!(pipe.reads, 6);
     }
 
     #[test]
@@ -596,7 +584,7 @@ mod tests {
 
         let mut pipe = MemPipe::new();
         pipe.write_all(&mark(MAX_RECORD_BYTES + 1, true)).unwrap();
-        let mut dec = XdrRec::decoder(pipe);
+        let mut dec = XdrRec::decoder(&mut pipe);
         assert_eq!(dec.getlong(), Err(XdrError::BadRecordMark));
         assert_eq!(dec.in_buf.capacity(), 0);
     }

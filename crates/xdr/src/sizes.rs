@@ -26,23 +26,10 @@ pub const fn pad_len(len: usize) -> usize {
     (BYTES_PER_XDR_UNIT - len % BYTES_PER_XDR_UNIT) % BYTES_PER_XDR_UNIT
 }
 
-/// Encoded size in bytes of a fixed-length opaque of `len` bytes.
-pub const fn opaque_size(len: usize) -> usize {
-    rndup(len)
-}
-
 /// Encoded size in bytes of a counted (variable-length) opaque/string of
 /// `len` bytes: a 4-byte length word plus the padded payload.
 pub const fn counted_opaque_size(len: usize) -> usize {
     rndup(len).saturating_add(BYTES_PER_XDR_UNIT)
-}
-
-/// Encoded size in bytes of a counted array of `n` elements, each of
-/// encoded size `elem_size`. Saturates on overflow (a saturated size can
-/// never pass an `x_handy` buffer check, so hostile counts fail closed).
-pub const fn counted_array_size(n: usize, elem_size: usize) -> usize {
-    n.saturating_mul(elem_size)
-        .saturating_add(BYTES_PER_XDR_UNIT)
 }
 
 #[cfg(test)]
@@ -72,7 +59,6 @@ mod tests {
         assert_eq!(counted_opaque_size(0), 4);
         assert_eq!(counted_opaque_size(1), 8);
         assert_eq!(counted_opaque_size(4), 8);
-        assert_eq!(counted_array_size(20, 4), 84);
     }
 
     #[test]
@@ -85,7 +71,5 @@ mod tests {
         assert_eq!(pad_len(usize::MAX), 1);
         assert_eq!(pad_len(usize::MAX - 3), 0);
         assert_eq!(counted_opaque_size(usize::MAX), usize::MAX);
-        assert_eq!(counted_array_size(usize::MAX, 4), usize::MAX);
-        assert_eq!(counted_array_size(1 << 40, 1 << 40), usize::MAX);
     }
 }

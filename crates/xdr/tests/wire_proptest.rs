@@ -1,94 +1,38 @@
-//! Property tests pinning the two wire lanes against each other: the
-//! monomorphic zero-copy lane ([`WireBuf`]/[`WireView`]) must be
-//! byte-for-byte interchangeable with the interpretive generic lane
-//! ([`XdrMem`] behind `dyn XdrStream`) — encode images identical, decodes
-//! of each other's output identical, payload views borrowed not copied.
+//! Property test of the zero-copy wire buffer ([`WireBuf`]) against the
+//! interpretive generic lane ([`XdrMem`] behind `dyn XdrStream`): an
+//! image written into a rewound buffer reads back through the generic
+//! decoder, and rewinding never allocates again.
 
 use proptest::prelude::*;
 use specrpc_xdr::composite::xdr_array;
 use specrpc_xdr::mem::XdrMem;
 use specrpc_xdr::primitives::xdr_int;
-use specrpc_xdr::{OpCounts, WireBuf, WireView, XdrStream};
+use specrpc_xdr::{WireBuf, XdrStream};
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 
-    /// WireBuf bulk encode == generic per-element encode, byte for byte.
-    #[test]
-    fn wirebuf_encode_matches_generic_stream(
-        data in prop::collection::vec(any::<i32>(), 0..200),
-    ) {
-        let mut gen = XdrMem::encoder(8 + data.len() * 4);
-        let mut d = data.clone();
-        xdr_array(&mut gen, &mut d, 100_000, xdr_int).unwrap();
-
-        let mut fast = WireBuf::with_exact(4 + data.len() * 4);
-        fast.put_u32(0, data.len() as u32).unwrap();
-        fast.put_i32_slice(4, &data).unwrap();
-
-        prop_assert_eq!(gen.bytes(), fast.bytes());
-    }
-
-    /// The zero-copy view decodes generic-lane output to the same values
-    /// the generic decoder produces, and its payload view aliases the
-    /// received bytes (no copy until the API-boundary read).
-    #[test]
-    fn wireview_decode_matches_generic_stream(
-        data in prop::collection::vec(any::<i32>(), 0..200),
-    ) {
-        let mut gen = XdrMem::encoder(8 + data.len() * 4);
-        let mut d = data.clone();
-        xdr_array(&mut gen, &mut d, 100_000, xdr_int).unwrap();
-        let wire = gen.bytes();
-
-        // Generic decode lane.
-        let mut gdec = XdrMem::decoder(wire);
-        let mut slow: Vec<i32> = Vec::new();
-        xdr_array(&mut gdec, &mut slow, 100_000, xdr_int).unwrap();
-
-        // Zero-copy lane: borrowed view, one bulk copy at the boundary.
-        let mut view = WireView::new(wire);
-        let len = view.get_u32().unwrap() as usize;
-        prop_assert_eq!(len, data.len());
-        let payload_pos = view.pos();
-        let payload = view.bytes(len * 4).unwrap();
-        prop_assert!(
-            std::ptr::eq(payload.as_ptr(), wire[payload_pos..].as_ptr()),
-            "payload view must alias the received buffer"
-        );
-        view.set_pos(payload_pos).unwrap();
-        let mut fast = vec![0i32; len];
-        let mut counts = OpCounts::new();
-        view.read_i32s_into(&mut fast, &mut counts).unwrap();
-
-        prop_assert_eq!(&fast, &slow);
-        prop_assert_eq!(&fast, &data);
-        prop_assert_eq!(counts.mem_moves, (len * 4) as u64);
-        // The generic lane paid interpretation the view lane did not.
-        if !data.is_empty() {
-            prop_assert!(gdec.counts().dispatches > 0);
-        }
-    }
-
-    /// Round trip entirely within the zero-copy lane, with rewinds
-    /// (no allocation after the exact preallocation).
+    /// Round trip through a rewound buffer (no allocation after the first
+    /// exact one), read back by the generic decoder.
     #[test]
     fn wirebuf_rewind_roundtrip(
         first in prop::collection::vec(any::<i32>(), 1..64),
         second in prop::collection::vec(any::<i32>(), 1..64),
     ) {
-        let cap = 4 + 64 * 4;
-        let mut w = WireBuf::with_exact(cap);
+        let mut w = WireBuf::new();
+        w.reset(4 + 64 * 4);
         for data in [&first, &second] {
             w.reset(4 + data.len() * 4);
-            w.put_u32(0, data.len() as u32).unwrap();
-            w.put_i32_slice(4, data).unwrap();
-            let mut v = w.view();
-            let n = v.get_u32().unwrap() as usize;
-            let mut back = vec![0i32; n];
-            let mut counts = OpCounts::new();
-            v.read_i32s_into(&mut back, &mut counts).unwrap();
+            let image = w.bytes_mut();
+            image[..4].copy_from_slice(&(data.len() as u32).to_be_bytes());
+            for (word, v) in image[4..].chunks_exact_mut(4).zip(data.iter()) {
+                word.copy_from_slice(&v.to_be_bytes());
+            }
+            let mut dec = XdrMem::decoder(w.bytes());
+            let mut back: Vec<i32> = Vec::new();
+            xdr_array(&mut dec, &mut back, 100_000, xdr_int).unwrap();
             prop_assert_eq!(&back, data);
+            prop_assert_eq!(dec.getpos(), w.len());
         }
         prop_assert_eq!(w.counts().heap_allocs, 1, "one exact preallocation");
     }

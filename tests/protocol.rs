@@ -3,7 +3,7 @@
 
 use specrpc_netsim::net::{Network, NetworkConfig};
 use specrpc_rpc::clnt_tcp::ClntTcp;
-use specrpc_rpc::pmap::{self, Mapping, IPPROTO_TCP, IPPROTO_UDP};
+use specrpc_rpc::pmap::{self, Mapping, IPPROTO_TCP};
 use specrpc_rpc::svc::SvcRegistry;
 use specrpc_rpc::svc_tcp::serve_tcp;
 use specrpc_rpc::ClntUdp;
@@ -13,6 +13,7 @@ use specrpc_xdr::primitives::xdr_int;
 use std::sync::Arc;
 
 const PROG: u32 = 600_000;
+const IPPROTO_UDP: u32 = 17;
 
 fn sum_registry() -> Arc<SvcRegistry> {
     let mut reg = SvcRegistry::new();
@@ -127,14 +128,13 @@ fn record_stream_roundtrip_over_sim_tcp_with_odd_fragment_sizes() {
     }
     let net = Network::new(NetworkConfig::lan(), 33);
     net.serve_tcp(555, Box::new(|| Box::new(Echo)));
-    let conn = net.connect_tcp(555).expect("connect");
-    let mut enc = XdrRec::with_fragment_size(conn, XdrOp::Encode, 12);
+    let mut conn = net.connect_tcp(555).expect("connect");
+    let mut enc = XdrRec::with_fragment_size(&mut conn, XdrOp::Encode, 12);
     for i in 0..50 {
         enc.putlong(i * 3).unwrap();
     }
     enc.end_of_record().unwrap();
-    let conn = enc.into_io();
-    let mut dec = XdrRec::with_fragment_size(conn, XdrOp::Decode, 12);
+    let mut dec = XdrRec::with_fragment_size(&mut conn, XdrOp::Decode, 12);
     for i in 0..50 {
         assert_eq!(dec.getlong().unwrap(), i * 3);
     }
@@ -159,7 +159,27 @@ fn pmap_full_lifecycle() {
         pmap::pmap_getport(&net, 6101, PROG, 1, IPPROTO_UDP).unwrap(),
         901
     );
-    assert!(pmap::pmap_unset(&net, 6102, PROG, 1).unwrap());
+    let mut clnt = ClntUdp::create(
+        &net,
+        6102,
+        pmap::PMAP_PORT,
+        pmap::PMAP_PROG,
+        pmap::PMAP_VERS,
+    );
+    let mut m = Mapping {
+        prog: PROG,
+        vers: 1,
+        prot: 0,
+        port: 0,
+    };
+    let mut removed = false;
+    clnt.call(
+        pmap::PMAPPROC_UNSET,
+        &mut |x| Mapping::xdr(x, &mut m),
+        &mut |x| specrpc_xdr::primitives::xdr_bool(x, &mut removed),
+    )
+    .unwrap();
+    assert!(removed);
     assert!(matches!(
         pmap::pmap_getport(&net, 6103, PROG, 1, IPPROTO_UDP),
         Err(specrpc_rpc::RpcError::ProgNotRegistered)

@@ -221,7 +221,7 @@ fn solitary_tcp_call_takes_exactly_what_the_link_model_says() {
 #[test]
 fn timed_out_tcp_read_leaves_the_clock_exactly_at_its_deadline() {
     use specrpc_netsim::net::TcpHandler;
-    // A peer that swallows everything: the call waits out the read
+    // A peer that swallows everything: the call waits out the 5 s read
     // timeout, reconnects once, waits it out again — two deadlines, no
     // overshoot.
     struct DeadConn;
@@ -233,17 +233,14 @@ fn timed_out_tcp_read_leaves_the_clock_exactly_at_its_deadline() {
     let net = Network::new(NetworkConfig::lan(), 47);
     net.serve_tcp(PORT + 1, Box::new(|| Box::new(DeadConn)));
     let mut clnt = ClntTcp::create(&net, PORT + 1, PROG, 1).expect("connect");
-    clnt.stream_mut()
-        .set_read_timeout(SimTime::from_micros(4_321));
     let xid = Transport::next_xid(&mut clnt);
     let request = raw_echo_call(xid, &workload(20));
     let t0 = net.now();
     assert!(Transport::call(&mut clnt, &request, xid).is_err());
-    // The reconnected stream starts from the default timeout again.
     assert_eq!(clnt.reconnects, 1);
     assert_eq!(
         net.now() - t0,
-        SimTime::from_micros(4_321) + SimTime::from_millis(5_000)
+        SimTime::from_millis(5_000) + SimTime::from_millis(5_000)
     );
 }
 
