@@ -22,7 +22,7 @@
 //!
 //! Three strategies from [`RetryPolicy`] are compared:
 //!
-//! - **Fixed** — classic `clntudp_call`: retransmit every
+//! - **Fixed** — Sun's original `clntudp_call` timer: retransmit every
 //!   `retry_timeout`. Under queueing delay above the timeout it
 //!   retransmits *spuriously*, feeding the very queue it is waiting on.
 //! - **ExpBackoff** — the per-try timeout doubles, so pressure on a
@@ -235,8 +235,10 @@ impl CongestionReport {
 /// per-try wait.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum RetryPolicy {
-    /// Classic `clntudp_call`: every try waits the same fixed
-    /// `retry_timeout` before retransmitting.
+    /// Sun's original `clntudp_call` timer: every try waits the same
+    /// fixed `retry_timeout` before retransmitting. `ClntUdp` itself no
+    /// longer runs it (it times a lone call's tries from the procedure's
+    /// smoothed round trip); the study keeps it as the baseline.
     Fixed,
     /// Exponential backoff: try `k` waits `retry_timeout · 2^k`, capped
     /// at `cap` — fewer, later retransmissions, easing pressure on a

@@ -1600,7 +1600,8 @@ impl Drop for Endpoint {
 
 impl Endpoint {
     /// This endpoint's address.
-    pub fn addr(&self) -> Addr {
+    #[cfg(test)]
+    pub(crate) fn addr(&self) -> Addr {
         self.addr
     }
 

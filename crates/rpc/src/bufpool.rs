@@ -128,7 +128,8 @@ impl BufPool {
     }
 
     /// The maximum number of buffers this pool parks.
-    pub fn max_slots(&self) -> usize {
+    #[cfg(test)]
+    pub(crate) fn max_slots(&self) -> usize {
         self.max_slots
     }
 
@@ -212,7 +213,8 @@ impl BufPool {
     }
 
     /// Buffers currently parked in the pool.
-    pub fn parked(&self) -> usize {
+    #[cfg(test)]
+    pub(crate) fn parked(&self) -> usize {
         self.slots.lock().expect("buffer pool lock").len()
     }
 }

@@ -190,14 +190,6 @@ impl ClntTcp {
 }
 
 impl Transport for ClntTcp {
-    fn prog(&self) -> u32 {
-        self.prog
-    }
-
-    fn vers(&self) -> u32 {
-        self.vers
-    }
-
     fn next_xid(&mut self) -> u32 {
         self.xids.next_xid()
     }

@@ -2,6 +2,12 @@
 //! per-try timeout with retransmission, reply matching, and the generic
 //! marshaling path through the layered XDR routines.
 //!
+//! A lone call's per-try timeout comes from its procedure's smoothed
+//! round-trip time, not from Sun's fixed `cu_wait`: a lost datagram costs
+//! about two round trips, and a call on a clean link never times out.
+//! `retry_timeout` is the wait before a procedure's first sample and the
+//! ceiling on every wait, backed-off ones included.
+//!
 //! Every transaction runs through one loop over N outstanding requests:
 //! put them on the wire, route each arriving reply — or each sub-reply of
 //! a coalesced reply envelope — to the slot of the xid it answers, and on
@@ -86,6 +92,67 @@ impl Slots<'_> {
     }
 }
 
+/// The smoothed round-trip time of one procedure, in virtual ns: Jacobson's
+/// estimator ("Congestion Avoidance and Control", SIGCOMM 1988) with the
+/// gains and first-sample rule of RFC 6298 §2. Only a lone call answered
+/// without a retransmission is a sample (Karn & Partridge, "Improving
+/// Round-Trip Time Estimates in Reliable Transport Protocols", SIGCOMM
+/// 1987): a reply after a resend may answer either transmission.
+///
+/// `rto` is the timeout the procedure's next call waits first. A call
+/// that resends leaves it at its last try's doubled wait (RFC 6298 §5.5),
+/// and only the next sample recomputes it: Karn's rule keeps the backed-off
+/// timeout until a call is answered without a resend, so a round trip that
+/// grows for good is relearned instead of resent on every call.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+struct Rtt {
+    srtt: u64,
+    rttvar: u64,
+    rto: u64,
+}
+
+impl Rtt {
+    /// RFC 6298 §2.2: the first measurement R sets SRTT = R, RTTVAR = R/2.
+    fn first(r: u64) -> Self {
+        let mut rtt = Rtt {
+            srtt: r,
+            rttvar: r / 2,
+            rto: 0,
+        };
+        rtt.rto = rtt.estimate();
+        rtt
+    }
+
+    /// RFC 6298 §2.3, α = 1/8 and β = 1/4: RTTVAR ← ¾·RTTVAR + ¼·|SRTT − R|
+    /// against the old SRTT, then SRTT ← ⅞·SRTT + ⅛·R. The timeout is
+    /// recomputed, which drops any backoff.
+    fn sample(&mut self, r: u64) {
+        self.rttvar = (3 * self.rttvar + self.srtt.abs_diff(r)) / 4;
+        self.srtt = (7 * self.srtt + r) / 8;
+        self.rto = self.estimate();
+    }
+
+    /// SRTT + max(SRTT, 4·RTTVAR): Jacobson's bound with RFC 793's
+    /// 2·SRTT as its floor, so a constant round trip (RTTVAR → 0) never
+    /// fires.
+    fn estimate(&self) -> u64 {
+        // Never zero: a try that waits nothing never polls for its reply.
+        (self.srtt + self.srtt.max(4 * self.rttvar)).max(1)
+    }
+
+    /// The next call's first wait: the estimate, or its backed-off value.
+    fn timeout(self) -> SimTime {
+        SimTime::from_nanos(self.rto)
+    }
+}
+
+/// The procedure word of a call header (request bytes 20–24), which keys
+/// the round-trip estimates: a COMMIT that queues behind its WRITEs must
+/// not time out against a GETATTR's round trip.
+fn proc_word(request: &[u8]) -> Option<u32> {
+    Some(u32::from_be_bytes(request.get(20..24)?.try_into().ok()?))
+}
+
 /// `image` as a datagram to send: in `kept` (see [`ClntUdp::kept`]) when
 /// there is one, else in a pooled buffer. A kept buffer too small for the
 /// image grows to exactly its length and the growth is counted as the
@@ -114,7 +181,13 @@ pub struct ClntUdp {
     prog: u32,
     vers: u32,
     xids: XidGen,
-    /// Per-try timeout before retransmission (`cu_wait`).
+    /// Sun's per-try timeout (`cu_wait`), now the ceiling on every wait:
+    /// a lone call's first try waits its procedure's timeout, estimated
+    /// from the smoothed round trip, and each retransmission doubles the
+    /// wait up to this (the doubled wait carries to the procedure's next
+    /// call until one is answered on its first try); a call whose
+    /// procedure has no sample yet, and every try of a batch, waits this
+    /// long.
     pub retry_timeout: SimTime,
     /// Total timeout for one transaction (`cu_total`) — a lone call's
     /// budget on one replica, before failover moves it on, or a whole
@@ -153,6 +226,8 @@ pub struct ClntUdp {
     /// MTU-aware one-way coalescing state (`None` = classic one datagram
     /// per call, byte- and time-identical to the pre-coalescing client).
     coalescer: Option<CallCoalescer>,
+    /// Round-trip estimates by procedure word, in first-sample order.
+    rtts: Vec<(u32, Rtt)>,
 }
 
 impl ClntUdp {
@@ -189,6 +264,7 @@ impl ClntUdp {
             kept: None,
             drain_buf: VecDeque::new(),
             coalescer: None,
+            rtts: Vec::new(),
         }
     }
 
@@ -210,16 +286,6 @@ impl ClntUdp {
     /// The wire-buffer pool this client cycles datagrams through.
     pub fn pool(&self) -> &Arc<BufPool> {
         &self.pool
-    }
-
-    /// Program number this client targets.
-    pub fn prog(&self) -> u32 {
-        self.prog
-    }
-
-    /// Version number this client targets.
-    pub fn vers(&self) -> u32 {
-        self.vers
     }
 
     /// Allocate the next transaction id.
@@ -465,6 +531,13 @@ impl ClntUdp {
     /// charged the time it actually took, not a token decrement. On
     /// failure the replies that did arrive go back to the pool.
     ///
+    /// A lone call's first try waits its procedure's timeout ([`Rtt`]),
+    /// or `retry_timeout` before the procedure's first sample; a batch's
+    /// first try waits `retry_timeout`. Each retransmission doubles the
+    /// wait, capped at `retry_timeout`. A lone call answered on its first
+    /// try folds its round trip into its procedure's estimate; any other
+    /// lone call leaves its last wait as the procedure's next timeout.
+    ///
     /// A `lone` call seals the queued one-ways into one envelope with its
     /// request when they fit, and resends that image whole; one-ways that
     /// do not fit, and a batch's, are flushed ahead into the window. A
@@ -485,7 +558,17 @@ impl ClntUdp {
                 "each request must start with its xid"
             );
         }
-        let deadline = self.sock.now() + self.total_timeout;
+        let start = self.sock.now();
+        let deadline = start + self.total_timeout;
+        // A lone call's first try waits its procedure's estimate. A batch
+        // waits `retry_timeout`: its replies queue behind their siblings,
+        // so a lone round trip says nothing about when its last one lands.
+        let proc_ = if lone { proc_word(requests[0]) } else { None };
+        let mut wait = proc_
+            .and_then(|p| self.rtt(p))
+            .map_or(self.retry_timeout, |rtt| {
+                rtt.timeout().min(self.retry_timeout)
+            });
         let sealed = if lone {
             let sealed = self.seal_with_pending(requests[0]);
             let image = sealed.as_deref().unwrap_or(requests[0]);
@@ -505,7 +588,7 @@ impl ClntUdp {
         };
         let mut resent = 0u32;
         let result = loop {
-            let try_deadline = (self.sock.now() + self.retry_timeout).min(deadline);
+            let try_deadline = (self.sock.now() + wait).min(deadline);
             while slots.outstanding > 0 {
                 let now = self.sock.now();
                 if now >= try_deadline {
@@ -534,6 +617,7 @@ impl ClntUdp {
                 break Err(RpcError::GaveUp { tries: resent + 1 });
             }
             resent += 1;
+            wait = (wait + wait).min(self.retry_timeout);
             // Unacknowledged one-way envelopes go ahead of the resend: a
             // lost one reaches the server after all, and a delivered one
             // is absorbed sub-message by sub-message in the
@@ -571,10 +655,38 @@ impl ClntUdp {
                 }
             }
         }
+        if let Some(p) = proc_ {
+            // Karn: a reply after a resend may answer either transmission,
+            // so only a first try's is a sample.
+            let sample = (result.is_ok() && resent == 0).then(|| self.sock.now() - start);
+            self.settle_rtt(p, sample, wait);
+        }
         if let Some(image) = sealed {
             self.pool.put(image);
         }
         result
+    }
+
+    /// The round-trip estimate of procedure `proc_`, once it has a sample.
+    fn rtt(&self, proc_: u32) -> Option<Rtt> {
+        self.rtts
+            .iter()
+            .find(|(p, _)| *p == proc_)
+            .map(|&(_, rtt)| rtt)
+    }
+
+    /// Settle a lone call of procedure `proc_`: its first try's round trip
+    /// `sample` folds into the estimate; without one, the procedure's next
+    /// call first waits `wait`, this call's last (backed-off) wait.
+    fn settle_rtt(&mut self, proc_: u32, sample: Option<SimTime>, wait: SimTime) {
+        let rtt = self.rtts.iter_mut().find(|(p, _)| *p == proc_);
+        match (rtt, sample) {
+            (Some((_, rtt)), Some(r)) => rtt.sample(r.as_nanos()),
+            (None, Some(r)) => self.rtts.push((proc_, Rtt::first(r.as_nanos()))),
+            (Some((_, rtt)), None) => rtt.rto = wait.as_nanos(),
+            // No sample yet: every try already waits `retry_timeout`.
+            (None, None) => {}
+        }
     }
 
     /// A batch's first transmission: its requests, in order, packed into
@@ -638,14 +750,6 @@ impl ClntUdp {
 }
 
 impl Transport for ClntUdp {
-    fn prog(&self) -> u32 {
-        self.prog
-    }
-
-    fn vers(&self) -> u32 {
-        self.vers
-    }
-
     fn next_xid(&mut self) -> u32 {
         self.xids.next_xid()
     }
@@ -1438,5 +1542,211 @@ mod tests {
         assert_eq!(pool.stats().hits, 0, "the kept buffer first");
         send(&mut clnt, &small);
         assert_eq!((pool.stats().hits, pool.parked()), (1, 0));
+    }
+
+    // The per-procedure round-trip estimator, against a mirror server
+    // whose round trip is exact: every datagram it answers costs the link
+    // two traversals plus the procedure's fixed processing time.
+
+    use std::sync::Mutex;
+
+    const MIRROR: Addr = 700;
+    const FAST: SimTime = SimTime::from_micros(50);
+
+    /// A server at [`MIRROR`] that answers each request with its own bytes
+    /// after `reply(p, k)`, `p` the request's procedure word and `k` the
+    /// datagram's count from 0, or loses it where that is `None`. Returns
+    /// the virtual instant each datagram arrived at.
+    fn mirror(
+        net: &Network,
+        reply: impl Fn(u32, usize) -> Option<SimTime> + Send + 'static,
+    ) -> Arc<Mutex<Vec<SimTime>>> {
+        let arrivals = Arc::new(Mutex::new(Vec::new()));
+        let (seen, clock) = (arrivals.clone(), net.clone());
+        net.serve_udp(
+            MIRROR,
+            Box::new(move |req, _| {
+                let mut seen = seen.lock().unwrap();
+                seen.push(clock.now());
+                let p = proc_word(req).expect("a call header");
+                reply(p, seen.len() - 1).map(|t| (req.to_vec(), t))
+            }),
+        );
+        arrivals
+    }
+
+    /// One bare call of procedure `proc_` (its header is the whole
+    /// request), answered or not.
+    fn bare_call(clnt: &mut ClntUdp, proc_: u32) -> Result<(), RpcError> {
+        let xid = clnt.next_xid();
+        let mut enc = XdrMem::encoder(64);
+        let mut msg = CallHeader::new(xid, PROG, 1, proc_);
+        CallHeader::xdr(&mut enc, &mut msg).unwrap();
+        let reply = clnt.exchange(&enc.into_bytes(), xid)?;
+        clnt.recycle(reply);
+        Ok(())
+    }
+
+    /// A client of a fresh [`mirror`] that has made `warm` clean calls of
+    /// procedure 1, and its network and arrivals.
+    fn warmed(
+        warm: usize,
+        lose: impl Fn(usize) -> bool + Send + 'static,
+    ) -> (Network, ClntUdp, Arc<Mutex<Vec<SimTime>>>) {
+        let net = Network::new(NetworkConfig::lan(), 3);
+        let arrivals = mirror(&net, move |_, k| (!lose(k)).then_some(FAST));
+        let mut clnt = ClntUdp::create(&net, 5000, MIRROR, PROG, 1);
+        for _ in 0..warm {
+            bare_call(&mut clnt, 1).unwrap();
+        }
+        (net, clnt, arrivals)
+    }
+
+    fn times(t: SimTime, k: u64) -> SimTime {
+        SimTime::from_nanos(t.as_nanos() * k)
+    }
+
+    #[test]
+    fn a_constant_round_trip_never_fires_and_settles_at_two_round_trips() {
+        let (net, mut clnt, _) = warmed(0, |_| false);
+        let mut rtt = SimTime::ZERO;
+        for _ in 0..1_000 {
+            let start = net.now();
+            bare_call(&mut clnt, 1).unwrap();
+            rtt = net.now() - start;
+        }
+        assert_eq!(clnt.retransmits, 0);
+        let est = clnt.rtt(1).expect("sampled");
+        assert_eq!((est.srtt, est.rttvar), (rtt.as_nanos(), 0));
+        assert_eq!(est.timeout(), rtt + rtt);
+        assert!(
+            est.timeout() < clnt.retry_timeout,
+            "{} against {}",
+            est.timeout(),
+            clnt.retry_timeout
+        );
+    }
+
+    #[test]
+    fn a_lost_request_is_resent_after_the_estimate_not_cu_wait() {
+        let (_net, mut clnt, arrivals) = warmed(20, |k| k == 20);
+        let rto = clnt.rtt(1).expect("sampled").timeout();
+        assert!(times(rto, 100) < clnt.retry_timeout, "{rto}");
+        bare_call(&mut clnt, 1).unwrap();
+        assert_eq!(clnt.retransmits, 1);
+        let arrivals = arrivals.lock().unwrap();
+        assert_eq!(arrivals.len(), 22, "20 warm, the lost try, the resend");
+        assert_eq!(arrivals[21] - arrivals[20], rto);
+    }
+
+    #[test]
+    fn a_call_answered_after_a_resend_leaves_the_estimate_alone() {
+        // Karn: the reply may answer either transmission, so the
+        // resent call's round trip — the timeout plus one round trip,
+        // far from the estimate — is no sample. Its doubled wait is the
+        // procedure's next timeout until a clean call samples again.
+        let (net, mut clnt, arrivals) = warmed(20, |k| k == 20);
+        let before = clnt.rtt(1).expect("sampled");
+        let start = net.now();
+        bare_call(&mut clnt, 1).unwrap();
+        assert_eq!(clnt.retransmits, 1);
+        assert!(net.now() - start > before.timeout());
+        let after = clnt.rtt(1).expect("sampled");
+        assert_eq!((after.srtt, after.rttvar), (before.srtt, before.rttvar));
+        assert_eq!(after.timeout(), times(before.timeout(), 2));
+        // The next call is answered inside its backed-off wait, and its
+        // sample recomputes the timeout.
+        bare_call(&mut clnt, 1).unwrap();
+        assert_eq!((clnt.retransmits, arrivals.lock().unwrap().len()), (1, 23));
+        let resampled = clnt.rtt(1).expect("sampled");
+        assert_ne!(resampled, after);
+        assert_eq!(resampled.rto, resampled.estimate());
+    }
+
+    #[test]
+    fn waits_double_up_to_cu_wait_and_the_total_timeout_still_ends_the_call() {
+        // Everything after the warm calls is lost. With `retry_timeout`
+        // at 8 estimates the tries wait 1, 2, 4, 8, 8, … estimates, and
+        // the total timeout cuts the sixth try's wait to 4.
+        let (net, mut clnt, arrivals) = warmed(20, |k| k >= 20);
+        let rto = clnt.rtt(1).expect("sampled").timeout();
+        clnt.retry_timeout = times(rto, 8);
+        clnt.total_timeout = times(rto, 27);
+        let start = net.now();
+        assert_eq!(bare_call(&mut clnt, 1), Err(RpcError::TimedOut));
+        assert_eq!(net.now() - start, clnt.total_timeout);
+        assert_eq!(clnt.retransmits, 5);
+        let arrivals = arrivals.lock().unwrap();
+        let waits: Vec<SimTime> = arrivals[20..].windows(2).map(|w| w[1] - w[0]).collect();
+        assert_eq!(waits, [1, 2, 4, 8, 8].map(|k| times(rto, k)));
+        // The procedure's next call starts from the backed-off wait.
+        assert_eq!(clnt.rtt(1).expect("sampled").timeout(), clnt.retry_timeout);
+    }
+
+    #[test]
+    fn a_slow_procedure_does_not_move_a_fast_ones_timeout() {
+        // Procedure 2's round trip is ten times procedure 1's. Mixed on
+        // one client, neither times out and procedure 1's estimate is
+        // exactly what a client calling only procedure 1 holds.
+        fn proc_time(p: u32) -> SimTime {
+            if p == 2 {
+                SimTime::from_micros(3_300)
+            } else {
+                FAST
+            }
+        }
+        fn rtt_of(clnt: &mut ClntUdp, net: &Network, p: u32) -> SimTime {
+            let start = net.now();
+            bare_call(clnt, p).unwrap();
+            net.now() - start
+        }
+        let (mixed_net, only_net) = (
+            Network::new(NetworkConfig::lan(), 3),
+            Network::new(NetworkConfig::lan(), 3),
+        );
+        mirror(&mixed_net, |p, _| Some(proc_time(p)));
+        mirror(&only_net, |p, _| Some(proc_time(p)));
+        let mut mixed = ClntUdp::create(&mixed_net, 5000, MIRROR, PROG, 1);
+        let mut only = ClntUdp::create(&only_net, 5000, MIRROR, PROG, 1);
+        let (mut fast, mut slow) = (SimTime::ZERO, SimTime::ZERO);
+        for _ in 0..50 {
+            fast = rtt_of(&mut mixed, &mixed_net, 1);
+            slow = rtt_of(&mut mixed, &mixed_net, 2);
+            rtt_of(&mut only, &only_net, 1);
+        }
+        assert!(
+            times(fast, 10) <= slow && slow < times(fast, 11),
+            "{fast} {slow}"
+        );
+        assert_eq!(mixed.retransmits, 0);
+        assert_eq!(mixed.rtt(1), only.rtt(1));
+        assert_eq!(mixed.rtt(2).expect("sampled").srtt, slow.as_nanos());
+    }
+
+    #[test]
+    fn a_round_trip_that_grows_for_good_is_relearned_not_resent_every_call() {
+        // After 50 calls the server's processing time rises from 50 µs to
+        // 1.5 ms and stays there. The backed-off wait carries from call to
+        // call until one is answered without a resend, so a handful of
+        // calls resend and the estimate settles on the new round trip.
+        const SLOW: SimTime = SimTime::from_micros(1_500);
+        let net = Network::new(NetworkConfig::lan(), 3);
+        // The first 50 datagrams are the first 50 calls: none resends.
+        mirror(&net, |_, k| Some(if k < 50 { FAST } else { SLOW }));
+        let mut clnt = ClntUdp::create(&net, 5000, MIRROR, PROG, 1);
+        let mut rtt = SimTime::ZERO;
+        for _ in 0..150 {
+            let start = net.now();
+            bare_call(&mut clnt, 1).unwrap();
+            rtt = net.now() - start;
+        }
+        assert!(clnt.retransmits <= 4, "{} resends", clnt.retransmits);
+        let est = clnt.rtt(1).expect("sampled");
+        assert!(
+            est.srtt.abs_diff(rtt.as_nanos()) <= rtt.as_nanos() / 100,
+            "SRTT {} ns against a {rtt} round trip",
+            est.srtt
+        );
+        assert!(est.timeout() > rtt, "{} {rtt}", est.timeout());
     }
 }

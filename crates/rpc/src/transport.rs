@@ -10,8 +10,8 @@
 
 use crate::error::RpcError;
 
-/// A client-side RPC transport: raw pre-marshaled exchanges plus the
-/// identity of the remote program.
+/// A client-side RPC transport: raw pre-marshaled exchanges and the
+/// transaction ids that key them.
 ///
 /// `request` must be a complete RPC call message whose first word is
 /// `xid`; the implementation returns the first complete reply message
@@ -25,12 +25,6 @@ use crate::error::RpcError;
 /// [`Transport::recycle`], closing the allocation loop — see
 /// [`crate::BufPool`].
 pub trait Transport {
-    /// Program number this transport targets.
-    fn prog(&self) -> u32;
-
-    /// Version number this transport targets.
-    fn vers(&self) -> u32;
-
     /// Allocate the next transaction id.
     fn next_xid(&mut self) -> u32;
 

@@ -327,7 +327,8 @@ impl<'p> Evaluator<'p> {
 
     /// Statements + expression nodes evaluated so far — the "interpretive
     /// work" metric for the table-driven baseline.
-    pub fn steps(&self) -> u64 {
+    #[cfg(test)]
+    pub(crate) fn steps(&self) -> u64 {
         self.steps
     }
 

@@ -3,19 +3,23 @@
 //! A census of every `pub fn|struct|enum|const|static|type|trait` in the
 //! non-test code of `crates/*/src`. Non-test means CI's rule (a file is cut
 //! at `^mod tests {` and `tests.rs` files are skipped), and an item under
-//! `#[cfg(test)]` is test code too. Each name is matched as a word over the
-//! non-test, non-comment code of `crates/*/src`, `src`, `examples` and
+//! `#[cfg(test)]` is test code too. Each name is matched over the non-test,
+//! non-comment code of `crates/*/src`, `src`, `examples` and
 //! `benchmark/src`, leaving out definitions, `use` lines, string literals
-//! and a type's mentions inside its own impl blocks. A pub item with no
-//! such reference has only test callers or none: it goes, it moves under
-//! `#[cfg(test)]`, or `pub_census.keep` says why it stays.
+//! and a type's mentions inside its own impl blocks. A pub method (a `fn`
+//! in an `impl` block) is referenced only in call or path form
+//! (`.name(`, `::name`), so a field or local of the same name does not
+//! hide it; free fns, types and consts match as a word. A pub item with
+//! no such reference has only test callers or none: it goes, it moves
+//! under `#[cfg(test)]`, or `pub_census.keep` says why it stays.
 //!
 //! The test fails when an unreferenced item is missing from the keep-list,
 //! when a kept item has gained a non-test caller, and when a kept item no
-//! longer exists. A name match hides an item behind any namesake, so the
-//! count is a floor; pub fields and trait methods are not counted.
+//! longer exists. A name match hides an item behind any namesake of its
+//! form, so the count is a floor; pub fields and trait methods are not
+//! counted.
 
-use std::collections::{BTreeSet, HashSet};
+use std::collections::{BTreeMap, BTreeSet, HashSet};
 use std::fs;
 use std::path::{Path, PathBuf};
 
@@ -28,7 +32,7 @@ const KEEP: &str = include_str!("pub_census.keep");
 const REASONS: [&str; 3] = ["referee:", "reserved:", "baseline:"];
 
 /// The keep-list may only shrink: lower this when an entry goes.
-const KEEP_CEILING: usize = 11;
+const KEEP_CEILING: usize = 16;
 
 /// Pub items with no non-test reference before the census landed.
 const BEFORE: usize = 68;
@@ -214,10 +218,25 @@ fn strip_cfg_test(tokens: Vec<String>) -> Vec<String> {
     out
 }
 
-/// The pub items a token stream defines, by name.
-fn pub_items(tokens: &[String]) -> Vec<String> {
+/// The pub items a token stream defines, by name, each with whether it is
+/// a method (a `fn` inside an `impl` block).
+fn pub_items(tokens: &[String]) -> Vec<(String, bool)> {
     let mut names = Vec::new();
+    // The brace depth each open impl block's body opened at.
+    let mut impls: Vec<usize> = Vec::new();
+    let mut depth = 0;
     for (i, token) in tokens.iter().enumerate() {
+        match token.as_str() {
+            "{" => depth += 1,
+            "}" => {
+                depth -= 1;
+                if impls.last() == Some(&depth) {
+                    impls.pop();
+                }
+            }
+            "impl" if opens_impl(tokens, i) => impls.push(depth),
+            _ => {}
+        }
         if token != "pub" {
             continue;
         }
@@ -236,17 +255,24 @@ fn pub_items(tokens: &[String]) -> Vec<String> {
             continue;
         };
         if KINDS.contains(&kind.as_str()) && is_ident(name) {
-            names.push(name.clone());
+            names.push((name.clone(), kind == "fn" && !impls.is_empty()));
         }
     }
     names
 }
 
+/// Whether the `impl` at `tokens[at]` starts an impl block (not `impl
+/// Trait` in a type).
+fn opens_impl(tokens: &[String], at: usize) -> bool {
+    at == 0 || matches!(tokens[at - 1].as_str(), "}" | ";" | "]" | "{" | "unsafe")
+}
+
 /// Adds to `refs` each identifier in `tokens` that is not a definition's
 /// name, not inside a `use` declaration, and not a type's own name in its
 /// own `impl` block (header or body): a type only its impls mention has
-/// no caller.
-fn count_references(tokens: &[String], refs: &mut HashSet<String>) {
+/// no caller. Adds to `calls` each such identifier in call or path form:
+/// after `.` and before `(` or a turbofish, or after `::`.
+fn count_references(tokens: &[String], refs: &mut HashSet<String>, calls: &mut HashSet<String>) {
     // The self type of each open impl block, with the brace depth its
     // body opened at.
     let mut impls: Vec<(String, usize)> = Vec::new();
@@ -267,9 +293,7 @@ fn count_references(tokens: &[String], refs: &mut HashSet<String>) {
                     i += 1;
                 }
             }
-            "impl"
-                if i == 0 || matches!(tokens[i - 1].as_str(), "}" | ";" | "]" | "{" | "unsafe") =>
-            {
+            "impl" if opens_impl(tokens, i) => {
                 let (self_ty, body) = impl_header(tokens, i);
                 for t in &tokens[i + 1..body] {
                     if is_ident(t) && *t != self_ty {
@@ -287,6 +311,15 @@ fn count_references(tokens: &[String], refs: &mut HashSet<String>) {
                 let own_impl = impls.iter().any(|(self_ty, _)| self_ty == token);
                 if !defined && !own_impl {
                     refs.insert(token.to_string());
+                    let path = i >= 2 && tokens[i - 2] == ":" && tokens[i - 1] == ":";
+                    let method_call = i >= 1
+                        && tokens[i - 1] == "."
+                        && tokens
+                            .get(i + 1)
+                            .is_some_and(|t| matches!(t.as_str(), "(" | ":"));
+                    if path || method_call {
+                        calls.insert(token.to_string());
+                    }
                 }
             }
             _ => {}
@@ -366,23 +399,28 @@ fn crate_sources() -> Vec<(PathBuf, Vec<String>)> {
 #[test]
 fn every_pub_item_has_a_non_test_caller_or_a_kept_reason() {
     let sources = crate_sources();
-    let mut items: BTreeSet<(String, String)> = BTreeSet::new();
-    let mut refs = HashSet::new();
+    // Each item with whether every definition of its name in its file is
+    // a method.
+    let mut items: BTreeMap<(String, String), bool> = BTreeMap::new();
+    let (mut refs, mut calls) = (HashSet::new(), HashSet::new());
     for (path, tokens) in &sources {
-        for name in pub_items(tokens) {
-            items.insert((relative(path), name));
+        for (name, method) in pub_items(tokens) {
+            *items.entry((relative(path), name)).or_insert(true) &= method;
         }
-        count_references(tokens, &mut refs);
+        count_references(tokens, &mut refs, &mut calls);
     }
     for dir in ["src", "examples", "benchmark/src"] {
         for path in rust_files(&Path::new(ROOT).join(dir)) {
-            count_references(&non_test_tokens(&path), &mut refs);
+            count_references(&non_test_tokens(&path), &mut refs, &mut calls);
         }
     }
     let unreferenced: BTreeSet<(String, String)> = items
         .iter()
-        .filter(|(_, name)| !refs.contains(name))
-        .cloned()
+        .filter(|&((_, name), &method)| {
+            let seen = if method { &calls } else { &refs };
+            !seen.contains(name)
+        })
+        .map(|(key, _)| key.clone())
         .collect();
 
     let mut kept = BTreeSet::new();
@@ -406,7 +444,7 @@ fn every_pub_item_has_a_non_test_caller_or_a_kept_reason() {
             ));
         }
         let key = (file.to_string(), name.to_string());
-        if !items.contains(&key) {
+        if !items.contains_key(&key) {
             failures.push(format!(
                 "{file} {name} is kept but no longer exists: strike it"
             ));

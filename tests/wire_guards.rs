@@ -69,14 +69,6 @@ struct Tap {
 }
 
 impl Transport for Tap {
-    fn prog(&self) -> u32 {
-        self.inner.prog()
-    }
-
-    fn vers(&self) -> u32 {
-        self.inner.vers()
-    }
-
     fn next_xid(&mut self) -> u32 {
         self.inner.next_xid()
     }
