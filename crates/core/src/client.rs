@@ -37,9 +37,8 @@ pub enum PathUsed {
 /// a [`WireBuf`] that is preallocated once at the stub's exact wire length
 /// and rewound per call, the transport borrows those bytes (copying only
 /// into the pooled datagram it actually transmits), and consumed reply
-/// buffers are recycled back to the transport's pool. `counts.heap_allocs`
-/// accounts every wire-path allocation — zero per call once warm, which
-/// `tests/zero_copy.rs` pins.
+/// buffers are recycled back to the transport's pool. A warm call
+/// allocates nothing, which `tests/cost_vector.rs` pins per workload.
 pub struct SpecClient<T: Transport> {
     transport: T,
     proc_: Arc<CompiledProc>,
@@ -51,14 +50,14 @@ pub struct SpecClient<T: Transport> {
     batch_req: Vec<WireBuf>,
     /// Reused xid scratch for batched calls.
     batch_xids: Vec<u32>,
-    /// Stub-op, byte, and allocation counts from specialized marshaling
-    /// (generic fallback decoding accumulates here too).
+    /// Stub-op and byte counts from specialized marshaling (generic
+    /// fallback decoding accumulates here too).
     pub counts: OpCounts,
     /// Calls served by the fast path.
     pub fast_calls: u64,
     /// Calls that fell back to the generic decoder.
     pub fallback_calls: u64,
-    /// Calls performed (for allocs-per-call reporting).
+    /// Calls performed (for per-call reporting).
     pub calls: u64,
     /// One-way calls issued through [`SpecClient::call_oneway`].
     pub oneway_calls: u64,
@@ -106,27 +105,9 @@ impl<T: Transport> SpecClient<T> {
 
     /// [`SpecClient::call`] decoding into caller-provided result slots,
     /// reusing their capacity: with a warm `out` and a warm transport
-    /// pool, a round trip performs zero wire-path heap allocations
-    /// (`counts.heap_allocs` stays flat).
-    ///
-    /// Accounting caveat: transport allocations are attributed by
-    /// pool-counter delta across the call, so when several clients share
-    /// one `BufPool` *and* run concurrently, misses provoked by a peer
-    /// inside this call's window land in this client's counts. Per-client
-    /// readings are exact for the single-driver deployments the tests
-    /// measure; the aggregate across clients is exact always.
+    /// pool, a round trip allocates nothing.
     pub fn call_into(&mut self, args: &StubArgs, out: &mut StubArgs) -> Result<PathUsed, RpcError> {
-        let allocs_before = self.transport.wire_allocs();
         self.calls += 1;
-        let result = self.call_inner(args, out);
-        // The pool misses this call's window provoked are its wire
-        // allocations — folded on success *and* failure (a timed-out
-        // retransmit storm allocates just as physically).
-        self.counts.heap_allocs += self.transport.wire_allocs() - allocs_before;
-        result
-    }
-
-    fn call_inner(&mut self, args: &StubArgs, out: &mut StubArgs) -> Result<PathUsed, RpcError> {
         let xid = self.transport.next_xid();
         encode_into(&self.proc_, &mut self.req, args, xid, &mut self.counts)?;
         let reply = self.transport.call(self.req.bytes(), xid)?;
@@ -188,16 +169,11 @@ impl<T: Transport> SpecClient<T> {
     /// assert_eq!(client.oneway_calls, 8);
     /// ```
     pub fn call_oneway(&mut self, args: &StubArgs) -> Result<(), RpcError> {
-        let allocs_before = self.transport.wire_allocs();
         self.calls += 1;
         self.oneway_calls += 1;
         let xid = self.transport.next_xid();
-        let result = match encode_into(&self.proc_, &mut self.req, args, xid, &mut self.counts) {
-            Ok(()) => self.transport.call_oneway(self.req.bytes(), xid),
-            Err(e) => Err(e),
-        };
-        self.counts.heap_allocs += self.transport.wire_allocs() - allocs_before;
-        result
+        encode_into(&self.proc_, &mut self.req, args, xid, &mut self.counts)?;
+        self.transport.call_oneway(self.req.bytes(), xid)
     }
 
     /// Push queued one-way calls to the wire without waiting for a
@@ -240,8 +216,10 @@ impl<T: Transport> SpecClient<T> {
 
     /// [`SpecClient::call_batch`] decoding into caller-provided result
     /// slots, reusing their capacity: with warm slots and a warm
-    /// transport pool the whole batch performs zero wire-path heap
-    /// allocations. Any transport or decode failure fails the batch.
+    /// transport pool no take misses the pool, and a batch allocates
+    /// three times, for its bookkeeping `Vec`s (the `batch4` row of
+    /// `tests/cost_vector.rs`). Any transport or decode failure fails the
+    /// batch.
     ///
     /// # Panics
     /// Panics if `batch` and `outs` have different lengths.
@@ -251,18 +229,7 @@ impl<T: Transport> SpecClient<T> {
         outs: &mut [StubArgs],
     ) -> Result<Vec<PathUsed>, RpcError> {
         assert_eq!(batch.len(), outs.len(), "one result slot per call");
-        let allocs_before = self.transport.wire_allocs();
         self.calls += batch.len() as u64;
-        let result = self.call_batch_inner(batch, outs);
-        self.counts.heap_allocs += self.transport.wire_allocs() - allocs_before;
-        result
-    }
-
-    fn call_batch_inner(
-        &mut self,
-        batch: &[StubArgs],
-        outs: &mut [StubArgs],
-    ) -> Result<Vec<PathUsed>, RpcError> {
         if batch.is_empty() {
             return Ok(Vec::new());
         }
@@ -362,13 +329,7 @@ pub(crate) fn encode_into(
 ) -> Result<(), RpcError> {
     let enc = &proc_.client_encode;
     req.rewind(enc.wire_len);
-    let encoded = run_encode_with_xid(&enc.program, req.bytes_mut(), args, xid as i32, counts);
-    // Fold the wire buffer's (re)allocation accounting before any
-    // early return so no growth event is lost.
-    let wb_counts = *req.counts();
-    req.counts_mut().reset();
-    *counts += wb_counts;
-    encoded
+    run_encode_with_xid(&enc.program, req.bytes_mut(), args, xid as i32, counts)
         .map(|_| ())
         .map_err(|e| RpcError::Transport(e.to_string()))
 }

@@ -114,9 +114,9 @@
 //!   request (retransmissions rewind and re-send the same image instead
 //!   of cloning it), and every buffer cycles through a shared
 //!   [`BufPool`](specrpc_rpc::BufPool). In steady state a specialized
-//!   UDP round trip performs **zero wire-path heap allocations**;
-//!   a client's `OpCounts` count them (`heap_allocs`, and `mem_moves`
-//!   for the bytes copied) over its `calls`.
+//!   round trip allocates **nothing, process-wide**: `tests/cost_vector.rs`
+//!   pins it per workload (its `echo20_udp` row among others), and a
+//!   client's `OpCounts::mem_moves` counts the bytes it copied.
 //!
 //! `cargo test --release -p specrpc-bench --test paper_ratio -- --nocapture`
 //! measures this lane against the generic one at n = 20 / 250 / 2000.
@@ -162,12 +162,13 @@
 //!     assert_eq!(path, PathUsed::Fast);
 //!     assert_eq!(out.arrays[0], data);
 //! }
-//! // Warm-up done: from here the wire path allocates nothing.
-//! let warm = client.counts.heap_allocs;
+//! // Warm-up done: from here each side sends in the buffer it last
+//! // consumed, and no call takes from or returns to the pool.
+//! let warm = reg.pool().stats();
 //! for _ in 0..5 {
 //!     client.call_into(&args, &mut out).unwrap();
 //! }
-//! assert_eq!(client.counts.heap_allocs, warm);
+//! assert_eq!(reg.pool().stats(), warm);
 //! ```
 //!
 //! # Scaling the server

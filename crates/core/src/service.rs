@@ -95,7 +95,7 @@ impl SpecService {
     /// results: the convenience form. It costs what building that
     /// `StubArgs` costs — two allocations per call for an echo that
     /// clones its argument, plus dropping the slots it replaces — which
-    /// `tests/alloc_free.rs` pins.
+    /// the `proc_returning` rows of `tests/cost_vector.rs` pin.
     pub fn proc(
         self,
         proc_: Arc<CompiledProc>,

@@ -26,9 +26,9 @@
 //! none out), the generic fallback's reply, an offer of the wrong size,
 //! and the stream lane. There too every `take` is served by a previously
 //! recycled buffer once warm, so the wire path performs **zero heap
-//! allocations per call** — the `misses` counter is the proof (a kept
-//! buffer that had to grow is counted there as well,
-//! [`BufPool::note_alloc`]), and the integration tests pin it.
+//! allocations per call**: the `misses` counter reads flat, and
+//! `tests/cost_vector.rs` pins the whole process's allocations per
+//! workload.
 //!
 //! Who owns which pool: a [`crate::SvcRegistry`] owns one (generic
 //! replies come from it; a raw handler that is not offered a fitting
@@ -196,20 +196,6 @@ impl BufPool {
             recycled: self.recycled.load(Ordering::Relaxed),
             overflow_drops: self.overflow_drops.load(Ordering::Relaxed),
         }
-    }
-
-    /// Heap allocations performed by this pool so far (the `misses`
-    /// counter — what the wire path folds into `OpCounts::heap_allocs`).
-    pub fn allocs(&self) -> u64 {
-        self.misses.load(Ordering::Relaxed)
-    }
-
-    /// Record a heap allocation that happened *outside* `take` on a
-    /// buffer this pool handed out (e.g. a taken buffer grown by a
-    /// record reassembler) so the allocs-per-call accounting stays
-    /// honest.
-    pub fn note_alloc(&self) {
-        self.misses.fetch_add(1, Ordering::Relaxed);
     }
 
     /// Buffers currently parked in the pool.

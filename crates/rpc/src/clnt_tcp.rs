@@ -127,16 +127,9 @@ impl ClntTcp {
         let hint = requests.iter().map(|r| r.len()).max().unwrap_or(0);
         while outstanding > 0 {
             let mut reply = self.pool.take(hint.max(self.reply_hint));
-            let cap0 = reply.capacity();
             rec::read_record_into(&mut self.conn, &mut reply)
                 .map_err(|e| RpcError::Transport(e.to_string()))?;
             self.reply_hint = self.reply_hint.max(reply.len());
-            if reply.capacity() > cap0 {
-                // The reassembler outgrew the pooled buffer (an
-                // oversized reply): account the hidden allocation so
-                // allocs-per-call stays honest.
-                self.pool.note_alloc();
-            }
             let slot = reply.get(..4).and_then(|word| {
                 let i = xids.iter().position(|x| x.to_be_bytes() == word)?;
                 replies[i].is_none().then_some(i)
@@ -221,10 +214,6 @@ impl Transport for ClntTcp {
 
     fn recycle(&mut self, reply: Vec<u8>) {
         self.pool.put(reply);
-    }
-
-    fn wire_allocs(&self) -> u64 {
-        self.pool.allocs()
     }
 }
 

@@ -155,18 +155,14 @@ fn proc_word(request: &[u8]) -> Option<u32> {
 
 /// `image` as a datagram to send: in `kept` (see [`ClntUdp::kept`]) when
 /// there is one, else in a pooled buffer. A kept buffer too small for the
-/// image grows to exactly its length and the growth is counted as the
-/// allocation it is: the buffer will come back carrying a reply, so
-/// `Vec`'s doubling would ratchet both circulating buffers past what
-/// either image needs.
+/// image grows to exactly its length: the buffer will come back carrying
+/// a reply, so `Vec`'s doubling would ratchet both circulating buffers
+/// past what either image needs.
 fn datagram_in(kept: Option<Vec<u8>>, pool: &BufPool, image: &[u8]) -> Vec<u8> {
     let mut dg = match kept {
         Some(mut buf) => {
             buf.clear();
-            if buf.capacity() < image.len() {
-                buf.reserve_exact(image.len());
-                pool.note_alloc();
-            }
+            buf.reserve_exact(image.len());
             buf
         }
         None => pool.take(image.len()),
@@ -784,10 +780,6 @@ impl Transport for ClntUdp {
         if let Some(second) = self.kept.replace(reply) {
             self.pool.put(second);
         }
-    }
-
-    fn wire_allocs(&self) -> u64 {
-        self.pool.allocs()
     }
 }
 
@@ -1516,22 +1508,18 @@ mod tests {
         );
 
         // A consumed reply too small for the next request grows to exactly
-        // that request, and the growth is counted like a pool miss.
+        // that request, without a pool round trip.
         clnt.recycle(Vec::with_capacity(small.len()));
         let sent = send(&mut clnt, &large);
         assert_eq!(sent.capacity(), large.len(), "grown exactly, not doubled");
-        let grown = PoolStats {
-            misses: 1,
-            ..PoolStats::default()
-        };
-        assert_eq!((pool.stats(), clnt.wire_allocs()), (grown, 1));
+        assert_eq!(pool.stats(), PoolStats::default(), "no pool round trip");
 
         // One that fits is used as it is, whichever image is larger.
         let sent_at = sent.as_ptr();
         clnt.recycle(sent);
         let sent = send(&mut clnt, &small);
         assert_eq!((sent.as_ptr(), sent.capacity()), (sent_at, large.len()));
-        assert_eq!(pool.stats(), grown, "no pool round trip");
+        assert_eq!(pool.stats(), PoolStats::default(), "no pool round trip");
 
         // The slot is one deep: of two recycled replies one goes to the
         // pool, and with the slot empty a datagram comes from there.

@@ -17,11 +17,10 @@
 //!   its replay, sub-message and reply-envelope buffers. A one-shard
 //!   deployment draws on the registry's own pool — the one reply images
 //!   that were offered no fitting buffer come from and a pooled client
-//!   recycles into — so a call allocates nothing. (`tests/zero_copy.rs`
-//!   holds with a private pool there too; the envelope path is what needs
-//!   the shared one: a sub-message buffer rarely fits its reply, and on
-//!   `nfs_mix` a registry pool that nothing refills cost 8% of
-//!   `calls_per_s`.)
+//!   recycles into — so a call allocates nothing. (The envelope path is
+//!   what needs the shared one: a sub-message buffer rarely fits its
+//!   reply, and on `nfs_mix` a registry pool that nothing refills cost 8%
+//!   of `calls_per_s`.)
 //! - **`workers_per_shard`** is how many reactor threads each shard runs.
 //!   A worker sweeps its own shard's sockets round-robin, running the
 //!   registered processor on one datagram per socket per visit

@@ -91,11 +91,4 @@ pub trait Transport {
     fn recycle(&mut self, reply: Vec<u8>) {
         let _ = reply;
     }
-
-    /// Cumulative wire-path heap allocations this transport has performed
-    /// (pool misses). Zero in steady state for pooled transports; the
-    /// facade folds the per-call delta into `OpCounts::heap_allocs`.
-    fn wire_allocs(&self) -> u64 {
-        0
-    }
 }

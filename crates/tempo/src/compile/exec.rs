@@ -599,12 +599,6 @@ fn decode_steps(
                     .get_mut(arr as usize)
                     .ok_or(StubError::BadArraySlot(arr))?;
                 let src = wire(buf, displaced(off, off_by), 4 * n as usize)?;
-                // The §3 statically-known size: refilling within an
-                // already-warm capacity moves only the data; growth is a
-                // real heap event the wire-path counter reports.
-                if a.capacity() < n as usize {
-                    counts.heap_allocs += 1;
-                }
                 kernel::fill(a, src);
                 counts.stub_ops += ops as u64;
                 counts.mem_moves += 4 * n as u64;
@@ -670,12 +664,6 @@ fn decode_steps(
                         .arrays
                         .get_mut(arr as usize)
                         .ok_or(StubError::BadArraySlot(arr))?;
-                    // The §3 statically-known size: resizing within an
-                    // already-warm capacity is a pure length store; growth
-                    // is a real heap event the wire-path counter reports.
-                    if a.capacity() < len as usize {
-                        counts.heap_allocs += 1;
-                    }
                     a.resize(len as usize, 0);
                     count_op(counts, 0);
                 }

@@ -196,7 +196,7 @@ fn check(seed: u64) {
     assert!(!fused(&flat));
     assert_eq!(got.wire_len, flat.wire_len, "{case:?}");
 
-    let tally = |c: &OpCounts, extra: u64| (c.stub_ops + extra, c.mem_moves, c.heap_allocs);
+    let tally = |c: &OpCounts, extra: u64| (c.stub_ops + extra, c.mem_moves);
     let array = |rng: &mut Rng| (0..N).map(|_| rng.next() as i32).collect::<Vec<_>>();
     let cuts = [0, 4, got.wire_len / 2, got.wire_len.saturating_sub(1)];
     if case.decode {

@@ -27,11 +27,10 @@ use std::ops::{Add, AddAssign};
 ///   XDR buffer (these also survive; they are why speedup decays for large
 ///   arrays on the IPX, §5 "Marshaling");
 /// * `stub_ops` — micro-ops executed by a compiled specialized stub
-///   (the residual straight-line code of Figure 5);
-/// * `heap_allocs` — wire-path heap acquisitions (buffer allocations and
-///   payload-array growth). The paper's specialized stubs preallocate
-///   exactly once from statically known sizes (§3); with the pooled wire
-///   path this counter must read **zero per call** in steady state.
+///   (the residual straight-line code of Figure 5).
+///
+/// Heap allocations are not an op count: `tests/cost_vector.rs` counts
+/// them process-wide, with a counting global allocator, per workload.
 #[derive(Debug, Default, Clone, Copy, PartialEq, Eq)]
 pub struct OpCounts {
     /// Run-time encode/decode/free dispatches.
@@ -48,9 +47,6 @@ pub struct OpCounts {
     pub mem_moves: u64,
     /// Residual micro-ops executed by specialized stubs.
     pub stub_ops: u64,
-    /// Wire-path heap allocations (buffer acquisitions that missed the
-    /// pool, payload arrays grown beyond their capacity).
-    pub heap_allocs: u64,
 }
 
 impl OpCounts {
@@ -64,7 +60,6 @@ impl OpCounts {
             byteorder_ops: 0,
             mem_moves: 0,
             stub_ops: 0,
-            heap_allocs: 0,
         }
     }
 
@@ -79,7 +74,6 @@ impl OpCounts {
             byteorder_ops: self.byteorder_ops - earlier.byteorder_ops,
             mem_moves: self.mem_moves - earlier.mem_moves,
             stub_ops: self.stub_ops - earlier.stub_ops,
-            heap_allocs: self.heap_allocs - earlier.heap_allocs,
         }
     }
 
@@ -101,7 +95,6 @@ impl Add for OpCounts {
             byteorder_ops: self.byteorder_ops + rhs.byteorder_ops,
             mem_moves: self.mem_moves + rhs.mem_moves,
             stub_ops: self.stub_ops + rhs.stub_ops,
-            heap_allocs: self.heap_allocs + rhs.heap_allocs,
         }
     }
 }
@@ -131,13 +124,11 @@ mod tests {
             byteorder_ops: 5,
             mem_moves: 6,
             stub_ops: 7,
-            heap_allocs: 8,
         };
         let b = a;
         let c = a + b;
         assert_eq!(c.dispatches, 2);
         assert_eq!(c.mem_moves, 12);
-        assert_eq!(c.heap_allocs, 16);
         assert_eq!(
             (
                 c.overflow_checks,
@@ -154,14 +145,11 @@ mod tests {
     fn since_subtracts_fieldwise() {
         let mut later = OpCounts::new();
         later.stub_ops = 10;
-        later.heap_allocs = 3;
         later.mem_moves = 40;
         let mut earlier = OpCounts::new();
         earlier.stub_ops = 4;
-        earlier.heap_allocs = 3;
         let d = later.since(earlier);
         assert_eq!(d.stub_ops, 6);
-        assert_eq!(d.heap_allocs, 0);
         assert_eq!(d.mem_moves, 40);
     }
 

@@ -24,9 +24,8 @@
 //!
 //! The crate also hosts the other side of that comparison: the [`wire`]
 //! module is the **zero-copy lane** the specialized runtime writes
-//! through — a monomorphic [`WireBuf`] with exact-size preallocation, no
-//! `dyn` dispatch anywhere, and allocation/copy accounting folded into
-//! [`OpCounts`].
+//! through — a monomorphic [`WireBuf`] with exact-size preallocation and
+//! no `dyn` dispatch anywhere.
 //!
 //! # Quick example
 //!

@@ -1,7 +1,7 @@
 //! Property test of the zero-copy wire buffer ([`WireBuf`]) against the
 //! interpretive generic lane ([`XdrMem`] behind `dyn XdrStream`): an
 //! image written into a rewound buffer reads back through the generic
-//! decoder, and rewinding never allocates again.
+//! decoder.
 
 use proptest::prelude::*;
 use specrpc_xdr::composite::xdr_array;
@@ -12,8 +12,8 @@ use specrpc_xdr::{WireBuf, XdrStream};
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 
-    /// Round trip through a rewound buffer (no allocation after the first
-    /// exact one), read back by the generic decoder.
+    /// Round trip through a rewound buffer, read back by the generic
+    /// decoder.
     #[test]
     fn wirebuf_rewind_roundtrip(
         first in prop::collection::vec(any::<i32>(), 1..64),
@@ -34,6 +34,5 @@ proptest! {
             prop_assert_eq!(&back, data);
             prop_assert_eq!(dec.getpos(), w.len());
         }
-        prop_assert_eq!(w.counts().heap_allocs, 1, "one exact preallocation");
     }
 }
