@@ -1113,6 +1113,15 @@ mod tests {
         walk
     }
 
+    /// The same fused plan with its kernel unbound, as any change to its
+    /// steps leaves it: the executor runs it step by step.
+    fn unbound(stub: &StubProgram) -> StubProgram {
+        let mut stepped = stub.clone();
+        std::ops::DerefMut::deref_mut(&mut stepped.plan);
+        assert!(stub.has_kernel() && !stepped.has_kernel());
+        stepped
+    }
+
     /// Buffer lengths short of a whole message: every one through the
     /// header, then half and all but one byte.
     fn cuts(wire_len: usize) -> impl Iterator<Item = usize> {
@@ -1137,6 +1146,7 @@ mod tests {
             }),
         ];
         let (prog, walk) = (&stub.program, op_by_op(&stub.program));
+        let stepped = unbound(prog);
         let layout = &stub.layout;
         // Each array as long as the context pins it: the stub carries that
         // many elements and refuses more.
@@ -1162,14 +1172,21 @@ mod tests {
             let what = format!("{what}, {lane} lane");
             let mut walked = vec![0xEEu8; prog.wire_len];
             let (mut cf, mut cw) = (OpCounts::new(), OpCounts::new());
+            let (mut steps, mut cs) = (vec![0xEEu8; prog.wire_len], OpCounts::new());
             let done = run(prog, &mut wire, &args, &mut cf);
             assert!(matches!(done, Ok(Outcome::Done { .. })), "{what}: {done:?}");
             assert_eq!(done, run(&walk, &mut walked, &args, &mut cw), "{what}");
             assert_eq!((&wire, cf), (&walked, cw), "{what}");
+            assert_eq!(done, run(&stepped, &mut steps, &args, &mut cs), "{what}");
+            assert_eq!((&steps, cs), (&walked, cw), "{what}, stepped");
             for cut in cuts(prog.wire_len) {
-                let fused = run(prog, &mut wire.clone()[..cut], &args, &mut OpCounts::new());
-                let walked = run(&walk, &mut walked[..cut], &args, &mut OpCounts::new());
-                assert_same_error(&fused, &walked, &format!("{what}, {cut} B"));
+                let cut_wire = |p: &StubProgram| {
+                    let (mut buf, mut counts) = (vec![0xEEu8; cut], OpCounts::new());
+                    (run(p, &mut buf, &args, &mut counts), buf, counts)
+                };
+                let (fused, walked) = (cut_wire(prog), cut_wire(&walk));
+                assert_same_error(&fused.0, &walked.0, &format!("{what}, {cut} B"));
+                assert_eq!(fused, cut_wire(&stepped), "{what}, {cut} B");
             }
         }
         let bare = StubArgs::new(vec![], args.arrays.clone());
@@ -1198,6 +1215,7 @@ mod tests {
     /// buffer.
     fn check_decode(what: &str, stub: &CompiledStub, wire: &[u8]) {
         let (prog, walk) = (&stub.program, op_by_op(&stub.program));
+        let stepped = unbound(prog);
         let (scalars, arrays) = (stub.layout.scalar_count, stub.layout.array_count);
         let decode = |prog: &StubProgram, wire: &[u8], inlen: usize| {
             let mut out = StubArgs::default();
@@ -1209,6 +1227,11 @@ mod tests {
         let same = |wire: &[u8], inlen: usize, note: &str| {
             let (fused, walked) = (decode(prog, wire, inlen), decode(&walk, wire, inlen));
             assert_eq!(fused, walked, "{what}: {note}");
+            assert_eq!(
+                decode(&stepped, wire, inlen),
+                walked,
+                "{what}: {note}, stepped"
+            );
             fused.0
         };
         let done = same(wire, wire.len(), "the message");
@@ -1246,13 +1269,20 @@ mod tests {
                 decode(&walk, &wire[..cut], wire.len()),
             );
             assert_same_error(&fused.0, &walked.0, &format!("{what}, {cut} B"));
+            assert_eq!(
+                fused,
+                decode(&stepped, &wire[..cut], wire.len()),
+                "{what}, {cut} B"
+            );
         }
     }
 
-    /// The fused plan is exact: every generated stub, run fused and op by
-    /// op, writes the same bytes, decodes the same slots, ends in the same
+    /// The kernel and the fused plan are exact: every generated stub, run
+    /// by its kernel, by the executor over its fused plan and op by op,
+    /// writes the same bytes, decodes the same slots, ends in the same
     /// outcome or error variant and counts the same `OpCounts`, on good
-    /// messages, guards that fail and buffers cut short.
+    /// messages, guards that fail and buffers cut short (where kernel and
+    /// executor also agree on the error itself and the partial writes).
     #[test]
     fn generated_stubs_run_fused_as_their_ops_do_one_by_one() {
         for (what, cp) in generated_procs() {
@@ -1267,33 +1297,40 @@ mod tests {
         }
     }
 
-    /// A generated stub's header is one plan step: an encode plans to the
-    /// header image, at most one element step (a bulk put, or the lone
-    /// store of a one-element array) and `Ret`; a decode to at most four
-    /// steps, the guard prefix first. Echo at 20 elements runs 12 steps
-    /// for its four stubs (43 when the header ran a step per word).
+    /// A generated stub's header is one plan step, and the plan has one of
+    /// four shapes: the header image (`PutImage` or `GetImage`), at most
+    /// one element step (a bulk put, or a decode's fill of the whole
+    /// array), then `Ret`. Each is bound to a kernel. Echo at 20 elements
+    /// runs 12 steps for its four stubs (43 when the header ran a step per
+    /// word).
     #[test]
     fn a_generated_stub_plans_its_header_as_one_step() {
         for (what, cp) in generated_procs() {
-            for stub in [&cp.client_encode, &cp.server_encode] {
+            let stubs = [
+                (&cp.client_encode, true),
+                (&cp.server_encode, true),
+                (&cp.server_decode, false),
+                (&cp.client_decode, false),
+            ];
+            for (stub, encode) in stubs {
                 let plan = &stub.program.plan;
-                let element = |s: &PlanOp| {
-                    matches!(
-                        s,
-                        PlanOp::BulkPut { .. } | PlanOp::Op(StubOp::PutElem { .. })
-                    )
+                let header = |s: &PlanOp| match s {
+                    PlanOp::PutImage { .. } => encode,
+                    PlanOp::GetImage { .. } => !encode,
+                    _ => false,
+                };
+                let element = |s: &PlanOp| match s {
+                    PlanOp::BulkPut { .. } => encode,
+                    PlanOp::BulkFill { .. } => !encode,
+                    _ => false,
                 };
                 let ok = match plan[..] {
-                    [PlanOp::PutImage { .. }, PlanOp::Op(StubOp::Ret { .. })] => true,
-                    [PlanOp::PutImage { .. }, ref e, PlanOp::Op(StubOp::Ret { .. })] => element(e),
+                    [ref h, PlanOp::Op(StubOp::Ret { .. })] => header(h),
+                    [ref h, ref e, PlanOp::Op(StubOp::Ret { .. })] => header(h) && element(e),
                     _ => false,
                 };
                 assert!(ok, "{what}: {plan:?}");
-            }
-            for stub in [&cp.server_decode, &cp.client_decode] {
-                let plan = &stub.program.plan;
-                let header = matches!(plan.first(), Some(PlanOp::GetImage { .. }));
-                assert!(header && plan.len() <= 4, "{what}: {plan:?}");
+                assert!(stub.program.has_kernel(), "{what}: no kernel for {plan:?}");
             }
         }
         let cp = crate::echo::build_echo_proc(20, None).unwrap();

@@ -44,7 +44,6 @@
 //! and any number of clients can share one instance.
 
 use crate::svc::offer_fits;
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Mutex;
 
 /// Default maximum buffers parked in a pool (beyond this, returned
@@ -73,15 +72,20 @@ pub struct PoolStats {
 /// A bounded, thread-safe free list of wire buffers.
 #[derive(Debug)]
 pub struct BufPool {
-    slots: Mutex<Vec<Vec<u8>>>,
+    /// The free list and its counters, under one lock: a take or a put
+    /// that already holds it counts for free.
+    inner: Mutex<Slots>,
     max_slots: usize,
     /// Whether a parked buffer serves a `take` only while an offered one
     /// of its capacity would ([`BufPool::tight`]).
     tight: bool,
-    hits: AtomicU64,
-    misses: AtomicU64,
-    recycled: AtomicU64,
-    overflow_drops: AtomicU64,
+}
+
+/// What [`BufPool`]'s lock guards.
+#[derive(Debug, Default)]
+struct Slots {
+    parked: Vec<Vec<u8>>,
+    stats: PoolStats,
 }
 
 impl Default for BufPool {
@@ -102,13 +106,9 @@ impl BufPool {
     /// least `2 × batch size` for pipelined batched calls).
     pub fn with_max_slots(max_slots: usize) -> Self {
         BufPool {
-            slots: Mutex::new(Vec::new()),
+            inner: Mutex::new(Slots::default()),
             max_slots,
             tight: false,
-            hits: AtomicU64::new(0),
-            misses: AtomicU64::new(0),
-            recycled: AtomicU64::new(0),
-            overflow_drops: AtomicU64::new(0),
         }
     }
 
@@ -142,33 +142,34 @@ impl BufPool {
     /// [`PoolStats::misses`]).
     pub fn take(&self, min_capacity: usize) -> Vec<u8> {
         let recycled = {
-            let mut slots = self.slots.lock().expect("buffer pool lock");
+            let mut inner = self.inner.lock().expect("buffer pool lock");
+            let Slots { parked, stats } = &mut *inner;
             let fits = |b: &Vec<u8>| {
                 b.capacity() >= min_capacity
                     && (!self.tight || offer_fits(b.capacity(), min_capacity))
             };
-            let at = slots
+            let at = parked
                 .iter()
                 .rposition(fits)
-                .or_else(|| slots.iter().rposition(|b| b.capacity() < min_capacity));
-            at.map(|i| slots.swap_remove(i))
+                .or_else(|| parked.iter().rposition(|b| b.capacity() < min_capacity));
+            let recycled = at.map(|i| parked.swap_remove(i));
+            if recycled
+                .as_ref()
+                .is_some_and(|b| b.capacity() >= min_capacity)
+            {
+                stats.hits += 1;
+            } else {
+                stats.misses += 1;
+            }
+            recycled
         };
         match recycled {
-            Some(mut buf) if buf.capacity() >= min_capacity => {
-                self.hits.fetch_add(1, Ordering::Relaxed);
-                buf.clear();
-                buf
-            }
             Some(mut buf) => {
-                self.misses.fetch_add(1, Ordering::Relaxed);
                 buf.clear();
                 buf.reserve(min_capacity);
                 buf
             }
-            None => {
-                self.misses.fetch_add(1, Ordering::Relaxed);
-                Vec::with_capacity(min_capacity)
-            }
+            None => Vec::with_capacity(min_capacity),
         }
     }
 
@@ -179,29 +180,24 @@ impl BufPool {
         if buf.capacity() == 0 {
             return;
         }
-        let mut slots = self.slots.lock().expect("buffer pool lock");
-        if slots.len() < self.max_slots {
-            slots.push(buf);
-            self.recycled.fetch_add(1, Ordering::Relaxed);
+        let mut inner = self.inner.lock().expect("buffer pool lock");
+        if inner.parked.len() < self.max_slots {
+            inner.parked.push(buf);
+            inner.stats.recycled += 1;
         } else {
-            self.overflow_drops.fetch_add(1, Ordering::Relaxed);
+            inner.stats.overflow_drops += 1;
         }
     }
 
     /// Current counter snapshot.
     pub fn stats(&self) -> PoolStats {
-        PoolStats {
-            hits: self.hits.load(Ordering::Relaxed),
-            misses: self.misses.load(Ordering::Relaxed),
-            recycled: self.recycled.load(Ordering::Relaxed),
-            overflow_drops: self.overflow_drops.load(Ordering::Relaxed),
-        }
+        self.inner.lock().expect("buffer pool lock").stats
     }
 
     /// Buffers currently parked in the pool.
     #[cfg(test)]
     pub(crate) fn parked(&self) -> usize {
-        self.slots.lock().expect("buffer pool lock").len()
+        self.inner.lock().expect("buffer pool lock").parked.len()
     }
 }
 

@@ -224,6 +224,9 @@ pub struct ClntUdp {
     coalescer: Option<CallCoalescer>,
     /// Round-trip estimates by procedure word, in first-sample order.
     rtts: Vec<(u32, Rtt)>,
+    /// The generic lane's encoder (`cu_outbuf`): made by the first
+    /// [`ClntUdp::call`] and rewound by every later one.
+    outbuf: Option<XdrMem>,
 }
 
 impl ClntUdp {
@@ -261,6 +264,7 @@ impl ClntUdp {
             drain_buf: VecDeque::new(),
             coalescer: None,
             rtts: Vec::new(),
+            outbuf: None,
         }
     }
 
@@ -715,8 +719,10 @@ impl ClntUdp {
     }
 
     /// `clnt_call`: the generic path. Marshals the call header and the
-    /// arguments through the layered XDR routines, performs the exchange,
-    /// validates the reply header, and unmarshals results.
+    /// arguments through the layered XDR routines into the client's one
+    /// encoder buffer, performs the exchange, validates the reply header,
+    /// and unmarshals results; the reply's buffer carries the next
+    /// datagram ([`Transport::recycle`]).
     pub fn call(
         &mut self,
         proc_: u32,
@@ -724,24 +730,39 @@ impl ClntUdp {
         decode_results: &mut dyn FnMut(&mut dyn XdrStream) -> XdrResult,
     ) -> Result<(), RpcError> {
         let xid = self.next_xid();
-        let mut enc = XdrMem::encoder(UDP_BUF_SIZE);
-        let mut msg = CallHeader::new(xid, self.prog, self.vers, proc_);
-        CallHeader::xdr(&mut enc, &mut msg)?;
-        encode_args(&mut enc)?;
-        self.counts += *enc.counts();
-        let request = enc.into_bytes();
-
-        let reply = self.exchange(&request, xid)?;
-
-        let mut dec = XdrMem::decoder_owned(reply);
-        let hdr = ReplyHeader::decode(&mut dec)?;
-        if let Some(err) = hdr.to_error() {
+        let mut enc = self
+            .outbuf
+            .take()
+            .unwrap_or_else(|| XdrMem::encoder(UDP_BUF_SIZE));
+        enc.reset_encode();
+        let reply = self.call_over(&mut enc, xid, proc_, encode_args);
+        self.outbuf = Some(enc);
+        let mut dec = XdrMem::decoder_owned(reply?);
+        let decoded = ReplyHeader::decode(&mut dec).map(|hdr| match hdr.to_error() {
+            Some(err) => Err(err),
+            None => decode_results(&mut dec).map_err(RpcError::from),
+        });
+        if decoded.is_ok() {
             self.counts += *dec.counts();
-            return Err(err);
         }
-        let r = decode_results(&mut dec);
-        self.counts += *dec.counts();
-        r.map_err(RpcError::from)
+        self.recycle(dec.into_bytes());
+        decoded?
+    }
+
+    /// The encode and exchange of [`ClntUdp::call`], over `enc`.
+    fn call_over(
+        &mut self,
+        enc: &mut XdrMem,
+        xid: u32,
+        proc_: u32,
+        encode_args: &mut dyn FnMut(&mut dyn XdrStream) -> XdrResult,
+    ) -> Result<Vec<u8>, RpcError> {
+        let start = *enc.counts();
+        let mut msg = CallHeader::new(xid, self.prog, self.vers, proc_);
+        CallHeader::xdr(enc, &mut msg)?;
+        encode_args(enc)?;
+        self.counts += enc.counts().since(start);
+        self.exchange(enc.bytes(), xid)
     }
 }
 

@@ -299,8 +299,10 @@ pub(crate) fn xid_of(request: &[u8]) -> Option<u32> {
 /// request datagrams that are not, and gives the buffers of replays,
 /// reply envelopes and the replies that refuse their offer. A coalesced
 /// envelope's sub-messages are dispatched where they lie in its datagram:
-/// none is copied out, none is offered a buffer, and the envelope's own
-/// buffer is pooled once all have run.
+/// none is copied out, a one-way one is offered the buffer its
+/// predecessor's unsent reply left ([`CachedDispatch::spare`]), a sync
+/// one draws its reply from the pool (it leaves with the envelope's), and
+/// the envelope's own buffer is pooled once all have run.
 pub(crate) struct CachedDispatch {
     registry: Arc<SvcRegistry>,
     bufs: Arc<BufPool>,
@@ -317,6 +319,25 @@ pub(crate) struct CachedDispatch {
     /// consumes and one is what the next needs. An envelope's
     /// sub-messages neither take nor fill it.
     parked: Option<Vec<u8>>,
+    /// The last one-way sub-message's reply buffer: that reply is cached,
+    /// never sent, so the buffer is free again at once and is offered to
+    /// the next one-way sub-message. Of it and the reply that refuses it,
+    /// whichever would carry that reply again stays ([`offer_fits`]), so
+    /// a generic fallback's full-size reply buffer never sits here.
+    spare: Option<Vec<u8>>,
+}
+
+/// Where a message's reply is built.
+#[derive(Clone, Copy, PartialEq, Eq)]
+enum Lane {
+    /// A plain datagram's: in the parked buffer, if it fits.
+    Plain,
+    /// An envelope's sync sub-message's, which leaves with the envelope's
+    /// reply: in a pooled buffer.
+    Sync,
+    /// A one-way sub-message's, which is cached and never sent: in the
+    /// spare, if it fits; a replay has nothing to build.
+    OneWay,
 }
 
 impl CachedDispatch {
@@ -330,6 +351,7 @@ impl CachedDispatch {
             bufs,
             cache: DupCache::new(cache_entries),
             parked: None,
+            spare: None,
         }
     }
 
@@ -358,13 +380,18 @@ impl CachedDispatch {
         // The one sync reply an envelope usually carries, and any after it.
         let (mut first, mut more) = (None, Vec::new());
         for (sub, oneway) in parts {
-            let (reply, t, _) = self.run(sub, from, None);
-            total += t;
             if oneway {
                 // The reply is cached for duplicate suppression but never
                 // transmitted — the one-way contract.
-                self.bufs.put(reply);
-            } else if first.is_none() {
+                let mut offer = self.spare.take();
+                let (reply, t, _) = self.run(sub, from, Lane::OneWay, &mut offer);
+                total += t;
+                self.keep_spare(reply, offer);
+                continue;
+            }
+            let (reply, t, _) = self.run(sub, from, Lane::Sync, &mut None);
+            total += t;
+            if first.is_none() {
                 first = Some(reply);
             } else {
                 more.push(reply);
@@ -396,7 +423,7 @@ impl CachedDispatch {
     /// request buffer parked or pooled.
     fn handle_single(&mut self, request: &mut Vec<u8>, from: Addr) -> (Vec<u8>, SimTime) {
         let mut offer = None;
-        let (reply, t, recorded) = self.run(request, from, Some(&mut offer));
+        let (reply, t, recorded) = self.run(request, from, Lane::Plain, &mut offer);
         if recorded {
             // The request datagram just consumed is the next reply image,
             // unless the dispatch left its offer and this buffer would not
@@ -419,34 +446,57 @@ impl CachedDispatch {
         (reply, t)
     }
 
+    /// Of a one-way sub-message's reply and what is left of the spare
+    /// offered to it, keep as the next spare the first that would carry
+    /// that reply again, and pool the rest; a replay built nothing and
+    /// leaves the spare as it was.
+    fn keep_spare(&mut self, reply: Vec<u8>, left: Option<Vec<u8>>) {
+        if reply.capacity() == 0 {
+            self.spare = left;
+            return;
+        }
+        let len = reply.len();
+        for buf in std::iter::once(reply).chain(left) {
+            if self.spare.is_none() && offer_fits(buf.capacity(), len) {
+                self.spare = Some(buf);
+            } else {
+                self.bufs.put(buf);
+            }
+        }
+    }
+
     /// What every message goes through, whether it arrived alone or in an
-    /// envelope: the cache lookup (a recorded reply is replayed), the
-    /// dispatch, and the record; the flag says whether a reply was
-    /// dispatched and recorded. With `offer` given, a message with an xid
-    /// that is not a replay takes the parked buffer into it and offers it
-    /// to the dispatch; what is left of it stays there.
+    /// envelope: the cache lookup (a recorded reply is replayed, or for a
+    /// one-way message dropped), the dispatch, and the record; the flag
+    /// says whether a reply was dispatched and recorded. The dispatch is
+    /// offered `offer`: on the plain lane, a message with an xid that is
+    /// not a replay first takes the parked buffer into it. What the
+    /// dispatch leaves of the offer stays in `offer`.
     fn run(
         &mut self,
         request: &[u8],
         from: Addr,
-        mut offer: Option<&mut Option<Vec<u8>>>,
+        lane: Lane,
+        offer: &mut Option<Vec<u8>>,
     ) -> (Vec<u8>, SimTime, bool) {
+        // A replay is charged only the (cheap) cache lookup, as a fraction
+        // of the dispatch cost.
+        let replayed = SimTime::from_nanos(5_000);
         let xid = xid_of(request);
         if let Some(xid) = xid {
             if let Some(hit) = self.cache.get(xid, from, request) {
-                // Replay from a pooled buffer, charging only the (cheap)
-                // cache lookup as a fraction of the dispatch cost.
+                if lane == Lane::OneWay {
+                    return (Vec::new(), replayed, false);
+                }
                 let mut replay = self.bufs.take(hit.len());
                 replay.extend_from_slice(hit);
-                return (replay, SimTime::from_nanos(5_000), false);
+                return (replay, replayed, false);
             }
-            if let Some(offer) = offer.as_deref_mut() {
+            if lane == Lane::Plain {
                 *offer = self.parked.take();
             }
         }
-        let reply = self
-            .registry
-            .dispatch_offered(request, offer.unwrap_or(&mut None), &self.bufs);
+        let reply = self.registry.dispatch_offered(request, offer, &self.bufs);
         let t = default_proc_time(request.len(), reply.len());
         if let Some(xid) = xid {
             self.cache.record(xid, from, request, &reply);

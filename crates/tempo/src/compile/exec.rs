@@ -1,16 +1,17 @@
 //! Execution of compiled stub programs against real buffers.
 //!
 //! [`run_encode`] and [`run_decode`] are the tight loops the benchmarks
-//! measure. They run the program's fused [`PlanOp`] form: scalar and guard
-//! ops execute one at a time, while contiguous element runs execute as
-//! **bulk block copies** — one bounds check and one byte-swapping pass per
-//! array instead of one dispatch, one slot lookup, and one bounds check
-//! per element. This is the runtime analog of the paper compiling the
-//! residual with `gcc -O2`: the interpretation is gone, only the work the
-//! data requires (byte order + memory movement) remains. Trip-by-trip
-//! interpretation survives only for a loop that is not one contiguous
-//! element run (no generated stub has one) — wire bytes and [`OpCounts`]
-//! are identical either way, which the equivalence tests pin.
+//! measure. The executor runs the program's fused [`PlanOp`] form: scalar
+//! and guard ops execute one at a time, while contiguous element runs
+//! execute as **bulk block copies** — one bounds check and one
+//! byte-swapping pass per array instead of one dispatch, one slot lookup,
+//! and one bounds check per element. This is the runtime analog of the
+//! paper compiling the residual with `gcc -O2`: the interpretation is
+//! gone, only the work the data requires (byte order + memory movement)
+//! remains. Trip-by-trip interpretation survives only for a loop that is
+//! not one contiguous element run (no generated stub has one) — wire bytes
+//! and [`OpCounts`] are identical either way, which the equivalence tests
+//! pin.
 //!
 //! The block copy itself lives in the `kernel` module. On the baseline
 //! x86-64 target the workspace is built for, the swap of each 32-bit word
@@ -33,22 +34,35 @@
 //!
 //! The message header is one step as well: its static words are folded
 //! constants, as in the paper's residual C. An encode's header is a
-//! [`PlanOp::PutImage`]: one bounds check, one copy of the header image
-//! encoded when the program was built, then the dynamic words patched in
-//! (the xid override, argument or result slots). A decode's guard prefix
-//! is a [`PlanOp::GetImage`]: the `inlen` test, one bounds check, every
-//! checked word compared at once (`wire & mask == image`), and one load of
-//! the scalar run through the kernel. So every generated stub is a header
-//! step, at most one bulk step per array and its `Ret`.
+//! [`PlanOp::PutImage`], a copy of the header image encoded when the
+//! program was built with the dynamic words patched in (the xid override,
+//! argument or result slots); a decode's is a [`PlanOp::GetImage`], the
+//! `inlen` test, every checked word compared at once (`wire & mask ==
+//! image`) and the load of every word a scalar takes. So every generated
+//! stub plans to one of four shapes: `PutImage` or `GetImage`, at most
+//! one element step (a bulk put, or a decode's fill of the whole array),
+//! then `Ret`.
 //!
-//! The accounting rule is op-by-op's. An image step that completes counts
-//! what its ops would; one that cannot — a guard fails, the buffer is too
-//! short, a slot is missing — has written nothing and counted nothing, and
-//! runs its ops one by one instead (a cold path), so a `Fallback` carries
-//! the counts of the ops up to the failing guard, and an error its
-//! variant, offset and partial writes.
+//! Those four shapes do not run as plans. [`super::compile`] binds each to
+//! a **kernel** ([`Kernel`]) — the run-time template of the residual
+//! function, one monomorphic function per shape and header width class,
+//! compiled ahead of time like Tempo's pre-compiled templates: one bounds
+//! check for the stub's whole reach, the header copied or compared as two
+//! fixed-width blocks, the patches or the load of the header's scalar run,
+//! the element step through the block kernels, and every op's counts at
+//! once. No step loop, no `Result` per step, no scan of holes or array
+//! bounds, no planning check. The executor stays the reference, the
+//! runner of hand-assembled programs and of any plan that was changed
+//! (a change drops the kernel, [`super::Plan`]), and the fallback: a
+//! kernel that cannot finish — a guard fails, the buffer is too short, a
+//! slot is missing — has stored nothing and hands the whole call to it.
+//!
+//! The accounting rule is op-by-op's. A kernel counts what all its ops
+//! would; the executor runs an image step's ops one by one, so a
+//! `Fallback` carries the counts of the ops up to the failing guard, and
+//! an error its variant, offset and partial writes.
 
-use super::{build_plan, count_op, kernel, rolled, Image, PlanOp, StubOp, StubProgram};
+use super::{build_plan, count_op, kernel, rolled, Image, Plan, PlanOp, StubOp, StubProgram};
 use specrpc_xdr::OpCounts;
 use std::fmt;
 
@@ -195,15 +209,13 @@ fn unplanned(prog: &StubProgram) -> bool {
     prog.plan.is_empty() && !prog.ops.is_empty()
 }
 
-/// `prog` with the plan and images of its ops. Off the hot path: a
-/// program only lacks them if its plan was emptied.
+/// `prog` with the plan of its ops. Off the hot path: a program only
+/// lacks one if its plan was emptied.
 #[cold]
 #[inline(never)]
 fn planned(prog: &StubProgram) -> StubProgram {
-    let (plan, images) = build_plan(&prog.ops);
     StubProgram {
-        plan,
-        images,
+        plan: build_plan(&prog.ops),
         ..prog.clone()
     }
 }
@@ -211,7 +223,7 @@ fn planned(prog: &StubProgram) -> StubProgram {
 /// The image a step indexes.
 #[inline(always)]
 fn image(prog: &StubProgram, at: u32) -> Result<&Image, StubError> {
-    prog.images.get(at as usize).ok_or(StubError::BadLoop)
+    prog.plan.images.get(at as usize).ok_or(StubError::BadLoop)
 }
 
 /// What encoding scalar slot `slot` writes: `xid`, when given, for slot 0,
@@ -265,7 +277,9 @@ pub fn run_encode_after_xid(
 }
 
 /// `xid`, when given, is what scalar slot 0 encodes; every other scalar
-/// slot `s` reads `args.scalars[s - first_slot]`.
+/// slot `s` reads `args.scalars[s - first_slot]`. The program's kernel
+/// runs it whole when it can, the plan executor otherwise.
+#[inline(always)]
 fn encode_inner(
     prog: &StubProgram,
     buf: &mut [u8],
@@ -274,8 +288,26 @@ fn encode_inner(
     first_slot: usize,
     counts: &mut OpCounts,
 ) -> Result<Outcome, StubError> {
+    if let Some(k) = &prog.plan.kernel {
+        if prog.holes.is_empty() && k.encode(buf, args, (xid, first_slot)) {
+            return Ok(k.done(prog, counts));
+        }
+    }
+    execute_encode(prog, buf, args, xid, first_slot, counts)
+}
+
+/// [`encode_inner`] step by step, through the plan.
+#[inline(never)]
+fn execute_encode(
+    prog: &StubProgram,
+    buf: &mut [u8],
+    args: &StubArgs,
+    xid: Option<i32>,
+    first_slot: usize,
+    counts: &mut OpCounts,
+) -> Result<Outcome, StubError> {
     if unplanned(prog) {
-        return encode_inner(&planned(prog), buf, args, xid, first_slot, counts);
+        return execute_encode(&planned(prog), buf, args, xid, first_slot, counts);
     }
     // The bytes no op stores are the stub's to clear. A buffer too short
     // for a hole is reported by the op that falls outside it, as before.
@@ -320,49 +352,6 @@ fn encode_loop(
     })
 }
 
-/// An encode image that cannot be written whole, written op by op.
-#[cold]
-#[inline(never)]
-fn encode_replay(
-    image: &Image,
-    by: (i64, i64),
-    buf: &mut [u8],
-    args: &StubArgs,
-    slots: (Option<i32>, usize),
-    prog: &StubProgram,
-    counts: &mut OpCounts,
-) -> Result<Option<Outcome>, StubError> {
-    encode_steps(&image.replay, by, buf, args, slots, prog, counts)
-}
-
-/// The fast path of a [`PlanOp::PutImage`] at byte `at`: `false`, having
-/// written nothing, if the span leaves `buf` or a slot is missing.
-#[inline(always)]
-fn put_image(
-    buf: &mut [u8],
-    at: usize,
-    image: &Image,
-    args: &StubArgs,
-    slots: (Option<i32>, usize),
-) -> bool {
-    let Ok(dst) = wire_mut(buf, at, image.bytes.len()) else {
-        return false;
-    };
-    let patches = &image.patches;
-    if !patches
-        .iter()
-        .all(|&(_, s)| scalar(args, slots, s).is_some())
-    {
-        return false;
-    }
-    dst.copy_from_slice(&image.bytes);
-    for &(k, s) in patches {
-        let v = scalar(args, slots, s).unwrap_or_default();
-        dst[k..k + 4].copy_from_slice(&v.to_be_bytes());
-    }
-    true
-}
-
 /// Run `plan`, every op displaced by `by` (nothing, unless `plan` is one
 /// op of a loop body in a later trip): the outcome of the op that finished
 /// the run, `None` if it ran off the end.
@@ -378,17 +367,12 @@ fn encode_steps(
     let mut pc = 0usize;
     while pc < plan.len() {
         match plan[pc] {
-            PlanOp::PutImage { off, at } => {
-                let image = image(prog, at)?;
-                if put_image(buf, displaced(off, off_by), image, args, slots) {
-                    counts.stub_ops += image.ops;
-                    counts.mem_moves += image.moves;
-                } else {
-                    let by = (off_by, idx_by);
-                    let done = encode_replay(image, by, buf, args, slots, prog, counts)?;
-                    if done.is_some() {
-                        return Ok(done);
-                    }
+            // A kernel's header; the executor stores its ops one by one.
+            PlanOp::PutImage { at, .. } => {
+                let ops = &image(prog, at)?.replay;
+                let done = encode_steps(ops, (off_by, idx_by), buf, args, slots, prog, counts)?;
+                if done.is_some() {
+                    return Ok(done);
                 }
             }
             PlanOp::BulkPut {
@@ -476,6 +460,8 @@ fn encode_steps(
 }
 
 /// Run a decode stub: reads `buf` (of `inlen` valid bytes), writes `args`.
+/// The program's kernel runs it whole when it can, the plan executor
+/// otherwise.
 pub fn run_decode(
     prog: &StubProgram,
     buf: &[u8],
@@ -483,8 +469,25 @@ pub fn run_decode(
     inlen: usize,
     counts: &mut OpCounts,
 ) -> Result<Outcome, StubError> {
+    if let Some(k) = &prog.plan.kernel {
+        if k.decode(buf, args, inlen) {
+            return Ok(k.done(prog, counts));
+        }
+    }
+    execute_decode(prog, buf, args, inlen, counts)
+}
+
+/// [`run_decode`] step by step, through the plan.
+#[inline(never)]
+fn execute_decode(
+    prog: &StubProgram,
+    buf: &[u8],
+    args: &mut StubArgs,
+    inlen: usize,
+    counts: &mut OpCounts,
+) -> Result<Outcome, StubError> {
     if unplanned(prog) {
-        return run_decode(&planned(prog), buf, args, inlen, counts);
+        return execute_decode(&planned(prog), buf, args, inlen, counts);
     }
     let done = decode_steps(&prog.plan, (0, 0), buf, args, inlen, prog, counts)?;
     let wire_len = prog.wire_len;
@@ -510,43 +513,6 @@ fn decode_loop(
     })
 }
 
-/// The decode-side mirror of [`encode_replay`].
-#[cold]
-#[inline(never)]
-fn decode_replay(
-    image: &Image,
-    by: (i64, i64),
-    buf: &[u8],
-    args: &mut StubArgs,
-    inlen: usize,
-    prog: &StubProgram,
-    counts: &mut OpCounts,
-) -> Result<Option<Outcome>, StubError> {
-    decode_steps(&image.replay, by, buf, args, inlen, prog, counts)
-}
-
-/// The fast path of a [`PlanOp::GetImage`] at byte `at`: `false`, having
-/// loaded nothing, if the `inlen` guard or a word's fails, the span leaves
-/// `buf` or a slot is missing.
-#[inline(always)]
-fn get_image(buf: &[u8], at: usize, image: &Image, args: &mut StubArgs, inlen: usize) -> bool {
-    if image.inlen.is_some_and(|want| want != inlen) {
-        return false;
-    }
-    let Ok(src) = wire(buf, at, image.bytes.len()) else {
-        return false;
-    };
-    let wanted = src.iter().zip(&image.mask).zip(&image.bytes);
-    if wanted.fold(0, |diff, ((w, m), b)| diff | (w & m) ^ b) != 0 {
-        return false;
-    }
-    let Some(dst) = args.scalars.get_mut(image.slots.clone()) else {
-        return false;
-    };
-    kernel::get(dst, &src[..4 * image.slots.len()]);
-    true
-}
-
 /// The decode-side mirror of [`encode_steps`].
 fn decode_steps(
     plan: &[PlanOp],
@@ -560,17 +526,12 @@ fn decode_steps(
     let mut pc = 0usize;
     while pc < plan.len() {
         match plan[pc] {
-            PlanOp::GetImage { off, at } => {
-                let image = image(prog, at)?;
-                if get_image(buf, displaced(off, off_by), image, args, inlen) {
-                    counts.stub_ops += image.ops;
-                    counts.mem_moves += image.moves;
-                } else {
-                    let by = (off_by, idx_by);
-                    let done = decode_replay(image, by, buf, args, inlen, prog, counts)?;
-                    if done.is_some() {
-                        return Ok(done);
-                    }
+            // A kernel's header; the executor runs its ops one by one.
+            PlanOp::GetImage { at, .. } => {
+                let ops = &image(prog, at)?.replay;
+                let done = decode_steps(ops, (off_by, idx_by), buf, args, inlen, prog, counts)?;
+                if done.is_some() {
+                    return Ok(done);
                 }
             }
             PlanOp::BulkGet {
@@ -758,4 +719,294 @@ fn skip_loop(plan: &[PlanOp], pc: usize) -> Result<usize, StubError> {
         }
         _ => Err(StubError::BadLoop),
     }
+}
+
+/// The scalars an encode writes: the xid that stands for slot 0, if
+/// given, and the slot `args.scalars[0]` holds.
+type Slots = (Option<i32>, usize);
+
+/// A kernel's monomorphic function, by direction.
+#[derive(Debug, Clone, Copy)]
+enum Entry {
+    Encode(fn(&Kernel, &mut [u8], &StubArgs, Slots) -> bool),
+    Decode(fn(&Kernel, &[u8], &mut StubArgs, usize) -> bool),
+}
+
+/// The element step a kernel runs after its header: a bulk put of
+/// elements `idx..idx + n` of array `arr` at byte `off` (encode), or the
+/// fill of the whole array from there (decode, `idx` 0).
+#[derive(Debug, Clone, Copy)]
+struct Elem {
+    off: usize,
+    arr: usize,
+    idx: usize,
+    n: usize,
+    /// Encode: the most elements the array may hold (the conventions'
+    /// bound), `usize::MAX` if they set none.
+    limit: usize,
+}
+
+/// A generated stub's whole run as one call: the run-time template of
+/// the residual function, its holes filled per message.
+///
+/// Bound by [`super::compile`] to the plan's shape: a header image step,
+/// at most one element step, then `Ret` — which is every generated stub's
+/// plan. The kernel is one monomorphic function per shape and
+/// header width class ([`Kernel::bind`]): one bounds check for its whole
+/// reach, a copy or masked compare of the header in two fixed-width
+/// blocks, the patches or the load of the header's scalar run, the
+/// element step through the block kernels, and the counts and `Outcome`
+/// of all its ops at once.
+///
+/// It checks everything before it stores anything: a guard that fails, a
+/// buffer too short or a slot or element missing returns `false` having
+/// written nothing, and the caller hands the whole call to the plan
+/// executor, so every outcome, error, partial write and partial count is
+/// the executor's, which are op-by-op's.
+#[derive(Debug, Clone)]
+pub(crate) struct Kernel {
+    entry: Entry,
+    /// The header's byte offset.
+    at: usize,
+    /// The header image and, decoding, its guard mask (empty when nothing
+    /// is checked).
+    bytes: Box<[u8]>,
+    mask: Box<[u8]>,
+    /// Encode: each dynamic word's offset in the header and its slot.
+    patches: Box<[(usize, u16)]>,
+    /// Encode: the lowest and highest slot a patch reads, of all patches
+    /// and of those but slot 0's (which an xid serves when given).
+    slots: Option<(usize, usize)>,
+    slots_but_xid: Option<(usize, usize)>,
+    /// Decode: the header's scalar run — byte offset in the header, first
+    /// slot, word count.
+    loads: (usize, usize, usize),
+    /// Decode: the `inlen` the header's guard wants, if it has one.
+    inlen: Option<usize>,
+    elem: Option<Elem>,
+    /// The end of the furthest byte the stub reaches.
+    end: usize,
+    /// What `Ret` returns, and the ops and bytes all the steps count.
+    ret: i32,
+    ops: u64,
+    moves: u64,
+}
+
+impl Kernel {
+    /// The kernel of `plan`, if it has the shape of a generated stub's: a
+    /// header image of 4 to 255 bytes, then a bulk put (an encode's, of the
+    /// one array `elems` bounds, if it bounds any) or a fill (a decode's)
+    /// or nothing, then `Ret`; a decode's header loads one scalar run.
+    /// `None` otherwise, and the executor runs the plan.
+    pub(crate) fn bind(plan: &Plan, elems: &[(u16, usize)]) -> Option<Kernel> {
+        let (head, elem, ret) = match plan.steps[..] {
+            [head, PlanOp::Op(StubOp::Ret { val })] => (head, None, val),
+            [head, elem, PlanOp::Op(StubOp::Ret { val })] => (head, Some(elem), val),
+            _ => return None,
+        };
+        let (at, image, encode) = match head {
+            PlanOp::PutImage { off, at } => (off, plan.images.get(at as usize)?, true),
+            PlanOp::GetImage { off, at } => (off, plan.images.get(at as usize)?, false),
+            _ => return None,
+        };
+        let elem = match (elem, encode) {
+            (None, _) => None,
+            (
+                Some(PlanOp::BulkPut {
+                    off,
+                    arr,
+                    idx,
+                    n,
+                    ops,
+                }),
+                true,
+            ) => Some((off, arr, idx, n, ops)),
+            (Some(PlanOp::BulkFill { off, arr, n, ops }), false) => Some((off, arr, 0, n, ops)),
+            _ => return None,
+        };
+        // An encode refuses an array longer than its conventions' bound:
+        // the kernel holds that bound for its own array, and no other.
+        let mut limit = usize::MAX;
+        for &(arr, n) in elems.iter().filter(|_| encode) {
+            match elem {
+                Some((_, a, ..)) if a == arr => limit = limit.min(n),
+                _ => return None,
+            }
+        }
+        let (at, len) = (at as usize, image.bytes.len());
+        let mut end = at.checked_add(len)?;
+        let (mut ops, mut moves) = (image.ops + 1, image.moves);
+        let elem = match elem {
+            Some((off, arr, idx, n, o)) => {
+                let (off, idx, n) = (off as usize, idx as usize, n as usize);
+                idx.checked_add(n)?;
+                end = end.max(off.checked_add(n.checked_mul(4)?)?);
+                (ops, moves) = (ops + o as u64, moves + 4 * n as u64);
+                let arr = arr as usize;
+                Some(Elem {
+                    off,
+                    arr,
+                    idx,
+                    n,
+                    limit,
+                })
+            }
+            None => None,
+        };
+        let patched = |but_xid: bool| {
+            let slots = image.patches.iter().map(|&(_, s)| s as usize);
+            let slots = slots.filter(move |&s| !(but_xid && s == 0));
+            slots.clone().min().zip(slots.max())
+        };
+        // A decode's loads are one run: word k of it into slot `first + k`.
+        let loads = match image.patches[..] {
+            [(from, first), ..] if !encode => {
+                let run = (image.patches.iter().enumerate())
+                    .all(|(k, &(o, s))| o == from + 4 * k && s as usize == first as usize + k);
+                if !run {
+                    return None;
+                }
+                (from, first as usize, image.patches.len())
+            }
+            _ => (0, 0, 0),
+        };
+        // The header's width class: `B <= len < 2B`.
+        macro_rules! by_width {
+            ($run:ident) => {
+                match len.checked_ilog2()? {
+                    2 => $run::<4>,
+                    3 => $run::<8>,
+                    4 => $run::<16>,
+                    5 => $run::<32>,
+                    6 => $run::<64>,
+                    7 => $run::<128>,
+                    _ => return None,
+                }
+            };
+        }
+        let entry = if encode {
+            Entry::Encode(by_width!(encode_with))
+        } else {
+            Entry::Decode(by_width!(decode_with))
+        };
+        Some(Kernel {
+            entry,
+            at,
+            bytes: image.bytes.clone().into(),
+            mask: image.mask.clone().into(),
+            patches: image.patches.clone().into(),
+            slots: patched(false),
+            slots_but_xid: patched(true),
+            loads,
+            inlen: image.inlen,
+            elem,
+            end,
+            ret,
+            ops,
+            moves,
+        })
+    }
+
+    /// Run as an encode: `false`, having written nothing, unless it ran.
+    #[inline(always)]
+    fn encode(&self, buf: &mut [u8], args: &StubArgs, slots: Slots) -> bool {
+        match self.entry {
+            Entry::Encode(run) => run(self, buf, args, slots),
+            Entry::Decode(_) => false,
+        }
+    }
+
+    /// Run as a decode: `false`, having loaded nothing, unless it ran.
+    #[inline(always)]
+    fn decode(&self, buf: &[u8], args: &mut StubArgs, inlen: usize) -> bool {
+        match self.entry {
+            Entry::Decode(run) => run(self, buf, args, inlen),
+            Entry::Encode(_) => false,
+        }
+    }
+
+    /// Count what a run did, and its outcome.
+    #[inline(always)]
+    fn done(&self, prog: &StubProgram, counts: &mut OpCounts) -> Outcome {
+        counts.stub_ops += self.ops;
+        counts.mem_moves += self.moves;
+        let wire_len = prog.wire_len;
+        Outcome::Done {
+            ret: self.ret,
+            wire_len,
+        }
+    }
+}
+
+/// The encode kernel of a header of `B..2B` bytes.
+fn encode_with<const B: usize>(
+    k: &Kernel,
+    buf: &mut [u8],
+    args: &StubArgs,
+    (xid, first): Slots,
+) -> bool {
+    let Some(wire) = buf.get_mut(..k.end) else {
+        return false;
+    };
+    let slots = if xid.is_some() {
+        k.slots_but_xid
+    } else {
+        k.slots
+    };
+    if slots.is_some_and(|(lo, hi)| lo < first || hi - first >= args.scalars.len()) {
+        return false;
+    }
+    let elements = match k.elem {
+        None => None,
+        Some(e) => match args.arrays.get(e.arr) {
+            Some(a) if a.len() <= e.limit => match a.get(e.idx..e.idx + e.n) {
+                Some(src) => Some((e, src)),
+                None => return false,
+            },
+            _ => return false,
+        },
+    };
+    let head = &mut wire[k.at..k.at + k.bytes.len()];
+    kernel::put_header::<B>(head, &k.bytes);
+    for &(off, slot) in k.patches.iter() {
+        let v = match xid {
+            Some(x) if slot == 0 => x,
+            _ => args.scalars[slot as usize - first],
+        };
+        head[off..off + 4].copy_from_slice(&v.to_be_bytes());
+    }
+    if let Some((e, src)) = elements {
+        kernel::put(&mut wire[e.off..e.off + 4 * e.n], src);
+    }
+    true
+}
+
+/// The decode kernel of a header of `B..2B` bytes.
+fn decode_with<const B: usize>(k: &Kernel, buf: &[u8], args: &mut StubArgs, inlen: usize) -> bool {
+    if k.inlen.is_some_and(|want| want != inlen) {
+        return false;
+    }
+    let Some(wire) = buf.get(..k.end) else {
+        return false;
+    };
+    let head = &wire[k.at..k.at + k.bytes.len()];
+    if !k.mask.is_empty() && kernel::differs::<B>(head, &k.bytes, &k.mask) {
+        return false;
+    }
+    let (from, first, n) = k.loads;
+    let Some(dst) = args.scalars.get_mut(first..first + n) else {
+        return false;
+    };
+    let fill = match k.elem {
+        None => None,
+        Some(e) => match args.arrays.get_mut(e.arr) {
+            Some(a) => Some((a, &wire[e.off..e.off + 4 * e.n])),
+            None => return false,
+        },
+    };
+    kernel::get(dst, &head[from..from + 4 * n]);
+    if let Some((a, src)) = fill {
+        kernel::fill(a, src);
+    }
+    true
 }

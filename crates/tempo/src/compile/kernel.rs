@@ -1,5 +1,6 @@
-//! The byte-swapping block kernels behind the executor's bulk plan steps,
-//! compiled for the machine they run on.
+//! The byte-swapping block kernels behind the bulk plan steps, compiled
+//! for the machine they run on, and the fixed-width header blocks the
+//! whole-stub kernels copy and compare ([`put_header`], [`differs`]).
 //!
 //! Each direction has **one** safe source loop ([`swap_into`] for encode,
 //! [`swapped`] for decode). The workspace is built for baseline x86-64,
@@ -130,6 +131,30 @@ pub(super) fn fill(dst: &mut Vec<i32>, src: &[u8]) {
         return unsafe { avx2::fill(dst, src) };
     }
     fill_portable(dst, src);
+}
+
+/// Copy a header image of `B..=2B` bytes into `dst`, as long, as two
+/// fixed `B`-byte blocks — the first and the last, overlapping unless the
+/// image is `2B` long — so the copy is a few vector moves, with no loop
+/// over the length and no `memcpy` call.
+#[inline(always)]
+pub(super) fn put_header<const B: usize>(dst: &mut [u8], image: &[u8]) {
+    let tail = image.len() - B;
+    dst[..B].copy_from_slice(&image[..B]);
+    dst[tail..tail + B].copy_from_slice(&image[tail..tail + B]);
+}
+
+/// Whether `wire` differs from `want` under `mask` (all three of
+/// `B..=2B` bytes, and as long), compared in the blocks
+/// [`put_header`] copies.
+#[inline(always)]
+pub(super) fn differs<const B: usize>(wire: &[u8], want: &[u8], mask: &[u8]) -> bool {
+    let block = |at: usize| {
+        let (w, m, b) = (&wire[at..at + B], &mask[at..at + B], &want[at..at + B]);
+        let bytes = w.iter().zip(m).zip(b);
+        bytes.fold(0u8, |diff, ((w, m), b)| diff | ((w & m) ^ b))
+    };
+    block(0) | block(want.len() - B) != 0
 }
 
 #[cfg(test)]

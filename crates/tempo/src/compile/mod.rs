@@ -27,7 +27,10 @@
 //! are arithmetic over (templates, trips, bound). What *runs* is the plan:
 //! a loop over one contiguous element store becomes a single bulk kernel
 //! call, any other loop is iterated by the executor, and the message
-//! header is one step over an image built with the plan ([`PlanOp`]).
+//! header is one step over an image built with the plan ([`PlanOp`]). A
+//! generated stub's plan — a header step, at most one element step, `Ret`
+//! — is bound to a whole-stub kernel that runs it in one call
+//! ([`StubProgram::has_kernel`]).
 
 use crate::ir::{BinOp, Expr, Function, LValue, Program, Stmt, Type, UnOp, VarId};
 use specrpc_xdr::OpCounts;
@@ -40,6 +43,7 @@ mod kernel;
 #[cfg(test)]
 mod tests;
 
+use exec::Kernel;
 pub use exec::{
     run_decode, run_encode, run_encode_after_xid, run_encode_with_xid, Outcome, StubArgs, StubError,
 };
@@ -254,19 +258,17 @@ fn rolled(times: u32, unroll: u32) -> bool {
 /// a run of `PutImm` / `PutScalar` over consecutive words is a
 /// [`PlanOp::PutImage`] (copy the words encoded at build time, patch the
 /// dynamic ones), and a decode's guard prefix — `LenGuard`, a `GetScalar`
-/// run, the `CheckScalar`s and `CheckWord`s on those words — is a
-/// [`PlanOp::GetImage`] (one load, the static words compared at once). The
-/// images live beside the plan on the [`StubProgram`], so a step stays
-/// small and `Copy`.
+/// run, the `CheckScalar`s and `CheckWord`s on those words, then the
+/// `GetScalar`s of the words after them — is a [`PlanOp::GetImage`] (the
+/// static words compared at once, then every loaded word loaded). That is
+/// how a stub's kernel runs the step; the executor runs the ops it stands
+/// for one by one. The images live beside the steps in the [`Plan`], so a
+/// step stays small and `Copy`.
 ///
 /// Fusion is purely a representation change — wire bytes, decoded slots,
 /// [`Outcome`] and [`OpCounts`] accounting are identical to executing the
-/// underlying ops one by one. An image step that cannot finish on its fast
-/// path (a guard that fails, a buffer too short, a slot missing) runs the
-/// ops it stands for one by one instead, so a `Fallback` counts exactly
-/// the ops before it and an error leaves exactly op-by-op's partial
-/// writes. A bulk step that fails reports the offset of the fused run's
-/// start, not of the element that fell outside.
+/// underlying ops one by one. A bulk step that fails reports the offset of
+/// the fused run's start, not of the element that fell outside.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum PlanOp {
     /// A single micro-op, executed exactly as the interpreter would.
@@ -316,9 +318,9 @@ pub enum PlanOp {
         ops: u32,
     },
     /// Two or more `PutImm` / `PutScalar` ops over consecutive words from
-    /// `off`: one bounds check, one copy of the pre-encoded image (static
-    /// words in wire order, zeros where a scalar goes), then each dynamic
-    /// word patched in. Top-level only.
+    /// `off`: in a kernel, one copy of the pre-encoded image (static words
+    /// in wire order, zeros where a scalar goes), then each dynamic word
+    /// patched in. Top-level only.
     PutImage {
         /// Buffer byte offset of the first word.
         off: u32,
@@ -326,11 +328,12 @@ pub enum PlanOp {
         at: u32,
     },
     /// Two or more of an optional `LenGuard`, a `GetScalar` run over
-    /// consecutive words from `off` and slots, and `CheckScalar`s /
-    /// `CheckWord`s on words of that span (a `CheckWord` may extend it by
-    /// the word after it): one bounds check, the static words compared
-    /// against the image under a mask in one pass, one load of the run
-    /// into its slots. Top-level only.
+    /// consecutive words from `off` and slots, `CheckScalar`s /
+    /// `CheckWord`s on words of that span, then `GetScalar`s of words of
+    /// the span (a `CheckWord` or a later `GetScalar` may extend it by the
+    /// word after it): in a kernel, the static words compared against the
+    /// image under a mask in one pass, then each loaded word loaded into
+    /// its slot. Top-level only.
     GetImage {
         /// Buffer byte offset of the first word.
         off: u32,
@@ -350,20 +353,17 @@ pub(crate) struct Image {
     /// the guards pass exactly when `wire & mask == bytes`. Empty when
     /// nothing is checked.
     mask: Vec<u8>,
-    /// Encode: each dynamic word's byte offset in the span and the scalar
-    /// slot it reads.
+    /// Each dynamic word's byte offset in the span and its scalar slot,
+    /// in op order: the slot an encode writes there, or the slot a decode
+    /// loads it into.
     patches: Vec<(usize, u16)>,
-    /// Decode: the scalar slots the span's first words are loaded into.
-    slots: Range<usize>,
     /// Decode: the `inlen` the step's `LenGuard` wants, if it has one.
     inlen: Option<usize>,
-    /// The stub ops the step stands for, counted when all of them run.
+    /// The stub ops the step stands for.
     ops: u64,
     /// The bytes those ops move.
     moves: u64,
-    /// Those ops, one plan step each: what runs instead whenever the fast
-    /// path cannot finish, so that outcome, errors, partial writes and
-    /// partial counts are op-by-op's.
+    /// Those ops, one plan step each: what the executor runs.
     replay: Vec<PlanOp>,
 }
 
@@ -400,10 +400,12 @@ impl Image {
     }
 
     /// The image of the guard prefix at the start of `ops` — an optional
-    /// `LenGuard`, a `GetScalar` run, then `CheckScalar`s of slots that
-    /// run loaded and `CheckWord`s on its words or the word after them —
-    /// and how many ops it covers; `None` under two. A second check of
-    /// one word against another value ends the prefix.
+    /// `LenGuard`, a `GetScalar` run, `CheckScalar`s of slots that run
+    /// loaded and `CheckWord`s on its words or the word after them, then
+    /// `GetScalar`s of words it spans or of the word after them — and how
+    /// many ops it covers; `None` under two. A second check of one word
+    /// against another value ends the prefix, and so does a check after a
+    /// load of the tail.
     fn get(ops: &[StubOp]) -> Option<(u32, usize, Image)> {
         let inlen = match ops.first() {
             Some(&StubOp::LenGuard { expected }) => Some(expected as usize),
@@ -417,6 +419,11 @@ impl Image {
         };
         i += loaded;
         let (mut wants, mut moves) = (vec![None; loaded], 4 * loaded as u64);
+        // The word `at` falls on: one the span holds, or the one after it.
+        let word_at = |at: u32, off: u32, held: usize| {
+            let word = at.checked_sub(off).filter(|r| r % 4 == 0)? as usize / 4;
+            (word <= held).then_some(word)
+        };
         loop {
             let (word, want, moved) = match ops.get(i) {
                 Some(&StubOp::CheckScalar { slot, want })
@@ -425,25 +432,34 @@ impl Image {
                     (slot as usize - first, want, 0)
                 }
                 Some(&StubOp::CheckWord { off: at, want }) => {
-                    let rel = at.checked_sub(*off.get_or_insert(at));
-                    let Some(word) = rel.filter(|r| r % 4 == 0).map(|r| r as usize / 4) else {
-                        break;
-                    };
-                    if word > wants.len() {
-                        break;
+                    match word_at(at, *off.get_or_insert(at), wants.len()) {
+                        Some(word) => (word, want, 4),
+                        None => break,
                     }
-                    if word == wants.len() {
-                        wants.push(None);
-                    }
-                    (word, want, 4)
                 }
                 _ => break,
             };
+            if word == wants.len() {
+                wants.push(None);
+            }
             match wants[word] {
                 Some(held) if held != want => break,
                 _ => wants[word] = Some(want),
             }
             moves += moved;
+            i += 1;
+        }
+        let mut patches: Vec<(usize, u16)> =
+            (0..loaded).map(|k| (4 * k, (first + k) as u16)).collect();
+        while let (Some(&StubOp::GetScalar { off: at, slot }), Some(off)) = (ops.get(i), off) {
+            let Some(word) = word_at(at, off, wants.len()) else {
+                break;
+            };
+            if word == wants.len() {
+                wants.push(None);
+            }
+            patches.push((4 * word, slot));
+            moves += 4;
             i += 1;
         }
         if i < 2 {
@@ -460,7 +476,7 @@ impl Image {
                 .flat_map(|w| [if w.is_some() { 0xFF } else { 0 }; 4])
                 .collect();
         }
-        (image.slots, image.inlen, image.moves) = (first..first + loaded, inlen, moves);
+        (image.patches, image.inlen, image.moves) = (patches, inlen, moves);
         Some((off?, i, image))
     }
 
@@ -470,12 +486,64 @@ impl Image {
             bytes: Vec::new(),
             mask: Vec::new(),
             patches: Vec::new(),
-            slots: 0..0,
             inlen: None,
             ops: ops.len() as u64,
             moves: 0,
             replay: ops.iter().copied().map(PlanOp::Op).collect(),
         }
+    }
+}
+
+/// A program's execution plan: the fused [`PlanOp`] steps the executor
+/// runs, the images its image steps index, and the whole-stub kernel
+/// bound to both when they were built (see [`StubProgram::has_kernel`]).
+///
+/// It reads as the slice of its steps. Any way of changing them — a
+/// mutable borrow, or a plan collected from steps — leaves a plan with no
+/// kernel, which the executor runs: a kernel is only ever valid for the
+/// plan it was bound to.
+#[derive(Clone, Default)]
+pub struct Plan {
+    steps: Vec<PlanOp>,
+    images: Vec<Image>,
+    kernel: Option<Kernel>,
+}
+
+impl std::ops::Deref for Plan {
+    type Target = [PlanOp];
+
+    fn deref(&self) -> &[PlanOp] {
+        &self.steps
+    }
+}
+
+impl std::ops::DerefMut for Plan {
+    fn deref_mut(&mut self) -> &mut [PlanOp] {
+        self.kernel = None;
+        &mut self.steps
+    }
+}
+
+impl FromIterator<PlanOp> for Plan {
+    fn from_iter<I: IntoIterator<Item = PlanOp>>(steps: I) -> Plan {
+        Plan {
+            steps: steps.into_iter().collect(),
+            ..Plan::default()
+        }
+    }
+}
+
+/// Two plans are equal when their steps and images are: the kernel is
+/// derived from them.
+impl PartialEq for Plan {
+    fn eq(&self, other: &Plan) -> bool {
+        (&self.steps, &self.images) == (&other.steps, &other.images)
+    }
+}
+
+impl fmt::Debug for Plan {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_list().entries(&self.steps).finish()
     }
 }
 
@@ -486,13 +554,10 @@ pub struct StubProgram {
     /// length follows the message's shape. The code of Tables 3 and 4 is
     /// what it models ([`StubProgram::len`]), not how long it is.
     pub ops: Vec<StubOp>,
-    /// The fused monomorphic plan the executor actually runs (built once
-    /// at compile time from `ops`; when emptied, the executor plans the
-    /// program on the fly).
-    pub plan: Vec<PlanOp>,
-    /// The images the plan's [`PlanOp::PutImage`] / [`PlanOp::GetImage`]
-    /// steps index, built with it.
-    images: Vec<Image>,
+    /// The fused monomorphic plan the executor runs, built once at compile
+    /// time from `ops` (when emptied, the executor plans the program on
+    /// the fly), with the kernel that runs it whole.
+    pub plan: Plan,
     /// Total wire bytes the stub reads/writes.
     pub wire_len: usize,
     /// For an encode stub, the byte ranges of `0..wire_len` that no `Put*`
@@ -515,20 +580,28 @@ impl StubProgram {
     /// Build a program from raw ops, deriving the wire length, the fused
     /// execution plan and the image's unwritten ranges. Never panics: a
     /// malformed loop is planned verbatim and reported by the executor as
-    /// [`StubError::BadLoop`].
+    /// [`StubError::BadLoop`]. The executor runs it: only [`compile`]
+    /// binds a kernel.
     pub fn from_ops(ops: Vec<StubOp>, name: String) -> Self {
         let wire_len = wire_len(&ops);
-        let (plan, images) = build_plan(&ops);
-        let holes = holes(&plan, &images, wire_len);
+        let plan = build_plan(&ops);
+        let holes = holes(&plan, wire_len);
         StubProgram {
             ops,
             plan,
-            images,
             wire_len,
             holes,
             elems: Vec::new(),
             name,
         }
+    }
+
+    /// Whether the program runs as one whole-stub kernel call rather than
+    /// step by step: every stub `rpcgen` + Tempo generate does, until its
+    /// plan is changed ([`compile`] binds the kernel; a program built
+    /// from ops alone has none).
+    pub fn has_kernel(&self) -> bool {
+        self.plan.kernel.is_some()
     }
 
     /// Number of ops in the residual code the stub models (the Table 3/4
@@ -594,7 +667,8 @@ impl fmt::Display for CompileError {
 
 impl std::error::Error for CompileError {}
 
-/// Compile a residual function into a stub program.
+/// Compile a residual function into a stub program, bound to the kernel
+/// of its plan's shape if it has one of the four a generated stub has.
 pub fn compile(
     prog: &Program,
     f: &Function,
@@ -625,10 +699,12 @@ pub fn compile(
         FieldTarget::Array(arr) => Some((arr, field.slot_len)),
         _ => None,
     });
-    Ok(StubProgram {
+    let mut stub = StubProgram {
         elems: elems.collect(),
         ..StubProgram::from_ops(c.ops, f.name.clone())
-    })
+    };
+    stub.plan.kernel = Kernel::bind(&stub.plan, &stub.elems);
+    Ok(stub)
 }
 
 struct Compiler<'a> {
@@ -1301,51 +1377,56 @@ fn scalar_run_len(ops: &[StubOp]) -> usize {
 
 /// Map a program to the monomorphic execution plan, op for op: a loop
 /// that is one contiguous element run becomes a bulk op covering all its
-/// trips (with the `SetArrLen` before it, a [`PlanOp::BulkFill`]), any
-/// other loop is kept verbatim for the executor to iterate, and a run of
-/// header puts or a guard prefix becomes an image step, its image pushed
-/// on the table returned beside the plan. Set-up work: inlined into the
-/// executors (which plan an emptied program on the fly) it costs every run
-/// of every stub a larger frame, hence never.
+/// trips (with the `SetArrLen` before it, a [`PlanOp::BulkFill`]), and so
+/// does a lone element store, a run of one; any other loop is kept
+/// verbatim for the executor to iterate, and a run of header puts or a
+/// guard prefix becomes an image step, its image pushed on the plan's
+/// table. Set-up work: inlined into the executors (which plan an emptied
+/// program on the fly) it costs every run of every stub a larger frame,
+/// hence never.
 #[inline(never)]
-pub(crate) fn build_plan(ops: &[StubOp]) -> (Vec<PlanOp>, Vec<Image>) {
-    let (mut plan, mut images) = (Vec::new(), Vec::new());
+pub(crate) fn build_plan(ops: &[StubOp]) -> Plan {
+    let mut plan = Plan::default();
+    let Plan { steps, images, .. } = &mut plan;
     let mut i = 0;
     while i < ops.len() {
         if let StubOp::Loop { times, unroll, .. } = ops[i] {
             let Some(end) = loop_end(ops, i) else {
                 // Malformed loop structure: keep everything verbatim so the
                 // executor reports the same BadLoop the interpreter would.
-                plan.extend(ops[i..].iter().copied().map(PlanOp::Op));
-                return (plan, images);
+                steps.extend(ops[i..].iter().copied().map(PlanOp::Op));
+                break;
             };
             // What iterating it costs: one op per trip, plus the header
             // when the modeled code has one.
             let cost = times.checked_add(rolled(times, unroll) as u32);
             match (Run::of_loop(&ops[i..]), cost) {
-                (Some(run), Some(cost)) => run.plan(cost, &mut plan),
+                (Some(run), Some(cost)) => run.plan(cost, steps),
                 // Copy loop + body + EndLoop verbatim: `body` keeps meaning
                 // "plan steps" because nothing inside is fused.
-                _ => plan.extend(ops[i..=end].iter().copied().map(PlanOp::Op)),
+                _ => steps.extend(ops[i..=end].iter().copied().map(PlanOp::Op)),
             }
             i = end + 1;
             continue;
         }
         let at = images.len() as u32;
         if let Some((off, n, image)) = Image::put(&ops[i..]) {
-            plan.push(PlanOp::PutImage { off, at });
+            steps.push(PlanOp::PutImage { off, at });
             images.push(image);
             i += n;
         } else if let Some((off, n, image)) = Image::get(&ops[i..]) {
-            plan.push(PlanOp::GetImage { off, at });
+            steps.push(PlanOp::GetImage { off, at });
             images.push(image);
             i += n;
+        } else if let Some(run) = Run::of_elem(&ops[i]) {
+            run.plan(1, steps);
+            i += 1;
         } else {
-            plan.push(PlanOp::Op(ops[i]));
+            steps.push(PlanOp::Op(ops[i]));
             i += 1;
         }
     }
-    (plan, images)
+    plan
 }
 
 /// Index of the `EndLoop` closing the `Loop` at `ops[i]`, or `None` when
@@ -1387,11 +1468,13 @@ fn wire_len(ops: &[StubOp]) -> usize {
 /// to be the stub's alone. Stores inside a verbatim loop are not counted
 /// (their range is zeroed, then written: correct, merely not free); a plan
 /// without any put at all (a decode stub) has no holes.
-fn holes(plan: &[PlanOp], images: &[Image], wire_len: usize) -> Vec<Range<usize>> {
+fn holes(plan: &Plan, wire_len: usize) -> Vec<Range<usize>> {
     // First byte and word count a step stores.
     let stored = |step: &PlanOp| match *step {
         PlanOp::BulkPut { off, n, .. } => Some((off, n)),
-        PlanOp::PutImage { off, at } => Some((off, (images[at as usize].bytes.len() / 4) as u32)),
+        PlanOp::PutImage { off, at } => {
+            Some((off, (plan.images[at as usize].bytes.len() / 4) as u32))
+        }
         PlanOp::Op(
             StubOp::PutImm { off, .. }
             | StubOp::PutScalar { off, .. }

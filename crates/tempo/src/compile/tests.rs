@@ -613,8 +613,8 @@ fn chunked_plan_merges_loop_and_remainder_into_one_step() {
     }));
     let dec = compile(&p, &msg_decode(sid, n), &conv, opts).unwrap();
     assert_eq!(
-        dec.plan,
-        vec![
+        dec.plan[..],
+        [
             // LenGuard, three GetScalars and the CheckWord after them.
             PlanOp::GetImage { off: 0, at: 0 },
             // SetArrLen + loop header + 20 elements.
@@ -804,7 +804,7 @@ fn scalar_run_reports_the_first_missing_slot() {
         })
         .collect();
     let stub = StubProgram::from_ops(ops, "header".into());
-    assert_eq!(stub.plan, vec![PlanOp::GetImage { off: 0, at: 0 }]);
+    assert_eq!(stub.plan[..], [PlanOp::GetImage { off: 0, at: 0 }]);
     let wire = [0u8; 16];
     for walk in [stub.clone(), op_by_op(&stub)] {
         let mut out = StubArgs::new(vec![0; 2], vec![]);
@@ -854,7 +854,7 @@ fn a_put_run_inside_a_verbatim_loop_stays_unfused() {
 
     let args = StubArgs::new(vec![-2, 9], vec![]);
     let mut emptied = stub.clone();
-    emptied.plan.clear();
+    emptied.plan = Plan::default();
     let mut want = [0u8; 32];
     for (k, word) in want.chunks_exact_mut(4).enumerate() {
         let v: i32 = [-2, 9][k / 6];
@@ -891,8 +891,8 @@ fn a_guard_prefix_ends_at_a_check_the_image_cannot_hold() {
     ];
     let stub = StubProgram::from_ops(ops, "conflict".into());
     assert_eq!(
-        stub.plan,
-        vec![
+        stub.plan[..],
+        [
             PlanOp::GetImage { off: 0, at: 0 },
             PlanOp::Op(StubOp::CheckWord { off: 0, want: 2 }),
             PlanOp::Op(StubOp::Ret { val: 1 }),
@@ -1272,4 +1272,277 @@ fn conversions_are_checked_not_wrapped() {
     })
     .unwrap_err();
     assert!(matches!(err, CompileError::Unsupported(_)), "{err:?}");
+}
+
+// ---------------------------------------------------------------------
+// Whole-stub kernels: bound by `compile`, dropped by any change to the
+// plan, and exactly the executor's outcome, bytes, slots and counts.
+// ---------------------------------------------------------------------
+
+/// `stub` with the kernel of its plan bound, as `compile` binds it.
+fn bound(mut stub: StubProgram) -> StubProgram {
+    stub.plan.kernel = Kernel::bind(&stub.plan, &stub.elems);
+    stub
+}
+
+/// The same plan with its kernel unbound, as any change to its steps
+/// leaves it: the executor runs it step by step.
+fn stepped(stub: &StubProgram) -> StubProgram {
+    let mut stepped = stub.clone();
+    std::ops::DerefMut::deref_mut(&mut stepped.plan);
+    stepped
+}
+
+#[test]
+fn compile_binds_a_kernel_that_any_change_to_the_plan_drops() {
+    let n = 20;
+    let (p, sid) = msg_prog(n);
+    let opts = CompileOptions::default();
+    let enc = compile(&p, &msg_encode(sid, n), &msg_conv(n), opts).unwrap();
+    let dec = compile(&p, &msg_decode(sid, n), &msg_conv(n), opts).unwrap();
+    assert!(enc.has_kernel() && dec.has_kernel());
+    assert!(enc.clone().has_kernel(), "a clone has the same plan");
+    let hand = StubProgram::from_ops(enc.ops.clone(), "hand".into());
+    assert!(
+        !hand.has_kernel(),
+        "the executor runs a hand-assembled program"
+    );
+    assert!(!stepped(&enc).has_kernel());
+    let mut collected = enc.clone();
+    collected.plan = enc.plan.iter().copied().collect();
+    assert!(!collected.has_kernel());
+    let mut emptied = enc.clone();
+    emptied.plan = Plan::default();
+    assert!(!emptied.has_kernel());
+
+    // However it runs, the message is the same.
+    let args = StubArgs::new(vec![5, -6, 0], vec![(0..n as i32).collect()]);
+    let mut want = vec![0u8; enc.wire_len];
+    let mut counts = OpCounts::new();
+    run_encode(&enc, &mut want, &args, &mut counts).unwrap();
+    for other in [hand, stepped(&enc), emptied, op_by_op(&enc)] {
+        let (mut wire, mut c) = (vec![0xEEu8; enc.wire_len], OpCounts::new());
+        run_encode(&other, &mut wire, &args, &mut c).unwrap();
+        assert_eq!((wire, tally(&c)), (want.clone(), tally(&counts)));
+    }
+}
+
+#[test]
+fn a_lone_element_plans_as_a_bulk_step_of_one() {
+    let (p, sid) = msg_prog(1);
+    let (conv, opts) = (msg_conv(1), CompileOptions::default());
+    let enc = compile(&p, &msg_encode(sid, 1), &conv, opts).unwrap();
+    let ret = PlanOp::Op(StubOp::Ret { val: 1 });
+    let put = PlanOp::BulkPut {
+        off: 16,
+        arr: 0,
+        idx: 0,
+        n: 1,
+        ops: 1,
+    };
+    assert_eq!(enc.plan[..], [PlanOp::PutImage { off: 0, at: 0 }, put, ret]);
+    let dec = compile(&p, &msg_decode(sid, 1), &conv, opts).unwrap();
+    // `SetArrLen` and the element's load: two ops.
+    let fill = PlanOp::BulkFill {
+        off: 16,
+        arr: 0,
+        n: 1,
+        ops: 2,
+    };
+    assert_eq!(
+        dec.plan[..],
+        [PlanOp::GetImage { off: 0, at: 0 }, fill, ret]
+    );
+    assert!(enc.has_kernel() && dec.has_kernel());
+}
+
+#[test]
+fn a_decode_header_loads_the_words_after_its_guards() {
+    // An NFS-style request: the guarded header, then the arguments.
+    let ops = vec![
+        StubOp::LenGuard { expected: 20 },
+        StubOp::GetScalar { off: 0, slot: 0 },
+        StubOp::GetScalar { off: 4, slot: 1 },
+        StubOp::CheckScalar { slot: 1, want: 3 },
+        StubOp::GetScalar { off: 8, slot: 2 },
+        StubOp::GetScalar { off: 12, slot: 3 },
+        StubOp::GetScalar { off: 16, slot: 4 },
+        StubOp::Ret { val: 1 },
+    ];
+    let stub = bound(StubProgram::from_ops(ops, "request".into()));
+    let ret = PlanOp::Op(StubOp::Ret { val: 1 });
+    assert_eq!(stub.plan[..], [PlanOp::GetImage { off: 0, at: 0 }, ret]);
+    assert!(stub.has_kernel());
+    let wire: Vec<u8> = [9, 3, -1, 7, 1 << 20]
+        .iter()
+        .flat_map(|w: &i32| w.to_be_bytes())
+        .collect();
+    let mut bad = wire.clone();
+    bad[7] ^= 1;
+    for (wire, inlen, slots) in [
+        (&wire, 20, 5),
+        (&bad, 20, 5),
+        (&wire, 16, 5),
+        (&wire, 20, 4),
+    ] {
+        let run = |stub: &StubProgram| {
+            let (mut out, mut counts) = (StubArgs::new(vec![0; slots], vec![]), OpCounts::new());
+            let done = run_decode(stub, wire, &mut out, inlen, &mut counts);
+            (done, out, tally(&counts))
+        };
+        let fused = run(&stub);
+        assert_eq!(fused, run(&op_by_op(&stub)), "inlen {inlen}, {slots} slots");
+        assert_eq!(fused, run(&stepped(&stub)), "inlen {inlen}, {slots} slots");
+    }
+}
+
+/// A kernel against the executor over headers of every width class: an
+/// encode of `w` words (scalars, with every third word static) and a
+/// decode of `w` words (one scalar run, every third word checked), each
+/// with an element step when `w` is odd — on a good run, every lane, a
+/// guard that fails, a short `inlen`, every truncation and missing slots.
+/// A header of 256 bytes or more has no kernel.
+#[test]
+fn kernels_of_every_header_width_run_as_the_executor_does() {
+    type Lane = fn(&StubProgram, &mut [u8], &StubArgs, &mut OpCounts) -> StubResult;
+    let lanes: [Lane; 3] = [
+        run_encode,
+        |p, b, a, c| run_encode_with_xid(p, b, a, -77, c),
+        |p, b, a, c| run_encode_after_xid(p, b, a, 0x0102_0304, c),
+    ];
+    for w in 1..=66u32 {
+        let elements = w % 2 == 1;
+        let looped = |elem: StubOp| {
+            let header = StubOp::Loop {
+                times: 3,
+                body: 2,
+                unroll: 0,
+            };
+            [
+                header,
+                StubOp::Step { off: 4, idx: 1 },
+                elem,
+                StubOp::EndLoop,
+            ]
+        };
+        let mut ops: Vec<StubOp> = (0..w)
+            .map(|k| match k % 3 {
+                1 => StubOp::PutImm {
+                    off: 4 * k,
+                    word: k.wrapping_mul(0x0103_0507),
+                },
+                _ => StubOp::PutScalar {
+                    off: 4 * k,
+                    slot: k as u16,
+                },
+            })
+            .collect();
+        if elements {
+            ops.extend(looped(StubOp::PutElem {
+                off: 4 * w,
+                arr: 0,
+                idx: 1,
+            }));
+        }
+        ops.push(StubOp::Ret { val: 1 });
+        let mut enc = StubProgram::from_ops(ops, "enc".into());
+        if elements {
+            enc.elems = vec![(0, 4)];
+        }
+        let enc = bound(enc);
+        assert_eq!(
+            enc.has_kernel(),
+            (2..64).contains(&w),
+            "encode of {w} words"
+        );
+        let scalars: Vec<i32> = (0..w as i32).map(|k| k * 1000 - 3).collect();
+        let arrays = vec![vec![10, 11, 12, 13]];
+        let args = StubArgs::new(scalars.clone(), arrays.clone());
+        let short = StubArgs::new(scalars[..w as usize - 1].to_vec(), arrays.clone());
+        let long = StubArgs::new(scalars.clone(), vec![vec![0; 5]]);
+        for (lane, run) in lanes.iter().enumerate() {
+            let go = |p: &StubProgram, len: usize, args: &StubArgs| {
+                let (mut wire, mut counts) = (vec![0xEEu8; len], OpCounts::new());
+                (run(p, &mut wire, args, &mut counts), wire, tally(&counts))
+            };
+            let what = format!("encode of {w} words, lane {lane}");
+            let fused = go(&enc, enc.wire_len, &args);
+            assert!(matches!(fused.0, Ok(Outcome::Done { .. })), "{what}");
+            assert_eq!(fused, go(&op_by_op(&enc), enc.wire_len, &args), "{what}");
+            for len in 0..enc.wire_len {
+                assert_eq!(go(&enc, len, &args), go(&stepped(&enc), len, &args));
+            }
+            for odd in [&short, &long] {
+                let (got, walked) = (
+                    go(&enc, enc.wire_len, odd),
+                    go(&stepped(&enc), enc.wire_len, odd),
+                );
+                assert_eq!(got, walked, "{what}");
+            }
+        }
+        let wire = go_encode(&enc, &args);
+
+        let mut ops = vec![StubOp::LenGuard {
+            expected: wire.len() as u32,
+        }];
+        ops.extend((0..w).map(|k| StubOp::GetScalar {
+            off: 4 * k,
+            slot: k as u16,
+        }));
+        ops.extend((0..w).step_by(3).map(|k| StubOp::CheckScalar {
+            slot: k as u16,
+            want: scalars[k as usize],
+        }));
+        if elements {
+            ops.push(StubOp::SetArrLen { arr: 0, len: 3 });
+            ops.extend(looped(StubOp::GetElem {
+                off: 4 * w,
+                arr: 0,
+                idx: 0,
+            }));
+        }
+        ops.push(StubOp::Ret { val: 1 });
+        let dec = bound(StubProgram::from_ops(ops, "dec".into()));
+        assert_eq!(dec.has_kernel(), w < 64, "decode of {w} words");
+        let go = |p: &StubProgram, wire: &[u8], inlen: usize, slots: usize| {
+            let mut out = StubArgs::new(vec![0; slots], vec![vec![]]);
+            let mut counts = OpCounts::new();
+            (
+                run_decode(p, wire, &mut out, inlen, &mut counts),
+                out,
+                tally(&counts),
+            )
+        };
+        let what = format!("decode of {w} words");
+        let (len, slots) = (wire.len(), w as usize);
+        let fused = go(&dec, &wire, len, slots);
+        assert!(matches!(fused.0, Ok(Outcome::Done { .. })), "{what}");
+        assert_eq!(fused, go(&op_by_op(&dec), &wire, len, slots), "{what}");
+        let mut cases = vec![
+            (wire.clone(), len - 4, slots),
+            (wire.clone(), len, slots - 1),
+        ];
+        for k in (0..w as usize).step_by(3) {
+            let mut flipped = wire.clone();
+            flipped[4 * k + 3] ^= 0x80;
+            cases.push((flipped, len, slots));
+        }
+        cases.extend((0..len).map(|cut| (wire[..cut].to_vec(), len, slots)));
+        for (wire, inlen, slots) in cases {
+            let got = go(&dec, &wire, inlen, slots);
+            assert_eq!(got, go(&stepped(&dec), &wire, inlen, slots), "{what}");
+            if got.0.is_ok() {
+                assert_eq!(got, go(&op_by_op(&dec), &wire, inlen, slots), "{what}");
+            }
+        }
+    }
+}
+
+type StubResult = Result<Outcome, StubError>;
+
+/// The message `enc` writes from `args`.
+fn go_encode(enc: &StubProgram, args: &StubArgs) -> Vec<u8> {
+    let mut wire = vec![0u8; enc.wire_len];
+    run_encode(enc, &mut wire, args, &mut OpCounts::new()).unwrap();
+    wire
 }

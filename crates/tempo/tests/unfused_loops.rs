@@ -192,8 +192,10 @@ fn check(seed: u64) {
     // one op more its code executes.
     let headers = code.iter().filter(|op| matches!(op, Flat::Loop { .. }));
     let headers = headers.count() as u64;
-    let flat = StubProgram::from_ops(flat_ops, "flat".into());
-    assert!(!fused(&flat));
+    // Run one op at a time: the planner would make a bulk step of each
+    // lone element store.
+    let mut flat = StubProgram::from_ops(flat_ops, "flat".into());
+    flat.plan = flat.ops.iter().copied().map(PlanOp::Op).collect();
     assert_eq!(got.wire_len, flat.wire_len, "{case:?}");
 
     let tally = |c: &OpCounts, extra: u64| (c.stub_ops + extra, c.mem_moves);

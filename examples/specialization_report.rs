@@ -18,7 +18,8 @@
 //! 7. what a specialization context costs to produce, 8…4096 elements:
 //!    specializer steps (deterministic), wall time beside the model that
 //!    stands for it in virtual time (`modeled_compile_ns`), stub ops and
-//!    the plan steps they run as. Exits non-zero if the 4096-element
+//!    the plan steps they run as. Exits non-zero if a stub of the sweep
+//!    has no kernel (it would run step by step), or if the 4096-element
 //!    context burns more steps, compiles to more ops, or plans to more
 //!    steps than the 8-element one — specialization cost, stub size and
 //!    what a call runs belong to the shape, not to the array length.
@@ -229,12 +230,17 @@ fn main() {
         ];
         let ops: usize = stubs.iter().map(|s| s.program.ops.len()).sum();
         let plan: usize = stubs.iter().map(|s| s.program.plan.len()).sum();
+        let kernels = stubs.iter().filter(|s| s.program.has_kernel()).count();
         println!(
-            "    n={n:<5} steps {steps:>6}   parse + specialize + compile {:>6} µs (modeled {:>6} µs)   {ops} ops for {} of residual code, run as {plan} plan steps",
+            "    n={n:<5} steps {steps:>6}   parse + specialize + compile {:>6} µs (modeled {:>6} µs)   {ops} ops for {} of residual code, {plan} plan steps, {kernels} of 4 run as one kernel call",
             wall.as_micros(),
             specrpc::cache::modeled_compile_ns(&cp) / 1_000,
             stubs.iter().map(|s| s.program.len()).sum::<usize>()
         );
+        if kernels < stubs.len() {
+            eprintln!("a stub runs step by step: n={n} binds {kernels} kernels for 4 stubs");
+            std::process::exit(1);
+        }
         steps_at.push((n, steps, ops, plan));
     }
     let (&(small, few, short, lean), &(large, many, long, fat)) =

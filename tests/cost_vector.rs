@@ -19,12 +19,13 @@
 //! - `datagrams`, `fragments`: the link's counters; `retransmits`: the
 //!   UDP client's;
 //! - `stub_ops`, `mem_moves`: the client's `OpCounts`;
-//! - `plan_steps`: steps in the plans of the procedure's four stubs (not
-//!   a window count).
+//! - `dispatches`: what one call of the procedure runs its four stubs as:
+//!   one kernel call for a stub its kernel runs whole, one dispatch per
+//!   plan step for a stub the executor runs (not a window count).
 //!
 //! `_` marks a counter the row's deployment does not expose: `run_nfs`
 //! and `run_scale` own their clients and pools, a stream client never
-//! retransmits, and a row that runs several procedures has no one plan.
+//! retransmits, and a row that runs several procedures has no one stub set.
 //!
 //! A change that moves a count updates its row below, in the same diff,
 //! with the reason. A mismatch prints the whole computed table in the
@@ -118,7 +119,7 @@ const COLUMNS: [&str; 12] = [
     "retransmits",
     "stub_ops",
     "mem_moves",
-    "plan_steps",
+    "dispatches",
 ];
 
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -149,9 +150,10 @@ macro_rules! row {
 /// The pinned table. Reasons beside the rows that are not all zeros:
 /// - the returning form (`proc_returning_*`, the `returning`/`tcp200`
 ///   rows, `batch4`, `echo250_lossy`) allocates its result set, 2 a call;
-/// - `echo2000_generic`: the layered client's argument copy, encoder,
-///   datagram (a pool miss: the decoder keeps the reply and drops it, so
-///   nothing is put back) and decoded array, 4 a call;
+/// - `echo2000_generic`: the layered client's argument copy and decoded
+///   array, 2 a call (its encoder buffer is the client's, made once, and
+///   the reply's buffer carries the next request, so the pool is not
+///   touched);
 /// - `echo250_lossy`: lost and duplicated datagrams take buffers out of
 ///   the cycle, and the dup cache replays;
 /// - `nfs_mix`: a longer run allocates 6 fewer times, so no op allocates;
@@ -161,26 +163,30 @@ macro_rules! row {
 ///   call;
 /// - `batch4`: the request, reply and path `Vec`s of each batch, 3 more;
 /// - `retransmit_250us`: every call resends once; the resent image is
-///   the one the client encoded.
+///   the one the client encoded;
+/// - `nfs_envelope`: the COMMIT's reply and the envelope's request
+///   buffer, one take and one put each an envelope (the eight WRITEs'
+///   unsent replies reuse one spare buffer);
+/// - `dispatches`: every generated stub runs as one kernel call, 4 a call.
 #[rustfmt::skip]
 fn pinned() -> Vec<Row> {
     vec![
-        //   name, window:                 allocs frees      bytes takes misses puts dgrams frags retx  stub_ops   mem_moves plan
-        row!("echo20_udp", 1_000:              0     0          0     0     0     0 2_000 2_000     0    66_000    232_000 12),
-        row!("echo2000_udp", 1_000:            0     0          0     0     0     0 2_000 2_000     0 4_026_000 16_072_000 12),
-        row!("echo2000_generic", 1_000:    4_000 4_000 90_044_000 1_000 1_000     0 2_000 2_000     0         0 16_072_000 12),
-        row!("echo2000_tcp", 1_000:            0     0          0 2_000     0 2_000     0     0     _ 4_026_000 16_072_000 12),
-        row!("echo250_lossy", 1_000:       2_146 2_104  1_175_704   273     0   306 2_273 2_273   127   526_000  2_072_000 12),
+        //   name, window:                 allocs frees      bytes takes misses puts dgrams frags retx  stub_ops   mem_moves runs
+        row!("echo20_udp", 1_000:              0     0          0     0     0     0 2_000 2_000     0    66_000    232_000  4),
+        row!("echo2000_udp", 1_000:            0     0          0     0     0     0 2_000 2_000     0 4_026_000 16_072_000  4),
+        row!("echo2000_generic", 1_000:    2_000 2_000 16_000_000     0     0     0 2_000 2_000     0         0 16_072_000  4),
+        row!("echo2000_tcp", 1_000:            0     0          0 2_000     0 2_000     0     0     _ 4_026_000 16_072_000  4),
+        row!("echo250_lossy", 1_000:       2_146 2_104  1_175_704   273     0   306 2_273 2_273   127   526_000  2_072_000  4),
         row!("nfs_mix", 12_336:             (-6)     0     (-384)     _     _     _ 8_000 8_000     _         _          _  _),
         row!("scale_open", 2_000:          4_215 3_922  7_204_292     _     _     _ 4_000 4_000     _         _          _  _),
-        row!("proc_returning_20", 1_000:   2_000 2_000    104_000     0     0     0 2_000 2_000     0    66_000    232_000 12),
-        row!("proc_returning_2000", 1_000: 2_000 2_000  8_024_000     0     0     0 2_000 2_000     0 4_026_000 16_072_000 12),
-        row!("echo20_tcp", 1_000:              0     0          0 2_000     0 2_000     0     0     _    66_000    232_000 12),
-        row!("tcp200_returning", 1_000:    2_000 2_000    824_000 2_000     0 2_000     0     0     _   426_000  1_672_000 12),
-        row!("returning200_cache4", 1_000: 2_000 2_000    824_000     0     0     0 2_000 2_000     0   426_000  1_672_000 12),
-        row!("batch4", 250:                2_750 2_750    865_000   750     0   750 2_000 2_000     0   426_000  1_672_000 12),
-        row!("retransmit_250us", 1_000:    2_000 2_000    224_000 2_000     0 2_000 4_000 4_000 1_000   126_000    472_000 12),
-        row!("nfs_envelope", 500:              0     0          0 5_000     0 5_000 1_000 1_000     0         _          _  _),
+        row!("proc_returning_20", 1_000:   2_000 2_000    104_000     0     0     0 2_000 2_000     0    66_000    232_000  4),
+        row!("proc_returning_2000", 1_000: 2_000 2_000  8_024_000     0     0     0 2_000 2_000     0 4_026_000 16_072_000  4),
+        row!("echo20_tcp", 1_000:              0     0          0 2_000     0 2_000     0     0     _    66_000    232_000  4),
+        row!("tcp200_returning", 1_000:    2_000 2_000    824_000 2_000     0 2_000     0     0     _   426_000  1_672_000  4),
+        row!("returning200_cache4", 1_000: 2_000 2_000    824_000     0     0     0 2_000 2_000     0   426_000  1_672_000  4),
+        row!("batch4", 250:                2_750 2_750    865_000   750     0   750 2_000 2_000     0   426_000  1_672_000  4),
+        row!("retransmit_250us", 1_000:    2_000 2_000    224_000 2_000     0 2_000 4_000 4_000 1_000   126_000    472_000  4),
+        row!("nfs_envelope", 500:              0     0          0 1_000     0 1_000 1_000 1_000     0         _          _  _),
     ]
 }
 
@@ -252,13 +258,13 @@ impl Snapshot {
     }
 
     /// The row of the window from `before` to `self`.
-    fn since(&self, before: &Snapshot, name: &'static str, window: u64, plan: Option<u64>) -> Row {
+    fn since(&self, before: &Snapshot, name: &'static str, window: u64, runs: Option<u64>) -> Row {
         let (after, before) = (self.cells(), before.cells());
         let mut cells = [None; 12];
         for (cell, (a, b)) in cells.iter_mut().zip(after.into_iter().zip(before)) {
             *cell = a.zip(b).map(|(a, b)| a as i64 - b as i64);
         }
-        cells[11] = plan.map(|p| p as i64);
+        cells[11] = runs.map(|r| r as i64);
         Row {
             name,
             window,
@@ -271,15 +277,20 @@ fn heap() -> [u64; 3] {
     [&ALLOCS, &FREES, &BYTES].map(|c| c.load(Ordering::Relaxed))
 }
 
-/// Steps in the plans of `proc_`'s four stubs.
-fn plan_steps(proc_: &CompiledProc) -> Option<u64> {
+/// What a call of `proc_` runs its four stubs as: a kernel call each, or
+/// a dispatch per plan step for a stub without a kernel.
+fn dispatches(proc_: &CompiledProc) -> Option<u64> {
     let stubs = [
         &proc_.client_encode,
         &proc_.client_decode,
         &proc_.server_decode,
         &proc_.server_encode,
     ];
-    Some(stubs.iter().map(|s| s.program.plan.len() as u64).sum())
+    let runs = stubs.map(|s| match s.program.has_kernel() {
+        true => 1,
+        false => s.program.plan.len() as u64,
+    });
+    Some(runs.iter().sum())
 }
 
 fn echo_proc(n: usize) -> Arc<CompiledProc> {
@@ -324,7 +335,7 @@ fn echo_row<T: Transport>(
     };
     let before = read(client);
     (0..CALLS).for_each(|_| call(client));
-    read(client).since(&before, name, CALLS, plan_steps(client.compiled()))
+    read(client).since(&before, name, CALLS, dispatches(client.compiled()))
 }
 
 /// `echo20_udp` and `echo2000_udp`: `EchoBench`'s in-place echo over
@@ -360,8 +371,8 @@ fn echo2000_generic() -> Row {
     };
     let before = read(&bench);
     (0..CALLS).for_each(|_| call(&mut bench));
-    let plan = plan_steps(bench.spec.compiled());
-    read(&bench).since(&before, "echo2000_generic", CALLS, plan)
+    let runs = dispatches(bench.spec.compiled());
+    read(&bench).since(&before, "echo2000_generic", CALLS, runs)
 }
 
 /// `echo2000_tcp` (and `echo20_tcp`): `TcpEchoBench`'s in-place echo
@@ -513,10 +524,10 @@ fn returning200_and_batch4() -> [Row; 2] {
     };
     let before = read(&mut client);
     (0..batches).for_each(|_| call(&mut client));
-    let plan = plan_steps(client.compiled());
+    let runs = dispatches(client.compiled());
     [
         single,
-        read(&mut client).since(&before, "batch4", batches, plan),
+        read(&mut client).since(&before, "batch4", batches, runs),
     ]
 }
 
