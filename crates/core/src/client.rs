@@ -313,8 +313,8 @@ impl<T: Transport> SpecClient<T> {
 /// Single-copy encode: `proc_`'s compiled client stub emits header +
 /// arguments in one pass straight into the rewound exact-size wire
 /// buffer (xid stamped via the slot-0 override, not an args clone). The
-/// buffer is not cleared in between: the stub stores or zeroes every byte
-/// of its image (`StubProgram::holes`). [`SpecClient`] and the NFS-like
+/// buffer is not cleared in between: a compiled encode stores every byte
+/// of its image. [`SpecClient`] and the NFS-like
 /// scenario's client both encode through it.
 // `always`, as for `decode_reply_fast`: with a plain `#[inline]` neither
 // was inlined into `SpecClient`'s call lane any more, and `echo250_lossy`

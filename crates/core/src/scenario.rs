@@ -944,7 +944,12 @@ pub fn run_scale_single_shard(cfg: &ScaleConfig) -> Result<ScaleReport, Pipeline
 }
 
 #[cfg(test)]
+#[path = "../../tempo/tests/reference/mod.rs"]
+mod reference;
+
+#[cfg(test)]
 mod tests {
+    use super::reference;
     use super::*;
     use specrpc_rpcgen::stubgen::CompiledStub;
     use specrpc_tempo::compile::{
@@ -1053,7 +1058,6 @@ mod tests {
                 let got = &stub.program;
                 assert_eq!(got.ops, want.ops, "{kind:?} of {:?}", cp.arg_shape);
                 assert_eq!(got.plan, want.plan, "{kind:?} of {:?}", cp.arg_shape);
-                assert_eq!(got.holes, want.holes);
                 assert_eq!((got.wire_len, &got.name), (want.wire_len, &want.name));
             }
         };
@@ -1077,11 +1081,11 @@ mod tests {
         }
     }
 
-    /// Every stub set the pipeline generates, named: echo at 1 / 20 / 250
-    /// / 2000 elements, unrolled in full and under each
+    /// The stub sets the benchmark's workloads run, named: echo at 1 / 20
+    /// / 250 / 2000 elements, unrolled in full and under each
     /// `UNROLL_SWEEP` bound; the six scale shapes at their chunk; the
     /// five NFS procedures.
-    fn generated_procs() -> Vec<(String, CompiledProc)> {
+    fn benchmark_procs() -> Vec<(String, CompiledProc)> {
         let mut procs = Vec::new();
         for n in [1, 20, 250, 2000] {
             let bounds = crate::echo::UNROLL_SWEEP.map(Some);
@@ -1105,21 +1109,33 @@ mod tests {
         procs
     }
 
-    /// The same ops with nothing fused, every op its own plan step: the
-    /// reference a fused plan is held to (as in `compile`'s own tests).
-    fn op_by_op(stub: &StubProgram) -> StubProgram {
-        let mut walk = stub.clone();
-        walk.plan = stub.ops.iter().copied().map(PlanOp::Op).collect();
-        walk
-    }
-
-    /// The same fused plan with its kernel unbound, as any change to its
-    /// steps leaves it: the executor runs it step by step.
-    fn unbound(stub: &StubProgram) -> StubProgram {
-        let mut stepped = stub.clone();
-        std::ops::DerefMut::deref_mut(&mut stepped.plan);
-        assert!(stub.has_kernel() && !stepped.has_kernel());
-        stepped
+    /// Every stub set the pipeline generates, named: the benchmark's, and
+    /// the shapes outside its four plans — two arrays, a scalar after an
+    /// array and one before it (arrays pinned at 4, and at 0), a fixed
+    /// array, 70 scalars (a header of 256 bytes or more).
+    fn generated_procs() -> Vec<(String, CompiledProc)> {
+        let scalars: String = (0..70).map(|k| format!("int s{k}; ")).collect();
+        let idl = format!(
+            "struct pair {{ int a<8>; int b<8>; }};\n\
+             struct after {{ int a<8>; int x; }};\n\
+             struct before {{ int x; int a<8>; }};\n\
+             struct fixed {{ int a[4]; }};\n\
+             struct wide {{ {scalars}}};\n\
+             program SHAPEPROG {{ version SHAPEVERS {{\n\
+                 pair PAIR(pair) = 1; after AFTER(after) = 2;\n\
+                 before BEFORE(before) = 3; fixed FIXED(fixed) = 4;\n\
+                 wide WIDE(wide) = 5;\n\
+             }} = 1; }} = 0x20000105;\n"
+        );
+        let mut procs = benchmark_procs();
+        let names = ["pair", "after", "before", "fixed", "wide"];
+        for (p, name) in (1..).zip(names) {
+            for pinned in [4, 0].into_iter().take(if p <= 3 { 2 } else { 1 }) {
+                let cp = ProcPipeline::new(pinned).build_from_idl(&idl, None, p);
+                procs.push((format!("{name} pinned at {pinned}"), cp.unwrap()));
+            }
+        }
+        procs
     }
 
     /// Buffer lengths short of a whole message: every one through the
@@ -1128,25 +1144,31 @@ mod tests {
         (0..wire_len.min(72)).chain([wire_len / 2, wire_len - 1])
     }
 
-    /// An encode stub's fused plan against its ops run one by one, in all
-    /// three lanes (plain, xid override, result slots after the xid):
-    /// the same outcome, bytes over a dirty buffer and `OpCounts`; the
-    /// same error variant on every truncated buffer and with no scalar
-    /// slots. Returns the message the xid lane wrote.
+    /// An encode stub's kernel against its ops run one by one, in all
+    /// three lanes (plain, xid override, result slots after the xid): the
+    /// same outcome, bytes over a dirty buffer and `OpCounts`; the same
+    /// error on every truncated buffer and with no scalar slots. Returns
+    /// the message the xid lane wrote.
     fn check_encode(what: &str, stub: &CompiledStub) -> Vec<u8> {
         use specrpc_tempo::compile::{run_encode, run_encode_after_xid, run_encode_with_xid};
         type Lane = fn(&StubProgram, &mut [u8], &StubArgs, &mut OpCounts) -> StubResult;
-        let lanes: [(&str, Lane); 3] = [
-            ("plain", run_encode),
-            ("after xid", |p, b, a, c| {
-                run_encode_after_xid(p, b, a, 0x0A0B_0C0D, c)
-            }),
-            ("xid", |p, b, a, c| {
-                run_encode_with_xid(p, b, a, 0x0102_0304, c)
-            }),
+        let lanes: [(&str, Lane, reference::Slots); 3] = [
+            ("plain", run_encode, (None, 0)),
+            (
+                "after xid",
+                |p, b, a, c| run_encode_after_xid(p, b, a, 0x0A0B_0C0D, c),
+                (Some(0x0A0B_0C0D), 1),
+            ),
+            (
+                "xid",
+                |p, b, a, c| run_encode_with_xid(p, b, a, 0x0102_0304, c),
+                (Some(0x0102_0304), 0),
+            ),
         ];
-        let (prog, walk) = (&stub.program, op_by_op(&stub.program));
-        let stepped = unbound(prog);
+        let prog = &stub.program;
+        let walk = |buf: &mut [u8], args: &StubArgs, slots, counts: &mut OpCounts| {
+            reference::encode(&prog.ops, prog.wire_len, buf, args, slots, counts)
+        };
         let layout = &stub.layout;
         // Each array as long as the context pins it: the stub carries that
         // many elements and refuses more.
@@ -1168,30 +1190,24 @@ mod tests {
             .map(|(&n, a)| (0..n).map(|i| i * 31 - a).collect());
         let args = StubArgs::new(scalars.collect(), arrays.collect());
         let mut wire = vec![0xEEu8; prog.wire_len];
-        for (lane, run) in lanes {
+        for (lane, run, slots) in lanes {
             let what = format!("{what}, {lane} lane");
             let mut walked = vec![0xEEu8; prog.wire_len];
             let (mut cf, mut cw) = (OpCounts::new(), OpCounts::new());
-            let (mut steps, mut cs) = (vec![0xEEu8; prog.wire_len], OpCounts::new());
             let done = run(prog, &mut wire, &args, &mut cf);
             assert!(matches!(done, Ok(Outcome::Done { .. })), "{what}: {done:?}");
-            assert_eq!(done, run(&walk, &mut walked, &args, &mut cw), "{what}");
+            assert_eq!(done, walk(&mut walked, &args, slots, &mut cw), "{what}");
             assert_eq!((&wire, cf), (&walked, cw), "{what}");
-            assert_eq!(done, run(&stepped, &mut steps, &args, &mut cs), "{what}");
-            assert_eq!((&steps, cs), (&walked, cw), "{what}, stepped");
             for cut in cuts(prog.wire_len) {
-                let cut_wire = |p: &StubProgram| {
-                    let (mut buf, mut counts) = (vec![0xEEu8; cut], OpCounts::new());
-                    (run(p, &mut buf, &args, &mut counts), buf, counts)
-                };
-                let (fused, walked) = (cut_wire(prog), cut_wire(&walk));
-                assert_same_error(&fused.0, &walked.0, &format!("{what}, {cut} B"));
-                assert_eq!(fused, cut_wire(&stepped), "{what}, {cut} B");
+                let mut buf = vec![0xEEu8; cut];
+                let fused = run(prog, &mut buf, &args, &mut OpCounts::new());
+                let walked = walk(&mut buf, &args, slots, &mut OpCounts::new());
+                assert_same_error(&fused, &walked, &format!("{what}, {cut} B"));
             }
         }
         let bare = StubArgs::new(vec![], args.arrays.clone());
         let fused = run_encode(prog, &mut wire.clone(), &bare, &mut OpCounts::new());
-        let walked = run_encode(&walk, &mut wire.clone(), &bare, &mut OpCounts::new());
+        let walked = walk(&mut wire.clone(), &bare, (None, 0), &mut OpCounts::new());
         assert_same_error(&fused, &walked, &format!("{what}, no scalar slots"));
         wire
     }
@@ -1199,49 +1215,47 @@ mod tests {
     type StubResult = Result<Outcome, StubError>;
 
     fn assert_same_error(fused: &StubResult, walked: &StubResult, what: &str) {
-        let variant = |r: &StubResult| r.as_ref().map_err(std::mem::discriminant).err();
         assert!(fused.is_err(), "{what}: {fused:?}");
-        assert_eq!(
-            variant(fused),
-            variant(walked),
-            "{what}: {fused:?} vs {walked:?}"
-        );
+        assert_eq!(fused, walked, "{what}");
     }
 
-    /// A decode stub's fused plan against its ops run one by one: the
-    /// same outcome, decoded slots and `OpCounts` on `wire`, on a wrong
-    /// `inlen`, and with each word a guard checks flipped (a `Fallback`
-    /// after the same ops); the same error variant on every truncated
-    /// buffer.
+    /// A decode stub's kernel against its ops run one by one: the same
+    /// outcome, decoded slots and `OpCounts` on `wire`; on a wrong `inlen`
+    /// and with each word a guard checks flipped, a `Fallback` after the
+    /// same counts, the slots left as they were; the same error on every
+    /// truncated buffer.
     fn check_decode(what: &str, stub: &CompiledStub, wire: &[u8]) {
-        let (prog, walk) = (&stub.program, op_by_op(&stub.program));
-        let stepped = unbound(prog);
+        let prog = &stub.program;
         let (scalars, arrays) = (stub.layout.scalar_count, stub.layout.array_count);
-        let decode = |prog: &StubProgram, wire: &[u8], inlen: usize| {
+        let prepared = || {
             let mut out = StubArgs::default();
             out.prepare(scalars as usize, arrays as usize);
-            let mut counts = OpCounts::new();
-            let done = run_decode(prog, wire, &mut out, inlen, &mut counts);
+            out
+        };
+        let decode = |walk: bool, wire: &[u8], inlen: usize| {
+            let (mut out, mut counts) = (prepared(), OpCounts::new());
+            let done = match walk {
+                false => run_decode(prog, wire, &mut out, inlen, &mut counts),
+                true => {
+                    reference::decode(&prog.ops, prog.wire_len, wire, &mut out, inlen, &mut counts)
+                }
+            };
             (done, out, counts)
         };
-        let same = |wire: &[u8], inlen: usize, note: &str| {
-            let (fused, walked) = (decode(prog, wire, inlen), decode(&walk, wire, inlen));
-            assert_eq!(fused, walked, "{what}: {note}");
-            assert_eq!(
-                decode(&stepped, wire, inlen),
-                walked,
-                "{what}: {note}, stepped"
-            );
-            fused.0
-        };
-        let done = same(wire, wire.len(), "the message");
-        assert!(matches!(done, Ok(Outcome::Done { .. })), "{what}: {done:?}");
-        let fallback = Ok(Outcome::Fallback);
-        assert_eq!(
-            same(wire, wire.len() - 4, "short inlen"),
-            fallback,
-            "{what}"
+        let done = decode(false, wire, wire.len());
+        assert!(
+            matches!(done.0, Ok(Outcome::Done { .. })),
+            "{what}: {:?}",
+            done.0
         );
+        assert_eq!(done, decode(true, wire, wire.len()), "{what}: the message");
+        let fallback = |wire: &[u8], inlen: usize, note: &str| {
+            let (fused, walked) = (decode(false, wire, inlen), decode(true, wire, inlen));
+            assert_eq!(fused.0, Ok(Outcome::Fallback), "{what}: {note}");
+            assert_eq!((fused.0, fused.2), (walked.0, walked.2), "{what}: {note}");
+            assert_eq!(fused.1, prepared(), "{what}: {note} loads nothing");
+        };
+        fallback(wire, wire.len() - 4, "short inlen");
         let loaded: HashMap<u16, u32> = (prog.ops.iter())
             .filter_map(|op| match *op {
                 StubOp::GetScalar { off, slot } => Some((slot, off)),
@@ -1260,29 +1274,21 @@ mod tests {
             let mut flipped = wire.to_vec();
             let word = off as usize..off as usize + 4;
             flipped[word].iter_mut().for_each(|b| *b ^= 0xFF);
-            let done = same(&flipped, wire.len(), &format!("word at {off} flipped"));
-            assert_eq!(done, fallback, "{what}: word at {off} flipped");
+            fallback(&flipped, wire.len(), &format!("word at {off} flipped"));
         }
         for cut in cuts(wire.len()) {
             let (fused, walked) = (
-                decode(prog, &wire[..cut], wire.len()),
-                decode(&walk, &wire[..cut], wire.len()),
+                decode(false, &wire[..cut], wire.len()),
+                decode(true, &wire[..cut], wire.len()),
             );
             assert_same_error(&fused.0, &walked.0, &format!("{what}, {cut} B"));
-            assert_eq!(
-                fused,
-                decode(&stepped, &wire[..cut], wire.len()),
-                "{what}, {cut} B"
-            );
         }
     }
 
-    /// The kernel and the fused plan are exact: every generated stub, run
-    /// by its kernel, by the executor over its fused plan and op by op,
-    /// writes the same bytes, decodes the same slots, ends in the same
-    /// outcome or error variant and counts the same `OpCounts`, on good
-    /// messages, guards that fail and buffers cut short (where kernel and
-    /// executor also agree on the error itself and the partial writes).
+    /// The kernel is exact: every generated stub, run by its kernel and
+    /// op by op, writes the same bytes, decodes the same slots, ends in
+    /// the same outcome or error and counts the same `OpCounts`, on good
+    /// messages, guards that fail and buffers cut short.
     #[test]
     fn generated_stubs_run_fused_as_their_ops_do_one_by_one() {
         for (what, cp) in generated_procs() {
@@ -1297,15 +1303,15 @@ mod tests {
         }
     }
 
-    /// A generated stub's header is one plan step, and the plan has one of
+    /// A benchmark stub's header is one plan step, and the plan has one of
     /// four shapes: the header image (`PutImage` or `GetImage`), at most
     /// one element step (a bulk put, or a decode's fill of the whole
-    /// array), then `Ret`. Each is bound to a kernel. Echo at 20 elements
-    /// runs 12 steps for its four stubs (43 when the header ran a step per
-    /// word).
+    /// array), then `Ret` — the shapes the kernel's fixed-width entries
+    /// run. Echo at 20 elements runs 12 steps for its four stubs (43 when
+    /// the header ran a step per word).
     #[test]
     fn a_generated_stub_plans_its_header_as_one_step() {
-        for (what, cp) in generated_procs() {
+        for (what, cp) in benchmark_procs() {
             let stubs = [
                 (&cp.client_encode, true),
                 (&cp.server_encode, true),
@@ -1325,12 +1331,11 @@ mod tests {
                     _ => false,
                 };
                 let ok = match plan[..] {
-                    [ref h, PlanOp::Op(StubOp::Ret { .. })] => header(h),
-                    [ref h, ref e, PlanOp::Op(StubOp::Ret { .. })] => header(h) && element(e),
+                    [ref h, PlanOp::Ret { .. }] => header(h),
+                    [ref h, ref e, PlanOp::Ret { .. }] => header(h) && element(e),
                     _ => false,
                 };
                 assert!(ok, "{what}: {plan:?}");
-                assert!(stub.program.has_kernel(), "{what}: no kernel for {plan:?}");
             }
         }
         let cp = crate::echo::build_echo_proc(20, None).unwrap();

@@ -204,9 +204,9 @@ fn raw_dispatch(
     let xid = args.scalars[call_fields::XID];
     run_handler(p, h, args, results);
     let enc = &p.server_encode;
-    // An offered buffer is rewound, not cleared: the stub stores or zeroes
-    // every byte of its image (`StubProgram::holes`), so only bytes the
-    // buffer did not hold before are zero-filled.
+    // An offered buffer is rewound, not cleared: a compiled encode stores
+    // every byte of its image, so only bytes the buffer did not hold
+    // before are zero-filled.
     let mut reply = take_offer(offer, enc.wire_len).unwrap_or_else(|| pool.take(enc.wire_len));
     reply.resize(enc.wire_len, 0);
     // Reply stub scalar slot 0 is the xid; the handler's result scalars
@@ -327,6 +327,33 @@ mod tests {
         assert_eq!(reg.raw_dispatches(), 1);
         assert_eq!(reg.generic_dispatches(), 0);
         assert!(client.counts.stub_ops > 0);
+    }
+
+    #[test]
+    fn a_fixed_array_round_trips_on_the_fast_lane() {
+        // A fixed array is decoded into a slot the caller has just
+        // cleared: the stub sizes it as it fills it, on both sides.
+        const FIXED: &str = r#"
+            struct f4 { int a[4]; };
+            program FIXEDPROG {
+                version FIXEDVERS { f4 ECHO(f4) = 1; } = 1;
+            } = 0x20000104;
+        "#;
+        let cp = Arc::new(ProcPipeline::new(4).build_from_idl(FIXED, None, 1).unwrap());
+        let net = Network::new(NetworkConfig::lan(), 7);
+        let reg = SpecService::new()
+            .proc(cp.clone(), |args: &StubArgs| {
+                let doubled: Vec<i32> = args.arrays[0].iter().map(|v| v * 2).collect();
+                StubArgs::new(vec![], vec![doubled])
+            })
+            .serve_udp(&net, 812);
+        let clnt = ClntUdp::create(&net, 5120, 812, 0x2000_0104, 1);
+        let mut client = SpecClient::from_parts(clnt, cp);
+        let args = client.args(vec![], vec![vec![7, -1, 1 << 20, 0]]);
+        let (out, path) = client.call(&args).unwrap();
+        assert_eq!(path, PathUsed::Fast);
+        assert_eq!(out.arrays[0], [14, -2, 1 << 21, 0]);
+        assert_eq!((reg.raw_dispatches(), reg.generic_dispatches()), (1, 0));
     }
 
     #[test]

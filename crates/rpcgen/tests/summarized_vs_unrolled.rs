@@ -1,18 +1,25 @@
 //! Loop summarization against its reference: for random message shapes the
 //! summarizing specializer and the fully unrolling one must compile to the
 //! same stub programs, report the same eliminations, and leave residual
-//! functions that compute the same thing.
+//! functions that compute the same thing; and each compiled stub's kernel
+//! must write and read what its ops do one by one.
 
 #[path = "../../tempo/tests/flat/mod.rs"]
 mod flat;
+#[path = "../../tempo/tests/reference/mod.rs"]
+mod reference;
 
 use proptest::prelude::*;
 use specrpc_rpcgen::stubgen::{
-    self, FieldShape, GeneratedStubs, MsgShape, StubKind, CALL_HEADER_BYTES,
+    self, CompiledStub, FieldShape, GeneratedStubs, MsgShape, StubKind, CALL_HEADER_BYTES,
 };
-use specrpc_tempo::compile::{self, CompileOptions, StubProgram};
+use specrpc_tempo::compile::{
+    self, run_decode, run_encode, CompileOptions, FieldTarget, ParamBinding, StubArgs, StubOp,
+    StubProgram,
+};
 use specrpc_tempo::eval::{Evaluator, ObjectData, Place, Value};
 use specrpc_tempo::ir::{Function, Type};
+use specrpc_xdr::OpCounts;
 
 /// The array lengths the issue pins, then anything up to 5000.
 const PINNED: [usize; 11] = [0, 1, 2, 3, 4, 31, 32, 33, 250, 2000, 4096];
@@ -146,13 +153,107 @@ fn assert_models_the_flat_code(got: &StubProgram, reference: &StubProgram, chunk
     assert!(flat::modeled(got) == want, "{what}: expansion differs");
 }
 
+/// `stub`'s kernel against its ops run one by one. An encode fills every
+/// scalar slot and each array to the length its binding pins from `rng`,
+/// writes over a dirty buffer and leaves its bytes in `message`; a decode
+/// reads `message`, and `message` with each word a guard checks flipped.
+/// Either way: the same outcome, bytes or slots, counts.
+fn run_as_the_reference(stub: &CompiledStub, encode: bool, message: &mut Vec<u8>, rng: &mut Rng) {
+    let prog = &stub.program;
+    let what = &prog.name;
+    let (scalars, arrays) = (stub.layout.scalar_count, stub.layout.array_count);
+    if encode {
+        let (mut counts, mut walked_counts) = (OpCounts::new(), OpCounts::new());
+        let mut lens = vec![0; arrays as usize];
+        for param in &stub.conventions.params {
+            let ParamBinding::Struct(fields) = param else {
+                continue;
+            };
+            for field in fields {
+                if let FieldTarget::Array(a) = field.target {
+                    lens[a as usize] = field.slot_len;
+                }
+            }
+        }
+        let mut word = || rng.next() as i32;
+        let scalars = (0..scalars).map(|_| word()).collect();
+        let arrays = lens.iter().map(|&n| (0..n).map(|_| word()).collect());
+        let args = StubArgs::new(scalars, arrays.collect());
+        let (mut wire, mut walked) = (vec![0xEEu8; prog.wire_len], vec![0xEEu8; prog.wire_len]);
+        let done = run_encode(prog, &mut wire, &args, &mut counts);
+        let walk = reference::encode(
+            &prog.ops,
+            prog.wire_len,
+            &mut walked,
+            &args,
+            (None, 0),
+            &mut walked_counts,
+        );
+        assert!(
+            matches!(done, Ok(compile::Outcome::Done { .. })),
+            "{what}: {done:?}"
+        );
+        assert_eq!((done, &wire), (walk, &walked), "{what}");
+        let tally = |c: &OpCounts| (c.stub_ops, c.mem_moves);
+        assert_eq!(tally(&counts), tally(&walked_counts), "{what}");
+        *message = wire;
+    } else {
+        let prepared = || {
+            let mut out = StubArgs::default();
+            out.prepare(scalars as usize, arrays as usize);
+            out
+        };
+        let decode = |wire: &[u8], walk: bool| {
+            let (mut out, mut counts) = (prepared(), OpCounts::new());
+            let done = match walk {
+                false => run_decode(prog, wire, &mut out, wire.len(), &mut counts),
+                true => {
+                    let ops = &prog.ops;
+                    reference::decode(ops, prog.wire_len, wire, &mut out, wire.len(), &mut counts)
+                }
+            };
+            (done, out, (counts.stub_ops, counts.mem_moves))
+        };
+        let done = decode(message, false);
+        assert!(
+            matches!(done.0, Ok(compile::Outcome::Done { .. })),
+            "{what}: {:?}",
+            done.0
+        );
+        assert_eq!(done, decode(message, true), "{what}");
+        // Each word a guard checks, flipped: a fallback after the same
+        // counts, nothing loaded.
+        let mut loaded = std::collections::HashMap::new();
+        for op in &prog.ops {
+            if let StubOp::GetScalar { off, slot } = *op {
+                loaded.insert(slot, off);
+            }
+        }
+        let checked = prog.ops.iter().filter_map(|op| match *op {
+            StubOp::CheckWord { off, .. } => Some(off),
+            StubOp::CheckScalar { slot, .. } => loaded.get(&slot).copied(),
+            _ => None,
+        });
+        for off in checked {
+            let mut flipped = message.clone();
+            flipped[off as usize] ^= 0x80;
+            let (got, walked) = (decode(&flipped, false), decode(&flipped, true));
+            let what = format!("{what}: word at {off} flipped");
+            assert_eq!(got.0, Ok(compile::Outcome::Fallback), "{what}");
+            assert_eq!((got.0, got.2), (walked.0, walked.2), "{what}");
+            assert_eq!(got.1, prepared(), "{what}: nothing loaded");
+        }
+    }
+}
+
 fn check_context(seed: u64) {
     let mut rng = Rng(seed);
     let (arg, res) = (rng.shape(), rng.shape());
     let gs = stubgen::generate_from_shapes(0x2000_0101, 1, 1, arg, res);
     // Encoders run on a zeroed buffer; each decoder on what its encoder
-    // wrote (so its guards pass and its loops run), and on garbage.
-    let mut wire = Vec::new();
+    // wrote (so its guards pass and its loops run), and on garbage. The
+    // compiled stubs likewise: each decoder on its encoder's message.
+    let (mut wire, mut message) = (Vec::new(), Vec::new());
     for kind in KINDS {
         let (summarized, plan, report) = stubgen::specialize_with_report(&gs, kind).unwrap();
         let (unrolled, _, mut reference) = stubgen::specialize_unrolled(&gs, kind).unwrap();
@@ -164,6 +265,7 @@ fn check_context(seed: u64) {
             StubKind::ServerEncode | StubKind::ClientDecode => &gs.res_shape,
         };
         let n = longest_array(shape);
+        let encode = matches!(kind, StubKind::ClientEncode | StubKind::ServerEncode);
         let unbounded = CompileOptions::default();
         let reference =
             compile::compile(&gs.program, &unrolled, &plan.conventions, unbounded).unwrap();
@@ -175,7 +277,7 @@ fn check_context(seed: u64) {
             assert_models_the_flat_code(got, &reference, chunk);
             assert_eq!(got.ops, want.ops, "{kind:?} chunk {chunk:?}");
             assert_eq!(got.plan, want.plan, "{kind:?} chunk {chunk:?}");
-            assert_eq!(got.holes, want.holes, "{kind:?} chunk {chunk:?}");
+            run_as_the_reference(&stub, encode, &mut message, &mut rng);
             assert_eq!(got.wire_len, want.wire_len);
             assert_eq!(got.name, want.name);
             assert_eq!(stub.wire_len, plan.wire_len);
@@ -186,7 +288,6 @@ fn check_context(seed: u64) {
             assert_eq!(stub.report, report);
         }
 
-        let encode = matches!(kind, StubKind::ClientEncode | StubKind::ServerEncode);
         if encode {
             wire = vec![0u8; plan.wire_len];
         }

@@ -1,68 +1,46 @@
-//! Execution of compiled stub programs against real buffers.
+//! Running a compiled stub against real buffers.
 //!
-//! [`run_encode`] and [`run_decode`] are the tight loops the benchmarks
-//! measure. The executor runs the program's fused [`PlanOp`] form: scalar
-//! and guard ops execute one at a time, while contiguous element runs
-//! execute as **bulk block copies** — one bounds check and one
-//! byte-swapping pass per array instead of one dispatch, one slot lookup,
-//! and one bounds check per element. This is the runtime analog of the
-//! paper compiling the residual with `gcc -O2`: the interpretation is
-//! gone, only the work the data requires (byte order + memory movement)
-//! remains. Trip-by-trip interpretation survives only for a loop that is
-//! not one contiguous element run (no generated stub has one) — wire bytes
-//! and [`OpCounts`] are identical either way, which the equivalence tests
-//! pin.
+//! [`run_encode`] and [`run_decode`] are what the benchmarks measure: one
+//! call of the stub's [`Kernel`], the run-time template of the residual
+//! function, compiled ahead of time like Tempo's pre-compiled templates
+//! and bound to the program by [`super::compile`].
 //!
-//! The block copy itself lives in the `kernel` module. On the baseline
-//! x86-64 target the workspace is built for, the swap of each 32-bit word
-//! compiles to SSE2 unpack / `pshuflw` / `pshufhw` / pack (≈13 B/ns); the
-//! kernel holds a second instantiation of the same safe loop compiled with
-//! AVX2 enabled (one `vpshufb` per 32 bytes, 4–6× faster) and picks it at
-//! run time when the CPU has it. Everything a stub can get wrong is checked
-//! here, before the kernel is called: slot and element ranges, the wire
-//! slice, the dynamic guards; the kernel module — the workspace's only
-//! `unsafe`, three calls of a safe `#[target_feature]` function — receives
-//! slices of the right length and cannot fail. Offsets are displaced in
-//! saturating `i64`, so a step no buffer could hold ends in
-//! [`StubError::BufTooSmall`] / [`StubError::BadElem`] in every profile.
+//! A stub whose plan has one of four shapes — a header image (`PutImage`
+//! or `GetImage`), at most one element step (a bulk put, or a decode's
+//! fill of the whole array), then `Ret` — and a header of 4 to 255 bytes,
+//! as every stub the benchmark runs has, runs as one monomorphic function
+//! per shape and header width class: one bounds check for its whole
+//! reach, the header copied or compared as two fixed-width blocks, the
+//! patches or the load of the header's scalar run, the element step
+//! through the block kernels, and every op's counts at once. No loop over
+//! steps, no `Result` per step.
 //!
-//! Two zero-fills the data never needed are gone: a decode's `SetArrLen`
-//! followed by the bulk get of the whole array is one
-//! [`PlanOp::BulkFill`] (clear + extend, each element written once), and an
-//! encode zeroes exactly the program's [`StubProgram::holes`] — none for
-//! generated stubs — so callers need not clear the buffer between messages.
+//! Every other stub — words after an array, two arrays, an array pinned at
+//! 0, a header of 256 bytes or more — runs its segments in wire order on
+//! the checked path, which is also where a fixed-width entry that cannot
+//! finish hands the call. It checks everything before it stores anything:
+//! a decode, in this order, the `inlen` guard, the buffer against each
+//! segment's reach, every other guard in op order, then the slots each
+//! segment loads; an encode, each array against its conventions' bound,
+//! then each word and element in wire order for its slot and its place in
+//! the buffer. So whatever fails, nothing was stored: a `Fallback` carries
+//! the counts that running the ops one by one has at the failing guard
+//! (summed when the kernel was bound) and leaves the slots as they were,
+//! and an error names the first word, slot or element the ops one by one
+//! would fail on, when only one thing is wrong.
 //!
-//! The message header is one step as well: its static words are folded
-//! constants, as in the paper's residual C. An encode's header is a
-//! [`PlanOp::PutImage`], a copy of the header image encoded when the
-//! program was built with the dynamic words patched in (the xid override,
-//! argument or result slots); a decode's is a [`PlanOp::GetImage`], the
-//! `inlen` test, every checked word compared at once (`wire & mask ==
-//! image`) and the load of every word a scalar takes. So every generated
-//! stub plans to one of four shapes: `PutImage` or `GetImage`, at most
-//! one element step (a bulk put, or a decode's fill of the whole array),
-//! then `Ret`.
-//!
-//! Those four shapes do not run as plans. [`super::compile`] binds each to
-//! a **kernel** ([`Kernel`]) — the run-time template of the residual
-//! function, one monomorphic function per shape and header width class,
-//! compiled ahead of time like Tempo's pre-compiled templates: one bounds
-//! check for the stub's whole reach, the header copied or compared as two
-//! fixed-width blocks, the patches or the load of the header's scalar run,
-//! the element step through the block kernels, and every op's counts at
-//! once. No step loop, no `Result` per step, no scan of holes or array
-//! bounds, no planning check. The executor stays the reference, the
-//! runner of hand-assembled programs and of any plan that was changed
-//! (a change drops the kernel, [`super::Plan`]), and the fallback: a
-//! kernel that cannot finish — a guard fails, the buffer is too short, a
-//! slot is missing — has stored nothing and hands the whole call to it.
-//!
-//! The accounting rule is op-by-op's. A kernel counts what all its ops
-//! would; the executor runs an image step's ops one by one, so a
-//! `Fallback` carries the counts of the ops up to the failing guard, and
-//! an error its variant, offset and partial writes.
+//! The block copy of an element run lives in the `kernel` module. On the
+//! baseline x86-64 target the workspace is built for, the swap of each
+//! 32-bit word compiles to SSE2 unpack / `pshuflw` / `pshufhw` / pack
+//! (≈13 B/ns); the kernel holds a second instantiation of the same safe
+//! loop compiled with AVX2 enabled (one `vpshufb` per 32 bytes, 4–6×
+//! faster) and picks it at run time when the CPU has it. Everything a stub
+//! can get wrong is checked here, before the block kernels are called; the
+//! `kernel` module — the workspace's only `unsafe`, three calls of a safe
+//! `#[target_feature]` function — receives slices of the right length and
+//! cannot fail.
 
-use super::{build_plan, count_op, kernel, rolled, Image, Plan, PlanOp, StubOp, StubProgram};
+use super::{kernel, CompileError, Image, PlanOp, StubProgram};
 use specrpc_xdr::OpCounts;
 use std::fmt;
 
@@ -117,7 +95,9 @@ pub enum Outcome {
 }
 
 /// Hard execution failures (these indicate harness bugs, not wire
-/// conditions — wire conditions produce [`Outcome::Fallback`]).
+/// conditions — wire conditions produce [`Outcome::Fallback`]). Each is
+/// what running the stub's ops one by one fails with first, when only one
+/// thing is wrong.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum StubError {
     /// Buffer shorter than an op's reach.
@@ -141,10 +121,7 @@ pub enum StubError {
         /// Array length.
         len: usize,
     },
-    /// Malformed loop structure, or a plan step whose image the program
-    /// lacks.
-    BadLoop,
-    /// Decode op encountered while encoding or vice versa.
+    /// A decode stub run as an encode, or an encode stub as a decode.
     WrongDirection(&'static str),
 }
 
@@ -159,7 +136,6 @@ impl fmt::Display for StubError {
             StubError::BadElem { arr, idx, len } => {
                 write!(f, "array {arr} element {idx} out of range (len {len})")
             }
-            StubError::BadLoop => write!(f, "malformed loop structure"),
             StubError::WrongDirection(op) => write!(f, "op {op} illegal in this direction"),
         }
     }
@@ -167,69 +143,10 @@ impl fmt::Display for StubError {
 
 impl std::error::Error for StubError {}
 
-/// An op's static offset (or element index) displaced by `by`, what the
-/// enclosing loop's trips so far have moved it. A sum below zero or past
-/// `i64` comes out above `i64::MAX`, which fails the bounds check that
-/// follows instead of wrapping back into range.
-#[inline(always)]
-fn displaced(base: u32, by: i64) -> usize {
-    usize::try_from((base as i64).wrapping_add(by) as u64).unwrap_or(usize::MAX)
-}
-
-/// Run the loop at `plan[pc]` trip by trip: every body op through `run`
-/// as a plan of its own, displaced by the [`StubOp::Step`] before it times
-/// the trips made so far. Returns the step after the loop, and the outcome
-/// if an op finished the run. A generated stub's loops are all bulk steps,
-/// so this is off the hot path — which therefore keeps no loop state.
-fn iterate(
-    plan: &[PlanOp],
-    pc: usize,
-    times: u32,
-    mut run: impl FnMut(&[PlanOp], (i64, i64)) -> Result<Option<Outcome>, StubError>,
-) -> Result<(usize, Option<Outcome>), StubError> {
-    let past = skip_loop(plan, pc)?;
-    let body = &plan[pc + 1..past - 1];
-    for trip in 0..times as i64 {
-        let mut by = (0, 0);
-        for (i, step) in body.iter().enumerate() {
-            if let PlanOp::Op(StubOp::Step { off, idx }) = *step {
-                by = (off as i64 * trip, idx as i64 * trip);
-            } else if let done @ Some(_) = run(&body[i..=i], std::mem::take(&mut by))? {
-                return Ok((past, done));
-            }
-        }
-    }
-    Ok((past, None))
-}
-
-/// Whether `prog`'s plan was emptied, so that it must be planned on the
-/// fly ([`planned`]) before it runs.
-#[inline(always)]
-fn unplanned(prog: &StubProgram) -> bool {
-    prog.plan.is_empty() && !prog.ops.is_empty()
-}
-
-/// `prog` with the plan of its ops. Off the hot path: a program only
-/// lacks one if its plan was emptied.
-#[cold]
-#[inline(never)]
-fn planned(prog: &StubProgram) -> StubProgram {
-    StubProgram {
-        plan: build_plan(&prog.ops),
-        ..prog.clone()
-    }
-}
-
-/// The image a step indexes.
-#[inline(always)]
-fn image(prog: &StubProgram, at: u32) -> Result<&Image, StubError> {
-    prog.plan.images.get(at as usize).ok_or(StubError::BadLoop)
-}
-
 /// What encoding scalar slot `slot` writes: `xid`, when given, for slot 0,
 /// otherwise `args.scalars[slot - first_slot]`.
 #[inline(always)]
-fn scalar(args: &StubArgs, (xid, first_slot): (Option<i32>, usize), slot: u16) -> Option<i32> {
+fn scalar(args: &StubArgs, (xid, first_slot): Slots, slot: u16) -> Option<i32> {
     match xid {
         Some(x) if slot == 0 => Some(x),
         _ => (slot as usize)
@@ -246,7 +163,7 @@ pub fn run_encode(
     args: &StubArgs,
     counts: &mut OpCounts,
 ) -> Result<Outcome, StubError> {
-    encode_inner(prog, buf, args, None, 0, counts)
+    encode_inner(prog, buf, args, (None, 0), counts)
 }
 
 /// Run an encode stub with scalar slot 0 (the xid slot of the RPC calling
@@ -259,7 +176,7 @@ pub fn run_encode_with_xid(
     xid: i32,
     counts: &mut OpCounts,
 ) -> Result<Outcome, StubError> {
-    encode_inner(prog, buf, args, Some(xid), 0, counts)
+    encode_inner(prog, buf, args, (Some(xid), 0), counts)
 }
 
 /// Run an encode stub whose scalar slot 0 is `xid` and whose scalar slots
@@ -273,195 +190,27 @@ pub fn run_encode_after_xid(
     xid: i32,
     counts: &mut OpCounts,
 ) -> Result<Outcome, StubError> {
-    encode_inner(prog, buf, results, Some(xid), 1, counts)
+    encode_inner(prog, buf, results, (Some(xid), 1), counts)
 }
 
-/// `xid`, when given, is what scalar slot 0 encodes; every other scalar
-/// slot `s` reads `args.scalars[s - first_slot]`. The program's kernel
-/// runs it whole when it can, the plan executor otherwise.
+/// The program's kernel: its fixed-width entry when it has one and can
+/// finish, the checked path otherwise.
 #[inline(always)]
 fn encode_inner(
     prog: &StubProgram,
     buf: &mut [u8],
     args: &StubArgs,
-    xid: Option<i32>,
-    first_slot: usize,
+    slots: Slots,
     counts: &mut OpCounts,
 ) -> Result<Outcome, StubError> {
-    if let Some(k) = &prog.plan.kernel {
-        if prog.holes.is_empty() && k.encode(buf, args, (xid, first_slot)) {
-            return Ok(k.done(prog, counts));
-        }
+    let k = &prog.plan.kernel;
+    if k.encode(buf, args, slots) {
+        return Ok(k.done(counts));
     }
-    execute_encode(prog, buf, args, xid, first_slot, counts)
-}
-
-/// [`encode_inner`] step by step, through the plan.
-#[inline(never)]
-fn execute_encode(
-    prog: &StubProgram,
-    buf: &mut [u8],
-    args: &StubArgs,
-    xid: Option<i32>,
-    first_slot: usize,
-    counts: &mut OpCounts,
-) -> Result<Outcome, StubError> {
-    if unplanned(prog) {
-        return execute_encode(&planned(prog), buf, args, xid, first_slot, counts);
-    }
-    // The bytes no op stores are the stub's to clear. A buffer too short
-    // for a hole is reported by the op that falls outside it, as before.
-    for hole in &prog.holes {
-        let end = hole.end.min(buf.len());
-        if let Some(gap) = buf.get_mut(hole.start..end) {
-            gap.fill(0);
-        }
-    }
-    // An array fills at most the slots its conventions cover — for a
-    // generated stub, the length its header image carries: a longer one
-    // is refused like a shorter one, never cut to fit.
-    for &(arr, n) in &prog.elems {
-        if let Some(a) = args.arrays.get(arr as usize).filter(|a| a.len() > n) {
-            let len = a.len();
-            return Err(StubError::BadElem { arr, idx: n, len });
-        }
-    }
-    let slots = (xid, first_slot);
-    let done = encode_steps(&prog.plan, (0, 0), buf, args, slots, prog, counts)?;
-    let wire_len = prog.wire_len;
-    Ok(done.unwrap_or(Outcome::Done { ret: 1, wire_len }))
-}
-
-/// [`iterate`] for an encode: kept out of line, so that the run of a plan
-/// without a loop — every generated stub's — pays nothing for it.
-#[cold]
-#[inline(never)]
-#[allow(clippy::too_many_arguments)]
-fn encode_loop(
-    plan: &[PlanOp],
-    pc: usize,
-    times: u32,
-    buf: &mut [u8],
-    args: &StubArgs,
-    slots: (Option<i32>, usize),
-    prog: &StubProgram,
-    counts: &mut OpCounts,
-) -> Result<(usize, Option<Outcome>), StubError> {
-    iterate(plan, pc, times, |op, by| {
-        encode_steps(op, by, buf, args, slots, prog, counts)
-    })
-}
-
-/// Run `plan`, every op displaced by `by` (nothing, unless `plan` is one
-/// op of a loop body in a later trip): the outcome of the op that finished
-/// the run, `None` if it ran off the end.
-fn encode_steps(
-    plan: &[PlanOp],
-    (off_by, idx_by): (i64, i64),
-    buf: &mut [u8],
-    args: &StubArgs,
-    slots: (Option<i32>, usize),
-    prog: &StubProgram,
-    counts: &mut OpCounts,
-) -> Result<Option<Outcome>, StubError> {
-    let mut pc = 0usize;
-    while pc < plan.len() {
-        match plan[pc] {
-            // A kernel's header; the executor stores its ops one by one.
-            PlanOp::PutImage { at, .. } => {
-                let ops = &image(prog, at)?.replay;
-                let done = encode_steps(ops, (off_by, idx_by), buf, args, slots, prog, counts)?;
-                if done.is_some() {
-                    return Ok(done);
-                }
-            }
-            PlanOp::BulkPut {
-                off,
-                arr,
-                idx,
-                n,
-                ops,
-            } => {
-                let a = args
-                    .arrays
-                    .get(arr as usize)
-                    .ok_or(StubError::BadArraySlot(arr))?;
-                let i0 = displaced(idx, idx_by);
-                let missing = run_outside(arr, i0, a.len());
-                let src = span(i0, n as usize).and_then(|r| a.get(r)).ok_or(missing)?;
-                kernel::put(wire_mut(buf, displaced(off, off_by), 4 * src.len())?, src);
-                counts.stub_ops += ops as u64;
-                counts.mem_moves += 4 * n as u64;
-            }
-            PlanOp::BulkGet { .. } | PlanOp::GetImage { .. } => {
-                return Err(StubError::WrongDirection("get in encode"));
-            }
-            PlanOp::BulkFill { .. } => {
-                return Err(StubError::WrongDirection("decode-only op in encode"));
-            }
-            PlanOp::Op(op) => match op {
-                StubOp::PutImm { off, word } => {
-                    put4(buf, displaced(off, off_by), word.to_le_bytes())?;
-                    count_op(counts, 4);
-                }
-                StubOp::PutScalar { off, slot } => {
-                    let v = scalar(args, slots, slot).ok_or(StubError::BadScalarSlot(slot))?;
-                    put4(buf, displaced(off, off_by), v.to_be_bytes())?;
-                    count_op(counts, 4);
-                }
-                StubOp::PutElem { off, arr, idx } => {
-                    let a = args
-                        .arrays
-                        .get(arr as usize)
-                        .ok_or(StubError::BadArraySlot(arr))?;
-                    let i = displaced(idx, idx_by);
-                    let v = *a.get(i).ok_or(StubError::BadElem {
-                        arr,
-                        idx: i,
-                        len: a.len(),
-                    })?;
-                    put4(buf, displaced(off, off_by), v.to_be_bytes())?;
-                    count_op(counts, 4);
-                }
-                StubOp::Loop { times, unroll, .. } => {
-                    // The header is an op of the modeled code only where
-                    // that code keeps a loop; unrolled, nothing to count.
-                    counts.stub_ops += rolled(times, unroll) as u64;
-                    let (past, done) =
-                        encode_loop(plan, pc, times, buf, args, slots, prog, counts)?;
-                    if done.is_some() {
-                        return Ok(done);
-                    }
-                    pc = past;
-                    continue;
-                }
-                // Moves the op after it inside a loop; nothing on its own.
-                StubOp::Step { .. } => {}
-                StubOp::EndLoop => return Err(StubError::BadLoop),
-                StubOp::Ret { val } => {
-                    count_op(counts, 0);
-                    let wire_len = prog.wire_len;
-                    return Ok(Some(Outcome::Done { ret: val, wire_len }));
-                }
-                StubOp::SetScalarImm { .. } | StubOp::SetArrLen { .. } => {
-                    return Err(StubError::WrongDirection("decode-only op in encode"))
-                }
-                StubOp::GetScalar { .. } | StubOp::GetElem { .. } => {
-                    return Err(StubError::WrongDirection("get in encode"))
-                }
-                StubOp::CheckWord { .. } | StubOp::CheckScalar { .. } | StubOp::LenGuard { .. } => {
-                    return Err(StubError::WrongDirection("guard in encode"))
-                }
-            },
-        }
-        pc += 1;
-    }
-    Ok(None)
+    k.encode_checked(buf, args, slots, counts)
 }
 
 /// Run a decode stub: reads `buf` (of `inlen` valid bytes), writes `args`.
-/// The program's kernel runs it whole when it can, the plan executor
-/// otherwise.
 pub fn run_decode(
     prog: &StubProgram,
     buf: &[u8],
@@ -469,276 +218,53 @@ pub fn run_decode(
     inlen: usize,
     counts: &mut OpCounts,
 ) -> Result<Outcome, StubError> {
-    if let Some(k) = &prog.plan.kernel {
-        if k.decode(buf, args, inlen) {
-            return Ok(k.done(prog, counts));
-        }
+    let k = &prog.plan.kernel;
+    if k.decode(buf, args, inlen) {
+        return Ok(k.done(counts));
     }
-    execute_decode(prog, buf, args, inlen, counts)
-}
-
-/// [`run_decode`] step by step, through the plan.
-#[inline(never)]
-fn execute_decode(
-    prog: &StubProgram,
-    buf: &[u8],
-    args: &mut StubArgs,
-    inlen: usize,
-    counts: &mut OpCounts,
-) -> Result<Outcome, StubError> {
-    if unplanned(prog) {
-        return execute_decode(&planned(prog), buf, args, inlen, counts);
-    }
-    let done = decode_steps(&prog.plan, (0, 0), buf, args, inlen, prog, counts)?;
-    let wire_len = prog.wire_len;
-    Ok(done.unwrap_or(Outcome::Done { ret: 1, wire_len }))
-}
-
-/// The decode-side mirror of [`encode_loop`].
-#[cold]
-#[inline(never)]
-#[allow(clippy::too_many_arguments)]
-fn decode_loop(
-    plan: &[PlanOp],
-    pc: usize,
-    times: u32,
-    buf: &[u8],
-    args: &mut StubArgs,
-    inlen: usize,
-    prog: &StubProgram,
-    counts: &mut OpCounts,
-) -> Result<(usize, Option<Outcome>), StubError> {
-    iterate(plan, pc, times, |op, by| {
-        decode_steps(op, by, buf, args, inlen, prog, counts)
-    })
-}
-
-/// The decode-side mirror of [`encode_steps`].
-fn decode_steps(
-    plan: &[PlanOp],
-    (off_by, idx_by): (i64, i64),
-    buf: &[u8],
-    args: &mut StubArgs,
-    inlen: usize,
-    prog: &StubProgram,
-    counts: &mut OpCounts,
-) -> Result<Option<Outcome>, StubError> {
-    let mut pc = 0usize;
-    while pc < plan.len() {
-        match plan[pc] {
-            // A kernel's header; the executor runs its ops one by one.
-            PlanOp::GetImage { at, .. } => {
-                let ops = &image(prog, at)?.replay;
-                let done = decode_steps(ops, (off_by, idx_by), buf, args, inlen, prog, counts)?;
-                if done.is_some() {
-                    return Ok(done);
-                }
-            }
-            PlanOp::BulkGet {
-                off,
-                arr,
-                idx,
-                n,
-                ops,
-            } => {
-                let a = args
-                    .arrays
-                    .get_mut(arr as usize)
-                    .ok_or(StubError::BadArraySlot(arr))?;
-                let i0 = displaced(idx, idx_by);
-                let missing = run_outside(arr, i0, a.len());
-                let dst = span(i0, n as usize)
-                    .and_then(|r| a.get_mut(r))
-                    .ok_or(missing)?;
-                kernel::get(dst, wire(buf, displaced(off, off_by), 4 * n as usize)?);
-                counts.stub_ops += ops as u64;
-                counts.mem_moves += 4 * n as u64;
-            }
-            PlanOp::BulkFill { off, arr, n, ops } => {
-                let a = args
-                    .arrays
-                    .get_mut(arr as usize)
-                    .ok_or(StubError::BadArraySlot(arr))?;
-                let src = wire(buf, displaced(off, off_by), 4 * n as usize)?;
-                kernel::fill(a, src);
-                counts.stub_ops += ops as u64;
-                counts.mem_moves += 4 * n as u64;
-            }
-            PlanOp::BulkPut { .. } | PlanOp::PutImage { .. } => {
-                return Err(StubError::WrongDirection("put in decode"));
-            }
-            PlanOp::Op(op) => match op {
-                StubOp::LenGuard { expected } => {
-                    count_op(counts, 0);
-                    if inlen != expected as usize {
-                        return Ok(Some(Outcome::Fallback));
-                    }
-                }
-                StubOp::CheckWord { off, want } => {
-                    let v = get4(buf, displaced(off, off_by))?;
-                    count_op(counts, 4);
-                    if i32::from_be_bytes(v) != want {
-                        return Ok(Some(Outcome::Fallback));
-                    }
-                }
-                StubOp::CheckScalar { slot, want } => {
-                    let v = *args
-                        .scalars
-                        .get(slot as usize)
-                        .ok_or(StubError::BadScalarSlot(slot))?;
-                    count_op(counts, 0);
-                    if v != want {
-                        return Ok(Some(Outcome::Fallback));
-                    }
-                }
-                StubOp::GetScalar { off, slot } => {
-                    let v = i32::from_be_bytes(get4(buf, displaced(off, off_by))?);
-                    let s = args
-                        .scalars
-                        .get_mut(slot as usize)
-                        .ok_or(StubError::BadScalarSlot(slot))?;
-                    *s = v;
-                    count_op(counts, 4);
-                }
-                StubOp::GetElem { off, arr, idx } => {
-                    let v = i32::from_be_bytes(get4(buf, displaced(off, off_by))?);
-                    let a = args
-                        .arrays
-                        .get_mut(arr as usize)
-                        .ok_or(StubError::BadArraySlot(arr))?;
-                    let i = displaced(idx, idx_by);
-                    let len = a.len();
-                    *a.get_mut(i)
-                        .ok_or(StubError::BadElem { arr, idx: i, len })? = v;
-                    count_op(counts, 4);
-                }
-                StubOp::SetScalarImm { slot, val } => {
-                    let s = args
-                        .scalars
-                        .get_mut(slot as usize)
-                        .ok_or(StubError::BadScalarSlot(slot))?;
-                    *s = val;
-                    count_op(counts, 0);
-                }
-                StubOp::SetArrLen { arr, len } => {
-                    let a = args
-                        .arrays
-                        .get_mut(arr as usize)
-                        .ok_or(StubError::BadArraySlot(arr))?;
-                    a.resize(len as usize, 0);
-                    count_op(counts, 0);
-                }
-                StubOp::Loop { times, unroll, .. } => {
-                    counts.stub_ops += rolled(times, unroll) as u64;
-                    let (past, done) =
-                        decode_loop(plan, pc, times, buf, args, inlen, prog, counts)?;
-                    if done.is_some() {
-                        return Ok(done);
-                    }
-                    pc = past;
-                    continue;
-                }
-                // Moves the op after it inside a loop; nothing on its own.
-                StubOp::Step { .. } => {}
-                StubOp::EndLoop => return Err(StubError::BadLoop),
-                StubOp::Ret { val } => {
-                    count_op(counts, 0);
-                    let wire_len = prog.wire_len;
-                    return Ok(Some(Outcome::Done { ret: val, wire_len }));
-                }
-                StubOp::PutImm { .. } | StubOp::PutScalar { .. } | StubOp::PutElem { .. } => {
-                    return Err(StubError::WrongDirection("put in decode"))
-                }
-            },
-        }
-        pc += 1;
-    }
-    Ok(None)
-}
-
-/// What a bulk step reports when its element run, starting at `i0`, does
-/// not lie inside an array of `len` elements: the first missing element.
-#[inline(always)]
-fn run_outside(arr: u16, i0: usize, len: usize) -> StubError {
-    StubError::BadElem {
-        arr,
-        idx: len.max(i0),
-        len,
-    }
-}
-
-/// `start..start + len`, unless that overflows.
-#[inline(always)]
-fn span(start: usize, len: usize) -> Option<std::ops::Range<usize>> {
-    Some(start..start.checked_add(len)?)
-}
-
-/// The one bounds check of a wire read: `nbytes` of `buf` at `off`.
-#[inline(always)]
-fn wire(buf: &[u8], off: usize, nbytes: usize) -> Result<&[u8], StubError> {
-    buf.get(off..)
-        .and_then(|tail| tail.get(..nbytes))
-        .ok_or(StubError::BufTooSmall {
-            off,
-            len: buf.len(),
-        })
-}
-
-/// The one bounds check of a wire write: `nbytes` of `buf` at `off`.
-#[inline(always)]
-fn wire_mut(buf: &mut [u8], off: usize, nbytes: usize) -> Result<&mut [u8], StubError> {
-    let len = buf.len();
-    buf.get_mut(off..)
-        .and_then(|tail| tail.get_mut(..nbytes))
-        .ok_or(StubError::BufTooSmall { off, len })
-}
-
-#[inline(always)]
-fn put4(buf: &mut [u8], off: usize, bytes: [u8; 4]) -> Result<(), StubError> {
-    wire_mut(buf, off, 4)?.copy_from_slice(&bytes);
-    Ok(())
-}
-
-#[inline(always)]
-fn get4(buf: &[u8], off: usize) -> Result<[u8; 4], StubError> {
-    let mut b = [0u8; 4];
-    b.copy_from_slice(wire(buf, off, 4)?);
-    Ok(b)
-}
-
-/// The step after the loop at `plan[pc]`; `BadLoop` unless its body ends,
-/// inside the plan, in an `EndLoop`.
-fn skip_loop(plan: &[PlanOp], pc: usize) -> Result<usize, StubError> {
-    match plan.get(pc) {
-        Some(PlanOp::Op(StubOp::Loop { body, .. })) => {
-            let end = span(pc + 1, *body as usize).ok_or(StubError::BadLoop)?.end;
-            match plan.get(end) {
-                Some(PlanOp::Op(StubOp::EndLoop)) => Ok(end + 1),
-                _ => Err(StubError::BadLoop),
-            }
-        }
-        _ => Err(StubError::BadLoop),
-    }
+    k.decode_checked(buf, args, inlen, counts)
 }
 
 /// The scalars an encode writes: the xid that stands for slot 0, if
 /// given, and the slot `args.scalars[0]` holds.
 type Slots = (Option<i32>, usize);
 
-/// A kernel's monomorphic function, by direction.
+type EncodeFn = fn(&Kernel, &mut [u8], &StubArgs, Slots) -> bool;
+type DecodeFn = fn(&Kernel, &[u8], &mut StubArgs, usize) -> bool;
+
+/// A kernel's direction, and its fixed-width entry if it has one.
 #[derive(Debug, Clone, Copy)]
 enum Entry {
-    Encode(fn(&Kernel, &mut [u8], &StubArgs, Slots) -> bool),
-    Decode(fn(&Kernel, &[u8], &mut StubArgs, usize) -> bool),
+    Encode(Option<EncodeFn>),
+    Decode(Option<DecodeFn>),
 }
 
-/// The element step a kernel runs after its header: a bulk put of
-/// elements `idx..idx + n` of array `arr` at byte `off` (encode), or the
-/// fill of the whole array from there (decode, `idx` 0).
+/// The fixed-width entries by header width class (`B <= len < 2B`, for
+/// `B` = 4, 8, …, 128).
+const ENCODERS: [EncodeFn; 6] = [
+    encode_with::<4>,
+    encode_with::<8>,
+    encode_with::<16>,
+    encode_with::<32>,
+    encode_with::<64>,
+    encode_with::<128>,
+];
+const DECODERS: [DecodeFn; 6] = [
+    decode_with::<4>,
+    decode_with::<8>,
+    decode_with::<16>,
+    decode_with::<32>,
+    decode_with::<64>,
+    decode_with::<128>,
+];
+
+/// An element step: a bulk put of elements `idx..idx + n` of array `arr`
+/// at byte `off` (encode), or the fill of the whole array from there
+/// (decode, `idx` 0).
 #[derive(Debug, Clone, Copy)]
 struct Elem {
     off: usize,
-    arr: usize,
+    arr: u16,
     idx: usize,
     n: usize,
     /// Encode: the most elements the array may hold (the conventions'
@@ -746,28 +272,51 @@ struct Elem {
     limit: usize,
 }
 
-/// A generated stub's whole run as one call: the run-time template of
-/// the residual function, its holes filled per message.
+/// One segment of a stub, as the checked path runs it.
+#[derive(Debug, Clone)]
+enum Segment {
+    /// Words from byte `at`: an encode stores `bytes` there and patches
+    /// each dynamic word in; a decode loads each patched word into its
+    /// slot (its checks are the kernel's guards).
+    Words {
+        at: usize,
+        bytes: Box<[u8]>,
+        patches: Box<[(usize, u16)]>,
+    },
+    /// An element step.
+    Elems(Elem),
+}
+
+/// A decode's check of one wire word: its offset, the bytes it wants, and
+/// the ops and bytes counted when it fails.
+#[derive(Debug, Clone, Copy)]
+struct Guard {
+    at: usize,
+    want: [u8; 4],
+    spent: (u64, u64),
+}
+
+/// A stub as the checked path runs it.
+#[derive(Debug, Clone)]
+struct Checked {
+    /// Every segment in wire order, the header first.
+    segments: Vec<Segment>,
+    /// Encode: each array slot the conventions bind and its bound.
+    limits: Vec<(u16, usize)>,
+    /// Decode: every guard but the `inlen` one, in op order.
+    guards: Vec<Guard>,
+}
+
+/// A compiled stub's whole run: the run-time template of the residual
+/// function, its holes filled per message.
 ///
-/// Bound by [`super::compile`] to the plan's shape: a header image step,
-/// at most one element step, then `Ret` — which is every generated stub's
-/// plan. The kernel is one monomorphic function per shape and
-/// header width class ([`Kernel::bind`]): one bounds check for its whole
-/// reach, a copy or masked compare of the header in two fixed-width
-/// blocks, the patches or the load of the header's scalar run, the
-/// element step through the block kernels, and the counts and `Outcome`
-/// of all its ops at once.
-///
-/// It checks everything before it stores anything: a guard that fails, a
-/// buffer too short or a slot or element missing returns `false` having
-/// written nothing, and the caller hands the whole call to the plan
-/// executor, so every outcome, error, partial write and partial count is
-/// the executor's, which are op-by-op's.
+/// The header and element step of a stub of the four shapes are held as
+/// its fixed-width entry reads them; every stub is also held as its
+/// segments, guards and array bounds ([`Checked`]), which the checked
+/// path runs. Both check everything before they store anything.
 #[derive(Debug, Clone)]
 pub(crate) struct Kernel {
     entry: Entry,
-    /// The header's byte offset.
-    at: usize,
     /// The header image and, decoding, its guard mask (empty when nothing
     /// is checked).
     bytes: Box<[u8]>,
@@ -781,10 +330,12 @@ pub(crate) struct Kernel {
     /// Decode: the header's scalar run — byte offset in the header, first
     /// slot, word count.
     loads: (usize, usize, usize),
+    elem: Option<Elem>,
     /// Decode: the `inlen` the header's guard wants, if it has one.
     inlen: Option<usize>,
-    elem: Option<Elem>,
-    /// The end of the furthest byte the stub reaches.
+    /// The whole stub, off the fixed-width entries' cache lines.
+    checked: Box<Checked>,
+    /// The message length: the segments tile `0..end`.
     end: usize,
     /// What `Ret` returns, and the ops and bytes all the steps count.
     ret: i32,
@@ -793,70 +344,140 @@ pub(crate) struct Kernel {
 }
 
 impl Kernel {
-    /// The kernel of `plan`, if it has the shape of a generated stub's: a
-    /// header image of 4 to 255 bytes, then a bulk put (an encode's, of the
-    /// one array `elems` bounds, if it bounds any) or a fill (a decode's)
-    /// or nothing, then `Ret`; a decode's header loads one scalar run.
-    /// `None` otherwise, and the executor runs the plan.
-    pub(crate) fn bind(plan: &Plan, elems: &[(u16, usize)]) -> Option<Kernel> {
-        let (head, elem, ret) = match plan.steps[..] {
-            [head, PlanOp::Op(StubOp::Ret { val })] => (head, None, val),
-            [head, elem, PlanOp::Op(StubOp::Ret { val })] => (head, Some(elem), val),
-            _ => return None,
+    /// The kernel of a plan: its steps, the images they index and the
+    /// array bounds `elems` of its conventions. It refuses a plan that
+    /// does not end in its return, both encodes and decodes, checks
+    /// `inlen` after its first step, or does not cover its message
+    /// `0..end` in order (an encode must store every byte of it).
+    pub(crate) fn bind(
+        steps: &[PlanOp],
+        images: &[Image],
+        elems: &[(u16, usize)],
+    ) -> Result<Kernel, CompileError> {
+        let refuse = |why: &str| {
+            let why = format!("no kernel runs a stub that {why}: {steps:?}");
+            CompileError::Unsupported(why)
         };
-        let (at, image, encode) = match head {
-            PlanOp::PutImage { off, at } => (off, plan.images.get(at as usize)?, true),
-            PlanOp::GetImage { off, at } => (off, plan.images.get(at as usize)?, false),
-            _ => return None,
+        let [body @ .., PlanOp::Ret { val: ret }] = steps else {
+            return Err(refuse("does not end in its return"));
         };
-        let elem = match (elem, encode) {
-            (None, _) => None,
-            (
-                Some(PlanOp::BulkPut {
+        let encode = !matches!(
+            body.first(),
+            Some(PlanOp::GetImage { .. } | PlanOp::BulkFill { .. })
+        );
+        let limit = |arr: u16| {
+            let bounds = elems.iter().filter(|&&(a, _)| a == arr && encode);
+            bounds.map(|&(_, n)| n).min().unwrap_or(usize::MAX)
+        };
+        let (mut segments, mut guards) = (Vec::new(), Vec::new());
+        let (mut ops, mut moves, mut end) = (0u64, 0u64, 0usize);
+        for (k, step) in body.iter().enumerate() {
+            let (segment, o, m) = match *step {
+                PlanOp::PutImage { off, at } | PlanOp::GetImage { off, at } => {
+                    let image = &images[at as usize];
+                    if matches!(step, PlanOp::PutImage { .. }) != encode {
+                        return Err(refuse("both encodes and decodes"));
+                    }
+                    if k > 0 && image.inlen.is_some() {
+                        return Err(refuse("checks its length after its header"));
+                    }
+                    for &(word, want, o, m) in &image.guards {
+                        guards.push(Guard {
+                            at: off as usize + word,
+                            want: want.to_be_bytes(),
+                            spent: (ops + o, moves + m),
+                        });
+                    }
+                    let words = Segment::Words {
+                        at: off as usize,
+                        bytes: image.bytes.clone().into(),
+                        patches: image.patches.clone().into(),
+                    };
+                    (words, image.ops, image.moves)
+                }
+                PlanOp::BulkPut {
                     off,
                     arr,
                     idx,
                     n,
                     ops,
-                }),
-                true,
-            ) => Some((off, arr, idx, n, ops)),
-            (Some(PlanOp::BulkFill { off, arr, n, ops }), false) => Some((off, arr, 0, n, ops)),
-            _ => return None,
-        };
-        // An encode refuses an array longer than its conventions' bound:
-        // the kernel holds that bound for its own array, and no other.
-        let mut limit = usize::MAX;
-        for &(arr, n) in elems.iter().filter(|_| encode) {
-            match elem {
-                Some((_, a, ..)) if a == arr => limit = limit.min(n),
-                _ => return None,
+                } if encode => (
+                    Segment::elems(off, arr, idx, n, limit(arr)),
+                    ops as u64,
+                    4 * n as u64,
+                ),
+                PlanOp::BulkFill { off, arr, n, ops } if !encode => (
+                    Segment::elems(off, arr, 0, n, usize::MAX),
+                    ops as u64,
+                    4 * n as u64,
+                ),
+                _ => return Err(refuse("both encodes and decodes")),
+            };
+            let (start, len) = segment.span();
+            if len > 0 {
+                if start != end {
+                    return Err(refuse("does not cover its message in order"));
+                }
+                end = start
+                    .checked_add(len)
+                    .ok_or_else(|| refuse("reaches past memory"))?;
             }
+            ops += o;
+            moves += m;
+            segments.push(segment);
         }
-        let (at, len) = (at as usize, image.bytes.len());
-        let mut end = at.checked_add(len)?;
-        let (mut ops, mut moves) = (image.ops + 1, image.moves);
-        let elem = match elem {
-            Some((off, arr, idx, n, o)) => {
-                let (off, idx, n) = (off as usize, idx as usize, n as usize);
-                idx.checked_add(n)?;
-                end = end.max(off.checked_add(n.checked_mul(4)?)?);
-                (ops, moves) = (ops + o as u64, moves + 4 * n as u64);
-                let arr = arr as usize;
-                Some(Elem {
-                    off,
-                    arr,
-                    idx,
-                    n,
-                    limit,
-                })
+        let head = match body.first() {
+            Some(PlanOp::PutImage { at, .. } | PlanOp::GetImage { at, .. }) => {
+                Some(&images[*at as usize])
             }
-            None => None,
+            _ => None,
         };
-        let patched = |but_xid: bool| {
-            let slots = image.patches.iter().map(|&(_, s)| s as usize);
-            let slots = slots.filter(move |&s| !(but_xid && s == 0));
-            slots.clone().min().zip(slots.max())
+        let mut kernel = Kernel {
+            entry: if encode {
+                Entry::Encode(None)
+            } else {
+                Entry::Decode(None)
+            },
+            bytes: Box::default(),
+            mask: Box::default(),
+            patches: Box::default(),
+            slots: None,
+            slots_but_xid: None,
+            loads: (0, 0, 0),
+            elem: None,
+            inlen: head.and_then(|image| image.inlen),
+            checked: Box::new(Checked {
+                segments,
+                limits: elems.iter().copied().filter(|_| encode).collect(),
+                guards,
+            }),
+            end,
+            ret: *ret,
+            ops: ops + 1,
+            moves,
+        };
+        if let Some(image) = head {
+            kernel.bind_entry(image, encode);
+        }
+        Ok(kernel)
+    }
+
+    /// Give the kernel the fixed-width entry of its shape, if it has one
+    /// of the four: a header of `image`, 4 to 255 bytes, then at most one
+    /// element step — an encode's of the one array the conventions bound,
+    /// if they bound any — and a decode's header loads one scalar run.
+    fn bind_entry(&mut self, image: &Image, encode: bool) {
+        let elem = match self.checked.segments[1..] {
+            [] => None,
+            [Segment::Elems(e)] => Some(e),
+            _ => return,
+        };
+        if (self.checked.limits.iter()).any(|&(arr, _)| elem.is_none_or(|e| e.arr != arr)) {
+            return;
+        }
+        let len = image.bytes.len();
+        let Some(class) = (4..256).contains(&len).then(|| len.ilog2() as usize - 2) else {
+            return;
         };
         // A decode's loads are one run: word k of it into slot `first + k`.
         let loads = match image.patches[..] {
@@ -864,101 +485,300 @@ impl Kernel {
                 let run = (image.patches.iter().enumerate())
                     .all(|(k, &(o, s))| o == from + 4 * k && s as usize == first as usize + k);
                 if !run {
-                    return None;
+                    return;
                 }
                 (from, first as usize, image.patches.len())
             }
             _ => (0, 0, 0),
         };
-        // The header's width class: `B <= len < 2B`.
-        macro_rules! by_width {
-            ($run:ident) => {
-                match len.checked_ilog2()? {
-                    2 => $run::<4>,
-                    3 => $run::<8>,
-                    4 => $run::<16>,
-                    5 => $run::<32>,
-                    6 => $run::<64>,
-                    7 => $run::<128>,
-                    _ => return None,
-                }
-            };
-        }
-        let entry = if encode {
-            Entry::Encode(by_width!(encode_with))
-        } else {
-            Entry::Decode(by_width!(decode_with))
+        let patched = |but_xid: bool| {
+            let slots = image.patches.iter().map(|&(_, s)| s as usize);
+            let slots = slots.filter(move |&s| !(but_xid && s == 0));
+            slots.clone().min().zip(slots.max())
         };
-        Some(Kernel {
-            entry,
-            at,
-            bytes: image.bytes.clone().into(),
-            mask: image.mask.clone().into(),
-            patches: image.patches.clone().into(),
-            slots: patched(false),
-            slots_but_xid: patched(true),
-            loads,
-            inlen: image.inlen,
-            elem,
-            end,
-            ret,
-            ops,
-            moves,
-        })
+        self.entry = if encode {
+            Entry::Encode(Some(ENCODERS[class]))
+        } else {
+            Entry::Decode(Some(DECODERS[class]))
+        };
+        self.bytes = image.bytes.clone().into();
+        self.mask = image.mask.clone().into();
+        self.patches = image.patches.clone().into();
+        (self.slots, self.slots_but_xid) = (patched(false), patched(true));
+        self.loads = loads;
+        self.elem = elem;
     }
 
-    /// Run as an encode: `false`, having written nothing, unless it ran.
+    /// The message length.
+    pub(crate) fn wire_len(&self) -> usize {
+        self.end
+    }
+
+    /// Run the fixed-width entry as an encode: `false`, having written
+    /// nothing, unless it ran.
     #[inline(always)]
     fn encode(&self, buf: &mut [u8], args: &StubArgs, slots: Slots) -> bool {
         match self.entry {
-            Entry::Encode(run) => run(self, buf, args, slots),
-            Entry::Decode(_) => false,
+            Entry::Encode(Some(run)) => run(self, buf, args, slots),
+            _ => false,
         }
     }
 
-    /// Run as a decode: `false`, having loaded nothing, unless it ran.
+    /// Run the fixed-width entry as a decode: `false`, having loaded
+    /// nothing, unless it ran.
     #[inline(always)]
     fn decode(&self, buf: &[u8], args: &mut StubArgs, inlen: usize) -> bool {
         match self.entry {
-            Entry::Decode(run) => run(self, buf, args, inlen),
-            Entry::Encode(_) => false,
+            Entry::Decode(Some(run)) => run(self, buf, args, inlen),
+            _ => false,
         }
     }
 
     /// Count what a run did, and its outcome.
     #[inline(always)]
-    fn done(&self, prog: &StubProgram, counts: &mut OpCounts) -> Outcome {
+    fn done(&self, counts: &mut OpCounts) -> Outcome {
         counts.stub_ops += self.ops;
         counts.mem_moves += self.moves;
-        let wire_len = prog.wire_len;
         Outcome::Done {
             ret: self.ret,
-            wire_len,
+            wire_len: self.end,
+        }
+    }
+
+    /// The checked path of an encode: every segment checked, then stored.
+    #[cold]
+    #[inline(never)]
+    fn encode_checked(
+        &self,
+        buf: &mut [u8],
+        args: &StubArgs,
+        slots: Slots,
+        counts: &mut OpCounts,
+    ) -> Result<Outcome, StubError> {
+        if let Entry::Decode(_) = self.entry {
+            return Err(StubError::WrongDirection("a decode stub run as an encode"));
+        }
+        // An array fills at most the slots its conventions cover — for a
+        // generated stub, the length its header image carries: a longer
+        // one is refused like a shorter one, never cut to fit.
+        for &(arr, n) in &self.checked.limits {
+            if let Some(a) = args.arrays.get(arr as usize).filter(|a| a.len() > n) {
+                let len = a.len();
+                return Err(StubError::BadElem { arr, idx: n, len });
+            }
+        }
+        for segment in &self.checked.segments {
+            segment.check_put(buf.len(), args, slots)?;
+        }
+        for segment in &self.checked.segments {
+            segment.put(buf, args, slots);
+        }
+        Ok(self.done(counts))
+    }
+
+    /// The checked path of a decode: the `inlen` guard, every segment's
+    /// reach, every other guard, every segment's slots, then the loads.
+    #[cold]
+    #[inline(never)]
+    fn decode_checked(
+        &self,
+        buf: &[u8],
+        args: &mut StubArgs,
+        inlen: usize,
+        counts: &mut OpCounts,
+    ) -> Result<Outcome, StubError> {
+        if let Entry::Encode(_) = self.entry {
+            return Err(StubError::WrongDirection("an encode stub run as a decode"));
+        }
+        let spent = if self.inlen.is_some_and(|want| want != inlen) {
+            Some((1, 0))
+        } else {
+            for segment in &self.checked.segments {
+                segment.check_reach(buf.len())?;
+            }
+            let mut guards = self.checked.guards.iter();
+            let failed = guards.find(|g| buf[g.at..g.at + 4] != g.want);
+            failed.map(|g| g.spent)
+        };
+        if let Some((ops, moves)) = spent {
+            counts.stub_ops += ops;
+            counts.mem_moves += moves;
+            return Ok(Outcome::Fallback);
+        }
+        for segment in &self.checked.segments {
+            segment.check_slots(args)?;
+        }
+        for segment in &self.checked.segments {
+            segment.get(buf, args);
+        }
+        Ok(self.done(counts))
+    }
+}
+
+/// The whole words of a buffer of `len` bytes from byte `at` on.
+fn fitting(at: usize, len: usize) -> usize {
+    len.saturating_sub(at) / 4
+}
+
+impl Segment {
+    /// The element step of `n` elements of array `arr` from element `idx`,
+    /// at byte `off`.
+    fn elems(off: u32, arr: u16, idx: u32, n: u32, limit: usize) -> Segment {
+        let (off, idx, n) = (off as usize, idx as usize, n as usize);
+        Segment::Elems(Elem {
+            off,
+            arr,
+            idx,
+            n,
+            limit,
+        })
+    }
+
+    /// Its first byte and its length.
+    fn span(&self) -> (usize, usize) {
+        match self {
+            Segment::Words { at, bytes, .. } => (*at, bytes.len()),
+            Segment::Elems(e) => (e.off, 4 * e.n),
+        }
+    }
+
+    /// What storing it into a buffer of `len` bytes from `args` fails on
+    /// first, as its ops one by one would: a word the buffer ends before,
+    /// a scalar slot a patch lacks, an array or element a put lacks.
+    fn check_put(&self, len: usize, args: &StubArgs, slots: Slots) -> Result<(), StubError> {
+        match self {
+            Segment::Words { at, bytes, patches } => {
+                let fit = fitting(*at, len);
+                let missing = patches
+                    .iter()
+                    .find(|&&(_, s)| scalar(args, slots, s).is_none());
+                match missing {
+                    Some(&(off, slot)) if off / 4 <= fit => Err(StubError::BadScalarSlot(slot)),
+                    _ if fit < bytes.len() / 4 => Err(StubError::BufTooSmall {
+                        off: at + 4 * fit,
+                        len,
+                    }),
+                    _ => Ok(()),
+                }
+            }
+            Segment::Elems(e) => {
+                let a = (args.arrays.get(e.arr as usize)).ok_or(StubError::BadArraySlot(e.arr))?;
+                let (have, fit) = (a.len().saturating_sub(e.idx), fitting(e.off, len));
+                match have.min(fit) < e.n {
+                    false => Ok(()),
+                    true if have <= fit => Err(StubError::BadElem {
+                        arr: e.arr,
+                        idx: e.idx + have,
+                        len: a.len(),
+                    }),
+                    true => Err(StubError::BufTooSmall {
+                        off: e.off + 4 * fit,
+                        len,
+                    }),
+                }
+            }
+        }
+    }
+
+    /// Store it, once [`Segment::check_put`] passed.
+    fn put(&self, buf: &mut [u8], args: &StubArgs, slots: Slots) {
+        match self {
+            Segment::Words { at, bytes, patches } => {
+                let words = &mut buf[*at..*at + bytes.len()];
+                words.copy_from_slice(bytes);
+                patch(words, patches, args, slots);
+            }
+            Segment::Elems(e) => {
+                let src = &args.arrays[e.arr as usize][e.idx..e.idx + e.n];
+                kernel::put(&mut buf[e.off..e.off + 4 * e.n], src);
+            }
+        }
+    }
+
+    /// The error of a buffer of `len` bytes that ends before it: the
+    /// first word the buffer does not hold.
+    fn check_reach(&self, len: usize) -> Result<(), StubError> {
+        let (at, span) = self.span();
+        let fit = fitting(at, len);
+        match 4 * fit < span {
+            true => Err(StubError::BufTooSmall {
+                off: at + 4 * fit,
+                len,
+            }),
+            false => Ok(()),
+        }
+    }
+
+    /// The error of `args` lacking a slot it loads.
+    fn check_slots(&self, args: &StubArgs) -> Result<(), StubError> {
+        match self {
+            Segment::Words { patches, .. } => {
+                let scalars = args.scalars.len();
+                match patches.iter().find(|&&(_, s)| s as usize >= scalars) {
+                    Some(&(_, slot)) => Err(StubError::BadScalarSlot(slot)),
+                    None => Ok(()),
+                }
+            }
+            Segment::Elems(e) if e.arr as usize >= args.arrays.len() => {
+                Err(StubError::BadArraySlot(e.arr))
+            }
+            Segment::Elems(_) => Ok(()),
+        }
+    }
+
+    /// Load it, once its reach and slots are checked.
+    fn get(&self, buf: &[u8], args: &mut StubArgs) {
+        match self {
+            Segment::Words { at, patches, .. } => {
+                for &(off, slot) in patches.iter() {
+                    let w = &buf[at + off..at + off + 4];
+                    args.scalars[slot as usize] = i32::from_be_bytes([w[0], w[1], w[2], w[3]]);
+                }
+            }
+            Segment::Elems(e) => {
+                kernel::fill(
+                    &mut args.arrays[e.arr as usize],
+                    &buf[e.off..e.off + 4 * e.n],
+                );
+            }
         }
     }
 }
 
-/// The encode kernel of a header of `B..2B` bytes.
+/// Store each dynamic word of `words`: the slot its patch names, or the
+/// xid that stands for slot 0.
+#[inline(always)]
+fn patch(words: &mut [u8], patches: &[(usize, u16)], args: &StubArgs, (xid, first): Slots) {
+    for &(off, slot) in patches {
+        let v = match xid {
+            Some(x) if slot == 0 => x,
+            _ => args.scalars[slot as usize - first],
+        };
+        words[off..off + 4].copy_from_slice(&v.to_be_bytes());
+    }
+}
+
+/// The encode entry of a header of `B..2B` bytes.
 fn encode_with<const B: usize>(
     k: &Kernel,
     buf: &mut [u8],
     args: &StubArgs,
-    (xid, first): Slots,
+    slots @ (xid, first): Slots,
 ) -> bool {
     let Some(wire) = buf.get_mut(..k.end) else {
         return false;
     };
-    let slots = if xid.is_some() {
+    let patched = if xid.is_some() {
         k.slots_but_xid
     } else {
         k.slots
     };
-    if slots.is_some_and(|(lo, hi)| lo < first || hi - first >= args.scalars.len()) {
+    if patched.is_some_and(|(lo, hi)| lo < first || hi - first >= args.scalars.len()) {
         return false;
     }
     let elements = match k.elem {
         None => None,
-        Some(e) => match args.arrays.get(e.arr) {
+        Some(e) => match args.arrays.get(e.arr as usize) {
             Some(a) if a.len() <= e.limit => match a.get(e.idx..e.idx + e.n) {
                 Some(src) => Some((e, src)),
                 None => return false,
@@ -966,22 +786,16 @@ fn encode_with<const B: usize>(
             _ => return false,
         },
     };
-    let head = &mut wire[k.at..k.at + k.bytes.len()];
+    let head = &mut wire[..k.bytes.len()];
     kernel::put_header::<B>(head, &k.bytes);
-    for &(off, slot) in k.patches.iter() {
-        let v = match xid {
-            Some(x) if slot == 0 => x,
-            _ => args.scalars[slot as usize - first],
-        };
-        head[off..off + 4].copy_from_slice(&v.to_be_bytes());
-    }
+    patch(head, &k.patches, args, slots);
     if let Some((e, src)) = elements {
         kernel::put(&mut wire[e.off..e.off + 4 * e.n], src);
     }
     true
 }
 
-/// The decode kernel of a header of `B..2B` bytes.
+/// The decode entry of a header of `B..2B` bytes.
 fn decode_with<const B: usize>(k: &Kernel, buf: &[u8], args: &mut StubArgs, inlen: usize) -> bool {
     if k.inlen.is_some_and(|want| want != inlen) {
         return false;
@@ -989,7 +803,7 @@ fn decode_with<const B: usize>(k: &Kernel, buf: &[u8], args: &mut StubArgs, inle
     let Some(wire) = buf.get(..k.end) else {
         return false;
     };
-    let head = &wire[k.at..k.at + k.bytes.len()];
+    let head = &wire[..k.bytes.len()];
     if !k.mask.is_empty() && kernel::differs::<B>(head, &k.bytes, &k.mask) {
         return false;
     }
@@ -999,7 +813,7 @@ fn decode_with<const B: usize>(k: &Kernel, buf: &[u8], args: &mut StubArgs, inle
     };
     let fill = match k.elem {
         None => None,
-        Some(e) => match args.arrays.get_mut(e.arr) {
+        Some(e) => match args.arrays.get_mut(e.arr as usize) {
             Some(a) => Some((a, &wire[e.off..e.off + 4 * e.n])),
             None => return false,
         },

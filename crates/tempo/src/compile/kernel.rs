@@ -1,4 +1,4 @@
-//! The byte-swapping block kernels behind the bulk plan steps, compiled
+//! The byte-swapping block kernels behind a stub's element steps, compiled
 //! for the machine they run on, and the fixed-width header blocks the
 //! whole-stub kernels copy and compare ([`put_header`], [`differs`]).
 //!
@@ -13,8 +13,7 @@
 //! for the build target, once with AVX2 enabled — and the entry points
 //! pick at run time from `is_x86_feature_detected!` (a cached atomic
 //! load). Other architectures, x86 without AVX2, and runs shorter than
-//! [`DISPATCH_MIN`] elements take the portable instantiation, which is
-//! exactly the loop the executor used to inline.
+//! [`DISPATCH_MIN`] elements take the portable instantiation.
 //!
 //! This module holds the workspace's only `unsafe`: the three calls of a
 //! *safe* `#[target_feature]` function, each directly behind the feature

@@ -2,21 +2,24 @@
 //!
 //! The paper compiles Tempo's residual C with `gcc -O2` and links it in
 //! place of the generic routines. Our analog compiles the residual IR into
-//! a [`StubProgram`] — a short sequence of micro-ops executed against real
-//! buffers and argument memory. This is the code that the benchmarks race
-//! against the generic micro-layer implementation in `specrpc-xdr`.
+//! a [`StubProgram`]: the micro-ops the residual stands for, and the
+//! kernel that runs them against real buffers and argument memory. This
+//! is the code that the benchmarks race against the generic micro-layer
+//! implementation in `specrpc-xdr`.
 //!
 //! A stub's size belongs to the shape of its message, not to the length of
 //! its arrays. The specializer proves a marshaling loop affine and hands
 //! over one residual `for` with constant bounds; the compiler folds each
 //! offset and element index in its body to `constant + step · i` and emits
-//! **one** [`StubOp::Loop`] over those template ops — the trip count, and a
-//! [`StubOp::Step`] per template. Nothing is written out per element: a
-//! residual that arrives already unrolled (short arrays, the reference
-//! specializer, a loop the specializer could not prove) is folded back as
-//! it is compiled, each store that continues the element run the program
-//! ends in extending that run's loop by one trip, so both spellings of a
-//! message compile to the same program.
+//! **one** [`StubOp::Loop`] over that element store — the trip count, and
+//! a [`StubOp::Step`] before the template. Nothing is written out per
+//! element: a residual that arrives already unrolled (short arrays, the
+//! reference specializer, a loop the specializer could not prove) is
+//! folded back as it is compiled, each store that continues the element
+//! run the program ends in extending that run's loop by one trip, so both
+//! spellings of a message compile to the same program. A decode into an
+//! array sizes it first: a counted array's residual assigns its pinned
+//! length, and the compiler sizes a fixed array to its binding's length.
 //!
 //! What the loop *stands for* is the code of the paper's Tables 3 and 4:
 //! full unrolling writes one op per trip, and the **bounded unrolling** of
@@ -24,18 +27,19 @@
 //! hand) keeps `chunk` copies of an element store inside a loop and the
 //! left-over trips after it. That bound is a parameter of the op
 //! (`unroll`), and [`StubProgram::len`] / [`StubProgram::code_size_bytes`]
-//! are arithmetic over (templates, trips, bound). What *runs* is the plan:
-//! a loop over one contiguous element store becomes a single bulk kernel
-//! call, any other loop is iterated by the executor, and the message
-//! header is one step over an image built with the plan ([`PlanOp`]). A
-//! generated stub's plan — a header step, at most one element step, `Ret`
-//! — is bound to a whole-stub kernel that runs it in one call
-//! ([`StubProgram::has_kernel`]).
+//! are arithmetic over (templates, trips, bound).
+//!
+//! What *runs* is the kernel of the program's [`Plan`]: the message as a
+//! header image, then a fixed list of segments in wire order — an array's
+//! elements as one block copy, or a run of words as another image — then
+//! the return ([`PlanOp`]). [`compile`] binds every program to its kernel
+//! or refuses it with a [`CompileError`]: a residual loop that is not one
+//! element run, a byte of an encoded message that no op stores, an array
+//! decoded only in part. So a stub that compiles runs as one kernel call
+//! ([`run_encode`], [`run_decode`]).
 
 use crate::ir::{BinOp, Expr, Function, LValue, Program, Stmt, Type, UnOp, VarId};
-use specrpc_xdr::OpCounts;
 use std::fmt;
-use std::ops::Range;
 
 mod exec;
 #[allow(unsafe_code)]
@@ -241,39 +245,29 @@ fn rolled(times: u32, unroll: u32) -> bool {
     unroll != 0 && times as u64 >= 2 * unroll as u64
 }
 
-/// One step of the precompiled monomorphic execution plan.
+/// One step of a stub's plan: what its kernel runs, in wire order.
 ///
-/// Iterating a loop op by op pays one `match` plus slot/bounds lookups per
-/// element — a residue of dispatch the paper's compiled residual C does
-/// not have (`gcc -O2` emits straight-line stores). The plan is the analog
-/// of that final compilation step: a loop whose one template is a
-/// contiguous element store maps to a single bulk micro-op, so the hot
-/// path is one bounds check and one byte-swapping block copy per array
-/// instead of per element. A decode's `SetArrLen` followed by the bulk get
-/// of the whole array becomes a [`PlanOp::BulkFill`] that writes each
-/// element once instead of zero-filling it first.
+/// A loop whose one template is a contiguous element store is one block
+/// copy of the array — one bounds check and one byte-swapping pass, as the
+/// paper's `gcc -O2` turns the residual's stores into straight-line code —
+/// and a decode's `SetArrLen` together with the load of the whole array
+/// is one [`PlanOp::BulkFill`] that writes each element once. A run of
+/// consecutive words is one image step, the way Tempo's run-time templates
+/// are a pre-compiled image whose holes are filled at run time: a run of
+/// `PutImm` / `PutScalar` is a [`PlanOp::PutImage`] (copy the words encoded
+/// at build time, patch the dynamic ones), and a decode's guard prefix —
+/// `LenGuard`, a `GetScalar` run, the `CheckScalar`s and `CheckWord`s on
+/// those words, then the `GetScalar`s of the words after them — is a
+/// [`PlanOp::GetImage`] (the static words compared at once, then every
+/// loaded word loaded). The images live beside the steps in the [`Plan`],
+/// so a step stays small and `Copy`.
 ///
-/// The message header is one step too, the way Tempo's run-time
-/// templates are a pre-compiled image whose holes are filled at run time:
-/// a run of `PutImm` / `PutScalar` over consecutive words is a
-/// [`PlanOp::PutImage`] (copy the words encoded at build time, patch the
-/// dynamic ones), and a decode's guard prefix — `LenGuard`, a `GetScalar`
-/// run, the `CheckScalar`s and `CheckWord`s on those words, then the
-/// `GetScalar`s of the words after them — is a [`PlanOp::GetImage`] (the
-/// static words compared at once, then every loaded word loaded). That is
-/// how a stub's kernel runs the step; the executor runs the ops it stands
-/// for one by one. The images live beside the steps in the [`Plan`], so a
-/// step stays small and `Copy`.
-///
-/// Fusion is purely a representation change — wire bytes, decoded slots,
-/// [`Outcome`] and [`OpCounts`] accounting are identical to executing the
-/// underlying ops one by one. A bulk step that fails reports the offset of
-/// the fused run's start, not of the element that fell outside.
+/// Fusion is purely a representation change: wire bytes, decoded slots,
+/// [`Outcome`] and [`OpCounts`](specrpc_xdr::OpCounts) accounting are those of executing the
+/// underlying ops one by one.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum PlanOp {
-    /// A single micro-op, executed exactly as the interpreter would.
-    Op(StubOp),
-    /// Fused encode of `n` consecutive elements of array `arr` starting at
+    /// Encode of `n` consecutive elements of array `arr` starting at
     /// element `idx`, wire offset `off`. `ops` is the number of stub ops
     /// this step accounts for (`n`, plus one for the header of a re-rolled
     /// loop).
@@ -286,27 +280,13 @@ pub enum PlanOp {
         idx: u32,
         /// Element count.
         n: u32,
-        /// Stub ops accounted (for [`OpCounts`] parity).
+        /// Stub ops accounted (for [`OpCounts`](specrpc_xdr::OpCounts) parity).
         ops: u32,
     },
-    /// Decode-side mirror of [`PlanOp::BulkPut`].
-    BulkGet {
-        /// Buffer byte offset of the first element.
-        off: u32,
-        /// Array slot.
-        arr: u16,
-        /// First element index.
-        idx: u32,
-        /// Element count.
-        n: u32,
-        /// Stub ops accounted (for [`OpCounts`] parity).
-        ops: u32,
-    },
-    /// `SetArrLen { arr, len: n }` and the [`PlanOp::BulkGet`] of that
-    /// array's elements `0..n` in one step: the array is cleared and
-    /// extended from the checked wire slice, so no element is zero-filled
-    /// only to be overwritten. Top-level only (the planner never emits it
-    /// inside a loop).
+    /// `SetArrLen { arr, len: n }` and the load of that array's elements
+    /// `0..n` in one step: the array is cleared and extended from the
+    /// checked wire slice, so no element is zero-filled only to be
+    /// overwritten. An array sized to 0 is a fill of nothing.
     BulkFill {
         /// Buffer byte offset of the first element.
         off: u32,
@@ -314,31 +294,35 @@ pub enum PlanOp {
         arr: u16,
         /// Element count — the array's whole new length.
         n: u32,
-        /// Stub ops accounted: the bulk get's plus one for the `SetArrLen`.
+        /// Stub ops accounted: the element loads' plus one for the
+        /// `SetArrLen`.
         ops: u32,
     },
-    /// Two or more `PutImm` / `PutScalar` ops over consecutive words from
-    /// `off`: in a kernel, one copy of the pre-encoded image (static words
-    /// in wire order, zeros where a scalar goes), then each dynamic word
-    /// patched in. Top-level only.
+    /// `PutImm` / `PutScalar` ops over consecutive words from `off`: one
+    /// copy of the pre-encoded image (static words in wire order, zeros
+    /// where a scalar goes), then each dynamic word patched in.
     PutImage {
         /// Buffer byte offset of the first word.
         off: u32,
         /// The image's index in the program's image table.
         at: u32,
     },
-    /// Two or more of an optional `LenGuard`, a `GetScalar` run over
-    /// consecutive words from `off` and slots, `CheckScalar`s /
-    /// `CheckWord`s on words of that span, then `GetScalar`s of words of
-    /// the span (a `CheckWord` or a later `GetScalar` may extend it by the
-    /// word after it): in a kernel, the static words compared against the
-    /// image under a mask in one pass, then each loaded word loaded into
-    /// its slot. Top-level only.
+    /// An optional `LenGuard`, a `GetScalar` run over consecutive words
+    /// from `off` and slots, `CheckScalar`s / `CheckWord`s on words of that
+    /// span, then `GetScalar`s of words of the span (a `CheckWord` or a
+    /// later `GetScalar` may extend it by the word after it): the static
+    /// words compared against the image under a mask, then each loaded word
+    /// loaded into its slot.
     GetImage {
         /// Buffer byte offset of the first word.
         off: u32,
         /// The image's index in the program's image table.
         at: u32,
+    },
+    /// Finish with the given (statically computed) return value.
+    Ret {
+        /// Stub return value (C `TRUE`/`FALSE` of the original).
+        val: i32,
     },
 }
 
@@ -359,17 +343,19 @@ pub(crate) struct Image {
     patches: Vec<(usize, u16)>,
     /// Decode: the `inlen` the step's `LenGuard` wants, if it has one.
     inlen: Option<usize>,
+    /// Decode: each `CheckScalar` / `CheckWord` in op order — the byte
+    /// offset in the span of the word it checks, the value it wants, and
+    /// the ops and bytes the step has counted when it fails.
+    guards: Vec<(usize, i32, u64, u64)>,
     /// The stub ops the step stands for.
     ops: u64,
     /// The bytes those ops move.
     moves: u64,
-    /// Those ops, one plan step each: what the executor runs.
-    replay: Vec<PlanOp>,
 }
 
 impl Image {
     /// The image of the `PutImm` / `PutScalar` run at the start of `ops`,
-    /// and how many ops it covers; `None` under two.
+    /// and how many ops it covers; `None` if `ops` starts with neither.
     fn put(ops: &[StubOp]) -> Option<(u32, usize, Image)> {
         let word_at = |op: &StubOp| match *op {
             StubOp::PutImm { off, .. } | StubOp::PutScalar { off, .. } => Some(off),
@@ -381,11 +367,7 @@ impl Image {
             .enumerate()
             .take_while(|&(k, op)| word_at(op).map(u64::from) == Some(off as u64 + 4 * k as u64))
             .count();
-        if n < 2 {
-            return None;
-        }
-        let mut image = Image::replaying(&ops[..n]);
-        image.bytes = vec![0; 4 * n];
+        let mut image = Image::of(n, vec![0; 4 * n]);
         for (k, op) in ops[..n].iter().enumerate() {
             match *op {
                 StubOp::PutImm { word, .. } => {
@@ -403,9 +385,9 @@ impl Image {
     /// `LenGuard`, a `GetScalar` run, `CheckScalar`s of slots that run
     /// loaded and `CheckWord`s on its words or the word after them, then
     /// `GetScalar`s of words it spans or of the word after them — and how
-    /// many ops it covers; `None` under two. A second check of one word
-    /// against another value ends the prefix, and so does a check after a
-    /// load of the tail.
+    /// many ops it covers; `None` unless it spans a word. A second check
+    /// of one word against another value ends the prefix, and so does a
+    /// check after a load of the tail.
     fn get(ops: &[StubOp]) -> Option<(u32, usize, Image)> {
         let inlen = match ops.first() {
             Some(&StubOp::LenGuard { expected }) => Some(expected as usize),
@@ -419,6 +401,7 @@ impl Image {
         };
         i += loaded;
         let (mut wants, mut moves) = (vec![None; loaded], 4 * loaded as u64);
+        let mut guards = Vec::new();
         // The word `at` falls on: one the span holds, or the one after it.
         let word_at = |at: u32, off: u32, held: usize| {
             let word = at.checked_sub(off).filter(|r| r % 4 == 0)? as usize / 4;
@@ -448,6 +431,7 @@ impl Image {
             }
             moves += moved;
             i += 1;
+            guards.push((4 * word, want, i as u64, moves));
         }
         let mut patches: Vec<(usize, u16)> =
             (0..loaded).map(|k| (4 * k, (first + k) as u16)).collect();
@@ -462,51 +446,41 @@ impl Image {
             moves += 4;
             i += 1;
         }
-        if i < 2 {
-            return None;
-        }
-        let mut image = Image::replaying(&ops[..i]);
-        image.bytes = wants
-            .iter()
-            .flat_map(|w| w.unwrap_or(0).to_be_bytes())
-            .collect();
+        let bytes = wants.iter().flat_map(|w| w.unwrap_or(0).to_be_bytes());
+        let mut image = Image::of(i, bytes.collect());
         if wants.iter().any(Option::is_some) {
             image.mask = wants
                 .iter()
                 .flat_map(|w| [if w.is_some() { 0xFF } else { 0 }; 4])
                 .collect();
         }
-        (image.patches, image.inlen, image.moves) = (patches, inlen, moves);
+        (image.patches, image.inlen, image.guards, image.moves) = (patches, inlen, guards, moves);
         Some((off?, i, image))
     }
 
-    /// An image standing for `ops`, with nothing filled in yet.
-    fn replaying(ops: &[StubOp]) -> Image {
+    /// An image of `bytes` standing for `ops` ops, with nothing else
+    /// filled in yet.
+    fn of(ops: usize, bytes: Vec<u8>) -> Image {
         Image {
-            bytes: Vec::new(),
+            bytes,
             mask: Vec::new(),
             patches: Vec::new(),
             inlen: None,
-            ops: ops.len() as u64,
+            guards: Vec::new(),
+            ops: ops as u64,
             moves: 0,
-            replay: ops.iter().copied().map(PlanOp::Op).collect(),
         }
     }
 }
 
-/// A program's execution plan: the fused [`PlanOp`] steps the executor
-/// runs, the images its image steps index, and the whole-stub kernel
-/// bound to both when they were built (see [`StubProgram::has_kernel`]).
-///
-/// It reads as the slice of its steps. Any way of changing them — a
-/// mutable borrow, or a plan collected from steps — leaves a plan with no
-/// kernel, which the executor runs: a kernel is only ever valid for the
-/// plan it was bound to.
-#[derive(Clone, Default)]
+/// A program's plan: the [`PlanOp`] steps, the images its image steps
+/// index, and the kernel bound to both by [`compile`]. It is built once
+/// and reads as the slice of its steps.
+#[derive(Clone)]
 pub struct Plan {
     steps: Vec<PlanOp>,
     images: Vec<Image>,
-    kernel: Option<Kernel>,
+    kernel: Kernel,
 }
 
 impl std::ops::Deref for Plan {
@@ -514,22 +488,6 @@ impl std::ops::Deref for Plan {
 
     fn deref(&self) -> &[PlanOp] {
         &self.steps
-    }
-}
-
-impl std::ops::DerefMut for Plan {
-    fn deref_mut(&mut self) -> &mut [PlanOp] {
-        self.kernel = None;
-        &mut self.steps
-    }
-}
-
-impl FromIterator<PlanOp> for Plan {
-    fn from_iter<I: IntoIterator<Item = PlanOp>>(steps: I) -> Plan {
-        Plan {
-            steps: steps.into_iter().collect(),
-            ..Plan::default()
-        }
     }
 }
 
@@ -554,54 +512,36 @@ pub struct StubProgram {
     /// length follows the message's shape. The code of Tables 3 and 4 is
     /// what it models ([`StubProgram::len`]), not how long it is.
     pub ops: Vec<StubOp>,
-    /// The fused monomorphic plan the executor runs, built once at compile
-    /// time from `ops` (when emptied, the executor plans the program on
-    /// the fly), with the kernel that runs it whole.
+    /// The plan of `ops` and the kernel that runs it.
     pub plan: Plan,
-    /// Total wire bytes the stub reads/writes.
+    /// Total wire bytes the stub reads/writes: its message, which an
+    /// encode stores every byte of.
     pub wire_len: usize,
-    /// For an encode stub, the byte ranges of `0..wire_len` that no `Put*`
-    /// op is known to write, ascending. [`run_encode`] zeroes exactly
-    /// these, so a caller may hand it a buffer still holding the previous
-    /// message. Empty for every stub `rpcgen` + Tempo produce (stub-visible
-    /// data are longs, so header and arguments tile the image) and for
-    /// decode stubs.
-    pub holes: Vec<Range<usize>>,
-    /// Each array slot its conventions bind and the elements they cover:
-    /// for a generated encode stub, the length its image folds in. An
-    /// array with more is refused, not cut. Empty for a program built
-    /// from ops alone.
-    elems: Vec<(u16, usize)>,
     /// Name (inherited from the residual function).
     pub name: String,
 }
 
 impl StubProgram {
-    /// Build a program from raw ops, deriving the wire length, the fused
-    /// execution plan and the image's unwritten ranges. Never panics: a
-    /// malformed loop is planned verbatim and reported by the executor as
-    /// [`StubError::BadLoop`]. The executor runs it: only [`compile`]
-    /// binds a kernel.
-    pub fn from_ops(ops: Vec<StubOp>, name: String) -> Self {
-        let wire_len = wire_len(&ops);
-        let plan = build_plan(&ops);
-        let holes = holes(&plan, wire_len);
-        StubProgram {
+    /// The program of `ops`, bound to its kernel; `elems` are the array
+    /// slots its conventions bind and the elements they cover, which an
+    /// encode refuses an array longer than.
+    fn bind(
+        ops: Vec<StubOp>,
+        elems: &[(u16, usize)],
+        name: String,
+    ) -> Result<StubProgram, CompileError> {
+        let (steps, images) = build_plan(&ops)?;
+        let kernel = Kernel::bind(&steps, &images, elems)?;
+        Ok(StubProgram {
             ops,
-            plan,
-            wire_len,
-            holes,
-            elems: Vec::new(),
+            wire_len: kernel.wire_len(),
+            plan: Plan {
+                steps,
+                images,
+                kernel,
+            },
             name,
-        }
-    }
-
-    /// Whether the program runs as one whole-stub kernel call rather than
-    /// step by step: every stub `rpcgen` + Tempo generate does, until its
-    /// plan is changed ([`compile`] binds the kernel; a program built
-    /// from ops alone has none).
-    pub fn has_kernel(&self) -> bool {
-        self.plan.kernel.is_some()
+        })
     }
 
     /// Number of ops in the residual code the stub models (the Table 3/4
@@ -667,14 +607,38 @@ impl fmt::Display for CompileError {
 
 impl std::error::Error for CompileError {}
 
-/// Compile a residual function into a stub program, bound to the kernel
-/// of its plan's shape if it has one of the four a generated stub has.
+/// Compile a residual function into a stub program bound to its kernel,
+/// or refuse it: a residual outside the supported subset, or a program no
+/// kernel runs.
 pub fn compile(
     prog: &Program,
     f: &Function,
     conv: &StubConventions,
     opts: CompileOptions,
 ) -> Result<StubProgram, CompileError> {
+    let (ops, elems) = lower(prog, f, conv, opts)?;
+    StubProgram::bind(ops, &elems, f.name.clone())
+}
+
+/// Each array slot a stub's conventions bind, and the elements they cover.
+type Bounds = Vec<(u16, usize)>;
+
+/// The ops of a residual function, and the array bounds of its
+/// conventions.
+fn lower(
+    prog: &Program,
+    f: &Function,
+    conv: &StubConventions,
+    opts: CompileOptions,
+) -> Result<(Vec<StubOp>, Bounds), CompileError> {
+    let elems = conv.params.iter().flat_map(|param| match param {
+        ParamBinding::Struct(fields) => fields.as_slice(),
+        _ => &[],
+    });
+    let elems = elems.filter_map(|field| match field.target {
+        FieldTarget::Array(arr) => Some((arr, field.slot_len)),
+        _ => None,
+    });
     let mut c = Compiler {
         prog,
         f,
@@ -686,25 +650,14 @@ pub fn compile(
         ops: Vec::new(),
         run: None,
         unroll: opts.unroll(),
+        elems: elems.collect(),
+        sized: Vec::new(),
     };
     c.compile_block(&f.body)?;
     if !matches!(c.ops.last(), Some(StubOp::Ret { .. })) {
         c.push(StubOp::Ret { val: 1 });
     }
-    let elems = conv.params.iter().flat_map(|param| match param {
-        ParamBinding::Struct(fields) => fields.as_slice(),
-        _ => &[],
-    });
-    let elems = elems.filter_map(|field| match field.target {
-        FieldTarget::Array(arr) => Some((arr, field.slot_len)),
-        _ => None,
-    });
-    let mut stub = StubProgram {
-        elems: elems.collect(),
-        ..StubProgram::from_ops(c.ops, f.name.clone())
-    };
-    stub.plan.kernel = Kernel::bind(&stub.plan, &stub.elems);
-    Ok(stub)
+    Ok((c.ops, c.elems))
 }
 
 struct Compiler<'a> {
@@ -726,6 +679,10 @@ struct Compiler<'a> {
     run: Option<(usize, Run)>,
     /// The `unroll` bound element runs are given.
     unroll: u32,
+    /// The conventions' array bounds.
+    elems: Bounds,
+    /// The arrays a `SetArrLen` has sized so far.
+    sized: Vec<u16>,
 }
 
 /// A residual counted loop with constant bounds, while its body is being
@@ -825,6 +782,7 @@ impl<'a> Compiler<'a> {
                         let len = u32::try_from(*c)
                             .map_err(|_| CompileError::Unsupported(format!("array length {c}")))?;
                         self.emit(StubOp::SetArrLen { arr, len }, (0, 0));
+                        self.sized.push(arr);
                         Ok(())
                     }
                     (target, Expr::Un(UnOp::Ntohl, inner)) => match inner.as_ref() {
@@ -993,8 +951,19 @@ impl<'a> Compiler<'a> {
     /// Append an element run. One that starts where the run the program
     /// ends in stops is that run going on, however the residual spelled
     /// the two — so the program has one loop per array whether the
-    /// specializer handed over a `for`, its unrolling, or some of each.
+    /// specializer handed over a `for`, its unrolling, or some of each. A
+    /// decode into an array nothing has sized — a fixed array — sizes it
+    /// to its binding's length first, as a counted array's pinned length
+    /// does.
     fn push_run(&mut self, run: Run) {
+        if !run.put && !self.sized.contains(&run.arr) {
+            let bound = self.elems.iter().find(|&&(arr, _)| arr == run.arr);
+            if let Some(len) = bound.and_then(|&(_, n)| u32::try_from(n).ok()) {
+                self.ops.push(StubOp::SetArrLen { arr: run.arr, len });
+                self.sized.push(run.arr);
+                self.run = None;
+            }
+        }
         let joined = self
             .run
             .and_then(|(at, open)| Some((at, open.joined(run)?)));
@@ -1016,10 +985,11 @@ impl<'a> Compiler<'a> {
     }
 
     /// Compile `for (var = lo; var < hi; var++) body` into one loop op:
-    /// the body becomes one template op per store, each behind the step a
-    /// trip moves it by, whatever the trip count. Every offset and index
-    /// is checked at both ends of the range (they are linear in between)
-    /// as its template is compiled.
+    /// its one store becomes a template behind the step a trip moves it
+    /// by, whatever the trip count. Every offset and index is checked at
+    /// both ends of the range (they are linear in between) as its template
+    /// is compiled. A loop whose body is not one element store moving to
+    /// the next element each trip is no element run, and no kernel runs it.
     fn compile_loop(
         &mut self,
         var: VarId,
@@ -1053,15 +1023,9 @@ impl<'a> Compiler<'a> {
         } else if let Some(run) = run {
             self.push_run(Run { n: times, ..run });
         } else if !body.is_empty() {
-            self.run = None;
-            let header = StubOp::Loop {
-                times,
-                body: u32::try_from(body.len()).map_err(|_| unsupported())?,
-                unroll: 0,
-            };
-            self.ops.push(header);
-            self.ops.extend(body);
-            self.ops.push(StubOp::EndLoop);
+            return Err(CompileError::Unsupported(format!(
+                "loop {lo}..{hi} over {body:?}, not one element run"
+            )));
         }
         Ok(())
     }
@@ -1285,20 +1249,28 @@ impl Run {
         })
     }
 
-    /// The run the loop `ops` starts with amounts to, when its one
-    /// template is an element store that each trip moves to the next
-    /// element.
-    fn of_loop(ops: &[StubOp]) -> Option<Run> {
+    /// The element run `ops` starts with — a loop whose one template is
+    /// an element store that each trip moves to the next element, or a
+    /// lone element store — with the ops it takes up and the stub ops
+    /// running it counts (one per trip, plus the header where the modeled
+    /// code keeps a loop).
+    fn at(ops: &[StubOp]) -> Option<(Run, usize, u32)> {
         match *ops {
-            [StubOp::Loop { times, body: 2, .. }, Run::STEP, elem, StubOp::EndLoop, ..]
+            [StubOp::Loop {
+                times,
+                body: 2,
+                unroll,
+            }, Run::STEP, elem, StubOp::EndLoop, ..]
                 if times > 0 =>
             {
-                Some(Run {
+                let run = Run {
                     n: times,
                     ..Run::of_elem(&elem)?
-                })
+                };
+                Some((run, 4, times.checked_add(rolled(times, unroll) as u32)?))
             }
-            _ => None,
+            [ref elem, ..] => Some((Run::of_elem(elem)?, 1, 1)),
+            [] => None,
         }
     }
 
@@ -1322,42 +1294,6 @@ impl Run {
         let n = self.n.checked_add(next.n).filter(|_| adjoins)?;
         Some(Run { n, ..self })
     }
-
-    /// The bulk step that runs `self`, accounting for `ops` stub ops —
-    /// together with a `SetArrLen` to its exact length just before it, if
-    /// it decodes a whole array, one fill.
-    fn plan(self, ops: u32, plan: &mut Vec<PlanOp>) {
-        let Run {
-            put,
-            off,
-            arr,
-            idx,
-            n,
-        } = self;
-        let sized = PlanOp::Op(StubOp::SetArrLen { arr, len: n });
-        let whole = !put && idx == 0 && plan.last() == Some(&sized);
-        let step = match ops.checked_add(1).filter(|_| whole) {
-            Some(ops) => {
-                plan.pop();
-                PlanOp::BulkFill { off, arr, n, ops }
-            }
-            None if put => PlanOp::BulkPut {
-                off,
-                arr,
-                idx,
-                n,
-                ops,
-            },
-            None => PlanOp::BulkGet {
-                off,
-                arr,
-                idx,
-                n,
-                ops,
-            },
-        };
-        plan.push(step);
-    }
 }
 
 /// Length of the maximal run of `GetScalar` ops starting at `ops[0]` with
@@ -1375,159 +1311,81 @@ fn scalar_run_len(ops: &[StubOp]) -> usize {
         .expect("a run ends where the ops do")
 }
 
-/// Map a program to the monomorphic execution plan, op for op: a loop
-/// that is one contiguous element run becomes a bulk op covering all its
-/// trips (with the `SetArrLen` before it, a [`PlanOp::BulkFill`]), and so
-/// does a lone element store, a run of one; any other loop is kept
-/// verbatim for the executor to iterate, and a run of header puts or a
-/// guard prefix becomes an image step, its image pushed on the plan's
-/// table. Set-up work: inlined into the executors (which plan an emptied
-/// program on the fly) it costs every run of every stub a larger frame,
-/// hence never.
-#[inline(never)]
-pub(crate) fn build_plan(ops: &[StubOp]) -> Plan {
-    let mut plan = Plan::default();
-    let Plan { steps, images, .. } = &mut plan;
+/// The plan of a program, step by step: a run of header puts or a guard
+/// prefix is an image step, its image pushed on the table; an encode's
+/// element run is a bulk put; a decode's `SetArrLen` with the run of that
+/// whole array after it is a fill, and one to 0 a fill of nothing; the
+/// last op is the return. Anything else — a loop that is no element run, a
+/// decode of part of an array, a guard no image holds, an op after the
+/// return — has no step, and the program is refused.
+fn build_plan(ops: &[StubOp]) -> Result<(Vec<PlanOp>, Vec<Image>), CompileError> {
+    let (mut steps, mut images) = (Vec::new(), Vec::new());
+    // Where the steps so far end on the wire: a fill of nothing lies there.
+    let mut reach = 0u32;
     let mut i = 0;
     while i < ops.len() {
-        if let StubOp::Loop { times, unroll, .. } = ops[i] {
-            let Some(end) = loop_end(ops, i) else {
-                // Malformed loop structure: keep everything verbatim so the
-                // executor reports the same BadLoop the interpreter would.
-                steps.extend(ops[i..].iter().copied().map(PlanOp::Op));
-                break;
-            };
-            // What iterating it costs: one op per trip, plus the header
-            // when the modeled code has one.
-            let cost = times.checked_add(rolled(times, unroll) as u32);
-            match (Run::of_loop(&ops[i..]), cost) {
-                (Some(run), Some(cost)) => run.plan(cost, steps),
-                // Copy loop + body + EndLoop verbatim: `body` keeps meaning
-                // "plan steps" because nothing inside is fused.
-                _ => steps.extend(ops[i..=end].iter().copied().map(PlanOp::Op)),
-            }
-            i = end + 1;
-            continue;
-        }
         let at = images.len() as u32;
-        if let Some((off, n, image)) = Image::put(&ops[i..]) {
-            steps.push(PlanOp::PutImage { off, at });
-            images.push(image);
-            i += n;
-        } else if let Some((off, n, image)) = Image::get(&ops[i..]) {
-            steps.push(PlanOp::GetImage { off, at });
-            images.push(image);
-            i += n;
-        } else if let Some(run) = Run::of_elem(&ops[i]) {
-            run.plan(1, steps);
-            i += 1;
-        } else {
-            steps.push(PlanOp::Op(ops[i]));
-            i += 1;
-        }
-    }
-    plan
-}
-
-/// Index of the `EndLoop` closing the `Loop` at `ops[i]`, or `None` when
-/// the body runs past the end of the program or does not end in one.
-fn loop_end(ops: &[StubOp], i: usize) -> Option<usize> {
-    let StubOp::Loop { body, .. } = *ops.get(i)? else {
-        return None;
-    };
-    let end = i.checked_add(1)?.checked_add(body as usize)?;
-    matches!(ops.get(end), Some(StubOp::EndLoop)).then_some(end)
-}
-
-/// Static wire length: the highest byte any op touches in any trip of its
-/// loop. A loop whose body reaches past the end of the program is walked
-/// as far as the program goes (the executor reports it as `BadLoop`).
-fn wire_len(ops: &[StubOp]) -> usize {
-    let (mut max, mut last_trip, mut grow) = (0usize, 0i64, 0usize);
-    for op in ops {
-        match *op {
-            StubOp::Loop { times, .. } => last_trip = times.saturating_sub(1) as i64,
-            StubOp::EndLoop => last_trip = 0,
-            StubOp::Step { off, .. } => {
-                // A store moving down the buffer reaches furthest first.
-                grow = usize::try_from(off as i64 * last_trip).unwrap_or(0);
-                continue;
+        let image =
+            Image::put(&ops[i..]).map(|(off, n, image)| (PlanOp::PutImage { off, at }, n, image));
+        let image = image.or_else(|| {
+            Image::get(&ops[i..]).map(|(off, n, image)| (PlanOp::GetImage { off, at }, n, image))
+        });
+        let (step, taken) = match (image, ops[i]) {
+            (Some((step, n, image)), _) => {
+                images.push(image);
+                (step, n)
             }
-            _ => {}
-        }
-        if let Some(off) = op_offset(op) {
-            max = max.max((off as usize).saturating_add(grow).saturating_add(4));
-        }
-        grow = 0;
+            (None, StubOp::Ret { val }) if i + 1 == ops.len() => (PlanOp::Ret { val }, 1),
+            (None, StubOp::SetArrLen { arr, len }) => {
+                let whole = Run::at(&ops[i + 1..])
+                    .filter(|(run, ..)| (run.put, run.arr, run.idx, run.n) == (false, arr, 0, len));
+                match whole {
+                    Some((run, taken, cost)) => {
+                        let (off, n, ops) = (run.off, run.n, cost.saturating_add(1));
+                        (PlanOp::BulkFill { off, arr, n, ops }, 1 + taken)
+                    }
+                    None if len == 0 => {
+                        let (off, n, ops) = (reach, 0, 1);
+                        (PlanOp::BulkFill { off, arr, n, ops }, 1)
+                    }
+                    None => return Err(unplanned(&ops[i..])),
+                }
+            }
+            (None, _) => match Run::at(&ops[i..]) {
+                Some((run, taken, ops)) if run.put => {
+                    let Run {
+                        off, arr, idx, n, ..
+                    } = run;
+                    let step = PlanOp::BulkPut {
+                        off,
+                        arr,
+                        idx,
+                        n,
+                        ops,
+                    };
+                    (step, taken)
+                }
+                _ => return Err(unplanned(&ops[i..])),
+            },
+        };
+        reach = match step {
+            PlanOp::PutImage { off, .. } | PlanOp::GetImage { off, .. } => {
+                let words = images.last().map_or(0, |image: &Image| image.bytes.len());
+                off.saturating_add(words as u32)
+            }
+            PlanOp::BulkPut { off, n, .. } | PlanOp::BulkFill { off, n, .. } => {
+                off.saturating_add(n.saturating_mul(4))
+            }
+            PlanOp::Ret { .. } => reach,
+        };
+        steps.push(step);
+        i += taken;
     }
-    max
+    Ok((steps, images))
 }
 
-/// The byte ranges of `0..wire_len` that no top-level `Put*` step of
-/// `plan` writes, ascending — what [`run_encode`] must zero for the image
-/// to be the stub's alone. Stores inside a verbatim loop are not counted
-/// (their range is zeroed, then written: correct, merely not free); a plan
-/// without any put at all (a decode stub) has no holes.
-fn holes(plan: &Plan, wire_len: usize) -> Vec<Range<usize>> {
-    // First byte and word count a step stores.
-    let stored = |step: &PlanOp| match *step {
-        PlanOp::BulkPut { off, n, .. } => Some((off, n)),
-        PlanOp::PutImage { off, at } => {
-            Some((off, (plan.images[at as usize].bytes.len() / 4) as u32))
-        }
-        PlanOp::Op(
-            StubOp::PutImm { off, .. }
-            | StubOp::PutScalar { off, .. }
-            | StubOp::PutElem { off, .. },
-        ) => Some((off, 1)),
-        _ => None,
-    };
-    if !plan.iter().any(|step| stored(step).is_some()) {
-        return Vec::new();
-    }
-    let mut written: Vec<Range<usize>> = Vec::new();
-    let mut pc = 0;
-    while pc < plan.len() {
-        if let PlanOp::Op(StubOp::Loop { body, .. }) = plan[pc] {
-            pc = pc.saturating_add(body as usize).saturating_add(2);
-            continue;
-        }
-        if let Some((off, words)) = stored(&plan[pc]) {
-            let start = off as usize;
-            written.push(start..start.saturating_add(4 * words as usize));
-        }
-        pc += 1;
-    }
-    written.sort_by_key(|r| r.start);
-    let mut holes = Vec::new();
-    let mut covered = 0usize;
-    for r in written {
-        if r.start > covered {
-            holes.push(covered..r.start.min(wire_len));
-        }
-        covered = covered.max(r.end);
-    }
-    if covered < wire_len {
-        holes.push(covered..wire_len);
-    }
-    holes
-}
-
-fn op_offset(op: &StubOp) -> Option<u32> {
-    match op {
-        StubOp::PutImm { off, .. }
-        | StubOp::PutScalar { off, .. }
-        | StubOp::PutElem { off, .. }
-        | StubOp::GetScalar { off, .. }
-        | StubOp::GetElem { off, .. }
-        | StubOp::CheckWord { off, .. } => Some(*off),
-        _ => None,
-    }
-}
-
-/// Count events for one executed op into the shared counters.
-#[inline(always)]
-pub(crate) fn count_op(counts: &mut OpCounts, moved: u64) {
-    counts.stub_ops += 1;
-    counts.mem_moves += moved;
+/// The refusal of a program whose ops from `rest` on no plan step runs.
+fn unplanned(rest: &[StubOp]) -> CompileError {
+    let shown = &rest[..rest.len().min(4)];
+    CompileError::Unsupported(format!("no kernel runs the ops {shown:?}"))
 }

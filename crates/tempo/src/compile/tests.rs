@@ -1,9 +1,42 @@
-//! Compiler + VM tests: hand-built residual IR in, wire bytes out.
+//! Compiler + kernel tests: hand-built residual IR in, wire bytes out,
+//! held to the ops run one by one.
+
+#[path = "../../tests/reference/mod.rs"]
+mod reference;
 
 use super::*;
 use crate::ir::builder::*;
 use crate::ir::{FieldDef, Function, Program, StructDef, Type};
 use specrpc_xdr::OpCounts;
+
+type StubResult = Result<Outcome, StubError>;
+
+/// `stub`'s ops run one by one as an encode, slot 0 from `slots`.
+fn walk_encode(
+    stub: &StubProgram,
+    buf: &mut [u8],
+    args: &StubArgs,
+    slots: reference::Slots,
+    counts: &mut OpCounts,
+) -> StubResult {
+    reference::encode(&stub.ops, stub.wire_len, buf, args, slots, counts)
+}
+
+/// `stub`'s ops run one by one as a decode.
+fn walk_decode(
+    stub: &StubProgram,
+    buf: &[u8],
+    args: &mut StubArgs,
+    inlen: usize,
+    counts: &mut OpCounts,
+) -> StubResult {
+    reference::decode(&stub.ops, stub.wire_len, buf, args, inlen, counts)
+}
+
+/// The program of hand-built `ops`, bound to its kernel, or its refusal.
+fn program(ops: Vec<StubOp>, elems: &[(u16, usize)]) -> Result<StubProgram, CompileError> {
+    StubProgram::bind(ops, elems, "hand".into())
+}
 
 /// An argument struct `ARGS { len; arr[4]; }` and conventions mapping it
 /// to scalar slot 0 / array slot 0.
@@ -334,26 +367,24 @@ fn chunked_and_full_produce_identical_bytes() {
 #[test]
 fn an_encode_refuses_an_array_longer_than_it_carries() {
     // The element count is the stub's, folded into its image: one
-    // element more is refused like one fewer, in every plan and lane,
-    // never cut to fit.
+    // element more is refused like one fewer, in every lane, never cut to
+    // fit.
     let n = 1003usize;
     let (p, sid) = big_prog(n);
     let f = big_encode_residual(sid, n);
     for chunk in [None, Some(250)] {
         let stub = compile(&p, &f, &big_conv(n), CompileOptions { chunk }).unwrap();
-        for prog in [&stub, &op_by_op(&stub)] {
-            let mut buf = vec![0u8; 4 * n];
-            let mut counts = OpCounts::new();
-            for len in [n - 1, n + 1] {
-                let args = StubArgs::new(vec![], vec![vec![1; len]]);
-                let err = run_encode(prog, &mut buf, &args, &mut counts).unwrap_err();
-                assert!(
-                    matches!(err, StubError::BadElem { arr: 0, .. }),
-                    "{len}: {err}"
-                );
-                let xid = run_encode_with_xid(prog, &mut buf, &args, 1, &mut counts);
-                assert_eq!(xid.unwrap_err(), err, "{len}");
-            }
+        let mut buf = vec![0u8; 4 * n];
+        let mut counts = OpCounts::new();
+        for len in [n - 1, n + 1] {
+            let args = StubArgs::new(vec![], vec![vec![1; len]]);
+            let err = run_encode(&stub, &mut buf, &args, &mut counts).unwrap_err();
+            assert!(
+                matches!(err, StubError::BadElem { arr: 0, .. }),
+                "{len}: {err}"
+            );
+            let xid = run_encode_with_xid(&stub, &mut buf, &args, 1, &mut counts);
+            assert_eq!(xid.unwrap_err(), err, "{len}");
         }
     }
 }
@@ -426,7 +457,7 @@ fn code_size_grows_linearly_with_ops() {
 }
 
 // ---------------------------------------------------------------------
-// The fused plan against an op-by-op walk of the same ops.
+// Kernels against the ops of the same program run one by one.
 // ---------------------------------------------------------------------
 
 /// `MSG { a; b; c; len; arr[n]; }`: two dynamic scalars, a third that the
@@ -535,13 +566,6 @@ fn msg_decode(sid: usize, n: usize) -> Function {
     )])
 }
 
-/// The same program with nothing fused: every op its own plan step.
-fn op_by_op(stub: &StubProgram) -> StubProgram {
-    let mut walk = stub.clone();
-    walk.plan = stub.ops.iter().copied().map(PlanOp::Op).collect();
-    walk
-}
-
 fn tally(c: &OpCounts) -> (u64, u64) {
     (c.stub_ops, c.mem_moves)
 }
@@ -561,15 +585,13 @@ fn fused_plan_equals_op_by_op_walk() {
             let enc = compile(&p, &enc_f, &conv, opts).unwrap();
             let dec = compile(&p, &dec_f, &conv, opts).unwrap();
             let what = format!("n={n} chunk={chunk:?}");
-            assert!(enc.holes.is_empty(), "{what}: {:?}", enc.holes);
-            assert!(dec.holes.is_empty(), "{what}");
 
             // The image is the stub's alone: no byte of the 0xEE survives.
             let (mut fused, mut walked) = (vec![0xEEu8; enc.wire_len], vec![0xEEu8; enc.wire_len]);
             let (mut cf, mut cw) = (OpCounts::new(), OpCounts::new());
             let done = run_encode(&enc, &mut fused, &args, &mut cf).unwrap();
             assert_eq!(
-                run_encode(&op_by_op(&enc), &mut walked, &args, &mut cw).unwrap(),
+                walk_encode(&enc, &mut walked, &args, (None, 0), &mut cw).unwrap(),
                 done
             );
             assert_eq!(fused, walked, "{what}");
@@ -584,7 +606,7 @@ fn fused_plan_equals_op_by_op_walk() {
                 ow.prepare(3, 1);
                 let done = run_decode(&dec, &fused, &mut of, fused.len(), &mut cf).unwrap();
                 assert_eq!(
-                    run_decode(&op_by_op(&dec), &fused, &mut ow, fused.len(), &mut cw).unwrap(),
+                    walk_decode(&dec, &fused, &mut ow, fused.len(), &mut cw).unwrap(),
                     done
                 );
                 assert_eq!(of, ow, "{what}");
@@ -624,7 +646,7 @@ fn chunked_plan_merges_loop_and_remainder_into_one_step() {
                 n: 20,
                 ops: 22
             },
-            PlanOp::Op(StubOp::Ret { val: 1 }),
+            PlanOp::Ret { val: 1 },
         ]
     );
 }
@@ -652,12 +674,17 @@ fn decode_into_longer_slots_leaves_exactly_the_new_length() {
     assert!(out.arrays[0].capacity() >= 2000, "the allocation is reused");
 }
 
+/// Whether `result` is the refusal of a program no kernel runs.
+fn refused(result: Result<StubProgram, CompileError>) -> bool {
+    matches!(result, Err(CompileError::Unsupported(_)))
+}
+
 #[test]
-fn partly_covered_set_arr_len_still_zero_fills_the_rest() {
-    let wire: Vec<u8> = (1..=4u32).flat_map(|w| w.to_be_bytes()).collect();
-    // Six elements sized, four decoded; then four sized, the last three
-    // decoded. Neither bulk get covers the array, so neither is a fill.
-    for (len, first, want) in [(6, 0, vec![1, 2, 3, 4, 0, 0]), (4, 1, vec![0, 1, 2, 3])] {
+fn a_decode_of_part_of_an_array_is_refused() {
+    // Six elements sized, four decoded; four sized, the last three
+    // decoded: neither load is a fill of the whole array, which is the
+    // one way a kernel decodes one.
+    for (len, first) in [(6, 0), (4, 1)] {
         let ops = vec![
             StubOp::SetArrLen { arr: 0, len },
             StubOp::Loop {
@@ -672,86 +699,65 @@ fn partly_covered_set_arr_len_still_zero_fills_the_rest() {
                 idx: first,
             },
             StubOp::EndLoop,
+            StubOp::Ret { val: 1 },
         ];
-        let stub = StubProgram::from_ops(ops, "partial".into());
-        assert!(matches!(stub.plan[0], PlanOp::Op(StubOp::SetArrLen { .. })));
-        assert!(matches!(stub.plan[1], PlanOp::BulkGet { .. }));
-        let mut out = StubArgs::new(vec![], vec![vec![9; 10]]);
-        out.prepare(0, 1);
-        run_decode(&stub, &wire, &mut out, wire.len(), &mut OpCounts::new()).unwrap();
-        assert_eq!(out.arrays[0], want);
+        assert!(refused(program(ops, &[])), "{len} sized from {first}");
     }
+    // Sized to nothing, it is a fill of nothing.
+    let ops = vec![
+        StubOp::GetScalar { off: 0, slot: 0 },
+        StubOp::SetArrLen { arr: 0, len: 0 },
+        StubOp::Ret { val: 1 },
+    ];
+    let stub = program(ops, &[]).unwrap();
+    let fill = PlanOp::BulkFill {
+        off: 4,
+        arr: 0,
+        n: 0,
+        ops: 1,
+    };
+    assert_eq!(stub.plan[1], fill);
+    let mut out = StubArgs::new(vec![0], vec![vec![9; 3]]);
+    let done = run_decode(&stub, &[0, 0, 0, 5], &mut out, 4, &mut OpCounts::new());
+    assert_eq!(out, StubArgs::new(vec![5], vec![vec![]]), "{done:?}");
 }
 
 #[test]
-fn encode_zeroes_the_bytes_no_op_writes() {
-    use specrpc_xdr::mem::XdrMem;
-    use specrpc_xdr::primitives::xdr_int;
-    use specrpc_xdr::WireBuf;
-
-    // Words 0, 1 and 3 are stored; word 2 is nobody's.
-    let stub = StubProgram::from_ops(
-        vec![
-            StubOp::PutImm {
-                off: 0,
-                word: 5u32.swap_bytes(),
-            },
-            StubOp::PutElem {
-                off: 4,
-                arr: 0,
-                idx: 0,
-            },
-            StubOp::PutScalar { off: 12, slot: 0 },
-        ],
-        "holed".into(),
-    );
-    assert_eq!(stub.wire_len, 16);
-    assert_eq!(stub.holes, vec![8..12]);
-
-    // The buffer just carried a different message of the same length and
-    // is rewound, not refilled.
-    let mut wb = WireBuf::new();
-    wb.reset(16);
-    wb.bytes_mut().fill(0xFF);
-    wb.rewind(16);
-    let args = StubArgs::new(vec![-2], vec![vec![6]]);
-    run_encode(&stub, wb.bytes_mut(), &args, &mut OpCounts::new()).unwrap();
-
-    let mut generic = XdrMem::encoder(16);
-    for mut v in [5, 6, 0, -2] {
-        xdr_int(&mut generic, &mut v).unwrap();
-    }
-    assert_eq!(wb.bytes(), generic.bytes());
-
-    // A buffer that ends inside the hole is still the failing op's error.
-    let err = run_encode(&stub, &mut [0xFF; 10], &args, &mut OpCounts::new()).unwrap_err();
-    assert_eq!(err, StubError::BufTooSmall { off: 12, len: 10 });
-
-    // Stores inside a loop that is not fused are not counted as written:
-    // their range is cleared first, the strided gaps stay zero.
-    let strided = StubProgram::from_ops(
-        vec![
-            StubOp::PutImm { off: 0, word: 1 },
-            StubOp::Loop {
-                times: 2,
-                body: 2,
-                unroll: 0,
-            },
-            StubOp::Step { off: 8, idx: 1 },
-            StubOp::PutElem {
-                off: 4,
-                arr: 0,
-                idx: 0,
-            },
-            StubOp::EndLoop,
-        ],
-        "strided".into(),
-    );
-    assert_eq!(strided.holes, vec![4..16]);
-    let mut image = [0xFFu8; 16];
-    let args = StubArgs::new(vec![], vec![vec![1, 2]]);
-    run_encode(&strided, &mut image, &args, &mut OpCounts::new()).unwrap();
-    assert_eq!(image, [1, 0, 0, 0, 0, 0, 0, 1, 0, 0, 0, 0, 0, 0, 0, 2]);
+fn an_encode_that_leaves_a_byte_unstored_is_refused() {
+    // Words 0, 1 and 3 are stored; word 2 is nobody's, so a buffer that
+    // held another message would still hold its bytes there.
+    let holed = vec![
+        StubOp::PutImm {
+            off: 0,
+            word: 5u32.swap_bytes(),
+        },
+        StubOp::PutElem {
+            off: 4,
+            arr: 0,
+            idx: 0,
+        },
+        StubOp::PutScalar { off: 12, slot: 0 },
+        StubOp::Ret { val: 1 },
+    ];
+    assert!(refused(program(holed, &[])));
+    // Stores inside a loop that is no element run: a strided gap.
+    let strided = vec![
+        StubOp::PutImm { off: 0, word: 1 },
+        StubOp::Loop {
+            times: 2,
+            body: 2,
+            unroll: 0,
+        },
+        StubOp::Step { off: 8, idx: 1 },
+        StubOp::PutElem {
+            off: 4,
+            arr: 0,
+            idx: 0,
+        },
+        StubOp::EndLoop,
+        StubOp::Ret { val: 1 },
+    ];
+    assert!(refused(program(strided, &[])));
 }
 
 #[test]
@@ -776,12 +782,18 @@ fn short_buffers_fail_with_the_same_error_and_offset() {
     let mut wire = vec![0u8; 20];
     run_encode(&enc, &mut wire, &args, &mut counts).unwrap();
 
-    // The element run starts at byte 4 and needs 16 bytes.
+    // The element run starts at byte 4; the second element is the first
+    // the buffer ends before, as the ops one by one find.
     let err = run_encode(&enc, &mut [0u8; 8], &args, &mut counts).unwrap_err();
-    assert_eq!(err, StubError::BufTooSmall { off: 4, len: 8 });
+    assert_eq!(err, StubError::BufTooSmall { off: 8, len: 8 });
+    let walked = walk_encode(&enc, &mut [0u8; 8], &args, (None, 0), &mut counts);
+    assert_eq!(walked, Err(err));
     let mut out = StubArgs::new(vec![], vec![vec![]]);
     let err = run_decode(&dec, &wire[..12], &mut out, 20, &mut counts).unwrap_err();
-    assert_eq!(err, StubError::BufTooSmall { off: 4, len: 12 });
+    assert_eq!(err, StubError::BufTooSmall { off: 12, len: 12 });
+    assert_eq!(out.arrays[0], [], "nothing is loaded");
+    let walked = walk_decode(&dec, &wire[..12], &mut out, 20, &mut counts);
+    assert_eq!(walked, Err(err));
     // Too few argument elements is the caller's error, as before.
     let short = StubArgs::new(vec![], vec![vec![1, 2, 3]]);
     let err = run_encode(&enc, &mut wire, &short, &mut counts).unwrap_err();
@@ -793,34 +805,40 @@ fn short_buffers_fail_with_the_same_error_and_offset() {
             len: 3
         }
     );
+    let walked = walk_encode(&enc, &mut wire, &short, (None, 0), &mut counts);
+    assert_eq!(walked, Err(err));
 }
 
 #[test]
 fn scalar_run_reports_the_first_missing_slot() {
-    let ops: Vec<StubOp> = (0..4)
+    let mut ops: Vec<StubOp> = (0..4)
         .map(|k| StubOp::GetScalar {
             off: 4 * k,
             slot: k as u16,
         })
         .collect();
-    let stub = StubProgram::from_ops(ops, "header".into());
-    assert_eq!(stub.plan[..], [PlanOp::GetImage { off: 0, at: 0 }]);
+    ops.push(StubOp::Ret { val: 1 });
+    let stub = program(ops, &[]).unwrap();
+    let ret = PlanOp::Ret { val: 1 };
+    assert_eq!(stub.plan[..], [PlanOp::GetImage { off: 0, at: 0 }, ret]);
     let wire = [0u8; 16];
-    for walk in [stub.clone(), op_by_op(&stub)] {
-        let mut out = StubArgs::new(vec![0; 2], vec![]);
-        let err = run_decode(&walk, &wire, &mut out, 16, &mut OpCounts::new()).unwrap_err();
-        assert_eq!(err, StubError::BadScalarSlot(2));
-        let mut out = StubArgs::new(vec![0; 4], vec![]);
-        let err = run_decode(&walk, &wire[..8], &mut out, 16, &mut OpCounts::new()).unwrap_err();
-        assert!(matches!(err, StubError::BufTooSmall { len: 8, .. }));
-    }
+    let mut out = StubArgs::new(vec![0; 2], vec![]);
+    let err = run_decode(&stub, &wire, &mut out, 16, &mut OpCounts::new());
+    assert_eq!(err, Err(StubError::BadScalarSlot(2)));
+    let walked = walk_decode(&stub, &wire, &mut out, 16, &mut OpCounts::new());
+    assert_eq!(walked, err);
+    let mut out = StubArgs::new(vec![0; 4], vec![]);
+    let err = run_decode(&stub, &wire[..8], &mut out, 16, &mut OpCounts::new());
+    assert_eq!(err, Err(StubError::BufTooSmall { off: 8, len: 8 }));
+    let walked = walk_decode(&stub, &wire[..8], &mut out, 16, &mut OpCounts::new());
+    assert_eq!(walked, err);
 }
 
 #[test]
 fn a_put_run_inside_a_verbatim_loop_stays_unfused() {
-    // Two words a trip, eight bytes apart: no bulk step, so the loop is
-    // iterated, and its `PutImm` / `PutScalar` pair is planned op by op.
-    // The same pair after the loop is one image.
+    // Two words a trip, eight bytes apart: no element run, so no bulk
+    // step, and no kernel runs the loop trip by trip — the program is
+    // refused, from its ops as from its residual.
     let pair = |off: u32, slot: u16| {
         [
             StubOp::PutImm {
@@ -841,45 +859,21 @@ fn a_put_run_inside_a_verbatim_loop_stays_unfused() {
     ops.push(StubOp::EndLoop);
     ops.extend(pair(24, 1));
     ops.push(StubOp::Ret { val: 1 });
-    let stub = StubProgram::from_ops(ops.clone(), "looped".into());
-    let verbatim: Vec<PlanOp> = ops[..6].iter().copied().map(PlanOp::Op).collect();
-    assert_eq!(stub.plan[..6], verbatim[..]);
-    let tail = [
-        PlanOp::PutImage { off: 24, at: 0 },
-        PlanOp::Op(StubOp::Ret { val: 1 }),
-    ];
-    assert_eq!(stub.plan[6..], tail);
-    // What the loop stores is cleared first; the image counts as stored.
-    assert_eq!(stub.holes, vec![0..24]);
-
-    let args = StubArgs::new(vec![-2, 9], vec![]);
-    let mut emptied = stub.clone();
-    emptied.plan = Plan::default();
-    let mut want = [0u8; 32];
-    for (k, word) in want.chunks_exact_mut(4).enumerate() {
-        let v: i32 = [-2, 9][k / 6];
-        word.copy_from_slice(&[[1, 2, 3, 4], v.to_be_bytes()][k % 2]);
-    }
-    for walk in [stub.clone(), op_by_op(&stub), emptied] {
-        let (mut wire, mut counts) = ([0xEEu8; 32], OpCounts::new());
-        let done = run_encode(&walk, &mut wire, &args, &mut counts).unwrap();
-        assert_eq!(
-            done,
-            Outcome::Done {
-                ret: 1,
-                wire_len: 32
-            }
-        );
-        assert_eq!(wire, want);
-        assert_eq!(tally(&counts), (9, 32));
-    }
+    assert!(refused(program(ops, &[])));
+    // The same pair after a header is one image.
+    let mut ops = pair(0, 0).to_vec();
+    ops.extend(pair(8, 1));
+    ops.push(StubOp::Ret { val: 1 });
+    let stub = program(ops, &[]).unwrap();
+    let ret = PlanOp::Ret { val: 1 };
+    assert_eq!(stub.plan[..], [PlanOp::PutImage { off: 0, at: 0 }, ret]);
 }
 
 #[test]
 fn a_guard_prefix_ends_at_a_check_the_image_cannot_hold() {
     // Word 0 is checked against 1 and then against 2: the image holds
-    // the first check, the second runs as an op of its own, and either
-    // way the counts are op-by-op's.
+    // the first check, and ends before the second, which would check a
+    // word behind the image — so no kernel runs the program.
     let ops = vec![
         StubOp::LenGuard { expected: 12 },
         StubOp::GetScalar { off: 0, slot: 0 },
@@ -889,42 +883,21 @@ fn a_guard_prefix_ends_at_a_check_the_image_cannot_hold() {
         StubOp::CheckWord { off: 0, want: 2 },
         StubOp::Ret { val: 1 },
     ];
-    let stub = StubProgram::from_ops(ops, "conflict".into());
-    assert_eq!(
-        stub.plan[..],
-        [
-            PlanOp::GetImage { off: 0, at: 0 },
-            PlanOp::Op(StubOp::CheckWord { off: 0, want: 2 }),
-            PlanOp::Op(StubOp::Ret { val: 1 }),
-        ]
-    );
-    for (first, third) in [(1, 3), (2, 3), (1, 4)] {
-        let wire: Vec<u8> = [first, 7, third]
-            .iter()
-            .flat_map(|w: &i32| w.to_be_bytes())
-            .collect();
-        let run = |walk: &StubProgram| {
-            let (mut out, mut counts) = (StubArgs::new(vec![0; 2], vec![]), OpCounts::new());
-            let done = run_decode(walk, &wire, &mut out, 12, &mut counts).unwrap();
-            (done, out, tally(&counts))
-        };
-        let fused = run(&stub);
-        assert_eq!(fused, run(&op_by_op(&stub)), "{first} {third}");
-        assert_eq!(fused.0, Outcome::Fallback);
-    }
+    let (off, taken, image) = Image::get(&ops).unwrap();
+    assert_eq!((off, taken, image.bytes.len()), (0, 5, 12));
+    assert!(refused(program(ops, &[])));
 }
 
 #[test]
 fn encode_after_xid_reads_result_scalars_one_slot_down() {
-    let stub = StubProgram::from_ops(
-        (0..3)
-            .map(|k| StubOp::PutScalar {
-                off: 4 * k,
-                slot: k as u16,
-            })
-            .collect(),
-        "reply".into(),
-    );
+    let mut ops: Vec<StubOp> = (0..3)
+        .map(|k| StubOp::PutScalar {
+            off: 4 * k,
+            slot: k as u16,
+        })
+        .collect();
+    ops.push(StubOp::Ret { val: 1 });
+    let stub = program(ops, &[]).unwrap();
     let results = StubArgs::new(vec![10, 20], vec![]);
     let mut wire = [0u8; 12];
     run_encode_after_xid(
@@ -945,153 +918,98 @@ fn encode_after_xid_reads_result_scalars_one_slot_down() {
     let err =
         run_encode_after_xid(&stub, &mut wire, &too_few, 1, &mut OpCounts::new()).unwrap_err();
     assert_eq!(err, StubError::BadScalarSlot(2));
+    let walked = walk_encode(
+        &stub,
+        &mut wire,
+        &too_few,
+        (Some(1), 1),
+        &mut OpCounts::new(),
+    );
+    assert_eq!(walked, Err(err));
 }
 
 // ---------------------------------------------------------------------
-// Malformed programs: an error in every profile, never a panic, never a
-// write at a wrapped offset.
+// Malformed programs: refused when bound, so no kernel ever runs one.
 // ---------------------------------------------------------------------
 
 #[test]
-fn loop_reaching_past_the_end_constructs_and_reports_bad_loop() {
+fn a_malformed_loop_is_refused() {
     for body in [2, 7, u32::MAX] {
         for times in [0, 3] {
-            let looped = |inner: StubOp| {
-                StubProgram::from_ops(
-                    vec![
-                        StubOp::Loop {
-                            times,
-                            body,
-                            unroll: 0,
-                        },
-                        inner,
-                    ],
-                    "runaway".into(),
-                )
-            };
-            let enc = looped(StubOp::PutImm { off: 0, word: 1 });
-            let err = run_encode(
-                &enc,
-                &mut [0u8; 64],
-                &StubArgs::default(),
-                &mut OpCounts::new(),
-            );
-            assert_eq!(err, Err(StubError::BadLoop), "body={body} times={times}");
-            let dec = looped(StubOp::GetScalar { off: 0, slot: 0 });
-            let mut out = StubArgs::new(vec![0], vec![]);
-            let err = run_decode(&dec, &[0u8; 64], &mut out, 64, &mut OpCounts::new());
-            assert_eq!(err, Err(StubError::BadLoop), "body={body} times={times}");
+            for inner in [
+                StubOp::PutImm { off: 0, word: 1 },
+                StubOp::GetScalar { off: 0, slot: 0 },
+            ] {
+                let header = StubOp::Loop {
+                    times,
+                    body,
+                    unroll: 0,
+                };
+                let looped = program(vec![header, inner, StubOp::Ret { val: 1 }], &[]);
+                assert!(refused(looped), "body={body} times={times}");
+            }
         }
     }
-    // An empty body is a loop of nothing, not a planner panic.
-    let empty = StubProgram::from_ops(
-        vec![
-            StubOp::Loop {
-                times: 3,
-                body: 0,
-                unroll: 0,
-            },
-            StubOp::EndLoop,
-        ],
-        "empty".into(),
-    );
-    let done = run_encode(&empty, &mut [], &StubArgs::default(), &mut OpCounts::new());
-    assert!(matches!(done, Ok(Outcome::Done { ret: 1, .. })));
+    // An empty body is a loop of nothing, refused rather than a planner
+    // panic.
+    let header = StubOp::Loop {
+        times: 3,
+        body: 0,
+        unroll: 0,
+    };
+    let empty = vec![header, StubOp::EndLoop, StubOp::Ret { val: 1 }];
+    assert!(refused(program(empty, &[])));
 }
 
 #[test]
 fn strides_no_buffer_could_hold_are_errors_not_wrapped_writes() {
     let looped = |off: i32, idx: i32, inner: StubOp| {
-        StubProgram::from_ops(
-            vec![
-                StubOp::Loop {
-                    times: 3,
-                    body: 2,
-                    unroll: 0,
-                },
-                StubOp::Step { off, idx },
-                inner,
-                StubOp::EndLoop,
-            ],
-            "wide".into(),
+        let header = StubOp::Loop {
+            times: 3,
+            body: 2,
+            unroll: 0,
+        };
+        let step = StubOp::Step { off, idx };
+        program(
+            vec![header, step, inner, StubOp::EndLoop, StubOp::Ret { val: 1 }],
+            &[],
         )
     };
-    // The widest step there is: the second trip lands 2 GiB on.
-    let enc = looped(i32::MAX, 0, StubOp::PutImm { off: 4, word: !0 });
-    let mut image = [0u8; 16];
-    let err = run_encode(&enc, &mut image, &StubArgs::default(), &mut OpCounts::new()).unwrap_err();
-    assert_eq!(
-        err,
-        StubError::BufTooSmall {
-            off: 4 + i32::MAX as usize,
-            len: 16
-        }
-    );
-    assert_eq!(image[4..8], [0xFF; 4], "the first iteration's store stands");
-    // A store walking down past the start of the buffer stops there: 4 − 8
-    // is no offset, not 2³² − 4 and not 12.
-    image = [0u8; 16];
-    let enc = looped(-8, 0, StubOp::PutImm { off: 4, word: !0 });
-    let err = run_encode(&enc, &mut image, &StubArgs::default(), &mut OpCounts::new()).unwrap_err();
-    assert!(matches!(err, StubError::BufTooSmall { off, len: 16 } if off > 16));
-    assert_eq!(image[4..8], [0xFF; 4]);
-    assert_eq!((&image[..4], &image[8..]), (&[0u8; 4][..], &[0u8; 8][..]));
-
+    // The widest step there is, and a store walking down past the start
+    // of the buffer: no element run, refused before anything runs.
+    assert!(refused(looped(
+        i32::MAX,
+        0,
+        StubOp::PutImm { off: 4, word: !0 }
+    )));
+    assert!(refused(looped(-8, 0, StubOp::PutImm { off: 4, word: !0 })));
     let elem = StubOp::PutElem {
         off: 0,
         arr: 0,
         idx: 2,
     };
-    let args = StubArgs::new(vec![], vec![vec![1, 2, 3]]);
-    let err = run_encode(
-        &looped(0, i32::MAX, elem),
-        &mut image,
-        &args,
-        &mut OpCounts::new(),
-    )
-    .unwrap_err();
-    assert_eq!(
-        err,
-        StubError::BadElem {
-            arr: 0,
-            idx: 2 + i32::MAX as usize,
-            len: 3
-        }
-    );
-
-    let wire = [0u8; 16];
-    let mut out = StubArgs::new(vec![0], vec![vec![0; 3]]);
-    let dec = looped(i32::MAX, 0, StubOp::GetScalar { off: 4, slot: 0 });
-    let err = run_decode(&dec, &wire, &mut out, 16, &mut OpCounts::new()).unwrap_err();
-    assert!(matches!(err, StubError::BufTooSmall { len: 16, .. }));
+    assert!(refused(looped(0, i32::MAX, elem)));
+    assert!(refused(looped(
+        i32::MAX,
+        0,
+        StubOp::GetScalar { off: 4, slot: 0 }
+    )));
     let elem = StubOp::GetElem {
         off: 0,
         arr: 0,
         idx: 2,
     };
-    let dec = looped(0, i32::MIN, elem);
-    let err = run_decode(&dec, &wire, &mut out, 16, &mut OpCounts::new()).unwrap_err();
-    assert!(matches!(err, StubError::BadElem { arr: 0, len: 3, .. }));
+    assert!(refused(looped(0, i32::MIN, elem)));
 
     // Offsets at the top of the 32-bit range neither overflow the planner
     // nor get fused with what does not follow them.
-    let top = StubProgram::from_ops(
-        vec![
-            StubOp::GetElem {
-                off: u32::MAX - 3,
-                arr: 0,
-                idx: u32::MAX,
-            },
-            StubOp::GetElem {
-                off: 0,
-                arr: 0,
-                idx: 0,
-            },
-        ],
-        "top".into(),
-    );
-    assert_eq!(top.plan.len(), 2);
-    assert!(run_decode(&top, &wire, &mut out, 16, &mut OpCounts::new()).is_err());
+    let top = |off: u32| StubOp::PutElem {
+        off,
+        arr: 0,
+        idx: u32::MAX,
+    };
+    let ops = vec![top(u32::MAX - 3), top(0), StubOp::Ret { val: 1 }];
+    assert!(refused(program(ops, &[])));
 }
 
 // ---- residual loops and checked conversions -------------------------------
@@ -1131,7 +1049,6 @@ fn residual_loop_compiles_to_the_unrolled_ops() {
         let got = compile(&p, &rolled, &big_conv(n), opts).unwrap();
         assert_eq!(got.ops, want.ops, "chunk {chunk:?}");
         assert_eq!(got.plan, want.plan, "chunk {chunk:?}");
-        assert_eq!(got.holes, want.holes);
         assert_eq!(got.wire_len, want.wire_len);
     }
 }
@@ -1139,48 +1056,33 @@ fn residual_loop_compiles_to_the_unrolled_ops() {
 #[test]
 fn residual_loop_offsets_are_affine_in_any_spelling() {
     let (p, sid) = big_prog(16);
-    // buf + (44 + 4·(i − 2)), element i − 2 + 1, from i = 2: and descending.
+    let ops = |f: &Function| lower(&p, f, &big_conv(16), CompileOptions::default());
+    // buf + (44 + 4·(i − 2)), element i − 2 + 1, from i = 2.
     let f = loop_residual(
         sid,
         (2, 6),
         |i| add(c(44), mul(sub(i, c(2)), c(4))),
         |i| add(sub(i, c(2)), c(1)),
     );
-    let stub = compile(&p, &f, &big_conv(16), CompileOptions::default()).unwrap();
-    let looped = |times, step, first| {
-        let header = StubOp::Loop {
-            times,
-            body: 2,
-            unroll: 0,
-        };
-        vec![header, step, first, StubOp::EndLoop, StubOp::Ret { val: 1 }]
+    let header = StubOp::Loop {
+        times: 4,
+        body: 2,
+        unroll: 0,
     };
     let first = StubOp::PutElem {
         off: 44,
         arr: 0,
         idx: 1,
     };
-    assert_eq!(stub.ops, looped(4, StubOp::Step { off: 4, idx: 1 }, first));
+    let step = StubOp::Step { off: 4, idx: 1 };
+    let looped = vec![header, step, first, StubOp::EndLoop, StubOp::Ret { val: 1 }];
+    assert_eq!(ops(&f).unwrap().0, looped);
+    // Descending, it is no element run: refused, not iterated.
     let f = loop_residual(sid, (0, 3), |i| sub(c(8), mul(i, c(4))), |i| sub(c(5), i));
-    let stub = compile(&p, &f, &big_conv(16), CompileOptions::default()).unwrap();
-    let first = StubOp::PutElem {
-        off: 8,
-        arr: 0,
-        idx: 5,
-    };
-    assert_eq!(
-        stub.ops,
-        looped(3, StubOp::Step { off: -4, idx: -1 }, first)
-    );
-    assert_eq!((stub.len(), stub.wire_len), (4, 12));
-    let args = StubArgs::new(vec![], vec![(0..16).collect()]);
-    let mut wire = [0xEEu8; 12];
-    run_encode(&stub, &mut wire, &args, &mut OpCounts::new()).unwrap();
-    assert_eq!(wire, [0, 0, 0, 3, 0, 0, 0, 4, 0, 0, 0, 5]);
+    assert!(matches!(ops(&f), Err(CompileError::Unsupported(_))));
     // A zero-trip loop compiles to nothing.
     let f = loop_residual(sid, (5, 5), |i| mul(i, c(4)), |i| i);
-    let stub = compile(&p, &f, &big_conv(16), CompileOptions::default()).unwrap();
-    assert_eq!(stub.ops, vec![StubOp::Ret { val: 1 }]);
+    assert_eq!(ops(&f).unwrap().0, vec![StubOp::Ret { val: 1 }]);
 }
 
 #[test]
@@ -1242,7 +1144,7 @@ fn conversions_are_checked_not_wrapped() {
         let argsp = fb.param("argsp", ptr(Type::Struct(sid)));
         let _inlen = fb.param("inlen", Type::Long);
         let f = fb.body(body(buf, argsp));
-        compile(&p, &f, &conventions(), CompileOptions::default())
+        lower(&p, &f, &conventions(), CompileOptions::default()).map(|(ops, _)| ops)
     };
     // A negative offset, and one past u32, used to wrap to a plausible one.
     let err = build(|buf, _| vec![assign(buf32(add(lv(var(buf)), c(-4))), c(0))]).unwrap_err();
@@ -1250,7 +1152,7 @@ fn conversions_are_checked_not_wrapped() {
     let err = build(|buf, _| vec![assign(buf32(add(lv(var(buf)), c(1 << 32))), c(0))]).unwrap_err();
     assert!(matches!(err, CompileError::NonAffineOffset(_)), "{err:?}");
     let ok = build(|buf, _| vec![assign(buf32(add(c(8), add(lv(var(buf)), c(4)))), c(0))]);
-    assert_eq!(ok.unwrap().ops[0], StubOp::PutImm { off: 12, word: 0 });
+    assert_eq!(ok.unwrap()[0], StubOp::PutImm { off: 12, word: 0 });
     // A negative constant index used to panic (debug) or wrap (release).
     let err = build(|buf, argsp| {
         vec![assign(
@@ -1275,56 +1177,37 @@ fn conversions_are_checked_not_wrapped() {
 }
 
 // ---------------------------------------------------------------------
-// Whole-stub kernels: bound by `compile`, dropped by any change to the
-// plan, and exactly the executor's outcome, bytes, slots and counts.
+// Whole-stub kernels: bound by `compile` to every program it accepts, and
+// exactly the outcome, bytes, slots and counts of the ops one by one.
 // ---------------------------------------------------------------------
 
-/// `stub` with the kernel of its plan bound, as `compile` binds it.
-fn bound(mut stub: StubProgram) -> StubProgram {
-    stub.plan.kernel = Kernel::bind(&stub.plan, &stub.elems);
-    stub
-}
-
-/// The same plan with its kernel unbound, as any change to its steps
-/// leaves it: the executor runs it step by step.
-fn stepped(stub: &StubProgram) -> StubProgram {
-    let mut stepped = stub.clone();
-    std::ops::DerefMut::deref_mut(&mut stepped.plan);
-    stepped
-}
-
 #[test]
-fn compile_binds_a_kernel_that_any_change_to_the_plan_drops() {
+fn compile_binds_a_kernel_to_every_program_it_accepts() {
     let n = 20;
     let (p, sid) = msg_prog(n);
     let opts = CompileOptions::default();
     let enc = compile(&p, &msg_encode(sid, n), &msg_conv(n), opts).unwrap();
     let dec = compile(&p, &msg_decode(sid, n), &msg_conv(n), opts).unwrap();
-    assert!(enc.has_kernel() && dec.has_kernel());
-    assert!(enc.clone().has_kernel(), "a clone has the same plan");
-    let hand = StubProgram::from_ops(enc.ops.clone(), "hand".into());
-    assert!(
-        !hand.has_kernel(),
-        "the executor runs a hand-assembled program"
-    );
-    assert!(!stepped(&enc).has_kernel());
-    let mut collected = enc.clone();
-    collected.plan = enc.plan.iter().copied().collect();
-    assert!(!collected.has_kernel());
-    let mut emptied = enc.clone();
-    emptied.plan = Plan::default();
-    assert!(!emptied.has_kernel());
+    // The same ops bound by hand are the same plan.
+    let hand = program(enc.ops.clone(), &[(0, n)]).unwrap();
+    assert_eq!(hand.plan, enc.plan);
+    assert_eq!(program(dec.ops.clone(), &[]).unwrap().plan, dec.plan);
 
     // However it runs, the message is the same.
     let args = StubArgs::new(vec![5, -6, 0], vec![(0..n as i32).collect()]);
     let mut want = vec![0u8; enc.wire_len];
     let mut counts = OpCounts::new();
-    run_encode(&enc, &mut want, &args, &mut counts).unwrap();
-    for other in [hand, stepped(&enc), emptied, op_by_op(&enc)] {
+    walk_encode(&enc, &mut want, &args, (None, 0), &mut counts).unwrap();
+    for other in [enc.clone(), hand] {
         let (mut wire, mut c) = (vec![0xEEu8; enc.wire_len], OpCounts::new());
         run_encode(&other, &mut wire, &args, &mut c).unwrap();
         assert_eq!((wire, tally(&c)), (want.clone(), tally(&counts)));
     }
+    // A stub run in the other direction is refused.
+    let err = run_decode(&enc, &want, &mut StubArgs::default(), 0, &mut counts);
+    assert!(matches!(err, Err(StubError::WrongDirection(_))));
+    let err = run_encode(&dec, &mut want, &args, &mut counts);
+    assert!(matches!(err, Err(StubError::WrongDirection(_))));
 }
 
 #[test]
@@ -1332,7 +1215,7 @@ fn a_lone_element_plans_as_a_bulk_step_of_one() {
     let (p, sid) = msg_prog(1);
     let (conv, opts) = (msg_conv(1), CompileOptions::default());
     let enc = compile(&p, &msg_encode(sid, 1), &conv, opts).unwrap();
-    let ret = PlanOp::Op(StubOp::Ret { val: 1 });
+    let ret = PlanOp::Ret { val: 1 };
     let put = PlanOp::BulkPut {
         off: 16,
         arr: 0,
@@ -1353,7 +1236,40 @@ fn a_lone_element_plans_as_a_bulk_step_of_one() {
         dec.plan[..],
         [PlanOp::GetImage { off: 0, at: 0 }, fill, ret]
     );
-    assert!(enc.has_kernel() && dec.has_kernel());
+}
+
+/// A decode by the kernel against the same ops one by one, from `slots`
+/// zeroed scalar slots and one empty array: the same outcome or error,
+/// and the same counts; on `Done` the same slots, on a `Fallback` the
+/// kernel's untouched. The kernel's run.
+fn decode_as_walked(
+    stub: &StubProgram,
+    wire: &[u8],
+    inlen: usize,
+    slots: usize,
+    what: &str,
+) -> (StubResult, StubArgs, (u64, u64)) {
+    let run = |walk: bool| {
+        let mut out = StubArgs::new(vec![0; slots], vec![vec![]]);
+        let mut counts = OpCounts::new();
+        let done = match walk {
+            false => run_decode(stub, wire, &mut out, inlen, &mut counts),
+            true => walk_decode(stub, wire, &mut out, inlen, &mut counts),
+        };
+        (done, out, tally(&counts))
+    };
+    let (got, walked) = (run(false), run(true));
+    assert_eq!(got.0, walked.0, "{what}");
+    match got.0 {
+        Ok(Outcome::Done { .. }) => assert_eq!(got, walked, "{what}"),
+        Ok(Outcome::Fallback) => {
+            assert_eq!(got.2, walked.2, "{what}: counts at the failing guard");
+            let untouched = StubArgs::new(vec![0; slots], vec![vec![]]);
+            assert_eq!(got.1, untouched, "{what}: a fallback loads nothing");
+        }
+        Err(_) => {}
+    }
+    got
 }
 
 #[test]
@@ -1369,46 +1285,51 @@ fn a_decode_header_loads_the_words_after_its_guards() {
         StubOp::GetScalar { off: 16, slot: 4 },
         StubOp::Ret { val: 1 },
     ];
-    let stub = bound(StubProgram::from_ops(ops, "request".into()));
-    let ret = PlanOp::Op(StubOp::Ret { val: 1 });
+    let stub = program(ops, &[]).unwrap();
+    let ret = PlanOp::Ret { val: 1 };
     assert_eq!(stub.plan[..], [PlanOp::GetImage { off: 0, at: 0 }, ret]);
-    assert!(stub.has_kernel());
     let wire: Vec<u8> = [9, 3, -1, 7, 1 << 20]
         .iter()
         .flat_map(|w: &i32| w.to_be_bytes())
         .collect();
     let mut bad = wire.clone();
     bad[7] ^= 1;
-    for (wire, inlen, slots) in [
-        (&wire, 20, 5),
-        (&bad, 20, 5),
-        (&wire, 16, 5),
-        (&wire, 20, 4),
+    for (wire, inlen, slots, want) in [
+        (&wire, 20, 5, "done"),
+        (&bad, 20, 5, "fallback"),
+        (&wire, 16, 5, "fallback"),
+        (&wire, 20, 4, "error"),
     ] {
-        let run = |stub: &StubProgram| {
-            let (mut out, mut counts) = (StubArgs::new(vec![0; slots], vec![]), OpCounts::new());
-            let done = run_decode(stub, wire, &mut out, inlen, &mut counts);
-            (done, out, tally(&counts))
+        let what = format!("inlen {inlen}, {slots} slots");
+        let (done, ..) = decode_as_walked(&stub, wire, inlen, slots, &what);
+        let kind = match done {
+            Ok(Outcome::Done { .. }) => "done",
+            Ok(Outcome::Fallback) => "fallback",
+            Err(_) => "error",
         };
-        let fused = run(&stub);
-        assert_eq!(fused, run(&op_by_op(&stub)), "inlen {inlen}, {slots} slots");
-        assert_eq!(fused, run(&stepped(&stub)), "inlen {inlen}, {slots} slots");
+        assert_eq!(kind, want, "{what}");
     }
 }
 
-/// A kernel against the executor over headers of every width class: an
-/// encode of `w` words (scalars, with every third word static) and a
+/// A kernel against the ops one by one over headers of every width class:
+/// an encode of `w` words (scalars, with every third word static) and a
 /// decode of `w` words (one scalar run, every third word checked), each
 /// with an element step when `w` is odd — on a good run, every lane, a
 /// guard that fails, a short `inlen`, every truncation and missing slots.
-/// A header of 256 bytes or more has no kernel.
+/// A header of 256 bytes or more runs on the checked path.
 #[test]
 fn kernels_of_every_header_width_run_as_the_executor_does() {
     type Lane = fn(&StubProgram, &mut [u8], &StubArgs, &mut OpCounts) -> StubResult;
-    let lanes: [Lane; 3] = [
-        run_encode,
-        |p, b, a, c| run_encode_with_xid(p, b, a, -77, c),
-        |p, b, a, c| run_encode_after_xid(p, b, a, 0x0102_0304, c),
+    let lanes: [(Lane, reference::Slots); 3] = [
+        (run_encode, (None, 0)),
+        (
+            |p, b, a, c| run_encode_with_xid(p, b, a, -77, c),
+            (Some(-77), 0),
+        ),
+        (
+            |p, b, a, c| run_encode_after_xid(p, b, a, 0x0102_0304, c),
+            (Some(0x0102_0304), 1),
+        ),
     ];
     for w in 1..=66u32 {
         let elements = w % 2 == 1;
@@ -1445,39 +1366,42 @@ fn kernels_of_every_header_width_run_as_the_executor_does() {
             }));
         }
         ops.push(StubOp::Ret { val: 1 });
-        let mut enc = StubProgram::from_ops(ops, "enc".into());
-        if elements {
-            enc.elems = vec![(0, 4)];
-        }
-        let enc = bound(enc);
-        assert_eq!(
-            enc.has_kernel(),
-            (2..64).contains(&w),
-            "encode of {w} words"
-        );
+        let elems: &[(u16, usize)] = if elements { &[(0, 4)] } else { &[] };
+        let enc = program(ops, elems).unwrap();
         let scalars: Vec<i32> = (0..w as i32).map(|k| k * 1000 - 3).collect();
         let arrays = vec![vec![10, 11, 12, 13]];
         let args = StubArgs::new(scalars.clone(), arrays.clone());
         let short = StubArgs::new(scalars[..w as usize - 1].to_vec(), arrays.clone());
-        let long = StubArgs::new(scalars.clone(), vec![vec![0; 5]]);
-        for (lane, run) in lanes.iter().enumerate() {
-            let go = |p: &StubProgram, len: usize, args: &StubArgs| {
+        for (lane, (run, slots)) in lanes.iter().enumerate() {
+            let go = |len: usize, args: &StubArgs| {
                 let (mut wire, mut counts) = (vec![0xEEu8; len], OpCounts::new());
-                (run(p, &mut wire, args, &mut counts), wire, tally(&counts))
+                (
+                    run(&enc, &mut wire, args, &mut counts),
+                    wire,
+                    tally(&counts),
+                )
+            };
+            let walk = |len: usize, args: &StubArgs| {
+                let (mut wire, mut counts) = (vec![0xEEu8; len], OpCounts::new());
+                let done = walk_encode(&enc, &mut wire, args, *slots, &mut counts);
+                (done, wire, tally(&counts))
             };
             let what = format!("encode of {w} words, lane {lane}");
-            let fused = go(&enc, enc.wire_len, &args);
+            let fused = go(enc.wire_len, &args);
             assert!(matches!(fused.0, Ok(Outcome::Done { .. })), "{what}");
-            assert_eq!(fused, go(&op_by_op(&enc), enc.wire_len, &args), "{what}");
+            assert_eq!(fused, walk(enc.wire_len, &args), "{what}");
             for len in 0..enc.wire_len {
-                assert_eq!(go(&enc, len, &args), go(&stepped(&enc), len, &args));
+                assert_eq!(go(len, &args).0, walk(len, &args).0, "{what}, {len} B");
             }
-            for odd in [&short, &long] {
-                let (got, walked) = (
-                    go(&enc, enc.wire_len, odd),
-                    go(&stepped(&enc), enc.wire_len, odd),
-                );
-                assert_eq!(got, walked, "{what}");
+            assert_eq!(go(enc.wire_len, &short).0, walk(enc.wire_len, &short).0);
+            if elements {
+                let long = StubArgs::new(scalars.clone(), vec![vec![0; 5]]);
+                let err = StubError::BadElem {
+                    arr: 0,
+                    idx: 4,
+                    len: 5,
+                };
+                assert_eq!(go(enc.wire_len, &long).0, Err(err), "{what}");
             }
         }
         let wire = go_encode(&enc, &args);
@@ -1502,22 +1426,11 @@ fn kernels_of_every_header_width_run_as_the_executor_does() {
             }));
         }
         ops.push(StubOp::Ret { val: 1 });
-        let dec = bound(StubProgram::from_ops(ops, "dec".into()));
-        assert_eq!(dec.has_kernel(), w < 64, "decode of {w} words");
-        let go = |p: &StubProgram, wire: &[u8], inlen: usize, slots: usize| {
-            let mut out = StubArgs::new(vec![0; slots], vec![vec![]]);
-            let mut counts = OpCounts::new();
-            (
-                run_decode(p, wire, &mut out, inlen, &mut counts),
-                out,
-                tally(&counts),
-            )
-        };
+        let dec = program(ops, &[]).unwrap();
         let what = format!("decode of {w} words");
         let (len, slots) = (wire.len(), w as usize);
-        let fused = go(&dec, &wire, len, slots);
-        assert!(matches!(fused.0, Ok(Outcome::Done { .. })), "{what}");
-        assert_eq!(fused, go(&op_by_op(&dec), &wire, len, slots), "{what}");
+        let done = decode_as_walked(&dec, &wire, len, slots, &what).0;
+        assert!(matches!(done, Ok(Outcome::Done { .. })), "{what}");
         let mut cases = vec![
             (wire.clone(), len - 4, slots),
             (wire.clone(), len, slots - 1),
@@ -1529,16 +1442,10 @@ fn kernels_of_every_header_width_run_as_the_executor_does() {
         }
         cases.extend((0..len).map(|cut| (wire[..cut].to_vec(), len, slots)));
         for (wire, inlen, slots) in cases {
-            let got = go(&dec, &wire, inlen, slots);
-            assert_eq!(got, go(&stepped(&dec), &wire, inlen, slots), "{what}");
-            if got.0.is_ok() {
-                assert_eq!(got, go(&op_by_op(&dec), &wire, inlen, slots), "{what}");
-            }
+            let _ = decode_as_walked(&dec, &wire, inlen, slots, &what);
         }
     }
 }
-
-type StubResult = Result<Outcome, StubError>;
 
 /// The message `enc` writes from `args`.
 fn go_encode(enc: &StubProgram, args: &StubArgs) -> Vec<u8> {

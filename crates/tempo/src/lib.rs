@@ -15,12 +15,17 @@
 //!    concrete values, residualizes the dynamic parts, unfolds calls and
 //!    unrolls static loops (with a configurable bound, §5 Table 4).
 //! 4. [`post`] — residual clean-up passes and the code-size model.
-//! 5. [`compile`] — compiles residual IR into flat [`compile::StubProgram`]
-//!    micro-op sequences executed by a tight loop: the runtime payoff that
-//!    replaces the layered generic code path.
+//! 5. [`compile`] — compiles residual IR into [`compile::StubProgram`]s,
+//!    each run by one kernel call: the runtime payoff that replaces the
+//!    layered generic code path.
 //! 6. [`eval`] — a concrete interpreter used as correctness oracle.
 
 #![deny(unsafe_code)]
+
+// The op-by-op reference the compile tests share with other crates names
+// this crate by its package name.
+#[cfg(test)]
+extern crate self as specrpc_tempo;
 
 pub mod bta;
 pub mod compile;

@@ -20,8 +20,8 @@
 //!   UDP client's;
 //! - `stub_ops`, `mem_moves`: the client's `OpCounts`;
 //! - `dispatches`: what one call of the procedure runs its four stubs as:
-//!   one kernel call for a stub its kernel runs whole, one dispatch per
-//!   plan step for a stub the executor runs (not a window count).
+//!   one kernel call each, as every compiled stub runs (not a window
+//!   count).
 //!
 //! `_` marks a counter the row's deployment does not expose: `run_nfs`
 //! and `run_scale` own their clients and pools, a stream client never
@@ -277,21 +277,9 @@ fn heap() -> [u64; 3] {
     [&ALLOCS, &FREES, &BYTES].map(|c| c.load(Ordering::Relaxed))
 }
 
-/// What a call of `proc_` runs its four stubs as: a kernel call each, or
-/// a dispatch per plan step for a stub without a kernel.
-fn dispatches(proc_: &CompiledProc) -> Option<u64> {
-    let stubs = [
-        &proc_.client_encode,
-        &proc_.client_decode,
-        &proc_.server_decode,
-        &proc_.server_encode,
-    ];
-    let runs = stubs.map(|s| match s.program.has_kernel() {
-        true => 1,
-        false => s.program.plan.len() as u64,
-    });
-    Some(runs.iter().sum())
-}
+/// What a call of one procedure runs its four stubs as: a kernel call
+/// each.
+const DISPATCHES: Option<u64> = Some(4);
 
 fn echo_proc(n: usize) -> Arc<CompiledProc> {
     Arc::new(build_echo_proc(n, None).expect("specialize echo"))
@@ -335,7 +323,7 @@ fn echo_row<T: Transport>(
     };
     let before = read(client);
     (0..CALLS).for_each(|_| call(client));
-    read(client).since(&before, name, CALLS, dispatches(client.compiled()))
+    read(client).since(&before, name, CALLS, DISPATCHES)
 }
 
 /// `echo20_udp` and `echo2000_udp`: `EchoBench`'s in-place echo over
@@ -371,8 +359,7 @@ fn echo2000_generic() -> Row {
     };
     let before = read(&bench);
     (0..CALLS).for_each(|_| call(&mut bench));
-    let runs = dispatches(bench.spec.compiled());
-    read(&bench).since(&before, "echo2000_generic", CALLS, runs)
+    read(&bench).since(&before, "echo2000_generic", CALLS, DISPATCHES)
 }
 
 /// `echo2000_tcp` (and `echo20_tcp`): `TcpEchoBench`'s in-place echo
@@ -524,10 +511,9 @@ fn returning200_and_batch4() -> [Row; 2] {
     };
     let before = read(&mut client);
     (0..batches).for_each(|_| call(&mut client));
-    let runs = dispatches(client.compiled());
     [
         single,
-        read(&mut client).since(&before, "batch4", batches, runs),
+        read(&mut client).since(&before, "batch4", batches, DISPATCHES),
     ]
 }
 
