@@ -3,8 +3,11 @@
 //! at n = 20 / 250 / 2000, the two sides' batches alternating in one
 //! process so host drift hits both, best batch per side. Each speed-up
 //! must reach the paper's own at that size (the larger of its two
-//! platforms). Absolute nanoseconds belong to `benchmark/`'s paired
-//! runs; a debug build measures nothing, so the test is ignored there:
+//! platforms). Each measured side prints as one row, its best batch's
+//! time per call: `marshal/{generic,specialized}/{n}` and
+//! `roundtrip/{generic,specialized}/{n}`. Absolute nanoseconds belong to
+//! `benchmark/`'s paired runs; a debug build measures nothing, so the test
+//! is ignored there:
 //!
 //! ```text
 //! cargo test --release -p specrpc-bench --test paper_ratio -- --nocapture
@@ -23,9 +26,10 @@ use std::time::Instant;
 
 const ROUNDS: usize = 15;
 
-/// Generic ÷ specialized time of `iters` calls, best of [`ROUNDS`]
-/// alternating batches per side (the first pair doubles as warm-up).
-fn speedup(iters: usize, mut call: impl FnMut(Mode)) -> f64 {
+/// Nanoseconds per call, generic then specialized, of the best of
+/// [`ROUNDS`] alternating batches of `iters` calls per side (the first
+/// pair doubles as warm-up).
+fn per_call_ns(iters: usize, mut call: impl FnMut(Mode)) -> [f64; 2] {
     let mut best = [f64::INFINITY; 2];
     for _ in 0..ROUNDS {
         for (side, mode) in [Mode::Generic, Mode::Specialized].into_iter().enumerate() {
@@ -36,7 +40,7 @@ fn speedup(iters: usize, mut call: impl FnMut(Mode)) -> f64 {
             best[side] = best[side].min(begun.elapsed().as_secs_f64());
         }
     }
-    best[0] / best[1]
+    best.map(|secs| secs * 1e9 / iters as f64)
 }
 
 /// The paper's speed-up at size `n`: the larger of its two platforms.
@@ -60,7 +64,7 @@ fn specialization_reaches_the_papers_speedups() {
         let mut enc = XdrMem::encoder(1 << 20);
         let mut buf = vec![0u8; proc_.client_encode.wire_len];
         let mut counts = OpCounts::new();
-        let marshal = speedup(2_000, |mode| match mode {
+        let marshal = per_call_ns(2_000, |mode| match mode {
             Mode::Generic => {
                 black_box(generic_encode_request(&mut enc, 0x42, &mut data).unwrap());
             }
@@ -71,14 +75,23 @@ fn specialization_reaches_the_papers_speedups() {
         });
 
         let mut bench = EchoBench::new(n, None, 42).expect("deploy");
-        let round_trip = speedup(500, |mode| {
+        let round_trip = per_call_ns(500, |mode| {
             black_box(bench.round_trip(mode, &data).unwrap());
         });
 
-        for (what, measured, floor) in [
+        for (row, ns) in [
+            (format!("marshal/generic/{n}"), marshal[0]),
+            (format!("marshal/specialized/{n}"), marshal[1]),
+            (format!("roundtrip/generic/{n}"), round_trip[0]),
+            (format!("roundtrip/specialized/{n}"), round_trip[1]),
+        ] {
+            println!("{row:<26} {ns:>10.1} ns");
+        }
+        for (what, [generic, specialized], floor) in [
             ("marshal", marshal, paper_speedup(paper_table1, n)),
             ("round trip", round_trip, paper_speedup(paper_table2, n)),
         ] {
+            let measured = generic / specialized;
             println!("{what:>10} n={n:<4} {measured:>6.1}x  (paper {floor:.2}x)");
             if measured < floor {
                 short.push(format!("{what} n={n}: {measured:.2}x < {floor:.2}x"));

@@ -8,7 +8,7 @@
 //! dynamic guard failure falls back to the generic layered path,
 //! preserving the original semantics (§6.2).
 
-use crate::generic::decode_shape_generic;
+use crate::generic::xdr_shape;
 use crate::pipeline::CompiledProc;
 use specrpc_rpc::error::RpcError;
 use specrpc_rpc::msg::ReplyHeader;
@@ -299,7 +299,7 @@ impl<T: Transport> SpecClient<T> {
             decp.layout.scalar_count as usize,
             decp.layout.array_count as usize,
         );
-        decode_shape_generic(
+        xdr_shape(
             &mut dec,
             &self.proc_.res_shape,
             reply_fields::COUNT as u16,

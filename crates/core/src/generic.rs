@@ -5,52 +5,14 @@
 
 use specrpc_rpcgen::stubgen::{FieldShape, MsgShape};
 use specrpc_tempo::compile::StubArgs;
-use specrpc_xdr::{XdrResult, XdrStream};
+use specrpc_xdr::composite::{xdr_array, xdr_vector};
+use specrpc_xdr::primitives::xdr_int;
+use specrpc_xdr::{XdrOp, XdrResult, XdrStream};
 
-/// Decode a message shape through the generic micro-layers into StubArgs
-/// slots (shared by client fallback and server fallback).
-pub fn decode_shape_generic(
-    xdrs: &mut dyn XdrStream,
-    shape: &MsgShape,
-    scalar_base: u16,
-    out: &mut StubArgs,
-) -> XdrResult {
-    let mut s = scalar_base as usize;
-    let mut a = 0usize;
-    for f in &shape.fields {
-        match f {
-            FieldShape::Scalar { .. } => {
-                specrpc_xdr::primitives::xdr_int(xdrs, &mut out.scalars[s])?;
-                s += 1;
-            }
-            FieldShape::VarIntArray { max, .. } => {
-                specrpc_xdr::composite::xdr_array(
-                    xdrs,
-                    &mut out.arrays[a],
-                    (*max).min(u32::MAX as usize),
-                    specrpc_xdr::primitives::xdr_int,
-                )?;
-                a += 1;
-            }
-            FieldShape::FixedIntArray { len, .. } => {
-                out.arrays[a].clear();
-                out.arrays[a].resize(*len, 0);
-                let arr = &mut out.arrays[a];
-                specrpc_xdr::composite::xdr_vector(
-                    xdrs,
-                    arr.as_mut_slice(),
-                    specrpc_xdr::primitives::xdr_int,
-                )?;
-                a += 1;
-            }
-        }
-    }
-    Ok(())
-}
-
-/// Encode a message shape through the generic micro-layers from StubArgs
-/// slots.
-pub fn encode_shape_generic(
+/// Marshal a message shape through the generic micro-layers, scalars from
+/// slot `scalar_base` on: one routine for both directions, as Sun's
+/// serve both through `x_op`. Decoding sizes each fixed array first.
+pub fn xdr_shape(
     xdrs: &mut dyn XdrStream,
     shape: &MsgShape,
     scalar_base: u16,
@@ -61,24 +23,20 @@ pub fn encode_shape_generic(
     for f in &shape.fields {
         match f {
             FieldShape::Scalar { .. } => {
-                specrpc_xdr::primitives::xdr_int(xdrs, &mut args.scalars[s])?;
+                xdr_int(xdrs, &mut args.scalars[s])?;
                 s += 1;
             }
             FieldShape::VarIntArray { max, .. } => {
-                specrpc_xdr::composite::xdr_array(
-                    xdrs,
-                    &mut args.arrays[a],
-                    (*max).min(u32::MAX as usize),
-                    specrpc_xdr::primitives::xdr_int,
-                )?;
+                let max = (*max).min(u32::MAX as usize);
+                xdr_array(xdrs, &mut args.arrays[a], max, xdr_int)?;
                 a += 1;
             }
-            FieldShape::FixedIntArray { .. } => {
-                specrpc_xdr::composite::xdr_vector(
-                    xdrs,
-                    args.arrays[a].as_mut_slice(),
-                    specrpc_xdr::primitives::xdr_int,
-                )?;
+            FieldShape::FixedIntArray { len, .. } => {
+                if xdrs.op() == XdrOp::Decode {
+                    args.arrays[a].clear();
+                    args.arrays[a].resize(*len, 0);
+                }
+                xdr_vector(xdrs, args.arrays[a].as_mut_slice(), xdr_int)?;
                 a += 1;
             }
         }

@@ -106,7 +106,7 @@
 //!   overflow check, every layer propagates status. This is the measured
 //!   baseline and the §6.2 guard-fallback path.
 //! - the **zero-copy lane** — what specialization leaves behind: compiled
-//!   stubs run a fused plan (contiguous element runs execute as single
+//!   stubs run as one kernel each (contiguous element runs execute as single
 //!   bulk block copies, no per-element dispatch), the client emits the
 //!   header and arguments in one pass into a
 //!   [`WireBuf`](specrpc_xdr::WireBuf) preallocated once at the stub's

@@ -64,9 +64,6 @@ impl From<StubGenError> for PipelineError {
 pub struct CompiledProc {
     /// (program, version, procedure) numbers.
     pub target: (u32, u32, u32),
-    /// The unroll bound the stubs were compiled with (`None` = full
-    /// unrolling): the pipeline's [`ProcPipeline::chunk`].
-    pub unroll_bound: Option<usize>,
     /// Client request encoder.
     pub client_encode: CompiledStub,
     /// Client reply decoder.
@@ -79,9 +76,6 @@ pub struct CompiledProc {
     pub arg_shape: MsgShape,
     /// Result shape.
     pub res_shape: MsgShape,
-    /// The generated (unspecialized) stubs, kept for inspection and
-    /// reports.
-    pub generated: GeneratedStubs,
 }
 
 /// A resolved specialization target: `(program, version, procedure)`
@@ -182,14 +176,12 @@ impl ProcPipeline {
         let server_encode = stubgen::specialize_stub(&gs, StubKind::ServerEncode, chunk)?;
         Ok(CompiledProc {
             target: gs.target,
-            unroll_bound: chunk,
             client_encode,
             client_decode,
             server_decode,
             server_encode,
-            arg_shape: gs.arg_shape.clone(),
-            res_shape: gs.res_shape.clone(),
-            generated: gs,
+            arg_shape: gs.arg_shape,
+            res_shape: gs.res_shape,
         })
     }
 }
@@ -227,6 +219,45 @@ mod tests {
         .build_from_idl(IDL, None, 1)
         .unwrap();
         assert!(chunked.client_encode.program.len() < full.client_encode.program.len() / 3);
+    }
+
+    /// An array pinned at 0 carries no element, counted or fixed: an
+    /// encode of one is refused, not sent with the element dropped.
+    #[test]
+    fn an_array_pinned_at_0_refuses_an_element() {
+        use crate::echo::{ECHO_IDL, ECHO_PROC};
+        use specrpc_rpcgen::stubgen::FieldShape;
+        use specrpc_tempo::compile::{run_encode, StubArgs, StubError};
+        use specrpc_xdr::OpCounts;
+        let echo = ProcPipeline::new(0).build_from_idl(ECHO_IDL, None, ECHO_PROC);
+        let fixed = MsgShape {
+            fields: vec![FieldShape::FixedIntArray {
+                name: "a".into(),
+                len: 0,
+            }],
+        };
+        let fixed = ProcPipeline::new(0).build_from_shapes(7, 1, 1, fixed.clone(), fixed);
+        for cp in [echo.unwrap(), fixed.unwrap()] {
+            let enc = &cp.client_encode;
+            let mut wire = vec![0xEEu8; enc.wire_len];
+            let empty = StubArgs::new(vec![1], vec![vec![]]);
+            assert!(run_encode(&enc.program, &mut wire, &empty, &mut OpCounts::new()).is_ok());
+            for elems in [vec![7], vec![7, 8]] {
+                let len = elems.len();
+                let args = StubArgs::new(vec![1], vec![elems]);
+                let mut buf = vec![0xEEu8; enc.wire_len];
+                let err = run_encode(&enc.program, &mut buf, &args, &mut OpCounts::new());
+                assert_eq!(
+                    err,
+                    Err(StubError::BadElem {
+                        arr: 0,
+                        idx: 0,
+                        len
+                    })
+                );
+                assert!(buf.iter().all(|&b| b == 0xEE), "nothing is stored");
+            }
+        }
     }
 
     #[test]

@@ -951,9 +951,10 @@ mod reference;
 mod tests {
     use super::reference;
     use super::*;
-    use specrpc_rpcgen::stubgen::CompiledStub;
+    use specrpc_rpcgen::stubgen::{self, CompiledStub, GeneratedStubs};
     use specrpc_tempo::compile::{
-        run_decode, FieldTarget, Outcome, ParamBinding, PlanOp, StubError, StubOp, StubProgram,
+        run_decode, FieldTarget, Outcome, ParamBinding, StubConventions, StubError, StubOp,
+        StubProgram,
     };
     use std::collections::HashMap;
 
@@ -979,10 +980,10 @@ mod tests {
     /// range: the compiled request is `encode_nfs_call`'s byte for byte,
     /// and the compiled decode of the service's real reply yields the
     /// result slots the layered decode (reply header, then
-    /// `decode_shape_generic`) does.
+    /// `xdr_shape`) does.
     #[test]
     fn nfs_stubs_marshal_as_the_layered_routines_do() {
-        use crate::generic::decode_shape_generic;
+        use crate::generic::xdr_shape;
         use specrpc_rpc::msg::ReplyHeader;
         let procs = compile_nfs_procs().unwrap();
         let registry = nfs_service(4, &procs).into_registry();
@@ -1015,7 +1016,7 @@ mod tests {
                         dec_layout.array_count as usize,
                     );
                     let base = reply_fields::COUNT as u16;
-                    decode_shape_generic(&mut dec, &proc_.res_shape, base, &mut layered).unwrap();
+                    xdr_shape(&mut dec, &proc_.res_shape, base, &mut layered).unwrap();
                     assert_eq!(dec.getpos(), reply.len(), "{what}: reply read to its end");
                     // Result slots only: the layered path decodes the
                     // header into a `ReplyHeader`, not into slots.
@@ -1039,46 +1040,48 @@ mod tests {
     /// the fully unrolling reference specializer yields.
     #[test]
     fn benchmark_contexts_compile_to_the_reference_programs() {
-        use specrpc_rpcgen::stubgen::{self, StubKind};
+        use specrpc_rpcgen::stubgen::StubKind;
         use specrpc_tempo::compile::{compile, CompileOptions};
-        let same_as_reference = |cp: &crate::pipeline::CompiledProc| {
+        let same_as_reference = |cp: &CompiledProc, chunk: Option<usize>| {
+            let gs = generated(cp);
             for (kind, stub) in [
                 (StubKind::ClientEncode, &cp.client_encode),
                 (StubKind::ClientDecode, &cp.client_decode),
                 (StubKind::ServerDecode, &cp.server_decode),
                 (StubKind::ServerEncode, &cp.server_encode),
             ] {
-                let (unrolled, plan, _) =
-                    stubgen::specialize_unrolled(&cp.generated, kind).unwrap();
-                let opts = CompileOptions {
-                    chunk: cp.unroll_bound,
-                };
-                let want =
-                    compile(&cp.generated.program, &unrolled, &plan.conventions, opts).unwrap();
+                let (unrolled, plan, _) = stubgen::specialize_unrolled(&gs, kind).unwrap();
+                let opts = CompileOptions { chunk };
+                let want = compile(&gs.program, &unrolled, &plan.conventions, opts).unwrap();
                 let got = &stub.program;
                 assert_eq!(got.ops, want.ops, "{kind:?} of {:?}", cp.arg_shape);
-                assert_eq!(got.plan, want.plan, "{kind:?} of {:?}", cp.arg_shape);
                 assert_eq!((got.wire_len, &got.name), (want.wire_len, &want.name));
             }
         };
         for n in [20, 250, 2000] {
-            same_as_reference(&crate::echo::build_echo_proc(n, None).unwrap());
+            same_as_reference(&crate::echo::build_echo_proc(n, None).unwrap(), None);
         }
         for cfg in [ScaleConfig::smoke(), ScaleConfig::million()] {
             let idl = scale_idl(cfg.shapes.len());
             for (i, &shape) in cfg.shapes.iter().enumerate() {
                 let mut pipeline = ProcPipeline::new(shape);
                 pipeline.chunk = cfg.chunk;
-                same_as_reference(&pipeline.build_from_idl(&idl, None, i as u32 + 1).unwrap());
+                let cp = pipeline.build_from_idl(&idl, None, i as u32 + 1).unwrap();
+                same_as_reference(&cp, cfg.chunk);
             }
         }
         for p in NFS_GETATTR..=NFS_COMMIT {
-            same_as_reference(
-                &ProcPipeline::new(0)
-                    .build_from_idl(NFS_IDL, None, p)
-                    .unwrap(),
-            );
+            let cp = ProcPipeline::new(0).build_from_idl(NFS_IDL, None, p);
+            same_as_reference(&cp.unwrap(), None);
         }
+    }
+
+    /// The generated stubs `cp` was compiled from, generated from its
+    /// target and shapes as `ProcPipeline` generates them.
+    fn generated(cp: &CompiledProc) -> GeneratedStubs {
+        let (prog, vers, proc_) = cp.target;
+        let (arg, res) = (cp.arg_shape.clone(), cp.res_shape.clone());
+        stubgen::generate_from_shapes(prog, vers, proc_, arg, res)
     }
 
     /// The stub sets the benchmark's workloads run, named: echo at 1 / 20
@@ -1110,7 +1113,7 @@ mod tests {
     }
 
     /// Every stub set the pipeline generates, named: the benchmark's, and
-    /// the shapes outside its four plans — two arrays, a scalar after an
+    /// the shapes outside its four — two arrays, a scalar after an
     /// array and one before it (arrays pinned at 4, and at 0), a fixed
     /// array, 70 scalars (a header of 256 bytes or more).
     fn generated_procs() -> Vec<(String, CompiledProc)> {
@@ -1147,9 +1150,10 @@ mod tests {
     /// An encode stub's kernel against its ops run one by one, in all
     /// three lanes (plain, xid override, result slots after the xid): the
     /// same outcome, bytes over a dirty buffer and `OpCounts`; the same
-    /// error on every truncated buffer and with no scalar slots. Returns
-    /// the message the xid lane wrote.
-    fn check_encode(what: &str, stub: &CompiledStub) -> Vec<u8> {
+    /// error on every truncated buffer and with no scalar slots; an array
+    /// longer than the context pins refused. Returns the message the xid
+    /// lane wrote.
+    fn check_encode(what: &str, stub: &CompiledStub, conventions: &StubConventions) -> Vec<u8> {
         use specrpc_tempo::compile::{run_encode, run_encode_after_xid, run_encode_with_xid};
         type Lane = fn(&StubProgram, &mut [u8], &StubArgs, &mut OpCounts) -> StubResult;
         let lanes: [(&str, Lane, reference::Slots); 3] = [
@@ -1173,7 +1177,7 @@ mod tests {
         // Each array as long as the context pins it: the stub carries that
         // many elements and refuses more.
         let mut lens = vec![0; layout.array_count as usize];
-        for param in &stub.conventions.params {
+        for param in &conventions.params {
             let ParamBinding::Struct(fields) = param else {
                 continue;
             };
@@ -1209,6 +1213,17 @@ mod tests {
         let fused = run_encode(prog, &mut wire.clone(), &bare, &mut OpCounts::new());
         let walked = walk(&mut wire.clone(), &bare, (None, 0), &mut OpCounts::new());
         assert_same_error(&fused, &walked, &format!("{what}, no scalar slots"));
+        // One element past what an array carries is refused, nothing stored.
+        for (arr, &n) in (0..).zip(&lens) {
+            let mut long = args.clone();
+            long.arrays[arr as usize].push(1);
+            let mut buf = vec![0xEEu8; prog.wire_len];
+            let (idx, len) = (n as usize, n as usize + 1);
+            let err = run_encode(prog, &mut buf, &long, &mut OpCounts::new());
+            let what = format!("{what}, array {arr} one longer");
+            assert_eq!(err, Err(StubError::BadElem { arr, idx, len }), "{what}");
+            assert!(buf.iter().all(|&b| b == 0xEE), "{what}: nothing stored");
+        }
         wire
     }
 
@@ -1292,8 +1307,17 @@ mod tests {
     #[test]
     fn generated_stubs_run_fused_as_their_ops_do_one_by_one() {
         for (what, cp) in generated_procs() {
-            let request = check_encode(&format!("{what}: client encode"), &cp.client_encode);
-            let reply = check_encode(&format!("{what}: server encode"), &cp.server_encode);
+            let gs = generated(&cp);
+            let request = check_encode(
+                &format!("{what}: client encode"),
+                &cp.client_encode,
+                &gs.client_encode.conventions,
+            );
+            let reply = check_encode(
+                &format!("{what}: server encode"),
+                &cp.server_encode,
+                &gs.server_encode.conventions,
+            );
             check_decode(
                 &format!("{what}: server decode"),
                 &cp.server_decode,
@@ -1303,50 +1327,23 @@ mod tests {
         }
     }
 
-    /// A benchmark stub's header is one plan step, and the plan has one of
-    /// four shapes: the header image (`PutImage` or `GetImage`), at most
-    /// one element step (a bulk put, or a decode's fill of the whole
-    /// array), then `Ret` — the shapes the kernel's fixed-width entries
-    /// run. Echo at 20 elements runs 12 steps for its four stubs (43 when
-    /// the header ran a step per word).
+    /// A benchmark stub's header is one image, and the stub has one of
+    /// four shapes: that image (an encode's or a decode's), then at most
+    /// one element segment (a bulk put, or a decode's fill of the whole
+    /// array) — the shapes the kernel's fixed-width entries run. Each
+    /// stub runs on one.
     #[test]
     fn a_generated_stub_plans_its_header_as_one_step() {
         for (what, cp) in benchmark_procs() {
-            let stubs = [
-                (&cp.client_encode, true),
-                (&cp.server_encode, true),
-                (&cp.server_decode, false),
-                (&cp.client_decode, false),
-            ];
-            for (stub, encode) in stubs {
-                let plan = &stub.program.plan;
-                let header = |s: &PlanOp| match s {
-                    PlanOp::PutImage { .. } => encode,
-                    PlanOp::GetImage { .. } => !encode,
-                    _ => false,
-                };
-                let element = |s: &PlanOp| match s {
-                    PlanOp::BulkPut { .. } => encode,
-                    PlanOp::BulkFill { .. } => !encode,
-                    _ => false,
-                };
-                let ok = match plan[..] {
-                    [ref h, PlanOp::Ret { .. }] => header(h),
-                    [ref h, ref e, PlanOp::Ret { .. }] => header(h) && element(e),
-                    _ => false,
-                };
-                assert!(ok, "{what}: {plan:?}");
+            for stub in [
+                &cp.client_encode,
+                &cp.server_encode,
+                &cp.server_decode,
+                &cp.client_decode,
+            ] {
+                assert!(stub.program.fixed_width(), "{what}: {}", stub.program.name);
             }
         }
-        let cp = crate::echo::build_echo_proc(20, None).unwrap();
-        let stubs = [
-            &cp.client_encode,
-            &cp.server_decode,
-            &cp.server_encode,
-            &cp.client_decode,
-        ];
-        let steps: usize = stubs.iter().map(|s| s.program.plan.len()).sum();
-        assert_eq!(steps, 12);
     }
 
     /// A reply image encoded into an offered buffer is rewound, not

@@ -26,7 +26,7 @@
 //! [`Served`](specrpc_rpc::Served) handle holds the registry and the
 //! per-shard and per-worker event counts.
 
-use crate::generic::{decode_shape_generic, encode_shape_generic};
+use crate::generic::xdr_shape;
 use crate::invariants::Invariants;
 use crate::pipeline::CompiledProc;
 use specrpc_netsim::net::{Addr, Network};
@@ -222,7 +222,7 @@ fn raw_dispatch(
             pool.put(reply);
             let mut gx = XdrMem::encoder_over(pool.take(REPLY_BUF_SIZE), REPLY_BUF_SIZE);
             ReplyHeader::encode_success(&mut gx, xid as u32).expect("a reply header fits");
-            if encode_shape_generic(&mut gx, &p.res_shape, 0, results).is_err() {
+            if xdr_shape(&mut gx, &p.res_shape, 0, results).is_err() {
                 // Nor can the generic encoder carry them (an array past
                 // its IDL bound): the generic lane's answer, SYSTEM_ERR.
                 gx = XdrMem::encoder_over(gx.into_bytes(), REPLY_BUF_SIZE);
@@ -260,14 +260,13 @@ fn install_one(registry: &mut SvcRegistry, proc_: Arc<CompiledProc>, handler: Sp
             dec.layout.scalar_count as usize,
             dec.layout.array_count as usize,
         );
-        decode_shape_generic(args_x, &p.arg_shape, call_fields::COUNT as u16, &mut args)
+        xdr_shape(args_x, &p.arg_shape, call_fields::COUNT as u16, &mut args)
             .map_err(RpcError::from)?;
         args.scalars[call_fields::XID] = call.xid as i32;
         run_handler(&p, &h, &mut args, &mut results);
         // Generic results have no xid scratch; encode from slot 0. Results
         // no encoder carries are the server's failure, not the caller's.
-        encode_shape_generic(results_x, &p.res_shape, 0, &mut results)
-            .map_err(|_| RpcError::SystemErr)
+        xdr_shape(results_x, &p.res_shape, 0, &mut results).map_err(|_| RpcError::SystemErr)
     });
 }
 

@@ -326,7 +326,9 @@ struct MsgBinding {
 }
 
 /// Assign calling-convention slots for a message struct, starting at the
-/// given scalar/array slot bases.
+/// given scalar/array slot bases. An array's binding covers the elements
+/// its context carries — none for one pinned at 0, so its encode refuses
+/// any — while its IR array keeps at least one flat slot.
 fn bind_msg(shape: &MsgShape, scalar_base: u16, array_base: u16) -> MsgBinding {
     let mut bindings = Vec::new();
     let mut layout = ShapeLayout::default();
@@ -356,7 +358,7 @@ fn bind_msg(shape: &MsgShape, scalar_base: u16, array_base: u16) -> MsgBinding {
                 slot += 1;
                 bindings.push(FieldBinding {
                     slot_start: slot,
-                    slot_len: (*pinned_len).max(1),
+                    slot_len: *pinned_len,
                     target: FieldTarget::Array(a),
                 });
                 layout.arrays.push((name.clone(), a));
@@ -366,7 +368,7 @@ fn bind_msg(shape: &MsgShape, scalar_base: u16, array_base: u16) -> MsgBinding {
             FieldShape::FixedIntArray { name, len } => {
                 bindings.push(FieldBinding {
                     slot_start: slot,
-                    slot_len: (*len).max(1),
+                    slot_len: *len,
                     target: FieldTarget::Array(a),
                 });
                 layout.arrays.push((name.clone(), a));
@@ -732,12 +734,8 @@ fn gen_server_encode(
 pub struct CompiledStub {
     /// Executable micro-op program.
     pub program: StubProgram,
-    /// The residual IR (for inspection/pretty-printing).
-    pub residual: Function,
     /// Specialization statistics.
     pub report: SpecReport,
-    /// Calling convention used.
-    pub conventions: StubConventions,
     /// Expected wire length.
     pub wire_len: usize,
     /// User-visible slot layout.
@@ -760,9 +758,7 @@ pub fn specialize_stub(
     )?;
     Ok(CompiledStub {
         program: stub,
-        residual,
         report,
-        conventions: plan.conventions.clone(),
         wire_len: plan.wire_len,
         layout: plan.layout.clone(),
     })

@@ -5,15 +5,16 @@
 //! function, compiled ahead of time like Tempo's pre-compiled templates
 //! and bound to the program by [`super::compile`].
 //!
-//! A stub whose plan has one of four shapes — a header image (`PutImage`
-//! or `GetImage`), at most one element step (a bulk put, or a decode's
-//! fill of the whole array), then `Ret` — and a header of 4 to 255 bytes,
-//! as every stub the benchmark runs has, runs as one monomorphic function
-//! per shape and header width class: one bounds check for its whole
-//! reach, the header copied or compared as two fixed-width blocks, the
-//! patches or the load of the header's scalar run, the element step
-//! through the block kernels, and every op's counts at once. No loop over
-//! steps, no `Result` per step.
+//! A stub of one of four shapes — a header image (an encode's words
+//! stored and patched, or a decode's guards compared and words loaded),
+//! then at most one element segment (a bulk put, or a decode's fill of the
+//! whole array) — with a header of 4 to 255 bytes, as every stub the
+//! benchmark runs has, runs as one monomorphic function per shape and
+//! header width class ([`StubProgram::fixed_width`]): one bounds check for
+//! its whole reach, the header copied or compared as two fixed-width
+//! blocks, the patches or the load of the header's scalar run, the element
+//! segment through the block kernels, and every op's counts at once. No
+//! loop over segments, no `Result` per segment.
 //!
 //! Every other stub — words after an array, two arrays, an array pinned at
 //! 0, a header of 256 bytes or more — runs its segments in wire order on
@@ -40,7 +41,7 @@
 //! `#[target_feature]` function — receives slices of the right length and
 //! cannot fail.
 
-use super::{kernel, CompileError, Image, PlanOp, StubProgram};
+use super::{kernel, CompileError, Run, StubOp, StubProgram};
 use specrpc_xdr::OpCounts;
 use std::fmt;
 
@@ -203,7 +204,7 @@ fn encode_inner(
     slots: Slots,
     counts: &mut OpCounts,
 ) -> Result<Outcome, StubError> {
-    let k = &prog.plan.kernel;
+    let k = &prog.kernel;
     if k.encode(buf, args, slots) {
         return Ok(k.done(counts));
     }
@@ -218,7 +219,7 @@ pub fn run_decode(
     inlen: usize,
     counts: &mut OpCounts,
 ) -> Result<Outcome, StubError> {
-    let k = &prog.plan.kernel;
+    let k = &prog.kernel;
     if k.decode(buf, args, inlen) {
         return Ok(k.done(counts));
     }
@@ -258,7 +259,7 @@ const DECODERS: [DecodeFn; 6] = [
     decode_with::<128>,
 ];
 
-/// An element step: a bulk put of elements `idx..idx + n` of array `arr`
+/// An element segment: a bulk put of elements `idx..idx + n` of array `arr`
 /// at byte `off` (encode), or the fill of the whole array from there
 /// (decode, `idx` 0).
 #[derive(Debug, Clone, Copy)]
@@ -283,7 +284,7 @@ enum Segment {
         bytes: Box<[u8]>,
         patches: Box<[(usize, u16)]>,
     },
-    /// An element step.
+    /// An element segment.
     Elems(Elem),
 }
 
@@ -310,7 +311,7 @@ struct Checked {
 /// A compiled stub's whole run: the run-time template of the residual
 /// function, its holes filled per message.
 ///
-/// The header and element step of a stub of the four shapes are held as
+/// The header and element segment of a stub of the four shapes are held as
 /// its fixed-width entry reads them; every stub is also held as its
 /// segments, guards and array bounds ([`Checked`]), which the checked
 /// path runs. Both check everything before they store anything.
@@ -337,101 +338,87 @@ pub(crate) struct Kernel {
     checked: Box<Checked>,
     /// The message length: the segments tile `0..end`.
     end: usize,
-    /// What `Ret` returns, and the ops and bytes all the steps count.
+    /// What `Ret` returns, and the ops and bytes all the segments count.
     ret: i32,
     ops: u64,
     moves: u64,
 }
 
 impl Kernel {
-    /// The kernel of a plan: its steps, the images they index and the
-    /// array bounds `elems` of its conventions. It refuses a plan that
-    /// does not end in its return, both encodes and decodes, checks
-    /// `inlen` after its first step, or does not cover its message
-    /// `0..end` in order (an encode must store every byte of it).
-    pub(crate) fn bind(
-        steps: &[PlanOp],
-        images: &[Image],
-        elems: &[(u16, usize)],
-    ) -> Result<Kernel, CompileError> {
-        let refuse = |why: &str| {
-            let why = format!("no kernel runs a stub that {why}: {steps:?}");
-            CompileError::Unsupported(why)
-        };
-        let [body @ .., PlanOp::Ret { val: ret }] = steps else {
-            return Err(refuse("does not end in its return"));
-        };
-        let encode = !matches!(
-            body.first(),
-            Some(PlanOp::GetImage { .. } | PlanOp::BulkFill { .. })
-        );
-        let limit = |arr: u16| {
-            let bounds = elems.iter().filter(|&&(a, _)| a == arr && encode);
-            bounds.map(|&(_, n)| n).min().unwrap_or(usize::MAX)
+    /// The kernel of `ops`, given the array bounds `elems` of its
+    /// conventions, bound in one walk over the wire: a run of header
+    /// puts or a guard prefix is a words segment ([`Image`]), an encode's
+    /// element run a bulk put, a decode's `SetArrLen` with the load of that
+    /// whole array after it a fill (one to 0 a fill of nothing, where the
+    /// segments so far end), and the last op the return. It refuses ops no
+    /// segment runs — a loop that is no element run, a decode of part of
+    /// an array, a guard no image holds, an op after the return — and a
+    /// stub that both encodes and decodes, checks `inlen` after its first
+    /// segment, or does not cover its message `0..end` in order (an
+    /// encode must store every byte of it).
+    pub(crate) fn bind(ops: &[StubOp], elems: &[(u16, usize)]) -> Result<Kernel, CompileError> {
+        let refuse = |why: &str, rest: &[StubOp]| {
+            let shown = &rest[..rest.len().min(4)];
+            CompileError::Unsupported(format!("no kernel runs a stub that {why}: {shown:?}"))
         };
         let (mut segments, mut guards) = (Vec::new(), Vec::new());
-        let (mut ops, mut moves, mut end) = (0u64, 0u64, 0usize);
-        for (k, step) in body.iter().enumerate() {
-            let (segment, o, m) = match *step {
-                PlanOp::PutImage { off, at } | PlanOp::GetImage { off, at } => {
-                    let image = &images[at as usize];
-                    if matches!(step, PlanOp::PutImage { .. }) != encode {
-                        return Err(refuse("both encodes and decodes"));
+        let (mut spent, mut end, mut inlen) = ((0u64, 0u64), 0usize, None);
+        let (mut encode, mut rest) = (None, ops);
+        let ret = loop {
+            let image = Image::put(rest).or_else(|| Image::get(rest, spent));
+            let (segment, taken, put, (o, m)) = match (image, rest) {
+                (Some(image), _) => {
+                    if image.inlen.is_some() && !segments.is_empty() {
+                        return Err(refuse("checks its length after its header", rest));
                     }
-                    if k > 0 && image.inlen.is_some() {
-                        return Err(refuse("checks its length after its header"));
-                    }
-                    for &(word, want, o, m) in &image.guards {
-                        guards.push(Guard {
-                            at: off as usize + word,
-                            want: want.to_be_bytes(),
-                            spent: (ops + o, moves + m),
-                        });
-                    }
-                    let words = Segment::Words {
-                        at: off as usize,
-                        bytes: image.bytes.clone().into(),
-                        patches: image.patches.clone().into(),
-                    };
-                    (words, image.ops, image.moves)
+                    inlen = inlen.or(image.inlen);
+                    guards.extend(image.guards);
+                    (image.words, image.taken, image.put, image.spent)
                 }
-                PlanOp::BulkPut {
-                    off,
-                    arr,
-                    idx,
-                    n,
-                    ops,
-                } if encode => (
-                    Segment::elems(off, arr, idx, n, limit(arr)),
-                    ops as u64,
-                    4 * n as u64,
-                ),
-                PlanOp::BulkFill { off, arr, n, ops } if !encode => (
-                    Segment::elems(off, arr, 0, n, usize::MAX),
-                    ops as u64,
-                    4 * n as u64,
-                ),
-                _ => return Err(refuse("both encodes and decodes")),
+                (None, &[StubOp::Ret { val }]) => break val,
+                (None, []) => return Err(refuse("does not end in its return", ops)),
+                (None, &[StubOp::SetArrLen { arr, len }, ref run @ ..]) => {
+                    let whole = Run::at(run).filter(|(run, ..)| {
+                        (run.put, run.arr, run.idx, run.n) == (false, arr, 0, len)
+                    });
+                    let (off, taken, cost) = match whole {
+                        Some((run, taken, cost)) => (run.off as usize, 1 + taken, 1 + cost as u64),
+                        None if len == 0 => (end, 1, 1),
+                        None => return Err(refuse("decodes part of an array", rest)),
+                    };
+                    let fill = Segment::elems(off, arr, 0, len, usize::MAX);
+                    (fill, taken, false, (cost, 4 * len as u64))
+                }
+                (None, _) => match Run::at(rest) {
+                    Some((run, taken, cost)) if run.put => {
+                        let bounds = elems.iter().filter(|&&(a, _)| a == run.arr);
+                        let limit = bounds.map(|&(_, n)| n).min().unwrap_or(usize::MAX);
+                        let Run {
+                            off, arr, idx, n, ..
+                        } = run;
+                        let bulk = Segment::elems(off as usize, arr, idx, n, limit);
+                        (bulk, taken, true, (cost as u64, 4 * n as u64))
+                    }
+                    _ => return Err(refuse("has no segment for its ops", rest)),
+                },
             };
+            if *encode.get_or_insert(put) != put {
+                return Err(refuse("both encodes and decodes", rest));
+            }
             let (start, len) = segment.span();
             if len > 0 {
                 if start != end {
-                    return Err(refuse("does not cover its message in order"));
+                    return Err(refuse("does not cover its message in order", rest));
                 }
                 end = start
                     .checked_add(len)
-                    .ok_or_else(|| refuse("reaches past memory"))?;
+                    .ok_or_else(|| refuse("reaches past memory", rest))?;
             }
-            ops += o;
-            moves += m;
+            spent = (spent.0 + o, spent.1 + m);
             segments.push(segment);
-        }
-        let head = match body.first() {
-            Some(PlanOp::PutImage { at, .. } | PlanOp::GetImage { at, .. }) => {
-                Some(&images[*at as usize])
-            }
-            _ => None,
+            rest = &rest[taken..];
         };
+        let encode = encode.unwrap_or(true);
         let mut kernel = Kernel {
             entry: if encode {
                 Entry::Encode(None)
@@ -445,68 +432,79 @@ impl Kernel {
             slots_but_xid: None,
             loads: (0, 0, 0),
             elem: None,
-            inlen: head.and_then(|image| image.inlen),
+            inlen,
             checked: Box::new(Checked {
                 segments,
                 limits: elems.iter().copied().filter(|_| encode).collect(),
                 guards,
             }),
             end,
-            ret: *ret,
-            ops: ops + 1,
-            moves,
+            ret,
+            ops: spent.0 + 1,
+            moves: spent.1,
         };
-        if let Some(image) = head {
-            kernel.bind_entry(image, encode);
-        }
+        kernel.bind_entry(encode);
         Ok(kernel)
     }
 
     /// Give the kernel the fixed-width entry of its shape, if it has one
-    /// of the four: a header of `image`, 4 to 255 bytes, then at most one
-    /// element step — an encode's of the one array the conventions bound,
-    /// if they bound any — and a decode's header loads one scalar run.
-    fn bind_entry(&mut self, image: &Image, encode: bool) {
-        let elem = match self.checked.segments[1..] {
-            [] => None,
-            [Segment::Elems(e)] => Some(e),
+    /// of the four: a header of 4 to 255 bytes, then at most one element
+    /// segment — an encode's of the one array the conventions bound, if
+    /// they bound any — and a decode's header loads one scalar run. Its
+    /// guard mask covers every word a guard checks.
+    fn bind_entry(&mut self, encode: bool) {
+        let (bytes, patches, elem) = match &self.checked.segments[..] {
+            [Segment::Words { bytes, patches, .. }] => (bytes, patches, None),
+            [Segment::Words { bytes, patches, .. }, Segment::Elems(e)] => {
+                (bytes, patches, Some(*e))
+            }
             _ => return,
         };
         if (self.checked.limits.iter()).any(|&(arr, _)| elem.is_none_or(|e| e.arr != arr)) {
             return;
         }
-        let len = image.bytes.len();
+        let len = bytes.len();
         let Some(class) = (4..256).contains(&len).then(|| len.ilog2() as usize - 2) else {
             return;
         };
         // A decode's loads are one run: word k of it into slot `first + k`.
-        let loads = match image.patches[..] {
+        let loads = match patches[..] {
             [(from, first), ..] if !encode => {
-                let run = (image.patches.iter().enumerate())
+                let run = (patches.iter().enumerate())
                     .all(|(k, &(o, s))| o == from + 4 * k && s as usize == first as usize + k);
                 if !run {
                     return;
                 }
-                (from, first as usize, image.patches.len())
+                (from, first as usize, patches.len())
             }
             _ => (0, 0, 0),
         };
         let patched = |but_xid: bool| {
-            let slots = image.patches.iter().map(|&(_, s)| s as usize);
+            let slots = patches.iter().map(|&(_, s)| s as usize);
             let slots = slots.filter(move |&s| !(but_xid && s == 0));
             slots.clone().min().zip(slots.max())
         };
+        (self.slots, self.slots_but_xid) = (patched(false), patched(true));
+        let mut mask = vec![0; len];
+        for g in &self.checked.guards {
+            mask[g.at..g.at + 4].fill(0xFF);
+        }
+        if self.checked.guards.is_empty() {
+            mask.clear();
+        }
+        (self.bytes, self.patches, self.mask) = (bytes.clone(), patches.clone(), mask.into());
         self.entry = if encode {
             Entry::Encode(Some(ENCODERS[class]))
         } else {
             Entry::Decode(Some(DECODERS[class]))
         };
-        self.bytes = image.bytes.clone().into();
-        self.mask = image.mask.clone().into();
-        self.patches = image.patches.clone().into();
-        (self.slots, self.slots_but_xid) = (patched(false), patched(true));
         self.loads = loads;
         self.elem = elem;
+    }
+
+    /// Whether it has a fixed-width entry.
+    pub(crate) fn fixed_width(&self) -> bool {
+        matches!(self.entry, Entry::Encode(Some(_)) | Entry::Decode(Some(_)))
     }
 
     /// The message length.
@@ -615,16 +613,189 @@ impl Kernel {
     }
 }
 
+/// A run of consecutive words as its ops spell it, walked into the words
+/// segment it is — the way Tempo's run-time templates are a pre-compiled
+/// image whose holes are filled at run time.
+struct Image {
+    /// The span as an encode leaves it or a decode finds it: every static
+    /// word in wire order, zeros elsewhere; each dynamic word's offset in
+    /// the span and its scalar slot, in op order.
+    words: Segment,
+    /// The ops it takes up.
+    taken: usize,
+    /// Whether it encodes.
+    put: bool,
+    /// Decode: the `inlen` its `LenGuard` wants, if it has one.
+    inlen: Option<usize>,
+    /// Decode: each `CheckScalar` / `CheckWord` in op order.
+    guards: Vec<Guard>,
+    /// The stub ops it stands for and the bytes they move.
+    spent: (u64, u64),
+}
+
+impl Image {
+    /// The image of the `PutImm` / `PutScalar` run over consecutive words
+    /// at the start of `ops`; `None` if `ops` starts with neither.
+    fn put(ops: &[StubOp]) -> Option<Image> {
+        let word_at = |op: &StubOp| match *op {
+            StubOp::PutImm { off, .. } | StubOp::PutScalar { off, .. } => Some(off),
+            _ => None,
+        };
+        let off = word_at(ops.first()?)?;
+        let n = ops
+            .iter()
+            .enumerate()
+            .take_while(|&(k, op)| word_at(op).map(u64::from) == Some(off as u64 + 4 * k as u64))
+            .count();
+        let (mut bytes, mut patches) = (vec![0; 4 * n], Vec::new());
+        for (k, op) in ops[..n].iter().enumerate() {
+            match *op {
+                StubOp::PutImm { word, .. } => {
+                    bytes[4 * k..4 * k + 4].copy_from_slice(&word.to_le_bytes())
+                }
+                StubOp::PutScalar { slot, .. } => patches.push((4 * k, slot)),
+                _ => unreachable!("the run holds puts only"),
+            }
+        }
+        Some(Image {
+            words: Segment::Words {
+                at: off as usize,
+                bytes: bytes.into(),
+                patches: patches.into(),
+            },
+            taken: n,
+            put: true,
+            inlen: None,
+            guards: Vec::new(),
+            spent: (n as u64, 4 * n as u64),
+        })
+    }
+
+    /// The image of the guard prefix at the start of `ops` — an optional
+    /// `LenGuard`, a `GetScalar` run, `CheckScalar`s of slots that run
+    /// loaded and `CheckWord`s on its words or the word after them, then
+    /// `GetScalar`s of words it spans or of the word after them — with
+    /// each guard counting `spent`, the ops and bytes before it, on top of
+    /// its own; `None` unless it spans a word. A second check of one word
+    /// against another value ends the prefix, and so does a check after a
+    /// load of the tail.
+    fn get(ops: &[StubOp], spent: (u64, u64)) -> Option<Image> {
+        let inlen = match ops.first() {
+            Some(&StubOp::LenGuard { expected }) => Some(expected as usize),
+            _ => None,
+        };
+        let mut i = inlen.is_some() as usize;
+        let loaded = scalar_run_len(&ops[i..]);
+        let (mut off, first) = match ops.get(i) {
+            Some(&StubOp::GetScalar { off, slot }) => (Some(off), slot as usize),
+            _ => (None, 0),
+        };
+        i += loaded;
+        let (mut wants, mut moves) = (vec![None; loaded], 4 * loaded as u64);
+        let mut guards = Vec::new();
+        // The word `at` falls on: one the span holds, or the one after it.
+        let word_at = |at: u32, off: u32, held: usize| {
+            let word = at.checked_sub(off).filter(|r| r % 4 == 0)? as usize / 4;
+            (word <= held).then_some(word)
+        };
+        loop {
+            let (word, want, moved) = match ops.get(i) {
+                Some(&StubOp::CheckScalar { slot, want })
+                    if (first..first + loaded).contains(&(slot as usize)) =>
+                {
+                    (slot as usize - first, want, 0)
+                }
+                Some(&StubOp::CheckWord { off: at, want }) => {
+                    match word_at(at, *off.get_or_insert(at), wants.len()) {
+                        Some(word) => (word, want, 4),
+                        None => break,
+                    }
+                }
+                _ => break,
+            };
+            if word == wants.len() {
+                wants.push(None);
+            }
+            match wants[word] {
+                Some(held) if held != want => break,
+                _ => wants[word] = Some(want),
+            }
+            moves += moved;
+            i += 1;
+            guards.push(Guard {
+                at: off? as usize + 4 * word,
+                want: want.to_be_bytes(),
+                spent: (spent.0 + i as u64, spent.1 + moves),
+            });
+        }
+        let mut patches: Vec<(usize, u16)> =
+            (0..loaded).map(|k| (4 * k, (first + k) as u16)).collect();
+        while let (Some(&StubOp::GetScalar { off: at, slot }), Some(off)) = (ops.get(i), off) {
+            let Some(word) = word_at(at, off, wants.len()) else {
+                break;
+            };
+            if word == wants.len() {
+                wants.push(None);
+            }
+            patches.push((4 * word, slot));
+            moves += 4;
+            i += 1;
+        }
+        let bytes = wants.iter().flat_map(|w| w.unwrap_or(0).to_be_bytes());
+        Some(Image {
+            words: Segment::Words {
+                at: off? as usize,
+                bytes: bytes.collect(),
+                patches: patches.into(),
+            },
+            taken: i,
+            put: false,
+            inlen,
+            guards,
+            spent: (i as u64, moves),
+        })
+    }
+}
+
+/// Length of the maximal run of `GetScalar` ops starting at `ops[0]` with
+/// stride-4 offsets and stride-1 slots.
+fn scalar_run_len(ops: &[StubOp]) -> usize {
+    let Some(&StubOp::GetScalar { off, slot }) = ops.first() else {
+        return 0;
+    };
+    let follows = |n: usize| {
+        matches!(ops.get(n), Some(&StubOp::GetScalar { off: o, slot: s })
+            if o as u64 == off as u64 + 4 * n as u64 && s as usize == slot as usize + n)
+    };
+    (1..)
+        .find(|&n| !follows(n))
+        .expect("a run ends where the ops do")
+}
+
+#[cfg(test)]
+impl Kernel {
+    /// Each segment in wire order: its first byte, its length, and for an
+    /// element segment its array.
+    pub(super) fn layout(&self) -> Vec<(usize, usize, Option<u16>)> {
+        let segments = self.checked.segments.iter();
+        let arr = |s: &Segment| match s {
+            Segment::Elems(e) => Some(e.arr),
+            Segment::Words { .. } => None,
+        };
+        segments.map(|s| (s.span().0, s.span().1, arr(s))).collect()
+    }
+}
+
 /// The whole words of a buffer of `len` bytes from byte `at` on.
 fn fitting(at: usize, len: usize) -> usize {
     len.saturating_sub(at) / 4
 }
 
 impl Segment {
-    /// The element step of `n` elements of array `arr` from element `idx`,
+    /// The element segment of `n` elements of array `arr` from element `idx`,
     /// at byte `off`.
-    fn elems(off: u32, arr: u16, idx: u32, n: u32, limit: usize) -> Segment {
-        let (off, idx, n) = (off as usize, idx as usize, n as usize);
+    fn elems(off: usize, arr: u16, idx: u32, n: u32, limit: usize) -> Segment {
+        let (idx, n) = (idx as usize, n as usize);
         Segment::Elems(Elem {
             off,
             arr,

@@ -29,11 +29,14 @@
 //! (`unroll`), and [`StubProgram::len`] / [`StubProgram::code_size_bytes`]
 //! are arithmetic over (templates, trips, bound).
 //!
-//! What *runs* is the kernel of the program's [`Plan`]: the message as a
-//! header image, then a fixed list of segments in wire order — an array's
-//! elements as one block copy, or a run of words as another image — then
-//! the return ([`PlanOp`]). [`compile`] binds every program to its kernel
-//! or refuses it with a [`CompileError`]: a residual loop that is not one
+//! What *runs* is the program's kernel, bound from its ops in one walk
+//! over the wire: the message as a header image (the static words encoded
+//! when the program was built, the dynamic ones patched or loaded per
+//! call), then a fixed list of segments in wire order — an array's
+//! elements as one block copy, or a run of words as another image. Each
+//! program holds its ops (what Tables 3 and 4 measure) and that kernel,
+//! nothing in between. [`compile`] binds every program to its kernel or
+//! refuses it with a [`CompileError`]: a residual loop that is not one
 //! element run, a byte of an encoded message that no op stores, an array
 //! decoded only in part. So a stub that compiles runs as one kernel call
 //! ([`run_encode`], [`run_decode`]).
@@ -245,266 +248,6 @@ fn rolled(times: u32, unroll: u32) -> bool {
     unroll != 0 && times as u64 >= 2 * unroll as u64
 }
 
-/// One step of a stub's plan: what its kernel runs, in wire order.
-///
-/// A loop whose one template is a contiguous element store is one block
-/// copy of the array — one bounds check and one byte-swapping pass, as the
-/// paper's `gcc -O2` turns the residual's stores into straight-line code —
-/// and a decode's `SetArrLen` together with the load of the whole array
-/// is one [`PlanOp::BulkFill`] that writes each element once. A run of
-/// consecutive words is one image step, the way Tempo's run-time templates
-/// are a pre-compiled image whose holes are filled at run time: a run of
-/// `PutImm` / `PutScalar` is a [`PlanOp::PutImage`] (copy the words encoded
-/// at build time, patch the dynamic ones), and a decode's guard prefix —
-/// `LenGuard`, a `GetScalar` run, the `CheckScalar`s and `CheckWord`s on
-/// those words, then the `GetScalar`s of the words after them — is a
-/// [`PlanOp::GetImage`] (the static words compared at once, then every
-/// loaded word loaded). The images live beside the steps in the [`Plan`],
-/// so a step stays small and `Copy`.
-///
-/// Fusion is purely a representation change: wire bytes, decoded slots,
-/// [`Outcome`] and [`OpCounts`](specrpc_xdr::OpCounts) accounting are those of executing the
-/// underlying ops one by one.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum PlanOp {
-    /// Encode of `n` consecutive elements of array `arr` starting at
-    /// element `idx`, wire offset `off`. `ops` is the number of stub ops
-    /// this step accounts for (`n`, plus one for the header of a re-rolled
-    /// loop).
-    BulkPut {
-        /// Buffer byte offset of the first element.
-        off: u32,
-        /// Array slot.
-        arr: u16,
-        /// First element index.
-        idx: u32,
-        /// Element count.
-        n: u32,
-        /// Stub ops accounted (for [`OpCounts`](specrpc_xdr::OpCounts) parity).
-        ops: u32,
-    },
-    /// `SetArrLen { arr, len: n }` and the load of that array's elements
-    /// `0..n` in one step: the array is cleared and extended from the
-    /// checked wire slice, so no element is zero-filled only to be
-    /// overwritten. An array sized to 0 is a fill of nothing.
-    BulkFill {
-        /// Buffer byte offset of the first element.
-        off: u32,
-        /// Array slot.
-        arr: u16,
-        /// Element count — the array's whole new length.
-        n: u32,
-        /// Stub ops accounted: the element loads' plus one for the
-        /// `SetArrLen`.
-        ops: u32,
-    },
-    /// `PutImm` / `PutScalar` ops over consecutive words from `off`: one
-    /// copy of the pre-encoded image (static words in wire order, zeros
-    /// where a scalar goes), then each dynamic word patched in.
-    PutImage {
-        /// Buffer byte offset of the first word.
-        off: u32,
-        /// The image's index in the program's image table.
-        at: u32,
-    },
-    /// An optional `LenGuard`, a `GetScalar` run over consecutive words
-    /// from `off` and slots, `CheckScalar`s / `CheckWord`s on words of that
-    /// span, then `GetScalar`s of words of the span (a `CheckWord` or a
-    /// later `GetScalar` may extend it by the word after it): the static
-    /// words compared against the image under a mask, then each loaded word
-    /// loaded into its slot.
-    GetImage {
-        /// Buffer byte offset of the first word.
-        off: u32,
-        /// The image's index in the program's image table.
-        at: u32,
-    },
-    /// Finish with the given (statically computed) return value.
-    Ret {
-        /// Stub return value (C `TRUE`/`FALSE` of the original).
-        val: i32,
-    },
-}
-
-/// What a [`PlanOp::PutImage`] or [`PlanOp::GetImage`] step works from,
-/// built with the plan and kept beside it.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub(crate) struct Image {
-    /// The span as a step that succeeds leaves it (encode) or finds it
-    /// (decode): every static word in wire order, zeros elsewhere.
-    bytes: Vec<u8>,
-    /// Decode: `0xFF` over each word a guard checks, zero elsewhere, so
-    /// the guards pass exactly when `wire & mask == bytes`. Empty when
-    /// nothing is checked.
-    mask: Vec<u8>,
-    /// Each dynamic word's byte offset in the span and its scalar slot,
-    /// in op order: the slot an encode writes there, or the slot a decode
-    /// loads it into.
-    patches: Vec<(usize, u16)>,
-    /// Decode: the `inlen` the step's `LenGuard` wants, if it has one.
-    inlen: Option<usize>,
-    /// Decode: each `CheckScalar` / `CheckWord` in op order — the byte
-    /// offset in the span of the word it checks, the value it wants, and
-    /// the ops and bytes the step has counted when it fails.
-    guards: Vec<(usize, i32, u64, u64)>,
-    /// The stub ops the step stands for.
-    ops: u64,
-    /// The bytes those ops move.
-    moves: u64,
-}
-
-impl Image {
-    /// The image of the `PutImm` / `PutScalar` run at the start of `ops`,
-    /// and how many ops it covers; `None` if `ops` starts with neither.
-    fn put(ops: &[StubOp]) -> Option<(u32, usize, Image)> {
-        let word_at = |op: &StubOp| match *op {
-            StubOp::PutImm { off, .. } | StubOp::PutScalar { off, .. } => Some(off),
-            _ => None,
-        };
-        let off = word_at(ops.first()?)?;
-        let n = ops
-            .iter()
-            .enumerate()
-            .take_while(|&(k, op)| word_at(op).map(u64::from) == Some(off as u64 + 4 * k as u64))
-            .count();
-        let mut image = Image::of(n, vec![0; 4 * n]);
-        for (k, op) in ops[..n].iter().enumerate() {
-            match *op {
-                StubOp::PutImm { word, .. } => {
-                    image.bytes[4 * k..4 * k + 4].copy_from_slice(&word.to_le_bytes())
-                }
-                StubOp::PutScalar { slot, .. } => image.patches.push((4 * k, slot)),
-                _ => unreachable!("the run holds puts only"),
-            }
-        }
-        image.moves = 4 * n as u64;
-        Some((off, n, image))
-    }
-
-    /// The image of the guard prefix at the start of `ops` — an optional
-    /// `LenGuard`, a `GetScalar` run, `CheckScalar`s of slots that run
-    /// loaded and `CheckWord`s on its words or the word after them, then
-    /// `GetScalar`s of words it spans or of the word after them — and how
-    /// many ops it covers; `None` unless it spans a word. A second check
-    /// of one word against another value ends the prefix, and so does a
-    /// check after a load of the tail.
-    fn get(ops: &[StubOp]) -> Option<(u32, usize, Image)> {
-        let inlen = match ops.first() {
-            Some(&StubOp::LenGuard { expected }) => Some(expected as usize),
-            _ => None,
-        };
-        let mut i = inlen.is_some() as usize;
-        let loaded = scalar_run_len(&ops[i..]);
-        let (mut off, first) = match ops.get(i) {
-            Some(&StubOp::GetScalar { off, slot }) => (Some(off), slot as usize),
-            _ => (None, 0),
-        };
-        i += loaded;
-        let (mut wants, mut moves) = (vec![None; loaded], 4 * loaded as u64);
-        let mut guards = Vec::new();
-        // The word `at` falls on: one the span holds, or the one after it.
-        let word_at = |at: u32, off: u32, held: usize| {
-            let word = at.checked_sub(off).filter(|r| r % 4 == 0)? as usize / 4;
-            (word <= held).then_some(word)
-        };
-        loop {
-            let (word, want, moved) = match ops.get(i) {
-                Some(&StubOp::CheckScalar { slot, want })
-                    if (first..first + loaded).contains(&(slot as usize)) =>
-                {
-                    (slot as usize - first, want, 0)
-                }
-                Some(&StubOp::CheckWord { off: at, want }) => {
-                    match word_at(at, *off.get_or_insert(at), wants.len()) {
-                        Some(word) => (word, want, 4),
-                        None => break,
-                    }
-                }
-                _ => break,
-            };
-            if word == wants.len() {
-                wants.push(None);
-            }
-            match wants[word] {
-                Some(held) if held != want => break,
-                _ => wants[word] = Some(want),
-            }
-            moves += moved;
-            i += 1;
-            guards.push((4 * word, want, i as u64, moves));
-        }
-        let mut patches: Vec<(usize, u16)> =
-            (0..loaded).map(|k| (4 * k, (first + k) as u16)).collect();
-        while let (Some(&StubOp::GetScalar { off: at, slot }), Some(off)) = (ops.get(i), off) {
-            let Some(word) = word_at(at, off, wants.len()) else {
-                break;
-            };
-            if word == wants.len() {
-                wants.push(None);
-            }
-            patches.push((4 * word, slot));
-            moves += 4;
-            i += 1;
-        }
-        let bytes = wants.iter().flat_map(|w| w.unwrap_or(0).to_be_bytes());
-        let mut image = Image::of(i, bytes.collect());
-        if wants.iter().any(Option::is_some) {
-            image.mask = wants
-                .iter()
-                .flat_map(|w| [if w.is_some() { 0xFF } else { 0 }; 4])
-                .collect();
-        }
-        (image.patches, image.inlen, image.guards, image.moves) = (patches, inlen, guards, moves);
-        Some((off?, i, image))
-    }
-
-    /// An image of `bytes` standing for `ops` ops, with nothing else
-    /// filled in yet.
-    fn of(ops: usize, bytes: Vec<u8>) -> Image {
-        Image {
-            bytes,
-            mask: Vec::new(),
-            patches: Vec::new(),
-            inlen: None,
-            guards: Vec::new(),
-            ops: ops as u64,
-            moves: 0,
-        }
-    }
-}
-
-/// A program's plan: the [`PlanOp`] steps, the images its image steps
-/// index, and the kernel bound to both by [`compile`]. It is built once
-/// and reads as the slice of its steps.
-#[derive(Clone)]
-pub struct Plan {
-    steps: Vec<PlanOp>,
-    images: Vec<Image>,
-    kernel: Kernel,
-}
-
-impl std::ops::Deref for Plan {
-    type Target = [PlanOp];
-
-    fn deref(&self) -> &[PlanOp] {
-        &self.steps
-    }
-}
-
-/// Two plans are equal when their steps and images are: the kernel is
-/// derived from them.
-impl PartialEq for Plan {
-    fn eq(&self, other: &Plan) -> bool {
-        (&self.steps, &self.images) == (&other.steps, &other.images)
-    }
-}
-
-impl fmt::Debug for Plan {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.debug_list().entries(&self.steps).finish()
-    }
-}
-
 /// A compiled stub: the runtime form of the residual function.
 #[derive(Debug, Clone)]
 pub struct StubProgram {
@@ -512,8 +255,8 @@ pub struct StubProgram {
     /// length follows the message's shape. The code of Tables 3 and 4 is
     /// what it models ([`StubProgram::len`]), not how long it is.
     pub ops: Vec<StubOp>,
-    /// The plan of `ops` and the kernel that runs it.
-    pub plan: Plan,
+    /// The kernel that runs `ops`.
+    kernel: Kernel,
     /// Total wire bytes the stub reads/writes: its message, which an
     /// encode stores every byte of.
     pub wire_len: usize,
@@ -530,18 +273,20 @@ impl StubProgram {
         elems: &[(u16, usize)],
         name: String,
     ) -> Result<StubProgram, CompileError> {
-        let (steps, images) = build_plan(&ops)?;
-        let kernel = Kernel::bind(&steps, &images, elems)?;
+        let kernel = Kernel::bind(&ops, elems)?;
         Ok(StubProgram {
             ops,
             wire_len: kernel.wire_len(),
-            plan: Plan {
-                steps,
-                images,
-                kernel,
-            },
+            kernel,
             name,
         })
+    }
+
+    /// Whether the stub runs on a fixed-width entry: a header image of 4
+    /// to 255 bytes, then at most one element segment (see [`run_encode`]).
+    /// Any other stub runs on its kernel's checked path.
+    pub fn fixed_width(&self) -> bool {
+        self.kernel.fixed_width()
     }
 
     /// Number of ops in the residual code the stub models (the Table 3/4
@@ -1294,98 +1039,4 @@ impl Run {
         let n = self.n.checked_add(next.n).filter(|_| adjoins)?;
         Some(Run { n, ..self })
     }
-}
-
-/// Length of the maximal run of `GetScalar` ops starting at `ops[0]` with
-/// stride-4 offsets and stride-1 slots.
-fn scalar_run_len(ops: &[StubOp]) -> usize {
-    let Some(&StubOp::GetScalar { off, slot }) = ops.first() else {
-        return 0;
-    };
-    let follows = |n: usize| {
-        matches!(ops.get(n), Some(&StubOp::GetScalar { off: o, slot: s })
-            if o as u64 == off as u64 + 4 * n as u64 && s as usize == slot as usize + n)
-    };
-    (1..)
-        .find(|&n| !follows(n))
-        .expect("a run ends where the ops do")
-}
-
-/// The plan of a program, step by step: a run of header puts or a guard
-/// prefix is an image step, its image pushed on the table; an encode's
-/// element run is a bulk put; a decode's `SetArrLen` with the run of that
-/// whole array after it is a fill, and one to 0 a fill of nothing; the
-/// last op is the return. Anything else — a loop that is no element run, a
-/// decode of part of an array, a guard no image holds, an op after the
-/// return — has no step, and the program is refused.
-fn build_plan(ops: &[StubOp]) -> Result<(Vec<PlanOp>, Vec<Image>), CompileError> {
-    let (mut steps, mut images) = (Vec::new(), Vec::new());
-    // Where the steps so far end on the wire: a fill of nothing lies there.
-    let mut reach = 0u32;
-    let mut i = 0;
-    while i < ops.len() {
-        let at = images.len() as u32;
-        let image =
-            Image::put(&ops[i..]).map(|(off, n, image)| (PlanOp::PutImage { off, at }, n, image));
-        let image = image.or_else(|| {
-            Image::get(&ops[i..]).map(|(off, n, image)| (PlanOp::GetImage { off, at }, n, image))
-        });
-        let (step, taken) = match (image, ops[i]) {
-            (Some((step, n, image)), _) => {
-                images.push(image);
-                (step, n)
-            }
-            (None, StubOp::Ret { val }) if i + 1 == ops.len() => (PlanOp::Ret { val }, 1),
-            (None, StubOp::SetArrLen { arr, len }) => {
-                let whole = Run::at(&ops[i + 1..])
-                    .filter(|(run, ..)| (run.put, run.arr, run.idx, run.n) == (false, arr, 0, len));
-                match whole {
-                    Some((run, taken, cost)) => {
-                        let (off, n, ops) = (run.off, run.n, cost.saturating_add(1));
-                        (PlanOp::BulkFill { off, arr, n, ops }, 1 + taken)
-                    }
-                    None if len == 0 => {
-                        let (off, n, ops) = (reach, 0, 1);
-                        (PlanOp::BulkFill { off, arr, n, ops }, 1)
-                    }
-                    None => return Err(unplanned(&ops[i..])),
-                }
-            }
-            (None, _) => match Run::at(&ops[i..]) {
-                Some((run, taken, ops)) if run.put => {
-                    let Run {
-                        off, arr, idx, n, ..
-                    } = run;
-                    let step = PlanOp::BulkPut {
-                        off,
-                        arr,
-                        idx,
-                        n,
-                        ops,
-                    };
-                    (step, taken)
-                }
-                _ => return Err(unplanned(&ops[i..])),
-            },
-        };
-        reach = match step {
-            PlanOp::PutImage { off, .. } | PlanOp::GetImage { off, .. } => {
-                let words = images.last().map_or(0, |image: &Image| image.bytes.len());
-                off.saturating_add(words as u32)
-            }
-            PlanOp::BulkPut { off, n, .. } | PlanOp::BulkFill { off, n, .. } => {
-                off.saturating_add(n.saturating_mul(4))
-            }
-            PlanOp::Ret { .. } => reach,
-        };
-        steps.push(step);
-        i += taken;
-    }
-    Ok((steps, images))
-}
-
-/// The refusal of a program whose ops from `rest` on no plan step runs.
-fn unplanned(rest: &[StubOp]) -> CompileError {
-    let shown = &rest[..rest.len().min(4)];
-    CompileError::Unsupported(format!("no kernel runs the ops {shown:?}"))
 }

@@ -625,30 +625,24 @@ fn chunked_plan_merges_loop_and_remainder_into_one_step() {
     let conv = msg_conv(n);
     let opts = CompileOptions { chunk: Some(8) };
     let enc = compile(&p, &msg_encode(sid, n), &conv, opts).unwrap();
-    // Models Loop(2×8) + 4 left-over elements: header + 16 + 4 stub ops.
-    assert!(enc.plan.contains(&PlanOp::BulkPut {
-        off: 16,
-        arr: 0,
-        idx: 0,
-        n: 20,
-        ops: 21
-    }));
     let dec = compile(&p, &msg_decode(sid, n), &conv, opts).unwrap();
-    assert_eq!(
-        dec.plan[..],
-        [
-            // LenGuard, three GetScalars and the CheckWord after them.
-            PlanOp::GetImage { off: 0, at: 0 },
-            // SetArrLen + loop header + 20 elements.
-            PlanOp::BulkFill {
-                off: 16,
-                arr: 0,
-                n: 20,
-                ops: 22
-            },
-            PlanOp::Ret { val: 1 },
-        ]
-    );
+    // The header image, then all 20 elements as one segment.
+    let layout = [(0, 16, None), (16, 80, Some(0))];
+    assert_eq!(enc.kernel.layout(), layout);
+    assert_eq!(dec.kernel.layout(), layout);
+    assert!(enc.fixed_width() && dec.fixed_width());
+    let args = StubArgs::new(vec![1, 2, 0], vec![(0..n as i32).collect()]);
+    let (mut wire, mut counts) = (vec![0u8; enc.wire_len], OpCounts::new());
+    run_encode(&enc, &mut wire, &args, &mut counts).unwrap();
+    // Four header words; Loop(2×8) + 4 left-over elements: header + 16 +
+    // 4 stub ops; `Ret`.
+    assert_eq!(counts.stub_ops, 4 + 21 + 1);
+    let mut counts = OpCounts::new();
+    let mut out = StubArgs::new(vec![0; 3], vec![vec![]]);
+    run_decode(&dec, &wire, &mut out, wire.len(), &mut counts).unwrap();
+    // `LenGuard`, three `GetScalar`s and the `CheckWord` after them;
+    // `SetArrLen` + loop header + 20 elements; `Ret`.
+    assert_eq!(counts.stub_ops, 5 + 22 + 1);
 }
 
 #[test]
@@ -710,13 +704,7 @@ fn a_decode_of_part_of_an_array_is_refused() {
         StubOp::Ret { val: 1 },
     ];
     let stub = program(ops, &[]).unwrap();
-    let fill = PlanOp::BulkFill {
-        off: 4,
-        arr: 0,
-        n: 0,
-        ops: 1,
-    };
-    assert_eq!(stub.plan[1], fill);
+    assert_eq!(stub.kernel.layout(), [(0, 4, None), (4, 0, Some(0))]);
     let mut out = StubArgs::new(vec![0], vec![vec![9; 3]]);
     let done = run_decode(&stub, &[0, 0, 0, 5], &mut out, 4, &mut OpCounts::new());
     assert_eq!(out, StubArgs::new(vec![5], vec![vec![]]), "{done:?}");
@@ -819,8 +807,7 @@ fn scalar_run_reports_the_first_missing_slot() {
         .collect();
     ops.push(StubOp::Ret { val: 1 });
     let stub = program(ops, &[]).unwrap();
-    let ret = PlanOp::Ret { val: 1 };
-    assert_eq!(stub.plan[..], [PlanOp::GetImage { off: 0, at: 0 }, ret]);
+    assert_eq!(stub.kernel.layout(), [(0, 16, None)]);
     let wire = [0u8; 16];
     let mut out = StubArgs::new(vec![0; 2], vec![]);
     let err = run_decode(&stub, &wire, &mut out, 16, &mut OpCounts::new());
@@ -865,8 +852,7 @@ fn a_put_run_inside_a_verbatim_loop_stays_unfused() {
     ops.extend(pair(8, 1));
     ops.push(StubOp::Ret { val: 1 });
     let stub = program(ops, &[]).unwrap();
-    let ret = PlanOp::Ret { val: 1 };
-    assert_eq!(stub.plan[..], [PlanOp::PutImage { off: 0, at: 0 }, ret]);
+    assert_eq!(stub.kernel.layout(), [(0, 16, None)]);
 }
 
 #[test]
@@ -883,9 +869,11 @@ fn a_guard_prefix_ends_at_a_check_the_image_cannot_hold() {
         StubOp::CheckWord { off: 0, want: 2 },
         StubOp::Ret { val: 1 },
     ];
-    let (off, taken, image) = Image::get(&ops).unwrap();
-    assert_eq!((off, taken, image.bytes.len()), (0, 5, 12));
-    assert!(refused(program(ops, &[])));
+    assert!(refused(program(ops.clone(), &[])));
+    // Without the second check, the first five ops are one image of three
+    // words.
+    let held = [&ops[..5], &ops[6..]].concat();
+    assert_eq!(program(held, &[]).unwrap().kernel.layout(), [(0, 12, None)]);
 }
 
 #[test]
@@ -1048,7 +1036,6 @@ fn residual_loop_compiles_to_the_unrolled_ops() {
         let want = compile(&p, &unrolled, &big_conv(n), opts).unwrap();
         let got = compile(&p, &rolled, &big_conv(n), opts).unwrap();
         assert_eq!(got.ops, want.ops, "chunk {chunk:?}");
-        assert_eq!(got.plan, want.plan, "chunk {chunk:?}");
         assert_eq!(got.wire_len, want.wire_len);
     }
 }
@@ -1188,10 +1175,11 @@ fn compile_binds_a_kernel_to_every_program_it_accepts() {
     let opts = CompileOptions::default();
     let enc = compile(&p, &msg_encode(sid, n), &msg_conv(n), opts).unwrap();
     let dec = compile(&p, &msg_decode(sid, n), &msg_conv(n), opts).unwrap();
-    // The same ops bound by hand are the same plan.
+    // The same ops bound by hand are the same kernel.
     let hand = program(enc.ops.clone(), &[(0, n)]).unwrap();
-    assert_eq!(hand.plan, enc.plan);
-    assert_eq!(program(dec.ops.clone(), &[]).unwrap().plan, dec.plan);
+    assert_eq!(hand.kernel.layout(), enc.kernel.layout());
+    let dec_hand = program(dec.ops.clone(), &[]).unwrap();
+    assert_eq!(dec_hand.kernel.layout(), dec.kernel.layout());
 
     // However it runs, the message is the same.
     let args = StubArgs::new(vec![5, -6, 0], vec![(0..n as i32).collect()]);
@@ -1215,27 +1203,16 @@ fn a_lone_element_plans_as_a_bulk_step_of_one() {
     let (p, sid) = msg_prog(1);
     let (conv, opts) = (msg_conv(1), CompileOptions::default());
     let enc = compile(&p, &msg_encode(sid, 1), &conv, opts).unwrap();
-    let ret = PlanOp::Ret { val: 1 };
-    let put = PlanOp::BulkPut {
-        off: 16,
-        arr: 0,
-        idx: 0,
-        n: 1,
-        ops: 1,
-    };
-    assert_eq!(enc.plan[..], [PlanOp::PutImage { off: 0, at: 0 }, put, ret]);
     let dec = compile(&p, &msg_decode(sid, 1), &conv, opts).unwrap();
-    // `SetArrLen` and the element's load: two ops.
-    let fill = PlanOp::BulkFill {
-        off: 16,
-        arr: 0,
-        n: 1,
-        ops: 2,
-    };
-    assert_eq!(
-        dec.plan[..],
-        [PlanOp::GetImage { off: 0, at: 0 }, fill, ret]
-    );
+    let layout = [(0, 16, None), (16, 4, Some(0))];
+    assert_eq!(enc.kernel.layout(), layout);
+    assert_eq!(dec.kernel.layout(), layout);
+    let args = StubArgs::new(vec![1, 2, 0], vec![vec![9]]);
+    let (wire, mut counts) = (go_encode(&enc, &args), OpCounts::new());
+    let mut out = StubArgs::new(vec![0; 3], vec![vec![]]);
+    run_decode(&dec, &wire, &mut out, wire.len(), &mut counts).unwrap();
+    // The guard prefix's five ops; `SetArrLen` and the element's load; `Ret`.
+    assert_eq!(counts.stub_ops, 5 + 2 + 1);
 }
 
 /// A decode by the kernel against the same ops one by one, from `slots`
@@ -1286,8 +1263,7 @@ fn a_decode_header_loads_the_words_after_its_guards() {
         StubOp::Ret { val: 1 },
     ];
     let stub = program(ops, &[]).unwrap();
-    let ret = PlanOp::Ret { val: 1 };
-    assert_eq!(stub.plan[..], [PlanOp::GetImage { off: 0, at: 0 }, ret]);
+    assert_eq!(stub.kernel.layout(), [(0, 20, None)]);
     let wire: Vec<u8> = [9, 3, -1, 7, 1 << 20]
         .iter()
         .flat_map(|w: &i32| w.to_be_bytes())
@@ -1368,6 +1344,7 @@ fn kernels_of_every_header_width_run_as_the_executor_does() {
         ops.push(StubOp::Ret { val: 1 });
         let elems: &[(u16, usize)] = if elements { &[(0, 4)] } else { &[] };
         let enc = program(ops, elems).unwrap();
+        assert_eq!(enc.fixed_width(), w < 64, "encode of {w} words");
         let scalars: Vec<i32> = (0..w as i32).map(|k| k * 1000 - 3).collect();
         let arrays = vec![vec![10, 11, 12, 13]];
         let args = StubArgs::new(scalars.clone(), arrays.clone());
@@ -1427,6 +1404,7 @@ fn kernels_of_every_header_width_run_as_the_executor_does() {
         }
         ops.push(StubOp::Ret { val: 1 });
         let dec = program(ops, &[]).unwrap();
+        assert_eq!(dec.fixed_width(), w < 64, "decode of {w} words");
         let what = format!("decode of {w} words");
         let (len, slots) = (wire.len(), w as usize);
         let done = decode_as_walked(&dec, &wire, len, slots, &what).0;

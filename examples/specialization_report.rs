@@ -17,11 +17,12 @@
 //!    paper's Table 4 samples at only {25, 250, full},
 //! 7. what a specialization context costs to produce, 8…4096 elements:
 //!    specializer steps (deterministic), wall time beside the model that
-//!    stands for it in virtual time (`modeled_compile_ns`), stub ops and
-//!    the plan steps they run as. Exits non-zero if the 4096-element
-//!    context burns more steps, compiles to more ops, or plans to more
-//!    steps than the 8-element one — specialization cost, stub size and
-//!    what a call runs belong to the shape, not to the array length.
+//!    stands for it in virtual time (`modeled_compile_ns`), stub ops, and
+//!    how many of the four stubs run on a fixed-width entry. Exits
+//!    non-zero if the 4096-element context burns more steps or compiles
+//!    to more ops than the 8-element one — specialization cost and stub
+//!    size belong to the shape, not to the array length — or if a stub of
+//!    any context runs off the fixed-width entries.
 //!
 //! ```text
 //! cargo run --example specialization_report
@@ -228,16 +229,20 @@ fn main() {
             &cp.server_encode,
         ];
         let ops: usize = stubs.iter().map(|s| s.program.ops.len()).sum();
-        let plan: usize = stubs.iter().map(|s| s.program.plan.len()).sum();
+        let fixed = stubs.iter().filter(|s| s.program.fixed_width()).count();
         println!(
-            "    n={n:<5} steps {steps:>6}   parse + specialize + compile {:>6} µs (modeled {:>6} µs)   {ops} ops for {} of residual code, {plan} plan steps",
+            "    n={n:<5} steps {steps:>6}   parse + specialize + compile {:>6} µs (modeled {:>6} µs)   {ops} ops for {} of residual code, {fixed}/4 fixed-width",
             wall.as_micros(),
             specrpc::cache::modeled_compile_ns(&cp) / 1_000,
             stubs.iter().map(|s| s.program.len()).sum::<usize>()
         );
-        steps_at.push((n, steps, ops, plan));
+        if fixed < stubs.len() {
+            eprintln!("a stub runs off the fixed-width entries: n={n}, {fixed}/4 on them");
+            std::process::exit(1);
+        }
+        steps_at.push((n, steps, ops));
     }
-    let (&(small, few, short, lean), &(large, many, long, fat)) =
+    let (&(small, few, short), &(large, many, long)) =
         (steps_at.first().unwrap(), steps_at.last().unwrap());
     if many > few {
         eprintln!(
@@ -248,12 +253,6 @@ fn main() {
     if long > short {
         eprintln!(
             "per-element stubs are back: n={large} compiles to {long} ops, n={small} {short}"
-        );
-        std::process::exit(1);
-    }
-    if fat > lean {
-        eprintln!(
-            "per-element plan steps are back: n={large} plans to {fat} steps, n={small} {lean}"
         );
         std::process::exit(1);
     }

@@ -9,7 +9,7 @@
 
 use proptest::prelude::*;
 use specrpc::echo::{workload, ECHO_IDL, ECHO_PROC, ECHO_PROG, ECHO_VERS};
-use specrpc::generic::decode_shape_generic;
+use specrpc::generic::xdr_shape;
 use specrpc::{PathUsed, ProcPipeline, SpecClient, SpecService};
 use specrpc_netsim::net::{Network, NetworkConfig};
 use specrpc_rpc::msg::ReplyHeader;
@@ -443,7 +443,7 @@ proptest! {
             vec![0; dec.layout.scalar_count as usize],
             vec![Vec::new(); dec.layout.array_count as usize],
         );
-        decode_shape_generic(
+        xdr_shape(
             &mut gx,
             &proc_.res_shape,
             reply_fields::COUNT as u16,
