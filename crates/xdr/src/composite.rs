@@ -8,6 +8,13 @@
 //! version performs a dispatch, an overflow check, and two layer calls *per
 //! element* — precisely the per-element interpretation the specializer
 //! unrolls away (Figure 5).
+//!
+//! Each routine counts its own layer crossing and dispatch in the
+//! [`XdrStream::enter`] that reads `x_op`, and an element run counts its
+//! status checks once, after the run; an element's remaining counts are
+//! taken by the element routine's own entry and stream calls. The counts
+//! per element are those of the original's layering, made in two stream
+//! calls per `xdr_int` element instead of five.
 
 use crate::error::{XdrError, XdrResult};
 use crate::primitives::xdr_u_int;
@@ -22,20 +29,11 @@ pub type XdrProc<T> = fn(&mut dyn XdrStream, &mut T) -> XdrResult;
 /// boundary with zeroes (`xdr_opaque`).
 #[inline(never)]
 pub fn xdr_opaque(xdrs: &mut dyn XdrStream, data: &mut [u8]) -> XdrResult {
-    let c = xdrs.counts_mut();
-    c.layer_calls += 1;
-    c.dispatches += 1;
-    let pad = pad_len(data.len());
-    match xdrs.op() {
-        XdrOp::Encode => {
-            xdrs.putbytes(data)?;
-            if pad > 0 {
-                xdrs.putbytes(&[0u8; BYTES_PER_XDR_UNIT][..pad])?;
-            }
-            Ok(())
-        }
+    match xdrs.enter(1) {
+        XdrOp::Encode => put_opaque(xdrs, data),
         XdrOp::Decode => {
             xdrs.getbytes(data)?;
+            let pad = pad_len(data.len());
             if pad > 0 {
                 let mut sink = [0u8; BYTES_PER_XDR_UNIT];
                 xdrs.getbytes(&mut sink[..pad])?;
@@ -46,15 +44,24 @@ pub fn xdr_opaque(xdrs: &mut dyn XdrStream, data: &mut [u8]) -> XdrResult {
     }
 }
 
+/// `xdr_opaque`'s encode arm, past its entry: the bytes, then the zero pad
+/// to a unit boundary. Borrows what it writes, so a string encodes from
+/// its own bytes.
+fn put_opaque(xdrs: &mut dyn XdrStream, data: &[u8]) -> XdrResult {
+    xdrs.putbytes(data)?;
+    let pad = pad_len(data.len());
+    if pad > 0 {
+        xdrs.putbytes(&[0u8; BYTES_PER_XDR_UNIT][..pad])?;
+    }
+    Ok(())
+}
+
 /// Counted (variable-length) opaque data (`xdr_bytes`): a length word
 /// followed by padded payload; `maxsize` bounds the length in both
 /// directions.
 #[inline(never)]
 pub fn xdr_bytes(xdrs: &mut dyn XdrStream, data: &mut Vec<u8>, maxsize: usize) -> XdrResult {
-    let c = xdrs.counts_mut();
-    c.layer_calls += 1;
-    c.dispatches += 1;
-    match xdrs.op() {
+    match xdrs.enter(1) {
         XdrOp::Encode => {
             if data.len() > maxsize {
                 return Err(XdrError::SizeLimit {
@@ -88,10 +95,7 @@ pub fn xdr_bytes(xdrs: &mut dyn XdrStream, data: &mut Vec<u8>, maxsize: usize) -
 /// payload must be valid UTF-8 without interior NUL.
 #[inline(never)]
 pub fn xdr_string(xdrs: &mut dyn XdrStream, s: &mut String, maxsize: usize) -> XdrResult {
-    let c = xdrs.counts_mut();
-    c.layer_calls += 1;
-    c.dispatches += 1;
-    match xdrs.op() {
+    match xdrs.enter(1) {
         XdrOp::Encode => {
             if s.len() > maxsize {
                 return Err(XdrError::SizeLimit {
@@ -104,10 +108,10 @@ pub fn xdr_string(xdrs: &mut dyn XdrStream, s: &mut String, maxsize: usize) -> X
             }
             let mut len = s.len() as u32;
             xdr_u_int(xdrs, &mut len)?;
-            let mut bytes = std::mem::take(s).into_bytes();
-            let r = xdr_opaque(xdrs, bytes.as_mut_slice());
-            *s = String::from_utf8(bytes).expect("encode does not mutate");
-            r
+            // `xdr_opaque` over the string's own bytes: its entry, then its
+            // encode arm.
+            xdrs.enter(1);
+            put_opaque(xdrs, s.as_bytes())
         }
         XdrOp::Decode => {
             let mut len = 0u32;
@@ -136,7 +140,10 @@ pub fn xdr_string(xdrs: &mut dyn XdrStream, s: &mut String, maxsize: usize) -> X
 ///
 /// This is the workhorse of the paper's benchmark. Note the per-element
 /// costs in the generic version: one indirect call to `elem_proc`, one
-/// dispatch, one overflow check per element.
+/// dispatch, one overflow check per element. The array's own crossing and
+/// dispatch are counted in its entry, the element's in the element
+/// routine's, and the run's status checks — one per element tried — in
+/// one stream call after the run.
 #[inline(never)]
 pub fn xdr_array<T: Default>(
     xdrs: &mut dyn XdrStream,
@@ -144,10 +151,7 @@ pub fn xdr_array<T: Default>(
     maxsize: usize,
     elem_proc: XdrProc<T>,
 ) -> XdrResult {
-    let c = xdrs.counts_mut();
-    c.layer_calls += 1;
-    c.dispatches += 1;
-    match xdrs.op() {
+    match xdrs.enter(1) {
         XdrOp::Encode => {
             if arr.len() > maxsize {
                 return Err(XdrError::SizeLimit {
@@ -157,13 +161,7 @@ pub fn xdr_array<T: Default>(
             }
             let mut len = arr.len() as u32;
             xdr_u_int(xdrs, &mut len)?;
-            for elem in arr.iter_mut() {
-                // The status check mirrors the `if (!xdr_...) return FALSE`
-                // of the generated stubs (Figure 4).
-                xdrs.counts_mut().status_checks += 1;
-                elem_proc(xdrs, elem)?;
-            }
-            Ok(())
+            run(xdrs, arr, elem_proc)
         }
         XdrOp::Decode => {
             let mut len = 0u32;
@@ -174,11 +172,7 @@ pub fn xdr_array<T: Default>(
             }
             arr.clear();
             arr.resize_with(len, T::default);
-            for elem in arr.iter_mut() {
-                xdrs.counts_mut().status_checks += 1;
-                elem_proc(xdrs, elem)?;
-            }
-            Ok(())
+            run(xdrs, arr, elem_proc)
         }
         XdrOp::Free => {
             for elem in arr.iter_mut() {
@@ -194,13 +188,22 @@ pub fn xdr_array<T: Default>(
 /// word.
 #[inline(never)]
 pub fn xdr_vector<T>(xdrs: &mut dyn XdrStream, arr: &mut [T], elem_proc: XdrProc<T>) -> XdrResult {
-    let c = xdrs.counts_mut();
-    c.layer_calls += 1;
-    for elem in arr.iter_mut() {
-        xdrs.counts_mut().status_checks += 1;
-        elem_proc(xdrs, elem)?;
-    }
-    Ok(())
+    xdrs.counts_mut().layer_calls += 1;
+    run(xdrs, arr, elem_proc)
+}
+
+/// Run `elem_proc` over `elems` up to the first failure, then count the
+/// run's status checks — each the `if (!xdr_...) return FALSE` of the
+/// generated stubs (Figure 4), one per element tried, the failing one
+/// included — in one stream call.
+fn run<T>(xdrs: &mut dyn XdrStream, elems: &mut [T], elem_proc: XdrProc<T>) -> XdrResult {
+    let mut tried = 0;
+    let r = elems.iter_mut().try_for_each(|elem| {
+        tried += 1;
+        elem_proc(xdrs, elem)
+    });
+    xdrs.counts_mut().status_checks += tried;
+    r
 }
 
 #[cfg(test)]

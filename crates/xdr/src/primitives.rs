@@ -6,43 +6,65 @@
 //! primitive of every argument of every call — is specialization
 //! opportunity §3.1. Functions are `#[inline(never)]` so the layered call
 //! chain of Figure 1 is preserved in the generic baseline binary.
+//!
+//! A routine's layer crossings and its dispatch are counted in the one
+//! [`XdrStream::enter`] call that reads `x_op`; a forwarder (`xdr_int` over
+//! `xdr_long`) passes its crossing down into that entry instead of making a
+//! stream call of its own to count it. The stream's `putlong` / `getlong`
+//! count the rest, so a 32-bit primitive is two stream calls.
 
 use crate::error::{XdrError, XdrResult};
 use crate::stream::{XdrOp, XdrStream};
 
-/// Record a micro-layer boundary crossing plus the Figure-2 dispatch.
-#[inline(always)]
-fn enter_dispatch(xdrs: &mut dyn XdrStream) -> XdrOp {
-    let c = xdrs.counts_mut();
-    c.layer_calls += 1;
-    c.dispatches += 1;
-    xdrs.op()
+/// A value that travels as one XDR unit: the `long` of Figure 2.
+trait Unit: Copy {
+    fn to_unit(self) -> i32;
+    fn from_unit(v: i32) -> Self;
+}
+
+impl Unit for i32 {
+    fn to_unit(self) -> i32 {
+        self
+    }
+    fn from_unit(v: i32) -> Self {
+        v
+    }
+}
+
+impl Unit for u32 {
+    fn to_unit(self) -> i32 {
+        self as i32
+    }
+    fn from_unit(v: i32) -> Self {
+        v as u32
+    }
+}
+
+/// The body of Figure 2, entered with `layers` crossings counted: one for
+/// `xdr_long` / `xdr_u_long`, two for `xdr_int` / `xdr_u_int`, which reach
+/// it through this one call.
+#[inline(never)]
+fn unit_at<U: Unit>(xdrs: &mut dyn XdrStream, up: &mut U, layers: u64) -> XdrResult {
+    match xdrs.enter(layers) {
+        XdrOp::Encode => xdrs.putlong(up.to_unit()),
+        XdrOp::Decode => {
+            *up = U::from_unit(xdrs.getlong()?);
+            Ok(())
+        }
+        XdrOp::Free => Ok(()),
+    }
 }
 
 /// Encode or decode a 32-bit "long" integer — the exact analog of Figure 2.
 #[inline(never)]
 pub fn xdr_long(xdrs: &mut dyn XdrStream, lp: &mut i32) -> XdrResult {
-    match enter_dispatch(xdrs) {
-        XdrOp::Encode => xdrs.putlong(*lp),
-        XdrOp::Decode => {
-            *lp = xdrs.getlong()?;
-            Ok(())
-        }
-        XdrOp::Free => Ok(()),
-    }
+    unit_at(xdrs, lp, 1)
 }
 
 /// Encode or decode an unsigned 32-bit "long".
 #[inline(never)]
 pub fn xdr_u_long(xdrs: &mut dyn XdrStream, ulp: &mut u32) -> XdrResult {
-    match enter_dispatch(xdrs) {
-        XdrOp::Encode => xdrs.putlong(*ulp as i32),
-        XdrOp::Decode => {
-            *ulp = xdrs.getlong()? as u32;
-            Ok(())
-        }
-        XdrOp::Free => Ok(()),
-    }
+    unit_at(xdrs, ulp, 1)
 }
 
 /// Encode or decode an `int`.
@@ -50,25 +72,25 @@ pub fn xdr_u_long(xdrs: &mut dyn XdrStream, ulp: &mut u32) -> XdrResult {
 /// The original contains a machine-dependent switch on integer size
 /// (`sizeof(int)` vs `sizeof(long)`, see the Figure 1 trace); on every
 /// platform we target the sizes agree, so — like the C code on those
-/// platforms — this forwards to [`xdr_long`] through one more micro-layer.
+/// platforms — this forwards to the body of [`xdr_long`] through one more
+/// micro-layer, counted in that body's entry.
 #[inline(never)]
 pub fn xdr_int(xdrs: &mut dyn XdrStream, ip: &mut i32) -> XdrResult {
-    xdrs.counts_mut().layer_calls += 1;
-    xdr_long(xdrs, ip)
+    unit_at(xdrs, ip, 2)
 }
 
-/// Encode or decode an `unsigned int`.
+/// Encode or decode an `unsigned int` (forwards to the body of
+/// [`xdr_u_long`], like [`xdr_int`]).
 #[inline(never)]
 pub fn xdr_u_int(xdrs: &mut dyn XdrStream, up: &mut u32) -> XdrResult {
-    xdrs.counts_mut().layer_calls += 1;
-    xdr_u_long(xdrs, up)
+    unit_at(xdrs, up, 2)
 }
 
 /// Encode or decode a boolean; on the wire TRUE is 1 and FALSE is 0, and a
 /// decoder must reject anything else.
 #[inline(never)]
 pub fn xdr_bool(xdrs: &mut dyn XdrStream, bp: &mut bool) -> XdrResult {
-    match enter_dispatch(xdrs) {
+    match xdrs.enter(1) {
         XdrOp::Encode => xdrs.putlong(if *bp { 1 } else { 0 }),
         XdrOp::Decode => {
             let v = xdrs.getlong()?;
@@ -89,7 +111,7 @@ pub fn xdr_bool(xdrs: &mut dyn XdrStream, bp: &mut bool) -> XdrResult {
 /// the IDL declaration).
 #[inline(never)]
 pub fn xdr_enum(xdrs: &mut dyn XdrStream, ep: &mut i32, members: &[i32]) -> XdrResult {
-    match enter_dispatch(xdrs) {
+    match xdrs.enter(1) {
         XdrOp::Encode => xdrs.putlong(*ep),
         XdrOp::Decode => {
             let v = xdrs.getlong()?;
@@ -107,7 +129,7 @@ pub fn xdr_enum(xdrs: &mut dyn XdrStream, ep: &mut i32, members: &[i32]) -> XdrR
 /// significant first).
 #[inline(never)]
 pub fn xdr_hyper(xdrs: &mut dyn XdrStream, hp: &mut i64) -> XdrResult {
-    match enter_dispatch(xdrs) {
+    match xdrs.enter(1) {
         XdrOp::Encode => {
             xdrs.putlong((*hp >> 32) as i32)?;
             xdrs.putlong(*hp as i32)
@@ -131,24 +153,22 @@ pub fn xdr_u_hyper(xdrs: &mut dyn XdrStream, hp: &mut u64) -> XdrResult {
     Ok(())
 }
 
-/// Encode or decode an IEEE-754 single-precision float (one XDR unit).
+/// Encode or decode an IEEE-754 single-precision float: one XDR unit,
+/// the [`xdr_long`] its bits spell (Sun's `xdr_float` on IEEE hosts puts
+/// `*(long *)fp` the same way).
 #[inline(never)]
 pub fn xdr_float(xdrs: &mut dyn XdrStream, fp: &mut f32) -> XdrResult {
-    match enter_dispatch(xdrs) {
-        XdrOp::Encode => xdrs.putlong(fp.to_bits() as i32),
-        XdrOp::Decode => {
-            *fp = f32::from_bits(xdrs.getlong()? as u32);
-            Ok(())
-        }
-        XdrOp::Free => Ok(()),
-    }
+    let mut bits = fp.to_bits() as i32;
+    xdr_long(xdrs, &mut bits)?;
+    *fp = f32::from_bits(bits as u32);
+    Ok(())
 }
 
 /// Encode or decode an IEEE-754 double-precision float (two XDR units,
 /// most significant word first).
 #[inline(never)]
 pub fn xdr_double(xdrs: &mut dyn XdrStream, dp: &mut f64) -> XdrResult {
-    match enter_dispatch(xdrs) {
+    match xdrs.enter(1) {
         XdrOp::Encode => {
             let bits = dp.to_bits();
             xdrs.putlong((bits >> 32) as i32)?;

@@ -46,9 +46,31 @@ impl XdrOp {
 /// `getlong`, `putbytes`, `getbytes`, `getpos`, `setpos`. Streams also own
 /// an [`OpCounts`] so that executing generic code *measures* the
 /// interpretive events the platform cost model weights.
+///
+/// Each count rides a call the layering already makes, so counting adds
+/// no indirect call of its own: a filter routine's layer crossings and
+/// its Figure-2 dispatch are counted by [`XdrStream::enter`], the read of
+/// `x_op` that routine makes anyway; overflow checks, byte-order
+/// conversions and bytes moved by the `putlong` / `getlong` / `putbytes` /
+/// `getbytes` that do the work; and an element run's status checks once,
+/// after the run (see [`crate::composite::xdr_array`]). Per element of an
+/// `xdr_array(…, xdr_int)` that is two stream calls — the entry and the
+/// word — for the same counts the original's layering incurs.
 pub trait XdrStream {
     /// The stream's current direction tag (`xdrs->x_op`).
     fn op(&self) -> XdrOp;
+
+    /// Enter a filter routine: count `layers` micro-layer crossings (the
+    /// routine plus any forwarder above it, like `xdr_int` over
+    /// `xdr_long`) and one Figure-2 dispatch, then return the direction
+    /// tag to dispatch on — one indirect call where reading `x_op` alone
+    /// would take one.
+    fn enter(&mut self, layers: u64) -> XdrOp {
+        let c = self.counts_mut();
+        c.layer_calls += layers;
+        c.dispatches += 1;
+        self.op()
+    }
 
     /// Write one 32-bit XDR "long" in network byte order
     /// (`x_putlong`; Figure 3's `xdrmem_putlong` is the memory-stream

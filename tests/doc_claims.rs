@@ -266,11 +266,12 @@ fn a_row_name_resolves_only_to_a_produced_one() {
         "scale/p99/8",
         "cold/{n}",
         "marshal/specialized/{n}",
+        "marshal/residual/{n}",
         "roundtrip/generic/{n}",
     ] {
         assert!(produced.iter().any(|p| p == made), "{made} is not produced");
     }
-    let text = "`batched/16/2000`, `batched/*`, `marshal/{generic,specialized}/2000`, \
+    let text = "`batched/16/2000`, `batched/*`, `marshal/{generic,residual,specialized}/2000`, \
                 `nfs/*`, `crates/core`, `ceil(len/mtu)`, `marshal/fused/20`, \
                 `batched/16`, `nosuch/*` and `scale/p99`";
     assert_eq!(
